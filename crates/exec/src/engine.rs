@@ -66,7 +66,7 @@
 //! by `tests/partial_agg_equivalence.rs`.
 
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
 use ci_catalog::Catalog;
@@ -783,6 +783,16 @@ struct TierRuntime {
     store: Option<Arc<TierStore>>,
 }
 
+/// Locks the (possibly shared) tier simulator. A panic elsewhere while the
+/// lock was held may have left an access half-applied, and the bill is a
+/// function of that state — so a poisoned simulator fails the query with a
+/// typed error instead of panicking or billing from it.
+fn lock_sim(sim: &Mutex<TierCacheSim>) -> Result<MutexGuard<'_, TierCacheSim>> {
+    sim.lock().map_err(|_| {
+        CiError::Exec("tier cache simulator lock is poisoned by an earlier panic".into())
+    })
+}
+
 /// Per-node scheduling slot.
 struct NodeSlot {
     /// When this node can accept the next morsel.
@@ -864,7 +874,7 @@ impl<'a> Executor<'a> {
                     self.config.tier_sim.clone().unwrap_or_else(|| {
                         Arc::new(Mutex::new(TierCacheSim::new(pricing.clone())))
                     });
-                sim.lock().unwrap().begin_query();
+                lock_sim(&sim)?.begin_query();
                 let store = match self.config.page_source {
                     PageSourceMode::Tiered => Some(self.catalog.tier_store()?),
                     _ => None,
@@ -1454,7 +1464,7 @@ impl<'a> Executor<'a> {
                     match (tier_rt, &morsel.tier_part) {
                         (Some(rt), Some(tp)) if src_is_scan && morsel.fetch_bytes > 0.0 => {
                             let (acc, svc) = {
-                                let mut sim = rt.sim.lock().unwrap();
+                                let mut sim = lock_sim(&rt.sim)?;
                                 let acc = sim.access(
                                     CacheKey::new(tp.table, tp.part),
                                     tp.bytes,

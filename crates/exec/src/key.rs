@@ -17,7 +17,7 @@
 //! which is sound exactly because the build side never emits it).
 
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 
 use ci_storage::column::ColumnData;
 use ci_storage::dict::Dictionary;
@@ -171,10 +171,12 @@ impl KeyEncoder {
         foreign: &Arc<Dictionary>,
     ) -> Arc<Vec<u64>> {
         let cache_key = (col_idx, Arc::as_ptr(foreign) as usize);
+        // A pure cache whose entries are inserted whole: whatever a panicking
+        // holder left behind is still valid, so poisoning is recovered from.
         let mut cache = self
             .translations
             .lock()
-            .expect("translation cache poisoned");
+            .unwrap_or_else(PoisonError::into_inner);
         if let Some((pinned, table)) = cache.get(&cache_key) {
             if Arc::ptr_eq(pinned, foreign) {
                 return table.clone();
@@ -617,6 +619,33 @@ mod tests {
         let miss = re.encode(1);
         assert!(miss.is_inline(), "sentinel miss stays allocation-free");
         assert!(build_keys.iter().all(|k| *k != miss));
+    }
+
+    #[test]
+    fn poisoned_translation_cache_is_recovered_not_fatal() {
+        let build = dict_col(&["a", "b", "c"]);
+        let cols: Vec<&ColumnData> = vec![&build];
+        let enc = KeyEncoder::for_columns(&cols, MissPolicy::Sentinel);
+        let build_keys: Vec<Key> = {
+            let re = enc.prepare(&cols).unwrap();
+            (0..3).map(|r| re.encode(r)).collect()
+        };
+        // A worker sharing the encoder panics while holding the cache lock.
+        let shared = enc.clone();
+        let worker = std::thread::spawn(move || {
+            let _held = shared.translations.lock().unwrap();
+            panic!("worker dies with the translation cache locked");
+        });
+        assert!(worker.join().is_err());
+        assert!(enc.translations.is_poisoned());
+        // The next probe morsel still translates (and caches) its ids.
+        let probe = dict_col(&["c", "q", "a"]);
+        let pcols: Vec<&ColumnData> = vec![&probe];
+        for _ in 0..2 {
+            let re = enc.prepare(&pcols).unwrap();
+            assert_eq!(re.encode(0), build_keys[2]);
+            assert_eq!(re.encode(2), build_keys[0]);
+        }
     }
 
     #[test]

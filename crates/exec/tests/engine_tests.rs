@@ -2,11 +2,11 @@
 //! execution, with results checked against independently computed answers
 //! and metrics checked against the billing semantics of §3.1.
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use ci_catalog::{Catalog, ErrorInjector};
-use ci_exec::scaling::{PipelineProgress, ScaleDecision, ScalingController};
-use ci_exec::{ExecutionConfig, Executor, NoScaling};
+use ci_exec::scaling::{PipelineProgress, PipelineStart, ScaleDecision, ScalingController};
+use ci_exec::{ExecutionConfig, Executor, NoScaling, TierCacheSim, TierPricing};
 use ci_plan::{bind, JoinTree, PhysicalPlan, PipelineGraph};
 use ci_sql::parse;
 use ci_storage::batch::RecordBatch;
@@ -14,7 +14,7 @@ use ci_storage::column::ColumnData;
 use ci_storage::schema::{Field, Schema};
 use ci_storage::table::TableBuilder;
 use ci_storage::value::{DataType, Value};
-use ci_types::{SimDuration, TableId};
+use ci_types::{CiError, SimDuration, TableId};
 
 const N_ORDERS: i64 = 20_000;
 const N_CUST: i64 = 500;
@@ -446,4 +446,62 @@ fn exchanges_ship_wire_format_not_decoded_bytes() {
         (wire as f64) < 0.8 * decoded as f64,
         "wire format should shrink the exchange: wire {wire} vs decoded {decoded}"
     );
+}
+
+/// Poisons a mutex the way a contained panic does: a thread dies holding it.
+fn poison<T: Send + 'static>(lock: &Arc<Mutex<T>>) {
+    let lock = lock.clone();
+    let holder = std::thread::spawn(move || {
+        let _held = lock.lock().unwrap();
+        panic!("holder dies with the lock held");
+    });
+    assert!(holder.join().is_err());
+}
+
+/// Poisons the shared tier simulator as the first pipeline starts — after
+/// the query's `begin_query`, before the accounting loop's first access.
+struct PoisonSimAtStart(Arc<Mutex<TierCacheSim>>);
+
+impl ScalingController for PoisonSimAtStart {
+    fn on_pipeline_start(&mut self, ctx: &PipelineStart) -> u32 {
+        if !self.0.is_poisoned() {
+            poison(&self.0);
+        }
+        ctx.planned_dop
+    }
+}
+
+#[test]
+fn poisoned_tier_simulator_is_a_typed_error_not_a_panic() {
+    let cat = catalog();
+    let (plan, graph) = plan_of(&cat, "SELECT COUNT(*) FROM orders WHERE o_total < 900.0");
+    let dops = vec![2; graph.len()];
+    let pricing = TierPricing::standard();
+    let config_with = |sim: &Arc<Mutex<TierCacheSim>>| ExecutionConfig {
+        tiers: Some(pricing.clone()),
+        tier_sim: Some(sim.clone()),
+        ..ExecutionConfig::default()
+    };
+    let sim = Arc::new(Mutex::new(TierCacheSim::new(pricing.clone())));
+    let exec = Executor::new(&cat, config_with(&sim));
+    let healthy = exec.execute(&plan, &graph, &dops, &mut NoScaling).unwrap();
+
+    let is_typed = |e: &CiError| matches!(e, CiError::Exec(m) if m.contains("poisoned"));
+    // Mid-query: the accounting loop meets the poisoned lock.
+    let mut saboteur = PoisonSimAtStart(sim.clone());
+    let e = exec
+        .execute(&plan, &graph, &dops, &mut saboteur)
+        .unwrap_err();
+    assert!(is_typed(&e), "{e}");
+    // Next query on the same config: refused up front, still no panic.
+    let e = exec
+        .execute(&plan, &graph, &dops, &mut NoScaling)
+        .unwrap_err();
+    assert!(is_typed(&e), "{e}");
+    // A fresh simulator serves the same rows again.
+    let fresh = Arc::new(Mutex::new(TierCacheSim::new(pricing.clone())));
+    let again = Executor::new(&cat, config_with(&fresh))
+        .execute(&plan, &graph, &dops, &mut NoScaling)
+        .unwrap();
+    assert_eq!(again.result, healthy.result);
 }

@@ -52,6 +52,16 @@
 //! validated against the actual payload *before* any row-proportional
 //! allocation, so a forged header cannot over-allocate.
 //!
+//! Sizing and serializing share one derivation, **sketch → plan →
+//! `bytes` / `emit`**: one fused pass over a column's rows (read through a
+//! batch's selection, never compacted) gathers a sketch — rows, first,
+//! min/max, runs, min/max delta and a capped distinct count for fixed-width
+//! columns; plain / run / referenced-entry bytes for strings — from which a
+//! `ColumnPlan` takes every candidate's exact size, the pick, the FoR/Delta
+//! frame and, on a wire stream, the cached-frame reuse decision. Costing
+//! reads the plan's `bytes`; serialization calls its `emit`, which writes
+//! exactly that many — "size == serialization" by construction.
+//!
 //! [`best_page`] is the size-based codec picker partitions use to account
 //! `encoded_bytes`. [`WireEncoder`] is the exchange wire format: dict
 //! columns ship bit-packed ids plus their dictionary **once** per encoder
@@ -63,6 +73,7 @@
 //! round-trip exactly like storage pages do.
 
 use std::collections::{HashMap, HashSet};
+use std::hash::{BuildHasherDefault, Hasher};
 use std::sync::Arc;
 
 use ci_types::{CiError, Result};
@@ -70,6 +81,7 @@ use ci_types::{CiError, Result};
 use crate::batch::RecordBatch;
 use crate::column::ColumnData;
 use crate::dict::{Dictionary, IntDict};
+use crate::selection::SelectionVector;
 use crate::value::DataType;
 
 /// Magic bytes opening every encoded page.
@@ -227,114 +239,6 @@ pub fn packed_id_bytes(rows: usize, width: u32) -> u64 {
 /// zero-range, i.e. constant, frame).
 pub fn range_bit_width(range: u64) -> u32 {
     u64::BITS - range.leading_zeros()
-}
-
-/// The frame-of-reference parameters of an integer column: `(min, width)`
-/// where `width` bits hold every `value − min`. `None` for empty columns
-/// (a For page of zero rows has no payload). Offsets are exact for any
-/// `i64` input: `max − min` always fits in a `u64`.
-fn for_frame(col: &ColumnData) -> Result<Option<(i64, u32)>> {
-    let (min, max) = match col {
-        ColumnData::Int64(v) => match v.first() {
-            None => return Ok(None),
-            Some(&first) => v
-                .iter()
-                .fold((first, first), |(lo, hi), &x| (lo.min(x), hi.max(x))),
-        },
-        ColumnData::Bool(v) => {
-            if v.is_empty() {
-                return Ok(None);
-            }
-            let any_true = v.iter().any(|&b| b);
-            let any_false = v.iter().any(|&b| !b);
-            (i64::from(!any_false), i64::from(any_true))
-        }
-        ColumnData::DictInt { ids, dict } => match ids.first() {
-            None => return Ok(None),
-            Some(&first) => {
-                // Min/max over *referenced* values only: a slice or filter
-                // may reference a subset of the dictionary's entries.
-                let first = dict.get(first);
-                ids.iter().fold((first, first), |(lo, hi), &id| {
-                    let x = dict.get(id);
-                    (lo.min(x), hi.max(x))
-                })
-            }
-        },
-        other => {
-            return Err(err(format!(
-                "for codec applies to integer domains, not {}",
-                other.data_type()
-            )))
-        }
-    };
-    Ok(Some((min, range_bit_width(max.wrapping_sub(min) as u64))))
-}
-
-/// The delta-frame parameters of an `Int64` column:
-/// `(first, min_delta, width)` where `width` bits hold every
-/// `delta − min_delta` over the `rows − 1` consecutive (wrapping) deltas.
-/// `None` for empty columns.
-fn delta_frame(col: &ColumnData) -> Result<Option<(i64, i64, u32)>> {
-    let mut vals = int_values(col)?;
-    let Some(first) = vals.next() else {
-        return Ok(None);
-    };
-    let mut min_d = 0i64;
-    let mut max_d = 0i64;
-    let mut seen = false;
-    let mut prev = first;
-    for x in vals {
-        let d = x.wrapping_sub(prev);
-        if !seen {
-            (min_d, max_d, seen) = (d, d, true);
-        } else {
-            min_d = min_d.min(d);
-            max_d = max_d.max(d);
-        }
-        prev = x;
-    }
-    Ok(Some((
-        first,
-        min_d,
-        range_bit_width(max_d.wrapping_sub(min_d) as u64),
-    )))
-}
-
-/// Iterator over the decoded `i64` values of either int encoding; errors for
-/// non-int columns.
-fn int_values(col: &ColumnData) -> Result<impl Iterator<Item = i64> + '_> {
-    match col {
-        ColumnData::Int64(v) => Ok(IntValues::Plain(v.iter())),
-        ColumnData::DictInt { ids, dict } => Ok(IntValues::Dict(ids.iter(), dict)),
-        other => Err(err(format!(
-            "int codec applies to INT columns, not {}",
-            other.data_type()
-        ))),
-    }
-}
-
-enum IntValues<'a> {
-    Plain(std::slice::Iter<'a, i64>),
-    Dict(std::slice::Iter<'a, u32>, &'a crate::dict::IntDict),
-}
-
-impl Iterator for IntValues<'_> {
-    type Item = i64;
-
-    fn next(&mut self) -> Option<i64> {
-        match self {
-            IntValues::Plain(it) => it.next().copied(),
-            IntValues::Dict(it, dict) => it.next().map(|&id| dict.get(id)),
-        }
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        match self {
-            IntValues::Plain(it) => it.size_hint(),
-            IntValues::Dict(it, _) => it.size_hint(),
-        }
-    }
 }
 
 /// Widths up to this bound take the `u64`-buffer packing fast path (the
@@ -623,274 +527,637 @@ pub fn dictionary_page_bytes(dict: &Dictionary) -> u64 {
         .sum::<u64>()
 }
 
-/// The distinct entries a column's rows reference, with their total
-/// serialized entry bytes: `(entry_count, entry_bytes)`.
-fn referenced_entries(col: &ColumnData) -> (usize, u64) {
-    match col {
-        ColumnData::Utf8(v) => {
-            let mut seen: HashSet<&str> = HashSet::new();
-            let mut bytes = 0u64;
-            for s in v {
-                if seen.insert(s) {
-                    bytes += 4 + s.len() as u64;
-                }
-            }
-            (seen.len(), bytes)
-        }
-        ColumnData::Dict { ids, dict } => {
-            let mut seen = vec![false; dict.len()];
-            let mut count = 0usize;
-            let mut bytes = 0u64;
-            for &id in ids {
-                if !seen[id as usize] {
-                    seen[id as usize] = true;
-                    count += 1;
-                    bytes += dict.value_bytes(id) as u64;
-                }
-            }
-            (count, bytes)
-        }
-        ColumnData::Int64(v) => {
-            let mut seen: HashSet<i64> = HashSet::new();
-            for &x in v {
-                seen.insert(x);
-            }
-            (seen.len(), seen.len() as u64 * 8)
-        }
-        ColumnData::DictInt { ids, dict } => {
-            let mut seen = vec![false; dict.len()];
-            let mut count = 0usize;
-            for &id in ids {
-                if !seen[id as usize] {
-                    seen[id as usize] = true;
-                    count += 1;
-                }
-            }
-            (count, count as u64 * 8)
-        }
-        _ => (0, 0),
-    }
-}
-
-/// Number of equal-value runs in the column (1 run minimum when non-empty),
-/// plus the total serialized bytes of one value per run.
-fn rle_runs(col: &ColumnData) -> (u64, u64) {
-    fn runs_by<T, K: PartialEq>(
-        v: &[T],
-        key: impl Fn(&T) -> K,
-        width: impl Fn(&T) -> u64,
-    ) -> (u64, u64) {
-        let mut runs = 0u64;
-        let mut bytes = 0u64;
-        let mut prev: Option<K> = None;
-        for x in v {
-            let k = key(x);
-            if prev.as_ref() != Some(&k) {
-                runs += 1;
-                bytes += width(x);
-                prev = Some(k);
-            }
-        }
-        (runs, bytes)
-    }
-    match col {
-        ColumnData::Int64(v) => runs_by(v, |&x| x, |_| 8),
-        ColumnData::Float64(v) => runs_by(v, |x| x.to_bits(), |_| 8),
-        ColumnData::Bool(v) => runs_by(v, |&b| b, |_| 1),
-        ColumnData::Utf8(v) => {
-            // Adjacent &str comparison — this runs for every string column
-            // of every partition build, so no per-row clones.
-            let mut runs = 0u64;
-            let mut bytes = 0u64;
-            for (i, s) in v.iter().enumerate() {
-                if i == 0 || v[i - 1] != *s {
-                    runs += 1;
-                    bytes += 4 + s.len() as u64;
-                }
-            }
-            (runs, bytes)
-        }
-        ColumnData::Dict { ids, dict } => {
-            let mut runs = 0u64;
-            let mut bytes = 0u64;
-            let mut prev: Option<u32> = None;
-            for &id in ids {
-                // Distinct ids always hold distinct strings (interning), so
-                // id equality is value equality here.
-                if prev != Some(id) {
-                    runs += 1;
-                    bytes += dict.value_bytes(id) as u64;
-                    prev = Some(id);
-                }
-            }
-            (runs, bytes)
-        }
-        // Id equality is value equality under interning, as for strings.
-        ColumnData::DictInt { ids, .. } => runs_by(ids, |&id| id, |_| 8),
-    }
-}
-
-/// Exact size in bytes of `encode_column(col, codec)` without materializing
-/// the page (partitions account every column of every partition, so the
-/// picker must not allocate payloads).
-pub fn encoded_size(col: &ColumnData, codec: PageCodec) -> Result<u64> {
-    let header = PAGE_HEADER_BYTES as u64;
-    let rows = col.len() as u64;
-    Ok(match codec {
-        PageCodec::Plain => match col {
-            ColumnData::Int64(_) | ColumnData::Float64(_) | ColumnData::DictInt { .. } => {
-                header + rows * 8
-            }
-            ColumnData::Bool(_) => header + rows,
-            // `byte_size` is exactly Σ (4 + len) for both string encodings.
-            ColumnData::Utf8(_) | ColumnData::Dict { .. } => header + col.byte_size() as u64,
-        },
-        PageCodec::Dict => {
-            if !codec.applies_to(col.data_type()) {
-                return Err(err(format!(
-                    "dict codec applies to strings and ints, not {}",
-                    col.data_type()
-                )));
-            }
-            let (entries, entry_bytes) = referenced_entries(col);
-            header + 4 + entry_bytes + 1 + packed_id_bytes(col.len(), id_bit_width(entries))
-        }
-        PageCodec::Rle => {
-            let (runs, value_bytes) = rle_runs(col);
-            header + 4 + runs * 4 + value_bytes
-        }
-        PageCodec::For => match for_frame(col)? {
-            None => header,
-            Some((_, width)) => header + 8 + 1 + packed_id_bytes(col.len(), width),
-        },
-        PageCodec::Delta => match delta_frame(col)? {
-            None => header,
-            Some((_, _, width)) => header + 8 + 8 + 1 + packed_id_bytes(col.len() - 1, width),
-        },
-    })
-}
-
-/// The smallest-page codec for this column (ties break toward the earlier
-/// candidate, so the choice is deterministic).
-pub fn pick_codec(col: &ColumnData) -> PageCodec {
-    // Int columns take a fused stats pass: the RLE run count, the FoR
-    // min/max, and the Delta min/max-delta all fall out of one loop, where
-    // the generic path below re-scans the column once per candidate.
-    if let ColumnData::Int64(v) = col {
-        return pick_int_codec(v);
-    }
-    let mut best = PageCodec::Plain;
-    let mut best_size = u64::MAX;
-    for c in PageCodec::candidates(col.data_type()) {
-        let size = encoded_size(col, c).expect("candidate codecs always apply");
-        if size < best_size {
-            best = c;
-            best_size = size;
-        }
-    }
-    best
-}
+// ---------------------------------------------------------------------------
+// Sketch → plan → `bytes` / `emit`
+// ---------------------------------------------------------------------------
 
 /// Hard cap on the distinct-value count an `Int64` column may have and
 /// still be a `Dict` page candidate. The dict codec only pays when NDV is
-/// tiny (enum codes, bucketed dates), and sizing the candidate costs a hash
-/// insert per row in the fused stats pass — without a cap a 200k-row
-/// high-NDV column spends more time hashing than encoding. Once tracking
-/// passes the cap the set is dropped and `Dict` is disqualified outright;
-/// the picker contract (and [`pick_codec`]'s parity with the generic
-/// argmin) is defined over this capped candidate set.
+/// tiny (enum codes, bucketed dates), and counting an unbounded domain
+/// would cost more than the encode it sizes. Past the cap `Dict` is
+/// disqualified outright; the picker contract is defined over this capped
+/// candidate set. (A `Dict` page *forced* through [`encode_column`] or
+/// sized through [`encoded_size`] is exact for any NDV.)
 pub const DICT_INT_MAX_ENTRIES: usize = 4096;
 
-/// Single-pass `Int64` codec pick: identical sizes and tie-break order to
-/// the generic [`encoded_size`]-per-candidate loop (`Plain`, `Dict`, `Rle`,
-/// `For`, `Delta` — earlier wins on equal size), except that `Dict` is
-/// disqualified past [`DICT_INT_MAX_ENTRIES`] distinct values so the stats
-/// pass never hashes an unbounded domain.
-fn pick_int_codec(v: &[i64]) -> PageCodec {
-    let header = PAGE_HEADER_BYTES as u64;
-    let Some(&first) = v.first() else {
-        // Empty column: For ties Plain at a bare header and the tie-break
-        // prefers the earlier candidate.
-        return PageCodec::Plain;
-    };
-    let (mut min, mut max) = (first, first);
-    let mut runs = 1u64;
-    let mut prev = first;
-    let mut deltas: Option<(i64, i64)> = None;
-    let mut distinct: HashSet<i64> = HashSet::new();
-    distinct.insert(first);
-    let mut dict_viable = true;
-    for &x in &v[1..] {
-        min = min.min(x);
-        max = max.max(x);
-        runs += u64::from(x != prev);
-        let d = x.wrapping_sub(prev);
-        deltas = Some(match deltas {
-            None => (d, d),
-            Some((lo, hi)) => (lo.min(d), hi.max(d)),
-        });
-        if dict_viable && distinct.insert(x) && distinct.len() > DICT_INT_MAX_ENTRIES {
-            // Over the cap: free the set so the rest of the scan is pure
-            // min/max/run/delta arithmetic.
-            dict_viable = false;
-            distinct = HashSet::new();
-        }
-        prev = x;
-    }
-    let (min_d, max_d) = deltas.unwrap_or((0, 0));
-    let for_width = range_bit_width(max.wrapping_sub(min) as u64);
-    let delta_width = range_bit_width(max_d.wrapping_sub(min_d) as u64);
-    let entries = distinct.len();
-    let dict_size = if dict_viable {
-        header + 4 + entries as u64 * 8 + 1 + packed_id_bytes(v.len(), id_bit_width(entries))
-    } else {
-        u64::MAX
-    };
-    let candidates = [
-        (header + v.len() as u64 * 8, PageCodec::Plain),
-        (dict_size, PageCodec::Dict),
-        (header + 4 + runs * (4 + 8), PageCodec::Rle),
-        (
-            header + 8 + 1 + packed_id_bytes(v.len(), for_width),
-            PageCodec::For,
-        ),
-        (
-            header + 8 + 8 + 1 + packed_id_bytes(v.len() - 1, delta_width),
-            PageCodec::Delta,
-        ),
-    ];
-    let mut best = candidates[0];
-    for &cand in &candidates[1..] {
-        if cand.0 < best.0 {
-            best = cand;
-        }
-    }
-    best.1
+/// Value ranges under this bound count distinct ints in a bitmap over
+/// `value − min` (at most 128 KiB of reused scratch); wider ranges fall
+/// back to a hash set that stops at the cap.
+const DISTINCT_BITMAP_MAX_RANGE: u64 = 1 << 20;
+
+/// The rows of one column a plan covers: every row, or the rows a batch's
+/// selection names, in order — so sizing a selected batch never compacts it.
+#[derive(Debug, Clone, Copy)]
+struct Rows<'a> {
+    col: &'a ColumnData,
+    sel: Option<&'a SelectionVector>,
 }
 
-/// Page metadata under the size-based codec picker — what
-/// [`crate::partition::MicroPartition`] stores per column.
-pub fn best_page(col: &ColumnData) -> EncodedPage {
-    let codec = pick_codec(col);
-    let encoded_bytes = encoded_size(col, codec).expect("picked codec applies");
-    let dict_bytes = if codec == PageCodec::Dict {
-        let (_, entry_bytes) = referenced_entries(col);
-        4 + entry_bytes
-    } else {
-        0
-    };
-    EncodedPage {
-        codec,
-        encoded_bytes,
-        decoded_bytes: col.byte_size() as u64,
-        rows: col.len(),
-        dict_bytes,
+impl Rows<'_> {
+    fn len(&self) -> usize {
+        self.sel.map_or(self.col.len(), SelectionVector::len)
     }
 }
 
-// ---------------------------------------------------------------------------
-// Encoding
-// ---------------------------------------------------------------------------
+/// Evaluates `$body` with `$it` bound to a cloneable iterator over the
+/// elements of slice `$v` that `$sel` names: the whole slice, a sub-slice
+/// for range selections, an index walk otherwise.
+macro_rules! each_row {
+    ($v:expr, $sel:expr, |$it:ident| $body:expr) => {
+        match $sel.map(|s| (s, s.as_range())) {
+            None => {
+                let $it = $v.iter();
+                $body
+            }
+            Some((_, Some((start, len)))) => {
+                let $it = $v[start..start + len].iter();
+                $body
+            }
+            Some((s, None)) => {
+                let $it = s.iter().map(|i| &$v[i]);
+                $body
+            }
+        }
+    };
+}
+
+/// Evaluates `$body` with `$it` bound to the rows' values as `i64`s — ints
+/// as they are, dictionary ints decoded, bools as 0/1, floats as their IEEE
+/// bits — so one sketch and one emitter serve every fixed-width column.
+/// String columns evaluate `$strs` instead.
+macro_rules! fixed_values {
+    ($rows:expr, |$it:ident| $body:expr, else $strs:expr) => {
+        match $rows.col {
+            ColumnData::Int64(v) => each_row!(v, $rows.sel, |r| {
+                let $it = r.copied();
+                $body
+            }),
+            ColumnData::DictInt { ids, dict } => each_row!(ids, $rows.sel, |r| {
+                let $it = r.map(|&id| dict.get(id));
+                $body
+            }),
+            ColumnData::Bool(v) => each_row!(v, $rows.sel, |r| {
+                let $it = r.map(|&b| i64::from(b));
+                $body
+            }),
+            ColumnData::Float64(v) => each_row!(v, $rows.sel, |r| {
+                let $it = r.map(|x| x.to_bits() as i64);
+                $body
+            }),
+            ColumnData::Utf8(_) | ColumnData::Dict { .. } => $strs,
+        }
+    };
+}
+
+/// Fixed-seed word-folding hasher for the sketch's distinct sets: they sit
+/// on the per-row path of every shipped batch, hold at most
+/// [`DICT_INT_MAX_ENTRIES`]` + 1` ints (or one page's strings), and never
+/// iterate, so SipHash's keyed flood resistance buys nothing here.
+#[derive(Debug, Default, Clone, Copy)]
+struct FastHasher(u64);
+
+impl Hasher for FastHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
+    fn write_u64(&mut self, x: u64) {
+        self.0 = (self.0.rotate_left(5) ^ x).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+
+    fn finish(&self) -> u64 {
+        // The multiply leaves the low bits weak; fold the high half down.
+        self.0 ^ (self.0 >> 32)
+    }
+}
+
+type FastSet<T> = HashSet<T, BuildHasherDefault<FastHasher>>;
+
+/// Reusable scratch for the distinct counts only the `Dict` candidate
+/// needs. A [`WireEncoder`] keeps one for its stream's lifetime.
+#[derive(Debug, Default)]
+struct PlanScratch {
+    /// Seen-bitmap over `value − min` or over dictionary ids.
+    bits: Vec<u64>,
+    /// Distinct values of wide-range int columns.
+    wide: FastSet<i64>,
+}
+
+/// Everything the fixed-width candidates need, gathered by one pass over a
+/// column's values as `i64`s. All delta arithmetic is wrapping, so the
+/// frames are exact for any input.
+#[derive(Debug, Clone, Copy)]
+struct IntSketch {
+    rows: usize,
+    first: i64,
+    min: i64,
+    max: i64,
+    /// Equal-value runs (0 when empty).
+    runs: u64,
+    /// Extremes of the `rows − 1` consecutive deltas (0, 0 under two rows).
+    min_delta: i64,
+    max_delta: i64,
+    /// Distinct values, once [`IntSketch::count_distinct`] ran: exact up to
+    /// the cap they were counted under, `cap + 1` past it.
+    distinct_capped: usize,
+}
+
+impl IntSketch {
+    fn of(mut vals: impl Iterator<Item = i64>) -> IntSketch {
+        let first = vals.next();
+        let mut s = IntSketch {
+            rows: usize::from(first.is_some()),
+            first: first.unwrap_or(0),
+            min: first.unwrap_or(0),
+            max: first.unwrap_or(0),
+            runs: u64::from(first.is_some()),
+            min_delta: i64::MAX,
+            max_delta: i64::MIN,
+            distinct_capped: 0,
+        };
+        let mut prev = s.first;
+        for x in vals {
+            let d = x.wrapping_sub(prev);
+            s.min = s.min.min(x);
+            s.max = s.max.max(x);
+            s.min_delta = s.min_delta.min(d);
+            s.max_delta = s.max_delta.max(d);
+            s.runs += u64::from(d != 0);
+            s.rows += 1;
+            prev = x;
+        }
+        if s.rows < 2 {
+            (s.min_delta, s.max_delta) = (0, 0);
+        }
+        s
+    }
+
+    /// Bits holding every `value − min`.
+    fn for_width(&self) -> u32 {
+        range_bit_width(self.max.wrapping_sub(self.min) as u64)
+    }
+
+    /// Bits holding every `delta − min_delta`.
+    fn delta_width(&self) -> u32 {
+        range_bit_width(self.max_delta.wrapping_sub(self.min_delta) as u64)
+    }
+
+    /// Counts the distinct values of the sketched column, exact up to `cap`
+    /// and `cap + 1` past it. Sorted columns need no second pass; small
+    /// ranges mark a bitmap; only wide unsorted columns hash, and those
+    /// stop at the cap.
+    fn count_distinct(
+        &mut self,
+        vals: impl Iterator<Item = i64>,
+        cap: usize,
+        scratch: &mut PlanScratch,
+    ) {
+        let over = cap.saturating_add(1);
+        let range = self.max.wrapping_sub(self.min) as u64;
+        // Under half the domain no consecutive delta wraps, so one-signed
+        // deltas mean a sorted column: every run is a new value. (Covers
+        // empty and constant columns too.)
+        let sorted = range <= i64::MAX as u64 && (self.min_delta >= 0 || self.max_delta <= 0);
+        self.distinct_capped = if sorted {
+            usize::try_from(self.runs).map_or(over, |runs| runs.min(over))
+        } else if range < DISTINCT_BITMAP_MAX_RANGE {
+            let bits = &mut scratch.bits;
+            bits.clear();
+            bits.resize(range as usize / 64 + 1, 0);
+            for x in vals {
+                let off = x.wrapping_sub(self.min) as usize;
+                bits[off / 64] |= 1 << (off % 64);
+            }
+            let ones: usize = bits.iter().map(|w| w.count_ones() as usize).sum();
+            ones.min(over)
+        } else {
+            scratch.wide.clear();
+            for x in vals {
+                if scratch.wide.insert(x) && scratch.wide.len() > cap {
+                    break;
+                }
+            }
+            scratch.wide.len()
+        };
+    }
+}
+
+/// What the string candidates need, gathered by one pass: every size below
+/// counts a string as its `u32` length plus its bytes.
+#[derive(Debug, Default, Clone, Copy)]
+struct StrSketch {
+    plain_bytes: u64,
+    /// Equal-value runs and the bytes of one value per run.
+    runs: u64,
+    run_bytes: u64,
+    /// Distinct values the rows reference and their bytes — a page never
+    /// ships the unreferenced tail of a table-wide dictionary.
+    entries: usize,
+    entry_bytes: u64,
+}
+
+impl StrSketch {
+    /// Sketches `(value, first sight on this page)` rows.
+    fn of<'s>(rows: impl Iterator<Item = (&'s str, bool)>) -> StrSketch {
+        let mut s = StrSketch::default();
+        let mut prev = None;
+        for (value, first_sight) in rows {
+            let bytes = 4 + value.len() as u64;
+            s.plain_bytes += bytes;
+            if prev != Some(value) {
+                s.runs += 1;
+                s.run_bytes += bytes;
+                prev = Some(value);
+            }
+            if first_sight {
+                s.entries += 1;
+                s.entry_bytes += bytes;
+            }
+        }
+        s
+    }
+}
+
+/// A FoR or Delta frame header. Storage pages carry it inline; a wire
+/// stream ships it once per column position and later chunks reuse it
+/// (`PAGE_FLAG_DICT_REF` int pages carry packed offsets only). Reuse is
+/// exact by wrapping arithmetic: any value whose wrapping offset fits
+/// `width` bits round-trips bit-identically through the cached frame.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum IntFrame {
+    /// Frame-of-reference: offsets from `min`, packed at `width` bits.
+    For { min: i64, width: u32 },
+    /// Delta: each chunk ships its own first value; consecutive deltas are
+    /// offset by `min_d` and packed at `width` bits.
+    Delta { min_d: i64, width: u32 },
+}
+
+/// How a page relates to the receiver's stream caches.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Stream {
+    /// Self-contained, flagless page: storage pages and wire columns that
+    /// use no stream state.
+    Detached,
+    /// Carries its dictionary / int frame inline and fills the receiver's
+    /// cache entry under this stream id.
+    Fills(u32),
+    /// Ids / packed offsets only, resolved against the cached entry.
+    Refers(u32),
+}
+
+/// One column's page, decided once: `bytes` is what costing charges and
+/// [`ColumnPlan::emit`] writes exactly that many bytes, both read off the
+/// same codec, frame and stream decision — so "size == serialization"
+/// holds by construction.
+#[derive(Debug, Clone, Copy)]
+struct ColumnPlan<'a> {
+    rows: Rows<'a>,
+    codec: PageCodec,
+    /// The frame of a non-empty For/Delta page.
+    frame: Option<IntFrame>,
+    /// On a stream, a `Dict` page indexes the stream's shared dictionary
+    /// (at its width) instead of a page-local one.
+    stream: Stream,
+    /// Exact page size, header included.
+    bytes: u64,
+    /// Bytes of the inline dictionary section (0 unless the codec is Dict).
+    dict_bytes: u64,
+    /// The stats pass behind a fixed-width plan (wire frame reuse reads it).
+    sketch: Option<IntSketch>,
+}
+
+impl<'a> ColumnPlan<'a> {
+    /// Plans `rows` under the smallest applicable codec (ties break toward
+    /// the earlier of [`ALL_CODECS`]), or under `only` when given — an
+    /// error if that codec does not apply to the column's type. The picker
+    /// offers `Int64` columns `Dict` up to `int_dict_cap` distinct values
+    /// (0: never); a forced `Dict` page is exact for any NDV.
+    fn build(
+        rows: Rows<'a>,
+        only: Option<PageCodec>,
+        int_dict_cap: usize,
+        scratch: &mut PlanScratch,
+    ) -> Result<ColumnPlan<'a>> {
+        let (dt, n) = (rows.col.data_type(), rows.len());
+        let int_dict_cap = match (only, rows.col) {
+            (Some(PageCodec::Dict), _) => usize::MAX,
+            (Some(_), _) => 0,
+            // A dictionary-encoded column's NDV is bounded by its dictionary.
+            (None, ColumnData::DictInt { .. }) if int_dict_cap > 0 => usize::MAX,
+            (None, _) => int_dict_cap,
+        };
+        let sketch = fixed_values!(
+            rows,
+            |it| {
+                let mut s = IntSketch::of(it.clone());
+                if dt == DataType::Int64 && int_dict_cap > 0 {
+                    s.count_distinct(it, int_dict_cap, scratch);
+                }
+                Some(s)
+            },
+            else None
+        );
+        let ids = |entries: usize| 1 + packed_id_bytes(n, id_bit_width(entries));
+        // Payload bytes per codec in `ALL_CODECS` order, and the bytes of
+        // the Dict candidate's dictionary section.
+        let (payload, dict_bytes) = match sketch {
+            Some(s) => {
+                let value = if dt == DataType::Bool { 1 } else { 8 };
+                let entries = s.distinct_capped;
+                let dict = 4 + entries as u64 * 8;
+                let framed = |frame: u64, packed: u64| if n == 0 { 0 } else { frame + packed };
+                let sizes = [
+                    Some(n as u64 * value),
+                    (int_dict_cap > 0 && entries <= int_dict_cap).then(|| dict + ids(entries)),
+                    Some(4 + s.runs * (4 + value)),
+                    Some(framed(9, packed_id_bytes(n, s.for_width()))),
+                    Some(framed(
+                        17,
+                        packed_id_bytes(n.saturating_sub(1), s.delta_width()),
+                    )),
+                ];
+                (sizes, dict)
+            }
+            None => {
+                let s = match rows.col {
+                    ColumnData::Utf8(v) => {
+                        let mut seen: FastSet<&str> = FastSet::default();
+                        each_row!(v, rows.sel, |it| StrSketch::of(
+                            it.map(|s| (s.as_str(), seen.insert(s)))
+                        ))
+                    }
+                    ColumnData::Dict { ids, dict } => {
+                        let bits = &mut scratch.bits;
+                        bits.clear();
+                        bits.resize(dict.len().div_ceil(64), 0);
+                        each_row!(ids, rows.sel, |it| StrSketch::of(it.map(|&id| {
+                            let (word, bit) = (id as usize / 64, 1u64 << (id % 64));
+                            let first_sight = bits[word] & bit == 0;
+                            bits[word] |= bit;
+                            (dict.get(id), first_sight)
+                        })))
+                    }
+                    _ => StrSketch::default(),
+                };
+                let dict = 4 + s.entry_bytes;
+                let sizes = [
+                    Some(s.plain_bytes),
+                    Some(dict + ids(s.entries)),
+                    Some(4 + s.runs * 4 + s.run_bytes),
+                    None,
+                    None,
+                ];
+                (sizes, dict)
+            }
+        };
+        let mut best: Option<(PageCodec, u64)> = None;
+        for (codec, size) in ALL_CODECS.into_iter().zip(payload) {
+            let wanted = only.is_none_or(|o| o == codec) && codec.applies_to(dt);
+            if let (true, Some(size)) = (wanted, size) {
+                if best.is_none_or(|(_, b)| size < b) {
+                    best = Some((codec, size));
+                }
+            }
+        }
+        let (codec, payload) = best.ok_or_else(|| {
+            let name = only.map_or("no", PageCodec::name);
+            err(format!("{name} codec does not apply to {dt} columns"))
+        })?;
+        let frame = match (codec, sketch) {
+            (PageCodec::For, Some(s)) if n > 0 => Some(IntFrame::For {
+                min: s.min,
+                width: s.for_width(),
+            }),
+            (PageCodec::Delta, Some(s)) if n > 0 => Some(IntFrame::Delta {
+                min_d: s.min_delta,
+                width: s.delta_width(),
+            }),
+            _ => None,
+        };
+        Ok(ColumnPlan {
+            rows,
+            codec,
+            frame,
+            stream: Stream::Detached,
+            bytes: PAGE_HEADER_BYTES as u64 + payload,
+            dict_bytes: if codec == PageCodec::Dict {
+                dict_bytes
+            } else {
+                0
+            },
+            sketch,
+        })
+    }
+
+    /// Plans a whole column as a storage page (its own scratch).
+    fn page(col: &'a ColumnData, only: Option<PageCodec>, cap: usize) -> Result<ColumnPlan<'a>> {
+        ColumnPlan::build(
+            Rows { col, sel: None },
+            only,
+            cap,
+            &mut PlanScratch::default(),
+        )
+    }
+
+    /// The storage page under the size-based picker.
+    fn picked(col: &'a ColumnData) -> ColumnPlan<'a> {
+        ColumnPlan::page(col, None, DICT_INT_MAX_ENTRIES)
+            .expect("Plain is a candidate for every column")
+    }
+
+    /// Page metadata of a plan over a whole (dense) column.
+    fn meta(&self) -> EncodedPage {
+        EncodedPage {
+            codec: self.codec,
+            encoded_bytes: self.bytes,
+            decoded_bytes: self.rows.col.byte_size() as u64,
+            rows: self.rows.len(),
+            dict_bytes: self.dict_bytes,
+        }
+    }
+
+    /// Serializes the planned page: appends exactly `bytes` bytes to `out`.
+    fn emit(&self, out: &mut Vec<u8>) -> Result<()> {
+        let rows = page_rows(self.rows.len())?;
+        let start = out.len();
+        out.reserve(self.bytes as usize);
+        let (flags, stream_id) = match self.stream {
+            Stream::Detached => (0, None),
+            Stream::Fills(id) => (PAGE_FLAG_WIRE_STREAM, Some(id)),
+            Stream::Refers(id) => (PAGE_FLAG_WIRE_STREAM | PAGE_FLAG_DICT_REF, Some(id)),
+        };
+        out.extend_from_slice(&PAGE_MAGIC);
+        out.push(PAGE_VERSION);
+        out.push(self.codec.tag());
+        out.push(dtype_tag(self.rows.col.data_type()));
+        out.push(flags);
+        push_u32(out, rows);
+        if let Some(id) = stream_id {
+            push_u32(out, id);
+        }
+        fixed_values!(self.rows, |it| self.emit_fixed(it, out), else self.emit_strs(out));
+        let wrote = (out.len() - start) as u64;
+        debug_assert_eq!(wrote, self.bytes, "emit must write the planned size");
+        Ok(())
+    }
+
+    /// The page's metadata and bytes.
+    fn encode(&self) -> Result<(EncodedPage, Vec<u8>)> {
+        let mut out = Vec::new();
+        self.emit(&mut out)?;
+        Ok((self.meta(), out))
+    }
+
+    /// The payload of a fixed-width column, from its values as `i64`s.
+    fn emit_fixed(&self, mut vals: impl Iterator<Item = i64>, out: &mut Vec<u8>) {
+        let bool_col = self.rows.col.data_type() == DataType::Bool;
+        let put = |out: &mut Vec<u8>, x: i64| {
+            if bool_col {
+                out.push(x as u8);
+            } else {
+                out.extend_from_slice(&x.to_le_bytes());
+            }
+        };
+        // Frame-reuse pages ride the receiver's cached frame header.
+        let inline_frame = !matches!(self.stream, Stream::Refers(_));
+        match (self.codec, self.frame) {
+            (PageCodec::Plain, _) => vals.for_each(|x| put(out, x)),
+            (PageCodec::Rle, _) => emit_runs(out, vals, |x| x, |out, &x| put(out, x)),
+            (PageCodec::Dict, _) => {
+                let (local, ids) = IntDict::encode(vals);
+                push_u32(out, local.len() as u32);
+                local.values().iter().for_each(|&entry| put(out, entry));
+                let width = id_bit_width(local.len());
+                out.push(width as u8);
+                pack_ids(out, ids.into_iter(), width);
+            }
+            (_, Some(IntFrame::For { min, width })) => {
+                if inline_frame {
+                    out.extend_from_slice(&min.to_le_bytes());
+                    out.push(width as u8);
+                }
+                pack_bits(out, vals.map(|x| x.wrapping_sub(min) as u64), width);
+            }
+            (_, Some(IntFrame::Delta { min_d, width })) => {
+                let Some(mut prev) = vals.next() else { return };
+                out.extend_from_slice(&prev.to_le_bytes());
+                if inline_frame {
+                    out.extend_from_slice(&min_d.to_le_bytes());
+                    out.push(width as u8);
+                }
+                let deltas = vals.map(|x| {
+                    let d = x.wrapping_sub(prev).wrapping_sub(min_d) as u64;
+                    prev = x;
+                    d
+                });
+                pack_bits(out, deltas, width);
+            }
+            // An empty For/Delta page has no payload.
+            (PageCodec::For | PageCodec::Delta, None) => {}
+        }
+    }
+
+    /// The payload of a string column under either in-memory encoding.
+    fn emit_strs(&self, out: &mut Vec<u8>) {
+        let sel = self.rows.sel;
+        // Dictionary section (unless the receiver holds it) + packed ids.
+        let put_dict =
+            |out: &mut Vec<u8>, dict: &Dictionary, ids: &mut dyn Iterator<Item = u32>| {
+                if !matches!(self.stream, Stream::Refers(_)) {
+                    push_u32(out, dict.len() as u32);
+                    dict.values().iter().for_each(|entry| push_str(out, entry));
+                }
+                let width = id_bit_width(dict.len());
+                out.push(width as u8);
+                pack_ids(out, ids, width);
+            };
+        match (self.rows.col, self.codec) {
+            (ColumnData::Dict { ids, dict }, PageCodec::Dict)
+                if self.stream != Stream::Detached =>
+            {
+                each_row!(ids, sel, |it| put_dict(out, dict, &mut it.copied()))
+            }
+            // Storage Dict pages: a local dictionary in first-appearance
+            // order over this page's rows only, then local ids.
+            (ColumnData::Dict { ids, dict }, PageCodec::Dict) => {
+                let mut remap: Vec<u32> = vec![u32::MAX; dict.len()];
+                let mut local = Dictionary::new();
+                let local_ids: Vec<u32> = each_row!(ids, sel, |it| it
+                    .map(|&id| {
+                        if remap[id as usize] == u32::MAX {
+                            remap[id as usize] = local.intern(dict.get(id));
+                        }
+                        remap[id as usize]
+                    })
+                    .collect());
+                put_dict(out, &local, &mut local_ids.into_iter());
+            }
+            (ColumnData::Utf8(v), PageCodec::Dict) => {
+                let (local, local_ids) =
+                    each_row!(v, sel, |it| Dictionary::encode(it.map(String::as_str)));
+                put_dict(out, &local, &mut local_ids.into_iter());
+            }
+            (ColumnData::Utf8(v), codec) => {
+                each_row!(v, sel, |it| emit_str_rows(
+                    out,
+                    codec,
+                    it.map(String::as_str)
+                ))
+            }
+            (ColumnData::Dict { ids, dict }, codec) => {
+                each_row!(ids, sel, |it| emit_str_rows(
+                    out,
+                    codec,
+                    it.map(|&id| dict.get(id))
+                ))
+            }
+            _ => {}
+        }
+    }
+}
+
+/// Plain and Rle string payloads.
+fn emit_str_rows<'s>(out: &mut Vec<u8>, codec: PageCodec, rows: impl Iterator<Item = &'s str>) {
+    match codec {
+        PageCodec::Rle => emit_runs(out, rows, |s| s, |out, s| push_str(out, s)),
+        _ => rows.for_each(|s| push_str(out, s)),
+    }
+}
+
+/// Writes an Rle payload: the `u32` run count, then `u32` run length + one
+/// value (via `put`) per run of items with equal `key`s.
+fn emit_runs<T, K: PartialEq>(
+    out: &mut Vec<u8>,
+    mut items: impl Iterator<Item = T>,
+    key: impl Fn(&T) -> &K,
+    mut put: impl FnMut(&mut Vec<u8>, &T),
+) {
+    let run_count_at = out.len();
+    push_u32(out, 0); // patched below
+    let mut runs = 0u32;
+    if let Some(mut cur) = items.next() {
+        let mut len = 1u32;
+        for x in items {
+            if key(&x) == key(&cur) {
+                len += 1;
+            } else {
+                runs += 1;
+                push_u32(out, len);
+                put(out, &cur);
+                cur = x;
+                len = 1;
+            }
+        }
+        runs += 1;
+        push_u32(out, len);
+        put(out, &cur);
+    }
+    out[run_count_at..run_count_at + 4].copy_from_slice(&runs.to_le_bytes());
+}
 
 fn push_u32(out: &mut Vec<u8>, v: u32) {
     out.extend_from_slice(&v.to_le_bytes());
@@ -901,17 +1168,9 @@ fn push_str(out: &mut Vec<u8>, s: &str) {
     out.extend_from_slice(s.as_bytes());
 }
 
-fn push_header(out: &mut Vec<u8>, codec: PageCodec, dt: DataType, rows: u32) {
-    push_header_flags(out, codec, dt, rows, 0);
-}
-
-fn push_header_flags(out: &mut Vec<u8>, codec: PageCodec, dt: DataType, rows: u32, flags: u8) {
-    out.extend_from_slice(&PAGE_MAGIC);
-    out.push(PAGE_VERSION);
-    out.push(codec.tag());
-    out.push(dtype_tag(dt));
-    out.push(flags);
-    push_u32(out, rows);
+/// Bit-packs `ids` at `width` bits each, LSB-first.
+pub(crate) fn pack_ids(out: &mut Vec<u8>, ids: impl Iterator<Item = u32>, width: u32) {
+    pack_bits(out, ids.map(u64::from), width);
 }
 
 /// Header flag bit marking a wire-stream page that *references* stream
@@ -926,236 +1185,42 @@ pub const PAGE_FLAG_DICT_REF: u8 = 1;
 /// ([`PAGE_FLAG_DICT_REF`] also set).
 pub const PAGE_FLAG_WIRE_STREAM: u8 = 2;
 
-/// Bit-packs `ids` at `width` bits each, LSB-first.
-pub(crate) fn pack_ids(out: &mut Vec<u8>, ids: impl Iterator<Item = u32>, width: u32) {
-    pack_bits(out, ids.map(u64::from), width);
+/// Exact size in bytes of `encode_column(col, codec)` without materializing
+/// the page.
+pub fn encoded_size(col: &ColumnData, codec: PageCodec) -> Result<u64> {
+    Ok(ColumnPlan::page(col, Some(codec), 0)?.bytes)
+}
+
+/// The smallest-page codec for this column (ties break toward the earlier
+/// candidate, so the choice is deterministic).
+pub fn pick_codec(col: &ColumnData) -> PageCodec {
+    ColumnPlan::picked(col).codec
+}
+
+/// Page metadata under the size-based codec picker — what
+/// [`crate::partition::MicroPartition`] stores per column. Size-only:
+/// partitions account every column of every partition, so no payload is
+/// materialized.
+pub fn best_page(col: &ColumnData) -> EncodedPage {
+    ColumnPlan::picked(col).meta()
 }
 
 /// Encodes a column as one self-contained page under the given codec.
 /// Returns the page metadata and the bytes; `decode_column` inverts it.
 pub fn encode_column(col: &ColumnData, codec: PageCodec) -> Result<(EncodedPage, Vec<u8>)> {
-    let rows = page_rows(col.len())?;
-    let mut out = Vec::with_capacity(PAGE_HEADER_BYTES + 16);
-    push_header(&mut out, codec, col.data_type(), rows);
-    let mut dict_bytes = 0u64;
-    match codec {
-        PageCodec::Plain => match col {
-            ColumnData::Int64(v) => v
-                .iter()
-                .for_each(|x| out.extend_from_slice(&x.to_le_bytes())),
-            ColumnData::Float64(v) => v
-                .iter()
-                .for_each(|x| out.extend_from_slice(&x.to_bits().to_le_bytes())),
-            ColumnData::Bool(v) => v.iter().for_each(|&b| out.push(b as u8)),
-            ColumnData::Utf8(v) => v.iter().for_each(|s| push_str(&mut out, s)),
-            ColumnData::Dict { ids, dict } => {
-                ids.iter().for_each(|&id| push_str(&mut out, dict.get(id)))
-            }
-            ColumnData::DictInt { ids, dict } => ids
-                .iter()
-                .for_each(|&id| out.extend_from_slice(&dict.get(id).to_le_bytes())),
-        },
-        PageCodec::Dict if col.data_type() == DataType::Int64 => {
-            // Int dictionary page: local dictionary in first-appearance
-            // order (raw 8-byte entries), then bit-packed local ids — the
-            // integer twin of the string layout below.
-            let (local, local_ids): (IntDict, Vec<u32>) = match col {
-                ColumnData::Int64(v) => IntDict::encode(v.iter().copied()),
-                ColumnData::DictInt { ids, dict } => {
-                    let mut remap: Vec<u32> = vec![u32::MAX; dict.len()];
-                    let mut local = IntDict::new();
-                    let local_ids = ids
-                        .iter()
-                        .map(|&id| {
-                            if remap[id as usize] == u32::MAX {
-                                remap[id as usize] = local.intern(dict.get(id));
-                            }
-                            remap[id as usize]
-                        })
-                        .collect();
-                    (local, local_ids)
-                }
-                _ => unreachable!("int dtype guard matched a non-int column"),
-            };
-            let section_start = out.len();
-            push_u32(&mut out, local.len() as u32);
-            for &entry in local.values() {
-                out.extend_from_slice(&entry.to_le_bytes());
-            }
-            dict_bytes = (out.len() - section_start) as u64;
-            let width = id_bit_width(local.len());
-            out.push(width as u8);
-            pack_ids(&mut out, local_ids.into_iter(), width);
-        }
-        PageCodec::Dict => {
-            // Local dictionary in first-appearance order over this page's
-            // rows only (a table-wide dictionary's unreferenced tail is not
-            // shipped), then bit-packed local ids.
-            let (local, local_ids): (Dictionary, Vec<u32>) = match col {
-                ColumnData::Utf8(v) => Dictionary::encode(v.iter().map(String::as_str)),
-                ColumnData::Dict { ids, dict } => {
-                    let mut remap: Vec<u32> = vec![u32::MAX; dict.len()];
-                    let mut local = Dictionary::new();
-                    let local_ids = ids
-                        .iter()
-                        .map(|&id| {
-                            if remap[id as usize] == u32::MAX {
-                                remap[id as usize] = local.intern(dict.get(id));
-                            }
-                            remap[id as usize]
-                        })
-                        .collect();
-                    (local, local_ids)
-                }
-                other => {
-                    return Err(err(format!(
-                        "dict codec applies to strings and ints, not {}",
-                        other.data_type()
-                    )))
-                }
-            };
-            let section_start = out.len();
-            push_u32(&mut out, local.len() as u32);
-            for entry in local.values() {
-                push_str(&mut out, entry);
-            }
-            dict_bytes = (out.len() - section_start) as u64;
-            let width = id_bit_width(local.len());
-            out.push(width as u8);
-            pack_ids(&mut out, local_ids.into_iter(), width);
-        }
-        PageCodec::Rle => {
-            let run_count_at = out.len();
-            push_u32(&mut out, 0); // patched below
-            let mut runs = 0u32;
-            macro_rules! rle {
-                ($vals:expr, $key:expr, $emit:expr) => {{
-                    let mut iter = $vals;
-                    if let Some(first) = iter.next() {
-                        let mut cur = first;
-                        let mut len = 1u32;
-                        for x in iter {
-                            if $key(&x) == $key(&cur) {
-                                len += 1;
-                            } else {
-                                runs += 1;
-                                push_u32(&mut out, len);
-                                $emit(&mut out, &cur);
-                                cur = x;
-                                len = 1;
-                            }
-                        }
-                        runs += 1;
-                        push_u32(&mut out, len);
-                        $emit(&mut out, &cur);
-                    }
-                }};
-            }
-            match col {
-                ColumnData::Int64(v) => rle!(
-                    v.iter().copied(),
-                    |x: &i64| *x,
-                    |out: &mut Vec<u8>, x: &i64| out.extend_from_slice(&x.to_le_bytes())
-                ),
-                ColumnData::Float64(v) => rle!(
-                    v.iter().copied(),
-                    |x: &f64| x.to_bits(),
-                    |out: &mut Vec<u8>, x: &f64| out.extend_from_slice(&x.to_bits().to_le_bytes())
-                ),
-                ColumnData::Bool(v) => rle!(
-                    v.iter().copied(),
-                    |b: &bool| *b,
-                    |out: &mut Vec<u8>, b: &bool| out.push(*b as u8)
-                ),
-                ColumnData::Utf8(v) => {
-                    let mut i = 0;
-                    while i < v.len() {
-                        let mut end = i + 1;
-                        while end < v.len() && v[end] == v[i] {
-                            end += 1;
-                        }
-                        runs += 1;
-                        push_u32(&mut out, (end - i) as u32);
-                        push_str(&mut out, &v[i]);
-                        i = end;
-                    }
-                }
-                ColumnData::Dict { ids, dict } => rle!(
-                    // Id equality is value equality under interning.
-                    ids.iter().copied(),
-                    |id: &u32| *id,
-                    |out: &mut Vec<u8>, id: &u32| push_str(out, dict.get(*id))
-                ),
-                ColumnData::DictInt { ids, dict } => rle!(
-                    ids.iter().copied(),
-                    |id: &u32| *id,
-                    |out: &mut Vec<u8>, id: &u32| out
-                        .extend_from_slice(&dict.get(*id).to_le_bytes())
-                ),
-            }
-            out[run_count_at..run_count_at + 4].copy_from_slice(&runs.to_le_bytes());
-        }
-        PageCodec::For => {
-            if let Some((min, width)) = for_frame(col)? {
-                out.extend_from_slice(&min.to_le_bytes());
-                out.push(width as u8);
-                match col {
-                    ColumnData::Int64(v) => pack_bits(
-                        &mut out,
-                        v.iter().map(|&x| x.wrapping_sub(min) as u64),
-                        width,
-                    ),
-                    ColumnData::Bool(v) => pack_bits(
-                        &mut out,
-                        v.iter().map(|&b| (i64::from(b)).wrapping_sub(min) as u64),
-                        width,
-                    ),
-                    ColumnData::DictInt { ids, dict } => pack_bits(
-                        &mut out,
-                        ids.iter().map(|&id| dict.get(id).wrapping_sub(min) as u64),
-                        width,
-                    ),
-                    _ => unreachable!("for_frame rejected the type"),
-                }
-            }
-        }
-        PageCodec::Delta => {
-            if let Some((first, min_d, width)) = delta_frame(col)? {
-                out.extend_from_slice(&first.to_le_bytes());
-                out.extend_from_slice(&min_d.to_le_bytes());
-                out.push(width as u8);
-                let mut vals = int_values(col).expect("delta_frame accepted the type");
-                let mut prev = vals.next().expect("non-empty by the frame");
-                pack_bits(
-                    &mut out,
-                    vals.map(|x| {
-                        let d = x.wrapping_sub(prev).wrapping_sub(min_d) as u64;
-                        prev = x;
-                        d
-                    }),
-                    width,
-                );
-            }
-        }
-    }
-    let meta = EncodedPage {
-        codec,
-        encoded_bytes: out.len() as u64,
-        decoded_bytes: col.byte_size() as u64,
-        rows: col.len(),
-        dict_bytes,
-    };
-    debug_assert_eq!(
-        meta.encoded_bytes,
-        encoded_size(col, codec).expect("sized codec"),
-        "size-only accounting must match the real encoder"
-    );
-    Ok((meta, out))
+    ColumnPlan::page(col, Some(codec), 0)?.encode()
 }
 
 /// Encodes under the size-picked codec.
 pub fn encode_best(col: &ColumnData) -> Result<(EncodedPage, Vec<u8>)> {
-    encode_column(col, pick_codec(col))
+    ColumnPlan::picked(col).encode()
+}
+
+/// Encodes an int column under the size-picked codec with `Dict` left out
+/// of the race: the page decodes back to a plain `Int64` column, never to a
+/// fresh page-local dictionary.
+pub(crate) fn encode_best_no_dict(col: &ColumnData) -> Result<Vec<u8>> {
+    Ok(ColumnPlan::page(col, None, 0)?.encode()?.1)
 }
 
 // ---------------------------------------------------------------------------
@@ -1631,6 +1696,11 @@ pub(crate) fn unpack_ids(packed: &[u8], rows: usize, width: u32) -> Result<Vec<u
 // Wire format
 // ---------------------------------------------------------------------------
 
+/// Bound on a wire stream's column positions (schemas are far narrower; the
+/// tier file format's `u16` column count is the workspace-wide limit). It
+/// keeps a forged stream id from sizing the receiver's frame cache.
+pub const MAX_STREAM_COLUMNS: usize = 1 << 16;
+
 /// Serializes batches for exchange / gather transfers with one-time
 /// dictionary shipping: the first batch referencing a shared dictionary pays
 /// [`dictionary_page_bytes`] for it, later batches ship only bit-packed ids
@@ -1651,58 +1721,49 @@ pub(crate) fn unpack_ids(packed: &[u8], rows: usize, width: u32) -> Result<Vec<u
 /// later chunks ship packed offsets only ([`PAGE_FLAG_DICT_REF`]), each
 /// chunk re-deriving a fresh frame mid-stream the moment its values stop
 /// fitting the cached one or reuse stops being byte-beneficial (ties reuse).
+///
+/// Every column goes through one `ColumnPlan`: the size-only entry points
+/// return its `bytes`, the serializing ones `emit` it.
 #[derive(Debug, Default)]
 pub struct WireEncoder {
     /// Pointer-identity → `(stream dictionary id, pinned dictionary)`.
     shipped: HashMap<usize, (u32, Arc<Dictionary>)>,
     /// Stream column position → the FoR/Delta frame last shipped there.
-    frames: HashMap<u32, IntFrame>,
+    frames: Vec<Option<IntFrame>>,
+    scratch: PlanScratch,
 }
 
-/// A FoR or Delta frame header shipped once per stream column and reused by
-/// later chunks (`PAGE_FLAG_DICT_REF` int pages carry packed offsets only).
-/// Reuse is exact by wrapping arithmetic: any value whose wrapping offset
-/// fits `width` bits round-trips bit-identically through the cached frame.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum IntFrame {
-    /// Frame-of-reference: offsets from `min`, packed at `width` bits.
-    For { min: i64, width: u32 },
-    /// Delta: each chunk ships its own first value; consecutive deltas are
-    /// offset by `min_d` and packed at `width` bits.
-    Delta { min_d: i64, width: u32 },
-}
-
-fn fits_bits(off: u64, width: u32) -> bool {
-    width >= 64 || off < 1u64 << width
-}
-
-/// Wire bytes of a `PAGE_FLAG_DICT_REF` int page for `v` under the cached
-/// frame, or `None` when some offset overflows the frame's bit width (the
-/// sender must re-derive). Shared by size-only accounting and the real
-/// encoder so the two can never disagree on the reuse decision.
-fn frame_ref_bytes(frame: IntFrame, v: &[i64]) -> Option<u64> {
-    let header = PAGE_HEADER_BYTES as u64 + 4;
-    match frame {
-        IntFrame::For { min, width } => v
-            .iter()
-            .all(|&x| fits_bits(x.wrapping_sub(min) as u64, width))
-            .then(|| header + packed_id_bytes(v.len(), width)),
-        IntFrame::Delta { min_d, width } => v
-            .windows(2)
-            .all(|w| fits_bits(w[1].wrapping_sub(w[0]).wrapping_sub(min_d) as u64, width))
-            .then(|| header + 8 + packed_id_bytes(v.len() - 1, width)),
+/// Caches `frame` under stream position `slot` (sender and receiver alike).
+fn cache_frame(frames: &mut Vec<Option<IntFrame>>, slot: usize, frame: IntFrame) -> Result<()> {
+    if slot >= MAX_STREAM_COLUMNS {
+        return Err(err(format!(
+            "stream frame {slot} exceeds the bound of {MAX_STREAM_COLUMNS}"
+        )));
     }
+    if frames.len() <= slot {
+        frames.resize(slot + 1, None);
+    }
+    frames[slot] = Some(frame);
+    Ok(())
 }
 
-/// How one int column rides the wire, chosen by [`WireEncoder::plan_ints`].
-enum IntPlan {
-    /// Self-contained flagless page (Plain/RLE won, or the column is empty).
-    Page { codec: PageCodec, bytes: u64 },
-    /// FoR/Delta page carrying its frame inline plus the `u32` stream id
-    /// that fills (or replaces) the receiver's frame cache entry.
-    Fresh { codec: PageCodec, bytes: u64 },
-    /// Offsets-only page against the cached frame.
-    Reuse { frame: IntFrame, bytes: u64 },
+/// Whether every wrapping offset `x − base` fits `width` bits, for values
+/// whose extremes are `lo` and `hi`. The frame covers the `i64` interval
+/// `[base, base + 2^width − 1]`, so the two bounds decide it without a
+/// rescan — unless that interval wraps past `i64::MAX` (a frame derived at
+/// the very edge of the domain), where only the `offsets` themselves can.
+fn frame_covers(
+    (base, width): (i64, u32),
+    (lo, hi): (i64, i64),
+    mut offsets: impl Iterator<Item = u64>,
+) -> bool {
+    if width >= 64 {
+        return true;
+    }
+    match base.checked_add_unsigned((1u64 << width) - 1) {
+        Some(top) => base <= lo && hi <= top,
+        None => offsets.all(|off| off >> width == 0),
+    }
 }
 
 impl WireEncoder {
@@ -1747,53 +1808,99 @@ impl WireEncoder {
     /// Number of int frames currently cached (one per stream column that
     /// has shipped a FoR/Delta chunk).
     pub fn cached_frames(&self) -> usize {
-        self.frames.len()
+        self.frames.iter().flatten().count()
     }
 
-    /// Picks how the int column at stream position `stream_col` rides the
-    /// wire, updating the frame cache. The single decision point for both
-    /// size-only accounting and real serialization: reuse the cached frame
+    /// Plans how the column at stream position `stream_col` rides the wire,
+    /// updating the shipped-dictionary set and the int frame cache — the
+    /// single decision point behind size-only accounting and real
+    /// serialization alike.
+    ///
+    /// Dict columns ship ids into the stream's shared dictionary, inlining
+    /// it on first sight. `Int64` columns reuse the position's cached frame
     /// when every offset fits it and the offsets-only page is no larger
-    /// than the alternative (ties prefer reuse); otherwise ship the chunk's
-    /// own best page — carrying a fresh frame when FoR/Delta won the pick,
-    /// which replaces the cache entry (mid-stream re-derivation).
-    fn plan_ints(&mut self, col: &ColumnData, v: &[i64], stream_col: u32) -> Result<IntPlan> {
-        let codec = pick_codec(col);
-        let page_bytes = encoded_size(col, codec)?;
-        let reuse = (!v.is_empty())
-            .then(|| self.frames.get(&stream_col))
-            .flatten()
-            .and_then(|&f| frame_ref_bytes(f, v).map(|bytes| (f, bytes)));
-        Ok(match codec {
-            PageCodec::For | PageCodec::Delta if !v.is_empty() => {
-                let fresh_bytes = page_bytes + 4;
-                match reuse {
-                    Some((frame, bytes)) if bytes <= fresh_bytes => IntPlan::Reuse { frame, bytes },
-                    _ => {
-                        let frame = match codec {
-                            PageCodec::For => {
-                                for_frame(col)?.map(|(min, width)| IntFrame::For { min, width })
-                            }
-                            _ => delta_frame(col)?
-                                .map(|(_, min_d, width)| IntFrame::Delta { min_d, width }),
-                        }
-                        .ok_or_else(|| err("picked frame codec derives no frame".into()))?;
-                        self.frames.insert(stream_col, frame);
-                        IntPlan::Fresh {
-                            codec,
-                            bytes: fresh_bytes,
-                        }
-                    }
+    /// than the alternative (ties prefer reuse); otherwise they ship the
+    /// chunk's own best page — carrying a fresh frame when FoR/Delta won
+    /// the pick, which replaces the cache entry (mid-stream re-derivation).
+    /// Every other column ships its best self-contained page.
+    fn plan_column<'a>(&mut self, rows: Rows<'a>, stream_col: u32) -> Result<ColumnPlan<'a>> {
+        if let ColumnData::Dict { dict, .. } = rows.col {
+            let (dict_id, first) = self.ship(dict);
+            let ids = packed_id_bytes(rows.len(), id_bit_width(dict.len()));
+            let dict_bytes = if first {
+                dictionary_page_bytes(dict)
+            } else {
+                0
+            };
+            return Ok(ColumnPlan {
+                rows,
+                codec: PageCodec::Dict,
+                frame: None,
+                stream: if first {
+                    Stream::Fills(dict_id)
+                } else {
+                    Stream::Refers(dict_id)
+                },
+                // Header + stream dict id + (dictionary) + bit width + ids.
+                bytes: PAGE_HEADER_BYTES as u64 + 4 + dict_bytes + 1 + ids,
+                dict_bytes,
+                sketch: None,
+            });
+        }
+        let mut plan = ColumnPlan::build(rows, None, DICT_INT_MAX_ENTRIES, &mut self.scratch)?;
+        let (ColumnData::Int64(v), Some(s)) = (rows.col, plan.sketch) else {
+            return Ok(plan);
+        };
+        if s.rows == 0 {
+            return Ok(plan);
+        }
+        let slot = stream_col as usize;
+        let wire_header = PAGE_HEADER_BYTES as u64 + 4;
+        // The cached frame and the offsets-only page size, if every offset fits.
+        let reuse = self.frames.get(slot).copied().flatten().and_then(|frame| {
+            let (fits, bytes) = match frame {
+                IntFrame::For { min, width } => (
+                    each_row!(v, rows.sel, |it| frame_covers(
+                        (min, width),
+                        (s.min, s.max),
+                        it.map(|&x| x.wrapping_sub(min) as u64)
+                    )),
+                    wire_header + packed_id_bytes(s.rows, width),
+                ),
+                IntFrame::Delta { min_d, width } => (
+                    s.rows < 2
+                        || each_row!(v, rows.sel, |it| frame_covers(
+                            (min_d, width),
+                            (s.min_delta, s.max_delta),
+                            (it.clone().skip(1).zip(it))
+                                .map(|(&x, &prev)| x.wrapping_sub(prev).wrapping_sub(min_d) as u64)
+                        )),
+                    wire_header + 8 + packed_id_bytes(s.rows - 1, width),
+                ),
+            };
+            fits.then_some((frame, bytes))
+        });
+        // A frame-bearing page also carries the `u32` stream id.
+        let own_bytes = plan.bytes + if plan.frame.is_some() { 4 } else { 0 };
+        match reuse {
+            Some((frame, bytes)) if bytes <= own_bytes => {
+                plan.codec = match frame {
+                    IntFrame::For { .. } => PageCodec::For,
+                    IntFrame::Delta { .. } => PageCodec::Delta,
+                };
+                plan.frame = Some(frame);
+                plan.stream = Stream::Refers(stream_col);
+                plan.bytes = bytes;
+            }
+            _ => {
+                if let Some(frame) = plan.frame {
+                    cache_frame(&mut self.frames, slot, frame)?;
+                    plan.stream = Stream::Fills(stream_col);
+                    plan.bytes = own_bytes;
                 }
             }
-            _ => match reuse {
-                Some((frame, bytes)) if bytes <= page_bytes => IntPlan::Reuse { frame, bytes },
-                _ => IntPlan::Page {
-                    codec,
-                    bytes: page_bytes,
-                },
-            },
-        })
+        }
+        Ok(plan)
     }
 
     /// Wire bytes for one column at stream position `stream_col`, updating
@@ -1801,41 +1908,18 @@ impl WireEncoder {
     /// engine charges virtual wire seconds from this without materializing
     /// payloads.
     pub fn column_wire_bytes(&mut self, col: &ColumnData, stream_col: u32) -> Result<u64> {
-        match col {
-            ColumnData::Dict { ids, dict } => {
-                let (_, first) = self.ship(dict);
-                let width = id_bit_width(dict.len());
-                // Header + stream dict id + bit width + packed ids.
-                let mut bytes =
-                    PAGE_HEADER_BYTES as u64 + 4 + 1 + packed_id_bytes(ids.len(), width);
-                if first {
-                    bytes += dictionary_page_bytes(dict);
-                }
-                Ok(bytes)
-            }
-            ColumnData::Int64(v) => Ok(match self.plan_ints(col, v, stream_col)? {
-                IntPlan::Page { bytes, .. }
-                | IntPlan::Fresh { bytes, .. }
-                | IntPlan::Reuse { bytes, .. } => bytes,
-            }),
-            other => Ok(best_page(other).encoded_bytes),
-        }
+        Ok(self.plan_column(Rows { col, sel: None }, stream_col)?.bytes)
     }
 
     /// Wire bytes for a whole batch (sum over columns, stream positions in
     /// schema order). Selected batches are measured over their logical
-    /// rows, as the exchange materialization point would ship them.
+    /// rows, as the exchange materialization point would ship them — read
+    /// through the selection, without compacting.
     pub fn batch_wire_bytes(&mut self, batch: &RecordBatch) -> Result<u64> {
-        let dense;
-        let b = if batch.selection().is_some() {
-            dense = batch.compacted();
-            &dense
-        } else {
-            batch
-        };
+        let sel = batch.selection();
         let mut sum = 0u64;
-        for (i, c) in b.columns().iter().enumerate() {
-            sum += self.column_wire_bytes(c, i as u32)?;
+        for (i, col) in batch.columns().iter().enumerate() {
+            sum += self.plan_column(Rows { col, sel }, i as u32)?.bytes;
         }
         Ok(sum)
     }
@@ -1853,120 +1937,23 @@ impl WireEncoder {
     /// always equals [`WireEncoder::column_wire_bytes`]; [`WireDecoder`]
     /// inverts the stream.
     pub fn encode_column(&mut self, col: &ColumnData, stream_col: u32) -> Result<Vec<u8>> {
-        match col {
-            ColumnData::Dict { ids, dict } => {
-                let (dict_id, first) = self.ship(dict);
-                let rows = page_rows(ids.len())?;
-                let mut out = Vec::new();
-                let flags = if first {
-                    PAGE_FLAG_WIRE_STREAM
-                } else {
-                    PAGE_FLAG_WIRE_STREAM | PAGE_FLAG_DICT_REF
-                };
-                push_header_flags(&mut out, PageCodec::Dict, DataType::Utf8, rows, flags);
-                push_u32(&mut out, dict_id);
-                if first {
-                    push_u32(&mut out, dict.len() as u32);
-                    for entry in dict.values() {
-                        push_str(&mut out, entry);
-                    }
-                }
-                let width = id_bit_width(dict.len());
-                out.push(width as u8);
-                pack_ids(&mut out, ids.iter().copied(), width);
-                Ok(out)
-            }
-            ColumnData::Int64(v) => {
-                let plan = self.plan_ints(col, v, stream_col)?;
-                let out = match plan {
-                    IntPlan::Page { codec, bytes } => {
-                        let blob = encode_column(col, codec)?.1;
-                        debug_assert_eq!(blob.len() as u64, bytes, "int wire page size drift");
-                        blob
-                    }
-                    IntPlan::Fresh { codec, bytes } => {
-                        // The canonical self-contained page, re-headered
-                        // with the stream flag and the frame id spliced in.
-                        let page = encode_column(col, codec)?.1;
-                        let rows = page_rows(v.len())?;
-                        let mut out = Vec::with_capacity(page.len() + 4);
-                        push_header_flags(
-                            &mut out,
-                            codec,
-                            DataType::Int64,
-                            rows,
-                            PAGE_FLAG_WIRE_STREAM,
-                        );
-                        push_u32(&mut out, stream_col);
-                        out.extend_from_slice(&page[PAGE_HEADER_BYTES..]);
-                        debug_assert_eq!(out.len() as u64, bytes, "fresh frame size drift");
-                        out
-                    }
-                    IntPlan::Reuse { frame, bytes } => {
-                        let rows = page_rows(v.len())?;
-                        let mut out = Vec::new();
-                        let flags = PAGE_FLAG_WIRE_STREAM | PAGE_FLAG_DICT_REF;
-                        match frame {
-                            IntFrame::For { min, width } => {
-                                push_header_flags(
-                                    &mut out,
-                                    PageCodec::For,
-                                    DataType::Int64,
-                                    rows,
-                                    flags,
-                                );
-                                push_u32(&mut out, stream_col);
-                                pack_bits(
-                                    &mut out,
-                                    v.iter().map(|&x| x.wrapping_sub(min) as u64),
-                                    width,
-                                );
-                            }
-                            IntFrame::Delta { min_d, width } => {
-                                push_header_flags(
-                                    &mut out,
-                                    PageCodec::Delta,
-                                    DataType::Int64,
-                                    rows,
-                                    flags,
-                                );
-                                push_u32(&mut out, stream_col);
-                                out.extend_from_slice(&v[0].to_le_bytes());
-                                pack_bits(
-                                    &mut out,
-                                    v.windows(2).map(|w| {
-                                        w[1].wrapping_sub(w[0]).wrapping_sub(min_d) as u64
-                                    }),
-                                    width,
-                                );
-                            }
-                        }
-                        debug_assert_eq!(out.len() as u64, bytes, "frame reuse size drift");
-                        out
-                    }
-                };
-                Ok(out)
-            }
-            other => Ok(encode_best(other)?.1),
-        }
+        self.emit_column(Rows { col, sel: None }, stream_col)
+    }
+
+    fn emit_column(&mut self, rows: Rows, stream_col: u32) -> Result<Vec<u8>> {
+        let mut out = Vec::new();
+        self.plan_column(rows, stream_col)?.emit(&mut out)?;
+        Ok(out)
     }
 
     /// Serializes a whole batch for the wire: one blob per column, stream
-    /// positions in schema order. Selected batches are compacted first (the
+    /// positions in schema order, a selected batch's logical rows only (the
     /// exchange is a materialization point). [`WireDecoder::decode_batch`]
     /// inverts it.
     pub fn encode_batch(&mut self, batch: &RecordBatch) -> Result<Vec<Vec<u8>>> {
-        let dense;
-        let b = if batch.selection().is_some() {
-            dense = batch.compacted();
-            &dense
-        } else {
-            batch
-        };
-        b.columns()
-            .iter()
-            .enumerate()
-            .map(|(i, c)| self.encode_column(c, i as u32))
+        let sel = batch.selection();
+        (batch.columns().iter().enumerate())
+            .map(|(i, col)| self.emit_column(Rows { col, sel }, i as u32))
             .collect()
     }
 }
@@ -1989,7 +1976,8 @@ impl WireEncoder {
 #[derive(Debug, Default)]
 pub struct WireDecoder {
     dicts: HashMap<u32, Arc<Dictionary>>,
-    frames: HashMap<u32, IntFrame>,
+    /// Stream column position → the frame last received there.
+    frames: Vec<Option<IntFrame>>,
 }
 
 impl WireDecoder {
@@ -2005,7 +1993,7 @@ impl WireDecoder {
 
     /// Number of int frames currently cached.
     pub fn cached_frames(&self) -> usize {
-        self.frames.len()
+        self.frames.iter().flatten().count()
     }
 
     /// Decodes a wire FoR/Delta page: frame-bearing transfers decode like
@@ -2013,7 +2001,7 @@ impl WireDecoder {
     /// under the page's stream id; offsets-only transfers
     /// ([`PAGE_FLAG_DICT_REF`]) resolve against the cached frame.
     fn decode_frame_page(&mut self, c: &mut Cursor, h: &PageHeader) -> Result<ColumnData> {
-        let frame_id = c.u32()?;
+        let frame_id = c.u32()? as usize;
         if h.flags & PAGE_FLAG_DICT_REF == 0 {
             // Peek the frame parameters, then let the canonical payload
             // decoder (with all its validation) consume them.
@@ -2038,15 +2026,20 @@ impl WireDecoder {
             let col = decode_payload(c, h.codec, h.dt, h.rows)?;
             c.done()?;
             if let Some(frame) = frame {
-                self.frames.insert(frame_id, frame);
+                cache_frame(&mut self.frames, frame_id, frame)?;
             }
             return Ok(col);
         }
-        let frame = *self.frames.get(&frame_id).ok_or_else(|| {
-            err(format!(
-                "wire page references stream frame {frame_id} never shipped (frame cache miss)"
-            ))
-        })?;
+        let frame = self
+            .frames
+            .get(frame_id)
+            .copied()
+            .flatten()
+            .ok_or_else(|| {
+                err(format!(
+                    "wire page references stream frame {frame_id} never shipped (frame cache miss)"
+                ))
+            })?;
         let rows = h.rows;
         let col = match (h.codec, frame) {
             (PageCodec::For, IntFrame::For { min, width }) => {
@@ -2165,18 +2158,20 @@ mod tests {
         ColumnData::Utf8(vals.iter().map(|s| (*s).to_owned()).collect()).dict_encoded()
     }
 
+    fn ndv(col: &ColumnData) -> usize {
+        let vals = col.as_i64().unwrap();
+        vals.iter().collect::<std::collections::BTreeSet<_>>().len()
+    }
+
     #[test]
-    fn fused_int_pick_matches_generic_argmin() {
-        // The generic per-candidate loop the fused pass replaces, with the
-        // same capped Dict candidacy the picker contract defines.
+    fn picked_plan_matches_argmin_over_forced_plans() {
+        // One forced plan per candidate, with the capped Dict candidacy the
+        // picker contract defines.
         let generic = |col: &ColumnData| {
             let mut best = PageCodec::Plain;
             let mut best_size = u64::MAX;
             for c in PageCodec::candidates(col.data_type()) {
-                if c == PageCodec::Dict
-                    && matches!(col, ColumnData::Int64(_))
-                    && referenced_entries(col).0 > DICT_INT_MAX_ENTRIES
-                {
+                if c == PageCodec::Dict && ndv(col) > DICT_INT_MAX_ENTRIES {
                     continue;
                 }
                 let size = encoded_size(col, c).unwrap();
@@ -2208,9 +2203,43 @@ mod tests {
             assert_eq!(
                 pick_codec(&col),
                 generic(&col),
-                "fused int pick diverged on {col:?}"
+                "picked plan diverged on {col:?}"
             );
         }
+    }
+
+    #[test]
+    fn no_dict_pick_is_the_argmin_over_the_other_candidates() {
+        // What tier files store for plain int columns: the smallest page
+        // that decodes back to `Int64` — here Dict would win outright.
+        let col = ColumnData::Int64((0..2_000).map(|i| (i * 7 % 5) * 0x0123_4567_89ab).collect());
+        assert_eq!(pick_codec(&col), PageCodec::Dict);
+        let smallest = PageCodec::candidates(DataType::Int64)
+            .filter(|&c| c != PageCodec::Dict)
+            .map(|c| encode_column(&col, c).unwrap().1)
+            .min_by_key(Vec::len)
+            .unwrap();
+        assert_eq!(encode_best_no_dict(&col).unwrap(), smallest);
+        assert!(decode_column(&smallest).unwrap().as_int_dict().is_none());
+    }
+
+    #[test]
+    fn stream_positions_are_bounded_on_both_sides() {
+        let col = ColumnData::Int64((0..64).map(|i| 500 + i % 9).collect());
+        let mut tx = WireEncoder::new();
+        let e = tx
+            .encode_column(&col, MAX_STREAM_COLUMNS as u32)
+            .unwrap_err();
+        assert!(e.to_string().contains("exceeds the bound"), "{e}");
+        // A forged frame id must not size the receiver's cache.
+        let last = MAX_STREAM_COLUMNS as u32 - 1;
+        let mut blob = tx.encode_column(&col, last).unwrap();
+        assert_eq!(blob[7], PAGE_FLAG_WIRE_STREAM, "fixture ships a frame");
+        let mut rx = WireDecoder::new();
+        assert_eq!(rx.decode_column(&blob).unwrap(), col);
+        blob[PAGE_HEADER_BYTES..PAGE_HEADER_BYTES + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(rx.decode_column(&blob).is_err());
+        assert_eq!(rx.cached_frames(), 1);
     }
 
     #[test]
@@ -2227,8 +2256,10 @@ mod tests {
             .map(|i| ((i * 1_000_003 % pool) as i64).wrapping_mul(0x0123_4567_89ab))
             .collect();
         let col = ColumnData::Int64(vals);
-        let (ndv, _) = referenced_entries(&col);
-        assert!(ndv > DICT_INT_MAX_ENTRIES, "fixture must exceed the cap");
+        assert!(
+            ndv(&col) > DICT_INT_MAX_ENTRIES,
+            "fixture must exceed the cap"
+        );
         let dict_size = encoded_size(&col, PageCodec::Dict).unwrap();
         let picked = pick_codec(&col);
         let picked_size = encoded_size(&col, picked).unwrap();

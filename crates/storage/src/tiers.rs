@@ -56,7 +56,6 @@ use crate::pages::{
 };
 use crate::schema::SchemaRef;
 use crate::table::Table;
-use crate::value::DataType;
 
 /// Magic prefix of a partition file.
 pub const PART_MAGIC: [u8; 4] = *b"CIPF";
@@ -182,20 +181,7 @@ impl StoredTable {
 /// plain string columns stay Plain.
 fn inline_page_bytes(col: &ColumnData) -> Result<Vec<u8>> {
     match col {
-        ColumnData::Int64(_) => {
-            let mut best: Option<(usize, PageCodec)> = None;
-            for codec in PageCodec::candidates(DataType::Int64) {
-                if codec == PageCodec::Dict {
-                    continue;
-                }
-                let (_, bytes) = encode_column(col, codec)?;
-                if best.as_ref().is_none_or(|(sz, _)| bytes.len() < *sz) {
-                    best = Some((bytes.len(), codec));
-                }
-            }
-            let (_, codec) = best.expect("Int64 always has candidate codecs");
-            Ok(encode_column(col, codec)?.1)
-        }
+        ColumnData::Int64(_) => pages::encode_best_no_dict(col),
         ColumnData::Utf8(_) => Ok(encode_column(col, PageCodec::Plain)?.1),
         ColumnData::Float64(_) | ColumnData::Bool(_) => Ok(encode_best(col)?.1),
         // Dictionary columns without a table-wide dictionary: store the
@@ -941,6 +927,7 @@ mod tests {
     use super::*;
     use crate::schema::{Field, Schema};
     use crate::table::TableBuilder;
+    use crate::value::DataType;
 
     fn sample_table(id: u32) -> Arc<Table> {
         let schema: SchemaRef = Arc::new(Schema::of(vec![

@@ -448,3 +448,666 @@ fn wire_empty_dictionary_with_rows_rejected() {
     forged[8..12].copy_from_slice(&5u32.to_le_bytes());
     assert!(rx.decode_column(&forged).is_err());
 }
+
+// ---------------------------------------------------------------------------
+// Plan vs. legacy oracle
+// ---------------------------------------------------------------------------
+
+/// A tiny deterministic mixer for generators that expand a seed into rows.
+fn mix(seed: u64, i: u64) -> u64 {
+    let z = (seed ^ i.wrapping_mul(0x9E37_79B9_7F4A_7C15)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z ^ (z >> 29)
+}
+
+/// Int columns aimed at every branch of the sketch: arbitrary values,
+/// lengths 0/1/2, constants, (overflowing) strides, small domains around the
+/// 4096-entry Dict cap over both narrow (bitmap) and wide (hash) ranges,
+/// ranges straddling the bitmap/hash switch at 2^20, wrapping extremes, and
+/// values hugging `i64::MAX` so a derived frame's window wraps the domain.
+fn int_column() -> BoxedStrategy<Vec<i64>> {
+    let domain = (
+        any::<i64>(),
+        select(vec![1usize, 2, 3, 100, 4095, 4096, 4097]),
+        select(vec![1i64, 3, 0x0123_4567_89ab, i64::MAX / 4097]),
+        0usize..9000,
+        any::<bool>(),
+    )
+        .prop_map(|(base, domain, spread, extra, sorted)| {
+            // A stride coprime with the domain walks every residue, so the
+            // NDV is exactly `domain` once `len >= domain`.
+            let len = domain + extra;
+            let mut v: Vec<i64> = (0..len)
+                .map(|i| {
+                    let k = ((i * 1_000_003) % domain) as i64;
+                    base.wrapping_add(k.wrapping_mul(spread))
+                })
+                .collect();
+            if sorted {
+                v.sort_unstable();
+            }
+            v
+        });
+    let straddle = (
+        -1_000_000_000i64..1_000_000_000,
+        select(vec![
+            (1u64 << 20) - 2,
+            (1 << 20) - 1,
+            1 << 20,
+            (1 << 20) + 1,
+        ]),
+        any::<u64>(),
+        2usize..400,
+    )
+        .prop_map(|(base, range, seed, len)| {
+            let mut v: Vec<i64> = (0..len as u64)
+                .map(|i| base + (mix(seed, i) % (range + 1)) as i64)
+                .collect();
+            v[0] = base;
+            v[len - 1] = base + range as i64;
+            v
+        });
+    let edge =
+        (0i64..64, any::<u64>(), 1usize..80, 1u64..40).prop_map(|(back, seed, len, span)| {
+            (0..len as u64)
+                .map(|i| (i64::MAX - back).wrapping_add((mix(seed, i) % span) as i64))
+                .collect()
+        });
+    prop_oneof![
+        proptest::collection::vec(any::<i64>(), 0..200usize),
+        proptest::collection::vec(any::<i64>(), 0..3usize),
+        (any::<i64>(), 0usize..300).prop_map(|(c, n)| vec![c; n]),
+        (any::<i64>(), any::<i64>(), 0usize..300).prop_map(|(start, stride, n)| {
+            (0..n as i64)
+                .map(|i| start.wrapping_add(stride.wrapping_mul(i)))
+                .collect()
+        }),
+        (-50i64..50, -3i64..4, 0usize..300)
+            .prop_map(|(start, stride, n)| { (0..n as i64).map(|i| start + stride * i).collect() }),
+        // One-signed deltas that overflow: the column cycles through a few
+        // values without ever looking unsorted to a wrapping subtraction.
+        (
+            any::<i64>(),
+            select(vec![1i64 << 62, i64::MIN, 1 << 61, -(1 << 62), i64::MAX]),
+            0usize..300
+        )
+            .prop_map(|(start, stride, n)| {
+                (0..n as i64)
+                    .map(|i| start.wrapping_add(stride.wrapping_mul(i)))
+                    .collect()
+            }),
+        domain,
+        straddle,
+        edge,
+        proptest::collection::vec(
+            select(vec![
+                i64::MIN,
+                i64::MAX,
+                i64::MIN + 1,
+                i64::MAX - 1,
+                0,
+                -1,
+                1
+            ]),
+            0..60usize
+        ),
+        (0usize..60, any::<bool>()).prop_map(|(n, flip)| {
+            (0..n)
+                .map(|i| {
+                    if (i % 2 == 0) ^ flip {
+                        i64::MIN
+                    } else {
+                        i64::MAX
+                    }
+                })
+                .collect()
+        }),
+    ]
+    .boxed()
+}
+
+/// Columns of every non-`Int64` variant, including dictionary columns sliced
+/// so their dictionaries carry unreferenced entries.
+fn other_column() -> BoxedStrategy<ColumnData> {
+    let window = |col: ColumnData, a: usize, b: usize| {
+        let (a, b) = (a % (col.len() + 1), b % (col.len() + 1));
+        col.slice(a.min(b), a.abs_diff(b))
+    };
+    prop_oneof![
+        proptest::collection::vec(any::<f64>(), 0..200usize).prop_map(ColumnData::Float64),
+        proptest::collection::vec(select(vec![0.0f64, -0.0, 1.5, f64::NAN]), 0..200usize)
+            .prop_map(ColumnData::Float64),
+        proptest::collection::vec(any::<bool>(), 0..200usize).prop_map(ColumnData::Bool),
+        (any::<bool>(), 0usize..200).prop_map(|(b, n)| ColumnData::Bool(vec![b; n])),
+        string_column(6, 0..150).prop_map(ColumnData::Utf8),
+        (string_column(9, 0..150), 0usize..150, 0usize..150).prop_map(move |(v, a, b)| window(
+            ColumnData::Utf8(v).dict_encoded(),
+            a,
+            b
+        )),
+        (int_column(), 0usize..6000, 0usize..6000).prop_map(move |(v, a, b)| {
+            window(ColumnData::Int64(v).dict_encoded_ints(usize::MAX), a, b)
+        }),
+        // Past the plain-int Dict cap, where a dictionary page still wins: a
+        // dictionary-encoded column's candidacy is bounded by its dictionary.
+        (any::<i64>(), select(vec![4097usize, 5000])).prop_map(|(base, domain)| {
+            let vals = (0..4 * domain).map(|i| {
+                let k = ((i * 1_000_003) % domain) as i64;
+                base.wrapping_add(k.wrapping_mul(0x0123_4567_89ab))
+            });
+            ColumnData::Int64(vals.collect()).dict_encoded_ints(usize::MAX)
+        }),
+    ]
+    .boxed()
+}
+
+/// The plan's codec, size, dictionary section and frame for one column
+/// equal the oracle's, for the picker and for every forced codec.
+fn check_against_oracle(col: &ColumnData) -> Result<(), String> {
+    for codec in ci_storage::pages::ALL_CODECS {
+        let want = oracle::encoded_size(col, codec);
+        let got = encoded_size(col, codec).ok();
+        if got != want {
+            return Err(format!("{codec:?}: plan sizes {got:?}, oracle {want:?}"));
+        }
+        let Some(size) = want else {
+            if encode_column(col, codec).is_ok() {
+                return Err(format!("{codec:?} must not apply"));
+            }
+            continue;
+        };
+        let (meta, bytes) = encode_column(col, codec).map_err(|e| e.to_string())?;
+        if bytes.len() as u64 != size || meta.encoded_bytes != size || meta.codec != codec {
+            return Err(format!(
+                "{codec:?}: emitted {} bytes, oracle {size}",
+                bytes.len()
+            ));
+        }
+        // The frame header sits right behind the page header.
+        let le = |at: usize| i64::from_le_bytes(bytes[at..at + 8].try_into().expect("8 bytes"));
+        let frame_ok = match codec {
+            PageCodec::For => oracle::for_frame(col).is_none_or(|(min, width)| {
+                (
+                    le(PAGE_HEADER_BYTES),
+                    u32::from(bytes[PAGE_HEADER_BYTES + 8]),
+                ) == (min, width)
+            }),
+            PageCodec::Delta => oracle::delta_frame(col).is_none_or(|(first, min_d, width)| {
+                let at = PAGE_HEADER_BYTES;
+                (le(at), le(at + 8), u32::from(bytes[at + 16])) == (first, min_d, width)
+            }),
+            _ => true,
+        };
+        if !frame_ok {
+            return Err(format!("{codec:?}: frame differs from the oracle's"));
+        }
+        if codec == PageCodec::Dict && meta.dict_bytes != 4 + oracle::referenced_entries(col).1 {
+            return Err(format!("dict section {} bytes", meta.dict_bytes));
+        }
+        // Bit-exact, so NaNs count: the decoded column re-encodes to the page.
+        let decoded = decode_column(&bytes).map_err(|e| e.to_string())?;
+        if encode_column(&decoded, codec).map_err(|e| e.to_string())?.1 != bytes {
+            return Err(format!("{codec:?}: decode(encode(c)) != c"));
+        }
+    }
+    let want = oracle::pick_codec(col);
+    let page = ci_storage::pages::best_page(col);
+    let (meta, bytes) = encode_best(col).map_err(|e| e.to_string())?;
+    if pick_codec(col) != want || page.codec != want || meta != page {
+        return Err(format!("picked {:?}, oracle {want:?}", page.codec));
+    }
+    if Some(page.encoded_bytes) != oracle::encoded_size(col, want)
+        || bytes.len() as u64 != page.encoded_bytes
+        || page.decoded_bytes != col.byte_size() as u64
+        || page.rows != col.len()
+    {
+        return Err(format!("best page {page:?} disagrees with the oracle"));
+    }
+    Ok(())
+}
+
+/// Ships `chunks` down one stream position and checks every chunk's
+/// reuse-vs-fresh decision, codec, frame and size against the oracle — for
+/// size-only accounting and the real serializer alike — and that the
+/// receiver inverts the stream.
+fn check_int_stream(chunks: &[Vec<i64>], stream_col: u32) -> Result<(), String> {
+    let mut want = oracle::Stream::default();
+    let mut size_only = WireEncoder::new();
+    let mut tx = WireEncoder::new();
+    let mut rx = WireDecoder::new();
+    for (n, chunk) in chunks.iter().enumerate() {
+        let col = ColumnData::Int64(chunk.clone());
+        let plan = want.plan_ints(chunk, stream_col);
+        let sized = size_only
+            .column_wire_bytes(&col, stream_col)
+            .map_err(|e| e.to_string())?;
+        let blob = tx
+            .encode_column(&col, stream_col)
+            .map_err(|e| e.to_string())?;
+        let (want_bytes, want_flags, want_codec) = match plan {
+            oracle::IntPlan::Page { codec, bytes } => (bytes, 0u8, codec),
+            oracle::IntPlan::Fresh { frame, bytes } | oracle::IntPlan::Reuse { frame, bytes } => {
+                let reuse = matches!(plan, oracle::IntPlan::Reuse { .. });
+                let codec = match frame {
+                    oracle::Frame::For { .. } => PageCodec::For,
+                    oracle::Frame::Delta { .. } => PageCodec::Delta,
+                };
+                (bytes, if reuse { 3 } else { 2 }, codec)
+            }
+        };
+        if sized != want_bytes || blob.len() as u64 != want_bytes {
+            return Err(format!(
+                "chunk {n}: sized {sized}, emitted {}, oracle {plan:?}",
+                blob.len()
+            ));
+        }
+        let codec_tag = ci_storage::pages::ALL_CODECS
+            .iter()
+            .position(|&c| c == want_codec)
+            .expect("codec") as u8;
+        if (blob[7], blob[5]) != (want_flags, codec_tag) {
+            return Err(format!(
+                "chunk {n}: flags {} codec tag {}, oracle {plan:?}",
+                blob[7], blob[5]
+            ));
+        }
+        if let oracle::IntPlan::Fresh { frame, .. } = plan {
+            // Header, stream id, then the frame the receiver will cache.
+            let at = PAGE_HEADER_BYTES + 4;
+            let le = |at: usize| i64::from_le_bytes(blob[at..at + 8].try_into().expect("8 bytes"));
+            let shipped = match frame {
+                oracle::Frame::For { .. } => oracle::Frame::For {
+                    min: le(at),
+                    width: u32::from(blob[at + 8]),
+                },
+                oracle::Frame::Delta { .. } => oracle::Frame::Delta {
+                    min_d: le(at + 8),
+                    width: u32::from(blob[at + 16]),
+                },
+            };
+            if shipped != frame {
+                return Err(format!("chunk {n}: shipped {shipped:?}, oracle {frame:?}"));
+            }
+        }
+        if rx.decode_column(&blob).map_err(|e| e.to_string())? != col {
+            return Err(format!("chunk {n}: receiver decoded other values"));
+        }
+    }
+    if size_only.cached_frames() != tx.cached_frames() || tx.cached_frames() != rx.cached_frames() {
+        return Err("frame caches diverged".into());
+    }
+    Ok(())
+}
+
+/// Chunks that reuse, drift out of, and re-derive a stream's frame: each is
+/// a fresh draw or a shifted / re-based / truncated echo of its predecessor.
+fn int_stream() -> BoxedStrategy<Vec<Vec<i64>>> {
+    proptest::collection::vec((int_column(), 0u8..6, any::<i64>()), 1..7usize)
+        .prop_map(|draws| {
+            let mut chunks: Vec<Vec<i64>> = Vec::new();
+            for (fresh, how, by) in draws {
+                let prev = chunks.last().cloned().unwrap_or_default();
+                chunks.push(match how {
+                    0 | 1 => fresh,
+                    2 => prev,
+                    3 => prev.iter().map(|x| x.wrapping_add(by % 7)).collect(),
+                    4 => prev.iter().map(|x| x.wrapping_add(by)).collect(),
+                    _ => prev[..prev.len() / 2].iter().rev().copied().collect(),
+                });
+            }
+            chunks
+        })
+        .boxed()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// `Int64` columns: codec, bytes, dictionary section and frame equal the
+    /// oracle's across every sketch branch.
+    #[test]
+    fn int_plans_match_the_oracle(vals in int_column()) {
+        let col = ColumnData::Int64(vals);
+        prop_assert!(check_against_oracle(&col).is_ok(), "{:?}", check_against_oracle(&col));
+    }
+
+    /// Every other `ColumnData` variant, likewise.
+    #[test]
+    fn other_plans_match_the_oracle(col in other_column()) {
+        prop_assert!(check_against_oracle(&col).is_ok(), "{:?}", check_against_oracle(&col));
+    }
+
+    /// Multi-chunk int streams: reuse-vs-fresh, codec, frame and bytes equal
+    /// the oracle's chunk for chunk; size-only accounting, the serializer and
+    /// the receiver agree byte for byte across reuse, drift and re-derivation.
+    #[test]
+    fn int_streams_match_the_oracle(chunks in int_stream(), stream_col in 0u32..40) {
+        let outcome = check_int_stream(&chunks, stream_col);
+        prop_assert!(outcome.is_ok(), "{outcome:?}");
+    }
+
+    /// A selected batch and its compacted copy plan identically: size-only
+    /// accounting reads through the selection (scattered or a range run)
+    /// and both serialize to the same bytes, stream state included.
+    #[test]
+    fn selected_batches_plan_like_their_compacted_copies(
+        chunks in proptest::collection::vec((int_column(), any::<u64>(), 0u8..3), 1..4usize),
+    ) {
+        use ci_storage::schema::{Field, Schema};
+        use ci_storage::value::DataType;
+        let schema = std::sync::Arc::new(Schema::of(vec![
+            Field::new("i", DataType::Int64),
+            Field::new("d", DataType::Int64),
+            Field::new("f", DataType::Float64),
+            Field::new("b", DataType::Bool),
+            Field::new("s", DataType::Utf8),
+            Field::new("u", DataType::Utf8),
+        ]));
+        let pool = ColumnData::Utf8((0..5).map(|i| format!("key-{i}")).collect()).dict_encoded();
+        let (pool_ids, dict) = pool.as_dict().unwrap();
+        let (mut sel_size, mut dense_size) = (WireEncoder::new(), WireEncoder::new());
+        let (mut sel_tx, mut dense_tx) = (WireEncoder::new(), WireEncoder::new());
+        let mut rx = WireDecoder::new();
+        for (ints, seed, shape) in chunks {
+            let n = ints.len();
+            let pick = |i: usize| mix(seed, i as u64);
+            let batch = ci_storage::RecordBatch::new(schema.clone(), vec![
+                ColumnData::Int64(ints.clone()),
+                ColumnData::Int64(ints.iter().map(|x| x % 7).collect()).dict_encoded_ints(16),
+                ColumnData::Float64(ints.iter().map(|&x| (x % 3) as f64).collect()),
+                ColumnData::Bool(ints.iter().map(|x| x % 5 == 0).collect()),
+                ColumnData::Dict {
+                    ids: (0..n).map(|i| pool_ids[pick(i) as usize % pool_ids.len()]).collect(),
+                    dict: dict.clone(),
+                },
+                ColumnData::Utf8((0..n).map(|i| format!("u{}", pick(i) % 4)).collect()),
+            ]).unwrap();
+            let selected = match shape {
+                0 => batch.filter(&(0..n).map(|i| pick(i) % 3 != 0).collect::<Vec<_>>()).unwrap(),
+                1 => {
+                    let run = ci_storage::selection::SelectionVector::from_range(n / 8, n - n / 4, n);
+                    batch.select(run.unwrap()).unwrap()
+                }
+                _ => batch.clone(),
+            };
+            let dense = selected.compacted();
+            let sized = sel_size.batch_wire_bytes(&selected).unwrap();
+            prop_assert_eq!(sized, dense_size.batch_wire_bytes(&dense).unwrap());
+            let blobs = sel_tx.encode_batch(&selected).unwrap();
+            prop_assert_eq!(&blobs, &dense_tx.encode_batch(&dense).unwrap());
+            prop_assert_eq!(sized, blobs.iter().map(|b| b.len() as u64).sum::<u64>());
+            prop_assert_eq!(rx.decode_batch(schema.clone(), &blobs).unwrap(), dense);
+        }
+    }
+}
+
+/// The per-candidate derivations the one-pass column plan replaced, kept as
+/// the test oracle: every candidate rescans the column, ints hash every row
+/// into a SipHash set, and frame reuse rechecks every offset. Slow and
+/// obviously right — the plan must agree with it on every codec, size,
+/// frame and reuse-vs-fresh decision.
+mod oracle {
+    use std::collections::{HashMap, HashSet};
+
+    use ci_storage::column::ColumnData;
+    use ci_storage::pages::{
+        id_bit_width, packed_id_bytes, range_bit_width, PageCodec, DICT_INT_MAX_ENTRIES,
+        PAGE_HEADER_BYTES,
+    };
+
+    /// `(min, width)` of a For page; `None` for empty or non-integer columns.
+    pub fn for_frame(col: &ColumnData) -> Option<(i64, u32)> {
+        let (min, max) = match col {
+            ColumnData::Int64(v) => {
+                let &first = v.first()?;
+                v.iter()
+                    .fold((first, first), |(lo, hi), &x| (lo.min(x), hi.max(x)))
+            }
+            ColumnData::Bool(v) => {
+                if v.is_empty() {
+                    return None;
+                }
+                let any_true = v.iter().any(|&b| b);
+                let any_false = v.iter().any(|&b| !b);
+                (i64::from(!any_false), i64::from(any_true))
+            }
+            ColumnData::DictInt { ids, dict } => {
+                let first = dict.get(*ids.first()?);
+                ids.iter().fold((first, first), |(lo, hi), &id| {
+                    let x = dict.get(id);
+                    (lo.min(x), hi.max(x))
+                })
+            }
+            _ => return None,
+        };
+        Some((min, range_bit_width(max.wrapping_sub(min) as u64)))
+    }
+
+    /// The decoded values of either int encoding.
+    pub fn int_values(col: &ColumnData) -> Option<Vec<i64>> {
+        match col {
+            ColumnData::Int64(v) => Some(v.clone()),
+            ColumnData::DictInt { ids, dict } => Some(ids.iter().map(|&id| dict.get(id)).collect()),
+            _ => None,
+        }
+    }
+
+    /// `(first, min_delta, width)` of a Delta page; `None` when empty.
+    pub fn delta_frame(col: &ColumnData) -> Option<(i64, i64, u32)> {
+        let vals = int_values(col)?;
+        let &first = vals.first()?;
+        let mut deltas: Option<(i64, i64)> = None;
+        for w in vals.windows(2) {
+            let d = w[1].wrapping_sub(w[0]);
+            deltas = Some(match deltas {
+                None => (d, d),
+                Some((lo, hi)) => (lo.min(d), hi.max(d)),
+            });
+        }
+        let (min_d, max_d) = deltas.unwrap_or((0, 0));
+        Some((
+            first,
+            min_d,
+            range_bit_width(max_d.wrapping_sub(min_d) as u64),
+        ))
+    }
+
+    /// `(entry_count, entry_bytes)` of the distinct values the rows reference.
+    pub fn referenced_entries(col: &ColumnData) -> (usize, u64) {
+        match col {
+            ColumnData::Utf8(v) => {
+                let mut seen: HashSet<&str> = HashSet::new();
+                let mut bytes = 0u64;
+                for s in v {
+                    if seen.insert(s) {
+                        bytes += 4 + s.len() as u64;
+                    }
+                }
+                (seen.len(), bytes)
+            }
+            ColumnData::Dict { ids, dict } => {
+                let seen: HashSet<u32> = ids.iter().copied().collect();
+                let bytes = seen.iter().map(|&id| dict.value_bytes(id) as u64).sum();
+                (seen.len(), bytes)
+            }
+            ColumnData::Int64(v) => {
+                let seen: HashSet<i64> = v.iter().copied().collect();
+                (seen.len(), seen.len() as u64 * 8)
+            }
+            ColumnData::DictInt { ids, .. } => {
+                let seen: HashSet<u32> = ids.iter().copied().collect();
+                (seen.len(), seen.len() as u64 * 8)
+            }
+            _ => (0, 0),
+        }
+    }
+
+    /// `(runs, bytes of one value per run)`.
+    fn rle_runs(col: &ColumnData) -> (u64, u64) {
+        fn runs_by<T, K: PartialEq>(
+            v: &[T],
+            key: impl Fn(&T) -> K,
+            width: impl Fn(&T) -> u64,
+        ) -> (u64, u64) {
+            let mut runs = 0u64;
+            let mut bytes = 0u64;
+            let mut prev: Option<K> = None;
+            for x in v {
+                let k = key(x);
+                if prev.as_ref() != Some(&k) {
+                    runs += 1;
+                    bytes += width(x);
+                    prev = Some(k);
+                }
+            }
+            (runs, bytes)
+        }
+        match col {
+            ColumnData::Int64(v) => runs_by(v, |&x| x, |_| 8),
+            ColumnData::Float64(v) => runs_by(v, |x| x.to_bits(), |_| 8),
+            ColumnData::Bool(v) => runs_by(v, |&b| b, |_| 1),
+            ColumnData::Utf8(v) => runs_by(v, |s| s.clone(), |s| 4 + s.len() as u64),
+            // Id equality is value equality under interning.
+            ColumnData::Dict { ids, dict } => {
+                runs_by(ids, |&id| id, |&id| dict.value_bytes(id) as u64)
+            }
+            ColumnData::DictInt { ids, .. } => runs_by(ids, |&id| id, |_| 8),
+        }
+    }
+
+    /// Exact page size under `codec`; `None` where the codec does not apply.
+    pub fn encoded_size(col: &ColumnData, codec: PageCodec) -> Option<u64> {
+        if !codec.applies_to(col.data_type()) {
+            return None;
+        }
+        let header = PAGE_HEADER_BYTES as u64;
+        let rows = col.len() as u64;
+        Some(match codec {
+            PageCodec::Plain => match col {
+                ColumnData::Bool(_) => header + rows,
+                ColumnData::Utf8(_) | ColumnData::Dict { .. } => header + col.byte_size() as u64,
+                _ => header + rows * 8,
+            },
+            PageCodec::Dict => {
+                let (entries, entry_bytes) = referenced_entries(col);
+                header + 4 + entry_bytes + 1 + packed_id_bytes(col.len(), id_bit_width(entries))
+            }
+            PageCodec::Rle => {
+                let (runs, value_bytes) = rle_runs(col);
+                header + 4 + runs * 4 + value_bytes
+            }
+            PageCodec::For => match for_frame(col) {
+                None => header,
+                Some((_, width)) => header + 8 + 1 + packed_id_bytes(col.len(), width),
+            },
+            PageCodec::Delta => match delta_frame(col) {
+                None => header,
+                Some((_, _, width)) => header + 8 + 8 + 1 + packed_id_bytes(col.len() - 1, width),
+            },
+        })
+    }
+
+    /// Argmin over the candidates (earlier wins ties); plain `Int64` columns
+    /// drop `Dict` past [`DICT_INT_MAX_ENTRIES`] distinct values.
+    pub fn pick_codec(col: &ColumnData) -> PageCodec {
+        let mut best = (PageCodec::Plain, u64::MAX);
+        for codec in PageCodec::candidates(col.data_type()) {
+            let capped = matches!(col, ColumnData::Int64(_))
+                && referenced_entries(col).0 > DICT_INT_MAX_ENTRIES;
+            if codec == PageCodec::Dict && capped {
+                continue;
+            }
+            let size = encoded_size(col, codec).expect("candidate applies");
+            if size < best.1 {
+                best = (codec, size);
+            }
+        }
+        best.0
+    }
+
+    /// A FoR or Delta frame cached per stream column.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum Frame {
+        For { min: i64, width: u32 },
+        Delta { min_d: i64, width: u32 },
+    }
+
+    fn fits_bits(off: u64, width: u32) -> bool {
+        width >= 64 || off < 1u64 << width
+    }
+
+    /// Bytes of an offsets-only page under `frame`, or `None` when some
+    /// offset overflows its width.
+    fn frame_ref_bytes(frame: Frame, v: &[i64]) -> Option<u64> {
+        let header = PAGE_HEADER_BYTES as u64 + 4;
+        match frame {
+            Frame::For { min, width } => v
+                .iter()
+                .all(|&x| fits_bits(x.wrapping_sub(min) as u64, width))
+                .then(|| header + packed_id_bytes(v.len(), width)),
+            Frame::Delta { min_d, width } => v
+                .windows(2)
+                .all(|w| fits_bits(w[1].wrapping_sub(w[0]).wrapping_sub(min_d) as u64, width))
+                .then(|| header + 8 + packed_id_bytes(v.len() - 1, width)),
+        }
+    }
+
+    /// How one int chunk rides the wire.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    pub enum IntPlan {
+        /// Self-contained flagless page.
+        Page { codec: PageCodec, bytes: u64 },
+        /// Frame-bearing page that fills the receiver's cache.
+        Fresh { frame: Frame, bytes: u64 },
+        /// Offsets-only page against the cached frame.
+        Reuse { frame: Frame, bytes: u64 },
+    }
+
+    /// The sender's frame cache, one entry per stream column.
+    #[derive(Default)]
+    pub struct Stream {
+        frames: HashMap<u32, Frame>,
+    }
+
+    impl Stream {
+        pub fn plan_ints(&mut self, v: &[i64], stream_col: u32) -> IntPlan {
+            let col = ColumnData::Int64(v.to_vec());
+            let codec = pick_codec(&col);
+            let page_bytes = encoded_size(&col, codec).expect("picked codec applies");
+            let reuse = (!v.is_empty())
+                .then(|| self.frames.get(&stream_col))
+                .flatten()
+                .and_then(|&f| frame_ref_bytes(f, v).map(|bytes| (f, bytes)));
+            match codec {
+                PageCodec::For | PageCodec::Delta if !v.is_empty() => {
+                    let fresh_bytes = page_bytes + 4;
+                    match reuse {
+                        Some((frame, bytes)) if bytes <= fresh_bytes => {
+                            IntPlan::Reuse { frame, bytes }
+                        }
+                        _ => {
+                            let frame = if codec == PageCodec::For {
+                                let (min, width) = for_frame(&col).expect("non-empty");
+                                Frame::For { min, width }
+                            } else {
+                                let (_, min_d, width) = delta_frame(&col).expect("non-empty");
+                                Frame::Delta { min_d, width }
+                            };
+                            self.frames.insert(stream_col, frame);
+                            IntPlan::Fresh {
+                                frame,
+                                bytes: fresh_bytes,
+                            }
+                        }
+                    }
+                }
+                _ => match reuse {
+                    Some((frame, bytes)) if bytes <= page_bytes => IntPlan::Reuse { frame, bytes },
+                    _ => IntPlan::Page {
+                        codec,
+                        bytes: page_bytes,
+                    },
+                },
+            }
+        }
+    }
+}
