@@ -1,4 +1,12 @@
-//! Hashable, comparable row keys for joins and aggregation.
+//! Hashable, comparable row keys for joins and aggregation, and the one
+//! index both hash operators keep them in.
+//!
+//! The pipeline is encoder → [`KeyIndex`] → per-id payload: a
+//! [`KeyEncoder`] fixes how a key-column layout maps to [`Key`]s, a
+//! [`RowEncoder`] produces one `Key` per row, and a [`KeyIndex`] maps each
+//! distinct `Key` to a dense `u32` id in first-appearance order. The hash
+//! join hangs a CSR row list off those ids and aggregation a flat
+//! accumulator array (see `operators`); neither keeps a map of its own.
 //!
 //! The hot-path representation is [`Key::Inline`]: up to
 //! [`MAX_INLINE_PARTS`] fixed-width parts packed into a stack array — one
@@ -17,6 +25,7 @@
 //! which is sound exactly because the build side never emits it).
 
 use std::collections::HashMap;
+use std::hash::{Hash, Hasher};
 use std::sync::{Arc, Mutex, PoisonError};
 
 use ci_storage::column::ColumnData;
@@ -84,6 +93,178 @@ impl Key {
     /// `true` when the key lives entirely on the stack.
     pub fn is_inline(&self) -> bool {
         matches!(self, Key::Inline { .. })
+    }
+}
+
+/// One step of the key hash: xor the word in, multiply by an odd constant
+/// (carries low bits up), fold the high half down (carries high bits back),
+/// so the directory's low-bit mask sees every input bit.
+#[inline]
+fn mix(h: u64, word: u64) -> u64 {
+    let m = (h ^ word).wrapping_mul(0xff51_afd7_ed55_8ccd);
+    m ^ (m >> 32)
+}
+
+const HASH_SEED: u64 = 0x9e37_79b9_7f4a_7c15;
+
+/// Directory slots per key: load stays ≤ ½, so linear probes stay short and
+/// always end at an empty slot.
+const MAX_LOAD_INV: usize = 2;
+
+/// Feeds a boxed key's [`KeyPart`]s (via their derived `Hash`) through
+/// [`mix`], so both key forms share one fixed-seed hash.
+struct PartHasher(u64);
+
+impl Hasher for PartHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.0 = mix(self.0, u64::from_le_bytes(word));
+        }
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+fn hash_key(key: &Key) -> u64 {
+    match key {
+        Key::Inline { n, parts } => parts[..usize::from(*n)]
+            .iter()
+            .fold(mix(HASH_SEED, u64::from(*n)), |h, &p| mix(h, p)),
+        Key::Boxed(parts) => {
+            let mut hasher = PartHasher(HASH_SEED);
+            parts.hash(&mut hasher);
+            hasher.finish()
+        }
+    }
+}
+
+/// `Key` → dense `u32` id in first-appearance order: the one hash structure
+/// under both the join build and aggregation.
+///
+/// An open-addressed, power-of-two directory of `id + 1` (0 = empty) with
+/// linear probing, kept at most half full so every probe meets an empty
+/// slot; keys and their hashes live once each in id-indexed vectors, so
+/// [`KeyIndex::keys`] *is* the insertion order and growth rehashes nothing.
+/// The hash is a fixed-seed multiply-xorshift — keys come from the engine's
+/// own encoders and ids never depend on hash order, so no keyed flood
+/// resistance (and no `RandomState`) is needed.
+#[derive(Debug, Default)]
+pub struct KeyIndex {
+    directory: Vec<u32>,
+    keys: Vec<Key>,
+    hashes: Vec<u64>,
+}
+
+impl KeyIndex {
+    /// Most keys an index holds — the directory stores `id + 1` in a `u32` —
+    /// and most rows an operator may number with `u32`s beside it.
+    const MAX_IDS: usize = (u32::MAX - 1) as usize;
+
+    /// Fails with a typed error when `count` keys or rows exceed what `u32`
+    /// ids address, so no `as u32` row number can alias another.
+    pub fn check_addressable(count: usize, what: &str) -> Result<()> {
+        if count > Self::MAX_IDS {
+            let max = Self::MAX_IDS;
+            return Err(CiError::Exec(format!(
+                "{what}: {count} exceeds the {max} a u32-indexed hash table addresses"
+            )));
+        }
+        Ok(())
+    }
+
+    /// An index that takes `keys` distinct keys without growing.
+    pub fn with_capacity(keys: usize) -> KeyIndex {
+        KeyIndex {
+            directory: vec![0; (keys * MAX_LOAD_INV).next_power_of_two()],
+            keys: Vec::with_capacity(keys),
+            hashes: Vec::with_capacity(keys),
+        }
+    }
+
+    /// Number of distinct keys.
+    pub fn len(&self) -> usize {
+        self.keys.len()
+    }
+
+    /// `true` when no key has been inserted.
+    pub fn is_empty(&self) -> bool {
+        self.keys.is_empty()
+    }
+
+    /// The distinct keys in first-appearance order; position = id.
+    pub fn keys(&self) -> &[Key] {
+        &self.keys
+    }
+
+    /// The id of `key`, if present.
+    pub fn get(&self, key: &Key) -> Option<u32> {
+        if self.directory.is_empty() {
+            return None;
+        }
+        self.find(key, hash_key(key)).ok()
+    }
+
+    /// The id of `key`, inserting it with the next id when absent; the flag
+    /// is `true` for a fresh insert.
+    pub fn get_or_insert(&mut self, key: Key) -> (u32, bool) {
+        if (self.keys.len() + 1) * MAX_LOAD_INV > self.directory.len() {
+            self.grow();
+        }
+        let hash = hash_key(&key);
+        match self.find(&key, hash) {
+            Ok(id) => (id, false),
+            Err(slot) => {
+                // Stored ids must stay exact: past this a slot would alias.
+                assert!(
+                    self.keys.len() < Self::MAX_IDS,
+                    "KeyIndex id space exhausted"
+                );
+                let id = self.keys.len() as u32;
+                self.directory[slot] = id + 1;
+                self.keys.push(key);
+                self.hashes.push(hash);
+                (id, true)
+            }
+        }
+    }
+
+    /// Probes for `key`: `Ok(id)` on a hit, `Err(empty slot)` on a miss.
+    /// The directory must be non-empty; load ≤ ½ guarantees termination.
+    #[inline]
+    fn find(&self, key: &Key, hash: u64) -> std::result::Result<u32, usize> {
+        let mask = self.directory.len() - 1;
+        let mut slot = hash as usize & mask;
+        loop {
+            match self.directory[slot] {
+                0 => return Err(slot),
+                stored => {
+                    let id = (stored - 1) as usize;
+                    if self.hashes[id] == hash && self.keys[id] == *key {
+                        return Ok(stored - 1);
+                    }
+                }
+            }
+            slot = (slot + 1) & mask;
+        }
+    }
+
+    /// Doubles the directory and re-seats every id from its stored hash.
+    fn grow(&mut self) {
+        let len = (self.directory.len() * 2).max(8);
+        let mask = len - 1;
+        let mut directory = vec![0u32; len];
+        for (stored, &hash) in (1u32..).zip(&self.hashes) {
+            let mut slot = hash as usize & mask;
+            while directory[slot] != 0 {
+                slot = (slot + 1) & mask;
+            }
+            directory[slot] = stored;
+        }
+        self.directory = directory;
     }
 }
 
@@ -534,6 +715,7 @@ pub fn key_columns<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn dict_col(vals: &[&str]) -> ColumnData {
         ColumnData::Utf8(vals.iter().map(|s| (*s).to_owned()).collect()).dict_encoded()
@@ -699,17 +881,107 @@ mod tests {
         assert!(key_columns(&cols, &[1]).is_err());
     }
 
-    #[test]
-    fn keys_hash_in_maps() {
-        use std::collections::HashMap;
-        let ints = ColumnData::Int64(vec![1, 2, 1]);
-        let keys = encode_all(&[&ints], MissPolicy::Spill);
-        let mut m: HashMap<Key, Vec<usize>> = HashMap::new();
-        for (row, k) in keys.iter().enumerate() {
-            m.entry(k.clone()).or_default().push(row);
+    fn inline(parts: &[u64]) -> Key {
+        let mut packed = [0u64; MAX_INLINE_PARTS];
+        packed[..parts.len()].copy_from_slice(parts);
+        Key::Inline {
+            n: parts.len() as u8,
+            parts: packed,
         }
-        assert_eq!(m.len(), 2);
-        assert_eq!(m[&keys[0]], vec![0, 2]);
+    }
+
+    /// Keys from small pools (so streams repeat them) covering every form
+    /// the index hashes: ints equal in their low 20 bits, the i64 extremes,
+    /// the dict-miss sentinel, the 0-part and 4-part inline keys, boxed raw
+    /// strings and 5-part boxed composites, and a wide pool that drives the
+    /// directory through several doublings.
+    fn key_strategy() -> impl Strategy<Value = Key> {
+        prop_oneof![
+            (0u64..48).prop_map(|x| inline(&[x << 20])),
+            proptest::sample::select(vec![i64::MIN, i64::MAX, -1, 0, 1])
+                .prop_map(|x| inline(&[x as u64])),
+            Just(inline(&[DICT_MISS])),
+            Just(Key::empty()),
+            (0u64..3, 0u64..3, 0u64..2, 0u64..2).prop_map(|(a, b, c, d)| inline(&[a, b, c, d])),
+            (0u64..8).prop_map(|x| Key::Boxed([KeyPart::Str(format!("s{x}"))].into())),
+            (0i64..3, 0u64..3).prop_map(|(a, b)| Key::Boxed(
+                [
+                    KeyPart::Int(a),
+                    KeyPart::DictId(b),
+                    KeyPart::Bool(a == 1),
+                    KeyPart::FloatBits(b),
+                    KeyPart::Str(String::new()),
+                ]
+                .into()
+            )),
+            // Listed twice for double weight: this pool is what grows the index.
+            (0u64..4096).prop_map(|x| inline(&[x])),
+            (0u64..4096).prop_map(|x| inline(&[x])),
+        ]
+    }
+
+    proptest! {
+        /// Ids are first-appearance ranks, `get` agrees with the std map for
+        /// present and absent keys, and `keys()` is the insertion order.
+        #[test]
+        fn key_index_matches_std_oracle(
+            stream in proptest::collection::vec(key_strategy(), 0..700),
+            lookups in proptest::collection::vec(key_strategy(), 40),
+            capacity in 0usize..40,
+        ) {
+            let mut index = match capacity {
+                0 => KeyIndex::default(),
+                n => KeyIndex::with_capacity(n),
+            };
+            let mut oracle_ids: HashMap<Key, u32> = HashMap::new();
+            let mut oracle_order: Vec<Key> = Vec::new();
+            for key in &stream {
+                prop_assert_eq!(index.get(key), oracle_ids.get(key).copied());
+                let expected = match oracle_ids.get(key) {
+                    Some(&id) => (id, false),
+                    None => {
+                        let id = oracle_order.len() as u32;
+                        oracle_ids.insert(key.clone(), id);
+                        oracle_order.push(key.clone());
+                        (id, true)
+                    }
+                };
+                prop_assert_eq!(index.get_or_insert(key.clone()), expected);
+                prop_assert_eq!(index.len(), oracle_order.len());
+            }
+            prop_assert_eq!(index.keys(), &oracle_order[..]);
+            prop_assert_eq!(index.is_empty(), oracle_order.is_empty());
+            for key in oracle_order.iter().chain(&lookups) {
+                prop_assert_eq!(index.get(key), oracle_ids.get(key).copied());
+            }
+        }
+    }
+
+    #[test]
+    fn keys_with_equal_hashes_get_distinct_ids() {
+        // `mix(h, w)` depends on `h ^ w` only, so a second part can cancel
+        // the difference two first parts left in the running hash.
+        let prefix = |a: u64| mix(mix(HASH_SEED, 2), a);
+        let (a1, a2, b1) = (3u64, 11u64, 5u64);
+        let b2 = b1 ^ prefix(a1) ^ prefix(a2);
+        let (k1, k2) = (inline(&[a1, b1]), inline(&[a2, b2]));
+        assert_ne!(k1, k2);
+        assert_eq!(hash_key(&k1), hash_key(&k2));
+        let mut index = KeyIndex::default();
+        assert_eq!(index.get_or_insert(k1.clone()), (0, true));
+        assert_eq!(index.get(&k2), None);
+        assert_eq!(index.get_or_insert(k2.clone()), (1, true));
+        assert_eq!(index.get(&k1), Some(0));
+        assert_eq!(index.get(&k2), Some(1));
+    }
+
+    #[test]
+    fn u32_id_guard_sits_on_the_boundary() {
+        let limit = u32::MAX as usize - 1;
+        assert!(KeyIndex::check_addressable(0, "rows").is_ok());
+        assert!(KeyIndex::check_addressable(limit, "rows").is_ok());
+        let err = KeyIndex::check_addressable(limit + 1, "hash join build rows").unwrap_err();
+        assert!(matches!(&err, CiError::Exec(m) if m.contains("hash join build rows")));
     }
 
     #[test]

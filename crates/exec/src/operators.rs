@@ -12,9 +12,14 @@
 //! flow through every operator interchangeably — operators read strings by
 //! reference (`str_at`) and key them by dictionary id where possible, so
 //! the conventions here are about values, never about encodings.
+//!
+//! Both hash operators sit on one [`KeyIndex`]: a [`KeyEncoder`] turns rows
+//! into `Key`s, the index turns distinct `Key`s into dense first-appearance
+//! ids, and the payload is addressed by id — [`JoinHashTable`]'s CSR build
+//! row lists, [`AggregateState`]'s flat accumulator array.
 
 use std::cmp::Ordering;
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 use std::sync::Arc;
 
 use ci_plan::expr::{AggExpr, ColMap, PlanExpr};
@@ -25,7 +30,7 @@ use ci_storage::value::{DataType, Value};
 use ci_storage::RecordBatch;
 use ci_types::{CiError, Result};
 
-use crate::key::{key_columns, DictKeyEntry, Key, KeyEncoder, KeyPart, MissPolicy};
+use crate::key::{key_columns, DictKeyEntry, Key, KeyEncoder, KeyIndex, KeyPart, MissPolicy};
 
 /// Builds the internal schema for a node's output slots. Field names are
 /// slot-derived (`s<slot>`) so they are unique regardless of user aliases.
@@ -111,21 +116,26 @@ fn coerce(col: ColumnData, want: DataType) -> Result<ColumnData> {
     }
 }
 
-/// Hash-join build state. Batches are buffered as they stream in; the map
-/// is constructed at [`JoinHashTable::finalize`] when the build pipeline
-/// completes (a pipeline breaker, §3.2).
+/// Hash-join build state. Batches are buffered as they stream in; the key
+/// index and its row lists are constructed at [`JoinHashTable::finalize`]
+/// when the build pipeline completes (a pipeline breaker, §3.2).
 #[derive(Debug)]
 pub struct JoinHashTable {
     key_positions: Vec<usize>,
     schema: SchemaRef,
     buffered: Vec<RecordBatch>,
-    finalized: Option<FinalizedTable>,
+    finalized: Option<Box<FinalizedTable>>,
 }
 
 #[derive(Debug)]
 struct FinalizedTable {
     rows: RecordBatch,
-    map: HashMap<Key, Vec<u32>>,
+    /// Distinct build keys → group id `g`, whose build rows are
+    /// `group_rows[offsets[g]..offsets[g + 1]]` (CSR) in ascending order —
+    /// the order matches are emitted in, which shipped bytes depend on.
+    index: KeyIndex,
+    offsets: Vec<u32>,
+    group_rows: Vec<u32>,
     /// Key encoder derived from the build-side key columns; probes encode
     /// against it (dict-id translation, sentinel misses).
     encoder: KeyEncoder,
@@ -157,7 +167,7 @@ impl JoinHashTable {
             + self.finalized.as_ref().map_or(0, |f| f.rows.rows())
     }
 
-    /// Builds the hash map. Idempotent.
+    /// Builds the key index and per-key row lists. Idempotent.
     pub fn finalize(&mut self) -> Result<()> {
         if self.finalized.is_some() {
             return Ok(());
@@ -168,21 +178,39 @@ impl JoinHashTable {
             RecordBatch::concat(&self.buffered)?
         };
         self.buffered.clear();
-        let mut map: HashMap<Key, Vec<u32>> = HashMap::with_capacity(rows.rows());
+        KeyIndex::check_addressable(rows.rows(), "hash join build rows")?;
         let keys = key_columns(rows.columns(), &self.key_positions)?;
         // Misses can only occur on the probe side (the build side owns the
         // dictionaries), so the sentinel policy is sound: a missing probe
         // string maps to a key the build never produced.
         let encoder = KeyEncoder::for_columns(&keys, MissPolicy::Sentinel);
-        {
-            let row_encoder = encoder.prepare(&keys)?;
-            for row in 0..rows.rows() {
-                map.entry(row_encoder.encode(row))
-                    .or_default()
-                    .push(row as u32);
-            }
+        let mut index = KeyIndex::with_capacity(rows.rows());
+        let row_encoder = encoder.prepare(&keys)?;
+        let row_groups: Vec<u32> = (0..rows.rows())
+            .map(|row| index.get_or_insert(row_encoder.encode(row)).0)
+            .collect();
+        // Counting sort of row numbers by group id: counts, running sums
+        // (each group's end), then a reverse fill walks every end down to
+        // its group's start, leaving each group's rows ascending.
+        let mut offsets = vec![0u32; index.len() + 1];
+        for &g in &row_groups {
+            offsets[g as usize] += 1;
         }
-        self.finalized = Some(FinalizedTable { rows, map, encoder });
+        for g in 1..offsets.len() {
+            offsets[g] += offsets[g - 1];
+        }
+        let mut group_rows = vec![0u32; row_groups.len()];
+        for (row, &g) in row_groups.iter().enumerate().rev() {
+            offsets[g as usize] -= 1;
+            group_rows[offsets[g as usize] as usize] = row as u32; // fits: checked above
+        }
+        self.finalized = Some(Box::new(FinalizedTable {
+            rows,
+            index,
+            offsets,
+            group_rows,
+            encoder,
+        }));
         Ok(())
     }
 
@@ -202,15 +230,16 @@ impl JoinHashTable {
         // Per-batch preparation resolves dict-id translation tables once, so
         // the row loop below is allocation-free for fixed-width keys.
         let row_encoder = fin.encoder.prepare(&keys)?;
-        let mut probe_idx: Vec<usize> = Vec::new();
-        let mut build_idx: Vec<usize> = Vec::new();
+        let mut probe_idx: Vec<usize> = Vec::with_capacity(probe.rows());
+        let mut build_idx: Vec<usize> = Vec::with_capacity(probe.rows());
         // Probe-side rows are *physical*: a deferred filter on the probe
         // stream is read through its selection in place, and only matching
         // rows are ever gathered (the join output is the materialization
         // point).
         let mut probe_row = |row: usize| {
-            if let Some(matches) = fin.map.get(&row_encoder.encode(row)) {
-                for &b in matches {
+            if let Some(g) = fin.index.get(&row_encoder.encode(row)) {
+                let g = g as usize;
+                for &b in &fin.group_rows[fin.offsets[g] as usize..fin.offsets[g + 1] as usize] {
                     probe_idx.push(row);
                     build_idx.push(b as usize);
                 }
@@ -458,9 +487,18 @@ pub struct AggregateState {
     /// Key encoder fixed by the first morsel's group columns (spill policy:
     /// unseen strings in later morsels must still form distinct groups).
     encoder: Option<KeyEncoder>,
-    groups: HashMap<Key, Vec<AggAcc>>,
-    /// Insertion order of groups (deterministic output).
-    order: Vec<Key>,
+    /// Group keys → id; `index.keys()` is the (first-appearance) output
+    /// order. Group `id` accumulates in `accs[id * aggs.len()..][..aggs.len()]`.
+    index: KeyIndex,
+    accs: Vec<AggAcc>,
+}
+
+/// One fresh accumulator per aggregate: the payload of a new group.
+fn fresh_accs<'a>(
+    aggs: &'a [AggExpr],
+    arg_types: &'a [Option<DataType>],
+) -> impl Iterator<Item = AggAcc> + 'a {
+    aggs.iter().zip(arg_types).map(|(a, t)| AggAcc::new(a, *t))
 }
 
 impl AggregateState {
@@ -484,8 +522,8 @@ impl AggregateState {
             arg_types,
             out_schema,
             encoder: None,
-            groups: HashMap::new(),
-            order: Vec::new(),
+            index: KeyIndex::default(),
+            accs: Vec::new(),
         })
     }
 
@@ -518,21 +556,14 @@ impl AggregateState {
             .encoder
             .get_or_insert_with(|| KeyEncoder::for_columns(&group_refs, MissPolicy::Spill));
         let row_encoder = encoder.prepare(&group_refs)?;
+        KeyIndex::check_addressable(self.index.len() + batch.rows(), "aggregation groups")?;
+        let stride = self.aggs.len();
         for row in 0..batch.rows() {
-            let key = row_encoder.encode(row);
-            let accs = match self.groups.get_mut(&key) {
-                Some(a) => a,
-                None => {
-                    self.order.push(key.clone());
-                    self.groups.entry(key).or_insert_with(|| {
-                        self.aggs
-                            .iter()
-                            .zip(&self.arg_types)
-                            .map(|(a, t)| AggAcc::new(a, *t))
-                            .collect()
-                    })
-                }
-            };
+            let (id, new) = self.index.get_or_insert(row_encoder.encode(row));
+            if new {
+                self.accs.extend(fresh_accs(&self.aggs, &self.arg_types));
+            }
+            let accs = &mut self.accs[id as usize * stride..][..stride];
             for (acc, col) in accs.iter_mut().zip(&arg_cols) {
                 acc.update(col.as_ref(), row);
             }
@@ -542,7 +573,7 @@ impl AggregateState {
 
     /// Number of groups so far.
     pub fn group_count(&self) -> usize {
-        self.groups.len()
+        self.index.len()
     }
 
     /// `true` when chunked accumulation + [`AggregateState::absorb`] is
@@ -581,8 +612,8 @@ impl AggregateState {
             arg_types: self.arg_types.clone(),
             out_schema: self.out_schema.clone(),
             encoder: None,
-            groups: HashMap::new(),
-            order: Vec::new(),
+            index: KeyIndex::default(),
+            accs: Vec::new(),
         }
     }
 
@@ -599,31 +630,28 @@ impl AggregateState {
     /// key module's value-stability invariant guarantees they land on the
     /// keys direct encoding would have produced.
     pub fn absorb(&mut self, other: AggregateState) {
-        if other.order.is_empty() {
+        if other.index.is_empty() {
             return;
         }
-        if self.encoder.is_none() {
+        let (Some(base), Some(other_enc)) = (self.encoder.clone(), other.encoder.as_ref()) else {
             // No rows seen yet: adopt the chunk state wholesale (same
             // config by construction).
-            debug_assert!(self.order.is_empty(), "groups without an encoder");
+            debug_assert!(self.index.is_empty(), "groups without an encoder");
             *self = other;
             return;
-        }
-        let base = self.encoder.clone().expect("checked above");
-        let other_enc = other.encoder.as_ref().expect("non-empty state encodes");
-        let mut other_groups = other.groups;
-        for key in &other.order {
-            let accs = other_groups.remove(key).expect("ordered key has accs");
+        };
+        let stride = self.aggs.len();
+        let mut other_accs = other.accs.into_iter();
+        for key in other.index.keys() {
+            let theirs = other_accs.by_ref().take(stride);
             let key = base.encode_values(&other_enc.key_values(key));
-            match self.groups.get_mut(&key) {
-                Some(mine) => {
-                    for (m, o) in mine.iter_mut().zip(accs) {
-                        m.merge(o);
-                    }
-                }
-                None => {
-                    self.order.push(key.clone());
-                    self.groups.insert(key, accs);
+            let (id, new) = self.index.get_or_insert(key);
+            if new {
+                self.accs.extend(theirs);
+            } else {
+                let mine = &mut self.accs[id as usize * stride..][..stride];
+                for (m, o) in mine.iter_mut().zip(theirs) {
+                    m.merge(o);
                 }
             }
         }
@@ -632,21 +660,16 @@ impl AggregateState {
     /// Produces the aggregate output batch (groups then agg values).
     pub fn finalize(mut self) -> Result<RecordBatch> {
         // Global aggregate over empty input: one row of defaults.
-        if self.groups.is_empty() && self.group_exprs.is_empty() {
-            let accs: Vec<AggAcc> = self
-                .aggs
-                .iter()
-                .zip(&self.arg_types)
-                .map(|(a, t)| AggAcc::new(a, *t))
-                .collect();
-            self.order.push(Key::empty());
-            self.groups.insert(Key::empty(), accs);
+        if self.index.is_empty() && self.group_exprs.is_empty() {
+            self.index.get_or_insert(Key::empty());
+            self.accs.extend(fresh_accs(&self.aggs, &self.arg_types));
         }
         let encoder = self
             .encoder
             .take()
             .unwrap_or_else(|| KeyEncoder::for_columns(&[], MissPolicy::Spill));
         let g = self.group_exprs.len();
+        let groups = self.index.len();
         // Group columns keyed through a dictionary re-emit dict-encoded
         // output sharing the input dictionary, so downstream sorts and
         // joins stay on the integer id fast path. Only group strings that
@@ -664,15 +687,16 @@ impl AggregateState {
                     .flatten();
                 match dict {
                     Some(dict) => ColumnData::Dict {
-                        ids: Vec::with_capacity(self.order.len()),
+                        ids: Vec::with_capacity(groups),
                         dict: dict.clone(),
                     },
-                    None => ColumnData::with_capacity(f.data_type, self.order.len()),
+                    None => ColumnData::with_capacity(f.data_type, groups),
                 }
             })
             .collect();
-        for key in &self.order {
-            let accs = &self.groups[key];
+        let stride = self.aggs.len();
+        for (id, key) in self.index.keys().iter().enumerate() {
+            let accs = &self.accs[id * stride..][..stride];
             for (i, col) in columns.iter_mut().take(g).enumerate() {
                 match encoder.dict_entry(key, i) {
                     Some(entry) => {
