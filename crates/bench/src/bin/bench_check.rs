@@ -57,11 +57,10 @@ fn main() -> Result<()> {
         report.exchange_decoded_bytes,
     );
     println!(
-        "{path}: parallel {:.2}x at {} workers ({} cores), partial-agg {:.2}x, pool reuse {:.2}x",
+        "{path}: parallel {:.2}x at {} workers ({} cores), pool reuse {:.2}x",
         report.parallel_speedup,
         report.parallel_workers,
         report.host_cores,
-        report.partial_agg_speedup,
         report.pool_reuse_speedup,
     );
     println!(

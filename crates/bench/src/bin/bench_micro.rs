@@ -22,11 +22,8 @@
 //! beating the plain one. The report additionally records the parallel
 //! runtime's scan-join speedup over the simulator (`parallel_sim_ns` /
 //! `parallel_4w_ns` / `parallel_speedup`, with `host_cores` so the gate
-//! only binds on hosts that can actually run the workers), the
-//! reorder-tolerant partial-aggregation speedup over the trace-fold
-//! parallel baseline (`partial_agg_trace_ns` / `partial_agg_partial_ns` /
-//! `partial_agg_speedup`, gated the same way), and the persistent pool's
-//! warm-vs-cold query times (`pool_cold_ns` / `pool_warm_ns` /
+//! only binds on hosts that can actually run the workers), the persistent
+//! pool's warm-vs-cold query times (`pool_cold_ns` / `pool_warm_ns` /
 //! `pool_reuse_speedup`, consistency-checked but not speed-gated: thread
 //! spawn cost is too host-dependent for a ratio floor), and the fault-hook
 //! overhead of the retry-storm kernel (`retry_storm_off_ns` /
@@ -50,10 +47,9 @@ use std::time::Instant;
 
 use ci_bench::hotpath::{
     cache_scan_fixture, exchange_wire_accounting, int_codec_accounting, parallel_fixture,
-    partial_agg_plan, run_cache_hit_scan, run_exchange_wire, run_filter, run_filter_chain,
-    run_group_by, run_join, run_page_encode, run_page_encode_int, run_parallel_scan_join,
-    run_partial_agg, run_pool_reuse, run_retry_storm, run_trace_overhead, sorted_int_batch,
-    string_batch, warm_cache, wide_batch, PARALLEL_WORKERS,
+    run_cache_hit_scan, run_exchange_wire, run_filter, run_filter_chain, run_group_by, run_join,
+    run_page_encode, run_page_encode_int, run_parallel_scan_join, run_pool_reuse, run_retry_storm,
+    run_trace_overhead, sorted_int_batch, string_batch, warm_cache, wide_batch, PARALLEL_WORKERS,
 };
 use ci_exec::{ExecutionMode, TraceLevel};
 use ci_storage::RecordBatch;
@@ -192,22 +188,6 @@ fn main() -> Result<()> {
     let parallel_speedup = parallel_sim_ns as f64 / parallel_4w_ns.max(1) as f64;
     let host_cores = std::thread::available_parallelism().map_or(1, usize::from);
 
-    // Partial-aggregation measurement: the same mergeable group-by plan at
-    // PARALLEL_WORKERS with the partial path off (workers fold through
-    // morsel traces, the driver replays every sink batch serially) and on
-    // (chunk-local folds merged at the breaker). Same gating story as the
-    // scan-join ratio: host_cores decides whether the gate binds.
-    let (agg_plan, agg_graph) = partial_agg_plan(&cat)?;
-    let (partial_agg_trace_ns, trace_check) =
-        time_min(|| run_partial_agg(&cat, &agg_plan, &agg_graph, PARALLEL_WORKERS, false))?;
-    let (partial_agg_partial_ns, partial_check) =
-        time_min(|| run_partial_agg(&cat, &agg_plan, &agg_graph, PARALLEL_WORKERS, true))?;
-    assert_eq!(
-        trace_check, partial_check,
-        "partial_agg: merge paths disagree on results"
-    );
-    let partial_agg_speedup = partial_agg_trace_ns as f64 / partial_agg_partial_ns.max(1) as f64;
-
     // Pool-reuse measurement: the scan-join plan against the process-wide
     // warm pool vs a private pool spawned and joined inside the timed call.
     // Recorded for the perf trajectory; bench_check only consistency-checks
@@ -292,7 +272,7 @@ fn main() -> Result<()> {
     let (int_encoded_bytes, int_plain_bytes) = int_codec_accounting(&sorted_int_batch(ROWS))?;
 
     let mut json = String::from("{\n");
-    json.push_str("  \"schema_version\": 8,\n");
+    json.push_str("  \"schema_version\": 9,\n");
     json.push_str(&format!("  \"rows\": {ROWS},\n"));
     json.push_str(&format!("  \"cardinality\": {CARDINALITY},\n"));
     json.push_str(&format!("  \"parallel_sim_ns\": {parallel_sim_ns},\n"));
@@ -300,15 +280,6 @@ fn main() -> Result<()> {
     json.push_str(&format!("  \"parallel_speedup\": {parallel_speedup:.2},\n"));
     json.push_str(&format!("  \"parallel_workers\": {PARALLEL_WORKERS},\n"));
     json.push_str(&format!("  \"host_cores\": {host_cores},\n"));
-    json.push_str(&format!(
-        "  \"partial_agg_trace_ns\": {partial_agg_trace_ns},\n"
-    ));
-    json.push_str(&format!(
-        "  \"partial_agg_partial_ns\": {partial_agg_partial_ns},\n"
-    ));
-    json.push_str(&format!(
-        "  \"partial_agg_speedup\": {partial_agg_speedup:.2},\n"
-    ));
     json.push_str(&format!("  \"pool_cold_ns\": {pool_cold_ns},\n"));
     json.push_str(&format!("  \"pool_warm_ns\": {pool_warm_ns},\n"));
     json.push_str(&format!(
@@ -381,13 +352,6 @@ fn main() -> Result<()> {
         parallel_4w_ns as f64 / 1e6,
         parallel_speedup,
         host_cores
-    );
-    println!(
-        "partial agg: trace fold {:.2} ms vs partial merge {:.2} ms ({:.2}x, {} workers)",
-        partial_agg_trace_ns as f64 / 1e6,
-        partial_agg_partial_ns as f64 / 1e6,
-        partial_agg_speedup,
-        PARALLEL_WORKERS
     );
     println!(
         "pool reuse: cold spawn {:.2} ms vs warm pool {:.2} ms ({:.2}x)",

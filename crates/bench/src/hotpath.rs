@@ -402,48 +402,6 @@ pub fn run_parallel_scan_join(
     Ok(out.metrics.result_rows as usize + (actual % 100_003) as usize)
 }
 
-/// The query the partial-aggregation kernel runs: a mergeable group-by
-/// (`COUNT` + integer `SUM`) over the [`parallel_fixture`] fact table —
-/// every aggregate passes [`AggregateState::mergeable`], so the
-/// reorder-tolerant partial path may fold worker-side and merge chunk
-/// states at the breaker.
-pub const PARTIAL_AGG_SQL: &str =
-    "SELECT o_cust, COUNT(*) AS n, SUM(o_id) AS s FROM orders GROUP BY o_cust";
-
-/// Plans [`PARTIAL_AGG_SQL`] over the [`parallel_fixture`] catalog.
-pub fn partial_agg_plan(cat: &Catalog) -> Result<(PhysicalPlan, PipelineGraph)> {
-    crate::plan_query(cat, PARTIAL_AGG_SQL)
-}
-
-/// Partial-aggregation kernel: executes the group-by plan under
-/// `ExecutionMode::Parallel { workers }` with the partial path on or off.
-/// With `partial` unset the workers fold morsels through the trace path and
-/// the driver replays every sink batch serially; with it set they fold into
-/// chunk-local aggregate states the driver merges in deterministic chunk
-/// order. Results and `Dollars` are identical by contract — the checksum
-/// pins that — so the timing ratio is the merge protocol's real speedup.
-pub fn run_partial_agg(
-    cat: &Catalog,
-    plan: &PhysicalPlan,
-    graph: &PipelineGraph,
-    workers: usize,
-    partial: bool,
-) -> Result<usize> {
-    let exec = Executor::new(
-        cat,
-        ExecutionConfig {
-            morsel_rows: 4_096,
-            partial_agg: partial,
-            mode: ExecutionMode::Parallel { workers },
-            trace: TraceLevel::Off,
-            ..ExecutionConfig::default()
-        },
-    );
-    let out = exec.execute(plan, graph, &vec![4; graph.len()], &mut NoScaling)?;
-    let actual: u64 = out.metrics.node_actual_rows.iter().sum();
-    Ok(out.metrics.result_rows as usize + (actual % 100_003) as usize)
-}
-
 /// Pool-reuse kernel: executes the scan-filter-join plan at
 /// [`PARALLEL_WORKERS`] against either the process-wide warm pool
 /// ([`WorkerPool::shared`], threads already parked between queries) or a
@@ -666,20 +624,6 @@ mod tests {
             assert_eq!(
                 par, sim,
                 "parallel ({workers} workers) diverged from simulator"
-            );
-        }
-    }
-
-    #[test]
-    fn partial_agg_kernel_checksum_is_path_independent() {
-        let (cat, _, _) = parallel_fixture(30_000).unwrap();
-        let (plan, graph) = partial_agg_plan(&cat).unwrap();
-        let trace = run_partial_agg(&cat, &plan, &graph, PARALLEL_WORKERS, false).unwrap();
-        for workers in [1, 2, PARALLEL_WORKERS] {
-            let partial = run_partial_agg(&cat, &plan, &graph, workers, true).unwrap();
-            assert_eq!(
-                partial, trace,
-                "partial path ({workers} workers) diverged from trace fold"
             );
         }
     }

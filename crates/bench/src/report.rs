@@ -28,7 +28,7 @@ pub struct BenchEntry {
 /// The parsed report.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BenchReport {
-    /// Report format version; this reader understands version 8.
+    /// Report format version; this reader understands version 9.
     pub schema_version: u64,
     /// Fixture rows per batch.
     pub rows: u64,
@@ -47,16 +47,6 @@ pub struct BenchReport {
     pub parallel_workers: u64,
     /// `available_parallelism()` of the recording host.
     pub host_cores: u64,
-    /// The mergeable group-by plan at `parallel_workers` with the partial
-    /// path disabled: workers fold through morsel traces, the driver
-    /// replays every sink batch serially.
-    pub partial_agg_trace_ns: u64,
-    /// The same plan with the reorder-tolerant partial path: worker-side
-    /// chunk folds merged at the breaker.
-    pub partial_agg_partial_ns: u64,
-    /// `partial_agg_trace_ns / partial_agg_partial_ns`. Gated `>= 2.0` only
-    /// when `host_cores >= parallel_workers`, like `parallel_speedup`.
-    pub partial_agg_speedup: f64,
     /// The scan-join plan with a private worker pool spawned *and* joined
     /// inside the timed region — the per-query thread lifecycle.
     pub pool_cold_ns: u64,
@@ -140,7 +130,7 @@ impl BenchReport {
     /// Parses a `BENCH_micro.json` document.
     pub fn parse(json: &str) -> Result<BenchReport> {
         let schema_version = int_field(json, "schema_version")?;
-        if schema_version != 8 {
+        if schema_version != 9 {
             return Err(CiError::Config(format!(
                 "unsupported BENCH_micro schema_version {schema_version}"
             )));
@@ -152,9 +142,6 @@ impl BenchReport {
         let parallel_speedup = float_field(json, "parallel_speedup")?;
         let parallel_workers = int_field(json, "parallel_workers")?;
         let host_cores = int_field(json, "host_cores")?;
-        let partial_agg_trace_ns = int_field(json, "partial_agg_trace_ns")?;
-        let partial_agg_partial_ns = int_field(json, "partial_agg_partial_ns")?;
-        let partial_agg_speedup = float_field(json, "partial_agg_speedup")?;
         let pool_cold_ns = int_field(json, "pool_cold_ns")?;
         let pool_warm_ns = int_field(json, "pool_warm_ns")?;
         let pool_reuse_speedup = float_field(json, "pool_reuse_speedup")?;
@@ -194,9 +181,6 @@ impl BenchReport {
             parallel_speedup,
             parallel_workers,
             host_cores,
-            partial_agg_trace_ns,
-            partial_agg_partial_ns,
-            partial_agg_speedup,
             pool_cold_ns,
             pool_warm_ns,
             pool_reuse_speedup,
@@ -263,29 +247,6 @@ impl BenchReport {
                 out.push(format!(
                     "parallel runtime speedup {:.2} < 1.5 at {} workers on {} cores",
                     self.parallel_speedup, self.parallel_workers, self.host_cores
-                ));
-            }
-        }
-        if self.partial_agg_trace_ns == 0
-            || self.partial_agg_partial_ns == 0
-            || self.partial_agg_speedup <= 0.0
-        {
-            out.push("partial-agg measurement missing or zero".into());
-        } else {
-            let recomputed = self.partial_agg_trace_ns as f64 / self.partial_agg_partial_ns as f64;
-            if (recomputed - self.partial_agg_speedup).abs() > 0.011 * recomputed.max(1.0) {
-                out.push(format!(
-                    "recorded partial_agg_speedup {:.2} inconsistent with durations \
-                     ({recomputed:.2})",
-                    self.partial_agg_speedup
-                ));
-            }
-            // Same policy as the scan-join gate: only bind where the
-            // workers had cores to run on.
-            if self.host_cores >= self.parallel_workers && self.partial_agg_speedup < 2.0 {
-                out.push(format!(
-                    "partial-agg speedup {:.2} < 2.0 at {} workers on {} cores",
-                    self.partial_agg_speedup, self.parallel_workers, self.host_cores
                 ));
             }
         }
@@ -404,9 +365,9 @@ impl BenchReport {
 
     /// Speedup gates that [`BenchReport::violations`] deliberately did not
     /// enforce on this report, as human-readable lines. Today that means the
-    /// core-count-conditional gates on a starved host: the parallel and
-    /// partial-agg ratios are still recorded and consistency-checked, but a
-    /// host with fewer cores than workers cannot honestly hit the floors.
+    /// core-count-conditional gates on a starved host: the ratios are still
+    /// recorded and consistency-checked, but a host with fewer cores than
+    /// workers cannot honestly hit the floors.
     /// `bench_check` prints these so a skipped gate is visible in the build
     /// log instead of silently passing.
     pub fn gate_skips(&self) -> Vec<String> {
@@ -416,11 +377,6 @@ impl BenchReport {
                 "gate skipped: parallel_speedup >= 1.5 ({} host cores < {} workers; \
                  recorded {:.2})",
                 self.host_cores, self.parallel_workers, self.parallel_speedup
-            ));
-            out.push(format!(
-                "gate skipped: partial_agg_speedup >= 2.0 ({} host cores < {} workers; \
-                 recorded {:.2})",
-                self.host_cores, self.parallel_workers, self.partial_agg_speedup
             ));
             out.push(format!(
                 "gate skipped: retry_storm_overhead < 1.05 ({} host cores < {} workers; \
@@ -510,7 +466,7 @@ mod tests {
     fn sample(speedup: &str) -> String {
         format!(
             r#"{{
-  "schema_version": 8,
+  "schema_version": 9,
   "rows": 1000,
   "cardinality": 10,
   "parallel_sim_ns": 3000,
@@ -518,9 +474,6 @@ mod tests {
   "parallel_speedup": 3.00,
   "parallel_workers": 4,
   "host_cores": 8,
-  "partial_agg_trace_ns": 5000,
-  "partial_agg_partial_ns": 2000,
-  "partial_agg_speedup": 2.50,
   "pool_cold_ns": 4000,
   "pool_warm_ns": 2000,
   "pool_reuse_speedup": 2.00,
@@ -557,7 +510,7 @@ mod tests {
     #[test]
     fn parses_the_writer_format() {
         let r = BenchReport::parse(&sample("2.50")).unwrap();
-        assert_eq!(r.schema_version, 8);
+        assert_eq!(r.schema_version, 9);
         assert_eq!(r.rows, 1000);
         assert_eq!(r.parallel_sim_ns, 3000);
         assert_eq!(r.parallel_4w_ns, 1000);
@@ -569,9 +522,6 @@ mod tests {
         assert_eq!(r.benches[6].baseline_naive_ns, 250);
         assert!((r.benches[6].speedup - 2.5).abs() < 1e-9);
         assert_eq!(r.benches[0].check, 5);
-        assert_eq!(r.partial_agg_trace_ns, 5000);
-        assert_eq!(r.partial_agg_partial_ns, 2000);
-        assert!((r.partial_agg_speedup - 2.5).abs() < 1e-9);
         assert_eq!(r.pool_cold_ns, 4000);
         assert_eq!(r.pool_warm_ns, 2000);
         assert!((r.pool_reuse_speedup - 2.0).abs() < 1e-9);
@@ -685,55 +635,6 @@ mod tests {
         );
         // A v5 document must carry the parallel fields at all.
         let missing = sample("2.00").replace("\"parallel_sim_ns\"", "\"other\"");
-        assert!(BenchReport::parse(&missing).is_err());
-    }
-
-    #[test]
-    fn partial_agg_speedup_gates() {
-        // Below 2.0 with enough cores: the merge protocol stopped paying.
-        let slow = sample("2.00")
-            .replace(
-                "\"partial_agg_partial_ns\": 2000",
-                "\"partial_agg_partial_ns\": 4000",
-            )
-            .replace(
-                "\"partial_agg_speedup\": 2.50",
-                "\"partial_agg_speedup\": 1.25",
-            );
-        let v = BenchReport::parse(&slow).unwrap().violations();
-        assert!(
-            v.iter()
-                .any(|m| m.contains("partial-agg speedup 1.25 < 2.0")),
-            "{v:?}"
-        );
-        // The same ratio on a starved host is not a violation.
-        let starved = slow.replace("\"host_cores\": 8", "\"host_cores\": 1");
-        let v = BenchReport::parse(&starved).unwrap().violations();
-        assert!(v.is_empty(), "{v:?}");
-        // A recorded ratio inconsistent with the durations is flagged.
-        let fudged = sample("2.00").replace(
-            "\"partial_agg_speedup\": 2.50",
-            "\"partial_agg_speedup\": 8.00",
-        );
-        let v = BenchReport::parse(&fudged).unwrap().violations();
-        assert!(
-            v.iter()
-                .any(|m| m.contains("partial_agg_speedup 8.00 inconsistent")),
-            "{v:?}"
-        );
-        // Zero durations mean the writer recorded nothing.
-        let zero = sample("2.00").replace(
-            "\"partial_agg_trace_ns\": 5000",
-            "\"partial_agg_trace_ns\": 0",
-        );
-        let v = BenchReport::parse(&zero).unwrap().violations();
-        assert!(
-            v.iter()
-                .any(|m| m.contains("partial-agg measurement missing")),
-            "{v:?}"
-        );
-        // A v5 document must carry the partial-agg fields at all.
-        let missing = sample("2.00").replace("\"partial_agg_trace_ns\"", "\"other\"");
         assert!(BenchReport::parse(&missing).is_err());
     }
 
@@ -910,30 +811,25 @@ mod tests {
         let starved = sample("2.00").replace("\"host_cores\": 8", "\"host_cores\": 1");
         let r = BenchReport::parse(&starved).unwrap();
         let skips = r.gate_skips();
-        assert_eq!(skips.len(), 5, "{skips:?}");
+        assert_eq!(skips.len(), 4, "{skips:?}");
         assert!(
             skips[0].contains("gate skipped: parallel_speedup >= 1.5")
                 && skips[0].contains("1 host cores < 4 workers"),
             "{skips:?}"
         );
         assert!(
-            skips[1].contains("gate skipped: partial_agg_speedup >= 2.0")
+            skips[1].contains("gate skipped: retry_storm_overhead < 1.05")
                 && skips[1].contains("1 host cores < 4 workers"),
             "{skips:?}"
         );
         assert!(
-            skips[2].contains("gate skipped: retry_storm_overhead < 1.05")
+            skips[2].contains("gate skipped: trace_overhead < 1.03")
                 && skips[2].contains("1 host cores < 4 workers"),
             "{skips:?}"
         );
         assert!(
-            skips[3].contains("gate skipped: trace_overhead < 1.03")
+            skips[3].contains("gate skipped: cache_hit_speedup >= 2.0")
                 && skips[3].contains("1 host cores < 4 workers"),
-            "{skips:?}"
-        );
-        assert!(
-            skips[4].contains("gate skipped: cache_hit_speedup >= 2.0")
-                && skips[4].contains("1 host cores < 4 workers"),
             "{skips:?}"
         );
         // Skipped gates still leave the consistency checks binding.
@@ -970,7 +866,7 @@ mod tests {
     fn malformed_documents_error() {
         assert!(BenchReport::parse("{}").is_err());
         let wrong_version =
-            sample("2.00").replace("\"schema_version\": 8", "\"schema_version\": 9");
+            sample("2.00").replace("\"schema_version\": 9", "\"schema_version\": 8");
         assert!(BenchReport::parse(&wrong_version).is_err());
         let missing_field = sample("2.00").replace("\"dict_ns\"", "\"other\"");
         assert!(BenchReport::parse(&missing_field).is_err());

@@ -7,7 +7,7 @@ use ci_autotune::{
 };
 use ci_catalog::Catalog;
 use ci_cost::CostEstimator;
-use ci_exec::{ExecutionConfig, Executor, NoScaling, TierCacheSim};
+use ci_exec::{ExecutionConfig, Executor, NoScaling, QueryMetrics, TierCacheSim};
 use ci_monitor::{DopMonitor, MonitorConfig};
 use ci_optimizer::{Constraint, Optimizer, OptimizerConfig};
 use ci_storage::schema::{Field, Schema};
@@ -159,15 +159,7 @@ impl Warehouse {
         };
 
         // Statistics service ingestion (execution history, Figure 3).
-        let record = self.log_record(
-            &fingerprint,
-            sql,
-            finished_at,
-            outcome.metrics.latency,
-            outcome.metrics.machine_time,
-            outcome.metrics.cost,
-            &planned,
-        );
+        let record = self.log_record(&fingerprint, sql, finished_at, &outcome.metrics, &planned);
         self.stats
             .lock()
             .expect("stats lock poisoned")
@@ -195,15 +187,12 @@ impl Warehouse {
         })
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn log_record(
         &self,
         fingerprint: &str,
         sql: &str,
         finished_at: SimTime,
-        latency: SimDuration,
-        machine_time: SimDuration,
-        cost: Dollars,
+        metrics: &QueryMetrics,
         planned: &ci_optimizer::PlannedQuery,
     ) -> QueryLogRecord {
         let mut attributes = Vec::new();
@@ -226,9 +215,9 @@ impl Warehouse {
             fingerprint: fingerprint.to_owned(),
             sql: sql.to_owned(),
             finished_at,
-            latency,
-            machine_time,
-            cost,
+            latency: metrics.latency,
+            machine_time: metrics.machine_time,
+            cost: metrics.cost,
             attributes,
             joins,
         }

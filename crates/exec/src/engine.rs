@@ -1,4 +1,4 @@
-//! The morsel-driven query executor: one accounting core, two drivers.
+//! The morsel-driven query executor: one morsel path, one ledger.
 //!
 //! Execution walks the pipeline DAG bottom-up. Each pipeline:
 //!
@@ -21,56 +21,53 @@
 //! resource-waste mechanism behind the paper's equal-finish-time heuristic:
 //! a build that finishes early idles (and bills) until its probe completes.
 //!
-//! # Simulate vs. Parallel
+//! # Traces → ledger → sink
 //!
-//! Per-morsel work is split into two phases so one accounting code path can
-//! serve two execution modes ([`ExecutionMode`]):
+//! One pipeline run is three stages, and both execution modes
+//! ([`ExecutionMode`]) go through the same code for all three:
 //!
-//! * **processing** — the pure operator chain (scan filter, filters,
+//! * **morsels → traces** — the pure operator chain (scan filter, filters,
 //!   projections, probes, transfer-point compaction) recorded into a
-//!   `MorselTrace`. This phase touches no shared mutable state, so
-//!   [`ExecutionMode::Parallel`] runs it on a persistent
-//!   [`crate::parallel::WorkerPool`] whose Condvar-parked
-//!   threads outlive individual queries; [`ExecutionMode::Simulate`] runs
-//!   it inline. Processing itself is split again into a *fetch* stage
-//!   (`ChainCtx::fetch_morsel`: page decode / batch materialization) and
-//!   a *compute* stage (`ChainCtx::compute_morsel`), which the pool
-//!   overlaps — workers prefetch upcoming morsels while others compute.
-//! * **accounting** — always on the driver, in canonical morsel order:
-//!   virtual-time list scheduling, wire-format byte accounting (the encoder
-//!   stream is order-dependent: a dictionary ships once), `LIMIT`
-//!   consumption, per-node cardinalities, and sink feeds (aggregate folding
-//!   is IEEE-float order-sensitive, so the per-worker partial traces are
-//!   merged here, at the pipeline breaker, in morsel order).
+//!   `MorselTrace`. It touches no shared mutable state and stops at the
+//!   first `LIMIT` step, which needs the driver's remaining-rows state.
+//!   Processing is split again into a *fetch* stage
+//!   (`ChainCtx::fetch_morsel`: page decode / batch materialization) and a
+//!   *compute* stage (`ChainCtx::compute_morsel`). One `TraceSource` hands
+//!   the driver each morsel's trace in canonical morsel order and resumes
+//!   it past its `LIMIT` step (`ChainCtx::complete_trace` — the only code
+//!   that touches `LIMIT` state). Its *inline* feed
+//!   ([`ExecutionMode::Simulate`]) processes a morsel when the driver asks
+//!   for it: one morsel in flight, and nothing past a satisfied `LIMIT` is
+//!   ever fetched. Its *pooled* feed ([`ExecutionMode::Parallel`]) has a
+//!   persistent [`crate::parallel::WorkerPool`], whose Condvar-parked
+//!   threads outlive individual queries, produce every trace up front,
+//!   overlapping fetch and compute — workers prefetch upcoming morsels
+//!   while others compute.
+//! * **the ledger** — `Ledger`, always on the driver, in canonical morsel
+//!   order: virtual-time list scheduling over the node slots, tier-cache
+//!   and fault draws, wire-format byte accounting (the encoder stream is
+//!   order-dependent: a dictionary ships once), per-node cardinalities and
+//!   busy seconds, recovery billing, tracer emission, and the progress
+//!   callbacks that resize the node set. It accumulates the pipeline's one
+//!   [`PipelineMetrics`] in place.
+//! * **the sink** — `Sink::feed` per trace, in morsel order (aggregate
+//!   folding is IEEE-float order-sensitive; build and sort buffers keep
+//!   arrival order), then `Sink::finalize` at the pipeline breaker.
 //!
 //! Everything that determines results, logical row counts, and billed
-//! `Dollars` lives in the accounting phase, which is why the parallel path
-//! is bit-identical to the simulator *by construction* — the simulator stays
-//! the determinism oracle, and the parallel runtime only changes wall-clock.
-//! Parallel runs additionally record per-operator-class wall-clock
-//! ([`OpSample`]) that `cost::calibration::MeasuredRates` aggregates into
-//! hardware rates.
-//!
-//! One aggregation fast path relaxes the *structural* part of that story
-//! without touching the observable part: when every aggregate in a sink is
-//! provably order-insensitive ([`AggregateState::mergeable`] — integer
-//! sums, counts, non-float min/max, distinct sets), the morsel list is
-//! split into contiguous chunks and each worker folds its chunk into a
-//! local [`AggregateState`] as it computes, instead of shipping per-morsel
-//! sink batches back through the trace. The driver still walks every trace
-//! in canonical order (its tail carries the sink-feed row counts, so
-//! charges and metrics are unchanged), then absorbs the chunk states in
-//! chunk order before finalizing — reproducing the sequential fold's
-//! groups, order, and values exactly. Final results, cardinalities, and
-//! `Dollars` stay bit-identical to the simulator; the equivalence is pinned
-//! by `tests/partial_agg_equivalence.rs`.
+//! `Dollars` lives in the ledger and the sink, which is why the parallel
+//! path is bit-identical to the simulator *by construction* — the simulator
+//! stays the determinism oracle, and the parallel runtime only changes
+//! wall-clock. Parallel runs additionally record per-operator-class
+//! wall-clock ([`OpSample`]) that `cost::calibration::MeasuredRates`
+//! aggregates into hardware rates.
 
 use std::collections::HashMap;
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Instant;
 
 use ci_catalog::Catalog;
-use ci_cloud::faults::FaultPlan;
+use ci_cloud::faults::{FaultInjector, FaultPlan, MorselFaults};
 use ci_cloud::pricing::TierPricing;
 use ci_cloud::tiercache::{CacheAccess, CacheKey, TierCacheSim, TierLevel};
 use ci_cloud::work::WorkModels;
@@ -78,8 +75,7 @@ use ci_obs::{Lane, NodeProfile, ProfileReport, Trace, TraceEvent, TraceLevel, Wo
 use ci_plan::expr::{ColMap, PlanExpr};
 use ci_plan::physical::{PhysicalOp, PhysicalPlan};
 use ci_plan::pipeline::{Pipeline, PipelineGraph, SinkKind};
-use ci_storage::column::ColumnData;
-use ci_storage::pages::{decode_column, encode_best, WireDecoder, WireEncoder};
+use ci_storage::pages::WireEncoder;
 use ci_storage::schema::SchemaRef;
 use ci_storage::selection::SelectionVector;
 use ci_storage::tiers::{DiskSource, PageSource, PageSourceMode, TierStore, TieredSource};
@@ -91,7 +87,7 @@ use crate::metrics::{attribute_node_dollars, OpSample, PipelineMetrics, QueryMet
 use crate::operators::{
     apply_filter, apply_project, slots_schema, AggregateState, JoinHashTable, SortBuffer,
 };
-use crate::parallel::WorkerPool;
+use crate::parallel::{TraceGuard, WorkerPool};
 use crate::scaling::{PipelineProgress, PipelineStart, ScaleDecision, ScalingController};
 use crate::trace::{NodeStats, Tracer};
 
@@ -152,31 +148,9 @@ pub struct ExecutionConfig {
     pub morsel_rows: usize,
     /// Progress-callback period, in morsels.
     pub check_interval: usize,
-    /// Run exchanges and gathers through the *real* wire path: serialize
-    /// each shuffled batch with the pipeline's [`WireEncoder`] and decode it
-    /// back through a paired [`WireDecoder`] (per-stream dictionary cache)
-    /// before it continues downstream. Results, metrics, and `Dollars` are
-    /// bit-identical to the default size-only accounting — engine tests pin
-    /// that — so this stays off outside tests, where the simulation only
-    /// needs byte counts.
-    pub wire_roundtrip: bool,
     /// Morsel-processing driver (defaults from `CI_EXEC_MODE`, see
     /// [`ExecutionMode::from_env`]).
     pub mode: ExecutionMode,
-    /// Allow the reorder-tolerant partial-aggregation path in parallel mode
-    /// (worker-side chunk folds merged at the breaker). Only engaged when
-    /// [`AggregateState::mergeable`] proves the merge exact, so results and
-    /// `Dollars` are unchanged either way; the toggle exists so tests and
-    /// benchmarks can pin the trace-fold baseline.
-    pub partial_agg: bool,
-    /// Really round-trip scan morsels through the storage page codecs: at
-    /// morsel split, non-dictionary columns are encoded into pages, and the
-    /// fetch stage decodes them back (dictionary columns ride as shared
-    /// `Arc`s, like the wire's dictionary dedup). Applied in *both* modes,
-    /// so parallel runs stay bit-identical to the simulator; billed fetch
-    /// bytes come from partition statistics and are unchanged by
-    /// construction. Off by default: the simulation only needs byte counts.
-    pub fetch_roundtrip: bool,
     /// Worker pool for [`ExecutionMode::Parallel`]. `None` (default) uses
     /// the process-wide [`WorkerPool::shared`] pool for the mode's worker
     /// count; set an owned pool to control thread lifetime explicitly
@@ -233,10 +207,7 @@ impl Default for ExecutionConfig {
             resize_latency: SimDuration::from_millis(500),
             morsel_rows: 65_536,
             check_interval: 8,
-            wire_roundtrip: false,
             mode: ExecutionMode::from_env(),
-            partial_agg: true,
-            fetch_roundtrip: false,
             pool: None,
             faults: FaultPlan::from_env(),
             trace: TraceLevel::from_env(),
@@ -308,9 +279,6 @@ struct TierPart {
 pub(crate) enum Payload {
     /// Memory-resident batch (breaker outputs; `Mem` page source).
     Batch(RecordBatch),
-    /// With [`ExecutionConfig::fetch_roundtrip`]: the payload as
-    /// really-encoded storage pages, decoded by the fetch stage.
-    Pages(EncodedMorsel),
     /// Disk-backed: the fetch stage reads the partition through a
     /// [`PageSource`] (real `CIPF` file bytes or the tier stack) — no
     /// resident decoded table rides along.
@@ -326,23 +294,6 @@ pub(crate) struct FileMorsel {
     len: usize,
     /// The pipeline's slot schema the fetched batch is re-labelled under.
     schema: SchemaRef,
-}
-
-/// A morsel's payload in page form (the `fetch_roundtrip` representation).
-pub(crate) struct EncodedMorsel {
-    schema: SchemaRef,
-    cols: Vec<PageOrCol>,
-}
-
-/// One column of an [`EncodedMorsel`].
-pub(crate) enum PageOrCol {
-    /// A storage page the fetch stage decodes.
-    Page(Vec<u8>),
-    /// Passed through as-is: dictionary columns ride as shared `Arc`s so
-    /// every morsel of a partition keeps the *same* dictionary identity
-    /// (page decode would mint per-morsel dictionaries and break the
-    /// exchange wire's ship-once dedup).
-    Col(Arc<ColumnData>),
 }
 
 /// Precompiled streaming step of a pipeline's operator chain.
@@ -393,13 +344,9 @@ pub(crate) struct StepTrace {
 pub(crate) enum Tail {
     /// Chain fully processed; this batch feeds the sink.
     Done(RecordBatch),
-    /// A worker reached a `LIMIT` step, which needs the driver's shared
+    /// The chain reached a `LIMIT` step, which needs the driver's shared
     /// limit state; the driver resumes the chain from `step`.
     AtLimit { step: usize, batch: RecordBatch },
-    /// Partial-aggregation path: the sink feed was folded into a worker's
-    /// chunk-local [`AggregateState`]; only the counts the driver's
-    /// accounting needs travel back.
-    AggPartial { rows: u64, physical_rows: u64 },
 }
 
 /// Pure per-morsel processing record, produced by workers (or inline by the
@@ -477,50 +424,55 @@ impl MorselTrace {
     }
 }
 
-/// Runs `f`, optionally timing it into `samples`/`wall_total` under the
-/// given operator class.
-pub(crate) fn timed<T>(
+/// Where measured operator time goes: the sample list and wall-clock total
+/// of one morsel trace (chain work) or of one pipeline (driver-side sink
+/// work).
+struct OpTimer<'a> {
     measure: bool,
-    op: &'static str,
-    units: f64,
-    samples: &mut Vec<OpSample>,
-    wall_total: &mut u64,
-    f: impl FnOnce() -> Result<T>,
-) -> Result<T> {
-    if !measure {
-        return f();
+    samples: &'a mut Vec<OpSample>,
+    wall_ns: &'a mut u64,
+}
+
+impl OpTimer<'_> {
+    /// Runs `f`, timing it under the given operator class when measuring.
+    fn time<T>(
+        &mut self,
+        op: &'static str,
+        units: f64,
+        f: impl FnOnce() -> Result<T>,
+    ) -> Result<T> {
+        if !self.measure {
+            return f();
+        }
+        let t0 = Instant::now();
+        let out = f();
+        let wall_ns = t0.elapsed().as_nanos() as u64;
+        *self.wall_ns += wall_ns;
+        self.samples.push(OpSample { op, units, wall_ns });
+        out
     }
-    let t0 = Instant::now();
-    let out = f();
-    let wall_ns = t0.elapsed().as_nanos() as u64;
-    *wall_total += wall_ns;
-    samples.push(OpSample { op, units, wall_ns });
-    out
 }
 
 impl ChainCtx {
-    /// The fetch/decode stage: materializes a morsel's payload batch. A
-    /// cheap `Arc` clone normally; with [`ExecutionConfig::fetch_roundtrip`]
-    /// it really decodes the morsel's storage pages. Separated from
-    /// [`ChainCtx::compute_morsel`] so the worker pool can prefetch
-    /// upcoming morsels while earlier ones compute. Emits no [`OpSample`]s:
-    /// the operator-class set the calibrator sees is fixed, and billed
-    /// fetch bytes come from the morsel's partition statistics, not from
-    /// this stage.
+    /// A timer recording into `samples` / `wall_ns` when this chain measures.
+    fn timer<'t>(&self, samples: &'t mut Vec<OpSample>, wall_ns: &'t mut u64) -> OpTimer<'t> {
+        OpTimer {
+            measure: self.measure,
+            samples,
+            wall_ns,
+        }
+    }
+
+    /// The fetch/decode stage: materializes a morsel's payload batch — an
+    /// `Arc` clone for resident batches, a real page-file read and decode
+    /// for file-backed ones. Separated from [`ChainCtx::compute_morsel`] so
+    /// the worker pool can prefetch upcoming morsels while earlier ones
+    /// compute. Emits no [`OpSample`]s: the operator-class set the
+    /// calibrator sees is fixed, and billed fetch bytes come from the
+    /// morsel's partition statistics, not from this stage.
     pub(crate) fn fetch_morsel(&self, morsel: &Morsel) -> Result<RecordBatch> {
         match &morsel.payload {
             Payload::Batch(batch) => Ok(batch.clone()),
-            Payload::Pages(em) => {
-                let cols = em
-                    .cols
-                    .iter()
-                    .map(|c| match c {
-                        PageOrCol::Col(col) => Ok(col.clone()),
-                        PageOrCol::Page(bytes) => decode_column(bytes).map(Arc::new),
-                    })
-                    .collect::<Result<Vec<_>>>()?;
-                RecordBatch::from_arcs(em.schema.clone(), cols)
-            }
             Payload::File(f) => {
                 // Real bytes: read + checksum + decode the partition file
                 // (or whatever tier physically holds it), then carve out
@@ -528,26 +480,17 @@ impl ChainCtx {
                 // table-wide dictionary `Arc`s, so downstream wire
                 // accounting is identical to the memory path.
                 let part = f.source.read_partition(f.table, f.part as usize)?;
-                let batch = part.with_schema(f.schema.clone())?;
-                if f.offset == 0 && f.len == batch.rows() {
-                    Ok(batch)
-                } else {
-                    batch.slice(f.offset, f.len)
-                }
+                part.with_schema(f.schema.clone())?.slice(f.offset, f.len)
             }
         }
     }
 
     /// The compute stage: runs a fetched batch through the operator chain,
     /// producing the morsel's trace. See [`ChainCtx::process_morsel`] for
-    /// the `limit` contract.
-    pub(crate) fn compute_morsel(
-        &self,
-        mut batch: RecordBatch,
-        limit: Option<&mut Option<u64>>,
-    ) -> Result<MorselTrace> {
-        let mut samples = Vec::new();
-        let mut wall_ns = 0u64;
+    /// where the chain stops.
+    pub(crate) fn compute_morsel(&self, mut batch: RecordBatch) -> Result<MorselTrace> {
+        let (mut samples, mut wall_ns) = (Vec::new(), 0u64);
+        let mut timer = self.timer(&mut samples, &mut wall_ns);
         let source_rows = batch.rows() as u64;
         if self.panic_trap == Some(source_rows) {
             panic!("panic_trap: morsel with {source_rows} source rows");
@@ -555,20 +498,14 @@ impl ChainCtx {
         let mut src_post_rows = source_rows;
         if self.src_is_scan {
             if let Some(pred) = &self.src_filter {
-                let units = batch.rows() as f64;
-                batch = timed(
-                    self.measure,
-                    "filter",
-                    units,
-                    &mut samples,
-                    &mut wall_ns,
-                    || apply_filter(&batch, pred, &self.src_map),
-                )?;
+                batch = timer.time("filter", source_rows as f64, || {
+                    apply_filter(&batch, pred, &self.src_map)
+                })?;
             }
             src_post_rows = batch.rows() as u64;
         }
         let mut steps = Vec::new();
-        let tail = self.process_chain(batch, 0, limit, &mut steps, &mut samples, &mut wall_ns)?;
+        let tail = self.process_chain(batch, 0, &mut steps, &mut timer)?;
         Ok(MorselTrace {
             source_rows,
             src_post_rows,
@@ -581,102 +518,54 @@ impl ChainCtx {
 
     /// Processes one morsel through fetch + compute, producing its trace.
     ///
-    /// With `limit: Some(..)` (simulator / driver), `LIMIT` steps are
-    /// applied inline against the shared remaining-rows state. With `None`
-    /// (parallel workers), processing stops at the first `LIMIT` step and
-    /// the driver finishes the chain via [`ChainCtx::complete_trace`].
-    pub(crate) fn process_morsel(
-        &self,
-        morsel: &Morsel,
-        limit: Option<&mut Option<u64>>,
-    ) -> Result<MorselTrace> {
-        self.compute_morsel(self.fetch_morsel(morsel)?, limit)
+    /// Pure in every caller: processing stops at the first `LIMIT` step
+    /// ([`Tail::AtLimit`]), which needs the driver's remaining-rows state,
+    /// and the driver finishes the chain via [`ChainCtx::complete_trace`].
+    pub(crate) fn process_morsel(&self, morsel: &Morsel) -> Result<MorselTrace> {
+        self.compute_morsel(self.fetch_morsel(morsel)?)
     }
 
-    /// Partial-aggregation processing: fetch + compute, then fold the sink
-    /// feed into the caller's chunk-local state instead of carrying the
-    /// batch back. Only valid on chains without `LIMIT` steps (the engine
-    /// guards this), so the chain always runs to completion. The fold is
-    /// timed under the same `"agg"` class, guard, and canonical sample
-    /// position as the driver-side sink update it replaces.
-    pub(crate) fn process_morsel_partial(
-        &self,
-        morsel: &Morsel,
-        st: &mut AggregateState,
-    ) -> Result<MorselTrace> {
-        let mut trace = self.compute_morsel(self.fetch_morsel(morsel)?, None)?;
-        let Tail::Done(batch) = trace.tail else {
-            return Err(CiError::Exec(
-                "partial-agg morsel stopped mid-chain (LIMIT in an agg pipeline?)".into(),
-            ));
-        };
-        let rows = batch.rows() as u64;
-        let physical_rows = batch.physical_rows() as u64;
-        if !batch.is_empty() {
-            timed(
-                self.measure,
-                "agg",
-                rows as f64,
-                &mut trace.samples,
-                &mut trace.wall_ns,
-                || st.update(&batch),
-            )?;
-        }
-        trace.tail = Tail::AggPartial {
-            rows,
-            physical_rows,
-        };
-        Ok(trace)
-    }
-
-    /// Resumes a worker-produced trace that stopped at a `LIMIT` step,
-    /// running the remaining chain against the driver's real limit state.
-    /// A no-op for already-complete traces.
+    /// Resumes a trace that stopped at a `LIMIT` step: cuts the batch
+    /// against the driver's real limit state — the only code that touches
+    /// it — and runs the remaining chain. A no-op for already-complete
+    /// traces.
     pub(crate) fn complete_trace(
         &self,
-        t: MorselTrace,
+        mut t: MorselTrace,
         limit: &mut Option<u64>,
     ) -> Result<MorselTrace> {
-        let MorselTrace {
-            source_rows,
-            src_post_rows,
-            mut steps,
-            tail,
-            mut samples,
-            mut wall_ns,
-        } = t;
-        let tail = match tail {
-            Tail::Done(batch) => Tail::Done(batch),
-            tail @ Tail::AggPartial { .. } => tail,
-            Tail::AtLimit { step, batch } => self.process_chain(
-                batch,
+        while let Tail::AtLimit { step, mut batch } = t.tail {
+            let rows_in = batch.rows() as u64;
+            if let Some(rem) = limit.as_mut() {
+                let take = (*rem as usize).min(batch.rows());
+                // Pushed into the selection: a prefix range over the
+                // logical rows shares every column, so the cut is zero-copy
+                // whether or not the stream already carries a deferred
+                // filter.
+                batch = batch.select(SelectionVector::from_range(0, take, batch.rows())?)?;
+                *rem -= take as u64;
+            }
+            t.steps.push(StepTrace {
                 step,
-                Some(limit),
-                &mut steps,
-                &mut samples,
-                &mut wall_ns,
-            )?,
-        };
-        Ok(MorselTrace {
-            source_rows,
-            src_post_rows,
-            steps,
-            tail,
-            samples,
-            wall_ns,
-        })
+                rows_in,
+                rows_out: batch.rows() as u64,
+                shipped: None,
+            });
+            let mut timer = self.timer(&mut t.samples, &mut t.wall_ns);
+            t.tail = self.process_chain(batch, step + 1, &mut t.steps, &mut timer)?;
+        }
+        Ok(t)
     }
 
-    /// The streaming operator chain from `first_step` onward. Pure with
-    /// respect to engine state: reads hash tables, writes only the trace.
+    /// The streaming operator chain from `first_step` up to the sink or the
+    /// next `LIMIT` step, whichever comes first. Pure with respect to engine
+    /// state: reads hash tables, writes only the trace.
     fn process_chain(
         &self,
         mut batch: RecordBatch,
         first_step: usize,
-        mut limit: Option<&mut Option<u64>>,
         trace: &mut Vec<StepTrace>,
-        samples: &mut Vec<OpSample>,
-        wall_ns: &mut u64,
+        timer: &mut OpTimer<'_>,
     ) -> Result<Tail> {
         for si in first_step..self.steps.len() {
             if batch.is_empty() {
@@ -686,14 +575,8 @@ impl ChainCtx {
             let mut shipped = None;
             match &self.steps[si] {
                 Step::Filter { pred, map, .. } => {
-                    batch = timed(
-                        self.measure,
-                        "filter",
-                        rows_in as f64,
-                        samples,
-                        wall_ns,
-                        || apply_filter(&batch, pred, map),
-                    )?;
+                    batch =
+                        timer.time("filter", rows_in as f64, || apply_filter(&batch, pred, map))?;
                 }
                 Step::Project {
                     exprs,
@@ -701,29 +584,17 @@ impl ChainCtx {
                     out_schema,
                     ..
                 } => {
-                    batch = timed(
-                        self.measure,
-                        "filter",
-                        rows_in as f64,
-                        samples,
-                        wall_ns,
-                        || apply_project(&batch, exprs, map, out_schema.clone()),
-                    )?;
+                    batch = timer.time("filter", rows_in as f64, || {
+                        apply_project(&batch, exprs, map, out_schema.clone())
+                    })?;
                 }
                 Step::Exchange { .. } | Step::Gather { .. } => {
                     // Transfer points materialize: deferred filters compact
                     // here rather than shipping unselected rows. The wire
-                    // bytes themselves are charged by the driver, which
-                    // replays this batch against the pipeline's (stateful,
+                    // bytes themselves are charged by the ledger, which
+                    // sizes this batch against the pipeline's (stateful,
                     // order-dependent) encoder stream.
-                    batch = timed(
-                        self.measure,
-                        "exchange",
-                        rows_in as f64,
-                        samples,
-                        wall_ns,
-                        || Ok(batch.compacted()),
-                    )?;
+                    batch = timer.time("exchange", rows_in as f64, || Ok(batch.compacted()))?;
                     shipped = Some(batch.clone());
                 }
                 Step::Probe {
@@ -737,33 +608,11 @@ impl ChainCtx {
                             "hash table for join node {join_node} not built"
                         )));
                     };
-                    batch = timed(
-                        self.measure,
-                        "probe",
-                        rows_in as f64,
-                        samples,
-                        wall_ns,
-                        || ht.probe(&batch, probe_positions, out_schema.clone()),
-                    )?;
+                    batch = timer.time("probe", rows_in as f64, || {
+                        ht.probe(&batch, probe_positions, out_schema.clone())
+                    })?;
                 }
-                Step::Limit { .. } => match &mut limit {
-                    None => return Ok(Tail::AtLimit { step: si, batch }),
-                    Some(rem_opt) => {
-                        if let Some(rem) = rem_opt.as_mut() {
-                            let take = (*rem as usize).min(batch.rows());
-                            // Pushed into the selection: a prefix range over
-                            // the logical rows shares every column, so the
-                            // cut is zero-copy whether or not the stream
-                            // already carries a deferred filter.
-                            batch = batch.select(SelectionVector::from_range(
-                                0,
-                                take,
-                                batch.rows(),
-                            )?)?;
-                            *rem -= take as u64;
-                        }
-                    }
-                },
+                Step::Limit { .. } => return Ok(Tail::AtLimit { step: si, batch }),
             }
             trace.push(StepTrace {
                 step: si,
@@ -773,6 +622,63 @@ impl ChainCtx {
             });
         }
         Ok(Tail::Done(batch))
+    }
+}
+
+/// Where a pipeline's traces physically come from.
+enum TraceFeed {
+    /// Processed on the driver when asked for (Simulate): one morsel in
+    /// flight, and a morsel past a satisfied `LIMIT` is never touched.
+    Inline,
+    /// Produced up front by [`WorkerPool::run_traces`] (Parallel), each at
+    /// its morsel's index. A slot nobody reads — a morsel past a satisfied
+    /// `LIMIT` — keeps its result, error included, unobserved.
+    Pooled(Vec<Option<Result<MorselTrace>>>),
+}
+
+/// The one source of a pipeline's traces: hands the ledger each morsel's
+/// *complete* trace in canonical morsel order, whichever [`TraceFeed`]
+/// produced it, and owns the pipeline's `LIMIT` state.
+struct TraceSource {
+    ctx: Arc<ChainCtx>,
+    morsels: Arc<Vec<Morsel>>,
+    feed: TraceFeed,
+    /// Rows the pipeline's `LIMIT` still admits (`None`: no `LIMIT`).
+    limit: Option<u64>,
+}
+
+impl TraceSource {
+    /// `true` once the pipeline's `LIMIT` is used up: the remaining morsels
+    /// contribute nothing and are neither processed nor billed.
+    fn satisfied(&self) -> bool {
+        self.limit == Some(0)
+    }
+
+    /// The complete trace of morsel `mi`. With `rerun`, a pooled trace is
+    /// discarded and the morsel re-executed on the driver — the recovery
+    /// path of a preempted worker (its morsel is reassigned) or of a hedge
+    /// that beat its straggler (the speculative duplicate replaces the slow
+    /// attempt). Processing is pure, so the replica is bit-identical to the
+    /// attempt it replaces: recovery changes the bill, never the answer.
+    /// The inline feed has no second worker to lose; its recovery is billed
+    /// only.
+    fn trace(&mut self, mi: usize, rerun: bool) -> Result<MorselTrace> {
+        let morsel = &self.morsels[mi];
+        let t = match &mut self.feed {
+            TraceFeed::Inline => self.ctx.process_morsel(morsel)?,
+            TraceFeed::Pooled(outputs) => {
+                let pooled = outputs[mi].take().ok_or_else(|| {
+                    CiError::Exec(format!("morsel {mi} missing from worker pool output"))
+                })?;
+                if rerun {
+                    drop(pooled);
+                    self.ctx.process_morsel(morsel)?
+                } else {
+                    pooled?
+                }
+            }
+        };
+        self.ctx.complete_trace(t, &mut self.limit)
     }
 }
 
@@ -804,6 +710,167 @@ struct NodeSlot {
     lease_end: Option<SimTime>,
 }
 
+/// The query-wide state every pipeline run reads and writes.
+struct QueryRun<'q> {
+    plan: &'q PhysicalPlan,
+    /// Materialized breaker outputs and hash tables, by plan-node index.
+    states: HashMap<usize, Arc<NodeState>>,
+    /// True output rows per plan node.
+    node_actual: Vec<u64>,
+    node_stats: Vec<NodeStats>,
+    result_batches: Vec<RecordBatch>,
+    /// Measured operator samples, in canonical (pipeline, morsel) order.
+    op_samples: Vec<OpSample>,
+    tracer: Tracer,
+    /// The worker pool of [`ExecutionMode::Parallel`], resolved once per
+    /// query: back-to-back queries (and every pipeline of this one) reuse
+    /// the same parked threads.
+    pool: Option<Arc<WorkerPool>>,
+    /// Wall-clock worker lanes (`Full` only): per-worker buffers attached
+    /// to the pool for the duration of this query. The guard detaches on
+    /// every exit path, including errors. A shared pool serving another
+    /// query concurrently would interleave its spans into these lanes —
+    /// acceptable for a profiling artifact, and exactly what a wall-clock
+    /// timeline of the shared threads means.
+    worker_lanes: Option<(Arc<WorkerBuffers>, TraceGuard)>,
+    /// Physical page source: where scan fetches read partition bytes from.
+    /// Disk/Tiered wire up the catalog's on-disk page store;
+    /// `source_morsels` writes each scanned table through on first touch.
+    page_src: Option<Arc<dyn PageSource>>,
+    /// Cache accounting: the deterministic tier simulator, advanced only
+    /// from the ledger. Engaged by pricing, not by page source, so the bill
+    /// is source-invariant. Physical placement mirrors the simulator only
+    /// under the tiered source.
+    tier_rt: Option<TierRuntime>,
+}
+
+impl<'q> QueryRun<'q> {
+    fn open(exec: &Executor<'_>, plan: &'q PhysicalPlan) -> Result<QueryRun<'q>> {
+        let config = &exec.config;
+        let pool: Option<Arc<WorkerPool>> = match config.mode {
+            ExecutionMode::Simulate => None,
+            ExecutionMode::Parallel { workers } => Some(match &config.pool {
+                Some(p) => p.clone(),
+                None => WorkerPool::shared(workers),
+            }),
+        };
+        let worker_lanes = pool.as_ref().filter(|_| config.trace.wall()).map(|p| {
+            let bufs = Arc::new(WorkerBuffers::new(p.workers()));
+            let guard = p.attach_trace(bufs.clone());
+            (bufs, guard)
+        });
+        let page_src: Option<Arc<dyn PageSource>> = match config.page_source {
+            PageSourceMode::Mem => None,
+            PageSourceMode::Disk => Some(Arc::new(DiskSource::new(exec.catalog.page_store()?))),
+            PageSourceMode::Tiered => Some(Arc::new(TieredSource::new(exec.catalog.tier_store()?))),
+        };
+        let tier_rt: Option<TierRuntime> = match &config.tiers {
+            None => None,
+            Some(pricing) => {
+                let sim = config
+                    .tier_sim
+                    .clone()
+                    .unwrap_or_else(|| Arc::new(Mutex::new(TierCacheSim::new(pricing.clone()))));
+                lock_sim(&sim)?.begin_query();
+                let store = match config.page_source {
+                    PageSourceMode::Tiered => Some(exec.catalog.tier_store()?),
+                    _ => None,
+                };
+                Some(TierRuntime { sim, store })
+            }
+        };
+        Ok(QueryRun {
+            plan,
+            states: HashMap::new(),
+            node_actual: vec![0u64; plan.nodes.len()],
+            node_stats: vec![NodeStats::default(); plan.nodes.len()],
+            result_batches: Vec::new(),
+            op_samples: Vec::new(),
+            tracer: Tracer::new(config.trace),
+            pool,
+            worker_lanes,
+            page_src,
+            tier_rt,
+        })
+    }
+
+    /// Closes the recording: planned-vs-actual instants, the worker lanes,
+    /// and the per-node profile. `None` when tracing is off.
+    fn into_trace(
+        mut self,
+        graph: &PipelineGraph,
+        metrics: &QueryMetrics,
+        trace_path: Option<&std::path::Path>,
+    ) -> Result<Option<Trace>> {
+        if !self.tracer.on() {
+            return Ok(None);
+        }
+        let plan = self.plan;
+        // Planned-vs-actual deviation, one instant per plan node on the
+        // plan lane (spread 1 µs apart so viewers don't stack them).
+        for (i, node) in plan.nodes.iter().enumerate() {
+            let name = format!("{} #{i}", node.op.name());
+            self.tracer.push(
+                TraceEvent::instant(name, "plan", Lane::Plan, i as u64)
+                    .arg("est_rows", node.est_rows)
+                    .arg("actual_rows", metrics.node_actual_rows[i])
+                    .arg("busy_secs", metrics.node_busy_secs[i])
+                    .arg("dollars", metrics.node_dollars[i].amount()),
+            );
+        }
+        self.tracer.count("result_rows", metrics.result_rows);
+        self.tracer
+            .count("resize_events", metrics.resize_events as u64);
+        // Wall-clock worker lanes recorded by the pool, in worker order.
+        if let Some((bufs, _)) = &self.worker_lanes {
+            self.tracer.events.extend(bufs.drain());
+        }
+        let profile = ProfileReport {
+            query: format!(
+                "{} ({} nodes, {} pipelines)",
+                plan.nodes[plan.root].op.name(),
+                plan.nodes.len(),
+                graph.len()
+            ),
+            latency_secs: metrics.latency.as_secs_f64(),
+            machine_secs: metrics.machine_time.as_secs_f64(),
+            cost: metrics.cost,
+            result_rows: metrics.result_rows,
+            nodes: plan
+                .nodes
+                .iter()
+                .zip(&self.node_stats)
+                .enumerate()
+                .map(|(i, (n, stats))| NodeProfile {
+                    index: i,
+                    label: n.op.name().to_owned(),
+                    est_rows: n.est_rows,
+                    actual_rows: metrics.node_actual_rows[i],
+                    busy_secs: stats.busy_secs,
+                    dollars: metrics.node_dollars[i],
+                    fetch_bytes: stats.fetch_bytes,
+                    decoded_bytes: stats.decoded_bytes,
+                    wire_bytes: stats.wire_bytes,
+                    retries: stats.retries,
+                    recovery_us: stats.recovery_us,
+                })
+                .collect(),
+        };
+        let trace = Trace {
+            level: self.tracer.level,
+            events: self.tracer.events,
+            registry: self.tracer.registry,
+            profile,
+        };
+        if let Some(path) = trace_path {
+            std::fs::write(path, trace.to_chrome_json()).map_err(|e| {
+                CiError::Exec(format!("cannot write trace to {}: {e}", path.display()))
+            })?;
+        }
+        Ok(Some(trace))
+    }
+}
+
 impl<'a> Executor<'a> {
     /// Creates an executor over a catalog.
     pub fn new(catalog: &'a Catalog, config: ExecutionConfig) -> Executor<'a> {
@@ -827,67 +894,10 @@ impl<'a> Executor<'a> {
                 graph.len()
             )));
         }
-        let mut states: HashMap<usize, Arc<NodeState>> = HashMap::new();
-        let mut node_actual = vec![0u64; plan.nodes.len()];
-        let mut node_stats = vec![NodeStats::default(); plan.nodes.len()];
-        let mut tracer = Tracer::new(self.config.trace);
-        // Resolve the worker pool once per query: back-to-back queries (and
-        // every pipeline of this one) reuse the same parked threads.
-        let pool: Option<Arc<WorkerPool>> = match self.config.mode {
-            ExecutionMode::Simulate => None,
-            ExecutionMode::Parallel { workers } => Some(match &self.config.pool {
-                Some(p) => p.clone(),
-                None => WorkerPool::shared(workers),
-            }),
-        };
-        // Wall-clock worker lanes (Full only): per-worker buffers attached
-        // to the pool for the duration of this query. The guard detaches on
-        // every exit path, including errors. A shared pool serving another
-        // query concurrently would interleave its spans into these lanes —
-        // acceptable for a profiling artifact, and exactly what a wall-clock
-        // timeline of the shared threads means.
-        let worker_bufs: Option<Arc<WorkerBuffers>> = match (&pool, self.config.trace.wall()) {
-            (Some(p), true) => Some(Arc::new(WorkerBuffers::new(p.workers()))),
-            _ => None,
-        };
-        let _trace_guard = match (&pool, &worker_bufs) {
-            (Some(p), Some(b)) => Some(p.attach_trace(b.clone())),
-            _ => None,
-        };
-        // Physical page source: where scan fetches read partition bytes
-        // from. Disk/Tiered wire up the catalog's on-disk page store; the
-        // executor's `source_morsels` writes each scanned table through on
-        // first touch.
-        let page_src: Option<Arc<dyn PageSource>> = match self.config.page_source {
-            PageSourceMode::Mem => None,
-            PageSourceMode::Disk => Some(Arc::new(DiskSource::new(self.catalog.page_store()?))),
-            PageSourceMode::Tiered => Some(Arc::new(TieredSource::new(self.catalog.tier_store()?))),
-        };
-        // Cache accounting: the deterministic tier simulator, advanced only
-        // from the driver's canonical accounting loop. Engaged by pricing,
-        // not by page source, so the bill is source-invariant. Physical
-        // placement mirrors the simulator only under the tiered source.
-        let tier_rt: Option<TierRuntime> = match &self.config.tiers {
-            None => None,
-            Some(pricing) => {
-                let sim =
-                    self.config.tier_sim.clone().unwrap_or_else(|| {
-                        Arc::new(Mutex::new(TierCacheSim::new(pricing.clone())))
-                    });
-                lock_sim(&sim)?.begin_query();
-                let store = match self.config.page_source {
-                    PageSourceMode::Tiered => Some(self.catalog.tier_store()?),
-                    _ => None,
-                };
-                Some(TierRuntime { sim, store })
-            }
-        };
+        let mut q = QueryRun::open(self, plan)?;
         let mut finishes = vec![SimTime::ZERO; graph.len()];
         let mut all_metrics: Vec<PipelineMetrics> = Vec::new();
         let mut open_leases: Vec<Vec<NodeSlot>> = Vec::new();
-        let mut result_batches: Vec<RecordBatch> = Vec::new();
-        let mut resize_events = 0u32;
-        let mut op_samples: Vec<OpSample> = Vec::new();
 
         for p in &graph.pipelines {
             let ready = p
@@ -897,8 +907,7 @@ impl<'a> Executor<'a> {
                 .max()
                 .unwrap_or(SimTime::ZERO);
 
-            let (morsels, actual_source_rows) =
-                self.source_morsels(plan, p, &mut states, &page_src)?;
+            let (morsels, actual_source_rows) = self.source_morsels(&mut q, p)?;
             let src_node = &plan.nodes[p.source()];
             let sink_node_est = plan.nodes[p.last()].est_rows;
             let planned_dop = dops[p.id.index()].max(1);
@@ -912,26 +921,10 @@ impl<'a> Executor<'a> {
                 })
                 .max(1);
 
-            let run = self.run_pipeline(
-                plan,
-                p,
-                dop,
-                ready,
-                morsels,
-                &mut states,
-                &mut node_actual,
-                &mut node_stats,
-                &mut result_batches,
-                ctrl,
-                pool.as_deref(),
-                &mut tracer,
-                tier_rt.as_ref(),
-            )?;
-            finishes[p.id.index()] = run.finish;
-            resize_events += run.metrics.resizes;
-            all_metrics.push(run.metrics);
-            open_leases.push(run.slots);
-            op_samples.extend(run.samples);
+            let (slots, metrics) = self.run_pipeline(&mut q, p, dop, ready, morsels, ctrl)?;
+            finishes[p.id.index()] = metrics.finish;
+            all_metrics.push(metrics);
+            open_leases.push(slots);
         }
 
         // Release: state-holding pipelines pin their nodes until the
@@ -960,101 +953,37 @@ impl<'a> Executor<'a> {
         let latency = finishes[result_pipeline].since(SimTime::ZERO);
         let cost: Dollars = self.config.rate.bill(machine_time);
 
-        let result = if result_batches.is_empty() {
+        let result = if q.result_batches.is_empty() {
             RecordBatch::empty(slots_schema(
                 &plan.nodes[plan.root].out_slots,
                 &plan.slot_types,
             ))
         } else {
-            RecordBatch::concat(&result_batches)?
+            RecordBatch::concat(&q.result_batches)?
         };
-        let result_rows = result.rows() as u64;
 
         // Dollar attribution: prorate the (lease-based) bill over measured
-        // node busy time. `node_stats` was accumulated by the driver in
+        // node busy time. `node_stats` was accumulated by the ledger in
         // canonical morsel order, so the shares — and their bit-exact fold
         // back to `cost` — are identical across execution modes.
-        let node_busy_secs: Vec<f64> = node_stats.iter().map(|s| s.busy_secs).collect();
+        let node_busy_secs: Vec<f64> = q.node_stats.iter().map(|s| s.busy_secs).collect();
         let node_dollars = attribute_node_dollars(cost, &node_busy_secs, plan.root);
-
-        let trace = if tracer.on() {
-            // Planned-vs-actual deviation, one instant per plan node on the
-            // plan lane (spread 1 µs apart so viewers don't stack them).
-            for (i, node) in plan.nodes.iter().enumerate() {
-                let name = format!("{} #{i}", node.op.name());
-                tracer.push(
-                    TraceEvent::instant(name, "plan", Lane::Plan, i as u64)
-                        .arg("est_rows", node.est_rows)
-                        .arg("actual_rows", node_actual[i])
-                        .arg("busy_secs", node_busy_secs[i])
-                        .arg("dollars", node_dollars[i].amount()),
-                );
-            }
-            tracer.count("result_rows", result_rows);
-            tracer.count("resize_events", resize_events as u64);
-            // Wall-clock worker lanes recorded by the pool, in worker order.
-            if let Some(bufs) = &worker_bufs {
-                tracer.events.extend(bufs.drain());
-            }
-            let profile = ProfileReport {
-                query: format!(
-                    "{} ({} nodes, {} pipelines)",
-                    plan.nodes[plan.root].op.name(),
-                    plan.nodes.len(),
-                    graph.len()
-                ),
-                latency_secs: latency.as_secs_f64(),
-                machine_secs: machine_time.as_secs_f64(),
-                cost,
-                result_rows,
-                nodes: plan
-                    .nodes
-                    .iter()
-                    .enumerate()
-                    .map(|(i, n)| NodeProfile {
-                        index: i,
-                        label: n.op.name().to_owned(),
-                        est_rows: n.est_rows,
-                        actual_rows: node_actual[i],
-                        busy_secs: node_stats[i].busy_secs,
-                        dollars: node_dollars[i],
-                        fetch_bytes: node_stats[i].fetch_bytes,
-                        decoded_bytes: node_stats[i].decoded_bytes,
-                        wire_bytes: node_stats[i].wire_bytes,
-                        retries: node_stats[i].retries,
-                        recovery_us: node_stats[i].recovery_us,
-                    })
-                    .collect(),
-            };
-            let trace = Trace {
-                level: tracer.level,
-                events: std::mem::take(&mut tracer.events),
-                registry: std::mem::take(&mut tracer.registry),
-                profile,
-            };
-            if let Some(path) = &self.config.trace_path {
-                std::fs::write(path, trace.to_chrome_json()).map_err(|e| {
-                    CiError::Exec(format!("cannot write trace to {}: {e}", path.display()))
-                })?;
-            }
-            Some(trace)
-        } else {
-            None
+        let metrics = QueryMetrics {
+            latency,
+            machine_time,
+            cost,
+            resize_events: all_metrics.iter().map(|m| m.resizes).sum(),
+            pipelines: all_metrics,
+            node_actual_rows: std::mem::take(&mut q.node_actual),
+            node_busy_secs,
+            node_dollars,
+            result_rows: result.rows() as u64,
         };
-
+        let op_samples = std::mem::take(&mut q.op_samples);
+        let trace = q.into_trace(graph, &metrics, self.config.trace_path.as_deref())?;
         Ok(QueryOutcome {
             result,
-            metrics: QueryMetrics {
-                latency,
-                machine_time,
-                cost,
-                pipelines: all_metrics,
-                node_actual_rows: node_actual,
-                node_busy_secs,
-                node_dollars,
-                resize_events,
-                result_rows,
-            },
+            metrics,
             op_samples,
             trace,
         })
@@ -1063,11 +992,10 @@ impl<'a> Executor<'a> {
     /// Materializes the source of a pipeline into morsels.
     fn source_morsels(
         &self,
-        plan: &PhysicalPlan,
+        q: &mut QueryRun<'_>,
         p: &Pipeline,
-        states: &mut HashMap<usize, Arc<NodeState>>,
-        page_src: &Option<Arc<dyn PageSource>>,
     ) -> Result<(Vec<Morsel>, Option<f64>)> {
+        let plan = q.plan;
         let src = p.source();
         match &plan.nodes[src].op {
             PhysicalOp::Scan {
@@ -1079,80 +1007,58 @@ impl<'a> Executor<'a> {
                 // Disk-backed sources: make sure the table's CIPF files
                 // exist (idempotent per table identity) before morsels
                 // reference them.
-                if let Some(psrc) = page_src {
+                if let Some(psrc) = &q.page_src {
                     psrc.ensure_table(&entry.table)?;
                 }
                 let schema = slots_schema(&plan.nodes[src].out_slots, &plan.slot_types);
                 let mut morsels = Vec::new();
-                let mut total_rows = 0f64;
                 for &pi in kept_parts {
                     let part = &entry.table.partitions[pi];
-                    total_rows += part.rows() as f64;
                     let rows = part.rows();
-                    if rows == 0 {
-                        continue;
-                    }
-                    // Partition identity rides on every morsel (whatever the
-                    // page source) so cache accounting sees one trace.
-                    let tier_part = Some(TierPart {
-                        table: *table_id,
-                        part: pi as u32,
-                        bytes: part.encoded_bytes,
-                    });
-                    let encoded = part.encoded_bytes as f64;
-                    let decoded = part.stored_bytes as f64;
-                    if let Some(psrc) = page_src {
-                        // File-backed morsels carry no resident batch: the
-                        // fetch stage reads real page-file bytes.
-                        let mut offset = 0;
-                        while offset < rows {
-                            let len = self.config.morsel_rows.min(rows - offset);
-                            let share = len as f64 / rows as f64;
-                            morsels.push(Morsel {
-                                payload: Payload::File(FileMorsel {
-                                    source: psrc.clone(),
-                                    table: *table_id,
-                                    part: pi as u32,
-                                    offset,
-                                    len,
-                                    schema: schema.clone(),
-                                }),
-                                fetch_bytes: encoded * share,
-                                decode_bytes: decoded * share,
-                                tier_part,
-                            });
-                            offset += len;
-                        }
-                        continue;
-                    }
                     // Re-label the partition's payload under the engine's
                     // slot schema without copying column data (Arc-shared).
                     let batch = part.batch.with_schema(schema.clone())?;
-                    if rows <= self.config.morsel_rows {
-                        morsels.push(self.scan_morsel(batch, encoded, decoded, tier_part)?);
-                    } else {
-                        let mut offset = 0;
-                        while offset < rows {
-                            let len = self.config.morsel_rows.min(rows - offset);
-                            let share = len as f64 / rows as f64;
-                            morsels.push(self.scan_morsel(
-                                batch.slice(offset, len)?,
-                                encoded * share,
-                                decoded * share,
-                                tier_part,
-                            )?);
-                            offset += len;
-                        }
+                    let mut offset = 0;
+                    while offset < rows {
+                        let len = self.config.morsel_rows.min(rows - offset);
+                        let share = len as f64 / rows as f64;
+                        let payload = match &q.page_src {
+                            // File-backed morsels carry no resident batch:
+                            // the fetch stage reads real page-file bytes.
+                            Some(psrc) => Payload::File(FileMorsel {
+                                source: psrc.clone(),
+                                table: *table_id,
+                                part: pi as u32,
+                                offset,
+                                len,
+                                schema: schema.clone(),
+                            }),
+                            None => Payload::Batch(batch.slice(offset, len)?),
+                        };
+                        morsels.push(Morsel {
+                            payload,
+                            fetch_bytes: part.encoded_bytes as f64 * share,
+                            decode_bytes: part.stored_bytes as f64 * share,
+                            // Partition identity rides on every morsel
+                            // (whatever the page source) so cache accounting
+                            // sees one trace.
+                            tier_part: Some(TierPart {
+                                table: *table_id,
+                                part: pi as u32,
+                                bytes: part.encoded_bytes,
+                            }),
+                        });
+                        offset += len;
                     }
                 }
                 // Raw partition rows are *pre-filter* and not comparable to
-                // the planner's post-filter estimate; controllers must not
-                // treat them as an observed output cardinality.
-                let _ = total_rows;
+                // the planner's post-filter estimate, so no observed source
+                // cardinality is reported: controllers must not treat them
+                // as one.
                 Ok((morsels, None))
             }
             PhysicalOp::HashAgg { .. } | PhysicalOp::Sort { .. } => {
-                let state = states.remove(&src).ok_or_else(|| {
+                let state = q.states.remove(&src).ok_or_else(|| {
                     CiError::Exec(format!("breaker output for node {src} not ready"))
                 })?;
                 let NodeState::Output(batch) = &*state else {
@@ -1180,45 +1086,6 @@ impl<'a> Executor<'a> {
                 other.name()
             ))),
         }
-    }
-
-    /// Builds one scan morsel, encoding its payload into storage pages when
-    /// [`ExecutionConfig::fetch_roundtrip`] asks the fetch stage to really
-    /// decode. Compacted first (pages are dense); dictionary columns pass
-    /// through as shared `Arc`s — see [`PageOrCol::Col`].
-    fn scan_morsel(
-        &self,
-        batch: RecordBatch,
-        fetch_bytes: f64,
-        decode_bytes: f64,
-        tier_part: Option<TierPart>,
-    ) -> Result<Morsel> {
-        let payload = if self.config.fetch_roundtrip {
-            let dense = batch.compacted();
-            let cols = dense
-                .columns()
-                .iter()
-                .map(|c| {
-                    if c.as_dict().is_some() {
-                        Ok(PageOrCol::Col(c.clone()))
-                    } else {
-                        encode_best(c).map(|(_, bytes)| PageOrCol::Page(bytes))
-                    }
-                })
-                .collect::<Result<Vec<_>>>()?;
-            Payload::Pages(EncodedMorsel {
-                schema: dense.schema().clone(),
-                cols,
-            })
-        } else {
-            Payload::Batch(batch)
-        };
-        Ok(Morsel {
-            payload,
-            fetch_bytes,
-            decode_bytes,
-            tier_part,
-        })
     }
 
     /// Compiles the streaming steps of a pipeline (everything after the
@@ -1280,847 +1147,80 @@ impl<'a> Executor<'a> {
         Ok(steps)
     }
 
-    /// Runs one pipeline to completion; returns finish time, node slots
-    /// (leases), metrics, and measured samples.
+    /// Runs one pipeline to completion — *morsels → traces → ledger →
+    /// sink* — and returns its node slots (leases) and metrics; the finish
+    /// time is `metrics.finish`.
     ///
-    /// Both modes drive the same accounting loop below; they differ only in
-    /// where [`MorselTrace`]s come from (inline vs. the worker pool).
-    #[allow(clippy::too_many_arguments)]
+    /// Both modes drive the one loop below; they differ only in the
+    /// [`TraceFeed`] behind the trace source.
     fn run_pipeline(
         &self,
-        plan: &PhysicalPlan,
+        q: &mut QueryRun<'_>,
         p: &Pipeline,
         dop: u32,
         start: SimTime,
         morsels: Vec<Morsel>,
-        states: &mut HashMap<usize, Arc<NodeState>>,
-        node_actual: &mut [u64],
-        node_stats: &mut [NodeStats],
-        result_batches: &mut Vec<RecordBatch>,
         ctrl: &mut dyn ScalingController,
-        pool: Option<&WorkerPool>,
-        tracer: &mut Tracer,
-        tier_rt: Option<&TierRuntime>,
-    ) -> Result<PipelineRun> {
-        let w = &self.config.models;
-        let steps = self.compile_steps(plan, p)?;
-        // Attribution targets: per-morsel sink charges go to the sink's plan
-        // node; recovery and morsel overhead go to the pipeline's source.
-        let sink_node = match p.sink {
-            SinkKind::JoinBuild { join } => join,
-            SinkKind::Aggregate { agg } => agg,
-            SinkKind::Sort { sort } => sort,
-            SinkKind::Result => p.last(),
-        };
-        let src_is_scan = matches!(plan.nodes[p.source()].op, PhysicalOp::Scan { .. });
-        let src_filter = match &plan.nodes[p.source()].op {
+    ) -> Result<(Vec<NodeSlot>, PipelineMetrics)> {
+        let plan = q.plan;
+        let source = &plan.nodes[p.source()];
+        let src_filter = match &source.op {
             PhysicalOp::Scan { filter, .. } => filter.clone(),
             _ => None,
         };
-        let src_map = ColMap::from_slots(&plan.nodes[p.source()].out_slots);
-
-        // Sink state.
-        let mut sink = self.make_sink(plan, p, states)?;
-        let mut limit_remaining: Option<u64> =
-            p.nodes.iter().find_map(|&n| match plan.nodes[n].op {
-                PhysicalOp::Limit { n: lim } => Some(lim),
-                _ => None,
-            });
-
-        // Node slots: leases open at `start`, usable after provisioning +
-        // per-node pipeline startup (+ exchange connection fan-out when the
-        // pipeline shuffles or gathers data).
-        let exchanges = steps
-            .iter()
-            .any(|s| matches!(s, Step::Exchange { .. } | Step::Gather { .. }));
-        let mut startup = SimDuration::from_secs_f64(w.pipeline_startup_secs());
-        if exchanges {
-            startup += SimDuration::from_secs_f64(w.exchange_startup_secs(dop.max(1)));
-        }
-        let usable = start + self.config.resize_latency + startup;
-        let mut slots: Vec<NodeSlot> = (0..dop.max(1))
-            .map(|_| NodeSlot {
-                free: usable,
-                worked_until: None,
-                lease_start: start,
-                lease_end: None,
-            })
-            .collect();
-        let mut cur_dop = dop.max(1);
-        let mut busy = SimDuration::ZERO;
-        let mut resizes = 0u32;
-        let mut source_rows = 0u64;
-        let mut sink_rows = 0u64;
-        let mut sink_rows_physical = 0u64;
-        let mut gather_bytes = 0f64;
-        // One wire stream per pipeline execution: each shared dictionary
-        // ships once, then dict columns ride as bit-packed ids. The paired
-        // decoder is the receiver's dictionary cache (wire_roundtrip only).
-        // Replayed on the driver in canonical morsel order in both modes —
-        // the stream is stateful, so byte counts depend on batch order.
-        let mut wire = WireEncoder::new();
-        let mut wire_rx = WireDecoder::new();
-        let mut exchange_wire_bytes = 0u64;
-        let mut exchange_decoded_bytes = 0u64;
-        let total_morsels = morsels.len();
-        let mut morsels_done = 0usize;
-        let measure = matches!(self.config.mode, ExecutionMode::Parallel { .. });
-        let mut samples: Vec<OpSample> = Vec::new();
-        let mut measured_wall_ns = 0u64;
-        // Pool-reuse stats: jobs this pool finished before this pipeline.
-        let pool_workers = pool.map_or(0, |p| p.workers() as u32);
-        let pool_reuses = pool.map_or(0, WorkerPool::jobs_completed);
-        let mut agg_partials = 0u32;
-        // Fault schedule: per-morsel draws pure in (seed, pipeline, morsel),
-        // so Simulate, Parallel, and every worker count see the *same*
-        // schedule. Recovery is billed below in the accounting loop; the
-        // data path never observes a fault.
-        let injector = self
-            .config
-            .faults
-            .as_ref()
-            .filter(|f| !f.profile.is_quiet())
-            .map(FaultPlan::injector);
-        let fault_profile = injector.as_ref().map(|i| i.profile().clone());
-        let pipe_stream = p.id.index() as u64;
-        let mut fetch_retries = 0u32;
-        let mut hedged_morsels = 0u32;
-        let mut faults_injected = 0u32;
-        let mut retry_bytes = 0u64;
-        let mut recovery = SimDuration::ZERO;
-        let mut tier_mem_hits = 0u32;
-        let mut tier_ssd_hits = 0u32;
-        let mut tier_misses = 0u32;
-        let mut tier_promotions = 0u32;
-        let mut tier_evictions = 0u32;
-        let mut tier_saved_ns = 0u64;
-
-        let morsels = Arc::new(morsels);
         let ctx = Arc::new(ChainCtx {
-            steps,
-            src_is_scan,
+            steps: self.compile_steps(plan, p)?,
+            src_is_scan: matches!(source.op, PhysicalOp::Scan { .. }),
             src_filter,
-            src_map,
-            states: states.clone(),
-            measure,
+            src_map: ColMap::from_slots(&source.out_slots),
+            states: q.states.clone(),
+            measure: matches!(self.config.mode, ExecutionMode::Parallel { .. }),
             panic_trap: None,
         });
-        let mut chunk_states: Vec<AggregateState> = Vec::new();
+        let mut sink = self.make_sink(plan, p)?;
+        let mut ledger = Ledger::open(&self.config, q, p, ctx.clone(), dop, start);
 
-        {
-            // Phase 1 (parallel only): pure processing on the worker pool.
-            // The simulator processes inline, inside the accounting loop.
-            // Mergeable aggregations additionally fold worker-side: each
-            // contiguous morsel chunk folds into a chunk-local state, and
-            // the driver absorbs the states in chunk order at finalize.
-            let mut pre: Option<Vec<Option<Result<MorselTrace>>>> = match (pool, &self.config.mode)
-            {
-                (None, _) => None,
-                (Some(_), _) if morsels.is_empty() => Some(Vec::new()),
-                (Some(pool), &ExecutionMode::Parallel { workers }) => {
-                    let partial = self.config.partial_agg
-                        && limit_remaining.is_none()
-                        && !ctx.steps.iter().any(|s| matches!(s, Step::Limit { .. }))
-                        && matches!(&sink, Sink::Agg(st) if st.mergeable());
-                    if let (true, Sink::Agg(st)) = (partial, &sink) {
-                        // Chunk layout depends only on the configured worker
-                        // count and morsel count — never on pool scheduling.
-                        let chunks = (workers.max(1) * 4).min(morsels.len());
-                        let (traces, cs) =
-                            pool.run_partial(ctx.clone(), morsels.clone(), st.fresh(), chunks);
-                        agg_partials = cs.len() as u32;
-                        chunk_states = cs;
-                        Some(traces)
-                    } else {
-                        Some(pool.run_traces(ctx.clone(), morsels.clone()))
-                    }
-                }
-                (Some(pool), _) => Some(pool.run_traces(ctx.clone(), morsels.clone())),
-            };
-
-            // Phase 2 (both modes): accounting, in canonical morsel order.
-            for (mi, morsel) in morsels.iter().enumerate() {
-                if limit_remaining == Some(0) {
-                    break;
-                }
-                // Pick the earliest-free alive node.
-                let (ni, _) = slots
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, s)| s.lease_end.is_none())
-                    .min_by_key(|(_, s)| s.free)
-                    .ok_or_else(|| CiError::Exec("no alive nodes".into()))?;
-                let assigned_at = slots[ni].free;
-
-                // Tier-cache accounting. The simulation advances *only*
-                // here, in the driver's canonical morsel order, so hit/miss/
-                // eviction sequences are a pure function of the trace —
-                // identical across page sources and execution modes. When the
-                // page source is tiered, the physical stores mirror the
-                // simulation's admissions/evictions (workers may have
-                // prefetched ahead of this loop; promotions then benefit
-                // later pipelines, never change bytes served).
-                let tier_access: Option<(CacheAccess, Option<f64>)> =
-                    match (tier_rt, &morsel.tier_part) {
-                        (Some(rt), Some(tp)) if src_is_scan && morsel.fetch_bytes > 0.0 => {
-                            let (acc, svc) = {
-                                let mut sim = lock_sim(&rt.sim)?;
-                                let acc = sim.access(
-                                    CacheKey::new(tp.table, tp.part),
-                                    tp.bytes,
-                                    assigned_at,
-                                );
-                                let svc = sim.service_secs(acc.level, morsel.fetch_bytes);
-                                (acc, svc)
-                            };
-                            if let Some(store) = &rt.store {
-                                for (k, lvl) in &acc.admitted {
-                                    match lvl {
-                                        TierLevel::Mem => store.promote_mem(k.table, k.part)?,
-                                        TierLevel::Ssd => store.promote_ssd(k.table, k.part)?,
-                                        TierLevel::Object => {}
-                                    }
-                                }
-                                for (k, lvl) in &acc.evicted {
-                                    match lvl {
-                                        TierLevel::Mem => store.evict_mem(k.table, k.part),
-                                        TierLevel::Ssd => store.evict_ssd(k.table, k.part),
-                                        TierLevel::Object => {}
-                                    }
-                                }
-                            }
-                            Some((acc, svc))
-                        }
-                        _ => None,
-                    };
-                if let Some((acc, _)) = &tier_access {
-                    match acc.level {
-                        TierLevel::Mem => tier_mem_hits += 1,
-                        TierLevel::Ssd => tier_ssd_hits += 1,
-                        TierLevel::Object => tier_misses += 1,
-                    }
-                    tier_promotions += acc.admitted.len() as u32;
-                    tier_evictions += acc.evicted.len() as u32;
-                }
-
-                // Draw this morsel's faults up front: recovery decisions
-                // (reassign a preempted morsel, hedge a straggler) precede
-                // the charges they are billed under. Cache hits never fetch
-                // from the object store, so they are never fetch-fault
-                // targets — only tier misses (or untiered fetches) are.
-                let faults = injector.as_ref().map(|inj| {
-                    inj.morsel_faults(
-                        pipe_stream,
-                        mi as u64,
-                        src_is_scan
-                            && morsel.fetch_bytes > 0.0
-                            && tier_access
-                                .as_ref()
-                                .is_none_or(|(a, _)| a.level == TierLevel::Object),
-                    )
-                });
-                let (hedged, hedge_wins) = match (&faults, &fault_profile) {
-                    (Some(f), Some(prof)) => match f.straggler {
-                        // First-result-wins: the hedge replaces the
-                        // straggling attempt only when it strictly beats it;
-                        // on a tie the canonical attempt is kept.
-                        Some(s) if s >= prof.hedge_threshold => (true, prof.hedged_factor(s) < s),
-                        _ => (false, false),
-                    },
-                    _ => (false, false),
-                };
-                let worker_lost = faults.as_ref().is_some_and(|f| f.worker_lost.is_some());
-
-                let mut trace = match &mut pre {
-                    None => ctx.process_morsel(morsel, Some(&mut limit_remaining))?,
-                    Some(outputs) => {
-                        let pooled = match outputs[mi].take() {
-                            Some(r) => r,
-                            None => {
-                                return Err(CiError::Exec(format!(
-                                    "morsel {mi} missing from worker pool output"
-                                )))
-                            }
-                        };
-                        // Recovery re-execution (parallel mode only — the
-                        // simulator is single-threaded, so its recovery is
-                        // purely billed): a preempted worker's morsel is
-                        // reassigned and re-run on the driver; a winning
-                        // hedge's speculative duplicate replaces the
-                        // straggling attempt. Processing is pure, so the
-                        // replica is bit-identical to the attempt it
-                        // replaces — recovery changes the bill, never the
-                        // answer. Exception: on the partial-agg path the
-                        // morsel's rows were already folded into a worker
-                        // chunk state that merges wholesale at finalize, so
-                        // a driver re-run would double-count; recovery there
-                        // is billed only, like the simulator.
-                        let t = if agg_partials == 0 && (worker_lost || (hedged && hedge_wins)) {
-                            drop(pooled);
-                            ctx.process_morsel(morsel, None)?
-                        } else {
-                            pooled?
-                        };
-                        ctx.complete_trace(t, &mut limit_remaining)?
-                    }
-                };
-
-                source_rows += trace.source_rows;
-                measured_wall_ns += trace.wall_ns;
-                samples.append(&mut trace.samples);
-
-                let mut secs = 0.0;
-                // Fetch time is billed apart from compute: retries and
-                // preemption re-runs repeat the *fetch*, not the whole
-                // morsel's CPU.
-                let mut fetch_secs = 0.0;
-
-                // Source costs: the fetch moves encoded bytes, the decode
-                // CPU expands them to the decoded payload. A tier hit is
-                // served at the tier's latency/bandwidth instead of the
-                // object store's; the difference is the saved fetch time.
-                if src_is_scan {
-                    let object_fetch = w.scan_fetch_secs(morsel.fetch_bytes, cur_dop);
-                    let fetch = match &tier_access {
-                        Some((_, Some(svc))) => {
-                            tier_saved_ns += ((object_fetch - svc).max(0.0) * 1e9) as u64;
-                            *svc
-                        }
-                        _ => object_fetch,
-                    };
-                    fetch_secs += fetch;
-                    let mut cpu = w.scan_decode_secs(morsel.decode_bytes);
-                    if ctx.src_filter.is_some() {
-                        cpu += w.filter_secs(trace.source_rows as f64);
-                    }
-                    secs += cpu;
-                    node_actual[p.source()] += trace.src_post_rows;
-                    let src = &mut node_stats[p.source()];
-                    src.busy_secs += fetch + cpu;
-                    src.fetch_bytes += morsel.fetch_bytes as u64;
-                    src.decoded_bytes += morsel.decode_bytes as u64;
-                }
-
-                // Streaming chain: charge each recorded step.
-                for st in &trace.steps {
-                    match &ctx.steps[st.step] {
-                        Step::Filter { node, .. } | Step::Project { node, .. } => {
-                            let cpu = w.filter_secs(st.rows_in as f64);
-                            secs += cpu;
-                            node_stats[*node].busy_secs += cpu;
-                            node_actual[*node] += st.rows_out;
-                        }
-                        Step::Exchange { node } => {
-                            let mut cpu = w.exchange_cpu_secs(st.rows_in as f64);
-                            // Shuffling serializes rows onto the wire: the
-                            // payload crosses the fabric in the *wire
-                            // format* (encoded pages; dict ids + one-time
-                            // dictionary), not at decoded width.
-                            let mut shipped = st.shipped.clone().ok_or_else(|| {
-                                CiError::Exec("exchange trace lost its shipped batch".into())
-                            })?;
-                            let wire_bytes =
-                                self.ship_batch(&mut shipped, &mut wire, &mut wire_rx)?;
-                            exchange_wire_bytes += wire_bytes;
-                            exchange_decoded_bytes += shipped.byte_size() as u64;
-                            cpu += w.exchange_wire_secs(wire_bytes as f64, cur_dop);
-                            secs += cpu;
-                            node_stats[*node].busy_secs += cpu;
-                            node_stats[*node].wire_bytes += wire_bytes;
-                            node_actual[*node] += st.rows_out;
-                        }
-                        Step::Gather { node } => {
-                            // Gather is a network materialization point like
-                            // exchange: the receiver gets wire-format pages.
-                            let mut shipped = st.shipped.clone().ok_or_else(|| {
-                                CiError::Exec("gather trace lost its shipped batch".into())
-                            })?;
-                            let wire_bytes =
-                                self.ship_batch(&mut shipped, &mut wire, &mut wire_rx)?;
-                            exchange_wire_bytes += wire_bytes;
-                            exchange_decoded_bytes += shipped.byte_size() as u64;
-                            gather_bytes += wire_bytes as f64;
-                            node_stats[*node].wire_bytes += wire_bytes;
-                            node_actual[*node] += st.rows_out;
-                        }
-                        Step::Probe { join_node, .. } => {
-                            // Probe plus output materialization cost.
-                            let cpu =
-                                w.probe_secs(st.rows_in as f64) + w.filter_secs(st.rows_out as f64);
-                            secs += cpu;
-                            node_stats[*join_node].busy_secs += cpu;
-                            node_actual[*join_node] += st.rows_out;
-                        }
-                        Step::Limit { node } => {
-                            node_actual[*node] += st.rows_out;
-                        }
-                    }
-                }
-
-                // Sink. Work models charge *logical* rows (identical to the
-                // eager-materialization bill); the logical/physical gap is
-                // the copying the selection path deferred all the way here.
-                // Sink folding is order-sensitive (IEEE float sums, first-
-                // wins dictionaries), so per-worker partials merge *here*,
-                // at the pipeline breaker, in morsel order — except on the
-                // partial-agg path, where the fold was proven
-                // order-insensitive and already happened worker-side; its
-                // tail carries the counts this accounting still needs.
-                match trace.tail {
-                    Tail::AtLimit { .. } => {
-                        return Err(CiError::Exec("morsel trace ended before the sink".into()));
-                    }
-                    Tail::AggPartial {
-                        rows,
-                        physical_rows,
-                    } => {
-                        sink_rows += rows;
-                        sink_rows_physical += physical_rows;
-                        let cpu = w.agg_update_secs(rows as f64);
-                        secs += cpu;
-                        node_stats[sink_node].busy_secs += cpu;
-                    }
-                    Tail::Done(batch) => {
-                        sink_rows += batch.rows() as u64;
-                        sink_rows_physical += batch.physical_rows() as u64;
-                        let units = batch.rows() as f64;
-                        // A morsel that filtered down to zero rows leaves the
-                        // chain early, so its (empty) batch may still carry
-                        // an upstream schema; contributing zero rows, it must
-                        // not be buffered into schema-sensitive sinks.
-                        // Charges below are zero for it either way.
-                        match &mut sink {
-                            Sink::Build(ht) => {
-                                let cpu = w.build_secs(units);
-                                secs += cpu;
-                                node_stats[sink_node].busy_secs += cpu;
-                                if !batch.is_empty() {
-                                    // Buffered until finalize (compacts via
-                                    // concat).
-                                    timed(
-                                        measure,
-                                        "build",
-                                        units,
-                                        &mut samples,
-                                        &mut measured_wall_ns,
-                                        || ht.insert_batch(batch),
-                                    )?;
-                                }
-                            }
-                            Sink::Agg(st) => {
-                                let cpu = w.agg_update_secs(units);
-                                secs += cpu;
-                                node_stats[sink_node].busy_secs += cpu;
-                                if !batch.is_empty() {
-                                    timed(
-                                        measure,
-                                        "agg",
-                                        units,
-                                        &mut samples,
-                                        &mut measured_wall_ns,
-                                        || st.update(&batch),
-                                    )?;
-                                }
-                            }
-                            Sink::Sorter(sb) => {
-                                let cpu = w.filter_secs(units);
-                                secs += cpu;
-                                node_stats[sink_node].busy_secs += cpu;
-                                if !batch.is_empty() {
-                                    // Buffered until finalize (compacts via
-                                    // concat).
-                                    sb.push(batch);
-                                }
-                            }
-                            Sink::Result => {
-                                if !batch.is_empty() {
-                                    result_batches.push(batch.compacted());
-                                }
-                            }
-                        }
-                    }
-                }
-
-                // Fault recovery charges. Everything here is billing: the
-                // rows were produced above from the canonical (or replayed —
-                // bit-identical) trace, so faults change the bill and the
-                // error path, never the answer.
-                let mut recovery_secs = 0.0;
-                if let (Some(f), Some(prof)) = (&faults, &fault_profile) {
-                    if !f.is_clean() {
-                        faults_injected += f.count();
-                    }
-                    // Transient fetch failures: each failed attempt is a
-                    // billed fetch plus exponential backoff, and the bytes
-                    // move again on the retry.
-                    for k in 0..f.fetch_failures {
-                        recovery_secs += fetch_secs + prof.backoff(k).as_secs_f64();
-                        retry_bytes += morsel.fetch_bytes as u64;
-                        fetch_retries += 1;
-                    }
-                    node_stats[p.source()].retries += u64::from(f.fetch_failures);
-                    if f.fetch_permanent {
-                        // Retries exhausted on a fetch that will never
-                        // succeed. The bill above stands (the retries were
-                        // real machine time); the query dies with a typed
-                        // error rather than wrong rows or a hang.
-                        recovery += SimDuration::from_secs_f64(recovery_secs);
-                        return Err(CiError::Fault(format!(
-                            "pipeline {} morsel {mi}: object fetch still failing after {} retries",
-                            p.id.index(),
-                            prof.max_retries
-                        )));
-                    }
-                    // Throttling: the store accepted the request late.
-                    recovery_secs += f.throttles as f64 * prof.throttle_penalty.as_secs_f64();
-                    // Stragglers: below the hedge threshold the slow attempt
-                    // just runs to completion; at or above it a speculative
-                    // duplicate is launched once the straggler is detected,
-                    // the first result wins, and both attempts bill.
-                    if let Some(s) = f.straggler {
-                        if hedged {
-                            let eff = prof.hedged_factor(s);
-                            recovery_secs += secs * (eff - 1.0).max(0.0);
-                            recovery_secs += secs * (eff - prof.hedge_detect_frac).max(0.0);
-                            hedged_morsels += 1;
-                        } else {
-                            recovery_secs += secs * (s - 1.0).max(0.0);
-                        }
-                    }
-                    // Worker preemption: the fraction of the morsel done on
-                    // the lost worker is wasted, and the replacement re-runs
-                    // it from the top — including the fetch.
-                    if let Some(frac) = f.worker_lost {
-                        recovery_secs += (fetch_secs + secs) * frac + fetch_secs;
-                        retry_bytes += morsel.fetch_bytes as u64;
-                    }
-                    recovery += SimDuration::from_secs_f64(recovery_secs);
-                }
-                // Recovery time and the fixed per-morsel overhead are charged
-                // to the pipeline's source node: faults are morsel-level
-                // events, and the morsel originates there.
-                node_stats[p.source()].busy_secs += recovery_secs + w.morsel_overhead_secs();
-                if recovery_secs > 0.0 {
-                    node_stats[p.source()].recovery_us +=
-                        SimDuration::from_secs_f64(recovery_secs).as_micros();
-                }
-
-                let span = SimDuration::from_secs_f64(
-                    fetch_secs + secs + recovery_secs + w.morsel_overhead_secs(),
-                );
-                slots[ni].free = assigned_at + span;
-                slots[ni].worked_until = Some(slots[ni].free);
-                busy += span;
-                morsels_done += 1;
-
-                // Morsel spans on the pipeline's virtual-time lane. Emission
-                // happens here, in canonical accounting order, so the lanes
-                // are bit-identical across execution modes.
-                if tracer.on() {
-                    let lane = Lane::Pipeline(p.id.index() as u32);
-                    let t0 = assigned_at.since(SimTime::ZERO).as_micros();
-                    let fetch_us = SimDuration::from_secs_f64(fetch_secs).as_micros();
-                    let compute_us = SimDuration::from_secs_f64(secs).as_micros();
-                    if fetch_us > 0 {
-                        let mut ev =
-                            TraceEvent::span(format!("fetch m{mi}"), "fetch", lane, t0, fetch_us)
-                                .arg("slot", ni as u64)
-                                .arg("bytes", morsel.fetch_bytes);
-                        if let Some((a, _)) = &tier_access {
-                            ev = ev.arg("tier", a.level.code());
-                        }
-                        tracer.push(ev);
-                    }
-                    tracer.push(
-                        TraceEvent::span(
-                            format!("compute m{mi}"),
-                            "compute",
-                            lane,
-                            t0 + fetch_us,
-                            compute_us,
-                        )
-                        .arg("slot", ni as u64)
-                        .arg("rows", trace.source_rows),
-                    );
-                    if recovery_secs > 0.0 {
-                        tracer.push(TraceEvent::span(
-                            format!("recovery m{mi}"),
-                            "recovery",
-                            lane,
-                            t0 + fetch_us + compute_us,
-                            SimDuration::from_secs_f64(recovery_secs).as_micros(),
-                        ));
-                    }
-                    if let Some(f) = &faults {
-                        // One instant per injected fault, at morsel start.
-                        for (kind, magnitude) in f.events() {
-                            let mut ev =
-                                TraceEvent::instant(format!("fault:{kind}"), "fault", lane, t0);
-                            if let Some(m) = magnitude {
-                                ev = ev.arg("magnitude", m);
-                            }
-                            tracer.push(ev);
-                        }
-                        if hedged {
-                            tracer.push(
-                                TraceEvent::instant("hedge", "fault", lane, t0)
-                                    .arg("win", u64::from(hedge_wins)),
-                            );
-                        }
-                    }
-                    tracer.observe("morsel_span_us", span.as_micros());
-                    tracer.observe("morsel_rows", trace.source_rows);
-                }
-
-                // Progress callback.
-                if (mi + 1) % self.config.check_interval == 0 {
-                    let now = slots[ni].free;
-                    let decision = ctrl.on_progress(&PipelineProgress {
-                        pipeline: p.id,
-                        current_dop: cur_dop,
-                        morsels_done,
-                        morsels_total: total_morsels,
-                        source_rows_seen: source_rows,
-                        sink_rows_seen: sink_rows,
-                        planned_source_rows: plan.nodes[p.source()].est_rows,
-                        planned_sink_rows: plan.nodes[p.last()].est_rows,
-                        elapsed: now.saturating_since(start),
-                        now,
-                    });
-                    if let ScaleDecision::SetDop(new_dop) = decision {
-                        let new_dop = new_dop.max(1);
-                        if new_dop != cur_dop {
-                            resizes += 1;
-                            if tracer.on() {
-                                tracer.push(
-                                    TraceEvent::instant(
-                                        "resize",
-                                        "scale",
-                                        Lane::Pipeline(p.id.index() as u32),
-                                        now.since(SimTime::ZERO).as_micros(),
-                                    )
-                                    .arg("from", u64::from(cur_dop))
-                                    .arg("to", u64::from(new_dop)),
-                                );
-                            }
-                            if new_dop > cur_dop {
-                                for _ in cur_dop..new_dop {
-                                    slots.push(NodeSlot {
-                                        free: now + self.config.resize_latency,
-                                        worked_until: None,
-                                        lease_start: now,
-                                        lease_end: None,
-                                    });
-                                }
-                            } else {
-                                // Retire the latest-free alive nodes.
-                                let mut alive: Vec<usize> = slots
-                                    .iter()
-                                    .enumerate()
-                                    .filter(|(_, s)| s.lease_end.is_none())
-                                    .map(|(i, _)| i)
-                                    .collect();
-                                alive.sort_by_key(|&i| std::cmp::Reverse(slots[i].free));
-                                for &i in alive.iter().take((cur_dop - new_dop) as usize) {
-                                    slots[i].lease_end = Some(slots[i].free.max(now));
-                                }
-                            }
-                            cur_dop = new_dop;
-                        }
-                    }
-                }
-            }
-        }
-
-        // Pipeline work finishes when the last node that actually processed
-        // a morsel drains (idle late-arrivals don't extend the finish).
-        let mut finish = slots
-            .iter()
-            .filter_map(|s| s.worked_until)
-            .max()
-            .unwrap_or(usable)
-            .max(usable);
-
-        // Gather is serial at the receiver.
-        if gather_bytes > 0.0 {
-            let cpu = w.gather_secs(gather_bytes, cur_dop);
-            finish += SimDuration::from_secs_f64(cpu);
-            if let Some(g) = ctx.steps.iter().find_map(|s| match s {
-                Step::Gather { node } => Some(*node),
-                _ => None,
-            }) {
-                node_stats[g].busy_secs += cpu;
-            }
-        }
-
-        // Finalize the sink.
-        match sink {
-            Sink::Build(mut ht) => {
-                timed(
-                    measure,
-                    "build",
-                    sink_rows as f64,
-                    &mut samples,
-                    &mut measured_wall_ns,
-                    || ht.finalize(),
-                )?;
-                let SinkKind::JoinBuild { join } = p.sink else {
-                    unreachable!("build sink without join");
-                };
-                states.insert(join, Arc::new(NodeState::Built(ht)));
-            }
-            Sink::Agg(mut st) => {
-                let SinkKind::Aggregate { agg } = p.sink else {
-                    unreachable!("agg sink mismatch");
-                };
-                // Partial-agg path: merge the worker chunk states in chunk
-                // order — contiguous in-order chunks reproduce the
-                // sequential fold's groups and first-appearance order
-                // exactly. Untimed and uncharged: the per-morsel updates
-                // were already billed above from the trace tails.
-                for cs in chunk_states.drain(..) {
-                    st.absorb(cs);
-                }
-                let out = st.finalize()?;
-                let cpu = w.filter_secs(out.rows() as f64);
-                finish += SimDuration::from_secs_f64(cpu);
-                node_stats[agg].busy_secs += cpu;
-                node_actual[agg] += out.rows() as u64;
-                states.insert(agg, Arc::new(NodeState::Output(out)));
-            }
-            Sink::Sorter(sb) => {
-                let SinkKind::Sort { sort } = p.sink else {
-                    unreachable!("sort sink mismatch");
-                };
-                let rows = sb.rows() as f64;
-                // Sort's real work happens here, not in the buffering
-                // pushes; units follow the n·log n model term.
-                let sort_units = rows.max(2.0) * rows.max(2.0).log2();
-                let out = timed(
-                    measure,
-                    "sort",
-                    sort_units,
-                    &mut samples,
-                    &mut measured_wall_ns,
-                    || sb.finalize(),
-                )?;
-                let cpu = w.sort_finalize_secs(rows, cur_dop);
-                finish += SimDuration::from_secs_f64(cpu);
-                node_stats[sort].busy_secs += cpu;
-                node_actual[sort] += out.rows() as u64;
-                states.insert(sort, Arc::new(NodeState::Output(out)));
-            }
-            Sink::Result => {}
-        }
-
-        // Pipeline extent on the driver lane, plus per-pipeline counters.
-        if tracer.on() {
-            let t0 = start.since(SimTime::ZERO).as_micros();
-            let end = finish.since(SimTime::ZERO).as_micros();
-            tracer.push(
-                TraceEvent::span(
-                    format!("pipeline {}", p.id.index()),
-                    "pipeline",
-                    Lane::Driver,
-                    t0,
-                    end.saturating_sub(t0),
-                )
-                .arg("morsels", morsels_done as u64)
-                .arg("dop", u64::from(cur_dop))
-                .arg("source_rows", source_rows),
-            );
-            tracer.count("morsels", morsels_done as u64);
-            tracer.count("fetch_retries", u64::from(fetch_retries));
-            tracer.count("hedged_morsels", u64::from(hedged_morsels));
-            tracer.count("faults_injected", u64::from(faults_injected));
-            if tier_rt.is_some() {
-                tracer.count("tier_mem_hits", u64::from(tier_mem_hits));
-                tracer.count("tier_ssd_hits", u64::from(tier_ssd_hits));
-                tracer.count("tier_misses", u64::from(tier_misses));
-                tracer.count("tier_promotions", u64::from(tier_promotions));
-                tracer.count("tier_evictions", u64::from(tier_evictions));
-            }
-        }
-
-        let metrics = PipelineMetrics {
-            id: p.id,
-            dop_initial: dop.max(1),
-            dop_final: cur_dop,
-            start,
-            finish,
-            released: finish, // adjusted after consumers are scheduled
-            morsels: morsels_done,
-            source_rows,
-            sink_rows,
-            sink_rows_physical,
-            exchange_wire_bytes,
-            exchange_decoded_bytes,
-            busy,
-            machine_time: SimDuration::ZERO, // filled at release
-            resizes,
-            measured_wall_ns,
-            pool_workers,
-            pool_reuses,
-            agg_partials,
-            fetch_retries,
-            hedged_morsels,
-            faults_injected,
-            recovery_virtual_ns: recovery.as_micros().saturating_mul(1000),
-            retry_bytes,
-            tier_mem_hits,
-            tier_ssd_hits,
-            tier_misses,
-            tier_promotions,
-            tier_evictions,
-            tier_saved_ns,
+        // Stage 1, morsels → traces: pooled traces are all produced here,
+        // inline ones on demand inside the loop.
+        let morsels = Arc::new(morsels);
+        let feed = match &ledger.q.pool {
+            None => TraceFeed::Inline,
+            Some(pool) => TraceFeed::Pooled(pool.run_traces(ctx.clone(), morsels.clone())),
         };
-        Ok(PipelineRun {
-            finish,
-            slots,
-            metrics,
-            samples,
-        })
-    }
+        let mut traces = TraceSource {
+            ctx,
+            morsels: morsels.clone(),
+            feed,
+            limit: p.nodes.iter().find_map(|&n| match plan.nodes[n].op {
+                PhysicalOp::Limit { n: lim } => Some(lim),
+                _ => None,
+            }),
+        };
 
-    /// Puts one compacted batch on a pipeline's transfer stream and returns
-    /// its wire bytes. Size-only accounting by default; with
-    /// [`ExecutionConfig::wire_roundtrip`], really serializes through the
-    /// stream's encoder and decodes through the paired receiver cache,
-    /// replacing the batch with the receiver's view (byte counts are
-    /// identical either way — the size-only path is the serializer's exact
-    /// size function).
-    fn ship_batch(
-        &self,
-        batch: &mut RecordBatch,
-        tx: &mut WireEncoder,
-        rx: &mut WireDecoder,
-    ) -> Result<u64> {
-        if !self.config.wire_roundtrip {
-            return tx.batch_wire_bytes(batch);
-        }
-        let blobs = tx.encode_batch(batch)?;
-        let bytes = blobs.iter().map(|b| b.len() as u64).sum();
-        let decoded = rx.decode_batch(batch.schema().clone(), &blobs)?;
-        // The decoded view carries the *receiver's* dictionary Arcs; alias
-        // them to the sent ones so a later transfer point in the same
-        // pipeline (Exchange then Gather) recognizes the dictionary as
-        // already shipped — exactly like the size-only accounting, which
-        // sees the sender's Arc at both points.
-        for (sent, got) in batch.columns().iter().zip(decoded.columns()) {
-            if let (Some((_, a)), Some((_, b))) = (sent.as_dict(), got.as_dict()) {
-                tx.alias_shipped(a, b);
+        // Stages 2 and 3, ledger and sink: one loop, canonical morsel order.
+        for (mi, morsel) in morsels.iter().enumerate() {
+            if traces.satisfied() {
+                break;
+            }
+            let mut bill = ledger.assign(mi, morsel)?;
+            ledger.tier_access(&mut bill)?;
+            ledger.draw_faults(&mut bill);
+            let mut trace = traces.trace(mi, bill.rerun())?;
+            ledger.charge_source(&mut trace, &mut bill);
+            ledger.charge_steps(&trace.steps, &mut bill)?;
+            let Tail::Done(batch) = trace.tail else {
+                return Err(CiError::Exec("morsel trace ended before the sink".into()));
+            };
+            ledger.charge_sink(&mut sink, batch, &mut bill)?;
+            let now = ledger.settle(trace.source_rows, bill)?;
+            if (mi + 1) % self.config.check_interval == 0 {
+                ledger.progress(ctrl, now, morsels.len());
             }
         }
-        *batch = decoded;
-        Ok(bytes)
+        ledger.finish(sink)
     }
 
-    fn make_sink(
-        &self,
-        plan: &PhysicalPlan,
-        p: &Pipeline,
-        _states: &mut HashMap<usize, Arc<NodeState>>,
-    ) -> Result<Sink> {
+    fn make_sink(&self, plan: &PhysicalPlan, p: &Pipeline) -> Result<Sink> {
         match p.sink {
             SinkKind::JoinBuild { join } => {
                 let PhysicalOp::HashJoin { keys } = &plan.nodes[join].op else {
@@ -2138,10 +1238,8 @@ impl<'a> Executor<'a> {
                         })
                     })
                     .collect::<Result<Vec<_>>>()?;
-                Ok(Sink::Build(JoinHashTable::new(
-                    slots_schema(layout, &plan.slot_types),
-                    positions,
-                )))
+                let table = JoinHashTable::new(slots_schema(layout, &plan.slot_types), positions);
+                Ok(Sink::Build { join, table })
             }
             SinkKind::Aggregate { agg } => {
                 let PhysicalOp::HashAgg { groups, aggs, .. } = &plan.nodes[agg].op else {
@@ -2155,13 +1253,14 @@ impl<'a> Executor<'a> {
                         .copied()
                         .ok_or_else(|| CiError::Exec(format!("unknown slot {s}")))
                 };
-                Ok(Sink::Agg(AggregateState::new(
+                let state = AggregateState::new(
                     groups.clone(),
                     aggs.clone(),
                     ColMap::from_slots(&feed_slots),
                     &ty,
                     slots_schema(&plan.nodes[agg].out_slots, &plan.slot_types),
-                )?))
+                )?;
+                Ok(Sink::Agg { agg, state })
             }
             SinkKind::Sort { sort } => {
                 let PhysicalOp::Sort { keys } = &plan.nodes[sort].op else {
@@ -2200,57 +1299,743 @@ impl<'a> Executor<'a> {
                         }
                     }
                 });
-                Ok(Sink::Sorter(
-                    SortBuffer::new(slots_schema(layout, &plan.slot_types), positions)
-                        .with_limit(limit),
-                ))
+                let buffer = SortBuffer::new(slots_schema(layout, &plan.slot_types), positions)
+                    .with_limit(limit);
+                Ok(Sink::Sort { sort, buffer })
             }
-            SinkKind::Result => Ok(Sink::Result),
+            SinkKind::Result => Ok(Sink::Result { node: p.last() }),
         }
     }
 
     /// When a pipeline's nodes can be released: at the finish of whichever
     /// pipeline consumes its sink state (own finish for result pipelines).
     fn release_time(&self, graph: &PipelineGraph, p: &Pipeline, finishes: &[SimTime]) -> SimTime {
-        match p.sink {
-            SinkKind::Result => finishes[p.id.index()],
-            SinkKind::JoinBuild { join } => {
-                // The consumer is the pipeline whose chain contains the join.
-                graph
-                    .pipelines
-                    .iter()
-                    .find(|q| q.id != p.id && q.nodes.contains(&join))
-                    .map(|q| finishes[q.id.index()])
-                    .unwrap_or(finishes[p.id.index()])
-            }
-            SinkKind::Aggregate { agg } => graph
-                .pipelines
-                .iter()
-                .find(|q| q.source() == agg)
-                .map(|q| finishes[q.id.index()])
-                .unwrap_or(finishes[p.id.index()]),
-            SinkKind::Sort { sort } => graph
-                .pipelines
-                .iter()
-                .find(|q| q.source() == sort)
-                .map(|q| finishes[q.id.index()])
-                .unwrap_or(finishes[p.id.index()]),
-        }
+        let consumes = |q: &&Pipeline| match p.sink {
+            SinkKind::Result => false,
+            // The consumer is the pipeline whose chain contains the join.
+            SinkKind::JoinBuild { join } => q.id != p.id && q.nodes.contains(&join),
+            SinkKind::Aggregate { agg: node } | SinkKind::Sort { sort: node } => q.source() == node,
+        };
+        let consumer = graph.pipelines.iter().find(consumes).unwrap_or(p);
+        finishes[consumer.id.index()]
     }
 }
 
-struct PipelineRun {
-    finish: SimTime,
-    slots: Vec<NodeSlot>,
-    metrics: PipelineMetrics,
-    samples: Vec<OpSample>,
+/// One morsel's entry while the [`Ledger`] works through it: where and when
+/// it runs, what the cache and the fault schedule did to it, and the
+/// virtual seconds charged so far.
+struct MorselBill<'m> {
+    mi: usize,
+    morsel: &'m Morsel,
+    /// The node slot the morsel was assigned to, free at `assigned_at`.
+    slot: usize,
+    assigned_at: SimTime,
+    /// The tier-cache access and, on a hit, its service seconds.
+    tier: Option<(CacheAccess, Option<f64>)>,
+    faults: Option<MorselFaults>,
+    /// `Some` when a straggling attempt crossed the hedge threshold; `true`
+    /// when the hedge wins. First-result-wins: the hedge replaces the
+    /// straggling attempt only when it strictly beats it; on a tie the
+    /// canonical attempt is kept.
+    hedge: Option<bool>,
+    /// Fetch time is billed apart from compute: retries and preemption
+    /// re-runs repeat the *fetch*, not the whole morsel's CPU.
+    fetch_secs: f64,
+    secs: f64,
 }
 
+impl MorselBill<'_> {
+    /// Whether recovery replaces the morsel's first attempt (see
+    /// [`TraceSource::trace`]).
+    fn rerun(&self) -> bool {
+        let lost = self
+            .faults
+            .as_ref()
+            .is_some_and(|f| f.worker_lost.is_some());
+        lost || self.hedge == Some(true)
+    }
+}
+
+/// The accounting stage of one pipeline run: owns the node slots and their
+/// virtual clock, the live DOP, the wire stream, and the tier / fault /
+/// recovery bookkeeping, and accumulates the pipeline's one
+/// [`PipelineMetrics`] in place. Driven by `run_pipeline` in canonical
+/// morsel order, one method per concern, so everything billed is a pure
+/// function of the trace sequence — never of which mode produced it.
+struct Ledger<'a, 'q> {
+    config: &'a ExecutionConfig,
+    q: &'a mut QueryRun<'q>,
+    p: &'a Pipeline,
+    ctx: Arc<ChainCtx>,
+    /// When the initial nodes can take work: lease start + provisioning +
+    /// pipeline startup.
+    usable: SimTime,
+    slots: Vec<NodeSlot>,
+    /// One wire stream per pipeline execution: each shared dictionary ships
+    /// once, then dict columns ride as bit-packed ids. The stream is
+    /// stateful, so byte counts depend on batch order — hence sized here,
+    /// in morsel order, in both modes.
+    wire: WireEncoder,
+    gather_bytes: f64,
+    /// Fault schedule: per-morsel draws pure in (seed, pipeline, morsel),
+    /// so Simulate, Parallel, and every worker count see the *same*
+    /// schedule. Recovery is billed by [`Ledger::settle`]; the data path
+    /// never observes a fault.
+    injector: Option<FaultInjector>,
+    /// The pipeline's metrics, accumulated in place. `m.dop_final` is the
+    /// live DOP until the pipeline ends.
+    m: PipelineMetrics,
+}
+
+impl<'a, 'q> Ledger<'a, 'q> {
+    /// Opens the books: `dop` node leases start at `start` and become
+    /// usable after provisioning + per-node pipeline startup (+ exchange
+    /// connection fan-out when the pipeline shuffles or gathers data).
+    fn open(
+        config: &'a ExecutionConfig,
+        q: &'a mut QueryRun<'q>,
+        p: &'a Pipeline,
+        ctx: Arc<ChainCtx>,
+        dop: u32,
+        start: SimTime,
+    ) -> Ledger<'a, 'q> {
+        let w = &config.models;
+        let exchanges = ctx
+            .steps
+            .iter()
+            .any(|s| matches!(s, Step::Exchange { .. } | Step::Gather { .. }));
+        let mut startup = SimDuration::from_secs_f64(w.pipeline_startup_secs());
+        if exchanges {
+            startup += SimDuration::from_secs_f64(w.exchange_startup_secs(dop));
+        }
+        let usable = start + config.resize_latency + startup;
+        let m = PipelineMetrics {
+            id: p.id,
+            dop_initial: dop,
+            dop_final: dop,
+            start,
+            // Pool-reuse stats: jobs this pool finished before this
+            // pipeline.
+            pool_workers: q.pool.as_ref().map_or(0, |pool| pool.workers() as u32),
+            pool_reuses: q.pool.as_ref().map_or(0, |pool| pool.jobs_completed()),
+            // `finish` / `released` are set by `Ledger::finish`,
+            // `machine_time` at lease release; every counter starts at zero.
+            ..PipelineMetrics::default()
+        };
+        Ledger {
+            config,
+            q,
+            p,
+            ctx,
+            usable,
+            slots: (0..dop)
+                .map(|_| NodeSlot {
+                    free: usable,
+                    worked_until: None,
+                    lease_start: start,
+                    lease_end: None,
+                })
+                .collect(),
+            wire: WireEncoder::new(),
+            gather_bytes: 0.0,
+            injector: config
+                .faults
+                .as_ref()
+                .filter(|f| !f.profile.is_quiet())
+                .map(FaultPlan::injector),
+            m,
+        }
+    }
+
+    /// A timer for driver-side sink work, recording into the query's sample
+    /// list and this pipeline's measured wall clock.
+    fn timer(&mut self) -> OpTimer<'_> {
+        self.ctx
+            .timer(&mut self.q.op_samples, &mut self.m.measured_wall_ns)
+    }
+
+    /// Whether `morsel` really fetches from the object store (breaker
+    /// outputs and empty partitions do not).
+    fn fetches(&self, morsel: &Morsel) -> bool {
+        self.ctx.src_is_scan && morsel.fetch_bytes > 0.0
+    }
+
+    /// Assigns morsel `mi` to the earliest-free alive node.
+    fn assign<'m>(&self, mi: usize, morsel: &'m Morsel) -> Result<MorselBill<'m>> {
+        let (slot, s) = self
+            .slots
+            .iter()
+            .enumerate()
+            .filter(|(_, s)| s.lease_end.is_none())
+            .min_by_key(|(_, s)| s.free)
+            .ok_or_else(|| CiError::Exec("no alive nodes".into()))?;
+        Ok(MorselBill {
+            mi,
+            morsel,
+            slot,
+            assigned_at: s.free,
+            tier: None,
+            faults: None,
+            hedge: None,
+            fetch_secs: 0.0,
+            secs: 0.0,
+        })
+    }
+
+    /// Tier-cache accounting. The simulation advances *only* here, in
+    /// canonical morsel order, so hit/miss/eviction sequences are a pure
+    /// function of the trace — identical across page sources and execution
+    /// modes. When the page source is tiered, the physical stores mirror
+    /// the simulation's admissions/evictions (workers may have prefetched
+    /// ahead of the ledger; promotions then benefit later pipelines, never
+    /// change bytes served).
+    fn tier_access(&mut self, bill: &mut MorselBill<'_>) -> Result<()> {
+        let (Some(rt), Some(tp), true) = (
+            &self.q.tier_rt,
+            &bill.morsel.tier_part,
+            self.fetches(bill.morsel),
+        ) else {
+            return Ok(());
+        };
+        let (acc, svc) = {
+            let mut sim = lock_sim(&rt.sim)?;
+            let acc = sim.access(CacheKey::new(tp.table, tp.part), tp.bytes, bill.assigned_at);
+            let svc = sim.service_secs(acc.level, bill.morsel.fetch_bytes);
+            (acc, svc)
+        };
+        if let Some(store) = &rt.store {
+            for (k, lvl) in &acc.admitted {
+                match lvl {
+                    TierLevel::Mem => store.promote_mem(k.table, k.part)?,
+                    TierLevel::Ssd => store.promote_ssd(k.table, k.part)?,
+                    TierLevel::Object => {}
+                }
+            }
+            for (k, lvl) in &acc.evicted {
+                match lvl {
+                    TierLevel::Mem => store.evict_mem(k.table, k.part),
+                    TierLevel::Ssd => store.evict_ssd(k.table, k.part),
+                    TierLevel::Object => {}
+                }
+            }
+        }
+        match acc.level {
+            TierLevel::Mem => self.m.tier_mem_hits += 1,
+            TierLevel::Ssd => self.m.tier_ssd_hits += 1,
+            TierLevel::Object => self.m.tier_misses += 1,
+        }
+        self.m.tier_promotions += acc.admitted.len() as u32;
+        self.m.tier_evictions += acc.evicted.len() as u32;
+        bill.tier = Some((acc, svc));
+        Ok(())
+    }
+
+    /// Draws the morsel's faults up front: recovery decisions (reassign a
+    /// preempted morsel, hedge a straggler) precede the charges they are
+    /// billed under. Cache hits never fetch from the object store, so they
+    /// are never fetch-fault targets — only tier misses (or untiered
+    /// fetches) are.
+    fn draw_faults(&self, bill: &mut MorselBill<'_>) {
+        let Some(inj) = &self.injector else {
+            return;
+        };
+        let object_fetch = self.fetches(bill.morsel)
+            && bill
+                .tier
+                .as_ref()
+                .is_none_or(|(a, _)| a.level == TierLevel::Object);
+        let f = inj.morsel_faults(self.p.id.index() as u64, bill.mi as u64, object_fetch);
+        let prof = inj.profile();
+        bill.hedge = f
+            .straggler
+            .filter(|&s| s >= prof.hedge_threshold)
+            .map(|s| prof.hedged_factor(s) < s);
+        bill.faults = Some(f);
+    }
+
+    /// Takes the trace's measurements and charges the source: the fetch
+    /// moves encoded bytes, the decode CPU expands them to the decoded
+    /// payload. A tier hit is served at the tier's latency/bandwidth
+    /// instead of the object store's; the difference is the saved fetch
+    /// time.
+    fn charge_source(&mut self, trace: &mut MorselTrace, bill: &mut MorselBill<'_>) {
+        self.m.source_rows += trace.source_rows;
+        self.m.measured_wall_ns += trace.wall_ns;
+        self.q.op_samples.append(&mut trace.samples);
+        if !self.ctx.src_is_scan {
+            return;
+        }
+        let (w, morsel) = (&self.config.models, bill.morsel);
+        let object_fetch = w.scan_fetch_secs(morsel.fetch_bytes, self.m.dop_final);
+        let fetch = match &bill.tier {
+            Some((_, Some(svc))) => {
+                self.m.tier_saved_ns += ((object_fetch - svc).max(0.0) * 1e9) as u64;
+                *svc
+            }
+            _ => object_fetch,
+        };
+        bill.fetch_secs += fetch;
+        let mut cpu = w.scan_decode_secs(morsel.decode_bytes);
+        if self.ctx.src_filter.is_some() {
+            cpu += w.filter_secs(trace.source_rows as f64);
+        }
+        bill.secs += cpu;
+        self.q.node_actual[self.p.source()] += trace.src_post_rows;
+        let src = &mut self.q.node_stats[self.p.source()];
+        src.busy_secs += fetch + cpu;
+        src.fetch_bytes += morsel.fetch_bytes as u64;
+        src.decoded_bytes += morsel.decode_bytes as u64;
+    }
+
+    /// Streaming chain: charges each recorded step.
+    fn charge_steps(&mut self, steps: &[StepTrace], bill: &mut MorselBill<'_>) -> Result<()> {
+        let w = &self.config.models;
+        for st in steps {
+            match self.ctx.steps[st.step] {
+                Step::Filter { node, .. } | Step::Project { node, .. } => {
+                    let cpu = w.filter_secs(st.rows_in as f64);
+                    bill.secs += cpu;
+                    self.q.node_stats[node].busy_secs += cpu;
+                    self.q.node_actual[node] += st.rows_out;
+                }
+                Step::Exchange { node } => {
+                    // Shuffling serializes rows onto the wire: the payload
+                    // crosses the fabric in the *wire format* (encoded
+                    // pages; dict ids + one-time dictionary), not at
+                    // decoded width.
+                    let wire_bytes = self.ship(node, st)?;
+                    let cpu = w.exchange_cpu_secs(st.rows_in as f64)
+                        + w.exchange_wire_secs(wire_bytes as f64, self.m.dop_final);
+                    bill.secs += cpu;
+                    self.q.node_stats[node].busy_secs += cpu;
+                }
+                Step::Gather { node } => {
+                    // Gather is a network materialization point like
+                    // exchange: the receiver gets wire-format pages. Its
+                    // time is serial at the receiver, charged at `finish`.
+                    self.gather_bytes += self.ship(node, st)? as f64;
+                }
+                Step::Probe { join_node, .. } => {
+                    // Probe plus output materialization cost.
+                    let cpu = w.probe_secs(st.rows_in as f64) + w.filter_secs(st.rows_out as f64);
+                    bill.secs += cpu;
+                    self.q.node_stats[join_node].busy_secs += cpu;
+                    self.q.node_actual[join_node] += st.rows_out;
+                }
+                Step::Limit { node } => {
+                    self.q.node_actual[node] += st.rows_out;
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Sizes one transfer point's compacted batch against the pipeline's
+    /// wire stream, records bytes and rows on `node`, and returns the wire
+    /// bytes.
+    fn ship(&mut self, node: usize, st: &StepTrace) -> Result<u64> {
+        let shipped = st
+            .shipped
+            .as_ref()
+            .ok_or_else(|| CiError::Exec("transfer trace lost its shipped batch".into()))?;
+        let wire_bytes = self.wire.batch_wire_bytes(shipped)?;
+        self.m.exchange_wire_bytes += wire_bytes;
+        self.m.exchange_decoded_bytes += shipped.byte_size() as u64;
+        self.q.node_stats[node].wire_bytes += wire_bytes;
+        self.q.node_actual[node] += st.rows_out;
+        Ok(wire_bytes)
+    }
+
+    /// Charges and performs the sink feed. Work models charge *logical*
+    /// rows (identical to the eager-materialization bill); the
+    /// logical/physical gap is the copying the selection path deferred all
+    /// the way here. Sink folding is order-sensitive (IEEE float sums,
+    /// first-wins dictionaries), which is why traces reach the sink *here*,
+    /// at the pipeline breaker, in morsel order.
+    fn charge_sink(
+        &mut self,
+        sink: &mut Sink,
+        batch: RecordBatch,
+        bill: &mut MorselBill<'_>,
+    ) -> Result<()> {
+        self.m.sink_rows += batch.rows() as u64;
+        self.m.sink_rows_physical += batch.physical_rows() as u64;
+        if let Some(cpu) = sink.feed_secs(&self.config.models, batch.rows() as f64) {
+            bill.secs += cpu;
+            self.q.node_stats[sink.node()].busy_secs += cpu;
+        }
+        // A morsel that filtered down to zero rows leaves the chain early,
+        // so its (empty) batch may still carry an upstream schema;
+        // contributing zero rows, it must not be buffered into
+        // schema-sensitive sinks. Its charge above is zero either way.
+        if batch.is_empty() {
+            return Ok(());
+        }
+        sink.feed(batch, self)
+    }
+
+    /// Settles the morsel: bills fault recovery, advances its node slot,
+    /// and emits its spans. Returns the slot's new free time. Everything
+    /// here is billing: the rows were produced from the canonical (or
+    /// replayed — bit-identical) trace, so faults change the bill and the
+    /// error path, never the answer.
+    fn settle(&mut self, source_rows: u64, bill: MorselBill<'_>) -> Result<SimTime> {
+        let w = &self.config.models;
+        let src = &mut self.q.node_stats[self.p.source()];
+        let (fetch_secs, secs, fetch_bytes) =
+            (bill.fetch_secs, bill.secs, bill.morsel.fetch_bytes as u64);
+        let mut recovery_secs = 0.0;
+        if let (Some(f), Some(inj)) = (&bill.faults, &self.injector) {
+            let prof = inj.profile();
+            self.m.faults_injected += f.count();
+            // Transient fetch failures: each failed attempt is a billed
+            // fetch plus exponential backoff, and the bytes move again on
+            // the retry.
+            for k in 0..f.fetch_failures {
+                recovery_secs += fetch_secs + prof.backoff(k).as_secs_f64();
+                self.m.retry_bytes += fetch_bytes;
+                self.m.fetch_retries += 1;
+            }
+            src.retries += u64::from(f.fetch_failures);
+            if f.fetch_permanent {
+                // Retries exhausted on a fetch that will never succeed: the
+                // query dies with a typed error rather than wrong rows or a
+                // hang.
+                return Err(CiError::Fault(format!(
+                    "pipeline {} morsel {}: object fetch still failing after {} retries",
+                    self.p.id.index(),
+                    bill.mi,
+                    prof.max_retries
+                )));
+            }
+            // Throttling: the store accepted the request late.
+            recovery_secs += f.throttles as f64 * prof.throttle_penalty.as_secs_f64();
+            // Stragglers: below the hedge threshold the slow attempt just
+            // runs to completion; at or above it a speculative duplicate is
+            // launched once the straggler is detected, the first result
+            // wins, and both attempts bill.
+            if let Some(s) = f.straggler {
+                if bill.hedge.is_some() {
+                    let eff = prof.hedged_factor(s);
+                    recovery_secs += secs * (eff - 1.0).max(0.0);
+                    recovery_secs += secs * (eff - prof.hedge_detect_frac).max(0.0);
+                    self.m.hedged_morsels += 1;
+                } else {
+                    recovery_secs += secs * (s - 1.0).max(0.0);
+                }
+            }
+            // Worker preemption: the fraction of the morsel done on the
+            // lost worker is wasted, and the replacement re-runs it from
+            // the top — including the fetch.
+            if let Some(frac) = f.worker_lost {
+                recovery_secs += (fetch_secs + secs) * frac + fetch_secs;
+                self.m.retry_bytes += fetch_bytes;
+            }
+        }
+        // Recovery time and the fixed per-morsel overhead are charged to
+        // the pipeline's source node: faults are morsel-level events, and
+        // the morsel originates there.
+        let recovery_us = SimDuration::from_secs_f64(recovery_secs).as_micros();
+        self.m.recovery_virtual_ns = self
+            .m
+            .recovery_virtual_ns
+            .saturating_add(recovery_us.saturating_mul(1000));
+        src.busy_secs += recovery_secs + w.morsel_overhead_secs();
+        if recovery_secs > 0.0 {
+            src.recovery_us += recovery_us;
+        }
+
+        let span = SimDuration::from_secs_f64(
+            fetch_secs + secs + recovery_secs + w.morsel_overhead_secs(),
+        );
+        let slot = &mut self.slots[bill.slot];
+        slot.free = bill.assigned_at + span;
+        slot.worked_until = Some(slot.free);
+        let now = slot.free;
+        self.m.busy += span;
+        self.m.morsels += 1;
+        if self.q.tracer.on() {
+            self.trace_morsel(&bill, source_rows, recovery_secs, span);
+        }
+        Ok(now)
+    }
+
+    /// Morsel spans on the pipeline's virtual-time lane. Emission happens
+    /// from [`Ledger::settle`], in canonical accounting order, so the lanes
+    /// are bit-identical across execution modes.
+    fn trace_morsel(
+        &mut self,
+        bill: &MorselBill<'_>,
+        source_rows: u64,
+        recovery_secs: f64,
+        span: SimDuration,
+    ) {
+        let (tracer, mi) = (&mut self.q.tracer, bill.mi);
+        let lane = Lane::Pipeline(self.p.id.index() as u32);
+        let t0 = bill.assigned_at.since(SimTime::ZERO).as_micros();
+        let fetch_us = SimDuration::from_secs_f64(bill.fetch_secs).as_micros();
+        let compute_us = SimDuration::from_secs_f64(bill.secs).as_micros();
+        if fetch_us > 0 {
+            let mut ev = TraceEvent::span(format!("fetch m{mi}"), "fetch", lane, t0, fetch_us)
+                .arg("slot", bill.slot as u64)
+                .arg("bytes", bill.morsel.fetch_bytes);
+            if let Some((a, _)) = &bill.tier {
+                ev = ev.arg("tier", a.level.code());
+            }
+            tracer.push(ev);
+        }
+        tracer.push(
+            TraceEvent::span(
+                format!("compute m{mi}"),
+                "compute",
+                lane,
+                t0 + fetch_us,
+                compute_us,
+            )
+            .arg("slot", bill.slot as u64)
+            .arg("rows", source_rows),
+        );
+        if recovery_secs > 0.0 {
+            tracer.push(TraceEvent::span(
+                format!("recovery m{mi}"),
+                "recovery",
+                lane,
+                t0 + fetch_us + compute_us,
+                SimDuration::from_secs_f64(recovery_secs).as_micros(),
+            ));
+        }
+        if let Some(f) = &bill.faults {
+            // One instant per injected fault, at morsel start.
+            for (kind, magnitude) in f.events() {
+                let mut ev = TraceEvent::instant(format!("fault:{kind}"), "fault", lane, t0);
+                if let Some(m) = magnitude {
+                    ev = ev.arg("magnitude", m);
+                }
+                tracer.push(ev);
+            }
+            if let Some(win) = bill.hedge {
+                tracer.push(
+                    TraceEvent::instant("hedge", "fault", lane, t0).arg("win", u64::from(win)),
+                );
+            }
+        }
+        tracer.observe("morsel_span_us", span.as_micros());
+        tracer.observe("morsel_rows", source_rows);
+    }
+
+    /// Progress callback: reports to the scaling controller and applies its
+    /// resize decision — new nodes lease from `now` and are usable after
+    /// the resize latency; a shrink retires the latest-free alive nodes.
+    fn progress(&mut self, ctrl: &mut dyn ScalingController, now: SimTime, morsels_total: usize) {
+        let cur_dop = self.m.dop_final;
+        let decision = ctrl.on_progress(&PipelineProgress {
+            pipeline: self.p.id,
+            current_dop: cur_dop,
+            morsels_done: self.m.morsels,
+            morsels_total,
+            source_rows_seen: self.m.source_rows,
+            sink_rows_seen: self.m.sink_rows,
+            planned_source_rows: self.q.plan.nodes[self.p.source()].est_rows,
+            planned_sink_rows: self.q.plan.nodes[self.p.last()].est_rows,
+            elapsed: now.saturating_since(self.m.start),
+            now,
+        });
+        let ScaleDecision::SetDop(new_dop) = decision else {
+            return;
+        };
+        let new_dop = new_dop.max(1);
+        if new_dop == cur_dop {
+            return;
+        }
+        self.m.resizes += 1;
+        if self.q.tracer.on() {
+            self.q.tracer.push(
+                TraceEvent::instant(
+                    "resize",
+                    "scale",
+                    Lane::Pipeline(self.p.id.index() as u32),
+                    now.since(SimTime::ZERO).as_micros(),
+                )
+                .arg("from", u64::from(cur_dop))
+                .arg("to", u64::from(new_dop)),
+            );
+        }
+        if new_dop > cur_dop {
+            for _ in cur_dop..new_dop {
+                self.slots.push(NodeSlot {
+                    free: now + self.config.resize_latency,
+                    worked_until: None,
+                    lease_start: now,
+                    lease_end: None,
+                });
+            }
+        } else {
+            let slots = &mut self.slots;
+            let mut alive: Vec<usize> = slots
+                .iter()
+                .enumerate()
+                .filter(|(_, s)| s.lease_end.is_none())
+                .map(|(i, _)| i)
+                .collect();
+            alive.sort_by_key(|&i| std::cmp::Reverse(slots[i].free));
+            for &i in alive.iter().take((cur_dop - new_dop) as usize) {
+                slots[i].lease_end = Some(slots[i].free.max(now));
+            }
+        }
+        self.m.dop_final = new_dop;
+    }
+
+    /// Closes the books: the finish time, the serial gather, the sink
+    /// finalizer, and the pipeline's driver-lane span and counters. Returns
+    /// the node slots (their leases still open) and the metrics.
+    fn finish(mut self, sink: Sink) -> Result<(Vec<NodeSlot>, PipelineMetrics)> {
+        // Pipeline work finishes when the last node that actually processed
+        // a morsel drains (idle late-arrivals don't extend the finish).
+        let mut finish = self
+            .slots
+            .iter()
+            .filter_map(|s| s.worked_until)
+            .max()
+            .unwrap_or(self.usable)
+            .max(self.usable);
+
+        // Gather is serial at the receiver.
+        if self.gather_bytes > 0.0 {
+            let w = &self.config.models;
+            let cpu = w.gather_secs(self.gather_bytes, self.m.dop_final);
+            finish += SimDuration::from_secs_f64(cpu);
+            if let Some(g) = self.ctx.steps.iter().find_map(|s| match s {
+                Step::Gather { node } => Some(*node),
+                _ => None,
+            }) {
+                self.q.node_stats[g].busy_secs += cpu;
+            }
+        }
+        finish += sink.finalize(&mut self)?;
+        self.m.finish = finish;
+        self.m.released = finish; // adjusted after consumers are scheduled
+
+        // Pipeline extent on the driver lane, plus per-pipeline counters.
+        let (tracer, m) = (&mut self.q.tracer, &self.m);
+        if tracer.on() {
+            let t0 = m.start.since(SimTime::ZERO).as_micros();
+            let end = finish.since(SimTime::ZERO).as_micros();
+            tracer.push(
+                TraceEvent::span(
+                    format!("pipeline {}", m.id.index()),
+                    "pipeline",
+                    Lane::Driver,
+                    t0,
+                    end.saturating_sub(t0),
+                )
+                .arg("morsels", m.morsels as u64)
+                .arg("dop", u64::from(m.dop_final))
+                .arg("source_rows", m.source_rows),
+            );
+            tracer.count("morsels", m.morsels as u64);
+            tracer.count("fetch_retries", u64::from(m.fetch_retries));
+            tracer.count("hedged_morsels", u64::from(m.hedged_morsels));
+            tracer.count("faults_injected", u64::from(m.faults_injected));
+            if self.q.tier_rt.is_some() {
+                tracer.count("tier_mem_hits", u64::from(m.tier_mem_hits));
+                tracer.count("tier_ssd_hits", u64::from(m.tier_ssd_hits));
+                tracer.count("tier_misses", u64::from(m.tier_misses));
+                tracer.count("tier_promotions", u64::from(m.tier_promotions));
+                tracer.count("tier_evictions", u64::from(m.tier_evictions));
+            }
+        }
+        Ok((self.slots, self.m))
+    }
+}
+
+/// A pipeline's sink, each variant carrying the plan node it materializes
+/// for (the result sink: the pipeline's last node).
 enum Sink {
-    Build(JoinHashTable),
-    Agg(AggregateState),
-    Sorter(SortBuffer),
-    Result,
+    Build { join: usize, table: JoinHashTable },
+    Agg { agg: usize, state: AggregateState },
+    Sort { sort: usize, buffer: SortBuffer },
+    Result { node: usize },
+}
+
+impl Sink {
+    /// The plan node per-morsel sink charges are attributed to.
+    fn node(&self) -> usize {
+        match *self {
+            Sink::Build { join: node, .. }
+            | Sink::Agg { agg: node, .. }
+            | Sink::Sort { sort: node, .. }
+            | Sink::Result { node } => node,
+        }
+    }
+
+    /// Virtual CPU seconds of feeding `rows` logical rows (`None`: the
+    /// result sink charges nothing).
+    fn feed_secs(&self, w: &WorkModels, rows: f64) -> Option<f64> {
+        match self {
+            Sink::Build { .. } => Some(w.build_secs(rows)),
+            Sink::Agg { .. } => Some(w.agg_update_secs(rows)),
+            Sink::Sort { .. } => Some(w.filter_secs(rows)),
+            Sink::Result { .. } => None,
+        }
+    }
+
+    /// Feeds one morsel's (non-empty) output. Build and sort sinks buffer
+    /// until finalize (which compacts via concat); the aggregate folds now.
+    fn feed(&mut self, batch: RecordBatch, ledger: &mut Ledger<'_, '_>) -> Result<()> {
+        let units = batch.rows() as f64;
+        match self {
+            Sink::Build { table, .. } => ledger
+                .timer()
+                .time("build", units, || table.insert_batch(batch)),
+            Sink::Agg { state, .. } => ledger.timer().time("agg", units, || state.update(&batch)),
+            Sink::Sort { buffer, .. } => {
+                buffer.push(batch);
+                Ok(())
+            }
+            Sink::Result { .. } => {
+                ledger.q.result_batches.push(batch.compacted());
+                Ok(())
+            }
+        }
+    }
+
+    /// Finalizes the sink at the pipeline breaker — hash-table build,
+    /// aggregate output, sort — publishes its state under its plan node,
+    /// and returns the virtual time the finalizer adds to the pipeline's
+    /// finish.
+    fn finalize(self, ledger: &mut Ledger<'_, '_>) -> Result<SimDuration> {
+        let w = &ledger.config.models;
+        let (node, out, cpu) = match self {
+            Sink::Build { join, mut table } => {
+                let units = ledger.m.sink_rows as f64;
+                ledger.timer().time("build", units, || table.finalize())?;
+                let built = Arc::new(NodeState::Built(table));
+                ledger.q.states.insert(join, built);
+                return Ok(SimDuration::ZERO);
+            }
+            Sink::Agg { agg, state } => {
+                let out = state.finalize()?;
+                let cpu = w.filter_secs(out.rows() as f64);
+                (agg, out, cpu)
+            }
+            Sink::Sort { sort, buffer } => {
+                let rows = buffer.rows() as f64;
+                // Sort's real work happens here, not in the buffering
+                // pushes; units follow the n·log n model term.
+                let sort_units = rows.max(2.0) * rows.max(2.0).log2();
+                let out = ledger
+                    .timer()
+                    .time("sort", sort_units, || buffer.finalize())?;
+                (sort, out, w.sort_finalize_secs(rows, ledger.m.dop_final))
+            }
+            Sink::Result { .. } => return Ok(SimDuration::ZERO),
+        };
+        let q = &mut *ledger.q;
+        q.node_stats[node].busy_secs += cpu;
+        q.node_actual[node] += out.rows() as u64;
+        q.states.insert(node, Arc::new(NodeState::Output(out)));
+        Ok(SimDuration::from_secs_f64(cpu))
+    }
 }
 
 #[cfg(test)]

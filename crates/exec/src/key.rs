@@ -474,69 +474,6 @@ impl KeyEncoder {
         }
     }
 
-    /// Encodes one row given as *values* (one per key column), producing
-    /// exactly the key [`RowEncoder::encode`] would produce for a row
-    /// carrying those values. This is the merge path for partial
-    /// aggregation: a key decoded from another state via
-    /// [`KeyEncoder::key_values`] re-encodes into this encoder's key space,
-    /// and the module invariant (form and per-part encoding depend only on
-    /// values) guarantees it lands on the same key as direct encoding.
-    pub fn encode_values(&self, values: &[Value]) -> Key {
-        assert_eq!(values.len(), self.arity(), "encode_values arity mismatch");
-        let fixed = |mode: &KeyMode, v: &Value| -> Option<u64> {
-            match (mode, v) {
-                (KeyMode::Int, Value::Int(x)) => Some(*x as u64),
-                (KeyMode::Float, Value::Float(x)) => Some(x.to_bits()),
-                (KeyMode::Bool, Value::Bool(b)) => Some(*b as u64),
-                (KeyMode::DictStr(d), Value::Str(s)) => match d.id_of(s) {
-                    Some(id) => Some(u64::from(id)),
-                    None if self.miss == MissPolicy::Sentinel => Some(DICT_MISS),
-                    None => None,
-                },
-                _ => None,
-            }
-        };
-        if !self.always_boxed {
-            let mut parts = [0u64; MAX_INLINE_PARTS];
-            let mut ok = true;
-            for (i, (mode, v)) in self.modes.iter().zip(values).enumerate() {
-                match fixed(mode, v) {
-                    Some(x) => parts[i] = x,
-                    None => {
-                        ok = false;
-                        break;
-                    }
-                }
-            }
-            if ok {
-                return Key::Inline {
-                    n: self.modes.len() as u8,
-                    parts,
-                };
-            }
-        }
-        Key::Boxed(
-            self.modes
-                .iter()
-                .zip(values)
-                .map(|(mode, v)| match (mode, v) {
-                    (KeyMode::Int, Value::Int(x)) => KeyPart::Int(*x),
-                    (KeyMode::Float, Value::Float(x)) => KeyPart::FloatBits(x.to_bits()),
-                    (KeyMode::Bool, Value::Bool(b)) => KeyPart::Bool(*b),
-                    (KeyMode::DictStr(d), Value::Str(s)) => match d.id_of(s) {
-                        Some(id) => KeyPart::DictId(u64::from(id)),
-                        None if self.miss == MissPolicy::Sentinel => KeyPart::DictId(DICT_MISS),
-                        None => KeyPart::Str(s.clone()),
-                    },
-                    (KeyMode::Str, Value::Str(s)) => KeyPart::Str(s.clone()),
-                    // Type mismatch: raw-value encoding, same as a
-                    // mismatched column plan.
-                    (_, v) => KeyPart::from(v),
-                })
-                .collect(),
-        )
-    }
-
     /// The dictionary key column `col` resolves against, when that column
     /// is dict-mode (lets group-by outputs stay dictionary-encoded).
     pub fn dict_mode(&self, col: usize) -> Option<&Arc<Dictionary>> {
@@ -982,52 +919,6 @@ mod tests {
         assert!(KeyIndex::check_addressable(limit, "rows").is_ok());
         let err = KeyIndex::check_addressable(limit + 1, "hash join build rows").unwrap_err();
         assert!(matches!(&err, CiError::Exec(m) if m.contains("hash join build rows")));
-    }
-
-    #[test]
-    fn encode_values_matches_row_encoding() {
-        // Every column kind the row encoder supports: the value path must
-        // land on bit-identical keys, inline-ness included.
-        let ints = ColumnData::Int64(vec![7, -1]);
-        let floats = ColumnData::Float64(vec![1.5, -0.0]);
-        let bools = ColumnData::Bool(vec![true, false]);
-        let dicts = dict_col(&["x", "y"]);
-        let cols: Vec<&ColumnData> = vec![&ints, &floats, &bools, &dicts];
-        let enc = KeyEncoder::for_columns(&cols, MissPolicy::Spill);
-        let re = enc.prepare(&cols).unwrap();
-        for row in 0..2 {
-            let direct = re.encode(row);
-            let vals: Vec<Value> = cols.iter().map(|c| c.value(row)).collect();
-            assert_eq!(enc.encode_values(&vals), direct, "row {row}");
-            // And the full decode → re-encode cycle is the identity.
-            assert_eq!(enc.encode_values(&enc.key_values(&direct)), direct);
-        }
-    }
-
-    #[test]
-    fn encode_values_spills_like_rows() {
-        // A string missing from the dictionary spills under Spill and
-        // sentinels under Sentinel — exactly like the column path.
-        let first = dict_col(&["a", "b"]);
-        let cols: Vec<&ColumnData> = vec![&first];
-        let spill = KeyEncoder::for_columns(&cols, MissPolicy::Spill);
-        let later = ColumnData::Utf8(vec!["q".into()]);
-        let lcols: Vec<&ColumnData> = vec![&later];
-        let via_row = spill.prepare(&lcols).unwrap().encode(0);
-        assert_eq!(spill.encode_values(&[Value::from("q")]), via_row);
-        assert!(!via_row.is_inline());
-
-        let sentinel = KeyEncoder::for_columns(&cols, MissPolicy::Sentinel);
-        let via_row = sentinel.prepare(&lcols).unwrap().encode(0);
-        assert_eq!(sentinel.encode_values(&[Value::from("q")]), via_row);
-        assert!(via_row.is_inline(), "sentinel misses stay inline");
-
-        // Raw-string mode boxes both paths.
-        let raw = ColumnData::Utf8(vec!["s".into()]);
-        let rcols: Vec<&ColumnData> = vec![&raw];
-        let enc = KeyEncoder::for_columns(&rcols, MissPolicy::Spill);
-        let via_row = enc.prepare(&rcols).unwrap().encode(0);
-        assert_eq!(enc.encode_values(&[Value::from("s")]), via_row);
     }
 
     #[test]

@@ -10,7 +10,7 @@ use ci_types::money::Dollars;
 use ci_types::{PipelineId, SimDuration, SimTime};
 
 /// Per-pipeline execution metrics.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct PipelineMetrics {
     /// Which pipeline.
     pub id: PipelineId,
@@ -65,9 +65,9 @@ pub struct PipelineMetrics {
     /// History-dependent (a shared pool serves the whole process), so not
     /// part of the determinism contract.
     pub pool_reuses: u64,
-    /// Worker-side partial-aggregation chunk states merged at the breaker.
-    /// 0 when the sink is not an aggregation or took the trace-fold path
-    /// (simulator mode, non-mergeable aggregates, `partial_agg` off).
+    /// Always 0 since PR 17 — kept only because `bench_e2e` reads it. (It
+    /// counted the worker-side aggregation chunk states of a morsel path
+    /// that no longer exists.)
     pub agg_partials: u32,
     /// Object-store fetch retries billed for this pipeline (transient
     /// failures, including the billed-but-doomed retries of a permanent

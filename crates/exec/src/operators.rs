@@ -358,27 +358,6 @@ impl AggAcc {
         }
     }
 
-    /// Merges another accumulator of the same layout in (partial-agg chunk
-    /// merge). Only called through [`AggregateState::absorb`], which the
-    /// engine gates on [`AggregateState::mergeable`] — so every variant
-    /// reachable here folds identically whether rows arrived directly or
-    /// through a chunk-local accumulator.
-    fn merge(&mut self, other: AggAcc) {
-        match (self, other) {
-            (AggAcc::Count(a), AggAcc::Count(b)) => *a += b,
-            (AggAcc::SumI(a), AggAcc::SumI(b)) => *a += b,
-            (AggAcc::SumF(a), AggAcc::SumF(b)) => *a += b,
-            (AggAcc::Avg { sum, count }, AggAcc::Avg { sum: s, count: c }) => {
-                *sum += s;
-                *count += c;
-            }
-            (AggAcc::Min(m), AggAcc::Min(o)) => merge_bound(m, o, Ordering::Greater),
-            (AggAcc::Max(m), AggAcc::Max(o)) => merge_bound(m, o, Ordering::Less),
-            (AggAcc::Distinct(a), AggAcc::Distinct(b)) => a.extend(b),
-            _ => unreachable!("accumulator layout mismatch in partial-agg merge"),
-        }
-    }
-
     fn finish(&self, func: AggFunc, out_type: DataType) -> Value {
         match self {
             AggAcc::Count(c) => Value::Int(*c),
@@ -412,19 +391,6 @@ fn row_beats(cur: &Value, c: &ColumnData, row: usize, losing: Ordering) -> bool 
     }
     // Non-string columns construct heap-free values.
     cur.partial_cmp_sql(&c.value(row)) == Some(losing)
-}
-
-/// Folds one chunk's MIN/MAX bound into the running bound under the same
-/// challenger-strictly-beats rule as [`row_beats`].
-fn merge_bound(cur: &mut Option<Value>, other: Option<Value>, losing: Ordering) {
-    if let Some(v) = other {
-        if cur
-            .as_ref()
-            .is_none_or(|c| c.partial_cmp_sql(&v) == Some(losing))
-        {
-            *cur = Some(v);
-        }
-    }
 }
 
 fn zero_of(t: DataType) -> Value {
@@ -574,87 +540,6 @@ impl AggregateState {
     /// Number of groups so far.
     pub fn group_count(&self) -> usize {
         self.index.len()
-    }
-
-    /// `true` when chunked accumulation + [`AggregateState::absorb`] is
-    /// bit-identical to folding every morsel sequentially — the gate for the
-    /// engine's reorder-tolerant partial-agg path.
-    ///
-    /// The hazards are all IEEE-float order sensitivity: float `SUM`/`AVG`
-    /// addition is non-associative, and float `MIN`/`MAX` under the
-    /// challenger-strictly-beats rule is order-sensitive in the presence of
-    /// NaN (2.0, NaN, 1.0 folds to 1.0 sequentially but 2.0 when NaN and
-    /// 1.0 land in one chunk). Integer sums, counts, non-float bounds
-    /// (total orders), and DISTINCT sets (finalize sorts) are exactly
-    /// order-free, so only those qualify.
-    pub fn mergeable(&self) -> bool {
-        self.aggs.iter().zip(&self.arg_types).all(|(a, t)| {
-            if a.distinct {
-                return true;
-            }
-            match a.func {
-                AggFunc::Count => true,
-                AggFunc::Sum => *t == Some(DataType::Int64),
-                AggFunc::Avg => false,
-                AggFunc::Min | AggFunc::Max => *t != Some(DataType::Float64),
-            }
-        })
-    }
-
-    /// An empty clone of this state's configuration (same groups, aggs,
-    /// maps, and schema; no accumulated rows) — one per worker chunk on the
-    /// partial-agg path.
-    pub fn fresh(&self) -> AggregateState {
-        AggregateState {
-            group_exprs: self.group_exprs.clone(),
-            aggs: self.aggs.clone(),
-            in_map: self.in_map.clone(),
-            arg_types: self.arg_types.clone(),
-            out_schema: self.out_schema.clone(),
-            encoder: None,
-            index: KeyIndex::default(),
-            accs: Vec::new(),
-        }
-    }
-
-    /// Merges a chunk-local state in. Chunk states absorbed in canonical
-    /// chunk order reproduce sequential accumulation exactly: group order
-    /// is first-appearance order over the concatenated chunks, and each
-    /// accumulator merge is order-free by the [`AggregateState::mergeable`]
-    /// contract.
-    ///
-    /// Keys cross encoder boundaries by value: the first encoder-bearing
-    /// state becomes the base (its encoder was fixed by the globally first
-    /// non-empty batch, exactly as in sequential execution), and later
-    /// states' keys decode to values and re-encode against the base — the
-    /// key module's value-stability invariant guarantees they land on the
-    /// keys direct encoding would have produced.
-    pub fn absorb(&mut self, other: AggregateState) {
-        if other.index.is_empty() {
-            return;
-        }
-        let (Some(base), Some(other_enc)) = (self.encoder.clone(), other.encoder.as_ref()) else {
-            // No rows seen yet: adopt the chunk state wholesale (same
-            // config by construction).
-            debug_assert!(self.index.is_empty(), "groups without an encoder");
-            *self = other;
-            return;
-        };
-        let stride = self.aggs.len();
-        let mut other_accs = other.accs.into_iter();
-        for key in other.index.keys() {
-            let theirs = other_accs.by_ref().take(stride);
-            let key = base.encode_values(&other_enc.key_values(key));
-            let (id, new) = self.index.get_or_insert(key);
-            if new {
-                self.accs.extend(theirs);
-            } else {
-                let mine = &mut self.accs[id as usize * stride..][..stride];
-                for (m, o) in mine.iter_mut().zip(theirs) {
-                    m.merge(o);
-                }
-            }
-        }
     }
 
     /// Produces the aggregate output batch (groups then agg values).
@@ -1138,224 +1023,6 @@ mod tests {
             .unwrap();
         let result = st.finalize().unwrap();
         assert_eq!(result.row(0)[0], Value::Int(3));
-    }
-
-    fn int_agg(func: AggFunc, arg: Option<usize>, distinct: bool) -> AggExpr {
-        AggExpr {
-            func,
-            arg: arg.map(PlanExpr::Col),
-            distinct,
-        }
-    }
-
-    /// Aggregation over int columns only (slot types all Int64).
-    fn int_state(groups: Vec<PlanExpr>, aggs: Vec<AggExpr>, out: SchemaRef) -> AggregateState {
-        let types = |_: usize| -> Result<DataType> { Ok(DataType::Int64) };
-        AggregateState::new(groups, aggs, ColMap::from_slots(&[0, 1]), &types, out).unwrap()
-    }
-
-    fn int_batch(g: Vec<i64>, v: Vec<i64>) -> RecordBatch {
-        RecordBatch::new(
-            schema2(DataType::Int64, DataType::Int64),
-            vec![ColumnData::Int64(g), ColumnData::Int64(v)],
-        )
-        .unwrap()
-    }
-
-    #[test]
-    fn mergeable_gates_on_float_order_sensitivity() {
-        let out = |n: usize| {
-            Arc::new(Schema::of(
-                (0..n)
-                    .map(|i| Field::new(format!("a{i}"), DataType::Int64))
-                    .collect(),
-            ))
-        };
-        // Order-free shapes qualify: COUNT, int SUM, int MIN/MAX, DISTINCT.
-        let st = int_state(
-            vec![PlanExpr::Col(0)],
-            vec![
-                int_agg(AggFunc::Count, None, false),
-                int_agg(AggFunc::Sum, Some(1), false),
-                int_agg(AggFunc::Min, Some(1), false),
-                int_agg(AggFunc::Max, Some(1), false),
-                int_agg(AggFunc::Count, Some(1), true),
-            ],
-            out(6),
-        );
-        assert!(st.mergeable());
-        // Float SUM, AVG, and float MIN are order-sensitive.
-        let types = |_: usize| -> Result<DataType> { Ok(DataType::Float64) };
-        for (func, distinct) in [
-            (AggFunc::Sum, false),
-            (AggFunc::Avg, false),
-            (AggFunc::Min, false),
-        ] {
-            let st = AggregateState::new(
-                vec![],
-                vec![AggExpr {
-                    func,
-                    arg: Some(PlanExpr::Col(1)),
-                    distinct,
-                }],
-                ColMap::from_slots(&[0, 1]),
-                &types,
-                out(1),
-            )
-            .unwrap();
-            assert!(!st.mergeable(), "{func:?} over floats must not merge");
-        }
-        // DISTINCT rescues even float aggregates (finalize sorts the set).
-        let st = AggregateState::new(
-            vec![],
-            vec![AggExpr {
-                func: AggFunc::Sum,
-                arg: Some(PlanExpr::Col(1)),
-                distinct: true,
-            }],
-            ColMap::from_slots(&[0, 1]),
-            &types,
-            out(1),
-        )
-        .unwrap();
-        assert!(st.mergeable());
-    }
-
-    #[test]
-    fn absorb_matches_sequential_folding() {
-        let out = Arc::new(Schema::of(vec![
-            Field::new("g", DataType::Int64),
-            Field::new("cnt", DataType::Int64),
-            Field::new("sum", DataType::Int64),
-            Field::new("min", DataType::Int64),
-            Field::new("max", DataType::Int64),
-            Field::new("cd", DataType::Int64),
-        ]));
-        let mk = || {
-            int_state(
-                vec![PlanExpr::Col(0)],
-                vec![
-                    int_agg(AggFunc::Count, None, false),
-                    int_agg(AggFunc::Sum, Some(1), false),
-                    int_agg(AggFunc::Min, Some(1), false),
-                    int_agg(AggFunc::Max, Some(1), false),
-                    int_agg(AggFunc::Count, Some(1), true),
-                ],
-                out.clone(),
-            )
-        };
-        // Groups 3 and 1 first appear in chunk 1; group 2 in chunk 2; the
-        // chunks overlap on every group so every accumulator truly merges.
-        let chunks = [
-            int_batch(vec![3, 1, 3], vec![5, -2, 9]),
-            int_batch(vec![2, 1, 2, 3], vec![7, 0, 7, -4]),
-            int_batch(vec![1], vec![100]),
-        ];
-        let mut seq = mk();
-        for b in &chunks {
-            seq.update(b).unwrap();
-        }
-        let mut merged = mk();
-        assert!(merged.mergeable());
-        for b in &chunks {
-            let mut local = merged.fresh();
-            local.update(b).unwrap();
-            merged.absorb(local);
-        }
-        assert_eq!(
-            merged.finalize().unwrap(),
-            seq.finalize().unwrap(),
-            "chunk-merged aggregation must be bit-identical to sequential"
-        );
-    }
-
-    #[test]
-    fn absorb_empty_chunks_and_empty_base() {
-        let out = Arc::new(Schema::of(vec![
-            Field::new("g", DataType::Int64),
-            Field::new("cnt", DataType::Int64),
-        ]));
-        let mk = || {
-            int_state(
-                vec![PlanExpr::Col(0)],
-                vec![int_agg(AggFunc::Count, None, false)],
-                out.clone(),
-            )
-        };
-        // Empty chunk into empty base: still empty (no encoder adopted).
-        let mut st = mk();
-        st.absorb(mk());
-        assert_eq!(st.group_count(), 0);
-        // Non-empty chunk into empty base: wholesale adoption.
-        let mut local = mk();
-        local
-            .update(&int_batch(vec![1, 1, 2], vec![0, 0, 0]))
-            .unwrap();
-        st.absorb(local);
-        st.absorb(mk());
-        assert_eq!(st.group_count(), 2);
-        let result = st.finalize().unwrap();
-        assert_eq!(result.row(0), vec![Value::Int(1), Value::Int(2)]);
-    }
-
-    #[test]
-    fn absorb_re_encodes_keys_across_encoders() {
-        // Chunk states fix their encoders on *their own* first batch, so a
-        // merge can cross encodings: base keyed on a dict column, a later
-        // chunk keyed on raw strings including one the base dictionary
-        // never saw. Values must unify the groups either way.
-        let schema = Arc::new(Schema::of(vec![
-            Field::new("s0", DataType::Utf8),
-            Field::new("s1", DataType::Int64),
-        ]));
-        let types = |s: usize| -> Result<DataType> {
-            Ok(if s == 0 {
-                DataType::Utf8
-            } else {
-                DataType::Int64
-            })
-        };
-        let out = Arc::new(Schema::of(vec![
-            Field::new("g", DataType::Utf8),
-            Field::new("sum", DataType::Int64),
-        ]));
-        let mk = || {
-            AggregateState::new(
-                vec![PlanExpr::Col(0)],
-                vec![int_agg(AggFunc::Sum, Some(1), false)],
-                ColMap::from_slots(&[0, 1]),
-                &types,
-                out.clone(),
-            )
-            .unwrap()
-        };
-        let dict_batch = RecordBatch::new(
-            schema.clone(),
-            vec![
-                ColumnData::Utf8(vec!["b".into(), "a".into(), "b".into()]).dict_encoded(),
-                ColumnData::Int64(vec![1, 2, 4]),
-            ],
-        )
-        .unwrap();
-        let raw_batch = RecordBatch::new(
-            schema,
-            vec![
-                ColumnData::Utf8(vec!["a".into(), "q".into(), "q".into()]),
-                ColumnData::Int64(vec![8, 16, 32]),
-            ],
-        )
-        .unwrap();
-        let mut seq = mk();
-        seq.update(&dict_batch).unwrap();
-        seq.update(&raw_batch).unwrap();
-        let mut merged = mk();
-        let mut c1 = merged.fresh();
-        c1.update(&dict_batch).unwrap();
-        let mut c2 = merged.fresh();
-        c2.update(&raw_batch).unwrap();
-        merged.absorb(c1);
-        merged.absorb(c2);
-        assert_eq!(merged.finalize().unwrap(), seq.finalize().unwrap());
     }
 
     #[test]

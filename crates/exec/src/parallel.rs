@@ -9,41 +9,30 @@
 //! private pool whose threads shut down on drop (the bench harness uses
 //! that as its cold-start baseline).
 //!
-//! Two job shapes run on the pool:
-//!
-//! * **Trace jobs** (`WorkerPool::run_traces`) — the classic split: each
-//!   morsel's pure processing phase produces a `MorselTrace`; everything
-//!   order-sensitive (virtual time, wire bytes, `LIMIT`, sink folds)
-//!   happens later on the driver in canonical morsel order. Workers overlap
-//!   *fetch* and *compute*: a morsel's fetch/decode stage
-//!   (`ChainCtx::fetch_morsel`) and its operator-chain stage
-//!   (`ChainCtx::compute_morsel`) are separate tasks, and a worker
-//!   prefers fetching ahead (bounded by the fetch-ahead target) while
-//!   sibling workers compute already-fetched morsels — the simulated GET
-//!   no longer serializes with morsel CPU.
-//! * **Partial-agg jobs** (`WorkerPool::run_partial`) — reorder-tolerant
-//!   aggregation: the morsel list is split into contiguous chunks, one
-//!   worker folds each chunk's morsels *in order* into a chunk-local
-//!   [`AggregateState`], and the driver absorbs the chunk states in chunk
-//!   order. The engine only routes aggregations here when
-//!   [`AggregateState::mergeable`] proves the merge is bit-identical to
-//!   sequential folding.
+//! One job shape runs on the pool (`WorkerPool::run_traces`): each morsel's
+//! pure processing phase produces a `MorselTrace`; everything
+//! order-sensitive (virtual time, wire bytes, `LIMIT`, sink folds) happens
+//! later on the driver in canonical morsel order. Workers overlap *fetch*
+//! and *compute*: a morsel's fetch/decode stage (`ChainCtx::fetch_morsel`)
+//! and its operator-chain stage (`ChainCtx::compute_morsel`) are separate
+//! tasks, and a worker prefers fetching ahead (bounded by the fetch-ahead
+//! target) while sibling workers compute already-fetched morsels — the
+//! simulated GET no longer serializes with morsel CPU.
 //!
 //! All job progress lives behind one mutex (`PoolState`); workers park on
 //! `work_cv`, the driver parks on `done_cv`. One lock keeps the wakeup
 //! protocol trivially sound — no two-level locking, no lost notifications.
-//! A morsel that errors does not stop the pool: trace jobs still fill every
-//! output slot (the driver surfaces the first error in canonical order, so
-//! a failure past a satisfied `LIMIT` stays invisible, exactly as in the
-//! simulator); a partial chunk stops at its first error, which the driver
-//! meets before ever reading the chunk's unprocessed tail.
+//! A morsel that errors does not stop the pool: a job still fills every
+//! output slot, and the driver surfaces the first error in canonical order,
+//! so a failure past a satisfied `LIMIT` stays invisible, exactly as in the
+//! simulator.
 //!
 //! [`ExecutionMode::Parallel`]: crate::engine::ExecutionMode::Parallel
 
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, VecDeque};
-use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Arc, Condvar, Mutex, OnceLock};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::thread::JoinHandle;
 
 use ci_obs::{Lane, TraceEvent, WorkerBuffers};
@@ -51,10 +40,9 @@ use ci_storage::RecordBatch;
 use ci_types::{CiError, Result};
 
 use crate::engine::{ChainCtx, Morsel, MorselTrace};
-use crate::operators::AggregateState;
 
 /// A persistent pool of morsel workers. Cheap to clone via `Arc`; see the
-/// module docs for the lifecycle and job shapes.
+/// module docs for the lifecycle and the job shape.
 pub struct WorkerPool {
     shared: Arc<PoolShared>,
     threads: Vec<JoinHandle<()>>,
@@ -67,6 +55,25 @@ struct PoolShared {
     work_cv: Condvar,
     /// Drivers park here awaiting their job's completion.
     done_cv: Condvar,
+}
+
+impl PoolShared {
+    /// Locks the pool table, recovering a poisoned guard instead of
+    /// panicking. That is sound because of one invariant: morsel code only
+    /// ever runs *outside* the guard, under [`contained`], and everything
+    /// under the guard is straight-line bookkeeping (counter bumps, queue
+    /// pushes and pops, map inserts and removes) — so the table a panicking
+    /// holder leaves behind is still consistent, and refusing it would turn
+    /// one lost thread into a wedged pool for every later query.
+    fn lock(&self) -> MutexGuard<'_, PoolState> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Parks on `cv` until notified, with [`PoolShared::lock`]'s poison
+    /// recovery on wake-up.
+    fn wait<'g>(cv: &Condvar, guard: MutexGuard<'g, PoolState>) -> MutexGuard<'g, PoolState> {
+        cv.wait(guard).unwrap_or_else(PoisonError::into_inner)
+    }
 }
 
 #[derive(Default)]
@@ -82,52 +89,31 @@ struct PoolState {
     trace: Option<Arc<WorkerBuffers>>,
 }
 
-/// One submitted unit of pipeline work.
+/// One submitted unit of pipeline work: every morsel of one pipeline run.
 struct Job {
     ctx: Arc<ChainCtx>,
     morsels: Arc<Vec<Morsel>>,
-    work: JobWork,
+    /// Next morsel index to start fetching.
+    fetch_next: usize,
+    /// Fetches claimed but not yet landed in `ready`.
+    fetch_inflight: usize,
+    /// Fetch-ahead bound: fetching pauses while
+    /// `ready + inflight >= target`, so prefetch stays a window, not a
+    /// full materialization of the pipeline source.
+    target: usize,
+    /// Fetched morsels awaiting compute.
+    ready: VecDeque<(usize, Result<RecordBatch>)>,
     /// Per-morsel traces at the morsel's own index.
     outputs: Vec<Option<Result<MorselTrace>>>,
-    /// Chunk-local aggregation states (partial jobs only).
-    chunk_states: Vec<Option<AggregateState>>,
-    /// Outstanding work units: morsels (trace) or chunks (partial).
+    /// Morsels not yet computed.
     remaining: usize,
     done: bool,
-}
-
-enum JobWork {
-    Trace {
-        /// Next morsel index to start fetching.
-        fetch_next: usize,
-        /// Fetches claimed but not yet landed in `ready`.
-        fetch_inflight: usize,
-        /// Fetch-ahead bound: fetching pauses while
-        /// `ready + inflight >= target`, so prefetch stays a window, not a
-        /// full materialization of the pipeline source.
-        target: usize,
-        /// Fetched morsels awaiting compute.
-        ready: VecDeque<(usize, Result<RecordBatch>)>,
-    },
-    Chunks {
-        /// Configuration prototype each chunk's local state is cloned from.
-        proto: Arc<AggregateState>,
-        /// Contiguous morsel ranges, in canonical order.
-        ranges: Vec<Range<usize>>,
-        /// Next unclaimed chunk.
-        next: usize,
-    },
 }
 
 /// A claimed task, executed outside the pool lock.
 enum Task {
     Fetch(usize),
     Compute(usize, Result<RecordBatch>),
-    Chunk {
-        chunk: usize,
-        range: Range<usize>,
-        proto: Arc<AggregateState>,
-    },
 }
 
 /// A claimed unit of work: the owning job's id, its shared context and
@@ -142,55 +128,26 @@ fn claim(state: &mut PoolState) -> Option<Claimed> {
         if job.done {
             continue;
         }
-        match &mut job.work {
-            JobWork::Trace {
-                fetch_next,
-                fetch_inflight,
-                target,
-                ready,
-            } => {
-                if *fetch_next < job.morsels.len() && ready.len() + *fetch_inflight < *target {
-                    let idx = *fetch_next;
-                    *fetch_next += 1;
-                    *fetch_inflight += 1;
-                    return Some((id, job.ctx.clone(), job.morsels.clone(), Task::Fetch(idx)));
-                }
-                if let Some((idx, batch)) = ready.pop_front() {
-                    return Some((
-                        id,
-                        job.ctx.clone(),
-                        job.morsels.clone(),
-                        Task::Compute(idx, batch),
-                    ));
-                }
-            }
-            JobWork::Chunks {
-                proto,
-                ranges,
-                next,
-            } => {
-                if *next < ranges.len() {
-                    let chunk = *next;
-                    *next += 1;
-                    return Some((
-                        id,
-                        job.ctx.clone(),
-                        job.morsels.clone(),
-                        Task::Chunk {
-                            chunk,
-                            range: ranges[chunk].clone(),
-                            proto: proto.clone(),
-                        },
-                    ));
-                }
-            }
+        if job.fetch_next < job.morsels.len() && job.ready.len() + job.fetch_inflight < job.target {
+            let idx = job.fetch_next;
+            job.fetch_next += 1;
+            job.fetch_inflight += 1;
+            return Some((id, job.ctx.clone(), job.morsels.clone(), Task::Fetch(idx)));
+        }
+        if let Some((idx, batch)) = job.ready.pop_front() {
+            return Some((
+                id,
+                job.ctx.clone(),
+                job.morsels.clone(),
+                Task::Compute(idx, batch),
+            ));
         }
     }
     None
 }
 
 fn worker_loop(shared: Arc<PoolShared>, worker: usize) {
-    let mut state = shared.state.lock().expect("pool lock");
+    let mut state = shared.lock();
     loop {
         if state.shutdown {
             return;
@@ -200,27 +157,16 @@ fn worker_loop(shared: Arc<PoolShared>, worker: usize) {
                 let trace = state.trace.clone();
                 drop(state);
                 run_task(&shared, id, &ctx, &morsels, task, worker, trace.as_deref());
-                state = shared.state.lock().expect("pool lock");
+                state = shared.lock();
             }
             None => {
                 // Park span: how long this worker slept between claims.
                 // Best-effort — a worker that parked before the trace was
                 // attached records nothing for that nap.
                 let trace = state.trace.clone();
-                let parked_at = trace.as_ref().map(|b| b.now_us());
-                state = shared.work_cv.wait(state).expect("pool lock");
-                if let (Some(b), Some(t0)) = (&trace, parked_at) {
-                    b.record(
-                        worker,
-                        TraceEvent::span(
-                            "park",
-                            "pool",
-                            Lane::Worker(worker as u32),
-                            t0,
-                            b.now_us().saturating_sub(t0),
-                        ),
-                    );
-                }
+                let t0 = trace.as_deref().map_or(0, WorkerBuffers::now_us);
+                state = PoolShared::wait(&shared.work_cv, state);
+                record_span(trace.as_deref(), worker, "park".into(), t0);
             }
         }
     }
@@ -261,7 +207,7 @@ fn contained<T>(f: impl FnOnce() -> Result<T>) -> Result<T> {
     }
 }
 
-/// Executes one claimed task and records its result under the lock. Every
+/// Executes one claimed task and records its result under the lock. Each
 /// arm routes the actual processing through [`contained`], so the
 /// completion bookkeeping below it *always* runs — a lost worker's morsel
 /// surfaces as an error at its own output index, never as a hang.
@@ -279,17 +225,10 @@ fn run_task(
             let t0 = trace.map_or(0, WorkerBuffers::now_us);
             let fetched = contained(|| ctx.fetch_morsel(&morsels[idx]));
             record_span(trace, worker, format!("fetch m{idx}"), t0);
-            let mut state = shared.state.lock().expect("pool lock");
+            let mut state = shared.lock();
             if let Some(job) = state.jobs.get_mut(&id) {
-                if let JobWork::Trace {
-                    fetch_inflight,
-                    ready,
-                    ..
-                } = &mut job.work
-                {
-                    *fetch_inflight -= 1;
-                    ready.push_back((idx, fetched));
-                }
+                job.fetch_inflight -= 1;
+                job.ready.push_back((idx, fetched));
             }
             drop(state);
             // A compute (this morsel) and possibly a fetch (window slot
@@ -298,71 +237,24 @@ fn run_task(
         }
         Task::Compute(idx, fetched) => {
             let t0 = trace.map_or(0, WorkerBuffers::now_us);
-            let out = contained(|| fetched.and_then(|batch| ctx.compute_morsel(batch, None)));
+            let out = contained(|| fetched.and_then(|batch| ctx.compute_morsel(batch)));
             record_span(trace, worker, format!("compute m{idx}"), t0);
-            finish_unit(shared, id, |job| {
-                job.outputs[idx] = Some(out);
-            });
-        }
-        Task::Chunk {
-            chunk,
-            range,
-            proto,
-        } => {
-            let t0 = trace.map_or(0, WorkerBuffers::now_us);
-            let chunk_len = range.len();
-            let mut local = proto.fresh();
-            let mut outs: Vec<(usize, Result<MorselTrace>)> = Vec::with_capacity(range.len());
-            for i in range {
-                let r = contained(|| ctx.process_morsel_partial(&morsels[i], &mut local));
-                let failed = r.is_err();
-                outs.push((i, r));
-                if failed {
-                    // Stop the chunk: the driver reads morsels in canonical
-                    // order and surfaces this error before ever looking at
-                    // the chunk's unprocessed tail.
-                    break;
-                }
+            let mut state = shared.lock();
+            let Some(job) = state.jobs.get_mut(&id) else {
+                return;
+            };
+            job.outputs[idx] = Some(out);
+            job.remaining -= 1;
+            if job.remaining == 0 {
+                // The last morsel: the job is done, wake its driver.
+                job.done = true;
+                state.completed += 1;
+                drop(state);
+                shared.done_cv.notify_all();
+                // Siblings may be parked while other jobs still hold work.
+                shared.work_cv.notify_all();
             }
-            if let Some(b) = trace {
-                b.record(
-                    worker,
-                    TraceEvent::span(
-                        format!("chunk {chunk}"),
-                        "pool",
-                        Lane::Worker(worker as u32),
-                        t0,
-                        b.now_us().saturating_sub(t0),
-                    )
-                    .arg("morsels", chunk_len as u64),
-                );
-            }
-            finish_unit(shared, id, |job| {
-                for (i, r) in outs {
-                    job.outputs[i] = Some(r);
-                }
-                job.chunk_states[chunk] = Some(local);
-            });
         }
-    }
-}
-
-/// Records one completed work unit, marking the job done (and waking its
-/// driver) when it was the last.
-fn finish_unit(shared: &PoolShared, id: u64, record: impl FnOnce(&mut Job)) {
-    let mut state = shared.state.lock().expect("pool lock");
-    let Some(job) = state.jobs.get_mut(&id) else {
-        return;
-    };
-    record(job);
-    job.remaining -= 1;
-    if job.remaining == 0 {
-        job.done = true;
-        state.completed += 1;
-        drop(state);
-        shared.done_cv.notify_all();
-        // Siblings may be parked while other jobs still hold work.
-        shared.work_cv.notify_all();
     }
 }
 
@@ -400,10 +292,12 @@ impl WorkerPool {
     pub fn shared(workers: usize) -> Arc<WorkerPool> {
         static POOLS: OnceLock<Mutex<HashMap<usize, Arc<WorkerPool>>>> = OnceLock::new();
         let workers = workers.max(1);
+        // A poisoned registry is still a consistent map (a panicking
+        // `WorkerPool::new` inserts nothing), so recover it.
         let mut pools = POOLS
             .get_or_init(|| Mutex::new(HashMap::new()))
             .lock()
-            .expect("pool registry lock");
+            .unwrap_or_else(PoisonError::into_inner);
         pools
             .entry(workers)
             .or_insert_with(|| Arc::new(WorkerPool::new(workers)))
@@ -418,19 +312,21 @@ impl WorkerPool {
     /// Jobs (pipeline runs) this pool has completed over its lifetime —
     /// the pool-reuse statistic `PipelineMetrics` records.
     pub fn jobs_completed(&self) -> u64 {
-        self.shared.state.lock().expect("pool lock").completed
+        self.shared.lock().completed
     }
 
     /// Attaches wall-clock trace buffers for one query (`CI_TRACE=full`).
     /// The returned guard detaches on drop, so every exit path — including
     /// errors — leaves a shared pool clean for the next query.
-    pub(crate) fn attach_trace(&self, bufs: Arc<WorkerBuffers>) -> TraceGuard<'_> {
-        self.shared.state.lock().expect("pool lock").trace = Some(bufs);
-        TraceGuard { pool: self }
+    pub(crate) fn attach_trace(&self, bufs: Arc<WorkerBuffers>) -> TraceGuard {
+        self.shared.lock().trace = Some(bufs);
+        TraceGuard {
+            shared: self.shared.clone(),
+        }
     }
 
     fn submit(&self, job: Job) -> u64 {
-        let mut state = self.shared.state.lock().expect("pool lock");
+        let mut state = self.shared.lock();
         let id = state.next_job;
         state.next_job += 1;
         state.jobs.insert(id, job);
@@ -440,12 +336,14 @@ impl WorkerPool {
     }
 
     fn wait(&self, id: u64) -> Job {
-        let mut state = self.shared.state.lock().expect("pool lock");
+        let mut state = self.shared.lock();
         loop {
-            if state.jobs.get(&id).is_some_and(|j| j.done) {
-                return state.jobs.remove(&id).expect("job present");
+            if let Entry::Occupied(job) = state.jobs.entry(id) {
+                if job.get().done {
+                    return job.remove();
+                }
             }
-            state = self.shared.done_cv.wait(state).expect("pool lock");
+            state = PoolShared::wait(&self.shared.done_cv, state);
         }
     }
 
@@ -461,99 +359,37 @@ impl WorkerPool {
         let id = self.submit(Job {
             ctx,
             morsels,
-            work: JobWork::Trace {
-                fetch_next: 0,
-                fetch_inflight: 0,
-                // Enough fetched morsels for every worker to compute while
-                // one fetches ahead; 2 minimum so even a 1-worker pool
-                // overlaps the next fetch with the current compute.
-                target: self.workers.max(2),
-                ready: VecDeque::new(),
-            },
+            fetch_next: 0,
+            fetch_inflight: 0,
+            // Enough fetched morsels for every worker to compute while one
+            // fetches ahead; 2 minimum so even a 1-worker pool overlaps the
+            // next fetch with the current compute.
+            target: self.workers.max(2),
+            ready: VecDeque::new(),
             outputs: (0..n).map(|_| None).collect(),
-            chunk_states: Vec::new(),
             remaining: n,
             done: n == 0,
         });
         self.wait(id).outputs
     }
-
-    /// Partial aggregation: folds contiguous chunks of the morsel list into
-    /// chunk-local clones of `proto`, returning the per-morsel traces
-    /// (tails carry row counts, not batches) and the chunk states in
-    /// canonical chunk order. `chunks` is a target count (clamped to the
-    /// morsel count); the split is deterministic, so chunk layout — and
-    /// therefore the merged group order — depends only on the inputs.
-    pub(crate) fn run_partial(
-        &self,
-        ctx: Arc<ChainCtx>,
-        morsels: Arc<Vec<Morsel>>,
-        proto: AggregateState,
-        chunks: usize,
-    ) -> (Vec<Option<Result<MorselTrace>>>, Vec<AggregateState>) {
-        let n = morsels.len();
-        let ranges = split_ranges(n, chunks);
-        let k = ranges.len();
-        let id = self.submit(Job {
-            ctx,
-            morsels,
-            work: JobWork::Chunks {
-                proto: Arc::new(proto),
-                ranges,
-                next: 0,
-            },
-            outputs: (0..n).map(|_| None).collect(),
-            chunk_states: (0..k).map(|_| None).collect(),
-            remaining: k,
-            done: k == 0,
-        });
-        let job = self.wait(id);
-        let states = job
-            .chunk_states
-            .into_iter()
-            .map(|s| s.expect("completed chunk state"))
-            .collect();
-        (job.outputs, states)
-    }
-}
-
-/// Splits `n` morsels into (up to) `chunks` contiguous ranges of
-/// near-equal size, earlier ranges one longer when `n` does not divide
-/// evenly. Deterministic; empty for `n == 0`.
-fn split_ranges(n: usize, chunks: usize) -> Vec<Range<usize>> {
-    if n == 0 {
-        return Vec::new();
-    }
-    let k = chunks.clamp(1, n);
-    let base = n / k;
-    let rem = n % k;
-    let mut ranges = Vec::with_capacity(k);
-    let mut at = 0;
-    for c in 0..k {
-        let len = base + usize::from(c < rem);
-        ranges.push(at..at + len);
-        at += len;
-    }
-    debug_assert_eq!(at, n);
-    ranges
 }
 
 /// Detaches a pool's trace buffers when dropped (see
 /// [`WorkerPool::attach_trace`]).
-pub(crate) struct TraceGuard<'a> {
-    pool: &'a WorkerPool,
+pub(crate) struct TraceGuard {
+    shared: Arc<PoolShared>,
 }
 
-impl Drop for TraceGuard<'_> {
+impl Drop for TraceGuard {
     fn drop(&mut self) {
-        self.pool.shared.state.lock().expect("pool lock").trace = None;
+        self.shared.lock().trace = None;
     }
 }
 
 impl Drop for WorkerPool {
     fn drop(&mut self) {
         {
-            let mut state = self.shared.state.lock().expect("pool lock");
+            let mut state = self.shared.lock();
             state.shutdown = true;
         }
         self.shared.work_cv.notify_all();
@@ -575,29 +411,6 @@ impl std::fmt::Debug for WorkerPool {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn split_ranges_is_contiguous_and_balanced() {
-        for n in 0..40usize {
-            for k in 1..10usize {
-                let ranges = split_ranges(n, k);
-                if n == 0 {
-                    assert!(ranges.is_empty());
-                    continue;
-                }
-                assert_eq!(ranges.len(), k.min(n));
-                assert_eq!(ranges[0].start, 0);
-                assert_eq!(ranges.last().unwrap().end, n);
-                for w in ranges.windows(2) {
-                    assert_eq!(w[0].end, w[1].start, "contiguous");
-                    assert!(
-                        w[0].len() >= w[1].len() && w[0].len() - w[1].len() <= 1,
-                        "balanced, earlier chunks first: {ranges:?}"
-                    );
-                }
-            }
-        }
-    }
 
     #[test]
     fn shared_pools_are_keyed_by_worker_count() {
@@ -679,5 +492,29 @@ mod tests {
             assert_eq!(t.test_done_rows(), Some(i as u64 + 1));
         }
         assert_eq!(pool.jobs_completed(), 2);
+    }
+
+    /// A thread that panics while holding the pool lock poisons the mutex;
+    /// the table under it is still consistent (see `PoolShared::lock`), so
+    /// the parked workers and the next driver recover the guard and the
+    /// pool keeps serving jobs.
+    #[test]
+    fn poisoned_pool_lock_is_recovered_not_fatal() {
+        let pool = WorkerPool::new(2);
+        let shared = pool.shared.clone();
+        let poisoner = std::thread::spawn(move || {
+            let _guard = shared.state.lock().unwrap();
+            panic!("poison the pool lock");
+        });
+        assert!(poisoner.join().is_err());
+        assert!(pool.shared.state.is_poisoned());
+
+        let ctx = Arc::new(ChainCtx::test_passthrough(None));
+        let outs = pool.run_traces(ctx, morsels(&[4, 5, 6]));
+        for (i, o) in outs.iter().enumerate() {
+            let t = o.as_ref().unwrap().as_ref().unwrap();
+            assert_eq!(t.test_done_rows(), Some(i as u64 + 4));
+        }
+        assert_eq!(pool.jobs_completed(), 1);
     }
 }

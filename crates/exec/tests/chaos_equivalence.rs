@@ -76,8 +76,7 @@ fn catalog() -> Catalog {
 }
 
 /// Same shape coverage as `parallel_equivalence`: scan filters, projections,
-/// exchange/gather, join build/probe, group-by (incl. the partial-agg
-/// path), sort, and limit.
+/// exchange/gather, join build/probe, group-by, sort, and limit.
 const QUERIES: &[&str] = &[
     "SELECT o_id FROM orders WHERE o_total < 40.0",
     "SELECT o_id, o_total * 2.0 AS dbl FROM orders WHERE o_id < 300 ORDER BY o_id",

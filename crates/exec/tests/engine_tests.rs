@@ -343,52 +343,6 @@ fn projection_arithmetic_in_results() {
 }
 
 #[test]
-fn wire_roundtrip_execution_is_bit_identical_to_size_only() {
-    // The receiver-side wire decode path: every exchanged/gathered batch is
-    // really serialized through the pipeline's WireEncoder and decoded back
-    // through the paired WireDecoder's dictionary cache. Results, wire byte
-    // accounting, and the bill must be bit-identical to the default
-    // size-only simulation — the wire format is lossless and its size-only
-    // accounting is the serializer's exact size function.
-    let cat = catalog();
-    for sql in [
-        "SELECT c_region, SUM(o_total) AS rev, COUNT(*) AS n FROM orders o \
-         JOIN customers c ON o.o_cust = c.c_id GROUP BY c_region ORDER BY c_region",
-        "SELECT c_region, COUNT(*) FROM customers GROUP BY c_region",
-        "SELECT o_id FROM orders WHERE o_total < 10.0",
-        // Exchange AND Gather in one pipeline: the dict column crosses two
-        // transfer points, so the decoded view's receiver-side dictionary
-        // must be aliased to the shipped one or the Gather re-ships it.
-        "SELECT c_region, o_id FROM customers c JOIN orders o ON o.o_cust = c.c_id",
-    ] {
-        let (plan, graph) = plan_of(&cat, sql);
-        let dops = vec![4u32; graph.len()];
-        let exec = Executor::new(&cat, ExecutionConfig::default());
-        let base = exec.execute(&plan, &graph, &dops, &mut NoScaling).unwrap();
-        let exec_rt = Executor::new(
-            &cat,
-            ExecutionConfig {
-                wire_roundtrip: true,
-                ..ExecutionConfig::default()
-            },
-        );
-        let rt = exec_rt
-            .execute(&plan, &graph, &dops, &mut NoScaling)
-            .unwrap();
-        assert_eq!(rt.result, base.result, "{sql}: rows must round-trip");
-        assert_eq!(rt.metrics.cost, base.metrics.cost, "{sql}: Dollars drifted");
-        assert_eq!(rt.metrics.latency, base.metrics.latency, "{sql}");
-        for (a, b) in rt.metrics.pipelines.iter().zip(&base.metrics.pipelines) {
-            assert_eq!(
-                a.exchange_wire_bytes, b.exchange_wire_bytes,
-                "{sql}: serialized bytes must equal the size-only accounting"
-            );
-            assert_eq!(a.exchange_decoded_bytes, b.exchange_decoded_bytes, "{sql}");
-        }
-    }
-}
-
-#[test]
 fn sort_limit_pushdown_keeps_results_and_trims_materialization() {
     let cat = catalog();
     // Top-7 by total: the sort sink materializes only 7 rows (node_actual

@@ -242,15 +242,13 @@ proptest! {
     }
 
     /// Groups come out in first-appearance order with the scan reference's
-    /// aggregates, whether morsels fold sequentially or chunk-local states
-    /// are absorbed in chunk order — for every key shape, with every morsel
-    /// carrying its own dictionary.
+    /// aggregates when morsels fold in sequence — for every key shape, with
+    /// every morsel carrying its own dictionary.
     #[test]
-    fn aggregation_equals_scan_oracle_sequential_and_absorbed(
+    fn aggregation_equals_scan_oracle(
         rows in proptest::collection::vec((-3i64..3, 0usize..5), 0..80),
         values in proptest::collection::vec(-50i64..50, 80),
         morsels in proptest::collection::vec(1usize..12, 1..6),
-        chunks in proptest::collection::vec(1usize..4, 1..4),
     ) {
         let values = &values[..rows.len()];
         for shape in SHAPES {
@@ -271,22 +269,20 @@ proptest! {
                 arg: arg.map(PlanExpr::Col),
                 distinct: false,
             };
-            let new_state = || {
-                let in_types = |slot: usize| -> Result<DataType> { Ok(slot_types[slot]) };
-                AggregateState::new(
-                    (0..g).map(PlanExpr::Col).collect(),
-                    vec![
-                        agg(AggFunc::Count, None),
-                        agg(AggFunc::Sum, Some(g)),
-                        agg(AggFunc::Min, Some(g)),
-                        agg(AggFunc::Max, Some(g)),
-                    ],
-                    ColMap::from_slots(&(0..=g).collect::<Vec<_>>()),
-                    &in_types,
-                    out_schema.clone(),
-                )
-                .expect("state")
-            };
+            let in_types = |slot: usize| -> Result<DataType> { Ok(slot_types[slot]) };
+            let mut state = AggregateState::new(
+                (0..g).map(PlanExpr::Col).collect(),
+                vec![
+                    agg(AggFunc::Count, None),
+                    agg(AggFunc::Sum, Some(g)),
+                    agg(AggFunc::Min, Some(g)),
+                    agg(AggFunc::Max, Some(g)),
+                ],
+                ColMap::from_slots(&(0..=g).collect::<Vec<_>>()),
+                &in_types,
+                out_schema,
+            )
+            .expect("state");
             // One batch per morsel, each interning its own dictionary.
             let batches: Vec<RecordBatch> = cut(&rows, &morsels)
                 .into_iter()
@@ -294,18 +290,8 @@ proptest! {
                 .map(|(r, v)| table(shape, r, v))
                 .collect();
 
-            let mut sequential = new_state();
             for b in &batches {
-                sequential.update(b).expect("update");
-            }
-            let mut absorbed = new_state();
-            prop_assert!(absorbed.mergeable());
-            for chunk in cut(&batches, &chunks) {
-                let mut local = absorbed.fresh();
-                for b in chunk {
-                    local.update(b).expect("update");
-                }
-                absorbed.absorb(local);
+                state.update(b).expect("update");
             }
 
             // (key, count, sum, min, max) in first-appearance order.
@@ -330,12 +316,10 @@ proptest! {
                         .collect()
                 })
                 .collect();
-            for (name, state) in [("sequential", sequential), ("absorbed", absorbed)] {
-                prop_assert_eq!(state.group_count(), expected.len());
-                let out = state.finalize().expect("finalize");
-                let got: Vec<Vec<Value>> = (0..out.rows()).map(|r| out.row(r)).collect();
-                prop_assert_eq!(&got, &expected, "{} fold, {:?}", name, shape);
-            }
+            prop_assert_eq!(state.group_count(), expected.len());
+            let out = state.finalize().expect("finalize");
+            let got: Vec<Vec<Value>> = (0..out.rows()).map(|r| out.row(r)).collect();
+            prop_assert_eq!(&got, &expected, "{:?}", shape);
         }
     }
 }

@@ -120,6 +120,19 @@ fn run(
     tiers: Option<TierPricing>,
     tier_sim: Option<Arc<Mutex<TierCacheSim>>>,
 ) -> QueryOutcome {
+    try_run(cat, sql, mode, page_source, faults, tiers, tier_sim).unwrap()
+}
+
+/// [`run`], with the executor's error handed back instead of unwrapped.
+fn try_run(
+    cat: &Catalog,
+    sql: &str,
+    mode: ExecutionMode,
+    page_source: PageSourceMode,
+    faults: Option<FaultPlan>,
+    tiers: Option<TierPricing>,
+    tier_sim: Option<Arc<Mutex<TierCacheSim>>>,
+) -> ci_types::Result<QueryOutcome> {
     let (plan, graph) = plan_of(cat, sql);
     let exec = Executor::new(
         cat,
@@ -134,7 +147,7 @@ fn run(
         },
     );
     let dops = vec![4u32; graph.len()];
-    exec.execute(&plan, &graph, &dops, &mut NoScaling).unwrap()
+    exec.execute(&plan, &graph, &dops, &mut NoScaling)
 }
 
 /// Bit-exact equivalence: rows, Dollars, latency, machine time, node
@@ -392,5 +405,55 @@ fn warm_cache_changes_the_bill_never_the_rows() {
             &chaos.result, &cold.result,
             "mode={mode:?}: chaos over a warm cache"
         );
+    }
+}
+
+/// The `LIMIT` contract of the single morsel path: a failure past a
+/// satisfied `LIMIT` stays invisible. The last partition file of `orders`
+/// is garbage; `LIMIT 100` is satisfied by the first morsel, so the inline
+/// trace source never fetches the bad partition and the pooled one — whose
+/// workers did fetch it — leaves the error unread in its slot. Without the
+/// `LIMIT` the same scan meets the bad partition and fails with a typed
+/// error, not a panic, in both modes.
+#[test]
+fn a_failure_past_a_satisfied_limit_stays_invisible() {
+    let cat = catalog();
+    let orders = &cat.get("orders").unwrap().table;
+    let store = cat.page_store().unwrap();
+    store.ensure_table(orders).unwrap();
+    let last = orders.partitions.len() - 1;
+    std::fs::write(store.partition_path(orders.id, last), b"not a CIPF file").unwrap();
+
+    let modes = [
+        ExecutionMode::Simulate,
+        ExecutionMode::Parallel { workers: 2 },
+    ];
+    let limited = "SELECT o_id FROM orders LIMIT 100";
+    let base = run(
+        &cat,
+        limited,
+        ExecutionMode::Simulate,
+        PageSourceMode::Mem,
+        None,
+        None,
+        None,
+    );
+    assert_eq!(base.result.rows(), 100);
+    for mode in modes {
+        let got = run(&cat, limited, mode, PageSourceMode::Disk, None, None, None);
+        assert_equivalent(&base, &got, &format!("mode={mode:?} [{limited}]"));
+    }
+    for mode in modes {
+        let err = try_run(
+            &cat,
+            "SELECT o_id FROM orders",
+            mode,
+            PageSourceMode::Disk,
+            None,
+            None,
+            None,
+        )
+        .expect_err("the full scan reads the bad partition");
+        assert_eq!(err.kind(), "storage", "mode={mode:?}: {err}");
     }
 }

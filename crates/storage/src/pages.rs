@@ -1788,23 +1788,6 @@ impl WireEncoder {
         (entry.0, entry.0 == next_id)
     }
 
-    /// Registers `alias` as the same stream dictionary as the
-    /// already-shipped `original`, so a receiver-decoded view of a column
-    /// (whose dictionary is the *receiver's* `Arc`, not the sender's) can
-    /// be re-encoded on this stream without re-shipping its dictionary.
-    /// The engine's wire-roundtrip path uses this when one pipeline has
-    /// several transfer points (Exchange then Gather) and the decoded batch
-    /// keeps flowing: byte accounting must match the size-only simulation,
-    /// which recognizes the original `Arc` throughout. No-op when
-    /// `original` was never shipped or `alias` is already known.
-    pub fn alias_shipped(&mut self, original: &Arc<Dictionary>, alias: &Arc<Dictionary>) {
-        if let Some(&(id, _)) = self.shipped.get(&(Arc::as_ptr(original) as usize)) {
-            self.shipped
-                .entry(Arc::as_ptr(alias) as usize)
-                .or_insert_with(|| (id, alias.clone()));
-        }
-    }
-
     /// Number of int frames currently cached (one per stream column that
     /// has shipped a FoR/Delta chunk).
     pub fn cached_frames(&self) -> usize {
