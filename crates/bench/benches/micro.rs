@@ -18,13 +18,12 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 
 use ci_autotune::{QueryLogRecord, StatisticsService, StatsConfig};
 use ci_bench::hotpath::{
-    parallel_fixture, run_exchange_wire, run_filter, run_filter_chain, run_group_by, run_join,
-    run_page_encode, run_page_encode_int, run_parallel_scan_join, run_retry_storm,
-    sorted_int_batch, string_batch, wide_batch, PARALLEL_WORKERS,
+    run_exchange_wire, run_filter, run_filter_chain, run_group_by, run_join, run_page_encode,
+    run_page_encode_int, sorted_int_batch, string_batch, wide_batch,
 };
 use ci_bench::plan_query;
 use ci_cost::{CostEstimator, EstimatorConfig};
-use ci_exec::{ExecutionConfig, ExecutionMode, Executor, NoScaling};
+use ci_exec::{ExecutionConfig, Executor, NoScaling};
 use ci_optimizer::{Constraint, DopPlanner, Optimizer, OptimizerConfig};
 use ci_storage::pruning::ColumnBound;
 use ci_storage::value::Value;
@@ -99,32 +98,6 @@ fn bench_executor(c: &mut Criterion) {
                 exec.execute(&plan, &graph, &dops, &mut NoScaling)
                     .expect("run")
             })
-        });
-    }
-    // The parallel runtime against its simulator baseline on the same
-    // scan-filter-join plan (bit-identical results by contract).
-    let (pcat, pplan, pgraph) = parallel_fixture(65_536).expect("parallel fixture");
-    for (name, mode) in [
-        ("parallel_scan_join/simulate", ExecutionMode::Simulate),
-        (
-            "parallel_scan_join/4_workers",
-            ExecutionMode::Parallel {
-                workers: PARALLEL_WORKERS,
-            },
-        ),
-    ] {
-        g.bench_function(name, |b| {
-            b.iter(|| run_parallel_scan_join(&pcat, &pplan, &pgraph, mode).expect("run"))
-        });
-    }
-    // The same plan with the fault hooks explicitly disabled vs under a
-    // seeded chaos plan (retries, hedges, reassignment all firing).
-    for (name, chaos) in [
-        ("retry_storm/hooks_off", false),
-        ("retry_storm/chaos", true),
-    ] {
-        g.bench_function(name, |b| {
-            b.iter(|| run_retry_storm(&pcat, &pplan, &pgraph, chaos).expect("run"))
         });
     }
     g.finish();

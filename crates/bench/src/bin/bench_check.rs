@@ -1,17 +1,11 @@
 //! CI gate over `BENCH_micro.json`: validates the report schema and fails
 //! (non-zero exit) when any recorded kernel speedup drops below 1.0, when
 //! the dict-exchange wire payload stops beating the plain payload, or when
-//! it is no longer >= 2x smaller than the decoded bytes, or when the
-//! disabled fault hooks cost >= 5% on the parallel scan-join, or when
-//! dormant tracing (`CI_TRACE=off`) costs >= 3% on the same plan, or when
-//! the warm cache-hit scan stops beating cold `CIPF` reads by >= 2x — a
-//! regression on the dictionary, selection-vector, wire-format,
-//! fault-injection, or tracing paths breaks the build instead of slipping
-//! into the artifact. Core-count-conditional speedup
-//! gates that cannot bind on this host (fewer cores than workers) are
-//! printed as explicit `gate skipped: ...` lines rather than passing
-//! silently; the presence and duration-consistency of those measurements is
-//! enforced either way.
+//! it is no longer >= 2x smaller than the decoded bytes, or when the warm
+//! cache-hit scan stops beating cold `CIPF` reads by >= 2x — a regression
+//! on the dictionary, selection-vector, wire-format, or tier-cache paths
+//! breaks the build instead of slipping into the artifact. Every gate
+//! binds on every host: no measurement here depends on the core count.
 //!
 //! Usage: `cargo run --release -p ci-bench --bin bench_check [path]`
 //! (default path `BENCH_micro.json`, or `$BENCH_MICRO_OUT`).
@@ -27,11 +21,6 @@ fn main() -> Result<()> {
     let text = std::fs::read_to_string(&path)
         .map_err(|e| CiError::Config(format!("cannot read {path}: {e}")))?;
     let report = BenchReport::parse(&text)?;
-    // A gate the host cannot honestly evaluate must say so in the log —
-    // a silently skipped gate looks exactly like a passing one.
-    for s in report.gate_skips() {
-        println!("BENCH_micro {s}");
-    }
     let violations = report.violations();
     for v in &violations {
         eprintln!("BENCH_micro violation: {v}");
@@ -55,21 +44,6 @@ fn main() -> Result<()> {
         report.exchange_wire_bytes,
         report.exchange_plain_bytes,
         report.exchange_decoded_bytes,
-    );
-    println!(
-        "{path}: parallel {:.2}x at {} workers ({} cores), pool reuse {:.2}x",
-        report.parallel_speedup,
-        report.parallel_workers,
-        report.host_cores,
-        report.pool_reuse_speedup,
-    );
-    println!(
-        "{path}: retry storm hooks-off {:.2}x of plain scan-join, chaos {} ns",
-        report.retry_storm_overhead, report.retry_storm_chaos_ns,
-    );
-    println!(
-        "{path}: trace hooks-off {:.2}x of plain scan-join, full tracing {} ns",
-        report.trace_overhead, report.trace_full_ns,
     );
     println!(
         "{path}: cache-hit scan warm {:.2}x over cold CIPF reads ({} partitions)",

@@ -15,43 +15,28 @@
 //! three currencies (`exchange_wire_bytes` / `exchange_plain_bytes` /
 //! `exchange_decoded_bytes`) and the sorted-int page footprint
 //! (`int_encoded_bytes` / `int_plain_bytes`). The JSON lands at the repo
-//! root (or
-//! `$BENCH_MICRO_OUT`) so successive PRs can track the perf trajectory; CI
-//! uploads it as an artifact and `bench_check` fails the build if any
-//! recorded speedup regresses below 1.0 or the dict-exchange payload stops
-//! beating the plain one. The report additionally records the parallel
-//! runtime's scan-join speedup over the simulator (`parallel_sim_ns` /
-//! `parallel_4w_ns` / `parallel_speedup`, with `host_cores` so the gate
-//! only binds on hosts that can actually run the workers), the persistent
-//! pool's warm-vs-cold query times (`pool_cold_ns` / `pool_warm_ns` /
-//! `pool_reuse_speedup`, consistency-checked but not speed-gated: thread
-//! spawn cost is too host-dependent for a ratio floor), and the fault-hook
-//! overhead of the retry-storm kernel (`retry_storm_off_ns` /
-//! `retry_storm_chaos_ns` / `retry_storm_overhead`: the scan-join plan with
-//! the fault hooks explicitly disabled vs under a seeded chaos plan — the
-//! disabled arm is gated < 5% over the plain parallel measurement when
-//! `host_cores` suffices; the chaos arm is recorded for the trajectory),
-//! and the tracing layer's dormant overhead (`trace_off_ns` /
-//! `trace_full_ns` / `trace_overhead`: the scan-join plan with
-//! `CI_TRACE=off` vs `full` — the off arm is gated < 3% over the plain
-//! parallel measurement when `host_cores` suffices; the full arm is
-//! recorded for the trajectory), and the tiered cache's hit economics
-//! (`cache_cold_ns` / `cache_warm_ns` / `cache_hit_speedup`: every
-//! partition of a CIPF-persisted table read through the tier stack fully
-//! cold — open, checksum, decode per file — vs served from the memory
-//! tier; gated >= 2x when `host_cores` suffices).
+//! root (or `$BENCH_MICRO_OUT`) so successive PRs can track the perf
+//! trajectory; CI uploads it as an artifact and `bench_check` fails the
+//! build if any recorded speedup regresses below 1.0 or the dict-exchange
+//! payload stops beating the plain one. The report additionally records
+//! the tiered cache's hit economics (`cache_cold_ns` / `cache_warm_ns` /
+//! `cache_hit_speedup`: every partition of a CIPF-persisted table read
+//! through the tier stack fully cold — open, checksum, decode per file —
+//! vs served from the memory tier; gated >= 2x).
+//!
+//! Every kernel here is single-threaded. What the engine's worker pool,
+//! fault hooks and tracer cost a whole query is `bench_e2e`'s to measure
+//! (`exec.par_speedup`, `exec.pool_reuses`, `obs.engine_trace_overhead`).
 //!
 //! Usage: `cargo run --release -p ci-bench --bin bench_micro`
 
 use std::time::Instant;
 
 use ci_bench::hotpath::{
-    cache_scan_fixture, exchange_wire_accounting, int_codec_accounting, parallel_fixture,
-    run_cache_hit_scan, run_exchange_wire, run_filter, run_filter_chain, run_group_by, run_join,
-    run_page_encode, run_page_encode_int, run_parallel_scan_join, run_pool_reuse, run_retry_storm,
-    run_trace_overhead, sorted_int_batch, string_batch, warm_cache, wide_batch, PARALLEL_WORKERS,
+    cache_scan_fixture, exchange_wire_accounting, int_codec_accounting, run_cache_hit_scan,
+    run_exchange_wire, run_filter, run_filter_chain, run_group_by, run_join, run_page_encode,
+    run_page_encode_int, sorted_int_batch, string_batch, warm_cache, wide_batch,
 };
-use ci_exec::{ExecutionMode, TraceLevel};
 use ci_storage::RecordBatch;
 use ci_types::Result;
 
@@ -161,95 +146,11 @@ fn main() -> Result<()> {
         measure("exchange_wire", |b, _| run_exchange_wire(b, MORSEL))?,
     ];
 
-    // Parallel-runtime measurement: the same scan-filter-join plan through
-    // the simulator (single-threaded oracle) and the work-stealing pool at
-    // PARALLEL_WORKERS. Results are bit-identical by contract (checksummed
-    // here), so the timing ratio is pure runtime speedup. Recorded as
-    // top-level fields, not a `benches` entry: on hosts with fewer cores
-    // than workers the ratio legitimately drops below 1.0, so `bench_check`
-    // gates it only when `host_cores` suffices.
-    let (cat, plan, graph) = parallel_fixture(ROWS)?;
-    let (parallel_sim_ns, sim_check) =
-        time_min(|| run_parallel_scan_join(&cat, &plan, &graph, ExecutionMode::Simulate))?;
-    let (parallel_4w_ns, par_check) = time_min(|| {
-        run_parallel_scan_join(
-            &cat,
-            &plan,
-            &graph,
-            ExecutionMode::Parallel {
-                workers: PARALLEL_WORKERS,
-            },
-        )
-    })?;
-    assert_eq!(
-        sim_check, par_check,
-        "parallel_scan_join: modes disagree on results"
-    );
-    let parallel_speedup = parallel_sim_ns as f64 / parallel_4w_ns.max(1) as f64;
-    let host_cores = std::thread::available_parallelism().map_or(1, usize::from);
-
-    // Pool-reuse measurement: the scan-join plan against the process-wide
-    // warm pool vs a private pool spawned and joined inside the timed call.
-    // Recorded for the perf trajectory; bench_check only consistency-checks
-    // it (thread spawn cost varies too much across hosts for a ratio gate).
-    let (pool_cold_ns, cold_check) = time_min(|| run_pool_reuse(&cat, &plan, &graph, false))?;
-    let (pool_warm_ns, warm_check) = time_min(|| run_pool_reuse(&cat, &plan, &graph, true))?;
-    assert_eq!(
-        cold_check, warm_check,
-        "pool_reuse: pool temperature changed results"
-    );
-    let pool_reuse_speedup = pool_cold_ns as f64 / pool_warm_ns.max(1) as f64;
-
-    // Retry-storm measurement: the scan-join plan with the fault hooks
-    // explicitly disabled (identical work to the parallel measurement above,
-    // so the ratio against `parallel_4w_ns` is the dormant fault machinery's
-    // hot-path overhead — bench_check gates it < 5% when host_cores
-    // suffices) and under a seeded chaos plan driving the full recovery
-    // machinery (recorded for the trajectory, not gated: the injected
-    // schedule's cost is by design). Recoverable faults never change the
-    // answer, so all three checksums must agree.
-    let (retry_storm_off_ns, storm_off_check) =
-        time_min(|| run_retry_storm(&cat, &plan, &graph, false))?;
-    let (retry_storm_chaos_ns, storm_chaos_check) =
-        time_min(|| run_retry_storm(&cat, &plan, &graph, true))?;
-    assert_eq!(
-        storm_off_check, par_check,
-        "retry_storm: disabled hooks changed results"
-    );
-    assert_eq!(
-        storm_chaos_check, par_check,
-        "retry_storm: recoverable chaos changed results"
-    );
-    let retry_storm_overhead = retry_storm_off_ns as f64 / parallel_4w_ns.max(1) as f64;
-
-    // Trace-overhead measurement: the scan-join plan with the tracing
-    // machinery pinned off (identical work to the parallel measurement, so
-    // the ratio against `parallel_4w_ns` is the dormant instrumentation's
-    // hot-path overhead — bench_check gates it < 3% when host_cores
-    // suffices) and at `full` (spans + registry + wall-clock worker lanes,
-    // recorded for the trajectory, not gated). Tracing never touches the
-    // data path, so both checksums must match the plain parallel run.
-    let (trace_off_ns, trace_off_check) =
-        time_min(|| run_trace_overhead(&cat, &plan, &graph, TraceLevel::Off))?;
-    let (trace_full_ns, trace_full_check) =
-        time_min(|| run_trace_overhead(&cat, &plan, &graph, TraceLevel::Full))?;
-    assert_eq!(
-        trace_off_check, par_check,
-        "trace_overhead: dormant tracing changed results"
-    );
-    assert_eq!(
-        trace_full_check, par_check,
-        "trace_overhead: full tracing changed results"
-    );
-    let trace_overhead = trace_off_ns as f64 / parallel_4w_ns.max(1) as f64;
-
     // Cache-hit-scan measurement: every partition of a CIPF-persisted table
     // read through the tier stack, fully cold (each read opens, checksums,
     // and decodes the on-disk page file) vs fully warm (each read served
     // from the memory tier's decoded batches). The ratio is the pure cost
-    // of the object-tier round trip — bench_check gates it >= 2x, with the
-    // usual starved-host skip: a host too contended for the parallel gates
-    // times this IO-vs-memory ratio too noisily as well.
+    // of the object-tier round trip — bench_check gates it >= 2x.
     let (tiers, cache_table, cache_parts) = cache_scan_fixture(ROWS)?;
     let (cache_cold_ns, cache_cold_check) =
         time_min(|| run_cache_hit_scan(&tiers, cache_table, cache_parts))?;
@@ -272,31 +173,9 @@ fn main() -> Result<()> {
     let (int_encoded_bytes, int_plain_bytes) = int_codec_accounting(&sorted_int_batch(ROWS))?;
 
     let mut json = String::from("{\n");
-    json.push_str("  \"schema_version\": 9,\n");
+    json.push_str("  \"schema_version\": 10,\n");
     json.push_str(&format!("  \"rows\": {ROWS},\n"));
     json.push_str(&format!("  \"cardinality\": {CARDINALITY},\n"));
-    json.push_str(&format!("  \"parallel_sim_ns\": {parallel_sim_ns},\n"));
-    json.push_str(&format!("  \"parallel_4w_ns\": {parallel_4w_ns},\n"));
-    json.push_str(&format!("  \"parallel_speedup\": {parallel_speedup:.2},\n"));
-    json.push_str(&format!("  \"parallel_workers\": {PARALLEL_WORKERS},\n"));
-    json.push_str(&format!("  \"host_cores\": {host_cores},\n"));
-    json.push_str(&format!("  \"pool_cold_ns\": {pool_cold_ns},\n"));
-    json.push_str(&format!("  \"pool_warm_ns\": {pool_warm_ns},\n"));
-    json.push_str(&format!(
-        "  \"pool_reuse_speedup\": {pool_reuse_speedup:.2},\n"
-    ));
-    json.push_str(&format!(
-        "  \"retry_storm_off_ns\": {retry_storm_off_ns},\n"
-    ));
-    json.push_str(&format!(
-        "  \"retry_storm_chaos_ns\": {retry_storm_chaos_ns},\n"
-    ));
-    json.push_str(&format!(
-        "  \"retry_storm_overhead\": {retry_storm_overhead:.2},\n"
-    ));
-    json.push_str(&format!("  \"trace_off_ns\": {trace_off_ns},\n"));
-    json.push_str(&format!("  \"trace_full_ns\": {trace_full_ns},\n"));
-    json.push_str(&format!("  \"trace_overhead\": {trace_overhead:.2},\n"));
     json.push_str(&format!("  \"cache_cold_ns\": {cache_cold_ns},\n"));
     json.push_str(&format!("  \"cache_warm_ns\": {cache_warm_ns},\n"));
     json.push_str(&format!(
@@ -344,32 +223,6 @@ fn main() -> Result<()> {
         plain_bytes as f64 / 1e3,
         decoded_bytes as f64 / 1e3,
         decoded_bytes as f64 / wire_bytes.max(1) as f64
-    );
-    println!(
-        "parallel scan-join: simulator {:.2} ms vs {} workers {:.2} ms ({:.2}x, {} host cores)",
-        parallel_sim_ns as f64 / 1e6,
-        PARALLEL_WORKERS,
-        parallel_4w_ns as f64 / 1e6,
-        parallel_speedup,
-        host_cores
-    );
-    println!(
-        "pool reuse: cold spawn {:.2} ms vs warm pool {:.2} ms ({:.2}x)",
-        pool_cold_ns as f64 / 1e6,
-        pool_warm_ns as f64 / 1e6,
-        pool_reuse_speedup
-    );
-    println!(
-        "retry storm: hooks off {:.2} ms ({:.2}x of plain scan-join) vs chaos {:.2} ms",
-        retry_storm_off_ns as f64 / 1e6,
-        retry_storm_overhead,
-        retry_storm_chaos_ns as f64 / 1e6,
-    );
-    println!(
-        "trace overhead: off {:.2} ms ({:.2}x of plain scan-join) vs full {:.2} ms",
-        trace_off_ns as f64 / 1e6,
-        trace_overhead,
-        trace_full_ns as f64 / 1e6,
     );
     println!(
         "cache hit scan: cold CIPF reads {:.2} ms vs warm memory tier {:.2} ms ({:.2}x, {} partitions)",

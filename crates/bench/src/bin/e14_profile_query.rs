@@ -1,7 +1,7 @@
 //! E14: query tracing and dollar attribution under chaos.
 //!
-//! Runs the scan-filter-join fixture with `CI_TRACE=full`-level tracing and
-//! a seeded chaos fault plan, in both execution modes, and demonstrates the
+//! Runs a scan-filter-join fixture at `TraceLevel::Full` under a seeded
+//! chaos fault plan, in both execution modes, and demonstrates the
 //! observability contract end to end:
 //!
 //! * the per-node `Dollars` in the profile fold back to `QueryMetrics::cost`
@@ -21,18 +21,73 @@
 //! parallel run's samples are folded back and saved on clean exit, so a
 //! fleet of runs converges on this host's real rates.
 
-use ci_bench::banner;
-use ci_bench::hotpath::parallel_fixture;
+use std::sync::Arc;
+
+use ci_bench::{banner, plan_query};
+use ci_catalog::Catalog;
 use ci_cost::calibration::MeasuredRates;
 use ci_exec::{
     ExecutionConfig, ExecutionMode, Executor, FaultPlan, NoScaling, QueryOutcome, TraceLevel,
     WorkModels,
 };
-use ci_types::{Dollars, Result};
+use ci_plan::{PhysicalPlan, PipelineGraph};
+use ci_storage::column::ColumnData;
+use ci_storage::schema::{Field, Schema};
+use ci_storage::table::TableBuilder;
+use ci_storage::value::DataType;
+use ci_storage::RecordBatch;
+use ci_types::{Dollars, Result, TableId};
 
 const CHAOS_SEED: u64 = 42;
 const ROWS: usize = 60_000;
 const WORKERS: u32 = 4;
+
+/// Scan filter + join probe + projection keep the per-morsel chain (the part
+/// the worker pool parallelizes) heavy, while the `Result` sink keeps the
+/// driver's serial accounting tail thin.
+const SQL: &str = "SELECT o_id, o_total FROM orders o \
+                   JOIN customers c ON o.o_cust = c.c_id \
+                   WHERE o_total > 100.0";
+
+/// Catalog + plan for [`SQL`]: a `rows`-row fact table over many small
+/// partitions (so the morsel queue has enough grains to steal) joined
+/// against a small dimension.
+fn fixture(rows: usize) -> Result<(Catalog, PhysicalPlan, PipelineGraph)> {
+    let mut cat = Catalog::new();
+    let orders = Arc::new(Schema::of(vec![
+        Field::new("o_id", DataType::Int64),
+        Field::new("o_cust", DataType::Int64),
+        Field::new("o_total", DataType::Float64),
+    ]));
+    let n = rows as i64;
+    let mut b = TableBuilder::new(TableId::new(0), "orders", orders.clone(), 4_096)?;
+    b.append(RecordBatch::new(
+        orders,
+        vec![
+            ColumnData::Int64((0..n).collect()),
+            ColumnData::Int64((0..n).map(|i| i * 13 % 2_000).collect()),
+            ColumnData::Float64((0..n).map(|i| (i % 1_000) as f64).collect()),
+        ],
+    )?)?;
+    cat.register(b.finish()?);
+
+    let cust = Arc::new(Schema::of(vec![
+        Field::new("c_id", DataType::Int64),
+        Field::new("c_name", DataType::Utf8),
+    ]));
+    let mut b = TableBuilder::new(TableId::new(1), "customers", cust.clone(), 512)?;
+    b.append(RecordBatch::new(
+        cust,
+        vec![
+            ColumnData::Int64((0..2_000).collect()),
+            ColumnData::Utf8((0..2_000).map(|i| format!("cust{i:05}")).collect()),
+        ],
+    )?)?;
+    cat.register(b.finish()?);
+
+    let (plan, graph) = plan_query(&cat, SQL)?;
+    Ok((cat, plan, graph))
+}
 
 fn main() -> Result<()> {
     banner(
@@ -40,7 +95,7 @@ fn main() -> Result<()> {
         "structured spans on a dual clock, per-node dollar attribution that \
          folds bit-exactly to the bill, identical across execution modes",
     );
-    let (cat, plan, graph) = parallel_fixture(ROWS)?;
+    let (cat, plan, graph) = fixture(ROWS)?;
 
     // Satellite: calibration persistence. Rates measured by earlier runs
     // seed the cost models; this run's samples are saved back on exit.

@@ -10,14 +10,8 @@
 
 use std::sync::Arc;
 
-use ci_catalog::Catalog;
 use ci_exec::operators::{AggregateState, JoinHashTable};
-use ci_exec::{
-    ExecutionConfig, ExecutionMode, Executor, FaultPlan, NoScaling, TraceLevel, WorkerPool,
-};
 use ci_plan::expr::{AggExpr, BinOp, ColMap, PlanExpr};
-use ci_plan::physical::PhysicalPlan;
-use ci_plan::pipeline::PipelineGraph;
 use ci_sql::ast::AggFunc;
 use ci_storage::column::ColumnData;
 use ci_storage::pages::{self, PageCodec, WireEncoder};
@@ -321,196 +315,6 @@ pub fn run_group_by(batch: &RecordBatch, morsel: usize) -> Result<usize> {
     Ok(st.finalize()?.rows())
 }
 
-/// Default worker count for the parallel-runtime kernel (matches the CI
-/// runner's 4 cores).
-pub const PARALLEL_WORKERS: usize = 4;
-
-/// The query the parallel kernel runs: scan filter + join probe +
-/// projection keep the per-morsel chain (the part the worker pool
-/// parallelizes) heavy, while the `Result` sink keeps the driver's serial
-/// accounting tail thin.
-pub const PARALLEL_SQL: &str = "SELECT o_id, o_total FROM orders o \
-                                JOIN customers c ON o.o_cust = c.c_id \
-                                WHERE o_total > 100.0";
-
-/// Catalog + plan fixture for [`run_parallel_scan_join`]: a `rows`-row fact
-/// table over many small partitions (so the morsel queue has enough grains
-/// to steal) joined against a small dimension.
-pub fn parallel_fixture(rows: usize) -> Result<(Catalog, PhysicalPlan, PipelineGraph)> {
-    use ci_storage::table::TableBuilder;
-    use ci_types::TableId;
-
-    let mut cat = Catalog::new();
-    let orders = Arc::new(Schema::of(vec![
-        Field::new("o_id", DataType::Int64),
-        Field::new("o_cust", DataType::Int64),
-        Field::new("o_total", DataType::Float64),
-    ]));
-    let n = rows as i64;
-    let mut b = TableBuilder::new(TableId::new(0), "orders", orders.clone(), 4_096)?;
-    b.append(RecordBatch::new(
-        orders,
-        vec![
-            ColumnData::Int64((0..n).collect()),
-            ColumnData::Int64((0..n).map(|i| i * 13 % 2_000).collect()),
-            ColumnData::Float64((0..n).map(|i| (i % 1_000) as f64).collect()),
-        ],
-    )?)?;
-    cat.register(b.finish()?);
-
-    let cust = Arc::new(Schema::of(vec![
-        Field::new("c_id", DataType::Int64),
-        Field::new("c_name", DataType::Utf8),
-    ]));
-    let mut b = TableBuilder::new(TableId::new(1), "customers", cust.clone(), 512)?;
-    b.append(RecordBatch::new(
-        cust,
-        vec![
-            ColumnData::Int64((0..2_000).collect()),
-            ColumnData::Utf8((0..2_000).map(|i| format!("cust{i:05}")).collect()),
-        ],
-    )?)?;
-    cat.register(b.finish()?);
-
-    let (plan, graph) = crate::plan_query(&cat, PARALLEL_SQL)?;
-    Ok((cat, plan, graph))
-}
-
-/// Parallel-runtime kernel: executes the scan-filter-join plan under the
-/// given [`ExecutionMode`] and checksums the (bit-identical by contract)
-/// output. `ExecutionMode::Simulate` is the single-threaded baseline;
-/// `Parallel` fans the morsel chain out over a work-stealing pool, so the
-/// simulator-vs-parallel timing ratio is the runtime's real speedup.
-pub fn run_parallel_scan_join(
-    cat: &Catalog,
-    plan: &PhysicalPlan,
-    graph: &PipelineGraph,
-    mode: ExecutionMode,
-) -> Result<usize> {
-    let exec = Executor::new(
-        cat,
-        ExecutionConfig {
-            morsel_rows: 4_096,
-            mode,
-            // Pinned off so the kernel is independent of ambient `CI_TRACE`.
-            trace: TraceLevel::Off,
-            ..ExecutionConfig::default()
-        },
-    );
-    let out = exec.execute(plan, graph, &vec![4; graph.len()], &mut NoScaling)?;
-    let actual: u64 = out.metrics.node_actual_rows.iter().sum();
-    Ok(out.metrics.result_rows as usize + (actual % 100_003) as usize)
-}
-
-/// Pool-reuse kernel: executes the scan-filter-join plan at
-/// [`PARALLEL_WORKERS`] against either the process-wide warm pool
-/// ([`WorkerPool::shared`], threads already parked between queries) or a
-/// freshly spawned private pool that is built *and* joined inside the timed
-/// call ([`WorkerPool::new`] + drop) — the per-query thread lifecycle the
-/// persistent pool amortizes away. Same checksum either way.
-pub fn run_pool_reuse(
-    cat: &Catalog,
-    plan: &PhysicalPlan,
-    graph: &PipelineGraph,
-    warm: bool,
-) -> Result<usize> {
-    let pool = if warm {
-        WorkerPool::shared(PARALLEL_WORKERS)
-    } else {
-        Arc::new(WorkerPool::new(PARALLEL_WORKERS))
-    };
-    let exec = Executor::new(
-        cat,
-        ExecutionConfig {
-            morsel_rows: 4_096,
-            mode: ExecutionMode::Parallel {
-                workers: PARALLEL_WORKERS,
-            },
-            pool: Some(pool),
-            trace: TraceLevel::Off,
-            ..ExecutionConfig::default()
-        },
-    );
-    let out = exec.execute(plan, graph, &vec![4; graph.len()], &mut NoScaling)?;
-    let actual: u64 = out.metrics.node_actual_rows.iter().sum();
-    Ok(out.metrics.result_rows as usize + (actual % 100_003) as usize)
-}
-
-/// Seed for the chaos arm of [`run_retry_storm`] — fixed so the injected
-/// schedule (and therefore the recorded chaos timing) is reproducible.
-pub const RETRY_STORM_SEED: u64 = 42;
-
-/// Retry-storm kernel: the scan-filter-join plan at [`PARALLEL_WORKERS`]
-/// with the fault hooks either explicitly disabled (`chaos` unset —
-/// `faults: None` overrides any ambient `CI_FAULT_MODE`, making this arm
-/// identical work to [`run_parallel_scan_join`]) or driving the full
-/// recovery machinery under `FaultPlan::chaos` (`chaos` set: transient
-/// fetch retries, hedged stragglers, morsel reassignment). Recoverable
-/// faults never change the answer, so both arms return the same checksum;
-/// the hooks-disabled timing against the plain scan-join timing pins the
-/// dormant fault machinery's overhead on the hot path.
-pub fn run_retry_storm(
-    cat: &Catalog,
-    plan: &PhysicalPlan,
-    graph: &PipelineGraph,
-    chaos: bool,
-) -> Result<usize> {
-    let faults = if chaos {
-        Some(FaultPlan::chaos(RETRY_STORM_SEED))
-    } else {
-        None
-    };
-    let exec = Executor::new(
-        cat,
-        ExecutionConfig {
-            morsel_rows: 4_096,
-            mode: ExecutionMode::Parallel {
-                workers: PARALLEL_WORKERS,
-            },
-            faults,
-            trace: TraceLevel::Off,
-            ..ExecutionConfig::default()
-        },
-    );
-    let out = exec.execute(plan, graph, &vec![4; graph.len()], &mut NoScaling)?;
-    let actual: u64 = out.metrics.node_actual_rows.iter().sum();
-    Ok(out.metrics.result_rows as usize + (actual % 100_003) as usize)
-}
-
-/// Trace-overhead kernel: the scan-filter-join plan at [`PARALLEL_WORKERS`]
-/// with fault hooks explicitly disabled and the tracing machinery at the
-/// given level. At `TraceLevel::Off` this is identical work to
-/// [`run_parallel_scan_join`] plus the dormant instrumentation (a branch per
-/// call site and the always-on per-node accounting adds) — that timing
-/// against the plain scan-join timing pins the hooks-off overhead. At
-/// `TraceLevel::Full` it records spans, registry updates, and wall-clock
-/// worker lanes (informational; no gate). Tracing never touches the data
-/// path, so the checksum matches the plain kernel at every level.
-pub fn run_trace_overhead(
-    cat: &Catalog,
-    plan: &PhysicalPlan,
-    graph: &PipelineGraph,
-    level: TraceLevel,
-) -> Result<usize> {
-    let exec = Executor::new(
-        cat,
-        ExecutionConfig {
-            morsel_rows: 4_096,
-            mode: ExecutionMode::Parallel {
-                workers: PARALLEL_WORKERS,
-            },
-            // `faults: None` overrides any ambient `CI_FAULT_MODE`, keeping
-            // this arm's work identical to the plain parallel kernel.
-            faults: None,
-            trace: level,
-            ..ExecutionConfig::default()
-        },
-    );
-    let out = exec.execute(plan, graph, &vec![4; graph.len()], &mut NoScaling)?;
-    let actual: u64 = out.metrics.node_actual_rows.iter().sum();
-    Ok(out.metrics.result_rows as usize + (actual % 100_003) as usize)
-}
-
 /// Partition rows of the cache-scan fixture: small enough that one table
 /// spreads over many `CIPF` page files, so both arms loop over real
 /// partition-granular reads.
@@ -611,60 +415,6 @@ mod tests {
             plain >= 4 * encoded,
             "sorted-int fixture must encode >= 4x smaller than Plain: {encoded} vs {plain}"
         );
-    }
-
-    #[test]
-    fn parallel_kernel_checksum_is_mode_independent() {
-        let (cat, plan, graph) = parallel_fixture(30_000).unwrap();
-        let sim = run_parallel_scan_join(&cat, &plan, &graph, ExecutionMode::Simulate).unwrap();
-        for workers in [1, PARALLEL_WORKERS, 7] {
-            let par =
-                run_parallel_scan_join(&cat, &plan, &graph, ExecutionMode::Parallel { workers })
-                    .unwrap();
-            assert_eq!(
-                par, sim,
-                "parallel ({workers} workers) diverged from simulator"
-            );
-        }
-    }
-
-    #[test]
-    fn pool_reuse_kernel_checksum_is_temperature_independent() {
-        let (cat, plan, graph) = parallel_fixture(30_000).unwrap();
-        assert_eq!(
-            run_pool_reuse(&cat, &plan, &graph, true).unwrap(),
-            run_pool_reuse(&cat, &plan, &graph, false).unwrap(),
-            "warm and cold pools must produce identical checksums"
-        );
-    }
-
-    #[test]
-    fn retry_storm_kernel_checksum_is_fault_independent() {
-        let (cat, plan, graph) = parallel_fixture(30_000).unwrap();
-        let sim = run_parallel_scan_join(&cat, &plan, &graph, ExecutionMode::Simulate).unwrap();
-        assert_eq!(
-            run_retry_storm(&cat, &plan, &graph, false).unwrap(),
-            sim,
-            "hooks-disabled retry storm must match the plain scan-join checksum"
-        );
-        assert_eq!(
-            run_retry_storm(&cat, &plan, &graph, true).unwrap(),
-            sim,
-            "recoverable chaos must not change the scan-join checksum"
-        );
-    }
-
-    #[test]
-    fn trace_overhead_kernel_checksum_is_level_independent() {
-        let (cat, plan, graph) = parallel_fixture(30_000).unwrap();
-        let sim = run_parallel_scan_join(&cat, &plan, &graph, ExecutionMode::Simulate).unwrap();
-        for level in [TraceLevel::Off, TraceLevel::Spans, TraceLevel::Full] {
-            assert_eq!(
-                run_trace_overhead(&cat, &plan, &graph, level).unwrap(),
-                sim,
-                "tracing at {level:?} must not change the scan-join checksum"
-            );
-        }
     }
 
     #[test]

@@ -64,8 +64,8 @@ impl Catalog {
         entry
     }
 
-    /// The on-disk page store backing `CI_PAGE_SOURCE=disk|tiered`, created
-    /// under a temp directory on first use. Errors surface as
+    /// The on-disk page store backing `PageSourceMode::{Disk, Tiered}`
+    /// scans, created under a temp directory on first use. Errors surface as
     /// [`CiError::Storage`].
     pub fn page_store(&self) -> Result<Arc<ObjectStoreDir>> {
         if let Some(s) = self.store.get() {

@@ -24,7 +24,8 @@
 //! Recoverability is a *profile property*, not luck: transient fetch
 //! failures are drawn capped at [`FaultProfile::max_retries`], so a profile
 //! with `permanent_failure_rate == 0.0` can never produce an unrecoverable
-//! schedule. The `CI_FAULT_MODE=chaos:<seed>` CI toggle relies on this.
+//! schedule. [`FaultPlan::chaos`], the plan the test suites inject, relies
+//! on this.
 
 use ci_types::{DetRng, SimDuration};
 
@@ -75,9 +76,10 @@ impl Default for FaultProfile {
 
 impl FaultProfile {
     /// A mild, always-recoverable profile: occasional retries, throttles,
-    /// stragglers, and preemptions, never a permanent failure. This is what
-    /// `CI_FAULT_MODE=chaos:<seed>` runs the whole test suite under, so its
-    /// penalties are kept small relative to typical morsel work.
+    /// stragglers, and preemptions, never a permanent failure. This is the
+    /// profile of [`FaultPlan::chaos`], which the equivalence suites run
+    /// whole queries under, so its penalties are kept small relative to
+    /// typical morsel work.
     pub fn light() -> FaultProfile {
         FaultProfile {
             fetch_failure_rate: 0.04,
@@ -238,31 +240,10 @@ impl FaultPlan {
         FaultPlan { seed, profile }
     }
 
-    /// The CI chaos plan: [`FaultProfile::light`] under the given seed.
+    /// The chaos plan the test suites use: [`FaultProfile::light`] under
+    /// the given seed.
     pub fn chaos(seed: u64) -> FaultPlan {
         FaultPlan::new(seed, FaultProfile::light())
-    }
-
-    /// Reads a plan from the `CI_FAULT_MODE` environment variable
-    /// (`chaos:<seed>`, or `off`/empty/unset for none) — the CI toggle that
-    /// runs the whole test suite under deterministic fault injection,
-    /// layered on the `CI_EXEC_MODE` matrix.
-    pub fn from_env() -> Option<FaultPlan> {
-        Self::parse(&std::env::var("CI_FAULT_MODE").ok()?)
-    }
-
-    /// Parses a `CI_FAULT_MODE` value: `chaos:<seed>` (also bare `chaos`,
-    /// seed 0); `off`/`none`/empty parse to `None`.
-    pub fn parse(s: &str) -> Option<FaultPlan> {
-        let s = s.trim();
-        match s {
-            "" | "off" | "none" => None,
-            "chaos" => Some(FaultPlan::chaos(0)),
-            _ => s
-                .strip_prefix("chaos:")
-                .and_then(|n| n.trim().parse::<u64>().ok())
-                .map(FaultPlan::chaos),
-        }
     }
 
     /// Builds the injector for this plan.
@@ -472,18 +453,6 @@ mod tests {
         }
         assert!(FaultProfile::none().is_quiet());
         assert!(!FaultProfile::light().is_quiet());
-    }
-
-    #[test]
-    fn env_parsing() {
-        assert_eq!(FaultPlan::parse(""), None);
-        assert_eq!(FaultPlan::parse("off"), None);
-        assert_eq!(FaultPlan::parse("none"), None);
-        assert_eq!(FaultPlan::parse("bogus"), None);
-        assert_eq!(FaultPlan::parse("chaos"), Some(FaultPlan::chaos(0)));
-        assert_eq!(FaultPlan::parse("chaos:17"), Some(FaultPlan::chaos(17)));
-        assert_eq!(FaultPlan::parse(" chaos:3 "), Some(FaultPlan::chaos(3)));
-        assert_eq!(FaultPlan::parse("chaos:x"), None);
     }
 
     #[test]

@@ -190,15 +190,6 @@ impl TierPricing {
         }
     }
 
-    /// Reads `CI_TIERS` (`1` or `standard` enables the standard menu) so CI
-    /// legs can engage cache accounting without code changes.
-    pub fn from_env() -> Option<TierPricing> {
-        match std::env::var("CI_TIERS").ok().as_deref() {
-            Some("1") | Some("standard") => Some(TierPricing::standard()),
-            _ => None,
-        }
-    }
-
     /// Dollars saved by serving `bytes` from a cache tier instead of
     /// re-fetching them from the object store.
     pub fn refetch_dollars(&self, bytes: f64) -> f64 {

@@ -50,7 +50,10 @@ pub struct Warehouse {
     catalog: Catalog,
     /// Configuration (public for experiments).
     pub config: WarehouseConfig,
-    stats: Mutex<StatisticsService>,
+    /// Execution history. No lock: ingestion has `&mut self`, every reader
+    /// `&self`, so a panicking reader cannot leave anything behind that the
+    /// next query trips over.
+    stats: StatisticsService,
     now: SimTime,
     total_spend: Dollars,
     queries_run: u64,
@@ -70,7 +73,7 @@ impl Warehouse {
         Warehouse {
             catalog,
             config,
-            stats: Mutex::new(stats),
+            stats,
             now: SimTime::ZERO,
             total_spend: Dollars::ZERO,
             queries_run: 0,
@@ -160,10 +163,7 @@ impl Warehouse {
 
         // Statistics service ingestion (execution history, Figure 3).
         let record = self.log_record(&fingerprint, sql, finished_at, &outcome.metrics, &planned);
-        self.stats
-            .lock()
-            .expect("stats lock poisoned")
-            .ingest(record);
+        self.stats.ingest(record);
 
         self.total_spend += outcome.metrics.cost;
         self.queries_run += 1;
@@ -241,8 +241,7 @@ impl Warehouse {
     /// recurring fingerprints, reclustering for the hottest attributes),
     /// and dollar-denominated what-if evaluation (§4). Sorted by net rate.
     pub fn tuning_proposals(&self) -> Result<Vec<ProposalReport>> {
-        let stats = self.stats.lock().expect("stats lock poisoned");
-        let predicted = WorkloadPredictor::new().predict(&stats, self.now);
+        let predicted = WorkloadPredictor::new().predict(&self.stats, self.now);
         let svc = WhatIfService::new(&self.catalog, self.config.whatif.clone());
         let mut proposals = Vec::new();
 
@@ -257,7 +256,7 @@ impl Warehouse {
         }
 
         // Recluster candidates from the hottest filtered attributes.
-        for ((table_id, col), _count) in stats.hot_attributes(3) {
+        for ((table_id, col), _count) in self.stats.hot_attributes(3) {
             let Ok(entry) = self.catalog.get_by_id(table_id) else {
                 continue;
             };
@@ -391,7 +390,7 @@ impl Warehouse {
 
     /// Read access to the statistics service (summaries, spend, counters).
     pub fn with_stats<R>(&self, f: impl FnOnce(&StatisticsService) -> R) -> R {
-        f(&self.stats.lock().expect("stats lock poisoned"))
+        f(&self.stats)
     }
 }
 
@@ -488,6 +487,24 @@ mod tests {
             assert_eq!(top.len(), 1);
             assert!((top[0].1.count - 3.0).abs() < 1e-9);
         });
+    }
+
+    /// A statistics reader that panics on another thread must not take the
+    /// warehouse down with it. (The statistics used to sit behind a `Mutex`
+    /// the dying reader poisoned, and the next `submit` panicked on it.)
+    #[test]
+    fn a_panicking_stats_reader_does_not_fail_the_next_query() {
+        let mut w = warehouse(0.05);
+        let sql = "SELECT COUNT(*) FROM orders WHERE o_date < 100";
+        w.submit(sql, Constraint::MinCost).unwrap();
+        let reader = std::thread::scope(|s| {
+            s.spawn(|| w.with_stats(|_| panic!("reader dies mid-read")))
+                .join()
+        });
+        assert!(reader.is_err());
+        w.submit(sql, Constraint::MinCost).unwrap();
+        w.tuning_proposals().unwrap();
+        w.with_stats(|s| assert_eq!(s.ingest_counts().0, 2));
     }
 
     #[test]

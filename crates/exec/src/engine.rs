@@ -78,7 +78,8 @@ use ci_plan::pipeline::{Pipeline, PipelineGraph, SinkKind};
 use ci_storage::pages::WireEncoder;
 use ci_storage::schema::SchemaRef;
 use ci_storage::selection::SelectionVector;
-use ci_storage::tiers::{DiskSource, PageSource, PageSourceMode, TierStore, TieredSource};
+use ci_storage::table::Table;
+use ci_storage::tiers::{ObjectStoreDir, PageSourceMode, TierStore};
 use ci_storage::RecordBatch;
 use ci_types::money::{Dollars, DollarsPerSecond};
 use ci_types::{CiError, Result, SimDuration, SimTime, TableId};
@@ -108,33 +109,6 @@ pub enum ExecutionMode {
     },
 }
 
-impl ExecutionMode {
-    /// Reads the mode from the `CI_EXEC_MODE` environment variable
-    /// (`simulate`/`sim`, `parallel` = 4 workers, `parallel:N`), defaulting
-    /// to [`ExecutionMode::Simulate`] when unset or unparseable. This is the
-    /// CI toggle that runs the whole test suite under the parallel runtime.
-    pub fn from_env() -> ExecutionMode {
-        std::env::var("CI_EXEC_MODE")
-            .ok()
-            .and_then(|s| Self::parse(&s))
-            .unwrap_or(ExecutionMode::Simulate)
-    }
-
-    /// Parses a mode string: `simulate`/`sim` (or empty), `parallel`
-    /// (4 workers), `parallel:N`.
-    pub fn parse(s: &str) -> Option<ExecutionMode> {
-        let s = s.trim();
-        match s {
-            "" | "simulate" | "sim" => Some(ExecutionMode::Simulate),
-            "parallel" => Some(ExecutionMode::Parallel { workers: 4 }),
-            _ => s
-                .strip_prefix("parallel:")
-                .and_then(|n| n.trim().parse::<usize>().ok())
-                .map(|n| ExecutionMode::Parallel { workers: n.max(1) }),
-        }
-    }
-}
-
 /// Executor configuration.
 #[derive(Debug, Clone)]
 pub struct ExecutionConfig {
@@ -148,24 +122,22 @@ pub struct ExecutionConfig {
     pub morsel_rows: usize,
     /// Progress-callback period, in morsels.
     pub check_interval: usize,
-    /// Morsel-processing driver (defaults from `CI_EXEC_MODE`, see
-    /// [`ExecutionMode::from_env`]).
+    /// Morsel-processing driver (default [`ExecutionMode::Simulate`]).
     pub mode: ExecutionMode,
     /// Worker pool for [`ExecutionMode::Parallel`]. `None` (default) uses
     /// the process-wide [`WorkerPool::shared`] pool for the mode's worker
-    /// count; set an owned pool to control thread lifetime explicitly
-    /// (benchmarks pin cold-start costs this way).
+    /// count; set an owned pool ([`WorkerPool::new`]) to control thread
+    /// lifetime explicitly.
     pub pool: Option<Arc<WorkerPool>>,
-    /// Deterministic fault injection (`None` = fault-free; defaults from
-    /// `CI_FAULT_MODE`, see [`FaultPlan::from_env`]). Fault draws are pure
+    /// Deterministic fault injection (`None`, the default, is fault-free;
+    /// [`FaultPlan::chaos`] is the seeded test plan). Fault draws are pure
     /// in `(seed, pipeline, morsel)`, recovery is billed in the accounting
     /// phase, and the data path never sees a fault — so for a fixed plan
     /// the Dollars bill is bit-identical across runs and modes while result
     /// rows stay bit-identical to the fault-free run. Unrecoverable
     /// schedules surface [`CiError::Fault`] instead of hanging.
     pub faults: Option<FaultPlan>,
-    /// Tracing level (defaults from `CI_TRACE`, see
-    /// [`TraceLevel::from_env`]). `Off` keeps the observability machinery
+    /// Tracing level. `Off` (the default) keeps the observability machinery
     /// dormant; `Spans` records the deterministic virtual-time driver lanes,
     /// the metrics registry, and the per-node profile; `Full` adds
     /// wall-clock worker lanes (park/claim/run). Per-node busy/dollar
@@ -176,15 +148,14 @@ pub struct ExecutionConfig {
     /// written here after execution — load it in `chrome://tracing` or
     /// Perfetto.
     pub trace_path: Option<std::path::PathBuf>,
-    /// Where scans physically read partition bytes from (defaults from
-    /// `CI_PAGE_SOURCE`, see [`PageSourceMode::from_env`]). `Disk` and
-    /// `Tiered` read real on-disk `CIPF` page files written through the
-    /// catalog's page store; results and `Dollars` are bit-identical to
+    /// Where scans physically read partition bytes from (default `Mem`,
+    /// the resident batches). `Disk` and `Tiered` read real on-disk `CIPF`
+    /// page files written through the catalog's page store; results and `Dollars` are bit-identical to
     /// `Mem` by construction — the equivalence tests pin it. Purely
     /// physical: billing is unaffected by this knob alone.
     pub page_source: PageSourceMode,
     /// Tier price menu engaging the cost-aware cache *accounting*
-    /// (defaults from `CI_TIERS`, normally `None`). When set, the
+    /// (default `None`). When set, the
     /// deterministic [`TierCacheSim`] advances in the driver's canonical
     /// accounting loop — independent of `page_source` and execution mode —
     /// so cache hits bill tier latencies instead of object fetches, misses
@@ -199,6 +170,9 @@ pub struct ExecutionConfig {
     pub tier_sim: Option<Arc<Mutex<TierCacheSim>>>,
 }
 
+/// A pure literal: the same value in every process, whatever the
+/// environment — a config (and therefore a bill) is decided by the code
+/// that builds it, field by field.
 impl Default for ExecutionConfig {
     fn default() -> Self {
         ExecutionConfig {
@@ -207,13 +181,13 @@ impl Default for ExecutionConfig {
             resize_latency: SimDuration::from_millis(500),
             morsel_rows: 65_536,
             check_interval: 8,
-            mode: ExecutionMode::from_env(),
+            mode: ExecutionMode::Simulate,
             pool: None,
-            faults: FaultPlan::from_env(),
-            trace: TraceLevel::from_env(),
+            faults: None,
+            trace: TraceLevel::Off,
             trace_path: None,
-            page_source: PageSourceMode::from_env(),
-            tiers: TierPricing::from_env(),
+            page_source: PageSourceMode::Mem,
+            tiers: None,
             tier_sim: None,
         }
     }
@@ -279,15 +253,45 @@ struct TierPart {
 pub(crate) enum Payload {
     /// Memory-resident batch (breaker outputs; `Mem` page source).
     Batch(RecordBatch),
-    /// Disk-backed: the fetch stage reads the partition through a
-    /// [`PageSource`] (real `CIPF` file bytes or the tier stack) — no
+    /// Disk-backed: the fetch stage reads the partition from a
+    /// [`PageStore`] (real `CIPF` file bytes or the tier stack) — no
     /// resident decoded table rides along.
     File(FileMorsel),
 }
 
-/// A file-backed morsel: which partition slice to read, and through what.
+/// The on-disk store behind [`PageSourceMode::Disk`] / `Tiered` scans
+/// (`Mem` has none: its morsels carry resident batches).
+#[derive(Clone)]
+enum PageStore {
+    /// Every fetch reads and decodes the partition's `CIPF` file.
+    Disk(Arc<ObjectStoreDir>),
+    /// Reads go through the memory → SSD → object tier stack.
+    Tiered(Arc<TierStore>),
+}
+
+impl PageStore {
+    /// Writes `table`'s `CIPF` files unless they already exist (idempotent
+    /// per table identity).
+    fn ensure_table(&self, table: &Arc<Table>) -> Result<()> {
+        let dir = match self {
+            PageStore::Disk(dir) => dir,
+            PageStore::Tiered(tiers) => tiers.object_store(),
+        };
+        dir.ensure_table(table).map(|_| ())
+    }
+
+    /// Fetches one whole partition as a dense batch.
+    fn read_partition(&self, table: TableId, part: usize) -> Result<RecordBatch> {
+        match self {
+            PageStore::Disk(dir) => dir.read_partition(table, part),
+            PageStore::Tiered(tiers) => tiers.read_partition(table, part).map(|(b, _)| b),
+        }
+    }
+}
+
+/// A file-backed morsel: which partition slice to read, and from where.
 pub(crate) struct FileMorsel {
-    source: Arc<dyn PageSource>,
+    store: PageStore,
     table: TableId,
     part: u32,
     offset: usize,
@@ -479,7 +483,7 @@ impl ChainCtx {
                 // this morsel's row range. Dict columns attach the pinned
                 // table-wide dictionary `Arc`s, so downstream wire
                 // accounting is identical to the memory path.
-                let part = f.source.read_partition(f.table, f.part as usize)?;
+                let part = f.store.read_partition(f.table, f.part as usize)?;
                 part.with_schema(f.schema.clone())?.slice(f.offset, f.len)
             }
         }
@@ -682,13 +686,6 @@ impl TraceSource {
     }
 }
 
-/// Per-query cache-accounting state: the deterministic simulator plus (for
-/// the tiered page source) the physical store mirroring its decisions.
-struct TierRuntime {
-    sim: Arc<Mutex<TierCacheSim>>,
-    store: Option<Arc<TierStore>>,
-}
-
 /// Locks the (possibly shared) tier simulator. A panic elsewhere while the
 /// lock was held may have left an access half-applied, and the bill is a
 /// function of that state — so a poisoned simulator fails the query with a
@@ -736,12 +733,12 @@ struct QueryRun<'q> {
     /// Physical page source: where scan fetches read partition bytes from.
     /// Disk/Tiered wire up the catalog's on-disk page store;
     /// `source_morsels` writes each scanned table through on first touch.
-    page_src: Option<Arc<dyn PageSource>>,
+    page_store: Option<PageStore>,
     /// Cache accounting: the deterministic tier simulator, advanced only
     /// from the ledger. Engaged by pricing, not by page source, so the bill
     /// is source-invariant. Physical placement mirrors the simulator only
-    /// under the tiered source.
-    tier_rt: Option<TierRuntime>,
+    /// under [`PageStore::Tiered`].
+    tier_sim: Option<Arc<Mutex<TierCacheSim>>>,
 }
 
 impl<'q> QueryRun<'q> {
@@ -759,12 +756,12 @@ impl<'q> QueryRun<'q> {
             let guard = p.attach_trace(bufs.clone());
             (bufs, guard)
         });
-        let page_src: Option<Arc<dyn PageSource>> = match config.page_source {
+        let page_store = match config.page_source {
             PageSourceMode::Mem => None,
-            PageSourceMode::Disk => Some(Arc::new(DiskSource::new(exec.catalog.page_store()?))),
-            PageSourceMode::Tiered => Some(Arc::new(TieredSource::new(exec.catalog.tier_store()?))),
+            PageSourceMode::Disk => Some(PageStore::Disk(exec.catalog.page_store()?)),
+            PageSourceMode::Tiered => Some(PageStore::Tiered(exec.catalog.tier_store()?)),
         };
-        let tier_rt: Option<TierRuntime> = match &config.tiers {
+        let tier_sim = match &config.tiers {
             None => None,
             Some(pricing) => {
                 let sim = config
@@ -772,11 +769,7 @@ impl<'q> QueryRun<'q> {
                     .clone()
                     .unwrap_or_else(|| Arc::new(Mutex::new(TierCacheSim::new(pricing.clone()))));
                 lock_sim(&sim)?.begin_query();
-                let store = match config.page_source {
-                    PageSourceMode::Tiered => Some(exec.catalog.tier_store()?),
-                    _ => None,
-                };
-                Some(TierRuntime { sim, store })
+                Some(sim)
             }
         };
         Ok(QueryRun {
@@ -789,8 +782,8 @@ impl<'q> QueryRun<'q> {
             tracer: Tracer::new(config.trace),
             pool,
             worker_lanes,
-            page_src,
-            tier_rt,
+            page_store,
+            tier_sim,
         })
     }
 
@@ -1007,8 +1000,8 @@ impl<'a> Executor<'a> {
                 // Disk-backed sources: make sure the table's CIPF files
                 // exist (idempotent per table identity) before morsels
                 // reference them.
-                if let Some(psrc) = &q.page_src {
-                    psrc.ensure_table(&entry.table)?;
+                if let Some(store) = &q.page_store {
+                    store.ensure_table(&entry.table)?;
                 }
                 let schema = slots_schema(&plan.nodes[src].out_slots, &plan.slot_types);
                 let mut morsels = Vec::new();
@@ -1022,11 +1015,11 @@ impl<'a> Executor<'a> {
                     while offset < rows {
                         let len = self.config.morsel_rows.min(rows - offset);
                         let share = len as f64 / rows as f64;
-                        let payload = match &q.page_src {
+                        let payload = match &q.page_store {
                             // File-backed morsels carry no resident batch:
                             // the fetch stage reads real page-file bytes.
-                            Some(psrc) => Payload::File(FileMorsel {
-                                source: psrc.clone(),
+                            Some(store) => Payload::File(FileMorsel {
+                                store: store.clone(),
                                 table: *table_id,
                                 part: pi as u32,
                                 offset,
@@ -1490,20 +1483,20 @@ impl<'a, 'q> Ledger<'a, 'q> {
     /// ahead of the ledger; promotions then benefit later pipelines, never
     /// change bytes served).
     fn tier_access(&mut self, bill: &mut MorselBill<'_>) -> Result<()> {
-        let (Some(rt), Some(tp), true) = (
-            &self.q.tier_rt,
+        let (Some(sim), Some(tp), true) = (
+            &self.q.tier_sim,
             &bill.morsel.tier_part,
             self.fetches(bill.morsel),
         ) else {
             return Ok(());
         };
         let (acc, svc) = {
-            let mut sim = lock_sim(&rt.sim)?;
+            let mut sim = lock_sim(sim)?;
             let acc = sim.access(CacheKey::new(tp.table, tp.part), tp.bytes, bill.assigned_at);
             let svc = sim.service_secs(acc.level, bill.morsel.fetch_bytes);
             (acc, svc)
         };
-        if let Some(store) = &rt.store {
+        if let Some(PageStore::Tiered(store)) = &self.q.page_store {
             for (k, lvl) in &acc.admitted {
                 match lvl {
                     TierLevel::Mem => store.promote_mem(k.table, k.part)?,
@@ -1936,7 +1929,7 @@ impl<'a, 'q> Ledger<'a, 'q> {
             tracer.count("fetch_retries", u64::from(m.fetch_retries));
             tracer.count("hedged_morsels", u64::from(m.hedged_morsels));
             tracer.count("faults_injected", u64::from(m.faults_injected));
-            if self.q.tier_rt.is_some() {
+            if self.q.tier_sim.is_some() {
                 tracer.count("tier_mem_hits", u64::from(m.tier_mem_hits));
                 tracer.count("tier_ssd_hits", u64::from(m.tier_ssd_hits));
                 tracer.count("tier_misses", u64::from(m.tier_misses));
@@ -2040,28 +2033,37 @@ impl Sink {
 
 #[cfg(test)]
 mod tests {
-    use super::ExecutionMode;
+    use super::*;
 
+    /// `ExecutionConfig::default()` is this literal and nothing else. The
+    /// exhaustive destructuring makes a fourteenth field a compile error
+    /// here, so a new field has to state its default in this test.
     #[test]
-    fn mode_parsing() {
-        assert_eq!(
-            ExecutionMode::parse("simulate"),
-            Some(ExecutionMode::Simulate)
-        );
-        assert_eq!(ExecutionMode::parse("sim"), Some(ExecutionMode::Simulate));
-        assert_eq!(ExecutionMode::parse(""), Some(ExecutionMode::Simulate));
-        assert_eq!(
-            ExecutionMode::parse("parallel"),
-            Some(ExecutionMode::Parallel { workers: 4 })
-        );
-        assert_eq!(
-            ExecutionMode::parse("parallel:7"),
-            Some(ExecutionMode::Parallel { workers: 7 })
-        );
-        assert_eq!(
-            ExecutionMode::parse("parallel:0"),
-            Some(ExecutionMode::Parallel { workers: 1 })
-        );
-        assert_eq!(ExecutionMode::parse("bogus"), None);
+    fn default_config_is_a_pure_literal() {
+        let ExecutionConfig {
+            models: _,
+            rate,
+            resize_latency,
+            morsel_rows,
+            check_interval,
+            mode,
+            pool,
+            faults,
+            trace,
+            trace_path,
+            page_source,
+            tiers,
+            tier_sim,
+        } = ExecutionConfig::default();
+        assert_eq!(rate, DollarsPerSecond::per_hour(2.0));
+        assert_eq!(resize_latency, SimDuration::from_millis(500));
+        assert_eq!((morsel_rows, check_interval), (65_536, 8));
+        assert_eq!(mode, ExecutionMode::Simulate);
+        assert!(pool.is_none());
+        assert_eq!(faults, None);
+        assert_eq!(trace, TraceLevel::Off);
+        assert_eq!(trace_path, None);
+        assert_eq!(page_source, PageSourceMode::Mem);
+        assert!(tiers.is_none() && tier_sim.is_none());
     }
 }

@@ -23,18 +23,16 @@
 //! monitor (crate `ci-monitor`) observe per-pipeline progress and resize
 //! mid-flight.
 //!
-//! Fault tolerance: a seeded [`ci_cloud::faults::FaultPlan`] (wired through
-//! [`engine::ExecutionConfig::faults`], or `CI_FAULT_MODE=chaos:<seed>`)
-//! injects transient fetch failures, throttling, stragglers, and worker
-//! preemption. The engine recovers with bounded-backoff retries, hedged
+//! Fault tolerance: a seeded [`ci_cloud::faults::FaultPlan`] (set on
+//! [`engine::ExecutionConfig::faults`]) injects transient fetch failures,
+//! throttling, stragglers, and worker preemption. The engine recovers with bounded-backoff retries, hedged
 //! re-execution of stragglers, and morsel reassignment — recoverable
 //! schedules reproduce the fault-free rows bit-for-bit, and every recovery
 //! second is billed into the cost accounting.
 //!
-//! Observability: `CI_TRACE=spans|full` (or
-//! [`engine::ExecutionConfig::trace`]) records structured spans on a dual
-//! clock — deterministic virtual-time driver lanes, wall-clock worker
-//! lanes — plus a metrics registry and per-plan-node dollar attribution
+//! Observability: [`engine::ExecutionConfig::trace`] at `Spans` or `Full`
+//! records structured spans on a dual clock — deterministic virtual-time
+//! driver lanes, wall-clock worker lanes — plus a metrics registry and per-plan-node dollar attribution
 //! (`QueryMetrics::node_dollars`, summing bit-exactly to the query bill).
 //! See `ci-obs` for the exporters.
 
@@ -51,7 +49,7 @@ pub use ci_cloud::pricing::TierPricing;
 pub use ci_cloud::tiercache::{CacheCounters, TierCacheSim, TierLevel};
 pub use ci_cloud::work::WorkModels;
 pub use ci_obs::TraceLevel;
-pub use ci_storage::tiers::{PageSource, PageSourceMode};
+pub use ci_storage::tiers::PageSourceMode;
 pub use engine::{ExecutionConfig, ExecutionMode, Executor, QueryOutcome};
 pub use key::{DictKeyEntry, Key, KeyEncoder, KeyPart, MissPolicy};
 pub use metrics::{attribute_node_dollars, OpSample, PipelineMetrics, QueryMetrics};

@@ -2,12 +2,11 @@
 //!
 //! Plain `std::thread` + `std::sync` (the workspace has no external deps).
 //! Unlike the scoped pool it replaces, the pool outlives individual queries:
-//! threads park on a `Condvar` between jobs, so back-to-back queries — and
-//! the whole test suite under `CI_EXEC_MODE=parallel` — reuse threads
-//! instead of paying spawn/join per `execute`. [`WorkerPool::shared`] hands
-//! out one process-wide pool per worker count; [`WorkerPool::new`] builds a
-//! private pool whose threads shut down on drop (the bench harness uses
-//! that as its cold-start baseline).
+//! threads park on a `Condvar` between jobs, so back-to-back queries reuse
+//! threads instead of paying spawn/join per `execute`.
+//! [`WorkerPool::shared`] hands out one process-wide pool per worker count;
+//! [`WorkerPool::new`] builds a private pool whose threads shut down on
+//! drop.
 //!
 //! One job shape runs on the pool (`WorkerPool::run_traces`): each morsel's
 //! pure processing phase produces a `MorselTrace`; everything
@@ -84,7 +83,7 @@ struct PoolState {
     completed: u64,
     shutdown: bool,
     /// Wall-clock trace buffers, attached for the duration of one traced
-    /// query (`CI_TRACE=full`). `None` — the common case — costs one clone
+    /// query (`TraceLevel::Full`). `None` — the common case — costs one clone
     /// of a `None` per claim.
     trace: Option<Arc<WorkerBuffers>>,
 }
@@ -315,7 +314,7 @@ impl WorkerPool {
         self.shared.lock().completed
     }
 
-    /// Attaches wall-clock trace buffers for one query (`CI_TRACE=full`).
+    /// Attaches wall-clock trace buffers for one query (`TraceLevel::Full`).
     /// The returned guard detaches on drop, so every exit path — including
     /// errors — leaves a shared pool clean for the next query.
     pub(crate) fn attach_trace(&self, bufs: Arc<WorkerBuffers>) -> TraceGuard {

@@ -6,7 +6,7 @@
 //! accounting pass, so recording happens in canonical morsel order — the
 //! virtual-time lanes it produces are bit-identical across execution modes.
 //! Event construction is gated by [`Tracer::on`] at every call site, so at
-//! `CI_TRACE=off` the instrumentation is a branch on an enum.
+//! [`TraceLevel::Off`] the instrumentation is a branch on an enum.
 
 use ci_obs::{MetricsRegistry, TraceEvent, TraceLevel};
 

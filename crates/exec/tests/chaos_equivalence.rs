@@ -98,9 +98,8 @@ fn plan_of(cat: &Catalog, sql: &str) -> (PhysicalPlan, PipelineGraph) {
     (plan, graph)
 }
 
-/// Runs with an *explicit* fault plan (overriding any ambient
-/// `CI_FAULT_MODE`, so this suite is deterministic under the chaos CI step
-/// too). Small morsels so fault draws get plenty of chances to fire.
+/// Runs under the given fault plan, with small morsels so fault draws get
+/// plenty of chances to fire.
 fn run_faulted(
     cat: &Catalog,
     sql: &str,

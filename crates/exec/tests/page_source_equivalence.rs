@@ -108,9 +108,8 @@ fn plan_of(cat: &Catalog, sql: &str) -> (PhysicalPlan, PipelineGraph) {
     (plan, graph)
 }
 
-/// Runs one query with everything explicit — page source, tier pricing,
-/// (optionally shared) cache simulator, fault plan — so ambient
-/// `CI_PAGE_SOURCE` / `CI_FAULT_MODE` / `CI_TIERS` never perturb the suite.
+/// Runs one query under the given page source, tier pricing, (optionally
+/// shared) cache simulator and fault plan.
 fn run(
     cat: &Catalog,
     sql: &str,

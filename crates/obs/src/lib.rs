@@ -24,11 +24,11 @@
 //!
 //! # Levels
 //!
-//! `CI_TRACE=off|spans|full` (or `ExecutionConfig::trace`) picks a
-//! [`TraceLevel`]: `Off` keeps the machinery dormant (the hot path pays a
-//! handful of integer adds, gated < 3% by `bench_check`), `Spans` records the
-//! deterministic driver lanes and the registry, `Full` adds the wall-clock
-//! worker lanes.
+//! `ExecutionConfig::trace` picks a [`TraceLevel`]: `Off` (the default)
+//! keeps the machinery dormant (the hot path pays a handful of integer
+//! adds; `bench_e2e` records the ratio as `obs.engine_trace_overhead`),
+//! `Spans` records the deterministic driver lanes and the registry, `Full`
+//! adds the wall-clock worker lanes.
 //!
 //! This crate depends only on `ci-types`: it defines the vocabulary
 //! (events, registry, report shapes) and the exporters, while the execution

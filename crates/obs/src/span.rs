@@ -4,7 +4,7 @@
 use std::sync::Mutex;
 use std::time::Instant;
 
-/// How much the tracing machinery records. Parsed from `CI_TRACE`.
+/// How much the tracing machinery records (`ExecutionConfig::trace`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum TraceLevel {
     /// Dormant: no events, no registry. The hot path pays only the
@@ -18,25 +18,6 @@ pub enum TraceLevel {
 }
 
 impl TraceLevel {
-    /// Parses a `CI_TRACE` value. Unknown strings are `None` so callers can
-    /// error loudly; [`TraceLevel::from_env`] treats them as `Off`.
-    pub fn parse(s: &str) -> Option<TraceLevel> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "" | "off" | "0" | "none" => Some(TraceLevel::Off),
-            "spans" | "on" | "1" => Some(TraceLevel::Spans),
-            "full" | "2" => Some(TraceLevel::Full),
-            _ => None,
-        }
-    }
-
-    /// Reads `CI_TRACE` (`off`/`spans`/`full`, default and unknown → `Off`).
-    pub fn from_env() -> TraceLevel {
-        std::env::var("CI_TRACE")
-            .ok()
-            .and_then(|v| TraceLevel::parse(&v))
-            .unwrap_or(TraceLevel::Off)
-    }
-
     /// Whether any recording happens at all.
     pub fn enabled(self) -> bool {
         self != TraceLevel::Off
@@ -216,12 +197,8 @@ mod tests {
     use super::*;
 
     #[test]
-    fn level_parsing() {
-        assert_eq!(TraceLevel::parse("off"), Some(TraceLevel::Off));
-        assert_eq!(TraceLevel::parse(""), Some(TraceLevel::Off));
-        assert_eq!(TraceLevel::parse("spans"), Some(TraceLevel::Spans));
-        assert_eq!(TraceLevel::parse(" FULL "), Some(TraceLevel::Full));
-        assert_eq!(TraceLevel::parse("verbose"), None);
+    fn levels_gate_recording() {
+        assert_eq!(TraceLevel::default(), TraceLevel::Off);
         assert!(!TraceLevel::Off.enabled());
         assert!(TraceLevel::Spans.enabled() && !TraceLevel::Spans.wall());
         assert!(TraceLevel::Full.enabled() && TraceLevel::Full.wall());

@@ -43,8 +43,5 @@ pub use pruning::ColumnBound;
 pub use schema::{Field, Schema};
 pub use selection::SelectionVector;
 pub use table::{Table, TableBuilder};
-pub use tiers::{
-    DiskSource, MemSource, ObjectStoreDir, PageSource, PageSourceMode, ServedFrom, StoredDict,
-    StoredTable, TierStore, TieredSource,
-};
+pub use tiers::{ObjectStoreDir, PageSourceMode, ServedFrom, StoredDict, StoredTable, TierStore};
 pub use value::{DataType, Value};

@@ -6,9 +6,10 @@
 //! micro-partition of a table as one self-describing `CIPF` file — a
 //! checksummed container of per-column CIPG pages — plus a `CIPT` manifest
 //! carrying the table-wide dictionaries. A scan under
-//! `CI_PAGE_SOURCE=disk|tiered` then reads partitions back from those
-//! files through the [`PageSource`] trait instead of cloning resident
-//! batches, and must produce bit-identical rows and Dollars.
+//! [`PageSourceMode::Disk`] or [`PageSourceMode::Tiered`] then reads
+//! partitions back from those files ([`ObjectStoreDir::read_partition`],
+//! [`TierStore::read_partition`]) instead of cloning resident batches, and
+//! must produce bit-identical rows and Dollars.
 //!
 //! # `CIPF` partition file layout
 //!
@@ -41,10 +42,9 @@
 //! dictionaries), which keeps exchange wire accounting source-invariant.
 
 use std::collections::HashMap;
-use std::fmt;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use ci_types::{CiError, Result, TableId};
 
@@ -99,37 +99,6 @@ pub enum PageSourceMode {
     Disk,
     /// Reads go through the memory -> SSD -> object tier stack.
     Tiered,
-}
-
-impl PageSourceMode {
-    /// Parses `mem` / `disk` / `tiered` (case-insensitive).
-    pub fn parse(s: &str) -> Option<PageSourceMode> {
-        match s.to_ascii_lowercase().as_str() {
-            "mem" | "memory" => Some(PageSourceMode::Mem),
-            "disk" => Some(PageSourceMode::Disk),
-            "tiered" => Some(PageSourceMode::Tiered),
-            _ => None,
-        }
-    }
-
-    /// Reads `CI_PAGE_SOURCE`; unset or unrecognized means [`Mem`].
-    ///
-    /// [`Mem`]: PageSourceMode::Mem
-    pub fn from_env() -> PageSourceMode {
-        std::env::var("CI_PAGE_SOURCE")
-            .ok()
-            .and_then(|s| PageSourceMode::parse(&s))
-            .unwrap_or_default()
-    }
-
-    /// Display label for traces and logs.
-    pub fn label(self) -> &'static str {
-        match self {
-            PageSourceMode::Mem => "mem",
-            PageSourceMode::Disk => "disk",
-            PageSourceMode::Tiered => "tiered",
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -545,6 +514,18 @@ fn decode_manifest(bytes: &[u8], arity: usize, what: &str) -> Result<(usize, Vec
 // ObjectStoreDir
 // ---------------------------------------------------------------------------
 
+/// Locks one of this module's residency maps ([`ObjectStoreDir`]'s table
+/// registry, [`TierStore`]'s memory tier), recovering a poisoned guard
+/// instead of panicking. Sound because every mutation under these guards
+/// is a single `HashMap` insert or remove of an already-built value — a
+/// holder that panics (say, while encoding a partition with the registry
+/// locked) leaves the map as it found it, and refusing the guard would
+/// turn one contained panic into a failure of every later disk or tiered
+/// read.
+fn locked<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 static TEMP_SEQ: AtomicU64 = AtomicU64::new(0);
 
 fn temp_dir(prefix: &str) -> Result<PathBuf> {
@@ -605,7 +586,7 @@ impl ObjectStoreDir {
 
     /// The registered metadata for `id`, if any.
     pub fn stored(&self, id: TableId) -> Option<Arc<StoredTable>> {
-        self.tables.lock().unwrap().get(&id).cloned()
+        locked(&self.tables).get(&id).cloned()
     }
 
     /// Writes (or re-writes, if the table object changed identity) every
@@ -614,7 +595,7 @@ impl ObjectStoreDir {
     /// pay a pointer compare.
     pub fn ensure_table(&self, table: &Arc<Table>) -> Result<Arc<StoredTable>> {
         let ident = Arc::as_ptr(table) as usize;
-        let mut tables = self.tables.lock().unwrap();
+        let mut tables = locked(&self.tables);
         if let Some(st) = tables.get(&table.id) {
             if st.ident == ident {
                 return Ok(st.clone());
@@ -671,7 +652,7 @@ impl ObjectStoreDir {
             dicts,
             ident: 0,
         });
-        self.tables.lock().unwrap().insert(id, st.clone());
+        locked(&self.tables).insert(id, st.clone());
         Ok(st)
     }
 
@@ -747,7 +728,7 @@ impl TierStore {
     /// Decodes the partition once and keeps the batch in the memory tier.
     pub fn promote_mem(&self, id: TableId, part: u32) -> Result<()> {
         let batch = self.store.read_partition(id, part as usize)?;
-        self.mem.lock().unwrap().insert((id, part), batch);
+        locked(&self.mem).insert((id, part), batch);
         Ok(())
     }
 
@@ -762,7 +743,7 @@ impl TierStore {
 
     /// Drops a partition from the memory tier (no-op if absent).
     pub fn evict_mem(&self, id: TableId, part: u32) {
-        self.mem.lock().unwrap().remove(&(id, part));
+        locked(&self.mem).remove(&(id, part));
     }
 
     /// Drops a partition's SSD copy (no-op if absent).
@@ -775,7 +756,7 @@ impl TierStore {
     /// only where the bytes physically came from.
     pub fn read_partition(&self, id: TableId, part: usize) -> Result<(RecordBatch, ServedFrom)> {
         let key = (id, part as u32);
-        if let Some(b) = self.mem.lock().unwrap().get(&key) {
+        if let Some(b) = locked(&self.mem).get(&key) {
             return Ok((b.clone(), ServedFrom::Mem));
         }
         let ssd = self.ssd_path(id, key.1);
@@ -794,7 +775,7 @@ impl TierStore {
 
     /// Number of partitions resident in the memory tier.
     pub fn mem_entries(&self) -> usize {
-        self.mem.lock().unwrap().len()
+        locked(&self.mem).len()
     }
 }
 
@@ -803,122 +784,6 @@ impl Drop for TierStore {
         if self.owns_ssd {
             let _ = std::fs::remove_dir_all(&self.ssd_root);
         }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// PageSource trait
-// ---------------------------------------------------------------------------
-
-/// Where the execution engine's scans get partition batches. The in-memory
-/// path, plain file reads, and the tier stack all implement it, so the
-/// engine can switch sources without touching operator code — and the
-/// equivalence tests can demand bit-identical results across all three.
-pub trait PageSource: fmt::Debug + Send + Sync {
-    /// Makes sure `table`'s pages exist in this source (writes files on
-    /// first call for disk-backed sources; no-op for memory).
-    fn ensure_table(&self, table: &Arc<Table>) -> Result<()>;
-
-    /// Fetches one whole partition as a dense batch.
-    fn read_partition(&self, table: TableId, part: usize) -> Result<RecordBatch>;
-
-    /// Which mode this source implements.
-    fn mode(&self) -> PageSourceMode;
-}
-
-/// Serves partitions from resident `Arc<Table>`s — the seed fetch path
-/// expressed through the trait.
-#[derive(Debug, Default)]
-pub struct MemSource {
-    tables: Mutex<HashMap<TableId, Arc<Table>>>,
-}
-
-impl MemSource {
-    /// An empty source; tables register through `ensure_table`.
-    pub fn new() -> MemSource {
-        MemSource::default()
-    }
-}
-
-impl PageSource for MemSource {
-    fn ensure_table(&self, table: &Arc<Table>) -> Result<()> {
-        self.tables.lock().unwrap().insert(table.id, table.clone());
-        Ok(())
-    }
-
-    fn read_partition(&self, table: TableId, part: usize) -> Result<RecordBatch> {
-        let tables = self.tables.lock().unwrap();
-        let t = tables
-            .get(&table)
-            .ok_or_else(|| serr(format!("table {table} is not registered in the page store")))?;
-        let p = t
-            .partitions
-            .get(part)
-            .ok_or_else(|| serr(format!("table {table} has no partition {part}")))?;
-        Ok(p.batch.clone())
-    }
-
-    fn mode(&self) -> PageSourceMode {
-        PageSourceMode::Mem
-    }
-}
-
-/// Reads every partition straight from its `CIPF` file.
-#[derive(Debug)]
-pub struct DiskSource {
-    store: Arc<ObjectStoreDir>,
-}
-
-impl DiskSource {
-    /// A source over the given store.
-    pub fn new(store: Arc<ObjectStoreDir>) -> DiskSource {
-        DiskSource { store }
-    }
-}
-
-impl PageSource for DiskSource {
-    fn ensure_table(&self, table: &Arc<Table>) -> Result<()> {
-        self.store.ensure_table(table).map(|_| ())
-    }
-
-    fn read_partition(&self, table: TableId, part: usize) -> Result<RecordBatch> {
-        self.store.read_partition(table, part)
-    }
-
-    fn mode(&self) -> PageSourceMode {
-        PageSourceMode::Disk
-    }
-}
-
-/// Reads through the physical tier stack (memory, then SSD, then object).
-#[derive(Debug)]
-pub struct TieredSource {
-    tiers: Arc<TierStore>,
-}
-
-impl TieredSource {
-    /// A source over the given tier stack.
-    pub fn new(tiers: Arc<TierStore>) -> TieredSource {
-        TieredSource { tiers }
-    }
-
-    /// The underlying tier stack (for applying placement decisions).
-    pub fn tiers(&self) -> &Arc<TierStore> {
-        &self.tiers
-    }
-}
-
-impl PageSource for TieredSource {
-    fn ensure_table(&self, table: &Arc<Table>) -> Result<()> {
-        self.tiers.object_store().ensure_table(table).map(|_| ())
-    }
-
-    fn read_partition(&self, table: TableId, part: usize) -> Result<RecordBatch> {
-        self.tiers.read_partition(table, part).map(|(b, _)| b)
-    }
-
-    fn mode(&self) -> PageSourceMode {
-        PageSourceMode::Tiered
     }
 }
 
@@ -1034,14 +899,43 @@ mod tests {
         assert_eq!(s3, ServedFrom::Object);
     }
 
+    /// A thread that panics holding either residency lock poisons it; the
+    /// maps under them are still consistent (see [`locked`]), so the next
+    /// disk and tiered reads recover the guard and serve the same bytes.
     #[test]
-    fn mode_parses_env_strings() {
-        assert_eq!(PageSourceMode::parse("mem"), Some(PageSourceMode::Mem));
-        assert_eq!(PageSourceMode::parse("DISK"), Some(PageSourceMode::Disk));
+    fn poisoned_residency_locks_still_serve_reads() {
+        let table = sample_table(6);
+        let store = Arc::new(ObjectStoreDir::temp().unwrap());
+        store.ensure_table(&table).unwrap();
+        let tiers = Arc::new(TierStore::new(store.clone()).unwrap());
+        tiers.promote_mem(table.id, 0).unwrap();
+
+        let (s, t) = (store.clone(), tiers.clone());
+        let poisoner = std::thread::spawn(move || {
+            let _tables = s.tables.lock().unwrap();
+            let _mem = t.mem.lock().unwrap();
+            panic!("poison both residency locks");
+        });
+        assert!(poisoner.join().is_err());
+        assert!(store.tables.is_poisoned() && tiers.mem.is_poisoned());
+
         assert_eq!(
-            PageSourceMode::parse("tiered"),
-            Some(PageSourceMode::Tiered)
+            store.read_partition(table.id, 1).unwrap(),
+            table.partitions[1].batch
         );
-        assert_eq!(PageSourceMode::parse("bogus"), None);
+        let (hit, served) = tiers.read_partition(table.id, 0).unwrap();
+        assert_eq!(
+            (hit, served),
+            (table.partitions[0].batch.clone(), ServedFrom::Mem)
+        );
+        let (miss, served) = tiers.read_partition(table.id, 1).unwrap();
+        assert_eq!(
+            (miss, served),
+            (table.partitions[1].batch.clone(), ServedFrom::Object)
+        );
+        // Writers recover too: re-registration and placement keep working.
+        store.ensure_table(&sample_table(7)).unwrap();
+        tiers.evict_mem(table.id, 0);
+        assert_eq!(tiers.mem_entries(), 0);
     }
 }
