@@ -12,14 +12,17 @@
 //!   serialization) over both encodings; the dict variants are the
 //!   zero-copy path, the naive ones its pre-refactor baseline. The
 //!   `filter_chain/{eager,lazy}` pair measures selection-vector late
-//!   materialization against per-operator compaction.
+//!   materialization against per-operator compaction, and
+//!   `int_join_all_miss/{std_map,index}` an all-miss int probe against the
+//!   `std` hash map.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 
 use ci_autotune::{QueryLogRecord, StatisticsService, StatsConfig};
 use ci_bench::hotpath::{
-    run_exchange_wire, run_filter, run_filter_chain, run_group_by, run_join, run_page_encode,
-    run_page_encode_int, sorted_int_batch, string_batch, wide_batch,
+    all_miss_fixture, int_join_map, int_join_table, run_exchange_wire, run_filter,
+    run_filter_chain, run_group_by, run_int_join_probe, run_int_map_probe, run_join,
+    run_page_encode, run_page_encode_int, sorted_int_batch, string_batch, wide_batch,
 };
 use ci_bench::plan_query;
 use ci_cost::{CostEstimator, EstimatorConfig};
@@ -186,6 +189,16 @@ fn bench_hot_path(c: &mut Criterion) {
             b.iter(|| run_filter_chain(&chain, eager).expect("filter chain"))
         });
     }
+    // All-miss int probes: the std SwissTable against the engine's index.
+    let [build, probe] = all_miss_fixture(ROWS, ROWS / 2, 13);
+    let map = int_join_map(&build).expect("std map");
+    let table = int_join_table(&build).expect("join table");
+    g.bench_function("int_join_all_miss/std_map", |b| {
+        b.iter(|| run_int_map_probe(&map, &probe).expect("map probe"))
+    });
+    g.bench_function("int_join_all_miss/index", |b| {
+        b.iter(|| run_int_join_probe(&table, &probe).expect("index probe"))
+    });
     g.finish();
 }
 

@@ -33,9 +33,10 @@
 use std::time::Instant;
 
 use ci_bench::hotpath::{
-    cache_scan_fixture, exchange_wire_accounting, int_codec_accounting, run_cache_hit_scan,
-    run_exchange_wire, run_filter, run_filter_chain, run_group_by, run_join, run_page_encode,
-    run_page_encode_int, sorted_int_batch, string_batch, warm_cache, wide_batch,
+    all_miss_fixture, cache_scan_fixture, exchange_wire_accounting, int_codec_accounting,
+    int_join_map, int_join_table, run_cache_hit_scan, run_exchange_wire, run_filter,
+    run_filter_chain, run_group_by, run_int_join_probe, run_int_map_probe, run_join,
+    run_page_encode, run_page_encode_int, sorted_int_batch, string_batch, warm_cache, wide_batch,
 };
 use ci_storage::RecordBatch;
 use ci_types::Result;
@@ -135,6 +136,28 @@ fn measure_page_encode_int() -> Result<Measurement> {
     })
 }
 
+/// The all-miss probe measurement: `ROWS` distinct int build keys, `ROWS / 2`
+/// probe keys none of which is on the build side. The baseline is a `std`
+/// `HashMap<i64, u32>` (the SwissTable `KeyIndex` replaced) doing one `get`
+/// per key; the measured arm is the whole `JoinHashTable::probe` — encode,
+/// id lookup, empty gather. Both tables are built outside the timed region.
+fn measure_int_join_all_miss() -> Result<Measurement> {
+    let [build, probe] = all_miss_fixture(ROWS, ROWS / 2, 13);
+    let (map, table) = (int_join_map(&build)?, int_join_table(&build)?);
+    let (baseline_naive_ns, map_check) = time_min(|| run_int_map_probe(&map, &probe))?;
+    let (dict_ns, index_check) = time_min(|| run_int_join_probe(&table, &probe))?;
+    assert_eq!(
+        map_check, index_check,
+        "int_join_all_miss: the index and the std map disagree on matches"
+    );
+    Ok(Measurement {
+        name: "int_join_all_miss",
+        baseline_naive_ns,
+        dict_ns,
+        check: index_check,
+    })
+}
+
 fn main() -> Result<()> {
     let measurements = vec![
         measure("filter_string_eq", |b, _| run_filter(b))?,
@@ -144,6 +167,7 @@ fn main() -> Result<()> {
         measure("page_encode", |b, _| run_page_encode(b))?,
         measure_page_encode_int()?,
         measure("exchange_wire", |b, _| run_exchange_wire(b, MORSEL))?,
+        measure_int_join_all_miss()?,
     ];
 
     // Cache-hit-scan measurement: every partition of a CIPF-persisted table
@@ -173,7 +197,7 @@ fn main() -> Result<()> {
     let (int_encoded_bytes, int_plain_bytes) = int_codec_accounting(&sorted_int_batch(ROWS))?;
 
     let mut json = String::from("{\n");
-    json.push_str("  \"schema_version\": 10,\n");
+    json.push_str("  \"schema_version\": 11,\n");
     json.push_str(&format!("  \"rows\": {ROWS},\n"));
     json.push_str(&format!("  \"cardinality\": {CARDINALITY},\n"));
     json.push_str(&format!("  \"cache_cold_ns\": {cache_cold_ns},\n"));

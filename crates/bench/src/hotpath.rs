@@ -8,6 +8,7 @@
 //! operators over owned `Vec<String>` columns (per-row clones + boxed keys),
 //! the `dict` numbers over the dictionary-encoded path.
 
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use ci_exec::operators::{AggregateState, JoinHashTable};
@@ -69,6 +70,54 @@ pub fn run_join(build: &RecordBatch, probe: &RecordBatch) -> Result<usize> {
     ht.insert_batch(build.clone())?;
     ht.finalize()?;
     Ok(ht.probe(probe, &[0], out_schema)?.rows())
+}
+
+/// All-miss int-join fixture: a build batch of `build_rows` distinct even
+/// keys and a probe batch of `probe_rows` odd keys from the same range — no
+/// probe key is on the build side, and no range check could tell. The shape
+/// a semi-join-heavy workload has and no CAB template does.
+pub fn all_miss_fixture(build_rows: usize, probe_rows: usize, seed: u64) -> [RecordBatch; 2] {
+    let mut rng = DetRng::seed_from_u64(seed);
+    let build: Vec<i64> = (0..build_rows as i64).map(|i| 2 * i).collect();
+    let probe: Vec<i64> = (0..probe_rows)
+        .map(|_| 2 * rng.u64_below(build_rows.max(1) as u64) as i64 + 1)
+        .collect();
+    [build, probe].map(|keys| {
+        let payload = ColumnData::Int64((0..keys.len() as i64).collect());
+        RecordBatch::new(sorted_int_schema(), vec![ColumnData::Int64(keys), payload])
+            .expect("int fixture batch")
+    })
+}
+
+/// The engine arm of the all-miss kernel: a finalized [`JoinHashTable`]
+/// over the build batch's key column. Built outside the timed region.
+pub fn int_join_table(build: &RecordBatch) -> Result<JoinHashTable> {
+    let mut ht = JoinHashTable::new(build.schema().clone(), vec![0]);
+    ht.insert_batch(build.clone())?;
+    ht.finalize()?;
+    Ok(ht)
+}
+
+/// The reference arm: the build keys in a `std` SwissTable, key → row.
+pub fn int_join_map(build: &RecordBatch) -> Result<HashMap<i64, u32>> {
+    let keys = build.column(0).as_i64()?;
+    Ok(keys.iter().copied().zip(0u32..).collect())
+}
+
+/// All-miss probe through the engine: encode → ids → (no) matches → the
+/// empty joined batch. Returns probe rows plus joined rows.
+pub fn run_int_join_probe(ht: &JoinHashTable, probe: &RecordBatch) -> Result<usize> {
+    let fields = ["p0", "p1", "b0", "b1"].map(|name| Field::new(name, DataType::Int64));
+    let out_schema = Arc::new(Schema::of(fields.to_vec()));
+    Ok(probe.rows() + ht.probe(probe, &[0], out_schema)?.rows())
+}
+
+/// The same probe against the `std` map: one `get` per probe key, matches
+/// collected the way a join would. Returns probe rows plus matches.
+pub fn run_int_map_probe(map: &HashMap<i64, u32>, probe: &RecordBatch) -> Result<usize> {
+    let keys = probe.column(0).as_i64()?;
+    let matches: Vec<u32> = keys.iter().filter_map(|k| map.get(k).copied()).collect();
+    Ok(keys.len() + matches.len())
 }
 
 /// Number of integer payload columns in the wide filter-chain fixture.
@@ -400,6 +449,19 @@ mod tests {
             run_join(&dict, &probe_d).unwrap(),
             run_join(&naive, &probe_n).unwrap()
         );
+    }
+
+    #[test]
+    fn all_miss_arms_agree_and_match_nothing() {
+        let [build, probe] = all_miss_fixture(3_000, 1_000, 5);
+        let ht = int_join_table(&build).unwrap();
+        let map = int_join_map(&build).unwrap();
+        assert_eq!(map.len(), 3_000, "build keys are distinct");
+        assert_eq!(run_int_join_probe(&ht, &probe).unwrap(), 1_000);
+        assert_eq!(run_int_map_probe(&map, &probe).unwrap(), 1_000);
+        // Both arms do find a key that is there.
+        assert_eq!(run_int_join_probe(&ht, &build).unwrap(), 6_000);
+        assert_eq!(run_int_map_probe(&map, &build).unwrap(), 6_000);
     }
 
     #[test]

@@ -28,7 +28,7 @@ pub struct BenchEntry {
 /// The parsed report.
 #[derive(Debug, Clone, PartialEq)]
 pub struct BenchReport {
-    /// Report format version; this reader understands version 10.
+    /// Report format version; this reader understands version 11.
     pub schema_version: u64,
     /// Fixture rows per batch.
     pub rows: u64,
@@ -74,13 +74,27 @@ pub const REQUIRED_BENCHES: &[&str] = &[
     "page_encode",
     "page_encode_int",
     "exchange_wire",
+    "int_join_all_miss",
 ];
+
+/// The speedup a kernel must record. Every kernel times a slower path of
+/// ours against the optimized one and must stay `>= 1.0`, except
+/// `int_join_all_miss`, whose baseline is the `std` SwissTable — another
+/// hash table, with parity the target. Its floor says the engine's probe
+/// stays within 2x of it: the one-`Key`-at-a-time index read about 0.3
+/// there, the word index reads about 1.1.
+fn speedup_floor(name: &str) -> f64 {
+    match name {
+        "int_join_all_miss" => 0.5,
+        _ => 1.0,
+    }
+}
 
 impl BenchReport {
     /// Parses a `BENCH_micro.json` document.
     pub fn parse(json: &str) -> Result<BenchReport> {
         let schema_version = int_field(json, "schema_version")?;
-        if schema_version != 10 {
+        if schema_version != 11 {
             return Err(CiError::Config(format!(
                 "unsupported BENCH_micro schema_version {schema_version}"
             )));
@@ -146,9 +160,10 @@ impl BenchReport {
                     b.name, b.speedup
                 ));
             }
-            if b.speedup < 1.0 {
+            let floor = speedup_floor(&b.name);
+            if b.speedup < floor {
                 out.push(format!(
-                    "{}: speedup {:.2} < 1.0 — optimized path regressed below its baseline",
+                    "{}: speedup {:.2} < {floor:.1} — optimized path regressed below its baseline",
                     b.name, b.speedup
                 ));
             }
@@ -273,7 +288,7 @@ mod tests {
     fn sample(speedup: &str) -> String {
         format!(
             r#"{{
-  "schema_version": 10,
+  "schema_version": 11,
   "rows": 1000,
   "cardinality": 10,
   "cache_cold_ns": 9000,
@@ -292,6 +307,7 @@ mod tests {
     {{"name": "page_encode", "baseline_naive_ns": 180, "dict_ns": 100, "speedup": 1.80, "check": 9}},
     {{"name": "page_encode_int", "baseline_naive_ns": 400, "dict_ns": 100, "speedup": 4.00, "check": 11}},
     {{"name": "exchange_wire", "baseline_naive_ns": 220, "dict_ns": 100, "speedup": 2.20, "check": 10}},
+    {{"name": "int_join_all_miss", "baseline_naive_ns": 90, "dict_ns": 100, "speedup": 0.90, "check": 12}},
     {{"name": "filter_chain", "baseline_naive_ns": {base}, "dict_ns": 100, "speedup": {speedup}, "check": 8}}
   ]
 }}
@@ -303,12 +319,12 @@ mod tests {
     #[test]
     fn parses_the_writer_format() {
         let r = BenchReport::parse(&sample("2.50")).unwrap();
-        assert_eq!(r.schema_version, 10);
+        assert_eq!(r.schema_version, 11);
         assert_eq!(r.rows, 1000);
-        assert_eq!(r.benches.len(), 7);
-        assert_eq!(r.benches[6].name, "filter_chain");
-        assert_eq!(r.benches[6].baseline_naive_ns, 250);
-        assert!((r.benches[6].speedup - 2.5).abs() < 1e-9);
+        assert_eq!(r.benches.len(), 8);
+        assert_eq!(r.benches[7].name, "filter_chain");
+        assert_eq!(r.benches[7].baseline_naive_ns, 250);
+        assert!((r.benches[7].speedup - 2.5).abs() < 1e-9);
         assert_eq!(r.benches[0].check, 5);
         assert_eq!(r.cache_cold_ns, 9000);
         assert_eq!(r.cache_warm_ns, 1000);
@@ -426,6 +442,20 @@ mod tests {
     }
 
     #[test]
+    fn all_miss_kernel_is_gated_against_the_std_map_at_half() {
+        // 0.90 of a SwissTable passes (the sample); under half of it fails.
+        let slow = sample("2.00")
+            .replace("\"baseline_naive_ns\": 90", "\"baseline_naive_ns\": 40")
+            .replace("\"speedup\": 0.90", "\"speedup\": 0.40");
+        let v = BenchReport::parse(&slow).unwrap().violations();
+        assert_eq!(v.len(), 1, "{v:?}");
+        assert!(
+            v[0].contains("int_join_all_miss: speedup 0.40 < 0.5"),
+            "{v:?}"
+        );
+    }
+
+    #[test]
     fn missing_required_bench_is_flagged() {
         let text = sample("2.00").replace("filter_chain", "something_else");
         let v = BenchReport::parse(&text).unwrap().violations();
@@ -446,7 +476,7 @@ mod tests {
     fn malformed_documents_error() {
         assert!(BenchReport::parse("{}").is_err());
         let wrong_version =
-            sample("2.00").replace("\"schema_version\": 10", "\"schema_version\": 9");
+            sample("2.00").replace("\"schema_version\": 11", "\"schema_version\": 10");
         assert!(BenchReport::parse(&wrong_version).is_err());
         let missing_field = sample("2.00").replace("\"dict_ns\"", "\"other\"");
         assert!(BenchReport::parse(&missing_field).is_err());

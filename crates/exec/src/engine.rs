@@ -98,7 +98,8 @@ pub enum ExecutionMode {
     /// Single-threaded discrete-event simulation: the determinism oracle.
     Simulate,
     /// Real multi-threaded processing on a persistent `std::thread`
-    /// [`WorkerPool`] of `workers` threads (see [`ExecutionConfig::pool`]).
+    /// [`WorkerPool`] of `workers` threads — the process-wide
+    /// [`WorkerPool::shared`] pool for that count.
     /// Result rows, logical row counts, and billed
     /// `Dollars` are bit-identical to [`ExecutionMode::Simulate`]; only
     /// wall-clock changes, and [`PipelineMetrics::measured_wall_ns`] /
@@ -124,11 +125,6 @@ pub struct ExecutionConfig {
     pub check_interval: usize,
     /// Morsel-processing driver (default [`ExecutionMode::Simulate`]).
     pub mode: ExecutionMode,
-    /// Worker pool for [`ExecutionMode::Parallel`]. `None` (default) uses
-    /// the process-wide [`WorkerPool::shared`] pool for the mode's worker
-    /// count; set an owned pool ([`WorkerPool::new`]) to control thread
-    /// lifetime explicitly.
-    pub pool: Option<Arc<WorkerPool>>,
     /// Deterministic fault injection (`None`, the default, is fault-free;
     /// [`FaultPlan::chaos`] is the seeded test plan). Fault draws are pure
     /// in `(seed, pipeline, morsel)`, recovery is billed in the accounting
@@ -164,8 +160,8 @@ pub struct ExecutionConfig {
     /// `page_source: Tiered` the simulator's decisions also drive physical
     /// promotion/eviction in the catalog's [`TierStore`].
     pub tiers: Option<TierPricing>,
-    /// Shared cache-simulator state for warm-across-queries experiments
-    /// (like [`ExecutionConfig::pool`]): `None` starts each query cold.
+    /// Shared cache-simulator state for warm-across-queries experiments:
+    /// `None` starts each query cold.
     /// Only consulted when [`ExecutionConfig::tiers`] is set.
     pub tier_sim: Option<Arc<Mutex<TierCacheSim>>>,
 }
@@ -182,7 +178,6 @@ impl Default for ExecutionConfig {
             morsel_rows: 65_536,
             check_interval: 8,
             mode: ExecutionMode::Simulate,
-            pool: None,
             faults: None,
             trace: TraceLevel::Off,
             trace_path: None,
@@ -746,10 +741,7 @@ impl<'q> QueryRun<'q> {
         let config = &exec.config;
         let pool: Option<Arc<WorkerPool>> = match config.mode {
             ExecutionMode::Simulate => None,
-            ExecutionMode::Parallel { workers } => Some(match &config.pool {
-                Some(p) => p.clone(),
-                None => WorkerPool::shared(workers),
-            }),
+            ExecutionMode::Parallel { workers } => Some(WorkerPool::shared(workers)),
         };
         let worker_lanes = pool.as_ref().filter(|_| config.trace.wall()).map(|p| {
             let bufs = Arc::new(WorkerBuffers::new(p.workers()));
@@ -2036,7 +2028,7 @@ mod tests {
     use super::*;
 
     /// `ExecutionConfig::default()` is this literal and nothing else. The
-    /// exhaustive destructuring makes a fourteenth field a compile error
+    /// exhaustive destructuring makes a thirteenth field a compile error
     /// here, so a new field has to state its default in this test.
     #[test]
     fn default_config_is_a_pure_literal() {
@@ -2047,7 +2039,6 @@ mod tests {
             morsel_rows,
             check_interval,
             mode,
-            pool,
             faults,
             trace,
             trace_path,
@@ -2059,7 +2050,6 @@ mod tests {
         assert_eq!(resize_latency, SimDuration::from_millis(500));
         assert_eq!((morsel_rows, check_interval), (65_536, 8));
         assert_eq!(mode, ExecutionMode::Simulate);
-        assert!(pool.is_none());
         assert_eq!(faults, None);
         assert_eq!(trace, TraceLevel::Off);
         assert_eq!(trace_path, None);

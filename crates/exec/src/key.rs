@@ -1,39 +1,47 @@
 //! Hashable, comparable row keys for joins and aggregation, and the one
 //! index both hash operators keep them in.
 //!
-//! The pipeline is encoder → [`KeyIndex`] → per-id payload: a
-//! [`KeyEncoder`] fixes how a key-column layout maps to [`Key`]s, a
-//! [`RowEncoder`] produces one `Key` per row, and a [`KeyIndex`] maps each
-//! distinct `Key` to a dense `u32` id in first-appearance order. The hash
-//! join hangs a CSR row list off those ids and aggregation a flat
-//! accumulator array (see `operators`); neither keeps a map of its own.
+//! The pipeline is column-at-a-time: encoder → words → [`KeyIndex`] → ids.
+//! A [`KeyEncoder`] fixes how a key-column layout maps to key words, a
+//! batch-bound [`RowEncoder`] makes **one pass per key column** and writes
+//! `arity` `u64` words per row — one word per int / float-bits / bool /
+//! dict-id key column — into a flat `Vec<u64>`, and a [`KeyIndex`] turns
+//! those words into dense `u32` ids in first-appearance order
+//! ([`RowEncoder::ids_or_insert`], [`RowEncoder::ids`]). The hash join hangs
+//! a CSR row list off the ids and aggregation one accumulator column per
+//! aggregate (see `operators`); neither keeps a map of its own, and no
+//! per-row key value exists on this path.
 //!
-//! The hot-path representation is [`Key::Inline`]: up to
-//! [`MAX_INLINE_PARTS`] fixed-width parts packed into a stack array — one
-//! `u64` per int / float-bits / bool / dict-id key column — so
-//! [`RowEncoder::encode`] performs **zero heap allocations** for those
-//! column types. Composite keys wider than the inline budget, raw
-//! (non-dict) string keys, and dictionary misses under
-//! [`MissPolicy::Spill`] fall back to the boxed [`KeyPart`] form.
+//! Composite keys wider than [`MAX_INLINE_PARTS`], raw (non-dict) string
+//! keys, and dictionary misses under [`MissPolicy::Spill`] cannot be words:
+//! they take the boxed [`KeyPart`] form, one allocation per row. An index is
+//! **all words or all boxed**. The form is the encoder's from the start
+//! (too wide, or a raw-string column) or changes exactly once, when
+//! aggregation meets its first string outside the dictionary:
+//! [`KeyIndex::rekey_boxed`] then re-keys the stored words in place, ids and
+//! order unchanged.
 //!
 //! Correctness across encodings rests on one invariant: for a fixed
-//! [`KeyEncoder`], the form (inline vs boxed) and the per-part encoding of a
-//! row depend only on the row's *values*, never on which batch or column
-//! encoding carried them. Two rows with equal values always produce equal
-//! keys; rows with different values never collide (a dictionary miss under
-//! [`MissPolicy::Sentinel`] maps every missing string to one sentinel key,
-//! which is sound exactly because the build side never emits it).
+//! [`KeyEncoder`], whether a row needs the boxed form and the per-part
+//! encoding of a row depend only on the row's *values*, never on which batch
+//! or column encoding carried them. Two rows with equal values always
+//! produce equal keys; rows with different values never collide (a
+//! dictionary miss under [`MissPolicy::Sentinel`] maps every missing string
+//! to one sentinel word, which is sound exactly because the build side never
+//! emits it).
 
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
+use std::ops::Range;
 use std::sync::{Arc, Mutex, PoisonError};
 
 use ci_storage::column::ColumnData;
 use ci_storage::dict::Dictionary;
 use ci_storage::value::Value;
+use ci_storage::RecordBatch;
 use ci_types::{CiError, Result};
 
-/// Maximum number of key parts the inline (allocation-free) form holds.
+/// Maximum number of key columns the word (allocation-free) form holds.
 pub const MAX_INLINE_PARTS: usize = 4;
 
 /// Sentinel id for a string absent from the encoder's dictionary. Real ids
@@ -67,33 +75,16 @@ impl From<&Value> for KeyPart {
     }
 }
 
-/// A composite row key.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub enum Key {
-    /// Fixed-width parts on the stack; the hot path.
-    Inline {
-        /// Number of live parts.
-        n: u8,
-        /// Packed part encodings (unused slots are zero).
-        parts: [u64; MAX_INLINE_PARTS],
-    },
-    /// Spilled form for wide composites and raw strings.
-    Boxed(Box<[KeyPart]>),
-}
+/// The spilled key form for wide composites and raw strings.
+pub type BoxedKey = Box<[KeyPart]>;
 
-impl Key {
-    /// The empty key (global aggregates).
-    pub fn empty() -> Key {
-        Key::Inline {
-            n: 0,
-            parts: [0; MAX_INLINE_PARTS],
-        }
-    }
-
-    /// `true` when the key lives entirely on the stack.
-    pub fn is_inline(&self) -> bool {
-        matches!(self, Key::Inline { .. })
-    }
+/// One stored key of a [`KeyIndex`], in the form the index holds.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum KeyRef<'a> {
+    /// One word per key column; the hot path.
+    Words(&'a [u64]),
+    /// The spilled form.
+    Boxed(&'a [KeyPart]),
 }
 
 /// One step of the key hash: xor the word in, multiply by an odd constant
@@ -129,37 +120,84 @@ impl Hasher for PartHasher {
     }
 }
 
-fn hash_key(key: &Key) -> u64 {
-    match key {
-        Key::Inline { n, parts } => parts[..usize::from(*n)]
-            .iter()
-            .fold(mix(HASH_SEED, u64::from(*n)), |h, &p| mix(h, p)),
-        Key::Boxed(parts) => {
-            let mut hasher = PartHasher(HASH_SEED);
-            parts.hash(&mut hasher);
-            hasher.finish()
-        }
-    }
+#[inline]
+fn hash_words(words: &[u64]) -> u64 {
+    words
+        .iter()
+        .fold(mix(HASH_SEED, words.len() as u64), |h, &w| mix(h, w))
 }
 
-/// `Key` → dense `u32` id in first-appearance order: the one hash structure
+fn hash_boxed(parts: &[KeyPart]) -> u64 {
+    let mut hasher = PartHasher(HASH_SEED);
+    parts.hash(&mut hasher);
+    hasher.finish()
+}
+
+/// Key → dense `u32` id in first-appearance order: the one hash structure
 /// under both the join build and aggregation.
 ///
 /// An open-addressed, power-of-two directory of `id + 1` (0 = empty) with
 /// linear probing, kept at most half full so every probe meets an empty
-/// slot; keys and their hashes live once each in id-indexed vectors, so
-/// [`KeyIndex::keys`] *is* the insertion order and growth rehashes nothing.
-/// The hash is a fixed-seed multiply-xorshift — keys come from the engine's
-/// own encoders and ids never depend on hash order, so no keyed flood
-/// resistance (and no `RandomState`) is needed.
-#[derive(Debug, Default)]
+/// slot. Keys live once, in id order: word keys as `arity` words per id in
+/// one flat vector that a lookup compares directly (directory → words, two
+/// dependent loads) and growth re-hashes from; boxed keys beside their
+/// stored hashes. The hash is a fixed-seed multiply-xorshift — keys come
+/// from the engine's own encoders and ids never depend on hash order, so no
+/// keyed flood resistance (and no `RandomState`) is needed.
+#[derive(Debug)]
 pub struct KeyIndex {
     directory: Vec<u32>,
-    keys: Vec<Key>,
-    hashes: Vec<u64>,
+    /// Number of distinct keys (an arity-0 key stores no words to count).
+    len: usize,
+    keys: Keys,
+}
+
+#[derive(Debug)]
+enum Keys {
+    /// Key `id` is `words[id * arity..][..arity]`.
+    Words { arity: usize, words: Vec<u64> },
+    Boxed {
+        keys: Vec<BoxedKey>,
+        hashes: Vec<u64>,
+    },
+}
+
+/// Walks the probe sequence of `hash`: `Ok(id)` at the first stored id that
+/// `is_key` accepts, `Err(empty slot)` when the key is absent. The directory
+/// must be non-empty; load ≤ ½ guarantees termination.
+#[inline]
+fn probe(
+    directory: &[u32],
+    hash: u64,
+    mut is_key: impl FnMut(usize) -> bool,
+) -> std::result::Result<u32, usize> {
+    let mask = directory.len() - 1;
+    let mut slot = hash as usize & mask;
+    loop {
+        match directory[slot] {
+            0 => return Err(slot),
+            stored if is_key((stored - 1) as usize) => return Ok(stored - 1),
+            _ => slot = (slot + 1) & mask,
+        }
+    }
+}
+
+#[inline]
+fn probe_words<const N: usize>(
+    directory: &[u32],
+    words: &[u64],
+    key: &[u64],
+) -> std::result::Result<u32, usize> {
+    let key = &key[..N];
+    probe(directory, hash_words(key), |id| {
+        words[id * N..][..N] == *key
+    })
 }
 
 impl KeyIndex {
+    /// The id [`KeyIndex::ids`] reports for an absent key; never a real id.
+    pub const MISS: u32 = u32::MAX;
+
     /// Most keys an index holds — the directory stores `id + 1` in a `u32` —
     /// and most rows an operator may number with `u32`s beside it.
     const MAX_IDS: usize = (u32::MAX - 1) as usize;
@@ -176,95 +214,205 @@ impl KeyIndex {
         Ok(())
     }
 
-    /// An index that takes `keys` distinct keys without growing.
-    pub fn with_capacity(keys: usize) -> KeyIndex {
+    /// An index that takes `capacity` distinct keys without growing: of
+    /// `arity`-word keys, or of boxed keys when `arity` is `None`. Panics if
+    /// `arity > MAX_INLINE_PARTS`.
+    pub fn new(arity: Option<usize>, capacity: usize) -> KeyIndex {
+        let keys = match arity {
+            Some(arity) => {
+                assert!(arity <= MAX_INLINE_PARTS, "{arity}-word keys are boxed");
+                let words = Vec::with_capacity(capacity * arity);
+                Keys::Words { arity, words }
+            }
+            None => Keys::Boxed {
+                keys: Vec::with_capacity(capacity),
+                hashes: Vec::with_capacity(capacity),
+            },
+        };
+        let slots = match capacity {
+            0 => 0,
+            n => (n * MAX_LOAD_INV).next_power_of_two(),
+        };
         KeyIndex {
-            directory: vec![0; (keys * MAX_LOAD_INV).next_power_of_two()],
-            keys: Vec::with_capacity(keys),
-            hashes: Vec::with_capacity(keys),
+            directory: vec![0; slots],
+            len: 0,
+            keys,
         }
     }
 
     /// Number of distinct keys.
     pub fn len(&self) -> usize {
-        self.keys.len()
+        self.len
     }
 
     /// `true` when no key has been inserted.
     pub fn is_empty(&self) -> bool {
-        self.keys.is_empty()
+        self.len == 0
     }
 
-    /// The distinct keys in first-appearance order; position = id.
-    pub fn keys(&self) -> &[Key] {
-        &self.keys
+    /// `true` while the index holds word keys.
+    pub fn is_words(&self) -> bool {
+        matches!(self.keys, Keys::Words { .. })
     }
 
-    /// The id of `key`, if present.
-    pub fn get(&self, key: &Key) -> Option<u32> {
-        if self.directory.is_empty() {
+    /// The key with id `id`; ids run `0..len()` in first-appearance order.
+    /// Panics if `id >= len()`.
+    pub fn key(&self, id: usize) -> KeyRef<'_> {
+        assert!(id < self.len, "key id {id} out of {}", self.len);
+        match &self.keys {
+            Keys::Words { arity, words } => KeyRef::Words(&words[id * arity..][..*arity]),
+            Keys::Boxed { keys, .. } => KeyRef::Boxed(&keys[id]),
+        }
+    }
+
+    /// Appends to `ids` the id of each of the `rows` keys in `words`
+    /// (`arity` words per key), giving an unseen key the next id. Panics on
+    /// a boxed index or when `words` is not `rows × arity` long.
+    pub fn ids_or_insert(&mut self, words: &[u64], rows: usize, ids: &mut Vec<u32>) {
+        match self.word_arity(words, rows) {
+            0 => {
+                // The one empty key: every row is group 0.
+                self.len = self.len.max(rows.min(1));
+                ids.resize(ids.len() + rows, 0);
+            }
+            1 => self.insert_words::<1>(words, ids),
+            2 => self.insert_words::<2>(words, ids),
+            3 => self.insert_words::<3>(words, ids),
+            _ => self.insert_words::<4>(words, ids),
+        }
+    }
+
+    /// Appends to `ids` the id of each of the `rows` keys in `words`, or
+    /// [`KeyIndex::MISS`] for a key the index does not hold. Panics as
+    /// [`KeyIndex::ids_or_insert`] does.
+    pub fn ids(&self, words: &[u64], rows: usize, ids: &mut Vec<u32>) {
+        match self.word_arity(words, rows) {
+            _ if self.len == 0 => ids.resize(ids.len() + rows, Self::MISS),
+            0 => ids.resize(ids.len() + rows, 0),
+            1 => self.lookup_words::<1>(words, ids),
+            2 => self.lookup_words::<2>(words, ids),
+            3 => self.lookup_words::<3>(words, ids),
+            _ => self.lookup_words::<4>(words, ids),
+        }
+    }
+
+    /// The arity of a words index, having checked `words` holds `rows` keys.
+    fn word_arity(&self, words: &[u64], rows: usize) -> usize {
+        let Keys::Words { arity, .. } = self.keys else {
+            panic!("word keys offered to a boxed KeyIndex");
+        };
+        assert_eq!(words.len(), rows * arity, "{rows} keys of {arity} words");
+        arity
+    }
+
+    fn insert_words<const N: usize>(&mut self, rows: &[u64], ids: &mut Vec<u32>) {
+        ids.reserve(rows.len() / N);
+        for key in rows.chunks_exact(N) {
+            self.reserve_one();
+            let Keys::Words { words, .. } = &mut self.keys else {
+                unreachable!("arity came from the words form");
+            };
+            ids.push(match probe_words::<N>(&self.directory, words, key) {
+                Ok(id) => id,
+                Err(slot) => {
+                    words.extend_from_slice(key);
+                    self.len += 1;
+                    self.directory[slot] = self.len as u32; // id + 1; fits: reserve_one checked
+                    self.len as u32 - 1
+                }
+            });
+        }
+    }
+
+    fn lookup_words<const N: usize>(&self, rows: &[u64], ids: &mut Vec<u32>) {
+        let Keys::Words { words, .. } = &self.keys else {
+            unreachable!("arity came from the words form");
+        };
+        ids.extend(
+            rows.chunks_exact(N)
+                .map(|key| probe_words::<N>(&self.directory, words, key).unwrap_or(Self::MISS)),
+        );
+    }
+
+    /// The id of boxed `key`, inserting it with the next id when absent.
+    /// Panics on a words index.
+    pub fn id_or_insert_boxed(&mut self, key: BoxedKey) -> u32 {
+        self.reserve_one();
+        let hash = hash_boxed(&key);
+        let slot = match self.probe_boxed(&key, hash) {
+            Ok(id) => return id,
+            Err(slot) => slot,
+        };
+        let Keys::Boxed { keys, hashes } = &mut self.keys else {
+            unreachable!("probe_boxed checked the form");
+        };
+        keys.push(key);
+        hashes.push(hash);
+        self.len += 1;
+        self.directory[slot] = self.len as u32; // id + 1; fits: reserve_one checked
+        self.len as u32 - 1
+    }
+
+    /// The id of boxed `key`, if present. Panics on a words index.
+    pub fn id_boxed(&self, key: &[KeyPart]) -> Option<u32> {
+        if self.len == 0 {
             return None;
         }
-        self.find(key, hash_key(key)).ok()
+        self.probe_boxed(key, hash_boxed(key)).ok()
     }
 
-    /// The id of `key`, inserting it with the next id when absent; the flag
-    /// is `true` for a fresh insert.
-    pub fn get_or_insert(&mut self, key: Key) -> (u32, bool) {
-        if (self.keys.len() + 1) * MAX_LOAD_INV > self.directory.len() {
-            self.grow();
-        }
-        let hash = hash_key(&key);
-        match self.find(&key, hash) {
-            Ok(id) => (id, false),
-            Err(slot) => {
-                // Stored ids must stay exact: past this a slot would alias.
-                assert!(
-                    self.keys.len() < Self::MAX_IDS,
-                    "KeyIndex id space exhausted"
-                );
-                let id = self.keys.len() as u32;
-                self.directory[slot] = id + 1;
-                self.keys.push(key);
-                self.hashes.push(hash);
-                (id, true)
-            }
+    /// [`probe`] for a boxed key: the stored hash screens before the
+    /// part-by-part compare.
+    fn probe_boxed(&self, key: &[KeyPart], hash: u64) -> std::result::Result<u32, usize> {
+        let Keys::Boxed { keys, hashes } = &self.keys else {
+            panic!("boxed key offered to a words KeyIndex");
+        };
+        probe(&self.directory, hash, |id| {
+            hashes[id] == hash && *keys[id] == *key
+        })
+    }
+
+    /// Makes room for one more key: doubles the directory past half load.
+    fn reserve_one(&mut self) {
+        // Stored ids must stay exact: past this a slot would alias.
+        assert!(self.len < Self::MAX_IDS, "KeyIndex id space exhausted");
+        if (self.len + 1) * MAX_LOAD_INV > self.directory.len() {
+            self.reseat((self.directory.len() * 2).max(8));
         }
     }
 
-    /// Probes for `key`: `Ok(id)` on a hit, `Err(empty slot)` on a miss.
-    /// The directory must be non-empty; load ≤ ½ guarantees termination.
-    #[inline]
-    fn find(&self, key: &Key, hash: u64) -> std::result::Result<u32, usize> {
-        let mask = self.directory.len() - 1;
-        let mut slot = hash as usize & mask;
-        loop {
-            match self.directory[slot] {
-                0 => return Err(slot),
-                stored => {
-                    let id = (stored - 1) as usize;
-                    if self.hashes[id] == hash && self.keys[id] == *key {
-                        return Ok(stored - 1);
-                    }
-                }
-            }
-            slot = (slot + 1) & mask;
+    /// Replaces the directory by one of `slots` slots and re-seats every id:
+    /// word keys re-hash from their words, boxed keys from the stored hash.
+    fn reseat(&mut self, slots: usize) {
+        self.directory = vec![0u32; slots];
+        for id in 0..self.len {
+            let hash = match &self.keys {
+                Keys::Words { arity, words } => hash_words(&words[id * arity..][..*arity]),
+                Keys::Boxed { hashes, .. } => hashes[id],
+            };
+            // No stored id is accepted, so the walk ends at the empty slot.
+            let Err(slot) = probe(&self.directory, hash, |_| false) else {
+                unreachable!("probe accepted a key");
+            };
+            self.directory[slot] = id as u32 + 1;
         }
     }
 
-    /// Doubles the directory and re-seats every id from its stored hash.
-    fn grow(&mut self) {
-        let len = (self.directory.len() * 2).max(8);
-        let mask = len - 1;
-        let mut directory = vec![0u32; len];
-        for (stored, &hash) in (1u32..).zip(&self.hashes) {
-            let mut slot = hash as usize & mask;
-            while directory[slot] != 0 {
-                slot = (slot + 1) & mask;
-            }
-            directory[slot] = stored;
-        }
-        self.directory = directory;
+    /// The one form transition: turns a words index into a boxed one by
+    /// re-keying every stored key through `to_boxed`, ids and order
+    /// unchanged. `to_boxed` must be injective and agree with the boxed
+    /// encoding of later rows ([`KeyEncoder::boxed_from_words`]). A boxed
+    /// index is left as it is.
+    pub fn rekey_boxed(&mut self, to_boxed: impl Fn(&[u64]) -> BoxedKey) {
+        let Keys::Words { arity, words } = &self.keys else {
+            return;
+        };
+        let keys: Vec<BoxedKey> = (0..self.len)
+            .map(|id| to_boxed(&words[id * arity..][..*arity]))
+            .collect();
+        let hashes = keys.iter().map(|k| hash_boxed(k)).collect();
+        self.keys = Keys::Boxed { keys, hashes };
+        self.reseat(self.directory.len().max(8));
     }
 }
 
@@ -293,8 +441,21 @@ enum KeyMode {
     Str,
 }
 
-/// Encodes rows of a fixed key-column layout into [`Key`]s and decodes them
-/// back into values. Create once per join build / aggregation, then
+impl KeyMode {
+    /// The boxed part that equals key word `word` of a column in this mode.
+    fn part(&self, word: u64) -> KeyPart {
+        match self {
+            KeyMode::Int => KeyPart::Int(word as i64),
+            KeyMode::Float => KeyPart::FloatBits(word),
+            KeyMode::Bool => KeyPart::Bool(word != 0),
+            KeyMode::DictStr(_) => KeyPart::DictId(word),
+            KeyMode::Str => unreachable!("raw-string keys are always boxed"),
+        }
+    }
+}
+
+/// Encodes rows of a fixed key-column layout into keys and decodes stored
+/// keys back into values. Create once per join build / aggregation, then
 /// [`KeyEncoder::prepare`] a [`RowEncoder`] per batch.
 #[derive(Debug, Clone)]
 pub struct KeyEncoder {
@@ -322,7 +483,7 @@ impl KeyEncoder {
             .iter()
             .map(|c| match c {
                 // Dict-encoded ints are their own canonical key: the decoded
-                // value goes inline, so no id translation between
+                // value is the word, so no id translation between
                 // dictionaries is ever needed and cross-encoding joins
                 // (plain build, dict probe) match by value.
                 ColumnData::Int64(_) | ColumnData::DictInt { .. } => KeyMode::Int,
@@ -377,6 +538,12 @@ impl KeyEncoder {
         self.modes.len()
     }
 
+    /// An empty index in the form this encoder's keys start in — words
+    /// unless every key is boxed — sized for `capacity` distinct keys.
+    pub fn new_index(&self, capacity: usize) -> KeyIndex {
+        KeyIndex::new((!self.always_boxed).then(|| self.arity()), capacity)
+    }
+
     /// Binds the encoder to one batch's key columns, resolving per-batch
     /// fast paths once (direct id reuse when the batch shares the encoder's
     /// dictionary, an id-translation table when it carries a foreign one).
@@ -419,58 +586,45 @@ impl KeyEncoder {
             })
             .collect();
         Ok(RowEncoder {
+            encoder: self,
             plans,
-            miss: self.miss,
-            always_boxed: self.always_boxed,
         })
     }
 
-    /// Re-materializes a key produced by this encoder as values (group-by
-    /// output columns).
+    /// The boxed form of a key this encoder wrote as words: what
+    /// [`RowEncoder::encode_boxed`] yields for a row with the same values,
+    /// so [`KeyIndex::rekey_boxed`] keeps equal keys equal.
+    pub fn boxed_from_words(&self, words: &[u64]) -> BoxedKey {
+        let parts = self.modes.iter().zip(words);
+        parts.map(|(mode, &word)| mode.part(word)).collect()
+    }
+
+    /// Re-materializes one key column of a stored key as a value (group-by
+    /// output columns). Panics if `col >= arity()`.
     ///
     /// Only meaningful for keys encoded under [`MissPolicy::Spill`] (the
     /// policy aggregation uses): a [`MissPolicy::Sentinel`] miss carries no
     /// decodable value, and decoding one panics with a clear message rather
     /// than returning a wrong string.
-    pub fn key_values(&self, key: &Key) -> Vec<Value> {
-        (0..self.arity())
-            .map(|col| self.key_value_at(key, col))
-            .collect()
-    }
-
-    /// The value of one key column of `key` (see [`KeyEncoder::key_values`]
-    /// for the decoding contract). Panics if `col >= arity()`.
-    pub fn key_value_at(&self, key: &Key, col: usize) -> Value {
-        let decode_id = |d: &Arc<Dictionary>, id: u64| -> Value {
-            assert!(
-                id != DICT_MISS,
-                "key_values on a Sentinel-policy miss key: no decodable value"
-            );
-            Value::Str(d.get(id as u32).to_owned())
-        };
+    pub fn key_value_at(&self, key: KeyRef<'_>, col: usize) -> Value {
         let mode = &self.modes[col];
-        match key {
-            Key::Inline { n, parts } => {
-                assert!(col < *n as usize, "key has {n} parts, wanted {col}");
-                let p = parts[col];
-                match mode {
-                    KeyMode::Int => Value::Int(p as i64),
-                    KeyMode::Float => Value::Float(f64::from_bits(p)),
-                    KeyMode::Bool => Value::Bool(p != 0),
-                    KeyMode::DictStr(d) => decode_id(d, p),
-                    KeyMode::Str => unreachable!("raw-string keys are always boxed"),
-                }
+        let part = match key {
+            KeyRef::Words(words) => mode.part(words[col]),
+            KeyRef::Boxed(parts) => parts[col].clone(),
+        };
+        match (part, mode) {
+            (KeyPart::Int(x), _) => Value::Int(x),
+            (KeyPart::FloatBits(b), _) => Value::Float(f64::from_bits(b)),
+            (KeyPart::Bool(b), _) => Value::Bool(b),
+            (KeyPart::Str(s), _) => Value::Str(s),
+            (KeyPart::DictId(id), KeyMode::DictStr(d)) => {
+                assert!(
+                    id != DICT_MISS,
+                    "key_value_at on a Sentinel-policy miss key: no decodable value"
+                );
+                Value::Str(d.get(id as u32).to_owned())
             }
-            Key::Boxed(parts) => match &parts[col] {
-                KeyPart::Int(x) => Value::Int(*x),
-                KeyPart::FloatBits(b) => Value::Float(f64::from_bits(*b)),
-                KeyPart::Bool(b) => Value::Bool(*b),
-                KeyPart::Str(s) => Value::Str(s.clone()),
-                KeyPart::DictId(id) => match mode {
-                    KeyMode::DictStr(d) => decode_id(d, *id),
-                    _ => unreachable!("DictId under non-dict mode"),
-                },
-            },
+            (KeyPart::DictId(_), _) => unreachable!("DictId under non-dict mode"),
         }
     }
 
@@ -487,26 +641,20 @@ impl KeyEncoder {
     /// the spilled string of a [`MissPolicy::Spill`] miss (a group string
     /// never interned in the encoder's dictionary). `None` when the column
     /// is not dict-mode.
-    pub fn dict_entry<'k>(&self, key: &'k Key, col: usize) -> Option<DictKeyEntry<'k>> {
+    pub fn dict_entry<'k>(&self, key: KeyRef<'k>, col: usize) -> Option<DictKeyEntry<'k>> {
         if !matches!(self.modes[col], KeyMode::DictStr(_)) {
             return None;
         }
-        Some(match key {
-            Key::Inline { n, parts } => {
-                assert!(col < *n as usize, "key has {n} parts, wanted {col}");
-                let id = parts[col];
-                assert!(id != DICT_MISS, "dict_entry on a Sentinel-policy miss key");
-                DictKeyEntry::Id(id as u32)
-            }
-            Key::Boxed(parts) => match &parts[col] {
-                KeyPart::DictId(id) => {
-                    assert!(*id != DICT_MISS, "dict_entry on a Sentinel-policy miss key");
-                    DictKeyEntry::Id(*id as u32)
-                }
-                KeyPart::Str(s) => DictKeyEntry::Spilled(s),
+        let id = match key {
+            KeyRef::Words(words) => words[col],
+            KeyRef::Boxed(parts) => match &parts[col] {
+                KeyPart::DictId(id) => *id,
+                KeyPart::Str(s) => return Some(DictKeyEntry::Spilled(s)),
                 other => unreachable!("{other:?} under dict mode"),
             },
-        })
+        };
+        assert!(id != DICT_MISS, "dict_entry on a Sentinel-policy miss key");
+        Some(DictKeyEntry::Id(id as u32))
     }
 }
 
@@ -520,17 +668,53 @@ pub enum DictKeyEntry<'a> {
     Spilled(&'a str),
 }
 
+/// The physical rows of a batch a [`RowEncoder`] reads, in order.
+#[derive(Debug, Clone)]
+pub enum RowSet {
+    /// A contiguous run: a dense batch, or a range selection.
+    Range(Range<usize>),
+    /// A sparse selection's physical indices.
+    Picked(Vec<usize>),
+}
+
+impl RowSet {
+    /// The rows `batch` selects: a deferred filter is read in place.
+    pub fn of(batch: &RecordBatch) -> RowSet {
+        match batch.selection().map(|sel| (sel, sel.as_range())) {
+            None => RowSet::Range(0..batch.physical_rows()),
+            Some((_, Some((start, len)))) => RowSet::Range(start..start + len),
+            Some((sel, None)) => RowSet::Picked(sel.iter().collect()),
+        }
+    }
+
+    fn len(&self) -> usize {
+        match self {
+            RowSet::Range(r) => r.len(),
+            RowSet::Picked(p) => p.len(),
+        }
+    }
+
+    /// The rows in order (one of the two chained halves is empty).
+    pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
+        let (range, picked) = match self {
+            RowSet::Range(r) => (r.clone(), &[][..]),
+            RowSet::Picked(p) => (0..0, &p[..]),
+        };
+        range.chain(picked.iter().copied())
+    }
+}
+
 /// A batch-bound key encoder; see [`KeyEncoder::prepare`].
 pub struct RowEncoder<'a> {
+    encoder: &'a KeyEncoder,
     plans: Vec<ColPlan<'a>>,
-    miss: MissPolicy,
-    always_boxed: bool,
 }
 
 enum ColPlan<'a> {
     I64(&'a [i64]),
-    /// Dict-encoded ints: the *decoded value* encodes inline, exactly as a
-    /// plain int column would, so the key space is encoding-independent.
+    /// Dict-encoded ints: the *decoded value* is the word, exactly as a
+    /// plain int column's would be, so the key space is
+    /// encoding-independent.
     DictI64(&'a [u32], &'a Arc<ci_storage::dict::IntDict>),
     F64(&'a [f64]),
     Bool(&'a [bool]),
@@ -550,31 +734,52 @@ enum ColPlan<'a> {
     Mismatch(&'a ColumnData),
 }
 
+/// The one row loop of the batch encoder: writes `word(&v[row])` for each
+/// row of `rows` to `out[0]`, `out[stride]`, … in order.
+fn scatter<T>(
+    out: &mut [u64],
+    stride: usize,
+    rows: &RowSet,
+    v: &[T],
+    mut word: impl FnMut(&T) -> u64,
+) {
+    let slots = out.iter_mut().step_by(stride);
+    match rows {
+        RowSet::Range(r) => slots
+            .zip(&v[r.clone()])
+            .for_each(|(slot, x)| *slot = word(x)),
+        RowSet::Picked(p) => slots.zip(p).for_each(|(slot, &row)| *slot = word(&v[row])),
+    }
+}
+
 impl ColPlan<'_> {
-    /// The fixed-width encoding of row `row`, or `None` when this column
-    /// forces the boxed form for the row.
-    fn fixed(&self, row: usize, miss: MissPolicy) -> Option<u64> {
+    /// Writes this column's word of every row of `rows` into `out` at
+    /// `stride`; `false` when the column forces some row into the boxed
+    /// form (`out` is then unspecified).
+    fn write_words(&self, rows: &RowSet, out: &mut [u64], stride: usize, miss: MissPolicy) -> bool {
+        // A dictionary miss is the sentinel word, or (`Spill`) a boxed row.
+        let mut missed = false;
         match self {
-            ColPlan::I64(v) => Some(v[row] as u64),
-            ColPlan::DictI64(ids, dict) => Some(dict.get(ids[row]) as u64),
-            ColPlan::F64(v) => Some(v[row].to_bits()),
-            ColPlan::Bool(v) => Some(v[row] as u64),
-            ColPlan::Ids(ids) => Some(u64::from(ids[row])),
-            ColPlan::Translated(ids, _, table) => {
-                let id = table[ids[row] as usize];
-                if id == DICT_MISS && miss == MissPolicy::Spill {
-                    None
-                } else {
-                    Some(id)
-                }
+            ColPlan::I64(v) => scatter(out, stride, rows, v, |&x| x as u64),
+            ColPlan::DictI64(ids, dict) => {
+                scatter(out, stride, rows, ids, |&id| dict.get(id) as u64)
             }
-            ColPlan::LookupUtf8(v, d) => match d.id_of(&v[row]) {
-                Some(id) => Some(u64::from(id)),
-                None if miss == MissPolicy::Sentinel => Some(DICT_MISS),
-                None => None,
-            },
-            ColPlan::StrUtf8(_) | ColPlan::StrDict(..) | ColPlan::Mismatch(_) => None,
+            ColPlan::F64(v) => scatter(out, stride, rows, v, |x| x.to_bits()),
+            ColPlan::Bool(v) => scatter(out, stride, rows, v, |&b| u64::from(b)),
+            ColPlan::Ids(ids) => scatter(out, stride, rows, ids, |&id| u64::from(id)),
+            ColPlan::Translated(ids, _, table) => scatter(out, stride, rows, ids, |&id| {
+                let word = table[id as usize];
+                missed |= word == DICT_MISS;
+                word
+            }),
+            ColPlan::LookupUtf8(v, d) => scatter(out, stride, rows, v, |s| {
+                let word = d.id_of(s).map_or(DICT_MISS, u64::from);
+                missed |= word == DICT_MISS;
+                word
+            }),
+            ColPlan::StrUtf8(_) | ColPlan::StrDict(..) | ColPlan::Mismatch(_) => return false,
         }
+        !(missed && miss == MissPolicy::Spill)
     }
 
     /// The boxed encoding of row `row`.
@@ -606,30 +811,74 @@ impl ColPlan<'_> {
 }
 
 impl RowEncoder<'_> {
-    /// Extracts the key of row `row`. Allocation-free whenever every key
-    /// column is int/float/bool/dict-string (and, under `Spill`, every
-    /// string hits the dictionary).
-    pub fn encode(&self, row: usize) -> Key {
-        if !self.always_boxed {
-            let mut parts = [0u64; MAX_INLINE_PARTS];
-            let mut ok = true;
-            for (i, p) in self.plans.iter().enumerate() {
-                match p.fixed(row, self.miss) {
-                    Some(x) => parts[i] = x,
-                    None => {
-                        ok = false;
-                        break;
-                    }
-                }
-            }
-            if ok {
-                return Key::Inline {
-                    n: self.plans.len() as u8,
-                    parts,
-                };
-            }
+    /// The batch encoder: one pass per key column writes `arity` words per
+    /// row of `rows` into `out` (cleared first), row-major. Returns `false`
+    /// — leaving `out` unspecified — when some row needs the boxed form: a
+    /// raw-string or over-wide key layout, a column of the wrong type, or a
+    /// dictionary miss under [`MissPolicy::Spill`]. No rows need nothing.
+    pub fn encode_words(&self, rows: &RowSet, out: &mut Vec<u64>) -> bool {
+        out.clear();
+        if rows.len() == 0 {
+            return true;
         }
-        Key::Boxed(self.plans.iter().map(|p| p.part(row, self.miss)).collect())
+        if self.encoder.always_boxed {
+            return false;
+        }
+        let stride = self.plans.len();
+        out.resize(rows.len() * stride, 0);
+        self.plans
+            .iter()
+            .enumerate()
+            .all(|(c, plan)| plan.write_words(rows, &mut out[c..], stride, self.encoder.miss))
+    }
+
+    /// The boxed key of row `row`: one allocation, plus one per string part.
+    pub fn encode_boxed(&self, row: usize) -> BoxedKey {
+        self.plans
+            .iter()
+            .map(|p| p.part(row, self.encoder.miss))
+            .collect()
+    }
+
+    /// Encode batch → id vector, inserting: `ids` becomes the `index` id of
+    /// each row of `rows`, unseen keys taking the next ids in row order.
+    /// `index` must come from this encoder ([`KeyEncoder::new_index`]). The
+    /// first batch with a row that needs the boxed form turns a words index
+    /// boxed for good; ids already handed out keep their keys.
+    pub fn ids_or_insert(&self, rows: &RowSet, index: &mut KeyIndex, ids: &mut Vec<u32>) {
+        ids.clear();
+        let mut words = Vec::new();
+        if index.is_words() && self.encode_words(rows, &mut words) {
+            return index.ids_or_insert(&words, rows.len(), ids);
+        }
+        index.rekey_boxed(|words| self.encoder.boxed_from_words(words));
+        rows.iter()
+            .for_each(|row| ids.push(index.id_or_insert_boxed(self.encode_boxed(row))));
+    }
+
+    /// Encode batch → id vector, looking up: `ids` becomes the `index` id
+    /// of each row of `rows`, [`KeyIndex::MISS`] where the key is absent.
+    pub fn ids(&self, rows: &RowSet, index: &KeyIndex, ids: &mut Vec<u32>) {
+        ids.clear();
+        let mut words = Vec::new();
+        if !index.is_words() {
+            rows.iter().for_each(|row| {
+                let id = index.id_boxed(&self.encode_boxed(row));
+                ids.push(id.unwrap_or(KeyIndex::MISS));
+            });
+        } else if self.encode_words(rows, &mut words) {
+            index.ids(&words, rows.len(), ids);
+        } else {
+            // Some row needs the boxed form, and the form depends only on
+            // the row's values: such a row equals no word key.
+            rows.iter().for_each(|row| {
+                if self.encode_words(&RowSet::Range(row..row + 1), &mut words) {
+                    index.ids(&words, 1, ids);
+                } else {
+                    ids.push(KeyIndex::MISS);
+                }
+            });
+        }
     }
 }
 
@@ -658,17 +907,38 @@ mod tests {
         ColumnData::Utf8(vals.iter().map(|s| (*s).to_owned()).collect()).dict_encoded()
     }
 
-    fn encode_all(cols: &[&ColumnData], miss: MissPolicy) -> Vec<Key> {
-        let enc = KeyEncoder::for_columns(cols, miss);
+    /// Every row of `cols` as the words `enc` writes, or `None` when the
+    /// batch needs the boxed form.
+    fn words_of(enc: &KeyEncoder, cols: &[&ColumnData]) -> Option<Vec<Vec<u64>>> {
+        let mut words = Vec::new();
+        let rows = RowSet::Range(0..cols.first().map_or(0, |c| c.len()));
+        let fixed = enc.prepare(cols).unwrap().encode_words(&rows, &mut words);
+        fixed.then(|| {
+            words
+                .chunks(enc.arity().max(1))
+                .map(<[u64]>::to_vec)
+                .collect()
+        })
+    }
+
+    fn encode_all(cols: &[&ColumnData], miss: MissPolicy) -> Option<Vec<Vec<u64>>> {
+        words_of(&KeyEncoder::for_columns(cols, miss), cols)
+    }
+
+    fn key_values(enc: &KeyEncoder, key: KeyRef<'_>) -> Vec<Value> {
+        (0..enc.arity()).map(|c| enc.key_value_at(key, c)).collect()
+    }
+
+    fn boxed_all(enc: &KeyEncoder, cols: &[&ColumnData]) -> Vec<BoxedKey> {
         let re = enc.prepare(cols).unwrap();
-        (0..cols[0].len()).map(|r| re.encode(r)).collect()
+        (0..cols[0].len()).map(|r| re.encode_boxed(r)).collect()
     }
 
     #[test]
     fn key_equality_per_type() {
         let ints = ColumnData::Int64(vec![1, 1, 2]);
         let strs = dict_col(&["a", "a", "b"]);
-        let keys = encode_all(&[&ints, &strs], MissPolicy::Spill);
+        let keys = encode_all(&[&ints, &strs], MissPolicy::Spill).unwrap();
         assert_eq!(keys[0], keys[1]);
         assert_ne!(keys[0], keys[2]);
     }
@@ -676,7 +946,7 @@ mod tests {
     #[test]
     fn float_keys_use_bit_pattern() {
         let f = ColumnData::Float64(vec![0.5, 0.5, -0.0, 0.0]);
-        let keys = encode_all(&[&f], MissPolicy::Spill);
+        let keys = encode_all(&[&f], MissPolicy::Spill).unwrap();
         assert_eq!(keys[0], keys[1]);
         // -0.0 and 0.0 differ bitwise: exact-match join semantics.
         assert_ne!(keys[2], keys[3]);
@@ -689,22 +959,27 @@ mod tests {
         let bools = ColumnData::Bool(vec![true, false]);
         let dicts = dict_col(&["x", "y"]);
         let keys = encode_all(&[&ints, &floats, &bools, &dicts], MissPolicy::Spill);
-        assert!(
-            keys.iter().all(Key::is_inline),
-            "int/float/bool/dict composite must be allocation-free"
+        assert_eq!(
+            keys.expect("int/float/bool/dict composite must be allocation-free"),
+            vec![
+                vec![7, 1.5f64.to_bits(), 1, 0],
+                vec![-1i64 as u64, 2.5f64.to_bits(), 0, 1]
+            ]
         );
-        // A fifth column exceeds the inline budget.
+        // A fifth column exceeds the word budget.
         let five: Vec<&ColumnData> = vec![&ints, &floats, &bools, &dicts, &ints];
         let enc = KeyEncoder::for_columns(&five, MissPolicy::Spill);
-        let re = enc.prepare(&five).unwrap();
-        assert!(!re.encode(0).is_inline());
+        assert_eq!(words_of(&enc, &five), None);
+        assert!(!enc.new_index(0).is_words());
     }
 
     #[test]
     fn raw_string_keys_spill_to_boxed() {
         let strs = ColumnData::Utf8(vec!["a".into(), "b".into(), "a".into()]);
-        let keys = encode_all(&[&strs], MissPolicy::Spill);
-        assert!(keys.iter().all(|k| !k.is_inline()));
+        let cols: Vec<&ColumnData> = vec![&strs];
+        let enc = KeyEncoder::for_columns(&cols, MissPolicy::Spill);
+        assert_eq!(words_of(&enc, &cols), None);
+        let keys = boxed_all(&enc, &cols);
         assert_eq!(keys[0], keys[2]);
         assert_ne!(keys[0], keys[1]);
     }
@@ -715,9 +990,13 @@ mod tests {
         let strs = dict_col(&["x"]);
         let cols: Vec<&ColumnData> = vec![&ints, &strs];
         let enc = KeyEncoder::for_columns(&cols, MissPolicy::Spill);
-        let re = enc.prepare(&cols).unwrap();
-        let k = re.encode(0);
-        assert_eq!(enc.key_values(&k), vec![Value::Int(7), Value::from("x")]);
+        let words = &words_of(&enc, &cols).unwrap()[0];
+        let expected = vec![Value::Int(7), Value::from("x")];
+        assert_eq!(key_values(&enc, KeyRef::Words(words)), expected);
+        // Both forms of one key decode alike.
+        let boxed = enc.boxed_from_words(words);
+        assert_eq!(boxed, boxed_all(&enc, &cols)[0]);
+        assert_eq!(key_values(&enc, KeyRef::Boxed(&boxed)), expected);
     }
 
     #[test]
@@ -725,19 +1004,13 @@ mod tests {
         let build = dict_col(&["a", "b", "c"]);
         let cols: Vec<&ColumnData> = vec![&build];
         let enc = KeyEncoder::for_columns(&cols, MissPolicy::Sentinel);
-        let build_keys: Vec<Key> = {
-            let re = enc.prepare(&cols).unwrap();
-            (0..3).map(|r| re.encode(r)).collect()
-        };
+        let build_keys = words_of(&enc, &cols).unwrap();
         // Probe column interned in a different order, plus a miss.
         let probe = dict_col(&["c", "q", "a"]);
-        let pcols: Vec<&ColumnData> = vec![&probe];
-        let re = enc.prepare(&pcols).unwrap();
-        assert_eq!(re.encode(0), build_keys[2], "same string, same key");
-        assert_eq!(re.encode(2), build_keys[0]);
-        let miss = re.encode(1);
-        assert!(miss.is_inline(), "sentinel miss stays allocation-free");
-        assert!(build_keys.iter().all(|k| *k != miss));
+        let probe_keys = words_of(&enc, &[&probe]).expect("sentinel miss stays a word");
+        assert_eq!(probe_keys[0], build_keys[2], "same string, same key");
+        assert_eq!(probe_keys[2], build_keys[0]);
+        assert!(build_keys.iter().all(|k| *k != probe_keys[1]));
     }
 
     #[test]
@@ -745,10 +1018,7 @@ mod tests {
         let build = dict_col(&["a", "b", "c"]);
         let cols: Vec<&ColumnData> = vec![&build];
         let enc = KeyEncoder::for_columns(&cols, MissPolicy::Sentinel);
-        let build_keys: Vec<Key> = {
-            let re = enc.prepare(&cols).unwrap();
-            (0..3).map(|r| re.encode(r)).collect()
-        };
+        let build_keys = words_of(&enc, &cols).unwrap();
         // A worker sharing the encoder panics while holding the cache lock.
         let shared = enc.clone();
         let worker = std::thread::spawn(move || {
@@ -759,11 +1029,10 @@ mod tests {
         assert!(enc.translations.is_poisoned());
         // The next probe morsel still translates (and caches) its ids.
         let probe = dict_col(&["c", "q", "a"]);
-        let pcols: Vec<&ColumnData> = vec![&probe];
         for _ in 0..2 {
-            let re = enc.prepare(&pcols).unwrap();
-            assert_eq!(re.encode(0), build_keys[2]);
-            assert_eq!(re.encode(2), build_keys[0]);
+            let probe_keys = words_of(&enc, &[&probe]).unwrap();
+            assert_eq!(probe_keys[0], build_keys[2]);
+            assert_eq!(probe_keys[2], build_keys[0]);
         }
     }
 
@@ -772,23 +1041,22 @@ mod tests {
         let first = dict_col(&["a", "b"]);
         let cols: Vec<&ColumnData> = vec![&first];
         let enc = KeyEncoder::for_columns(&cols, MissPolicy::Spill);
-        // A later morsel carries raw strings, two of them unseen.
+        // A later morsel carries raw strings, two of them unseen: the batch
+        // reports the boxed form instead of writing a sentinel.
         let later = ColumnData::Utf8(vec!["b".into(), "q".into(), "z".into(), "q".into()]);
         let lcols: Vec<&ColumnData> = vec![&later];
-        let re = enc.prepare(&lcols).unwrap();
-        let kb = re.encode(0);
-        let kq1 = re.encode(1);
-        let kz = re.encode(2);
-        let kq2 = re.encode(3);
-        assert!(kb.is_inline(), "dictionary hit stays inline");
-        assert_ne!(kq1, kz, "distinct unseen strings form distinct keys");
-        assert_eq!(kq1, kq2, "equal unseen strings form equal keys");
-        let first_re = enc.prepare(&cols).unwrap();
-        assert_eq!(
-            first_re.encode(1),
-            kb,
-            "hit encodes identically across batches"
+        assert_eq!(words_of(&enc, &lcols), None);
+        let keys = boxed_all(&enc, &lcols);
+        assert_ne!(
+            keys[1], keys[2],
+            "distinct unseen strings form distinct keys"
         );
+        assert_eq!(keys[1], keys[3], "equal unseen strings form equal keys");
+        // A hit encodes identically across batches, in both forms.
+        let hit = &words_of(&enc, &cols).unwrap()[1];
+        assert_eq!(enc.boxed_from_words(hit), keys[0]);
+        let hits_only = ColumnData::Utf8(vec!["b".into()]);
+        assert_eq!(&words_of(&enc, &[&hits_only]).unwrap()[0], hit);
     }
 
     #[test]
@@ -797,18 +1065,19 @@ mod tests {
         let ints = ColumnData::Int64(vec![1, 2]);
         let cols: Vec<&ColumnData> = vec![&strs, &ints];
         let enc = KeyEncoder::for_columns(&cols, MissPolicy::Spill);
-        let k0 = enc.prepare(&cols).unwrap().encode(0);
-        assert_eq!(enc.dict_entry(&k0, 0), Some(DictKeyEntry::Id(0)));
-        assert_eq!(enc.dict_entry(&k0, 1), None, "int column is not dict-mode");
-        assert_eq!(enc.key_value_at(&k0, 0), Value::from("a"));
-        assert_eq!(enc.key_value_at(&k0, 1), Value::Int(1));
+        let words = words_of(&enc, &cols).unwrap();
+        let k0 = KeyRef::Words(&words[0]);
+        assert_eq!(enc.dict_entry(k0, 0), Some(DictKeyEntry::Id(0)));
+        assert_eq!(enc.dict_entry(k0, 1), None, "int column is not dict-mode");
+        assert_eq!(enc.key_value_at(k0, 0), Value::from("a"));
+        assert_eq!(enc.key_value_at(k0, 1), Value::Int(1));
         // A later morsel with an unseen string spills; the entry carries it.
         let later = ColumnData::Utf8(vec!["q".into()]);
         let later_ints = ColumnData::Int64(vec![9]);
-        let lcols: Vec<&ColumnData> = vec![&later, &later_ints];
-        let ks = enc.prepare(&lcols).unwrap().encode(0);
-        assert_eq!(enc.dict_entry(&ks, 0), Some(DictKeyEntry::Spilled("q")));
-        assert_eq!(enc.key_value_at(&ks, 0), Value::from("q"));
+        let ks = &boxed_all(&enc, &[&later, &later_ints])[0];
+        let ks = KeyRef::Boxed(ks);
+        assert_eq!(enc.dict_entry(ks, 0), Some(DictKeyEntry::Spilled("q")));
+        assert_eq!(enc.key_value_at(ks, 0), Value::from("q"));
     }
 
     #[test]
@@ -818,30 +1087,14 @@ mod tests {
         assert!(key_columns(&cols, &[1]).is_err());
     }
 
-    fn inline(parts: &[u64]) -> Key {
-        let mut packed = [0u64; MAX_INLINE_PARTS];
-        packed[..parts.len()].copy_from_slice(parts);
-        Key::Inline {
-            n: parts.len() as u8,
-            parts: packed,
-        }
-    }
-
-    /// Keys from small pools (so streams repeat them) covering every form
-    /// the index hashes: ints equal in their low 20 bits, the i64 extremes,
-    /// the dict-miss sentinel, the 0-part and 4-part inline keys, boxed raw
-    /// strings and 5-part boxed composites, and a wide pool that drives the
-    /// directory through several doublings.
-    fn key_strategy() -> impl Strategy<Value = Key> {
+    /// Boxed keys from small pools (so streams repeat them): raw strings,
+    /// 5-part composites, and a wide pool that drives the directory through
+    /// several doublings. (Word keys meet the same oracle in
+    /// `tests/join_properties.rs`.)
+    fn boxed_key_strategy() -> impl Strategy<Value = BoxedKey> {
         prop_oneof![
-            (0u64..48).prop_map(|x| inline(&[x << 20])),
-            proptest::sample::select(vec![i64::MIN, i64::MAX, -1, 0, 1])
-                .prop_map(|x| inline(&[x as u64])),
-            Just(inline(&[DICT_MISS])),
-            Just(Key::empty()),
-            (0u64..3, 0u64..3, 0u64..2, 0u64..2).prop_map(|(a, b, c, d)| inline(&[a, b, c, d])),
-            (0u64..8).prop_map(|x| Key::Boxed([KeyPart::Str(format!("s{x}"))].into())),
-            (0i64..3, 0u64..3).prop_map(|(a, b)| Key::Boxed(
+            (0u64..8).prop_map(|x| [KeyPart::Str(format!("s{x}"))].into()),
+            (0i64..3, 0u64..3).prop_map(|(a, b)| {
                 [
                     KeyPart::Int(a),
                     KeyPart::DictId(b),
@@ -850,46 +1103,40 @@ mod tests {
                     KeyPart::Str(String::new()),
                 ]
                 .into()
-            )),
-            // Listed twice for double weight: this pool is what grows the index.
-            (0u64..4096).prop_map(|x| inline(&[x])),
-            (0u64..4096).prop_map(|x| inline(&[x])),
+            }),
+            (0i64..4096).prop_map(|x| [KeyPart::Int(x)].into()),
         ]
     }
 
     proptest! {
-        /// Ids are first-appearance ranks, `get` agrees with the std map for
-        /// present and absent keys, and `keys()` is the insertion order.
+        /// Ids are first-appearance ranks, `id_boxed` agrees with the std
+        /// map for present and absent keys, and `key(id)` is the insertion
+        /// order.
         #[test]
         fn key_index_matches_std_oracle(
-            stream in proptest::collection::vec(key_strategy(), 0..700),
-            lookups in proptest::collection::vec(key_strategy(), 40),
+            stream in proptest::collection::vec(boxed_key_strategy(), 0..700),
+            lookups in proptest::collection::vec(boxed_key_strategy(), 40),
             capacity in 0usize..40,
         ) {
-            let mut index = match capacity {
-                0 => KeyIndex::default(),
-                n => KeyIndex::with_capacity(n),
-            };
-            let mut oracle_ids: HashMap<Key, u32> = HashMap::new();
-            let mut oracle_order: Vec<Key> = Vec::new();
+            let mut index = KeyIndex::new(None, capacity);
+            let mut oracle_ids: HashMap<BoxedKey, u32> = HashMap::new();
+            let mut oracle_order: Vec<BoxedKey> = Vec::new();
             for key in &stream {
-                prop_assert_eq!(index.get(key), oracle_ids.get(key).copied());
-                let expected = match oracle_ids.get(key) {
-                    Some(&id) => (id, false),
-                    None => {
-                        let id = oracle_order.len() as u32;
-                        oracle_ids.insert(key.clone(), id);
-                        oracle_order.push(key.clone());
-                        (id, true)
-                    }
-                };
-                prop_assert_eq!(index.get_or_insert(key.clone()), expected);
+                prop_assert_eq!(index.id_boxed(key), oracle_ids.get(key).copied());
+                let next = oracle_order.len() as u32;
+                let expected = *oracle_ids.entry(key.clone()).or_insert_with(|| {
+                    oracle_order.push(key.clone());
+                    next
+                });
+                prop_assert_eq!(index.id_or_insert_boxed(key.clone()), expected);
                 prop_assert_eq!(index.len(), oracle_order.len());
             }
-            prop_assert_eq!(index.keys(), &oracle_order[..]);
             prop_assert_eq!(index.is_empty(), oracle_order.is_empty());
+            for (id, key) in oracle_order.iter().enumerate() {
+                prop_assert_eq!(index.key(id), KeyRef::Boxed(key));
+            }
             for key in oracle_order.iter().chain(&lookups) {
-                prop_assert_eq!(index.get(key), oracle_ids.get(key).copied());
+                prop_assert_eq!(index.id_boxed(key), oracle_ids.get(key).copied());
             }
         }
     }
@@ -901,15 +1148,17 @@ mod tests {
         let prefix = |a: u64| mix(mix(HASH_SEED, 2), a);
         let (a1, a2, b1) = (3u64, 11u64, 5u64);
         let b2 = b1 ^ prefix(a1) ^ prefix(a2);
-        let (k1, k2) = (inline(&[a1, b1]), inline(&[a2, b2]));
+        let (k1, k2) = ([a1, b1], [a2, b2]);
         assert_ne!(k1, k2);
-        assert_eq!(hash_key(&k1), hash_key(&k2));
-        let mut index = KeyIndex::default();
-        assert_eq!(index.get_or_insert(k1.clone()), (0, true));
-        assert_eq!(index.get(&k2), None);
-        assert_eq!(index.get_or_insert(k2.clone()), (1, true));
-        assert_eq!(index.get(&k1), Some(0));
-        assert_eq!(index.get(&k2), Some(1));
+        assert_eq!(hash_words(&k1), hash_words(&k2));
+        let mut index = KeyIndex::new(Some(2), 0);
+        let mut ids = Vec::new();
+        index.ids(&k2, 1, &mut ids);
+        index.ids_or_insert(&k1, 1, &mut ids);
+        index.ids(&k2, 1, &mut ids);
+        index.ids_or_insert(&k2, 1, &mut ids);
+        index.ids(&[k1, k2].concat(), 2, &mut ids);
+        assert_eq!(ids, [KeyIndex::MISS, 0, KeyIndex::MISS, 1, 0, 1]);
     }
 
     #[test]
@@ -923,9 +1172,14 @@ mod tests {
 
     #[test]
     fn empty_key_for_global_aggregates() {
-        let k = Key::empty();
-        assert!(k.is_inline());
         let enc = KeyEncoder::for_columns(&[], MissPolicy::Spill);
-        assert_eq!(enc.key_values(&k), Vec::<Value>::new());
+        let mut index = enc.new_index(0);
+        let mut ids = Vec::new();
+        index.ids(&[], 2, &mut ids);
+        index.ids_or_insert(&[], 3, &mut ids);
+        index.ids(&[], 1, &mut ids);
+        assert_eq!(ids, [KeyIndex::MISS, KeyIndex::MISS, 0, 0, 0, 0]);
+        assert_eq!(index.len(), 1);
+        assert_eq!(key_values(&enc, index.key(0)), Vec::<Value>::new());
     }
 }

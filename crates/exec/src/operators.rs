@@ -7,19 +7,23 @@
 //!
 //! No-null engine conventions: aggregates over empty input yield zero
 //! defaults (`COUNT = 0`, `SUM = 0`, `AVG = 0.0`, `MIN`/`MAX` = type zero)
-//! instead of SQL NULL. Columns are non-nullable in both string encodings:
-//! dict-encoded (`ColumnData::Dict`) and owned (`ColumnData::Utf8`) columns
-//! flow through every operator interchangeably — operators read strings by
-//! reference (`str_at`) and key them by dictionary id where possible, so
-//! the conventions here are about values, never about encodings.
+//! instead of SQL NULL; and with no NULL to overflow into, a `SUM` over
+//! `Int64` that leaves the `i64` range is a typed `CiError::Exec` naming the
+//! aggregate, never a wrapped value. Columns are non-nullable in both string
+//! encodings: dict-encoded (`ColumnData::Dict`) and owned
+//! (`ColumnData::Utf8`) columns flow through every operator interchangeably
+//! — operators read strings by reference (`str_at`) and key them by
+//! dictionary id where possible, so the conventions here are about values,
+//! never about encodings.
 //!
-//! Both hash operators sit on one [`KeyIndex`]: a [`KeyEncoder`] turns rows
-//! into `Key`s, the index turns distinct `Key`s into dense first-appearance
-//! ids, and the payload is addressed by id — [`JoinHashTable`]'s CSR build
-//! row lists, [`AggregateState`]'s flat accumulator array.
+//! Both hash operators sit on one [`KeyIndex`] and run a morsel as *encode
+//! batch → id vector → consume ids*: a [`KeyEncoder`] turns the key columns
+//! into words, column at a time, the index turns the words into dense
+//! first-appearance ids, and the payload is addressed by id —
+//! [`JoinHashTable`]'s CSR build row lists, [`AggregateState`]'s accumulator
+//! columns, each folded in one pass per aggregate.
 
 use std::cmp::Ordering;
-use std::collections::HashSet;
 use std::sync::Arc;
 
 use ci_plan::expr::{AggExpr, ColMap, PlanExpr};
@@ -30,7 +34,9 @@ use ci_storage::value::{DataType, Value};
 use ci_storage::RecordBatch;
 use ci_types::{CiError, Result};
 
-use crate::key::{key_columns, DictKeyEntry, Key, KeyEncoder, KeyIndex, KeyPart, MissPolicy};
+use crate::key::{
+    key_columns, DictKeyEntry, KeyEncoder, KeyIndex, KeyPart, KeyRef, MissPolicy, RowSet,
+};
 
 /// Builds the internal schema for a node's output slots. Field names are
 /// slot-derived (`s<slot>`) so they are unique regardless of user aliases.
@@ -184,11 +190,13 @@ impl JoinHashTable {
         // dictionaries), so the sentinel policy is sound: a missing probe
         // string maps to a key the build never produced.
         let encoder = KeyEncoder::for_columns(&keys, MissPolicy::Sentinel);
-        let mut index = KeyIndex::with_capacity(rows.rows());
-        let row_encoder = encoder.prepare(&keys)?;
-        let row_groups: Vec<u32> = (0..rows.rows())
-            .map(|row| index.get_or_insert(row_encoder.encode(row)).0)
-            .collect();
+        let mut index = encoder.new_index(rows.rows());
+        let mut row_groups = Vec::new();
+        encoder.prepare(&keys)?.ids_or_insert(
+            &RowSet::Range(0..rows.rows()),
+            &mut index,
+            &mut row_groups,
+        );
         // Counting sort of row numbers by group id: counts, running sums
         // (each group's end), then a reverse fill walks every end down to
         // its group's start, leaving each group's rows ascending.
@@ -227,27 +235,30 @@ impl JoinHashTable {
             .as_ref()
             .ok_or_else(|| CiError::Exec("probe of non-finalized hash table".into()))?;
         let keys = key_columns(probe.columns(), probe_key_positions)?;
-        // Per-batch preparation resolves dict-id translation tables once, so
-        // the row loop below is allocation-free for fixed-width keys.
-        let row_encoder = fin.encoder.prepare(&keys)?;
-        let mut probe_idx: Vec<usize> = Vec::with_capacity(probe.rows());
-        let mut build_idx: Vec<usize> = Vec::with_capacity(probe.rows());
         // Probe-side rows are *physical*: a deferred filter on the probe
         // stream is read through its selection in place, and only matching
         // rows are ever gathered (the join output is the materialization
         // point).
-        let mut probe_row = |row: usize| {
-            if let Some(g) = fin.index.get(&row_encoder.encode(row)) {
-                let g = g as usize;
-                for &b in &fin.group_rows[fin.offsets[g] as usize..fin.offsets[g + 1] as usize] {
-                    probe_idx.push(row);
-                    build_idx.push(b as usize);
-                }
+        let rows = RowSet::of(probe);
+        // Per-batch preparation resolves dict-id translation tables once;
+        // the rows then go through the encoder and the index a column and a
+        // batch at a time.
+        let mut groups = Vec::new();
+        fin.encoder
+            .prepare(&keys)?
+            .ids(&rows, &fin.index, &mut groups);
+        let mut probe_idx: Vec<usize> = Vec::with_capacity(probe.rows());
+        let mut build_idx: Vec<usize> = Vec::with_capacity(probe.rows());
+        for (row, &g) in rows
+            .iter()
+            .zip(&groups)
+            .filter(|&(_, &g)| g != KeyIndex::MISS)
+        {
+            let g = g as usize;
+            for &b in &fin.group_rows[fin.offsets[g] as usize..fin.offsets[g + 1] as usize] {
+                probe_idx.push(row);
+                build_idx.push(b as usize);
             }
-        };
-        match probe.selection() {
-            Some(sel) => sel.iter().for_each(&mut probe_row),
-            None => (0..probe.physical_rows()).for_each(&mut probe_row),
         }
         let probe_part = probe.unselected().take(&probe_idx)?;
         let build_part = fin.rows.take(&build_idx)?;
@@ -257,126 +268,212 @@ impl JoinHashTable {
     }
 }
 
-/// One aggregate accumulator.
-#[derive(Debug, Clone)]
-enum AggAcc {
-    Count(i64),
-    SumI(i64),
-    SumF(f64),
-    Avg { sum: f64, count: i64 },
-    Min(Option<Value>),
-    Max(Option<Value>),
-    Distinct(HashSet<KeyPart>),
-}
+/// Rows → dense first-appearance ids: a key encoder fixed by the first
+/// batch it sees (spill policy: unseen strings in later batches must still
+/// form distinct keys) and the index of every key so far. `None` until a
+/// batch arrives.
+#[derive(Debug, Default)]
+struct Grouper(Option<(KeyEncoder, KeyIndex)>);
 
-/// Numeric view of row `row` (ints coerce to float), `None` otherwise.
-fn num_at(c: &ColumnData, row: usize) -> Option<f64> {
-    match c {
-        ColumnData::Int64(v) => Some(v[row] as f64),
-        ColumnData::Float64(v) => Some(v[row]),
-        ColumnData::DictInt { ids, dict } => Some(dict.get(ids[row]) as f64),
-        _ => None,
+impl Grouper {
+    /// Sets `ids` to the key id of each of the `rows` rows of `cols`.
+    fn ids(&mut self, cols: &[&ColumnData], rows: usize, ids: &mut Vec<u32>) -> Result<()> {
+        let (encoder, index) = self.0.get_or_insert_with(|| {
+            let encoder = KeyEncoder::for_columns(cols, MissPolicy::Spill);
+            let index = encoder.new_index(0);
+            (encoder, index)
+        });
+        KeyIndex::check_addressable(index.len() + rows, "aggregation groups")?;
+        let rows = RowSet::Range(0..rows);
+        encoder.prepare(cols)?.ids_or_insert(&rows, index, ids);
+        Ok(())
+    }
+
+    /// Number of distinct keys so far.
+    fn len(&self) -> usize {
+        self.0.as_ref().map_or(0, |(_, index)| index.len())
+    }
+
+    /// Every key so far, in id order, beside the encoder that decodes it.
+    fn keys(&self) -> impl Iterator<Item = (&KeyEncoder, KeyRef<'_>)> {
+        self.0
+            .iter()
+            .flat_map(|(encoder, index)| (0..index.len()).map(move |id| (encoder, index.key(id))))
     }
 }
 
-/// The canonical distinct-set key of row `row`. Strings hash by value (not
-/// by dictionary id) and dict-encoded ints by decoded value, so the set
-/// stays consistent across encodings.
-fn part_at(c: &ColumnData, row: usize) -> KeyPart {
-    match c {
-        ColumnData::Int64(v) => KeyPart::Int(v[row]),
-        ColumnData::Float64(v) => KeyPart::FloatBits(v[row].to_bits()),
-        ColumnData::Bool(v) => KeyPart::Bool(v[row]),
-        ColumnData::Utf8(v) => KeyPart::Str(v[row].clone()),
-        ColumnData::Dict { ids, dict } => KeyPart::Str(dict.get(ids[row]).to_owned()),
-        ColumnData::DictInt { ids, dict } => KeyPart::Int(dict.get(ids[row])),
+/// One aggregate's accumulators: a column addressed by group id.
+#[derive(Debug)]
+enum AggCol {
+    Count(Vec<i64>),
+    SumI(Vec<i64>),
+    SumF(Vec<f64>),
+    Avg {
+        sums: Vec<f64>,
+        counts: Vec<i64>,
+    },
+    /// `MIN` (`losing` = `Greater`) or `MAX` (`Less`): the bound so far.
+    Extreme {
+        best: Vec<Option<Value>>,
+        losing: Ordering,
+    },
+    /// `DISTINCT`: the distinct `(group id, argument)` pairs, a grouping of
+    /// its own. The argument is keyed like any group column — by decoded
+    /// value for dict-encoded ints, through the first batch's dictionary
+    /// (foreign ids translated, unseen strings spilled by value) for strings
+    /// — so the pair set is the same under every encoding.
+    Distinct(Grouper),
+}
+
+/// `f(group, value)` for each row of an int column of either encoding, in
+/// row order, until `f` fails; no column, or any other, folds nothing.
+fn try_each_int(
+    col: Option<&ColumnData>,
+    ids: &[u32],
+    mut f: impl FnMut(usize, i64) -> Option<()>,
+) -> Option<()> {
+    match col {
+        Some(ColumnData::Int64(v)) => v.iter().zip(ids).try_for_each(|(&x, &g)| f(g as usize, x)),
+        Some(ColumnData::DictInt { ids: codes, dict }) => codes
+            .iter()
+            .zip(ids)
+            .try_for_each(|(&c, &g)| f(g as usize, dict.get(c))),
+        _ => Some(()),
     }
 }
 
-impl AggAcc {
-    fn new(a: &AggExpr, arg_type: Option<DataType>) -> AggAcc {
+/// `f(group, value)` for each row of a numeric column (ints coerce to
+/// float), in row order; no column, or any other, folds nothing.
+fn each_num(col: Option<&ColumnData>, ids: &[u32], mut f: impl FnMut(usize, f64)) {
+    match col {
+        Some(ColumnData::Float64(v)) => v.iter().zip(ids).for_each(|(&x, &g)| f(g as usize, x)),
+        _ => {
+            try_each_int(col, ids, |g, x| {
+                f(g, x as f64);
+                Some(())
+            });
+        }
+    }
+}
+
+impl AggCol {
+    fn new(a: &AggExpr, arg_type: Option<DataType>) -> AggCol {
         if a.distinct {
-            return AggAcc::Distinct(HashSet::new());
+            return AggCol::Distinct(Grouper::default());
         }
+        let extreme = |losing| AggCol::Extreme {
+            best: Vec::new(),
+            losing,
+        };
         match a.func {
-            AggFunc::Count => AggAcc::Count(0),
+            AggFunc::Count => AggCol::Count(Vec::new()),
             AggFunc::Sum => match arg_type {
-                Some(DataType::Int64) => AggAcc::SumI(0),
-                _ => AggAcc::SumF(0.0),
+                Some(DataType::Int64) => AggCol::SumI(Vec::new()),
+                _ => AggCol::SumF(Vec::new()),
             },
-            AggFunc::Avg => AggAcc::Avg { sum: 0.0, count: 0 },
-            AggFunc::Min => AggAcc::Min(None),
-            AggFunc::Max => AggAcc::Max(None),
+            AggFunc::Avg => AggCol::Avg {
+                sums: Vec::new(),
+                counts: Vec::new(),
+            },
+            AggFunc::Min => extreme(Ordering::Greater),
+            AggFunc::Max => extreme(Ordering::Less),
         }
     }
 
-    /// Folds row `row` of the argument column in. Reads the column in
-    /// place: no per-row `Value` is materialized, and `MIN`/`MAX` clone a
-    /// string only when the bound actually improves.
-    fn update(&mut self, col: Option<&ColumnData>, row: usize) {
-        match self {
-            AggAcc::Count(c) => *c += 1,
-            AggAcc::SumI(s) => {
-                if let Some(x) = col.and_then(|c| c.int_at(row)) {
-                    *s += x;
+    /// Folds one morsel in: `ids[row]` is the group of row `row` of the
+    /// argument column, and `groups` the group count so far. One `match` on
+    /// (accumulator, column type), then a tight loop in row order — so each
+    /// group folds its rows in the order they arrived, as IEEE sums need.
+    /// Reads the column in place: no per-row `Value` is materialized, and
+    /// `MIN`/`MAX` clone a string only when the bound actually improves.
+    fn fold(
+        &mut self,
+        a: &AggExpr,
+        col: Option<&ColumnData>,
+        ids: &[u32],
+        groups: usize,
+    ) -> Result<()> {
+        match (self, col) {
+            (AggCol::Count(counts), _) => {
+                counts.resize(groups, 0);
+                ids.iter().for_each(|&g| counts[g as usize] += 1);
+            }
+            (AggCol::SumI(sums), col) => {
+                sums.resize(groups, 0);
+                let add = |g: usize, x| {
+                    sums[g] = sums[g].checked_add(x)?;
+                    Some(())
+                };
+                if try_each_int(col, ids, add).is_none() {
+                    let arg = a.arg.as_ref().map_or("*".to_owned(), |e| e.to_string());
+                    return Err(CiError::Exec(format!("SUM({arg}) overflows Int64")));
                 }
             }
-            AggAcc::SumF(s) => {
-                if let Some(x) = col.and_then(|c| num_at(c, row)) {
-                    *s += x;
-                }
+            (AggCol::SumF(sums), col) => {
+                sums.resize(groups, 0.0);
+                each_num(col, ids, |g, x| sums[g] += x);
             }
-            AggAcc::Avg { sum, count } => {
-                if let Some(x) = col.and_then(|c| num_at(c, row)) {
-                    *sum += x;
-                    *count += 1;
-                }
+            (AggCol::Avg { sums, counts }, col) => {
+                sums.resize(groups, 0.0);
+                counts.resize(groups, 0);
+                each_num(col, ids, |g, x| {
+                    sums[g] += x;
+                    counts[g] += 1;
+                });
             }
-            AggAcc::Min(m) => {
+            (AggCol::Extreme { best, losing }, col) => {
+                best.resize(groups, None);
                 if let Some(c) = col {
-                    if m.as_ref()
-                        .is_none_or(|cur| row_beats(cur, c, row, Ordering::Greater))
-                    {
-                        *m = Some(c.value(row));
+                    for (row, &g) in ids.iter().enumerate() {
+                        let bound = &mut best[g as usize];
+                        if bound
+                            .as_ref()
+                            .is_none_or(|cur| row_beats(cur, c, row, *losing))
+                        {
+                            *bound = Some(c.value(row));
+                        }
                     }
                 }
             }
-            AggAcc::Max(m) => {
-                if let Some(c) = col {
-                    if m.as_ref()
-                        .is_none_or(|cur| row_beats(cur, c, row, Ordering::Less))
-                    {
-                        *m = Some(c.value(row));
-                    }
-                }
+            (AggCol::Distinct(pairs), Some(c)) => {
+                let group_col = ColumnData::Int64(ids.iter().map(|&g| i64::from(g)).collect());
+                pairs.ids(&[&group_col, c], ids.len(), &mut Vec::new())?;
             }
-            AggAcc::Distinct(set) => {
-                if let Some(c) = col {
-                    set.insert(part_at(c, row));
-                }
-            }
+            (AggCol::Distinct(_), None) => {}
         }
+        Ok(())
     }
 
-    fn finish(&self, func: AggFunc, out_type: DataType) -> Value {
+    /// The aggregate's value for every group, in group order.
+    fn finish(self, func: AggFunc, out_type: DataType, groups: usize) -> Vec<Value> {
         match self {
-            AggAcc::Count(c) => Value::Int(*c),
-            AggAcc::SumI(s) => Value::Int(*s),
-            AggAcc::SumF(s) => Value::Float(*s),
-            AggAcc::Avg { sum, count } => Value::Float(if *count == 0 {
-                0.0
-            } else {
-                sum / *count as f64
-            }),
-            AggAcc::Min(m) | AggAcc::Max(m) => match m {
-                Some(v) => v.clone(),
-                None => zero_of(out_type),
-            },
-            AggAcc::Distinct(set) => match func {
-                AggFunc::Count => Value::Int(set.len() as i64),
-                // SUM/AVG/MIN/MAX DISTINCT: recompute from the set.
-                _ => distinct_fold(set, func),
-            },
+            AggCol::Count(v) | AggCol::SumI(v) => v.into_iter().map(Value::Int).collect(),
+            AggCol::SumF(v) => v.into_iter().map(Value::Float).collect(),
+            AggCol::Avg { sums, counts } => sums
+                .into_iter()
+                .zip(counts)
+                .map(|(sum, n)| Value::Float(if n == 0 { 0.0 } else { sum / n as f64 }))
+                .collect(),
+            AggCol::Extreme { best, .. } => best
+                .into_iter()
+                .map(|m| m.unwrap_or_else(|| zero_of(out_type)))
+                .collect(),
+            AggCol::Distinct(pairs) => {
+                let mut sets: Vec<Vec<KeyPart>> = vec![Vec::new(); groups];
+                for (encoder, key) in pairs.keys() {
+                    let Value::Int(g) = encoder.key_value_at(key, 0) else {
+                        unreachable!("the group id column is Int64");
+                    };
+                    sets[g as usize].push((&encoder.key_value_at(key, 1)).into());
+                }
+                sets.into_iter()
+                    .map(|set| match func {
+                        AggFunc::Count => Value::Int(set.len() as i64),
+                        // SUM/AVG/MIN/MAX DISTINCT: recompute from the set.
+                        _ => distinct_fold(set, func),
+                    })
+                    .collect()
+            }
         }
     }
 }
@@ -402,21 +499,20 @@ fn zero_of(t: DataType) -> Value {
     }
 }
 
-fn distinct_fold(set: &HashSet<KeyPart>, func: AggFunc) -> Value {
-    // Hash-set iteration order is arbitrary; sort so order-sensitive folds
-    // (float SUM/AVG) are deterministic across runs. `KeyPart`'s derived
-    // `Ord` is total (floats order by bit pattern), so this is well-defined
-    // even when the set holds NaNs — `partial_cmp_sql` is not, and a
-    // non-total comparator can panic `sort_by`.
-    let mut parts: Vec<&KeyPart> = set.iter().collect();
+fn distinct_fold(mut parts: Vec<KeyPart>, func: AggFunc) -> Value {
+    // The set arrives in first-appearance order; sort so order-sensitive
+    // folds (float SUM/AVG) do not depend on how morsels were cut.
+    // `KeyPart`'s derived `Ord` is total (floats order by bit pattern), so
+    // this is well-defined even when the set holds NaNs — `partial_cmp_sql`
+    // is not, and a non-total comparator can panic `sort_by`.
     parts.sort_unstable();
     let vals: Vec<Value> = parts
         .into_iter()
         .map(|p| match p {
-            KeyPart::Int(x) => Value::Int(*x),
-            KeyPart::FloatBits(b) => Value::Float(f64::from_bits(*b)),
-            KeyPart::Str(s) => Value::Str(s.clone()),
-            KeyPart::Bool(b) => Value::Bool(*b),
+            KeyPart::Int(x) => Value::Int(x),
+            KeyPart::FloatBits(b) => Value::Float(f64::from_bits(b)),
+            KeyPart::Str(s) => Value::Str(s),
+            KeyPart::Bool(b) => Value::Bool(b),
             KeyPart::DictId(_) => unreachable!("distinct sets key strings by value"),
         })
         .collect();
@@ -448,23 +544,14 @@ pub struct AggregateState {
     group_exprs: Vec<PlanExpr>,
     aggs: Vec<AggExpr>,
     in_map: ColMap,
-    arg_types: Vec<Option<DataType>>,
     out_schema: SchemaRef,
-    /// Key encoder fixed by the first morsel's group columns (spill policy:
-    /// unseen strings in later morsels must still form distinct groups).
-    encoder: Option<KeyEncoder>,
-    /// Group keys → id; `index.keys()` is the (first-appearance) output
-    /// order. Group `id` accumulates in `accs[id * aggs.len()..][..aggs.len()]`.
-    index: KeyIndex,
-    accs: Vec<AggAcc>,
-}
-
-/// One fresh accumulator per aggregate: the payload of a new group.
-fn fresh_accs<'a>(
-    aggs: &'a [AggExpr],
-    arg_types: &'a [Option<DataType>],
-) -> impl Iterator<Item = AggAcc> + 'a {
-    aggs.iter().zip(arg_types).map(|(a, t)| AggAcc::new(a, *t))
+    /// Group keys → id; ids run in first-appearance order, which is the
+    /// output order.
+    groups: Grouper,
+    /// One accumulator column per aggregate, each addressed by group id.
+    accs: Vec<AggCol>,
+    /// The current morsel's group id per row (kept for its allocation).
+    ids: Vec<u32>,
 }
 
 impl AggregateState {
@@ -477,19 +564,21 @@ impl AggregateState {
         in_types: &dyn Fn(usize) -> Result<DataType>,
         out_schema: SchemaRef,
     ) -> Result<AggregateState> {
-        let arg_types = aggs
+        let accs = aggs
             .iter()
-            .map(|a| a.arg.as_ref().map(|e| e.data_type(in_types)).transpose())
+            .map(|a| {
+                let arg_type = a.arg.as_ref().map(|e| e.data_type(in_types)).transpose()?;
+                Ok(AggCol::new(a, arg_type))
+            })
             .collect::<Result<Vec<_>>>()?;
         Ok(AggregateState {
             group_exprs,
             aggs,
             in_map,
-            arg_types,
             out_schema,
-            encoder: None,
-            index: KeyIndex::default(),
-            accs: Vec::new(),
+            groups: Grouper::default(),
+            accs,
+            ids: Vec::new(),
         })
     }
 
@@ -497,7 +586,8 @@ impl AggregateState {
     /// O(selected) gather per *referenced* column (selection-aware
     /// [`PlanExpr::eval`]), never a physical-width copy, and unreferenced
     /// columns are never touched; accumulation is then dense over the
-    /// logical rows.
+    /// logical rows: group columns → one id per row → one pass per
+    /// aggregate.
     pub fn update(&mut self, batch: &RecordBatch) -> Result<()> {
         if batch.is_empty() {
             return Ok(());
@@ -507,54 +597,32 @@ impl AggregateState {
             .iter()
             .map(|e| e.eval(batch, &self.in_map))
             .collect::<Result<Vec<_>>>()?;
-        let arg_cols: Vec<Option<ColumnData>> = self
-            .aggs
-            .iter()
-            .map(|a| {
-                a.arg
-                    .as_ref()
-                    .map(|e| e.eval(batch, &self.in_map))
-                    .transpose()
-            })
-            .collect::<Result<Vec<_>>>()?;
         let group_refs: Vec<&ColumnData> = group_cols.iter().collect();
-        let encoder = self
-            .encoder
-            .get_or_insert_with(|| KeyEncoder::for_columns(&group_refs, MissPolicy::Spill));
-        let row_encoder = encoder.prepare(&group_refs)?;
-        KeyIndex::check_addressable(self.index.len() + batch.rows(), "aggregation groups")?;
-        let stride = self.aggs.len();
-        for row in 0..batch.rows() {
-            let (id, new) = self.index.get_or_insert(row_encoder.encode(row));
-            if new {
-                self.accs.extend(fresh_accs(&self.aggs, &self.arg_types));
-            }
-            let accs = &mut self.accs[id as usize * stride..][..stride];
-            for (acc, col) in accs.iter_mut().zip(&arg_cols) {
-                acc.update(col.as_ref(), row);
-            }
+        self.groups.ids(&group_refs, batch.rows(), &mut self.ids)?;
+        let groups = self.groups.len();
+        for (acc, a) in self.accs.iter_mut().zip(&self.aggs) {
+            let arg = a.arg.as_ref().map(|e| e.eval(batch, &self.in_map));
+            acc.fold(a, arg.transpose()?.as_ref(), &self.ids, groups)?;
         }
         Ok(())
     }
 
     /// Number of groups so far.
     pub fn group_count(&self) -> usize {
-        self.index.len()
+        self.groups.len()
     }
 
     /// Produces the aggregate output batch (groups then agg values).
     pub fn finalize(mut self) -> Result<RecordBatch> {
         // Global aggregate over empty input: one row of defaults.
-        if self.index.is_empty() && self.group_exprs.is_empty() {
-            self.index.get_or_insert(Key::empty());
-            self.accs.extend(fresh_accs(&self.aggs, &self.arg_types));
+        if self.groups.len() == 0 && self.group_exprs.is_empty() {
+            self.groups.ids(&[], 1, &mut self.ids)?;
+            for (acc, a) in self.accs.iter_mut().zip(&self.aggs) {
+                acc.fold(a, None, &[], 1)?;
+            }
         }
-        let encoder = self
-            .encoder
-            .take()
-            .unwrap_or_else(|| KeyEncoder::for_columns(&[], MissPolicy::Spill));
         let g = self.group_exprs.len();
-        let groups = self.index.len();
+        let groups = self.groups.len();
         // Group columns keyed through a dictionary re-emit dict-encoded
         // output sharing the input dictionary, so downstream sorts and
         // joins stay on the integer id fast path. Only group strings that
@@ -566,10 +634,10 @@ impl AggregateState {
             .iter()
             .enumerate()
             .map(|(i, f)| {
-                // Guard: the encoder is arity-0 when no morsel ever arrived.
-                let dict = (i < g && i < encoder.arity())
-                    .then(|| encoder.dict_mode(i))
-                    .flatten();
+                // No encoder means no morsel arrived: no groups to emit.
+                let dict = (self.groups.0.as_ref())
+                    .filter(|_| i < g)
+                    .and_then(|(encoder, _)| encoder.dict_mode(i));
                 match dict {
                     Some(dict) => ColumnData::Dict {
                         ids: Vec::with_capacity(groups),
@@ -579,9 +647,7 @@ impl AggregateState {
                 }
             })
             .collect();
-        let stride = self.aggs.len();
-        for (id, key) in self.index.keys().iter().enumerate() {
-            let accs = &self.accs[id * stride..][..stride];
+        for (encoder, key) in self.groups.keys() {
             for (i, col) in columns.iter_mut().take(g).enumerate() {
                 match encoder.dict_entry(key, i) {
                     Some(entry) => {
@@ -596,9 +662,11 @@ impl AggregateState {
                     None => col.push(encoder.key_value_at(key, i))?,
                 }
             }
-            for (j, acc) in accs.iter().enumerate() {
-                let out_t = self.out_schema.field(g + j).data_type;
-                columns[g + j].push(acc.finish(self.aggs[j].func, out_t))?;
+        }
+        for (j, (acc, a)) in self.accs.into_iter().zip(&self.aggs).enumerate() {
+            let out_t = self.out_schema.field(g + j).data_type;
+            for value in acc.finish(a.func, out_t, groups) {
+                columns[g + j].push(value)?;
             }
         }
         RecordBatch::new(self.out_schema.clone(), columns)
@@ -1023,6 +1091,102 @@ mod tests {
             .unwrap();
         let result = st.finalize().unwrap();
         assert_eq!(result.row(0)[0], Value::Int(3));
+    }
+
+    #[test]
+    fn int_sum_overflow_is_a_typed_error_not_a_wrap() {
+        let out = Arc::new(Schema::of(vec![Field::new("sum", DataType::Int64)]));
+        let sum_of = |values: Vec<i64>| {
+            let mut st = agg_state(
+                vec![],
+                vec![AggExpr {
+                    func: AggFunc::Sum,
+                    arg: Some(PlanExpr::Col(0)),
+                    distinct: false,
+                }],
+                out.clone(),
+            );
+            let n = values.len();
+            // Two morsels: the running sum crosses a morsel boundary too.
+            st.update(&batch(values[..1].to_vec(), vec![0.0]))?;
+            st.update(&batch(values[1..].to_vec(), vec![0.0; n - 1]))?;
+            Ok::<_, CiError>(st.finalize()?.row(0)[0].clone())
+        };
+        // Exactly on the boundary, from either side, is still a value.
+        assert_eq!(sum_of(vec![i64::MAX - 1, 1]).unwrap(), Value::Int(i64::MAX));
+        assert_eq!(
+            sum_of(vec![i64::MIN + 1, -1]).unwrap(),
+            Value::Int(i64::MIN)
+        );
+        for over in [
+            vec![i64::MAX, i64::MAX],
+            vec![i64::MIN, -1],
+            vec![1, i64::MAX],
+            vec![0, i64::MAX, 1],
+        ] {
+            let err = sum_of(over).unwrap_err();
+            assert!(
+                matches!(&err, CiError::Exec(m) if m.contains("SUM(#0) overflows Int64")),
+                "{err}"
+            );
+        }
+    }
+
+    #[test]
+    fn distinct_folds_in_sorted_order_whatever_the_arrival_order() {
+        let out = Arc::new(Schema::of(vec![
+            Field::new("g", DataType::Int64),
+            Field::new("sum", DataType::Float64),
+            Field::new("avg", DataType::Float64),
+            Field::new("n", DataType::Int64),
+        ]));
+        let distinct = |func| AggExpr {
+            func,
+            arg: Some(PlanExpr::Col(1)),
+            distinct: true,
+        };
+        let fold = |morsels: &[(Vec<i64>, Vec<f64>)]| {
+            let mut st = agg_state(
+                vec![PlanExpr::Col(0)],
+                vec![
+                    distinct(AggFunc::Sum),
+                    distinct(AggFunc::Avg),
+                    distinct(AggFunc::Count),
+                ],
+                out.clone(),
+            );
+            for (keys, values) in morsels {
+                st.update(&batch(keys.clone(), values.clone())).unwrap();
+            }
+            st.finalize().unwrap()
+        };
+        // A sum that depends on the order of its terms, with duplicates and
+        // both zeros (distinct by bit pattern); the two streams bring group
+        // 1's values in different orders, cut differently.
+        let a = fold(&[
+            (vec![1, 1, 2, 1], vec![1e16, -1e16, 5.0, 1.0]),
+            (vec![1, 2, 1, 1], vec![1.0, 5.0, 0.0, -0.0]),
+        ]);
+        let b = fold(&[
+            (vec![2, 1, 1], vec![5.0, -0.0, -1e16]),
+            (vec![1, 1, 2, 1, 1], vec![0.0, 1e16, 5.0, 1.0, 1e16]),
+        ]);
+        // Group 1's set sorted by bit pattern: 0.0, 1.0, 1e16, -0.0, -1e16.
+        let sorted: f64 = 0.0 + 1.0 + 1e16 + -0.0 + -1e16;
+        let arrival: f64 = 1e16 + -1e16 + 1.0 + 0.0 + -0.0;
+        assert_ne!(sorted.to_bits(), arrival.to_bits(), "the order must matter");
+        for (result, group_1) in [(&a, 0), (&b, 1)] {
+            let bits = |col: usize| match result.row(group_1)[col] {
+                Value::Float(x) => x.to_bits(),
+                ref other => panic!("{other:?}"),
+            };
+            assert_eq!(result.row(group_1)[0], Value::Int(1));
+            assert_eq!(bits(1), sorted.to_bits());
+            assert_eq!(bits(2), (sorted / 5.0).to_bits());
+            assert_eq!(result.row(group_1)[3], Value::Int(5));
+            let group_2 = result.row(1 - group_1);
+            assert_eq!(group_2[..2], [Value::Int(2), Value::Float(5.0)]);
+        }
     }
 
     #[test]

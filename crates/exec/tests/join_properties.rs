@@ -5,13 +5,16 @@
 //! then ascending build row; groups by first appearance): shipped bytes and
 //! therefore bills depend on it.
 
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use ci_exec::operators::{AggregateState, JoinHashTable};
+use ci_exec::{KeyEncoder, KeyIndex, KeyRef, MissPolicy, RowSet};
 use ci_plan::expr::{AggExpr, ColMap, PlanExpr};
 use ci_sql::ast::AggFunc;
 use ci_storage::batch::RecordBatch;
 use ci_storage::column::ColumnData;
+use ci_storage::dict::Dictionary;
 use ci_storage::schema::{Field, Schema};
 use ci_storage::value::{DataType, Value};
 use ci_types::Result;
@@ -321,5 +324,471 @@ proptest! {
             let got: Vec<Vec<Value>> = (0..out.rows()).map(|r| out.row(r)).collect();
             prop_assert_eq!(&got, &expected, "{:?}", shape);
         }
+    }
+}
+
+// The seams under the properties above — batch key encoder → word-keyed
+// `KeyIndex` → per-aggregate folds. Each case names a mutation it was seen
+// to fail under.
+
+/// How a batch column reaches the encoder, one per `ColPlan` variant that
+/// can meet a fixed-width key layout. The strings the encoder's own
+/// dictionary holds are `v0`..`v3`; batches draw from `v0`..`v5`.
+#[derive(Clone, Copy, Debug)]
+enum ColKind {
+    I64,
+    DictI64,
+    F64,
+    Bool,
+    /// A dict column sharing the encoder's dictionary.
+    Ids,
+    /// A dict column with its own dictionary: misses on `v4`, `v5`.
+    Translated,
+    /// Raw strings looked up per row: misses on `v4`, `v5`.
+    LookupUtf8,
+    /// A float column where the encoder expects ints.
+    Mismatch,
+}
+
+const COL_KINDS: [ColKind; 8] = [
+    ColKind::I64,
+    ColKind::DictI64,
+    ColKind::F64,
+    ColKind::Bool,
+    ColKind::Ids,
+    ColKind::Translated,
+    ColKind::LookupUtf8,
+    ColKind::Mismatch,
+];
+
+fn strings(indices: impl Iterator<Item = usize>) -> ColumnData {
+    ColumnData::Utf8(indices.map(|s| format!("v{s}")).collect())
+}
+
+/// The column the encoder derives its mode from.
+fn authoritative(kind: ColKind) -> ColumnData {
+    match kind {
+        ColKind::I64 | ColKind::DictI64 | ColKind::Mismatch => ColumnData::Int64(vec![0]),
+        ColKind::F64 => ColumnData::Float64(vec![0.0]),
+        ColKind::Bool => ColumnData::Bool(vec![false]),
+        ColKind::Ids | ColKind::Translated | ColKind::LookupUtf8 => strings(0..4).dict_encoded(),
+    }
+}
+
+/// `rows` as a batch column of `kind`, against the encoder's column `auth`.
+fn batch_column(kind: ColKind, rows: &[RawRow], auth: &ColumnData) -> ColumnData {
+    let ints = ColumnData::Int64(rows.iter().map(|r| r.0).collect());
+    match kind {
+        ColKind::I64 => ints,
+        ColKind::DictI64 => ints.dict_encoded_ints(usize::MAX),
+        ColKind::F64 | ColKind::Mismatch => {
+            ColumnData::Float64(rows.iter().map(|r| r.0 as f64 / 2.0).collect())
+        }
+        ColKind::Bool => ColumnData::Bool(rows.iter().map(|r| r.0 & 1 == 1).collect()),
+        ColKind::Ids => {
+            let (_, dict) = auth.as_dict().expect("dict mode");
+            let id = |s: usize| dict.id_of(&format!("v{}", s % 4)).expect("in dictionary");
+            ColumnData::Dict {
+                ids: rows.iter().map(|r| id(r.1)).collect(),
+                dict: dict.clone(),
+            }
+        }
+        ColKind::Translated => strings(rows.iter().map(|r| r.1)).dict_encoded(),
+        ColKind::LookupUtf8 => strings(rows.iter().map(|r| r.1)),
+    }
+}
+
+/// The per-row reference: the key word of `row` under `kind`, computed from
+/// the raw values alone; `None` when the row needs the boxed form.
+fn reference_word(
+    kind: ColKind,
+    (a, s): RawRow,
+    dict: &Dictionary,
+    miss: MissPolicy,
+) -> Option<u64> {
+    match kind {
+        ColKind::I64 | ColKind::DictI64 => Some(a as u64),
+        ColKind::F64 => Some((a as f64 / 2.0).to_bits()),
+        ColKind::Bool => Some(u64::from(a & 1 == 1)),
+        ColKind::Ids => dict.id_of(&format!("v{}", s % 4)).map(u64::from),
+        ColKind::Translated | ColKind::LookupUtf8 => match dict.id_of(&format!("v{s}")) {
+            Some(id) => Some(u64::from(id)),
+            None if miss == MissPolicy::Sentinel => Some(u64::MAX),
+            None => None,
+        },
+        ColKind::Mismatch => None,
+    }
+}
+
+proptest! {
+    /// (a) The batch encoder writes, row-major, exactly the words a per-row
+    /// reference computes — for every column plan, 1–4 key columns, a row
+    /// range and a sparse selection, under both miss policies — and reports
+    /// the boxed form exactly when some row needs it. Words and boxed keys
+    /// of one row agree through `boxed_from_words`. Fails when column `c`
+    /// of a 2-word key is written at stride 1.
+    #[test]
+    fn batch_encoder_equals_per_row_reference(
+        rows in proptest::collection::vec((-8i64..8, 0usize..6), 0..50),
+        kinds in proptest::collection::vec(0usize..8, 1..5),
+        with_misses in any::<bool>(),
+        keep in proptest::collection::vec(any::<bool>(), 50),
+        start in 0usize..50,
+    ) {
+        // Half the cases keep every string inside the dictionary.
+        let rows: Vec<RawRow> = rows
+            .into_iter()
+            .map(|(a, s)| (a, if with_misses { s } else { s % 4 }))
+            .collect();
+        let kinds: Vec<ColKind> = kinds.into_iter().map(|k| COL_KINDS[k]).collect();
+        let auth: Vec<ColumnData> = kinds.iter().map(|&k| authoritative(k)).collect();
+        let auth_refs: Vec<&ColumnData> = auth.iter().collect();
+        let reference_dict = authoritative(ColKind::Ids);
+        let (_, dict) = reference_dict.as_dict().expect("dict");
+        let columns: Vec<ColumnData> = kinds
+            .iter()
+            .zip(&auth)
+            .map(|(&k, a)| batch_column(k, &rows, a))
+            .collect();
+        let column_refs: Vec<&ColumnData> = columns.iter().collect();
+        let start = start.min(rows.len());
+        let picked: Vec<usize> = (0..rows.len()).filter(|&r| keep[r]).collect();
+        for miss in [MissPolicy::Sentinel, MissPolicy::Spill] {
+            let encoder = KeyEncoder::for_columns(&auth_refs, miss);
+            let row_encoder = encoder.prepare(&column_refs).expect("prepare");
+            for row_set in [RowSet::Range(start..rows.len()), RowSet::Picked(picked.clone())] {
+                let expected: Option<Vec<u64>> = row_set
+                    .iter()
+                    .flat_map(|r| kinds.iter().map(move |&k| (k, r)))
+                    .map(|(k, r)| reference_word(k, rows[r], dict, miss))
+                    .collect();
+                let mut words = vec![7; 3]; // stale content must not survive
+                let fixed = row_encoder.encode_words(&row_set, &mut words);
+                prop_assert_eq!(fixed, expected.is_some(), "{:?} {:?} {:?}", kinds, miss, row_set);
+                let Some(expected) = expected else { continue };
+                prop_assert_eq!(&words, &expected, "{:?} {:?} {:?}", kinds, miss, row_set);
+                for (r, key) in row_set.iter().zip(words.chunks(kinds.len())) {
+                    prop_assert_eq!(encoder.boxed_from_words(key), row_encoder.encode_boxed(r));
+                }
+            }
+        }
+    }
+
+    /// (b) `ids_or_insert` hands out first-appearance ranks, `ids` finds
+    /// exactly the stored keys and `key(id)` returns them in order, against
+    /// a `HashMap` + `Vec` oracle: 0–4-word keys, fed in batches, from pools
+    /// holding words equal in their low 20 bits, the `i64` extremes, the
+    /// dict-miss word `u64::MAX`, NaN / `-0.0` / `0.0` bit patterns, and a
+    /// 300-key tail that takes an index grown from nothing through more than
+    /// five directory doublings (8 slots at ½ load → 1024). Fails when the
+    /// word compare after a directory hit is skipped.
+    #[test]
+    fn word_key_index_matches_std_oracle(
+        arity in 0usize..5,
+        stream in proptest::collection::vec(
+            proptest::collection::vec(word_strategy(), 4),
+            0..400,
+        ),
+        lookups in proptest::collection::vec(
+            proptest::collection::vec(word_strategy(), 4),
+            40,
+        ),
+        batches in proptest::collection::vec(1usize..64, 1..6),
+        capacity in 0usize..40,
+    ) {
+        let tail = (0..300u64).map(|x| vec![x, x << 20, !x, 1]);
+        let stream: Vec<Vec<u64>> = stream
+            .into_iter()
+            .chain(tail)
+            .map(|mut key| { key.truncate(arity); key })
+            .collect();
+        let mut index = KeyIndex::new(Some(arity), capacity);
+        let mut oracle_ids: HashMap<Vec<u64>, u32> = HashMap::new();
+        let mut oracle_order: Vec<Vec<u64>> = Vec::new();
+        for batch in cut(&stream, &batches) {
+            let words = batch.concat();
+            // Looking up first: only keys of earlier batches are present.
+            let mut found = Vec::new();
+            index.ids(&words, batch.len(), &mut found);
+            let expected: Vec<u32> = batch
+                .iter()
+                .map(|key| oracle_ids.get(key).copied().unwrap_or(KeyIndex::MISS))
+                .collect();
+            prop_assert_eq!(found, expected);
+            let expected: Vec<u32> = batch
+                .iter()
+                .map(|key| {
+                    let next = oracle_order.len() as u32;
+                    *oracle_ids.entry(key.clone()).or_insert_with(|| {
+                        oracle_order.push(key.clone());
+                        next
+                    })
+                })
+                .collect();
+            let mut ids = vec![9]; // ids are appended
+            index.ids_or_insert(&words, batch.len(), &mut ids);
+            prop_assert_eq!(&ids[1..], &expected[..]);
+            prop_assert_eq!(index.len(), oracle_order.len());
+        }
+        prop_assert!(arity == 0 || index.len() >= 300);
+        for (id, key) in oracle_order.iter().enumerate() {
+            prop_assert_eq!(index.key(id), KeyRef::Words(key));
+        }
+        let lookups: Vec<Vec<u64>> = lookups
+            .into_iter()
+            .chain(oracle_order.iter().cloned())
+            .map(|mut key| { key.truncate(arity); key })
+            .collect();
+        let mut found = Vec::new();
+        index.ids(&lookups.concat(), lookups.len(), &mut found);
+        let expected: Vec<u32> = lookups
+            .iter()
+            .map(|key| oracle_ids.get(key).copied().unwrap_or(KeyIndex::MISS))
+            .collect();
+        prop_assert_eq!(found, expected);
+    }
+
+    /// (d) Float `SUM` / `AVG` are the scan oracle's row-order fold bit for
+    /// bit: each group adds its rows in arrival order, whatever the morsel
+    /// cut, over values whose sum depends on the order (1e16 beside 1).
+    /// Fails when a morsel's rows are folded in reverse.
+    #[test]
+    fn float_aggregates_fold_in_row_order(
+        rows in proptest::collection::vec((0i64..4, 0usize..6), 1..80),
+        morsels in proptest::collection::vec(1usize..12, 1..6),
+    ) {
+        const VALUES: [f64; 6] = [1.0, 1e16, -1e16, 0.1, 3.0, -0.7];
+        let batch_of = |rows: &[RawRow]| {
+            let schema = Arc::new(Schema::of(vec![
+                Field::new("s0", DataType::Int64),
+                Field::new("s1", DataType::Float64),
+            ]));
+            let keys = ColumnData::Int64(rows.iter().map(|r| r.0).collect());
+            let values = ColumnData::Float64(rows.iter().map(|r| VALUES[r.1]).collect());
+            RecordBatch::new(schema, vec![keys, values]).expect("batch")
+        };
+        let agg = |func| AggExpr { func, arg: Some(PlanExpr::Col(1)), distinct: false };
+        let out_schema = Arc::new(Schema::of(vec![
+            Field::new("g", DataType::Int64),
+            Field::new("sum", DataType::Float64),
+            Field::new("avg", DataType::Float64),
+        ]));
+        let in_types = |slot: usize| -> Result<DataType> {
+            Ok([DataType::Int64, DataType::Float64][slot])
+        };
+        let mut state = AggregateState::new(
+            vec![PlanExpr::Col(0)],
+            vec![agg(AggFunc::Sum), agg(AggFunc::Avg)],
+            ColMap::from_slots(&[0, 1]),
+            &in_types,
+            out_schema,
+        )
+        .expect("state");
+        for piece in cut(&rows, &morsels) {
+            state.update(&batch_of(piece)).expect("update");
+        }
+        let out = state.finalize().expect("finalize");
+
+        // (key, sum, count) in first-appearance order, summed in row order.
+        let mut oracle: Vec<(i64, f64, i64)> = Vec::new();
+        for &(key, v) in &rows {
+            match oracle.iter_mut().find(|group| group.0 == key) {
+                Some(group) => {
+                    group.1 += VALUES[v];
+                    group.2 += 1;
+                }
+                None => oracle.push((key, VALUES[v], 1)),
+            }
+        }
+        let bits = |col: usize| -> Vec<u64> {
+            out.column(col).as_f64().expect("floats").iter().map(|x| x.to_bits()).collect()
+        };
+        let keys: Vec<i64> = oracle.iter().map(|g| g.0).collect();
+        prop_assert_eq!(out.column(0).as_i64().expect("ints"), &keys[..]);
+        let sums: Vec<u64> = oracle.iter().map(|g| g.1.to_bits()).collect();
+        prop_assert_eq!(bits(1), sums);
+        let avgs: Vec<u64> = oracle.iter().map(|g| (g.1 / g.2 as f64).to_bits()).collect();
+        prop_assert_eq!(bits(2), avgs);
+    }
+}
+
+/// Key words from small pools, so streams repeat them.
+fn word_strategy() -> impl Strategy<Value = u64> {
+    prop_oneof![
+        (0u64..48).prop_map(|x| x << 20),
+        proptest::sample::select(vec![i64::MIN as u64, i64::MAX as u64, u64::MAX, 0, 1]),
+        proptest::sample::select(vec![
+            f64::NAN.to_bits(),
+            (-0.0f64).to_bits(),
+            0.0f64.to_bits()
+        ]),
+        0u64..4096,
+    ]
+}
+
+/// A `(group string, int)` batch for the transition case; `dict` says how
+/// the strings arrive.
+fn string_int_batch(rows: &[(&str, i64)], dict: Option<&ColumnData>) -> RecordBatch {
+    let schema = Arc::new(Schema::of(vec![
+        Field::new("s0", DataType::Utf8),
+        Field::new("s1", DataType::Int64),
+        Field::new("s2", DataType::Int64),
+    ]));
+    let raw = ColumnData::Utf8(rows.iter().map(|r| r.0.to_owned()).collect());
+    let strs = match dict {
+        // Raw strings.
+        None => raw,
+        // Ids into the shared dictionary of `shared` (every string present).
+        Some(shared) => {
+            let (_, dict) = shared.as_dict().expect("dict column");
+            ColumnData::Dict {
+                ids: rows
+                    .iter()
+                    .map(|r| dict.id_of(r.0).expect("present"))
+                    .collect(),
+                dict: dict.clone(),
+            }
+        }
+    };
+    let ints = ColumnData::Int64(rows.iter().map(|r| r.1).collect());
+    let values = ColumnData::Int64((0..rows.len() as i64).map(|i| i * 7 + 1).collect());
+    RecordBatch::new(schema, vec![strs, ints, values]).expect("batch")
+}
+
+/// (c) The words → boxed transition in the middle of a morsel stream: the
+/// first morsels key 40 `(dict string, int)` groups as words (the directory
+/// has doubled from 8 to 128 slots by then), a raw-string morsel brings the
+/// first string outside the dictionary, a foreign-dictionary morsel repeats
+/// it, and a last morsel on the original dictionary must land in the groups
+/// the words made. Group order, counts and sums equal the scan oracle's.
+/// Fails when the transition does not re-key the stored words.
+#[test]
+fn words_to_boxed_transition_keeps_ids_order_and_accumulators() {
+    let names = ["v0", "v1", "v2", "v3"];
+    let shared = ColumnData::Utf8(names.map(str::to_owned).to_vec()).dict_encoded();
+    let grid: Vec<(&str, i64)> = (0..40).map(|i| (names[i % 4], (i / 4) as i64)).collect();
+    let unseen: Vec<(&str, i64)> = vec![("v1", 3), ("zz", 0), ("v3", 9), ("zz", 0), ("yy", 1)];
+    let foreign: Vec<(&str, i64)> = vec![("zz", 0), ("v0", 0), ("xx", 2), ("yy", 1), ("v2", 8)];
+    let foreign_col =
+        ColumnData::Utf8(foreign.iter().map(|r| r.0.to_owned()).collect()).dict_encoded();
+    let morsels = [
+        string_int_batch(&grid[..25], Some(&shared)),
+        string_int_batch(&grid[10..], Some(&shared)),
+        string_int_batch(&unseen, None),
+        string_int_batch(&foreign, Some(&foreign_col)),
+        string_int_batch(&grid[5..30], Some(&shared)),
+    ];
+
+    let slot_types = [DataType::Utf8, DataType::Int64, DataType::Int64];
+    let in_types = |slot: usize| -> Result<DataType> { Ok(slot_types[slot]) };
+    let out_schema = Arc::new(Schema::of(vec![
+        Field::new("g0", DataType::Utf8),
+        Field::new("g1", DataType::Int64),
+        Field::new("n", DataType::Int64),
+        Field::new("sum", DataType::Int64),
+    ]));
+    let mut state = AggregateState::new(
+        vec![PlanExpr::Col(0), PlanExpr::Col(1)],
+        vec![
+            AggExpr {
+                func: AggFunc::Count,
+                arg: None,
+                distinct: false,
+            },
+            AggExpr {
+                func: AggFunc::Sum,
+                arg: Some(PlanExpr::Col(2)),
+                distinct: false,
+            },
+        ],
+        ColMap::from_slots(&[0, 1, 2]),
+        &in_types,
+        out_schema,
+    )
+    .expect("state");
+    let mut oracle: Vec<(Vec<Value>, i64, i64)> = Vec::new();
+    for (m, morsel) in morsels.iter().enumerate() {
+        state.update(morsel).expect("update");
+        for r in 0..morsel.rows() {
+            let row = morsel.row(r);
+            let Value::Int(v) = row[2] else {
+                unreachable!("int payload")
+            };
+            match oracle.iter_mut().find(|group| group.0 == row[..2]) {
+                Some(group) => {
+                    group.1 += 1;
+                    group.2 += v;
+                }
+                None => oracle.push((row[..2].to_vec(), 1, v)),
+            }
+        }
+        assert_eq!(state.group_count(), oracle.len(), "after morsel {m}");
+    }
+    assert_eq!(oracle.len(), 43, "40 word groups, then zz / yy / xx");
+    let expected: Vec<Vec<Value>> = oracle
+        .into_iter()
+        .map(|(key, n, sum)| key.into_iter().chain([n, sum].map(Value::Int)).collect())
+        .collect();
+    let out = state.finalize().expect("finalize");
+    let got: Vec<Vec<Value>> = (0..out.rows()).map(|r| out.row(r)).collect();
+    assert_eq!(got, expected);
+}
+
+/// (e) The two extremes of a probe: a stream that matches nothing — through
+/// a sparse selection too — returns the empty batch under the output
+/// schema, and an all-distinct build side (every CSR list one row long)
+/// returns the nested loop's sequence, for every key shape.
+#[test]
+fn all_miss_probe_is_empty_and_all_distinct_build_is_the_nested_loop() {
+    let build_rows: Vec<RawRow> = (0..300).map(|i| (i as i64, i)).collect();
+    let miss_rows: Vec<RawRow> = (0..200).map(|i| (-1 - i as i64, 1000 + i)).collect();
+    let hit_rows: Vec<RawRow> = (0..200)
+        .map(|i| ((i * 7 % 450) as i64, i * 7 % 450))
+        .collect();
+    let tags = |n: usize| (0..n as i64).collect::<Vec<i64>>();
+    for shape in SHAPES {
+        let key_positions: Vec<usize> = (0..key_types(shape).len()).collect();
+        let tag_position = key_positions.len();
+        let build = table(shape, &build_rows, &tags(build_rows.len()));
+        let mut ht = JoinHashTable::new(build.schema().clone(), key_positions.clone());
+        ht.insert_batch(build.clone()).expect("insert");
+        ht.finalize().expect("finalize");
+        let out_schema = |probe: &RecordBatch| {
+            let fields = probe
+                .schema()
+                .fields()
+                .iter()
+                .chain(build.schema().fields());
+            let fields = fields
+                .enumerate()
+                .map(|(i, f)| Field::new(format!("o{i}"), f.data_type));
+            Arc::new(Schema::of(fields.collect()))
+        };
+
+        let misses = table(shape, &miss_rows, &tags(miss_rows.len()));
+        let sparse: Vec<bool> = (0..miss_rows.len()).map(|i| i % 3 != 1).collect();
+        for probe in [misses.clone(), misses.filter(&sparse).expect("filter")] {
+            let schema = out_schema(&probe);
+            let joined = ht
+                .probe(&probe, &key_positions, schema.clone())
+                .expect("probe");
+            assert_eq!(joined, RecordBatch::empty(schema), "{shape:?}");
+        }
+
+        let hits = table(shape, &hit_rows, &tags(hit_rows.len()));
+        let joined = ht
+            .probe(&hits, &key_positions, out_schema(&hits))
+            .expect("probe");
+        let expected: Vec<(i64, i64)> = hit_rows
+            .iter()
+            .enumerate()
+            .filter(|&(_, &p)| build_rows.contains(&p))
+            .map(|(pi, &p)| (pi as i64, p.0))
+            .collect();
+        assert!(expected.len() > 100 && expected.len() < hit_rows.len());
+        let ptags = joined.column(tag_position).as_i64().expect("ints");
+        let btags = joined.column(2 * tag_position + 1).as_i64().expect("ints");
+        let got: Vec<(i64, i64)> = ptags.iter().copied().zip(btags.iter().copied()).collect();
+        assert_eq!(got, expected, "{shape:?}");
     }
 }
