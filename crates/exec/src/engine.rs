@@ -38,15 +38,18 @@
 //!   that touches `LIMIT` state). Its *inline* feed
 //!   ([`ExecutionMode::Simulate`]) processes a morsel when the driver asks
 //!   for it: one morsel in flight, and nothing past a satisfied `LIMIT` is
-//!   ever fetched. Its *pooled* feed ([`ExecutionMode::Parallel`]) has a
-//!   persistent [`crate::parallel::WorkerPool`], whose Condvar-parked
-//!   threads outlive individual queries, produce every trace up front,
-//!   overlapping fetch and compute — workers prefetch upcoming morsels
-//!   while others compute.
+//!   ever fetched. Its *pooled* feed ([`ExecutionMode::Parallel`]) is a
+//!   stream from a persistent [`crate::parallel::WorkerPool`], whose
+//!   Condvar-parked threads outlive individual queries: the driver folds
+//!   morsel *i* while the workers fetch and compute the next few, a
+//!   bounded window ahead of it, and dropping the stream (a satisfied
+//!   `LIMIT`, an error) cancels the rest.
 //! * **the ledger** — `Ledger`, always on the driver, in canonical morsel
 //!   order: virtual-time list scheduling over the node slots, tier-cache
 //!   and fault draws, wire-format byte accounting (the encoder stream is
-//!   order-dependent: a dictionary ships once), per-node cardinalities and
+//!   order-dependent: a dictionary ships once — but only that dedup is
+//!   folded here; each shipped batch's column sketches ride on its trace,
+//!   taken at the transfer step), per-node cardinalities and
 //!   busy seconds, recovery billing, tracer emission, and the progress
 //!   callbacks that resize the node set. It accumulates the pipeline's one
 //!   [`PipelineMetrics`] in place.
@@ -75,7 +78,7 @@ use ci_obs::{Lane, NodeProfile, ProfileReport, Trace, TraceEvent, TraceLevel, Wo
 use ci_plan::expr::{ColMap, PlanExpr};
 use ci_plan::physical::{PhysicalOp, PhysicalPlan};
 use ci_plan::pipeline::{Pipeline, PipelineGraph, SinkKind};
-use ci_storage::pages::WireEncoder;
+use ci_storage::pages::{WireEncoder, WireSketch};
 use ci_storage::schema::SchemaRef;
 use ci_storage::selection::SelectionVector;
 use ci_storage::table::Table;
@@ -88,7 +91,7 @@ use crate::metrics::{attribute_node_dollars, OpSample, PipelineMetrics, QueryMet
 use crate::operators::{
     apply_filter, apply_project, slots_schema, AggregateState, JoinHashTable, SortBuffer,
 };
-use crate::parallel::{TraceGuard, WorkerPool};
+use crate::parallel::{TraceGuard, TraceStream, WorkerPool};
 use crate::scaling::{PipelineProgress, PipelineStart, ScaleDecision, ScalingController};
 use crate::trace::{NodeStats, Tracer};
 
@@ -252,6 +255,11 @@ pub(crate) enum Payload {
     /// [`PageStore`] (real `CIPF` file bytes or the tier stack) — no
     /// resident decoded table rides along.
     File(FileMorsel),
+    /// Pool tests: a resident batch whose fetch waits until the test sends
+    /// on (or drops) the gate's channel, so the test decides when — and
+    /// after which other fetches — it lands.
+    #[cfg(test)]
+    Gated(Mutex<std::sync::mpsc::Receiver<()>>, RecordBatch),
 }
 
 /// The on-disk store behind [`PageSourceMode::Disk`] / `Tiered` scans
@@ -334,9 +342,10 @@ pub(crate) struct StepTrace {
     /// Logical rows leaving the step.
     rows_out: u64,
     /// At transfer points (exchange/gather): the compacted batch as it went
-    /// to the wire, so the driver can replay serialization against the
-    /// order-dependent encoder stream.
-    shipped: Option<RecordBatch>,
+    /// to the wire and its column sketches — the stateless half of wire
+    /// sizing, taken while the batch was hot — so the driver only folds
+    /// them into the order-dependent encoder stream.
+    shipped: Option<(RecordBatch, WireSketch)>,
 }
 
 /// Where a morsel's chain processing ended.
@@ -410,6 +419,14 @@ impl Morsel {
             tier_part: None,
         }
     }
+
+    /// A test morsel whose fetch is held at `gate` (see [`Payload::Gated`]).
+    pub(crate) fn test_gated(batch: RecordBatch, gate: std::sync::mpsc::Receiver<()>) -> Morsel {
+        Morsel {
+            payload: Payload::Gated(Mutex::new(gate), batch.clone()),
+            ..Morsel::test_from_batch(batch)
+        }
+    }
 }
 
 #[cfg(test)]
@@ -472,6 +489,11 @@ impl ChainCtx {
     pub(crate) fn fetch_morsel(&self, morsel: &Morsel) -> Result<RecordBatch> {
         match &morsel.payload {
             Payload::Batch(batch) => Ok(batch.clone()),
+            #[cfg(test)]
+            Payload::Gated(gate, batch) => {
+                let _ = gate.lock().map(|opened| opened.recv());
+                Ok(batch.clone())
+            }
             Payload::File(f) => {
                 // Real bytes: read + checksum + decode the partition file
                 // (or whatever tier physically holds it), then carve out
@@ -589,12 +611,18 @@ impl ChainCtx {
                 }
                 Step::Exchange { .. } | Step::Gather { .. } => {
                     // Transfer points materialize: deferred filters compact
-                    // here rather than shipping unselected rows. The wire
+                    // here rather than shipping unselected rows, and the
+                    // compacted columns are sketched for the wire. The wire
                     // bytes themselves are charged by the ledger, which
-                    // sizes this batch against the pipeline's (stateful,
+                    // folds the sketch into the pipeline's (stateful,
                     // order-dependent) encoder stream.
-                    batch = timer.time("exchange", rows_in as f64, || Ok(batch.compacted()))?;
-                    shipped = Some(batch.clone());
+                    let sketch;
+                    (batch, sketch) = timer.time("exchange", rows_in as f64, || {
+                        let batch = batch.compacted();
+                        let sketch = WireSketch::of(&batch)?;
+                        Ok((batch, sketch))
+                    })?;
+                    shipped = Some((batch.clone(), sketch));
                 }
                 Step::Probe {
                     join_node,
@@ -629,10 +657,11 @@ enum TraceFeed {
     /// Processed on the driver when asked for (Simulate): one morsel in
     /// flight, and a morsel past a satisfied `LIMIT` is never touched.
     Inline,
-    /// Produced up front by [`WorkerPool::run_traces`] (Parallel), each at
-    /// its morsel's index. A slot nobody reads — a morsel past a satisfied
-    /// `LIMIT` — keeps its result, error included, unobserved.
-    Pooled(Vec<Option<Result<MorselTrace>>>),
+    /// Streamed from the [`WorkerPool`] (Parallel), which runs a bounded
+    /// window ahead of the driver. A trace nobody takes — a morsel past a
+    /// satisfied `LIMIT` — is cancelled or discarded with the stream, its
+    /// error included, unobserved.
+    Pooled(TraceStream),
 }
 
 /// The one source of a pipeline's traces: hands the ledger each morsel's
@@ -653,11 +682,12 @@ impl TraceSource {
         self.limit == Some(0)
     }
 
-    /// The complete trace of morsel `mi`. With `rerun`, a pooled trace is
-    /// discarded and the morsel re-executed on the driver — the recovery
-    /// path of a preempted worker (its morsel is reassigned) or of a hedge
-    /// that beat its straggler (the speculative duplicate replaces the slow
-    /// attempt). Processing is pure, so the replica is bit-identical to the
+    /// The complete trace of morsel `mi`. Morsels are asked for in index
+    /// order, each once — the order a pooled stream yields them in. With
+    /// `rerun`, a pooled trace is discarded and the morsel re-executed on
+    /// the driver — the recovery path of a preempted worker (its morsel is
+    /// reassigned) or of a hedge that beat its straggler (the speculative
+    /// duplicate replaces the slow attempt). Processing is pure, so the replica is bit-identical to the
     /// attempt it replaces: recovery changes the bill, never the answer.
     /// The inline feed has no second worker to lose; its recovery is billed
     /// only.
@@ -665,10 +695,8 @@ impl TraceSource {
         let morsel = &self.morsels[mi];
         let t = match &mut self.feed {
             TraceFeed::Inline => self.ctx.process_morsel(morsel)?,
-            TraceFeed::Pooled(outputs) => {
-                let pooled = outputs[mi].take().ok_or_else(|| {
-                    CiError::Exec(format!("morsel {mi} missing from worker pool output"))
-                })?;
+            TraceFeed::Pooled(stream) => {
+                let pooled = stream.next();
                 if rerun {
                     drop(pooled);
                     self.ctx.process_morsel(morsel)?
@@ -741,7 +769,7 @@ impl<'q> QueryRun<'q> {
         let config = &exec.config;
         let pool: Option<Arc<WorkerPool>> = match config.mode {
             ExecutionMode::Simulate => None,
-            ExecutionMode::Parallel { workers } => Some(WorkerPool::shared(workers)),
+            ExecutionMode::Parallel { workers } => Some(WorkerPool::shared(workers)?),
         };
         let worker_lanes = pool.as_ref().filter(|_| config.trace.wall()).map(|p| {
             let bufs = Arc::new(WorkerBuffers::new(p.workers()));
@@ -1165,12 +1193,13 @@ impl<'a> Executor<'a> {
         let mut sink = self.make_sink(plan, p)?;
         let mut ledger = Ledger::open(&self.config, q, p, ctx.clone(), dop, start);
 
-        // Stage 1, morsels → traces: pooled traces are all produced here,
-        // inline ones on demand inside the loop.
+        // Stage 1, morsels → traces: the pool starts on its stream here and
+        // stays a window ahead of the loop; inline traces are made on demand
+        // inside it.
         let morsels = Arc::new(morsels);
         let feed = match &ledger.q.pool {
             None => TraceFeed::Inline,
-            Some(pool) => TraceFeed::Pooled(pool.run_traces(ctx.clone(), morsels.clone())),
+            Some(pool) => TraceFeed::Pooled(pool.stream(ctx.clone(), morsels.clone())),
         };
         let mut traces = TraceSource {
             ctx,
@@ -1358,7 +1387,7 @@ struct Ledger<'a, 'q> {
     slots: Vec<NodeSlot>,
     /// One wire stream per pipeline execution: each shared dictionary ships
     /// once, then dict columns ride as bit-packed ids. The stream is
-    /// stateful, so byte counts depend on batch order — hence sized here,
+    /// stateful, so byte counts depend on batch order — hence folded here,
     /// in morsel order, in both modes.
     wire: WireEncoder,
     gather_bytes: f64,
@@ -1399,8 +1428,7 @@ impl<'a, 'q> Ledger<'a, 'q> {
             dop_initial: dop,
             dop_final: dop,
             start,
-            // Pool-reuse stats: jobs this pool finished before this
-            // pipeline.
+            // Pool-reuse stats: jobs this pool served before this pipeline.
             pool_workers: q.pool.as_ref().map_or(0, |pool| pool.workers() as u32),
             pool_reuses: q.pool.as_ref().map_or(0, |pool| pool.jobs_completed()),
             // `finish` / `released` are set by `Ledger::finish`,
@@ -1615,15 +1643,15 @@ impl<'a, 'q> Ledger<'a, 'q> {
         Ok(())
     }
 
-    /// Sizes one transfer point's compacted batch against the pipeline's
-    /// wire stream, records bytes and rows on `node`, and returns the wire
+    /// Folds one transfer point's sketched batch into the pipeline's wire
+    /// stream, records bytes and rows on `node`, and returns the wire
     /// bytes.
     fn ship(&mut self, node: usize, st: &StepTrace) -> Result<u64> {
-        let shipped = st
+        let (shipped, sketch) = st
             .shipped
             .as_ref()
             .ok_or_else(|| CiError::Exec("transfer trace lost its shipped batch".into()))?;
-        let wire_bytes = self.wire.batch_wire_bytes(shipped)?;
+        let wire_bytes = self.wire.sketched_wire_bytes(shipped, sketch)?;
         self.m.exchange_wire_bytes += wire_bytes;
         self.m.exchange_decoded_bytes += shipped.byte_size() as u64;
         self.q.node_stats[node].wire_bytes += wire_bytes;

@@ -37,7 +37,7 @@ pub mod value;
 pub use batch::RecordBatch;
 pub use column::ColumnData;
 pub use dict::Dictionary;
-pub use pages::{EncodedPage, PageCodec, WireEncoder};
+pub use pages::{EncodedPage, PageCodec, WireEncoder, WireSketch};
 pub use partition::MicroPartition;
 pub use pruning::ColumnBound;
 pub use schema::{Field, Schema};

@@ -57,10 +57,13 @@
 //! batch's selection, never compacted) gathers a sketch — rows, first,
 //! min/max, runs, min/max delta and a capped distinct count for fixed-width
 //! columns; plain / run / referenced-entry bytes for strings — from which a
-//! `ColumnPlan` takes every candidate's exact size, the pick, the FoR/Delta
-//! frame and, on a wire stream, the cached-frame reuse decision. Costing
-//! reads the plan's `bytes`; serialization calls its `emit`, which writes
-//! exactly that many — "size == serialization" by construction.
+//! `ColumnPlan` takes every candidate's exact size, the pick and the
+//! FoR/Delta frame. On a wire stream that pass is a batch's [`WireSketch`],
+//! taken wherever the batch is hot, and the stream's [`WireEncoder`] folds
+//! it in stream order: first-sight dictionaries and the cached-frame reuse
+//! decision, O(columns). Costing reads the plan's `bytes`; serialization
+//! calls its `emit`, which writes exactly that many — "size ==
+//! serialization" by construction.
 //!
 //! [`best_page`] is the size-based codec picker partitions use to account
 //! `encoded_bytes`. [`WireEncoder`] is the exchange wire format: dict
@@ -638,7 +641,7 @@ impl Hasher for FastHasher {
 type FastSet<T> = HashSet<T, BuildHasherDefault<FastHasher>>;
 
 /// Reusable scratch for the distinct counts only the `Dict` candidate
-/// needs. A [`WireEncoder`] keeps one for its stream's lifetime.
+/// needs. A [`WireSketch`] shares one across its batch's columns.
 #[derive(Debug, Default)]
 struct PlanScratch {
     /// Seen-bitmap over `value − min` or over dictionary ids.
@@ -812,10 +815,10 @@ enum Stream {
 /// One column's page, decided once: `bytes` is what costing charges and
 /// [`ColumnPlan::emit`] writes exactly that many bytes, both read off the
 /// same codec, frame and stream decision — so "size == serialization"
-/// holds by construction.
+/// holds by construction. The plan borrows nothing from the rows it was
+/// built over (`emit` takes them again), so it can outlive the pass.
 #[derive(Debug, Clone, Copy)]
-struct ColumnPlan<'a> {
-    rows: Rows<'a>,
+struct ColumnPlan {
     codec: PageCodec,
     /// The frame of a non-empty For/Delta page.
     frame: Option<IntFrame>,
@@ -830,18 +833,18 @@ struct ColumnPlan<'a> {
     sketch: Option<IntSketch>,
 }
 
-impl<'a> ColumnPlan<'a> {
+impl ColumnPlan {
     /// Plans `rows` under the smallest applicable codec (ties break toward
     /// the earlier of [`ALL_CODECS`]), or under `only` when given — an
     /// error if that codec does not apply to the column's type. The picker
     /// offers `Int64` columns `Dict` up to `int_dict_cap` distinct values
     /// (0: never); a forced `Dict` page is exact for any NDV.
     fn build(
-        rows: Rows<'a>,
+        rows: Rows<'_>,
         only: Option<PageCodec>,
         int_dict_cap: usize,
         scratch: &mut PlanScratch,
-    ) -> Result<ColumnPlan<'a>> {
+    ) -> Result<ColumnPlan> {
         let (dt, n) = (rows.col.data_type(), rows.len());
         let int_dict_cap = match (only, rows.col) {
             (Some(PageCodec::Dict), _) => usize::MAX,
@@ -939,7 +942,6 @@ impl<'a> ColumnPlan<'a> {
             _ => None,
         };
         Ok(ColumnPlan {
-            rows,
             codec,
             frame,
             stream: Stream::Detached,
@@ -954,7 +956,7 @@ impl<'a> ColumnPlan<'a> {
     }
 
     /// Plans a whole column as a storage page (its own scratch).
-    fn page(col: &'a ColumnData, only: Option<PageCodec>, cap: usize) -> Result<ColumnPlan<'a>> {
+    fn page(col: &ColumnData, only: Option<PageCodec>, cap: usize) -> Result<ColumnPlan> {
         ColumnPlan::build(
             Rows { col, sel: None },
             only,
@@ -964,25 +966,26 @@ impl<'a> ColumnPlan<'a> {
     }
 
     /// The storage page under the size-based picker.
-    fn picked(col: &'a ColumnData) -> ColumnPlan<'a> {
+    fn picked(col: &ColumnData) -> ColumnPlan {
         ColumnPlan::page(col, None, DICT_INT_MAX_ENTRIES)
             .expect("Plain is a candidate for every column")
     }
 
-    /// Page metadata of a plan over a whole (dense) column.
-    fn meta(&self) -> EncodedPage {
+    /// Page metadata of a plan over the whole (dense) column `col`.
+    fn meta(&self, col: &ColumnData) -> EncodedPage {
         EncodedPage {
             codec: self.codec,
             encoded_bytes: self.bytes,
-            decoded_bytes: self.rows.col.byte_size() as u64,
-            rows: self.rows.len(),
+            decoded_bytes: col.byte_size() as u64,
+            rows: col.len(),
             dict_bytes: self.dict_bytes,
         }
     }
 
-    /// Serializes the planned page: appends exactly `bytes` bytes to `out`.
-    fn emit(&self, out: &mut Vec<u8>) -> Result<()> {
-        let rows = page_rows(self.rows.len())?;
+    /// Serializes the page planned over `rows`: appends exactly `bytes`
+    /// bytes to `out`.
+    fn emit(&self, rows: Rows<'_>, out: &mut Vec<u8>) -> Result<()> {
+        let count = page_rows(rows.len())?;
         let start = out.len();
         out.reserve(self.bytes as usize);
         let (flags, stream_id) = match self.stream {
@@ -993,28 +996,33 @@ impl<'a> ColumnPlan<'a> {
         out.extend_from_slice(&PAGE_MAGIC);
         out.push(PAGE_VERSION);
         out.push(self.codec.tag());
-        out.push(dtype_tag(self.rows.col.data_type()));
+        out.push(dtype_tag(rows.col.data_type()));
         out.push(flags);
-        push_u32(out, rows);
+        push_u32(out, count);
         if let Some(id) = stream_id {
             push_u32(out, id);
         }
-        fixed_values!(self.rows, |it| self.emit_fixed(it, out), else self.emit_strs(out));
+        let bool_col = rows.col.data_type() == DataType::Bool;
+        fixed_values!(rows, |it| self.emit_fixed(it, bool_col, out), else self.emit_strs(rows, out));
         let wrote = (out.len() - start) as u64;
         debug_assert_eq!(wrote, self.bytes, "emit must write the planned size");
         Ok(())
     }
 
-    /// The page's metadata and bytes.
-    fn encode(&self) -> Result<(EncodedPage, Vec<u8>)> {
+    /// The page planned over `rows`, as its own blob.
+    fn blob(&self, rows: Rows<'_>) -> Result<Vec<u8>> {
         let mut out = Vec::new();
-        self.emit(&mut out)?;
-        Ok((self.meta(), out))
+        self.emit(rows, &mut out)?;
+        Ok(out)
+    }
+
+    /// The metadata and bytes of the page planned over all of `col`.
+    fn encode(&self, col: &ColumnData) -> Result<(EncodedPage, Vec<u8>)> {
+        Ok((self.meta(col), self.blob(Rows { col, sel: None })?))
     }
 
     /// The payload of a fixed-width column, from its values as `i64`s.
-    fn emit_fixed(&self, mut vals: impl Iterator<Item = i64>, out: &mut Vec<u8>) {
-        let bool_col = self.rows.col.data_type() == DataType::Bool;
+    fn emit_fixed(&self, mut vals: impl Iterator<Item = i64>, bool_col: bool, out: &mut Vec<u8>) {
         let put = |out: &mut Vec<u8>, x: i64| {
             if bool_col {
                 out.push(x as u8);
@@ -1062,8 +1070,8 @@ impl<'a> ColumnPlan<'a> {
     }
 
     /// The payload of a string column under either in-memory encoding.
-    fn emit_strs(&self, out: &mut Vec<u8>) {
-        let sel = self.rows.sel;
+    fn emit_strs(&self, rows: Rows<'_>, out: &mut Vec<u8>) {
+        let sel = rows.sel;
         // Dictionary section (unless the receiver holds it) + packed ids.
         let put_dict =
             |out: &mut Vec<u8>, dict: &Dictionary, ids: &mut dyn Iterator<Item = u32>| {
@@ -1075,7 +1083,7 @@ impl<'a> ColumnPlan<'a> {
                 out.push(width as u8);
                 pack_ids(out, ids, width);
             };
-        match (self.rows.col, self.codec) {
+        match (rows.col, self.codec) {
             (ColumnData::Dict { ids, dict }, PageCodec::Dict)
                 if self.stream != Stream::Detached =>
             {
@@ -1202,25 +1210,25 @@ pub fn pick_codec(col: &ColumnData) -> PageCodec {
 /// partitions account every column of every partition, so no payload is
 /// materialized.
 pub fn best_page(col: &ColumnData) -> EncodedPage {
-    ColumnPlan::picked(col).meta()
+    ColumnPlan::picked(col).meta(col)
 }
 
 /// Encodes a column as one self-contained page under the given codec.
 /// Returns the page metadata and the bytes; `decode_column` inverts it.
 pub fn encode_column(col: &ColumnData, codec: PageCodec) -> Result<(EncodedPage, Vec<u8>)> {
-    ColumnPlan::page(col, Some(codec), 0)?.encode()
+    ColumnPlan::page(col, Some(codec), 0)?.encode(col)
 }
 
 /// Encodes under the size-picked codec.
 pub fn encode_best(col: &ColumnData) -> Result<(EncodedPage, Vec<u8>)> {
-    ColumnPlan::picked(col).encode()
+    ColumnPlan::picked(col).encode(col)
 }
 
 /// Encodes an int column under the size-picked codec with `Dict` left out
 /// of the race: the page decodes back to a plain `Int64` column, never to a
 /// fresh page-local dictionary.
 pub(crate) fn encode_best_no_dict(col: &ColumnData) -> Result<Vec<u8>> {
-    Ok(ColumnPlan::page(col, None, 0)?.encode()?.1)
+    Ok(ColumnPlan::page(col, None, 0)?.encode(col)?.1)
 }
 
 // ---------------------------------------------------------------------------
@@ -1722,15 +1730,65 @@ pub const MAX_STREAM_COLUMNS: usize = 1 << 16;
 /// chunk re-deriving a fresh frame mid-stream the moment its values stop
 /// fitting the cached one or reuse stops being byte-beneficial (ties reuse).
 ///
-/// Every column goes through one `ColumnPlan`: the size-only entry points
-/// return its `bytes`, the serializing ones `emit` it.
+/// Every column goes through one `ColumnPlan`, made in two halves: a
+/// [`WireSketch`] (stateless — a pure function of the batch) and the fold of
+/// that sketch into the stream ([`WireEncoder::sketched_wire_bytes`] /
+/// [`WireEncoder::encode_sketched`] — first-sight dictionaries, frame reuse).
+/// The size-only entry points return the folded plan's `bytes`, the
+/// serializing ones `emit` it.
 #[derive(Debug, Default)]
 pub struct WireEncoder {
     /// Pointer-identity → `(stream dictionary id, pinned dictionary)`.
     shipped: HashMap<usize, (u32, Arc<Dictionary>)>,
     /// Stream column position → the FoR/Delta frame last shipped there.
     frames: Vec<Option<IntFrame>>,
-    scratch: PlanScratch,
+}
+
+/// The stateless half of one batch's wire plan: per column, the one pass
+/// over its rows (value sketch, distinct count, codec pick, own frame) that
+/// does not depend on what the stream shipped before. Owned and `Send`:
+/// whoever holds the batch while it is hot computes it, and the stream's
+/// owner folds it later, in stream order, in O(columns).
+#[derive(Debug, Clone)]
+pub struct WireSketch {
+    rows: usize,
+    cols: Vec<ColumnPlan>,
+}
+
+impl WireSketch {
+    /// Sketches `batch` over its logical rows (read through the selection,
+    /// never compacted).
+    pub fn of(batch: &RecordBatch) -> Result<WireSketch> {
+        let (sel, mut scratch) = (batch.selection(), PlanScratch::default());
+        let cols = (batch.columns().iter())
+            .map(|col| ColumnPlan::wire(Rows { col, sel }, &mut scratch))
+            .collect::<Result<_>>()?;
+        Ok(WireSketch {
+            rows: batch.rows(),
+            cols,
+        })
+    }
+}
+
+impl ColumnPlan {
+    /// The stream-independent plan of one wire column: a dict column's
+    /// ids-only page into the (yet unnamed) shared dictionary, every other
+    /// column's best self-contained page.
+    fn wire(rows: Rows<'_>, scratch: &mut PlanScratch) -> Result<ColumnPlan> {
+        let ColumnData::Dict { dict, .. } = rows.col else {
+            return ColumnPlan::build(rows, None, DICT_INT_MAX_ENTRIES, scratch);
+        };
+        let ids = packed_id_bytes(rows.len(), id_bit_width(dict.len()));
+        Ok(ColumnPlan {
+            codec: PageCodec::Dict,
+            frame: None,
+            stream: Stream::Detached,
+            // Header + stream dict id + bit width + ids.
+            bytes: PAGE_HEADER_BYTES as u64 + 4 + 1 + ids,
+            dict_bytes: 0,
+            sketch: None,
+        })
+    }
 }
 
 /// Caches `frame` under stream position `slot` (sender and receiver alike).
@@ -1794,10 +1852,12 @@ impl WireEncoder {
         self.frames.iter().flatten().count()
     }
 
-    /// Plans how the column at stream position `stream_col` rides the wire,
-    /// updating the shipped-dictionary set and the int frame cache — the
-    /// single decision point behind size-only accounting and real
-    /// serialization alike.
+    /// The stateful half of wire planning: folds the [`ColumnPlan::wire`]
+    /// sketch of `rows` into the stream at position `stream_col`, updating
+    /// the shipped-dictionary set and the int frame cache — the single
+    /// decision point behind size-only accounting and real serialization
+    /// alike. O(1) per column, except at the edge of the `i64` domain (see
+    /// [`frame_covers`]).
     ///
     /// Dict columns ship ids into the stream's shared dictionary, inlining
     /// it on first sight. `Int64` columns reuse the position's cached frame
@@ -1806,31 +1866,22 @@ impl WireEncoder {
     /// chunk's own best page — carrying a fresh frame when FoR/Delta won
     /// the pick, which replaces the cache entry (mid-stream re-derivation).
     /// Every other column ships its best self-contained page.
-    fn plan_column<'a>(&mut self, rows: Rows<'a>, stream_col: u32) -> Result<ColumnPlan<'a>> {
+    fn fold(
+        &mut self,
+        rows: Rows<'_>,
+        mut plan: ColumnPlan,
+        stream_col: u32,
+    ) -> Result<ColumnPlan> {
         if let ColumnData::Dict { dict, .. } = rows.col {
             let (dict_id, first) = self.ship(dict);
-            let ids = packed_id_bytes(rows.len(), id_bit_width(dict.len()));
-            let dict_bytes = if first {
-                dictionary_page_bytes(dict)
-            } else {
-                0
-            };
-            return Ok(ColumnPlan {
-                rows,
-                codec: PageCodec::Dict,
-                frame: None,
-                stream: if first {
-                    Stream::Fills(dict_id)
-                } else {
-                    Stream::Refers(dict_id)
-                },
-                // Header + stream dict id + (dictionary) + bit width + ids.
-                bytes: PAGE_HEADER_BYTES as u64 + 4 + dict_bytes + 1 + ids,
-                dict_bytes,
-                sketch: None,
-            });
+            plan.stream = Stream::Refers(dict_id);
+            if first {
+                plan.stream = Stream::Fills(dict_id);
+                plan.dict_bytes = dictionary_page_bytes(dict);
+                plan.bytes += plan.dict_bytes;
+            }
+            return Ok(plan);
         }
-        let mut plan = ColumnPlan::build(rows, None, DICT_INT_MAX_ENTRIES, &mut self.scratch)?;
         let (ColumnData::Int64(v), Some(s)) = (rows.col, plan.sketch) else {
             return Ok(plan);
         };
@@ -1886,25 +1937,50 @@ impl WireEncoder {
         Ok(plan)
     }
 
-    /// Wire bytes for one column at stream position `stream_col`, updating
-    /// the shipped-dictionary set and the int frame cache. Size-only: the
-    /// engine charges virtual wire seconds from this without materializing
-    /// payloads.
-    pub fn column_wire_bytes(&mut self, col: &ColumnData, stream_col: u32) -> Result<u64> {
-        Ok(self.plan_column(Rows { col, sel: None }, stream_col)?.bytes)
+    /// Sketches one whole column and folds it at `stream_col`.
+    fn plan_column(&mut self, col: &ColumnData, stream_col: u32) -> Result<ColumnPlan> {
+        let rows = Rows { col, sel: None };
+        let sketch = ColumnPlan::wire(rows, &mut PlanScratch::default())?;
+        self.fold(rows, sketch, stream_col)
     }
 
-    /// Wire bytes for a whole batch (sum over columns, stream positions in
-    /// schema order). Selected batches are measured over their logical
-    /// rows, as the exchange materialization point would ship them — read
-    /// through the selection, without compacting.
-    pub fn batch_wire_bytes(&mut self, batch: &RecordBatch) -> Result<u64> {
-        let sel = batch.selection();
-        let mut sum = 0u64;
-        for (i, col) in batch.columns().iter().enumerate() {
-            sum += self.plan_column(Rows { col, sel }, i as u32)?.bytes;
+    /// Folds `sketch` — which must be [`WireSketch::of`] this very `batch`
+    /// — column by column, stream positions in schema order.
+    fn fold_batch(&mut self, batch: &RecordBatch, sketch: &WireSketch) -> Result<Vec<ColumnPlan>> {
+        if (sketch.rows, sketch.cols.len()) != (batch.rows(), batch.columns().len()) {
+            return Err(err(
+                "wire sketch folded against a batch of another shape".into()
+            ));
         }
-        Ok(sum)
+        let sel = batch.selection();
+        (batch.columns().iter().zip(&sketch.cols).enumerate())
+            .map(|(i, (col, &plan))| self.fold(Rows { col, sel }, plan, i as u32))
+            .collect()
+    }
+
+    /// Wire bytes for one column at stream position `stream_col`, updating
+    /// the shipped-dictionary set and the int frame cache. Size-only: no
+    /// payload is materialized.
+    pub fn column_wire_bytes(&mut self, col: &ColumnData, stream_col: u32) -> Result<u64> {
+        Ok(self.plan_column(col, stream_col)?.bytes)
+    }
+
+    /// Wire bytes for a whole batch whose sketch was taken earlier (sum over
+    /// columns). Selected batches are measured over their logical rows, as
+    /// the exchange materialization point would ship them. Size-only: the
+    /// engine charges virtual wire seconds from this without materializing
+    /// payloads.
+    pub fn sketched_wire_bytes(&mut self, batch: &RecordBatch, sketch: &WireSketch) -> Result<u64> {
+        Ok(self
+            .fold_batch(batch, sketch)?
+            .iter()
+            .map(|p| p.bytes)
+            .sum())
+    }
+
+    /// [`WireEncoder::sketched_wire_bytes`], sketching here and now.
+    pub fn batch_wire_bytes(&mut self, batch: &RecordBatch) -> Result<u64> {
+        self.sketched_wire_bytes(batch, &WireSketch::of(batch)?)
     }
 
     /// Actually serializes one column for the wire. Every emitted blob is
@@ -1920,24 +1996,28 @@ impl WireEncoder {
     /// always equals [`WireEncoder::column_wire_bytes`]; [`WireDecoder`]
     /// inverts the stream.
     pub fn encode_column(&mut self, col: &ColumnData, stream_col: u32) -> Result<Vec<u8>> {
-        self.emit_column(Rows { col, sel: None }, stream_col)
+        (self.plan_column(col, stream_col)?).blob(Rows { col, sel: None })
     }
 
-    fn emit_column(&mut self, rows: Rows, stream_col: u32) -> Result<Vec<u8>> {
-        let mut out = Vec::new();
-        self.plan_column(rows, stream_col)?.emit(&mut out)?;
-        Ok(out)
-    }
-
-    /// Serializes a whole batch for the wire: one blob per column, stream
-    /// positions in schema order, a selected batch's logical rows only (the
-    /// exchange is a materialization point). [`WireDecoder::decode_batch`]
-    /// inverts it.
-    pub fn encode_batch(&mut self, batch: &RecordBatch) -> Result<Vec<Vec<u8>>> {
+    /// Serializes a whole batch whose sketch was taken earlier: one blob
+    /// per column, stream positions in schema order, a selected batch's
+    /// logical rows only (the exchange is a materialization point), each
+    /// blob as long as [`WireEncoder::sketched_wire_bytes`] counted it.
+    /// [`WireDecoder::decode_batch`] inverts it.
+    pub fn encode_sketched(
+        &mut self,
+        batch: &RecordBatch,
+        sketch: &WireSketch,
+    ) -> Result<Vec<Vec<u8>>> {
         let sel = batch.selection();
-        (batch.columns().iter().enumerate())
-            .map(|(i, col)| self.emit_column(Rows { col, sel }, i as u32))
+        (self.fold_batch(batch, sketch)?.iter().zip(batch.columns()))
+            .map(|(plan, col)| plan.blob(Rows { col, sel }))
             .collect()
+    }
+
+    /// [`WireEncoder::encode_sketched`], sketching here and now.
+    pub fn encode_batch(&mut self, batch: &RecordBatch) -> Result<Vec<Vec<u8>>> {
+        self.encode_sketched(batch, &WireSketch::of(batch)?)
     }
 }
 

@@ -732,13 +732,22 @@ impl TierStore {
         Ok(())
     }
 
-    /// Copies the encoded partition file into the SSD cache directory.
+    /// Copies the encoded partition file into the SSD cache directory,
+    /// under a unique temporary name renamed into place: readers and
+    /// evictions run concurrently with promotions (pool workers fetch while
+    /// the ledger places), and a reader must see the whole file or none of
+    /// it, never a prefix.
     pub fn promote_ssd(&self, id: TableId, part: u32) -> Result<()> {
         let src = self.store.partition_path(id, part as usize);
         let dst = self.ssd_path(id, part);
-        std::fs::copy(&src, &dst)
-            .map(|_| ())
-            .map_err(|e| serr(format!("copying {} to ssd cache: {e}", src.display())))
+        let seq = TEMP_SEQ.fetch_add(1, Ordering::Relaxed);
+        let tmp = dst.with_extension(format!("tmp{seq}"));
+        std::fs::copy(&src, &tmp)
+            .and_then(|_| std::fs::rename(&tmp, &dst))
+            .map_err(|e| {
+                let _ = std::fs::remove_file(&tmp);
+                serr(format!("copying {} to ssd cache: {e}", src.display()))
+            })
     }
 
     /// Drops a partition from the memory tier (no-op if absent).
@@ -760,15 +769,18 @@ impl TierStore {
             return Ok((b.clone(), ServedFrom::Mem));
         }
         let ssd = self.ssd_path(id, key.1);
-        if ssd.exists() {
-            let stored = self
-                .store
-                .stored(id)
-                .ok_or_else(|| serr(format!("table {id} is not registered in the page store")))?;
-            let bytes =
-                std::fs::read(&ssd).map_err(|e| serr(format!("reading {}: {e}", ssd.display())))?;
-            let batch = decode_partition(&bytes, &stored, &format!("{}", ssd.display()))?;
-            return Ok((batch, ServedFrom::Ssd));
+        match std::fs::read(&ssd) {
+            Ok(bytes) => {
+                let stored = self.store.stored(id).ok_or_else(|| {
+                    serr(format!("table {id} is not registered in the page store"))
+                })?;
+                let batch = decode_partition(&bytes, &stored, &format!("{}", ssd.display()))?;
+                return Ok((batch, ServedFrom::Ssd));
+            }
+            // Not resident, or evicted since the caller last looked: the
+            // object store serves it.
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
+            Err(e) => return Err(serr(format!("reading {}: {e}", ssd.display()))),
         }
         Ok((self.store.read_partition(id, part)?, ServedFrom::Object))
     }
@@ -937,5 +949,48 @@ mod tests {
         store.ensure_table(&sample_table(7)).unwrap();
         tiers.evict_mem(table.id, 0);
         assert_eq!(tiers.mem_entries(), 0);
+    }
+
+    /// Promotion, eviction and reads race once the fold overlaps the pool's
+    /// fetches: a reader must get the whole partition from whichever tier it
+    /// finds, never a half-copied SSD file.
+    #[test]
+    fn ssd_tier_is_safe_under_concurrent_promote_evict_read() {
+        const ROUNDS: usize = 300;
+        let table = sample_table(8);
+        let store = Arc::new(ObjectStoreDir::temp().unwrap());
+        store.ensure_table(&table).unwrap();
+        let tiers = TierStore::new(store).unwrap();
+        let want = &table.partitions[0].batch;
+        let start = std::sync::Barrier::new(4);
+        std::thread::scope(|s| {
+            for _ in 0..2 {
+                s.spawn(|| {
+                    start.wait();
+                    for round in 0..ROUNDS {
+                        let (got, _) = tiers
+                            .read_partition(table.id, 0)
+                            .unwrap_or_else(|e| panic!("read in round {round}: {e}"));
+                        assert_eq!(&got, want, "round {round}");
+                    }
+                });
+            }
+            s.spawn(|| {
+                start.wait();
+                for _ in 0..ROUNDS {
+                    tiers.promote_ssd(table.id, 0).unwrap();
+                }
+            });
+            s.spawn(|| {
+                start.wait();
+                for _ in 0..ROUNDS {
+                    tiers.evict_ssd(table.id, 0);
+                    tiers.promote_ssd(table.id, 0).unwrap();
+                }
+            });
+        });
+        // Nothing but (at most) the promoted file is left behind.
+        let left: Vec<_> = std::fs::read_dir(&tiers.ssd_root).unwrap().collect();
+        assert!(left.len() <= 1, "temporary copies leaked: {left:?}");
     }
 }

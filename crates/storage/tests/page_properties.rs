@@ -7,7 +7,7 @@
 use ci_storage::column::ColumnData;
 use ci_storage::pages::{
     decode_column, dictionary_page_bytes, encode_best, encode_column, encoded_size, pick_codec,
-    PageCodec, WireDecoder, WireEncoder, PAGE_HEADER_BYTES, PAGE_MAGIC, PAGE_VERSION,
+    PageCodec, WireDecoder, WireEncoder, WireSketch, PAGE_HEADER_BYTES, PAGE_MAGIC, PAGE_VERSION,
 };
 use proptest::prelude::*;
 
@@ -836,6 +836,106 @@ proptest! {
             prop_assert_eq!(&blobs, &dense_tx.encode_batch(&dense).unwrap());
             prop_assert_eq!(sized, blobs.iter().map(|b| b.len() as u64).sum::<u64>());
             prop_assert_eq!(rx.decode_batch(schema.clone(), &blobs).unwrap(), dense);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(192))]
+
+    /// The sketch / fold split. A batch's [`WireSketch`] is a pure function
+    /// of the batch, so sketches taken up front — on another thread, in
+    /// *reverse* stream order — and folded later in stream order must give,
+    /// batch for batch, the bytes of a sketch taken at fold time, the
+    /// lengths `encode_batch` emits and (for the plain int column) the
+    /// oracle's reuse-vs-fresh plan; and the receiver must invert the
+    /// stream. The int chunks reuse, drift out of and re-derive their
+    /// frame mid-stream and reach the edge of the `i64` domain (where the
+    /// fold rescans the rows); the other columns cover a second plain int
+    /// column with frames of its own, dictionary ints, floats, bools, raw
+    /// strings and two columns sharing one dictionary, under scattered,
+    /// range, empty and absent selections.
+    #[test]
+    fn early_sketches_fold_like_sketches_taken_in_place(
+        chunks in int_stream(),
+        shapes in proptest::collection::vec((any::<u64>(), 0u8..4), 7),
+    ) {
+        use ci_storage::schema::{Field, Schema};
+        use ci_storage::value::DataType;
+        let schema = std::sync::Arc::new(Schema::of(vec![
+            Field::new("i", DataType::Int64),
+            Field::new("j", DataType::Int64),
+            Field::new("d", DataType::Int64),
+            Field::new("f", DataType::Float64),
+            Field::new("b", DataType::Bool),
+            Field::new("s", DataType::Utf8),
+            Field::new("t", DataType::Utf8),
+            Field::new("u", DataType::Utf8),
+        ]));
+        let pool = ColumnData::Utf8((0..5).map(|i| format!("key-{i}")).collect()).dict_encoded();
+        let (pool_ids, dict) = pool.as_dict().unwrap();
+        let batches: Vec<ci_storage::RecordBatch> = chunks.iter().zip(&shapes).map(|(ints, &(seed, shape))| {
+            let n = ints.len();
+            let pick = |i: usize| mix(seed, i as u64);
+            let shared = |salt: usize| ColumnData::Dict {
+                ids: (0..n).map(|i| pool_ids[pick(i + salt) as usize % pool_ids.len()]).collect(),
+                dict: dict.clone(),
+            };
+            let batch = ci_storage::RecordBatch::new(schema.clone(), vec![
+                ColumnData::Int64(ints.clone()),
+                ColumnData::Int64(ints.iter().map(|x| x.wrapping_mul(3) ^ 1).collect()),
+                ColumnData::Int64(ints.iter().map(|x| x % 7).collect()).dict_encoded_ints(16),
+                ColumnData::Float64(ints.iter().map(|&x| (x % 3) as f64).collect()),
+                ColumnData::Bool(ints.iter().map(|x| x % 5 == 0).collect()),
+                shared(0),
+                shared(n),
+                ColumnData::Utf8((0..n).map(|i| format!("u{}", pick(i) % 4)).collect()),
+            ]).unwrap();
+            match shape {
+                0 => batch.filter(&(0..n).map(|i| pick(i) % 3 != 0).collect::<Vec<_>>()).unwrap(),
+                1 => {
+                    let run = ci_storage::selection::SelectionVector::from_range(n / 8, n - n / 4, n);
+                    batch.select(run.unwrap()).unwrap()
+                }
+                2 => batch.filter(&vec![false; n]).unwrap(),
+                _ => batch,
+            }
+        }).collect();
+
+        let mut early: Vec<WireSketch> = std::thread::scope(|s| {
+            let sketcher = s.spawn(|| {
+                batches.iter().rev().map(|b| WireSketch::of(b).unwrap()).collect::<Vec<_>>()
+            });
+            sketcher.join().unwrap()
+        });
+        early.reverse();
+
+        let (mut early_size, mut late_size) = (WireEncoder::new(), WireEncoder::new());
+        let (mut early_tx, mut late_tx) = (WireEncoder::new(), WireEncoder::new());
+        let mut rx = WireDecoder::new();
+        let mut want = oracle::Stream::default();
+        for (batch, sketch) in batches.iter().zip(&early) {
+            let sized = early_size.sketched_wire_bytes(batch, sketch).unwrap();
+            prop_assert_eq!(sized, late_size.batch_wire_bytes(batch).unwrap());
+            let blobs = early_tx.encode_sketched(batch, sketch).unwrap();
+            prop_assert_eq!(&blobs, &late_tx.encode_batch(batch).unwrap());
+            prop_assert_eq!(sized, blobs.iter().map(|b| b.len() as u64).sum::<u64>());
+            let dense = batch.compacted();
+            let ints = dense.column(0).as_i64().unwrap();
+            let (oracle::IntPlan::Page { bytes, .. }
+            | oracle::IntPlan::Fresh { bytes, .. }
+            | oracle::IntPlan::Reuse { bytes, .. }) = want.plan_ints(ints, 0);
+            prop_assert_eq!(blobs[0].len() as u64, bytes, "int column against the oracle");
+            prop_assert_eq!(rx.decode_batch(schema.clone(), &blobs).unwrap(), dense);
+        }
+        prop_assert_eq!(early_size.cached_frames(), late_tx.cached_frames());
+        prop_assert_eq!(early_tx.cached_frames(), rx.cached_frames());
+
+        // A sketch is only good for the batch it was taken from.
+        if let [first, .., last] = batches.as_slice() {
+            if first.rows() != last.rows() {
+                prop_assert!(WireEncoder::new().sketched_wire_bytes(first, &early[early.len() - 1]).is_err());
+            }
         }
     }
 }
