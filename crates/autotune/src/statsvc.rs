@@ -348,10 +348,13 @@ mod tests {
         );
         let (recorded, skipped) = s.ingest_counts();
         assert_eq!(recorded + skipped, 4000);
-        // Sampling cuts the service's own bill proportionally.
+        // The service bills itself per recorded entry, so its own spend
+        // falls in proportion to the sampling rate.
+        let per_record = StatsConfig::default().ingest_cost_per_record.amount();
+        assert!((s.ingest_spend().amount() - recorded as f64 * per_record).abs() < 1e-12);
         assert!(
-            s.ingest_spend().amount()
-                < StatsConfig::default().ingest_cost_per_record.amount() * 2000.0
+            (recorded as f64 / 4000.0 - 0.25).abs() < 0.025,
+            "recorded {recorded} of 4000 at a 25% rate"
         );
     }
 

@@ -588,8 +588,16 @@ mod tests {
             "100 runs/hour should justify an MV: {}",
             report.narrative
         );
-        assert!(report.break_even_hours.is_some());
         assert!(report.narrative.contains("ACCEPT"));
+        // The one-time build amortizes faster the hotter the query is.
+        let hotter = svc.evaluate(&action, &workload(AGG, 1000.0)).unwrap();
+        let hours = |r: &ProposalReport| r.break_even_hours.expect("accepted");
+        assert!(
+            hours(&hotter) < hours(&report),
+            "break-even {} h at 1000/h vs {} h at 100/h",
+            hours(&hotter),
+            hours(&report)
+        );
     }
 
     #[test]

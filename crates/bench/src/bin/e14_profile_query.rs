@@ -23,7 +23,7 @@
 
 use std::sync::Arc;
 
-use ci_bench::{banner, plan_query};
+use ci_bench::plan_query;
 use ci_catalog::Catalog;
 use ci_cost::calibration::MeasuredRates;
 use ci_exec::{
@@ -90,11 +90,7 @@ fn fixture(rows: usize) -> Result<(Catalog, PhysicalPlan, PipelineGraph)> {
 }
 
 fn main() -> Result<()> {
-    banner(
-        "E14: traced + profiled query under chaos",
-        "structured spans on a dual clock, per-node dollar attribution that \
-         folds bit-exactly to the bill, identical across execution modes",
-    );
+    println!("== E14: traced + profiled query under chaos ==\n");
     let (cat, plan, graph) = fixture(ROWS)?;
 
     // Satellite: calibration persistence. Rates measured by earlier runs

@@ -1,12 +1,12 @@
 //! Data-path microbench fixtures: the string-heavy filter / join /
 //! group-by kernels the zero-copy refactor targets.
 //!
-//! Shared by the criterion microbench (`benches/micro.rs`) and the
-//! `bench_micro` runner that records `BENCH_micro.json`. Each kernel can run
-//! over either string encoding, so every measurement carries its own
-//! pre-refactor baseline: the `naive` numbers execute the exact same
-//! operators over owned `Vec<String>` columns (per-row clones + boxed keys),
-//! the `dict` numbers over the dictionary-encoded path.
+//! Timed by the `bench_micro` runner, which records and gates
+//! `BENCH_micro.json`. Each kernel can run over either string encoding, so
+//! every measurement carries its own pre-refactor baseline: the `naive`
+//! numbers execute the exact same operators over owned `Vec<String>` columns
+//! (per-row clones + boxed keys), the `dict` numbers over the
+//! dictionary-encoded path.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -268,7 +268,7 @@ pub fn run_page_encode_int(batch: &RecordBatch, int_codecs: bool) -> Result<usiz
 
 /// Byte accounting of the sorted-int fixture, for the CI gate (not timed):
 /// `(int_encoded, plain)` — the summed page sizes under the size-picked
-/// int codecs vs Plain. `bench_check` gates `plain >= 4 × int_encoded`.
+/// int codecs vs Plain. `bench_micro` gates `plain >= 4 × int_encoded`.
 pub fn int_codec_accounting(batch: &RecordBatch) -> Result<(u64, u64)> {
     let mut encoded = 0u64;
     let mut plain = 0u64;

@@ -273,11 +273,7 @@ impl Warehouse {
             proposals.push(svc.evaluate(&action, &predicted)?);
         }
 
-        proposals.sort_by(|a, b| {
-            b.net_rate
-                .partial_cmp(&a.net_rate)
-                .expect("finite net rates")
-        });
+        proposals.sort_by(|a, b| b.net_rate.amount().total_cmp(&a.net_rate.amount()));
         Ok(proposals)
     }
 
@@ -344,13 +340,19 @@ impl Warehouse {
                 };
                 // The pin must outlive this call: install a process-shared
                 // cache simulation if queries ran without one so far.
-                if self.config.execution.tier_sim.is_none() {
-                    self.config.execution.tier_sim =
-                        Some(Arc::new(Mutex::new(TierCacheSim::new(pricing))));
-                }
-                let sim = self.config.execution.tier_sim.as_ref().expect("just set");
+                let sim = self
+                    .config
+                    .execution
+                    .tier_sim
+                    .get_or_insert_with(|| Arc::new(Mutex::new(TierCacheSim::new(pricing))));
+                // Same rule as the executor's `lock_sim`: bills are a function
+                // of this state, so a poisoned simulator is a typed error.
                 sim.lock()
-                    .expect("tier sim lock")
+                    .map_err(|_| {
+                        CiError::Tuning(
+                            "tier cache simulator lock is poisoned by an earlier panic".into(),
+                        )
+                    })?
                     .pin(entry.table.id, *tier);
                 // One-time bill: fill the tier once from the object store on
                 // background compute (same formula the what-if service used).

@@ -18,7 +18,7 @@
 //!    time/dollar trade-off under the user constraint wins.
 //!
 //! [`pareto`] implements the full-frontier enumeration baseline (\[35] in the
-//! paper) that experiments E3/F2 compare against.
+//! paper) that the F2 claim test judges picks against.
 
 pub mod bushy;
 pub mod dagplan;

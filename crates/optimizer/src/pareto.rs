@@ -3,8 +3,8 @@
 //! §3.2 cites multi-objective optimizers that "produc\[e\] a set of physical
 //! plans that form the Pareto frontier" \[35] and argues the full spectrum is
 //! unnecessary. We implement the frontier machinery anyway: (a) as the
-//! baseline experiments E3/F2 compare search effort against, and (b) to
-//! *draw* Figure 2 empirically.
+//! baseline the F2 claim test judges the optimizer's picks against, and
+//! (b) to *draw* Figure 2 empirically.
 
 use ci_types::money::Dollars;
 use ci_types::SimDuration;

@@ -87,6 +87,16 @@ fn full_loop_trace_tune_verify() {
     assert!(!reports.is_empty());
     let per_q_before: f64 =
         reports.iter().map(|r| r.cost.amount()).sum::<f64>() / reports.len() as f64;
+    // Every box of the paper's Figure 3 was exercised on the way: plans
+    // carry predictions, each pipeline got a DOP, the history reached the
+    // statistics service and the workload's join graph was learned.
+    for r in &reports {
+        assert!(r.predicted_cost.amount() > 0.0 && r.predicted_latency > SimDuration::ZERO);
+        assert!(!r.dops.is_empty() && r.dops.iter().all(|&d| d >= 1));
+    }
+    let (recorded, skipped) = w.with_stats(|s| s.ingest_counts());
+    assert_eq!((recorded as usize, skipped), (reports.len(), 0));
+    assert!(w.with_stats(|s| !s.join_edges().is_empty()));
 
     let proposals = w.tuning_proposals().expect("proposals");
     assert!(!proposals.is_empty());
@@ -99,9 +109,8 @@ fn full_loop_trace_tune_verify() {
         !accepted.is_empty(),
         "a hot recurring query should justify tuning"
     );
-    for a in &accepted {
-        let _ = w.apply(a);
-    }
+    let applied = accepted.iter().filter(|a| w.apply(a).is_ok()).count();
+    assert!(applied > 0, "no accepted action could be applied");
 
     let trace2 = WorkloadTrace::generate(
         &TraceConfig {
