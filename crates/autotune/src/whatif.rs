@@ -258,11 +258,8 @@ impl<'a> WhatIfService<'a> {
         let serve_dop = est.machine_time_optimal_dop(&scan_work, &self.config.dop_ladder);
         let serve_secs =
             est.pipeline_duration(&scan_work, serve_dop).as_secs_f64() * serve_dop as f64;
-        let serve_cost = self
-            .config
-            .estimator
-            .rate
-            .bill(ci_types::SimDuration::from_secs_f64(serve_secs));
+        let node_rate = self.config.estimator.models.hw.node.rate;
+        let serve_cost = node_rate.bill(ci_types::SimDuration::from_secs_f64(serve_secs));
 
         for q in workload {
             if q.fingerprint != def_fp {
@@ -328,11 +325,8 @@ impl<'a> WhatIfService<'a> {
                     * m.hw.node.cores as f64
                     * m.hw.node.memory_bytes.max(1) as f64)
                     .max(1.0);
-        let one_time = self
-            .config
-            .estimator
-            .rate
-            .bill(ci_types::SimDuration::from_secs_f64(rewrite_secs));
+        let node_rate = m.hw.node.rate;
+        let one_time = node_rate.bill(ci_types::SimDuration::from_secs_f64(rewrite_secs));
         let cost_rate = one_time * self.config.recluster_maintenance_factor_per_hour;
         self.finish_report(action, benefit, cost_rate, one_time, matched)
     }
@@ -405,11 +399,8 @@ impl<'a> WhatIfService<'a> {
         // One-time: fill the tier once from the object store (transfer
         // charges plus the machine time of the fill scan).
         let fill_secs = encoded / self.config.estimator.models.hw.node_scan_bytes_per_sec();
-        let one_time = self
-            .config
-            .estimator
-            .rate
-            .bill(ci_types::SimDuration::from_secs_f64(fill_secs))
+        let node_rate = self.config.estimator.models.hw.node.rate;
+        let one_time = node_rate.bill(ci_types::SimDuration::from_secs_f64(fill_secs))
             + Dollars::new(egress_per_exec);
         self.finish_report(action, benefit, cost_rate, one_time, matched)
     }

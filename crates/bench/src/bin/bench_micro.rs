@@ -5,8 +5,8 @@
 //! `filter_chain` kernel over both materialization strategies, and the
 //! encoded-page kernels (`page_encode` round-trips columns through their
 //! size-picked codecs, `exchange_wire` serializes morsels through the wire
-//! format). In every entry `baseline_naive_ns` is the pre-refactor behaviour
-//! (owned `Vec<String>` columns with per-row clones and boxed keys;
+//! format). In every entry `baseline_naive_ns` is the unoptimized input
+//! (owned `Vec<String>` columns with per-row clones and a string hash per key;
 //! per-operator compaction for `filter_chain`; per-chunk dictionary rebuilds
 //! for the page kernels; Plain-only codec picking for `page_encode_int`) and
 //! `dict_ns` the optimized path; [`Report`] lists what else is recorded. The

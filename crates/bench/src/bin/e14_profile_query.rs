@@ -16,10 +16,11 @@
 //! Artifacts: `e14_trace.json` and `e14_profile.txt` in the working
 //! directory (override with `E14_TRACE_OUT` / `E14_PROFILE_OUT`).
 //!
-//! Calibration persistence rides along: measured per-operator rates are
-//! loaded from `CI_RATES_PATH` at startup (seeding the cost models) and the
-//! parallel run's samples are folded back and saved on clean exit, so a
-//! fleet of runs converges on this host's real rates.
+//! Calibration persistence rides along: with `--rates PATH`, measured
+//! per-operator rates are loaded from `PATH` at startup if it exists
+//! (seeding the cost models) and the parallel run's samples are folded back
+//! and saved there on clean exit, so a fleet of runs converges on this
+//! host's real rates.
 
 use std::sync::Arc;
 
@@ -89,22 +90,33 @@ fn fixture(rows: usize) -> Result<(Catalog, PhysicalPlan, PipelineGraph)> {
     Ok((cat, plan, graph))
 }
 
+/// The `--rates PATH` argument, if given; anything else is a usage error.
+fn rates_arg() -> Result<Option<std::path::PathBuf>> {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    match args.as_slice() {
+        [] => Ok(None),
+        [flag, path] if flag == "--rates" => Ok(Some(path.into())),
+        _ => Err(ci_types::CiError::Config(
+            "usage: e14_profile_query [--rates PATH]".into(),
+        )),
+    }
+}
+
 fn main() -> Result<()> {
+    let rates_path = rates_arg()?;
     println!("== E14: traced + profiled query under chaos ==\n");
     let (cat, plan, graph) = fixture(ROWS)?;
 
-    // Satellite: calibration persistence. Rates measured by earlier runs
-    // seed the cost models; this run's samples are saved back on exit.
-    let mut rates = match MeasuredRates::load_env()? {
-        Some(r) => {
-            println!(
-                "loaded measured rates from CI_RATES_PATH ({} ops)",
-                r.ops().count()
-            );
-            r
+    // Calibration persistence: rates measured by earlier runs seed the
+    // cost models; this run's samples are saved back on exit.
+    let mut rates = MeasuredRates::new();
+    if let Some(path) = &rates_path {
+        if let Some(loaded) = MeasuredRates::load_path(path)? {
+            let ops = loaded.ops().count();
+            println!("loaded measured rates from {} ({ops} ops)", path.display());
+            rates = loaded;
         }
-        None => MeasuredRates::new(),
-    };
+    }
     let models = rates.seed(&WorkModels::standard());
 
     let run = |mode: ExecutionMode| -> Result<QueryOutcome> {
@@ -170,12 +182,13 @@ fn main() -> Result<()> {
     );
 
     // Fold the parallel run's measured samples back into the persisted
-    // rates (no-op unless CI_RATES_PATH is set).
-    for s in &par.op_samples {
-        rates.record(s.op, s.units, s.wall_ns);
-    }
-    if rates.save_env()? {
-        println!("saved measured rates to CI_RATES_PATH");
+    // rates (only with `--rates`).
+    if let Some(path) = rates_path {
+        for s in &par.op_samples {
+            rates.record(s.op, s.units, s.wall_ns);
+        }
+        rates.save_path(&path)?;
+        println!("saved measured rates to {}", path.display());
     }
     Ok(())
 }

@@ -3,10 +3,10 @@
 //!
 //! Timed by the `bench_micro` runner, which records and gates
 //! `BENCH_micro.json`. Each kernel can run over either string encoding, so
-//! every measurement carries its own pre-refactor baseline: the `naive`
-//! numbers execute the exact same operators over owned `Vec<String>` columns
-//! (per-row clones + boxed keys), the `dict` numbers over the
-//! dictionary-encoded path.
+//! every measurement carries its own baseline: the `naive` numbers execute
+//! the exact same operators over owned `Vec<String>` columns (per-row
+//! clones, every key string hashed into the key's extension table), the
+//! `dict` numbers over the dictionary-encoded path.
 
 use std::collections::HashMap;
 use std::sync::Arc;

@@ -7,7 +7,6 @@
 //! so this crate *is* the cloud: a deterministic model of
 //!
 //! * node types and their prices ([`node`], [`pricing`]),
-//! * cluster lifecycle with warm/cold provisioning latencies ([`cluster`]),
 //! * machine-time billing — blocked nodes still bill, per §3.1 ([`billing`]),
 //! * the network fabric whose sub-linear bisection scaling creates the
 //!   exchange-operator knee the paper argues about ([`network`]),
@@ -21,7 +20,6 @@
 //! execution engine.
 
 pub mod billing;
-pub mod cluster;
 pub mod faults;
 pub mod network;
 pub mod node;
@@ -31,11 +29,10 @@ pub mod tiercache;
 pub mod work;
 
 pub use billing::BillingMeter;
-pub use cluster::{Acquisition, ClusterManager};
 pub use faults::{FaultInjector, FaultPlan, FaultProfile, MorselFaults};
 pub use network::NetworkModel;
 pub use node::{HardwareProfile, NodeType};
 pub use objectstore::ObjectStoreModel;
-pub use pricing::{PriceList, TShirtSize, TierPricing, TierSpec};
+pub use pricing::{TShirtSize, TierPricing, TierSpec};
 pub use tiercache::{CacheAccess, CacheCounters, CacheKey, TierCacheSim, TierLevel};
 pub use work::WorkModels;

@@ -1,14 +1,10 @@
-//! Price list and the "T-shirt size" provisioning model of Figure 1.
+//! The "T-shirt size" provisioning menu of Figure 1 and the cache-tier price menu.
 //!
 //! Snowflake-style warehouses are sold in doubling sizes (XS, S, M, ...)
 //! where each step doubles both the node count and the hourly price. The
 //! paper's opening argument is that forcing users to pick from this menu
 //! causes over/under-provisioning; experiment F1 quantifies it against the
 //! bi-objective optimizer's automatic deployment.
-
-use ci_types::money::DollarsPerSecond;
-
-use crate::node::NodeType;
 
 /// The classic warehouse T-shirt sizes with their node counts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -70,43 +66,6 @@ impl TShirtSize {
             TShirtSize::XXXL => "3X-Large",
             TShirtSize::XXXXL => "4X-Large",
         }
-    }
-}
-
-/// The provider's price list: node shapes on offer plus the default shape
-/// used when the user does not care.
-#[derive(Debug, Clone)]
-pub struct PriceList {
-    /// Node shapes on offer.
-    pub node_types: Vec<NodeType>,
-    /// Index into `node_types` of the default shape.
-    pub default_type: usize,
-}
-
-impl PriceList {
-    /// A one-shape price list around [`NodeType::standard`]; selecting the
-    /// cost-optimal *shape* is out of the paper's scope (§3 cites \[19]),
-    /// so most experiments run on a single symmetric shape, as §3 assumes.
-    pub fn standard() -> PriceList {
-        PriceList {
-            node_types: vec![NodeType::standard()],
-            default_type: 0,
-        }
-    }
-
-    /// The default node shape.
-    pub fn default_node(&self) -> &NodeType {
-        &self.node_types[self.default_type]
-    }
-
-    /// Hourly price of a cluster of `n` default nodes.
-    pub fn cluster_rate(&self, n: u32) -> DollarsPerSecond {
-        self.default_node().rate * n as f64
-    }
-
-    /// Hourly price of a T-shirt size, matching the doubling menu of Figure 1.
-    pub fn tshirt_rate(&self, size: TShirtSize) -> DollarsPerSecond {
-        self.cluster_rate(size.nodes())
     }
 }
 
@@ -216,25 +175,11 @@ mod tests {
     }
 
     #[test]
-    fn price_doubles_with_size() {
-        let pl = PriceList::standard();
-        let xs = pl.tshirt_rate(TShirtSize::XS).hourly();
-        let m = pl.tshirt_rate(TShirtSize::M).hourly();
-        assert!((m - 4.0 * xs).abs() < 1e-9);
-    }
-
-    #[test]
     fn labels_are_unique() {
         let mut labels: Vec<_> = TShirtSize::ALL.iter().map(|s| s.label()).collect();
         labels.sort_unstable();
         labels.dedup();
         assert_eq!(labels.len(), TShirtSize::ALL.len());
-    }
-
-    #[test]
-    fn cluster_rate_scales_linearly() {
-        let pl = PriceList::standard();
-        assert!((pl.cluster_rate(10).hourly() - 20.0).abs() < 1e-9);
     }
 
     #[test]

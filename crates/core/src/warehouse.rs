@@ -293,17 +293,13 @@ impl Warehouse {
                     .unwrap_or(8192);
                 let reclustered = entry.table.reclustered_by(col, rows_per_part)?;
                 // One-time bill: read + write the table once on background
-                // compute (same formula the what-if service charged; object
-                // I/O moves encoded bytes).
+                // compute (object I/O moves encoded bytes). Less than the
+                // what-if service's `evaluate_recluster` quoted, which adds
+                // a sort term — see ROADMAP direction B.
                 let bytes = entry.table.total_encoded_bytes() as f64;
                 let m = &self.config.whatif.estimator.models;
                 let secs = 2.0 * bytes / m.hw.node_scan_bytes_per_sec();
-                let bill = self
-                    .config
-                    .whatif
-                    .estimator
-                    .rate
-                    .bill(SimDuration::from_secs_f64(secs));
+                let bill = m.hw.node.rate.bill(SimDuration::from_secs_f64(secs));
                 self.catalog.register(reclustered);
                 self.total_spend += bill;
                 Ok(bill)
@@ -355,16 +351,13 @@ impl Warehouse {
                     })?
                     .pin(entry.table.id, *tier);
                 // One-time bill: fill the tier once from the object store on
-                // background compute (same formula the what-if service used).
+                // background compute. Less than the what-if service's
+                // `evaluate_pin` quoted, which adds the egress dollars — see
+                // ROADMAP direction B.
                 let bytes = entry.table.total_encoded_bytes() as f64;
                 let m = &self.config.whatif.estimator.models;
                 let secs = bytes / m.hw.node_scan_bytes_per_sec();
-                let bill = self
-                    .config
-                    .whatif
-                    .estimator
-                    .rate
-                    .bill(SimDuration::from_secs_f64(secs));
+                let bill = m.hw.node.rate.bill(SimDuration::from_secs_f64(secs));
                 self.total_spend += bill;
                 Ok(bill)
             }

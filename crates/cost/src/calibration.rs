@@ -310,30 +310,6 @@ impl MeasuredRates {
         }
     }
 
-    /// Loads the collector named by the `CI_RATES_PATH` env var. Unset or
-    /// empty means persistence is off (`Ok(None)`), as does a path that
-    /// does not exist yet.
-    pub fn load_env() -> Result<Option<MeasuredRates>> {
-        match std::env::var("CI_RATES_PATH") {
-            Ok(p) if !p.trim().is_empty() => {
-                MeasuredRates::load_path(std::path::Path::new(p.trim()))
-            }
-            _ => Ok(None),
-        }
-    }
-
-    /// Saves the collector to the `CI_RATES_PATH` env var's path, returning
-    /// whether anything was written (`false` when the var is unset/empty).
-    pub fn save_env(&self) -> Result<bool> {
-        match std::env::var("CI_RATES_PATH") {
-            Ok(p) if !p.trim().is_empty() => {
-                self.save_path(std::path::Path::new(p.trim()))?;
-                Ok(true)
-            }
-            _ => Ok(false),
-        }
-    }
-
     /// A copy of `base` with every measured per-core compute rate replaced
     /// by its aggregate. Classes without samples keep the base calibration —
     /// seeding is incremental, one workload need not exercise every kernel.

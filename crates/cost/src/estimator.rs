@@ -9,7 +9,7 @@ use ci_cloud::tiercache::CacheCounters;
 use ci_cloud::work::WorkModels;
 use ci_plan::physical::{PhysicalOp, PhysicalPlan};
 use ci_plan::pipeline::{Pipeline, PipelineGraph, SinkKind};
-use ci_types::money::{Dollars, DollarsPerSecond};
+use ci_types::money::Dollars;
 use ci_types::{CiError, Result, SimDuration, SimTime, TableId};
 
 use crate::calibration::{Calibration, MeasuredRates};
@@ -80,8 +80,6 @@ impl TierCostModel {
 pub struct EstimatorConfig {
     /// Calibrated hardware/network/storage models.
     pub models: WorkModels,
-    /// Per-node billing rate.
-    pub rate: DollarsPerSecond,
     /// Cluster create/resize latency.
     pub resize_latency: SimDuration,
     /// Morsel split size (for overhead estimation).
@@ -105,7 +103,6 @@ impl Default for EstimatorConfig {
     fn default() -> Self {
         EstimatorConfig {
             models: WorkModels::standard(),
-            rate: DollarsPerSecond::per_hour(2.0),
             resize_latency: SimDuration::from_millis(500),
             morsel_rows: 65_536,
             fault_profile: None,
@@ -423,27 +420,7 @@ impl<'a> CostEstimator<'a> {
                 .max()
                 .unwrap_or(SimTime::ZERO);
             let finish = finishes[p.id.index()];
-            let release = match p.sink {
-                SinkKind::Result => finish,
-                SinkKind::JoinBuild { join } => graph
-                    .pipelines
-                    .iter()
-                    .find(|q| q.id != p.id && q.nodes.contains(&join))
-                    .map(|q| finishes[q.id.index()])
-                    .unwrap_or(finish),
-                SinkKind::Aggregate { agg } => graph
-                    .pipelines
-                    .iter()
-                    .find(|q| q.source() == agg)
-                    .map(|q| finishes[q.id.index()])
-                    .unwrap_or(finish),
-                SinkKind::Sort { sort } => graph
-                    .pipelines
-                    .iter()
-                    .find(|q| q.source() == sort)
-                    .map(|q| finishes[q.id.index()])
-                    .unwrap_or(finish),
-            };
+            let release = finishes[graph.consumer_of(p).unwrap_or(p).id.index()];
             machine_time += release.saturating_since(start) * dops[p.id.index()].max(1) as u64;
             spans.push((start, finish, release));
         }
@@ -451,7 +428,7 @@ impl<'a> CostEstimator<'a> {
         Ok(QueryEstimate {
             latency,
             machine_time,
-            cost: self.config.rate.bill(machine_time),
+            cost: self.config.models.hw.node.rate.bill(machine_time),
             spans,
         })
     }

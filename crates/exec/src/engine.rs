@@ -84,7 +84,7 @@ use ci_storage::selection::SelectionVector;
 use ci_storage::table::Table;
 use ci_storage::tiers::{ObjectStoreDir, PageSourceMode, TierStore};
 use ci_storage::RecordBatch;
-use ci_types::money::{Dollars, DollarsPerSecond};
+use ci_types::money::Dollars;
 use ci_types::{CiError, Result, SimDuration, SimTime, TableId};
 
 use crate::metrics::{attribute_node_dollars, OpSample, PipelineMetrics, QueryMetrics};
@@ -118,8 +118,6 @@ pub enum ExecutionMode {
 pub struct ExecutionConfig {
     /// Calibrated hardware/network/storage models.
     pub models: WorkModels,
-    /// Per-node billing rate.
-    pub rate: DollarsPerSecond,
     /// Latency for cluster creation and resizing (warm-pool assumption, §3).
     pub resize_latency: SimDuration,
     /// Maximum rows per morsel when splitting materialized state.
@@ -143,10 +141,6 @@ pub struct ExecutionConfig {
     /// attribution on [`QueryMetrics`] is always on — it rides the
     /// accounting pass and costs a few float adds per morsel.
     pub trace: TraceLevel,
-    /// When set (and `trace` is not `Off`), the Chrome trace-format JSON is
-    /// written here after execution — load it in `chrome://tracing` or
-    /// Perfetto.
-    pub trace_path: Option<std::path::PathBuf>,
     /// Where scans physically read partition bytes from (default `Mem`,
     /// the resident batches). `Disk` and `Tiered` read real on-disk `CIPF`
     /// page files written through the catalog's page store; results and `Dollars` are bit-identical to
@@ -176,14 +170,12 @@ impl Default for ExecutionConfig {
     fn default() -> Self {
         ExecutionConfig {
             models: WorkModels::standard(),
-            rate: DollarsPerSecond::per_hour(2.0),
             resize_latency: SimDuration::from_millis(500),
             morsel_rows: 65_536,
             check_interval: 8,
             mode: ExecutionMode::Simulate,
             faults: None,
             trace: TraceLevel::Off,
-            trace_path: None,
             page_source: PageSourceMode::Mem,
             tiers: None,
             tier_sim: None,
@@ -809,14 +801,9 @@ impl<'q> QueryRun<'q> {
 
     /// Closes the recording: planned-vs-actual instants, the worker lanes,
     /// and the per-node profile. `None` when tracing is off.
-    fn into_trace(
-        mut self,
-        graph: &PipelineGraph,
-        metrics: &QueryMetrics,
-        trace_path: Option<&std::path::Path>,
-    ) -> Result<Option<Trace>> {
+    fn into_trace(mut self, graph: &PipelineGraph, metrics: &QueryMetrics) -> Option<Trace> {
         if !self.tracer.on() {
-            return Ok(None);
+            return None;
         }
         let plan = self.plan;
         // Planned-vs-actual deviation, one instant per plan node on the
@@ -869,18 +856,12 @@ impl<'q> QueryRun<'q> {
                 })
                 .collect(),
         };
-        let trace = Trace {
+        Some(Trace {
             level: self.tracer.level,
             events: self.tracer.events,
             registry: self.tracer.registry,
             profile,
-        };
-        if let Some(path) = trace_path {
-            std::fs::write(path, trace.to_chrome_json()).map_err(|e| {
-                CiError::Exec(format!("cannot write trace to {}: {e}", path.display()))
-            })?;
-        }
-        Ok(Some(trace))
+        })
     }
 }
 
@@ -942,14 +923,9 @@ impl<'a> Executor<'a> {
 
         // Release: state-holding pipelines pin their nodes until the
         // consumer finishes.
-        let release_times: Vec<SimTime> = graph
-            .pipelines
-            .iter()
-            .map(|p| self.release_time(graph, p, &finishes))
-            .collect();
         let mut machine_time = SimDuration::ZERO;
         for (p, slots) in graph.pipelines.iter().zip(open_leases.iter_mut()) {
-            let release = release_times[p.id.index()];
+            let release = finishes[graph.consumer_of(p).unwrap_or(p).id.index()];
             let mut pm_machine = SimDuration::ZERO;
             for s in slots.iter_mut() {
                 let end = s.lease_end.unwrap_or(release).max(s.lease_start);
@@ -964,7 +940,7 @@ impl<'a> Executor<'a> {
 
         let result_pipeline = graph.result_pipeline().id.index();
         let latency = finishes[result_pipeline].since(SimTime::ZERO);
-        let cost: Dollars = self.config.rate.bill(machine_time);
+        let cost: Dollars = self.config.models.hw.node.rate.bill(machine_time);
 
         let result = if q.result_batches.is_empty() {
             RecordBatch::empty(slots_schema(
@@ -993,7 +969,7 @@ impl<'a> Executor<'a> {
             result_rows: result.rows() as u64,
         };
         let op_samples = std::mem::take(&mut q.op_samples);
-        let trace = q.into_trace(graph, &metrics, self.config.trace_path.as_deref())?;
+        let trace = q.into_trace(graph, &metrics);
         Ok(QueryOutcome {
             result,
             metrics,
@@ -1319,19 +1295,6 @@ impl<'a> Executor<'a> {
             }
             SinkKind::Result => Ok(Sink::Result { node: p.last() }),
         }
-    }
-
-    /// When a pipeline's nodes can be released: at the finish of whichever
-    /// pipeline consumes its sink state (own finish for result pipelines).
-    fn release_time(&self, graph: &PipelineGraph, p: &Pipeline, finishes: &[SimTime]) -> SimTime {
-        let consumes = |q: &&Pipeline| match p.sink {
-            SinkKind::Result => false,
-            // The consumer is the pipeline whose chain contains the join.
-            SinkKind::JoinBuild { join } => q.id != p.id && q.nodes.contains(&join),
-            SinkKind::Aggregate { agg: node } | SinkKind::Sort { sort: node } => q.source() == node,
-        };
-        let consumer = graph.pipelines.iter().find(consumes).unwrap_or(p);
-        finishes[consumer.id.index()]
     }
 }
 
@@ -2056,31 +2019,30 @@ mod tests {
     use super::*;
 
     /// `ExecutionConfig::default()` is this literal and nothing else. The
-    /// exhaustive destructuring makes a thirteenth field a compile error
+    /// exhaustive destructuring makes an eleventh field a compile error
     /// here, so a new field has to state its default in this test.
     #[test]
     fn default_config_is_a_pure_literal() {
         let ExecutionConfig {
-            models: _,
-            rate,
+            models,
             resize_latency,
             morsel_rows,
             check_interval,
             mode,
             faults,
             trace,
-            trace_path,
             page_source,
             tiers,
             tier_sim,
         } = ExecutionConfig::default();
-        assert_eq!(rate, DollarsPerSecond::per_hour(2.0));
+        // The one place the node price is stated.
+        let two_dollars = ci_types::money::DollarsPerSecond::per_hour(2.0);
+        assert_eq!(models.hw.node.rate, two_dollars);
         assert_eq!(resize_latency, SimDuration::from_millis(500));
         assert_eq!((morsel_rows, check_interval), (65_536, 8));
         assert_eq!(mode, ExecutionMode::Simulate);
         assert_eq!(faults, None);
         assert_eq!(trace, TraceLevel::Off);
-        assert_eq!(trace_path, None);
         assert_eq!(page_source, PageSourceMode::Mem);
         assert!(tiers.is_none() && tier_sim.is_none());
     }

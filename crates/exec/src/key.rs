@@ -5,33 +5,30 @@
 //! A [`KeyEncoder`] fixes how a key-column layout maps to key words, a
 //! batch-bound [`RowEncoder`] makes **one pass per key column** and writes
 //! `arity` `u64` words per row — one word per int / float-bits / bool /
-//! dict-id key column — into a flat `Vec<u64>`, and a [`KeyIndex`] turns
-//! those words into dense `u32` ids in first-appearance order
-//! ([`RowEncoder::ids_or_insert`], [`RowEncoder::ids`]). The hash join hangs
-//! a CSR row list off the ids and aggregation one accumulator column per
-//! aggregate (see `operators`); neither keeps a map of its own, and no
-//! per-row key value exists on this path.
+//! string-id key column, however many columns there are — into a flat
+//! `Vec<u64>`, and a [`KeyIndex`] turns those words into dense `u32` ids in
+//! first-appearance order ([`RowEncoder::ids_or_insert`],
+//! [`RowEncoder::ids`]). The hash join hangs a CSR row list off the ids and
+//! aggregation one accumulator column per aggregate (see `operators`);
+//! neither keeps a map of its own, and no per-row key value exists.
 //!
-//! Composite keys wider than [`MAX_INLINE_PARTS`], raw (non-dict) string
-//! keys, and dictionary misses under [`MissPolicy::Spill`] cannot be words:
-//! they take the boxed [`KeyPart`] form, one allocation per row. An index is
-//! **all words or all boxed**. The form is the encoder's from the start
-//! (too wide, or a raw-string column) or changes exactly once, when
-//! aggregation meets its first string outside the dictionary:
-//! [`KeyIndex::rekey_boxed`] then re-keys the stored words in place, ids and
-//! order unchanged.
+//! A string key column's word is an id. The encoder's *base* dictionary for
+//! the column — the authoritative column's own, or none for a raw-string
+//! column — supplies ids `0..base.len()`; a string outside it gets the next
+//! id, `base.len() + k`, from a key-local *extension table* the index owns,
+//! where `k` is the string's first-appearance rank among such strings. Only
+//! [`RowEncoder::ids_or_insert`] grows the table. [`RowEncoder::ids`] reads
+//! it, and a string in neither is one word no key stores, so its row gets
+//! [`KeyIndex::MISS`] — which is all a probe of a build side that never held
+//! the string can answer.
 //!
 //! Correctness across encodings rests on one invariant: for a fixed
-//! [`KeyEncoder`], whether a row needs the boxed form and the per-part
-//! encoding of a row depend only on the row's *values*, never on which batch
-//! or column encoding carried them. Two rows with equal values always
-//! produce equal keys; rows with different values never collide (a
-//! dictionary miss under [`MissPolicy::Sentinel`] maps every missing string
-//! to one sentinel word, which is sound exactly because the build side never
-//! emits it).
+//! [`KeyEncoder`] and [`KeyIndex`], a row's words depend only on the row's
+//! *values* and on the strings inserted before it, never on which batch or
+//! column encoding carried them. Two rows with equal values always produce
+//! equal keys; rows with different values never collide.
 
 use std::collections::HashMap;
-use std::hash::{Hash, Hasher};
 use std::ops::Range;
 use std::sync::{Arc, Mutex, PoisonError};
 
@@ -41,51 +38,9 @@ use ci_storage::value::Value;
 use ci_storage::RecordBatch;
 use ci_types::{CiError, Result};
 
-/// Maximum number of key columns the word (allocation-free) form holds.
-pub const MAX_INLINE_PARTS: usize = 4;
-
-/// Sentinel id for a string absent from the encoder's dictionary. Real ids
-/// fit in `u32`, so the sentinel can never collide with one.
+/// Word of a string in neither the base dictionary nor the extension table.
+/// Real ids fit in 33 bits, so no stored key holds it.
 const DICT_MISS: u64 = u64::MAX;
-
-/// One component of a boxed composite key. Floats are keyed by their bit
-/// pattern (exact equality — standard hash-join semantics).
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub enum KeyPart {
-    /// Integer key.
-    Int(i64),
-    /// Float key by bit pattern.
-    FloatBits(u64),
-    /// String key (raw-string columns, or dict misses under `Spill`).
-    Str(String),
-    /// Boolean key.
-    Bool(bool),
-    /// Dictionary id key (resolved against the encoder's dictionary).
-    DictId(u64),
-}
-
-impl From<&Value> for KeyPart {
-    fn from(v: &Value) -> KeyPart {
-        match v {
-            Value::Int(x) => KeyPart::Int(*x),
-            Value::Float(x) => KeyPart::FloatBits(x.to_bits()),
-            Value::Str(s) => KeyPart::Str(s.clone()),
-            Value::Bool(b) => KeyPart::Bool(*b),
-        }
-    }
-}
-
-/// The spilled key form for wide composites and raw strings.
-pub type BoxedKey = Box<[KeyPart]>;
-
-/// One stored key of a [`KeyIndex`], in the form the index holds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum KeyRef<'a> {
-    /// One word per key column; the hot path.
-    Words(&'a [u64]),
-    /// The spilled form.
-    Boxed(&'a [KeyPart]),
-}
 
 /// One step of the key hash: xor the word in, multiply by an odd constant
 /// (carries low bits up), fold the high half down (carries high bits back),
@@ -102,24 +57,6 @@ const HASH_SEED: u64 = 0x9e37_79b9_7f4a_7c15;
 /// always end at an empty slot.
 const MAX_LOAD_INV: usize = 2;
 
-/// Feeds a boxed key's [`KeyPart`]s (via their derived `Hash`) through
-/// [`mix`], so both key forms share one fixed-seed hash.
-struct PartHasher(u64);
-
-impl Hasher for PartHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for chunk in bytes.chunks(8) {
-            let mut word = [0u8; 8];
-            word[..chunk.len()].copy_from_slice(chunk);
-            self.0 = mix(self.0, u64::from_le_bytes(word));
-        }
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
 #[inline]
 fn hash_words(words: &[u64]) -> u64 {
     words
@@ -127,39 +64,28 @@ fn hash_words(words: &[u64]) -> u64 {
         .fold(mix(HASH_SEED, words.len() as u64), |h, &w| mix(h, w))
 }
 
-fn hash_boxed(parts: &[KeyPart]) -> u64 {
-    let mut hasher = PartHasher(HASH_SEED);
-    parts.hash(&mut hasher);
-    hasher.finish()
-}
-
 /// Key → dense `u32` id in first-appearance order: the one hash structure
 /// under both the join build and aggregation.
 ///
 /// An open-addressed, power-of-two directory of `id + 1` (0 = empty) with
 /// linear probing, kept at most half full so every probe meets an empty
-/// slot. Keys live once, in id order: word keys as `arity` words per id in
-/// one flat vector that a lookup compares directly (directory → words, two
-/// dependent loads) and growth re-hashes from; boxed keys beside their
-/// stored hashes. The hash is a fixed-seed multiply-xorshift — keys come
-/// from the engine's own encoders and ids never depend on hash order, so no
-/// keyed flood resistance (and no `RandomState`) is needed.
+/// slot. Keys live once, in id order, as `arity` words per id in one flat
+/// vector that a lookup compares directly (directory → words, two dependent
+/// loads) and growth re-hashes from. The hash is a fixed-seed
+/// multiply-xorshift — keys come from the engine's own encoders and ids
+/// never depend on hash order, so no keyed flood resistance (and no
+/// `RandomState`) is needed.
 #[derive(Debug)]
 pub struct KeyIndex {
     directory: Vec<u32>,
     /// Number of distinct keys (an arity-0 key stores no words to count).
     len: usize,
-    keys: Keys,
-}
-
-#[derive(Debug)]
-enum Keys {
+    arity: usize,
     /// Key `id` is `words[id * arity..][..arity]`.
-    Words { arity: usize, words: Vec<u64> },
-    Boxed {
-        keys: Vec<BoxedKey>,
-        hashes: Vec<u64>,
-    },
+    words: Vec<u64>,
+    /// Per key column, the strings inserted from outside the column's base
+    /// dictionary, in first-appearance order (empty for other columns).
+    extensions: Vec<Dictionary>,
 }
 
 /// Walks the probe sequence of `hash`: `Ok(id)` at the first stored id that
@@ -182,15 +108,23 @@ fn probe(
     }
 }
 
+/// The `N` of the instantiations that take the key width from the slice at
+/// run time instead (keys wider than four words). Zero is free to mean so:
+/// the empty key is never probed for.
+const WIDE: usize = 0;
+
+/// [`probe`] for the first key of `key`: `N` words wide, or as wide as `key`
+/// itself under [`WIDE`].
 #[inline]
 fn probe_words<const N: usize>(
     directory: &[u32],
     words: &[u64],
     key: &[u64],
 ) -> std::result::Result<u32, usize> {
-    let key = &key[..N];
+    let n = if N == WIDE { key.len() } else { N };
+    let key = &key[..n];
     probe(directory, hash_words(key), |id| {
-        words[id * N..][..N] == *key
+        words[id * n..][..n] == *key
     })
 }
 
@@ -214,21 +148,9 @@ impl KeyIndex {
         Ok(())
     }
 
-    /// An index that takes `capacity` distinct keys without growing: of
-    /// `arity`-word keys, or of boxed keys when `arity` is `None`. Panics if
-    /// `arity > MAX_INLINE_PARTS`.
-    pub fn new(arity: Option<usize>, capacity: usize) -> KeyIndex {
-        let keys = match arity {
-            Some(arity) => {
-                assert!(arity <= MAX_INLINE_PARTS, "{arity}-word keys are boxed");
-                let words = Vec::with_capacity(capacity * arity);
-                Keys::Words { arity, words }
-            }
-            None => Keys::Boxed {
-                keys: Vec::with_capacity(capacity),
-                hashes: Vec::with_capacity(capacity),
-            },
-        };
+    /// An index of `arity`-word keys that takes `capacity` distinct keys
+    /// without growing.
+    pub fn new(arity: usize, capacity: usize) -> KeyIndex {
         let slots = match capacity {
             0 => 0,
             n => (n * MAX_LOAD_INV).next_power_of_two(),
@@ -236,7 +158,9 @@ impl KeyIndex {
         KeyIndex {
             directory: vec![0; slots],
             len: 0,
-            keys,
+            arity,
+            words: Vec::with_capacity(capacity * arity),
+            extensions: vec![Dictionary::new(); arity],
         }
     }
 
@@ -250,26 +174,18 @@ impl KeyIndex {
         self.len == 0
     }
 
-    /// `true` while the index holds word keys.
-    pub fn is_words(&self) -> bool {
-        matches!(self.keys, Keys::Words { .. })
-    }
-
-    /// The key with id `id`; ids run `0..len()` in first-appearance order.
-    /// Panics if `id >= len()`.
-    pub fn key(&self, id: usize) -> KeyRef<'_> {
+    /// The words of the key with id `id`; ids run `0..len()` in
+    /// first-appearance order. Panics if `id >= len()`.
+    pub fn key(&self, id: usize) -> &[u64] {
         assert!(id < self.len, "key id {id} out of {}", self.len);
-        match &self.keys {
-            Keys::Words { arity, words } => KeyRef::Words(&words[id * arity..][..*arity]),
-            Keys::Boxed { keys, .. } => KeyRef::Boxed(&keys[id]),
-        }
+        &self.words[id * self.arity..][..self.arity]
     }
 
     /// Appends to `ids` the id of each of the `rows` keys in `words`
-    /// (`arity` words per key), giving an unseen key the next id. Panics on
-    /// a boxed index or when `words` is not `rows × arity` long.
+    /// (`arity` words per key), giving an unseen key the next id. Panics
+    /// when `words` is not `rows × arity` long.
     pub fn ids_or_insert(&mut self, words: &[u64], rows: usize, ids: &mut Vec<u32>) {
-        match self.word_arity(words, rows) {
+        match self.checked_arity(words, rows) {
             0 => {
                 // The one empty key: every row is group 0.
                 self.len = self.len.max(rows.min(1));
@@ -278,7 +194,8 @@ impl KeyIndex {
             1 => self.insert_words::<1>(words, ids),
             2 => self.insert_words::<2>(words, ids),
             3 => self.insert_words::<3>(words, ids),
-            _ => self.insert_words::<4>(words, ids),
+            4 => self.insert_words::<4>(words, ids),
+            _ => self.insert_words::<WIDE>(words, ids),
         }
     }
 
@@ -286,36 +203,43 @@ impl KeyIndex {
     /// [`KeyIndex::MISS`] for a key the index does not hold. Panics as
     /// [`KeyIndex::ids_or_insert`] does.
     pub fn ids(&self, words: &[u64], rows: usize, ids: &mut Vec<u32>) {
-        match self.word_arity(words, rows) {
+        match self.checked_arity(words, rows) {
             _ if self.len == 0 => ids.resize(ids.len() + rows, Self::MISS),
             0 => ids.resize(ids.len() + rows, 0),
             1 => self.lookup_words::<1>(words, ids),
             2 => self.lookup_words::<2>(words, ids),
             3 => self.lookup_words::<3>(words, ids),
-            _ => self.lookup_words::<4>(words, ids),
+            4 => self.lookup_words::<4>(words, ids),
+            _ => self.lookup_words::<WIDE>(words, ids),
         }
     }
 
-    /// The arity of a words index, having checked `words` holds `rows` keys.
-    fn word_arity(&self, words: &[u64], rows: usize) -> usize {
-        let Keys::Words { arity, .. } = self.keys else {
-            panic!("word keys offered to a boxed KeyIndex");
-        };
+    /// The arity, having checked `words` holds `rows` keys.
+    fn checked_arity(&self, words: &[u64], rows: usize) -> usize {
+        let arity = self.arity;
         assert_eq!(words.len(), rows * arity, "{rows} keys of {arity} words");
         arity
     }
 
+    /// Key width of the `N` instantiation: `N`, or the arity under [`WIDE`].
+    #[inline]
+    fn width<const N: usize>(&self) -> usize {
+        if N == WIDE {
+            self.arity
+        } else {
+            N
+        }
+    }
+
     fn insert_words<const N: usize>(&mut self, rows: &[u64], ids: &mut Vec<u32>) {
-        ids.reserve(rows.len() / N);
-        for key in rows.chunks_exact(N) {
+        let n = self.width::<N>();
+        ids.reserve(rows.len() / n);
+        for key in rows.chunks_exact(n) {
             self.reserve_one();
-            let Keys::Words { words, .. } = &mut self.keys else {
-                unreachable!("arity came from the words form");
-            };
-            ids.push(match probe_words::<N>(&self.directory, words, key) {
+            ids.push(match probe_words::<N>(&self.directory, &self.words, key) {
                 Ok(id) => id,
                 Err(slot) => {
-                    words.extend_from_slice(key);
+                    self.words.extend_from_slice(key);
                     self.len += 1;
                     self.directory[slot] = self.len as u32; // id + 1; fits: reserve_one checked
                     self.len as u32 - 1
@@ -325,54 +249,15 @@ impl KeyIndex {
     }
 
     fn lookup_words<const N: usize>(&self, rows: &[u64], ids: &mut Vec<u32>) {
-        let Keys::Words { words, .. } = &self.keys else {
-            unreachable!("arity came from the words form");
-        };
         ids.extend(
-            rows.chunks_exact(N)
-                .map(|key| probe_words::<N>(&self.directory, words, key).unwrap_or(Self::MISS)),
+            rows.chunks_exact(self.width::<N>()).map(|key| {
+                probe_words::<N>(&self.directory, &self.words, key).unwrap_or(Self::MISS)
+            }),
         );
     }
 
-    /// The id of boxed `key`, inserting it with the next id when absent.
-    /// Panics on a words index.
-    pub fn id_or_insert_boxed(&mut self, key: BoxedKey) -> u32 {
-        self.reserve_one();
-        let hash = hash_boxed(&key);
-        let slot = match self.probe_boxed(&key, hash) {
-            Ok(id) => return id,
-            Err(slot) => slot,
-        };
-        let Keys::Boxed { keys, hashes } = &mut self.keys else {
-            unreachable!("probe_boxed checked the form");
-        };
-        keys.push(key);
-        hashes.push(hash);
-        self.len += 1;
-        self.directory[slot] = self.len as u32; // id + 1; fits: reserve_one checked
-        self.len as u32 - 1
-    }
-
-    /// The id of boxed `key`, if present. Panics on a words index.
-    pub fn id_boxed(&self, key: &[KeyPart]) -> Option<u32> {
-        if self.len == 0 {
-            return None;
-        }
-        self.probe_boxed(key, hash_boxed(key)).ok()
-    }
-
-    /// [`probe`] for a boxed key: the stored hash screens before the
-    /// part-by-part compare.
-    fn probe_boxed(&self, key: &[KeyPart], hash: u64) -> std::result::Result<u32, usize> {
-        let Keys::Boxed { keys, hashes } = &self.keys else {
-            panic!("boxed key offered to a words KeyIndex");
-        };
-        probe(&self.directory, hash, |id| {
-            hashes[id] == hash && *keys[id] == *key
-        })
-    }
-
     /// Makes room for one more key: doubles the directory past half load.
+    #[inline]
     fn reserve_one(&mut self) {
         // Stored ids must stay exact: past this a slot would alias.
         assert!(self.len < Self::MAX_IDS, "KeyIndex id space exhausted");
@@ -381,15 +266,14 @@ impl KeyIndex {
         }
     }
 
-    /// Replaces the directory by one of `slots` slots and re-seats every id:
-    /// word keys re-hash from their words, boxed keys from the stored hash.
+    /// Replaces the directory by one of `slots` slots and re-seats every
+    /// id, re-hashing its words. Cold, so that the insert loop inlines
+    /// [`KeyIndex::reserve_one`]'s check and not this loop with it.
+    #[cold]
     fn reseat(&mut self, slots: usize) {
         self.directory = vec![0u32; slots];
         for id in 0..self.len {
-            let hash = match &self.keys {
-                Keys::Words { arity, words } => hash_words(&words[id * arity..][..*arity]),
-                Keys::Boxed { hashes, .. } => hashes[id],
-            };
+            let hash = hash_words(&self.words[id * self.arity..][..self.arity]);
             // No stored id is accepted, so the walk ends at the empty slot.
             let Err(slot) = probe(&self.directory, hash, |_| false) else {
                 unreachable!("probe accepted a key");
@@ -397,36 +281,6 @@ impl KeyIndex {
             self.directory[slot] = id as u32 + 1;
         }
     }
-
-    /// The one form transition: turns a words index into a boxed one by
-    /// re-keying every stored key through `to_boxed`, ids and order
-    /// unchanged. `to_boxed` must be injective and agree with the boxed
-    /// encoding of later rows ([`KeyEncoder::boxed_from_words`]). A boxed
-    /// index is left as it is.
-    pub fn rekey_boxed(&mut self, to_boxed: impl Fn(&[u64]) -> BoxedKey) {
-        let Keys::Words { arity, words } = &self.keys else {
-            return;
-        };
-        let keys: Vec<BoxedKey> = (0..self.len)
-            .map(|id| to_boxed(&words[id * arity..][..*arity]))
-            .collect();
-        let hashes = keys.iter().map(|k| hash_boxed(k)).collect();
-        self.keys = Keys::Boxed { keys, hashes };
-        self.reseat(self.directory.len().max(8));
-    }
-}
-
-/// What a [`RowEncoder`] does with a string absent from a dict-mode column's
-/// dictionary.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MissPolicy {
-    /// Encode one shared sentinel. Sound for hash-join probes: the build
-    /// side owns the dictionary, so a miss can never match anyway.
-    Sentinel,
-    /// Spill the row's key to the boxed form carrying the owned string.
-    /// Required for group-by, where distinct unseen strings must form
-    /// distinct groups.
-    Spill,
 }
 
 /// Per-column key encoding mode, fixed when the encoder is created.
@@ -435,22 +289,24 @@ enum KeyMode {
     Int,
     Float,
     Bool,
-    /// Dict-encoded string column; ids resolve against this dictionary.
-    DictStr(Arc<Dictionary>),
-    /// Raw string column: every key spills to the boxed form.
-    Str,
+    /// String column, keyed by id: ids below the base dictionary's length
+    /// resolve against it, later ones against the index's extension table.
+    /// A raw-string authoritative column has no base (every id is extended).
+    Str(Option<Arc<Dictionary>>),
 }
 
 impl KeyMode {
-    /// The boxed part that equals key word `word` of a column in this mode.
-    fn part(&self, word: u64) -> KeyPart {
+    /// The dictionary a string column's low ids resolve against.
+    fn base(&self) -> Option<&Arc<Dictionary>> {
         match self {
-            KeyMode::Int => KeyPart::Int(word as i64),
-            KeyMode::Float => KeyPart::FloatBits(word),
-            KeyMode::Bool => KeyPart::Bool(word != 0),
-            KeyMode::DictStr(_) => KeyPart::DictId(word),
-            KeyMode::Str => unreachable!("raw-string keys are always boxed"),
+            KeyMode::Str(base) => base.as_ref(),
+            _ => None,
         }
+    }
+
+    /// The first id the extension table hands out.
+    fn base_len(&self) -> u64 {
+        self.base().map_or(0, |d| d.len() as u64)
     }
 }
 
@@ -460,10 +316,6 @@ impl KeyMode {
 #[derive(Debug, Clone)]
 pub struct KeyEncoder {
     modes: Vec<KeyMode>,
-    miss: MissPolicy,
-    /// Whether every row must take the boxed form (raw-string mode present
-    /// or too many parts) — decided once so both sides of a join agree.
-    always_boxed: bool,
     /// Foreign-dictionary id translations, cached per `(column, foreign
     /// dict)` so successive morsels of one probe stream pay the `O(|dict|)`
     /// translation once, not once per batch. Shared by encoder clones.
@@ -478,7 +330,7 @@ type TranslationCache = HashMap<(usize, usize), (Arc<Dictionary>, Arc<Vec<u64>>)
 impl KeyEncoder {
     /// Derives an encoder from the authoritative key columns (the join build
     /// side / the first aggregation morsel).
-    pub fn for_columns(columns: &[&ColumnData], miss: MissPolicy) -> KeyEncoder {
+    pub fn for_columns(columns: &[&ColumnData]) -> KeyEncoder {
         let modes: Vec<KeyMode> = columns
             .iter()
             .map(|c| match c {
@@ -489,27 +341,23 @@ impl KeyEncoder {
                 ColumnData::Int64(_) | ColumnData::DictInt { .. } => KeyMode::Int,
                 ColumnData::Float64(_) => KeyMode::Float,
                 ColumnData::Bool(_) => KeyMode::Bool,
-                ColumnData::Dict { dict, .. } => KeyMode::DictStr(dict.clone()),
-                ColumnData::Utf8(_) => KeyMode::Str,
+                ColumnData::Dict { dict, .. } => KeyMode::Str(Some(dict.clone())),
+                ColumnData::Utf8(_) => KeyMode::Str(None),
             })
             .collect();
-        let always_boxed =
-            modes.len() > MAX_INLINE_PARTS || modes.iter().any(|m| matches!(m, KeyMode::Str));
         KeyEncoder {
             modes,
-            miss,
-            always_boxed,
             translations: Arc::new(Mutex::new(HashMap::new())),
         }
     }
 
-    /// The translation table from `foreign` ids to the target dictionary's
-    /// ids (`DICT_MISS` for absences) for key column `col_idx`, computed on
-    /// first sight of `foreign` and cached thereafter.
+    /// The translation table from `foreign` ids to the base dictionary's
+    /// ids (`DICT_MISS` for strings outside it) for key column `col_idx`,
+    /// computed on first sight of `foreign` and cached thereafter.
     fn translation(
         &self,
         col_idx: usize,
-        target: &Dictionary,
+        base: Option<&Arc<Dictionary>>,
         foreign: &Arc<Dictionary>,
     ) -> Arc<Vec<u64>> {
         let cache_key = (col_idx, Arc::as_ptr(foreign) as usize);
@@ -524,9 +372,10 @@ impl KeyEncoder {
                 return table.clone();
             }
         }
+        let base_id = |s| base.and_then(|d| d.id_of(s));
         let table = Arc::new(
             (0..foreign.len() as u32)
-                .map(|id| target.id_of(foreign.get(id)).map_or(DICT_MISS, u64::from))
+                .map(|id| base_id(foreign.get(id)).map_or(DICT_MISS, u64::from))
                 .collect::<Vec<u64>>(),
         );
         cache.insert(cache_key, (foreign.clone(), table.clone()));
@@ -538,10 +387,10 @@ impl KeyEncoder {
         self.modes.len()
     }
 
-    /// An empty index in the form this encoder's keys start in — words
-    /// unless every key is boxed — sized for `capacity` distinct keys.
+    /// An empty index for this encoder's keys, sized for `capacity`
+    /// distinct keys.
     pub fn new_index(&self, capacity: usize) -> KeyIndex {
-        KeyIndex::new((!self.always_boxed).then(|| self.arity()), capacity)
+        KeyIndex::new(self.arity(), capacity)
     }
 
     /// Binds the encoder to one batch's key columns, resolving per-batch
@@ -561,28 +410,27 @@ impl KeyEncoder {
             .zip(columns)
             .enumerate()
             .map(|(i, (mode, col))| match (mode, col) {
-                (KeyMode::Int, ColumnData::Int64(v)) => ColPlan::I64(v),
-                (KeyMode::Int, ColumnData::DictInt { ids, dict }) => ColPlan::DictI64(ids, dict),
-                (KeyMode::Float, ColumnData::Float64(v)) => ColPlan::F64(v),
-                (KeyMode::Bool, ColumnData::Bool(v)) => ColPlan::Bool(v),
-                (KeyMode::DictStr(d), ColumnData::Dict { ids, dict }) => {
-                    if Arc::ptr_eq(d, dict) {
-                        ColPlan::Ids(ids)
-                    } else {
-                        // Foreign dictionary (probe side): translate each
-                        // dictionary entry once — cached across batches —
-                        // then rows are pure lookups.
-                        ColPlan::Translated(ids, dict, self.translation(i, d, dict))
-                    }
+                (KeyMode::Int, ColumnData::Int64(v)) => Ok(ColPlan::I64(v)),
+                (KeyMode::Int, ColumnData::DictInt { ids, dict }) => {
+                    Ok(ColPlan::DictI64(ids, dict))
                 }
-                (KeyMode::DictStr(d), ColumnData::Utf8(v)) => ColPlan::LookupUtf8(v, d),
-                (KeyMode::Str, ColumnData::Utf8(v)) => ColPlan::StrUtf8(v),
-                (KeyMode::Str, ColumnData::Dict { ids, dict }) => ColPlan::StrDict(ids, dict),
+                (KeyMode::Float, ColumnData::Float64(v)) => Ok(ColPlan::F64(v)),
+                (KeyMode::Bool, ColumnData::Bool(v)) => Ok(ColPlan::Bool(v)),
+                (KeyMode::Str(Some(d)), ColumnData::Dict { ids, dict }) if Arc::ptr_eq(d, dict) => {
+                    Ok(ColPlan::Ids(ids))
+                }
+                // Foreign dictionary (probe side, later aggregation
+                // morsels): translate each dictionary entry once — cached
+                // across batches — then rows are pure lookups.
+                (KeyMode::Str(base), ColumnData::Dict { ids, dict }) => Ok(ColPlan::Translated(
+                    ids,
+                    dict,
+                    self.translation(i, base.as_ref(), dict),
+                )),
+                (KeyMode::Str(base), ColumnData::Utf8(v)) => Ok(ColPlan::Utf8(v, base.as_deref())),
                 // Type mismatch (e.g. probing an int build key with a float
-                // column): encode the raw value; it can never equal the
-                // build side's encoding, so such joins match nothing —
-                // exactly the old per-value `KeyPart` semantics.
-                (_, col) => ColPlan::Mismatch(col),
+                // column): no row can equal a stored key.
+                _ => Err(i),
             })
             .collect();
         Ok(RowEncoder {
@@ -591,70 +439,48 @@ impl KeyEncoder {
         })
     }
 
-    /// The boxed form of a key this encoder wrote as words: what
-    /// [`RowEncoder::encode_boxed`] yields for a row with the same values,
-    /// so [`KeyIndex::rekey_boxed`] keeps equal keys equal.
-    pub fn boxed_from_words(&self, words: &[u64]) -> BoxedKey {
-        let parts = self.modes.iter().zip(words);
-        parts.map(|(mode, &word)| mode.part(word)).collect()
-    }
-
-    /// Re-materializes one key column of a stored key as a value (group-by
-    /// output columns). Panics if `col >= arity()`.
-    ///
-    /// Only meaningful for keys encoded under [`MissPolicy::Spill`] (the
-    /// policy aggregation uses): a [`MissPolicy::Sentinel`] miss carries no
-    /// decodable value, and decoding one panics with a clear message rather
-    /// than returning a wrong string.
-    pub fn key_value_at(&self, key: KeyRef<'_>, col: usize) -> Value {
-        let mode = &self.modes[col];
-        let part = match key {
-            KeyRef::Words(words) => mode.part(words[col]),
-            KeyRef::Boxed(parts) => parts[col].clone(),
-        };
-        match (part, mode) {
-            (KeyPart::Int(x), _) => Value::Int(x),
-            (KeyPart::FloatBits(b), _) => Value::Float(f64::from_bits(b)),
-            (KeyPart::Bool(b), _) => Value::Bool(b),
-            (KeyPart::Str(s), _) => Value::Str(s),
-            (KeyPart::DictId(id), KeyMode::DictStr(d)) => {
-                assert!(
-                    id != DICT_MISS,
-                    "key_value_at on a Sentinel-policy miss key: no decodable value"
-                );
-                Value::Str(d.get(id as u32).to_owned())
+    /// Re-materializes key column `col` of `index`'s key `id` as a value
+    /// (group-by output columns). `index` must be one this encoder's rows
+    /// were inserted into. Panics if `col >= arity()` or `id >= index.len()`.
+    pub fn key_value_at(&self, index: &KeyIndex, id: usize, col: usize) -> Value {
+        let word = index.key(id)[col];
+        match &self.modes[col] {
+            KeyMode::Int => Value::Int(word as i64),
+            KeyMode::Float => Value::Float(f64::from_bits(word)),
+            KeyMode::Bool => Value::Bool(word != 0),
+            KeyMode::Str(base) => {
+                let base_len = self.modes[col].base_len();
+                let s = match base {
+                    Some(d) if word < base_len => d.get(word as u32),
+                    _ => index.extensions[col].get((word - base_len) as u32),
+                };
+                Value::Str(s.to_owned())
             }
-            (KeyPart::DictId(_), _) => unreachable!("DictId under non-dict mode"),
         }
     }
 
     /// The dictionary key column `col` resolves against, when that column
     /// is dict-mode (lets group-by outputs stay dictionary-encoded).
     pub fn dict_mode(&self, col: usize) -> Option<&Arc<Dictionary>> {
-        match &self.modes[col] {
-            KeyMode::DictStr(d) => Some(d),
-            _ => None,
-        }
+        self.modes[col].base()
     }
 
-    /// For a dict-mode key column: the dictionary id this key carries, or
-    /// the spilled string of a [`MissPolicy::Spill`] miss (a group string
-    /// never interned in the encoder's dictionary). `None` when the column
-    /// is not dict-mode.
-    pub fn dict_entry<'k>(&self, key: KeyRef<'k>, col: usize) -> Option<DictKeyEntry<'k>> {
-        if !matches!(self.modes[col], KeyMode::DictStr(_)) {
-            return None;
-        }
-        let id = match key {
-            KeyRef::Words(words) => words[col],
-            KeyRef::Boxed(parts) => match &parts[col] {
-                KeyPart::DictId(id) => *id,
-                KeyPart::Str(s) => return Some(DictKeyEntry::Spilled(s)),
-                other => unreachable!("{other:?} under dict mode"),
-            },
-        };
-        assert!(id != DICT_MISS, "dict_entry on a Sentinel-policy miss key");
-        Some(DictKeyEntry::Id(id as u32))
+    /// For a dict-mode key column of `index`'s key `id`: the dictionary id
+    /// the key carries, or — for an id past the dictionary's — the string
+    /// the extension table holds for it (a group string never interned in
+    /// the encoder's dictionary). `None` when the column is not dict-mode.
+    pub fn dict_entry<'k>(
+        &self,
+        index: &'k KeyIndex,
+        id: usize,
+        col: usize,
+    ) -> Option<DictKeyEntry<'k>> {
+        let dict = self.dict_mode(col)?;
+        let word = index.key(id)[col];
+        Some(match word.checked_sub(dict.len() as u64) {
+            None => DictKeyEntry::Id(word as u32),
+            Some(k) => DictKeyEntry::Spilled(index.extensions[col].get(k as u32)),
+        })
     }
 }
 
@@ -664,7 +490,7 @@ impl KeyEncoder {
 pub enum DictKeyEntry<'a> {
     /// Id valid in the encoder's dictionary for that column.
     Id(u32),
-    /// String absent from the dictionary (a [`MissPolicy::Spill`] group).
+    /// String absent from the dictionary, held by the extension table.
     Spilled(&'a str),
 }
 
@@ -707,7 +533,9 @@ impl RowSet {
 /// A batch-bound key encoder; see [`KeyEncoder::prepare`].
 pub struct RowEncoder<'a> {
     encoder: &'a KeyEncoder,
-    plans: Vec<ColPlan<'a>>,
+    /// One plan per key column, or the first column whose type differs from
+    /// the encoder's.
+    plans: std::result::Result<Vec<ColPlan<'a>>, usize>,
 }
 
 enum ColPlan<'a> {
@@ -721,17 +549,12 @@ enum ColPlan<'a> {
     /// Dict ids valid against the encoder's dictionary as-is.
     Ids(&'a [u32]),
     /// Dict ids from a foreign dictionary plus the per-entry translation
-    /// into the encoder's dictionary (`DICT_MISS` marks absences). The
-    /// foreign dictionary is kept for `Spill` decoding.
-    Translated(&'a [u32], &'a Arc<Dictionary>, Arc<Vec<u64>>),
-    /// Raw strings resolved against the encoder's dictionary per row.
-    LookupUtf8(&'a [String], &'a Arc<Dictionary>),
-    /// Raw-string mode: owned strings.
-    StrUtf8(&'a [String]),
-    /// Raw-string mode fed by a dict column: decode by reference.
-    StrDict(&'a [u32], &'a Arc<Dictionary>),
-    /// Key/column type mismatch: encode the raw value (never matches).
-    Mismatch(&'a ColumnData),
+    /// into the base dictionary; `DICT_MISS` entries resolve by string
+    /// against the extension table.
+    Translated(&'a [u32], &'a Dictionary, Arc<Vec<u64>>),
+    /// Raw strings, resolved per row: base dictionary (if any), then the
+    /// extension table.
+    Utf8(&'a [String], Option<&'a Dictionary>),
 }
 
 /// The one row loop of the batch encoder: writes `word(&v[row])` for each
@@ -752,13 +575,46 @@ fn scatter<T>(
     }
 }
 
+/// The extension tables a batch is encoded against: grown by an insert,
+/// only read by a lookup — which is all that tells the two apart.
+enum Extensions<'a> {
+    Grow(&'a mut [Dictionary]),
+    Read(&'a [Dictionary]),
+}
+
+impl Extensions<'_> {
+    /// Whether key column `c` can have a word for a string outside its base
+    /// dictionary: always on insert, on lookup only once one was inserted.
+    fn reaches(&self, c: usize) -> bool {
+        match self {
+            Extensions::Grow(_) => true,
+            Extensions::Read(tables) => !tables[c].is_empty(),
+        }
+    }
+
+    /// The word of string `s` of key column `c`, `s` being outside the
+    /// column's base dictionary of `base_len` entries.
+    fn word(&mut self, c: usize, base_len: u64, s: &str) -> u64 {
+        let id = match self {
+            Extensions::Grow(tables) => Some(tables[c].intern(s)),
+            Extensions::Read(tables) => tables[c].id_of(s),
+        };
+        id.map_or(DICT_MISS, |k| base_len + u64::from(k))
+    }
+}
+
 impl ColPlan<'_> {
-    /// Writes this column's word of every row of `rows` into `out` at
-    /// `stride`; `false` when the column forces some row into the boxed
-    /// form (`out` is then unspecified).
-    fn write_words(&self, rows: &RowSet, out: &mut [u64], stride: usize, miss: MissPolicy) -> bool {
-        // A dictionary miss is the sentinel word, or (`Spill`) a boxed row.
-        let mut missed = false;
+    /// Writes the word of every row of `rows` of this column, key column
+    /// `c` over a base dictionary of `base_len` entries, into `out` at
+    /// `stride`.
+    fn write_words(
+        &self,
+        rows: &RowSet,
+        out: &mut [u64],
+        stride: usize,
+        (c, base_len): (usize, u64),
+        extensions: &mut Extensions<'_>,
+    ) {
         match self {
             ColPlan::I64(v) => scatter(out, stride, rows, v, |&x| x as u64),
             ColPlan::DictI64(ids, dict) => {
@@ -767,118 +623,91 @@ impl ColPlan<'_> {
             ColPlan::F64(v) => scatter(out, stride, rows, v, |x| x.to_bits()),
             ColPlan::Bool(v) => scatter(out, stride, rows, v, |&b| u64::from(b)),
             ColPlan::Ids(ids) => scatter(out, stride, rows, ids, |&id| u64::from(id)),
-            ColPlan::Translated(ids, _, table) => scatter(out, stride, rows, ids, |&id| {
-                let word = table[id as usize];
-                missed |= word == DICT_MISS;
-                word
-            }),
-            ColPlan::LookupUtf8(v, d) => scatter(out, stride, rows, v, |s| {
-                let word = d.id_of(s).map_or(DICT_MISS, u64::from);
-                missed |= word == DICT_MISS;
-                word
-            }),
-            ColPlan::StrUtf8(_) | ColPlan::StrDict(..) | ColPlan::Mismatch(_) => return false,
-        }
-        !(missed && miss == MissPolicy::Spill)
-    }
-
-    /// The boxed encoding of row `row`.
-    fn part(&self, row: usize, miss: MissPolicy) -> KeyPart {
-        match self {
-            ColPlan::I64(v) => KeyPart::Int(v[row]),
-            ColPlan::DictI64(ids, dict) => KeyPart::Int(dict.get(ids[row])),
-            ColPlan::F64(v) => KeyPart::FloatBits(v[row].to_bits()),
-            ColPlan::Bool(v) => KeyPart::Bool(v[row]),
-            ColPlan::Ids(ids) => KeyPart::DictId(u64::from(ids[row])),
             ColPlan::Translated(ids, foreign, table) => {
-                let id = table[ids[row] as usize];
-                if id == DICT_MISS && miss == MissPolicy::Spill {
-                    KeyPart::Str(foreign.get(ids[row]).to_owned())
-                } else {
-                    KeyPart::DictId(id)
+                let mut missed = false;
+                scatter(out, stride, rows, ids, |&id| {
+                    let word = table[id as usize];
+                    missed |= word == DICT_MISS;
+                    word
+                });
+                // The rare second pass: strings outside the base dictionary
+                // that the extension table knows, or now learns.
+                if missed && extensions.reaches(c) {
+                    for (slot, row) in out.iter_mut().step_by(stride).zip(rows.iter()) {
+                        if *slot == DICT_MISS {
+                            *slot = extensions.word(c, base_len, foreign.get(ids[row]));
+                        }
+                    }
                 }
             }
-            ColPlan::LookupUtf8(v, d) => match d.id_of(&v[row]) {
-                Some(id) => KeyPart::DictId(u64::from(id)),
-                None if miss == MissPolicy::Sentinel => KeyPart::DictId(DICT_MISS),
-                None => KeyPart::Str(v[row].clone()),
-            },
-            ColPlan::StrUtf8(v) => KeyPart::Str(v[row].clone()),
-            ColPlan::StrDict(ids, d) => KeyPart::Str(d.get(ids[row]).to_owned()),
-            ColPlan::Mismatch(col) => (&col.value(row)).into(),
+            ColPlan::Utf8(v, base) => scatter(out, stride, rows, v, |s| {
+                match base.and_then(|d| d.id_of(s)) {
+                    Some(id) => u64::from(id),
+                    None => extensions.word(c, base_len, s),
+                }
+            }),
         }
     }
 }
 
 impl RowEncoder<'_> {
     /// The batch encoder: one pass per key column writes `arity` words per
-    /// row of `rows` into `out` (cleared first), row-major. Returns `false`
-    /// — leaving `out` unspecified — when some row needs the boxed form: a
-    /// raw-string or over-wide key layout, a column of the wrong type, or a
-    /// dictionary miss under [`MissPolicy::Spill`]. No rows need nothing.
-    pub fn encode_words(&self, rows: &RowSet, out: &mut Vec<u64>) -> bool {
-        out.clear();
-        if rows.len() == 0 {
-            return true;
-        }
-        if self.encoder.always_boxed {
-            return false;
-        }
-        let stride = self.plans.len();
+    /// row of `rows` into `out`, row-major.
+    fn encode_words(
+        &self,
+        plans: &[ColPlan<'_>],
+        rows: &RowSet,
+        out: &mut Vec<u64>,
+        mut extensions: Extensions<'_>,
+    ) {
+        let stride = plans.len();
         out.resize(rows.len() * stride, 0);
-        self.plans
-            .iter()
-            .enumerate()
-            .all(|(c, plan)| plan.write_words(rows, &mut out[c..], stride, self.encoder.miss))
-    }
-
-    /// The boxed key of row `row`: one allocation, plus one per string part.
-    pub fn encode_boxed(&self, row: usize) -> BoxedKey {
-        self.plans
-            .iter()
-            .map(|p| p.part(row, self.encoder.miss))
-            .collect()
+        if rows.len() == 0 {
+            return; // no `out[c..]` to write to
+        }
+        for (c, plan) in plans.iter().enumerate() {
+            let column = (c, self.encoder.modes[c].base_len());
+            plan.write_words(rows, &mut out[c..], stride, column, &mut extensions);
+        }
     }
 
     /// Encode batch → id vector, inserting: `ids` becomes the `index` id of
-    /// each row of `rows`, unseen keys taking the next ids in row order.
-    /// `index` must come from this encoder ([`KeyEncoder::new_index`]). The
-    /// first batch with a row that needs the boxed form turns a words index
-    /// boxed for good; ids already handed out keep their keys.
-    pub fn ids_or_insert(&self, rows: &RowSet, index: &mut KeyIndex, ids: &mut Vec<u32>) {
+    /// each row of `rows`, unseen keys taking the next ids in row order and
+    /// strings outside the base dictionaries the next extension ids.
+    /// `index` must come from this encoder ([`KeyEncoder::new_index`]).
+    /// Fails — `index` untouched — on a key column of the wrong type.
+    pub fn ids_or_insert(
+        &self,
+        rows: &RowSet,
+        index: &mut KeyIndex,
+        ids: &mut Vec<u32>,
+    ) -> Result<()> {
         ids.clear();
+        let plans = self.plans.as_ref().map_err(|col| {
+            CiError::Exec(format!(
+                "key column {col} does not have the type the key was built with"
+            ))
+        })?;
         let mut words = Vec::new();
-        if index.is_words() && self.encode_words(rows, &mut words) {
-            return index.ids_or_insert(&words, rows.len(), ids);
-        }
-        index.rekey_boxed(|words| self.encoder.boxed_from_words(words));
-        rows.iter()
-            .for_each(|row| ids.push(index.id_or_insert_boxed(self.encode_boxed(row))));
+        let extensions = Extensions::Grow(&mut index.extensions);
+        self.encode_words(plans, rows, &mut words, extensions);
+        index.ids_or_insert(&words, rows.len(), ids);
+        Ok(())
     }
 
     /// Encode batch → id vector, looking up: `ids` becomes the `index` id
-    /// of each row of `rows`, [`KeyIndex::MISS`] where the key is absent.
+    /// of each row of `rows`, [`KeyIndex::MISS`] where the key is absent —
+    /// as every key is that holds a string the index never inserted or a
+    /// column of the wrong type.
     pub fn ids(&self, rows: &RowSet, index: &KeyIndex, ids: &mut Vec<u32>) {
         ids.clear();
+        let Ok(plans) = &self.plans else {
+            return ids.resize(rows.len(), KeyIndex::MISS);
+        };
         let mut words = Vec::new();
-        if !index.is_words() {
-            rows.iter().for_each(|row| {
-                let id = index.id_boxed(&self.encode_boxed(row));
-                ids.push(id.unwrap_or(KeyIndex::MISS));
-            });
-        } else if self.encode_words(rows, &mut words) {
-            index.ids(&words, rows.len(), ids);
-        } else {
-            // Some row needs the boxed form, and the form depends only on
-            // the row's values: such a row equals no word key.
-            rows.iter().for_each(|row| {
-                if self.encode_words(&RowSet::Range(row..row + 1), &mut words) {
-                    index.ids(&words, 1, ids);
-                } else {
-                    ids.push(KeyIndex::MISS);
-                }
-            });
-        }
+        let extensions = Extensions::Read(&index.extensions);
+        self.encode_words(plans, rows, &mut words, extensions);
+        index.ids(&words, rows.len(), ids);
     }
 }
 
@@ -907,38 +736,48 @@ mod tests {
         ColumnData::Utf8(vals.iter().map(|s| (*s).to_owned()).collect()).dict_encoded()
     }
 
-    /// Every row of `cols` as the words `enc` writes, or `None` when the
-    /// batch needs the boxed form.
-    fn words_of(enc: &KeyEncoder, cols: &[&ColumnData]) -> Option<Vec<Vec<u64>>> {
-        let mut words = Vec::new();
+    fn raw_col(vals: &[&str]) -> ColumnData {
+        ColumnData::Utf8(vals.iter().map(|s| (*s).to_owned()).collect())
+    }
+
+    /// Inserts every row of `cols` into `index`; returns the row ids.
+    fn insert(enc: &KeyEncoder, index: &mut KeyIndex, cols: &[&ColumnData]) -> Vec<u32> {
         let rows = RowSet::Range(0..cols.first().map_or(0, |c| c.len()));
-        let fixed = enc.prepare(cols).unwrap().encode_words(&rows, &mut words);
-        fixed.then(|| {
-            words
-                .chunks(enc.arity().max(1))
-                .map(<[u64]>::to_vec)
-                .collect()
-        })
-    }
-
-    fn encode_all(cols: &[&ColumnData], miss: MissPolicy) -> Option<Vec<Vec<u64>>> {
-        words_of(&KeyEncoder::for_columns(cols, miss), cols)
-    }
-
-    fn key_values(enc: &KeyEncoder, key: KeyRef<'_>) -> Vec<Value> {
-        (0..enc.arity()).map(|c| enc.key_value_at(key, c)).collect()
-    }
-
-    fn boxed_all(enc: &KeyEncoder, cols: &[&ColumnData]) -> Vec<BoxedKey> {
+        let mut ids = Vec::new();
         let re = enc.prepare(cols).unwrap();
-        (0..cols[0].len()).map(|r| re.encode_boxed(r)).collect()
+        re.ids_or_insert(&rows, index, &mut ids).unwrap();
+        ids
+    }
+
+    /// Looks every row of `cols` up in `index`; returns the row ids.
+    fn lookup(enc: &KeyEncoder, index: &KeyIndex, cols: &[&ColumnData]) -> Vec<u32> {
+        let rows = RowSet::Range(0..cols.first().map_or(0, |c| c.len()));
+        let mut ids = Vec::new();
+        enc.prepare(cols).unwrap().ids(&rows, index, &mut ids);
+        ids
+    }
+
+    /// The words of every row of `cols`, keyed (and inserted) on their own.
+    fn encode_all(cols: &[&ColumnData]) -> Vec<Vec<u64>> {
+        let enc = KeyEncoder::for_columns(cols);
+        let mut index = enc.new_index(0);
+        let ids = insert(&enc, &mut index, cols);
+        ids.iter()
+            .map(|&id| index.key(id as usize).to_vec())
+            .collect()
+    }
+
+    fn key_values(enc: &KeyEncoder, index: &KeyIndex, id: usize) -> Vec<Value> {
+        (0..enc.arity())
+            .map(|c| enc.key_value_at(index, id, c))
+            .collect()
     }
 
     #[test]
     fn key_equality_per_type() {
         let ints = ColumnData::Int64(vec![1, 1, 2]);
         let strs = dict_col(&["a", "a", "b"]);
-        let keys = encode_all(&[&ints, &strs], MissPolicy::Spill).unwrap();
+        let keys = encode_all(&[&ints, &strs]);
         assert_eq!(keys[0], keys[1]);
         assert_ne!(keys[0], keys[2]);
     }
@@ -946,7 +785,7 @@ mod tests {
     #[test]
     fn float_keys_use_bit_pattern() {
         let f = ColumnData::Float64(vec![0.5, 0.5, -0.0, 0.0]);
-        let keys = encode_all(&[&f], MissPolicy::Spill).unwrap();
+        let keys = encode_all(&[&f]);
         assert_eq!(keys[0], keys[1]);
         // -0.0 and 0.0 differ bitwise: exact-match join semantics.
         assert_ne!(keys[2], keys[3]);
@@ -958,67 +797,79 @@ mod tests {
         let floats = ColumnData::Float64(vec![1.5, 2.5]);
         let bools = ColumnData::Bool(vec![true, false]);
         let dicts = dict_col(&["x", "y"]);
-        let keys = encode_all(&[&ints, &floats, &bools, &dicts], MissPolicy::Spill);
         assert_eq!(
-            keys.expect("int/float/bool/dict composite must be allocation-free"),
+            encode_all(&[&ints, &floats, &bools, &dicts]),
             vec![
                 vec![7, 1.5f64.to_bits(), 1, 0],
                 vec![-1i64 as u64, 2.5f64.to_bits(), 0, 1]
             ]
         );
-        // A fifth column exceeds the word budget.
-        let five: Vec<&ColumnData> = vec![&ints, &floats, &bools, &dicts, &ints];
-        let enc = KeyEncoder::for_columns(&five, MissPolicy::Spill);
-        assert_eq!(words_of(&enc, &five), None);
-        assert!(!enc.new_index(0).is_words());
+        // A fifth column is a fifth word, not another form.
+        assert_eq!(
+            encode_all(&[&ints, &floats, &bools, &dicts, &ints]),
+            vec![
+                vec![7, 1.5f64.to_bits(), 1, 0, 7],
+                vec![-1i64 as u64, 2.5f64.to_bits(), 0, 1, -1i64 as u64]
+            ]
+        );
     }
 
     #[test]
-    fn raw_string_keys_spill_to_boxed() {
-        let strs = ColumnData::Utf8(vec!["a".into(), "b".into(), "a".into()]);
-        let cols: Vec<&ColumnData> = vec![&strs];
-        let enc = KeyEncoder::for_columns(&cols, MissPolicy::Spill);
-        assert_eq!(words_of(&enc, &cols), None);
-        let keys = boxed_all(&enc, &cols);
-        assert_eq!(keys[0], keys[2]);
-        assert_ne!(keys[0], keys[1]);
+    fn raw_string_keys_are_extension_words() {
+        let strs = raw_col(&["a", "b", "a"]);
+        // No base dictionary: the words are first-appearance ranks.
+        assert_eq!(encode_all(&[&strs]), [[0], [1], [0]]);
+        // A dict-encoded probe of the raw-string build matches by value.
+        let enc = KeyEncoder::for_columns(&[&strs]);
+        let mut index = enc.new_index(0);
+        assert_eq!(insert(&enc, &mut index, &[&strs]), [0, 1, 0]);
+        let probe = dict_col(&["b", "q", "a"]);
+        assert_eq!(lookup(&enc, &index, &[&probe]), [1, KeyIndex::MISS, 0]);
+        assert_eq!(key_values(&enc, &index, 1), [Value::from("b")]);
     }
 
     #[test]
     fn round_trip_to_values() {
         let ints = ColumnData::Int64(vec![7]);
         let strs = dict_col(&["x"]);
-        let cols: Vec<&ColumnData> = vec![&ints, &strs];
-        let enc = KeyEncoder::for_columns(&cols, MissPolicy::Spill);
-        let words = &words_of(&enc, &cols).unwrap()[0];
-        let expected = vec![Value::Int(7), Value::from("x")];
-        assert_eq!(key_values(&enc, KeyRef::Words(words)), expected);
-        // Both forms of one key decode alike.
-        let boxed = enc.boxed_from_words(words);
-        assert_eq!(boxed, boxed_all(&enc, &cols)[0]);
-        assert_eq!(key_values(&enc, KeyRef::Boxed(&boxed)), expected);
+        let floats = ColumnData::Float64(vec![-0.0]);
+        let bools = ColumnData::Bool(vec![true]);
+        let raws = raw_col(&["y"]);
+        let cols: Vec<&ColumnData> = vec![&ints, &strs, &floats, &bools, &raws];
+        let enc = KeyEncoder::for_columns(&cols);
+        let mut index = enc.new_index(0);
+        insert(&enc, &mut index, &cols);
+        let decoded = key_values(&enc, &index, 0);
+        assert_eq!(decoded[..2], [Value::Int(7), Value::from("x")]);
+        // `-0.0 == 0.0`: the float is checked by its bits.
+        assert!(matches!(decoded[2], Value::Float(x) if x.to_bits() == (-0.0f64).to_bits()));
+        assert_eq!(decoded[3..], [Value::Bool(true), Value::from("y")]);
     }
 
     #[test]
     fn foreign_dictionary_probe_translates_ids() {
         let build = dict_col(&["a", "b", "c"]);
         let cols: Vec<&ColumnData> = vec![&build];
-        let enc = KeyEncoder::for_columns(&cols, MissPolicy::Sentinel);
-        let build_keys = words_of(&enc, &cols).unwrap();
+        let enc = KeyEncoder::for_columns(&cols);
+        let mut index = enc.new_index(0);
+        assert_eq!(insert(&enc, &mut index, &cols), [0, 1, 2]);
         // Probe column interned in a different order, plus a miss.
         let probe = dict_col(&["c", "q", "a"]);
-        let probe_keys = words_of(&enc, &[&probe]).expect("sentinel miss stays a word");
-        assert_eq!(probe_keys[0], build_keys[2], "same string, same key");
-        assert_eq!(probe_keys[2], build_keys[0]);
-        assert!(build_keys.iter().all(|k| *k != probe_keys[1]));
+        assert_eq!(lookup(&enc, &index, &[&probe]), [2, KeyIndex::MISS, 0]);
+        // Looking up inserted nothing: `q` still misses, as raw string too.
+        assert_eq!(
+            lookup(&enc, &index, &[&raw_col(&["q", "b"])]),
+            [KeyIndex::MISS, 1]
+        );
     }
 
     #[test]
     fn poisoned_translation_cache_is_recovered_not_fatal() {
         let build = dict_col(&["a", "b", "c"]);
         let cols: Vec<&ColumnData> = vec![&build];
-        let enc = KeyEncoder::for_columns(&cols, MissPolicy::Sentinel);
-        let build_keys = words_of(&enc, &cols).unwrap();
+        let enc = KeyEncoder::for_columns(&cols);
+        let mut index = enc.new_index(0);
+        insert(&enc, &mut index, &cols);
         // A worker sharing the encoder panics while holding the cache lock.
         let shared = enc.clone();
         let worker = std::thread::spawn(move || {
@@ -1030,33 +881,34 @@ mod tests {
         // The next probe morsel still translates (and caches) its ids.
         let probe = dict_col(&["c", "q", "a"]);
         for _ in 0..2 {
-            let probe_keys = words_of(&enc, &[&probe]).unwrap();
-            assert_eq!(probe_keys[0], build_keys[2]);
-            assert_eq!(probe_keys[2], build_keys[0]);
+            assert_eq!(lookup(&enc, &index, &[&probe]), [2, KeyIndex::MISS, 0]);
         }
     }
 
+    /// Whether an unseen string spills into the extension table is decided
+    /// by the method called: inserting gives distinct unseen strings
+    /// distinct ids after the dictionary's, looking up finds only those.
     #[test]
     fn spill_policy_distinguishes_unseen_strings() {
         let first = dict_col(&["a", "b"]);
         let cols: Vec<&ColumnData> = vec![&first];
-        let enc = KeyEncoder::for_columns(&cols, MissPolicy::Spill);
-        // A later morsel carries raw strings, two of them unseen: the batch
-        // reports the boxed form instead of writing a sentinel.
-        let later = ColumnData::Utf8(vec!["b".into(), "q".into(), "z".into(), "q".into()]);
-        let lcols: Vec<&ColumnData> = vec![&later];
-        assert_eq!(words_of(&enc, &lcols), None);
-        let keys = boxed_all(&enc, &lcols);
-        assert_ne!(
-            keys[1], keys[2],
-            "distinct unseen strings form distinct keys"
+        let enc = KeyEncoder::for_columns(&cols);
+        let mut index = enc.new_index(0);
+        assert_eq!(insert(&enc, &mut index, &cols), [0, 1]);
+        // A later morsel carries raw strings, two of them unseen.
+        let later = raw_col(&["b", "q", "z", "q"]);
+        assert_eq!(
+            lookup(&enc, &index, &[&later]),
+            [1, KeyIndex::MISS, KeyIndex::MISS, KeyIndex::MISS]
         );
-        assert_eq!(keys[1], keys[3], "equal unseen strings form equal keys");
-        // A hit encodes identically across batches, in both forms.
-        let hit = &words_of(&enc, &cols).unwrap()[1];
-        assert_eq!(enc.boxed_from_words(hit), keys[0]);
-        let hits_only = ColumnData::Utf8(vec!["b".into()]);
-        assert_eq!(&words_of(&enc, &[&hits_only]).unwrap()[0], hit);
+        assert_eq!(insert(&enc, &mut index, &[&later]), [1, 2, 3, 2]);
+        // The unseen strings' words continue the dictionary's ids, in
+        // first-appearance order; a hit is the dictionary id in any batch.
+        let words: Vec<u64> = (0..4).map(|id| index.key(id)[0]).collect();
+        assert_eq!(words, [0, 1, 2, 3]);
+        // A foreign dictionary finds both kinds once they are inserted.
+        let foreign = dict_col(&["z", "a", "w", "q"]);
+        assert_eq!(lookup(&enc, &index, &[&foreign]), [3, 0, KeyIndex::MISS, 2]);
     }
 
     #[test]
@@ -1064,20 +916,49 @@ mod tests {
         let strs = dict_col(&["a", "b"]);
         let ints = ColumnData::Int64(vec![1, 2]);
         let cols: Vec<&ColumnData> = vec![&strs, &ints];
-        let enc = KeyEncoder::for_columns(&cols, MissPolicy::Spill);
-        let words = words_of(&enc, &cols).unwrap();
-        let k0 = KeyRef::Words(&words[0]);
-        assert_eq!(enc.dict_entry(k0, 0), Some(DictKeyEntry::Id(0)));
-        assert_eq!(enc.dict_entry(k0, 1), None, "int column is not dict-mode");
-        assert_eq!(enc.key_value_at(k0, 0), Value::from("a"));
-        assert_eq!(enc.key_value_at(k0, 1), Value::Int(1));
+        let enc = KeyEncoder::for_columns(&cols);
+        let mut index = enc.new_index(0);
+        insert(&enc, &mut index, &cols);
+        assert_eq!(enc.dict_entry(&index, 0, 0), Some(DictKeyEntry::Id(0)));
+        assert_eq!(
+            enc.dict_entry(&index, 0, 1),
+            None,
+            "int column is not dict-mode"
+        );
+        assert_eq!(key_values(&enc, &index, 0), [Value::from("a"), 1.into()]);
         // A later morsel with an unseen string spills; the entry carries it.
-        let later = ColumnData::Utf8(vec!["q".into()]);
+        let later = raw_col(&["q"]);
         let later_ints = ColumnData::Int64(vec![9]);
-        let ks = &boxed_all(&enc, &[&later, &later_ints])[0];
-        let ks = KeyRef::Boxed(ks);
-        assert_eq!(enc.dict_entry(ks, 0), Some(DictKeyEntry::Spilled("q")));
-        assert_eq!(enc.key_value_at(ks, 0), Value::from("q"));
+        assert_eq!(insert(&enc, &mut index, &[&later, &later_ints]), [2]);
+        assert_eq!(
+            enc.dict_entry(&index, 2, 0),
+            Some(DictKeyEntry::Spilled("q"))
+        );
+        assert_eq!(key_values(&enc, &index, 2), [Value::from("q"), 9.into()]);
+        // A raw-string key column is not dict-mode: it decodes by value.
+        let raw_enc = KeyEncoder::for_columns(&[&later]);
+        let mut raw_index = raw_enc.new_index(0);
+        insert(&raw_enc, &mut raw_index, &[&later]);
+        assert_eq!(raw_enc.dict_entry(&raw_index, 0, 0), None);
+    }
+
+    #[test]
+    fn mismatched_column_misses_on_lookup_and_fails_insert() {
+        let ints = ColumnData::Int64(vec![1, 2]);
+        let enc = KeyEncoder::for_columns(&[&ints]);
+        let mut index = enc.new_index(0);
+        insert(&enc, &mut index, &[&ints]);
+        // 1.0 is not 1: a float column equals no int key.
+        let floats = ColumnData::Float64(vec![1.0, 2.0]);
+        assert_eq!(lookup(&enc, &index, &[&floats]), [KeyIndex::MISS; 2]);
+        let rows = RowSet::Range(0..2);
+        let err = enc
+            .prepare(&[&floats])
+            .unwrap()
+            .ids_or_insert(&rows, &mut index, &mut Vec::new())
+            .unwrap_err();
+        assert!(matches!(&err, CiError::Exec(m) if m.contains("key column 0")));
+        assert_eq!(index.len(), 2, "a failed insert leaves the index alone");
     }
 
     #[test]
@@ -1087,56 +968,104 @@ mod tests {
         assert!(key_columns(&cols, &[1]).is_err());
     }
 
-    /// Boxed keys from small pools (so streams repeat them): raw strings,
-    /// 5-part composites, and a wide pool that drives the directory through
-    /// several doublings. (Word keys meet the same oracle in
-    /// `tests/join_properties.rs`.)
-    fn boxed_key_strategy() -> impl Strategy<Value = BoxedKey> {
-        prop_oneof![
-            (0u64..8).prop_map(|x| [KeyPart::Str(format!("s{x}"))].into()),
-            (0i64..3, 0u64..3).prop_map(|(a, b)| {
-                [
-                    KeyPart::Int(a),
-                    KeyPart::DictId(b),
-                    KeyPart::Bool(a == 1),
-                    KeyPart::FloatBits(b),
-                    KeyPart::Str(String::new()),
-                ]
-                .into()
-            }),
-            (0i64..4096).prop_map(|x| [KeyPart::Int(x)].into()),
-        ]
+    /// One generated row: `(shape, a, b)`. Shape 0 keys a raw string, shape
+    /// 1 a six-column composite ending in a raw string, shape 2 one int from
+    /// a pool wide enough to drive the directory through several doublings.
+    fn key_values_of(shape: usize, a: i64, b: usize) -> Vec<Value> {
+        match shape {
+            0 => vec![Value::Str(format!("s{b}"))],
+            1 => vec![
+                Value::Int(a % 3),
+                Value::Str(format!("d{}", b % 3)),
+                Value::Bool(a % 3 == 1),
+                Value::Float((b % 3) as f64),
+                Value::Int(-a % 2),
+                Value::Str(format!("r{}", b % 2)),
+            ],
+            _ => vec![Value::Int(a)],
+        }
+    }
+
+    /// `keys` as key columns; a string column is dict-encoded (each batch
+    /// with a dictionary of its own) when `dict` says so.
+    fn columns_of(keys: &[Vec<Value>], arity: usize, dict: bool) -> Vec<ColumnData> {
+        (0..arity)
+            .map(|c| {
+                let mut col = ColumnData::with_capacity(keys[0][c].data_type(), keys.len());
+                keys.iter().for_each(|k| col.push(k[c].clone()).unwrap());
+                match col {
+                    ColumnData::Utf8(_) if dict => col.dict_encoded(),
+                    col => col,
+                }
+            })
+            .collect()
     }
 
     proptest! {
-        /// Ids are first-appearance ranks, `id_boxed` agrees with the std
-        /// map for present and absent keys, and `key(id)` is the insertion
-        /// order.
+        /// Encoder + index against `std`: ids are first-appearance ranks of
+        /// the row *values*, lookups agree with the map for present and
+        /// absent keys, and `key_value_at` returns the keys in insertion
+        /// order — for raw-string, six-column and int keys fed in batches
+        /// that arrive raw or under their own dictionaries.
         #[test]
         fn key_index_matches_std_oracle(
-            stream in proptest::collection::vec(boxed_key_strategy(), 0..700),
-            lookups in proptest::collection::vec(boxed_key_strategy(), 40),
+            shape in 0usize..3,
+            stream in proptest::collection::vec((0i64..4096, 0usize..8), 1..700),
+            lookups in proptest::collection::vec((0i64..4096, 0usize..12), 40),
+            cuts in proptest::collection::vec((1usize..200, any::<bool>()), 1..6),
             capacity in 0usize..40,
         ) {
-            let mut index = KeyIndex::new(None, capacity);
-            let mut oracle_ids: HashMap<BoxedKey, u32> = HashMap::new();
-            let mut oracle_order: Vec<BoxedKey> = Vec::new();
-            for key in &stream {
-                prop_assert_eq!(index.id_boxed(key), oracle_ids.get(key).copied());
-                let next = oracle_order.len() as u32;
-                let expected = *oracle_ids.entry(key.clone()).or_insert_with(|| {
-                    oracle_order.push(key.clone());
-                    next
-                });
-                prop_assert_eq!(index.id_or_insert_boxed(key.clone()), expected);
+            let keys = |rows: &[(i64, usize)]| -> Vec<Vec<Value>> {
+                rows.iter().map(|&(a, b)| key_values_of(shape, a, b)).collect()
+            };
+            let arity = key_values_of(shape, 0, 0).len();
+            let first = columns_of(&keys(&stream[..1]), arity, cuts[0].1);
+            let enc = KeyEncoder::for_columns(&first.iter().collect::<Vec<_>>());
+            let mut index = enc.new_index(capacity);
+            // `Value` holds floats and does not hash; its `Debug` text does.
+            let mut oracle_ids: HashMap<String, u32> = HashMap::new();
+            let mut oracle_order: Vec<Vec<Value>> = Vec::new();
+            let text = |k: &Vec<Value>| format!("{k:?}");
+            let mut rest = &stream[..];
+            for &(len, dict) in cuts.iter().cycle() {
+                if rest.is_empty() {
+                    break;
+                }
+                let (piece, tail) = rest.split_at(len.min(rest.len()));
+                rest = tail;
+                let batch = keys(piece);
+                let cols = columns_of(&batch, arity, dict);
+                let cols: Vec<&ColumnData> = cols.iter().collect();
+                let expected: Vec<u32> = batch
+                    .iter()
+                    .map(|k| oracle_ids.get(&text(k)).copied().unwrap_or(KeyIndex::MISS))
+                    .collect();
+                prop_assert_eq!(lookup(&enc, &index, &cols), expected);
+                let expected: Vec<u32> = batch
+                    .iter()
+                    .map(|k| {
+                        let next = oracle_order.len() as u32;
+                        *oracle_ids.entry(text(k)).or_insert_with(|| {
+                            oracle_order.push(k.clone());
+                            next
+                        })
+                    })
+                    .collect();
+                prop_assert_eq!(insert(&enc, &mut index, &cols), expected);
                 prop_assert_eq!(index.len(), oracle_order.len());
             }
-            prop_assert_eq!(index.is_empty(), oracle_order.is_empty());
             for (id, key) in oracle_order.iter().enumerate() {
-                prop_assert_eq!(index.key(id), KeyRef::Boxed(key));
+                prop_assert_eq!(&key_values(&enc, &index, id), key);
             }
-            for key in oracle_order.iter().chain(&lookups) {
-                prop_assert_eq!(index.id_boxed(key), oracle_ids.get(key).copied());
+            let batch = keys(&lookups);
+            for dict in [false, true] {
+                let cols = columns_of(&batch, arity, dict);
+                let expected: Vec<u32> = batch
+                    .iter()
+                    .map(|k| oracle_ids.get(&text(k)).copied().unwrap_or(KeyIndex::MISS))
+                    .collect();
+                let cols: Vec<&ColumnData> = cols.iter().collect();
+                prop_assert_eq!(lookup(&enc, &index, &cols), expected);
             }
         }
     }
@@ -1151,7 +1080,7 @@ mod tests {
         let (k1, k2) = ([a1, b1], [a2, b2]);
         assert_ne!(k1, k2);
         assert_eq!(hash_words(&k1), hash_words(&k2));
-        let mut index = KeyIndex::new(Some(2), 0);
+        let mut index = KeyIndex::new(2, 0);
         let mut ids = Vec::new();
         index.ids(&k2, 1, &mut ids);
         index.ids_or_insert(&k1, 1, &mut ids);
@@ -1172,7 +1101,7 @@ mod tests {
 
     #[test]
     fn empty_key_for_global_aggregates() {
-        let enc = KeyEncoder::for_columns(&[], MissPolicy::Spill);
+        let enc = KeyEncoder::for_columns(&[]);
         let mut index = enc.new_index(0);
         let mut ids = Vec::new();
         index.ids(&[], 2, &mut ids);
@@ -1180,6 +1109,6 @@ mod tests {
         index.ids(&[], 1, &mut ids);
         assert_eq!(ids, [KeyIndex::MISS, KeyIndex::MISS, 0, 0, 0, 0]);
         assert_eq!(index.len(), 1);
-        assert_eq!(key_values(&enc, index.key(0)), Vec::<Value>::new());
+        assert_eq!(key_values(&enc, &index, 0), Vec::<Value>::new());
     }
 }

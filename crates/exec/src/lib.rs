@@ -51,7 +51,7 @@ pub use ci_cloud::work::WorkModels;
 pub use ci_obs::TraceLevel;
 pub use ci_storage::tiers::PageSourceMode;
 pub use engine::{ExecutionConfig, ExecutionMode, Executor, QueryOutcome};
-pub use key::{DictKeyEntry, KeyEncoder, KeyIndex, KeyPart, KeyRef, MissPolicy, RowSet};
+pub use key::{DictKeyEntry, KeyEncoder, KeyIndex, RowSet};
 pub use metrics::{attribute_node_dollars, OpSample, PipelineMetrics, QueryMetrics};
 pub use parallel::WorkerPool;
 pub use scaling::{NoScaling, PipelineProgress, ScaleDecision, ScalingController};

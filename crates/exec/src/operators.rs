@@ -34,9 +34,7 @@ use ci_storage::value::{DataType, Value};
 use ci_storage::RecordBatch;
 use ci_types::{CiError, Result};
 
-use crate::key::{
-    key_columns, DictKeyEntry, KeyEncoder, KeyIndex, KeyPart, KeyRef, MissPolicy, RowSet,
-};
+use crate::key::{key_columns, DictKeyEntry, KeyEncoder, KeyIndex, RowSet};
 
 /// Builds the internal schema for a node's output slots. Field names are
 /// slot-derived (`s<slot>`) so they are unique regardless of user aliases.
@@ -143,7 +141,8 @@ struct FinalizedTable {
     offsets: Vec<u32>,
     group_rows: Vec<u32>,
     /// Key encoder derived from the build-side key columns; probes encode
-    /// against it (dict-id translation, sentinel misses).
+    /// against it (dict-id translation; a string the build never held
+    /// misses).
     encoder: KeyEncoder,
 }
 
@@ -186,17 +185,14 @@ impl JoinHashTable {
         self.buffered.clear();
         KeyIndex::check_addressable(rows.rows(), "hash join build rows")?;
         let keys = key_columns(rows.columns(), &self.key_positions)?;
-        // Misses can only occur on the probe side (the build side owns the
-        // dictionaries), so the sentinel policy is sound: a missing probe
-        // string maps to a key the build never produced.
-        let encoder = KeyEncoder::for_columns(&keys, MissPolicy::Sentinel);
+        let encoder = KeyEncoder::for_columns(&keys);
         let mut index = encoder.new_index(rows.rows());
         let mut row_groups = Vec::new();
         encoder.prepare(&keys)?.ids_or_insert(
             &RowSet::Range(0..rows.rows()),
             &mut index,
             &mut row_groups,
-        );
+        )?;
         // Counting sort of row numbers by group id: counts, running sums
         // (each group's end), then a reverse fill walks every end down to
         // its group's start, leaving each group's rows ascending.
@@ -269,9 +265,9 @@ impl JoinHashTable {
 }
 
 /// Rows → dense first-appearance ids: a key encoder fixed by the first
-/// batch it sees (spill policy: unseen strings in later batches must still
-/// form distinct keys) and the index of every key so far. `None` until a
-/// batch arrives.
+/// batch it sees (strings that batch's dictionary lacks extend the key's
+/// own id space, so they still form distinct keys) and the index of every
+/// key so far. `None` until a batch arrives.
 #[derive(Debug, Default)]
 struct Grouper(Option<(KeyEncoder, KeyIndex)>);
 
@@ -279,14 +275,13 @@ impl Grouper {
     /// Sets `ids` to the key id of each of the `rows` rows of `cols`.
     fn ids(&mut self, cols: &[&ColumnData], rows: usize, ids: &mut Vec<u32>) -> Result<()> {
         let (encoder, index) = self.0.get_or_insert_with(|| {
-            let encoder = KeyEncoder::for_columns(cols, MissPolicy::Spill);
+            let encoder = KeyEncoder::for_columns(cols);
             let index = encoder.new_index(0);
             (encoder, index)
         });
         KeyIndex::check_addressable(index.len() + rows, "aggregation groups")?;
         let rows = RowSet::Range(0..rows);
-        encoder.prepare(cols)?.ids_or_insert(&rows, index, ids);
-        Ok(())
+        encoder.prepare(cols)?.ids_or_insert(&rows, index, ids)
     }
 
     /// Number of distinct keys so far.
@@ -294,11 +289,12 @@ impl Grouper {
         self.0.as_ref().map_or(0, |(_, index)| index.len())
     }
 
-    /// Every key so far, in id order, beside the encoder that decodes it.
-    fn keys(&self) -> impl Iterator<Item = (&KeyEncoder, KeyRef<'_>)> {
+    /// Every key id so far, in order, beside the encoder and index that
+    /// decode it.
+    fn keys(&self) -> impl Iterator<Item = (&KeyEncoder, &KeyIndex, usize)> {
         self.0
             .iter()
-            .flat_map(|(encoder, index)| (0..index.len()).map(move |id| (encoder, index.key(id))))
+            .flat_map(|(encoder, index)| (0..index.len()).map(move |id| (encoder, index, id)))
     }
 }
 
@@ -320,8 +316,8 @@ enum AggCol {
     /// `DISTINCT`: the distinct `(group id, argument)` pairs, a grouping of
     /// its own. The argument is keyed like any group column — by decoded
     /// value for dict-encoded ints, through the first batch's dictionary
-    /// (foreign ids translated, unseen strings spilled by value) for strings
-    /// — so the pair set is the same under every encoding.
+    /// (foreign ids translated, unseen strings given extension ids) for
+    /// strings — so the pair set is the same under every encoding.
     Distinct(Grouper),
 }
 
@@ -459,12 +455,11 @@ impl AggCol {
                 .map(|m| m.unwrap_or_else(|| zero_of(out_type)))
                 .collect(),
             AggCol::Distinct(pairs) => {
-                let mut sets: Vec<Vec<KeyPart>> = vec![Vec::new(); groups];
-                for (encoder, key) in pairs.keys() {
-                    let Value::Int(g) = encoder.key_value_at(key, 0) else {
-                        unreachable!("the group id column is Int64");
-                    };
-                    sets[g as usize].push((&encoder.key_value_at(key, 1)).into());
+                let mut sets: Vec<Vec<Value>> = vec![Vec::new(); groups];
+                for (encoder, index, id) in pairs.keys() {
+                    // Word 0 is the group id, written from a `u32`.
+                    let g = index.key(id)[0] as usize;
+                    sets[g].push(encoder.key_value_at(index, id, 1));
                 }
                 sets.into_iter()
                     .map(|set| match func {
@@ -499,23 +494,20 @@ fn zero_of(t: DataType) -> Value {
     }
 }
 
-fn distinct_fold(mut parts: Vec<KeyPart>, func: AggFunc) -> Value {
+fn distinct_fold(mut vals: Vec<Value>, func: AggFunc) -> Value {
     // The set arrives in first-appearance order; sort so order-sensitive
-    // folds (float SUM/AVG) do not depend on how morsels were cut.
-    // `KeyPart`'s derived `Ord` is total (floats order by bit pattern), so
-    // this is well-defined even when the set holds NaNs — `partial_cmp_sql`
-    // is not, and a non-total comparator can panic `sort_by`.
-    parts.sort_unstable();
-    let vals: Vec<Value> = parts
-        .into_iter()
-        .map(|p| match p {
-            KeyPart::Int(x) => Value::Int(x),
-            KeyPart::FloatBits(b) => Value::Float(f64::from_bits(b)),
-            KeyPart::Str(s) => Value::Str(s),
-            KeyPart::Bool(b) => Value::Bool(b),
-            KeyPart::DictId(_) => unreachable!("distinct sets key strings by value"),
-        })
-        .collect();
+    // folds (float SUM/AVG) do not depend on how morsels were cut. The order
+    // is total — ints by value, floats by bit pattern, strings lexically —
+    // so this is well-defined even when the set holds NaNs;
+    // `partial_cmp_sql` is not, and a non-total comparator can panic
+    // `sort_by`. (One set holds one type: it is one column's values.)
+    vals.sort_unstable_by(|a, b| match (a, b) {
+        (Value::Int(x), Value::Int(y)) => x.cmp(y),
+        (Value::Float(x), Value::Float(y)) => x.to_bits().cmp(&y.to_bits()),
+        (Value::Str(x), Value::Str(y)) => x.cmp(y),
+        (Value::Bool(x), Value::Bool(y)) => x.cmp(y),
+        _ => Ordering::Equal,
+    });
     match func {
         AggFunc::Sum => Value::Float(vals.iter().filter_map(Value::as_f64).sum()),
         AggFunc::Avg => {
@@ -647,9 +639,9 @@ impl AggregateState {
                 }
             })
             .collect();
-        for (encoder, key) in self.groups.keys() {
+        for (encoder, index, id) in self.groups.keys() {
             for (i, col) in columns.iter_mut().take(g).enumerate() {
-                match encoder.dict_entry(key, i) {
+                match encoder.dict_entry(index, id, i) {
                     Some(entry) => {
                         let ColumnData::Dict { ids, dict } = col else {
                             unreachable!("dict-mode group column built as dict");
@@ -659,7 +651,7 @@ impl AggregateState {
                             DictKeyEntry::Spilled(s) => ids.push(Arc::make_mut(dict).intern(s)),
                         }
                     }
-                    None => col.push(encoder.key_value_at(key, i))?,
+                    None => col.push(encoder.key_value_at(index, id, i))?,
                 }
             }
         }

@@ -10,7 +10,7 @@
 use std::sync::Arc;
 
 use ci_exec::operators::{AggregateState, JoinHashTable};
-use ci_exec::{KeyEncoder, KeyRef, MissPolicy, RowSet};
+use ci_exec::{DictKeyEntry, KeyEncoder, RowSet};
 use ci_plan::expr::{AggExpr, BinOp, ColMap, PlanExpr};
 use ci_sql::ast::AggFunc;
 use ci_storage::column::ColumnData;
@@ -156,10 +156,10 @@ proptest! {
         prop_assert_eq!(&crossed, &naive);
     }
 
-    /// The compact key encoding stays allocation-free for every row of
-    /// int/float/bool/dict-string key columns: the batch encoder reports
-    /// fixed-width under both miss policies, and the words it wrote decode
-    /// back to the row's values.
+    /// The compact key encoding is `arity` words for every row of
+    /// int/float/bool/dict-string key columns — one key per distinct row,
+    /// in row order — and the stored words decode back to the row's values,
+    /// the dictionary column through its own ids (nothing spills).
     #[test]
     fn fixed_width_keys_never_allocate(strs in string_column(5, 1..100)) {
         let n = strs.len();
@@ -168,30 +168,30 @@ proptest! {
         let bools = ColumnData::Bool((0..n).map(|i| i % 2 == 0).collect());
         let dicts = ColumnData::Utf8(strs.clone()).dict_encoded();
         let cols: Vec<&ColumnData> = vec![&ints, &floats, &bools, &dicts];
-        for miss in [MissPolicy::Sentinel, MissPolicy::Spill] {
-            let enc = KeyEncoder::for_columns(&cols, miss);
-            let re = enc.prepare(&cols).unwrap();
-            let mut words = Vec::new();
-            prop_assert!(
-                re.encode_words(&RowSet::Range(0..n), &mut words),
-                "some row spilled under {:?}",
-                miss
+        let enc = KeyEncoder::for_columns(&cols);
+        let mut index = enc.new_index(0);
+        let mut ids = Vec::new();
+        enc.prepare(&cols)
+            .unwrap()
+            .ids_or_insert(&RowSet::Range(0..n), &mut index, &mut ids)
+            .unwrap();
+        prop_assert_eq!(ids, (0..n as u32).collect::<Vec<_>>());
+        let (dict_ids, _) = dicts.as_dict().unwrap();
+        for row in 0..n {
+            prop_assert_eq!(index.key(row).len(), cols.len());
+            prop_assert_eq!(enc.dict_entry(&index, row, 3), Some(DictKeyEntry::Id(dict_ids[row])));
+            let decoded: Vec<Value> = (0..cols.len())
+                .map(|c| enc.key_value_at(&index, row, c))
+                .collect();
+            prop_assert_eq!(
+                decoded,
+                vec![
+                    Value::Int(row as i64),
+                    Value::Float(row as f64 / 3.0),
+                    Value::Bool(row % 2 == 0),
+                    Value::Str(strs[row].clone())
+                ]
             );
-            prop_assert_eq!(words.len(), n * cols.len());
-            for (row, key) in words.chunks(cols.len()).enumerate() {
-                let decoded: Vec<Value> = (0..cols.len())
-                    .map(|c| enc.key_value_at(KeyRef::Words(key), c))
-                    .collect();
-                prop_assert_eq!(
-                    decoded,
-                    vec![
-                        Value::Int(row as i64),
-                        Value::Float(row as f64 / 3.0),
-                        Value::Bool(row % 2 == 0),
-                        Value::Str(strs[row].clone())
-                    ]
-                );
-            }
         }
     }
 }

@@ -6,7 +6,7 @@ use std::sync::{Arc, Mutex};
 
 use ci_catalog::{Catalog, ErrorInjector};
 use ci_exec::scaling::{PipelineProgress, PipelineStart, ScaleDecision, ScalingController};
-use ci_exec::{ExecutionConfig, Executor, NoScaling, TierCacheSim, TierPricing};
+use ci_exec::{ExecutionConfig, ExecutionMode, Executor, NoScaling, TierCacheSim, TierPricing};
 use ci_plan::{bind, JoinTree, PhysicalPlan, PipelineGraph};
 use ci_sql::parse;
 use ci_storage::batch::RecordBatch;
@@ -458,4 +458,158 @@ fn poisoned_tier_simulator_is_a_typed_error_not_a_panic() {
         .execute(&plan, &graph, &dops, &mut NoScaling)
         .unwrap();
     assert_eq!(again.result, healthy.result);
+}
+
+const N_FACTS: i64 = 3_000;
+
+/// Row `i` of `facts`: five group columns of three types, a string join key
+/// and a payload.
+fn fact(i: i64) -> Vec<Value> {
+    vec![
+        Value::Int(i % 3),
+        Value::Int(i % 2),
+        Value::Str(format!("c{}", i % 4)),
+        Value::Float((i % 2) as f64 / 2.0),
+        Value::Int(i % 101),
+        Value::Str(format!("n{}", i % 7)),
+        Value::Int(i),
+    ]
+}
+
+/// Row `j` of `names`: names `n0`..`n4` twice over and three that match no
+/// fact; `facts` in turn holds `n5`, `n6`, which match no name.
+fn name(j: i64) -> Vec<Value> {
+    let n = if j < 10 { j % 5 } else { j + 90 };
+    vec![Value::Str(format!("n{n}")), Value::Int(j * 100)]
+}
+
+/// `facts` (3 000 rows in 256-row partitions) and `names` (13 rows).
+/// Registration dict-encodes each table's string columns, so the two name
+/// columns reach the join under different dictionaries, neither holding
+/// all of the other's strings. (No raw `Utf8` column of a registered table
+/// reaches the executor; `join_properties.rs` keys those at the operators.)
+fn wide_catalog() -> Catalog {
+    let table = |id, name: &str, fields: Vec<Field>, rows: Vec<Vec<Value>>, part| {
+        let schema = Arc::new(Schema::of(fields));
+        let mut columns: Vec<ColumnData> = (schema.fields().iter())
+            .map(|f| ColumnData::with_capacity(f.data_type, rows.len()))
+            .collect();
+        for row in rows {
+            for (col, v) in columns.iter_mut().zip(row) {
+                col.push(v).unwrap();
+            }
+        }
+        let mut b = TableBuilder::new(TableId::new(id), name, schema.clone(), part).unwrap();
+        b.append(RecordBatch::new(schema, columns).unwrap())
+            .unwrap();
+        b.finish().unwrap()
+    };
+    let mut c = Catalog::new();
+    let fact_fields = [
+        ("f_a", DataType::Int64),
+        ("f_b", DataType::Int64),
+        ("f_c", DataType::Utf8),
+        ("f_d", DataType::Float64),
+        ("f_e", DataType::Int64),
+        ("f_name", DataType::Utf8),
+        ("f_v", DataType::Int64),
+    ];
+    let fact_fields = fact_fields.map(|(n, t)| Field::new(n, t)).to_vec();
+    c.register(table(
+        0,
+        "facts",
+        fact_fields,
+        (0..N_FACTS).map(fact).collect(),
+        256,
+    ));
+    let name_fields = vec![
+        Field::new("n_name", DataType::Utf8),
+        Field::new("n_w", DataType::Int64),
+    ];
+    c.register(table(
+        1,
+        "names",
+        name_fields,
+        (0..13).map(name).collect(),
+        8,
+    ));
+    c
+}
+
+/// The result rows of `sql` over [`wide_catalog`] in `Simulate` — having
+/// checked `Parallel { workers: 2 }` returns the same batch — sorted by
+/// their text, for comparison with an oracle that fixes no order.
+fn wide_rows_in_both_modes(sql: &str) -> Vec<Vec<Value>> {
+    let cat = wide_catalog();
+    let (plan, graph) = plan_of(&cat, sql);
+    let dops = vec![2; graph.len()];
+    let run_in = |mode| {
+        let config = ExecutionConfig {
+            mode,
+            morsel_rows: 500,
+            ..ExecutionConfig::default()
+        };
+        let exec = Executor::new(&cat, config);
+        exec.execute(&plan, &graph, &dops, &mut NoScaling).unwrap()
+    };
+    let simulated = run_in(ExecutionMode::Simulate);
+    let parallel = run_in(ExecutionMode::Parallel { workers: 2 });
+    assert_eq!(parallel.result, simulated.result, "{sql}");
+    assert_eq!(parallel.metrics.cost, simulated.metrics.cost, "{sql}");
+    let result = &simulated.result;
+    let mut rows: Vec<Vec<Value>> = (0..result.rows()).map(|r| result.row(r)).collect();
+    rows.sort_by_key(|row| format!("{row:?}"));
+    rows
+}
+
+#[test]
+fn five_column_group_by_matches_scan_oracle_in_both_modes() {
+    let got = wide_rows_in_both_modes(
+        "SELECT f_a, f_b, f_c, f_d, f_e, COUNT(*) AS n, SUM(f_v) AS s FROM facts \
+         GROUP BY f_a, f_b, f_c, f_d, f_e",
+    );
+    // Scan oracle: (key, count, sum) by linear search.
+    let mut oracle: Vec<(Vec<Value>, i64, i64)> = Vec::new();
+    for i in 0..N_FACTS {
+        let key = fact(i)[..5].to_vec();
+        match oracle.iter_mut().find(|g| g.0 == key) {
+            Some(g) => {
+                g.1 += 1;
+                g.2 += i;
+            }
+            None => oracle.push((key, 1, i)),
+        }
+    }
+    // f_b and f_d move together and f_c's parity is f_b's: 3 × 4 × 101
+    // groups, a hundred and one to each choice of the first four columns.
+    assert_eq!(oracle.len(), 1212);
+    let mut expected: Vec<Vec<Value>> = oracle
+        .into_iter()
+        .map(|(key, n, s)| key.into_iter().chain([n, s].map(Value::Int)).collect())
+        .collect();
+    expected.sort_by_key(|row| format!("{row:?}"));
+    assert_eq!(got, expected);
+}
+
+#[test]
+fn string_keyed_join_across_dictionaries_matches_nested_loop_in_both_modes() {
+    let got = wide_rows_in_both_modes(
+        "SELECT f_v, n_w, n_name FROM facts f JOIN names n ON f.f_name = n.n_name",
+    );
+    let mut expected: Vec<Vec<Value>> = Vec::new();
+    for i in 0..N_FACTS {
+        for j in 0..13 {
+            if fact(i)[5] == name(j)[0] {
+                expected.push(vec![
+                    fact(i)[6].clone(),
+                    name(j)[1].clone(),
+                    name(j)[0].clone(),
+                ]);
+            }
+        }
+    }
+    // Five of seven fact names match, each two of the thirteen names.
+    assert!(expected.len() > 4_000 && expected.len() < 2 * N_FACTS as usize);
+    expected.sort_by_key(|row| format!("{row:?}"));
+    assert_eq!(got, expected);
 }

@@ -9,7 +9,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use ci_exec::operators::{AggregateState, JoinHashTable};
-use ci_exec::{KeyEncoder, KeyIndex, KeyRef, MissPolicy, RowSet};
+use ci_exec::{KeyEncoder, KeyIndex, RowSet};
 use ci_plan::expr::{AggExpr, ColMap, PlanExpr};
 use ci_sql::ast::AggFunc;
 use ci_storage::batch::RecordBatch;
@@ -20,25 +20,29 @@ use ci_storage::value::{DataType, Value};
 use ci_types::Result;
 use proptest::prelude::*;
 
-/// The key layouts the encoder treats differently.
+/// The key layouts the encoder and index treat differently.
 #[derive(Clone, Copy, Debug)]
 enum KeyShape {
-    /// One int column: the inline fast path.
+    /// One int column: the one-word fast path.
     Int,
     /// Int + dict-encoded string; every batch built here interns its own
     /// dictionary, so the other side's is always foreign.
     IntDict,
-    /// Raw strings: always the boxed form.
+    /// Raw strings: no base dictionary, every id from the extension table.
     RawUtf8,
-    /// Five int columns: past `MAX_INLINE_PARTS`, always boxed.
+    /// Five int columns: one word past the widest `const N` probe.
     Wide,
+    /// Eight columns — ints, a dict-encoded string (column 1) and a raw
+    /// string — whose first four agree on many rows that differ later.
+    Wide8,
 }
 
-const SHAPES: [KeyShape; 4] = [
+const SHAPES: [KeyShape; 5] = [
     KeyShape::Int,
     KeyShape::IntDict,
     KeyShape::RawUtf8,
     KeyShape::Wide,
+    KeyShape::Wide8,
 ];
 
 /// A generated row before its key shape is chosen: an int and the index of
@@ -51,6 +55,10 @@ fn key_types(shape: KeyShape) -> Vec<DataType> {
         KeyShape::IntDict => vec![DataType::Int64, DataType::Utf8],
         KeyShape::RawUtf8 => vec![DataType::Utf8],
         KeyShape::Wide => vec![DataType::Int64; 5],
+        KeyShape::Wide8 => {
+            use DataType::{Int64, Utf8};
+            vec![Int64, Utf8, Int64, Int64, Int64, Utf8, Int64, Int64]
+        }
     }
 }
 
@@ -64,6 +72,21 @@ fn key_values(shape: KeyShape, (a, s): RawRow) -> Vec<Value> {
         KeyShape::Wide => [a, s as i64, a & 1, -a, a + s as i64]
             .map(Value::Int)
             .to_vec(),
+        KeyShape::Wide8 => {
+            let int = |x: i64| Value::Int(x);
+            let low = Value::Str(format!("v{}", s & 1));
+            let (a2, s) = (a.rem_euclid(2), s as i64);
+            vec![
+                int(a2),
+                low,
+                int(a2 * 3),
+                int(-a2),
+                int(a),
+                text,
+                int(s),
+                int(a - s),
+            ]
+        }
     }
 }
 
@@ -79,7 +102,7 @@ fn table(shape: KeyShape, rows: &[RawRow], payload: &[i64]) -> RecordBatch {
             col.push(v).expect("typed push");
         }
     }
-    if matches!(shape, KeyShape::IntDict) {
+    if matches!(shape, KeyShape::IntDict | KeyShape::Wide8) {
         columns[1] = columns[1].dict_encoded();
     }
     columns.push(ColumnData::Int64(payload.to_vec()));
@@ -331,9 +354,9 @@ proptest! {
 // `KeyIndex` → per-aggregate folds. Each case names a mutation it was seen
 // to fail under.
 
-/// How a batch column reaches the encoder, one per `ColPlan` variant that
-/// can meet a fixed-width key layout. The strings the encoder's own
-/// dictionary holds are `v0`..`v3`; batches draw from `v0`..`v5`.
+/// How a batch column reaches the encoder, one per `ColPlan` variant (and
+/// the column no plan fits). The strings the encoder's own dictionary holds
+/// are `v0`..`v3`; batches draw from `v0`..`v5`.
 #[derive(Clone, Copy, Debug)]
 enum ColKind {
     I64,
@@ -342,10 +365,12 @@ enum ColKind {
     Bool,
     /// A dict column sharing the encoder's dictionary.
     Ids,
-    /// A dict column with its own dictionary: misses on `v4`, `v5`.
+    /// A dict column with its own dictionary: `v4`, `v5` are outside the
+    /// encoder's.
     Translated,
-    /// Raw strings looked up per row: misses on `v4`, `v5`.
-    LookupUtf8,
+    /// Raw strings resolved per row: `v4`, `v5` are outside the encoder's
+    /// dictionary.
+    Utf8,
     /// A float column where the encoder expects ints.
     Mismatch,
 }
@@ -357,7 +382,7 @@ const COL_KINDS: [ColKind; 8] = [
     ColKind::Bool,
     ColKind::Ids,
     ColKind::Translated,
-    ColKind::LookupUtf8,
+    ColKind::Utf8,
     ColKind::Mismatch,
 ];
 
@@ -371,7 +396,7 @@ fn authoritative(kind: ColKind) -> ColumnData {
         ColKind::I64 | ColKind::DictI64 | ColKind::Mismatch => ColumnData::Int64(vec![0]),
         ColKind::F64 => ColumnData::Float64(vec![0.0]),
         ColKind::Bool => ColumnData::Bool(vec![false]),
-        ColKind::Ids | ColKind::Translated | ColKind::LookupUtf8 => strings(0..4).dict_encoded(),
+        ColKind::Ids | ColKind::Translated | ColKind::Utf8 => strings(0..4).dict_encoded(),
     }
 }
 
@@ -394,27 +419,35 @@ fn batch_column(kind: ColKind, rows: &[RawRow], auth: &ColumnData) -> ColumnData
             }
         }
         ColKind::Translated => strings(rows.iter().map(|r| r.1)).dict_encoded(),
-        ColKind::LookupUtf8 => strings(rows.iter().map(|r| r.1)),
+        ColKind::Utf8 => strings(rows.iter().map(|r| r.1)),
     }
 }
 
 /// The per-row reference: the key word of `row` under `kind`, computed from
-/// the raw values alone; `None` when the row needs the boxed form.
+/// the raw values alone. `unseen` lists, in first-appearance order, the
+/// column's strings outside `dict` that were inserted so far; `insert` says
+/// whether this row adds to it. `None` for a word no stored key can hold.
 fn reference_word(
     kind: ColKind,
     (a, s): RawRow,
     dict: &Dictionary,
-    miss: MissPolicy,
+    unseen: &mut Vec<usize>,
+    insert: bool,
 ) -> Option<u64> {
     match kind {
         ColKind::I64 | ColKind::DictI64 => Some(a as u64),
         ColKind::F64 => Some((a as f64 / 2.0).to_bits()),
         ColKind::Bool => Some(u64::from(a & 1 == 1)),
         ColKind::Ids => dict.id_of(&format!("v{}", s % 4)).map(u64::from),
-        ColKind::Translated | ColKind::LookupUtf8 => match dict.id_of(&format!("v{s}")) {
+        ColKind::Translated | ColKind::Utf8 => match dict.id_of(&format!("v{s}")) {
             Some(id) => Some(u64::from(id)),
-            None if miss == MissPolicy::Sentinel => Some(u64::MAX),
-            None => None,
+            None => {
+                if insert && !unseen.contains(&s) {
+                    unseen.push(s);
+                }
+                let rank = unseen.iter().position(|&u| u == s);
+                rank.map(|k| (dict.len() + k) as u64)
+            }
         },
         ColKind::Mismatch => None,
     }
@@ -422,15 +455,17 @@ fn reference_word(
 
 proptest! {
     /// (a) The batch encoder writes, row-major, exactly the words a per-row
-    /// reference computes — for every column plan, 1–4 key columns, a row
-    /// range and a sparse selection, under both miss policies — and reports
-    /// the boxed form exactly when some row needs it. Words and boxed keys
-    /// of one row agree through `boxed_from_words`. Fails when column `c`
-    /// of a 2-word key is written at stride 1.
+    /// reference computes — for every column plan, 1–8 key columns, a row
+    /// range and then a sparse selection into one index. A string outside
+    /// the dictionary is word `dict.len()` + its first-appearance rank once
+    /// inserted; before that, and for a column of the wrong type, a lookup
+    /// misses and (wrong type) an insert is a typed error that leaves the
+    /// index alone. Fails when column `c` of a 2-word key is written at
+    /// stride 1, and when extension ids start at 0 instead of `dict.len()`.
     #[test]
     fn batch_encoder_equals_per_row_reference(
         rows in proptest::collection::vec((-8i64..8, 0usize..6), 0..50),
-        kinds in proptest::collection::vec(0usize..8, 1..5),
+        kinds in proptest::collection::vec(0usize..8, 1..9),
         with_misses in any::<bool>(),
         keep in proptest::collection::vec(any::<bool>(), 50),
         start in 0usize..50,
@@ -453,56 +488,83 @@ proptest! {
         let column_refs: Vec<&ColumnData> = columns.iter().collect();
         let start = start.min(rows.len());
         let picked: Vec<usize> = (0..rows.len()).filter(|&r| keep[r]).collect();
-        for miss in [MissPolicy::Sentinel, MissPolicy::Spill] {
-            let encoder = KeyEncoder::for_columns(&auth_refs, miss);
-            let row_encoder = encoder.prepare(&column_refs).expect("prepare");
-            for row_set in [RowSet::Range(start..rows.len()), RowSet::Picked(picked.clone())] {
-                let expected: Option<Vec<u64>> = row_set
-                    .iter()
-                    .flat_map(|r| kinds.iter().map(move |&k| (k, r)))
-                    .map(|(k, r)| reference_word(k, rows[r], dict, miss))
-                    .collect();
-                let mut words = vec![7; 3]; // stale content must not survive
-                let fixed = row_encoder.encode_words(&row_set, &mut words);
-                prop_assert_eq!(fixed, expected.is_some(), "{:?} {:?} {:?}", kinds, miss, row_set);
-                let Some(expected) = expected else { continue };
-                prop_assert_eq!(&words, &expected, "{:?} {:?} {:?}", kinds, miss, row_set);
-                for (r, key) in row_set.iter().zip(words.chunks(kinds.len())) {
-                    prop_assert_eq!(encoder.boxed_from_words(key), row_encoder.encode_boxed(r));
-                }
+        let mismatched = kinds.iter().any(|k| matches!(k, ColKind::Mismatch));
+
+        let encoder = KeyEncoder::for_columns(&auth_refs);
+        let row_encoder = encoder.prepare(&column_refs).expect("prepare");
+        let mut index = encoder.new_index(0);
+        // The reference's state: per column the strings inserted from
+        // outside the dictionary, and the keys in id order.
+        let mut unseen: Vec<Vec<usize>> = vec![Vec::new(); kinds.len()];
+        let mut stored: Vec<Vec<u64>> = Vec::new();
+        for row_set in [RowSet::Range(start..rows.len()), RowSet::Picked(picked)] {
+            let mut key_of = |r: usize, insert: bool| -> Option<Vec<u64>> {
+                let words = kinds.iter().zip(&mut unseen);
+                words.map(|(&k, u)| reference_word(k, rows[r], dict, u, insert)).collect()
+            };
+            // Looking up first: only what earlier inserts stored is found.
+            let expected: Vec<u32> = row_set
+                .iter()
+                .map(|r| {
+                    let id = key_of(r, false).and_then(|k| stored.iter().position(|s| *s == k));
+                    id.map_or(KeyIndex::MISS, |id| id as u32)
+                })
+                .collect();
+            let mut ids = vec![7; 3]; // stale content must not survive
+            row_encoder.ids(&row_set, &index, &mut ids);
+            prop_assert_eq!(&ids, &expected, "lookup {:?} {:?}", kinds, row_set);
+
+            let inserted = row_encoder.ids_or_insert(&row_set, &mut index, &mut ids);
+            if mismatched {
+                prop_assert!(inserted.is_err(), "{:?}", kinds);
+                prop_assert_eq!(index.len(), 0);
+                continue;
+            }
+            inserted.expect("insert");
+            let expected: Vec<u32> = row_set
+                .iter()
+                .map(|r| {
+                    let key = key_of(r, true).expect("every inserted string has a word");
+                    let id = stored.iter().position(|s| *s == key).unwrap_or(stored.len());
+                    if id == stored.len() {
+                        stored.push(key);
+                    }
+                    id as u32
+                })
+                .collect();
+            prop_assert_eq!(&ids, &expected, "insert {:?} {:?}", kinds, row_set);
+            prop_assert_eq!(index.len(), stored.len());
+            for (id, key) in stored.iter().enumerate() {
+                prop_assert_eq!(index.key(id), &key[..], "{:?} {:?}", kinds, row_set);
             }
         }
     }
 
     /// (b) `ids_or_insert` hands out first-appearance ranks, `ids` finds
     /// exactly the stored keys and `key(id)` returns them in order, against
-    /// a `HashMap` + `Vec` oracle: 0–4-word keys, fed in batches, from pools
+    /// a `HashMap` + `Vec` oracle: 0–8-word keys, fed in batches, from pools
     /// holding words equal in their low 20 bits, the `i64` extremes, the
-    /// dict-miss word `u64::MAX`, NaN / `-0.0` / `0.0` bit patterns, and a
-    /// 300-key tail that takes an index grown from nothing through more than
-    /// five directory doublings (8 slots at ½ load → 1024). Fails when the
-    /// word compare after a directory hit is skipped.
+    /// dict-miss word `u64::MAX`, NaN / `-0.0` / `0.0` bit patterns, keys
+    /// that share their first four words, and a 300-key tail that takes an
+    /// index grown from nothing through more than five directory doublings
+    /// (8 slots at ½ load → 1024). Fails when the word compare after a
+    /// directory hit is skipped, and when the compare of a key wider than
+    /// four words stops at the fourth.
     #[test]
     fn word_key_index_matches_std_oracle(
-        arity in 0usize..5,
-        stream in proptest::collection::vec(
-            proptest::collection::vec(word_strategy(), 4),
-            0..400,
-        ),
-        lookups in proptest::collection::vec(
-            proptest::collection::vec(word_strategy(), 4),
-            40,
-        ),
+        arity in 0usize..9,
+        stream in proptest::collection::vec(wide_key_strategy(), 0..400),
+        lookups in proptest::collection::vec(wide_key_strategy(), 40),
         batches in proptest::collection::vec(1usize..64, 1..6),
         capacity in 0usize..40,
     ) {
-        let tail = (0..300u64).map(|x| vec![x, x << 20, !x, 1]);
+        let tail = (0..300u64).map(|x| vec![x, x << 20, !x, 1, x & 3, 0, x >> 4, 9]);
         let stream: Vec<Vec<u64>> = stream
             .into_iter()
             .chain(tail)
             .map(|mut key| { key.truncate(arity); key })
             .collect();
-        let mut index = KeyIndex::new(Some(arity), capacity);
+        let mut index = KeyIndex::new(arity, capacity);
         let mut oracle_ids: HashMap<Vec<u64>, u32> = HashMap::new();
         let mut oracle_order: Vec<Vec<u64>> = Vec::new();
         for batch in cut(&stream, &batches) {
@@ -532,7 +594,7 @@ proptest! {
         }
         prop_assert!(arity == 0 || index.len() >= 300);
         for (id, key) in oracle_order.iter().enumerate() {
-            prop_assert_eq!(index.key(id), KeyRef::Words(key));
+            prop_assert_eq!(index.key(id), &key[..]);
         }
         let lookups: Vec<Vec<u64>> = lookups
             .into_iter()
@@ -612,6 +674,159 @@ proptest! {
     }
 }
 
+/// The argument column of the `DISTINCT` case: pool entry `v` as `kind`'s
+/// type. Strings arrive dict-encoded (each morsel its own dictionary) or
+/// raw, so later morsels bring strings the first one's dictionary lacks.
+fn distinct_arg(kind: DataType, pool: &[usize], dict: bool) -> ColumnData {
+    const FLOATS: [f64; 8] = [1.0, 1e16, -1e16, 0.0, -0.0, f64::NAN, 0.1, -0.7];
+    match kind {
+        DataType::Int64 => ColumnData::Int64(pool.iter().map(|&v| v as i64 * 5 - 11).collect()),
+        DataType::Float64 => ColumnData::Float64(pool.iter().map(|&v| FLOATS[v]).collect()),
+        _ if dict => strings(pool.iter().copied()).dict_encoded(),
+        _ => strings(pool.iter().copied()),
+    }
+}
+
+/// The scan oracle's `DISTINCT` fold: `set` (distinct already) in the
+/// canonical order — ints by value, floats by bit pattern, strings
+/// lexically — then `SUM` / `AVG` added left to right in `f64`, `MIN` / `MAX`
+/// a left fold that keeps the bound when IEEE cannot compare (NaN).
+fn distinct_oracle(mut set: Vec<Value>, func: AggFunc) -> Value {
+    set.sort_by(|a, b| match (a, b) {
+        (Value::Int(x), Value::Int(y)) => x.cmp(y),
+        (Value::Float(x), Value::Float(y)) => x.to_bits().cmp(&y.to_bits()),
+        (Value::Str(x), Value::Str(y)) => x.cmp(y),
+        other => unreachable!("one set, one type: {other:?}"),
+    });
+    let num = |v: &Value| match v {
+        Value::Int(x) => *x as f64,
+        Value::Float(x) => *x,
+        other => unreachable!("numeric fold over {other:?}"),
+    };
+    let keeps = |bound: &Value, v: &Value, losing: std::cmp::Ordering| match (bound, v) {
+        (Value::Float(b), Value::Float(x)) => b.partial_cmp(x) != Some(losing),
+        (Value::Int(b), Value::Int(x)) => b.cmp(x) != losing,
+        (Value::Str(b), Value::Str(x)) => b.cmp(x) != losing,
+        other => unreachable!("{other:?}"),
+    };
+    let extreme = |losing| {
+        let mut values = set.iter();
+        let first = values.next().expect("a group has a row").clone();
+        values.fold(first, |bound, v| {
+            if keeps(&bound, v, losing) {
+                bound
+            } else {
+                v.clone()
+            }
+        })
+    };
+    match func {
+        AggFunc::Count => Value::Int(set.len() as i64),
+        AggFunc::Sum => Value::Float(set.iter().map(num).sum()),
+        AggFunc::Avg => Value::Float(set.iter().map(num).sum::<f64>() / set.len() as f64),
+        AggFunc::Min => extreme(std::cmp::Ordering::Greater),
+        AggFunc::Max => extreme(std::cmp::Ordering::Less),
+    }
+}
+
+proptest! {
+    /// (f) `COUNT` / `SUM` / `AVG` / `MIN` / `MAX(DISTINCT x)` per group equal
+    /// the scan oracle bit for bit — over ints, floats (NaN, both zeros and
+    /// an order-sensitive 1e16 pair, distinct by bit pattern) and strings
+    /// that arrive raw or under per-morsel dictionaries — whatever the
+    /// morsel cut. Fails when the distinct set is folded in arrival order.
+    #[test]
+    fn distinct_aggregates_equal_scan_oracle(
+        rows in proptest::collection::vec((0i64..3, 0usize..8), 1..80),
+        morsels in proptest::collection::vec((1usize..12, any::<bool>()), 1..6),
+    ) {
+        for kind in [DataType::Int64, DataType::Float64, DataType::Utf8] {
+            let funcs: &[AggFunc] = match kind {
+                DataType::Utf8 => &[AggFunc::Count, AggFunc::Min, AggFunc::Max],
+                _ => &[AggFunc::Count, AggFunc::Sum, AggFunc::Avg, AggFunc::Min, AggFunc::Max],
+            };
+            let out_type = |f: &AggFunc| match f {
+                AggFunc::Count => DataType::Int64,
+                AggFunc::Sum | AggFunc::Avg => DataType::Float64,
+                AggFunc::Min | AggFunc::Max => kind,
+            };
+            let out_fields = [DataType::Int64]
+                .into_iter()
+                .chain(funcs.iter().map(out_type))
+                .enumerate()
+                .map(|(i, t)| Field::new(format!("o{i}"), t))
+                .collect();
+            let in_schema = Arc::new(Schema::of(vec![
+                Field::new("s0", DataType::Int64),
+                Field::new("s1", kind),
+            ]));
+            let in_types = |slot: usize| -> Result<DataType> { Ok([DataType::Int64, kind][slot]) };
+            let aggs = funcs
+                .iter()
+                .map(|&func| AggExpr { func, arg: Some(PlanExpr::Col(1)), distinct: true })
+                .collect();
+            let mut state = AggregateState::new(
+                vec![PlanExpr::Col(0)],
+                aggs,
+                ColMap::from_slots(&[0, 1]),
+                &in_types,
+                Arc::new(Schema::of(out_fields)),
+            )
+            .expect("state");
+
+            // (group, distinct values in arrival order), first appearance.
+            let mut oracle: Vec<(i64, Vec<Value>)> = Vec::new();
+            let mut rest = &rows[..];
+            for &(len, dict) in morsels.iter().cycle() {
+                if rest.is_empty() {
+                    break;
+                }
+                let (piece, tail) = rest.split_at(len.min(rest.len()));
+                rest = tail;
+                let pool: Vec<usize> = piece.iter().map(|r| r.1).collect();
+                let groups = ColumnData::Int64(piece.iter().map(|r| r.0).collect());
+                let arg = distinct_arg(kind, &pool, dict);
+                let batch = RecordBatch::new(in_schema.clone(), vec![groups, arg]).expect("batch");
+                state.update(&batch).expect("update");
+                for (r, &(g, _)) in piece.iter().enumerate() {
+                    let v = batch.row(r)[1].clone();
+                    // Distinct by bit pattern: `Value`'s `==` would merge
+                    // the zeros and split NaN from itself.
+                    let same = |a: &Value| match (a, &v) {
+                        (Value::Float(x), Value::Float(y)) => x.to_bits() == y.to_bits(),
+                        (a, v) => a == v,
+                    };
+                    let at = oracle.iter().position(|e| e.0 == g).unwrap_or(oracle.len());
+                    if at == oracle.len() {
+                        oracle.push((g, Vec::new()));
+                    }
+                    if !oracle[at].1.iter().any(same) {
+                        oracle[at].1.push(v);
+                    }
+                }
+            }
+            let out = state.finalize().expect("finalize");
+            prop_assert_eq!(out.rows(), oracle.len());
+            for (r, (g, set)) in oracle.into_iter().enumerate() {
+                let got = out.row(r);
+                prop_assert_eq!(&got[0], &Value::Int(g));
+                for (j, &func) in funcs.iter().enumerate() {
+                    let expected = distinct_oracle(set.clone(), func);
+                    let same = match (&got[j + 1], &expected) {
+                        (Value::Float(x), Value::Float(y)) => x.to_bits() == y.to_bits(),
+                        (a, b) => a == b,
+                    };
+                    prop_assert!(
+                        same,
+                        "{:?}(DISTINCT {:?}) of group {}: {:?}, oracle {:?}",
+                        func, kind, g, got[j + 1], expected
+                    );
+                }
+            }
+        }
+    }
+}
+
 /// Key words from small pools, so streams repeat them.
 fn word_strategy() -> impl Strategy<Value = u64> {
     prop_oneof![
@@ -626,7 +841,20 @@ fn word_strategy() -> impl Strategy<Value = u64> {
     ]
 }
 
-/// A `(group string, int)` batch for the transition case; `dict` says how
+/// Eight key words; half the keys share one four-word prefix, so they
+/// differ only where a key wider than four words is still compared.
+fn wide_key_strategy() -> impl Strategy<Value = Vec<u64>> {
+    (proptest::collection::vec(word_strategy(), 8), any::<bool>()).prop_map(
+        |(mut key, shared_prefix)| {
+            if shared_prefix {
+                key[..4].copy_from_slice(&[1, 1 << 20, u64::MAX, 0]);
+            }
+            key
+        },
+    )
+}
+
+/// A `(group string, int)` batch for the mid-stream case; `dict` says how
 /// the strings arrive.
 fn string_int_batch(rows: &[(&str, i64)], dict: Option<&ColumnData>) -> RecordBatch {
     let schema = Arc::new(Schema::of(vec![
@@ -655,15 +883,16 @@ fn string_int_batch(rows: &[(&str, i64)], dict: Option<&ColumnData>) -> RecordBa
     RecordBatch::new(schema, vec![strs, ints, values]).expect("batch")
 }
 
-/// (c) The words → boxed transition in the middle of a morsel stream: the
-/// first morsels key 40 `(dict string, int)` groups as words (the directory
-/// has doubled from 8 to 128 slots by then), a raw-string morsel brings the
-/// first string outside the dictionary, a foreign-dictionary morsel repeats
-/// it, and a last morsel on the original dictionary must land in the groups
-/// the words made. Group order, counts and sums equal the scan oracle's.
-/// Fails when the transition does not re-key the stored words.
+/// (c) A string outside the dictionary in the middle of a morsel stream: the
+/// first morsels key 40 `(dict string, int)` groups by dictionary id (the
+/// directory has doubled from 8 to 128 slots by then), a raw-string morsel
+/// brings the first strings outside the dictionary, a foreign-dictionary
+/// morsel repeats them and adds one, and a last morsel on the original
+/// dictionary must land in the groups the first made. Group order, counts
+/// and sums equal the scan oracle's. Fails when extension ids start at 0
+/// instead of after the dictionary's (`zz` then joins `v0`'s groups).
 #[test]
-fn words_to_boxed_transition_keeps_ids_order_and_accumulators() {
+fn string_outside_dictionary_mid_stream_keeps_ids_order_and_accumulators() {
     let names = ["v0", "v1", "v2", "v3"];
     let shared = ColumnData::Utf8(names.map(str::to_owned).to_vec()).dict_encoded();
     let grid: Vec<(&str, i64)> = (0..40).map(|i| (names[i % 4], (i / 4) as i64)).collect();
@@ -724,7 +953,7 @@ fn words_to_boxed_transition_keeps_ids_order_and_accumulators() {
         }
         assert_eq!(state.group_count(), oracle.len(), "after morsel {m}");
     }
-    assert_eq!(oracle.len(), 43, "40 word groups, then zz / yy / xx");
+    assert_eq!(oracle.len(), 43, "40 dictionary groups, then zz / yy / xx");
     let expected: Vec<Vec<Value>> = oracle
         .into_iter()
         .map(|(key, n, sum)| key.into_iter().chain([n, sum].map(Value::Int)).collect())
@@ -791,4 +1020,39 @@ fn all_miss_probe_is_empty_and_all_distinct_build_is_the_nested_loop() {
         let got: Vec<(i64, i64)> = ptags.iter().copied().zip(btags.iter().copied()).collect();
         assert_eq!(got, expected, "{shape:?}");
     }
+}
+
+/// (g) A probe key column of another type than the build's equals no build
+/// key — `1.0` is not `1` — so the join is empty, not an error and not a
+/// match by bit pattern or by numeric value. Fails when a mismatched column
+/// is encoded by its raw value (float bits `0` then match int `0`).
+#[test]
+fn type_mismatched_probe_key_matches_nothing() {
+    let build = batch_of(vec![0, 1, 2, 1]);
+    let mut ht = JoinHashTable::new(build.schema().clone(), vec![0]);
+    ht.insert_batch(build.clone()).expect("insert");
+    ht.finalize().expect("finalize");
+    let probe_schema = Arc::new(Schema::of(vec![
+        Field::new("k", DataType::Float64),
+        Field::new("tag", DataType::Int64),
+    ]));
+    let probe = RecordBatch::new(
+        probe_schema,
+        vec![
+            ColumnData::Float64(vec![0.0, 1.0, 2.0]),
+            ColumnData::Int64(vec![0, 1, 2]),
+        ],
+    )
+    .expect("batch");
+    let fields = probe
+        .schema()
+        .fields()
+        .iter()
+        .chain(build.schema().fields());
+    let fields = fields
+        .enumerate()
+        .map(|(i, f)| Field::new(format!("o{i}"), f.data_type));
+    let out_schema = Arc::new(Schema::of(fields.collect()));
+    let joined = ht.probe(&probe, &[0], out_schema.clone()).expect("probe");
+    assert_eq!(joined, RecordBatch::empty(out_schema));
 }

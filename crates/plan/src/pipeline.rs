@@ -109,6 +109,20 @@ impl PipelineGraph {
             .expect("decomposition always produces a result pipeline")
     }
 
+    /// The pipeline that consumes `p`'s sink state — the one probing the
+    /// join `p` builds, or re-scanning the aggregate / sort `p` feeds —
+    /// `None` for the result pipeline. `p`'s nodes stay leased until it
+    /// finishes (state pinning): the rule the executor's bill and the
+    /// estimator's prediction share.
+    pub fn consumer_of(&self, p: &Pipeline) -> Option<&Pipeline> {
+        self.pipelines.iter().find(|q| match p.sink {
+            SinkKind::Result => false,
+            // The consumer is the pipeline whose chain contains the join.
+            SinkKind::JoinBuild { join } => q.id != p.id && q.nodes.contains(&join),
+            SinkKind::Aggregate { agg: node } | SinkKind::Sort { sort: node } => q.source() == node,
+        })
+    }
+
     /// Groups of pipelines that can start at the same time (same dependency
     /// frontier); used by the equal-finish-time heuristic (§3.2).
     pub fn concurrent_groups(&self) -> Vec<Vec<PipelineId>> {

@@ -69,35 +69,6 @@ id_type!(
     StageId, "stage-"
 );
 
-/// Allocates monotonically increasing ids of one type.
-///
-/// Not thread-safe by design — id allocation happens inside single-threaded
-/// planning/simulation loops; services that need shared counters wrap this in
-/// a lock.
-#[derive(Debug, Default, Clone)]
-pub struct IdGen {
-    next: u32,
-}
-
-impl IdGen {
-    /// Creates a generator starting at zero.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Returns the next raw id value.
-    pub fn next_raw(&mut self) -> u32 {
-        let v = self.next;
-        self.next += 1;
-        v
-    }
-
-    /// Returns the next id converted into any id newtype.
-    pub fn next_id<T: From<u32>>(&mut self) -> T {
-        T::from(self.next_raw())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -115,15 +86,6 @@ mod tests {
         let id = OperatorId::from(42usize);
         assert_eq!(id.index(), 42);
         assert_eq!(OperatorId::new(42), id);
-    }
-
-    #[test]
-    fn idgen_is_monotonic() {
-        let mut g = IdGen::new();
-        let a: NodeId = g.next_id();
-        let b: NodeId = g.next_id();
-        let c: NodeId = g.next_id();
-        assert_eq!((a.0, b.0, c.0), (0, 1, 2));
     }
 
     #[test]
