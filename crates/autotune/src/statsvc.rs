@@ -99,9 +99,6 @@ pub struct StatisticsService {
     cold_cost: Dollars,
     /// The service's own accumulated ingest bill.
     ingest_spend: Dollars,
-    /// Total resource usage observed across the workload.
-    total_machine_time: SimDuration,
-    total_cost: Dollars,
 }
 
 impl StatisticsService {
@@ -119,8 +116,6 @@ impl StatisticsService {
             cold_count: 0.0,
             cold_cost: Dollars::ZERO,
             ingest_spend: Dollars::ZERO,
-            total_machine_time: SimDuration::ZERO,
-            total_cost: Dollars::ZERO,
         }
     }
 
@@ -141,8 +136,6 @@ impl StatisticsService {
             let key = if a <= b { (a, b) } else { (b, a) };
             *self.join_graph.entry(key).or_insert(0.0) += scale;
         }
-        self.total_machine_time += rec.machine_time;
-        self.total_cost += rec.cost * scale;
 
         let entry = self
             .fingerprints
@@ -239,16 +232,6 @@ impl StatisticsService {
     /// The service's own accumulated cost (E9's overhead axis).
     pub fn ingest_spend(&self) -> Dollars {
         self.ingest_spend
-    }
-
-    /// Total (scaled) dollars observed across the workload.
-    pub fn workload_cost(&self) -> Dollars {
-        self.total_cost
-    }
-
-    /// Total machine time observed (recorded samples only).
-    pub fn observed_machine_time(&self) -> SimDuration {
-        self.total_machine_time
     }
 }
 

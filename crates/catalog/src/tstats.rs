@@ -95,15 +95,9 @@ impl TableStats {
 
         // NDV: dict-encoded columns count referenced ids against the shared
         // dictionary (exact, no hashing); everything else hashes a canonical
-        // encoding of each value. The seen-ids fast path covers both string
-        // and int dictionaries.
+        // encoding of each value.
         let shared_dict = table.column_dictionary(col_idx).cloned();
-        let shared_int_dict = table.column_int_dictionary(col_idx).cloned();
-        let shared_entries = shared_dict
-            .as_ref()
-            .map(|d| d.len())
-            .or(shared_int_dict.as_ref().map(|d| d.len()));
-        let mut seen_ids = vec![false; shared_entries.unwrap_or(0)];
+        let mut seen_ids = vec![false; shared_dict.as_ref().map_or(0, |d| d.len())];
         let mut distinct: HashSet<u64> = HashSet::new();
         let mut numeric: Vec<f64> = Vec::new();
         let mut is_numeric = true;
@@ -162,24 +156,10 @@ impl TableStats {
                         }
                     }
                 }
-                ColumnData::DictInt { ids, dict } => {
-                    if shared_int_dict.is_some() {
-                        for &id in ids {
-                            seen_ids[id as usize] = true;
-                            numeric.push(dict.get(id) as f64);
-                        }
-                    } else {
-                        for &id in ids {
-                            let x = dict.get(id);
-                            distinct.insert(x as u64);
-                            numeric.push(x as f64);
-                        }
-                    }
-                }
             }
         }
 
-        let ndv = if shared_entries.is_some() {
+        let ndv = if shared_dict.is_some() {
             seen_ids.iter().filter(|&&s| s).count() as u64
         } else {
             distinct.len() as u64

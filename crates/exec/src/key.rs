@@ -334,11 +334,7 @@ impl KeyEncoder {
         let modes: Vec<KeyMode> = columns
             .iter()
             .map(|c| match c {
-                // Dict-encoded ints are their own canonical key: the decoded
-                // value is the word, so no id translation between
-                // dictionaries is ever needed and cross-encoding joins
-                // (plain build, dict probe) match by value.
-                ColumnData::Int64(_) | ColumnData::DictInt { .. } => KeyMode::Int,
+                ColumnData::Int64(_) => KeyMode::Int,
                 ColumnData::Float64(_) => KeyMode::Float,
                 ColumnData::Bool(_) => KeyMode::Bool,
                 ColumnData::Dict { dict, .. } => KeyMode::Str(Some(dict.clone())),
@@ -411,9 +407,6 @@ impl KeyEncoder {
             .enumerate()
             .map(|(i, (mode, col))| match (mode, col) {
                 (KeyMode::Int, ColumnData::Int64(v)) => Ok(ColPlan::I64(v)),
-                (KeyMode::Int, ColumnData::DictInt { ids, dict }) => {
-                    Ok(ColPlan::DictI64(ids, dict))
-                }
                 (KeyMode::Float, ColumnData::Float64(v)) => Ok(ColPlan::F64(v)),
                 (KeyMode::Bool, ColumnData::Bool(v)) => Ok(ColPlan::Bool(v)),
                 (KeyMode::Str(Some(d)), ColumnData::Dict { ids, dict }) if Arc::ptr_eq(d, dict) => {
@@ -540,10 +533,6 @@ pub struct RowEncoder<'a> {
 
 enum ColPlan<'a> {
     I64(&'a [i64]),
-    /// Dict-encoded ints: the *decoded value* is the word, exactly as a
-    /// plain int column's would be, so the key space is
-    /// encoding-independent.
-    DictI64(&'a [u32], &'a Arc<ci_storage::dict::IntDict>),
     F64(&'a [f64]),
     Bool(&'a [bool]),
     /// Dict ids valid against the encoder's dictionary as-is.
@@ -617,9 +606,6 @@ impl ColPlan<'_> {
     ) {
         match self {
             ColPlan::I64(v) => scatter(out, stride, rows, v, |&x| x as u64),
-            ColPlan::DictI64(ids, dict) => {
-                scatter(out, stride, rows, ids, |&id| dict.get(id) as u64)
-            }
             ColPlan::F64(v) => scatter(out, stride, rows, v, |x| x.to_bits()),
             ColPlan::Bool(v) => scatter(out, stride, rows, v, |&b| u64::from(b)),
             ColPlan::Ids(ids) => scatter(out, stride, rows, ids, |&id| u64::from(id)),

@@ -314,15 +314,15 @@ enum AggCol {
         losing: Ordering,
     },
     /// `DISTINCT`: the distinct `(group id, argument)` pairs, a grouping of
-    /// its own. The argument is keyed like any group column — by decoded
-    /// value for dict-encoded ints, through the first batch's dictionary
-    /// (foreign ids translated, unseen strings given extension ids) for
-    /// strings — so the pair set is the same under every encoding.
+    /// its own. The argument is keyed like any group column — strings
+    /// through the first batch's dictionary (foreign ids translated, unseen
+    /// strings given extension ids) — so the pair set is the same under
+    /// every string encoding.
     Distinct(Grouper),
 }
 
-/// `f(group, value)` for each row of an int column of either encoding, in
-/// row order, until `f` fails; no column, or any other, folds nothing.
+/// `f(group, value)` for each row of an int column, in row order, until `f`
+/// fails; no column, or any other, folds nothing.
 fn try_each_int(
     col: Option<&ColumnData>,
     ids: &[u32],
@@ -330,10 +330,6 @@ fn try_each_int(
 ) -> Option<()> {
     match col {
         Some(ColumnData::Int64(v)) => v.iter().zip(ids).try_for_each(|(&x, &g)| f(g as usize, x)),
-        Some(ColumnData::DictInt { ids: codes, dict }) => codes
-            .iter()
-            .zip(ids)
-            .try_for_each(|(&c, &g)| f(g as usize, dict.get(c))),
         _ => Some(()),
     }
 }
@@ -800,9 +796,6 @@ enum SortCol<'a> {
     /// Dict column compared by decoded string — the cross-dictionary
     /// fallback.
     DictStr(&'a ColumnData),
-    /// Dict-encoded ints compared by decoded value (int order needs no rank
-    /// table, and decoded comparison is valid across dictionaries).
-    DictI64(&'a [u32], &'a Arc<ci_storage::dict::IntDict>),
 }
 
 impl<'a> SortCol<'a> {
@@ -833,7 +826,6 @@ impl<'a> SortCol<'a> {
                         Some(ranks) => SortCol::DictRank(ids, ranks.clone()),
                         None => SortCol::DictStr(c),
                     },
-                    ColumnData::DictInt { ids, dict } => SortCol::DictI64(ids, dict),
                 }
             })
             .collect()
@@ -854,11 +846,6 @@ impl<'a> SortCol<'a> {
     fn cmp_across(a_col: &SortCol, a: usize, b_col: &SortCol, b: usize) -> Ordering {
         match (a_col, b_col) {
             (SortCol::I64(x), SortCol::I64(y)) => x[a].cmp(&y[b]),
-            (SortCol::DictI64(xi, xd), SortCol::DictI64(yi, yd)) => {
-                xd.get(xi[a]).cmp(&yd.get(yi[b]))
-            }
-            (SortCol::I64(x), SortCol::DictI64(yi, yd)) => x[a].cmp(&yd.get(yi[b])),
-            (SortCol::DictI64(xi, xd), SortCol::I64(y)) => xd.get(xi[a]).cmp(&y[b]),
             // NaNs compare equal, matching `Value::partial_cmp_sql`'s
             // unwrap-to-equal behaviour the sorter always used.
             (SortCol::F64(x), SortCol::F64(y)) => {

@@ -360,7 +360,6 @@ proptest! {
 #[derive(Clone, Copy, Debug)]
 enum ColKind {
     I64,
-    DictI64,
     F64,
     Bool,
     /// A dict column sharing the encoder's dictionary.
@@ -375,9 +374,8 @@ enum ColKind {
     Mismatch,
 }
 
-const COL_KINDS: [ColKind; 8] = [
+const COL_KINDS: [ColKind; 7] = [
     ColKind::I64,
-    ColKind::DictI64,
     ColKind::F64,
     ColKind::Bool,
     ColKind::Ids,
@@ -393,7 +391,7 @@ fn strings(indices: impl Iterator<Item = usize>) -> ColumnData {
 /// The column the encoder derives its mode from.
 fn authoritative(kind: ColKind) -> ColumnData {
     match kind {
-        ColKind::I64 | ColKind::DictI64 | ColKind::Mismatch => ColumnData::Int64(vec![0]),
+        ColKind::I64 | ColKind::Mismatch => ColumnData::Int64(vec![0]),
         ColKind::F64 => ColumnData::Float64(vec![0.0]),
         ColKind::Bool => ColumnData::Bool(vec![false]),
         ColKind::Ids | ColKind::Translated | ColKind::Utf8 => strings(0..4).dict_encoded(),
@@ -402,10 +400,8 @@ fn authoritative(kind: ColKind) -> ColumnData {
 
 /// `rows` as a batch column of `kind`, against the encoder's column `auth`.
 fn batch_column(kind: ColKind, rows: &[RawRow], auth: &ColumnData) -> ColumnData {
-    let ints = ColumnData::Int64(rows.iter().map(|r| r.0).collect());
     match kind {
-        ColKind::I64 => ints,
-        ColKind::DictI64 => ints.dict_encoded_ints(usize::MAX),
+        ColKind::I64 => ColumnData::Int64(rows.iter().map(|r| r.0).collect()),
         ColKind::F64 | ColKind::Mismatch => {
             ColumnData::Float64(rows.iter().map(|r| r.0 as f64 / 2.0).collect())
         }
@@ -435,7 +431,7 @@ fn reference_word(
     insert: bool,
 ) -> Option<u64> {
     match kind {
-        ColKind::I64 | ColKind::DictI64 => Some(a as u64),
+        ColKind::I64 => Some(a as u64),
         ColKind::F64 => Some((a as f64 / 2.0).to_bits()),
         ColKind::Bool => Some(u64::from(a & 1 == 1)),
         ColKind::Ids => dict.id_of(&format!("v{}", s % 4)).map(u64::from),
@@ -465,7 +461,7 @@ proptest! {
     #[test]
     fn batch_encoder_equals_per_row_reference(
         rows in proptest::collection::vec((-8i64..8, 0usize..6), 0..50),
-        kinds in proptest::collection::vec(0usize..8, 1..9),
+        kinds in proptest::collection::vec(0usize..COL_KINDS.len(), 1..9),
         with_misses in any::<bool>(),
         keep in proptest::collection::vec(any::<bool>(), 50),
         start in 0usize..50,

@@ -314,28 +314,6 @@ fn arith(op: BinOp, l: &ColumnData, r: &ColumnData) -> Result<ColumnData> {
             };
             Ok(Int64(a.iter().zip(b).map(|(x, y)| f(x, y)).collect()))
         }
-        // Int arithmetic stays int for dict-encoded operands too, so the
-        // encoding never changes an expression's output type.
-        _ if l.data_type() == ci_storage::value::DataType::Int64
-            && r.data_type() == ci_storage::value::DataType::Int64 =>
-        {
-            let f = |x: i64, y: i64| match op {
-                BinOp::Add => x.wrapping_add(y),
-                BinOp::Sub => x.wrapping_sub(y),
-                BinOp::Mul => x.wrapping_mul(y),
-                _ => unreachable!(),
-            };
-            Ok(Int64(
-                (0..l.len())
-                    .map(|i| {
-                        f(
-                            l.int_at(i).expect("int column"),
-                            r.int_at(i).expect("int column"),
-                        )
-                    })
-                    .collect(),
-            ))
-        }
         _ => {
             let a = numeric_f64(l)?;
             let b = numeric_f64(r)?;
@@ -354,9 +332,6 @@ fn numeric_f64(c: &ColumnData) -> Result<Vec<f64>> {
     match c {
         ColumnData::Int64(v) => Ok(v.iter().map(|&x| x as f64).collect()),
         ColumnData::Float64(v) => Ok(v.clone()),
-        ColumnData::DictInt { ids, dict } => {
-            Ok(ids.iter().map(|&id| dict.get(id) as f64).collect())
-        }
         other => Err(CiError::Exec(format!(
             "expected numeric column, got {}",
             other.data_type()
@@ -386,22 +361,6 @@ fn compare(op: BinOp, l: &ColumnData, r: &ColumnData) -> Result<ColumnData> {
     let out: Vec<bool> = match (l, r) {
         (Int64(a), Int64(b)) => a.iter().zip(b).map(|(x, y)| keep(x.cmp(y))).collect(),
         (Bool(a), Bool(b)) => a.iter().zip(b).map(|(x, y)| keep(x.cmp(y))).collect(),
-        // Equality between int columns sharing one dictionary is pure id
-        // equality, mirroring the string fast path below.
-        (DictInt { ids: a, dict: da }, DictInt { ids: b, dict: db })
-            if std::sync::Arc::ptr_eq(da, db) && matches!(op, BinOp::Eq | BinOp::NotEq) =>
-        {
-            a.iter().zip(b).map(|(x, y)| keep(x.cmp(y))).collect()
-        }
-        // Any int-vs-int combination compares exact i64 values (the float
-        // fallback below would lose precision past 2^53).
-        _ if l.data_type() == DataType::Int64 && r.data_type() == DataType::Int64 => (0..l.len())
-            .map(|i| {
-                let a = l.int_at(i).expect("int column");
-                let b = r.int_at(i).expect("int column");
-                keep(a.cmp(&b))
-            })
-            .collect(),
         // Equality between columns sharing one dictionary is pure id equality.
         (Dict { ids: a, dict: da }, Dict { ids: b, dict: db })
             if std::sync::Arc::ptr_eq(da, db) && matches!(op, BinOp::Eq | BinOp::NotEq) =>

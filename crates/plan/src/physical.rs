@@ -95,13 +95,6 @@ impl PhysicalOp {
             PhysicalOp::Limit { .. } => "Limit",
         }
     }
-
-    /// `true` for operators that break a pipeline (consume all input before
-    /// producing output): aggregation and sort. Hash-join builds break the
-    /// *build* side only and are handled specially in decomposition.
-    pub fn is_breaker(&self) -> bool {
-        matches!(self, PhysicalOp::HashAgg { .. } | PhysicalOp::Sort { .. })
-    }
 }
 
 /// One node of the physical plan arena.

@@ -1,5 +1,7 @@
 //! Typed column vectors.
 //!
+//! An integer column has one form, [`ColumnData::Int64`]; for ints,
+//! "dictionary" is a page codec (`pages.rs`), not a column form.
 //! Strings come in two encodings with identical logical semantics:
 //! [`ColumnData::Utf8`] owns its strings, while [`ColumnData::Dict`] stores
 //! `u32` ids into an `Arc`-shared [`Dictionary`] (interned once per table
@@ -13,7 +15,7 @@ use std::sync::Arc;
 
 use ci_types::{CiError, Result};
 
-use crate::dict::{Dictionary, IntDict};
+use crate::dict::Dictionary;
 use crate::selection::SelectionVector;
 use crate::value::{DataType, Value};
 
@@ -34,16 +36,6 @@ pub enum ColumnData {
         ids: Vec<u32>,
         /// The shared interning table.
         dict: Arc<Dictionary>,
-    },
-    /// Low-cardinality 64-bit integers (dates, enum codes),
-    /// dictionary-encoded: `ids[i]` indexes into `dict`. Reports
-    /// [`DataType::Int64`]; like [`ColumnData::Dict`], the encoding is
-    /// invisible to schemas, zone maps, and byte accounting.
-    DictInt {
-        /// Per-row dictionary ids.
-        ids: Vec<u32>,
-        /// The shared interning table.
-        dict: Arc<IntDict>,
     },
 }
 
@@ -68,11 +60,10 @@ impl ColumnData {
         }
     }
 
-    /// This column's logical type (`Dict` is an encoding of `Utf8`,
-    /// `DictInt` of `Int64`).
+    /// This column's logical type (`Dict` is an encoding of `Utf8`).
     pub fn data_type(&self) -> DataType {
         match self {
-            ColumnData::Int64(_) | ColumnData::DictInt { .. } => DataType::Int64,
+            ColumnData::Int64(_) => DataType::Int64,
             ColumnData::Float64(_) => DataType::Float64,
             ColumnData::Utf8(_) | ColumnData::Dict { .. } => DataType::Utf8,
             ColumnData::Bool(_) => DataType::Bool,
@@ -87,7 +78,6 @@ impl ColumnData {
             ColumnData::Utf8(v) => v.len(),
             ColumnData::Bool(v) => v.len(),
             ColumnData::Dict { ids, .. } => ids.len(),
-            ColumnData::DictInt { ids, .. } => ids.len(),
         }
     }
 
@@ -104,17 +94,13 @@ impl ColumnData {
             ColumnData::Utf8(v) => Value::Str(v[i].clone()),
             ColumnData::Bool(v) => Value::Bool(v[i]),
             ColumnData::Dict { ids, dict } => Value::Str(dict.get(ids[i]).to_owned()),
-            ColumnData::DictInt { ids, dict } => Value::Int(dict.get(ids[i])),
         }
     }
 
-    /// Integer at row `i` for either int encoding, `None` for non-int
-    /// columns. The zero-copy read path for operators over dict-encoded
-    /// ints.
+    /// Integer at row `i`, `None` for non-int columns.
     pub fn int_at(&self, i: usize) -> Option<i64> {
         match self {
             ColumnData::Int64(v) => Some(v[i]),
-            ColumnData::DictInt { ids, dict } => Some(dict.get(ids[i])),
             _ => None,
         }
     }
@@ -137,14 +123,6 @@ impl ColumnData {
         }
     }
 
-    /// The `(ids, dictionary)` view of a dict-encoded int column.
-    pub fn as_int_dict(&self) -> Option<(&[u32], &Arc<IntDict>)> {
-        match self {
-            ColumnData::DictInt { ids, dict } => Some((ids, dict)),
-            _ => None,
-        }
-    }
-
     /// Re-encodes a `Utf8` column as `Dict` with a fresh dictionary interned
     /// in row order. Other encodings (including `Dict`) are returned as-is.
     pub fn dict_encoded(&self) -> ColumnData {
@@ -152,28 +130,6 @@ impl ColumnData {
             ColumnData::Utf8(v) => {
                 let (dict, ids) = Dictionary::encode(v.iter().map(String::as_str));
                 ColumnData::Dict {
-                    ids,
-                    dict: Arc::new(dict),
-                }
-            }
-            other => other.clone(),
-        }
-    }
-
-    /// Re-encodes an `Int64` column as `DictInt` with a fresh dictionary
-    /// interned in row order, but only when the column's NDV is at most
-    /// `max_ndv` (dictionary-encoding a high-cardinality int column would
-    /// trade an 8-byte payload for 8-byte entries *plus* ids). Other
-    /// encodings (including `DictInt`) and over-cardinality columns are
-    /// returned as-is.
-    pub fn dict_encoded_ints(&self, max_ndv: usize) -> ColumnData {
-        match self {
-            ColumnData::Int64(v) => {
-                let (dict, ids) = IntDict::encode(v.iter().copied());
-                if dict.len() > max_ndv {
-                    return self.clone();
-                }
-                ColumnData::DictInt {
                     ids,
                     dict: Arc::new(dict),
                 }
@@ -192,9 +148,6 @@ impl ColumnData {
             (ColumnData::Bool(c), Value::Bool(x)) => c.push(x),
             (ColumnData::Dict { ids, dict }, Value::Str(x)) => {
                 ids.push(Arc::make_mut(dict).intern(&x));
-            }
-            (ColumnData::DictInt { ids, dict }, Value::Int(x)) => {
-                ids.push(Arc::make_mut(dict).intern(x));
             }
             (col, v) => {
                 return Err(CiError::Exec(format!(
@@ -233,25 +186,6 @@ impl ColumnData {
             (ColumnData::Utf8(dst), ColumnData::Dict { ids: sids, dict }) => {
                 dst.push(dict.get(sids[i]).to_owned());
             }
-            (
-                ColumnData::DictInt { ids, dict },
-                ColumnData::DictInt {
-                    ids: sids,
-                    dict: sdict,
-                },
-            ) => {
-                if Arc::ptr_eq(dict, sdict) {
-                    ids.push(sids[i]);
-                } else {
-                    ids.push(Arc::make_mut(dict).intern(sdict.get(sids[i])));
-                }
-            }
-            (ColumnData::DictInt { ids, dict }, ColumnData::Int64(s)) => {
-                ids.push(Arc::make_mut(dict).intern(s[i]));
-            }
-            (ColumnData::Int64(dst), ColumnData::DictInt { ids: sids, dict }) => {
-                dst.push(dict.get(sids[i]));
-            }
             (dst, s) => {
                 return Err(CiError::Exec(format!(
                     "column type mismatch: {} vs {}",
@@ -283,10 +217,6 @@ impl ColumnData {
                 ids: pick(ids, keep),
                 dict: dict.clone(),
             },
-            ColumnData::DictInt { ids, dict } => ColumnData::DictInt {
-                ids: pick(ids, keep),
-                dict: dict.clone(),
-            },
         }
     }
 
@@ -302,10 +232,6 @@ impl ColumnData {
             }
             ColumnData::Bool(v) => ColumnData::Bool(indices.iter().map(|&i| v[i]).collect()),
             ColumnData::Dict { ids, dict } => ColumnData::Dict {
-                ids: indices.iter().map(|&i| ids[i]).collect(),
-                dict: dict.clone(),
-            },
-            ColumnData::DictInt { ids, dict } => ColumnData::DictInt {
                 ids: indices.iter().map(|&i| ids[i]).collect(),
                 dict: dict.clone(),
             },
@@ -335,10 +261,6 @@ impl ColumnData {
                 ids: gather(ids, indices, rows)?,
                 dict: dict.clone(),
             },
-            ColumnData::DictInt { ids, dict } => ColumnData::DictInt {
-                ids: gather(ids, indices, rows)?,
-                dict: dict.clone(),
-            },
         })
     }
 
@@ -364,10 +286,6 @@ impl ColumnData {
                 ids: pick(ids, sel),
                 dict: dict.clone(),
             },
-            ColumnData::DictInt { ids, dict } => ColumnData::DictInt {
-                ids: pick(ids, sel),
-                dict: dict.clone(),
-            },
         }
     }
 
@@ -377,9 +295,7 @@ impl ColumnData {
     pub fn byte_size_selected(&self, sel: &SelectionVector) -> usize {
         debug_assert_eq!(sel.total(), self.len());
         match self {
-            ColumnData::Int64(_) | ColumnData::Float64(_) | ColumnData::DictInt { .. } => {
-                sel.len() * 8
-            }
+            ColumnData::Int64(_) | ColumnData::Float64(_) => sel.len() * 8,
             ColumnData::Bool(_) => sel.len(),
             ColumnData::Utf8(v) => match sel.as_range() {
                 Some((start, len)) => v[start..start + len].iter().map(|s| s.len() + 4).sum(),
@@ -404,10 +320,6 @@ impl ColumnData {
             ColumnData::Utf8(v) => ColumnData::Utf8(v[offset..offset + len].to_vec()),
             ColumnData::Bool(v) => ColumnData::Bool(v[offset..offset + len].to_vec()),
             ColumnData::Dict { ids, dict } => ColumnData::Dict {
-                ids: ids[offset..offset + len].to_vec(),
-                dict: dict.clone(),
-            },
-            ColumnData::DictInt { ids, dict } => ColumnData::DictInt {
                 ids: ids[offset..offset + len].to_vec(),
                 dict: dict.clone(),
             },
@@ -444,27 +356,6 @@ impl ColumnData {
             (ColumnData::Utf8(a), ColumnData::Dict { ids: bids, dict }) => {
                 a.extend(bids.iter().map(|&id| dict.get(id).to_owned()));
             }
-            (
-                ColumnData::DictInt { ids, dict },
-                ColumnData::DictInt {
-                    ids: bids,
-                    dict: bdict,
-                },
-            ) => {
-                if Arc::ptr_eq(dict, bdict) {
-                    ids.extend_from_slice(bids);
-                } else {
-                    let d = Arc::make_mut(dict);
-                    ids.extend(bids.iter().map(|&id| d.intern(bdict.get(id))));
-                }
-            }
-            (ColumnData::DictInt { ids, dict }, ColumnData::Int64(b)) => {
-                let d = Arc::make_mut(dict);
-                ids.extend(b.iter().map(|&x| d.intern(x)));
-            }
-            (ColumnData::Int64(a), ColumnData::DictInt { ids: bids, dict }) => {
-                a.extend(bids.iter().map(|&id| dict.get(id)));
-            }
             (a, b) => {
                 return Err(CiError::Exec(format!(
                     "cannot concat {} with {}",
@@ -486,7 +377,6 @@ impl ColumnData {
             ColumnData::Utf8(v) => v.iter().map(|s| s.len() + 4).sum(),
             ColumnData::Bool(v) => v.len(),
             ColumnData::Dict { ids, dict } => ids.iter().map(|&id| dict.value_bytes(id)).sum(),
-            ColumnData::DictInt { ids, .. } => ids.len() * 8,
         }
     }
 
@@ -535,28 +425,13 @@ impl ColumnData {
                 }
                 Some((Value::Str(min.to_owned()), Value::Str(max.to_owned())))
             }
-            ColumnData::DictInt { ids, dict } => {
-                let mut min = dict.get(ids[0]);
-                let mut max = min;
-                for &id in &ids[1..] {
-                    let x = dict.get(id);
-                    min = min.min(x);
-                    max = max.max(x);
-                }
-                Some((Value::Int(min), Value::Int(max)))
-            }
         }
     }
 
-    /// Typed accessor; errors if the column is not Int64 — including for
-    /// dict-encoded ints (use [`ColumnData::int_at`] or
-    /// [`ColumnData::as_int_dict`] to read those without decoding).
+    /// Typed accessor; errors if the column is not Int64.
     pub fn as_i64(&self) -> Result<&[i64]> {
         match self {
             ColumnData::Int64(v) => Ok(v),
-            ColumnData::DictInt { .. } => Err(CiError::Exec(
-                "expected plain INT column, got dict-encoded INT".into(),
-            )),
             other => Err(CiError::Exec(format!(
                 "expected INT column, got {}",
                 other.data_type()
@@ -623,16 +498,6 @@ impl PartialEq for ColumnData {
             }
             (Utf8(a), Dict { ids, dict }) | (Dict { ids, dict }, Utf8(a)) => {
                 a.len() == ids.len() && a.iter().zip(ids).all(|(s, &id)| s == dict.get(id))
-            }
-            (DictInt { ids: a, dict: da }, DictInt { ids: b, dict: db }) => {
-                if Arc::ptr_eq(da, db) || da == db {
-                    a == b
-                } else {
-                    a.len() == b.len() && a.iter().zip(b).all(|(&x, &y)| da.get(x) == db.get(y))
-                }
-            }
-            (Int64(a), DictInt { ids, dict }) | (DictInt { ids, dict }, Int64(a)) => {
-                a.len() == ids.len() && a.iter().zip(ids).all(|(&x, &id)| x == dict.get(id))
             }
             _ => false,
         }

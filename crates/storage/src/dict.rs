@@ -113,17 +113,12 @@ impl PartialEq for Dictionary {
     }
 }
 
-/// An interning table for one low-cardinality integer column (dates, enum
-/// codes, small foreign keys): the `i64` twin of [`Dictionary`].
-///
-/// Entry order is first-appearance order over the column scanned top to
-/// bottom, so two identical tables always produce bit-identical dictionaries
-/// (the same workspace determinism requirement the string dictionary meets).
-/// Unlike strings, integer entries are their own canonical key — no shared
-/// allocation games are needed, and key encoders can use the decoded value
-/// inline instead of translating ids between dictionaries.
-#[derive(Debug, Clone, Default)]
-pub struct IntDict {
+/// The first-appearance interner of the int `Dict` page codec
+/// ([`crate::pages`]): it numbers a page's distinct values on encode and
+/// rejects duplicate entries on decode. An int column itself is always
+/// `Int64` — the dictionary lives only inside the page bytes.
+#[derive(Debug, Default)]
+pub(crate) struct IntDict {
     /// Distinct values, indexed by id.
     values: Vec<i64>,
     /// Reverse index: value → id.
@@ -132,20 +127,20 @@ pub struct IntDict {
 
 impl IntDict {
     /// An empty dictionary.
-    pub fn new() -> IntDict {
+    pub(crate) fn new() -> IntDict {
         IntDict::default()
     }
 
     /// Interns a sequence of integers, returning the dictionary and the id
     /// of each input value in order.
-    pub fn encode(values: impl Iterator<Item = i64>) -> (IntDict, Vec<u32>) {
+    pub(crate) fn encode(values: impl Iterator<Item = i64>) -> (IntDict, Vec<u32>) {
         let mut dict = IntDict::new();
         let ids = values.map(|x| dict.intern(x)).collect();
         (dict, ids)
     }
 
     /// Returns the id of `x`, interning it if new.
-    pub fn intern(&mut self, x: i64) -> u32 {
+    pub(crate) fn intern(&mut self, x: i64) -> u32 {
         if let Some(&id) = self.index.get(&x) {
             return id;
         }
@@ -157,36 +152,18 @@ impl IntDict {
 
     /// The value for an id. Panics if the id was not produced by this
     /// dictionary.
-    pub fn get(&self, id: u32) -> i64 {
+    pub(crate) fn get(&self, id: u32) -> i64 {
         self.values[id as usize]
     }
 
-    /// The id of `x`, if it was interned.
-    pub fn id_of(&self, x: i64) -> Option<u32> {
-        self.index.get(&x).copied()
-    }
-
-    /// Number of distinct entries — the exact NDV of the encoded column.
-    pub fn len(&self) -> usize {
+    /// Number of distinct entries.
+    pub(crate) fn len(&self) -> usize {
         self.values.len()
     }
 
-    /// `true` when no values have been interned.
-    pub fn is_empty(&self) -> bool {
-        self.values.is_empty()
-    }
-
     /// All entries in id order.
-    pub fn values(&self) -> &[i64] {
+    pub(crate) fn values(&self) -> &[i64] {
         &self.values
-    }
-}
-
-/// Int dictionaries compare by entry list (the reverse index is derived
-/// state).
-impl PartialEq for IntDict {
-    fn eq(&self, other: &Self) -> bool {
-        self.values == other.values
     }
 }
 
@@ -255,18 +232,5 @@ mod tests {
         assert_eq!(dict.values(), &[20240107, 20240101, 20240102]);
         assert_eq!(ids, vec![0, 1, 0, 2]);
         assert_eq!(dict.get(2), 20240102);
-        assert_eq!(dict.id_of(20240101), Some(1));
-        assert_eq!(dict.id_of(7), None);
-    }
-
-    #[test]
-    fn int_dict_equality_ignores_index_layout() {
-        let (a, _) = IntDict::encode([5, -2].into_iter());
-        let mut b = IntDict::new();
-        b.intern(5);
-        b.intern(-2);
-        assert_eq!(a, b);
-        b.intern(9);
-        assert_ne!(a, b);
     }
 }

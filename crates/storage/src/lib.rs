@@ -22,6 +22,11 @@
 //! keeps every operator and model in the workspace materially simpler
 //! without affecting any experiment's shape.
 
+// Library code reports malformed input as `CiError`, never by unwrapping;
+// CI's clippy step fails the day an unwrap comes back. (`expect` stays for
+// documented invariants, e.g. the bit-unpack kernels' `"8 bytes"`.)
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
+
 pub mod batch;
 pub mod column;
 pub mod dict;
@@ -43,5 +48,5 @@ pub use pruning::ColumnBound;
 pub use schema::{Field, Schema};
 pub use selection::SelectionVector;
 pub use table::{Table, TableBuilder};
-pub use tiers::{ObjectStoreDir, PageSourceMode, ServedFrom, StoredDict, StoredTable, TierStore};
+pub use tiers::{ObjectStoreDir, PageSourceMode, ServedFrom, StoredTable, TierStore};
 pub use value::{DataType, Value};

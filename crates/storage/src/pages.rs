@@ -45,12 +45,13 @@
 //!   wrapping, so the codec is exact for any `i64` input.
 //!
 //! [`decode_column`] inverts [`encode_column`] for every codec and
-//! [`ColumnData`] variant: values round-trip exactly (Dict pages decode back
-//! to dict-encoded columns; Rle/Plain string pages decode to owned strings —
-//! equal under the workspace's decoded-value column equality). Malformed
-//! bytes are rejected with `Err`, never a panic, and declared sizes are
-//! validated against the actual payload *before* any row-proportional
-//! allocation, so a forged header cannot over-allocate.
+//! [`ColumnData`] variant: values round-trip exactly (string Dict pages
+//! decode to dict-encoded columns, int Dict pages to `Int64` — for ints the
+//! dictionary is a codec, not a column form; Rle/Plain string pages decode
+//! to owned strings — equal under the workspace's decoded-value column
+//! equality). Malformed bytes are rejected with `Err`, never a panic, and
+//! declared sizes are validated against the actual payload *before* any
+//! row-proportional allocation, so a forged header cannot over-allocate.
 //!
 //! Sizing and serializing share one derivation, **sketch → plan →
 //! `bytes` / `emit`**: one fused pass over a column's rows (read through a
@@ -585,18 +586,14 @@ macro_rules! each_row {
 }
 
 /// Evaluates `$body` with `$it` bound to the rows' values as `i64`s — ints
-/// as they are, dictionary ints decoded, bools as 0/1, floats as their IEEE
-/// bits — so one sketch and one emitter serve every fixed-width column.
-/// String columns evaluate `$strs` instead.
+/// as they are, bools as 0/1, floats as their IEEE bits — so one sketch and
+/// one emitter serve every fixed-width column. String columns evaluate
+/// `$strs` instead.
 macro_rules! fixed_values {
     ($rows:expr, |$it:ident| $body:expr, else $strs:expr) => {
         match $rows.col {
             ColumnData::Int64(v) => each_row!(v, $rows.sel, |r| {
                 let $it = r.copied();
-                $body
-            }),
-            ColumnData::DictInt { ids, dict } => each_row!(ids, $rows.sel, |r| {
-                let $it = r.map(|&id| dict.get(id));
                 $body
             }),
             ColumnData::Bool(v) => each_row!(v, $rows.sel, |r| {
@@ -846,12 +843,10 @@ impl ColumnPlan {
         scratch: &mut PlanScratch,
     ) -> Result<ColumnPlan> {
         let (dt, n) = (rows.col.data_type(), rows.len());
-        let int_dict_cap = match (only, rows.col) {
-            (Some(PageCodec::Dict), _) => usize::MAX,
-            (Some(_), _) => 0,
-            // A dictionary-encoded column's NDV is bounded by its dictionary.
-            (None, ColumnData::DictInt { .. }) if int_dict_cap > 0 => usize::MAX,
-            (None, _) => int_dict_cap,
+        let int_dict_cap = match only {
+            Some(PageCodec::Dict) => usize::MAX,
+            Some(_) => 0,
+            None => int_dict_cap,
         };
         let sketch = fixed_values!(
             rows,
@@ -1225,8 +1220,7 @@ pub fn encode_best(col: &ColumnData) -> Result<(EncodedPage, Vec<u8>)> {
 }
 
 /// Encodes an int column under the size-picked codec with `Dict` left out
-/// of the race: the page decodes back to a plain `Int64` column, never to a
-/// fresh page-local dictionary.
+/// of the race — the codec set tier files store int columns under.
 pub(crate) fn encode_best_no_dict(col: &ColumnData) -> Result<Vec<u8>> {
     Ok(ColumnPlan::page(col, None, 0)?.encode(col)?.1)
 }
@@ -1235,21 +1229,26 @@ pub(crate) fn encode_best_no_dict(col: &ColumnData) -> Result<Vec<u8>> {
 // Decoding
 // ---------------------------------------------------------------------------
 
-/// A bounds-checked little-endian reader over page bytes.
-struct Cursor<'a> {
+/// A bounds-checked little-endian reader over page bytes — and over the
+/// `CIPF` / `CIPT` containers that carry them (`tiers.rs`).
+pub(crate) struct Cursor<'a> {
     bytes: &'a [u8],
     at: usize,
 }
 
 impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8]> {
+    pub(crate) fn new(bytes: &'a [u8]) -> Cursor<'a> {
+        Cursor { bytes, at: 0 }
+    }
+
+    pub(crate) fn take(&mut self, n: usize) -> Result<&'a [u8]> {
         let end = self
             .at
             .checked_add(n)
             .filter(|&e| e <= self.bytes.len())
             .ok_or_else(|| {
                 err(format!(
-                    "truncated page: need {n} bytes at offset {}, have {}",
+                    "truncated input: need {n} bytes at offset {}, have {}",
                     self.at,
                     self.bytes.len().saturating_sub(self.at)
                 ))
@@ -1259,17 +1258,21 @@ impl<'a> Cursor<'a> {
         Ok(s)
     }
 
-    fn u8(&mut self) -> Result<u8> {
+    pub(crate) fn u8(&mut self) -> Result<u8> {
         Ok(self.take(1)?[0])
     }
 
-    fn u32(&mut self) -> Result<u32> {
+    pub(crate) fn u16(&mut self) -> Result<u16> {
+        Ok(u16::from_le_bytes([self.u8()?, self.u8()?]))
+    }
+
+    pub(crate) fn u32(&mut self) -> Result<u32> {
         Ok(u32::from_le_bytes(
             self.take(4)?.try_into().expect("4 bytes"),
         ))
     }
 
-    fn u64(&mut self) -> Result<u64> {
+    pub(crate) fn u64(&mut self) -> Result<u64> {
         Ok(u64::from_le_bytes(
             self.take(8)?.try_into().expect("8 bytes"),
         ))
@@ -1282,7 +1285,7 @@ impl<'a> Cursor<'a> {
     }
 
     /// Bytes left to read.
-    fn remaining(&self) -> u64 {
+    pub(crate) fn remaining(&self) -> u64 {
         (self.bytes.len() - self.at) as u64
     }
 
@@ -1300,7 +1303,7 @@ impl<'a> Cursor<'a> {
         }
     }
 
-    fn done(&self) -> Result<()> {
+    pub(crate) fn done(&self) -> Result<()> {
         if self.at == self.bytes.len() {
             Ok(())
         } else {
@@ -1390,7 +1393,7 @@ fn parse_header(c: &mut Cursor) -> Result<PageHeader> {
 /// payload before any row-proportional allocation. Wire-stream pages
 /// (flagged, dictionary-by-reference) need a [`WireDecoder`].
 pub fn decode_column(bytes: &[u8]) -> Result<ColumnData> {
-    let mut c = Cursor { bytes, at: 0 };
+    let mut c = Cursor::new(bytes);
     let h = parse_header(&mut c)?;
     if h.flags & (PAGE_FLAG_WIRE_STREAM | PAGE_FLAG_DICT_REF) != 0 {
         return Err(err(
@@ -1461,10 +1464,7 @@ fn decode_payload(
             DataType::Int64 => {
                 let dict = read_int_dictionary_section(c)?;
                 let ids = read_packed_ids(c, rows, dict.len())?;
-                ColumnData::DictInt {
-                    ids,
-                    dict: Arc::new(dict),
-                }
+                ColumnData::Int64(ids.into_iter().map(|id| dict.get(id)).collect())
             }
             _ => return Err(err(format!("dict page with unsupported dtype {dt}"))),
         },
@@ -1623,9 +1623,9 @@ fn decode_bool(b: u8) -> Result<bool> {
 /// Reads an inline dictionary section (`u32` entry count, then
 /// length-prefixed entries), validating the declared count against the
 /// remaining payload before interning and rejecting duplicate entries.
-/// Shared by storage Dict pages and wire dictionary transfers so the two
-/// decoders can never drift.
-fn read_dictionary_section(c: &mut Cursor) -> Result<Dictionary> {
+/// Shared by storage Dict pages, wire dictionary transfers and `CIPT`
+/// manifests so the decoders can never drift.
+pub(crate) fn read_dictionary_section(c: &mut Cursor) -> Result<Dictionary> {
     let entries = c.u32()? as usize;
     c.need(entries as u64 * 4)?;
     let mut dict = Dictionary::new();
@@ -1642,10 +1642,11 @@ fn read_dictionary_section(c: &mut Cursor) -> Result<Dictionary> {
     Ok(dict)
 }
 
-/// Reads an int dictionary section (`u32` entry count, then raw 8-byte
-/// entries), validating the declared count against the remaining payload
-/// before interning and rejecting duplicate entries — the [`IntDict`] twin
-/// of [`read_dictionary_section`].
+/// Reads the dictionary section of an int Dict page (`u32` entry count,
+/// then raw 8-byte entries), validating the declared count against the
+/// remaining payload before interning and rejecting duplicate entries. The
+/// page's ids are looked up through it as they decode, so the column comes
+/// back as `Int64`.
 fn read_int_dictionary_section(c: &mut Cursor) -> Result<IntDict> {
     let entries = c.u32()? as usize;
     c.need(entries as u64 * 8)?;
@@ -1665,8 +1666,8 @@ fn read_int_dictionary_section(c: &mut Cursor) -> Result<IntDict> {
 /// Reads a bit-packed ids section (`u8` width, then the packed ids) for a
 /// dictionary of `entries`, validating the width, the payload size (before
 /// any row-proportional allocation), and every id's range. Shared by
-/// storage Dict pages and both wire dict page forms.
-fn read_packed_ids(c: &mut Cursor, rows: usize, entries: usize) -> Result<Vec<u32>> {
+/// storage Dict pages, both wire dict page forms and `CIPF` dict-ref columns.
+pub(crate) fn read_packed_ids(c: &mut Cursor, rows: usize, entries: usize) -> Result<Vec<u32>> {
     let width = c.u8()? as u32;
     if width > 32 || (entries > 1 && width < id_bit_width(entries)) {
         return Err(err(format!(
@@ -2146,7 +2147,7 @@ impl WireDecoder {
     /// dict pages resolve through the cache and decode to dict columns
     /// sharing the cached `Arc`.
     pub fn decode_column(&mut self, bytes: &[u8]) -> Result<ColumnData> {
-        let mut c = Cursor { bytes, at: 0 };
+        let mut c = Cursor::new(bytes);
         let h = parse_header(&mut c)?;
         if h.flags & PAGE_FLAG_WIRE_STREAM == 0 {
             if h.flags != 0 {
@@ -2273,8 +2274,8 @@ mod tests {
 
     #[test]
     fn no_dict_pick_is_the_argmin_over_the_other_candidates() {
-        // What tier files store for plain int columns: the smallest page
-        // that decodes back to `Int64` — here Dict would win outright.
+        // What tier files store for int columns: the smallest page but
+        // Dict — here Dict would win outright.
         let col = ColumnData::Int64((0..2_000).map(|i| (i * 7 % 5) * 0x0123_4567_89ab).collect());
         assert_eq!(pick_codec(&col), PageCodec::Dict);
         let smallest = PageCodec::candidates(DataType::Int64)
@@ -2283,7 +2284,7 @@ mod tests {
             .min_by_key(Vec::len)
             .unwrap();
         assert_eq!(encode_best_no_dict(&col).unwrap(), smallest);
-        assert!(decode_column(&smallest).unwrap().as_int_dict().is_none());
+        assert_eq!(decode_column(&smallest).unwrap(), col);
     }
 
     #[test]

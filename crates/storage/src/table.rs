@@ -6,7 +6,7 @@ use ci_types::{CiError, Result, TableId};
 
 use crate::batch::RecordBatch;
 use crate::column::ColumnData;
-use crate::dict::{Dictionary, IntDict};
+use crate::dict::Dictionary;
 use crate::partition::MicroPartition;
 use crate::pruning::ColumnBound;
 use crate::schema::SchemaRef;
@@ -160,71 +160,6 @@ impl Table {
             part.batch = batch;
         }
         self
-    }
-
-    /// Dictionary-encodes every `Int64` column whose exact NDV is at most
-    /// `max_ndv`: one [`IntDict`] per qualifying column is interned across
-    /// all partitions (in storage order, so the encoding is deterministic)
-    /// and shared by every partition's batch via `Arc` — the integer twin of
-    /// [`Table::dict_encoded`], for dates and enum codes. Values, zone maps,
-    /// `stored_bytes`, and page accounting are unchanged (the page codec
-    /// picker sees through int encodings exactly as it does string ones).
-    /// Opt-in rather than applied at catalog registration; idempotent.
-    pub fn dict_encoded_ints(mut self, max_ndv: usize) -> Table {
-        let int_cols: Vec<usize> = (0..self.schema.arity())
-            .filter(|&i| self.schema.field(i).data_type == DataType::Int64)
-            .filter(|&i| {
-                self.partitions
-                    .iter()
-                    .any(|p| matches!(p.batch.column(i), ColumnData::Int64(_)))
-            })
-            .collect();
-        if int_cols.is_empty() {
-            return self;
-        }
-        for ci in int_cols {
-            let mut dict = IntDict::new();
-            let mut per_part: Vec<Vec<u32>> = Vec::with_capacity(self.partitions.len());
-            for p in &self.partitions {
-                let ids: Vec<u32> = match p.batch.column(ci) {
-                    ColumnData::Int64(v) => v.iter().map(|&x| dict.intern(x)).collect(),
-                    ColumnData::DictInt { ids, dict: d } => {
-                        ids.iter().map(|&id| dict.intern(d.get(id))).collect()
-                    }
-                    other => unreachable!("Int64 schema field holds {}", other.data_type()),
-                };
-                per_part.push(ids);
-            }
-            if dict.len() > max_ndv {
-                continue;
-            }
-            let dict = Arc::new(dict);
-            for (pi, part) in self.partitions.iter_mut().enumerate() {
-                let mut columns: Vec<Arc<ColumnData>> = part.batch.columns().to_vec();
-                columns[ci] = Arc::new(ColumnData::DictInt {
-                    ids: std::mem::take(&mut per_part[pi]),
-                    dict: dict.clone(),
-                });
-                part.batch = RecordBatch::from_arcs(part.batch.schema().clone(), columns)
-                    .expect("dict encoding preserves shape");
-            }
-        }
-        self
-    }
-
-    /// The shared int dictionary of column `i`, when every partition holds
-    /// the same dict encoding for it (the invariant
-    /// [`Table::dict_encoded_ints`] establishes).
-    pub fn column_int_dictionary(&self, i: usize) -> Option<&Arc<IntDict>> {
-        let mut parts = self.partitions.iter();
-        let (_, first) = parts.next()?.batch.column(i).as_int_dict()?;
-        for p in parts {
-            let (_, d) = p.batch.column(i).as_int_dict()?;
-            if !Arc::ptr_eq(first, d) {
-                return None;
-            }
-        }
-        Some(first)
     }
 
     /// The shared dictionary of column `i`, when every partition holds the

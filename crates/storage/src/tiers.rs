@@ -25,21 +25,20 @@
 //! ```
 //!
 //! Column kinds: `0` = a self-contained CIPG page ([`crate::pages`]);
-//! `1` / `2` = bit-packed ids referencing the table-wide string / int
-//! dictionary from the manifest. Dict-ref columns exist so a decoded
-//! partition attaches the *same* `Arc`'d dictionary the in-memory table
-//! shares — wire-level dictionary deduplication (ship-once) and therefore
-//! Dollars stay identical to the in-memory path.
+//! `1` = bit-packed ids referencing the table-wide string dictionary from
+//! the manifest. Dict-ref columns exist so a decoded partition attaches the
+//! *same* `Arc`'d dictionary the in-memory table shares — wire-level
+//! dictionary deduplication (ship-once) and therefore Dollars stay
+//! identical to the in-memory path. Kind `2` (a reference to a table-wide
+//! int dictionary) and manifest dictionary kind `2` are retired: an int
+//! column is always `Int64`, and the reader rejects both like any unknown
+//! kind.
 //!
 //! Every malformed input — truncation, flipped bytes, forged lengths —
-//! surfaces as [`CiError::Storage`], never a panic, and length fields are
-//! validated against the actual file size *before* any proportional
-//! allocation.
-//!
-//! Decoded-value fidelity: inline (kind 0) columns restrict the codec
-//! choice so decoding reproduces the in-memory representation exactly
-//! (plain ints stay plain rather than resurfacing as fresh per-partition
-//! dictionaries), which keeps exchange wire accounting source-invariant.
+//! surfaces as [`CiError::Storage`] naming the file, never a panic, and
+//! length fields are validated against the actual file size *before* any
+//! proportional allocation. Headers, manifests and payloads are all read
+//! through the pages' bounds-checked cursor.
 
 use std::collections::HashMap;
 use std::path::{Path, PathBuf};
@@ -50,9 +49,10 @@ use ci_types::{CiError, Result, TableId};
 
 use crate::batch::RecordBatch;
 use crate::column::ColumnData;
-use crate::dict::{Dictionary, IntDict};
+use crate::dict::Dictionary;
 use crate::pages::{
-    self, encode_best, encode_column, id_bit_width, packed_id_bytes, PageCodec, MAX_DECODE_ROWS,
+    self, encode_best, encode_column, id_bit_width, read_dictionary_section, read_packed_ids,
+    Cursor, PageCodec, MAX_DECODE_ROWS,
 };
 use crate::schema::SchemaRef;
 use crate::table::Table;
@@ -69,7 +69,6 @@ pub const TIER_HEADER_BYTES: usize = 28;
 /// Column payload kinds inside a `CIPF` file.
 const KIND_PAGE: u8 = 0;
 const KIND_DICT_REF: u8 = 1;
-const KIND_INT_DICT_REF: u8 = 2;
 
 fn serr(msg: String) -> CiError {
     CiError::Storage(msg)
@@ -101,22 +100,6 @@ pub enum PageSourceMode {
     Tiered,
 }
 
-// ---------------------------------------------------------------------------
-// Table-wide dictionaries
-// ---------------------------------------------------------------------------
-
-/// Per-column table-wide dictionary, pinned so every decoded partition
-/// shares one `Arc` (identity matters for wire ship-once accounting).
-#[derive(Debug, Clone)]
-pub enum StoredDict {
-    /// No table-wide dictionary for this column.
-    None,
-    /// Shared string dictionary.
-    Str(Arc<Dictionary>),
-    /// Shared integer dictionary.
-    Int(Arc<IntDict>),
-}
-
 /// One table registered in an [`ObjectStoreDir`]: its schema, partition
 /// count, on-disk location, and pinned dictionaries.
 #[derive(Debug)]
@@ -127,27 +110,24 @@ pub struct StoredTable {
     pub schema: SchemaRef,
     /// Number of partition files.
     pub parts: usize,
-    dicts: Vec<StoredDict>,
+    /// Per-column table-wide string dictionary, pinned so every decoded
+    /// partition shares one `Arc` (identity matters for wire ship-once
+    /// accounting).
+    dicts: Vec<Option<Arc<Dictionary>>>,
     /// Identity of the source `Arc<Table>` used for idempotent re-writes
     /// (0 when attached from disk without a source table).
     ident: usize,
-}
-
-impl StoredTable {
-    /// The pinned dictionary of column `i`.
-    pub fn dict(&self, i: usize) -> &StoredDict {
-        &self.dicts[i]
-    }
 }
 
 // ---------------------------------------------------------------------------
 // Encoding
 // ---------------------------------------------------------------------------
 
-/// Encodes one column as a kind-0 inline page whose decode reproduces the
-/// in-memory representation exactly: plain int columns never pick the Dict
-/// codec (which would decode into a fresh per-partition dictionary), and
-/// plain string columns stay Plain.
+/// Encodes one column as a kind-0 inline page. Int columns race every
+/// codec but `Dict`: `stored_bytes_per_user_byte` reads these files' sizes
+/// on `scan_disk` / `scan_tiered` / `write_path`, so storing ints under a
+/// different codec is its own measured change. Owned string columns stay
+/// Plain, so they never decode into a fresh per-partition dictionary.
 fn inline_page_bytes(col: &ColumnData) -> Result<Vec<u8>> {
     match col {
         ColumnData::Int64(_) => pages::encode_best_no_dict(col),
@@ -160,10 +140,6 @@ fn inline_page_bytes(col: &ColumnData) -> Result<Vec<u8>> {
         ColumnData::Dict { ids, dict } => {
             let vals: Vec<String> = ids.iter().map(|&id| dict.get(id).to_string()).collect();
             Ok(encode_column(&ColumnData::Utf8(vals), PageCodec::Plain)?.1)
-        }
-        ColumnData::DictInt { ids, dict } => {
-            let vals: Vec<i64> = ids.iter().map(|&id| dict.get(id)).collect();
-            inline_page_bytes(&ColumnData::Int64(vals))
         }
     }
 }
@@ -180,7 +156,7 @@ fn push_header(out: &mut Vec<u8>, magic: [u8; 4], cols: u16, rows: u32, payload:
 }
 
 /// Serializes one dense partition batch against the table-wide dicts.
-fn encode_partition(batch: &RecordBatch, dicts: &[StoredDict]) -> Result<Vec<u8>> {
+fn encode_partition(batch: &RecordBatch, dicts: &[Option<Arc<Dictionary>>]) -> Result<Vec<u8>> {
     let rows = batch.rows();
     if rows > MAX_DECODE_ROWS {
         return Err(serr(format!(
@@ -190,17 +166,11 @@ fn encode_partition(batch: &RecordBatch, dicts: &[StoredDict]) -> Result<Vec<u8>
     let mut payload = Vec::new();
     for (i, col) in batch.columns().iter().enumerate() {
         let (kind, blob) = match (col.as_ref(), &dicts[i]) {
-            (ColumnData::Dict { ids, dict }, StoredDict::Str(td)) if Arc::ptr_eq(dict, td) => {
+            (ColumnData::Dict { ids, dict }, Some(td)) if Arc::ptr_eq(dict, td) => {
                 let width = id_bit_width(td.len());
                 let mut b = vec![width as u8];
                 pages::pack_ids(&mut b, ids.iter().copied(), width);
                 (KIND_DICT_REF, b)
-            }
-            (ColumnData::DictInt { ids, dict }, StoredDict::Int(td)) if Arc::ptr_eq(dict, td) => {
-                let width = id_bit_width(td.len());
-                let mut b = vec![width as u8];
-                pages::pack_ids(&mut b, ids.iter().copied(), width);
-                (KIND_INT_DICT_REF, b)
             }
             _ => (KIND_PAGE, inline_page_bytes(col)?),
         };
@@ -220,24 +190,17 @@ fn encode_partition(batch: &RecordBatch, dicts: &[StoredDict]) -> Result<Vec<u8>
 }
 
 /// Serializes the table manifest: per-column table-wide dictionaries.
-fn encode_manifest(dicts: &[StoredDict], parts: usize) -> Vec<u8> {
+fn encode_manifest(dicts: &[Option<Arc<Dictionary>>], parts: usize) -> Vec<u8> {
     let mut payload = Vec::new();
     for d in dicts {
         match d {
-            StoredDict::None => payload.push(0),
-            StoredDict::Str(dict) => {
+            None => payload.push(0),
+            Some(dict) => {
                 payload.push(1);
                 payload.extend_from_slice(&(dict.len() as u32).to_le_bytes());
                 for v in dict.values() {
                     payload.extend_from_slice(&(v.len() as u32).to_le_bytes());
                     payload.extend_from_slice(v.as_bytes());
-                }
-            }
-            StoredDict::Int(dict) => {
-                payload.push(2);
-                payload.extend_from_slice(&(dict.len() as u32).to_le_bytes());
-                for &v in dict.values() {
-                    payload.extend_from_slice(&v.to_le_bytes());
                 }
             }
         }
@@ -257,255 +220,135 @@ fn encode_manifest(dicts: &[StoredDict], parts: usize) -> Vec<u8> {
 // Decoding
 // ---------------------------------------------------------------------------
 
-struct TierCursor<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-    what: &'a str,
-}
-
-impl<'a> TierCursor<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8]> {
-        if self.bytes.len() - self.pos < n {
-            return Err(serr(format!(
-                "{}: truncated payload (need {n} bytes at offset {}, have {})",
-                self.what,
-                self.pos,
-                self.bytes.len() - self.pos
-            )));
-        }
-        let s = &self.bytes[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(s)
-    }
-
-    fn u8(&mut self) -> Result<u8> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn i64(&mut self) -> Result<i64> {
-        Ok(i64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn done(&self) -> bool {
-        self.pos == self.bytes.len()
-    }
+/// Names the file a decode error came from.
+fn in_file(path: &Path) -> impl FnOnce(CiError) -> CiError + '_ {
+    move |e| serr(format!("{}: {e}", path.display()))
 }
 
 /// Validates a container header against the actual byte length and returns
 /// `(cols, rows, payload)`. Checksums the payload.
-fn open_container<'a>(bytes: &'a [u8], magic: [u8; 4], what: &str) -> Result<(u16, u32, &'a [u8])> {
-    if bytes.len() < TIER_HEADER_BYTES {
+fn open_container(bytes: &[u8], magic: [u8; 4]) -> Result<(u16, u32, &[u8])> {
+    let mut c = Cursor::new(bytes);
+    let found = c.take(4)?;
+    if found != magic {
+        return Err(serr(format!("bad magic {found:02x?} (want {magic:02x?})")));
+    }
+    let version = c.u8()?;
+    if version != TIER_FILE_VERSION {
         return Err(serr(format!(
-            "{what}: file of {} bytes is shorter than the {TIER_HEADER_BYTES}-byte header",
-            bytes.len()
+            "unsupported version {version} (want {TIER_FILE_VERSION})"
         )));
     }
-    if bytes[0..4] != magic {
-        return Err(serr(format!(
-            "{what}: bad magic {:02x?} (want {:02x?})",
-            &bytes[0..4],
-            magic
-        )));
+    let flags = c.u8()?;
+    if flags != 0 {
+        return Err(serr(format!("unknown flags {flags:#x}")));
     }
-    if bytes[4] != TIER_FILE_VERSION {
-        return Err(serr(format!(
-            "{what}: unsupported version {} (want {TIER_FILE_VERSION})",
-            bytes[4]
-        )));
-    }
-    if bytes[5] != 0 {
-        return Err(serr(format!("{what}: unknown flags {:#x}", bytes[5])));
-    }
-    let cols = u16::from_le_bytes(bytes[6..8].try_into().unwrap());
-    let rows = u32::from_le_bytes(bytes[8..12].try_into().unwrap());
-    let payload_len = u64::from_le_bytes(bytes[12..20].try_into().unwrap());
-    let checksum = u64::from_le_bytes(bytes[20..28].try_into().unwrap());
+    let (cols, rows) = (c.u16()?, c.u32()?);
+    let (payload_len, checksum) = (c.u64()?, c.u64()?);
     // Forged lengths fail here, against the real file size, before any
     // payload-proportional allocation.
-    if payload_len != (bytes.len() - TIER_HEADER_BYTES) as u64 {
+    if payload_len != c.remaining() {
         return Err(serr(format!(
-            "{what}: payload length {payload_len} disagrees with file size {}",
+            "payload length {payload_len} disagrees with file size {}",
             bytes.len()
         )));
     }
-    let payload = &bytes[TIER_HEADER_BYTES..];
+    let payload = c.take(payload_len as usize)?;
     let actual = fnv1a64(payload);
     if actual != checksum {
         return Err(serr(format!(
-            "{what}: checksum mismatch (stored {checksum:#018x}, computed {actual:#018x})"
+            "checksum mismatch (stored {checksum:#018x}, computed {actual:#018x})"
         )));
     }
     Ok((cols, rows, payload))
 }
 
-/// Decodes a dict-ref blob (`width u8 | packed ids`) against `entries`.
-fn decode_dict_ref(blob: &[u8], rows: usize, entries: usize, what: &str) -> Result<Vec<u32>> {
-    if blob.is_empty() {
-        return Err(serr(format!("{what}: empty dict-ref blob")));
-    }
-    let width = blob[0] as u32;
-    if width > 32 || (entries > 1 && width < id_bit_width(entries)) {
-        return Err(serr(format!(
-            "{what}: dict-ref bit width {width} invalid for {entries} entries"
-        )));
-    }
-    if rows > 0 && entries == 0 {
-        return Err(serr(format!("{what}: {rows} rows but empty dictionary")));
-    }
-    let expect = packed_id_bytes(rows, width);
-    if (blob.len() - 1) as u64 != expect {
-        return Err(serr(format!(
-            "{what}: dict-ref blob holds {} packed bytes, want {expect}",
-            blob.len() - 1
-        )));
-    }
-    let ids = pages::unpack_ids(&blob[1..], rows, width)?;
-    if let Some(&bad) = ids.iter().find(|&&id| id as usize >= entries.max(1)) {
-        return Err(serr(format!(
-            "{what}: dict-ref id {bad} out of range for {entries} entries"
-        )));
-    }
-    Ok(ids)
-}
-
 /// Decodes one `CIPF` partition file against a table's schema + dicts.
-fn decode_partition(bytes: &[u8], stored: &StoredTable, what: &str) -> Result<RecordBatch> {
-    let (cols, rows, payload) = open_container(bytes, PART_MAGIC, what)?;
+fn decode_partition(bytes: &[u8], stored: &StoredTable) -> Result<RecordBatch> {
+    let (cols, rows, payload) = open_container(bytes, PART_MAGIC)?;
     if cols as usize != stored.schema.arity() {
         return Err(serr(format!(
-            "{what}: {cols} columns, schema has {}",
+            "{cols} columns, schema has {}",
             stored.schema.arity()
         )));
     }
     let rows = rows as usize;
     if rows > MAX_DECODE_ROWS {
         return Err(serr(format!(
-            "{what}: {rows} rows exceeds the decoder bound of {MAX_DECODE_ROWS}"
+            "{rows} rows exceeds the decoder bound of {MAX_DECODE_ROWS}"
         )));
     }
-    let mut c = TierCursor {
-        bytes: payload,
-        pos: 0,
-        what,
-    };
+    let mut c = Cursor::new(payload);
     let mut out: Vec<ColumnData> = Vec::with_capacity(cols as usize);
     for i in 0..cols as usize {
         let kind = c.u8()?;
         let blob_len = c.u32()? as usize;
         let blob = c.take(blob_len)?;
-        let col = match kind {
-            KIND_PAGE => {
+        let col = match (kind, &stored.dicts[i]) {
+            (KIND_PAGE, _) => {
                 let col = pages::decode_column(blob)?;
                 if col.len() != rows {
                     return Err(serr(format!(
-                        "{what}: column {i} decoded {} rows, file declares {rows}",
+                        "column {i} decoded {} rows, file declares {rows}",
                         col.len()
                     )));
                 }
                 col
             }
-            KIND_DICT_REF => match &stored.dicts[i] {
-                StoredDict::Str(d) => ColumnData::Dict {
-                    ids: decode_dict_ref(blob, rows, d.len(), what)?,
+            (KIND_DICT_REF, Some(d)) => {
+                let mut ids = Cursor::new(blob);
+                let col = ColumnData::Dict {
+                    ids: read_packed_ids(&mut ids, rows, d.len())?,
                     dict: d.clone(),
-                },
-                _ => {
-                    return Err(serr(format!(
-                        "{what}: column {i} references a string dictionary the manifest lacks"
-                    )))
-                }
-            },
-            KIND_INT_DICT_REF => match &stored.dicts[i] {
-                StoredDict::Int(d) => ColumnData::DictInt {
-                    ids: decode_dict_ref(blob, rows, d.len(), what)?,
-                    dict: d.clone(),
-                },
-                _ => {
-                    return Err(serr(format!(
-                        "{what}: column {i} references an int dictionary the manifest lacks"
-                    )))
-                }
-            },
-            other => return Err(serr(format!("{what}: unknown column kind {other}"))),
+                };
+                ids.done()?;
+                col
+            }
+            (KIND_DICT_REF, None) => {
+                return Err(serr(format!(
+                    "column {i} references a string dictionary the manifest lacks"
+                )))
+            }
+            (other, _) => return Err(serr(format!("unknown column kind {other}"))),
         };
         if col.data_type() != stored.schema.field(i).data_type {
             return Err(serr(format!(
-                "{what}: column {i} decoded as {:?}, schema wants {:?}",
+                "column {i} decoded as {:?}, schema wants {:?}",
                 col.data_type(),
                 stored.schema.field(i).data_type
             )));
         }
         out.push(col);
     }
-    if !c.done() {
+    if c.remaining() != 0 {
         return Err(serr(format!(
-            "{what}: {} trailing payload bytes after the last column",
-            payload.len() - c.pos
+            "{} trailing payload bytes after the last column",
+            c.remaining()
         )));
     }
     RecordBatch::new(stored.schema.clone(), out)
-        .map_err(|e| serr(format!("{what}: malformed decoded batch: {e}")))
+        .map_err(|e| serr(format!("malformed decoded batch: {e}")))
 }
 
 /// Parses a `CIPT` manifest into `(parts, dicts)`.
-fn decode_manifest(bytes: &[u8], arity: usize, what: &str) -> Result<(usize, Vec<StoredDict>)> {
-    let (cols, parts, payload) = open_container(bytes, MANIFEST_MAGIC, what)?;
+fn decode_manifest(bytes: &[u8], arity: usize) -> Result<(usize, Vec<Option<Arc<Dictionary>>>)> {
+    let (cols, parts, payload) = open_container(bytes, MANIFEST_MAGIC)?;
     if cols as usize != arity {
         return Err(serr(format!(
-            "{what}: manifest covers {cols} columns, schema has {arity}"
+            "manifest covers {cols} columns, schema has {arity}"
         )));
     }
-    let mut c = TierCursor {
-        bytes: payload,
-        pos: 0,
-        what,
-    };
+    let mut c = Cursor::new(payload);
     let mut dicts = Vec::with_capacity(arity);
-    for i in 0..arity {
+    for _ in 0..arity {
         match c.u8()? {
-            0 => dicts.push(StoredDict::None),
-            1 => {
-                let n = c.u32()? as usize;
-                let mut d = Dictionary::new();
-                for _ in 0..n {
-                    let len = c.u32()? as usize;
-                    let raw = c.take(len)?;
-                    let s = std::str::from_utf8(raw)
-                        .map_err(|_| serr(format!("{what}: non-UTF-8 dictionary entry")))?;
-                    d.intern(s);
-                }
-                if d.len() != n {
-                    return Err(serr(format!(
-                        "{what}: column {i} dictionary holds duplicate entries"
-                    )));
-                }
-                dicts.push(StoredDict::Str(Arc::new(d)));
-            }
-            2 => {
-                let n = c.u32()? as usize;
-                let mut d = IntDict::new();
-                for _ in 0..n {
-                    let v = c.i64()?;
-                    d.intern(v);
-                }
-                if d.len() != n {
-                    return Err(serr(format!(
-                        "{what}: column {i} int dictionary holds duplicate entries"
-                    )));
-                }
-                dicts.push(StoredDict::Int(Arc::new(d)));
-            }
-            other => return Err(serr(format!("{what}: unknown dictionary kind {other}"))),
+            0 => dicts.push(None),
+            1 => dicts.push(Some(Arc::new(read_dictionary_section(&mut c)?))),
+            other => return Err(serr(format!("unknown dictionary kind {other}"))),
         }
     }
-    if !c.done() {
-        return Err(serr(format!(
-            "{what}: trailing bytes after the last dictionary"
-        )));
+    if c.remaining() != 0 {
+        return Err(serr("trailing bytes after the last dictionary".into()));
     }
     Ok((parts as usize, dicts))
 }
@@ -601,16 +444,8 @@ impl ObjectStoreDir {
                 return Ok(st.clone());
             }
         }
-        let dicts: Vec<StoredDict> = (0..table.schema.arity())
-            .map(|i| {
-                if let Some(d) = table.column_dictionary(i) {
-                    StoredDict::Str(d.clone())
-                } else if let Some(d) = table.column_int_dictionary(i) {
-                    StoredDict::Int(d.clone())
-                } else {
-                    StoredDict::None
-                }
-            })
+        let dicts: Vec<_> = (0..table.schema.arity())
+            .map(|i| table.column_dictionary(i).cloned())
             .collect();
         let dir = self.table_dir(table.id);
         std::fs::create_dir_all(&dir)
@@ -643,8 +478,7 @@ impl ObjectStoreDir {
         let mpath = dir.join("table.cipt");
         let bytes =
             std::fs::read(&mpath).map_err(|e| serr(format!("reading {}: {e}", mpath.display())))?;
-        let what = format!("{}", mpath.display());
-        let (parts, dicts) = decode_manifest(&bytes, schema.arity(), &what)?;
+        let (parts, dicts) = decode_manifest(&bytes, schema.arity()).map_err(in_file(&mpath))?;
         let st = Arc::new(StoredTable {
             dir,
             schema,
@@ -664,7 +498,7 @@ impl ObjectStoreDir {
         let path = self.partition_path(id, part);
         let bytes =
             std::fs::read(&path).map_err(|e| serr(format!("reading {}: {e}", path.display())))?;
-        decode_partition(&bytes, &stored, &format!("{}", path.display()))
+        decode_partition(&bytes, &stored).map_err(in_file(&path))
     }
 }
 
@@ -774,7 +608,7 @@ impl TierStore {
                 let stored = self.store.stored(id).ok_or_else(|| {
                     serr(format!("table {id} is not registered in the page store"))
                 })?;
-                let batch = decode_partition(&bytes, &stored, &format!("{}", ssd.display()))?;
+                let batch = decode_partition(&bytes, &stored).map_err(in_file(&ssd))?;
                 return Ok((batch, ServedFrom::Ssd));
             }
             // Not resident, or evicted since the caller last looked: the
@@ -828,7 +662,7 @@ mod tests {
         .unwrap();
         let mut b = TableBuilder::new(TableId::new(id), "sample", schema, 16).unwrap();
         b.append(batch).unwrap();
-        Arc::new(b.finish().unwrap().dict_encoded().dict_encoded_ints(16))
+        Arc::new(b.finish().unwrap().dict_encoded())
     }
 
     #[test]
@@ -843,9 +677,6 @@ mod tests {
             let (_, orig_dict) = part.batch.column(2).as_dict().unwrap();
             let (_, got_dict) = got.column(2).as_dict().unwrap();
             assert!(Arc::ptr_eq(orig_dict, got_dict));
-            let (_, oi) = part.batch.column(3).as_int_dict().unwrap();
-            let (_, gi) = got.column(3).as_int_dict().unwrap();
-            assert!(Arc::ptr_eq(oi, gi));
         }
     }
 

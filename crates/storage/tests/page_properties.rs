@@ -16,7 +16,8 @@ fn utf8(vals: &[String]) -> ColumnData {
 }
 
 /// Round-trips one column through every applicable codec, checking value
-/// equality and exact size accounting.
+/// equality, representation (an int column decodes to `Int64` under every
+/// codec, `Dict` included) and exact size accounting.
 fn check_round_trip(col: &ColumnData) -> Result<(), String> {
     for codec in PageCodec::candidates(col.data_type()) {
         let (meta, bytes) = encode_column(col, codec).map_err(|e| e.to_string())?;
@@ -38,6 +39,9 @@ fn check_round_trip(col: &ColumnData) -> Result<(), String> {
         let decoded = decode_column(&bytes).map_err(|e| e.to_string())?;
         if &decoded != col {
             return Err(format!("{codec:?}: decode(encode(c)) != c"));
+        }
+        if matches!(col, ColumnData::Int64(_)) && !matches!(decoded, ColumnData::Int64(_)) {
+            return Err(format!("{codec:?}: an int page decoded to {decoded:?}"));
         }
     }
     Ok(())
@@ -584,18 +588,6 @@ fn other_column() -> BoxedStrategy<ColumnData> {
             a,
             b
         )),
-        (int_column(), 0usize..6000, 0usize..6000).prop_map(move |(v, a, b)| {
-            window(ColumnData::Int64(v).dict_encoded_ints(usize::MAX), a, b)
-        }),
-        // Past the plain-int Dict cap, where a dictionary page still wins: a
-        // dictionary-encoded column's candidacy is bounded by its dictionary.
-        (any::<i64>(), select(vec![4097usize, 5000])).prop_map(|(base, domain)| {
-            let vals = (0..4 * domain).map(|i| {
-                let k = ((i * 1_000_003) % domain) as i64;
-                base.wrapping_add(k.wrapping_mul(0x0123_4567_89ab))
-            });
-            ColumnData::Int64(vals.collect()).dict_encoded_ints(usize::MAX)
-        }),
     ]
     .boxed()
 }
@@ -812,7 +804,7 @@ proptest! {
             let pick = |i: usize| mix(seed, i as u64);
             let batch = ci_storage::RecordBatch::new(schema.clone(), vec![
                 ColumnData::Int64(ints.clone()),
-                ColumnData::Int64(ints.iter().map(|x| x % 7).collect()).dict_encoded_ints(16),
+                ColumnData::Int64(ints.iter().map(|x| x % 7).collect()),
                 ColumnData::Float64(ints.iter().map(|&x| (x % 3) as f64).collect()),
                 ColumnData::Bool(ints.iter().map(|x| x % 5 == 0).collect()),
                 ColumnData::Dict {
@@ -884,7 +876,7 @@ proptest! {
             let batch = ci_storage::RecordBatch::new(schema.clone(), vec![
                 ColumnData::Int64(ints.clone()),
                 ColumnData::Int64(ints.iter().map(|x| x.wrapping_mul(3) ^ 1).collect()),
-                ColumnData::Int64(ints.iter().map(|x| x % 7).collect()).dict_encoded_ints(16),
+                ColumnData::Int64(ints.iter().map(|x| x % 7).collect()),
                 ColumnData::Float64(ints.iter().map(|&x| (x % 3) as f64).collect()),
                 ColumnData::Bool(ints.iter().map(|x| x % 5 == 0).collect()),
                 shared(0),
@@ -970,30 +962,16 @@ mod oracle {
                 let any_false = v.iter().any(|&b| !b);
                 (i64::from(!any_false), i64::from(any_true))
             }
-            ColumnData::DictInt { ids, dict } => {
-                let first = dict.get(*ids.first()?);
-                ids.iter().fold((first, first), |(lo, hi), &id| {
-                    let x = dict.get(id);
-                    (lo.min(x), hi.max(x))
-                })
-            }
             _ => return None,
         };
         Some((min, range_bit_width(max.wrapping_sub(min) as u64)))
     }
 
-    /// The decoded values of either int encoding.
-    pub fn int_values(col: &ColumnData) -> Option<Vec<i64>> {
-        match col {
-            ColumnData::Int64(v) => Some(v.clone()),
-            ColumnData::DictInt { ids, dict } => Some(ids.iter().map(|&id| dict.get(id)).collect()),
-            _ => None,
-        }
-    }
-
     /// `(first, min_delta, width)` of a Delta page; `None` when empty.
     pub fn delta_frame(col: &ColumnData) -> Option<(i64, i64, u32)> {
-        let vals = int_values(col)?;
+        let ColumnData::Int64(vals) = col else {
+            return None;
+        };
         let &first = vals.first()?;
         let mut deltas: Option<(i64, i64)> = None;
         for w in vals.windows(2) {
@@ -1033,10 +1011,6 @@ mod oracle {
                 let seen: HashSet<i64> = v.iter().copied().collect();
                 (seen.len(), seen.len() as u64 * 8)
             }
-            ColumnData::DictInt { ids, .. } => {
-                let seen: HashSet<u32> = ids.iter().copied().collect();
-                (seen.len(), seen.len() as u64 * 8)
-            }
             _ => (0, 0),
         }
     }
@@ -1070,7 +1044,6 @@ mod oracle {
             ColumnData::Dict { ids, dict } => {
                 runs_by(ids, |&id| id, |&id| dict.value_bytes(id) as u64)
             }
-            ColumnData::DictInt { ids, .. } => runs_by(ids, |&id| id, |_| 8),
         }
     }
 
@@ -1106,7 +1079,7 @@ mod oracle {
         })
     }
 
-    /// Argmin over the candidates (earlier wins ties); plain `Int64` columns
+    /// Argmin over the candidates (earlier wins ties); `Int64` columns
     /// drop `Dict` past [`DICT_INT_MAX_ENTRIES`] distinct values.
     pub fn pick_codec(col: &ColumnData) -> PageCodec {
         let mut best = (PageCodec::Plain, u64::MAX);

@@ -14,7 +14,7 @@ use ci_storage::batch::RecordBatch;
 use ci_storage::column::ColumnData;
 use ci_storage::schema::{Field, Schema, SchemaRef};
 use ci_storage::table::{Table, TableBuilder};
-use ci_storage::tiers::{ObjectStoreDir, TIER_HEADER_BYTES};
+use ci_storage::tiers::{fnv1a64, ObjectStoreDir, TIER_HEADER_BYTES};
 use ci_storage::value::DataType;
 use ci_types::{CiError, TableId};
 use proptest::prelude::*;
@@ -54,7 +54,7 @@ impl Fixture {
         .unwrap();
         let mut b = TableBuilder::new(TableId::new(90), "props", schema, 16).unwrap();
         b.append(batch).unwrap();
-        let table = Arc::new(b.finish().unwrap().dict_encoded().dict_encoded_ints(16));
+        let table = Arc::new(b.finish().unwrap().dict_encoded());
         let store = ObjectStoreDir::temp().unwrap();
         store.ensure_table(&table).unwrap();
         let part_path = store.partition_path(table.id, 0);
@@ -228,4 +228,55 @@ fn missing_partition_file_errs_typed_and_restore_heals() {
     std::fs::write(&f.part_path, &f.part_good).unwrap();
     let got = f.store.read_partition(f.table.id, 0).unwrap();
     assert_eq!(got, f.table.partitions[0].batch);
+}
+
+/// Byte offset of column `col`'s kind byte in a `CIPF` / `CIPT` payload:
+/// each column before it is skipped by `skip(bytes, at)`, which returns the
+/// offset just past that column's entry.
+fn kind_offset(bytes: &[u8], col: usize, skip: impl Fn(&[u8], usize) -> usize) -> usize {
+    (0..col).fold(TIER_HEADER_BYTES, |at, _| skip(bytes, at))
+}
+
+fn u32_at(bytes: &[u8], at: usize) -> usize {
+    u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap()) as usize
+}
+
+/// Rewrites the stored payload checksum so the file passes it.
+fn rechecksum(bytes: &mut [u8]) {
+    let sum = fnv1a64(&bytes[TIER_HEADER_BYTES..]);
+    bytes[20..28].copy_from_slice(&sum.to_le_bytes());
+}
+
+/// Kind `2` — the retired int-dictionary reference — is rejected typed in a
+/// partition file and in a manifest alike, even with a valid checksum, so
+/// the unknown-kind arms themselves are what fail it. The `tag` column
+/// (index 2) is the one whose kind `1` is rewritten: read as a string
+/// dict-ref it would decode cleanly.
+#[test]
+fn retired_int_dict_kind_is_rejected_typed() {
+    let f = Fixture::new();
+    let mut part = f.part_good.clone();
+    let at = kind_offset(&part, 2, |b, at| at + 5 + u32_at(b, at + 1));
+    assert_eq!(part[at], 1, "tag is a string dict-ref column");
+    part[at] = 2;
+    rechecksum(&mut part);
+    assert_storage_err(read_with_partition_bytes(&f, &part)).unwrap();
+
+    let mut manifest = f.manifest_good.clone();
+    let skip_dict = |b: &[u8], at: usize| match b[at] {
+        0 => at + 1,
+        _ => (0..u32_at(b, at + 1)).fold(at + 5, |e, _| e + 4 + u32_at(b, e)),
+    };
+    let at = kind_offset(&manifest, 2, skip_dict);
+    assert_eq!(manifest[at], 1, "tag carries a string dictionary");
+    manifest[at] = 2;
+    rechecksum(&mut manifest);
+    std::fs::write(&f.manifest_path, &manifest).unwrap();
+    let cold = ObjectStoreDir::at(f.store.root()).unwrap();
+    let attached = cold.attach(f.table.id, f.table.schema.clone());
+    std::fs::write(&f.manifest_path, &f.manifest_good).unwrap();
+    match attached {
+        Err(CiError::Storage(_)) => {}
+        other => panic!("want CiError::Storage, got {other:?}"),
+    }
 }

@@ -74,12 +74,6 @@ impl DetRng {
         }
     }
 
-    /// Uniform integer in `[lo, hi)`. Panics if the range is empty.
-    pub fn range_u64(&mut self, lo: u64, hi: u64) -> u64 {
-        assert!(lo < hi, "empty range [{lo}, {hi})");
-        lo + self.u64_below(hi - lo)
-    }
-
     /// Uniform integer in `[lo, hi)` as i64. Panics if the range is empty.
     pub fn range_i64(&mut self, lo: i64, hi: i64) -> i64 {
         assert!(lo < hi, "empty range [{lo}, {hi})");

@@ -57,11 +57,6 @@ impl SimDuration {
         self.as_secs_f64() / 3600.0
     }
 
-    /// `true` when the duration is zero.
-    pub const fn is_zero(self) -> bool {
-        self.0 == 0
-    }
-
     /// Saturating subtraction.
     pub fn saturating_sub(self, rhs: SimDuration) -> SimDuration {
         SimDuration(self.0.saturating_sub(rhs.0))
