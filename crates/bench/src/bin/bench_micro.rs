@@ -2,13 +2,15 @@
 //!
 //! Measures, in one process, the string-heavy data-path kernels (filter,
 //! hash-join build/probe, group-by) over both string encodings, the
-//! `filter_chain` kernel over both materialization strategies, and the
-//! encoded-page kernels (`page_encode` round-trips columns through their
+//! `filter_chain` kernel over both materialization strategies, the
+//! `filter_numeric` predicate kernel against the pre-kernel predicate path,
+//! and the encoded-page kernels (`page_encode` round-trips columns through their
 //! size-picked codecs, `exchange_wire` serializes morsels through the wire
 //! format). In every entry `baseline_naive_ns` is the unoptimized input
 //! (owned `Vec<String>` columns with per-row clones and a string hash per key;
 //! per-operator compaction for `filter_chain`; per-chunk dictionary rebuilds
-//! for the page kernels; Plain-only codec picking for `page_encode_int`) and
+//! for the page kernels; Plain-only codec picking for `page_encode_int`;
+//! cloned, broadcast, per-row `Ordering` comparisons for `filter_numeric`) and
 //! `dict_ns` the optimized path; [`Report`] lists what else is recorded. The
 //! JSON lands at the repo root (or `$BENCH_MICRO_OUT`) so successive PRs can
 //! track the perf trajectory, and CI uploads it as an artifact.
@@ -33,9 +35,10 @@ use std::time::Instant;
 
 use ci_bench::hotpath::{
     all_miss_fixture, cache_scan_fixture, exchange_wire_accounting, int_codec_accounting,
-    int_join_map, int_join_table, run_cache_hit_scan, run_exchange_wire, run_filter,
-    run_filter_chain, run_group_by, run_int_join_probe, run_int_map_probe, run_join,
-    run_page_encode, run_page_encode_int, sorted_int_batch, string_batch, warm_cache, wide_batch,
+    int_join_map, int_join_table, numeric_batch, run_cache_hit_scan, run_exchange_wire, run_filter,
+    run_filter_chain, run_filter_numeric, run_filter_numeric_naive, run_group_by,
+    run_int_join_probe, run_int_map_probe, run_join, run_page_encode, run_page_encode_int,
+    sorted_int_batch, string_batch, warm_cache, wide_batch,
 };
 use ci_bench::report::{Measurement, Report, CARDINALITY, ROWS};
 use ci_storage::RecordBatch;
@@ -96,6 +99,7 @@ where
 fn main() -> Result<()> {
     let wide = wide_batch(ROWS, CARDINALITY, 11, true);
     let ints = sorted_int_batch(ROWS);
+    let numeric = numeric_batch(ROWS, 11)?;
     let [build, probe] = all_miss_fixture(ROWS, ROWS / 2, 13);
     let (map, table) = (int_join_map(&build)?, int_join_table(&build)?);
     let measurements = vec![
@@ -109,6 +113,15 @@ fn main() -> Result<()> {
             "filter_chain",
             || run_filter_chain(&wide, true),
             || run_filter_chain(&wide, false),
+        )?,
+        // Predicate kernels: Q6's `d >= 0.02 AND d <= 0.06 AND q < 30` over
+        // `Float64` / `Int64` columns, through the pre-kernel path (column
+        // clones, broadcast literals, an `Ordering` per row, a branchy
+        // selection) vs masks folded in place and a branch-free selection.
+        versus(
+            "filter_numeric",
+            || run_filter_numeric_naive(&numeric),
+            || run_filter_numeric(&numeric),
         )?,
         measure("page_encode", |b, _| run_page_encode(b))?,
         // Int codecs: the same sorted-int fixture round-tripped through

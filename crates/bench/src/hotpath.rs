@@ -1,13 +1,17 @@
 //! Data-path microbench fixtures: the string-heavy filter / join /
-//! group-by kernels the zero-copy refactor targets.
+//! group-by kernels the zero-copy refactor targets, and the numeric
+//! predicate kernel.
 //!
 //! Timed by the `bench_micro` runner, which records and gates
-//! `BENCH_micro.json`. Each kernel can run over either string encoding, so
-//! every measurement carries its own baseline: the `naive` numbers execute
-//! the exact same operators over owned `Vec<String>` columns (per-row
-//! clones, every key string hashed into the key's extension table), the
-//! `dict` numbers over the dictionary-encoded path.
+//! `BENCH_micro.json`. Each string kernel can run over either string
+//! encoding, so every measurement carries its own baseline: the `naive`
+//! numbers execute the exact same operators over owned `Vec<String>`
+//! columns (per-row clones, every key string hashed into the key's
+//! extension table), the `dict` numbers over the dictionary-encoded path.
+//! The numeric filter's baseline is the pre-kernel predicate path, kept
+//! here as [`run_filter_numeric_naive`].
 
+use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::sync::Arc;
 
@@ -55,6 +59,78 @@ pub fn run_filter(batch: &RecordBatch) -> Result<usize> {
         PlanExpr::Lit(Value::from("grp00007")),
     );
     Ok(batch.filter(&pred.eval_mask(batch, &map)?)?.rows())
+}
+
+/// Schema of the numeric filter fixture: a `Float64` discount and an
+/// `Int64` quantity, the columns CAB's Q6 filters `lineitem` on.
+pub fn numeric_schema() -> SchemaRef {
+    Arc::new(Schema::of(vec![
+        Field::new("s0", DataType::Float64),
+        Field::new("s1", DataType::Int64),
+    ]))
+}
+
+/// A deterministic numeric batch: discounts `0.00..=0.10` in steps of 0.01
+/// and quantities `1..=50`, drawn independently per row, so the verdicts
+/// of the Q6 predicate scatter (about a quarter of the rows survive).
+pub fn numeric_batch(rows: usize, seed: u64) -> Result<RecordBatch> {
+    let mut rng = DetRng::seed_from_u64(seed);
+    let mut discounts = Vec::with_capacity(rows);
+    let mut quantities = Vec::with_capacity(rows);
+    for _ in 0..rows {
+        discounts.push(rng.u64_below(11) as f64 / 100.0);
+        quantities.push(1 + rng.u64_below(50) as i64);
+    }
+    let columns = vec![
+        ColumnData::Float64(discounts),
+        ColumnData::Int64(quantities),
+    ];
+    RecordBatch::new(numeric_schema(), columns)
+}
+
+/// Numeric filter kernel: the Q6 predicate shape `s0 >= 0.02 AND s0 <= 0.06
+/// AND s1 < 30` as a mask, then the batch filter. Returns surviving rows.
+pub fn run_filter_numeric(batch: &RecordBatch) -> Result<usize> {
+    let cmp = |op, slot, v| PlanExpr::bin(op, PlanExpr::Col(slot), PlanExpr::Lit(v));
+    let pred = PlanExpr::bin(
+        BinOp::And,
+        PlanExpr::bin(
+            BinOp::And,
+            cmp(BinOp::GtEq, 0, Value::Float(0.02)),
+            cmp(BinOp::LtEq, 0, Value::Float(0.06)),
+        ),
+        cmp(BinOp::Lt, 1, Value::Int(30)),
+    );
+    let map = ColMap::from_slots(&[0, 1]);
+    Ok(batch.filter(&pred.eval_mask(batch, &map)?)?.rows())
+}
+
+/// [`run_filter_numeric`]'s baseline: the predicate path before comparisons
+/// became kernels. Each comparison deep-copies its column and broadcasts
+/// its literal, float operands are copied once more into `f64` vectors,
+/// every row maps an `Ordering` to a verdict, each `AND` zips two masks into
+/// a third, and the survivors are collected by `filter`.
+pub fn run_filter_numeric_naive(batch: &RecordBatch) -> Result<usize> {
+    let n = batch.rows();
+    let floats = |lit: f64, keep: fn(Ordering) -> bool| -> Result<Vec<bool>> {
+        let (col, lit) = (batch.column(0).clone(), ColumnData::Float64(vec![lit; n]));
+        let (a, b) = (col.as_f64()?.to_vec(), lit.as_f64()?.to_vec());
+        let ord = |(x, y): (&f64, &f64)| x.partial_cmp(y).unwrap_or(Ordering::Equal);
+        Ok(a.iter().zip(&b).map(|p| keep(ord(p))).collect())
+    };
+    let ge = floats(0.02, |o| o != Ordering::Less)?;
+    let le = floats(0.06, |o| o != Ordering::Greater)?;
+    let (col, lit) = (batch.column(1).clone(), ColumnData::Int64(vec![30; n]));
+    let lt: Vec<bool> = (col.as_i64()?.iter().zip(lit.as_i64()?))
+        .map(|(x, y)| x.cmp(y) == Ordering::Less)
+        .collect();
+    let both: Vec<bool> = ge.iter().zip(&le).map(|(x, y)| *x && *y).collect();
+    let mask: Vec<bool> = both.iter().zip(&lt).map(|(x, y)| *x && *y).collect();
+    let survivors: Vec<u32> = (mask.iter().enumerate())
+        .filter(|&(_, &k)| k)
+        .map(|(i, _)| i as u32)
+        .collect();
+    Ok(std::hint::black_box(survivors).len())
 }
 
 /// Hash-join kernel on the string key: build over `build`, probe with
@@ -442,6 +518,11 @@ mod tests {
         assert_eq!(
             run_group_by(&dict, 512).unwrap(),
             run_group_by(&naive, 512).unwrap()
+        );
+        let numeric = numeric_batch(4_000, 7).unwrap();
+        assert_eq!(
+            run_filter_numeric(&numeric).unwrap(),
+            run_filter_numeric_naive(&numeric).unwrap()
         );
         let probe_n = string_batch(2_000, 60, 8, false);
         let probe_d = string_batch(2_000, 60, 8, true);

@@ -144,7 +144,7 @@ pub mod report {
             out
         }
 
-        /// `BENCH_micro.json`, schema 11.
+        /// `BENCH_micro.json`, schema 12.
         pub fn to_json(&self) -> String {
             let benches: Vec<String> = self
                 .measurements
@@ -163,7 +163,7 @@ pub mod report {
                 .collect();
             let hit_speedup = format!("{:.2}", self.cache_hit_speedup());
             let fields = [
-                ("schema_version", "11".to_owned()),
+                ("schema_version", "12".to_owned()),
                 ("rows", ROWS.to_string()),
                 ("cardinality", CARDINALITY.to_string()),
                 ("cache_cold_ns", self.cache_cold_ns.to_string()),
@@ -272,9 +272,9 @@ pub mod report {
         }
 
         #[test]
-        fn json_keeps_the_schema_11_byte_format() {
+        fn json_keeps_the_schema_12_byte_format() {
             let json = sample(2.5).to_json();
-            assert!(json.starts_with("{\n  \"schema_version\": 11,\n  \"rows\": 200000,\n"));
+            assert!(json.starts_with("{\n  \"schema_version\": 12,\n  \"rows\": 200000,\n"));
             assert!(json.contains("  \"cache_hit_speedup\": 9.00,\n  \"cache_parts\": 25,\n"));
             assert!(json.contains(
                 "    {\"name\": \"filter_chain\", \"baseline_naive_ns\": 250, \"dict_ns\": 100, \

@@ -23,6 +23,7 @@
 //! [`JoinHashTable`]'s CSR build row lists, [`AggregateState`]'s accumulator
 //! columns, each folded in one pass per aggregate.
 
+use std::borrow::Cow;
 use std::cmp::Ordering;
 use std::sync::Arc;
 
@@ -526,6 +527,21 @@ fn distinct_fold(mut vals: Vec<Value>, func: AggFunc) -> Value {
     }
 }
 
+/// `e`'s values over the logical rows of `batch`: a bare column of a dense
+/// batch by reference, anything else evaluated.
+fn logical_column<'a>(
+    e: &PlanExpr,
+    batch: &'a RecordBatch,
+    map: &ColMap,
+) -> Result<Cow<'a, ColumnData>> {
+    match e {
+        PlanExpr::Col(slot) if batch.selection().is_none() => {
+            Ok(Cow::Borrowed(batch.column(map.position(*slot)?)))
+        }
+        e => e.eval(batch, map).map(Cow::Owned),
+    }
+}
+
 /// Streaming hash-aggregation state.
 #[derive(Debug)]
 pub struct AggregateState {
@@ -570,27 +586,29 @@ impl AggregateState {
         })
     }
 
-    /// Folds one morsel into the state. Deferred filters cost one
+    /// Folds one morsel into the state. On a dense batch a bare column
+    /// reference is read where it lies; deferred filters cost one
     /// O(selected) gather per *referenced* column (selection-aware
     /// [`PlanExpr::eval`]), never a physical-width copy, and unreferenced
-    /// columns are never touched; accumulation is then dense over the
+    /// columns are never touched. Accumulation is then dense over the
     /// logical rows: group columns → one id per row → one pass per
     /// aggregate.
     pub fn update(&mut self, batch: &RecordBatch) -> Result<()> {
         if batch.is_empty() {
             return Ok(());
         }
-        let group_cols: Vec<ColumnData> = self
-            .group_exprs
-            .iter()
-            .map(|e| e.eval(batch, &self.in_map))
+        let group_cols = (self.group_exprs.iter())
+            .map(|e| logical_column(e, batch, &self.in_map))
             .collect::<Result<Vec<_>>>()?;
-        let group_refs: Vec<&ColumnData> = group_cols.iter().collect();
+        let group_refs: Vec<&ColumnData> = group_cols.iter().map(|c| c.as_ref()).collect();
         self.groups.ids(&group_refs, batch.rows(), &mut self.ids)?;
         let groups = self.groups.len();
         for (acc, a) in self.accs.iter_mut().zip(&self.aggs) {
-            let arg = a.arg.as_ref().map(|e| e.eval(batch, &self.in_map));
-            acc.fold(a, arg.transpose()?.as_ref(), &self.ids, groups)?;
+            let arg = a
+                .arg
+                .as_ref()
+                .map(|e| logical_column(e, batch, &self.in_map));
+            acc.fold(a, arg.transpose()?.as_deref(), &self.ids, groups)?;
         }
         Ok(())
     }

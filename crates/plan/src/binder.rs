@@ -365,23 +365,21 @@ impl<'a> Binder<'a> {
     ) -> Result<()> {
         let mut slots = Vec::new();
         conjunct.slots(&mut slots);
-        let rels: BTreeSet<usize> = slots
-            .iter()
-            .filter_map(|&s| {
-                relations
-                    .iter()
-                    .find(|r| s >= r.global_offset && s < r.global_offset + r.arity)
-                    .map(|r| r.index)
-            })
-            .collect();
-        match rels.len() {
-            0 => {
+        let rel_of = |slot: usize| {
+            relations
+                .iter()
+                .find(|r| slot >= r.global_offset && slot < r.global_offset + r.arity)
+                .map(|r| r.index)
+        };
+        let rels: BTreeSet<usize> = slots.iter().filter_map(|&s| rel_of(s)).collect();
+        let mut members = rels.iter().copied();
+        match (members.next(), members.next(), members.next()) {
+            (None, ..) => {
                 // Constant predicate: keep as a cross filter on no relations
                 // (applied at the top; handles WHERE TRUE/1=1 shapes).
                 cross_filters.push((rels, conjunct));
             }
-            1 => {
-                let rel = *rels.iter().next().expect("one element");
+            (Some(rel), None, _) => {
                 let r = &mut relations[rel];
                 if let Some(bound) = extract_bound(&conjunct, r.global_offset, r.arity) {
                     r.prune_bounds.push(bound);
@@ -393,7 +391,7 @@ impl<'a> Binder<'a> {
                     Some(f) => PlanExpr::bin(BinOp::And, f, conjunct),
                 });
             }
-            2 => {
+            (Some(_), Some(_), None) => {
                 // Equi-join edge?
                 if let PlanExpr::Bin {
                     op: BinOp::Eq,
@@ -402,29 +400,21 @@ impl<'a> Binder<'a> {
                 } = &conjunct
                 {
                     if let (PlanExpr::Col(a), PlanExpr::Col(b)) = (left.as_ref(), right.as_ref()) {
-                        let rel_of = |slot: usize| {
-                            relations
-                                .iter()
-                                .find(|r| {
-                                    slot >= r.global_offset && slot < r.global_offset + r.arity
-                                })
-                                .map(|r| r.index)
-                                .expect("slot belongs to a relation")
-                        };
-                        let (ra, rb) = (rel_of(*a), rel_of(*b));
-                        if ra != rb {
-                            let (left_rel, left_slot, right_rel, right_slot) = if ra < rb {
-                                (ra, *a, rb, *b)
-                            } else {
-                                (rb, *b, ra, *a)
-                            };
-                            join_edges.push(JoinEdge {
-                                left_rel,
-                                left_slot,
-                                right_rel,
-                                right_slot,
-                            });
-                            return Ok(());
+                        if let (Some(ra), Some(rb)) = (rel_of(*a), rel_of(*b)) {
+                            if ra != rb {
+                                let (left_rel, left_slot, right_rel, right_slot) = if ra < rb {
+                                    (ra, *a, rb, *b)
+                                } else {
+                                    (rb, *b, ra, *a)
+                                };
+                                join_edges.push(JoinEdge {
+                                    left_rel,
+                                    left_slot,
+                                    right_rel,
+                                    right_slot,
+                                });
+                                return Ok(());
+                            }
                         }
                     }
                 }

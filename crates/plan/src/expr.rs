@@ -7,14 +7,33 @@
 //! [`ColMap`] translates slots to physical batch positions at evaluation
 //! time. `BETWEEN` and `IN` are desugared at bind time, so the executable
 //! core stays small.
+//!
+//! **Evaluation model.** Predicates are evaluated as boolean masks by
+//! [`PlanExpr::eval_mask`], which owns the boolean structure: `AND` / `OR`
+//! fold the right operand's mask into the left one in place, `NOT` inverts
+//! its operand's mask in place, and a comparison between a column and a
+//! literal (in either order) is one loop per column type and operator that
+//! reads the column where it lies — through the batch's selection when it
+//! carries one — with no column copy and no literal broadcast. String
+//! literals against dictionary columns are resolved once per dictionary
+//! entry. Other comparisons evaluate both operands and compare them row by
+//! row. [`PlanExpr::eval`] of a boolean expression wraps the mask, so there
+//! is exactly one comparison path.
+//!
+//! **NaN compares Equal.** Float comparisons follow
+//! `partial_cmp().unwrap_or(Equal)`: a NaN on either side makes `=`, `<=`
+//! and `>=` true and `<>`, `<`, `>` false. The kernels state this without a
+//! branch (`<=` is `!(x > y)`, `=` is `!(x < y) & !(x > y)`). It is today's
+//! behaviour, not SQL's; changing it changes results.
 
+use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::fmt;
 
 use ci_sql::ast::AggFunc;
 use ci_storage::column::ColumnData;
 use ci_storage::value::{DataType, Value};
-use ci_storage::RecordBatch;
+use ci_storage::{RecordBatch, SelectionVector};
 use ci_types::{CiError, Result};
 
 /// Executable binary operators.
@@ -168,11 +187,11 @@ impl PlanExpr {
 
     /// Evaluates over a batch, returning one column of `batch.rows()`
     /// *logical* values: when the batch carries a selection (a deferred
-    /// filter), column references gather the selected rows and the dict
-    /// fast path reads ids through the selection in place, so downstream
-    /// operators never see unselected rows.
+    /// filter), column references gather the selected rows and predicates
+    /// read through the selection in place, so downstream operators never
+    /// see unselected rows. A boolean expression is its
+    /// [`PlanExpr::eval_mask`].
     pub fn eval(&self, batch: &RecordBatch, map: &ColMap) -> Result<ColumnData> {
-        let n = batch.rows();
         match self {
             PlanExpr::Col(s) => {
                 let col = batch.column(map.position(*s)?);
@@ -181,11 +200,14 @@ impl PlanExpr {
                     Some(sel) => col.gather(sel),
                 })
             }
-            PlanExpr::Lit(v) => Ok(broadcast(v, n)),
-            PlanExpr::Not(e) => {
-                let inner = e.eval(batch, map)?;
-                let b = inner.as_bool()?;
-                Ok(ColumnData::Bool(b.iter().map(|x| !x).collect()))
+            PlanExpr::Lit(v) => Ok(broadcast(v, batch.rows())),
+            PlanExpr::Bin {
+                op: op @ (BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div),
+                left,
+                right,
+            } => arith(*op, &left.eval(batch, map)?, &right.eval(batch, map)?),
+            PlanExpr::Bin { .. } | PlanExpr::Not(_) => {
+                Ok(ColumnData::Bool(self.eval_mask(batch, map)?))
             }
             PlanExpr::Neg(e) => {
                 let inner = e.eval(batch, map)?;
@@ -200,23 +222,54 @@ impl PlanExpr {
                     ))),
                 }
             }
-            PlanExpr::Bin { op, left, right } => {
-                if op.is_comparison() {
-                    if let Some(mask) = dict_literal_compare(*op, left, right, batch, map)? {
-                        return Ok(mask);
-                    }
-                }
-                let l = left.eval(batch, map)?;
-                let r = right.eval(batch, map)?;
-                eval_binary(*op, &l, &r)
-            }
         }
     }
 
-    /// Evaluates an expression expected to be boolean, returning the mask.
+    /// Evaluates an expression expected to be boolean, returning one verdict
+    /// per logical row. `AND` / `OR` evaluate both sides, left first, and
+    /// fold the right mask into the left one; `NOT` inverts in place; a
+    /// column–literal comparison is a kernel over the column as stored.
     pub fn eval_mask(&self, batch: &RecordBatch, map: &ColMap) -> Result<Vec<bool>> {
-        let col = self.eval(batch, map)?;
-        Ok(col.as_bool()?.to_vec())
+        match self {
+            PlanExpr::Bin {
+                op: op @ (BinOp::And | BinOp::Or),
+                left,
+                right,
+            } => {
+                let mut mask = left.eval_mask(batch, map)?;
+                let rhs = right.eval_mask(batch, map)?;
+                if *op == BinOp::And {
+                    mask.iter_mut().zip(&rhs).for_each(|(m, &r)| *m &= r);
+                } else {
+                    mask.iter_mut().zip(&rhs).for_each(|(m, &r)| *m |= r);
+                }
+                Ok(mask)
+            }
+            PlanExpr::Not(e) => {
+                let mut mask = e.eval_mask(batch, map)?;
+                mask.iter_mut().for_each(|m| *m = !*m);
+                Ok(mask)
+            }
+            PlanExpr::Bin { op, left, right } => match Cmp::of(*op) {
+                Some(cmp) => match literal_compare(cmp, left, right, batch, map)? {
+                    Some(mask) => Ok(mask),
+                    None => compare(cmp, &left.eval(batch, map)?, &right.eval(batch, map)?),
+                },
+                None => into_mask(self.eval(batch, map)?),
+            },
+            other => into_mask(other.eval(batch, map)?),
+        }
+    }
+}
+
+/// A boolean column's values; any other column is a type error.
+fn into_mask(col: ColumnData) -> Result<Vec<bool>> {
+    match col {
+        ColumnData::Bool(mask) => Ok(mask),
+        col => Err(CiError::Exec(format!(
+            "expected BOOLEAN column, got {}",
+            col.data_type()
+        ))),
     }
 }
 
@@ -232,43 +285,130 @@ impl fmt::Display for PlanExpr {
     }
 }
 
-/// Fast path for `dict_column <cmp> 'literal'` (either operand order): the
-/// comparison is resolved once per dictionary entry, then the row mask is a
-/// pure id lookup — no per-row string compare, no literal broadcast. Returns
-/// `Ok(None)` when the shape doesn't match and the general path should run.
-fn dict_literal_compare(
-    op: BinOp,
+/// A comparison operator, resolved once per expression node.
+#[derive(Clone, Copy)]
+enum Cmp {
+    Eq,
+    NotEq,
+    Lt,
+    LtEq,
+    Gt,
+    GtEq,
+}
+
+impl Cmp {
+    /// The comparison `op` names, `None` for logical and arithmetic ops.
+    fn of(op: BinOp) -> Option<Cmp> {
+        Some(match op {
+            BinOp::Eq => Cmp::Eq,
+            BinOp::NotEq => Cmp::NotEq,
+            BinOp::Lt => Cmp::Lt,
+            BinOp::LtEq => Cmp::LtEq,
+            BinOp::Gt => Cmp::Gt,
+            BinOp::GtEq => Cmp::GtEq,
+            BinOp::Or | BinOp::And | BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div => {
+                return None
+            }
+        })
+    }
+
+    /// The comparison with its operands swapped: `lit < col` is
+    /// `col > lit`. Flipped, not negated.
+    fn flipped(self) -> Cmp {
+        match self {
+            Cmp::Lt => Cmp::Gt,
+            Cmp::Gt => Cmp::Lt,
+            Cmp::LtEq => Cmp::GtEq,
+            Cmp::GtEq => Cmp::LtEq,
+            Cmp::Eq | Cmp::NotEq => self,
+        }
+    }
+
+    /// The verdict for an ordering.
+    fn keep(self, o: Ordering) -> bool {
+        match self {
+            Cmp::Eq => o == Ordering::Equal,
+            Cmp::NotEq => o != Ordering::Equal,
+            Cmp::Lt => o == Ordering::Less,
+            Cmp::LtEq => o != Ordering::Greater,
+            Cmp::Gt => o == Ordering::Greater,
+            Cmp::GtEq => o != Ordering::Less,
+        }
+    }
+}
+
+/// `column <cmp> literal`, in either operand order, over the column as
+/// stored: one loop per (column type, operator) with no column copy and no
+/// literal broadcast. Ints and bools compare natively; an `Int64` column
+/// against a float literal compares in f64, and a `Float64` column converts
+/// an int literal once. A string literal against a dictionary column is
+/// resolved once per dictionary entry, leaving an id lookup per row.
+/// `Ok(None)` for any other shape, which the general [`compare`] handles.
+fn literal_compare(
+    cmp: Cmp,
     left: &PlanExpr,
     right: &PlanExpr,
     batch: &RecordBatch,
     map: &ColMap,
-) -> Result<Option<ColumnData>> {
-    let (slot, lit, col_is_left) = match (left, right) {
-        (PlanExpr::Col(s), PlanExpr::Lit(Value::Str(lit))) => (*s, lit, true),
-        (PlanExpr::Lit(Value::Str(lit)), PlanExpr::Col(s)) => (*s, lit, false),
+) -> Result<Option<Vec<bool>>> {
+    let (slot, lit, cmp) = match (left, right) {
+        (PlanExpr::Col(s), PlanExpr::Lit(v)) => (*s, v, cmp),
+        (PlanExpr::Lit(v), PlanExpr::Col(s)) => (*s, v, cmp.flipped()),
         _ => return Ok(None),
     };
-    let Some((ids, dict)) = batch.column(map.position(slot)?).as_dict() else {
-        return Ok(None);
-    };
-    let keep = comparison_keep(op);
-    let verdicts: Vec<bool> = (0..dict.len() as u32)
-        .map(|id| {
-            let ord = if col_is_left {
-                dict.get(id).cmp(lit.as_str())
-            } else {
-                lit.as_str().cmp(dict.get(id))
-            };
-            keep(ord)
-        })
-        .collect();
-    let mask: Vec<bool> = match batch.selection() {
-        None => ids.iter().map(|&id| verdicts[id as usize]).collect(),
-        // Deferred filter upstream: the mask covers the logical rows only,
-        // read straight through the selection (no id gather).
-        Some(sel) => sel.iter().map(|i| verdicts[ids[i] as usize]).collect(),
-    };
-    Ok(Some(ColumnData::Bool(mask)))
+    let sel = batch.selection();
+    Ok(Some(match (batch.column(map.position(slot)?), lit) {
+        (ColumnData::Int64(c), Value::Int(y)) => compare_kernel(cmp, c, sel, |x| x, *y),
+        (ColumnData::Int64(c), Value::Float(y)) => compare_kernel(cmp, c, sel, |x| x as f64, *y),
+        (ColumnData::Float64(c), Value::Float(y)) => compare_kernel(cmp, c, sel, |x| x, *y),
+        (ColumnData::Float64(c), Value::Int(y)) => compare_kernel(cmp, c, sel, |x| x, *y as f64),
+        (ColumnData::Bool(c), Value::Bool(y)) => compare_kernel(cmp, c, sel, |x| x, *y),
+        (ColumnData::Dict { ids, dict }, Value::Str(y)) => {
+            let verdicts: Vec<bool> = (0..dict.len() as u32)
+                .map(|id| cmp.keep(dict.get(id).cmp(y.as_str())))
+                .collect();
+            map_rows(ids, sel, |id| verdicts[id as usize])
+        }
+        _ => return Ok(None),
+    }))
+}
+
+/// `x_of(row) <cmp> y` for every logical row of `col`, without a branch per
+/// row. The forms keep the NaN-compares-Equal convention of
+/// [`Cmp::keep`]`(partial_cmp().unwrap_or(Equal))` — a plain `x <= y` would
+/// be false on NaN — and are the ordinary operators on a total order.
+#[allow(clippy::neg_cmp_op_on_partial_ord)] // the negations are the NaN rule
+fn compare_kernel<S: Copy, T: PartialOrd + Copy>(
+    cmp: Cmp,
+    col: &[S],
+    sel: Option<&SelectionVector>,
+    x_of: impl Fn(S) -> T,
+    y: T,
+) -> Vec<bool> {
+    match cmp {
+        Cmp::Lt => map_rows(col, sel, |x| x_of(x) < y),
+        Cmp::Gt => map_rows(col, sel, |x| x_of(x) > y),
+        Cmp::LtEq => map_rows(col, sel, |x| !(x_of(x) > y)),
+        Cmp::GtEq => map_rows(col, sel, |x| !(x_of(x) < y)),
+        Cmp::Eq => map_rows(col, sel, |x| {
+            let x = x_of(x);
+            !(x < y) & !(x > y)
+        }),
+        Cmp::NotEq => map_rows(col, sel, |x| {
+            let x = x_of(x);
+            (x < y) | (x > y)
+        }),
+    }
+}
+
+/// `f` of every logical row of a physical column: all of it, a range run's
+/// slice, or the selected rows read in place.
+fn map_rows<S: Copy>(col: &[S], sel: Option<&SelectionVector>, f: impl Fn(S) -> bool) -> Vec<bool> {
+    match sel.map(|s| (s, s.as_range())) {
+        None => col.iter().map(|&x| f(x)).collect(),
+        Some((_, Some((start, len)))) => col[start..start + len].iter().map(|&x| f(x)).collect(),
+        Some((sel, None)) => sel.iter().map(|i| f(col[i])).collect(),
+    }
 }
 
 fn broadcast(v: &Value, n: usize) -> ColumnData {
@@ -280,52 +420,37 @@ fn broadcast(v: &Value, n: usize) -> ColumnData {
     }
 }
 
-fn eval_binary(op: BinOp, l: &ColumnData, r: &ColumnData) -> Result<ColumnData> {
-    use ColumnData::*;
+fn arith(op: BinOp, l: &ColumnData, r: &ColumnData) -> Result<ColumnData> {
     match op {
-        BinOp::And => {
-            let (a, b) = (l.as_bool()?, r.as_bool()?);
-            Ok(Bool(a.iter().zip(b).map(|(x, y)| *x && *y).collect()))
-        }
-        BinOp::Or => {
-            let (a, b) = (l.as_bool()?, r.as_bool()?);
-            Ok(Bool(a.iter().zip(b).map(|(x, y)| *x || *y).collect()))
-        }
-        BinOp::Add | BinOp::Sub | BinOp::Mul | BinOp::Div => arith(op, l, r),
-        _ => compare(op, l, r),
+        BinOp::Add => int_or_float(l, r, i64::wrapping_add, |x, y| x + y),
+        BinOp::Sub => int_or_float(l, r, i64::wrapping_sub, |x, y| x - y),
+        BinOp::Mul => int_or_float(l, r, i64::wrapping_mul, |x, y| x * y),
+        // Division always yields float (SQL-style safe semantics, x/0 = inf).
+        BinOp::Div => float_arith(l, r, |x, y| x / y),
+        other => Err(CiError::Exec(format!("{other:?} is not arithmetic"))),
     }
 }
 
-fn arith(op: BinOp, l: &ColumnData, r: &ColumnData) -> Result<ColumnData> {
-    use ColumnData::*;
-    // Division always yields float (SQL-style safe semantics, x/0 = inf).
-    if op == BinOp::Div {
-        let a = numeric_f64(l)?;
-        let b = numeric_f64(r)?;
-        return Ok(Float64(a.iter().zip(&b).map(|(x, y)| x / y).collect()));
-    }
+/// `int` over two `Int64` columns, `float` over any other numeric pair.
+fn int_or_float(
+    l: &ColumnData,
+    r: &ColumnData,
+    int: impl Fn(i64, i64) -> i64,
+    float: impl Fn(f64, f64) -> f64,
+) -> Result<ColumnData> {
     match (l, r) {
-        (Int64(a), Int64(b)) => {
-            let f = |x: &i64, y: &i64| match op {
-                BinOp::Add => x.wrapping_add(*y),
-                BinOp::Sub => x.wrapping_sub(*y),
-                BinOp::Mul => x.wrapping_mul(*y),
-                _ => unreachable!(),
-            };
-            Ok(Int64(a.iter().zip(b).map(|(x, y)| f(x, y)).collect()))
-        }
-        _ => {
-            let a = numeric_f64(l)?;
-            let b = numeric_f64(r)?;
-            let f = |x: f64, y: f64| match op {
-                BinOp::Add => x + y,
-                BinOp::Sub => x - y,
-                BinOp::Mul => x * y,
-                _ => unreachable!(),
-            };
-            Ok(Float64(a.iter().zip(&b).map(|(x, y)| f(*x, *y)).collect()))
-        }
+        (ColumnData::Int64(a), ColumnData::Int64(b)) => Ok(ColumnData::Int64(
+            a.iter().zip(b).map(|(&x, &y)| int(x, y)).collect(),
+        )),
+        _ => float_arith(l, r, float),
     }
+}
+
+fn float_arith(l: &ColumnData, r: &ColumnData, f: impl Fn(f64, f64) -> f64) -> Result<ColumnData> {
+    let (a, b) = (numeric_f64(l)?, numeric_f64(r)?);
+    Ok(ColumnData::Float64(
+        a.iter().zip(&b).map(|(&x, &y)| f(x, y)).collect(),
+    ))
 }
 
 fn numeric_f64(c: &ColumnData) -> Result<Vec<f64>> {
@@ -339,53 +464,36 @@ fn numeric_f64(c: &ColumnData) -> Result<Vec<f64>> {
     }
 }
 
-/// The boolean verdict a comparison operator assigns to an ordering.
-fn comparison_keep(op: BinOp) -> impl Fn(std::cmp::Ordering) -> bool {
-    use std::cmp::Ordering;
-    move |o: Ordering| match op {
-        BinOp::Eq => o == Ordering::Equal,
-        BinOp::NotEq => o != Ordering::Equal,
-        BinOp::Lt => o == Ordering::Less,
-        BinOp::LtEq => o != Ordering::Greater,
-        BinOp::Gt => o == Ordering::Greater,
-        BinOp::GtEq => o != Ordering::Less,
-        _ => unreachable!(),
-    }
-}
-
-fn compare(op: BinOp, l: &ColumnData, r: &ColumnData) -> Result<ColumnData> {
-    use std::cmp::Ordering;
-    let keep = comparison_keep(op);
-    use ci_storage::value::DataType;
+/// The general comparison of two evaluated operands, row by row.
+fn compare(cmp: Cmp, l: &ColumnData, r: &ColumnData) -> Result<Vec<bool>> {
     use ColumnData::*;
-    let out: Vec<bool> = match (l, r) {
-        (Int64(a), Int64(b)) => a.iter().zip(b).map(|(x, y)| keep(x.cmp(y))).collect(),
-        (Bool(a), Bool(b)) => a.iter().zip(b).map(|(x, y)| keep(x.cmp(y))).collect(),
+    Ok(match (l, r) {
+        (Int64(a), Int64(b)) => a.iter().zip(b).map(|(x, y)| cmp.keep(x.cmp(y))).collect(),
+        (Bool(a), Bool(b)) => a.iter().zip(b).map(|(x, y)| cmp.keep(x.cmp(y))).collect(),
         // Equality between columns sharing one dictionary is pure id equality.
         (Dict { ids: a, dict: da }, Dict { ids: b, dict: db })
-            if std::sync::Arc::ptr_eq(da, db) && matches!(op, BinOp::Eq | BinOp::NotEq) =>
+            if std::sync::Arc::ptr_eq(da, db) && matches!(cmp, Cmp::Eq | Cmp::NotEq) =>
         {
-            a.iter().zip(b).map(|(x, y)| keep(x.cmp(y))).collect()
+            a.iter().zip(b).map(|(x, y)| cmp.keep(x.cmp(y))).collect()
         }
         // Any string-vs-string combination compares borrowed &str — dict
         // columns decode by reference, never cloning.
         _ if l.data_type() == DataType::Utf8 && r.data_type() == DataType::Utf8 => (0..l.len())
-            .map(|i| {
-                let a = l.str_at(i).expect("string column");
-                let b = r.str_at(i).expect("string column");
-                keep(a.cmp(b))
+            .map(|i| match (l.str_at(i), r.str_at(i)) {
+                (Some(a), Some(b)) => Ok(cmp.keep(a.cmp(b))),
+                _ => Err(CiError::Exec(
+                    "string comparison over a non-string column".into(),
+                )),
             })
-            .collect(),
+            .collect::<Result<_>>()?,
         _ => {
-            let a = numeric_f64(l)?;
-            let b = numeric_f64(r)?;
+            let (a, b) = (numeric_f64(l)?, numeric_f64(r)?);
             a.iter()
                 .zip(&b)
-                .map(|(x, y)| keep(x.partial_cmp(y).unwrap_or(Ordering::Equal)))
+                .map(|(x, y)| cmp.keep(x.partial_cmp(y).unwrap_or(Ordering::Equal)))
                 .collect()
         }
-    };
-    Ok(ColumnData::Bool(out))
+    })
 }
 
 /// A resolved aggregate call.
@@ -406,23 +514,22 @@ impl AggExpr {
             AggFunc::Count => Ok(DataType::Int64),
             AggFunc::Avg => Ok(DataType::Float64),
             AggFunc::Sum => {
-                let t = self
-                    .arg
-                    .as_ref()
-                    .expect("SUM requires an argument")
-                    .data_type(slot_type)?;
+                let t = self.required_arg()?.data_type(slot_type)?;
                 match t {
                     DataType::Int64 => Ok(DataType::Int64),
                     DataType::Float64 => Ok(DataType::Float64),
                     other => Err(CiError::Plan(format!("cannot SUM {other}"))),
                 }
             }
-            AggFunc::Min | AggFunc::Max => self
-                .arg
-                .as_ref()
-                .expect("MIN/MAX require an argument")
-                .data_type(slot_type),
+            AggFunc::Min | AggFunc::Max => self.required_arg()?.data_type(slot_type),
         }
+    }
+
+    /// The argument of an aggregate other than `COUNT(*)`.
+    fn required_arg(&self) -> Result<&PlanExpr> {
+        self.arg
+            .as_ref()
+            .ok_or_else(|| CiError::Plan(format!("{} requires an argument", self.func.name())))
     }
 
     /// Display name used for auto-generated output columns.
@@ -592,6 +699,15 @@ mod tests {
             distinct: false,
         };
         assert_eq!(sum.data_type(&ty).unwrap(), DataType::Int64);
+        // An argument-less SUM / MIN is a typed plan error, not a panic.
+        for func in [AggFunc::Sum, AggFunc::Min] {
+            let bare = AggExpr {
+                func,
+                arg: None,
+                distinct: false,
+            };
+            assert!(matches!(bare.data_type(&ty), Err(CiError::Plan(_))));
+        }
     }
 
     fn dict_batch() -> (RecordBatch, ColMap) {

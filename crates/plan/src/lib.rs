@@ -18,6 +18,11 @@
 //!   dependency DAG that DOP planning, the cost simulator, the executor, and
 //!   the DOP monitor all operate on.
 
+// Library code reports bad plans and ill-typed expressions as `CiError`,
+// never by unwrapping; CI's clippy step fails the day an unwrap comes back.
+// (`expect` stays for documented invariants, e.g. `Pipeline::last`.)
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
+
 pub mod binder;
 pub mod expr;
 pub mod jointree;

@@ -57,11 +57,20 @@ pub struct Pipeline {
 
 impl Pipeline {
     /// The source node index.
+    ///
+    /// # Panics
+    ///
+    /// On a pipeline with no nodes, which [`PipelineGraph::decompose`]
+    /// never returns (its validation rejects empty pipelines).
     pub fn source(&self) -> usize {
         self.nodes[0]
     }
 
     /// The last node before the sink.
+    ///
+    /// # Panics
+    ///
+    /// On a pipeline with no nodes, as [`Pipeline::source`].
     pub fn last(&self) -> usize {
         *self.nodes.last().expect("pipelines are non-empty")
     }
@@ -102,6 +111,11 @@ impl PipelineGraph {
     }
 
     /// The pipeline producing the final result.
+    ///
+    /// # Panics
+    ///
+    /// On a graph without one, which [`PipelineGraph::decompose`] never
+    /// returns: it finishes the root's chain with [`SinkKind::Result`].
     pub fn result_pipeline(&self) -> &Pipeline {
         self.pipelines
             .iter()

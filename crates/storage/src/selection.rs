@@ -60,13 +60,7 @@ impl SelectionVector {
     /// Selection of every row where `mask` is true (the bool-mask
     /// constructor; `mask.len()` is the physical row count).
     pub fn from_mask(mask: &[bool]) -> SelectionVector {
-        let indices = mask
-            .iter()
-            .enumerate()
-            .filter(|&(_, &k)| k)
-            .map(|(i, _)| i as u32)
-            .collect();
-        SelectionVector::from_sorted(indices, mask.len())
+        SelectionVector::from_sorted(compact(0.., mask), mask.len())
     }
 
     /// The contiguous-run selection `[start, start + len)` — the fast path
@@ -192,12 +186,10 @@ impl SelectionVector {
                 self.len()
             )));
         }
-        let indices = self
-            .iter()
-            .zip(keep)
-            .filter(|&(_, &k)| k)
-            .map(|(i, _)| i as u32)
-            .collect();
+        let indices = match &self.repr {
+            Repr::Range { start, .. } => compact(*start.., keep),
+            Repr::Indices(v) => compact(v.iter().copied(), keep),
+        };
         Ok(SelectionVector::from_sorted(indices, self.total))
     }
 
@@ -247,6 +239,23 @@ impl SelectionVector {
             }
         }
     }
+}
+
+/// The physical rows `rows[j]` with `keep[j]` true, in order, without a
+/// branch per row: every row is written at the cursor, which then advances
+/// by its verdict. The output holds the survivors plus the one slot a
+/// rejected row past the last survivor writes, so the cursor (the
+/// survivors so far) never leaves it.
+fn compact(rows: impl Iterator<Item = u32>, keep: &[bool]) -> Vec<u32> {
+    let survivors = keep.iter().filter(|&&k| k).count();
+    let mut out = vec![0u32; survivors + 1];
+    let mut n = 0;
+    for (row, &k) in rows.zip(keep) {
+        out[n] = row;
+        n += usize::from(k);
+    }
+    out.truncate(n);
+    out
 }
 
 /// Equality over the selected physical rows (and the physical total); the
