@@ -377,8 +377,9 @@ pub(crate) struct ChainCtx {
     /// reports 0 measured time by contract).
     measure: bool,
     /// Containment-testing trap: compute panics on a morsel with exactly
-    /// this many source rows. Always `None` in the engine; pool tests set
-    /// it to prove a panicking operator cannot wedge `done_cv`.
+    /// this many source rows. Pool tests set it to prove a panicking
+    /// operator cannot wedge `done_cv`.
+    #[cfg(test)]
     pub(crate) panic_trap: Option<u64>,
 }
 
@@ -505,6 +506,7 @@ impl ChainCtx {
         let (mut samples, mut wall_ns) = (Vec::new(), 0u64);
         let mut timer = self.timer(&mut samples, &mut wall_ns);
         let source_rows = batch.rows() as u64;
+        #[cfg(test)]
         if self.panic_trap == Some(source_rows) {
             panic!("panic_trap: morsel with {source_rows} source rows");
         }
@@ -1164,6 +1166,7 @@ impl<'a> Executor<'a> {
             src_map: ColMap::from_slots(&source.out_slots),
             states: q.states.clone(),
             measure: matches!(self.config.mode, ExecutionMode::Parallel { .. }),
+            #[cfg(test)]
             panic_trap: None,
         });
         let mut sink = self.make_sink(plan, p)?;

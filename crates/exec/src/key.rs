@@ -272,12 +272,16 @@ impl KeyIndex {
     #[cold]
     fn reseat(&mut self, slots: usize) {
         self.directory = vec![0u32; slots];
+        let mask = self.directory.len() - 1;
         for id in 0..self.len {
             let hash = hash_words(&self.words[id * self.arity..][..self.arity]);
-            // No stored id is accepted, so the walk ends at the empty slot.
-            let Err(slot) = probe(&self.directory, hash, |_| false) else {
-                unreachable!("probe accepted a key");
-            };
+            // Stored keys are distinct, so none needs comparing: the id goes
+            // to the first empty slot of its probe sequence (load ≤ ½ leaves
+            // one).
+            let mut slot = hash as usize & mask;
+            while self.directory[slot] != 0 {
+                slot = (slot + 1) & mask;
+            }
             self.directory[slot] = id as u32 + 1;
         }
     }

@@ -36,6 +36,11 @@
 //! (`QueryMetrics::node_dollars`, summing bit-exactly to the query bill).
 //! See `ci-obs` for the exporters.
 
+// Library code reports bad plans and impossible operator states as
+// `CiError::Exec`, never by unwrapping; CI's clippy step fails the day an
+// unwrap comes back.
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
+
 pub mod engine;
 pub mod key;
 pub mod metrics;

@@ -30,6 +30,7 @@ use std::sync::Arc;
 use ci_plan::expr::{AggExpr, ColMap, PlanExpr};
 use ci_sql::ast::AggFunc;
 use ci_storage::column::ColumnData;
+use ci_storage::dict::Dictionary;
 use ci_storage::schema::{Field, Schema, SchemaRef};
 use ci_storage::value::{DataType, Value};
 use ci_storage::RecordBatch;
@@ -658,7 +659,10 @@ impl AggregateState {
                 match encoder.dict_entry(index, id, i) {
                     Some(entry) => {
                         let ColumnData::Dict { ids, dict } = col else {
-                            unreachable!("dict-mode group column built as dict");
+                            return Err(CiError::Exec(format!(
+                                "group column {i} is keyed through a dictionary \
+                                 but was not built dict-encoded"
+                            )));
                         };
                         match entry {
                             DictKeyEntry::Id(id) => ids.push(id),
@@ -811,9 +815,8 @@ enum SortCol<'a> {
     /// when every buffered batch shares one dictionary `Arc`, so ranks from
     /// different readers are mutually comparable.
     DictRank(&'a [u32], Arc<Vec<u32>>),
-    /// Dict column compared by decoded string — the cross-dictionary
-    /// fallback.
-    DictStr(&'a ColumnData),
+    /// Dict ids compared by decoded string — the cross-dictionary fallback.
+    DictStr(&'a [u32], &'a Dictionary),
 }
 
 impl<'a> SortCol<'a> {
@@ -840,21 +843,21 @@ impl<'a> SortCol<'a> {
                     ColumnData::Float64(v) => SortCol::F64(v),
                     ColumnData::Bool(v) => SortCol::Bool(v),
                     ColumnData::Utf8(v) => SortCol::Utf8(v),
-                    ColumnData::Dict { ids, .. } => match &shared_ranks {
+                    ColumnData::Dict { ids, dict } => match &shared_ranks {
                         Some(ranks) => SortCol::DictRank(ids, ranks.clone()),
-                        None => SortCol::DictStr(c),
+                        None => SortCol::DictStr(ids, dict),
                     },
                 }
             })
             .collect()
     }
 
-    /// Borrowed string at row `i` (string readers only).
-    fn str_at(&self, i: usize) -> &str {
+    /// Borrowed string at row `i`; `None` from a non-string reader.
+    fn str_at(&self, i: usize) -> Option<&str> {
         match self {
-            SortCol::Utf8(v) => &v[i],
-            SortCol::DictStr(c) => c.str_at(i).expect("dict column reads strings"),
-            _ => unreachable!("str_at on a non-string sort column"),
+            SortCol::Utf8(v) => Some(&v[i]),
+            SortCol::DictStr(ids, dict) => Some(dict.get(ids[i])),
+            _ => None,
         }
     }
 
@@ -875,7 +878,9 @@ impl<'a> SortCol<'a> {
             (SortCol::DictRank(xi, xr), SortCol::DictRank(yi, yr)) => {
                 xr[xi[a] as usize].cmp(&yr[yi[b] as usize])
             }
-            (x, y) => x.str_at(a).cmp(y.str_at(b)),
+            // Only string readers are left: every batch's reader covers the
+            // same key column, so non-string variants always pair up above.
+            (x, y) => x.str_at(a).cmp(&y.str_at(b)),
         }
     }
 }

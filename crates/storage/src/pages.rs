@@ -56,13 +56,17 @@
 //! Sizing and serializing share one derivation, **sketch → plan →
 //! `bytes` / `emit`**: one fused pass over a column's rows (read through a
 //! batch's selection, never compacted) gathers a sketch — rows, first,
-//! min/max, runs, min/max delta and a capped distinct count for fixed-width
-//! columns; plain / run / referenced-entry bytes for strings — from which a
+//! min/max, runs and min/max delta for `Int64` and `Bool` columns; the run
+//! count by bit pattern for `Float64`, whose only codecs are Plain and Rle;
+//! plain / run / referenced-entry bytes for strings — from which a
 //! `ColumnPlan` takes every candidate's exact size, the pick and the
-//! FoR/Delta frame. On a wire stream that pass is a batch's [`WireSketch`],
-//! taken wherever the batch is hot, and the stream's [`WireEncoder`] folds
-//! it in stream order: first-sight dictionaries and the cached-frame reuse
-//! decision, O(columns). Costing reads the plan's `bytes`; serialization
+//! FoR/Delta frame. Only an `Int64` Dict candidate needs a distinct count,
+//! and the other candidates' sizes bound it: the count stops once past the
+//! largest entry count at which Dict could still win (`dict_bound`), soon
+//! after the race is decided. On a wire stream that pass is a batch's
+//! [`WireSketch`], taken wherever the batch is hot, and the stream's
+//! [`WireEncoder`] folds it in stream order: first-sight dictionaries and
+//! the cached-frame reuse decision, O(columns). Costing reads the plan's `bytes`; serialization
 //! calls its `emit`, which writes exactly that many — "size ==
 //! serialization" by construction.
 //!
@@ -537,17 +541,25 @@ pub fn dictionary_page_bytes(dict: &Dictionary) -> u64 {
 
 /// Hard cap on the distinct-value count an `Int64` column may have and
 /// still be a `Dict` page candidate. The dict codec only pays when NDV is
-/// tiny (enum codes, bucketed dates), and counting an unbounded domain
-/// would cost more than the encode it sizes. Past the cap `Dict` is
-/// disqualified outright; the picker contract is defined over this capped
-/// candidate set. (A `Dict` page *forced* through [`encode_column`] or
-/// sized through [`encoded_size`] is exact for any NDV.)
+/// tiny (enum codes, bucketed dates). Past the cap `Dict` is disqualified
+/// outright; the picker contract is defined over this capped candidate
+/// set. The picker counts distinct values only up to the smaller of this
+/// cap and the largest count at which `Dict` still beats the other
+/// candidates' sizes (`dict_bound`), so a column Dict has already lost
+/// is never counted to the end. (A `Dict` page *forced* through
+/// [`encode_column`] or sized through [`encoded_size`] is exact for any
+/// NDV.)
 pub const DICT_INT_MAX_ENTRIES: usize = 4096;
 
 /// Value ranges under this bound count distinct ints in a bitmap over
 /// `value − min` (at most 128 KiB of reused scratch); wider ranges fall
-/// back to a hash set that stops at the cap.
+/// back to a hash set. Both stop once past the count's bound.
 const DISTINCT_BITMAP_MAX_RANGE: u64 = 1 << 20;
+
+/// The bitmap count compares its running count with the bound once per
+/// this many rows: often enough to stop early, rarely enough to stay off
+/// the per-row path.
+const DISTINCT_CHECK_ROWS: usize = 256;
 
 /// The rows of one column a plan covers: every row, or the rows a batch's
 /// selection names, in order — so sizing a selected batch never compacts it.
@@ -647,9 +659,9 @@ struct PlanScratch {
     wide: FastSet<i64>,
 }
 
-/// Everything the fixed-width candidates need, gathered by one pass over a
-/// column's values as `i64`s. All delta arithmetic is wrapping, so the
-/// frames are exact for any input.
+/// Everything the `Int64` and `Bool` candidates but `Dict` need, gathered
+/// by one pass over a column's values as `i64`s. All delta arithmetic is
+/// wrapping, so the frames are exact for any input.
 #[derive(Debug, Clone, Copy)]
 struct IntSketch {
     rows: usize,
@@ -661,9 +673,6 @@ struct IntSketch {
     /// Extremes of the `rows − 1` consecutive deltas (0, 0 under two rows).
     min_delta: i64,
     max_delta: i64,
-    /// Distinct values, once [`IntSketch::count_distinct`] ran: exact up to
-    /// the cap they were counted under, `cap + 1` past it.
-    distinct_capped: usize,
 }
 
 impl IntSketch {
@@ -677,7 +686,6 @@ impl IntSketch {
             runs: u64::from(first.is_some()),
             min_delta: i64::MAX,
             max_delta: i64::MIN,
-            distinct_capped: 0,
         };
         let mut prev = s.first;
         for x in vals {
@@ -706,44 +714,103 @@ impl IntSketch {
         range_bit_width(self.max_delta.wrapping_sub(self.min_delta) as u64)
     }
 
-    /// Counts the distinct values of the sketched column, exact up to `cap`
-    /// and `cap + 1` past it. Sorted columns need no second pass; small
-    /// ranges mark a bitmap; only wide unsorted columns hash, and those
-    /// stop at the cap.
+    /// Counts the distinct values of the sketched column while the count
+    /// can still matter: exact up to `bound`, and some count past `bound`
+    /// once the column has more — every pass stops there. Sorted columns
+    /// need no second pass; small ranges mark a bitmap, comparing the count
+    /// with the bound every [`DISTINCT_CHECK_ROWS`] rows; only wide unsorted
+    /// columns hash.
     fn count_distinct(
-        &mut self,
+        &self,
         vals: impl Iterator<Item = i64>,
-        cap: usize,
+        bound: usize,
         scratch: &mut PlanScratch,
-    ) {
-        let over = cap.saturating_add(1);
+    ) -> usize {
         let range = self.max.wrapping_sub(self.min) as u64;
+        // A non-empty column holds one value, two once its range is not 0.
+        let least = usize::from(self.rows > 0) + usize::from(range > 0);
+        if least > bound {
+            return least;
+        }
         // Under half the domain no consecutive delta wraps, so one-signed
         // deltas mean a sorted column: every run is a new value. (Covers
         // empty and constant columns too.)
         let sorted = range <= i64::MAX as u64 && (self.min_delta >= 0 || self.max_delta <= 0);
-        self.distinct_capped = if sorted {
-            usize::try_from(self.runs).map_or(over, |runs| runs.min(over))
-        } else if range < DISTINCT_BITMAP_MAX_RANGE {
+        if sorted {
+            let over = bound.saturating_add(1);
+            return usize::try_from(self.runs).map_or(over, |runs| runs.min(over));
+        }
+        if range < DISTINCT_BITMAP_MAX_RANGE {
             let bits = &mut scratch.bits;
             bits.clear();
             bits.resize(range as usize / 64 + 1, 0);
-            for x in vals {
+            let mut seen = 0usize;
+            for (i, x) in vals.enumerate() {
                 let off = x.wrapping_sub(self.min) as usize;
-                bits[off / 64] |= 1 << (off % 64);
-            }
-            let ones: usize = bits.iter().map(|w| w.count_ones() as usize).sum();
-            ones.min(over)
-        } else {
-            scratch.wide.clear();
-            for x in vals {
-                if scratch.wide.insert(x) && scratch.wide.len() > cap {
+                let (word, bit) = (&mut bits[off / 64], 1u64 << (off % 64));
+                seen += usize::from(*word & bit == 0);
+                *word |= bit;
+                if i % DISTINCT_CHECK_ROWS == DISTINCT_CHECK_ROWS - 1 && seen > bound {
                     break;
                 }
             }
-            scratch.wide.len()
-        };
+            return seen;
+        }
+        scratch.wide.clear();
+        for x in vals {
+            if scratch.wide.insert(x) && scratch.wide.len() > bound {
+                break;
+            }
+        }
+        scratch.wide.len()
     }
+}
+
+/// The largest entry count, up to [`DICT_INT_MAX_ENTRIES`], at which an
+/// `Int64` `Dict` page of `dict(entries)` payload bytes still wins the race
+/// against the other candidates' `payload` sizes (Dict's own slot is
+/// ignored): it must be strictly smaller than Plain and no larger than
+/// Rle, For or Delta, which it precedes in [`ALL_CODECS`]. `None` when no
+/// count wins. Dict's size grows with its entry count, so the winning
+/// counts are a prefix of `0..=DICT_INT_MAX_ENTRIES` and a binary search
+/// finds its end.
+fn dict_bound(payload: &[Option<u64>; 5], dict: impl Fn(usize) -> u64) -> Option<usize> {
+    let [plain, _, rest @ ..] = *payload;
+    let limit = (rest.into_iter().flatten()).fold(plain?.checked_sub(1)?, u64::min);
+    if dict(0) > limit {
+        return None;
+    }
+    let (mut lo, mut hi) = (0, DICT_INT_MAX_ENTRIES);
+    while lo < hi {
+        let mid = hi - (hi - lo) / 2;
+        if dict(mid) <= limit {
+            lo = mid;
+        } else {
+            hi = mid - 1;
+        }
+    }
+    Some(lo)
+}
+
+/// Equal-bit-pattern runs over the rows of `v` that `sel` names: a float
+/// column's whole sketch, since Plain and Rle are its only codecs. A dense
+/// or range selection is one comparison of the slice with itself shifted
+/// by a row.
+fn float_runs(v: &[f64], sel: Option<&SelectionVector>) -> u64 {
+    let v = match sel.map(|s| (s, s.as_range())) {
+        None => v,
+        Some((_, Some((start, len)))) => &v[start..start + len],
+        Some((s, None)) => {
+            let bits = || s.iter().map(|i| v[i].to_bits());
+            let changes = bits().zip(bits().skip(1)).filter(|(a, b)| a != b).count();
+            return u64::from(!s.is_empty()) + changes as u64;
+        }
+    };
+    let Some(next) = v.get(1..) else { return 0 };
+    let changes = (v.iter().zip(next))
+        .filter(|(a, b)| a.to_bits() != b.to_bits())
+        .count();
+    1 + changes as u64
 }
 
 /// What the string candidates need, gathered by one pass: every size below
@@ -826,51 +893,43 @@ struct ColumnPlan {
     bytes: u64,
     /// Bytes of the inline dictionary section (0 unless the codec is Dict).
     dict_bytes: u64,
-    /// The stats pass behind a fixed-width plan (wire frame reuse reads it).
+    /// The stats pass behind an `Int64` or `Bool` plan (wire frame reuse
+    /// reads it).
     sketch: Option<IntSketch>,
 }
 
 impl ColumnPlan {
     /// Plans `rows` under the smallest applicable codec (ties break toward
     /// the earlier of [`ALL_CODECS`]), or under `only` when given — an
-    /// error if that codec does not apply to the column's type. The picker
-    /// offers `Int64` columns `Dict` up to `int_dict_cap` distinct values
-    /// (0: never); a forced `Dict` page is exact for any NDV.
+    /// error if that codec does not apply to the column's type. With
+    /// `int_dict` the picker offers `Int64` columns `Dict`, counting their
+    /// distinct values only while Dict can still win (see [`dict_bound`]);
+    /// a forced `Dict` page is exact for any NDV.
     fn build(
         rows: Rows<'_>,
         only: Option<PageCodec>,
-        int_dict_cap: usize,
+        int_dict: bool,
         scratch: &mut PlanScratch,
     ) -> Result<ColumnPlan> {
         let (dt, n) = (rows.col.data_type(), rows.len());
-        let int_dict_cap = match only {
-            Some(PageCodec::Dict) => usize::MAX,
-            Some(_) => 0,
-            None => int_dict_cap,
+        let sketch = match rows.col {
+            ColumnData::Int64(v) => Some(each_row!(v, rows.sel, |it| IntSketch::of(it.copied()))),
+            ColumnData::Bool(v) => Some(each_row!(v, rows.sel, |it| IntSketch::of(
+                it.map(|&b| i64::from(b))
+            ))),
+            _ => None,
         };
-        let sketch = fixed_values!(
-            rows,
-            |it| {
-                let mut s = IntSketch::of(it.clone());
-                if dt == DataType::Int64 && int_dict_cap > 0 {
-                    s.count_distinct(it, int_dict_cap, scratch);
-                }
-                Some(s)
-            },
-            else None
-        );
         let ids = |entries: usize| 1 + packed_id_bytes(n, id_bit_width(entries));
         // Payload bytes per codec in `ALL_CODECS` order, and the bytes of
-        // the Dict candidate's dictionary section.
-        let (payload, dict_bytes) = match sketch {
-            Some(s) => {
+        // the Dict candidate's dictionary section. An `Int64` Dict slot is
+        // filled below, once the other sizes bound its distinct count.
+        let (mut payload, mut dict_bytes) = match (rows.col, sketch) {
+            (_, Some(s)) => {
                 let value = if dt == DataType::Bool { 1 } else { 8 };
-                let entries = s.distinct_capped;
-                let dict = 4 + entries as u64 * 8;
                 let framed = |frame: u64, packed: u64| if n == 0 { 0 } else { frame + packed };
                 let sizes = [
                     Some(n as u64 * value),
-                    (int_dict_cap > 0 && entries <= int_dict_cap).then(|| dict + ids(entries)),
+                    None,
                     Some(4 + s.runs * (4 + value)),
                     Some(framed(9, packed_id_bytes(n, s.for_width()))),
                     Some(framed(
@@ -878,9 +937,17 @@ impl ColumnPlan {
                         packed_id_bytes(n.saturating_sub(1), s.delta_width()),
                     )),
                 ];
-                (sizes, dict)
+                (sizes, 0)
             }
-            None => {
+            // Plain and Rle are the only float codecs.
+            (ColumnData::Float64(v), None) => {
+                let runs = float_runs(v, rows.sel);
+                (
+                    [Some(n as u64 * 8), None, Some(4 + runs * 12), None, None],
+                    0,
+                )
+            }
+            _ => {
                 let s = match rows.col {
                     ColumnData::Utf8(v) => {
                         let mut seen: FastSet<&str> = FastSet::default();
@@ -912,6 +979,27 @@ impl ColumnPlan {
                 (sizes, dict)
             }
         };
+        if let (ColumnData::Int64(v), Some(s)) = (rows.col, &sketch) {
+            // An int dictionary section: entry count, then 8 bytes per entry.
+            let int_dict_bytes = |entries: usize| 4 + entries as u64 * 8;
+            let dict_size = |entries: usize| int_dict_bytes(entries) + ids(entries);
+            let bound = match only {
+                Some(PageCodec::Dict) => Some(usize::MAX),
+                None if int_dict => dict_bound(&payload, dict_size),
+                _ => None,
+            };
+            if let Some(bound) = bound {
+                let entries = each_row!(v, rows.sel, |it| s.count_distinct(
+                    it.copied(),
+                    bound,
+                    scratch
+                ));
+                if entries <= bound {
+                    payload[1] = Some(dict_size(entries));
+                    dict_bytes = int_dict_bytes(entries);
+                }
+            }
+        }
         let mut best: Option<(PageCodec, u64)> = None;
         for (codec, size) in ALL_CODECS.into_iter().zip(payload) {
             let wanted = only.is_none_or(|o| o == codec) && codec.applies_to(dt);
@@ -951,19 +1039,18 @@ impl ColumnPlan {
     }
 
     /// Plans a whole column as a storage page (its own scratch).
-    fn page(col: &ColumnData, only: Option<PageCodec>, cap: usize) -> Result<ColumnPlan> {
+    fn page(col: &ColumnData, only: Option<PageCodec>, int_dict: bool) -> Result<ColumnPlan> {
         ColumnPlan::build(
             Rows { col, sel: None },
             only,
-            cap,
+            int_dict,
             &mut PlanScratch::default(),
         )
     }
 
     /// The storage page under the size-based picker.
     fn picked(col: &ColumnData) -> ColumnPlan {
-        ColumnPlan::page(col, None, DICT_INT_MAX_ENTRIES)
-            .expect("Plain is a candidate for every column")
+        ColumnPlan::page(col, None, true).expect("Plain is a candidate for every column")
     }
 
     /// Page metadata of a plan over the whole (dense) column `col`.
@@ -1191,7 +1278,7 @@ pub const PAGE_FLAG_WIRE_STREAM: u8 = 2;
 /// Exact size in bytes of `encode_column(col, codec)` without materializing
 /// the page.
 pub fn encoded_size(col: &ColumnData, codec: PageCodec) -> Result<u64> {
-    Ok(ColumnPlan::page(col, Some(codec), 0)?.bytes)
+    Ok(ColumnPlan::page(col, Some(codec), false)?.bytes)
 }
 
 /// The smallest-page codec for this column (ties break toward the earlier
@@ -1211,7 +1298,7 @@ pub fn best_page(col: &ColumnData) -> EncodedPage {
 /// Encodes a column as one self-contained page under the given codec.
 /// Returns the page metadata and the bytes; `decode_column` inverts it.
 pub fn encode_column(col: &ColumnData, codec: PageCodec) -> Result<(EncodedPage, Vec<u8>)> {
-    ColumnPlan::page(col, Some(codec), 0)?.encode(col)
+    ColumnPlan::page(col, Some(codec), false)?.encode(col)
 }
 
 /// Encodes under the size-picked codec.
@@ -1222,7 +1309,7 @@ pub fn encode_best(col: &ColumnData) -> Result<(EncodedPage, Vec<u8>)> {
 /// Encodes an int column under the size-picked codec with `Dict` left out
 /// of the race — the codec set tier files store int columns under.
 pub(crate) fn encode_best_no_dict(col: &ColumnData) -> Result<Vec<u8>> {
-    Ok(ColumnPlan::page(col, None, 0)?.encode(col)?.1)
+    Ok(ColumnPlan::page(col, None, false)?.encode(col)?.1)
 }
 
 // ---------------------------------------------------------------------------
@@ -1777,7 +1864,7 @@ impl ColumnPlan {
     /// column's best self-contained page.
     fn wire(rows: Rows<'_>, scratch: &mut PlanScratch) -> Result<ColumnPlan> {
         let ColumnData::Dict { dict, .. } = rows.col else {
-            return ColumnPlan::build(rows, None, DICT_INT_MAX_ENTRIES, scratch);
+            return ColumnPlan::build(rows, None, true, scratch);
         };
         let ids = packed_id_bytes(rows.len(), id_bit_width(dict.len()));
         Ok(ColumnPlan {
@@ -2338,6 +2425,55 @@ mod tests {
             .map(|i| ((i * 7) % 512) as i64 * 0x0123_4567_89ab)
             .collect();
         assert_eq!(pick_codec(&ColumnData::Int64(small)), PageCodec::Dict);
+    }
+
+    #[test]
+    fn dict_wins_its_ties_except_against_plain() {
+        // Small int columns with exactly `ndv` values `k * step`, cycled
+        // (no runs) or in blocks (one run per value). Wherever Dict ties the
+        // smallest other candidate exactly, the tie order decides: Plain
+        // precedes Dict, Dict precedes Rle, For and Delta — so the bound on
+        // the distinct count must admit a tie with those three.
+        let mut ties = HashSet::new();
+        for n in 1..=48usize {
+            for ndv in 1..=n.min(16) {
+                for shift in 0..62 {
+                    if (ndv as i64 - 1).checked_mul(1 << shift).is_none() {
+                        continue;
+                    }
+                    for blocks in [false, true] {
+                        let k = |i: usize| if blocks { i * ndv / n } else { i % ndv };
+                        let col =
+                            ColumnData::Int64((0..n).map(|i| (k(i) as i64) << shift).collect());
+                        let size = |c| encoded_size(&col, c).unwrap();
+                        let dict = size(PageCodec::Dict);
+                        let others = [
+                            PageCodec::Plain,
+                            PageCodec::Rle,
+                            PageCodec::For,
+                            PageCodec::Delta,
+                        ];
+                        if others.iter().any(|&c| size(c) < dict) {
+                            continue;
+                        }
+                        let tied: Vec<PageCodec> =
+                            others.into_iter().filter(|&c| size(c) == dict).collect();
+                        let want = if tied.contains(&PageCodec::Plain) {
+                            PageCodec::Plain
+                        } else {
+                            PageCodec::Dict
+                        };
+                        assert_eq!(pick_codec(&col), want, "{n} rows, {ndv} values << {shift}");
+                        ties.extend(tied);
+                    }
+                }
+            }
+        }
+        assert_eq!(
+            ties.len(),
+            4,
+            "the search must find Dict tied with each other candidate, found {ties:?}"
+        );
     }
 
     #[test]

@@ -466,6 +466,8 @@ fn mix(seed: u64, i: u64) -> u64 {
 /// Int columns aimed at every branch of the sketch: arbitrary values,
 /// lengths 0/1/2, constants, (overflowing) strides, small domains around the
 /// 4096-entry Dict cap over both narrow (bitmap) and wide (hash) ranges,
+/// NDVs around the largest count at which Dict still wins (where the
+/// distinct count stops early),
 /// ranges straddling the bitmap/hash switch at 2^20, wrapping extremes, and
 /// values hugging `i64::MAX` so a derived frame's window wraps the domain.
 fn int_column() -> BoxedStrategy<Vec<i64>> {
@@ -510,6 +512,16 @@ fn int_column() -> BoxedStrategy<Vec<i64>> {
             v[len - 1] = base + range as i64;
             v
         });
+    // At a fixed length and range, the NDV sits just below, at and just
+    // above the largest count at which the oracle still picks Dict.
+    let dict_boundary = (
+        select(dict_edges().to_vec()),
+        0usize..3,
+        -1_000_000_000_000i64..1_000_000_000_000,
+    )
+        .prop_map(|((len, range, edge), step, base)| {
+            spread_column(len, range, edge + step - 1, base)
+        });
     let edge =
         (0i64..64, any::<u64>(), 1usize..80, 1u64..40).prop_map(|(back, seed, len, span)| {
             (0..len as u64)
@@ -541,6 +553,7 @@ fn int_column() -> BoxedStrategy<Vec<i64>> {
             }),
         domain,
         straddle,
+        dict_boundary,
         edge,
         proptest::collection::vec(
             select(vec![
@@ -569,6 +582,52 @@ fn int_column() -> BoxedStrategy<Vec<i64>> {
     .boxed()
 }
 
+/// `len` rows over exactly `ndv` (at least 2) distinct values spread
+/// evenly over `[base, base + range]`, cycled in an order without runs.
+fn spread_column(len: usize, range: u64, ndv: usize, base: i64) -> Vec<i64> {
+    (0..len)
+        .map(|i| {
+            let k = ((i * 1_000_003) % ndv) as u128;
+            base + (k * u128::from(range) / (ndv as u128 - 1)) as i64
+        })
+        .collect()
+}
+
+/// `(len, range, dict_edge(len, range))` for a range the bitmap counts and
+/// one the hash set counts, searched once per test binary.
+fn dict_edges() -> &'static [(usize, u64, usize)] {
+    static EDGES: std::sync::OnceLock<Vec<(usize, u64, usize)>> = std::sync::OnceLock::new();
+    EDGES.get_or_init(|| {
+        [(2_000, (1u64 << 20) - 1), (2_000, 1 << 40)]
+            .into_iter()
+            .map(|(len, range)| (len, range, dict_edge(len, range)))
+            .collect()
+    })
+}
+
+/// The largest NDV at which the oracle picks Dict for a [`spread_column`]
+/// of `len` rows over `range`: Dict's size grows with its entry count while
+/// the other candidates' stay put, so the Dict picks are a prefix.
+fn dict_edge(len: usize, range: u64) -> usize {
+    let picks_dict = |ndv: usize| {
+        oracle::pick_codec(&ColumnData::Int64(spread_column(len, range, ndv, 0))) == PageCodec::Dict
+    };
+    let (mut lo, mut hi) = (2, len);
+    assert!(
+        picks_dict(lo) && !picks_dict(hi),
+        "no Dict edge in 2..={len}"
+    );
+    while hi - lo > 1 {
+        let mid = (lo + hi) / 2;
+        if picks_dict(mid) {
+            lo = mid;
+        } else {
+            hi = mid;
+        }
+    }
+    lo
+}
+
 /// Columns of every non-`Int64` variant, including dictionary columns sliced
 /// so their dictionaries carry unreferenced entries.
 fn other_column() -> BoxedStrategy<ColumnData> {
@@ -578,8 +637,17 @@ fn other_column() -> BoxedStrategy<ColumnData> {
     };
     prop_oneof![
         proptest::collection::vec(any::<f64>(), 0..200usize).prop_map(ColumnData::Float64),
-        proptest::collection::vec(select(vec![0.0f64, -0.0, 1.5, f64::NAN]), 0..200usize)
-            .prop_map(ColumnData::Float64),
+        proptest::collection::vec(
+            select(vec![
+                0.0f64,
+                -0.0,
+                1.5,
+                f64::NAN,
+                f64::from_bits(0x7ff8_0000_0000_0001)
+            ]),
+            0..200usize
+        )
+        .prop_map(ColumnData::Float64),
         proptest::collection::vec(any::<bool>(), 0..200usize).prop_map(ColumnData::Bool),
         (any::<bool>(), 0usize..200).prop_map(|(b, n)| ColumnData::Bool(vec![b; n])),
         string_column(6, 0..150).prop_map(ColumnData::Utf8),
