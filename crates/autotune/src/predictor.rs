@@ -72,9 +72,7 @@ impl WorkloadPredictor {
         out.sort_by(|a, b| {
             let ca = a.rate_per_hour * a.cost_per_execution.amount();
             let cb = b.rate_per_hour * b.cost_per_execution.amount();
-            cb.partial_cmp(&ca)
-                .expect("finite")
-                .then(a.fingerprint.cmp(&b.fingerprint))
+            cb.total_cmp(&ca).then(a.fingerprint.cmp(&b.fingerprint))
         });
         out
     }

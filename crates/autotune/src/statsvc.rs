@@ -162,7 +162,9 @@ impl StatisticsService {
     }
 
     /// Hot/cold tiering: when over capacity, the coldest (cheapest) half of
-    /// fingerprints collapses into an aggregate bucket.
+    /// fingerprints collapses into an aggregate bucket. Equal costs evict
+    /// the lesser fingerprint first, so the survivors never depend on the
+    /// map's iteration order.
     fn evict_cold_if_needed(&mut self) {
         if self.fingerprints.len() <= self.config.hot_capacity {
             return;
@@ -172,7 +174,7 @@ impl StatisticsService {
             .iter()
             .map(|(k, v)| (k.clone(), v.total_cost.amount()))
             .collect();
-        entries.sort_by(|a, b| a.1.partial_cmp(&b.1).expect("finite cost"));
+        entries.sort_by(|a, b| a.1.total_cmp(&b.1).then_with(|| a.0.cmp(&b.0)));
         let evict = entries.len() - self.config.hot_capacity / 2;
         for (k, _) in entries.into_iter().take(evict) {
             if let Some(v) = self.fingerprints.remove(&k) {
@@ -185,7 +187,7 @@ impl StatisticsService {
     /// Top attributes by access count, descending.
     pub fn hot_attributes(&self, k: usize) -> Vec<(AttrRef, f64)> {
         let mut v: Vec<_> = self.attr_counts.iter().map(|(a, c)| (*a, *c)).collect();
-        v.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite").then(a.0.cmp(&b.0)));
+        v.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
         v.truncate(k);
         v
     }
@@ -193,7 +195,7 @@ impl StatisticsService {
     /// Join-graph edges by weight, descending.
     pub fn join_edges(&self) -> Vec<(JoinEdge, f64)> {
         let mut v: Vec<_> = self.join_graph.iter().map(|(e, w)| (*e, *w)).collect();
-        v.sort_by(|a, b| b.1.partial_cmp(&a.1).expect("finite").then(a.0.cmp(&b.0)));
+        v.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
         v
     }
 
@@ -206,8 +208,8 @@ impl StatisticsService {
             .collect();
         v.sort_by(|a, b| {
             b.1.total_cost
-                .partial_cmp(&a.1.total_cost)
-                .expect("finite")
+                .amount()
+                .total_cmp(&a.1.total_cost.amount())
                 .then(a.0.cmp(b.0))
         });
         v.truncate(k);
@@ -358,6 +360,34 @@ mod tests {
         assert!(s.fingerprint("q0").is_none());
         // Evicted mass is preserved in the cold bucket.
         assert!(s.cold_count > 0.0);
+    }
+
+    #[test]
+    fn equal_cost_eviction_ignores_arrival_and_hash_order() {
+        let cfg = || StatsConfig {
+            hot_capacity: 10,
+            ..Default::default()
+        };
+        let (mut forward, mut reverse) =
+            (StatisticsService::new(cfg()), StatisticsService::new(cfg()));
+        // 29 records: the last one triggers the last eviction (at 11, 17,
+        // 23 and 29 entries), so no survivor is there by arrival alone.
+        let names: Vec<String> = (0..29).map(|i| format!("q{i:02}")).collect();
+        for name in &names {
+            forward.ingest(rec(name, 0.01, 0.0));
+        }
+        for name in names.iter().rev() {
+            reverse.ingest(rec(name, 0.01, 0.0));
+        }
+        let survivors = |s: &StatisticsService| {
+            let mut kept: Vec<String> = s.fingerprints.keys().cloned().collect();
+            kept.sort();
+            kept
+        };
+        // Every eviction keeps the greatest five of the tied fingerprints.
+        assert_eq!(survivors(&forward), names[24..]);
+        assert_eq!(survivors(&reverse), names[24..]);
+        assert_eq!(forward.cold_count, 24.0);
     }
 
     #[test]

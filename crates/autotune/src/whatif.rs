@@ -216,10 +216,15 @@ impl<'a> WhatIfService<'a> {
     /// and "after" differ only in the proposed residency).
     fn tiered_base_config(&self) -> EstimatorConfig {
         let mut cfg = self.config.estimator.clone();
-        if cfg.tiers.is_none() {
-            cfg.tiers = Some(TierCostModel::cold(self.config.tier_pricing.clone()));
-        }
+        self.tiers_of(&mut cfg);
         cfg
+    }
+
+    /// `cfg`'s tier model, set to the cold model under this service's
+    /// pricing when `cfg` has none.
+    fn tiers_of<'c>(&self, cfg: &'c mut EstimatorConfig) -> &'c mut TierCostModel {
+        cfg.tiers
+            .get_or_insert_with(|| TierCostModel::cold(self.config.tier_pricing.clone()))
     }
 
     fn evaluate_mv(
@@ -362,15 +367,15 @@ impl<'a> WhatIfService<'a> {
 
         let before_cfg = self.tiered_base_config();
         let mut after_cfg = before_cfg.clone();
-        let model = after_cfg
-            .tiers
-            .as_mut()
-            .expect("tiered_base_config sets it");
-        match tier {
-            TierLevel::Mem => model.pinned_mem.insert(id),
-            TierLevel::Ssd => model.pinned_ssd.insert(id),
-            TierLevel::Object => unreachable!("rejected above"),
+        let model = self.tiers_of(&mut after_cfg);
+        let pinned = match tier {
+            TierLevel::Mem => &mut model.pinned_mem,
+            TierLevel::Ssd => &mut model.pinned_ssd,
+            TierLevel::Object => {
+                return Err(CiError::Tuning("no pin set for the object tier".into()))
+            }
         };
+        pinned.insert(id);
 
         // Saved fetch dollars, per §4's x: faster machine-seconds (the scan
         // is served at tier latency) plus the object-store GET and transfer
@@ -433,10 +438,7 @@ impl<'a> WhatIfService<'a> {
         let before_cfg = self.tiered_base_config();
         let mut after_cfg = before_cfg.clone();
         {
-            let model = after_cfg
-                .tiers
-                .as_mut()
-                .expect("tiered_base_config sets it");
+            let model = self.tiers_of(&mut after_cfg);
             model.mem_hit_rate = mem_frac;
             model.ssd_hit_rate = ssd_frac;
         }

@@ -4,6 +4,8 @@
 //! hash-join build/probe, group-by) over both string encodings, the
 //! `filter_chain` kernel over both materialization strategies, the
 //! `filter_numeric` predicate kernel against the pre-kernel predicate path,
+//! the engine's int-key join against `std` hash-map joins (`int_join_all_miss`
+//! probes only, `int_join_dense` builds and probes CAB's FK → PK shape),
 //! and the encoded-page kernels (`page_encode` round-trips columns through their
 //! size-picked codecs, `exchange_wire` serializes morsels through the wire
 //! format). In every entry `baseline_naive_ns` is the unoptimized input
@@ -34,16 +36,18 @@
 use std::time::Instant;
 
 use ci_bench::hotpath::{
-    all_miss_fixture, cache_scan_fixture, exchange_wire_accounting, int_codec_accounting,
-    int_join_map, int_join_table, numeric_batch, run_cache_hit_scan, run_exchange_wire, run_filter,
-    run_filter_chain, run_filter_numeric, run_filter_numeric_naive, run_group_by,
-    run_int_join_probe, run_int_map_probe, run_join, run_page_encode, run_page_encode_int,
-    sorted_int_batch, string_batch, warm_cache, wide_batch,
+    all_miss_fixture, cache_scan_fixture, dense_join_fixture, exchange_wire_accounting,
+    int_codec_accounting, int_join_map, int_join_table, numeric_batch, run_cache_hit_scan,
+    run_exchange_wire, run_filter, run_filter_chain, run_filter_numeric, run_filter_numeric_naive,
+    run_group_by, run_int_join, run_int_join_probe, run_int_map_join, run_int_map_probe, run_join,
+    run_page_encode, run_page_encode_int, sorted_int_batch, string_batch, warm_cache, wide_batch,
 };
 use ci_bench::report::{Measurement, Report, CARDINALITY, ROWS};
 use ci_storage::RecordBatch;
 use ci_types::{CiError, Result};
 
+/// Build rows (distinct primary keys) of the dense join kernel.
+const DENSE_BUILD_ROWS: usize = 50_000;
 /// Morsel size for the group-by kernel (matches the engine default's shape).
 const MORSEL: usize = 65_536;
 /// Timed repetitions per kernel; the minimum is reported.
@@ -102,6 +106,7 @@ fn main() -> Result<()> {
     let numeric = numeric_batch(ROWS, 11)?;
     let [build, probe] = all_miss_fixture(ROWS, ROWS / 2, 13);
     let (map, table) = (int_join_map(&build)?, int_join_table(&build)?);
+    let [dense_build, dense_probe] = dense_join_fixture(DENSE_BUILD_ROWS, ROWS, 14);
     let measurements = vec![
         measure("filter_string_eq", |b, _| run_filter(b))?,
         measure("hash_join_string_key", run_join)?,
@@ -141,6 +146,15 @@ fn main() -> Result<()> {
             "int_join_all_miss",
             || run_int_map_probe(&map, &probe),
             || run_int_join_probe(&table, &probe),
+        )?,
+        // Dense FK → PK join, CAB's shape: 50 000 shuffled distinct ids
+        // built, 200 000 references probed, every one a hit. A `std`
+        // `HashMap<i64, Vec<u32>>` join with the same gather vs the whole
+        // `JoinHashTable` build + probe, both timed.
+        versus(
+            "int_join_dense",
+            || run_int_map_join(&dense_build, &dense_probe),
+            || run_int_join(&dense_build, &dense_probe),
         )?,
     ];
 

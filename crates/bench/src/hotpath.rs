@@ -196,6 +196,60 @@ pub fn run_int_map_probe(map: &HashMap<i64, u32>, probe: &RecordBatch) -> Result
     Ok(keys.len() + matches.len())
 }
 
+/// Dense FK → PK fixture, CAB's join shape: a build batch of `build_rows`
+/// distinct ids `0..build_rows` in shuffled order (the primary keys) and a
+/// probe batch of `probe_rows` references drawn from them (the foreign
+/// keys) — every probe row finds exactly one build row.
+pub fn dense_join_fixture(build_rows: usize, probe_rows: usize, seed: u64) -> [RecordBatch; 2] {
+    let mut rng = DetRng::seed_from_u64(seed);
+    let mut build: Vec<i64> = (0..build_rows as i64).collect();
+    for i in (1..build.len()).rev() {
+        build.swap(i, rng.u64_below(i as u64 + 1) as usize);
+    }
+    let probe: Vec<i64> = (0..probe_rows)
+        .map(|_| rng.u64_below(build_rows.max(1) as u64) as i64)
+        .collect();
+    [build, probe].map(|keys| {
+        let payload = ColumnData::Int64((0..keys.len() as i64).collect());
+        RecordBatch::new(sorted_int_schema(), vec![ColumnData::Int64(keys), payload])
+            .expect("int fixture batch")
+    })
+}
+
+/// The engine's whole join on the int key: build a [`JoinHashTable`] over
+/// `build`, probe it with `probe`. Returns joined rows.
+pub fn run_int_join(build: &RecordBatch, probe: &RecordBatch) -> Result<usize> {
+    let table = int_join_table(build)?;
+    let fields = ["p0", "p1", "b0", "b1"].map(|name| Field::new(name, DataType::Int64));
+    let out_schema = Arc::new(Schema::of(fields.to_vec()));
+    Ok(table.probe(probe, &[0], out_schema)?.rows())
+}
+
+/// The same join over a `std` `HashMap<i64, Vec<u32>>` of key → build rows:
+/// one `get` per probe key, then both sides' columns gathered by the
+/// matched row numbers as the engine's output is. Returns joined rows.
+pub fn run_int_map_join(build: &RecordBatch, probe: &RecordBatch) -> Result<usize> {
+    let mut map: HashMap<i64, Vec<u32>> = HashMap::new();
+    for (row, &key) in (0u32..).zip(build.column(0).as_i64()?) {
+        map.entry(key).or_default().push(row);
+    }
+    let (mut probe_rows, mut build_rows) = (Vec::new(), Vec::new());
+    for (row, key) in probe.column(0).as_i64()?.iter().enumerate() {
+        for &b in map.get(key).map_or(&[][..], Vec::as_slice) {
+            probe_rows.push(row);
+            build_rows.push(b as usize);
+        }
+    }
+    let mut joined = Vec::new();
+    for (batch, rows) in [(probe, &probe_rows), (build, &build_rows)] {
+        for c in 0..2 {
+            let col = batch.column(c).as_i64()?;
+            joined.push(rows.iter().map(|&r| col[r]).collect::<Vec<i64>>());
+        }
+    }
+    Ok(std::hint::black_box(joined)[0].len())
+}
+
 /// Number of integer payload columns in the wide filter-chain fixture.
 pub const WIDE_PAYLOADS: usize = 5;
 

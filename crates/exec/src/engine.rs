@@ -1253,7 +1253,10 @@ impl<'a> Executor<'a> {
                     &ty,
                     slots_schema(&plan.nodes[agg].out_slots, &plan.slot_types),
                 )?;
-                Ok(Sink::Agg { agg, state })
+                Ok(Sink::Agg {
+                    agg,
+                    state: Box::new(state),
+                })
             }
             SinkKind::Sort { sort } => {
                 let PhysicalOp::Sort { keys } = &plan.nodes[sort].op else {
@@ -1930,10 +1933,21 @@ impl<'a, 'q> Ledger<'a, 'q> {
 /// A pipeline's sink, each variant carrying the plan node it materializes
 /// for (the result sink: the pipeline's last node).
 enum Sink {
-    Build { join: usize, table: JoinHashTable },
-    Agg { agg: usize, state: AggregateState },
-    Sort { sort: usize, buffer: SortBuffer },
-    Result { node: usize },
+    Build {
+        join: usize,
+        table: JoinHashTable,
+    },
+    Agg {
+        agg: usize,
+        state: Box<AggregateState>,
+    },
+    Sort {
+        sort: usize,
+        buffer: SortBuffer,
+    },
+    Result {
+        node: usize,
+    },
 }
 
 impl Sink {

@@ -12,6 +12,15 @@
 //! aggregation one accumulator column per aggregate (see `operators`);
 //! neither keeps a map of its own, and no per-row key value exists.
 //!
+//! The index addresses its directory one of two ways. A one-word index
+//! whose first inserted batch spans no more words (read as `i64`) than a
+//! hashed directory for that batch would have slots is *offset-addressed*:
+//! key `w` sits at slot `w − min`, no hash and no word compare — the dense
+//! surrogate ids joins run on and the narrow group keys aggregation sees.
+//! Every other index is *hashed*, and an offset index that meets a word
+//! outside its span becomes hashed for good. Ids, words and extension
+//! tables are the same either way; only the slot a key sits at differs.
+//!
 //! A string key column's word is an id. The encoder's *base* dictionary for
 //! the column — the authoritative column's own, or none for a raw-string
 //! column — supplies ids `0..base.len()`; a string outside it gets the next
@@ -54,8 +63,30 @@ fn mix(h: u64, word: u64) -> u64 {
 const HASH_SEED: u64 = 0x9e37_79b9_7f4a_7c15;
 
 /// Directory slots per key: load stays ≤ ½, so linear probes stay short and
-/// always end at an empty slot.
+/// always end at an empty slot. It also bounds the offset directory: a first
+/// batch of `n` one-word keys is offset-addressed only when its span fits in
+/// the [`hashed_slots`] of `n`, so addressing never costs more memory than
+/// hashing would have.
 const MAX_LOAD_INV: usize = 2;
+
+/// Slots of a hashed directory sized for `keys` keys (0 for none).
+fn hashed_slots(keys: usize) -> usize {
+    match keys {
+        0 => 0,
+        n => (n * MAX_LOAD_INV).next_power_of_two(),
+    }
+}
+
+/// The least word of `words` read as `i64` and the span from it to the
+/// greatest, when that span fits in `slots` slots (checked arithmetic:
+/// `i64::MIN..=i64::MAX` overflows and does not fit).
+fn dense_span(words: &[u64], slots: usize) -> Option<(u64, usize)> {
+    let (min, max) = words.iter().fold((i64::MAX, i64::MIN), |(lo, hi), &w| {
+        (lo.min(w as i64), hi.max(w as i64))
+    });
+    let span = usize::try_from(max.checked_sub(min)?.checked_add(1)?).ok()?;
+    (span <= slots).then_some((min as u64, span))
+}
 
 #[inline]
 fn hash_words(words: &[u64]) -> u64 {
@@ -64,20 +95,33 @@ fn hash_words(words: &[u64]) -> u64 {
         .fold(mix(HASH_SEED, words.len() as u64), |h, &w| mix(h, w))
 }
 
-/// Key → dense `u32` id in first-appearance order: the one hash structure
-/// under both the join build and aggregation.
+/// Key → dense `u32` id in first-appearance order: the one index under the
+/// join build and probe, `GROUP BY` and `COUNT(DISTINCT)`.
 ///
-/// An open-addressed, power-of-two directory of `id + 1` (0 = empty) with
-/// linear probing, kept at most half full so every probe meets an empty
-/// slot. Keys live once, in id order, as `arity` words per id in one flat
-/// vector that a lookup compares directly (directory → words, two dependent
-/// loads) and growth re-hashes from. The hash is a fixed-seed
-/// multiply-xorshift — keys come from the engine's own encoders and ids
-/// never depend on hash order, so no keyed flood resistance (and no
-/// `RandomState`) is needed.
+/// A directory of `id + 1` (0 = empty), addressed one of two ways:
+///
+/// - **Offset.** A one-word index whose first inserted batch of `n` keys
+///   spans (`max − min + 1`, words read as `i64`) no more than the
+///   `(n · 2).next_power_of_two()` slots a hashed directory for them takes
+///   keeps a directory of exactly `span` slots and finds key `w` at slot
+///   `w − min` — one subtraction, one load, no word compare. A lookup
+///   outside the span is [`KeyIndex::MISS`]; an insert outside it re-seats
+///   the index as hashed, once and for good.
+/// - **Hashed.** An open-addressed, power-of-two directory with linear
+///   probing, kept at most half full so every probe meets an empty slot.
+///   A lookup compares the stored words directly (directory → words, two
+///   dependent loads). The hash is a fixed-seed multiply-xorshift — keys
+///   come from the engine's own encoders and ids never depend on hash
+///   order, so no keyed flood resistance (and no `RandomState`) is needed.
+///
+/// Keys live once, in id order, as `arity` words per id in one flat vector
+/// that growth and the re-seat re-hash from, so ids, [`KeyIndex::key`] and
+/// [`KeyIndex::len`] do not depend on the addressing. The directory is
+/// allocated at the first insert, once the addressing is known.
 #[derive(Debug)]
 pub struct KeyIndex {
     directory: Vec<u32>,
+    addressing: Addressing,
     /// Number of distinct keys (an arity-0 key stores no words to count).
     len: usize,
     arity: usize,
@@ -86,6 +130,17 @@ pub struct KeyIndex {
     /// Per key column, the strings inserted from outside the column's base
     /// dictionary, in first-appearance order (empty for other columns).
     extensions: Vec<Dictionary>,
+}
+
+/// How a [`KeyIndex`] finds a key's directory slot.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Addressing {
+    /// Before the first inserted row, with no directory yet: a hashed one
+    /// would take this many keys without growing.
+    Unseated(usize),
+    /// Key `w` sits at slot `w − base`.
+    Offset(u64),
+    Hashed,
 }
 
 /// Walks the probe sequence of `hash`: `Ok(id)` at the first stored id that
@@ -151,12 +206,9 @@ impl KeyIndex {
     /// An index of `arity`-word keys that takes `capacity` distinct keys
     /// without growing.
     pub fn new(arity: usize, capacity: usize) -> KeyIndex {
-        let slots = match capacity {
-            0 => 0,
-            n => (n * MAX_LOAD_INV).next_power_of_two(),
-        };
         KeyIndex {
-            directory: vec![0; slots],
+            directory: Vec::new(),
+            addressing: Addressing::Unseated(capacity),
             len: 0,
             arity,
             words: Vec::with_capacity(capacity * arity),
@@ -185,13 +237,22 @@ impl KeyIndex {
     /// (`arity` words per key), giving an unseen key the next id. Panics
     /// when `words` is not `rows × arity` long.
     pub fn ids_or_insert(&mut self, words: &[u64], rows: usize, ids: &mut Vec<u32>) {
-        match self.checked_arity(words, rows) {
+        let arity = self.checked_arity(words, rows);
+        if let Addressing::Unseated(capacity) = self.addressing {
+            if rows > 0 && arity > 0 {
+                self.seat(words, rows, capacity);
+            }
+        }
+        match arity {
             0 => {
                 // The one empty key: every row is group 0.
                 self.len = self.len.max(rows.min(1));
                 ids.resize(ids.len() + rows, 0);
             }
-            1 => self.insert_words::<1>(words, ids),
+            1 => match self.addressing {
+                Addressing::Offset(base) => self.insert_offset(base, words, ids),
+                _ => self.insert_words::<1>(words, ids),
+            },
             2 => self.insert_words::<2>(words, ids),
             3 => self.insert_words::<3>(words, ids),
             4 => self.insert_words::<4>(words, ids),
@@ -206,7 +267,10 @@ impl KeyIndex {
         match self.checked_arity(words, rows) {
             _ if self.len == 0 => ids.resize(ids.len() + rows, Self::MISS),
             0 => ids.resize(ids.len() + rows, 0),
-            1 => self.lookup_words::<1>(words, ids),
+            1 => match self.addressing {
+                Addressing::Offset(base) => self.lookup_offset(base, words, ids),
+                _ => self.lookup_words::<1>(words, ids),
+            },
             2 => self.lookup_words::<2>(words, ids),
             3 => self.lookup_words::<3>(words, ids),
             4 => self.lookup_words::<4>(words, ids),
@@ -229,6 +293,63 @@ impl KeyIndex {
         } else {
             N
         }
+    }
+
+    /// Allocates the directory for a first batch of `rows` keys: offset
+    /// addressing when the batch is one-word keys dense enough, else a
+    /// hashed directory for `capacity` keys (which the first insert grows
+    /// when that is none).
+    fn seat(&mut self, words: &[u64], rows: usize, capacity: usize) {
+        let dense = match self.arity {
+            1 => dense_span(words, hashed_slots(rows)),
+            _ => None,
+        };
+        let (addressing, slots) = match dense {
+            Some((base, span)) => (Addressing::Offset(base), span),
+            None => (Addressing::Hashed, hashed_slots(capacity)),
+        };
+        self.addressing = addressing;
+        self.directory = vec![0; slots];
+    }
+
+    /// [`KeyIndex::insert_words`] for an offset-addressed index: the slot
+    /// of `w` is `w − base`. The first word outside the span re-seats the
+    /// index as hashed, and that word and the rest of the batch go there.
+    fn insert_offset(&mut self, base: u64, rows: &[u64], ids: &mut Vec<u32>) {
+        ids.reserve(rows.len());
+        let span = self.directory.len() as u64;
+        for (i, &word) in rows.iter().enumerate() {
+            let slot = word.wrapping_sub(base);
+            if slot >= span {
+                self.addressing = Addressing::Hashed;
+                self.reseat(hashed_slots(self.len + 1));
+                return self.insert_words::<1>(&rows[i..], ids);
+            }
+            let stored = &mut self.directory[slot as usize];
+            if *stored == 0 {
+                assert!(self.len < Self::MAX_IDS, "KeyIndex id space exhausted");
+                self.words.push(word);
+                self.len += 1;
+                *stored = self.len as u32;
+            }
+            ids.push(*stored - 1);
+        }
+    }
+
+    /// [`KeyIndex::lookup_words`] for an offset-addressed index: an empty
+    /// slot's `0 − 1` wraps to [`KeyIndex::MISS`], as does a word outside
+    /// the span.
+    fn lookup_offset(&self, base: u64, rows: &[u64], ids: &mut Vec<u32>) {
+        let directory = &self.directory[..];
+        let span = directory.len() as u64;
+        ids.extend(rows.iter().map(|&word| {
+            let slot = word.wrapping_sub(base);
+            if slot < span {
+                directory[slot as usize].wrapping_sub(1)
+            } else {
+                Self::MISS
+            }
+        }));
     }
 
     fn insert_words<const N: usize>(&mut self, rows: &[u64], ids: &mut Vec<u32>) {
@@ -1078,6 +1199,82 @@ mod tests {
         index.ids_or_insert(&k2, 1, &mut ids);
         index.ids(&[k1, k2].concat(), 2, &mut ids);
         assert_eq!(ids, [KeyIndex::MISS, 0, KeyIndex::MISS, 1, 0, 1]);
+    }
+
+    /// An arity-1 index seated hashed before its first insert, whatever
+    /// the keys: the reference the offset form must agree with.
+    fn hashed_index() -> KeyIndex {
+        let mut index = KeyIndex::new(1, 0);
+        index.addressing = Addressing::Hashed;
+        index
+    }
+
+    fn insert_keys(index: &mut KeyIndex, words: &[u64]) -> Vec<u32> {
+        let mut ids = Vec::new();
+        index.ids_or_insert(words, words.len(), &mut ids);
+        ids
+    }
+
+    fn lookup_keys(index: &KeyIndex, words: &[u64]) -> Vec<u32> {
+        let mut ids = Vec::new();
+        index.ids(words, words.len(), &mut ids);
+        ids
+    }
+
+    #[test]
+    fn offset_addressing_edges() {
+        // Three keys hash into 8 slots: a span of 8 is addressed, 9 is not.
+        let mut index = KeyIndex::new(1, 3);
+        assert_eq!(insert_keys(&mut index, &[12, 10, 17, 12]), [0, 1, 2, 0]);
+        assert_eq!(index.addressing, Addressing::Offset(10));
+        assert_eq!(index.directory.len(), 8);
+        let mut wide = KeyIndex::new(1, 3);
+        assert_eq!(insert_keys(&mut wide, &[12, 10, 18, 12]), [0, 1, 2, 0]);
+        assert_eq!(wide.addressing, Addressing::Hashed);
+        assert_eq!(wide.directory.len(), 8);
+        // Past either end of the span, and the dict-miss word, miss.
+        let probes = [u64::MAX, 9, 18, 10, 11, 17, 12];
+        let miss = KeyIndex::MISS;
+        assert_eq!(
+            lookup_keys(&index, &probes),
+            [miss, miss, miss, 1, miss, 2, 0]
+        );
+        // A span across zero, words read as `i64`.
+        let mut signed = KeyIndex::new(1, 0);
+        let words = [-3i64 as u64, 2, 0, -3i64 as u64];
+        assert_eq!(insert_keys(&mut signed, &words), [0, 1, 2, 0]);
+        assert_eq!(signed.addressing, Addressing::Offset(-3i64 as u64));
+        assert_eq!(signed.directory.len(), 6);
+        // The whole `i64` range overflows the span: hashed.
+        let mut extremes = KeyIndex::new(1, 0);
+        insert_keys(&mut extremes, &[i64::MIN as u64, i64::MAX as u64]);
+        assert_eq!(extremes.addressing, Addressing::Hashed);
+    }
+
+    #[test]
+    fn leaving_the_span_mid_batch_reseats_as_hashed_with_the_same_ids() {
+        let first = [5u64, 3, 4, 3];
+        let second = [4u64, 6, 2, 100, 5, 3, u64::MAX, 100, 7];
+        let mut offset = KeyIndex::new(1, 0);
+        let mut hashed = hashed_index();
+        assert_eq!(
+            insert_keys(&mut offset, &first),
+            insert_keys(&mut hashed, &first)
+        );
+        assert_eq!(offset.addressing, Addressing::Offset(3));
+        let ids = insert_keys(&mut offset, &second);
+        assert_eq!(ids, insert_keys(&mut hashed, &second));
+        assert_eq!(ids, [2, 3, 4, 5, 0, 1, 6, 5, 7]);
+        assert_eq!(
+            offset.addressing,
+            Addressing::Hashed,
+            "the reseat is for good"
+        );
+        let probes = [3, 4, 5, 6, 2, 100, u64::MAX, 7, 8, 1];
+        assert_eq!(lookup_keys(&offset, &probes), lookup_keys(&hashed, &probes));
+        assert_eq!(offset.len(), 8);
+        let keys: Vec<u64> = (0..8).map(|id| offset.key(id)[0]).collect();
+        assert_eq!(keys, [5, 3, 4, 6, 2, 100, u64::MAX, 7]);
     }
 
     #[test]

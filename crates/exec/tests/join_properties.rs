@@ -606,6 +606,70 @@ proptest! {
         prop_assert_eq!(found, expected);
     }
 
+    /// (h) The offset-addressed form against the same oracle: one-word
+    /// streams whose first batch is dense — `base + k` about a base of 0, -8
+    /// (a span across zero), `i64::MAX − 64` or `i64::MIN` — and whose later
+    /// batches mix words of and past the span with `word_strategy()`'s, so
+    /// most streams leave the span mid-batch and go on hashed. Ids, keys and
+    /// lookups at and past either end of the span (and `u64::MAX`) equal a
+    /// `HashMap`'s whichever way the index addresses its directory. Fails
+    /// when the lookup bound admits `span` and when the reseat keeps offset
+    /// addressing.
+    #[test]
+    fn offset_word_index_matches_std_oracle(
+        base in proptest::sample::select(DENSE_BASES.to_vec()),
+        first in proptest::collection::vec(0u64..16, 1..40),
+        later in proptest::collection::vec((any::<bool>(), 0u64..24, word_strategy()), 0..200),
+        batches in proptest::collection::vec(1usize..64, 1..6),
+        capacity in 0usize..40,
+    ) {
+        let near = |k: u64| base.wrapping_add(k);
+        let later = later.iter().map(|&(dense, k, w)| if dense { near(k) } else { w });
+        let stream: Vec<u64> = first.iter().map(|&k| near(k)).chain(later).collect();
+        let mut batches = batches;
+        batches.insert(0, first.len()); // the first batch is the dense one
+        let mut index = KeyIndex::new(1, capacity);
+        let mut oracle_ids: HashMap<u64, u32> = HashMap::new();
+        let mut oracle_order: Vec<u64> = Vec::new();
+        let found = |index: &KeyIndex, words: &[u64]| {
+            let mut ids = Vec::new();
+            index.ids(words, words.len(), &mut ids);
+            ids
+        };
+        let lookups: Vec<u64> = (0..26).map(|k| near(k).wrapping_sub(2)).chain([u64::MAX]).collect();
+        for batch in cut(&stream, &batches) {
+            let expected: Vec<u32> = lookups
+                .iter()
+                .chain(batch)
+                .map(|w| oracle_ids.get(w).copied().unwrap_or(KeyIndex::MISS))
+                .collect();
+            prop_assert_eq!(found(&index, &[&lookups[..], batch].concat()), expected);
+            let expected: Vec<u32> = batch
+                .iter()
+                .map(|&w| {
+                    let next = oracle_order.len() as u32;
+                    *oracle_ids.entry(w).or_insert_with(|| {
+                        oracle_order.push(w);
+                        next
+                    })
+                })
+                .collect();
+            let mut ids = Vec::new();
+            index.ids_or_insert(batch, batch.len(), &mut ids);
+            prop_assert_eq!(ids, expected);
+            prop_assert_eq!(index.len(), oracle_order.len());
+        }
+        for (id, &w) in oracle_order.iter().enumerate() {
+            prop_assert_eq!(index.key(id), &[w][..]);
+        }
+        let expected: Vec<u32> = lookups
+            .iter()
+            .chain(&oracle_order)
+            .map(|w| oracle_ids.get(w).copied().unwrap_or(KeyIndex::MISS))
+            .collect();
+        prop_assert_eq!(found(&index, &[&lookups[..], &oracle_order].concat()), expected);
+    }
+
     /// (d) Float `SUM` / `AVG` are the scan oracle's row-order fold bit for
     /// bit: each group adds its rows in arrival order, whatever the morsel
     /// cut, over values whose sum depends on the order (1e16 beside 1).
@@ -823,6 +887,10 @@ proptest! {
     }
 }
 
+/// Bases of the dense word runs: zero, a run across zero, and runs at
+/// either end of the `i64` range.
+const DENSE_BASES: [u64; 4] = [0, -8i64 as u64, i64::MAX as u64 - 64, i64::MIN as u64];
+
 /// Key words from small pools, so streams repeat them.
 fn word_strategy() -> impl Strategy<Value = u64> {
     prop_oneof![
@@ -834,6 +902,10 @@ fn word_strategy() -> impl Strategy<Value = u64> {
             0.0f64.to_bits()
         ]),
         0u64..4096,
+        // Dense runs `base + k`: one-word keys an offset-addressed index
+        // holds, beside the other arms' words that leave its span.
+        (proptest::sample::select(DENSE_BASES.to_vec()), 0u64..16)
+            .prop_map(|(base, k)| base.wrapping_add(k)),
     ]
 }
 
