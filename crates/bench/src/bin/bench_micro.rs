@@ -5,7 +5,8 @@
 //! `filter_chain` kernel over both materialization strategies, the
 //! `filter_numeric` predicate kernel against the pre-kernel predicate path,
 //! the engine's int-key join against `std` hash-map joins (`int_join_all_miss`
-//! probes only, `int_join_dense` builds and probes CAB's FK → PK shape),
+//! probes only, `int_join_dense` builds and probes CAB's FK → PK shape,
+//! `int_join_fanout` a duplicate-key build fed in morsels),
 //! and the encoded-page kernels (`page_encode` round-trips columns through their
 //! size-picked codecs, `exchange_wire` serializes morsels through the wire
 //! format). In every entry `baseline_naive_ns` is the unoptimized input
@@ -37,10 +38,11 @@ use std::time::Instant;
 
 use ci_bench::hotpath::{
     all_miss_fixture, cache_scan_fixture, dense_join_fixture, exchange_wire_accounting,
-    int_codec_accounting, int_join_map, int_join_table, numeric_batch, run_cache_hit_scan,
-    run_exchange_wire, run_filter, run_filter_chain, run_filter_numeric, run_filter_numeric_naive,
-    run_group_by, run_int_join, run_int_join_probe, run_int_map_join, run_int_map_probe, run_join,
-    run_page_encode, run_page_encode_int, sorted_int_batch, string_batch, warm_cache, wide_batch,
+    fanout_join_fixture, int_codec_accounting, int_join_map, int_join_table, morsels,
+    numeric_batch, run_cache_hit_scan, run_exchange_wire, run_filter, run_filter_chain,
+    run_filter_numeric, run_filter_numeric_naive, run_group_by, run_int_join, run_int_join_probe,
+    run_int_map_join, run_int_map_probe, run_join, run_page_encode, run_page_encode_int,
+    sorted_int_batch, string_batch, warm_cache, wide_batch,
 };
 use ci_bench::report::{Measurement, Report, CARDINALITY, ROWS};
 use ci_storage::RecordBatch;
@@ -48,6 +50,12 @@ use ci_types::{CiError, Result};
 
 /// Build rows (distinct primary keys) of the dense join kernel.
 const DENSE_BUILD_ROWS: usize = 50_000;
+/// Distinct keys, rows per key and probe rows of the fan-out join kernel.
+const FANOUT_KEYS: usize = 40_000;
+const FANOUT_PER_KEY: usize = 4;
+const FANOUT_PROBE_ROWS: usize = 40_000;
+/// Rows per build morsel of the fan-out join kernel.
+const BUILD_MORSEL: usize = 8_192;
 /// Morsel size for the group-by kernel (matches the engine default's shape).
 const MORSEL: usize = 65_536;
 /// Timed repetitions per kernel; the minimum is reported.
@@ -105,8 +113,14 @@ fn main() -> Result<()> {
     let ints = sorted_int_batch(ROWS);
     let numeric = numeric_batch(ROWS, 11)?;
     let [build, probe] = all_miss_fixture(ROWS, ROWS / 2, 13);
-    let (map, table) = (int_join_map(&build)?, int_join_table(&build)?);
+    let (map, table) = (
+        int_join_map(&build)?,
+        int_join_table(std::slice::from_ref(&build))?,
+    );
     let [dense_build, dense_probe] = dense_join_fixture(DENSE_BUILD_ROWS, ROWS, 14);
+    let [fanout_build, fanout_probe] =
+        fanout_join_fixture(FANOUT_KEYS, FANOUT_PER_KEY, FANOUT_PROBE_ROWS, 15);
+    let fanout_morsels = morsels(&fanout_build, BUILD_MORSEL)?;
     let measurements = vec![
         measure("filter_string_eq", |b, _| run_filter(b))?,
         measure("hash_join_string_key", run_join)?,
@@ -154,7 +168,16 @@ fn main() -> Result<()> {
         versus(
             "int_join_dense",
             || run_int_map_join(&dense_build, &dense_probe),
-            || run_int_join(&dense_build, &dense_probe),
+            || run_int_join(std::slice::from_ref(&dense_build), &dense_probe),
+        )?,
+        // Fan-out join, Q4's and Q9's shape: 160 000 build rows, four per
+        // key, fed to the `JoinHashTable` in 8 192-row morsels and probed
+        // by 40 000 keys that all hit. The same `std` map join over the
+        // whole build batch vs the whole engine build + probe, both timed.
+        versus(
+            "int_join_fanout",
+            || run_int_map_join(&fanout_build, &fanout_probe),
+            || run_int_join(&fanout_morsels, &fanout_probe),
         )?,
     ];
 

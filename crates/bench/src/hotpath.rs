@@ -165,11 +165,14 @@ pub fn all_miss_fixture(build_rows: usize, probe_rows: usize, seed: u64) -> [Rec
     })
 }
 
-/// The engine arm of the all-miss kernel: a finalized [`JoinHashTable`]
-/// over the build batch's key column. Built outside the timed region.
-pub fn int_join_table(build: &RecordBatch) -> Result<JoinHashTable> {
-    let mut ht = JoinHashTable::new(build.schema().clone(), vec![0]);
-    ht.insert_batch(build.clone())?;
+/// A finalized [`JoinHashTable`] over the key column of the build rows,
+/// fed one morsel at a time (the all-miss kernel builds it outside the
+/// timed region).
+pub fn int_join_table(build_morsels: &[RecordBatch]) -> Result<JoinHashTable> {
+    let mut ht = JoinHashTable::new(sorted_int_schema(), vec![0]);
+    for morsel in build_morsels {
+        ht.insert_batch(morsel.clone())?;
+    }
     ht.finalize()?;
     Ok(ht)
 }
@@ -216,10 +219,46 @@ pub fn dense_join_fixture(build_rows: usize, probe_rows: usize, seed: u64) -> [R
     })
 }
 
-/// The engine's whole join on the int key: build a [`JoinHashTable`] over
-/// `build`, probe it with `probe`. Returns joined rows.
-pub fn run_int_join(build: &RecordBatch, probe: &RecordBatch) -> Result<usize> {
-    let table = int_join_table(build)?;
+/// Fan-out fixture, the shape of Q4's and Q9's `lineitem` builds: a build
+/// batch of `keys × per_key` rows, every key in `0..keys` `per_key` times in
+/// shuffled order, and a probe batch of `probe_rows` keys drawn from
+/// `0..keys` — every probe row finds exactly `per_key` build rows.
+pub fn fanout_join_fixture(
+    keys: usize,
+    per_key: usize,
+    probe_rows: usize,
+    seed: u64,
+) -> [RecordBatch; 2] {
+    let mut rng = DetRng::seed_from_u64(seed);
+    let mut build: Vec<i64> = (0..(keys * per_key) as i64)
+        .map(|i| i / per_key as i64)
+        .collect();
+    for i in (1..build.len()).rev() {
+        build.swap(i, rng.u64_below(i as u64 + 1) as usize);
+    }
+    let probe: Vec<i64> = (0..probe_rows)
+        .map(|_| rng.u64_below(keys.max(1) as u64) as i64)
+        .collect();
+    [build, probe].map(|keys| {
+        let payload = ColumnData::Int64((0..keys.len() as i64).collect());
+        RecordBatch::new(sorted_int_schema(), vec![ColumnData::Int64(keys), payload])
+            .expect("int fixture batch")
+    })
+}
+
+/// `batch` cut into consecutive morsels of `rows` rows (the last shorter),
+/// as a scan would stream it into a join build.
+pub fn morsels(batch: &RecordBatch, rows: usize) -> Result<Vec<RecordBatch>> {
+    (0..batch.rows())
+        .step_by(rows.max(1))
+        .map(|at| batch.slice(at, rows.min(batch.rows() - at)))
+        .collect()
+}
+
+/// The engine's whole join on the int key: build a [`JoinHashTable`] from
+/// the build morsels, probe it with `probe`. Returns joined rows.
+pub fn run_int_join(build_morsels: &[RecordBatch], probe: &RecordBatch) -> Result<usize> {
+    let table = int_join_table(build_morsels)?;
     let fields = ["p0", "p1", "b0", "b1"].map(|name| Field::new(name, DataType::Int64));
     let out_schema = Arc::new(Schema::of(fields.to_vec()));
     Ok(table.probe(probe, &[0], out_schema)?.rows())
@@ -587,9 +626,24 @@ mod tests {
     }
 
     #[test]
+    fn join_arms_agree_on_every_fixture() {
+        let [build, probe] = fanout_join_fixture(500, 4, 700, 5);
+        assert_eq!(build.rows(), 2_000);
+        let cut = morsels(&build, 300).unwrap();
+        assert_eq!(cut.len(), 7);
+        assert_eq!(RecordBatch::concat(&cut).unwrap(), build);
+        // Every probe row finds its key's four build rows.
+        assert_eq!(run_int_map_join(&build, &probe).unwrap(), 2_800);
+        assert_eq!(run_int_join(&cut, &probe).unwrap(), 2_800);
+        let [build, probe] = dense_join_fixture(1_000, 3_000, 6);
+        assert_eq!(run_int_map_join(&build, &probe).unwrap(), 3_000);
+        assert_eq!(run_int_join(&[build], &probe).unwrap(), 3_000);
+    }
+
+    #[test]
     fn all_miss_arms_agree_and_match_nothing() {
         let [build, probe] = all_miss_fixture(3_000, 1_000, 5);
-        let ht = int_join_table(&build).unwrap();
+        let ht = int_join_table(std::slice::from_ref(&build)).unwrap();
         let map = int_join_map(&build).unwrap();
         assert_eq!(map.len(), 3_000, "build keys are distinct");
         assert_eq!(run_int_join_probe(&ht, &probe).unwrap(), 1_000);

@@ -145,7 +145,7 @@ pub mod report {
             out
         }
 
-        /// `BENCH_micro.json`, schema 13.
+        /// `BENCH_micro.json`, schema 14.
         pub fn to_json(&self) -> String {
             let benches: Vec<String> = self
                 .measurements
@@ -164,7 +164,7 @@ pub mod report {
                 .collect();
             let hit_speedup = format!("{:.2}", self.cache_hit_speedup());
             let fields = [
-                ("schema_version", "13".to_owned()),
+                ("schema_version", "14".to_owned()),
                 ("rows", ROWS.to_string()),
                 ("cardinality", CARDINALITY.to_string()),
                 ("cache_cold_ns", self.cache_cold_ns.to_string()),
@@ -273,9 +273,9 @@ pub mod report {
         }
 
         #[test]
-        fn json_keeps_the_schema_13_byte_format() {
+        fn json_keeps_the_schema_14_byte_format() {
             let json = sample(2.5).to_json();
-            assert!(json.starts_with("{\n  \"schema_version\": 13,\n  \"rows\": 200000,\n"));
+            assert!(json.starts_with("{\n  \"schema_version\": 14,\n  \"rows\": 200000,\n"));
             assert!(json.contains("  \"cache_hit_speedup\": 9.00,\n  \"cache_parts\": 25,\n"));
             assert!(json.contains(
                 "    {\"name\": \"filter_chain\", \"baseline_naive_ns\": 250, \"dict_ns\": 100, \

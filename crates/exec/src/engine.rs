@@ -1972,8 +1972,9 @@ impl Sink {
         }
     }
 
-    /// Feeds one morsel's (non-empty) output. Build and sort sinks buffer
-    /// until finalize (which compacts via concat); the aggregate folds now.
+    /// Feeds one morsel's (non-empty) output. Build and sort sinks keep the
+    /// morsel as it is until finalize (the join table as one of its chunks,
+    /// the sort buffer with its selection); the aggregate folds now.
     fn feed(&mut self, batch: RecordBatch, ledger: &mut Ledger<'_, '_>) -> Result<()> {
         let units = batch.rows() as f64;
         match self {

@@ -8,9 +8,11 @@
 //! string-id key column, however many columns there are — into a flat
 //! `Vec<u64>`, and a [`KeyIndex`] turns those words into dense `u32` ids in
 //! first-appearance order ([`RowEncoder::ids_or_insert`],
-//! [`RowEncoder::ids`]). The hash join hangs a CSR row list off the ids and
-//! aggregation one accumulator column per aggregate (see `operators`);
-//! neither keeps a map of its own, and no per-row key value exists.
+//! [`RowEncoder::ids`]; `ids_or_insert_batches` inserts several batches'
+//! rows as one, which is how the join build indexes its chunks). The hash
+//! join hangs its build row locations off the ids and aggregation one
+//! accumulator column per aggregate (see `operators`); neither keeps a map
+//! of its own, and no per-row key value exists.
 //!
 //! The index addresses its directory one of two ways. A one-word index
 //! whose first inserted batch spans no more words (read as `i64`) than a
@@ -763,16 +765,15 @@ impl ColPlan<'_> {
 
 impl RowEncoder<'_> {
     /// The batch encoder: one pass per key column writes `arity` words per
-    /// row of `rows` into `out`, row-major.
+    /// row of `rows` into `out`, row-major (`out` is exactly that long).
     fn encode_words(
         &self,
         plans: &[ColPlan<'_>],
         rows: &RowSet,
-        out: &mut Vec<u64>,
+        out: &mut [u64],
         mut extensions: Extensions<'_>,
     ) {
         let stride = plans.len();
-        out.resize(rows.len() * stride, 0);
         if rows.len() == 0 {
             return; // no `out[c..]` to write to
         }
@@ -780,6 +781,16 @@ impl RowEncoder<'_> {
             let column = (c, self.encoder.modes[c].base_len());
             plan.write_words(rows, &mut out[c..], stride, column, &mut extensions);
         }
+    }
+
+    /// The column plans, or the typed error of the first key column whose
+    /// type differs from the encoder's.
+    fn checked_plans(&self) -> Result<&[ColPlan<'_>]> {
+        self.plans.as_deref().map_err(|col| {
+            CiError::Exec(format!(
+                "key column {col} does not have the type the key was built with"
+            ))
+        })
     }
 
     /// Encode batch → id vector, inserting: `ids` becomes the `index` id of
@@ -793,17 +804,7 @@ impl RowEncoder<'_> {
         index: &mut KeyIndex,
         ids: &mut Vec<u32>,
     ) -> Result<()> {
-        ids.clear();
-        let plans = self.plans.as_ref().map_err(|col| {
-            CiError::Exec(format!(
-                "key column {col} does not have the type the key was built with"
-            ))
-        })?;
-        let mut words = Vec::new();
-        let extensions = Extensions::Grow(&mut index.extensions);
-        self.encode_words(plans, rows, &mut words, extensions);
-        index.ids_or_insert(&words, rows.len(), ids);
-        Ok(())
+        ids_or_insert_batches(&[(self, rows)], index, ids)
     }
 
     /// Encode batch → id vector, looking up: `ids` becomes the `index` id
@@ -815,11 +816,39 @@ impl RowEncoder<'_> {
         let Ok(plans) = &self.plans else {
             return ids.resize(rows.len(), KeyIndex::MISS);
         };
-        let mut words = Vec::new();
+        let mut words = vec![0; rows.len() * plans.len()];
         let extensions = Extensions::Read(&index.extensions);
         self.encode_words(plans, rows, &mut words, extensions);
         index.ids(&words, rows.len(), ids);
     }
+}
+
+/// [`RowEncoder::ids_or_insert`] over the rows of several batches as if
+/// they were one batch, in order: every batch's words go into one buffer
+/// and reach `index` in one [`KeyIndex::ids_or_insert`], so the index seats
+/// once over every key — ids, words and extension tables are those of the
+/// batches concatenated. Each encoder must come from the encoder `index`
+/// does. Fails — `index` untouched — when any batch has a key column of
+/// the wrong type.
+pub(crate) fn ids_or_insert_batches(
+    batches: &[(&RowEncoder<'_>, &RowSet)],
+    index: &mut KeyIndex,
+    ids: &mut Vec<u32>,
+) -> Result<()> {
+    ids.clear();
+    let plans = (batches.iter())
+        .map(|(encoder, _)| encoder.checked_plans())
+        .collect::<Result<Vec<_>>>()?;
+    let rows: usize = batches.iter().map(|(_, rows)| rows.len()).sum();
+    let mut words = Vec::with_capacity(rows * index.arity);
+    for ((encoder, rows), plans) in batches.iter().zip(plans) {
+        let at = words.len();
+        words.resize(at + rows.len() * plans.len(), 0);
+        let extensions = Extensions::Grow(&mut index.extensions);
+        encoder.encode_words(plans, rows, &mut words[at..], extensions);
+    }
+    index.ids_or_insert(&words, rows, ids);
+    Ok(())
 }
 
 /// Resolves key column references, failing with a clear message.

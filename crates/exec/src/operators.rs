@@ -20,8 +20,15 @@
 //! batch → id vector → consume ids*: a [`KeyEncoder`] turns the key columns
 //! into words, column at a time, the index turns the words into dense
 //! first-appearance ids, and the payload is addressed by id —
-//! [`JoinHashTable`]'s CSR build row lists, [`AggregateState`]'s accumulator
-//! columns, each folded in one pass per aggregate.
+//! [`JoinHashTable`]'s build row locations (one per key when every build key
+//! is distinct, a CSR list per key otherwise), [`AggregateState`]'s
+//! accumulator columns, each folded in one pass per aggregate.
+//!
+//! The join build moves no rows: its morsels stay where the exchange left
+//! them, as chunks a `u32` location (`chunk << shift | row`) addresses, and
+//! the probe gathers matched rows straight from them — or, when a
+//! distinct-key build matches every row of a dense probe batch, shares the
+//! probe's columns as they are.
 
 use std::borrow::Cow;
 use std::cmp::Ordering;
@@ -36,7 +43,7 @@ use ci_storage::value::{DataType, Value};
 use ci_storage::RecordBatch;
 use ci_types::{CiError, Result};
 
-use crate::key::{key_columns, DictKeyEntry, KeyEncoder, KeyIndex, RowSet};
+use crate::key::{ids_or_insert_batches, key_columns, DictKeyEntry, KeyEncoder, KeyIndex, RowSet};
 
 /// Builds the internal schema for a node's output slots. Field names are
 /// slot-derived (`s<slot>`) so they are unique regardless of user aliases.
@@ -122,30 +129,137 @@ fn coerce(col: ColumnData, want: DataType) -> Result<ColumnData> {
     }
 }
 
-/// Hash-join build state. Batches are buffered as they stream in; the key
-/// index and its row lists are constructed at [`JoinHashTable::finalize`]
-/// when the build pipeline completes (a pipeline breaker, §3.2).
+/// Hash-join build state. Build morsels are kept as they stream in, one
+/// *chunk* each (compacted, as the exchange already left them) and never
+/// copied into one batch; the key index and its row lists are constructed
+/// at [`JoinHashTable::finalize`] when the build pipeline completes (a
+/// pipeline breaker, §3.2).
+///
+/// A build row is named by its *location*, `chunk << shift | row`: a `u32`
+/// whose low `shift` bits hold any row of the widest chunk. Locations
+/// ascend in arrival order, which is the order a probe row's matches are
+/// emitted in (shipped bytes depend on it). The row lists take one of two
+/// forms:
+///
+/// - **Distinct keys** (every build key once — CAB's primary keys): key id
+///   `g` is the `g`-th build row to arrive, so `locations[g]` is its one
+///   row. No offsets, no counting sort, and a probe row has at most one
+///   match.
+/// - **Duplicate keys**: a CSR over locations — key `g`'s rows are
+///   `locations[offsets[g]..offsets[g + 1]]`, ascending.
+///
+/// The probe gathers both sides through `u32` indices, the build side
+/// straight from its chunks. When a distinct-key build matches every row of
+/// a probe batch that carries no selection, the probe side of the output is
+/// the probe's own column `Arc`s — the *pass-through*, no copy.
+///
+/// Chunks whose columns would not append without conversion (a dict column
+/// over another dictionary than the first chunk's, a mix of string
+/// encodings) or that are too many to locate in a `u32` are first made one
+/// chunk by [`RecordBatch::concat`], so the output's column encodings and
+/// dictionaries are always those the concatenated build would have.
 #[derive(Debug)]
 pub struct JoinHashTable {
     key_positions: Vec<usize>,
     schema: SchemaRef,
-    buffered: Vec<RecordBatch>,
+    chunks: Vec<RecordBatch>,
     finalized: Option<Box<FinalizedTable>>,
 }
 
 #[derive(Debug)]
 struct FinalizedTable {
-    rows: RecordBatch,
-    /// Distinct build keys → group id `g`, whose build rows are
-    /// `group_rows[offsets[g]..offsets[g + 1]]` (CSR) in ascending order —
-    /// the order matches are emitted in, which shipped bytes depend on.
+    /// Row bits of a location: row `l & mask` of chunk `l >> shift`.
+    shift: u32,
+    /// Distinct build keys → key id `g`.
     index: KeyIndex,
-    offsets: Vec<u32>,
-    group_rows: Vec<u32>,
+    /// Build row locations grouped by key id: key `g`'s one row is
+    /// `locations[g]` when `offsets` is `None` (every key distinct), else
+    /// its rows are `locations[offsets[g]..offsets[g + 1]]` (CSR).
+    locations: Vec<u32>,
+    offsets: Option<Vec<u32>>,
     /// Key encoder derived from the build-side key columns; probes encode
     /// against it (dict-id translation; a string the build never held
     /// misses).
     encoder: KeyEncoder,
+}
+
+/// Row bits a location needs for every row of the widest of `chunks`.
+fn location_shift(chunks: &[RecordBatch]) -> u32 {
+    let widest = chunks.iter().map(RecordBatch::rows).max().unwrap_or(0);
+    usize::BITS - widest.saturating_sub(1).leading_zeros()
+}
+
+/// Whether every location of `chunks` chunks with `shift` row bits fits a
+/// `u32`.
+fn locatable(chunks: usize, shift: u32) -> bool {
+    shift <= 32 && chunks as u64 <= 1 << (32 - shift)
+}
+
+/// Whether `chunk`'s columns append to `first`'s as they are: the same
+/// schema, column variants and dictionaries.
+fn appends_as_is(first: &RecordBatch, chunk: &RecordBatch) -> bool {
+    first.schema() == chunk.schema()
+        && (first.columns().iter().zip(chunk.columns())).all(|(a, b)| {
+            match (a.as_ref(), b.as_ref()) {
+                (ColumnData::Dict { dict: x, .. }, ColumnData::Dict { dict: y, .. }) => {
+                    Arc::ptr_eq(x, y)
+                }
+                (a, b) => std::mem::discriminant(a) == std::mem::discriminant(b),
+            }
+        })
+}
+
+/// The values at `locations` of one column held in `parts` — row
+/// `l & mask` of part `l >> shift`, or row `l` of a lone part — in order.
+fn pick<T: Clone>(parts: &[&[T]], locations: &[u32], shift: u32) -> Vec<T> {
+    if let [only] = parts {
+        return locations
+            .iter()
+            .map(|&l| only[l as usize].clone())
+            .collect();
+    }
+    // Two parts or more leave `shift` at most 31 (`locatable`).
+    let mask = (1 << shift) - 1;
+    (locations.iter())
+        .map(|&l| parts[(l >> shift) as usize][(l & mask) as usize].clone())
+        .collect()
+}
+
+/// [`pick`] over one column split across `parts`, which share the first
+/// part's variant and dictionary: the gathered column keeps both.
+fn gather_located(parts: &[&ColumnData], locations: &[u32], shift: u32) -> Result<ColumnData> {
+    fn slices<'a, T>(
+        parts: &[&'a ColumnData],
+        slice: impl Fn(&'a ColumnData) -> Result<&'a [T]>,
+    ) -> Result<Vec<&'a [T]>> {
+        parts.iter().map(|&c| slice(c)).collect()
+    }
+    fn dict_ids(c: &ColumnData) -> Result<&[u32]> {
+        c.as_dict()
+            .map(|(ids, _)| ids)
+            .ok_or_else(|| CiError::Exec("join build chunks mix string encodings".into()))
+    }
+    let first = parts
+        .first()
+        .ok_or_else(|| CiError::Exec("gather from no join build chunk".into()))?;
+    Ok(match first {
+        ColumnData::Int64(_) => {
+            ColumnData::Int64(pick(&slices(parts, ColumnData::as_i64)?, locations, shift))
+        }
+        ColumnData::Float64(_) => {
+            ColumnData::Float64(pick(&slices(parts, ColumnData::as_f64)?, locations, shift))
+        }
+        ColumnData::Bool(_) => {
+            ColumnData::Bool(pick(&slices(parts, ColumnData::as_bool)?, locations, shift))
+        }
+        ColumnData::Utf8(_) => {
+            ColumnData::Utf8(pick(&slices(parts, ColumnData::as_str)?, locations, shift))
+        }
+        ColumnData::Dict { dict, .. } => ColumnData::Dict {
+            ids: pick(&slices(parts, dict_ids)?, locations, shift),
+            dict: dict.clone(),
+        },
+    })
 }
 
 impl JoinHashTable {
@@ -154,24 +268,24 @@ impl JoinHashTable {
         JoinHashTable {
             key_positions,
             schema,
-            buffered: Vec::new(),
+            chunks: Vec::new(),
             finalized: None,
         }
     }
 
-    /// Buffers one build-side morsel.
+    /// Keeps one build-side morsel as a chunk (compacting a selection; a
+    /// dense morsel's columns are shared, not copied).
     pub fn insert_batch(&mut self, batch: RecordBatch) -> Result<()> {
         if self.finalized.is_some() {
             return Err(CiError::Exec("insert into finalized hash table".into()));
         }
-        self.buffered.push(batch);
+        self.chunks.push(batch.compacted());
         Ok(())
     }
 
-    /// Total build rows buffered so far.
+    /// Total build rows inserted so far.
     pub fn build_rows(&self) -> usize {
-        self.buffered.iter().map(RecordBatch::rows).sum::<usize>()
-            + self.finalized.as_ref().map_or(0, |f| f.rows.rows())
+        self.chunks.iter().map(RecordBatch::rows).sum()
     }
 
     /// Builds the key index and per-key row lists. Idempotent.
@@ -179,42 +293,65 @@ impl JoinHashTable {
         if self.finalized.is_some() {
             return Ok(());
         }
-        let rows = if self.buffered.is_empty() {
-            RecordBatch::empty(self.schema.clone())
-        } else {
-            RecordBatch::concat(&self.buffered)?
-        };
-        self.buffered.clear();
-        KeyIndex::check_addressable(rows.rows(), "hash join build rows")?;
-        let keys = key_columns(rows.columns(), &self.key_positions)?;
-        let encoder = KeyEncoder::for_columns(&keys);
-        let mut index = encoder.new_index(rows.rows());
-        let mut row_groups = Vec::new();
-        encoder.prepare(&keys)?.ids_or_insert(
-            &RowSet::Range(0..rows.rows()),
-            &mut index,
-            &mut row_groups,
-        )?;
-        // Counting sort of row numbers by group id: counts, running sums
-        // (each group's end), then a reverse fill walks every end down to
-        // its group's start, leaving each group's rows ascending.
-        let mut offsets = vec![0u32; index.len() + 1];
-        for &g in &row_groups {
-            offsets[g as usize] += 1;
+        let rows = self.build_rows();
+        KeyIndex::check_addressable(rows, "hash join build rows")?;
+        if self.chunks.is_empty() {
+            self.chunks.push(RecordBatch::empty(self.schema.clone()));
         }
-        for g in 1..offsets.len() {
-            offsets[g] += offsets[g - 1];
+        let mut shift = location_shift(&self.chunks);
+        let first = &self.chunks[0];
+        if !locatable(self.chunks.len(), shift)
+            || !self.chunks.iter().all(|c| appends_as_is(first, c))
+        {
+            self.chunks = vec![RecordBatch::concat(&self.chunks)?];
+            shift = location_shift(&self.chunks);
         }
-        let mut group_rows = vec![0u32; row_groups.len()];
-        for (row, &g) in row_groups.iter().enumerate().rev() {
-            offsets[g as usize] -= 1;
-            group_rows[offsets[g as usize] as usize] = row as u32; // fits: checked above
+        let keys = (self.chunks.iter())
+            .map(|c| key_columns(c.columns(), &self.key_positions))
+            .collect::<Result<Vec<_>>>()?;
+        let encoder = KeyEncoder::for_columns(&keys[0]);
+        let row_encoders = (keys.iter())
+            .map(|k| encoder.prepare(k))
+            .collect::<Result<Vec<_>>>()?;
+        let row_sets: Vec<RowSet> = (self.chunks.iter())
+            .map(|c| RowSet::Range(0..c.rows()))
+            .collect();
+        let batches: Vec<_> = row_encoders.iter().zip(&row_sets).collect();
+        let mut index = encoder.new_index(rows);
+        let mut ids = Vec::new();
+        ids_or_insert_batches(&batches, &mut index, &mut ids)?;
+        // Locations in arrival order; `locatable` keeps each within a u32.
+        let mut locations = Vec::with_capacity(rows);
+        for (c, chunk) in self.chunks.iter().enumerate() {
+            let base = (c as u64) << shift;
+            locations.extend((0..chunk.rows() as u64).map(|row| (base | row) as u32));
         }
+        // Every key distinct: key id `g` is the `g`-th row to arrive.
+        let distinct = index.len() == rows;
+        let offsets = (!distinct).then(|| {
+            // Counting sort of locations by key id: counts, running sums
+            // (each key's end), then a reverse fill walks every end down to
+            // its key's start, leaving each key's locations ascending.
+            let mut offsets = vec![0u32; index.len() + 1];
+            for &g in &ids {
+                offsets[g as usize] += 1;
+            }
+            for g in 1..offsets.len() {
+                offsets[g] += offsets[g - 1];
+            }
+            let mut grouped = vec![0u32; rows];
+            for (&loc, &g) in locations.iter().zip(&ids).rev() {
+                offsets[g as usize] -= 1;
+                grouped[offsets[g as usize] as usize] = loc;
+            }
+            locations = grouped;
+            offsets
+        });
         self.finalized = Some(Box::new(FinalizedTable {
-            rows,
+            shift,
             index,
+            locations,
             offsets,
-            group_rows,
             encoder,
         }));
         Ok(())
@@ -232,6 +369,7 @@ impl JoinHashTable {
             .finalized
             .as_ref()
             .ok_or_else(|| CiError::Exec("probe of non-finalized hash table".into()))?;
+        KeyIndex::check_addressable(probe.physical_rows(), "hash join probe rows")?;
         let keys = key_columns(probe.columns(), probe_key_positions)?;
         // Probe-side rows are *physical*: a deferred filter on the probe
         // stream is read through its selection in place, and only matching
@@ -245,23 +383,56 @@ impl JoinHashTable {
         fin.encoder
             .prepare(&keys)?
             .ids(&rows, &fin.index, &mut groups);
-        let mut probe_idx: Vec<usize> = Vec::with_capacity(probe.rows());
-        let mut build_idx: Vec<usize> = Vec::with_capacity(probe.rows());
-        for (row, &g) in rows
-            .iter()
-            .zip(&groups)
-            .filter(|&(_, &g)| g != KeyIndex::MISS)
-        {
-            let g = g as usize;
-            for &b in &fin.group_rows[fin.offsets[g] as usize..fin.offsets[g + 1] as usize] {
-                probe_idx.push(row);
-                build_idx.push(b as usize);
+        let n = groups.len();
+        let (mut probe_rows, mut build_locations) = (vec![0u32; n], vec![0u32; n]);
+        match &fin.offsets {
+            // At most one match per row. Branch-free: every row writes the
+            // next slot (a miss reads a clamped location) and a hit keeps it.
+            None => {
+                let last = fin.locations.len().saturating_sub(1);
+                let mut kept = 0;
+                for (row, &g) in rows.iter().zip(&groups) {
+                    probe_rows[kept] = row as u32; // fits: checked above
+                    build_locations[kept] =
+                        fin.locations.get((g as usize).min(last)).map_or(0, |&l| l);
+                    kept += usize::from(g != KeyIndex::MISS);
+                }
+                probe_rows.truncate(kept);
+                build_locations.truncate(kept);
+            }
+            Some(offsets) => {
+                probe_rows.clear();
+                build_locations.clear();
+                let hits = (rows.iter().zip(&groups)).filter(|&(_, &g)| g != KeyIndex::MISS);
+                for (row, &g) in hits {
+                    let g = g as usize;
+                    for &loc in &fin.locations[offsets[g] as usize..offsets[g + 1] as usize] {
+                        probe_rows.push(row as u32);
+                        build_locations.push(loc);
+                    }
+                }
             }
         }
-        let probe_part = probe.unselected().take(&probe_idx)?;
-        let build_part = fin.rows.take(&build_idx)?;
-        let mut columns = probe_part.columns().to_vec();
-        columns.extend(build_part.columns().iter().cloned());
+        // A distinct-key build emits at most one row per probe row, in
+        // order: as many as a dense probe has rows means every row, as is.
+        let pass_through = fin.offsets.is_none()
+            && probe.selection().is_none()
+            && probe_rows.len() == probe.rows();
+        let mut columns = if pass_through {
+            probe.columns().to_vec()
+        } else {
+            (probe.columns().iter())
+                .map(|c| gather_located(&[c.as_ref()], &probe_rows, 0).map(Arc::new))
+                .collect::<Result<Vec<_>>>()?
+        };
+        for col in 0..self.schema.arity() {
+            let parts: Vec<&ColumnData> = self.chunks.iter().map(|c| c.column(col)).collect();
+            columns.push(Arc::new(gather_located(
+                &parts,
+                &build_locations,
+                fin.shift,
+            )?));
+        }
         RecordBatch::from_arcs(out_schema, columns)
     }
 }
@@ -991,6 +1162,183 @@ mod tests {
         ]));
         let joined = ht.probe(&probe, &[0], out_schema).unwrap();
         assert_eq!(joined.rows(), 0);
+    }
+
+    /// A finalized join table over `chunks`, keyed on column 0.
+    fn built(chunks: &[RecordBatch]) -> JoinHashTable {
+        let mut ht = JoinHashTable::new(chunks[0].schema().clone(), vec![0]);
+        for chunk in chunks {
+            ht.insert_batch(chunk.clone()).unwrap();
+        }
+        ht.finalize().unwrap();
+        ht
+    }
+
+    /// `probe ++ build` output schema for two sides of `schema`.
+    fn joined_schema(schema: &SchemaRef) -> SchemaRef {
+        let fields = schema.fields().iter().chain(schema.fields());
+        let fields = fields
+            .enumerate()
+            .map(|(i, f)| Field::new(format!("o{i}"), f.data_type));
+        Arc::new(Schema::of(fields.collect()))
+    }
+
+    /// Nested-loop reference rows of `probe` joined with `build` on column 0.
+    fn nested_loop(build: &RecordBatch, probe: &RecordBatch) -> Vec<Vec<Value>> {
+        let mut rows = Vec::new();
+        for p in 0..probe.rows() {
+            for b in 0..build.rows() {
+                if probe.row(p)[0] == build.row(b)[0] {
+                    rows.push(probe.row(p).into_iter().chain(build.row(b)).collect());
+                }
+            }
+        }
+        rows
+    }
+
+    fn rows_of(batch: &RecordBatch) -> Vec<Vec<Value>> {
+        (0..batch.rows()).map(|r| batch.row(r)).collect()
+    }
+
+    #[test]
+    fn chunks_that_would_convert_join_as_their_concat() {
+        let schema = schema2(DataType::Int64, DataType::Utf8);
+        let chunk = |keys: Vec<i64>, names: &[&str], dict: bool| {
+            let names = ColumnData::Utf8(names.iter().map(|&s| s.to_owned()).collect());
+            let names = if dict { names.dict_encoded() } else { names };
+            RecordBatch::new(schema.clone(), vec![ColumnData::Int64(keys), names]).unwrap()
+        };
+        let out_schema = joined_schema(&schema);
+        let probe = chunk(vec![2, 7, 1, 2], &["x", "y", "z", "w"], false);
+        // Two dictionaries, then a raw-string chunk after a dict one and
+        // the reverse: none appends without re-interning or decoding.
+        for (first_dict, second_dict) in [(true, true), (true, false), (false, true)] {
+            let chunks = [
+                chunk(vec![1, 2], &["a", "b"], first_dict),
+                chunk(vec![2, 7], &["b", "c"], second_dict),
+            ];
+            let mut ht = built(&chunks);
+            assert_eq!(ht.chunks.len(), 1, "made one chunk by concat");
+            let concat = RecordBatch::concat(&chunks).unwrap();
+            let whole = built(std::slice::from_ref(&concat));
+            let got = ht.probe(&probe, &[0], out_schema.clone()).unwrap();
+            let want = whole.probe(&probe, &[0], out_schema.clone()).unwrap();
+            assert_eq!(rows_of(&got), nested_loop(&concat, &probe));
+            assert_eq!(got, want);
+            let (got, want) = (got.column(3), want.column(3));
+            assert_eq!(
+                got.as_dict().is_some(),
+                first_dict,
+                "the first chunk's form"
+            );
+            if let (Some((got_ids, got_dict)), Some((ids, dict))) = (got.as_dict(), want.as_dict())
+            {
+                assert_eq!((got_ids, got_dict.as_ref()), (ids, dict.as_ref()));
+            }
+            // Inserting after finalize is refused; finalize is idempotent.
+            assert!(ht.insert_batch(probe.clone()).is_err());
+            ht.finalize().unwrap();
+            assert_eq!(ht.build_rows(), 4);
+        }
+    }
+
+    #[test]
+    fn full_match_of_a_distinct_build_shares_the_probe_columns() {
+        let out = joined_schema(&schema2(DataType::Int64, DataType::Float64));
+        let shares = |joined: &RecordBatch, probe: &RecordBatch| {
+            (0..2).all(|c| Arc::ptr_eq(joined.column_arc(c), probe.column_arc(c)))
+        };
+        let distinct = batch(vec![3, 1, 2], vec![30.0, 10.0, 20.0]);
+        let ht = built(&[distinct.slice(0, 1).unwrap(), distinct.slice(1, 2).unwrap()]);
+        let full = batch(vec![1, 2, 3, 1], vec![0.1, 0.2, 0.3, 0.4]);
+        let joined = ht.probe(&full, &[0], out.clone()).unwrap();
+        assert!(
+            shares(&joined, &full),
+            "every row matched once: passed through"
+        );
+        assert_eq!(rows_of(&joined), nested_loop(&distinct, &full));
+
+        // One miss, or every row matched but behind a selection: gathered.
+        let one_miss = batch(vec![1, 9, 3], vec![0.1, 0.9, 0.3]);
+        let selected = full.filter(&[true, true, false, true]).unwrap();
+        for probe in [one_miss, selected] {
+            let joined = ht.probe(&probe, &[0], out.clone()).unwrap();
+            assert!(!shares(&joined, &probe));
+            assert_eq!(rows_of(&joined), nested_loop(&distinct, &probe));
+        }
+
+        // Duplicate keys: as many matches as probe rows — key 1 twice, key 8
+        // never — is no pass-through.
+        let duplicate = batch(vec![1, 1, 2], vec![10.0, 11.0, 20.0]);
+        let ht = built(std::slice::from_ref(&duplicate));
+        let probe = batch(vec![1, 8], vec![0.1, 0.8]);
+        let joined = ht.probe(&probe, &[0], out).unwrap();
+        assert_eq!(joined.rows(), probe.rows());
+        assert!(!shares(&joined, &probe));
+        assert_eq!(rows_of(&joined), nested_loop(&duplicate, &probe));
+    }
+
+    #[test]
+    fn locations_pack_at_their_edges() {
+        // The widest chunk sets the row bits: 2^k rows need k, 2^k + 1 need
+        // k + 1.
+        let rows = |n: usize| batch((0..n as i64).collect(), vec![0.0; n]);
+        for k in [0u32, 1, 4, 10] {
+            let wide = 1usize << k;
+            assert_eq!(location_shift(&[rows(3), rows(wide)]), k.max(2));
+            assert_eq!(location_shift(&[rows(wide + 1), rows(1)]), k + 1);
+        }
+        assert_eq!(location_shift(&[rows(0)]), 0);
+        // Chunks × 2^shift must stay within 2^32.
+        assert!(locatable(1, 32) && locatable(2, 31) && locatable(1 << 16, 16));
+        assert!(!locatable(2, 32) && !locatable(3, 31) && !locatable((1 << 16) + 1, 16));
+        assert!(!locatable(1, 33));
+
+        // Chunks of 2^4 and 2^4 + 1 rows (keys repeat across them, so the
+        // CSR holds rows of both) join row for row like one batch.
+        for (first, second) in [(16, 17), (17, 16), (16, 16)] {
+            let keys = |n: i64, base: i64| (0..n).map(move |r| (r * 5 + base) % 13);
+            let chunks = [
+                batch(
+                    keys(first, 0).collect(),
+                    (0..first).map(|r| r as f64).collect(),
+                ),
+                batch(
+                    keys(second, 7).collect(),
+                    (0..second).map(|r| -r as f64).collect(),
+                ),
+                batch(vec![12, 0, 5], vec![0.5; 3]),
+            ];
+            let ht = built(&chunks);
+            assert_eq!(ht.chunks.len(), 3);
+            let concat = RecordBatch::concat(&chunks).unwrap();
+            let probe = batch((-1..14).collect(), vec![1.0; 15]);
+            let joined = ht
+                .probe(&probe, &[0], joined_schema(probe.schema()))
+                .unwrap();
+            assert_eq!(rows_of(&joined), nested_loop(&concat, &probe));
+        }
+    }
+
+    #[test]
+    fn chunks_past_the_u32_location_fall_back_to_one_chunk() {
+        // A 2^16-row chunk leaves 16 bits to number chunks: 2^16 more
+        // one-row chunks are one too many.
+        let wide = 1i64 << 16;
+        let mut chunks = vec![batch((0..wide).collect(), vec![1.0; wide as usize])];
+        chunks.extend((0..wide).map(|r| batch(vec![wide + r], vec![2.0])));
+        let ht = built(&chunks);
+        assert_eq!(ht.chunks.len(), 1);
+        assert_eq!(ht.build_rows(), 2 * wide as usize);
+        let probe = batch(vec![wide - 1, wide, 2 * wide - 1, 2 * wide], vec![0.0; 4]);
+        let joined = ht
+            .probe(&probe, &[0], joined_schema(probe.schema()))
+            .unwrap();
+        assert_eq!(
+            joined.column(2),
+            &ColumnData::Int64(vec![wide - 1, wide, 2 * wide - 1])
+        );
+        assert_eq!(joined.column(3), &ColumnData::Float64(vec![1.0, 2.0, 2.0]));
     }
 
     fn agg_state(groups: Vec<PlanExpr>, aggs: Vec<AggExpr>, out: SchemaRef) -> AggregateState {

@@ -1124,3 +1124,154 @@ fn type_mismatched_probe_key_matches_nothing() {
     let joined = ht.probe(&probe, &[0], out_schema.clone()).expect("probe");
     assert_eq!(joined, RecordBatch::empty(out_schema));
 }
+
+/// The join build keeps its morsels as chunks. Feeding the same build rows
+/// as one batch or cut into chunks (empty ones, one-row ones, up to a
+/// morsel) must not show in the output: both equal the nested-loop
+/// reference row for row, and each other in every column's `ColumnData`
+/// variant and dictionary `Arc` — for distinct and duplicate build keys,
+/// int, dict and raw-string keys, every payload type, and probe batches
+/// with and without a selection.
+mod chunked_builds {
+    use super::*;
+
+    /// Rows per build chunk, at most.
+    const MORSEL: usize = 16;
+
+    /// How the key column is encoded on both sides.
+    #[derive(Clone, Copy, Debug)]
+    enum KeyKind {
+        Int,
+        /// Dict-encoded: the build side's chunks share one dictionary, the
+        /// probe side carries its own.
+        Dict,
+        Utf8,
+    }
+
+    fn key_column(kind: KeyKind, keys: &[i64]) -> ColumnData {
+        let strings = || ColumnData::Utf8(keys.iter().map(|k| format!("k{k}")).collect());
+        match kind {
+            KeyKind::Int => ColumnData::Int64(keys.to_vec()),
+            KeyKind::Dict => strings().dict_encoded(),
+            KeyKind::Utf8 => strings(),
+        }
+    }
+
+    fn batch(columns: Vec<ColumnData>) -> RecordBatch {
+        let fields = (columns.iter().enumerate())
+            .map(|(i, c)| Field::new(format!("c{i}"), c.data_type()))
+            .collect();
+        RecordBatch::new(Arc::new(Schema::of(fields)), columns).expect("batch")
+    }
+
+    /// The build side: key, then one payload column of every type.
+    fn build_batch(kind: KeyKind, keys: &[i64]) -> RecordBatch {
+        let n = keys.len() as i64;
+        let text = |r: i64| format!("b{}", r % 5);
+        batch(vec![
+            key_column(kind, keys),
+            ColumnData::Int64((0..n).collect()),
+            ColumnData::Float64((0..n).map(|r| r as f64 / 4.0).collect()),
+            ColumnData::Bool((0..n).map(|r| r % 3 == 0).collect()),
+            ColumnData::Utf8((0..n).map(text).collect()).dict_encoded(),
+            ColumnData::Utf8((0..n).map(|r| text(r * 7)).collect()),
+        ])
+    }
+
+    /// The probe side: key, a tag, a dict and a raw string column.
+    fn probe_batch(kind: KeyKind, keys: &[i64]) -> RecordBatch {
+        let n = keys.len() as i64;
+        batch(vec![
+            key_column(kind, keys),
+            ColumnData::Int64((0..n).collect()),
+            ColumnData::Utf8((0..n).map(|r| format!("p{}", r % 3)).collect()).dict_encoded(),
+            ColumnData::Utf8((0..n).map(|r| format!("q{r}")).collect()),
+        ])
+    }
+
+    /// `rows` rows cut at the given chunk sizes, the rest in a last chunk.
+    fn chunks(build: &RecordBatch, sizes: &[usize]) -> Vec<RecordBatch> {
+        let mut out = Vec::new();
+        let mut at = 0;
+        for &size in sizes {
+            let size = size.min(build.rows() - at);
+            out.push(build.slice(at, size).expect("slice"));
+            at += size;
+        }
+        out.push(build.slice(at, build.rows() - at).expect("slice"));
+        out
+    }
+
+    fn join(build: &[RecordBatch], probe: &RecordBatch) -> RecordBatch {
+        let mut ht = JoinHashTable::new(build[0].schema().clone(), vec![0]);
+        for chunk in build {
+            ht.insert_batch(chunk.clone()).expect("insert");
+        }
+        ht.finalize().expect("finalize");
+        let fields = (probe.schema().fields().iter())
+            .chain(build[0].schema().fields())
+            .enumerate()
+            .map(|(i, f)| Field::new(format!("o{i}"), f.data_type))
+            .collect();
+        ht.probe(probe, &[0], Arc::new(Schema::of(fields)))
+            .expect("probe")
+    }
+
+    /// Same variant, and for dict columns the same dictionary `Arc`.
+    fn same_form(a: &ColumnData, b: &ColumnData) -> bool {
+        match (a.as_dict(), b.as_dict()) {
+            (Some((_, x)), Some((_, y))) => Arc::ptr_eq(x, y),
+            _ => std::mem::discriminant(a) == std::mem::discriminant(b),
+        }
+    }
+
+    proptest! {
+        #[test]
+        fn chunked_build_equals_one_batch_and_the_nested_loop(
+            dup_keys in proptest::collection::vec(-4i64..4, 0..60),
+            probe_keys in proptest::collection::vec(-6i64..64, 0..50),
+            keep in proptest::collection::vec(any::<bool>(), 50),
+            sizes in proptest::collection::vec(
+                prop_oneof![Just(0usize), Just(1usize), 0usize..MORSEL + 1],
+                0..8,
+            ),
+            distinct in any::<bool>(),
+            kind in proptest::sample::select(vec![KeyKind::Int, KeyKind::Dict, KeyKind::Utf8]),
+            selected in any::<bool>(),
+        ) {
+            // Distinct keys: as many, each once, scrambled (7 is invertible
+            // modulo the prime 61, which exceeds every row count).
+            let build_keys: Vec<i64> = if distinct {
+                (0..dup_keys.len() as i64).map(|r| (r * 7 + 3) % 61).collect()
+            } else {
+                dup_keys
+            };
+            let build = build_batch(kind, &build_keys);
+            let probe = probe_batch(kind, &probe_keys);
+            let probe = if selected {
+                probe.filter(&keep[..probe_keys.len()]).expect("filter")
+            } else {
+                probe
+            };
+
+            let whole = join(std::slice::from_ref(&build), &probe);
+            let chunked = join(&chunks(&build, &sizes), &probe);
+
+            let mut expected: Vec<Vec<Value>> = Vec::new();
+            for p in 0..probe.rows() {
+                for b in 0..build.rows() {
+                    if probe.row(p)[0] == build.row(b)[0] {
+                        expected.push(probe.row(p).into_iter().chain(build.row(b)).collect());
+                    }
+                }
+            }
+            for out in [&whole, &chunked] {
+                let got: Vec<Vec<Value>> = (0..out.rows()).map(|r| out.row(r)).collect();
+                prop_assert_eq!(&got, &expected, "{:?}", kind);
+            }
+            for (a, b) in whole.columns().iter().zip(chunked.columns()) {
+                prop_assert!(same_form(a, b), "{:?}: {:?} vs {:?}", kind, a, b);
+            }
+        }
+    }
+}

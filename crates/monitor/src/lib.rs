@@ -17,6 +17,11 @@
 //! shuffle-boundary scaling (BigQuery \[1, 9]); pure static execution is
 //! `ci_exec::NoScaling`.
 
+// Where the monitor cannot decide (an empty ladder) a pipeline keeps its
+// planned DOP; library code never unwraps, and CI's clippy step fails the
+// day an unwrap comes back.
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
+
 pub mod baselines;
 pub mod monitor;
 

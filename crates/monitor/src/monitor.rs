@@ -15,7 +15,8 @@ pub struct MonitorConfig {
     /// Deviation beyond which the DOP planner is re-invoked with observed
     /// cardinalities (default 1.0, i.e. 2x off).
     pub theta_large: f64,
-    /// Candidate DOP ladder for corrections.
+    /// Candidate DOP ladder for corrections. An empty ladder makes no
+    /// correction: every pipeline keeps the DOP it has.
     pub ladder: Vec<u32>,
     /// Minimum morsel progress before mid-pipeline corrections are trusted.
     pub min_fraction: f64,
@@ -100,27 +101,18 @@ impl<'a, 'c> DopMonitor<'a, 'c> {
     /// Smallest ladder DOP that finishes `work` within `deadline`. When no
     /// DOP meets the deadline (the work may simply not parallelize), fall
     /// back to the *smallest* DOP within 5% of the best achievable duration
-    /// — never burn nodes that cannot buy time.
-    fn min_dop_for(&self, work: &PipelineWork, deadline: SimDuration) -> u32 {
+    /// — never burn nodes that cannot buy time. `None` on an empty ladder.
+    fn min_dop_for(&self, work: &PipelineWork, deadline: SimDuration) -> Option<u32> {
+        let ladder = &self.config.ladder;
+        let duration = |d| self.est.pipeline_duration(work, d);
         let slack = deadline * (1.0 + self.config.theta_small);
-        for &d in &self.config.ladder {
-            if self.est.pipeline_duration(work, d) <= slack {
-                return d;
-            }
+        if let Some(d) = ladder.iter().copied().find(|&d| duration(d) <= slack) {
+            return Some(d);
         }
-        let best = self
-            .config
-            .ladder
-            .iter()
-            .map(|&d| self.est.pipeline_duration(work, d))
-            .min()
-            .expect("non-empty ladder");
-        for &d in &self.config.ladder {
-            if self.est.pipeline_duration(work, d) <= best * 1.05 {
-                return d;
-            }
-        }
-        *self.config.ladder.last().expect("non-empty ladder")
+        let best = ladder.iter().map(|&d| duration(d)).min()?;
+        (ladder.iter().copied())
+            .find(|&d| duration(d) <= best * 1.05)
+            .or(ladder.last().copied())
     }
 }
 
@@ -141,7 +133,9 @@ impl ScalingController for DopMonitor<'_, '_> {
         // Large deviation: re-plan this pipeline's DOP so its planned
         // duration still holds with the observed input size.
         let scaled = Self::scaled_work(&self.works[i], ratio);
-        let d = self.min_dop_for(&scaled, self.planned_durations[i]);
+        let Some(d) = self.min_dop_for(&scaled, self.planned_durations[i]) else {
+            return ctx.planned_dop;
+        };
         if d != ctx.planned_dop {
             self.replans += 1;
         }
@@ -168,7 +162,9 @@ impl ScalingController for DopMonitor<'_, '_> {
         let remaining_budget = self.planned_durations[i]
             .saturating_sub(p.elapsed)
             .max(self.planned_durations[i] / 10.0);
-        let d = self.min_dop_for(&scaled, remaining_budget);
+        let Some(d) = self.min_dop_for(&scaled, remaining_budget) else {
+            return ScaleDecision::Keep;
+        };
         if d == p.current_dop || self.last_decision[i] == Some(d) {
             return ScaleDecision::Keep;
         }
@@ -222,14 +218,10 @@ mod tests {
 
     const SQL: &str = "SELECT grp, SUM(val), COUNT(*) FROM facts WHERE val < 800.0 GROUP BY grp";
 
-    /// Plan with badly injected cardinality errors; verify the monitor
-    /// recovers the latency promise that static execution misses, or at
-    /// least does no worse while reacting.
-    #[test]
-    fn monitor_corrects_misestimated_pipelines() {
-        let cat = catalog();
-        // Seeds are searched so that injection *underestimates* (static plan
-        // under-provisions and runs slow).
+    /// [`SQL`] planned with badly injected cardinality errors: seeds are
+    /// searched so that injection *underestimates* (the static plan
+    /// under-provisions and runs slow).
+    fn underestimated_query(cat: &Catalog) -> ci_optimizer::PlannedQuery {
         let mut cfg = OptimizerConfig {
             explore_bushy: false,
             error_bound: 6.0,
@@ -238,7 +230,7 @@ mod tests {
         let mut chosen = None;
         for seed in 0..16u64 {
             cfg.error_seed = seed;
-            let opt = Optimizer::new(&cat, cfg.clone());
+            let opt = Optimizer::new(cat, cfg.clone());
             let pq = opt
                 .plan_sql(SQL, Constraint::LatencySla(SimDuration::from_secs(5)))
                 .unwrap();
@@ -248,8 +240,16 @@ mod tests {
                 break;
             }
         }
-        let pq = chosen.expect("some seed underestimates");
+        chosen.expect("some seed underestimates")
+    }
 
+    /// Plan with badly injected cardinality errors; verify the monitor
+    /// recovers the latency promise that static execution misses, or at
+    /// least does no worse while reacting.
+    #[test]
+    fn monitor_corrects_misestimated_pipelines() {
+        let cat = catalog();
+        let pq = underestimated_query(&cat);
         let exec = Executor::new(&cat, ExecutionConfig::default());
         let static_run = exec
             .execute(&pq.plan, &pq.graph, &pq.dops, &mut NoScaling)
@@ -280,6 +280,32 @@ mod tests {
             monitored.metrics.latency,
             static_run.metrics.latency
         );
+    }
+
+    /// With no DOP to choose from, the monitor that reacts to the same 6x
+    /// misestimate above keeps every pipeline at its planned DOP: no
+    /// correction, no re-plan, and the static run's latency to the bit.
+    #[test]
+    fn empty_ladder_makes_no_correction() {
+        let cat = catalog();
+        let pq = underestimated_query(&cat);
+        let exec = Executor::new(&cat, ExecutionConfig::default());
+        let static_run = exec
+            .execute(&pq.plan, &pq.graph, &pq.dops, &mut NoScaling)
+            .unwrap();
+        let est = ci_cost::CostEstimator::new(&cat, EstimatorConfig::default());
+        let config = MonitorConfig {
+            ladder: Vec::new(),
+            ..MonitorConfig::default()
+        };
+        let mut monitor = DopMonitor::new(&est, &pq.plan, &pq.graph, &pq.dops, config).unwrap();
+        let monitored = exec
+            .execute(&pq.plan, &pq.graph, &pq.dops, &mut monitor)
+            .unwrap();
+        assert_eq!((monitor.corrections, monitor.replans), (0, 0));
+        assert_eq!(static_run.result, monitored.result);
+        assert_eq!(monitored.metrics.latency, static_run.metrics.latency);
+        assert_eq!(monitored.metrics.resize_events, 0);
     }
 
     #[test]

@@ -154,12 +154,11 @@ fn greedy_order(
 ) -> Result<JoinTree> {
     let n = bound.relations.len();
     // Start from the smallest relation.
-    let mut order = vec![base
-        .iter()
-        .enumerate()
-        .min_by(|a, b| a.1.partial_cmp(b.1).expect("finite"))
+    let first = (base.iter().enumerate())
+        .min_by(|a, b| a.1.total_cmp(b.1))
         .map(|(i, _)| i)
-        .expect("non-empty")];
+        .ok_or_else(|| CiError::Plan("join order of no relations".into()))?;
+    let mut order = vec![first];
     let mut mask = 1u64 << order[0];
     let mut rows = base[order[0]];
     while order.len() < n {

@@ -20,7 +20,7 @@ use ci_cost::{CostEstimator, PipelineWork, QueryEstimate};
 use ci_plan::physical::PhysicalPlan;
 use ci_plan::pipeline::PipelineGraph;
 use ci_types::money::Dollars;
-use ci_types::{Result, SimDuration};
+use ci_types::{CiError, Result, SimDuration};
 
 /// The user's constraint: the paper's "downgraded" bi-objective form.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -56,7 +56,8 @@ pub struct SearchStats {
 /// The DOP planner.
 pub struct DopPlanner<'a, 'c> {
     est: &'a CostEstimator<'c>,
-    /// Candidate DOP ladder (powers of two by default).
+    /// Candidate DOP ladder (powers of two by default). Planning with an
+    /// empty ladder is a [`CiError::Config`].
     pub candidates: Vec<u32>,
     /// Search statistics (reset per plan call).
     pub stats: SearchStats,
@@ -84,6 +85,14 @@ impl<'a, 'c> DopPlanner<'a, 'c> {
         self.est.estimate(plan, graph, dops)
     }
 
+    /// Fails with a typed error when there is no DOP to choose from.
+    fn check_candidates(&self) -> Result<()> {
+        if self.candidates.is_empty() {
+            return Err(CiError::Config("DOP planner has no candidate DOPs".into()));
+        }
+        Ok(())
+    }
+
     /// Plans DOPs with the paper's heuristic search.
     pub fn plan(
         &mut self,
@@ -91,6 +100,7 @@ impl<'a, 'c> DopPlanner<'a, 'c> {
         graph: &PipelineGraph,
         constraint: Constraint,
     ) -> Result<DopPlan> {
+        self.check_candidates()?;
         self.stats = SearchStats::default();
         let works: Vec<PipelineWork> = graph
             .pipelines
@@ -183,6 +193,7 @@ impl<'a, 'c> DopPlanner<'a, 'c> {
         graph: &PipelineGraph,
         constraint: Constraint,
     ) -> Result<DopPlan> {
+        self.check_candidates()?;
         self.stats = SearchStats::default();
         let p = graph.len();
         let mut best: Option<DopPlan> = None;
@@ -227,7 +238,9 @@ impl<'a, 'c> DopPlanner<'a, 'c> {
             let mut k = 0;
             loop {
                 if k == p {
-                    return Ok(best.expect("at least one candidate"));
+                    // The first vector visited set `best`: the ladder is
+                    // non-empty (checked above).
+                    return best.ok_or_else(|| CiError::Config("no DOP vector visited".into()));
                 }
                 idx[k] += 1;
                 if idx[k] < self.candidates.len() {
@@ -397,6 +410,31 @@ mod tests {
             .unwrap();
         assert!(big.predicted.latency <= small.predicted.latency);
         assert!(small.predicted.cost <= Dollars::new(0.003) || !small.feasible);
+    }
+
+    #[test]
+    fn empty_candidate_list_is_a_config_error() {
+        let cat = catalog();
+        let (plan, graph) = setup(&cat, "SELECT grp, SUM(val) FROM facts GROUP BY grp");
+        let est = CostEstimator::new(&cat, EstimatorConfig::default());
+        let mut planner = DopPlanner::new(&est);
+        planner.candidates.clear();
+        for constraint in [
+            Constraint::MinCost,
+            Constraint::LatencySla(SimDuration::from_secs(5)),
+            Constraint::Budget(Dollars::new(0.01)),
+        ] {
+            let heuristic = planner.plan(&plan, &graph, constraint);
+            assert!(
+                matches!(heuristic, Err(CiError::Config(_))),
+                "{heuristic:?}"
+            );
+            let exhaustive = planner.plan_exhaustive(&plan, &graph, constraint);
+            assert!(
+                matches!(exhaustive, Err(CiError::Config(_))),
+                "{exhaustive:?}"
+            );
+        }
     }
 
     #[test]

@@ -20,6 +20,11 @@
 //! [`pareto`] implements the full-frontier enumeration baseline (\[35] in the
 //! paper) that the F2 claim test judges picks against.
 
+// Library code reports an unplannable query or an empty DOP ladder as a
+// typed `CiError`, never by unwrapping; CI's clippy step fails the day an
+// unwrap comes back.
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
+
 pub mod bushy;
 pub mod dagplan;
 pub mod dopplan;

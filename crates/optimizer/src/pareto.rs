@@ -36,7 +36,7 @@ pub fn pareto_frontier<T: Clone>(points: &[ParetoPoint<T>]) -> Vec<ParetoPoint<T
     sorted.sort_by(|a, b| {
         a.latency
             .cmp(&b.latency)
-            .then(a.cost.partial_cmp(&b.cost).expect("finite cost"))
+            .then(a.cost.amount().total_cmp(&b.cost.amount()))
     });
     let mut frontier: Vec<ParetoPoint<T>> = Vec::new();
     let mut best_cost = f64::INFINITY;

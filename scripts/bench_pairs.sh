@@ -9,10 +9,13 @@
 # the change, so drift of the box's speed lands on both sides alike. Every
 # run's metric lines are appended to one file per side under
 # CHANGE_DIR/.bench_out/pairs/, the per-pair iter_ms_p50 and the change's
-# win count are printed, and `bench_e2e --compare parent.txt change.txt`
-# gives the verdicts (exit 1 if anything is "worse"). A run that exits
-# non-zero or outlives its time limit is reported as a failed pair (exit 1),
-# never waited on.
+# win count are printed, then each side's iter_ms_p50 median and quartiles
+# and the claim rule's verdict: a gain holds only when the change wins at
+# least nine tenths of the pairs run (ties count for neither) and the
+# medians differ by more than the parent's quartile spread. Last,
+# `bench_e2e --compare parent.txt change.txt` gives the verdicts (exit 1 if
+# anything is "worse"). A run that exits non-zero or outlives its time limit
+# is reported as a failed pair (exit 1), never waited on.
 set -euo pipefail
 
 if [ $# -lt 3 ]; then
@@ -55,6 +58,8 @@ run() { # DIR FILE: one untraced run at the contract's window; prints iter_ms_p5
 
 wins=0
 failed=0
+parent_ms=()
+change_ms=()
 for i in $(seq 1 "$pairs"); do
     if [ $((i % 2)) -eq 1 ]; then
         p=$(run "$parent" "$parent_txt")
@@ -68,12 +73,36 @@ for i in $(seq 1 "$pairs"); do
         printf 'pair %2d  FAILED       parent %8s  change %8s\n' "$i" "$p" "$c"
         continue
     fi
+    parent_ms+=("$p")
+    change_ms+=("$c")
     if awk -v p="$p" -v c="$c" 'BEGIN { exit !(c < p) }'; then
         wins=$((wins + 1))
     fi
     printf 'pair %2d  iter_ms_p50  parent %8.1f  change %8.1f\n' "$i" "$p" "$c"
 done
 echo "change wins $wins of $pairs pairs on iter_ms_p50 ($failed failed)"
+
+quartiles() { # VALUES...: "q1 median q3" (linear interpolation between ranks)
+    printf '%s\n' "$@" | sort -g | awk '
+        { v[NR] = $1 }
+        function q(f,   r, lo) {
+            r = 1 + f * (NR - 1); lo = int(r)
+            return lo >= NR ? v[NR] : v[lo] + (r - lo) * (v[lo + 1] - v[lo])
+        }
+        END { printf "%.3f %.3f %.3f\n", q(0.25), q(0.5), q(0.75) }'
+}
+if [ "${#parent_ms[@]}" -gt 0 ]; then
+    read -r p_q1 p_med p_q3 < <(quartiles "${parent_ms[@]}")
+    read -r c_q1 c_med c_q3 < <(quartiles "${change_ms[@]}")
+    printf 'parent iter_ms_p50  median %.2f  quartiles %.2f / %.2f\n' "$p_med" "$p_q1" "$p_q3"
+    printf 'change iter_ms_p50  median %.2f  quartiles %.2f / %.2f\n' "$c_med" "$c_q1" "$c_q3"
+    awk -v w="$wins" -v n="$pairs" -v pm="$p_med" -v cm="$c_med" -v q1="$p_q1" -v q3="$p_q3" 'BEGIN {
+        gap = pm - cm; spread = q3 - q1
+        held = (10 * w >= 9 * n) && (gap > spread)
+        printf "claim rule: %s (wins %d/%d, need >= 9/10; median gap %.2f ms vs parent quartile spread %.2f ms)\n",
+            held ? "HOLDS" : "does NOT hold", w, n, gap, spread
+    }'
+fi
 if [ "$failed" -gt 0 ]; then
     exit 1
 fi
