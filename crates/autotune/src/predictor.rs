@@ -76,14 +76,6 @@ impl WorkloadPredictor {
         });
         out
     }
-
-    /// Total predicted spend rate ($/hour) of the recurring workload.
-    pub fn predicted_spend_rate(&self, predicted: &[PredictedQuery]) -> Dollars {
-        predicted
-            .iter()
-            .map(|p| p.cost_per_execution * p.rate_per_hour)
-            .sum()
-    }
 }
 
 #[cfg(test)]
@@ -139,27 +131,6 @@ mod tests {
         let predicted = p.predict(&s, SimTime::from_secs_f64(10.0 * 3600.0));
         let names: Vec<&str> = predicted.iter().map(|q| q.fingerprint.as_str()).collect();
         assert_eq!(names, vec!["steady"]);
-    }
-
-    #[test]
-    fn spend_rate_totals() {
-        let p = WorkloadPredictor::new();
-        let predicted = vec![
-            PredictedQuery {
-                fingerprint: "a".into(),
-                sql: "a".into(),
-                rate_per_hour: 10.0,
-                cost_per_execution: Dollars::new(0.05),
-            },
-            PredictedQuery {
-                fingerprint: "b".into(),
-                sql: "b".into(),
-                rate_per_hour: 2.0,
-                cost_per_execution: Dollars::new(1.0),
-            },
-        ];
-        let rate = p.predicted_spend_rate(&predicted);
-        assert!(rate.abs_diff(Dollars::new(2.5)) < 1e-12);
     }
 
     #[test]

@@ -187,11 +187,6 @@ impl TableStats {
             dictionary: shared_dict,
         }
     }
-
-    /// Average row width in bytes.
-    pub fn avg_row_width(&self) -> f64 {
-        self.columns.iter().map(|c| c.avg_width).sum()
-    }
 }
 
 /// FNV-1a for string NDV hashing (collision odds negligible at our scales).
@@ -270,7 +265,6 @@ mod tests {
         let s = TableStats::compute(&table());
         assert!((s.columns[0].avg_width - 8.0).abs() < 1e-9);
         assert!(s.columns[1].avg_width > 0.0);
-        assert!(s.avg_row_width() > 8.0);
     }
 
     #[test]

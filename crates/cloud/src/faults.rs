@@ -296,11 +296,6 @@ impl MorselFaults {
             + u32::from(self.worker_lost.is_some())
     }
 
-    /// `true` when nothing fired.
-    pub fn is_clean(&self) -> bool {
-        self.count() == 0
-    }
-
     /// One `(kind, magnitude)` entry per injected fault, in draw order —
     /// the shape trace exporters render as instant events. Magnitude is the
     /// slowdown factor (stragglers) or lost-progress fraction (preemption);
@@ -449,7 +444,7 @@ mod tests {
     fn quiet_profile_never_fires() {
         let inj = FaultPlan::new(9, FaultProfile::none()).injector();
         for mi in 0..500u64 {
-            assert!(inj.morsel_faults(0, mi, true).is_clean());
+            assert_eq!(inj.morsel_faults(0, mi, true).count(), 0);
         }
         assert!(FaultProfile::none().is_quiet());
         assert!(!FaultProfile::light().is_quiet());

@@ -7,7 +7,6 @@
 //! so this crate *is* the cloud: a deterministic model of
 //!
 //! * node types and their prices ([`node`], [`pricing`]),
-//! * machine-time billing — blocked nodes still bill, per §3.1 ([`billing`]),
 //! * the network fabric whose sub-linear bisection scaling creates the
 //!   exchange-operator knee the paper argues about ([`network`]),
 //! * object-store scan bandwidth ([`objectstore`]),
@@ -19,7 +18,10 @@
 //! ([`ci_types::SimTime`]); the discrete-event clock itself lives in the
 //! execution engine.
 
-pub mod billing;
+// Library code reports bad input as `CiError`, never by unwrapping;
+// CI's clippy step fails the day an unwrap comes back.
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
+
 pub mod faults;
 pub mod network;
 pub mod node;
@@ -28,7 +30,6 @@ pub mod pricing;
 pub mod tiercache;
 pub mod work;
 
-pub use billing::BillingMeter;
 pub use faults::{FaultInjector, FaultPlan, FaultProfile, MorselFaults};
 pub use network::NetworkModel;
 pub use node::{HardwareProfile, NodeType};

@@ -10,7 +10,8 @@
 //! * the fabric's **bisection bandwidth grows sub-linearly** with cluster
 //!   size (`base · d^gamma`, `gamma < 1` — oversubscribed data-center
 //!   topologies);
-//! * a hash-partition exchange moves `(d-1)/d` of the data across the fabric.
+//! * a hash-partition exchange moves `(d-1)/d` of the data across the fabric
+//!   ([`crate::work::WorkModels::exchange_wire_secs`]).
 //!
 //! Together these produce the knee in the cost-vs-DOP curve (experiment E1)
 //! and the "pay more for worse latency" regime beyond it.
@@ -25,8 +26,6 @@ pub struct NetworkModel {
     pub fabric_base_bytes_per_sec: f64,
     /// Sub-linear fabric scaling exponent in `(0, 1]`.
     pub fabric_gamma: f64,
-    /// Fixed per-exchange setup latency (connection fan-out), seconds.
-    pub exchange_setup_secs: f64,
 }
 
 impl NetworkModel {
@@ -37,16 +36,6 @@ impl NetworkModel {
             nic_bytes_per_sec: 1.25e9,
             fabric_base_bytes_per_sec: 1.25e9,
             fabric_gamma: 0.75,
-            exchange_setup_secs: 5e-3,
-        }
-    }
-
-    /// An idealized non-blocking fabric (`gamma = 1`): exchange bandwidth
-    /// scales linearly. Used in ablations to isolate the network effect.
-    pub fn non_blocking() -> NetworkModel {
-        NetworkModel {
-            fabric_gamma: 1.0,
-            ..NetworkModel::standard()
         }
     }
 
@@ -69,39 +58,12 @@ impl NetworkModel {
             self.aggregate_exchange_bw(d) / d as f64
         }
     }
-
-    /// Wire time to hash-partition `bytes` of data among `d` nodes
-    /// (producers == consumers, uniform partitioning): `(d-1)/d` of the
-    /// payload crosses the fabric.
-    pub fn exchange_secs(&self, bytes: f64, d: u32) -> f64 {
-        if d <= 1 || bytes <= 0.0 {
-            return 0.0;
-        }
-        let cross = bytes * (d as f64 - 1.0) / d as f64;
-        self.exchange_setup_secs + cross / self.aggregate_exchange_bw(d)
-    }
-
-    /// Wire time to broadcast `bytes` from every producer to all `d` nodes
-    /// (broadcast join build side): payload is replicated `d-1` times.
-    pub fn broadcast_secs(&self, bytes: f64, d: u32) -> f64 {
-        if d <= 1 || bytes <= 0.0 {
-            return 0.0;
-        }
-        let cross = bytes * (d as f64 - 1.0);
-        self.exchange_setup_secs + cross / self.aggregate_exchange_bw(d)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn single_node_exchange_is_free() {
-        let n = NetworkModel::standard();
-        assert_eq!(n.exchange_secs(1e9, 1), 0.0);
-        assert_eq!(n.broadcast_secs(1e9, 1), 0.0);
-    }
+    use crate::work::WorkModels;
 
     #[test]
     fn per_node_bandwidth_degrades_with_scale() {
@@ -116,7 +78,11 @@ mod tests {
 
     #[test]
     fn non_blocking_fabric_keeps_per_node_bw() {
-        let n = NetworkModel::non_blocking();
+        // An idealized non-blocking fabric (`gamma = 1`).
+        let n = NetworkModel {
+            fabric_gamma: 1.0,
+            ..NetworkModel::standard()
+        };
         let bw4 = n.per_node_exchange_bw(4);
         let bw64 = n.per_node_exchange_bw(64);
         // NIC-bound on both ends: identical per-node bandwidth.
@@ -125,36 +91,18 @@ mod tests {
 
     #[test]
     fn exchange_time_has_a_knee() {
-        // Fixed data volume: time should fall then flatten/rise per added node
-        // relative to ideal 1/d scaling.
-        let n = NetworkModel::standard();
+        // Fixed data volume, each of `d` nodes sending its `1/d` share through
+        // the priced wire formula: time should fall, but far sub-linearly.
+        let w = WorkModels::standard();
         let bytes = 100e9;
-        let t2 = n.exchange_secs(bytes, 2);
-        let t16 = n.exchange_secs(bytes, 16);
-        let t256 = n.exchange_secs(bytes, 256);
+        let t = |d: u32| w.exchange_wire_secs(bytes / d as f64, d);
+        let (t2, t16, t256) = (t(2), t(16), t(256));
         assert!(t16 < t2);
         // Beyond the knee, adding nodes barely helps: with gamma = 0.75 the
         // 16 -> 256 speedup is capped near (256/16)^0.75 = 8, far below the
         // 16x ideal.
         let speedup = t16 / t256;
         assert!(speedup < 8.5, "speedup {speedup} should be far sub-linear");
-    }
-
-    #[test]
-    fn broadcast_grows_with_cluster_size() {
-        let n = NetworkModel::standard();
-        let b4 = n.broadcast_secs(1e9, 4);
-        let b32 = n.broadcast_secs(1e9, 32);
-        assert!(
-            b32 > b4,
-            "broadcast replicates build side; more nodes = more bytes"
-        );
-    }
-
-    #[test]
-    fn zero_bytes_costs_nothing() {
-        let n = NetworkModel::standard();
-        assert_eq!(n.exchange_secs(0.0, 8), 0.0);
     }
 
     #[test]

@@ -45,18 +45,6 @@ impl ObjectStoreModel {
         }
         self.request_latency_secs + bytes / self.per_node_bw(d.max(1))
     }
-
-    /// Time to scan `total_bytes` split into `objects` equal micro-partitions
-    /// spread evenly over `d` nodes (each node fetches its share serially).
-    pub fn scan_secs(&self, total_bytes: f64, objects: u64, d: u32) -> f64 {
-        if total_bytes <= 0.0 || objects == 0 || d == 0 {
-            return 0.0;
-        }
-        let per_object = total_bytes / objects as f64;
-        // Ceil-divide objects over nodes: the slowest node bounds the scan.
-        let per_node_objects = objects.div_ceil(d as u64);
-        per_node_objects as f64 * self.fetch_secs(per_object, d)
-    }
 }
 
 #[cfg(test)]
@@ -73,25 +61,11 @@ mod tests {
     }
 
     #[test]
-    fn scan_parallelizes_nearly_linearly_below_cap() {
-        let s = ObjectStoreModel::standard();
-        let bytes = 64e9;
-        let objects = 4096;
-        let t1 = s.scan_secs(bytes, objects, 1);
-        let t16 = s.scan_secs(bytes, objects, 16);
-        let speedup = t1 / t16;
-        assert!(
-            (14.0..=16.5).contains(&speedup),
-            "scan speedup at 16 nodes was {speedup}"
-        );
-    }
-
-    #[test]
     fn request_latency_penalizes_tiny_objects() {
         let s = ObjectStoreModel::standard();
         let bytes = 1e9;
-        let few = s.scan_secs(bytes, 8, 1);
-        let many = s.scan_secs(bytes, 8192, 1);
+        let few = 8.0 * s.fetch_secs(bytes / 8.0, 1);
+        let many = 8192.0 * s.fetch_secs(bytes / 8192.0, 1);
         assert!(
             many > few,
             "8192 tiny GETs ({many}s) must cost more than 8 big ones ({few}s)"
@@ -99,20 +73,8 @@ mod tests {
     }
 
     #[test]
-    fn stragglers_from_uneven_object_division() {
-        let s = ObjectStoreModel::standard();
-        // 10 objects over 4 nodes: one node fetches 3 -> bound by 3 fetches.
-        let t = s.scan_secs(10e9, 10, 4);
-        let per_fetch = s.fetch_secs(1e9, 4);
-        assert!((t - 3.0 * per_fetch).abs() < 1e-9);
-    }
-
-    #[test]
     fn degenerate_inputs() {
         let s = ObjectStoreModel::standard();
-        assert_eq!(s.scan_secs(0.0, 10, 4), 0.0);
-        assert_eq!(s.scan_secs(1e9, 0, 4), 0.0);
-        assert_eq!(s.scan_secs(1e9, 10, 0), 0.0);
         assert_eq!(s.fetch_secs(0.0, 4), 0.0);
     }
 }

@@ -13,16 +13,12 @@
 //! occupancy rent of keeping it resident over the pricing horizon. Eviction
 //! removes the lowest-scoring resident first, tie-broken canonically by
 //! `(score, insertion sequence, key)` so the outcome never depends on hash
-//! iteration order. Occupancy itself is metered through
-//! [`crate::billing::BillingMeter`] leases so cache rent shows up in the
-//! same ledger as machine time.
+//! iteration order. Rent is priced in those scores only: nothing bills it.
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use ci_types::money::{Dollars, DollarsPerSecond};
-use ci_types::{NodeId, SimDuration, SimTime, TableId};
+use ci_types::TableId;
 
-use crate::billing::BillingMeter;
 use crate::pricing::{TierPricing, TierSpec};
 
 /// Cache identity of one micro-partition.
@@ -96,7 +92,6 @@ pub struct CacheCounters {
 struct Resident {
     bytes: u64,
     seq: u64,
-    lease_node: NodeId,
 }
 
 /// Deterministic cost-aware two-tier cache simulator.
@@ -116,12 +111,6 @@ pub struct TierCacheSim {
     pinned_mem: BTreeSet<TableId>,
     pinned_ssd: BTreeSet<TableId>,
     seq: u64,
-    lease_ids: u32,
-    meter: BillingMeter,
-    /// Offset added to query-local timestamps so the occupancy clock never
-    /// regresses when the same simulator outlives multiple queries.
-    base: SimDuration,
-    high_water: SimTime,
     counters: CacheCounters,
 }
 
@@ -138,10 +127,6 @@ impl TierCacheSim {
             pinned_mem: BTreeSet::new(),
             pinned_ssd: BTreeSet::new(),
             seq: 0,
-            lease_ids: 0,
-            meter: BillingMeter::new(),
-            base: SimDuration::ZERO,
-            high_water: SimTime::ZERO,
             counters: CacheCounters::default(),
         }
     }
@@ -167,30 +152,12 @@ impl TierCacheSim {
         }
     }
 
-    /// Rebases the query-local clock: subsequent `now` values (which restart
-    /// at zero each query) are offset past everything already observed.
-    pub fn begin_query(&mut self) {
-        self.base = self.high_water.since(SimTime::ZERO);
-    }
-
-    fn clock(&mut self, now: SimTime) -> SimTime {
-        let t = SimTime::ZERO + self.base + now.since(SimTime::ZERO);
-        self.high_water = self.high_water.max(t);
-        self.high_water
-    }
-
     /// Expected dollars saved minus occupancy rent for keeping `bytes` in
     /// `tier` given `hits` observed accesses.
     fn score(&self, tier: &TierSpec, bytes: u64, hits: u64) -> f64 {
         let saved = self.pricing.refetch_dollars(bytes as f64) * hits as f64;
         let rent = tier.rent_per_hour(bytes) * self.pricing.rent_horizon_hours;
         saved - rent
-    }
-
-    fn next_lease(&mut self) -> NodeId {
-        let id = self.lease_ids;
-        self.lease_ids += 1;
-        NodeId::new(id)
     }
 
     /// Admits `key` into the tier behind `level` if its score clears zero
@@ -202,7 +169,6 @@ impl TierCacheSim {
         key: CacheKey,
         bytes: u64,
         hits: u64,
-        now: SimTime,
         evicted: &mut Vec<(CacheKey, TierLevel)>,
     ) -> bool {
         let spec = match level {
@@ -261,17 +227,13 @@ impl TierCacheSim {
             }
         }
         for vkey in victims {
-            self.remove(level, vkey, now);
+            self.remove(level, vkey);
             evicted.push((vkey, level));
             self.counters.evictions += 1;
         }
-        let rate = DollarsPerSecond::per_hour(spec.rent_per_hour(bytes));
-        let lease_node = self.next_lease();
-        self.meter.open(lease_node, rate, now);
         let resident = Resident {
             bytes,
             seq: self.seq,
-            lease_node,
         };
         self.seq += 1;
         match level {
@@ -289,22 +251,18 @@ impl TierCacheSim {
         true
     }
 
-    fn remove(&mut self, level: TierLevel, key: CacheKey, now: SimTime) {
-        let removed = match level {
+    fn remove(&mut self, level: TierLevel, key: CacheKey) {
+        match level {
             TierLevel::Mem => self.mem.remove(&key).inspect(|r| self.mem_bytes -= r.bytes),
             TierLevel::Ssd => self.ssd.remove(&key).inspect(|r| self.ssd_bytes -= r.bytes),
             TierLevel::Object => None,
         };
-        if let Some(r) = removed {
-            self.meter.close(r.lease_node, now);
-        }
     }
 
-    /// Records one access to `key` (`bytes` = encoded partition size) at
-    /// query-local time `now` and returns the serving tier plus the
-    /// admissions/evictions the physical store must mirror.
-    pub fn access(&mut self, key: CacheKey, bytes: u64, now: SimTime) -> CacheAccess {
-        let t = self.clock(now);
+    /// Records one access to `key` (`bytes` = encoded partition size) and
+    /// returns the serving tier plus the admissions/evictions the physical
+    /// store must mirror.
+    pub fn access(&mut self, key: CacheKey, bytes: u64) -> CacheAccess {
         let hits = {
             let e = self.accesses.entry(key).or_insert(0);
             *e += 1;
@@ -318,16 +276,16 @@ impl TierCacheSim {
         } else if self.ssd.contains_key(&key) {
             self.counters.ssd_hits += 1;
             // A hot SSD entry may graduate to memory.
-            if self.admit(TierLevel::Mem, key, bytes, hits, t, &mut evicted) {
-                self.remove(TierLevel::Ssd, key, t);
+            if self.admit(TierLevel::Mem, key, bytes, hits, &mut evicted) {
+                self.remove(TierLevel::Ssd, key);
                 admitted.push((key, TierLevel::Mem));
             }
             TierLevel::Ssd
         } else {
             self.counters.misses += 1;
-            if self.admit(TierLevel::Mem, key, bytes, hits, t, &mut evicted) {
+            if self.admit(TierLevel::Mem, key, bytes, hits, &mut evicted) {
                 admitted.push((key, TierLevel::Mem));
-            } else if self.admit(TierLevel::Ssd, key, bytes, hits, t, &mut evicted) {
+            } else if self.admit(TierLevel::Ssd, key, bytes, hits, &mut evicted) {
                 admitted.push((key, TierLevel::Ssd));
             }
             TierLevel::Object
@@ -363,12 +321,6 @@ impl TierCacheSim {
             TierLevel::Object => 0,
         }
     }
-
-    /// Accumulated occupancy rent, billed through the lease meter up to the
-    /// high-water clock.
-    pub fn occupancy_cost(&self) -> Dollars {
-        self.meter.total_cost(self.high_water)
-    }
 }
 
 #[cfg(test)]
@@ -398,8 +350,7 @@ mod tests {
             let mut sim = TierCacheSim::new(p);
             trace
                 .iter()
-                .enumerate()
-                .map(|(i, (key, b))| sim.access(*key, *b, SimTime::from_micros(i as u64)))
+                .map(|(key, b)| sim.access(*key, *b))
                 .collect::<Vec<_>>()
         };
         assert_eq!(run(tiny_pricing()), run(tiny_pricing()));
@@ -408,13 +359,13 @@ mod tests {
     #[test]
     fn second_access_hits_after_admission() {
         let mut sim = TierCacheSim::new(tiny_pricing());
-        let a = sim.access(k(0, 0), 1_000_000, SimTime::ZERO);
+        let a = sim.access(k(0, 0), 1_000_000);
         assert_eq!(a.level, TierLevel::Object);
         assert!(
             !a.admitted.is_empty(),
             "expensive refetch should be admitted"
         );
-        let b = sim.access(k(0, 0), 1_000_000, SimTime::from_micros(10));
+        let b = sim.access(k(0, 0), 1_000_000);
         assert_ne!(b.level, TierLevel::Object);
     }
 
@@ -424,8 +375,8 @@ mod tests {
         p.object_transfer_dollars_per_gb = 0.0;
         p.object_get_dollars = 0.0;
         let mut sim = TierCacheSim::new(p);
-        for i in 0..10 {
-            let a = sim.access(k(0, 0), 1_000_000, SimTime::from_micros(i));
+        for _ in 0..10 {
+            let a = sim.access(k(0, 0), 1_000_000);
             assert_eq!(a.level, TierLevel::Object);
             assert!(a.admitted.is_empty());
         }
@@ -437,18 +388,18 @@ mod tests {
         let mut sim = TierCacheSim::new(tiny_pricing());
         // Fill memory (capacity 3 MB) with three 1 MB entries, then touch a
         // fourth repeatedly until its score beats the coldest resident.
-        for (i, part) in [0u32, 1, 2].iter().enumerate() {
-            sim.access(k(0, *part), 1_000_000, SimTime::from_micros(i as u64));
+        for part in [0u32, 1, 2] {
+            sim.access(k(0, part), 1_000_000);
         }
         // Heat up the original entries unevenly so scores differ.
-        sim.access(k(0, 1), 1_000_000, SimTime::from_micros(10));
-        sim.access(k(0, 2), 1_000_000, SimTime::from_micros(11));
-        sim.access(k(0, 2), 1_000_000, SimTime::from_micros(12));
+        sim.access(k(0, 1), 1_000_000);
+        sim.access(k(0, 2), 1_000_000);
+        sim.access(k(0, 2), 1_000_000);
         // Part 3: first access scores equal to the coldest (part 0) -> no
         // mem eviction (strictly-lower rule); second access beats it.
-        let first = sim.access(k(0, 3), 1_000_000, SimTime::from_micros(20));
+        let first = sim.access(k(0, 3), 1_000_000);
         assert!(!first.admitted.contains(&(k(0, 3), TierLevel::Mem)));
-        let second = sim.access(k(0, 3), 1_000_000, SimTime::from_micros(21));
+        let second = sim.access(k(0, 3), 1_000_000);
         assert!(second.admitted.contains(&(k(0, 3), TierLevel::Mem)));
         assert!(second
             .evicted
@@ -461,36 +412,14 @@ mod tests {
     fn pinned_tables_are_admitted_and_never_evicted() {
         let mut sim = TierCacheSim::new(tiny_pricing());
         sim.pin(TableId::new(9), TierLevel::Mem);
-        sim.access(k(9, 0), 2_000_000, SimTime::ZERO);
+        sim.access(k(9, 0), 2_000_000);
         assert_eq!(sim.resident_bytes(TierLevel::Mem), 2_000_000);
         // Hammer other keys; the pinned entry must survive.
         for i in 0..20u32 {
-            sim.access(k(1, i % 2), 1_000_000, SimTime::from_micros(i as u64 + 1));
+            sim.access(k(1, i % 2), 1_000_000);
         }
-        let hit = sim.access(k(9, 0), 2_000_000, SimTime::from_micros(100));
+        let hit = sim.access(k(9, 0), 2_000_000);
         assert_eq!(hit.level, TierLevel::Mem);
-    }
-
-    #[test]
-    fn occupancy_rent_accrues_over_time() {
-        let mut sim = TierCacheSim::new(tiny_pricing());
-        sim.access(k(0, 0), 1_000_000, SimTime::ZERO);
-        assert_eq!(sim.occupancy_cost(), Dollars::ZERO);
-        sim.access(k(0, 0), 1_000_000, SimTime::from_secs_f64(3600.0));
-        let rent = sim.occupancy_cost();
-        assert!(rent.0 > 0.0, "an hour of residency should bill rent");
-    }
-
-    #[test]
-    fn clock_never_regresses_across_queries() {
-        let mut sim = TierCacheSim::new(tiny_pricing());
-        sim.access(k(0, 0), 1_000_000, SimTime::from_secs_f64(5.0));
-        sim.begin_query();
-        // Query-local time restarts at zero; the rebased clock must not.
-        sim.access(k(0, 1), 1_000_000, SimTime::ZERO);
-        let c1 = sim.occupancy_cost();
-        sim.access(k(0, 1), 1_000_000, SimTime::from_secs_f64(1.0));
-        assert!(sim.occupancy_cost() >= c1);
     }
 
     #[test]
@@ -499,9 +428,9 @@ mod tests {
         // Memory rent so high nothing qualifies; SSD stays cheap.
         p.mem.price_per_gb_hour = 1e6;
         let mut sim = TierCacheSim::new(p);
-        let a = sim.access(k(0, 0), 1_000_000, SimTime::ZERO);
+        let a = sim.access(k(0, 0), 1_000_000);
         assert_eq!(a.admitted, vec![(k(0, 0), TierLevel::Ssd)]);
-        let b = sim.access(k(0, 0), 1_000_000, SimTime::from_micros(1));
+        let b = sim.access(k(0, 0), 1_000_000);
         assert_eq!(b.level, TierLevel::Ssd);
     }
 }

@@ -175,6 +175,18 @@ mod tests {
     }
 
     #[test]
+    fn exchange_startup_is_linear_in_peers() {
+        let w = WorkModels::standard();
+        let setup = w.hw.exchange_conn_setup_secs;
+        assert!(setup > 0.0);
+        assert_eq!(w.exchange_startup_secs(1), 0.0);
+        for d in [2u32, 8, 64] {
+            let t = w.exchange_startup_secs(d);
+            assert!((t - (d - 1) as f64 * setup).abs() < 1e-12, "dop {d}: {t}");
+        }
+    }
+
+    #[test]
     fn sort_scales_superlinearly_in_rows() {
         let w = WorkModels::standard();
         let t1 = w.sort_finalize_secs(1e6, 1);

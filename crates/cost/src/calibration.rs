@@ -1,87 +1,13 @@
-//! Regression calibration of the analytic models.
+//! Hardware calibration from measured operator rates (§3.1).
 //!
-//! §3.1: "To improve the prediction accuracy for more complex operators
-//! (typically involve data exchange between nodes), we pre-train regression
-//! models for them with synthetic workloads that cover the parameter space."
-//!
-//! The calibration here is a linear correction
-//! `actual ≈ β₀ + β₁·raw + β₂·raw·log2(dop)` fitted by ordinary least
-//! squares over (raw analytic prediction, DOP, measured duration) samples
-//! collected from engine runs of synthetic workloads. Linear in named
-//! features — an engineer can read the fitted coefficients and see, e.g.,
-//! "we under-predict exchange-heavy pipelines by 12% per doubling of DOP".
+//! The estimator and the biller price with the same [`WorkModels`], so the
+//! only calibration that can move an estimate is a better rate: the
+//! per-core throughputs the parallel runtime actually measured.
 
 use std::collections::BTreeMap;
 
 use ci_cloud::work::WorkModels;
-use ci_types::regression::{fit, LinearModel};
 use ci_types::{CiError, Result};
-
-/// One calibration sample.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Sample {
-    /// Raw analytic prediction (seconds).
-    pub predicted_secs: f64,
-    /// DOP the pipeline ran with.
-    pub dop: u32,
-    /// Measured duration (seconds).
-    pub actual_secs: f64,
-}
-
-/// A fitted correction model.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Calibration {
-    model: LinearModel,
-    /// Training R² (goodness of fit on the calibration workload).
-    pub r_squared: f64,
-    /// Number of samples used.
-    pub samples: usize,
-}
-
-impl Calibration {
-    /// Fits a correction from calibration samples. Requires at least four
-    /// samples spanning more than one DOP.
-    pub fn fit(samples: &[Sample]) -> Result<Calibration> {
-        if samples.len() < 4 {
-            return Err(CiError::Config(format!(
-                "calibration needs >= 4 samples, got {}",
-                samples.len()
-            )));
-        }
-        let rows: Vec<Vec<f64>> = samples
-            .iter()
-            .map(|s| features(s.predicted_secs, s.dop))
-            .collect();
-        let ys: Vec<f64> = samples.iter().map(|s| s.actual_secs).collect();
-        let model = fit(&rows, &ys)?;
-        Ok(Calibration {
-            r_squared: model.r_squared,
-            samples: samples.len(),
-            model,
-        })
-    }
-
-    /// Applies the correction to a raw prediction. Corrections are clamped
-    /// to stay positive (a negative predicted duration is never meaningful).
-    pub fn correct(&self, raw_secs: f64, dop: u32) -> f64 {
-        let corrected = self.model.predict(&features(raw_secs, dop));
-        if corrected.is_finite() && corrected > 0.0 {
-            corrected
-        } else {
-            raw_secs
-        }
-    }
-
-    /// The fitted coefficients `[β₀, β₁ (raw), β₂ (raw·log2 dop)]` —
-    /// exposed for explainability reports.
-    pub fn coefficients(&self) -> &[f64] {
-        &self.model.beta
-    }
-}
-
-fn features(raw: f64, dop: u32) -> Vec<f64> {
-    vec![raw, raw * (dop.max(1) as f64).log2()]
-}
 
 /// Measured per-operator-class hardware rates, aggregated from the parallel
 /// runtime's `OpSample` stream (crate `ci-exec`).
@@ -335,95 +261,6 @@ impl MeasuredRates {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn synth(bias: f64, scale: f64, dop_slope: f64) -> Vec<Sample> {
-        let mut out = Vec::new();
-        for &dop in &[1u32, 2, 4, 8, 16] {
-            for i in 1..20 {
-                let raw = i as f64 * 0.05;
-                let actual = bias + scale * raw + dop_slope * raw * (dop as f64).log2();
-                out.push(Sample {
-                    predicted_secs: raw,
-                    dop,
-                    actual_secs: actual,
-                });
-            }
-        }
-        out
-    }
-
-    #[test]
-    fn recovers_systematic_underprediction() {
-        // Engine is consistently 1.2x the analytic model plus DOP drift.
-        let samples = synth(0.01, 1.2, 0.05);
-        let c = Calibration::fit(&samples).unwrap();
-        assert!(c.r_squared > 0.999, "r2 = {}", c.r_squared);
-        let corrected = c.correct(1.0, 8);
-        let expected = 0.01 + 1.2 + 0.05 * 3.0;
-        assert!((corrected - expected).abs() < 1e-6, "{corrected}");
-    }
-
-    #[test]
-    fn identity_when_model_is_perfect() {
-        let samples = synth(0.0, 1.0, 0.0);
-        let c = Calibration::fit(&samples).unwrap();
-        for &(raw, dop) in &[(0.1, 1u32), (0.5, 4), (2.0, 16)] {
-            let corrected = c.correct(raw, dop);
-            assert!((corrected - raw).abs() < 1e-9);
-        }
-    }
-
-    #[test]
-    fn too_few_samples_rejected() {
-        let s = Sample {
-            predicted_secs: 1.0,
-            dop: 2,
-            actual_secs: 1.1,
-        };
-        assert!(Calibration::fit(&[s; 3]).is_err());
-    }
-
-    #[test]
-    fn nonsense_correction_falls_back_to_raw() {
-        // Fit a wildly negative model on adversarial data.
-        let samples = vec![
-            Sample {
-                predicted_secs: 1.0,
-                dop: 1,
-                actual_secs: -5.0,
-            },
-            Sample {
-                predicted_secs: 2.0,
-                dop: 2,
-                actual_secs: -10.0,
-            },
-            Sample {
-                predicted_secs: 3.0,
-                dop: 4,
-                actual_secs: -15.0,
-            },
-            Sample {
-                predicted_secs: 4.0,
-                dop: 8,
-                actual_secs: -20.0,
-            },
-            Sample {
-                predicted_secs: 5.0,
-                dop: 16,
-                actual_secs: -25.0,
-            },
-        ];
-        let c = Calibration::fit(&samples).unwrap();
-        // Prediction would be negative; fall back to the raw estimate.
-        assert_eq!(c.correct(1.0, 4), 1.0);
-    }
-
-    #[test]
-    fn coefficients_exposed() {
-        let c = Calibration::fit(&synth(0.0, 1.5, 0.0)).unwrap();
-        assert_eq!(c.coefficients().len(), 3);
-        assert!((c.coefficients()[1] - 1.5).abs() < 1e-6);
-    }
 
     #[test]
     fn measured_rate_is_lower_median_and_order_free() {

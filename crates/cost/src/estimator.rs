@@ -12,8 +12,6 @@ use ci_plan::pipeline::{Pipeline, PipelineGraph, SinkKind};
 use ci_types::money::Dollars;
 use ci_types::{CiError, Result, SimDuration, SimTime, TableId};
 
-use crate::calibration::{Calibration, MeasuredRates};
-
 /// How the estimator prices scans against a cache hierarchy: the tier menu
 /// plus expected hit rates (global, observed from a prior run's counters),
 /// with per-table pin overrides for what-if analyses ("if `lineitem` were
@@ -175,34 +173,12 @@ pub struct CostEstimator<'a> {
     catalog: &'a Catalog,
     /// Configuration (public so experiments can sweep hardware what-ifs).
     pub config: EstimatorConfig,
-    /// Optional regression correction (§3.1 "pre-trained regression models").
-    pub calibration: Option<Calibration>,
 }
 
 impl<'a> CostEstimator<'a> {
     /// New estimator over a catalog.
     pub fn new(catalog: &'a Catalog, config: EstimatorConfig) -> CostEstimator<'a> {
-        CostEstimator {
-            catalog,
-            config,
-            calibration: None,
-        }
-    }
-
-    /// Attaches a fitted calibration.
-    pub fn with_calibration(mut self, c: Calibration) -> CostEstimator<'a> {
-        self.calibration = Some(c);
-        self
-    }
-
-    /// Re-seeds the hardware calibration from rates the parallel runtime
-    /// actually measured ([`MeasuredRates`]): every operator class with
-    /// samples replaces its analytic `*_per_sec_per_core` rate, the rest
-    /// keep the standing calibration. Predictions then track the machine
-    /// the engine really ran on rather than the shipped defaults.
-    pub fn with_measured_rates(mut self, rates: &MeasuredRates) -> CostEstimator<'a> {
-        self.config.models = rates.seed(&self.config.models);
-        self
+        CostEstimator { catalog, config }
     }
 
     /// Computes the work profile of one pipeline from plan annotations.
@@ -306,7 +282,7 @@ impl<'a> CostEstimator<'a> {
     /// The parallel work terms divide by `dop`; serial terms (gather
     /// receive, sort merge span, per-node startup) do not. Morsel-ceiling
     /// effects are deliberately not modeled (a known, explainable error
-    /// source the run-time monitor absorbs; calibration shrinks it). With
+    /// source the run-time monitor absorbs). With
     /// [`EstimatorConfig::fault_profile`] set, a failure-tax term adds the
     /// expected recovery time of the tier's fault rates.
     pub fn pipeline_duration(&self, w: &PipelineWork, dop: u32) -> SimDuration {
@@ -369,12 +345,7 @@ impl<'a> CostEstimator<'a> {
         } else {
             0.0
         };
-        let raw = (parallel_secs / d as f64).max(floor) + serial_secs;
-        let corrected = match &self.calibration {
-            Some(c) => c.correct(raw, d),
-            None => raw,
-        };
-        SimDuration::from_secs_f64(corrected)
+        SimDuration::from_secs_f64((parallel_secs / d as f64).max(floor) + serial_secs)
     }
 
     /// Runs the query-level simulator: schedules the pipeline DAG at the
@@ -444,18 +415,6 @@ impl<'a> CostEstimator<'a> {
             }
         }
         best.0
-    }
-
-    /// The throughput function `T(dop)` of a pipeline in source rows/second
-    /// — the quantity the equal-finish-time heuristic equates (§3.2:
-    /// `C1/T1(DOP1) ≈ C2/T2(DOP2)`).
-    pub fn pipeline_throughput(&self, w: &PipelineWork, dop: u32) -> f64 {
-        let d = self.pipeline_duration(w, dop).as_secs_f64();
-        if d <= 0.0 {
-            f64::INFINITY
-        } else {
-            w.source_rows.max(1.0) / d
-        }
     }
 }
 
@@ -654,19 +613,12 @@ mod tests {
     }
 
     #[test]
-    fn throughput_is_monotone_then_saturates() {
-        let cat = catalog();
-        let (plan, graph) = planned(&cat, "SELECT grp, COUNT(*) FROM facts GROUP BY grp");
-        let est = CostEstimator::new(&cat, EstimatorConfig::default());
-        let w = est.pipeline_work(&plan, &graph.pipelines[0]).unwrap();
-        let t1 = est.pipeline_throughput(&w, 1);
-        let t8 = est.pipeline_throughput(&w, 8);
-        assert!(t8 > t1);
-    }
-
-    #[test]
     fn measured_rates_move_the_estimate() {
         use crate::calibration::MeasuredRates;
+        let seeded = |rates: &MeasuredRates| EstimatorConfig {
+            models: rates.seed(&WorkModels::standard()),
+            ..Default::default()
+        };
         let cat = catalog();
         let (plan, graph) = planned(&cat, "SELECT id FROM facts WHERE val < 50.0");
         let dops = vec![2u32; graph.len()];
@@ -677,8 +629,7 @@ mod tests {
         // A machine measured 10x slower at filtering stretches the estimate…
         let mut slow = MeasuredRates::new();
         slow.record("filter", 12_000_000.0, 1_000_000_000);
-        let q_slow = CostEstimator::new(&cat, EstimatorConfig::default())
-            .with_measured_rates(&slow)
+        let q_slow = CostEstimator::new(&cat, seeded(&slow))
             .estimate(&plan, &graph, &dops)
             .unwrap();
         assert!(q_slow.latency > baseline.latency);
@@ -688,8 +639,7 @@ mod tests {
         // the measured rates, not the shipped defaults.
         let mut fast = MeasuredRates::new();
         fast.record("filter", 1_200_000_000.0, 1_000_000_000);
-        let q_fast = CostEstimator::new(&cat, EstimatorConfig::default())
-            .with_measured_rates(&fast)
+        let q_fast = CostEstimator::new(&cat, seeded(&fast))
             .estimate(&plan, &graph, &dops)
             .unwrap();
         assert!(q_fast.latency < baseline.latency);
@@ -697,8 +647,7 @@ mod tests {
         // Rates for classes this plan never exercises leave it unchanged.
         let mut idle = MeasuredRates::new();
         idle.record("sort", 1_000.0, 1_000_000_000);
-        let q_idle = CostEstimator::new(&cat, EstimatorConfig::default())
-            .with_measured_rates(&idle)
+        let q_idle = CostEstimator::new(&cat, seeded(&idle))
             .estimate(&plan, &graph, &dops)
             .unwrap();
         assert_eq!(q_idle.latency, baseline.latency);

@@ -11,20 +11,24 @@
 //! * **a query-level simulator** — schedules the pipeline DAG (concurrency,
 //!   blocking on dependencies, state pinning) to produce end-to-end latency
 //!   and machine-time ([`estimator::CostEstimator::estimate`]);
-//! * **pre-trained regression corrections** for the operators dominated by
-//!   data exchange, fitted on synthetic calibration workloads
-//!   ([`calibration`]) — deliberately linear models, never deep nets, so
-//!   every prediction stays explainable.
+//! * **hardware calibration** — per-core operator rates measured by the
+//!   parallel runtime re-seed the shared models ([`calibration`]). §3.1's
+//!   pre-trained regression corrections have nothing to learn here: the
+//!   estimator and the biller price with the same `WorkModels`.
 //!
 //! The estimator is a pure function of its inputs and is cheap (micro-
 //! seconds per call — measured in `ci-bench`), because the optimizer and the
 //! what-if service invoke it thousands of times per query (§3.1's
 //! "lightweight" requirement).
 
+// Library code reports bad plans as `CiError`, never by unwrapping;
+// CI's clippy step fails the day an unwrap comes back.
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
+
 pub mod calibration;
 pub mod estimator;
 
-pub use calibration::{Calibration, MeasuredRates};
+pub use calibration::MeasuredRates;
 /// Re-exported so estimator clients can configure the failure tax without
 /// depending on `ci-cloud` directly.
 pub use ci_cloud::faults::FaultProfile;

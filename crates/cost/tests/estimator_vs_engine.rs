@@ -5,7 +5,7 @@
 use std::sync::Arc;
 
 use ci_catalog::{Catalog, ErrorInjector};
-use ci_cost::{Calibration, CostEstimator, EstimatorConfig};
+use ci_cost::{CostEstimator, EstimatorConfig};
 use ci_exec::{ExecutionConfig, Executor, NoScaling};
 use ci_plan::{bind, JoinTree, PhysicalPlan, PipelineGraph};
 use ci_sql::parse;
@@ -128,69 +128,4 @@ fn cost_predictions_track_billing() {
             measured.metrics.cost
         );
     }
-}
-
-#[test]
-fn calibration_reduces_error() {
-    let cat = catalog();
-    let est = CostEstimator::new(&cat, EstimatorConfig::default());
-    let exec = Executor::new(&cat, ExecutionConfig::default());
-
-    // Collect calibration samples from a synthetic sweep (§3.1: pre-train
-    // on synthetic workloads covering the parameter space).
-    let mut samples = Vec::new();
-    for sql in QUERIES {
-        for dop in [1u32, 2, 8, 32] {
-            let (plan, graph) = planned(&cat, sql);
-            let dops = vec![dop; graph.len()];
-            let measured = exec.execute(&plan, &graph, &dops, &mut NoScaling).unwrap();
-            for (p, pm) in graph.pipelines.iter().zip(&measured.metrics.pipelines) {
-                let w = est.pipeline_work(&plan, p).unwrap();
-                let raw = est.pipeline_duration(&w, dop).as_secs_f64();
-                let actual = pm.finish.saturating_since(pm.start).as_secs_f64()
-                    - exec.config.resize_latency.as_secs_f64();
-                if actual > 0.0 {
-                    samples.push(ci_cost::calibration::Sample {
-                        predicted_secs: raw,
-                        dop,
-                        actual_secs: actual,
-                    });
-                }
-            }
-        }
-    }
-    let cal = Calibration::fit(&samples).unwrap();
-    let calibrated = CostEstimator::new(&cat, EstimatorConfig::default()).with_calibration(cal);
-
-    // Held-out config: dop 16.
-    let mut raw_err = Vec::new();
-    let mut cal_err = Vec::new();
-    for sql in QUERIES {
-        let (plan, graph) = planned(&cat, sql);
-        let dops = vec![16u32; graph.len()];
-        let measured = exec.execute(&plan, &graph, &dops, &mut NoScaling).unwrap();
-        let actual = measured.metrics.latency.as_secs_f64();
-        raw_err.push(relative_error(
-            est.estimate(&plan, &graph, &dops)
-                .unwrap()
-                .latency
-                .as_secs_f64(),
-            actual,
-        ));
-        cal_err.push(relative_error(
-            calibrated
-                .estimate(&plan, &graph, &dops)
-                .unwrap()
-                .latency
-                .as_secs_f64(),
-            actual,
-        ));
-    }
-    let mean = |v: &[f64]| v.iter().sum::<f64>() / v.len() as f64;
-    assert!(
-        mean(&cal_err) <= mean(&raw_err) * 1.10,
-        "calibration should not hurt: raw {:.3} vs calibrated {:.3}",
-        mean(&raw_err),
-        mean(&cal_err)
-    );
 }

@@ -782,7 +782,8 @@ impl<'q> QueryRun<'q> {
                     .tier_sim
                     .clone()
                     .unwrap_or_else(|| Arc::new(Mutex::new(TierCacheSim::new(pricing.clone()))));
-                lock_sim(&sim)?.begin_query();
+                // A poisoned simulator is refused before the first pipeline.
+                drop(lock_sim(&sim)?);
                 Some(sim)
             }
         };
@@ -1481,7 +1482,7 @@ impl<'a, 'q> Ledger<'a, 'q> {
         };
         let (acc, svc) = {
             let mut sim = lock_sim(sim)?;
-            let acc = sim.access(CacheKey::new(tp.table, tp.part), tp.bytes, bill.assigned_at);
+            let acc = sim.access(CacheKey::new(tp.table, tp.part), tp.bytes);
             let svc = sim.service_secs(acc.level, bill.morsel.fetch_bytes);
             (acc, svc)
         };

@@ -119,16 +119,6 @@ impl PipelineMetrics {
         }
         (self.busy.as_secs_f64() / mt).min(1.0)
     }
-
-    /// Observed sink flow rate in rows/second of pipeline runtime.
-    pub fn flow_rate(&self) -> f64 {
-        let span = self.finish.saturating_since(self.start).as_secs_f64();
-        if span <= 0.0 {
-            0.0
-        } else {
-            self.sink_rows as f64 / span
-        }
-    }
 }
 
 /// One measured operator-kernel invocation: how long a worker really took
@@ -292,11 +282,6 @@ mod tests {
     #[test]
     fn utilization_is_busy_over_billed() {
         assert!((pm().utilization() - 6.0 / 16.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn flow_rate_uses_runtime_span() {
-        assert!((pm().flow_rate() - 250.0).abs() < 1e-9);
     }
 
     #[test]

@@ -16,7 +16,7 @@ pub(crate) struct Tracer {
     pub(crate) level: TraceLevel,
     /// Driver-lane events, in emission (= canonical accounting) order.
     pub(crate) events: Vec<TraceEvent>,
-    /// Counters/gauges/histograms accumulated during the run.
+    /// Counters and histograms accumulated during the run.
     pub(crate) registry: MetricsRegistry,
 }
 

@@ -413,7 +413,8 @@ fn poison<T: Send + 'static>(lock: &Arc<Mutex<T>>) {
 }
 
 /// Poisons the shared tier simulator as the first pipeline starts — after
-/// the query's `begin_query`, before the accounting loop's first access.
+/// the query's up-front lock check, before the accounting loop's first
+/// access.
 struct PoisonSimAtStart(Arc<Mutex<TierCacheSim>>);
 
 impl ScalingController for PoisonSimAtStart {

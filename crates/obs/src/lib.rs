@@ -54,7 +54,7 @@ pub struct Trace {
     /// All recorded events: driver lanes first (canonical morsel order),
     /// then drained worker lanes in worker order.
     pub events: Vec<TraceEvent>,
-    /// Counters, gauges, and histograms accumulated during the run.
+    /// Counters and histograms accumulated during the run.
     pub registry: MetricsRegistry,
     /// The per-plan-node profile (rows, bytes, retries, dollars).
     pub profile: ProfileReport,

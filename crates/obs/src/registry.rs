@@ -1,6 +1,6 @@
-//! Metrics registry: named counters, gauges, and fixed-bucket log2
-//! histograms. `BTreeMap`-keyed so iteration (and therefore every exported
-//! rendering) is deterministic.
+//! Metrics registry: named counters and fixed-bucket log2 histograms.
+//! `BTreeMap`-keyed so iteration (and therefore every exported rendering)
+//! is deterministic.
 
 use std::collections::BTreeMap;
 
@@ -71,13 +71,12 @@ impl Histogram {
     }
 }
 
-/// Named counters, gauges, and histograms for one query run. Single-owner
+/// Named counters and histograms for one query run. Single-owner
 /// (the driver) and `&mut`-updated: the parallel workers never touch it, so
 /// there is no synchronization on the hot path.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct MetricsRegistry {
     counters: BTreeMap<String, u64>,
-    gauges: BTreeMap<String, f64>,
     histograms: BTreeMap<String, Histogram>,
 }
 
@@ -96,11 +95,6 @@ impl MetricsRegistry {
         }
     }
 
-    /// Sets the named gauge to its latest value.
-    pub fn gauge(&mut self, name: &str, value: f64) {
-        self.gauges.insert(name.to_owned(), value);
-    }
-
     /// Records one observation into the named histogram.
     pub fn observe(&mut self, name: &str, value: u64) {
         if let Some(h) = self.histograms.get_mut(name) {
@@ -117,11 +111,6 @@ impl MetricsRegistry {
         self.counters.get(name).copied().unwrap_or(0)
     }
 
-    /// Latest value of a gauge.
-    pub fn gauge_value(&self, name: &str) -> Option<f64> {
-        self.gauges.get(name).copied()
-    }
-
     /// The named histogram, if any observation was recorded.
     pub fn histogram(&self, name: &str) -> Option<&Histogram> {
         self.histograms.get(name)
@@ -130,11 +119,6 @@ impl MetricsRegistry {
     /// All counters in name order.
     pub fn counters(&self) -> impl Iterator<Item = (&str, u64)> {
         self.counters.iter().map(|(k, &v)| (k.as_str(), v))
-    }
-
-    /// All gauges in name order.
-    pub fn gauges(&self) -> impl Iterator<Item = (&str, f64)> {
-        self.gauges.iter().map(|(k, &v)| (k.as_str(), v))
     }
 
     /// All histograms in name order.
@@ -148,9 +132,6 @@ impl MetricsRegistry {
         let mut out = String::new();
         for (name, v) in self.counters() {
             out.push_str(&format!("counter {name} = {v}\n"));
-        }
-        for (name, v) in self.gauges() {
-            out.push_str(&format!("gauge {name} = {v}\n"));
         }
         for (name, h) in self.histograms() {
             out.push_str(&format!(
@@ -201,12 +182,10 @@ mod tests {
         let mut r = MetricsRegistry::new();
         r.count("morsels", 2);
         r.count("morsels", 3);
-        r.gauge("dop", 4.0);
         r.observe("span_us", 100);
         r.observe("span_us", 200);
         assert_eq!(r.counter("morsels"), 5);
         assert_eq!(r.counter("absent"), 0);
-        assert_eq!(r.gauge_value("dop"), Some(4.0));
         assert_eq!(r.histogram("span_us").unwrap().count(), 2);
         let text = r.text();
         assert!(text.contains("counter morsels = 5"), "{text}");

@@ -84,14 +84,6 @@ impl Schema {
         &self.fields[i]
     }
 
-    /// Estimated encoded row width in bytes.
-    pub fn row_width_estimate(&self) -> usize {
-        self.fields
-            .iter()
-            .map(|f| f.data_type.width_estimate())
-            .sum()
-    }
-
     /// A new schema that projects the given column indices, in order.
     pub fn project(&self, indices: &[usize]) -> Schema {
         Schema {
@@ -175,11 +167,6 @@ mod tests {
         assert_eq!(joined.arity(), 5);
         assert_eq!(joined.field(3).name, "r.id");
         assert_eq!(joined.field(4).name, "qty");
-    }
-
-    #[test]
-    fn row_width() {
-        assert_eq!(sample().row_width_estimate(), 8 + 8 + 16);
     }
 
     #[test]

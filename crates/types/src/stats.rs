@@ -130,7 +130,7 @@ impl Summary {
             };
         }
         let mut sorted: Vec<f64> = samples.to_vec();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("NaN sample"));
+        sorted.sort_by(f64::total_cmp);
         let mut acc = Online::new();
         for &x in samples {
             acc.push(x);
@@ -143,7 +143,7 @@ impl Summary {
             p50: percentile_sorted(&sorted, 0.50),
             p90: percentile_sorted(&sorted, 0.90),
             p99: percentile_sorted(&sorted, 0.99),
-            max: *sorted.last().expect("non-empty"),
+            max: sorted[sorted.len() - 1],
         }
     }
 }
@@ -175,23 +175,6 @@ pub fn relative_error(predicted: f64, actual: f64) -> f64 {
     } else {
         (predicted - actual).abs() / actual.abs()
     }
-}
-
-/// Q-error, the standard cardinality-estimation quality metric:
-/// `max(p/a, a/p) >= 1`, symmetric in over/under-estimation.
-pub fn q_error(predicted: f64, actual: f64) -> f64 {
-    let p = predicted.max(1e-12);
-    let a = actual.max(1e-12);
-    (p / a).max(a / p)
-}
-
-/// Geometric mean of strictly positive samples (0 for empty input).
-pub fn geometric_mean(samples: &[f64]) -> f64 {
-    if samples.is_empty() {
-        return 0.0;
-    }
-    let log_sum: f64 = samples.iter().map(|&x| x.max(1e-300).ln()).sum();
-    (log_sum / samples.len() as f64).exp()
 }
 
 #[cfg(test)]
@@ -273,15 +256,12 @@ mod tests {
     fn error_metrics() {
         assert!((relative_error(110.0, 100.0) - 0.1).abs() < 1e-12);
         assert!((relative_error(0.5, 0.0) - 0.5).abs() < 1e-12);
-        assert!((q_error(200.0, 100.0) - 2.0).abs() < 1e-12);
-        assert!((q_error(50.0, 100.0) - 2.0).abs() < 1e-12);
-        assert!(q_error(100.0, 100.0) >= 1.0);
     }
 
     #[test]
-    fn geometric_mean_basics() {
-        assert_eq!(geometric_mean(&[]), 0.0);
-        assert!((geometric_mean(&[2.0, 8.0]) - 4.0).abs() < 1e-12);
-        assert!((geometric_mean(&[3.0, 3.0, 3.0]) - 3.0).abs() < 1e-12);
+    fn summary_of_nan_sample_does_not_panic() {
+        let s = Summary::of(&[1.0, f64::NAN, 2.0]);
+        assert_eq!(s.count, 3);
+        assert_eq!(s.min, 1.0);
     }
 }

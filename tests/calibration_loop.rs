@@ -10,6 +10,7 @@
 use std::sync::Arc;
 
 use ci_catalog::{Catalog, ErrorInjector};
+use ci_cloud::work::WorkModels;
 use ci_cost::{CostEstimator, EstimatorConfig, MeasuredRates};
 use ci_exec::{ExecutionConfig, ExecutionMode, Executor, NoScaling};
 use ci_plan::{bind, JoinTree, PhysicalPlan, PipelineGraph};
@@ -112,7 +113,13 @@ fn parallel_measurements_seed_the_estimator() {
 
     // Seed an estimator from them: it stays constructible and produces a
     // finite, positive estimate for the very plan that was measured.
-    let est = CostEstimator::new(&cat, EstimatorConfig::default()).with_measured_rates(&rates);
+    let est = CostEstimator::new(
+        &cat,
+        EstimatorConfig {
+            models: rates.seed(&WorkModels::standard()),
+            ..Default::default()
+        },
+    );
     let q = est.estimate(&plan, &graph, &dops).unwrap();
     assert!(q.latency.as_secs_f64() > 0.0 && q.latency.as_secs_f64().is_finite());
     assert!(q.cost.amount() > 0.0);
