@@ -35,4 +35,4 @@ pub mod whatif;
 
 pub use predictor::{PredictedQuery, WorkloadPredictor};
 pub use statsvc::{QueryLogRecord, StatisticsService, StatsConfig};
-pub use whatif::{ProposalReport, TuningAction, WhatIfConfig, WhatIfService};
+pub use whatif::{ProposalReport, TuningAction, WhatIfService};

@@ -38,13 +38,15 @@ pub struct QueryLogRecord {
     pub joins: Vec<JoinEdge>,
 }
 
-/// Sampling and metering configuration.
+/// Modeled ingest cost per recorded query (the service's own bill, §4):
+/// ≈ 0.4 node-ms at $2/h.
+pub const INGEST_COST_PER_RECORD: Dollars = Dollars::new(2e-7);
+
+/// Sampling configuration.
 #[derive(Debug, Clone)]
 pub struct StatsConfig {
     /// Probability of recording a query (counts are scaled by `1/rate`).
     pub sampling_rate: f64,
-    /// Modeled ingest cost per recorded query (the service's own bill, §4).
-    pub ingest_cost_per_record: Dollars,
     /// Maximum distinct fingerprints kept exactly; colder entries collapse
     /// into an aggregate bucket (hot/cold tiering, §4).
     pub hot_capacity: usize,
@@ -56,7 +58,6 @@ impl Default for StatsConfig {
     fn default() -> Self {
         StatsConfig {
             sampling_rate: 1.0,
-            ingest_cost_per_record: Dollars::new(2e-7), // ~0.4 node-ms at $2/h
             hot_capacity: 10_000,
             seed: 0,
         }
@@ -126,7 +127,7 @@ impl StatisticsService {
             return;
         }
         self.recorded += 1;
-        self.ingest_spend += self.config.ingest_cost_per_record;
+        self.ingest_spend += INGEST_COST_PER_RECORD;
         let scale = 1.0 / self.config.sampling_rate.max(1e-9);
 
         for &(t, c) in &rec.attributes {
@@ -335,7 +336,7 @@ mod tests {
         assert_eq!(recorded + skipped, 4000);
         // The service bills itself per recorded entry, so its own spend
         // falls in proportion to the sampling rate.
-        let per_record = StatsConfig::default().ingest_cost_per_record.amount();
+        let per_record = INGEST_COST_PER_RECORD.amount();
         assert!((s.ingest_spend().amount() - recorded as f64 * per_record).abs() < 1e-12);
         assert!(
             (recorded as f64 / 4000.0 - 0.25).abs() < 0.025,

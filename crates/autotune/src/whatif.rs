@@ -2,15 +2,16 @@
 
 use ci_catalog::{Catalog, ErrorInjector};
 use ci_cost::{
-    CostEstimator, EstimatorConfig, PipelineWork, TierCostModel, TierLevel, TierPricing,
+    CostEstimator, EstimatorConfig, PipelineWork, TierCostModel, TierLevel, TierPricing, DOP_LADDER,
 };
 use ci_plan::binder::bind;
 use ci_plan::jointree::JoinTree;
-use ci_plan::physical::build_plan;
+use ci_plan::physical::{build_plan, PhysicalPlan};
 use ci_plan::pipeline::PipelineGraph;
 use ci_sql::parse;
+use ci_storage::table::Table;
 use ci_types::money::Dollars;
-use ci_types::{CiError, Result};
+use ci_types::{CiError, Result, SimDuration};
 
 use crate::predictor::PredictedQuery;
 use crate::statsvc::fingerprint_sql;
@@ -89,37 +90,15 @@ impl TuningAction {
     }
 }
 
-/// What-If Service configuration.
-#[derive(Debug, Clone)]
-pub struct WhatIfConfig {
-    /// Cost-estimator configuration shared with the optimizer.
-    pub estimator: EstimatorConfig,
-    /// Object-store price, $/GB/hour (S3-standard-like ≈ $0.023/GB/month).
-    pub storage_dollars_per_gb_hour: f64,
-    /// Incremental-refresh cost as a fraction of a full MV rebuild.
-    pub mv_refresh_factor: f64,
-    /// Ongoing recluster maintenance, per hour, as a fraction of the
-    /// one-time rewrite (new data arriving unsorted must be merged).
-    pub recluster_maintenance_factor_per_hour: f64,
-    /// DOP ladder used when costing queries.
-    pub dop_ladder: Vec<u32>,
-    /// Tier menu used when pricing cache actions (capacities, service
-    /// times, occupancy rents, object GET/transfer charges).
-    pub tier_pricing: TierPricing,
-}
+/// Object-store price, $/GB/hour (S3-standard-like ≈ $0.023/GB/month).
+const STORAGE_DOLLARS_PER_GB_HOUR: f64 = 0.023 / 730.0;
 
-impl Default for WhatIfConfig {
-    fn default() -> Self {
-        WhatIfConfig {
-            estimator: EstimatorConfig::default(),
-            storage_dollars_per_gb_hour: 0.023 / 730.0,
-            mv_refresh_factor: 0.1,
-            recluster_maintenance_factor_per_hour: 0.002,
-            dop_ladder: (0..=8).map(|i| 1u32 << i).collect(),
-            tier_pricing: TierPricing::standard(),
-        }
-    }
-}
+/// Incremental-refresh cost as a fraction of a full MV rebuild.
+const MV_REFRESH_FACTOR: f64 = 0.1;
+
+/// Ongoing recluster maintenance, per hour, as a fraction of the one-time
+/// rewrite (new data arriving unsorted must be merged).
+const RECLUSTER_MAINTENANCE_FACTOR_PER_HOUR: f64 = 0.002;
 
 /// The dollar verdict on one tuning proposal — the "report that uses the
 /// dollar benefit/cost as the bridge" (§2) presented to users.
@@ -146,14 +125,26 @@ pub struct ProposalReport {
 /// The What-If Service.
 pub struct WhatIfService<'a> {
     catalog: &'a Catalog,
-    /// Configuration (public for experiment sweeps).
-    pub config: WhatIfConfig,
+    /// The estimator configuration every quote is priced with.
+    estimator: EstimatorConfig,
+    /// Tier menu used when pricing cache actions (capacities, service
+    /// times, occupancy rents, object GET/transfer charges).
+    tiers: TierPricing,
 }
 
 impl<'a> WhatIfService<'a> {
-    /// New service over a catalog.
-    pub fn new(catalog: &'a Catalog, config: WhatIfConfig) -> WhatIfService<'a> {
-        WhatIfService { catalog, config }
+    /// New service over a catalog, quoting with `estimator` and, for cache
+    /// actions, the `tiers` menu.
+    pub fn new(
+        catalog: &'a Catalog,
+        estimator: EstimatorConfig,
+        tiers: TierPricing,
+    ) -> WhatIfService<'a> {
+        WhatIfService {
+            catalog,
+            estimator,
+            tiers,
+        }
     }
 
     /// Evaluates a tuning action against the predicted workload.
@@ -181,50 +172,112 @@ impl<'a> WhatIfService<'a> {
         }
     }
 
-    /// Estimated dollars and latency for one query under a given catalog.
-    fn query_cost(&self, catalog: &Catalog, sql: &str) -> Result<(Dollars, f64)> {
-        self.query_cost_with(catalog, &self.config.estimator, sql)
+    /// The one-time dollars applying `action` costs: what its report quotes
+    /// and what applying it bills. An MV's is its estimated build (the
+    /// build itself bills its real run); a cache budget's is zero, since the
+    /// cache fills lazily on misses the workload pays anyway.
+    pub fn one_time_cost(&self, action: &TuningAction) -> Result<Dollars> {
+        let hw = &self.estimator.models.hw;
+        let bill = |secs| hw.node.rate.bill(SimDuration::from_secs_f64(secs));
+        match action {
+            TuningAction::CreateMaterializedView { definition_sql, .. } => {
+                self.query_cost(self.catalog, definition_sql)
+            }
+            TuningAction::Recluster { table, .. } => {
+                // Read + write the whole table once (object I/O moves
+                // encoded bytes), plus the sort.
+                let table = &self.catalog.get(table)?.table;
+                let bytes = table.total_encoded_bytes() as f64;
+                let secs = 2.0 * bytes / hw.node_scan_bytes_per_sec()
+                    + bytes * (table.row_count().max(1) as f64).log2().max(1.0)
+                        / (hw.sort_rows_log_per_sec_per_core
+                            * hw.node.cores as f64
+                            * hw.node.memory_bytes.max(1) as f64)
+                            .max(1.0);
+                Ok(bill(secs))
+            }
+            TuningAction::PinTable { table, .. } => {
+                // Fill the tier once from the object store: the machine time
+                // of the fill scan plus its GET and transfer charges.
+                let table = &self.catalog.get(table)?.table;
+                let secs = table.total_encoded_bytes() as f64 / hw.node_scan_bytes_per_sec();
+                Ok(bill(secs) + self.egress(table))
+            }
+            TuningAction::CacheBudget { .. } => Ok(Dollars::ZERO),
+        }
+    }
+
+    /// `table` re-sorted by `column` in partitions of its current size: the
+    /// table a recluster quote prices and applying it registers.
+    pub fn reclustered(&self, table: &str, column: &str) -> Result<Table> {
+        let table = &self.catalog.get(table)?.table;
+        let rows_per_part = table.partitions.first().map_or(1, |p| p.rows().max(1));
+        table.reclustered_by(table.schema.index_of(column)?, rows_per_part)
+    }
+
+    /// Object-store GET and transfer dollars of one full read of `table`.
+    fn egress(&self, table: &Table) -> Dollars {
+        let encoded = table.total_encoded_bytes() as f64;
+        let parts = table.partitions.len() as f64;
+        Dollars::new(
+            parts * self.tiers.object_get_dollars
+                + encoded / 1e9 * self.tiers.object_transfer_dollars_per_gb,
+        )
+    }
+
+    /// Estimated dollars of one query under a given catalog.
+    fn query_cost(&self, catalog: &Catalog, sql: &str) -> Result<Dollars> {
+        Self::query_cost_with(catalog, &self.estimator, sql)
     }
 
     /// Same, under an explicit estimator configuration — how cache what-ifs
     /// price "the same query, but with this tier model".
-    fn query_cost_with(
-        &self,
-        catalog: &Catalog,
-        cfg: &EstimatorConfig,
-        sql: &str,
-    ) -> Result<(Dollars, f64)> {
+    fn query_cost_with(catalog: &Catalog, cfg: &EstimatorConfig, sql: &str) -> Result<Dollars> {
+        Self::plan_cost(catalog, cfg, &Self::left_deep_plan(catalog, sql)?)
+    }
+
+    /// `sql` planned left-deep with oracle cardinalities.
+    fn left_deep_plan(catalog: &Catalog, sql: &str) -> Result<PhysicalPlan> {
         let bound = bind(&parse(sql)?, catalog)?;
         let tree = JoinTree::left_deep(&(0..bound.relations.len()).collect::<Vec<_>>());
-        let plan = build_plan(&bound, &tree, catalog, &mut ErrorInjector::oracle())?;
-        let graph = PipelineGraph::decompose(&plan)?;
+        build_plan(&bound, &tree, catalog, &mut ErrorInjector::oracle())
+    }
+
+    /// Estimated dollars of `plan`, each pipeline at its machine-time
+    /// optimal DOP.
+    fn plan_cost(catalog: &Catalog, cfg: &EstimatorConfig, plan: &PhysicalPlan) -> Result<Dollars> {
+        let graph = PipelineGraph::decompose(plan)?;
         let est = CostEstimator::new(catalog, cfg.clone());
         let dops: Vec<u32> = graph
             .pipelines
             .iter()
             .map(|p| {
-                est.pipeline_work(&plan, p)
-                    .map(|w| est.machine_time_optimal_dop(&w, &self.config.dop_ladder))
+                est.pipeline_work(plan, p)
+                    .map(|w| est.machine_time_optimal_dop(&w, &DOP_LADDER))
             })
             .collect::<Result<Vec<_>>>()?;
-        let q = est.estimate(&plan, &graph, &dops)?;
-        Ok((q.cost, q.latency.as_secs_f64()))
+        Ok(est.estimate(plan, &graph, &dops)?.cost)
     }
 
-    /// The estimator configuration cache what-ifs start from: the standing
-    /// one, with a cold tier model installed if none was set (so "before"
-    /// and "after" differ only in the proposed residency).
-    fn tiered_base_config(&self) -> EstimatorConfig {
-        let mut cfg = self.config.estimator.clone();
-        self.tiers_of(&mut cfg);
-        cfg
-    }
-
-    /// `cfg`'s tier model, set to the cold model under this service's
-    /// pricing when `cfg` has none.
-    fn tiers_of<'c>(&self, cfg: &'c mut EstimatorConfig) -> &'c mut TierCostModel {
-        cfg.tiers
-            .get_or_insert_with(|| TierCostModel::cold(self.config.tier_pricing.clone()))
+    /// The estimator configurations a cache what-if compares: the standing
+    /// one, with a cold tier model installed if none was set, and the same
+    /// with `change` applied to its tier model (so "before" and "after"
+    /// differ only in the proposed residency).
+    fn cache_what_if(
+        &self,
+        change: impl FnOnce(&mut TierCostModel),
+    ) -> (EstimatorConfig, EstimatorConfig) {
+        let mut before = self.estimator.clone();
+        let mut model = before
+            .tiers
+            .get_or_insert_with(|| TierCostModel::cold(self.tiers.clone()))
+            .clone();
+        change(&mut model);
+        let after = EstimatorConfig {
+            tiers: Some(model),
+            ..before.clone()
+        };
+        (before, after)
     }
 
     fn evaluate_mv(
@@ -234,17 +287,14 @@ impl<'a> WhatIfService<'a> {
         refresh_per_hour: f64,
         workload: &[PredictedQuery],
     ) -> Result<ProposalReport> {
-        let est = CostEstimator::new(self.catalog, self.config.estimator.clone());
         // Size of the materialized result, from plan annotations.
-        let bound = bind(&parse(definition_sql)?, self.catalog)?;
-        let tree = JoinTree::left_deep(&(0..bound.relations.len()).collect::<Vec<_>>());
-        let plan = build_plan(&bound, &tree, self.catalog, &mut ErrorInjector::oracle())?;
+        let plan = Self::left_deep_plan(self.catalog, definition_sql)?;
         let mv_rows = plan.nodes[plan.root].est_rows;
         // Decoded size drives CPU terms; the encoded size is what the object
         // store actually holds and bills at rest.
         let mv_bytes = mv_rows * plan.row_width(plan.root);
         let mv_encoded_bytes = mv_rows * plan.encoded_row_width(plan.root);
-        let (build_cost, _) = self.query_cost(self.catalog, definition_sql)?;
+        let build_cost = Self::plan_cost(self.catalog, &self.estimator, &plan)?;
 
         // Queries answered by the MV: same fingerprint as the definition.
         let def_fp = fingerprint_sql(definition_sql);
@@ -260,25 +310,30 @@ impl<'a> WhatIfService<'a> {
             source_rows: mv_rows,
             ..PipelineWork::default()
         };
-        let serve_dop = est.machine_time_optimal_dop(&scan_work, &self.config.dop_ladder);
+        let est = CostEstimator::new(self.catalog, self.estimator.clone());
+        let serve_dop = est.machine_time_optimal_dop(&scan_work, &DOP_LADDER);
         let serve_secs =
             est.pipeline_duration(&scan_work, serve_dop).as_secs_f64() * serve_dop as f64;
-        let node_rate = self.config.estimator.models.hw.node.rate;
-        let serve_cost = node_rate.bill(ci_types::SimDuration::from_secs_f64(serve_secs));
+        let node_rate = self.estimator.models.hw.node.rate;
+        let serve_cost = node_rate.bill(SimDuration::from_secs_f64(serve_secs));
 
         for q in workload {
             if q.fingerprint != def_fp {
                 continue;
             }
             matched += 1;
-            let (before, _) = self.query_cost(self.catalog, &q.sql)?;
+            // The definition itself is usually the recurring query.
+            let before = if q.sql == definition_sql {
+                build_cost
+            } else {
+                self.query_cost(self.catalog, &q.sql)?
+            };
             let saved = (before - serve_cost).max(Dollars::ZERO);
             benefit += saved * q.rate_per_hour;
         }
 
-        let storage_rate =
-            Dollars::new(mv_encoded_bytes / 1e9 * self.config.storage_dollars_per_gb_hour);
-        let refresh_rate = build_cost * self.config.mv_refresh_factor * refresh_per_hour;
+        let storage_rate = Dollars::new(mv_encoded_bytes / 1e9 * STORAGE_DOLLARS_PER_GB_HOUR);
+        let refresh_rate = build_cost * MV_REFRESH_FACTOR * refresh_per_hour;
         let cost_rate = storage_rate + refresh_rate;
         self.finish_report(action, benefit, cost_rate, build_cost, matched)
     }
@@ -290,20 +345,10 @@ impl<'a> WhatIfService<'a> {
         column: &str,
         workload: &[PredictedQuery],
     ) -> Result<ProposalReport> {
-        let entry = self.catalog.get(table)?;
-        let col_idx = entry.table.schema.index_of(column)?;
-        let rows_per_part = entry
-            .table
-            .partitions
-            .first()
-            .map(|p| p.rows().max(1))
-            .unwrap_or(1);
-
         // Physically recluster a clone and register it in a scratch catalog:
         // the what-if world. (The data is identical; only zone maps change.)
-        let reclustered = entry.table.reclustered_by(col_idx, rows_per_part)?;
         let mut scratch = self.catalog.clone();
-        scratch.register(reclustered);
+        scratch.register(self.reclustered(table, column)?);
 
         let mut benefit = Dollars::ZERO;
         let mut matched = 0usize;
@@ -312,27 +357,16 @@ impl<'a> WhatIfService<'a> {
             if !q.sql.to_lowercase().contains(&table.to_lowercase()) {
                 continue;
             }
-            let (before, _) = self.query_cost(self.catalog, &q.sql)?;
-            let (after, _) = self.query_cost(&scratch, &q.sql)?;
+            let before = self.query_cost(self.catalog, &q.sql)?;
+            let after = self.query_cost(&scratch, &q.sql)?;
             if after < before {
                 matched += 1;
                 benefit += (before - after) * q.rate_per_hour;
             }
         }
 
-        // One-time rewrite: read + write the whole table once (object I/O
-        // moves encoded bytes).
-        let bytes = entry.table.total_encoded_bytes() as f64;
-        let m = &self.config.estimator.models;
-        let rewrite_secs = 2.0 * bytes / m.hw.node_scan_bytes_per_sec()
-            + bytes * (entry.table.row_count().max(1) as f64).log2().max(1.0)
-                / (m.hw.sort_rows_log_per_sec_per_core
-                    * m.hw.node.cores as f64
-                    * m.hw.node.memory_bytes.max(1) as f64)
-                    .max(1.0);
-        let node_rate = m.hw.node.rate;
-        let one_time = node_rate.bill(ci_types::SimDuration::from_secs_f64(rewrite_secs));
-        let cost_rate = one_time * self.config.recluster_maintenance_factor_per_hour;
+        let one_time = self.one_time_cost(action)?;
+        let cost_rate = one_time * RECLUSTER_MAINTENANCE_FACTOR_PER_HOUR;
         self.finish_report(action, benefit, cost_rate, one_time, matched)
     }
 
@@ -345,7 +379,7 @@ impl<'a> WhatIfService<'a> {
     ) -> Result<ProposalReport> {
         let entry = self.catalog.get(table)?;
         let id = entry.table.id;
-        let pricing = &self.config.tier_pricing;
+        let pricing = &self.tiers;
         // Residency footprint: the memory tier holds decoded batches, the
         // SSD tier holds encoded partition files.
         let (spec, resident_bytes) = match tier {
@@ -365,34 +399,29 @@ impl<'a> WhatIfService<'a> {
             )));
         }
 
-        let before_cfg = self.tiered_base_config();
-        let mut after_cfg = before_cfg.clone();
-        let model = self.tiers_of(&mut after_cfg);
-        let pinned = match tier {
-            TierLevel::Mem => &mut model.pinned_mem,
-            TierLevel::Ssd => &mut model.pinned_ssd,
-            TierLevel::Object => {
-                return Err(CiError::Tuning("no pin set for the object tier".into()))
-            }
-        };
-        pinned.insert(id);
+        let (before_cfg, after_cfg) = self.cache_what_if(|model| {
+            // The object tier was refused above.
+            let pinned = if tier == TierLevel::Mem {
+                &mut model.pinned_mem
+            } else {
+                &mut model.pinned_ssd
+            };
+            pinned.insert(id);
+        });
 
         // Saved fetch dollars, per §4's x: faster machine-seconds (the scan
         // is served at tier latency) plus the object-store GET and transfer
         // charges every cache-served scan no longer pays.
-        let encoded = entry.table.total_encoded_bytes() as f64;
-        let parts = entry.table.partitions.len() as f64;
-        let egress_per_exec = parts * pricing.object_get_dollars
-            + encoded / 1e9 * pricing.object_transfer_dollars_per_gb;
+        let egress = self.egress(&entry.table);
         let mut benefit = Dollars::ZERO;
         let mut matched = 0usize;
         for q in workload {
             if !q.sql.to_lowercase().contains(&table.to_lowercase()) {
                 continue;
             }
-            let (before, _) = self.query_cost_with(self.catalog, &before_cfg, &q.sql)?;
-            let (after, _) = self.query_cost_with(self.catalog, &after_cfg, &q.sql)?;
-            let saved = (before - after).max(Dollars::ZERO) + Dollars::new(egress_per_exec);
+            let before = Self::query_cost_with(self.catalog, &before_cfg, &q.sql)?;
+            let after = Self::query_cost_with(self.catalog, &after_cfg, &q.sql)?;
+            let saved = (before - after).max(Dollars::ZERO) + egress;
             if saved > Dollars::ZERO {
                 matched += 1;
                 benefit += saved * q.rate_per_hour;
@@ -401,12 +430,7 @@ impl<'a> WhatIfService<'a> {
 
         // y: occupancy rent for as long as the pin stands.
         let cost_rate = Dollars::new(spec.rent_per_hour(resident_bytes));
-        // One-time: fill the tier once from the object store (transfer
-        // charges plus the machine time of the fill scan).
-        let fill_secs = encoded / self.config.estimator.models.hw.node_scan_bytes_per_sec();
-        let node_rate = self.config.estimator.models.hw.node.rate;
-        let one_time = node_rate.bill(ci_types::SimDuration::from_secs_f64(fill_secs))
-            + Dollars::new(egress_per_exec);
+        let one_time = self.one_time_cost(action)?;
         self.finish_report(action, benefit, cost_rate, one_time, matched)
     }
 
@@ -417,7 +441,7 @@ impl<'a> WhatIfService<'a> {
         ssd_bytes: u64,
         workload: &[PredictedQuery],
     ) -> Result<ProposalReport> {
-        let pricing = &self.config.tier_pricing;
+        let pricing = &self.tiers;
         // Working set: encoded bytes of every table the workload touches.
         let lowered: Vec<String> = workload.iter().map(|q| q.sql.to_lowercase()).collect();
         let mut working_set = 0u64;
@@ -435,19 +459,16 @@ impl<'a> WhatIfService<'a> {
         let mem_frac = (mem_bytes as f64 / ws).min(1.0);
         let ssd_frac = (ssd_bytes as f64 / ws).min(1.0 - mem_frac);
 
-        let before_cfg = self.tiered_base_config();
-        let mut after_cfg = before_cfg.clone();
-        {
-            let model = self.tiers_of(&mut after_cfg);
+        let (before_cfg, after_cfg) = self.cache_what_if(|model| {
             model.mem_hit_rate = mem_frac;
             model.ssd_hit_rate = ssd_frac;
-        }
+        });
 
         let mut benefit = Dollars::ZERO;
         let mut matched = 0usize;
         for q in workload {
-            let (before, _) = self.query_cost_with(self.catalog, &before_cfg, &q.sql)?;
-            let (after, _) = self.query_cost_with(self.catalog, &after_cfg, &q.sql)?;
+            let before = Self::query_cost_with(self.catalog, &before_cfg, &q.sql)?;
+            let after = Self::query_cost_with(self.catalog, &after_cfg, &q.sql)?;
             if after < before {
                 matched += 1;
                 benefit += (before - after) * q.rate_per_hour;
@@ -553,6 +574,10 @@ mod tests {
         c
     }
 
+    fn service(cat: &Catalog) -> WhatIfService<'_> {
+        WhatIfService::new(cat, EstimatorConfig::default(), TierPricing::standard())
+    }
+
     fn workload(sql: &str, rate: f64) -> Vec<PredictedQuery> {
         vec![PredictedQuery {
             fingerprint: fingerprint_sql(sql),
@@ -568,7 +593,7 @@ mod tests {
     #[test]
     fn mv_accepted_for_hot_query() {
         let cat = catalog();
-        let svc = WhatIfService::new(&cat, WhatIfConfig::default());
+        let svc = service(&cat);
         let action = TuningAction::CreateMaterializedView {
             name: "mv_rev".into(),
             definition_sql: AGG.into(),
@@ -596,7 +621,7 @@ mod tests {
     #[test]
     fn mv_rejected_for_cold_query() {
         let cat = catalog();
-        let svc = WhatIfService::new(&cat, WhatIfConfig::default());
+        let svc = service(&cat);
         let action = TuningAction::CreateMaterializedView {
             name: "mv_rev".into(),
             definition_sql: AGG.into(),
@@ -611,7 +636,7 @@ mod tests {
     #[test]
     fn mv_with_no_matching_queries_rejected() {
         let cat = catalog();
-        let svc = WhatIfService::new(&cat, WhatIfConfig::default());
+        let svc = service(&cat);
         let action = TuningAction::CreateMaterializedView {
             name: "mv".into(),
             definition_sql: AGG.into(),
@@ -626,7 +651,7 @@ mod tests {
     #[test]
     fn recluster_accepted_when_predicates_align() {
         let cat = catalog();
-        let svc = WhatIfService::new(&cat, WhatIfConfig::default());
+        let svc = service(&cat);
         let action = TuningAction::Recluster {
             table: "facts".into(),
             column: "id".into(),
@@ -647,7 +672,7 @@ mod tests {
         // lever (encoded-byte fetches shrink) rewards the action even
         // without a selective predicate.
         let cat = catalog();
-        let svc = WhatIfService::new(&cat, WhatIfConfig::default());
+        let svc = service(&cat);
         let action = TuningAction::Recluster {
             table: "facts".into(),
             column: "id".into(),
@@ -663,7 +688,7 @@ mod tests {
     #[test]
     fn recluster_rejected_without_benefiting_queries() {
         let cat = catalog();
-        let svc = WhatIfService::new(&cat, WhatIfConfig::default());
+        let svc = service(&cat);
         let action = TuningAction::Recluster {
             table: "facts".into(),
             column: "id".into(),
@@ -689,10 +714,12 @@ mod tests {
             definition_sql: AGG.into(),
             refresh_per_hour: 1.0,
         };
-        let priced = |profile: Option<FaultProfile>| {
-            let mut cfg = WhatIfConfig::default();
-            cfg.estimator.fault_profile = profile;
-            WhatIfService::new(&cat, cfg)
+        let priced = |fault_profile: Option<FaultProfile>| {
+            let estimator = EstimatorConfig {
+                fault_profile,
+                ..EstimatorConfig::default()
+            };
+            WhatIfService::new(&cat, estimator, TierPricing::standard())
                 .evaluate(&action, &workload(AGG, 10.0))
                 .unwrap()
         };
@@ -714,7 +741,7 @@ mod tests {
     #[test]
     fn net_rate_is_x_minus_y() {
         let cat = catalog();
-        let svc = WhatIfService::new(&cat, WhatIfConfig::default());
+        let svc = service(&cat);
         let action = TuningAction::CreateMaterializedView {
             name: "mv".into(),
             definition_sql: AGG.into(),
@@ -728,7 +755,7 @@ mod tests {
     #[test]
     fn unknown_table_errors() {
         let cat = catalog();
-        let svc = WhatIfService::new(&cat, WhatIfConfig::default());
+        let svc = service(&cat);
         let action = TuningAction::Recluster {
             table: "nope".into(),
             column: "id".into(),
@@ -744,9 +771,9 @@ mod tests {
             tier: TierLevel::Ssd,
         };
         let priced = |rate_per_hour: f64, ssd_price_per_gb_hour: f64| {
-            let mut cfg = WhatIfConfig::default();
-            cfg.tier_pricing.ssd.price_per_gb_hour = ssd_price_per_gb_hour;
-            WhatIfService::new(&cat, cfg)
+            let mut tiers = TierPricing::standard();
+            tiers.ssd.price_per_gb_hour = ssd_price_per_gb_hour;
+            WhatIfService::new(&cat, EstimatorConfig::default(), tiers)
                 .evaluate(&action, &workload(AGG, rate_per_hour))
                 .unwrap()
         };
@@ -766,16 +793,16 @@ mod tests {
     #[test]
     fn pin_rejects_object_tier_and_over_capacity() {
         let cat = catalog();
-        let svc = WhatIfService::new(&cat, WhatIfConfig::default());
+        let svc = service(&cat);
         let obj = TuningAction::PinTable {
             table: "facts".into(),
             tier: TierLevel::Object,
         };
         assert!(svc.evaluate(&obj, &workload(AGG, 1.0)).is_err());
 
-        let mut tiny = WhatIfConfig::default();
-        tiny.tier_pricing.mem.capacity_bytes = 16;
-        let svc = WhatIfService::new(&cat, tiny);
+        let mut tiny = TierPricing::standard();
+        tiny.mem.capacity_bytes = 16;
+        let svc = WhatIfService::new(&cat, EstimatorConfig::default(), tiny);
         let mem = TuningAction::PinTable {
             table: "facts".into(),
             tier: TierLevel::Mem,
@@ -786,7 +813,7 @@ mod tests {
     #[test]
     fn pin_without_touching_queries_rejected() {
         let cat = catalog();
-        let svc = WhatIfService::new(&cat, WhatIfConfig::default());
+        let svc = service(&cat);
         let action = TuningAction::PinTable {
             table: "facts".into(),
             tier: TierLevel::Ssd,
@@ -800,7 +827,7 @@ mod tests {
     #[test]
     fn cache_budget_scales_benefit_with_size() {
         let cat = catalog();
-        let svc = WhatIfService::new(&cat, WhatIfConfig::default());
+        let svc = service(&cat);
         let ws = cat.get("facts").unwrap().table.total_encoded_bytes();
         let wl = workload(AGG, 200.0);
         let report_at = |mem: u64| {

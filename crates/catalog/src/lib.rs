@@ -12,6 +12,8 @@
 //!   to *inject* controlled estimation error; [`cardinality::ErrorInjector`]
 //!   is that knob.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
+
 pub mod cardinality;
 pub mod catalog;
 pub mod histogram;

@@ -11,6 +11,8 @@
 //! budget — and the warehouse figures out the rest, returning a
 //! [`report::QueryReport`] with the bill next to the prediction.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
+
 pub mod report;
 pub mod warehouse;
 

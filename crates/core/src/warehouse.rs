@@ -2,8 +2,8 @@
 
 use ci_autotune::statsvc::fingerprint_sql;
 use ci_autotune::{
-    ProposalReport, QueryLogRecord, StatisticsService, StatsConfig, TuningAction, WhatIfConfig,
-    WhatIfService, WorkloadPredictor,
+    ProposalReport, QueryLogRecord, StatisticsService, StatsConfig, TuningAction, WhatIfService,
+    WorkloadPredictor,
 };
 use ci_catalog::Catalog;
 use ci_cost::CostEstimator;
@@ -14,7 +14,7 @@ use ci_storage::schema::{Field, Schema};
 use ci_storage::table::table_from_batch;
 use ci_storage::RecordBatch;
 use ci_types::money::Dollars;
-use ci_types::{CiError, Result, SimDuration, SimTime, TableId};
+use ci_types::{CiError, Result, SimTime, TableId};
 use ci_workload::trace::WorkloadTrace;
 use std::sync::{Arc, Mutex};
 
@@ -29,9 +29,7 @@ pub struct WarehouseConfig {
     pub execution: ExecutionConfig,
     /// Statistics-service knobs.
     pub stats: StatsConfig,
-    /// What-if service knobs.
-    pub whatif: WhatIfConfig,
-    /// DOP monitor thresholds.
+    /// DOP monitor knobs.
     pub monitor: MonitorConfig,
     /// Run the DOP monitor during execution (the paper's hybrid mode).
     /// When `false`, execution is purely static.
@@ -242,7 +240,7 @@ impl Warehouse {
     /// and dollar-denominated what-if evaluation (§4). Sorted by net rate.
     pub fn tuning_proposals(&self) -> Result<Vec<ProposalReport>> {
         let predicted = WorkloadPredictor::new().predict(&self.stats, self.now);
-        let svc = WhatIfService::new(&self.catalog, self.config.whatif.clone());
+        let svc = self.whatif();
         let mut proposals = Vec::new();
 
         // MV candidates from the costliest recurring queries.
@@ -277,29 +275,28 @@ impl Warehouse {
         Ok(proposals)
     }
 
+    /// The what-if service, quoting with the optimizer's estimator and the
+    /// execution tier menu (the standard menu when queries run without one).
+    fn whatif(&self) -> WhatIfService<'_> {
+        let tiers = self.config.execution.tiers.clone().unwrap_or_default();
+        WhatIfService::new(
+            &self.catalog,
+            self.config.optimizer.estimator.clone(),
+            tiers,
+        )
+    }
+
     /// Applies a tuning action on background compute; returns the one-time
-    /// dollars billed. Accepted proposals from [`Warehouse::tuning_proposals`]
-    /// feed here (optionally after user approval, as §4 sketches).
+    /// dollars billed — for a recluster or a pin, exactly what
+    /// [`WhatIfService::one_time_cost`] quoted. Accepted proposals from
+    /// [`Warehouse::tuning_proposals`] feed here (optionally after user
+    /// approval, as §4 sketches).
     pub fn apply(&mut self, action: &TuningAction) -> Result<Dollars> {
         match action {
             TuningAction::Recluster { table, column } => {
-                let entry = self.catalog.get(table)?.clone();
-                let col = entry.table.schema.index_of(column)?;
-                let rows_per_part = entry
-                    .table
-                    .partitions
-                    .first()
-                    .map(|p| p.rows().max(1))
-                    .unwrap_or(8192);
-                let reclustered = entry.table.reclustered_by(col, rows_per_part)?;
-                // One-time bill: read + write the table once on background
-                // compute (object I/O moves encoded bytes). Less than the
-                // what-if service's `evaluate_recluster` quoted, which adds
-                // a sort term — see ROADMAP direction B.
-                let bytes = entry.table.total_encoded_bytes() as f64;
-                let m = &self.config.whatif.estimator.models;
-                let secs = 2.0 * bytes / m.hw.node_scan_bytes_per_sec();
-                let bill = m.hw.node.rate.bill(SimDuration::from_secs_f64(secs));
+                let svc = self.whatif();
+                let reclustered = svc.reclustered(table, column)?;
+                let bill = svc.one_time_cost(action)?;
                 self.catalog.register(reclustered);
                 self.total_spend += bill;
                 Ok(bill)
@@ -328,12 +325,13 @@ impl Warehouse {
                 Ok(report.cost)
             }
             TuningAction::PinTable { table, tier } => {
-                let entry = self.catalog.get(table)?.clone();
+                let id = self.catalog.get(table)?.table.id;
                 let Some(pricing) = self.config.execution.tiers.clone() else {
                     return Err(CiError::Tuning(
                         "cache pinning requires tier pricing on the execution config".into(),
                     ));
                 };
+                let bill = self.whatif().one_time_cost(action)?;
                 // The pin must outlive this call: install a process-shared
                 // cache simulation if queries ran without one so far.
                 let sim = self
@@ -349,15 +347,7 @@ impl Warehouse {
                             "tier cache simulator lock is poisoned by an earlier panic".into(),
                         )
                     })?
-                    .pin(entry.table.id, *tier);
-                // One-time bill: fill the tier once from the object store on
-                // background compute. Less than the what-if service's
-                // `evaluate_pin` quoted, which adds the egress dollars — see
-                // ROADMAP direction B.
-                let bytes = entry.table.total_encoded_bytes() as f64;
-                let m = &self.config.whatif.estimator.models;
-                let secs = bytes / m.hw.node_scan_bytes_per_sec();
-                let bill = m.hw.node.rate.bill(SimDuration::from_secs_f64(secs));
+                    .pin(id, *tier);
                 self.total_spend += bill;
                 Ok(bill)
             }
@@ -420,7 +410,9 @@ fn sanitize_result(batch: &RecordBatch) -> Result<RecordBatch> {
 
 #[cfg(test)]
 mod tests {
+    use ci_cost::{TierLevel, TierPricing};
     use ci_types::money::Dollars;
+    use ci_types::SimDuration;
     use ci_workload::{CabGenerator, TraceConfig};
 
     use super::*;
@@ -551,6 +543,61 @@ mod tests {
             before.cost,
             after.cost
         );
+    }
+
+    /// `apply` bills what the what-if service quoted, bit for bit, and
+    /// registers the very table the quote priced.
+    #[test]
+    fn recluster_bills_its_quote() {
+        let mut w = warehouse(0.05);
+        let action = TuningAction::Recluster {
+            table: "orders".into(),
+            column: "o_date".into(),
+        };
+        let quote = w.whatif().evaluate(&action, &[]).unwrap().one_time_cost;
+        let priced = w.whatif().reclustered("orders", "o_date").unwrap();
+        let spent = w.total_spend();
+        let bill = w.apply(&action).unwrap();
+        assert_eq!(bill.amount().to_bits(), quote.amount().to_bits());
+        assert_eq!(w.total_spend(), spent + bill);
+        let registered = &w.catalog().get("orders").unwrap().table;
+        assert_eq!(registered.clustered_by, priced.clustered_by);
+        let zone_maps = |t: &ci_storage::table::Table| {
+            t.partitions
+                .iter()
+                .map(|p| p.zone_map.clone())
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(zone_maps(registered), zone_maps(&priced));
+    }
+
+    /// A pin bills its quote — the fill scan plus the egress dollars of
+    /// the fill — priced on the execution config's own tier menu.
+    #[test]
+    fn pin_bills_its_quote_on_the_execution_tier_menu() {
+        let catalog = CabGenerator::at_scale(0.05).build_catalog().unwrap();
+        let mut config = WarehouseConfig::default();
+        let mut tiers = TierPricing::standard();
+        tiers.object_get_dollars *= 3.0;
+        tiers.object_transfer_dollars_per_gb *= 2.0;
+        config.execution.tiers = Some(tiers);
+        let mut w = Warehouse::new(catalog, config);
+        let action = TuningAction::PinTable {
+            table: "orders".into(),
+            tier: TierLevel::Ssd,
+        };
+        let quote = w.whatif().evaluate(&action, &[]).unwrap().one_time_cost;
+        let standard = WhatIfService::new(
+            w.catalog(),
+            w.config.optimizer.estimator.clone(),
+            TierPricing::standard(),
+        )
+        .one_time_cost(&action)
+        .unwrap();
+        assert!(quote > standard, "egress priced on the execution menu");
+        let bill = w.apply(&action).unwrap();
+        assert_eq!(bill.amount().to_bits(), quote.amount().to_bits());
+        assert_eq!(w.total_spend(), bill);
     }
 
     #[test]

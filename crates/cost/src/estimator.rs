@@ -72,6 +72,10 @@ impl TierCostModel {
     }
 }
 
+/// The candidate DOPs every planner and controller chooses from: powers of
+/// two, 1 to 256.
+pub const DOP_LADDER: [u32; 9] = [1, 2, 4, 8, 16, 32, 64, 128, 256];
+
 /// Estimator configuration (mirrors the executor's scheduling parameters so
 /// predictions and measurements share assumptions).
 #[derive(Debug, Clone)]

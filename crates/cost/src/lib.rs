@@ -36,4 +36,6 @@ pub use ci_cloud::faults::FaultProfile;
 /// hit models without depending on `ci-cloud` directly.
 pub use ci_cloud::pricing::{TierPricing, TierSpec};
 pub use ci_cloud::tiercache::{CacheCounters, TierLevel};
-pub use estimator::{CostEstimator, EstimatorConfig, PipelineWork, QueryEstimate, TierCostModel};
+pub use estimator::{
+    CostEstimator, EstimatorConfig, PipelineWork, QueryEstimate, TierCostModel, DOP_LADDER,
+};

@@ -110,17 +110,6 @@ pub struct PipelineMetrics {
     pub tier_saved_ns: u64,
 }
 
-impl PipelineMetrics {
-    /// Node utilization: busy time over billed machine time, in `[0, 1]`.
-    pub fn utilization(&self) -> f64 {
-        let mt = self.machine_time.as_secs_f64();
-        if mt <= 0.0 {
-            return 1.0;
-        }
-        (self.busy.as_secs_f64() / mt).min(1.0)
-    }
-}
-
 /// One measured operator-kernel invocation: how long a worker really took
 /// to push `units` of work (rows, or rows-equivalents) through an operator
 /// class. The parallel runtime emits one sample per operator per morsel;
@@ -227,78 +216,9 @@ pub fn attribute_node_dollars(cost: Dollars, busy: &[f64], fallback: usize) -> V
     out
 }
 
-impl QueryMetrics {
-    /// Aggregate utilization across pipelines.
-    pub fn utilization(&self) -> f64 {
-        let busy: f64 = self.pipelines.iter().map(|p| p.busy.as_secs_f64()).sum();
-        let mt = self.machine_time.as_secs_f64();
-        if mt <= 0.0 {
-            1.0
-        } else {
-            (busy / mt).min(1.0)
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn pm() -> PipelineMetrics {
-        PipelineMetrics {
-            id: PipelineId::new(0),
-            dop_initial: 4,
-            dop_final: 4,
-            start: SimTime::from_secs_f64(1.0),
-            finish: SimTime::from_secs_f64(3.0),
-            released: SimTime::from_secs_f64(5.0),
-            morsels: 10,
-            source_rows: 1000,
-            sink_rows: 500,
-            sink_rows_physical: 800,
-            exchange_wire_bytes: 0,
-            exchange_decoded_bytes: 0,
-            busy: SimDuration::from_secs(6),
-            machine_time: SimDuration::from_secs(16),
-            resizes: 0,
-            measured_wall_ns: 0,
-            pool_workers: 0,
-            pool_reuses: 0,
-            agg_partials: 0,
-            fetch_retries: 0,
-            hedged_morsels: 0,
-            faults_injected: 0,
-            recovery_virtual_ns: 0,
-            retry_bytes: 0,
-            tier_mem_hits: 0,
-            tier_ssd_hits: 0,
-            tier_misses: 0,
-            tier_promotions: 0,
-            tier_evictions: 0,
-            tier_saved_ns: 0,
-        }
-    }
-
-    #[test]
-    fn utilization_is_busy_over_billed() {
-        assert!((pm().utilization() - 6.0 / 16.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn query_utilization_aggregates() {
-        let q = QueryMetrics {
-            latency: SimDuration::from_secs(4),
-            machine_time: SimDuration::from_secs(32),
-            cost: Dollars::new(0.1),
-            pipelines: vec![pm(), pm()],
-            node_actual_rows: vec![],
-            node_busy_secs: vec![],
-            node_dollars: vec![],
-            resize_events: 0,
-            result_rows: 1,
-        };
-        assert!((q.utilization() - 12.0 / 32.0).abs() < 1e-12);
-    }
 
     /// The canonical left fold of the attributed shares must reproduce the
     /// total bit-exactly for arbitrary busy vectors — including awkward

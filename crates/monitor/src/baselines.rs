@@ -11,6 +11,7 @@
 //!   materializing intermediates at clean cuts (overhead quantified in
 //!   experiment E7).
 
+use ci_cost::DOP_LADDER;
 use ci_exec::scaling::{PipelineProgress, PipelineStart, ScaleDecision, ScalingController};
 use ci_types::SimDuration;
 
@@ -72,23 +73,18 @@ impl ScalingController for WholeClusterScaling {
 pub struct StageBoundaryScaling {
     /// Stage-start adjustments made.
     pub adjustments: u32,
-    /// DOP ladder used for rounding.
-    ladder: Vec<u32>,
 }
 
 impl StageBoundaryScaling {
-    /// New policy with the default power-of-two ladder.
+    /// New policy, rounding to the [`DOP_LADDER`].
     pub fn new() -> StageBoundaryScaling {
-        StageBoundaryScaling {
-            adjustments: 0,
-            ladder: (0..=8).map(|i| 1u32 << i).collect(),
-        }
+        StageBoundaryScaling::default()
     }
 
-    fn round_to_ladder(&self, d: f64) -> u32 {
-        let mut best = self.ladder[0];
+    fn round_to_ladder(d: f64) -> u32 {
+        let mut best = DOP_LADDER[0];
         let mut best_err = f64::INFINITY;
-        for &c in &self.ladder {
+        for c in DOP_LADDER {
             let err = ((c as f64).ln() - d.max(1.0).ln()).abs();
             if err < best_err {
                 best_err = err;
@@ -110,7 +106,7 @@ impl ScalingController for StageBoundaryScaling {
         let ratio = actual / ctx.planned_source_rows;
         // BigQuery-style: the next stage's worker count tracks the observed
         // input volume of the stage.
-        let d = self.round_to_ladder(ctx.planned_dop as f64 * ratio);
+        let d = Self::round_to_ladder(ctx.planned_dop as f64 * ratio);
         if d != ctx.planned_dop {
             self.adjustments += 1;
         }

@@ -6,11 +6,12 @@
 //! ([`monitor::DopMonitor`]) implements the paper's two-threshold policy at
 //! **pipeline granularity**:
 //!
-//! * deviation within `θ_small` — do nothing;
-//! * deviation beyond `θ_small` — correct *this pipeline's* DOP using the
-//!   cost estimator's scalability models;
-//! * deviation beyond `θ_large` — re-invoke DOP planning with observed
-//!   cardinalities (realized per-pipeline at start boundaries).
+//! * deviation within [`monitor::THETA_SMALL`] — do nothing;
+//! * deviation beyond it mid-pipeline — correct *this pipeline's* DOP using
+//!   the cost estimator's scalability models;
+//! * source-row deviation beyond [`monitor::THETA_LARGE`] at a pipeline's
+//!   start — re-size that one pipeline for its observed input. (§3.3 re-runs
+//!   DOP planning over the remaining pipelines here; this monitor does not.)
 //!
 //! [`baselines`] provides the two strategies §3.3 contrasts with: whole-
 //! cluster interval scaling (Jockey/Ellis \[11, 34]) and per-stage

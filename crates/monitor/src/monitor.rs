@@ -1,34 +1,37 @@
 //! The pipeline-granular DOP monitor.
 
-use ci_cost::{CostEstimator, PipelineWork};
+use ci_cost::{CostEstimator, PipelineWork, DOP_LADDER};
 use ci_exec::scaling::{PipelineProgress, PipelineStart, ScaleDecision, ScalingController};
 use ci_plan::physical::PhysicalPlan;
 use ci_plan::pipeline::PipelineGraph;
 use ci_types::{Result, SimDuration};
 
-/// Monitor thresholds and knobs.
+/// Relative deviation within which no action is taken (the paper's "within
+/// a threshold": ±25 %). It is also the slack a corrected DOP may leave on
+/// its deadline.
+pub const THETA_SMALL: f64 = 0.25;
+
+/// Source-row deviation beyond which a starting pipeline is re-sized: its
+/// DOP becomes the smallest one that finishes the observed input within the
+/// duration the plan promised for it (1.0, i.e. 2× off). Only that pipeline
+/// is re-sized; the DOP planner is not re-run.
+pub const THETA_LARGE: f64 = 1.0;
+
+/// Minimum morsel progress before mid-pipeline corrections are trusted.
+pub const MIN_FRACTION: f64 = 0.05;
+
+/// Monitor knobs.
 #[derive(Debug, Clone)]
 pub struct MonitorConfig {
-    /// Relative deviation below which no action is taken (paper's "within a
-    /// threshold" — default 0.25, i.e. ±25%).
-    pub theta_small: f64,
-    /// Deviation beyond which the DOP planner is re-invoked with observed
-    /// cardinalities (default 1.0, i.e. 2x off).
-    pub theta_large: f64,
     /// Candidate DOP ladder for corrections. An empty ladder makes no
     /// correction: every pipeline keeps the DOP it has.
     pub ladder: Vec<u32>,
-    /// Minimum morsel progress before mid-pipeline corrections are trusted.
-    pub min_fraction: f64,
 }
 
 impl Default for MonitorConfig {
     fn default() -> Self {
         MonitorConfig {
-            theta_small: 0.25,
-            theta_large: 1.0,
-            ladder: (0..=8).map(|i| 1u32 << i).collect(),
-            min_fraction: 0.05,
+            ladder: DOP_LADDER.to_vec(),
         }
     }
 }
@@ -105,7 +108,7 @@ impl<'a, 'c> DopMonitor<'a, 'c> {
     fn min_dop_for(&self, work: &PipelineWork, deadline: SimDuration) -> Option<u32> {
         let ladder = &self.config.ladder;
         let duration = |d| self.est.pipeline_duration(work, d);
-        let slack = deadline * (1.0 + self.config.theta_small);
+        let slack = deadline * (1.0 + THETA_SMALL);
         if let Some(d) = ladder.iter().copied().find(|&d| duration(d) <= slack) {
             return Some(d);
         }
@@ -127,7 +130,7 @@ impl ScalingController for DopMonitor<'_, '_> {
         }
         let ratio = actual / ctx.planned_source_rows;
         let deviation = (ratio - 1.0).abs();
-        if deviation <= self.config.theta_large {
+        if deviation <= THETA_LARGE {
             return ctx.planned_dop;
         }
         // Large deviation: re-plan this pipeline's DOP so its planned
@@ -144,12 +147,12 @@ impl ScalingController for DopMonitor<'_, '_> {
 
     fn on_progress(&mut self, p: &PipelineProgress) -> ScaleDecision {
         let i = p.pipeline.index();
-        if p.fraction_done() < self.config.min_fraction || p.morsels_total == 0 {
+        if p.fraction_done() < MIN_FRACTION || p.morsels_total == 0 {
             return ScaleDecision::Keep;
         }
         let dev_ratio = p.sink_deviation();
         let deviation = (dev_ratio - 1.0).abs();
-        if deviation <= self.config.theta_small {
+        if deviation <= THETA_SMALL {
             return ScaleDecision::Keep;
         }
         // Correct this pipeline only: pick the smallest DOP that completes
@@ -294,10 +297,7 @@ mod tests {
             .execute(&pq.plan, &pq.graph, &pq.dops, &mut NoScaling)
             .unwrap();
         let est = ci_cost::CostEstimator::new(&cat, EstimatorConfig::default());
-        let config = MonitorConfig {
-            ladder: Vec::new(),
-            ..MonitorConfig::default()
-        };
+        let config = MonitorConfig { ladder: Vec::new() };
         let mut monitor = DopMonitor::new(&est, &pq.plan, &pq.graph, &pq.dops, config).unwrap();
         let monitored = exec
             .execute(&pq.plan, &pq.graph, &pq.dops, &mut monitor)

@@ -34,6 +34,8 @@
 //! (events, registry, report shapes) and the exporters, while the execution
 //! engine owns all instrumentation points and builds the [`Trace`].
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
+
 mod chrome;
 mod profile;
 mod registry;

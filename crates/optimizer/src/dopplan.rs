@@ -16,7 +16,7 @@
 //! All estimator invocations are counted ([`SearchStats`]) so tests can
 //! compare search effort against the exhaustive reference.
 
-use ci_cost::{CostEstimator, PipelineWork, QueryEstimate};
+use ci_cost::{CostEstimator, PipelineWork, QueryEstimate, DOP_LADDER};
 use ci_plan::physical::PhysicalPlan;
 use ci_plan::pipeline::PipelineGraph;
 use ci_types::money::Dollars;
@@ -64,12 +64,11 @@ pub struct DopPlanner<'a, 'c> {
 }
 
 impl<'a, 'c> DopPlanner<'a, 'c> {
-    /// New planner over a cost estimator with the default DOP ladder
-    /// 1, 2, 4, ..., 256.
+    /// New planner over a cost estimator with the [`DOP_LADDER`].
     pub fn new(est: &'a CostEstimator<'c>) -> DopPlanner<'a, 'c> {
         DopPlanner {
             est,
-            candidates: (0..=8).map(|i| 1u32 << i).collect(),
+            candidates: DOP_LADDER.to_vec(),
             stats: SearchStats::default(),
         }
     }

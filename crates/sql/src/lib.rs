@@ -17,6 +17,8 @@
 //! The parser is a hand-written recursive-descent with precedence climbing —
 //! small, fast, and panic-free on arbitrary input (property-tested).
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
+
 pub mod ast;
 pub mod parser;
 pub mod token;

@@ -95,15 +95,6 @@ impl DetRng {
         self.f64() < p
     }
 
-    /// Standard normal via Box–Muller (one value per call; simple > fast here).
-    pub fn normal(&mut self, mean: f64, std_dev: f64) -> f64 {
-        // Avoid ln(0) by nudging u1 away from zero.
-        let u1 = (self.f64()).max(1e-300);
-        let u2 = self.f64();
-        let z = (-2.0 * u1.ln()).sqrt() * (std::f64::consts::TAU * u2).cos();
-        mean + std_dev * z
-    }
-
     /// Exponential inter-arrival sample with the given rate (events/sec).
     pub fn exponential(&mut self, rate: f64) -> f64 {
         assert!(rate > 0.0, "exponential rate must be positive");
@@ -204,17 +195,6 @@ mod tests {
             let f = r.range_f64(2.0, 4.0);
             assert!((2.0..4.0).contains(&f));
         }
-    }
-
-    #[test]
-    fn normal_moments() {
-        let mut r = DetRng::seed_from_u64(11);
-        let n = 50_000;
-        let samples: Vec<f64> = (0..n).map(|_| r.normal(10.0, 2.0)).collect();
-        let mean = samples.iter().sum::<f64>() / n as f64;
-        let var = samples.iter().map(|x| (x - mean).powi(2)).sum::<f64>() / n as f64;
-        assert!((mean - 10.0).abs() < 0.05, "mean {mean}");
-        assert!((var.sqrt() - 2.0).abs() < 0.05, "std {}", var.sqrt());
     }
 
     #[test]
