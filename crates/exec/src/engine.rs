@@ -49,7 +49,10 @@
 //!   and fault draws, wire-format byte accounting (the encoder stream is
 //!   order-dependent: a dictionary ships once — but only that dedup is
 //!   folded here; each shipped batch's column sketches ride on its trace,
-//!   taken at the transfer step), per-node cardinalities and
+//!   taken at the transfer step, where a column keeps the plan it already
+//!   has — from its partition, via a whole-partition scan morsel, or from
+//!   the previous transfer step when it passed through unchanged — and
+//!   only the rest are sketched afresh), per-node cardinalities and
 //!   busy seconds, recovery billing, tracer emission, and the progress
 //!   callbacks that resize the node set. It accumulates the pipeline's one
 //!   [`PipelineMetrics`] in place.
@@ -229,6 +232,9 @@ pub(crate) struct Morsel {
     /// every scan morsel regardless of page source, so the cache simulation
     /// sees an identical access trace under `Mem`, `Disk`, and `Tiered`.
     tier_part: Option<TierPart>,
+    /// The partition's wire sketch, when the morsel is its whole resident
+    /// partition: the first prior of the chain's transfer steps.
+    wire: Option<Arc<WireSketch>>,
 }
 
 /// Identity + size of the partition behind a scan morsel.
@@ -337,7 +343,7 @@ pub(crate) struct StepTrace {
     /// to the wire and its column sketches — the stateless half of wire
     /// sizing, taken while the batch was hot — so the driver only folds
     /// them into the order-dependent encoder stream.
-    shipped: Option<(RecordBatch, WireSketch)>,
+    shipped: Option<(RecordBatch, Arc<WireSketch>)>,
 }
 
 /// Where a morsel's chain processing ended.
@@ -410,6 +416,7 @@ impl Morsel {
             fetch_bytes: 0.0,
             decode_bytes: 0.0,
             tier_part: None,
+            wire: None,
         }
     }
 
@@ -499,10 +506,14 @@ impl ChainCtx {
         }
     }
 
-    /// The compute stage: runs a fetched batch through the operator chain,
-    /// producing the morsel's trace. See [`ChainCtx::process_morsel`] for
-    /// where the chain stops.
-    pub(crate) fn compute_morsel(&self, mut batch: RecordBatch) -> Result<MorselTrace> {
+    /// The compute stage: runs `morsel`'s fetched batch through the operator
+    /// chain, producing the morsel's trace. See [`ChainCtx::process_morsel`]
+    /// for where the chain stops.
+    pub(crate) fn compute_morsel(
+        &self,
+        morsel: &Morsel,
+        mut batch: RecordBatch,
+    ) -> Result<MorselTrace> {
         let (mut samples, mut wall_ns) = (Vec::new(), 0u64);
         let mut timer = self.timer(&mut samples, &mut wall_ns);
         let source_rows = batch.rows() as u64;
@@ -520,7 +531,8 @@ impl ChainCtx {
             src_post_rows = batch.rows() as u64;
         }
         let mut steps = Vec::new();
-        let tail = self.process_chain(batch, 0, &mut steps, &mut timer)?;
+        let wire = morsel.wire.clone();
+        let tail = self.process_chain(batch, 0, wire, &mut steps, &mut timer)?;
         Ok(MorselTrace {
             source_rows,
             src_post_rows,
@@ -537,7 +549,7 @@ impl ChainCtx {
     /// ([`Tail::AtLimit`]), which needs the driver's remaining-rows state,
     /// and the driver finishes the chain via [`ChainCtx::complete_trace`].
     pub(crate) fn process_morsel(&self, morsel: &Morsel) -> Result<MorselTrace> {
-        self.compute_morsel(self.fetch_morsel(morsel)?)
+        self.compute_morsel(morsel, self.fetch_morsel(morsel)?)
     }
 
     /// Resumes a trace that stopped at a `LIMIT` step: cuts the batch
@@ -567,18 +579,21 @@ impl ChainCtx {
                 shipped: None,
             });
             let mut timer = self.timer(&mut t.samples, &mut t.wall_ns);
-            t.tail = self.process_chain(batch, step + 1, &mut t.steps, &mut timer)?;
+            t.tail = self.process_chain(batch, step + 1, None, &mut t.steps, &mut timer)?;
         }
         Ok(t)
     }
 
     /// The streaming operator chain from `first_step` up to the sink or the
     /// next `LIMIT` step, whichever comes first. Pure with respect to engine
-    /// state: reads hash tables, writes only the trace.
+    /// state: reads hash tables, writes only the trace. `wire` is the latest
+    /// wire sketch on the way — the morsel's, then each transfer step's —
+    /// whose plans the next transfer step reuses for the columns it covers.
     fn process_chain(
         &self,
         mut batch: RecordBatch,
         first_step: usize,
+        mut wire: Option<Arc<WireSketch>>,
         trace: &mut Vec<StepTrace>,
         timer: &mut OpTimer<'_>,
     ) -> Result<Tail> {
@@ -606,16 +621,21 @@ impl ChainCtx {
                 Step::Exchange { .. } | Step::Gather { .. } => {
                     // Transfer points materialize: deferred filters compact
                     // here rather than shipping unselected rows, and the
-                    // compacted columns are sketched for the wire. The wire
+                    // compacted columns are sketched for the wire — a column
+                    // the latest sketch covers keeps its plan. The wire
                     // bytes themselves are charged by the ledger, which
                     // folds the sketch into the pipeline's (stateful,
                     // order-dependent) encoder stream.
                     let sketch;
                     (batch, sketch) = timer.time("exchange", rows_in as f64, || {
                         let batch = batch.compacted();
-                        let sketch = WireSketch::of(&batch)?;
-                        Ok((batch, sketch))
+                        let sketch = match &wire {
+                            Some(prior) => WireSketch::reusing(&batch, prior)?,
+                            None => WireSketch::of(&batch)?,
+                        };
+                        Ok((batch, Arc::new(sketch)))
                     })?;
+                    wire = Some(sketch.clone());
                     shipped = Some((batch.clone(), sketch));
                 }
                 Step::Probe {
@@ -1014,18 +1034,27 @@ impl<'a> Executor<'a> {
                     while offset < rows {
                         let len = self.config.morsel_rows.min(rows - offset);
                         let share = len as f64 / rows as f64;
-                        let payload = match &q.page_store {
+                        let (payload, wire) = match &q.page_store {
                             // File-backed morsels carry no resident batch:
                             // the fetch stage reads real page-file bytes.
-                            Some(store) => Payload::File(FileMorsel {
-                                store: store.clone(),
-                                table: *table_id,
-                                part: pi as u32,
-                                offset,
-                                len,
-                                schema: schema.clone(),
-                            }),
-                            None => Payload::Batch(batch.slice(offset, len)?),
+                            Some(store) => (
+                                Payload::File(FileMorsel {
+                                    store: store.clone(),
+                                    table: *table_id,
+                                    part: pi as u32,
+                                    offset,
+                                    len,
+                                    schema: schema.clone(),
+                                }),
+                                None,
+                            ),
+                            // A resident morsel spanning its whole partition
+                            // is the partition's own columns, so their wire
+                            // plans travel along.
+                            None => (
+                                Payload::Batch(batch.slice(offset, len)?),
+                                (len == rows).then(|| part.wire.clone()),
+                            ),
                         };
                         morsels.push(Morsel {
                             payload,
@@ -1039,6 +1068,7 @@ impl<'a> Executor<'a> {
                                 part: pi as u32,
                                 bytes: part.encoded_bytes,
                             }),
+                            wire,
                         });
                         offset += len;
                     }
@@ -1068,6 +1098,7 @@ impl<'a> Executor<'a> {
                         fetch_bytes: 0.0,
                         decode_bytes: 0.0,
                         tier_part: None,
+                        wire: None,
                     });
                     offset += len;
                 }

@@ -263,7 +263,8 @@ fn run_task(
             shared.work_cv.notify_all();
         }
         Task::Compute(idx, fetched) => {
-            let out = contained(|| fetched.and_then(|batch| ctx.compute_morsel(batch)));
+            let morsel = &morsels[idx];
+            let out = contained(|| fetched.and_then(|batch| ctx.compute_morsel(morsel, batch)));
             record_span(trace, worker, format!("compute m{idx}"), t0);
             if let Some(job) = shared.lock().jobs.get_mut(&id) {
                 job.traces.insert(idx, out);

@@ -371,7 +371,7 @@ impl<'a> Builder<'a> {
         // Final projection: fresh slots.
         let proj_base = self.slot_types.len();
         let slot_ty = self.slot_type_fn();
-        for (i, (e, name)) in self.bound.output.iter().enumerate() {
+        for (e, name) in &self.bound.output {
             let dt = e.data_type(&slot_ty)?;
             self.slot_types.push(dt);
             self.slot_names.push(name.clone());
@@ -389,7 +389,6 @@ impl<'a> Builder<'a> {
                     self.slot_dict_bytes.push(0.0);
                 }
             }
-            let _ = i;
         }
         let out_slots: Vec<usize> = (proj_base..proj_base + self.bound.output.len()).collect();
         let rows = self.nodes[top].est_rows;

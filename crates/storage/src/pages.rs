@@ -662,7 +662,7 @@ struct PlanScratch {
 /// Everything the `Int64` and `Bool` candidates but `Dict` need, gathered
 /// by one pass over a column's values as `i64`s. All delta arithmetic is
 /// wrapping, so the frames are exact for any input.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct IntSketch {
     rows: usize,
     first: i64,
@@ -881,7 +881,7 @@ enum Stream {
 /// same codec, frame and stream decision — so "size == serialization"
 /// holds by construction. The plan borrows nothing from the rows it was
 /// built over (`emit` takes them again), so it can outlive the pass.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct ColumnPlan {
     codec: PageCodec,
     /// The frame of a non-empty For/Delta page.
@@ -1837,10 +1837,32 @@ pub struct WireEncoder {
 /// does not depend on what the stream shipped before. Owned and `Send`:
 /// whoever holds the batch while it is hot computes it, and the stream's
 /// owner folds it later, in stream order, in O(columns).
-#[derive(Debug, Clone)]
+///
+/// A column's plan is a pure function of the rows it covers, so it is
+/// computed once and reused wherever the same column ships again. A plan
+/// comes from one of three places:
+///
+/// * **the partition** — [`crate::partition::MicroPartition::wire`], built
+///   by the codec race registration already runs for the storage pages (a
+///   non-dict column's wire plan *is* its storage plan; a dict column's is
+///   the O(1) ids-only plan);
+/// * **the previous transfer step** — [`WireSketch::reusing`] takes a prior
+///   sketch's plan for every column that sketch [covers](WireSketch::covers):
+///   the very `Arc` it was planned over, whole, in a batch with no
+///   selection (a probe's pass-through columns, a pure-column projection);
+/// * **a fresh pass** — every other column ([`WireSketch::of`]).
+///
+/// A reused plan cannot change a bill: the sketch holds the covered
+/// columns' `Arc`s, so their rows cannot change or their addresses be
+/// reused while it lives, and a plan over the same rows is the plan a
+/// fresh pass would compute.
+#[derive(Debug, Clone, PartialEq)]
 pub struct WireSketch {
     rows: usize,
     cols: Vec<ColumnPlan>,
+    /// The columns `cols` were planned over, whole; empty when the sketched
+    /// batch had a selection, whose plans cover only the selected rows.
+    covered: Vec<Arc<ColumnData>>,
 }
 
 impl WireSketch {
@@ -1851,10 +1873,68 @@ impl WireSketch {
         let cols = (batch.columns().iter())
             .map(|col| ColumnPlan::wire(Rows { col, sel }, &mut scratch))
             .collect::<Result<_>>()?;
-        Ok(WireSketch {
+        Ok(WireSketch::over(batch, cols))
+    }
+
+    /// [`WireSketch::of`] `batch`, taking the plan of every column `prior`
+    /// [covers](WireSketch::covers) from `prior` instead of a fresh pass.
+    pub fn reusing(batch: &RecordBatch, prior: &WireSketch) -> Result<WireSketch> {
+        let (sel, mut scratch) = (batch.selection(), PlanScratch::default());
+        let cols = (batch.columns().iter().enumerate())
+            .map(|(i, col)| match prior.plan_of(batch, i) {
+                Some(plan) => Ok(plan),
+                None => ColumnPlan::wire(Rows { col, sel }, &mut scratch),
+            })
+            .collect::<Result<_>>()?;
+        Ok(WireSketch::over(batch, cols))
+    }
+
+    /// The storage page of every column of the dense `batch` under the
+    /// size-based picker ([`best_page`]), and the batch's sketch from the
+    /// same codec race: a partition pays one race per column, not two.
+    pub(crate) fn with_pages(batch: &RecordBatch) -> (WireSketch, Vec<EncodedPage>) {
+        debug_assert!(batch.selection().is_none(), "partitions are dense");
+        let (cols, pages) = (batch.columns().iter())
+            .map(|col| {
+                let page = ColumnPlan::picked(col);
+                let wire = match &**col {
+                    ColumnData::Dict { dict, .. } => ColumnPlan::stream_ids(col.len(), dict),
+                    _ => page,
+                };
+                (wire, page.meta(col))
+            })
+            .unzip();
+        (WireSketch::over(batch, cols), pages)
+    }
+
+    /// Whether this sketch holds the plan of `batch`'s column `i` as it
+    /// stands: `batch` has no selection, and the sketch was taken over that
+    /// very column (`Arc` identity), whole.
+    pub fn covers(&self, batch: &RecordBatch, i: usize) -> bool {
+        self.plan_of(batch, i).is_some()
+    }
+
+    /// The plan [`WireSketch::covers`] promises.
+    fn plan_of(&self, batch: &RecordBatch, i: usize) -> Option<ColumnPlan> {
+        if batch.selection().is_some() {
+            return None;
+        }
+        let col = batch.columns().get(i)?;
+        let at = self.covered.iter().position(|c| Arc::ptr_eq(c, col))?;
+        Some(self.cols[at])
+    }
+
+    /// The sketch of `batch` from its column plans.
+    fn over(batch: &RecordBatch, cols: Vec<ColumnPlan>) -> WireSketch {
+        let covered = match batch.selection() {
+            Some(_) => Vec::new(),
+            None => batch.columns().to_vec(),
+        };
+        WireSketch {
             rows: batch.rows(),
             cols,
-        })
+            covered,
+        }
     }
 }
 
@@ -1863,11 +1943,16 @@ impl ColumnPlan {
     /// ids-only page into the (yet unnamed) shared dictionary, every other
     /// column's best self-contained page.
     fn wire(rows: Rows<'_>, scratch: &mut PlanScratch) -> Result<ColumnPlan> {
-        let ColumnData::Dict { dict, .. } = rows.col else {
-            return ColumnPlan::build(rows, None, true, scratch);
-        };
-        let ids = packed_id_bytes(rows.len(), id_bit_width(dict.len()));
-        Ok(ColumnPlan {
+        match rows.col {
+            ColumnData::Dict { dict, .. } => Ok(ColumnPlan::stream_ids(rows.len(), dict)),
+            _ => ColumnPlan::build(rows, None, true, scratch),
+        }
+    }
+
+    /// The ids-only wire page of `rows` ids into the stream's copy of `dict`.
+    fn stream_ids(rows: usize, dict: &Dictionary) -> ColumnPlan {
+        let ids = packed_id_bytes(rows, id_bit_width(dict.len()));
+        ColumnPlan {
             codec: PageCodec::Dict,
             frame: None,
             stream: Stream::Detached,
@@ -1875,7 +1960,7 @@ impl ColumnPlan {
             bytes: PAGE_HEADER_BYTES as u64 + 4 + 1 + ids,
             dict_bytes: 0,
             sketch: None,
-        })
+        }
     }
 }
 

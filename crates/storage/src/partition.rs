@@ -22,8 +22,10 @@
 //! The gap between the two is exactly the compression the cost model can
 //! now reward.
 
+use std::sync::Arc;
+
 use crate::batch::RecordBatch;
-use crate::pages::{self, EncodedPage};
+use crate::pages::{EncodedPage, WireSketch};
 use crate::pruning::ColumnBound;
 use crate::value::Value;
 
@@ -72,11 +74,16 @@ pub struct MicroPartition {
     /// a dict-encoded and a plain column holding the same strings produce
     /// identical page accounting.
     pub pages: Vec<EncodedPage>,
+    /// The wire plan of `batch`'s columns, taken from the codec race that
+    /// sized [`MicroPartition::pages`]: a scan morsel spanning the whole
+    /// partition ships it to the exchange instead of sketching again. Kept
+    /// current by whatever swaps `batch`'s columns.
+    pub wire: Arc<WireSketch>,
 }
 
 impl MicroPartition {
     /// Wraps a batch into a partition, computing its metadata (zone map,
-    /// decoded size, and per-column best-codec page sizes). Selected batches
+    /// decoded size, per-column best-codec page sizes and wire plan). Selected batches
     /// are compacted first — stored objects are dense.
     pub fn from_batch(batch: RecordBatch) -> MicroPartition {
         let batch = if batch.selection().is_some() {
@@ -86,11 +93,7 @@ impl MicroPartition {
         };
         let zone_map = ZoneMap::of(&batch);
         let stored_bytes = batch.byte_size() as u64;
-        let pages: Vec<EncodedPage> = batch
-            .columns()
-            .iter()
-            .map(|c| pages::best_page(c))
-            .collect();
+        let (wire, pages) = WireSketch::with_pages(&batch);
         let encoded_bytes = pages.iter().map(|p| p.encoded_bytes).sum();
         MicroPartition {
             batch,
@@ -98,6 +101,7 @@ impl MicroPartition {
             stored_bytes,
             encoded_bytes,
             pages,
+            wire: Arc::new(wire),
         }
     }
 

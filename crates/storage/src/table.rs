@@ -7,6 +7,7 @@ use ci_types::{CiError, Result, TableId};
 use crate::batch::RecordBatch;
 use crate::column::ColumnData;
 use crate::dict::Dictionary;
+use crate::pages::WireSketch;
 use crate::partition::MicroPartition;
 use crate::pruning::ColumnBound;
 use crate::schema::SchemaRef;
@@ -157,6 +158,11 @@ impl Table {
             }
             let batch = RecordBatch::from_arcs(part.batch.schema().clone(), columns)
                 .expect("dict encoding preserves shape");
+            // The swapped-in columns get ids-only wire plans; the others
+            // keep theirs.
+            let wire = WireSketch::reusing(&batch, &part.wire)
+                .expect("Plain is a candidate for every column");
+            part.wire = Arc::new(wire);
             part.batch = batch;
         }
         self
@@ -445,6 +451,42 @@ mod tests {
         // Reclustering preserves the shared dictionary.
         let re = t.reclustered_by(1, 2).unwrap();
         assert!(Arc::ptr_eq(re.column_dictionary(1).unwrap(), &dict));
+    }
+
+    /// Every partition's wire sketch is the sketch of its batch as it
+    /// stands, over its current column `Arc`s: after the builder, after
+    /// dict encoding swaps the string columns in, and after reclustering.
+    #[test]
+    fn partition_wire_sketches_track_their_batches() {
+        let schema = Arc::new(Schema::of(vec![
+            Field::new("id", DataType::Int64),
+            Field::new("grp", DataType::Utf8),
+            Field::new("x", DataType::Float64),
+            Field::new("hot", DataType::Bool),
+        ]));
+        let ids: Vec<i64> = vec![7, 1, 5, 3, 3, 9, 2];
+        let columns = vec![
+            ColumnData::Int64(ids.clone()),
+            ColumnData::Utf8(ids.iter().map(|i| format!("g{}", i % 3)).collect()),
+            ColumnData::Float64(ids.iter().map(|&i| i as f64 / 2.0).collect()),
+            ColumnData::Bool(ids.iter().map(|i| i % 2 == 0).collect()),
+        ];
+        let mut b = TableBuilder::new(TableId::new(0), "t", schema.clone(), 3).unwrap();
+        b.append(RecordBatch::new(schema, columns).unwrap())
+            .unwrap();
+        let check = |t: &Table, when: &str| {
+            for p in &t.partitions {
+                assert_eq!(*p.wire, WireSketch::of(&p.batch).unwrap(), "{when}");
+                let arity = p.batch.columns().len();
+                assert!((0..arity).all(|i| p.wire.covers(&p.batch, i)), "{when}");
+            }
+        };
+        let built = b.finish().unwrap();
+        check(&built, "built");
+        let dicted = built.dict_encoded();
+        assert!(dicted.column_dictionary(1).is_some());
+        check(&dicted, "dict encoded");
+        check(&dicted.reclustered_by(0, 2).unwrap(), "reclustered");
     }
 
     #[test]

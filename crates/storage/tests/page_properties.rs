@@ -1000,6 +1000,99 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Plan reuse. [`WireSketch::reusing`] takes a prior sketch's plan only
+    /// for the columns that sketch covers — the very `Arc`, whole, in a
+    /// batch without a selection — so whatever the prior, the reusing
+    /// sketch equals a fresh [`WireSketch::of`], and folded into a stream
+    /// (int frames reused across batches, dictionaries shipped once) it
+    /// gives the same bytes and blobs. Four priors: the batch's own sketch
+    /// and the sketch of a reordered batch sharing some of its columns
+    /// (the pass-through shape) reuse; a selected view over the same
+    /// columns and an equal-valued deep copy do not — nor does a selected
+    /// view reuse the plans of the dense batch behind it.
+    #[test]
+    fn reusing_sketches_fold_like_fresh_ones(
+        chunks in int_stream(),
+        seeds in proptest::collection::vec((any::<u64>(), any::<u8>()), 7),
+    ) {
+        use std::sync::Arc;
+        use ci_storage::schema::{Field, Schema};
+        use ci_storage::value::DataType;
+        use ci_storage::RecordBatch;
+        let schema = Arc::new(Schema::of(vec![
+            Field::new("i", DataType::Int64),
+            Field::new("j", DataType::Int64),
+            Field::new("d", DataType::Int64),
+            Field::new("f", DataType::Float64),
+            Field::new("b", DataType::Bool),
+            Field::new("s", DataType::Utf8),
+            Field::new("u", DataType::Utf8),
+        ]));
+        let arity = schema.arity();
+        let pool = ColumnData::Utf8((0..5).map(|i| format!("key-{i}")).collect()).dict_encoded();
+        let (pool_ids, dict) = pool.as_dict().unwrap();
+        let (mut fresh_tx, mut reuse_tx) = (WireEncoder::new(), WireEncoder::new());
+        let (mut fresh_size, mut reuse_size) = (WireEncoder::new(), WireEncoder::new());
+        for (ints, &(seed, shared)) in chunks.iter().zip(&seeds) {
+            let n = ints.len();
+            let pick = |i: usize| mix(seed, i as u64);
+            let batch = RecordBatch::new(schema.clone(), vec![
+                ColumnData::Int64(ints.clone()),
+                ColumnData::Int64(ints.iter().map(|x| x.wrapping_mul(3) ^ 1).collect()),
+                ColumnData::Int64(ints.iter().map(|x| x % 7).collect()),
+                ColumnData::Float64(ints.iter().map(|&x| (x % 3) as f64).collect()),
+                ColumnData::Bool(ints.iter().map(|x| x % 5 == 0).collect()),
+                ColumnData::Dict {
+                    ids: (0..n).map(|i| pool_ids[pick(i) as usize % pool_ids.len()]).collect(),
+                    dict: dict.clone(),
+                },
+                ColumnData::Utf8((0..n).map(|i| format!("u{}", pick(i) % 4)).collect()),
+            ]).unwrap();
+            let own = WireSketch::of(&batch).unwrap();
+            // The pass-through shape: columns rotated (a projection), the
+            // `shared` ones the batch's own `Arc`s, the rest reversed copies.
+            let reversed: Vec<usize> = (0..n).rev().collect();
+            let perm: Vec<usize> = (0..arity).map(|p| (p + seed as usize) % arity).collect();
+            let kept = |i: usize| shared >> i & 1 == 1;
+            let passed = RecordBatch::from_arcs(
+                Arc::new(schema.project(&perm)),
+                perm.iter().map(|&i| match kept(i) {
+                    true => batch.column_arc(i).clone(),
+                    false => Arc::new(batch.column(i).take(&reversed)),
+                }).collect(),
+            ).unwrap();
+            let deep = RecordBatch::new(
+                schema.clone(),
+                batch.columns().iter().map(|c| (**c).clone()).collect(),
+            ).unwrap();
+            let mut cases = vec![
+                (&batch, WireSketch::of(&passed).unwrap(), (0..arity).filter(|&i| kept(i)).count()),
+                (&batch, own.clone(), arity),
+                (&batch, WireSketch::of(&deep).unwrap(), 0),
+            ];
+            // Drops one row, so the view keeps a selection (n >= 2).
+            let view = batch.filter(&(0..n).map(|i| i != seed as usize % n.max(1)).collect::<Vec<_>>()).unwrap();
+            if view.selection().is_some() {
+                cases.push((&batch, WireSketch::of(&view).unwrap(), 0));
+                cases.push((&view, own, 0));
+            }
+            for (current, prior, reused) in cases {
+                let covered = (0..arity).filter(|&i| prior.covers(current, i)).count();
+                prop_assert_eq!(covered, reused, "columns the prior covers");
+                let sketch = WireSketch::reusing(current, &prior).unwrap();
+                prop_assert_eq!(&sketch, &WireSketch::of(current).unwrap());
+                let sized = reuse_size.sketched_wire_bytes(current, &sketch).unwrap();
+                prop_assert_eq!(sized, fresh_size.batch_wire_bytes(current).unwrap());
+                let blobs = reuse_tx.encode_sketched(current, &sketch).unwrap();
+                prop_assert_eq!(&blobs, &fresh_tx.encode_batch(current).unwrap());
+            }
+        }
+    }
+}
+
 /// The per-candidate derivations the one-pass column plan replaced, kept as
 /// the test oracle: every candidate rescans the column, ints hash every row
 /// into a SipHash set, and frame reuse rechecks every offset. Slow and

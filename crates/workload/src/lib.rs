@@ -10,6 +10,11 @@
 //! structure is what the Statistics Service summarizes and the What-If
 //! Service monetizes (§4).
 
+// Library code does not unwrap; CI's clippy step fails the day an unwrap
+// comes back. (`queries::instantiate` still panics on an unknown template
+// id, a caller's bug.)
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
+
 pub mod gen;
 pub mod queries;
 pub mod trace;

@@ -8,7 +8,7 @@
 
 use ci_types::DetRng;
 
-use crate::gen::{CabGenerator, CATEGORIES, DATE_DOMAIN, REGIONS, SEGMENTS};
+use crate::gen::{CabGenerator, DATE_DOMAIN, SEGMENTS};
 
 /// One parameterized query template.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -149,11 +149,10 @@ pub fn instantiate(id: usize, rng: &mut DetRng, gen: &CabGenerator) -> String {
 }
 
 /// A canonical (fixed-parameter) instance of each template, for tests and
-/// recurring-workload experiments. `region`/`category` parameters use the
-/// first domain value.
+/// recurring-workload experiments: the template's parameters drawn from a
+/// generator seeded by the template id alone.
 pub fn canonical(id: usize, gen: &CabGenerator) -> String {
     let mut rng = DetRng::seed_from_u64(0xCAB + id as u64);
-    let _ = (REGIONS, CATEGORIES); // domains documented here for reference
     instantiate(id, &mut rng, gen)
 }
 
