@@ -34,6 +34,8 @@
 //!
 //! Usage: `cargo run --release -p ci-bench --bin bench_micro`
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
+
 use std::time::Instant;
 
 use ci_bench::hotpath::{

@@ -22,6 +22,8 @@
 //! and saved there on clean exit, so a fleet of runs converges on this
 //! host's real rates.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
+
 use std::sync::Arc;
 
 use ci_bench::plan_query;
@@ -37,7 +39,7 @@ use ci_storage::schema::{Field, Schema};
 use ci_storage::table::TableBuilder;
 use ci_storage::value::DataType;
 use ci_storage::RecordBatch;
-use ci_types::{Dollars, Result, TableId};
+use ci_types::{CiError, Dollars, Result, TableId};
 
 const CHAOS_SEED: u64 = 42;
 const ROWS: usize = 60_000;
@@ -96,7 +98,7 @@ fn rates_arg() -> Result<Option<std::path::PathBuf>> {
     match args.as_slice() {
         [] => Ok(None),
         [flag, path] if flag == "--rates" => Ok(Some(path.into())),
-        _ => Err(ci_types::CiError::Config(
+        _ => Err(CiError::Config(
             "usage: e14_profile_query [--rates PATH]".into(),
         )),
     }
@@ -141,14 +143,15 @@ fn main() -> Result<()> {
 
     // The observability contract, checked live on every run of this bin.
     for (label, out) in [("simulate", &sim), ("parallel", &par)] {
-        let folded: Dollars = out.metrics.node_dollars.iter().copied().sum();
+        let folded: Dollars = out.metrics.nodes.iter().map(|n| n.dollars).sum();
         assert_eq!(
             folded, out.metrics.cost,
             "{label}: per-node dollars must fold bit-exactly to the bill"
         );
     }
-    let sim_trace = sim.trace.as_ref().expect("sim trace at Full");
-    let par_trace = par.trace.as_ref().expect("par trace at Full");
+    let untraced = |label: &str| CiError::Exec(format!("{label} run recorded no trace at Full"));
+    let sim_trace = sim.trace.as_ref().ok_or_else(|| untraced("simulate"))?;
+    let par_trace = par.trace.as_ref().ok_or_else(|| untraced("parallel"))?;
     assert_eq!(
         sim_trace.profile_text(),
         par_trace.profile_text(),
@@ -160,9 +163,9 @@ fn main() -> Result<()> {
     let trace_out = std::env::var("E14_TRACE_OUT").unwrap_or_else(|_| "e14_trace.json".into());
     let profile_out = std::env::var("E14_PROFILE_OUT").unwrap_or_else(|_| "e14_profile.txt".into());
     std::fs::write(&trace_out, par_trace.to_chrome_json())
-        .map_err(|e| ci_types::CiError::Config(format!("write {trace_out}: {e}")))?;
+        .map_err(|e| CiError::Config(format!("write {trace_out}: {e}")))?;
     std::fs::write(&profile_out, sim_trace.profile_text())
-        .map_err(|e| ci_types::CiError::Config(format!("write {profile_out}: {e}")))?;
+        .map_err(|e| CiError::Config(format!("write {profile_out}: {e}")))?;
 
     println!("{}", sim_trace.profile_text());
     println!("counters (virtual-time lane, mode-independent):");

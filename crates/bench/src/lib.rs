@@ -4,6 +4,8 @@
 //! the record it writes and gates ([`report`]). `e14_profile_query` writes
 //! a Perfetto trace and profile of one query.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used))]
+
 pub mod hotpath;
 
 use ci_catalog::{Catalog, ErrorInjector};

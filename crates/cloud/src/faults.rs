@@ -256,7 +256,8 @@ impl FaultPlan {
 }
 
 /// Every fault drawn for one morsel. Pure data; the engine turns it into
-/// billed recovery time and (in parallel mode) real re-execution.
+/// billed recovery time in every execution mode (morsel processing is
+/// pure, so a re-execution would only repeat the same trace).
 #[derive(Debug, Clone, PartialEq)]
 pub struct MorselFaults {
     /// Transient fetch failures before the fetch succeeds, each retried

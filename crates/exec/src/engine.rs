@@ -52,10 +52,10 @@
 //!   taken at the transfer step, where a column keeps the plan it already
 //!   has — from its partition, via a whole-partition scan morsel, or from
 //!   the previous transfer step when it passed through unchanged — and
-//!   only the rest are sketched afresh), per-node cardinalities and
-//!   busy seconds, recovery billing, tracer emission, and the progress
-//!   callbacks that resize the node set. It accumulates the pipeline's one
-//!   [`PipelineMetrics`] in place.
+//!   only the rest are sketched afresh), recovery billing (never a re-run:
+//!   processing is pure), trace events, and the progress callbacks that
+//!   resize the node set. It accumulates the pipeline's one
+//!   [`PipelineMetrics`] and the per-node [`QueryMetrics::nodes`] in place.
 //! * **the sink** — `Sink::feed` per trace, in morsel order (aggregate
 //!   folding is IEEE-float order-sensitive; build and sort buffers keep
 //!   arrival order), then `Sink::finalize` at the pipeline breaker.
@@ -77,7 +77,9 @@ use ci_cloud::faults::{FaultInjector, FaultPlan, MorselFaults};
 use ci_cloud::pricing::TierPricing;
 use ci_cloud::tiercache::{CacheAccess, CacheKey, TierCacheSim, TierLevel};
 use ci_cloud::work::WorkModels;
-use ci_obs::{Lane, NodeProfile, ProfileReport, Trace, TraceEvent, TraceLevel, WorkerBuffers};
+use ci_obs::{
+    Lane, MetricsRegistry, NodeProfile, ProfileReport, Trace, TraceEvent, TraceLevel, WorkerBuffers,
+};
 use ci_plan::expr::{ColMap, PlanExpr};
 use ci_plan::physical::{PhysicalOp, PhysicalPlan};
 use ci_plan::pipeline::{Pipeline, PipelineGraph, SinkKind};
@@ -96,7 +98,6 @@ use crate::operators::{
 };
 use crate::parallel::{TraceGuard, TraceStream, WorkerPool};
 use crate::scaling::{PipelineProgress, PipelineStart, ScaleDecision, ScalingController};
-use crate::trace::{NodeStats, Tracer};
 
 /// How morsels are really processed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -392,7 +393,7 @@ pub(crate) struct ChainCtx {
 #[cfg(test)]
 impl ChainCtx {
     /// Minimal pass-through context for pool tests: no steps, no scan
-    /// semantics, so `process_morsel` returns the batch as `Tail::Done` —
+    /// semantics, so `compute_morsel` returns the batch as `Tail::Done` —
     /// unless `panic_trap` matches the morsel's row count.
     pub(crate) fn test_passthrough(panic_trap: Option<u64>) -> ChainCtx {
         ChainCtx {
@@ -507,8 +508,11 @@ impl ChainCtx {
     }
 
     /// The compute stage: runs `morsel`'s fetched batch through the operator
-    /// chain, producing the morsel's trace. See [`ChainCtx::process_morsel`]
-    /// for where the chain stops.
+    /// chain, producing the morsel's trace.
+    ///
+    /// Pure in every caller: processing stops at the first `LIMIT` step
+    /// ([`Tail::AtLimit`]), which needs the driver's remaining-rows state,
+    /// and the driver finishes the chain via [`ChainCtx::complete_trace`].
     pub(crate) fn compute_morsel(
         &self,
         morsel: &Morsel,
@@ -541,15 +545,6 @@ impl ChainCtx {
             samples,
             wall_ns,
         })
-    }
-
-    /// Processes one morsel through fetch + compute, producing its trace.
-    ///
-    /// Pure in every caller: processing stops at the first `LIMIT` step
-    /// ([`Tail::AtLimit`]), which needs the driver's remaining-rows state,
-    /// and the driver finishes the chain via [`ChainCtx::complete_trace`].
-    pub(crate) fn process_morsel(&self, morsel: &Morsel) -> Result<MorselTrace> {
-        self.compute_morsel(morsel, self.fetch_morsel(morsel)?)
     }
 
     /// Resumes a trace that stopped at a `LIMIT` step: cuts the batch
@@ -697,27 +692,18 @@ impl TraceSource {
     }
 
     /// The complete trace of morsel `mi`. Morsels are asked for in index
-    /// order, each once — the order a pooled stream yields them in. With
-    /// `rerun`, a pooled trace is discarded and the morsel re-executed on
-    /// the driver — the recovery path of a preempted worker (its morsel is
-    /// reassigned) or of a hedge that beat its straggler (the speculative
-    /// duplicate replaces the slow attempt). Processing is pure, so the replica is bit-identical to the
-    /// attempt it replaces: recovery changes the bill, never the answer.
-    /// The inline feed has no second worker to lose; its recovery is billed
-    /// only.
-    fn trace(&mut self, mi: usize, rerun: bool) -> Result<MorselTrace> {
-        let morsel = &self.morsels[mi];
+    /// order, each once — the order a pooled stream yields them in.
+    /// Processing is pure, so a preempted worker's or a hedged straggler's
+    /// replacement attempt would produce this very trace: recovery is
+    /// billed by the ledger, in both feeds, and never changes the answer.
+    fn trace(&mut self, mi: usize) -> Result<MorselTrace> {
         let t = match &mut self.feed {
-            TraceFeed::Inline => self.ctx.process_morsel(morsel)?,
-            TraceFeed::Pooled(stream) => {
-                let pooled = stream.next();
-                if rerun {
-                    drop(pooled);
-                    self.ctx.process_morsel(morsel)?
-                } else {
-                    pooled?
-                }
+            TraceFeed::Inline => {
+                let morsel = &self.morsels[mi];
+                self.ctx
+                    .compute_morsel(morsel, self.ctx.fetch_morsel(morsel)?)?
             }
+            TraceFeed::Pooled(stream) => stream.next()?,
         };
         self.ctx.complete_trace(t, &mut self.limit)
     }
@@ -749,13 +735,18 @@ struct QueryRun<'q> {
     plan: &'q PhysicalPlan,
     /// Materialized breaker outputs and hash tables, by plan-node index.
     states: HashMap<usize, Arc<NodeState>>,
-    /// True output rows per plan node.
-    node_actual: Vec<u64>,
-    node_stats: Vec<NodeStats>,
+    /// The per-plan-node record, accumulated by the ledger (`dollars` once
+    /// the bill is known). Recovery and per-morsel overhead are charged to
+    /// the pipeline's *source* node, where the morsel originates.
+    nodes: Vec<NodeProfile>,
     result_batches: Vec<RecordBatch>,
     /// Measured operator samples, in canonical (pipeline, morsel) order.
     op_samples: Vec<OpSample>,
-    tracer: Tracer,
+    /// Recording level; every call site gates event construction on it.
+    trace: TraceLevel,
+    /// Driver-lane events, in emission (= canonical accounting) order.
+    events: Vec<TraceEvent>,
+    registry: MetricsRegistry,
     /// The worker pool of [`ExecutionMode::Parallel`], resolved once per
     /// query: back-to-back queries (and every pipeline of this one) reuse
     /// the same parked threads.
@@ -810,11 +801,19 @@ impl<'q> QueryRun<'q> {
         Ok(QueryRun {
             plan,
             states: HashMap::new(),
-            node_actual: vec![0u64; plan.nodes.len()],
-            node_stats: vec![NodeStats::default(); plan.nodes.len()],
+            nodes: (plan.nodes.iter().enumerate())
+                .map(|(index, n)| NodeProfile {
+                    index,
+                    label: n.op.name(),
+                    est_rows: n.est_rows,
+                    ..NodeProfile::default()
+                })
+                .collect(),
             result_batches: Vec::new(),
             op_samples: Vec::new(),
-            tracer: Tracer::new(config.trace),
+            trace: config.trace,
+            events: Vec::new(),
+            registry: MetricsRegistry::new(),
             pool,
             worker_lanes,
             page_store,
@@ -822,31 +821,49 @@ impl<'q> QueryRun<'q> {
         })
     }
 
-    /// Closes the recording: planned-vs-actual instants, the worker lanes,
-    /// and the per-node profile. `None` when tracing is off.
+    /// Closes the recording: planned-vs-actual instants, the counters (read
+    /// once off the finished metrics), the worker lanes, and the per-node
+    /// profile. `None` when tracing is off.
     fn into_trace(mut self, graph: &PipelineGraph, metrics: &QueryMetrics) -> Option<Trace> {
-        if !self.tracer.on() {
+        if !self.trace.enabled() {
             return None;
         }
         let plan = self.plan;
         // Planned-vs-actual deviation, one instant per plan node on the
         // plan lane (spread 1 µs apart so viewers don't stack them).
-        for (i, node) in plan.nodes.iter().enumerate() {
-            let name = format!("{} #{i}", node.op.name());
-            self.tracer.push(
-                TraceEvent::instant(name, "plan", Lane::Plan, i as u64)
-                    .arg("est_rows", node.est_rows)
-                    .arg("actual_rows", metrics.node_actual_rows[i])
-                    .arg("busy_secs", metrics.node_busy_secs[i])
-                    .arg("dollars", metrics.node_dollars[i].amount()),
+        for n in &metrics.nodes {
+            let name = format!("{} #{}", n.label, n.index);
+            self.events.push(
+                TraceEvent::instant(name, "plan", Lane::Plan, n.index as u64)
+                    .arg("est_rows", n.est_rows)
+                    .arg("actual_rows", n.actual_rows)
+                    .arg("busy_secs", n.busy_secs)
+                    .arg("dollars", n.dollars.amount()),
             );
         }
-        self.tracer.count("result_rows", metrics.result_rows);
-        self.tracer
-            .count("resize_events", metrics.resize_events as u64);
+        // Counters are read off the finished metrics, once; the tier
+        // counters exist only when tiers are priced.
+        let sum = |f: fn(&PipelineMetrics) -> u64| metrics.pipelines.iter().map(f).sum::<u64>();
+        for (name, v) in [
+            ("morsels", sum(|m| m.morsels as u64)),
+            ("fetch_retries", sum(|m| m.fetch_retries.into())),
+            ("hedged_morsels", sum(|m| m.hedged_morsels.into())),
+            ("faults_injected", sum(|m| m.faults_injected.into())),
+            ("result_rows", metrics.result_rows),
+            ("resize_events", metrics.resize_events.into()),
+            ("tier_mem_hits", sum(|m| m.tier_mem_hits.into())),
+            ("tier_ssd_hits", sum(|m| m.tier_ssd_hits.into())),
+            ("tier_misses", sum(|m| m.tier_misses.into())),
+            ("tier_promotions", sum(|m| m.tier_promotions.into())),
+            ("tier_evictions", sum(|m| m.tier_evictions.into())),
+        ] {
+            if self.tier_sim.is_some() || !name.starts_with("tier_") {
+                self.registry.count(name, v);
+            }
+        }
         // Wall-clock worker lanes recorded by the pool, in worker order.
         if let Some((bufs, _)) = &self.worker_lanes {
-            self.tracer.events.extend(bufs.drain());
+            self.events.extend(bufs.drain());
         }
         let profile = ProfileReport {
             query: format!(
@@ -859,30 +876,12 @@ impl<'q> QueryRun<'q> {
             machine_secs: metrics.machine_time.as_secs_f64(),
             cost: metrics.cost,
             result_rows: metrics.result_rows,
-            nodes: plan
-                .nodes
-                .iter()
-                .zip(&self.node_stats)
-                .enumerate()
-                .map(|(i, (n, stats))| NodeProfile {
-                    index: i,
-                    label: n.op.name().to_owned(),
-                    est_rows: n.est_rows,
-                    actual_rows: metrics.node_actual_rows[i],
-                    busy_secs: stats.busy_secs,
-                    dollars: metrics.node_dollars[i],
-                    fetch_bytes: stats.fetch_bytes,
-                    decoded_bytes: stats.decoded_bytes,
-                    wire_bytes: stats.wire_bytes,
-                    retries: stats.retries,
-                    recovery_us: stats.recovery_us,
-                })
-                .collect(),
+            nodes: metrics.nodes.clone(),
         };
         Some(Trace {
-            level: self.tracer.level,
-            events: self.tracer.events,
-            registry: self.tracer.registry,
+            level: self.trace,
+            events: self.events,
+            registry: self.registry,
             profile,
         })
     }
@@ -975,20 +974,21 @@ impl<'a> Executor<'a> {
         };
 
         // Dollar attribution: prorate the (lease-based) bill over measured
-        // node busy time. `node_stats` was accumulated by the ledger in
+        // node busy time. Busy time was accumulated by the ledger in
         // canonical morsel order, so the shares — and their bit-exact fold
         // back to `cost` — are identical across execution modes.
-        let node_busy_secs: Vec<f64> = q.node_stats.iter().map(|s| s.busy_secs).collect();
-        let node_dollars = attribute_node_dollars(cost, &node_busy_secs, plan.root);
+        let busy: Vec<f64> = q.nodes.iter().map(|n| n.busy_secs).collect();
+        let dollars = attribute_node_dollars(cost, &busy, plan.root);
+        for (n, d) in q.nodes.iter_mut().zip(dollars) {
+            n.dollars = d;
+        }
         let metrics = QueryMetrics {
             latency,
             machine_time,
             cost,
             resize_events: all_metrics.iter().map(|m| m.resizes).sum(),
             pipelines: all_metrics,
-            node_actual_rows: std::mem::take(&mut q.node_actual),
-            node_busy_secs,
-            node_dollars,
+            nodes: std::mem::take(&mut q.nodes),
             result_rows: result.rows() as u64,
         };
         let op_samples = std::mem::take(&mut q.op_samples);
@@ -1230,7 +1230,7 @@ impl<'a> Executor<'a> {
             let mut bill = ledger.assign(mi, morsel)?;
             ledger.tier_access(&mut bill)?;
             ledger.draw_faults(&mut bill);
-            let mut trace = traces.trace(mi, bill.rerun())?;
+            let mut trace = traces.trace(mi)?;
             ledger.charge_source(&mut trace, &mut bill);
             ledger.charge_steps(&trace.steps, &mut bill)?;
             let Tail::Done(batch) = trace.tail else {
@@ -1357,18 +1357,6 @@ struct MorselBill<'m> {
     /// re-runs repeat the *fetch*, not the whole morsel's CPU.
     fetch_secs: f64,
     secs: f64,
-}
-
-impl MorselBill<'_> {
-    /// Whether recovery replaces the morsel's first attempt (see
-    /// [`TraceSource::trace`]).
-    fn rerun(&self) -> bool {
-        let lost = self
-            .faults
-            .as_ref()
-            .is_some_and(|f| f.worker_lost.is_some());
-        lost || self.hedge == Some(true)
-    }
 }
 
 /// The accounting stage of one pipeline run: owns the node slots and their
@@ -1594,8 +1582,8 @@ impl<'a, 'q> Ledger<'a, 'q> {
             cpu += w.filter_secs(trace.source_rows as f64);
         }
         bill.secs += cpu;
-        self.q.node_actual[self.p.source()] += trace.src_post_rows;
-        let src = &mut self.q.node_stats[self.p.source()];
+        let src = &mut self.q.nodes[self.p.source()];
+        src.actual_rows += trace.src_post_rows;
         src.busy_secs += fetch + cpu;
         src.fetch_bytes += morsel.fetch_bytes as u64;
         src.decoded_bytes += morsel.decode_bytes as u64;
@@ -1609,8 +1597,8 @@ impl<'a, 'q> Ledger<'a, 'q> {
                 Step::Filter { node, .. } | Step::Project { node, .. } => {
                     let cpu = w.filter_secs(st.rows_in as f64);
                     bill.secs += cpu;
-                    self.q.node_stats[node].busy_secs += cpu;
-                    self.q.node_actual[node] += st.rows_out;
+                    self.q.nodes[node].busy_secs += cpu;
+                    self.q.nodes[node].actual_rows += st.rows_out;
                 }
                 Step::Exchange { node } => {
                     // Shuffling serializes rows onto the wire: the payload
@@ -1621,7 +1609,7 @@ impl<'a, 'q> Ledger<'a, 'q> {
                     let cpu = w.exchange_cpu_secs(st.rows_in as f64)
                         + w.exchange_wire_secs(wire_bytes as f64, self.m.dop_final);
                     bill.secs += cpu;
-                    self.q.node_stats[node].busy_secs += cpu;
+                    self.q.nodes[node].busy_secs += cpu;
                 }
                 Step::Gather { node } => {
                     // Gather is a network materialization point like
@@ -1633,11 +1621,11 @@ impl<'a, 'q> Ledger<'a, 'q> {
                     // Probe plus output materialization cost.
                     let cpu = w.probe_secs(st.rows_in as f64) + w.filter_secs(st.rows_out as f64);
                     bill.secs += cpu;
-                    self.q.node_stats[join_node].busy_secs += cpu;
-                    self.q.node_actual[join_node] += st.rows_out;
+                    self.q.nodes[join_node].busy_secs += cpu;
+                    self.q.nodes[join_node].actual_rows += st.rows_out;
                 }
                 Step::Limit { node } => {
-                    self.q.node_actual[node] += st.rows_out;
+                    self.q.nodes[node].actual_rows += st.rows_out;
                 }
             }
         }
@@ -1655,8 +1643,8 @@ impl<'a, 'q> Ledger<'a, 'q> {
         let wire_bytes = self.wire.sketched_wire_bytes(shipped, sketch)?;
         self.m.exchange_wire_bytes += wire_bytes;
         self.m.exchange_decoded_bytes += shipped.byte_size() as u64;
-        self.q.node_stats[node].wire_bytes += wire_bytes;
-        self.q.node_actual[node] += st.rows_out;
+        self.q.nodes[node].wire_bytes += wire_bytes;
+        self.q.nodes[node].actual_rows += st.rows_out;
         Ok(wire_bytes)
     }
 
@@ -1676,7 +1664,7 @@ impl<'a, 'q> Ledger<'a, 'q> {
         self.m.sink_rows_physical += batch.physical_rows() as u64;
         if let Some(cpu) = sink.feed_secs(&self.config.models, batch.rows() as f64) {
             bill.secs += cpu;
-            self.q.node_stats[sink.node()].busy_secs += cpu;
+            self.q.nodes[sink.node()].busy_secs += cpu;
         }
         // A morsel that filtered down to zero rows leaves the chain early,
         // so its (empty) batch may still carry an upstream schema;
@@ -1695,7 +1683,7 @@ impl<'a, 'q> Ledger<'a, 'q> {
     /// error path, never the answer.
     fn settle(&mut self, source_rows: u64, bill: MorselBill<'_>) -> Result<SimTime> {
         let w = &self.config.models;
-        let src = &mut self.q.node_stats[self.p.source()];
+        let src = &mut self.q.nodes[self.p.source()];
         let (fetch_secs, secs, fetch_bytes) =
             (bill.fetch_secs, bill.secs, bill.morsel.fetch_bytes as u64);
         let mut recovery_secs = 0.0;
@@ -1768,7 +1756,7 @@ impl<'a, 'q> Ledger<'a, 'q> {
         let now = slot.free;
         self.m.busy += span;
         self.m.morsels += 1;
-        if self.q.tracer.on() {
+        if self.q.trace.enabled() {
             self.trace_morsel(&bill, source_rows, recovery_secs, span);
         }
         Ok(now)
@@ -1784,7 +1772,7 @@ impl<'a, 'q> Ledger<'a, 'q> {
         recovery_secs: f64,
         span: SimDuration,
     ) {
-        let (tracer, mi) = (&mut self.q.tracer, bill.mi);
+        let (q, mi) = (&mut *self.q, bill.mi);
         let lane = Lane::Pipeline(self.p.id.index() as u32);
         let t0 = bill.assigned_at.since(SimTime::ZERO).as_micros();
         let fetch_us = SimDuration::from_secs_f64(bill.fetch_secs).as_micros();
@@ -1796,9 +1784,9 @@ impl<'a, 'q> Ledger<'a, 'q> {
             if let Some((a, _)) = &bill.tier {
                 ev = ev.arg("tier", a.level.code());
             }
-            tracer.push(ev);
+            q.events.push(ev);
         }
-        tracer.push(
+        q.events.push(
             TraceEvent::span(
                 format!("compute m{mi}"),
                 "compute",
@@ -1810,7 +1798,7 @@ impl<'a, 'q> Ledger<'a, 'q> {
             .arg("rows", source_rows),
         );
         if recovery_secs > 0.0 {
-            tracer.push(TraceEvent::span(
+            q.events.push(TraceEvent::span(
                 format!("recovery m{mi}"),
                 "recovery",
                 lane,
@@ -1825,16 +1813,16 @@ impl<'a, 'q> Ledger<'a, 'q> {
                 if let Some(m) = magnitude {
                     ev = ev.arg("magnitude", m);
                 }
-                tracer.push(ev);
+                q.events.push(ev);
             }
             if let Some(win) = bill.hedge {
-                tracer.push(
+                q.events.push(
                     TraceEvent::instant("hedge", "fault", lane, t0).arg("win", u64::from(win)),
                 );
             }
         }
-        tracer.observe("morsel_span_us", span.as_micros());
-        tracer.observe("morsel_rows", source_rows);
+        q.registry.observe("morsel_span_us", span.as_micros());
+        q.registry.observe("morsel_rows", source_rows);
     }
 
     /// Progress callback: reports to the scaling controller and applies its
@@ -1862,8 +1850,8 @@ impl<'a, 'q> Ledger<'a, 'q> {
             return;
         }
         self.m.resizes += 1;
-        if self.q.tracer.on() {
-            self.q.tracer.push(
+        if self.q.trace.enabled() {
+            self.q.events.push(
                 TraceEvent::instant(
                     "resize",
                     "scale",
@@ -1900,7 +1888,7 @@ impl<'a, 'q> Ledger<'a, 'q> {
     }
 
     /// Closes the books: the finish time, the serial gather, the sink
-    /// finalizer, and the pipeline's driver-lane span and counters. Returns
+    /// finalizer, and the pipeline's driver-lane span. Returns
     /// the node slots (their leases still open) and the metrics.
     fn finish(mut self, sink: Sink) -> Result<(Vec<NodeSlot>, PipelineMetrics)> {
         // Pipeline work finishes when the last node that actually processed
@@ -1922,19 +1910,19 @@ impl<'a, 'q> Ledger<'a, 'q> {
                 Step::Gather { node } => Some(*node),
                 _ => None,
             }) {
-                self.q.node_stats[g].busy_secs += cpu;
+                self.q.nodes[g].busy_secs += cpu;
             }
         }
         finish += sink.finalize(&mut self)?;
         self.m.finish = finish;
         self.m.released = finish; // adjusted after consumers are scheduled
 
-        // Pipeline extent on the driver lane, plus per-pipeline counters.
-        let (tracer, m) = (&mut self.q.tracer, &self.m);
-        if tracer.on() {
+        // Pipeline extent on the driver lane.
+        let m = &self.m;
+        if self.q.trace.enabled() {
             let t0 = m.start.since(SimTime::ZERO).as_micros();
             let end = finish.since(SimTime::ZERO).as_micros();
-            tracer.push(
+            self.q.events.push(
                 TraceEvent::span(
                     format!("pipeline {}", m.id.index()),
                     "pipeline",
@@ -1946,17 +1934,6 @@ impl<'a, 'q> Ledger<'a, 'q> {
                 .arg("dop", u64::from(m.dop_final))
                 .arg("source_rows", m.source_rows),
             );
-            tracer.count("morsels", m.morsels as u64);
-            tracer.count("fetch_retries", u64::from(m.fetch_retries));
-            tracer.count("hedged_morsels", u64::from(m.hedged_morsels));
-            tracer.count("faults_injected", u64::from(m.faults_injected));
-            if self.q.tier_sim.is_some() {
-                tracer.count("tier_mem_hits", u64::from(m.tier_mem_hits));
-                tracer.count("tier_ssd_hits", u64::from(m.tier_ssd_hits));
-                tracer.count("tier_misses", u64::from(m.tier_misses));
-                tracer.count("tier_promotions", u64::from(m.tier_promotions));
-                tracer.count("tier_evictions", u64::from(m.tier_evictions));
-            }
         }
         Ok((self.slots, self.m))
     }
@@ -2057,8 +2034,8 @@ impl Sink {
             Sink::Result { .. } => return Ok(SimDuration::ZERO),
         };
         let q = &mut *ledger.q;
-        q.node_stats[node].busy_secs += cpu;
-        q.node_actual[node] += out.rows() as u64;
+        q.nodes[node].busy_secs += cpu;
+        q.nodes[node].actual_rows += out.rows() as u64;
         q.states.insert(node, Arc::new(NodeState::Output(out)));
         Ok(SimDuration::from_secs_f64(cpu))
     }

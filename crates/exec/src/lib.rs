@@ -25,15 +25,18 @@
 //!
 //! Fault tolerance: a seeded [`ci_cloud::faults::FaultPlan`] (set on
 //! [`engine::ExecutionConfig::faults`]) injects transient fetch failures,
-//! throttling, stragglers, and worker preemption. The engine recovers with bounded-backoff retries, hedged
-//! re-execution of stragglers, and morsel reassignment — recoverable
-//! schedules reproduce the fault-free rows bit-for-bit, and every recovery
-//! second is billed into the cost accounting.
+//! throttling, stragglers, and worker preemption. The engine bills recovery
+//! as bounded-backoff retries, hedged duplicates of stragglers, and morsel
+//! reassignment; morsel processing is pure, so recovery is never re-run —
+//! recoverable schedules reproduce the fault-free rows bit-for-bit, and
+//! every recovery second is billed into the cost accounting.
 //!
 //! Observability: [`engine::ExecutionConfig::trace`] at `Spans` or `Full`
 //! records structured spans on a dual clock — deterministic virtual-time
-//! driver lanes, wall-clock worker lanes — plus a metrics registry and per-plan-node dollar attribution
-//! (`QueryMetrics::node_dollars`, summing bit-exactly to the query bill).
+//! driver lanes, wall-clock worker lanes — plus a metrics registry read off
+//! the finished metrics. Per-plan-node records (`QueryMetrics::nodes`: rows,
+//! bytes, busy seconds, and dollars summing bit-exactly to the query bill)
+//! are kept whether or not the query is traced.
 //! See `ci-obs` for the exporters.
 
 // Library code reports bad plans and impossible operator states as
@@ -47,7 +50,6 @@ pub mod metrics;
 pub mod operators;
 pub mod parallel;
 pub mod scaling;
-mod trace;
 
 pub use ci_cloud::faults::{FaultInjector, FaultPlan, FaultProfile};
 pub use ci_cloud::pricing::TierPricing;

@@ -3,9 +3,10 @@
 //! §4 requires "a lightweight profiling tool that can attribute the run-time
 //! resource measures to logical database tasks easily". The engine
 //! attributes virtual machine time at morsel granularity to pipelines and
-//! plan nodes, and surfaces true cardinalities — the inputs to the DOP
-//! monitor and the Statistics Service.
+//! plan nodes, and surfaces true cardinalities: per pipeline for the DOP
+//! monitor, per plan node for the profile report.
 
+use ci_obs::NodeProfile;
 use ci_types::money::Dollars;
 use ci_types::{PipelineId, SimDuration, SimTime};
 
@@ -141,18 +142,13 @@ pub struct QueryMetrics {
     pub cost: Dollars,
     /// Per-pipeline breakdown.
     pub pipelines: Vec<PipelineMetrics>,
-    /// True output rows per physical plan node (indexed by node id) —
-    /// the run-time cardinalities the monitor and statistics service use.
-    pub node_actual_rows: Vec<u64>,
-    /// Virtual seconds each physical plan node kept the machine busy
-    /// (indexed by node id): fetch + decode + operator work + the recovery
-    /// and per-morsel overhead charged to it. Accumulated by the driver in
-    /// canonical morsel order, so bit-identical across execution modes.
-    pub node_busy_secs: Vec<f64>,
-    /// Each node's share of [`QueryMetrics::cost`], prorated over
-    /// `node_busy_secs` (see [`attribute_node_dollars`]). The left fold of
-    /// this vector equals `cost` bit-exactly.
-    pub node_dollars: Vec<Dollars>,
+    /// One record per physical plan node (indexed by node id): true output
+    /// rows, busy seconds, bytes, retries, and its share of `cost`
+    /// (prorated over busy time by [`attribute_node_dollars`], folding back
+    /// to `cost` bit-exactly). Accumulated in canonical morsel order, so
+    /// bit-identical across execution modes. The profile report and the
+    /// trace's plan lane are built from it; no controller reads it.
+    pub nodes: Vec<NodeProfile>,
     /// Total resize operations (initial acquisitions excluded).
     pub resize_events: u32,
     /// Rows in the final result.

@@ -18,7 +18,8 @@ use std::sync::Arc;
 
 use ci_catalog::{Catalog, ErrorInjector};
 use ci_exec::{
-    ExecutionConfig, ExecutionMode, Executor, FaultPlan, FaultProfile, NoScaling, QueryOutcome,
+    ExecutionConfig, ExecutionMode, Executor, FaultPlan, FaultProfile, NoScaling, PipelineMetrics,
+    QueryOutcome, TierPricing, TraceLevel,
 };
 use ci_plan::{bind, JoinTree, PhysicalPlan, PipelineGraph};
 use ci_sql::parse;
@@ -120,6 +121,11 @@ fn run_faulted(
     exec.execute(&plan, &graph, &dops, &mut NoScaling)
 }
 
+/// True output rows per plan node.
+fn node_rows(q: &QueryOutcome) -> Vec<u64> {
+    q.metrics.nodes.iter().map(|n| n.actual_rows).collect()
+}
+
 /// Whole-query fault-event total.
 fn faults_total(q: &QueryOutcome) -> u32 {
     q.metrics.pipelines.iter().map(|p| p.faults_injected).sum()
@@ -139,9 +145,9 @@ fn assert_equivalent(sim: &QueryOutcome, par: &QueryOutcome, label: &str) -> Res
         "{label}: machine_time"
     );
     prop_assert_eq!(
-        &par.metrics.node_actual_rows,
-        &sim.metrics.node_actual_rows,
-        "{label}: node cardinalities"
+        &par.metrics.nodes,
+        &sim.metrics.nodes,
+        "{label}: per-node records"
     );
     prop_assert_eq!(
         par.metrics.pipelines.len(),
@@ -180,8 +186,8 @@ proptest! {
 
         prop_assert_eq!(&chaos.result, &clean.result, "{label}: result rows");
         prop_assert_eq!(
-            &chaos.metrics.node_actual_rows,
-            &clean.metrics.node_actual_rows,
+            node_rows(&chaos),
+            node_rows(&clean),
             "{label}: node cardinalities"
         );
         prop_assert!(
@@ -265,9 +271,10 @@ fn chaos_actually_injects_and_bills() {
 }
 
 /// Per-node dollar attribution is part of the determinism contract: under
-/// chaos, every query's `node_dollars` fold back to the total bill
-/// *bit-exactly*, and the attribution (plus the busy-time basis behind it)
-/// is bit-identical across Simulate and Parallel at 2 and 4 workers.
+/// chaos, every query's per-node dollars fold back to the total bill
+/// *bit-exactly*, and the per-node records (the attribution and the
+/// busy-time basis behind it) are bit-identical across Simulate and
+/// Parallel at 2 and 4 workers.
 #[test]
 fn node_dollar_attribution_sums_exactly_to_cost() {
     use ci_types::Dollars;
@@ -292,19 +299,116 @@ fn node_dollar_attribution_sums_exactly_to_cost() {
             )
             .unwrap(),
         ] {
-            let total: Dollars = out.metrics.node_dollars.iter().copied().sum();
+            let total: Dollars = out.metrics.nodes.iter().map(|n| n.dollars).sum();
             assert_eq!(
                 total, out.metrics.cost,
                 "[{sql}] node dollars must fold bit-exactly to the bill"
             );
             assert_eq!(
-                &out.metrics.node_dollars, &sim.metrics.node_dollars,
-                "[{sql}] attribution must be mode-independent"
+                &out.metrics.nodes, &sim.metrics.nodes,
+                "[{sql}] attribution and its busy-time basis must be mode-independent"
+            );
+        }
+    }
+}
+
+/// Recovery is billed, never re-run: under a profile that preempts the
+/// worker of *every* morsel and hedges every straggler to a win, the pooled
+/// feed at 2 and 4 workers still reports exactly what `Simulate` reports —
+/// rows, bill, per-node records, and every pipeline counter but the three
+/// that describe the host (wall clock and pool identity).
+#[test]
+fn total_worker_loss_and_winning_hedges_match_simulate() {
+    let profile = FaultProfile {
+        straggler_rate: 1.0,
+        // Every straggler draw (≥ 1.5) crosses the threshold, and the hedge
+        // finishes at 1 + hedge_detect_frac = 1.25 — always first.
+        hedge_threshold: 1.5,
+        worker_loss_rate: 1.0,
+        ..FaultProfile::light()
+    };
+    let cat = catalog();
+    for sql in QUERIES {
+        let plan = Some(FaultPlan::new(7, profile.clone()));
+        let sim = run_faulted(&cat, sql, ExecutionMode::Simulate, plan.clone()).unwrap();
+        let morsels: usize = sim.metrics.pipelines.iter().map(|p| p.morsels).sum();
+        let hedged: u32 = sim.metrics.pipelines.iter().map(|p| p.hedged_morsels).sum();
+        assert_eq!(hedged as usize, morsels, "[{sql}] every morsel hedges");
+        assert!(faults_total(&sim) as usize >= 2 * morsels, "[{sql}]");
+        for workers in [2, 4] {
+            let mode = ExecutionMode::Parallel { workers };
+            let par = run_faulted(&cat, sql, mode, plan.clone()).unwrap();
+            let label = format!("workers={workers} [{sql}]");
+            assert_eq!(par.result, sim.result, "{label}: result rows");
+            assert_eq!(par.metrics.cost, sim.metrics.cost, "{label}: Dollars");
+            assert_eq!(
+                par.metrics.nodes, sim.metrics.nodes,
+                "{label}: per-node records"
             );
             assert_eq!(
-                &out.metrics.node_busy_secs, &sim.metrics.node_busy_secs,
-                "[{sql}] busy-time basis must be mode-independent"
+                par.metrics.pipelines.len(),
+                sim.metrics.pipelines.len(),
+                "{label}"
             );
+            for (pp, sp) in par.metrics.pipelines.iter().zip(&sim.metrics.pipelines) {
+                let mut masked = pp.clone();
+                masked.measured_wall_ns = sp.measured_wall_ns;
+                masked.pool_workers = sp.pool_workers;
+                masked.pool_reuses = sp.pool_reuses;
+                assert_eq!(&masked, sp, "{label}: pipeline {:?} metrics", sp.id);
+            }
+        }
+    }
+}
+
+/// A traced run's registry counters are the finished metrics, read once:
+/// each equals its sum over `metrics.pipelines` (or the whole-query field),
+/// and the `tier_*` counters exist exactly when tiers are priced.
+#[test]
+fn trace_counters_are_the_pipeline_sums() {
+    let cat = catalog();
+    let sql = QUERIES[2];
+    let (plan, graph) = plan_of(&cat, sql);
+    for tiers in [None, Some(TierPricing::standard())] {
+        let priced = tiers.is_some();
+        let exec = Executor::new(
+            &cat,
+            ExecutionConfig {
+                morsel_rows: 256,
+                faults: Some(FaultPlan::chaos(42)),
+                trace: TraceLevel::Spans,
+                tiers,
+                ..ExecutionConfig::default()
+            },
+        );
+        let out = exec
+            .execute(&plan, &graph, &vec![4; graph.len()], &mut NoScaling)
+            .unwrap();
+        let m = &out.metrics;
+        let registry = &out.trace.as_ref().expect("traced run").registry;
+        let sum = |f: fn(&PipelineMetrics) -> u64| m.pipelines.iter().map(f).sum::<u64>();
+        let mut expected = vec![
+            ("faults_injected", sum(|p| p.faults_injected.into())),
+            ("fetch_retries", sum(|p| p.fetch_retries.into())),
+            ("hedged_morsels", sum(|p| p.hedged_morsels.into())),
+            ("morsels", sum(|p| p.morsels as u64)),
+            ("resize_events", m.resize_events.into()),
+            ("result_rows", m.result_rows),
+        ];
+        if priced {
+            expected.extend([
+                ("tier_evictions", sum(|p| p.tier_evictions.into())),
+                ("tier_mem_hits", sum(|p| p.tier_mem_hits.into())),
+                ("tier_misses", sum(|p| p.tier_misses.into())),
+                ("tier_promotions", sum(|p| p.tier_promotions.into())),
+                ("tier_ssd_hits", sum(|p| p.tier_ssd_hits.into())),
+            ]);
+        }
+        let counters: Vec<(&str, u64)> = registry.counters().collect();
+        assert_eq!(counters, expected, "tiers priced: {priced}");
+        assert!(sum(|p| p.morsels as u64) > 0 && sum(|p| p.faults_injected.into()) > 0);
+        if priced {
+            assert!(sum(|p| p.tier_misses.into()) > 0, "a cold cache misses");
         }
     }
 }

@@ -217,7 +217,7 @@ fn true_cardinalities_recorded_per_node() {
         .execute(&plan, &graph, &vec![2; graph.len()], &mut NoScaling)
         .unwrap();
     // Scan node actual = post-filter rows.
-    assert_eq!(out.metrics.node_actual_rows[0], 200);
+    assert_eq!(out.metrics.nodes[0].actual_rows, 200);
 }
 
 #[test]
@@ -363,7 +363,7 @@ fn sort_limit_pushdown_keeps_results_and_trims_materialization() {
         .position(|n| matches!(n.op, ci_plan::physical::PhysicalOp::Sort { .. }))
         .expect("plan has a sort");
     assert_eq!(
-        out.metrics.node_actual_rows[sort_node], 7,
+        out.metrics.nodes[sort_node].actual_rows, 7,
         "LIMIT pushed into the sort sink"
     );
 }

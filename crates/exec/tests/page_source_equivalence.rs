@@ -165,12 +165,8 @@ fn assert_equivalent(base: &QueryOutcome, got: &QueryOutcome, label: &str) {
         "{label}: machine_time"
     );
     assert_eq!(
-        &got.metrics.node_actual_rows, &base.metrics.node_actual_rows,
-        "{label}: node cardinalities"
-    );
-    assert_eq!(
-        &got.metrics.node_dollars, &base.metrics.node_dollars,
-        "{label}: node dollar attribution"
+        &got.metrics.nodes, &base.metrics.nodes,
+        "{label}: per-node records (cardinalities, dollar attribution)"
     );
     assert_eq!(
         got.metrics.pipelines.len(),

@@ -146,9 +146,9 @@ fn assert_equivalent(sim: &QueryOutcome, par: &QueryOutcome, label: &str) -> Res
         "{label}: machine_time"
     );
     prop_assert_eq!(
-        &par.metrics.node_actual_rows,
-        &sim.metrics.node_actual_rows,
-        "{label}: node cardinalities"
+        &par.metrics.nodes,
+        &sim.metrics.nodes,
+        "{label}: per-node records"
     );
     prop_assert_eq!(
         par.metrics.resize_events,

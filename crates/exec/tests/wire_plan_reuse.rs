@@ -126,8 +126,8 @@ fn bill(out: &QueryOutcome) -> Bill {
     let m = &out.metrics;
     Bill {
         node_wire_bytes: profile.nodes.iter().map(|n| n.wire_bytes).collect(),
-        node_dollars: (m.node_dollars.iter())
-            .map(|d| d.amount().to_bits())
+        node_dollars: (m.nodes.iter())
+            .map(|n| n.dollars.amount().to_bits())
             .collect(),
         exchange_wire_bytes: m.pipelines.iter().map(|p| p.exchange_wire_bytes).collect(),
         cost: m.cost.amount().to_bits(),

@@ -6,12 +6,12 @@
 use ci_types::Dollars;
 
 /// One physical plan node's attributed measurements.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct NodeProfile {
     /// Plan node index (preorder position in the physical plan).
     pub index: usize,
     /// Operator label (e.g. `HashJoin`).
-    pub label: String,
+    pub label: &'static str,
     /// Planner's row estimate for this node.
     pub est_rows: f64,
     /// Rows the node actually produced.
@@ -118,7 +118,7 @@ mod tests {
     fn node(index: usize, dollars: f64) -> NodeProfile {
         NodeProfile {
             index,
-            label: format!("Op{index}"),
+            label: "Op",
             est_rows: 100.0,
             actual_rows: 90,
             busy_secs: 0.5,
