@@ -103,70 +103,11 @@ impl HardwareProfile {
     pub fn node_scan_bytes_per_sec(&self) -> f64 {
         self.scan_bytes_per_sec_per_core * self.node.cores as f64
     }
-
-    /// Validates that every rate is positive and finite; returns a
-    /// human-readable list of violations (empty = valid).
-    pub fn validate(&self) -> Vec<String> {
-        let mut problems = Vec::new();
-        let mut check = |name: &str, v: f64| {
-            if !(v.is_finite() && v > 0.0) {
-                problems.push(format!("{name} must be positive and finite, got {v}"));
-            }
-        };
-        check(
-            "scan_bytes_per_sec_per_core",
-            self.scan_bytes_per_sec_per_core,
-        );
-        check(
-            "filter_rows_per_sec_per_core",
-            self.filter_rows_per_sec_per_core,
-        );
-        check(
-            "hash_build_rows_per_sec_per_core",
-            self.hash_build_rows_per_sec_per_core,
-        );
-        check(
-            "hash_probe_rows_per_sec_per_core",
-            self.hash_probe_rows_per_sec_per_core,
-        );
-        check("agg_rows_per_sec_per_core", self.agg_rows_per_sec_per_core);
-        check(
-            "sort_rows_log_per_sec_per_core",
-            self.sort_rows_log_per_sec_per_core,
-        );
-        check(
-            "exchange_part_rows_per_sec_per_core",
-            self.exchange_part_rows_per_sec_per_core,
-        );
-        check("nic_bytes_per_sec", self.node.nic_bytes_per_sec);
-        check(
-            "object_store_bytes_per_sec",
-            self.node.object_store_bytes_per_sec,
-        );
-        if self.morsel_overhead_secs < 0.0 || !self.morsel_overhead_secs.is_finite() {
-            problems.push("morsel_overhead_secs must be non-negative".to_owned());
-        }
-        if self.pipeline_startup_secs < 0.0 || !self.pipeline_startup_secs.is_finite() {
-            problems.push("pipeline_startup_secs must be non-negative".to_owned());
-        }
-        if self.exchange_conn_setup_secs < 0.0 || !self.exchange_conn_setup_secs.is_finite() {
-            problems.push("exchange_conn_setup_secs must be non-negative".to_owned());
-        }
-        if self.node.cores == 0 {
-            problems.push("node must have at least one core".to_owned());
-        }
-        problems
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn standard_profile_is_valid() {
-        assert!(HardwareProfile::standard().validate().is_empty());
-    }
 
     #[test]
     fn node_rate_is_hourly_two_dollars() {
@@ -182,21 +123,5 @@ mod tests {
                 .abs()
                 < 1.0
         );
-    }
-
-    #[test]
-    fn validation_catches_bad_rates() {
-        let mut p = HardwareProfile::standard();
-        p.filter_rows_per_sec_per_core = 0.0;
-        p.morsel_overhead_secs = -1.0;
-        let problems = p.validate();
-        assert_eq!(problems.len(), 2, "{problems:?}");
-    }
-
-    #[test]
-    fn validation_catches_zero_cores() {
-        let mut p = HardwareProfile::standard();
-        p.node.cores = 0;
-        assert!(!p.validate().is_empty());
     }
 }

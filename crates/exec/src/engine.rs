@@ -30,20 +30,20 @@
 //!   projections, probes, transfer-point compaction) recorded into a
 //!   `MorselTrace`. It touches no shared mutable state and stops at the
 //!   first `LIMIT` step, which needs the driver's remaining-rows state.
-//!   Processing is split again into a *fetch* stage
-//!   (`ChainCtx::fetch_morsel`: page decode / batch materialization) and a
-//!   *compute* stage (`ChainCtx::compute_morsel`). One `TraceSource` hands
-//!   the driver each morsel's trace in canonical morsel order and resumes
-//!   it past its `LIMIT` step (`ChainCtx::complete_trace` — the only code
-//!   that touches `LIMIT` state). Its *inline* feed
-//!   ([`ExecutionMode::Simulate`]) processes a morsel when the driver asks
-//!   for it: one morsel in flight, and nothing past a satisfied `LIMIT` is
-//!   ever fetched. Its *pooled* feed ([`ExecutionMode::Parallel`]) is a
-//!   stream from a persistent [`crate::parallel::WorkerPool`], whose
-//!   Condvar-parked threads outlive individual queries: the driver folds
-//!   morsel *i* while the workers fetch and compute the next few, a
-//!   bounded window ahead of it, and dropping the stream (a satisfied
-//!   `LIMIT`, an error) cancels the rest.
+//!   `ChainCtx::trace` is the one entry point: it materializes the morsel's
+//!   batch (page decode for file-backed morsels) and runs the chain. One
+//!   `TraceSource` hands the driver each morsel's trace in canonical morsel
+//!   order and resumes it past its `LIMIT` step (`ChainCtx::complete_trace`
+//!   — the only code that touches `LIMIT` state). Its *inline* feed
+//!   ([`ExecutionMode::Simulate`]) calls `ChainCtx::trace` when the driver
+//!   asks for a morsel: one morsel in flight, and nothing past a satisfied
+//!   `LIMIT` is ever fetched. Its *pooled* feed ([`ExecutionMode::Parallel`])
+//!   maps `ChainCtx::trace` over the morsels on a persistent
+//!   `WorkerPool` (`parallel.rs`), whose Condvar-parked threads outlive
+//!   individual queries: one task per morsel, the driver folding morsel *i*
+//!   while the workers trace the next few, a bounded window ahead of it,
+//!   and dropping the stream (a satisfied `LIMIT`, an error) cancels the
+//!   rest.
 //! * **the ledger** — `Ledger`, always on the driver, in canonical morsel
 //!   order: virtual-time list scheduling over the node slots, tier-cache
 //!   and fault draws, wire-format byte accounting (the encoder stream is
@@ -69,7 +69,7 @@
 //! aggregates into hardware rates.
 
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex, MutexGuard};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Instant;
 
 use ci_catalog::Catalog;
@@ -96,7 +96,7 @@ use crate::metrics::{attribute_node_dollars, OpSample, PipelineMetrics, QueryMet
 use crate::operators::{
     apply_filter, apply_project, slots_schema, AggregateState, JoinHashTable, SortBuffer,
 };
-use crate::parallel::{TraceGuard, TraceStream, WorkerPool};
+use crate::parallel::{PoolStream, TraceGuard, WorkerPool};
 use crate::scaling::{PipelineProgress, PipelineStart, ScaleDecision, ScalingController};
 
 /// How morsels are really processed.
@@ -105,8 +105,8 @@ pub enum ExecutionMode {
     /// Single-threaded discrete-event simulation: the determinism oracle.
     Simulate,
     /// Real multi-threaded processing on a persistent `std::thread`
-    /// [`WorkerPool`] of `workers` threads — the process-wide
-    /// [`WorkerPool::shared`] pool for that count.
+    /// `WorkerPool` of `workers` threads, one task per morsel — the
+    /// process-wide pool for that count, shared by every query.
     /// Result rows, logical row counts, and billed
     /// `Dollars` are bit-identical to [`ExecutionMode::Simulate`]; only
     /// wall-clock changes, and [`PipelineMetrics::measured_wall_ns`] /
@@ -214,13 +214,13 @@ pub struct Executor<'a> {
 }
 
 /// Materialized inter-pipeline state, keyed by plan-node index.
-pub(crate) enum NodeState {
+enum NodeState {
     Built(JoinHashTable),
     Output(RecordBatch),
 }
 
 /// One unit of schedulable work.
-pub(crate) struct Morsel {
+struct Morsel {
     payload: Payload,
     /// *Encoded* object-store bytes this morsel must fetch (0 for
     /// memory-resident state) — what the GET transfers.
@@ -246,19 +246,14 @@ struct TierPart {
     bytes: u64,
 }
 
-/// A morsel's payload: where the fetch stage gets the batch.
-pub(crate) enum Payload {
+/// A morsel's payload: where `ChainCtx::trace` gets the batch.
+enum Payload {
     /// Memory-resident batch (breaker outputs; `Mem` page source).
     Batch(RecordBatch),
-    /// Disk-backed: the fetch stage reads the partition from a
+    /// Disk-backed: `ChainCtx::trace` reads the partition from a
     /// [`PageStore`] (real `CIPF` file bytes or the tier stack) — no
     /// resident decoded table rides along.
     File(FileMorsel),
-    /// Pool tests: a resident batch whose fetch waits until the test sends
-    /// on (or drops) the gate's channel, so the test decides when — and
-    /// after which other fetches — it lands.
-    #[cfg(test)]
-    Gated(Mutex<std::sync::mpsc::Receiver<()>>, RecordBatch),
 }
 
 /// The on-disk store behind [`PageSourceMode::Disk`] / `Tiered` scans
@@ -292,7 +287,7 @@ impl PageStore {
 }
 
 /// A file-backed morsel: which partition slice to read, and from where.
-pub(crate) struct FileMorsel {
+struct FileMorsel {
     store: PageStore,
     table: TableId,
     part: u32,
@@ -303,7 +298,7 @@ pub(crate) struct FileMorsel {
 }
 
 /// Precompiled streaming step of a pipeline's operator chain.
-pub(crate) enum Step {
+enum Step {
     Filter {
         pred: PlanExpr,
         map: ColMap,
@@ -333,7 +328,7 @@ pub(crate) enum Step {
 
 /// What one chain step did to one morsel — everything the accounting phase
 /// needs to charge virtual time and cardinalities without reprocessing.
-pub(crate) struct StepTrace {
+struct StepTrace {
     /// Index into the pipeline's step list.
     step: usize,
     /// Logical rows entering the step.
@@ -348,7 +343,7 @@ pub(crate) struct StepTrace {
 }
 
 /// Where a morsel's chain processing ended.
-pub(crate) enum Tail {
+enum Tail {
     /// Chain fully processed; this batch feeds the sink.
     Done(RecordBatch),
     /// The chain reached a `LIMIT` step, which needs the driver's shared
@@ -358,7 +353,7 @@ pub(crate) enum Tail {
 
 /// Pure per-morsel processing record, produced by workers (or inline by the
 /// simulator) and consumed by the driver's accounting pass.
-pub(crate) struct MorselTrace {
+struct MorselTrace {
     /// Rows entering the pipeline source.
     source_rows: u64,
     /// Rows surviving the source-embedded scan filter (equals `source_rows`
@@ -374,7 +369,7 @@ pub(crate) struct MorselTrace {
 /// in, node states as `Arc` snapshots) so an `Arc<ChainCtx>` can be handed
 /// to the persistent worker pool without lifetime coupling to the driver's
 /// stack frame.
-pub(crate) struct ChainCtx {
+struct ChainCtx {
     steps: Vec<Step>,
     src_is_scan: bool,
     src_filter: Option<PlanExpr>,
@@ -383,62 +378,6 @@ pub(crate) struct ChainCtx {
     /// Record wall-clock [`OpSample`]s (parallel mode only — the simulator
     /// reports 0 measured time by contract).
     measure: bool,
-    /// Containment-testing trap: compute panics on a morsel with exactly
-    /// this many source rows. Pool tests set it to prove a panicking
-    /// operator cannot wedge `done_cv`.
-    #[cfg(test)]
-    pub(crate) panic_trap: Option<u64>,
-}
-
-#[cfg(test)]
-impl ChainCtx {
-    /// Minimal pass-through context for pool tests: no steps, no scan
-    /// semantics, so `compute_morsel` returns the batch as `Tail::Done` —
-    /// unless `panic_trap` matches the morsel's row count.
-    pub(crate) fn test_passthrough(panic_trap: Option<u64>) -> ChainCtx {
-        ChainCtx {
-            steps: Vec::new(),
-            src_is_scan: false,
-            src_filter: None,
-            src_map: ColMap::from_slots(&[]),
-            states: HashMap::new(),
-            measure: false,
-            panic_trap,
-        }
-    }
-}
-
-#[cfg(test)]
-impl Morsel {
-    /// Memory-resident test morsel (no fetch bytes, no encoded pages).
-    pub(crate) fn test_from_batch(batch: RecordBatch) -> Morsel {
-        Morsel {
-            payload: Payload::Batch(batch),
-            fetch_bytes: 0.0,
-            decode_bytes: 0.0,
-            tier_part: None,
-            wire: None,
-        }
-    }
-
-    /// A test morsel whose fetch is held at `gate` (see [`Payload::Gated`]).
-    pub(crate) fn test_gated(batch: RecordBatch, gate: std::sync::mpsc::Receiver<()>) -> Morsel {
-        Morsel {
-            payload: Payload::Gated(Mutex::new(gate), batch.clone()),
-            ..Morsel::test_from_batch(batch)
-        }
-    }
-}
-
-#[cfg(test)]
-impl MorselTrace {
-    /// Rows carried by a completed trace's tail batch (test observability).
-    pub(crate) fn test_done_rows(&self) -> Option<u64> {
-        match &self.tail {
-            Tail::Done(b) => Some(b.rows() as u64),
-            _ => None,
-        }
-    }
 }
 
 /// Where measured operator time goes: the sample list and wall-clock total
@@ -480,21 +419,20 @@ impl ChainCtx {
         }
     }
 
-    /// The fetch/decode stage: materializes a morsel's payload batch — an
-    /// `Arc` clone for resident batches, a real page-file read and decode
-    /// for file-backed ones. Separated from [`ChainCtx::compute_morsel`] so
-    /// the worker pool can prefetch upcoming morsels while earlier ones
-    /// compute. Emits no [`OpSample`]s: the operator-class set the
-    /// calibrator sees is fixed, and billed fetch bytes come from the
-    /// morsel's partition statistics, not from this stage.
-    pub(crate) fn fetch_morsel(&self, morsel: &Morsel) -> Result<RecordBatch> {
-        match &morsel.payload {
-            Payload::Batch(batch) => Ok(batch.clone()),
-            #[cfg(test)]
-            Payload::Gated(gate, batch) => {
-                let _ = gate.lock().map(|opened| opened.recv());
-                Ok(batch.clone())
-            }
+    /// Runs one morsel through the operator chain, producing its trace:
+    /// materializes the payload batch — an `Arc` clone for resident
+    /// batches, a real page-file read and decode for file-backed ones —
+    /// then applies the scan filter and the chain's steps. The read emits
+    /// no [`OpSample`]: the operator-class set the calibrator sees is
+    /// fixed, and billed fetch bytes come from the morsel's partition
+    /// statistics, not from this read.
+    ///
+    /// Pure in every caller: processing stops at the first `LIMIT` step
+    /// ([`Tail::AtLimit`]), which needs the driver's remaining-rows state,
+    /// and the driver finishes the chain via [`ChainCtx::complete_trace`].
+    fn trace(&self, morsel: &Morsel) -> Result<MorselTrace> {
+        let mut batch = match &morsel.payload {
+            Payload::Batch(batch) => batch.clone(),
             Payload::File(f) => {
                 // Real bytes: read + checksum + decode the partition file
                 // (or whatever tier physically holds it), then carve out
@@ -502,29 +440,12 @@ impl ChainCtx {
                 // table-wide dictionary `Arc`s, so downstream wire
                 // accounting is identical to the memory path.
                 let part = f.store.read_partition(f.table, f.part as usize)?;
-                part.with_schema(f.schema.clone())?.slice(f.offset, f.len)
+                part.with_schema(f.schema.clone())?.slice(f.offset, f.len)?
             }
-        }
-    }
-
-    /// The compute stage: runs `morsel`'s fetched batch through the operator
-    /// chain, producing the morsel's trace.
-    ///
-    /// Pure in every caller: processing stops at the first `LIMIT` step
-    /// ([`Tail::AtLimit`]), which needs the driver's remaining-rows state,
-    /// and the driver finishes the chain via [`ChainCtx::complete_trace`].
-    pub(crate) fn compute_morsel(
-        &self,
-        morsel: &Morsel,
-        mut batch: RecordBatch,
-    ) -> Result<MorselTrace> {
+        };
         let (mut samples, mut wall_ns) = (Vec::new(), 0u64);
         let mut timer = self.timer(&mut samples, &mut wall_ns);
         let source_rows = batch.rows() as u64;
-        #[cfg(test)]
-        if self.panic_trap == Some(source_rows) {
-            panic!("panic_trap: morsel with {source_rows} source rows");
-        }
         let mut src_post_rows = source_rows;
         if self.src_is_scan {
             if let Some(pred) = &self.src_filter {
@@ -551,11 +472,7 @@ impl ChainCtx {
     /// against the driver's real limit state — the only code that touches
     /// it — and runs the remaining chain. A no-op for already-complete
     /// traces.
-    pub(crate) fn complete_trace(
-        &self,
-        mut t: MorselTrace,
-        limit: &mut Option<u64>,
-    ) -> Result<MorselTrace> {
+    fn complete_trace(&self, mut t: MorselTrace, limit: &mut Option<u64>) -> Result<MorselTrace> {
         while let Tail::AtLimit { step, mut batch } = t.tail {
             let rows_in = batch.rows() as u64;
             if let Some(rem) = limit.as_mut() {
@@ -666,11 +583,12 @@ enum TraceFeed {
     /// Processed on the driver when asked for (Simulate): one morsel in
     /// flight, and a morsel past a satisfied `LIMIT` is never touched.
     Inline,
-    /// Streamed from the [`WorkerPool`] (Parallel), which runs a bounded
-    /// window ahead of the driver. A trace nobody takes — a morsel past a
-    /// satisfied `LIMIT` — is cancelled or discarded with the stream, its
-    /// error included, unobserved.
-    Pooled(TraceStream),
+    /// Streamed from the [`WorkerPool`] (Parallel), which runs
+    /// `ChainCtx::trace` once per morsel, a bounded window ahead of the
+    /// driver. A trace nobody takes — a morsel past a satisfied `LIMIT` —
+    /// is cancelled or discarded with the stream, its error included,
+    /// unobserved.
+    Pooled(PoolStream<MorselTrace>),
 }
 
 /// The one source of a pipeline's traces: hands the ledger each morsel's
@@ -698,11 +616,7 @@ impl TraceSource {
     /// billed by the ledger, in both feeds, and never changes the answer.
     fn trace(&mut self, mi: usize) -> Result<MorselTrace> {
         let t = match &mut self.feed {
-            TraceFeed::Inline => {
-                let morsel = &self.morsels[mi];
-                self.ctx
-                    .compute_morsel(morsel, self.ctx.fetch_morsel(morsel)?)?
-            }
+            TraceFeed::Inline => self.ctx.trace(&self.morsels[mi])?,
             TraceFeed::Pooled(stream) => stream.next()?,
         };
         self.ctx.complete_trace(t, &mut self.limit)
@@ -730,6 +644,25 @@ struct NodeSlot {
     lease_end: Option<SimTime>,
 }
 
+/// The process-wide pool for `workers` threads, created on first use and
+/// reused by every later query with the same worker count. Its threads are
+/// never joined — they idle parked on a condition variable between queries.
+fn shared_pool(workers: usize) -> Result<Arc<WorkerPool<MorselTrace>>> {
+    type Pools = HashMap<usize, Arc<WorkerPool<MorselTrace>>>;
+    static POOLS: OnceLock<Mutex<Pools>> = OnceLock::new();
+    let workers = workers.max(1);
+    // A poisoned registry is still a consistent map (a failing
+    // `WorkerPool::new` inserts nothing), so recover it.
+    let mut pools =
+        (POOLS.get_or_init(Default::default).lock()).unwrap_or_else(PoisonError::into_inner);
+    if let Some(pool) = pools.get(&workers) {
+        return Ok(pool.clone());
+    }
+    let pool = Arc::new(WorkerPool::new(workers)?);
+    pools.insert(workers, pool.clone());
+    Ok(pool)
+}
+
 /// The query-wide state every pipeline run reads and writes.
 struct QueryRun<'q> {
     plan: &'q PhysicalPlan,
@@ -750,14 +683,14 @@ struct QueryRun<'q> {
     /// The worker pool of [`ExecutionMode::Parallel`], resolved once per
     /// query: back-to-back queries (and every pipeline of this one) reuse
     /// the same parked threads.
-    pool: Option<Arc<WorkerPool>>,
+    pool: Option<Arc<WorkerPool<MorselTrace>>>,
     /// Wall-clock worker lanes (`Full` only): per-worker buffers attached
     /// to the pool for the duration of this query. The guard detaches on
     /// every exit path, including errors. A shared pool serving another
     /// query concurrently would interleave its spans into these lanes —
     /// acceptable for a profiling artifact, and exactly what a wall-clock
     /// timeline of the shared threads means.
-    worker_lanes: Option<(Arc<WorkerBuffers>, TraceGuard)>,
+    worker_lanes: Option<(Arc<WorkerBuffers>, TraceGuard<MorselTrace>)>,
     /// Physical page source: where scan fetches read partition bytes from.
     /// Disk/Tiered wire up the catalog's on-disk page store;
     /// `source_morsels` writes each scanned table through on first touch.
@@ -772,9 +705,9 @@ struct QueryRun<'q> {
 impl<'q> QueryRun<'q> {
     fn open(exec: &Executor<'_>, plan: &'q PhysicalPlan) -> Result<QueryRun<'q>> {
         let config = &exec.config;
-        let pool: Option<Arc<WorkerPool>> = match config.mode {
+        let pool = match config.mode {
             ExecutionMode::Simulate => None,
-            ExecutionMode::Parallel { workers } => Some(WorkerPool::shared(workers)?),
+            ExecutionMode::Parallel { workers } => Some(shared_pool(workers)?),
         };
         let worker_lanes = pool.as_ref().filter(|_| config.trace.wall()).map(|p| {
             let bufs = Arc::new(WorkerBuffers::new(p.workers()));
@@ -1036,7 +969,7 @@ impl<'a> Executor<'a> {
                         let share = len as f64 / rows as f64;
                         let (payload, wire) = match &q.page_store {
                             // File-backed morsels carry no resident batch:
-                            // the fetch stage reads real page-file bytes.
+                            // `ChainCtx::trace` reads real page-file bytes.
                             Some(store) => (
                                 Payload::File(FileMorsel {
                                     store: store.clone(),
@@ -1198,8 +1131,6 @@ impl<'a> Executor<'a> {
             src_map: ColMap::from_slots(&source.out_slots),
             states: q.states.clone(),
             measure: matches!(self.config.mode, ExecutionMode::Parallel { .. }),
-            #[cfg(test)]
-            panic_trap: None,
         });
         let mut sink = self.make_sink(plan, p)?;
         let mut ledger = Ledger::open(&self.config, q, p, ctx.clone(), dop, start);
@@ -1210,7 +1141,12 @@ impl<'a> Executor<'a> {
         let morsels = Arc::new(morsels);
         let feed = match &ledger.q.pool {
             None => TraceFeed::Inline,
-            Some(pool) => TraceFeed::Pooled(pool.stream(ctx.clone(), morsels.clone())),
+            Some(pool) => {
+                let (ctx, morsels) = (ctx.clone(), morsels.clone());
+                TraceFeed::Pooled(
+                    pool.stream(morsels.len(), Arc::new(move |i| ctx.trace(&morsels[i]))),
+                )
+            }
         };
         let mut traces = TraceSource {
             ctx,
@@ -1488,8 +1424,8 @@ impl<'a, 'q> Ledger<'a, 'q> {
     /// canonical morsel order, so hit/miss/eviction sequences are a pure
     /// function of the trace — identical across page sources and execution
     /// modes. When the page source is tiered, the physical stores mirror
-    /// the simulation's admissions/evictions (workers may have prefetched
-    /// ahead of the ledger; promotions then benefit later pipelines, never
+    /// the simulation's admissions/evictions (workers may have read ahead
+    /// of the ledger; promotions then benefit later pipelines, never
     /// change bytes served).
     fn tier_access(&mut self, bill: &mut MorselBill<'_>) -> Result<()> {
         let (Some(sim), Some(tp), true) = (
@@ -2072,5 +2008,16 @@ mod tests {
         assert_eq!(trace, TraceLevel::Off);
         assert_eq!(page_source, PageSourceMode::Mem);
         assert!(tiers.is_none() && tier_sim.is_none());
+    }
+
+    #[test]
+    fn shared_pools_are_keyed_by_worker_count() {
+        let a = shared_pool(3).unwrap();
+        let b = shared_pool(3).unwrap();
+        let c = shared_pool(5).unwrap();
+        assert!(Arc::ptr_eq(&a, &b), "same count, same pool");
+        assert!(!Arc::ptr_eq(&a, &c));
+        assert_eq!(a.workers(), 3);
+        assert_eq!(c.workers(), 5);
     }
 }

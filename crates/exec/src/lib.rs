@@ -48,7 +48,7 @@ pub mod engine;
 pub mod key;
 pub mod metrics;
 pub mod operators;
-pub mod parallel;
+mod parallel;
 pub mod scaling;
 
 pub use ci_cloud::faults::{FaultInjector, FaultPlan, FaultProfile};
@@ -60,5 +60,4 @@ pub use ci_storage::tiers::PageSourceMode;
 pub use engine::{ExecutionConfig, ExecutionMode, Executor, QueryOutcome};
 pub use key::{DictKeyEntry, KeyEncoder, KeyIndex, RowSet};
 pub use metrics::{attribute_node_dollars, OpSample, PipelineMetrics, QueryMetrics};
-pub use parallel::WorkerPool;
 pub use scaling::{NoScaling, PipelineProgress, ScaleDecision, ScalingController};

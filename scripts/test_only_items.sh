@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # Public items that only tests read.
 #
-#   scripts/test_only_items.sh
+#   scripts/test_only_items.sh           # list them; always exits 0
+#   scripts/test_only_items.sh --check   # exit 1 unless the list matches
+#                                        # scripts/test_only_allowlist.txt
 #
 # Prints every `pub` fn, struct, enum, const or type defined in the non-test
 # part of a `crates/*/src` file whose name appears nowhere else in non-test
@@ -11,10 +13,30 @@
 # literals do not count as a use.
 # The match is by name, so an item whose name another item shares is never
 # listed, and an item listed may still be a test helper or oracle worth
-# keeping. Informational only: always exits 0.
+# keeping. That is a blind spot for common method names: `validate`, `new`
+# or `len` on one type hides a test-only method of the same name on another
+# (`HardwareProfile::validate` went unlisted for as long as
+# `PhysicalPlan::validate` existed).
+#
+# `--check` compares the listed items (by file and name) with the allowlist
+# and exits 1 on an item missing from it or a line in it whose item is no
+# longer listed, so a new public item only tests read fails CI.
 set -uo pipefail
 
 cd "$(git rev-parse --show-toplevel)" || exit 0
+
+if [ "${1:-}" = "--check" ]; then
+    allow=scripts/test_only_allowlist.txt
+    listed=$(scripts/test_only_items.sh | awk -F': pub [a-z]+ ' 'NF == 2 { split($1, p, ":"); print p[1], $2 }' | sort)
+    allowed=$(grep -v '^#' "$allow" | awk 'NF { print $1, $2 }' | sort)
+    missing=$(comm -23 <(echo "$listed") <(echo "$allowed"))
+    stale=$(comm -13 <(echo "$listed") <(echo "$allowed"))
+    [ -n "$missing" ] && printf 'test-only item not in %s:\n%s\n' "$allow" "$missing"
+    [ -n "$stale" ] && printf '%s lists an item no longer test-only:\n%s\n' "$allow" "$stale"
+    [ -z "$missing$stale" ] || exit 1
+    echo "test-only items match $allow ($(echo "$listed" | grep -c .))"
+    exit 0
+fi
 
 # FILE: its lines above `#[cfg(test)]` + `mod tests`, minus comment lines,
 # each prefixed with `FILE:LINE:`.
