@@ -18,28 +18,35 @@ pub struct Histogram {
 }
 
 impl Histogram {
-    /// Builds a histogram with `buckets` buckets from numeric samples.
+    /// Builds a histogram with `buckets` buckets from numeric samples,
+    /// skipping non-finite ones. Walks `values` twice (domain, then counts)
+    /// and copies none of them.
     /// Returns `None` for empty input or a degenerate (single-point) domain
     /// handled as a one-bucket histogram.
-    pub fn build(values: impl Iterator<Item = f64>, buckets: usize) -> Option<Histogram> {
-        let vals: Vec<f64> = values.filter(|v| v.is_finite()).collect();
-        if vals.is_empty() || buckets == 0 {
+    pub fn build(values: impl Iterator<Item = f64> + Clone, buckets: usize) -> Option<Histogram> {
+        let finite = values.filter(|v| v.is_finite());
+        let (mut lo, mut hi, mut total) = (f64::INFINITY, f64::NEG_INFINITY, 0u64);
+        for v in finite.clone() {
+            lo = lo.min(v);
+            hi = hi.max(v);
+            total += 1;
+        }
+        if total == 0 || buckets == 0 {
             return None;
         }
-        let lo = vals.iter().cloned().fold(f64::INFINITY, f64::min);
-        let hi = vals.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
         if lo == hi {
             return Some(Histogram {
                 lo,
                 hi,
-                counts: vec![vals.len() as u64],
-                total: vals.len() as u64,
+                counts: vec![total],
+                total,
             });
         }
         let mut counts = vec![0u64; buckets];
-        let width = (hi - lo) / buckets as f64;
-        for v in &vals {
-            let mut b = ((v - lo) / width) as usize;
+        let k = domain_scale(lo, hi);
+        let width = (hi * k - lo * k) / buckets as f64;
+        for v in finite {
+            let mut b = ((v * k - lo * k) / width) as usize;
             if b >= buckets {
                 b = buckets - 1; // v == hi lands in the last bucket
             }
@@ -49,7 +56,7 @@ impl Histogram {
             lo,
             hi,
             counts,
-            total: vals.len() as u64,
+            total,
         })
     }
 
@@ -74,23 +81,21 @@ impl Histogram {
         if self.total == 0 || b < a {
             return 0.0;
         }
-        let a = a.max(self.lo);
-        let b = b.min(self.hi);
+        let k = domain_scale(self.lo, self.hi);
+        let (lo, hi) = (self.lo * k, self.hi * k);
+        let a = (a * k).max(lo);
+        let b = (b * k).min(hi);
         if b < a {
             return 0.0;
         }
-        if self.lo == self.hi {
+        if lo == hi {
             // Single-point domain: all rows match iff the point is inside.
-            return if a <= self.lo && self.lo <= b {
-                1.0
-            } else {
-                0.0
-            };
+            return if a <= lo && lo <= b { 1.0 } else { 0.0 };
         }
-        let width = (self.hi - self.lo) / self.counts.len() as f64;
+        let width = (hi - lo) / self.counts.len() as f64;
         let mut matched = 0.0;
         for (i, &c) in self.counts.iter().enumerate() {
-            let b_lo = self.lo + i as f64 * width;
+            let b_lo = lo + i as f64 * width;
             let b_hi = b_lo + width;
             let ov_lo = a.max(b_lo);
             let ov_hi = b.min(b_hi);
@@ -104,7 +109,7 @@ impl Histogram {
         // Point queries (a == b) match zero measure under the continuous
         // model; fall back to 1/total-scaled bucket density.
         if a == b {
-            let mut bkt = ((a - self.lo) / width) as usize;
+            let mut bkt = ((a - lo) / width) as usize;
             if bkt >= self.counts.len() {
                 bkt = self.counts.len() - 1;
             }
@@ -134,9 +139,92 @@ impl Histogram {
     }
 }
 
+/// The factor bucket arithmetic scales the domain by: `1` (exact, so every
+/// histogram over a representable span is unchanged), or `1/2` when
+/// `hi - lo` overflows `f64`, which halves the span back into range.
+fn domain_scale(lo: f64, hi: f64) -> f64 {
+    if (hi - lo).is_finite() {
+        1.0
+    } else {
+        0.5
+    }
+}
+
 #[cfg(test)]
 mod tests {
+    use ci_types::DetRng;
+
     use super::*;
+
+    /// The build as it was before it walked its input twice: collect the
+    /// finite values, fold the domain, bucket.
+    fn collected_build(values: &[f64], buckets: usize) -> Option<Histogram> {
+        let vals: Vec<f64> = values.iter().copied().filter(|v| v.is_finite()).collect();
+        if vals.is_empty() || buckets == 0 {
+            return None;
+        }
+        let lo = vals.iter().cloned().fold(f64::INFINITY, f64::min);
+        let hi = vals.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+        let total = vals.len() as u64;
+        if lo == hi {
+            let counts = vec![total];
+            return Some(Histogram {
+                lo,
+                hi,
+                counts,
+                total,
+            });
+        }
+        let mut counts = vec![0u64; buckets];
+        let width = (hi - lo) / buckets as f64;
+        for v in &vals {
+            counts[(((v - lo) / width) as usize).min(buckets - 1)] += 1;
+        }
+        Some(Histogram {
+            lo,
+            hi,
+            counts,
+            total,
+        })
+    }
+
+    #[test]
+    fn build_matches_the_collecting_reference_when_the_span_is_finite() {
+        let specials = [
+            f64::NAN,
+            0.0,
+            -0.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            1e300,
+            -1e300,
+            5e-324,
+        ];
+        for seed in 0..300 {
+            let mut r = DetRng::seed_from_u64(seed);
+            let n = r.usize_below(200);
+            // Subnormal spans too, where halving the domain would round.
+            let scale = *r.choose(&[1.0, 1e-300, 1e-322, 1e6, 1e300]);
+            let p_special = *r.choose(&[0.0, 0.2]);
+            let vals: Vec<f64> = (0..n)
+                .map(|_| {
+                    if r.bool_with(p_special) {
+                        *r.choose(&specials)
+                    } else {
+                        r.range_f64(-1.0, 1.0) * scale
+                    }
+                })
+                .collect();
+            let buckets = r.usize_below(70);
+            let got = Histogram::build(vals.iter().copied(), buckets);
+            let want = collected_build(&vals, buckets);
+            assert_eq!(got, want, "seed {seed}");
+            if let (Some(g), Some(w)) = (got, want) {
+                assert_eq!(g.lo.to_bits(), w.lo.to_bits(), "seed {seed}");
+                assert_eq!(g.hi.to_bits(), w.hi.to_bits(), "seed {seed}");
+            }
+        }
+    }
 
     fn uniform() -> Histogram {
         Histogram::build((0..1000).map(|i| i as f64), 10).unwrap()
@@ -178,6 +266,35 @@ mod tests {
         let h = Histogram::build(std::iter::repeat_n(5.0, 10), 4).unwrap();
         assert_eq!(h.range_selectivity(0.0, 10.0), 1.0);
         assert_eq!(h.range_selectivity(6.0, 10.0), 0.0);
+    }
+
+    #[test]
+    fn overflowing_domain_spreads_rows_and_keeps_selectivity_finite() {
+        // Before the fix every row fell in bucket 0 and the full-range
+        // selectivity was NaN.
+        let vals = [f64::MIN, f64::MIN / 2.0, 0.0, f64::MAX / 2.0, f64::MAX];
+        let h = Histogram::build(vals.into_iter(), 64).unwrap();
+        assert_eq!(h.total(), 5);
+        assert_eq!((h.lo(), h.hi()), (f64::MIN, f64::MAX));
+        assert_eq!(h.counts[0], 1, "only MIN in the first bucket");
+        assert_eq!(h.counts[63], 1, "MAX lands in the last bucket");
+        assert_eq!(h.counts.iter().filter(|&&c| c > 0).count(), 5);
+        assert_eq!(h.range_selectivity(f64::MIN, f64::MAX), 1.0);
+        assert_eq!(h.range_selectivity(f64::NEG_INFINITY, f64::INFINITY), 1.0);
+        // 0, MAX/2 and MAX: three rows of five.
+        let upper = h.range_selectivity(0.0, f64::MAX);
+        assert!((upper - 0.6).abs() < 0.05, "upper half {upper}");
+        for (a, b) in [
+            (0.0, 0.0),
+            (f64::MAX, f64::MAX),
+            (f64::MIN, f64::MIN),
+            (-1.0, 1.0),
+            (1e300, f64::INFINITY),
+            (f64::MIN, -1e308),
+        ] {
+            let s = h.range_selectivity(a, b);
+            assert!((0.0..=1.0).contains(&s), "[{a}, {b}] -> {s}");
+        }
     }
 
     #[test]

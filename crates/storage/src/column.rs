@@ -387,8 +387,8 @@ impl ColumnData {
         }
         match self {
             ColumnData::Int64(v) => {
-                let min = *v.iter().min().expect("non-empty");
-                let max = *v.iter().max().expect("non-empty");
+                let min = *v.iter().min()?;
+                let max = *v.iter().max()?;
                 Some((Value::Int(min), Value::Int(max)))
             }
             ColumnData::Float64(v) => {
@@ -401,8 +401,8 @@ impl ColumnData {
                 Some((Value::Float(min), Value::Float(max)))
             }
             ColumnData::Utf8(v) => {
-                let min = v.iter().min().expect("non-empty").clone();
-                let max = v.iter().max().expect("non-empty").clone();
+                let min = v.iter().min()?.clone();
+                let max = v.iter().max()?.clone();
                 Some((Value::Str(min), Value::Str(max)))
             }
             ColumnData::Bool(v) => {

@@ -198,12 +198,25 @@ impl Table {
         }
         let all = self.to_batch()?;
         let mut indices: Vec<usize> = (0..all.rows()).collect();
-        let key = all.column(column);
-        indices.sort_by(|&a, &b| {
-            key.value(a)
-                .partial_cmp_sql(&key.value(b))
-                .unwrap_or(std::cmp::Ordering::Equal)
-        });
+        // A stable sort on the key's own type: each comparison agrees with
+        // `Value::partial_cmp_sql`, so the permutation is the one a sort over
+        // `Value`s gives, without building any. NaN, which that leaves
+        // unordered, sorts after every number: a comparator that called it
+        // equal to everything would not be a total order, and the standard
+        // sort may panic on one.
+        match all.column(column) {
+            ColumnData::Int64(v) => indices.sort_by_key(|&i| v[i]),
+            ColumnData::Float64(v) => indices.sort_by(|&a, &b| {
+                let (x, y) = (v[a], v[b]);
+                x.partial_cmp(&y)
+                    .unwrap_or_else(|| x.is_nan().cmp(&y.is_nan()))
+            }),
+            ColumnData::Utf8(v) => indices.sort_by(|&a, &b| v[a].cmp(&v[b])),
+            ColumnData::Bool(v) => indices.sort_by_key(|&i| v[i]),
+            ColumnData::Dict { ids, dict } => {
+                indices.sort_by(|&a, &b| dict.get(ids[a]).cmp(dict.get(ids[b])))
+            }
+        }
         let sorted = all.take(&indices)?;
         let mut partitions = Vec::new();
         let mut offset = 0;
@@ -229,6 +242,8 @@ pub struct TableBuilder {
     name: String,
     schema: SchemaRef,
     rows_per_partition: usize,
+    /// Appended rows not yet in a partition, fewer than
+    /// `rows_per_partition` in all.
     pending: Vec<RecordBatch>,
     pending_rows: usize,
     partitions: Vec<MicroPartition>,
@@ -257,7 +272,12 @@ impl TableBuilder {
         })
     }
 
-    /// Appends a batch (schema must match).
+    /// Appends a batch (schema must match). Full partitions are cut straight
+    /// off `batch` at a running offset, each one the concatenation of the
+    /// pending remainder and the rows it takes from `batch`, and the rows
+    /// left over join the remainder. A row is copied once on its way into a
+    /// partition (twice if it waits in the remainder), so the cost is linear
+    /// in the rows appended, whatever the batch sizes.
     pub fn append(&mut self, batch: RecordBatch) -> Result<()> {
         if batch.schema().as_ref() != self.schema.as_ref() {
             return Err(CiError::Catalog(format!(
@@ -265,27 +285,21 @@ impl TableBuilder {
                 self.name
             )));
         }
-        self.pending_rows += batch.rows();
-        self.pending.push(batch);
-        while self.pending_rows >= self.rows_per_partition {
-            self.flush_one()?;
+        let rows = batch.rows();
+        let mut offset = 0;
+        while self.pending_rows + (rows - offset) >= self.rows_per_partition {
+            let len = self.rows_per_partition - self.pending_rows;
+            let mut pieces = std::mem::take(&mut self.pending);
+            pieces.push(batch.slice(offset, len)?);
+            let part = RecordBatch::concat(&pieces)?;
+            self.partitions.push(MicroPartition::from_batch(part));
+            self.pending_rows = 0;
+            offset += len;
         }
-        Ok(())
-    }
-
-    /// Flushes exactly one full partition from the pending buffer.
-    fn flush_one(&mut self) -> Result<()> {
-        let combined = RecordBatch::concat(&self.pending)?;
-        let part = combined.slice(0, self.rows_per_partition)?;
-        let rest_len = combined.rows() - self.rows_per_partition;
-        let rest = combined.slice(self.rows_per_partition, rest_len)?;
-        self.partitions.push(MicroPartition::from_batch(part));
-        self.pending_rows = rest.rows();
-        self.pending = if rest.is_empty() {
-            Vec::new()
-        } else {
-            vec![rest]
-        };
+        if offset < rows {
+            self.pending.push(batch.slice(offset, rows - offset)?);
+            self.pending_rows += rows - offset;
+        }
         Ok(())
     }
 

@@ -8,7 +8,8 @@
 //!   discrete-event cloud simulator. Integer microseconds internally so event
 //!   ordering is exact and runs are bit-reproducible.
 //! * [`rng::DetRng`] — a deterministic xoshiro256++ PRNG; every random choice
-//!   in the system flows from explicit seeds.
+//!   in the system flows from explicit seeds. [`rng::Zipf`] draws skewed
+//!   ranks from one.
 //! * [`ids`] — strongly-typed identifiers (queries, pipelines, nodes, ...).
 //! * [`error::CiError`] — the workspace error type.
 //! * [`stats`] — descriptive statistics used by experiment harnesses and the
@@ -28,5 +29,5 @@ pub mod time;
 pub use error::{CiError, Result};
 pub use ids::{NodeId, OperatorId, PipelineId, QueryId, StageId, TableId};
 pub use money::Dollars;
-pub use rng::DetRng;
+pub use rng::{DetRng, Zipf};
 pub use time::{SimDuration, SimTime};

@@ -60,14 +60,17 @@ impl DetRng {
     }
 
     /// Uniform integer in `[0, bound)`. Panics if `bound == 0`.
-    /// Uses Lemire's multiply-shift rejection method (unbiased).
+    /// Uses Lemire's multiply-shift rejection method (unbiased). The
+    /// rejection threshold `2^64 mod bound` is below `bound`, so a draw whose
+    /// low half is at least `bound` is accepted without computing it: the
+    /// 64-bit `%` runs on fewer than `bound / 2^64` of the draws.
+    #[inline]
     pub fn u64_below(&mut self, bound: u64) -> u64 {
         assert!(bound > 0, "u64_below(0)");
         loop {
-            let x = self.next_u64();
-            let m = (x as u128).wrapping_mul(bound as u128);
+            let m = (self.next_u64() as u128).wrapping_mul(bound as u128);
             let low = m as u64;
-            if low >= bound.wrapping_neg() % bound {
+            if low >= bound || low >= bound.wrapping_neg() % bound {
                 return (m >> 64) as u64;
             }
             // Rejected (probability < bound / 2^64); resample.
@@ -102,22 +105,6 @@ impl DetRng {
         -u.ln() / rate
     }
 
-    /// Zipf-distributed rank in `[0, n)` with skew `theta` (0 = uniform-ish).
-    ///
-    /// Uses the rejection-free inverse-power approximation adequate for
-    /// workload skew modelling (hot/cold attribute access in §4).
-    pub fn zipf(&mut self, n: usize, theta: f64) -> usize {
-        assert!(n > 0, "zipf over empty domain");
-        if theta <= 1e-9 {
-            return self.usize_below(n);
-        }
-        // Inverse CDF of a continuous power-law, discretized.
-        let u = self.f64().max(1e-12);
-        let x = (n as f64).powf(1.0 - theta.min(0.999_999));
-        let v = ((x - 1.0) * u + 1.0).powf(1.0 / (1.0 - theta.min(0.999_999)));
-        ((v - 1.0) as usize).min(n - 1)
-    }
-
     /// Fisher–Yates shuffle.
     pub fn shuffle<T>(&mut self, items: &mut [T]) {
         for i in (1..items.len()).rev() {
@@ -140,6 +127,43 @@ impl DetRng {
         let lo = -(f.ln());
         let hi = f.ln();
         self.range_f64(lo, hi).exp()
+    }
+}
+
+/// Zipf-distributed ranks in `[0, n)` with skew `theta` (0 = uniform-ish).
+///
+/// Uses the rejection-free inverse-power approximation adequate for
+/// workload skew modelling (hot/cold attribute access in §4). The domain's
+/// power is computed once here, so a draw costs one `powf`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Zipf {
+    n: usize,
+    /// The inverse CDF's constants `(n^(1 - theta) - 1, 1 / (1 - theta))`;
+    /// `None` below `theta = 1e-9`, where ranks are drawn uniformly.
+    power: Option<(f64, f64)>,
+}
+
+impl Zipf {
+    /// The sampler over `[0, n)`. Panics if `n == 0`.
+    pub fn new(n: usize, theta: f64) -> Zipf {
+        assert!(n > 0, "zipf over empty domain");
+        if theta <= 1e-9 {
+            return Zipf { n, power: None };
+        }
+        let one_minus = 1.0 - theta.min(0.999_999);
+        let power = Some(((n as f64).powf(one_minus) - 1.0, 1.0 / one_minus));
+        Zipf { n, power }
+    }
+
+    /// One rank.
+    pub fn sample(&self, rng: &mut DetRng) -> usize {
+        let Some((span, exponent)) = self.power else {
+            return rng.usize_below(self.n);
+        };
+        // Inverse CDF of a continuous power-law, discretized.
+        let u = rng.f64().max(1e-12);
+        let v = (span * u + 1.0).powf(exponent);
+        ((v - 1.0) as usize).min(self.n - 1)
     }
 }
 
@@ -210,8 +234,9 @@ mod tests {
         let mut r = DetRng::seed_from_u64(17);
         let mut head = 0usize;
         let n = 20_000;
+        let skewed = Zipf::new(100, 0.9);
         for _ in 0..n {
-            if r.zipf(100, 0.9) < 10 {
+            if skewed.sample(&mut r) < 10 {
                 head += 1;
             }
         }
@@ -223,13 +248,89 @@ mod tests {
         );
         // Uniform fallback at theta=0.
         let mut uni = 0usize;
+        let uniform = Zipf::new(100, 0.0);
         for _ in 0..n {
-            if r.zipf(100, 0.0) < 10 {
+            if uniform.sample(&mut r) < 10 {
                 uni += 1;
             }
         }
         let share = uni as f64 / n as f64;
         assert!((share - 0.1).abs() < 0.02, "uniform share {share}");
+    }
+
+    /// Lemire's method with the threshold computed on every draw.
+    fn u64_below_reference(r: &mut DetRng, bound: u64) -> u64 {
+        loop {
+            let m = (r.next_u64() as u128).wrapping_mul(bound as u128);
+            if m as u64 >= bound.wrapping_neg() % bound {
+                return (m >> 64) as u64;
+            }
+        }
+    }
+
+    /// The inverse-power formula with both powers taken on every draw.
+    fn zipf_reference(r: &mut DetRng, n: usize, theta: f64) -> usize {
+        if theta <= 1e-9 {
+            return u64_below_reference(r, n as u64) as usize;
+        }
+        let u = r.f64().max(1e-12);
+        let x = (n as f64).powf(1.0 - theta.min(0.999_999));
+        let v = ((x - 1.0) * u + 1.0).powf(1.0 / (1.0 - theta.min(0.999_999)));
+        ((v - 1.0) as usize).min(n - 1)
+    }
+
+    #[test]
+    fn u64_below_matches_the_reference_draw_for_draw() {
+        let mut bounds = vec![1, 2, 3, 10, 1_000_003, u64::MAX, u64::MAX - 1];
+        for k in 1..64 {
+            bounds.extend([(1u64 << k) - 1, 1u64 << k, (1u64 << k) + 1]);
+        }
+        // Bounds just above 2^63 reject almost half the draws, so both
+        // branches of the acceptance test run.
+        bounds.extend([(1u64 << 63) + 12_345, u64::MAX / 3 * 2]);
+        for (i, &bound) in bounds.iter().enumerate() {
+            let mut fast = DetRng::seed_from_u64(i as u64);
+            let mut reference = fast.clone();
+            for _ in 0..2_000 {
+                assert_eq!(
+                    fast.u64_below(bound),
+                    u64_below_reference(&mut reference, bound),
+                    "bound {bound}"
+                );
+            }
+            assert_eq!(fast, reference, "bound {bound} consumed a different stream");
+        }
+    }
+
+    #[test]
+    fn zipf_sampler_matches_the_reference_draw_for_draw() {
+        for (i, &(n, theta)) in [
+            (1, 0.6),
+            (2, 0.6),
+            (100, 0.9),
+            (10_000, 0.6),
+            (10_000, 0.0),
+            (10_000, 1e-9),
+            (10_000, 2e-9),
+            (7, 1.0),
+            (1 << 20, 5.0),
+            (33, f64::NAN),
+        ]
+        .iter()
+        .enumerate()
+        {
+            let sampler = Zipf::new(n, theta);
+            let mut fast = DetRng::seed_from_u64(100 + i as u64);
+            let mut reference = fast.clone();
+            for _ in 0..2_000 {
+                assert_eq!(
+                    sampler.sample(&mut fast),
+                    zipf_reference(&mut reference, n, theta),
+                    "n {n} theta {theta}"
+                );
+            }
+            assert_eq!(fast, reference);
+        }
     }
 
     #[test]

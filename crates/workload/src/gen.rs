@@ -19,7 +19,7 @@ use ci_storage::column::ColumnData;
 use ci_storage::schema::{Field, Schema};
 use ci_storage::table::TableBuilder;
 use ci_storage::value::DataType;
-use ci_types::{DetRng, Result, TableId};
+use ci_types::{DetRng, Result, TableId, Zipf};
 
 /// Regions used for `c_region`.
 pub const REGIONS: [&str; 5] = ["AMER", "EMEA", "APAC", "LATAM", "AFRICA"];
@@ -196,6 +196,7 @@ impl CabGenerator {
                 Field::new("l_discount", DataType::Float64),
             ]));
             let mut r = rng.fork(4);
+            let part_ranks = Zipf::new(n_part as usize, self.config.part_skew);
             let mut b = TableBuilder::new(
                 TableId::new(3),
                 "lineitem",
@@ -212,7 +213,7 @@ impl CabGenerator {
                     ),
                     ColumnData::Int64(
                         (0..n_items)
-                            .map(|_| r.zipf(n_part as usize, self.config.part_skew) as i64)
+                            .map(|_| part_ranks.sample(&mut r) as i64)
                             .collect(),
                     ),
                     ColumnData::Int64((0..n_items).map(|_| r.range_i64(1, 50)).collect()),
