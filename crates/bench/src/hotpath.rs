@@ -19,7 +19,7 @@ use ci_exec::operators::{AggregateState, JoinHashTable};
 use ci_plan::expr::{AggExpr, BinOp, ColMap, PlanExpr};
 use ci_sql::ast::AggFunc;
 use ci_storage::column::ColumnData;
-use ci_storage::pages::{self, PageCodec, WireEncoder};
+use ci_storage::pages::{self, PageCodec, WireEncoder, WireSketch};
 use ci_storage::schema::{Field, Schema, SchemaRef};
 use ci_storage::table::TableBuilder;
 use ci_storage::tiers::{ObjectStoreDir, TierStore};
@@ -461,9 +461,8 @@ pub fn run_exchange_wire(batch: &RecordBatch, morsel: usize) -> Result<usize> {
     while off < batch.rows() {
         let len = morsel.min(batch.rows() - off);
         let chunk = batch.slice(off, len)?;
-        for (i, col) in chunk.columns().iter().enumerate() {
-            wire_bytes += enc.encode_column(col, i as u32)?.len();
-        }
+        let blobs = enc.encode_sketched(&chunk, &WireSketch::of(&chunk)?)?;
+        wire_bytes += blobs.iter().map(Vec::len).sum::<usize>();
         off += len;
     }
     std::hint::black_box(wire_bytes);
@@ -482,8 +481,8 @@ pub fn exchange_wire_accounting(batch: &RecordBatch, morsel: usize) -> Result<(u
     while off < batch.rows() {
         let len = morsel.min(batch.rows() - off);
         let chunk = batch.slice(off, len)?;
-        for (i, col) in chunk.columns().iter().enumerate() {
-            wire += enc.column_wire_bytes(col, i as u32)?;
+        wire += enc.sketched_wire_bytes(&chunk, &WireSketch::of(&chunk)?)?;
+        for col in chunk.columns() {
             plain += pages::encoded_size(col, PageCodec::Plain)?;
         }
         off += len;

@@ -98,7 +98,8 @@ impl CardinalityEstimator {
 
 /// Deterministically injects multiplicative error into cardinality
 /// estimates. `factor_bound = 1.0` is the oracle; `4.0` draws a log-uniform
-/// factor in `[1/4, 4]` per estimation site.
+/// factor in `[1/4, 4]` per estimation site. A bound that is not a finite
+/// number above 1 perturbs nothing.
 #[derive(Debug, Clone)]
 pub struct ErrorInjector {
     rng: DetRng,
@@ -114,18 +115,16 @@ impl ErrorInjector {
         }
     }
 
-    /// Injector drawing factors in `[1/bound, bound]` from `seed`.
+    /// Injector drawing factors in `[1/bound, bound]` from `seed`; the
+    /// oracle when `factor_bound` is not a finite number above 1.
     pub fn with_bound(seed: u64, factor_bound: f64) -> ErrorInjector {
-        assert!(factor_bound >= 1.0);
+        if !(factor_bound.is_finite() && factor_bound > 1.0) {
+            return ErrorInjector::oracle();
+        }
         ErrorInjector {
             rng: DetRng::seed_from_u64(seed),
             factor_bound,
         }
-    }
-
-    /// The configured error bound.
-    pub fn bound(&self) -> f64 {
-        self.factor_bound
     }
 
     /// Perturbs one estimate. Consecutive calls advance the stream, so each
@@ -255,6 +254,10 @@ mod tests {
         let mut inj = ErrorInjector::oracle();
         assert_eq!(inj.perturb(123.0), 123.0);
         assert_eq!(inj.perturb(123.0), 123.0);
+        // So is every bound that is not a finite number above 1.
+        for bound in [f64::NAN, 0.5, 1.0, f64::INFINITY] {
+            assert_eq!(ErrorInjector::with_bound(7, bound).perturb(123.0), 123.0);
+        }
     }
 
     #[test]

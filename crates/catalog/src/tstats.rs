@@ -10,6 +10,7 @@ use std::sync::Arc;
 use ci_storage::column::ColumnData;
 use ci_storage::dict::Dictionary;
 use ci_storage::table::Table;
+use ci_storage::tiers::fnv1a64;
 use ci_storage::value::{DataType, Value};
 
 use crate::histogram::Histogram;
@@ -200,23 +201,24 @@ fn int_ndv<'a>(
 }
 
 /// Distinct 64-bit images of the `rows` values: the integer's bits, a
-/// float's bits, a bool as 0/1, or FNV-1a of a string. A partition whose
-/// strings are dictionary ids (dictionaries not shared across partitions)
-/// hashes each id it references once, so ids from different dictionaries
-/// never collide.
+/// float's bits, a bool as 0/1, or FNV-1a of a string ([`fnv1a64`], the
+/// tier files' checksum; collision odds are negligible at these scales).
+/// A partition whose strings are dictionary ids (dictionaries not shared
+/// across partitions) hashes each id it references once, so ids from
+/// different dictionaries never collide.
 fn hashed_ndv<'a>(rows: usize, cols: impl Iterator<Item = &'a ColumnData>) -> u64 {
     let mut set = WordSet::with_capacity(rows);
     for col in cols {
         match col {
             ColumnData::Int64(v) => v.iter().for_each(|&x| set.insert(x as u64)),
             ColumnData::Float64(v) => v.iter().for_each(|x| set.insert(x.to_bits())),
-            ColumnData::Utf8(v) => v.iter().for_each(|s| set.insert(fnv1a(s.as_bytes()))),
+            ColumnData::Utf8(v) => v.iter().for_each(|s| set.insert(fnv1a64(s.as_bytes()))),
             ColumnData::Bool(v) => v.iter().for_each(|&b| set.insert(b as u64)),
             ColumnData::Dict { ids, dict } => {
                 let mut seen = vec![false; dict.len()];
                 for &id in ids {
                     if !std::mem::replace(&mut seen[id as usize], true) {
-                        set.insert(fnv1a(dict.get(id).as_bytes()));
+                        set.insert(fnv1a64(dict.get(id).as_bytes()));
                     }
                 }
             }
@@ -279,16 +281,6 @@ impl WordSet {
             }
         }
     }
-}
-
-/// FNV-1a for string NDV hashing (collision odds negligible at our scales).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x1000_0000_01b3);
-    }
-    h
 }
 
 #[cfg(test)]

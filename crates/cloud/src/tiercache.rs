@@ -131,11 +131,6 @@ impl TierCacheSim {
         }
     }
 
-    /// The price menu in force.
-    pub fn pricing(&self) -> &TierPricing {
-        &self.pricing
-    }
-
     /// Pins every partition of `table` to `level`: always admitted there,
     /// never evicted. Pinning to [`TierLevel::Object`] clears the pin.
     pub fn pin(&mut self, table: TableId, level: TierLevel) {

@@ -124,9 +124,9 @@ pub struct ExecutionConfig {
     pub models: WorkModels,
     /// Latency for cluster creation and resizing (warm-pool assumption, §3).
     pub resize_latency: SimDuration,
-    /// Maximum rows per morsel when splitting materialized state.
+    /// Maximum rows per morsel when splitting materialized state (positive).
     pub morsel_rows: usize,
-    /// Progress-callback period, in morsels.
+    /// Progress-callback period, in morsels (positive).
     pub check_interval: usize,
     /// Morsel-processing driver (default [`ExecutionMode::Simulate`]).
     pub mode: ExecutionMode,
@@ -841,6 +841,14 @@ impl<'a> Executor<'a> {
                 "{} DOPs provided for {} pipelines",
                 dops.len(),
                 graph.len()
+            )));
+        }
+        // A zero morsel size would cut empty morsels forever, a zero check
+        // interval divide by zero.
+        let (morsel_rows, check_interval) = (self.config.morsel_rows, self.config.check_interval);
+        if morsel_rows == 0 || check_interval == 0 {
+            return Err(CiError::Config(format!(
+                "morsel_rows ({morsel_rows}) and check_interval ({check_interval}) must be positive"
             )));
         }
         let mut q = QueryRun::open(self, plan)?;

@@ -146,6 +146,28 @@ fn order_by_and_limit() {
     }
 }
 
+/// A zero morsel size or check interval is a typed config error, not an
+/// endless stream of empty morsels or a division by zero.
+#[test]
+fn zero_morsel_rows_or_check_interval_is_a_config_error() {
+    let cat = catalog();
+    let (plan, graph) = plan_of(&cat, "SELECT COUNT(*) FROM orders");
+    for (morsel_rows, check_interval) in [(0, 8), (65_536, 0)] {
+        let config = ExecutionConfig {
+            morsel_rows,
+            check_interval,
+            ..ExecutionConfig::default()
+        };
+        let dops = vec![1; graph.len()];
+        let got = Executor::new(&cat, config).execute(&plan, &graph, &dops, &mut NoScaling);
+        assert!(
+            matches!(got, Err(CiError::Config(_))),
+            "{morsel_rows}/{check_interval}: {:?}",
+            got.err()
+        );
+    }
+}
+
 #[test]
 fn dop_speeds_up_scans_at_similar_cost() {
     // §2's elasticity identity only holds when work dwarfs the fixed

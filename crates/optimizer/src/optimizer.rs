@@ -21,7 +21,8 @@ pub struct OptimizerConfig {
     pub estimator: EstimatorConfig,
     /// Explore bushy join-shape variants at DOP-planning time (§3.2).
     pub explore_bushy: bool,
-    /// Cardinality-error injection bound (1.0 = oracle estimates).
+    /// Cardinality-error injection bound (1.0 — or any value that is not
+    /// a finite number above 1 — gives oracle estimates).
     pub error_bound: f64,
     /// Seed for error injection.
     pub error_seed: u64,
@@ -142,11 +143,7 @@ impl<'a> Optimizer<'a> {
     }
 
     fn injector(&self) -> ErrorInjector {
-        if self.config.error_bound <= 1.0 {
-            ErrorInjector::oracle()
-        } else {
-            ErrorInjector::with_bound(self.config.error_seed, self.config.error_bound)
-        }
+        ErrorInjector::with_bound(self.config.error_seed, self.config.error_bound)
     }
 }
 
@@ -303,6 +300,26 @@ mod tests {
         let noisy_est: f64 = noisy.plan.nodes.iter().map(|n| n.est_rows).sum();
         let clean_est: f64 = clean.plan.nodes.iter().map(|n| n.est_rows).sum();
         assert_ne!(noisy_est, clean_est);
+    }
+
+    #[test]
+    fn bounds_that_are_not_finite_above_one_plan_as_the_oracle() {
+        let cat = catalog();
+        let plan = |error_bound: f64| {
+            let cfg = OptimizerConfig {
+                error_bound,
+                error_seed: 7,
+                ..Default::default()
+            };
+            let p = Optimizer::new(&cat, cfg)
+                .plan_sql(CHAIN, Constraint::MinCost)
+                .unwrap();
+            (p.plan, p.dops, p.predicted.cost, p.predicted.latency)
+        };
+        let oracle = plan(1.0);
+        for bound in [f64::NAN, 0.5, f64::INFINITY] {
+            assert!(plan(bound) == oracle, "bound {bound} perturbed the plan");
+        }
     }
 
     #[test]

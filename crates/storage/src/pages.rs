@@ -66,19 +66,30 @@
 //! after the race is decided. On a wire stream that pass is a batch's
 //! [`WireSketch`], taken wherever the batch is hot, and the stream's
 //! [`WireEncoder`] folds it in stream order: first-sight dictionaries and
-//! the cached-frame reuse decision, O(columns). Costing reads the plan's `bytes`; serialization
-//! calls its `emit`, which writes exactly that many — "size ==
-//! serialization" by construction.
+//! the cached-frame reuse decision, O(columns). Costing reads the plan's
+//! `bytes`; serialization calls its `emit`, which writes exactly that many
+//! — "size == serialization" by construction.
 //!
-//! [`best_page`] is the size-based codec picker partitions use to account
-//! `encoded_bytes`. [`WireEncoder`] is the exchange wire format: dict
-//! columns ship bit-packed ids plus their dictionary **once** per encoder
-//! (one-time per (table, column) dictionary transfer), which is what lets
-//! `exchange_wire_secs` see the shrunken payload. [`WireDecoder`] is the
-//! receiver side: it maintains the stream's dictionary cache (keyed by the
-//! `u32` stream dictionary id every wire dict page carries) and turns wire
-//! blobs back into columns and [`RecordBatch`]es, so exchange streams
-//! round-trip exactly like storage pages do.
+//! This module is the only place a page byte layout is written or read.
+//! Each direction has one sizing and one serializing entry:
+//!
+//! * **storage pages** — [`best_page`] sizes a column under the size-based
+//!   picker (what partitions account as `encoded_bytes`), [`encode_column`]
+//!   serializes it under a given codec ([`encode_best`] under the pick),
+//!   and [`decode_column`] reads it back;
+//! * **the exchange wire** — [`WireEncoder::sketched_wire_bytes`] sizes a
+//!   batch from its [`WireSketch`], [`WireEncoder::encode_sketched`]
+//!   serializes it, and [`WireDecoder`] reads the stream back. Dict columns
+//!   ship bit-packed ids plus their dictionary **once** per encoder (the
+//!   one-time per (table, column) dictionary transfer `exchange_wire_secs`
+//!   charges), FoR/Delta int columns ship their frame once per stream
+//!   position; the decoder keeps both caches and decodes frame-reuse pages
+//!   through the same payload decoder as self-contained ones.
+//!
+//! The two sections a page shares with the `CIPF` / `CIPT` tier files —
+//! a dictionary and a bit-packed ids run — have one writer and one reader
+//! each (`write_dictionary_section` / `read_dictionary_section`,
+//! `write_ids_section` / `read_packed_ids`), which `crate::tiers` calls too.
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};
@@ -901,14 +912,13 @@ struct ColumnPlan {
 impl ColumnPlan {
     /// Plans `rows` under the smallest applicable codec (ties break toward
     /// the earlier of [`ALL_CODECS`]), or under `only` when given — an
-    /// error if that codec does not apply to the column's type. With
-    /// `int_dict` the picker offers `Int64` columns `Dict`, counting their
-    /// distinct values only while Dict can still win (see [`dict_bound`]);
-    /// a forced `Dict` page is exact for any NDV.
+    /// error if that codec does not apply to the column's type. The picker
+    /// counts an `Int64` column's distinct values for its `Dict` candidate
+    /// only while Dict can still win (see [`dict_bound`]); a forced `Dict`
+    /// page is exact for any NDV.
     fn build(
         rows: Rows<'_>,
         only: Option<PageCodec>,
-        int_dict: bool,
         scratch: &mut PlanScratch,
     ) -> Result<ColumnPlan> {
         let (dt, n) = (rows.col.data_type(), rows.len());
@@ -985,8 +995,8 @@ impl ColumnPlan {
             let dict_size = |entries: usize| int_dict_bytes(entries) + ids(entries);
             let bound = match only {
                 Some(PageCodec::Dict) => Some(usize::MAX),
-                None if int_dict => dict_bound(&payload, dict_size),
-                _ => None,
+                Some(_) => None,
+                None => dict_bound(&payload, dict_size),
             };
             if let Some(bound) = bound {
                 let entries = each_row!(v, rows.sel, |it| s.count_distinct(
@@ -1039,18 +1049,13 @@ impl ColumnPlan {
     }
 
     /// Plans a whole column as a storage page (its own scratch).
-    fn page(col: &ColumnData, only: Option<PageCodec>, int_dict: bool) -> Result<ColumnPlan> {
-        ColumnPlan::build(
-            Rows { col, sel: None },
-            only,
-            int_dict,
-            &mut PlanScratch::default(),
-        )
+    fn page(col: &ColumnData, only: Option<PageCodec>) -> Result<ColumnPlan> {
+        ColumnPlan::build(Rows { col, sel: None }, only, &mut PlanScratch::default())
     }
 
     /// The storage page under the size-based picker.
     fn picked(col: &ColumnData) -> ColumnPlan {
-        ColumnPlan::page(col, None, true).expect("Plain is a candidate for every column")
+        ColumnPlan::page(col, None).expect("Plain is a candidate for every column")
     }
 
     /// Page metadata of a plan over the whole (dense) column `col`.
@@ -1121,9 +1126,7 @@ impl ColumnPlan {
                 let (local, ids) = IntDict::encode(vals);
                 push_u32(out, local.len() as u32);
                 local.values().iter().for_each(|&entry| put(out, entry));
-                let width = id_bit_width(local.len());
-                out.push(width as u8);
-                pack_ids(out, ids.into_iter(), width);
+                write_ids_section(out, ids.into_iter(), local.len());
             }
             (_, Some(IntFrame::For { min, width })) => {
                 if inline_frame {
@@ -1158,12 +1161,9 @@ impl ColumnPlan {
         let put_dict =
             |out: &mut Vec<u8>, dict: &Dictionary, ids: &mut dyn Iterator<Item = u32>| {
                 if !matches!(self.stream, Stream::Refers(_)) {
-                    push_u32(out, dict.len() as u32);
-                    dict.values().iter().for_each(|entry| push_str(out, entry));
+                    write_dictionary_section(out, dict);
                 }
-                let width = id_bit_width(dict.len());
-                out.push(width as u8);
-                pack_ids(out, ids, width);
+                write_ids_section(out, ids, dict.len());
             };
         match (rows.col, self.codec) {
             (ColumnData::Dict { ids, dict }, PageCodec::Dict)
@@ -1258,8 +1258,20 @@ fn push_str(out: &mut Vec<u8>, s: &str) {
     out.extend_from_slice(s.as_bytes());
 }
 
-/// Bit-packs `ids` at `width` bits each, LSB-first.
-pub(crate) fn pack_ids(out: &mut Vec<u8>, ids: impl Iterator<Item = u32>, width: u32) {
+/// Writes the dictionary section [`read_dictionary_section`] reads —
+/// [`dictionary_page_bytes`] long: the `u32` entry count, then each
+/// entry's `u32` length and bytes.
+pub(crate) fn write_dictionary_section(out: &mut Vec<u8>, dict: &Dictionary) {
+    push_u32(out, dict.len() as u32);
+    dict.values().iter().for_each(|entry| push_str(out, entry));
+}
+
+/// Writes the ids section [`read_packed_ids`] reads for a dictionary of
+/// `entries`: the `u8` bit width [`id_bit_width`] gives, then every id
+/// bit-packed at it, LSB-first.
+pub(crate) fn write_ids_section(out: &mut Vec<u8>, ids: impl Iterator<Item = u32>, entries: usize) {
+    let width = id_bit_width(entries);
+    out.push(width as u8);
     pack_bits(out, ids.map(u64::from), width);
 }
 
@@ -1278,7 +1290,7 @@ pub const PAGE_FLAG_WIRE_STREAM: u8 = 2;
 /// Exact size in bytes of `encode_column(col, codec)` without materializing
 /// the page.
 pub fn encoded_size(col: &ColumnData, codec: PageCodec) -> Result<u64> {
-    Ok(ColumnPlan::page(col, Some(codec), false)?.bytes)
+    Ok(ColumnPlan::page(col, Some(codec))?.bytes)
 }
 
 /// The smallest-page codec for this column (ties break toward the earlier
@@ -1298,18 +1310,12 @@ pub fn best_page(col: &ColumnData) -> EncodedPage {
 /// Encodes a column as one self-contained page under the given codec.
 /// Returns the page metadata and the bytes; `decode_column` inverts it.
 pub fn encode_column(col: &ColumnData, codec: PageCodec) -> Result<(EncodedPage, Vec<u8>)> {
-    ColumnPlan::page(col, Some(codec), false)?.encode(col)
+    ColumnPlan::page(col, Some(codec))?.encode(col)
 }
 
 /// Encodes under the size-picked codec.
 pub fn encode_best(col: &ColumnData) -> Result<(EncodedPage, Vec<u8>)> {
     ColumnPlan::picked(col).encode(col)
-}
-
-/// Encodes an int column under the size-picked codec with `Dict` left out
-/// of the race — the codec set tier files store int columns under.
-pub(crate) fn encode_best_no_dict(col: &ColumnData) -> Result<Vec<u8>> {
-    Ok(ColumnPlan::page(col, None, false)?.encode(col)?.1)
 }
 
 // ---------------------------------------------------------------------------
@@ -1490,19 +1496,23 @@ pub fn decode_column(bytes: &[u8]) -> Result<ColumnData> {
     if h.flags != 0 {
         return Err(err(format!("unknown page flags {:#04x}", h.flags)));
     }
-    let col = decode_payload(&mut c, h.codec, h.dt, h.rows)?;
+    let (col, _) = decode_payload(&mut c, &h, None)?;
     c.done()?;
     Ok(col)
 }
 
-/// Decodes the codec payload of a self-contained page (everything after the
-/// header) into a column of exactly `rows` values.
+/// Decodes the codec payload of a page (everything after the header and a
+/// wire page's stream id) into a column of exactly `h.rows` values. A
+/// FoR/Delta page reads its frame inline, or rides `cached` — the frame a
+/// wire stream's receiver holds for a frame-reuse page — and returns the
+/// frame it decoded through next to the column (`None` for other codecs).
 fn decode_payload(
     c: &mut Cursor,
-    codec: PageCodec,
-    dt: DataType,
-    rows: usize,
-) -> Result<ColumnData> {
+    h: &PageHeader,
+    cached: Option<IntFrame>,
+) -> Result<(ColumnData, Option<IntFrame>)> {
+    let (codec, dt, rows) = (h.codec, h.dt, h.rows);
+    let mut frame = None;
     let col = match codec {
         PageCodec::Plain => match dt {
             DataType::Int64 => {
@@ -1599,36 +1609,69 @@ fn decode_payload(
             }
             col
         }
-        PageCodec::For => {
-            if !codec.applies_to(dt) || dt == DataType::Utf8 {
-                return Err(err(format!("for page with unsupported dtype {dt}")));
+        PageCodec::For | PageCodec::Delta => {
+            if !codec.applies_to(dt) {
+                return Err(err(format!(
+                    "{} page with unsupported dtype {dt}",
+                    codec.name()
+                )));
             }
             if rows == 0 {
+                if cached.is_some() {
+                    return Err(err(format!(
+                        "{} frame reuse page declares 0 rows",
+                        codec.name()
+                    )));
+                }
                 ColumnData::empty(dt)
             } else {
-                let min = c.u64()? as i64;
-                let width = c.u8()? as u32;
-                if width > 64 {
-                    return Err(err(format!("for page bit width {width} exceeds 64")));
+                let delta = codec == PageCodec::Delta;
+                if cached.is_some_and(|f| matches!(f, IntFrame::Delta { .. }) != delta) {
+                    let name = codec.name();
+                    return Err(err(format!(
+                        "wire {name} page reuses a stream frame of the other kind"
+                    )));
                 }
-                let packed = c.take(packed_bytes_checked(rows, width)? as usize)?;
-                match dt {
-                    DataType::Int64 if width == 0 => ColumnData::Int64(vec![min; rows]),
-                    DataType::Int64 if width <= 16 => {
-                        ColumnData::Int64(unpack_for_i64_small(packed, rows, width, min))
+                // Delta pages ship their first value whether or not they
+                // carry the frame.
+                let first = if delta { c.u64()? as i64 } else { 0 };
+                let f = match cached {
+                    Some(f) => f,
+                    None => {
+                        let (base, width) = (c.u64()? as i64, c.u8()? as u32);
+                        match delta {
+                            true => IntFrame::Delta { min_d: base, width },
+                            false => IntFrame::For { min: base, width },
+                        }
                     }
-                    DataType::Int64 => {
-                        let mut v = Vec::with_capacity(rows);
-                        let mut tmp = [0i64; 8];
-                        unpack_bit_blocks(packed, rows, width, |blk| {
-                            for (t, &off) in tmp.iter_mut().zip(blk) {
-                                *t = min.wrapping_add(off as i64);
+                };
+                let (IntFrame::For { width, .. } | IntFrame::Delta { width, .. }) = f;
+                if width > 64 {
+                    let name = codec.name();
+                    return Err(err(format!("{name} page bit width {width} exceeds 64")));
+                }
+                let packed_rows = rows - usize::from(delta);
+                let packed = c.take(packed_bytes_checked(packed_rows, width)? as usize)?;
+                frame = Some(f);
+                match (f, dt) {
+                    (IntFrame::For { min, .. }, DataType::Int64) => {
+                        ColumnData::Int64(match width {
+                            0 => vec![min; rows],
+                            1..=16 => unpack_for_i64_small(packed, rows, width, min),
+                            _ => {
+                                let mut v = Vec::with_capacity(rows);
+                                let mut tmp = [0i64; 8];
+                                unpack_bit_blocks(packed, rows, width, |blk| {
+                                    for (t, &off) in tmp.iter_mut().zip(blk) {
+                                        *t = min.wrapping_add(off as i64);
+                                    }
+                                    v.extend_from_slice(&tmp[..blk.len()]);
+                                });
+                                v
                             }
-                            v.extend_from_slice(&tmp[..blk.len()]);
-                        });
-                        ColumnData::Int64(v)
+                        })
                     }
-                    DataType::Bool => {
+                    (IntFrame::For { min, .. }, _) => {
                         if !matches!(min, 0 | 1) {
                             return Err(err(format!("bool for page with frame min {min}")));
                         }
@@ -1646,46 +1689,27 @@ fn decode_payload(
                         }
                         ColumnData::Bool(v)
                     }
-                    _ => unreachable!("applies_to checked above"),
-                }
-            }
-        }
-        PageCodec::Delta => {
-            if dt != DataType::Int64 {
-                return Err(err(format!("delta page with non-INT dtype {dt}")));
-            }
-            if rows == 0 {
-                ColumnData::empty(dt)
-            } else {
-                let first = c.u64()? as i64;
-                let min_d = c.u64()? as i64;
-                let width = c.u8()? as u32;
-                if width > 64 {
-                    return Err(err(format!("delta page bit width {width} exceeds 64")));
-                }
-                let packed = c.take(packed_bytes_checked(rows - 1, width)? as usize)?;
-                if width == 0 {
-                    // Every delta equals `min_d`: the column is an
-                    // arithmetic sequence, materialized without touching
-                    // the (empty) packed section or a running carry.
-                    ColumnData::Int64(
+                    // Every delta equals `min_d`: the column is an arithmetic
+                    // sequence, materialized without a running carry.
+                    (IntFrame::Delta { min_d, .. }, _) if width == 0 => ColumnData::Int64(
                         (0..rows as i64)
                             .map(|k| first.wrapping_add(min_d.wrapping_mul(k)))
                             .collect(),
-                    )
-                } else {
-                    let mut v = Vec::with_capacity(rows);
-                    v.push(first);
-                    let mut cur = first;
-                    let mut tmp = [0i64; 8];
-                    unpack_bit_blocks(packed, rows - 1, width, |blk| {
-                        for (t, &off) in tmp.iter_mut().zip(blk) {
-                            cur = cur.wrapping_add(min_d.wrapping_add(off as i64));
-                            *t = cur;
-                        }
-                        v.extend_from_slice(&tmp[..blk.len()]);
-                    });
-                    ColumnData::Int64(v)
+                    ),
+                    (IntFrame::Delta { min_d, .. }, _) => {
+                        let mut v = Vec::with_capacity(rows);
+                        v.push(first);
+                        let mut cur = first;
+                        let mut tmp = [0i64; 8];
+                        unpack_bit_blocks(packed, packed_rows, width, |blk| {
+                            for (t, &off) in tmp.iter_mut().zip(blk) {
+                                cur = cur.wrapping_add(min_d.wrapping_add(off as i64));
+                                *t = cur;
+                            }
+                            v.extend_from_slice(&tmp[..blk.len()]);
+                        });
+                        ColumnData::Int64(v)
+                    }
                 }
             }
         }
@@ -1696,7 +1720,7 @@ fn decode_payload(
             col.len()
         )));
     }
-    Ok(col)
+    Ok((col, frame))
 }
 
 fn decode_bool(b: u8) -> Result<bool> {
@@ -1765,18 +1789,6 @@ pub(crate) fn read_packed_ids(c: &mut Cursor, rows: usize, entries: usize) -> Re
         return Err(err(format!("dict page has {rows} rows but no entries")));
     }
     let packed = c.take(packed_bytes_checked(rows, width)? as usize)?;
-    let ids = unpack_ids(packed, rows, width)?;
-    if let Some(&bad) = ids.iter().find(|&&id| id as usize >= entries.max(1)) {
-        return Err(err(format!(
-            "dict page id {bad} out of range for {entries} entries"
-        )));
-    }
-    Ok(ids)
-}
-
-pub(crate) fn unpack_ids(packed: &[u8], rows: usize, width: u32) -> Result<Vec<u32>> {
-    // Callers validate widths (<= 32) and size `packed` exactly via
-    // `packed_bytes_checked` + `take` before unpacking.
     let mut ids = Vec::with_capacity(rows);
     let mut tmp = [0u32; 8];
     unpack_bit_blocks(packed, rows, width, |blk| {
@@ -1785,6 +1797,11 @@ pub(crate) fn unpack_ids(packed: &[u8], rows: usize, width: u32) -> Result<Vec<u
         }
         ids.extend_from_slice(&tmp[..blk.len()]);
     });
+    if let Some(&bad) = ids.iter().find(|&&id| id as usize >= entries.max(1)) {
+        return Err(err(format!(
+            "dict page id {bad} out of range for {entries} entries"
+        )));
+    }
     Ok(ids)
 }
 
@@ -1822,8 +1839,8 @@ pub const MAX_STREAM_COLUMNS: usize = 1 << 16;
 /// [`WireSketch`] (stateless — a pure function of the batch) and the fold of
 /// that sketch into the stream ([`WireEncoder::sketched_wire_bytes`] /
 /// [`WireEncoder::encode_sketched`] — first-sight dictionaries, frame reuse).
-/// The size-only entry points return the folded plan's `bytes`, the
-/// serializing ones `emit` it.
+/// [`WireEncoder::sketched_wire_bytes`] returns the folded plans' `bytes`,
+/// [`WireEncoder::encode_sketched`] `emit`s them.
 #[derive(Debug, Default)]
 pub struct WireEncoder {
     /// Pointer-identity → `(stream dictionary id, pinned dictionary)`.
@@ -1945,7 +1962,7 @@ impl ColumnPlan {
     fn wire(rows: Rows<'_>, scratch: &mut PlanScratch) -> Result<ColumnPlan> {
         match rows.col {
             ColumnData::Dict { dict, .. } => Ok(ColumnPlan::stream_ids(rows.len(), dict)),
-            _ => ColumnPlan::build(rows, None, true, scratch),
+            _ => ColumnPlan::build(rows, None, scratch),
         }
     }
 
@@ -2003,11 +2020,6 @@ impl WireEncoder {
         WireEncoder::default()
     }
 
-    /// `true` if the next dict column sharing `dict` rides for ids only.
-    pub fn has_shipped(&self, dict: &Arc<Dictionary>) -> bool {
-        self.shipped.contains_key(&(Arc::as_ptr(dict) as usize))
-    }
-
     /// Marks `dict` shipped (pinning it alive for the encoder's lifetime);
     /// returns its stream dictionary id and `true` on the first sighting.
     fn ship(&mut self, dict: &Arc<Dictionary>) -> (u32, bool) {
@@ -2017,12 +2029,6 @@ impl WireEncoder {
             .entry(Arc::as_ptr(dict) as usize)
             .or_insert_with(|| (next_id, dict.clone()));
         (entry.0, entry.0 == next_id)
-    }
-
-    /// Number of int frames currently cached (one per stream column that
-    /// has shipped a FoR/Delta chunk).
-    pub fn cached_frames(&self) -> usize {
-        self.frames.iter().flatten().count()
     }
 
     /// The stateful half of wire planning: folds the [`ColumnPlan::wire`]
@@ -2110,13 +2116,6 @@ impl WireEncoder {
         Ok(plan)
     }
 
-    /// Sketches one whole column and folds it at `stream_col`.
-    fn plan_column(&mut self, col: &ColumnData, stream_col: u32) -> Result<ColumnPlan> {
-        let rows = Rows { col, sel: None };
-        let sketch = ColumnPlan::wire(rows, &mut PlanScratch::default())?;
-        self.fold(rows, sketch, stream_col)
-    }
-
     /// Folds `sketch` — which must be [`WireSketch::of`] this very `batch`
     /// — column by column, stream positions in schema order.
     fn fold_batch(&mut self, batch: &RecordBatch, sketch: &WireSketch) -> Result<Vec<ColumnPlan>> {
@@ -2129,13 +2128,6 @@ impl WireEncoder {
         (batch.columns().iter().zip(&sketch.cols).enumerate())
             .map(|(i, (col, &plan))| self.fold(Rows { col, sel }, plan, i as u32))
             .collect()
-    }
-
-    /// Wire bytes for one column at stream position `stream_col`, updating
-    /// the shipped-dictionary set and the int frame cache. Size-only: no
-    /// payload is materialized.
-    pub fn column_wire_bytes(&mut self, col: &ColumnData, stream_col: u32) -> Result<u64> {
-        Ok(self.plan_column(col, stream_col)?.bytes)
     }
 
     /// Wire bytes for a whole batch whose sketch was taken earlier (sum over
@@ -2151,32 +2143,21 @@ impl WireEncoder {
             .sum())
     }
 
-    /// [`WireEncoder::sketched_wire_bytes`], sketching here and now.
-    pub fn batch_wire_bytes(&mut self, batch: &RecordBatch) -> Result<u64> {
-        self.sketched_wire_bytes(batch, &WireSketch::of(batch)?)
-    }
-
-    /// Actually serializes one column for the wire. Every emitted blob is
-    /// self-describing — the "CIPG" header always comes first. A dict
-    /// column's transfers carry the [`PAGE_FLAG_WIRE_STREAM`] flag and a
-    /// `u32` stream dictionary id: the first transfer inlines the whole
-    /// shared dictionary (filling the receiver's cache under that id),
-    /// later transfers also set [`PAGE_FLAG_DICT_REF`] and carry only the
-    /// bit-packed ids. An int column whose pick is FoR/Delta rides the same
-    /// protocol under its stream position: frame-bearing transfers fill the
-    /// receiver's frame cache, reuse transfers carry packed offsets only.
-    /// Other columns emit their best self-contained page. The byte count
-    /// always equals [`WireEncoder::column_wire_bytes`]; [`WireDecoder`]
-    /// inverts the stream.
-    pub fn encode_column(&mut self, col: &ColumnData, stream_col: u32) -> Result<Vec<u8>> {
-        (self.plan_column(col, stream_col)?).blob(Rows { col, sel: None })
-    }
-
-    /// Serializes a whole batch whose sketch was taken earlier: one blob
-    /// per column, stream positions in schema order, a selected batch's
+    /// Serializes a batch whose sketch was taken earlier: one blob per
+    /// column, stream positions in schema order, a selected batch's
     /// logical rows only (the exchange is a materialization point), each
     /// blob as long as [`WireEncoder::sketched_wire_bytes`] counted it.
     /// [`WireDecoder::decode_batch`] inverts it.
+    ///
+    /// Every blob is self-describing — the "CIPG" header always comes
+    /// first. A dict column's transfers carry the [`PAGE_FLAG_WIRE_STREAM`]
+    /// flag and a `u32` stream dictionary id: the first transfer inlines the
+    /// whole shared dictionary (filling the receiver's cache under that
+    /// id), later transfers also set [`PAGE_FLAG_DICT_REF`] and carry only
+    /// the bit-packed ids. An int column whose pick is FoR/Delta rides the
+    /// same protocol under its stream position: frame-bearing transfers fill
+    /// the receiver's frame cache, reuse transfers carry packed offsets
+    /// only. Other columns emit their best self-contained page.
     pub fn encode_sketched(
         &mut self,
         batch: &RecordBatch,
@@ -2186,11 +2167,6 @@ impl WireEncoder {
         (self.fold_batch(batch, sketch)?.iter().zip(batch.columns()))
             .map(|(plan, col)| plan.blob(Rows { col, sel }))
             .collect()
-    }
-
-    /// [`WireEncoder::encode_sketched`], sketching here and now.
-    pub fn encode_batch(&mut self, batch: &RecordBatch) -> Result<Vec<Vec<u8>>> {
-        self.encode_sketched(batch, &WireSketch::of(batch)?)
     }
 }
 
@@ -2222,150 +2198,77 @@ impl WireDecoder {
         WireDecoder::default()
     }
 
-    /// Number of dictionaries received so far.
-    pub fn cached_dictionaries(&self) -> usize {
-        self.dicts.len()
-    }
-
-    /// Number of int frames currently cached.
-    pub fn cached_frames(&self) -> usize {
-        self.frames.iter().flatten().count()
-    }
-
-    /// Decodes a wire FoR/Delta page: frame-bearing transfers decode like
-    /// their self-contained form and fill (or replace) the frame cache
-    /// under the page's stream id; offsets-only transfers
-    /// ([`PAGE_FLAG_DICT_REF`]) resolve against the cached frame.
-    fn decode_frame_page(&mut self, c: &mut Cursor, h: &PageHeader) -> Result<ColumnData> {
-        let frame_id = c.u32()? as usize;
-        if h.flags & PAGE_FLAG_DICT_REF == 0 {
-            // Peek the frame parameters, then let the canonical payload
-            // decoder (with all its validation) consume them.
-            let mut peek = Cursor {
-                bytes: c.bytes,
-                at: c.at,
-            };
-            let frame = match (h.codec, h.rows) {
-                (_, 0) => None,
-                (PageCodec::For, _) => Some(IntFrame::For {
-                    min: peek.u64()? as i64,
-                    width: peek.u8()? as u32,
-                }),
-                _ => {
-                    peek.u64()?; // per-chunk first value, not frame state
-                    Some(IntFrame::Delta {
-                        min_d: peek.u64()? as i64,
-                        width: peek.u8()? as u32,
-                    })
-                }
-            };
-            let col = decode_payload(c, h.codec, h.dt, h.rows)?;
-            c.done()?;
-            if let Some(frame) = frame {
-                cache_frame(&mut self.frames, frame_id, frame)?;
-            }
-            return Ok(col);
-        }
-        let frame = self
-            .frames
-            .get(frame_id)
-            .copied()
-            .flatten()
-            .ok_or_else(|| {
-                err(format!(
-                    "wire page references stream frame {frame_id} never shipped (frame cache miss)"
-                ))
-            })?;
-        let rows = h.rows;
-        let col = match (h.codec, frame) {
-            (PageCodec::For, IntFrame::For { min, width }) => {
-                let packed = c.take(packed_bytes_checked(rows, width)? as usize)?;
-                let mut v = Vec::with_capacity(rows);
-                unpack_bits(packed, rows, width, |off| {
-                    v.push(min.wrapping_add(off as i64));
-                });
-                ColumnData::Int64(v)
-            }
-            (PageCodec::Delta, IntFrame::Delta { min_d, width }) => {
-                if rows == 0 {
-                    return Err(err(format!(
-                        "delta frame reuse page for stream frame {frame_id} declares 0 rows"
-                    )));
-                }
-                let first = c.u64()? as i64;
-                let packed = c.take(packed_bytes_checked(rows - 1, width)? as usize)?;
-                let mut v = Vec::with_capacity(rows);
-                v.push(first);
-                let mut cur = first;
-                unpack_bits(packed, rows - 1, width, |off| {
-                    cur = cur.wrapping_add(min_d.wrapping_add(off as i64));
-                    v.push(cur);
-                });
-                ColumnData::Int64(v)
-            }
-            _ => {
-                return Err(err(format!(
-                    "wire {} page reuses stream frame {frame_id} of the other kind",
-                    h.codec.name()
-                )))
-            }
-        };
-        c.done()?;
-        Ok(col)
-    }
-
-    /// Decodes one wire blob, updating the dictionary cache. Self-contained
-    /// pages (non-dict columns) decode exactly like [`decode_column`]; wire
-    /// dict pages resolve through the cache and decode to dict columns
-    /// sharing the cached `Arc`.
+    /// Decodes one wire blob, updating the stream caches. Self-contained
+    /// pages decode exactly like [`decode_column`]; wire dict pages resolve
+    /// through the dictionary cache and decode to dict columns sharing the
+    /// cached `Arc`; FoR/Delta wire pages fill (or, on mid-stream
+    /// re-derivation, replace) the frame cache under their stream position,
+    /// and frame-reuse pages ([`PAGE_FLAG_DICT_REF`]) decode through the
+    /// cached frame.
     pub fn decode_column(&mut self, bytes: &[u8]) -> Result<ColumnData> {
         let mut c = Cursor::new(bytes);
         let h = parse_header(&mut c)?;
         if h.flags & PAGE_FLAG_WIRE_STREAM == 0 {
-            if h.flags != 0 {
-                return Err(err(format!("unknown page flags {:#04x}", h.flags)));
-            }
-            let col = decode_payload(&mut c, h.codec, h.dt, h.rows)?;
-            c.done()?;
-            return Ok(col);
+            return decode_column(bytes);
         }
         if h.flags & !(PAGE_FLAG_WIRE_STREAM | PAGE_FLAG_DICT_REF) != 0 {
             return Err(err(format!("unknown page flags {:#04x}", h.flags)));
         }
-        if matches!(h.codec, PageCodec::For | PageCodec::Delta) && h.dt == DataType::Int64 {
-            return self.decode_frame_page(&mut c, &h);
-        }
-        if h.codec != PageCodec::Dict || h.dt != DataType::Utf8 {
-            return Err(err(format!(
-                "wire-stream flag on a {} {} page",
-                h.codec.name(),
-                h.dt
-            )));
-        }
-        let dict_id = c.u32()?;
-        let dict = if h.flags & PAGE_FLAG_DICT_REF != 0 {
-            self.dicts.get(&dict_id).cloned().ok_or_else(|| {
-                err(format!(
-                    "wire page references stream dictionary {dict_id} never shipped \
-                         (dictionary cache miss)"
-                ))
-            })?
-        } else {
-            let dict = Arc::new(read_dictionary_section(&mut c)?);
-            if self.dicts.insert(dict_id, dict.clone()).is_some() {
-                return Err(err(format!("stream dictionary {dict_id} shipped twice")));
+        let refers = h.flags & PAGE_FLAG_DICT_REF != 0;
+        let id = c.u32()?;
+        let mut fill = None;
+        let col = match (h.codec, h.dt) {
+            (PageCodec::For | PageCodec::Delta, DataType::Int64) => {
+                let cached = if refers {
+                    let frame = self.frames.get(id as usize).copied().flatten();
+                    Some(frame.ok_or_else(|| {
+                        err(format!(
+                            "wire page references stream frame {id} never shipped \
+                             (frame cache miss)"
+                        ))
+                    })?)
+                } else {
+                    None
+                };
+                let (col, frame) = decode_payload(&mut c, &h, cached)?;
+                fill = frame.filter(|_| !refers);
+                col
             }
-            dict
+            (PageCodec::Dict, DataType::Utf8) => {
+                let dict = if refers {
+                    self.dicts.get(&id).cloned().ok_or_else(|| {
+                        err(format!(
+                            "wire page references stream dictionary {id} never shipped \
+                             (dictionary cache miss)"
+                        ))
+                    })?
+                } else {
+                    let dict = Arc::new(read_dictionary_section(&mut c)?);
+                    if self.dicts.insert(id, dict.clone()).is_some() {
+                        return Err(err(format!("stream dictionary {id} shipped twice")));
+                    }
+                    dict
+                };
+                // Ids ride at the full shared dictionary's bit width.
+                let ids = read_packed_ids(&mut c, h.rows, dict.len())?;
+                ColumnData::Dict { ids, dict }
+            }
+            (codec, dt) => {
+                let name = codec.name();
+                return Err(err(format!("wire-stream flag on a {name} {dt} page")));
+            }
         };
-        // Ids ride at the full shared dictionary's bit width.
-        let ids = read_packed_ids(&mut c, h.rows, dict.len())?;
         c.done()?;
-        Ok(ColumnData::Dict { ids, dict })
+        if let Some(frame) = fill {
+            cache_frame(&mut self.frames, id as usize, frame)?;
+        }
+        Ok(col)
     }
 
-    /// Decodes a batch serialized by [`WireEncoder::encode_batch`]: one blob
-    /// per schema column. The result is dense (exchanges ship compacted
-    /// rows) and logically equal to the batch the sender serialized.
+    /// Decodes a batch serialized by [`WireEncoder::encode_sketched`]: one
+    /// blob per schema column. The result is dense (exchanges ship
+    /// compacted rows) and logically equal to the batch the sender
+    /// serialized.
     pub fn decode_batch(
         &mut self,
         schema: crate::schema::SchemaRef,
@@ -2398,6 +2301,34 @@ mod tests {
         let vals = col.as_i64().unwrap();
         vals.iter().collect::<std::collections::BTreeSet<_>>().len()
     }
+
+    /// `col` as a one-column batch.
+    fn one_col(col: &ColumnData) -> RecordBatch {
+        let field = crate::schema::Field::new("c", col.data_type());
+        let schema = Arc::new(crate::schema::Schema::of(vec![field]));
+        RecordBatch::new(schema, vec![col.clone()]).unwrap()
+    }
+
+    /// Ships `col` as the next one-column batch of `tx`'s stream (stream
+    /// position 0): its wire blob.
+    fn ship(tx: &mut WireEncoder, col: &ColumnData) -> Vec<u8> {
+        let batch = one_col(col);
+        let sketch = WireSketch::of(&batch).unwrap();
+        tx.encode_sketched(&batch, &sketch).unwrap().remove(0)
+    }
+
+    /// The bytes [`ship`] emits for `col`, counted size-only.
+    fn shipped_bytes(tx: &mut WireEncoder, col: &ColumnData) -> u64 {
+        let batch = one_col(col);
+        let sketch = WireSketch::of(&batch).unwrap();
+        tx.sketched_wire_bytes(&batch, &sketch).unwrap()
+    }
+
+    /// Offset of a page's flags byte, and the flags of a wire page that
+    /// fills a stream cache entry or rides one.
+    const FLAGS: usize = 7;
+    const FILLS: u8 = PAGE_FLAG_WIRE_STREAM;
+    const REFERS: u8 = PAGE_FLAG_WIRE_STREAM | PAGE_FLAG_DICT_REF;
 
     #[test]
     fn picked_plan_matches_argmin_over_forced_plans() {
@@ -2445,37 +2376,26 @@ mod tests {
     }
 
     #[test]
-    fn no_dict_pick_is_the_argmin_over_the_other_candidates() {
-        // What tier files store for int columns: the smallest page but
-        // Dict — here Dict would win outright.
-        let col = ColumnData::Int64((0..2_000).map(|i| (i * 7 % 5) * 0x0123_4567_89ab).collect());
-        assert_eq!(pick_codec(&col), PageCodec::Dict);
-        let smallest = PageCodec::candidates(DataType::Int64)
-            .filter(|&c| c != PageCodec::Dict)
-            .map(|c| encode_column(&col, c).unwrap().1)
-            .min_by_key(Vec::len)
-            .unwrap();
-        assert_eq!(encode_best_no_dict(&col).unwrap(), smallest);
-        assert_eq!(decode_column(&smallest).unwrap(), col);
-    }
-
-    #[test]
     fn stream_positions_are_bounded_on_both_sides() {
+        // The sender and the receiver cache frames through one function,
+        // which refuses a position past the bound.
+        let frame = IntFrame::For { min: 500, width: 4 };
+        let e = cache_frame(&mut Vec::new(), MAX_STREAM_COLUMNS, frame).unwrap_err();
+        assert!(e.to_string().contains("exceeds the bound"), "{e}");
+        // A forged frame id must not size the receiver's cache, nor
+        // disturb the frame it holds.
         let col = ColumnData::Int64((0..64).map(|i| 500 + i % 9).collect());
         let mut tx = WireEncoder::new();
-        let e = tx
-            .encode_column(&col, MAX_STREAM_COLUMNS as u32)
-            .unwrap_err();
-        assert!(e.to_string().contains("exceeds the bound"), "{e}");
-        // A forged frame id must not size the receiver's cache.
-        let last = MAX_STREAM_COLUMNS as u32 - 1;
-        let mut blob = tx.encode_column(&col, last).unwrap();
-        assert_eq!(blob[7], PAGE_FLAG_WIRE_STREAM, "fixture ships a frame");
+        let blob = ship(&mut tx, &col);
+        assert_eq!(blob[FLAGS], FILLS, "fixture ships a frame");
         let mut rx = WireDecoder::new();
         assert_eq!(rx.decode_column(&blob).unwrap(), col);
-        blob[PAGE_HEADER_BYTES..PAGE_HEADER_BYTES + 4].copy_from_slice(&u32::MAX.to_le_bytes());
-        assert!(rx.decode_column(&blob).is_err());
-        assert_eq!(rx.cached_frames(), 1);
+        let mut forged = blob.clone();
+        forged[PAGE_HEADER_BYTES..PAGE_HEADER_BYTES + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        assert!(rx.decode_column(&forged).is_err());
+        let reuse = ship(&mut tx, &col);
+        assert_eq!(reuse[FLAGS], REFERS);
+        assert_eq!(rx.decode_column(&reuse).unwrap(), col);
     }
 
     #[test]
@@ -2806,12 +2726,13 @@ mod tests {
             .unwrap_err()
             .to_string();
         assert!(e.contains("page bound"), "{e}");
-        let mut w = WireEncoder::new();
-        let dict_oversized = ColumnData::Dict {
+        let dict_oversized = one_col(&ColumnData::Dict {
             ids: vec![0; MAX_DECODE_ROWS + 1],
             dict: Arc::new(Dictionary::encode(["x"].into_iter()).0),
-        };
-        assert!(w.encode_column(&dict_oversized, 0).is_err());
+        });
+        let sketch = WireSketch::of(&dict_oversized).unwrap();
+        let mut w = WireEncoder::new();
+        assert!(w.encode_sketched(&dict_oversized, &sketch).is_err());
     }
 
     #[test]
@@ -2872,24 +2793,32 @@ mod tests {
         let (_, dict) = col.as_dict().unwrap();
         let dict_bytes = dictionary_page_bytes(dict);
         let mut w = WireEncoder::new();
-        let first = w.column_wire_bytes(&col, 0).unwrap();
-        let second = w.column_wire_bytes(&col, 0).unwrap();
+        let first = shipped_bytes(&mut w, &col);
+        let second = shipped_bytes(&mut w, &col);
         assert_eq!(first, second + dict_bytes);
-        assert!(w.has_shipped(&dict.clone()));
-        // Real serialization agrees with the size-only accounting.
+        // Real serialization agrees with the size-only accounting, and the
+        // second transfer rides the shipped dictionary.
         let mut w2 = WireEncoder::new();
-        let b1 = w2.encode_column(&col, 0).unwrap();
-        let b2 = w2.encode_column(&col, 0).unwrap();
+        let b1 = ship(&mut w2, &col);
+        let b2 = ship(&mut w2, &col);
         assert_eq!(b1.len() as u64, first);
         assert_eq!(b2.len() as u64, second);
+        assert_eq!((b1[FLAGS], b2[FLAGS]), (FILLS, REFERS));
         // Wire pages demand the stream's dictionary cache: the cache-less
         // storage decoder rejects them, the stream decoder inverts both.
         let e = decode_column(&b1).unwrap_err().to_string();
         assert!(e.contains("dictionary cache"), "{e}");
         let mut rx = WireDecoder::new();
-        assert_eq!(rx.decode_column(&b1).unwrap(), col);
-        assert_eq!(rx.decode_column(&b2).unwrap(), col);
-        assert_eq!(rx.cached_dictionaries(), 1);
+        let (d1, d2) = (
+            rx.decode_column(&b1).unwrap(),
+            rx.decode_column(&b2).unwrap(),
+        );
+        assert_eq!((&d1, &d2), (&col, &col));
+        // One dictionary received: both columns share it.
+        assert!(Arc::ptr_eq(
+            d1.as_dict().unwrap().1,
+            d2.as_dict().unwrap().1
+        ));
         // The ids-only payload beats the decoded width by a wide margin.
         assert!(second * 2 < col.byte_size() as u64);
     }
@@ -2904,18 +2833,17 @@ mod tests {
         let mut decoded_dicts = Vec::new();
         for start in [0usize, 3, 6] {
             let chunk = table.slice(start, (table.len() - start).min(3));
-            let blob = tx.encode_column(&chunk, 0).unwrap();
+            let blob = ship(&mut tx, &chunk);
             let decoded = rx.decode_column(&blob).unwrap();
             assert_eq!(decoded, chunk, "chunk at {start}");
             decoded_dicts.push(decoded.as_dict().unwrap().1.clone());
         }
         assert!(Arc::ptr_eq(&decoded_dicts[0], &decoded_dicts[1]));
         assert!(Arc::ptr_eq(&decoded_dicts[0], &decoded_dicts[2]));
-        assert_eq!(rx.cached_dictionaries(), 1);
         // Ids decode against the *full* shared dictionary, so they are
         // bit-identical to the sender's, not remapped.
         let chunk = table.slice(6, 2);
-        let blob = tx.encode_column(&chunk, 0).unwrap();
+        let blob = ship(&mut tx, &chunk);
         let decoded = rx.decode_column(&blob).unwrap();
         assert_eq!(decoded.as_dict().unwrap().0, chunk.as_dict().unwrap().0);
     }
@@ -2924,8 +2852,8 @@ mod tests {
     fn wire_decoder_rejects_cache_misses_and_reships() {
         let col = dict_col(&["a", "b", "a"]);
         let mut tx = WireEncoder::new();
-        let b1 = tx.encode_column(&col, 0).unwrap();
-        let b2 = tx.encode_column(&col, 0).unwrap();
+        let b1 = ship(&mut tx, &col);
+        let b2 = ship(&mut tx, &col);
         // A ref page with no prior dictionary transfer is a cache miss.
         let mut cold = WireDecoder::new();
         let e = cold.decode_column(&b2).unwrap_err().to_string();
@@ -2951,15 +2879,16 @@ mod tests {
         let table: Vec<i64> = (0..4096).map(|i| 10_000 + i * 3).collect();
         let mut tx = WireEncoder::new();
         let mut rx = WireDecoder::new();
-        let mut sizes = Vec::new();
+        let (mut sizes, mut flags) = (Vec::new(), Vec::new());
         for chunk in table.chunks(1024) {
             let c = ColumnData::Int64(chunk.to_vec());
-            let blob = tx.encode_column(&c, 0).unwrap();
+            let blob = ship(&mut tx, &c);
             sizes.push(blob.len() as u64);
+            flags.push(blob[FLAGS]);
             assert_eq!(rx.decode_column(&blob).unwrap(), c);
         }
-        assert_eq!(tx.cached_frames(), 1);
-        assert_eq!(rx.cached_frames(), 1);
+        // One frame shipped, every later chunk rides it.
+        assert_eq!(flags, [FILLS, REFERS, REFERS, REFERS]);
         // Later chunks are strictly smaller than the frame-bearing first
         // and exactly 9 bytes (i64 + u8 frame header) under the
         // self-contained Delta page each would otherwise ship.
@@ -2982,11 +2911,11 @@ mod tests {
         let mut size_only = WireEncoder::new();
         for (chunk, &real) in table.chunks(1024).zip(&sizes) {
             let c = ColumnData::Int64(chunk.to_vec());
-            assert_eq!(size_only.column_wire_bytes(&c, 0).unwrap(), real);
+            assert_eq!(shipped_bytes(&mut size_only, &c), real);
         }
         // A reuse blob against a cold receiver is a frame cache miss.
         let c = ColumnData::Int64(table[1024..2048].to_vec());
-        let blob = tx.encode_column(&c, 0).unwrap();
+        let blob = ship(&mut tx, &c);
         let e = WireDecoder::new()
             .decode_column(&blob)
             .unwrap_err()
@@ -3000,32 +2929,161 @@ mod tests {
         let mut rx = WireDecoder::new();
         // Chunk 1 establishes a narrow FoR frame around ~100.
         let narrow = ColumnData::Int64((0..512).map(|i| 100 + (i * 37) % 50).collect());
-        let b = tx.encode_column(&narrow, 7).unwrap();
+        let b = ship(&mut tx, &narrow);
+        assert_eq!(b[FLAGS], FILLS);
         assert_eq!(rx.decode_column(&b).unwrap(), narrow);
-        assert_eq!(tx.cached_frames(), 1);
         // Chunk 2 jumps out of the frame: offsets from min=100 no longer fit
         // the cached width, so the sender re-derives and the receiver
-        // replaces its cache entry — still one frame, new parameters.
+        // replaces its cache entry — same position, new parameters.
         let shifted = ColumnData::Int64((0..512).map(|i| 1_000_000 + (i * 37) % 50).collect());
-        let b = tx.encode_column(&shifted, 7).unwrap();
+        let b = ship(&mut tx, &shifted);
+        assert_eq!(b[FLAGS], FILLS);
         assert_eq!(rx.decode_column(&b).unwrap(), shifted);
-        assert_eq!(rx.cached_frames(), 1);
         // Chunk 3 fits the *new* frame and rides it (strictly smaller than
-        // its frame-bearing predecessor of identical shape).
+        // its frame-bearing predecessor of identical shape): the receiver
+        // decodes it through the replaced entry.
         let again = ColumnData::Int64((0..512).map(|i| 1_000_000 + (i * 11) % 50).collect());
-        let b3 = tx.encode_column(&again, 7).unwrap();
+        let b3 = ship(&mut tx, &again);
+        assert_eq!(b3[FLAGS], REFERS);
         assert_eq!(rx.decode_column(&b3).unwrap(), again);
         assert!((b3.len() as u64) < b.len() as u64);
         // Mixed stream: a non-int column at another position never touches
         // the frame cache, and plain int chunks (no For/Delta win) ship
         // flagless and decode everywhere.
         let wide = ColumnData::Int64(vec![i64::MIN, i64::MAX, 0, -7, 917_114]);
-        let blob = tx.encode_column(&wide, 7).unwrap();
+        let blob = ship(&mut tx, &wide);
         assert_eq!(
             decode_column(&blob).unwrap(),
             wide,
             "plain pages stay self-contained"
         );
+    }
+
+    /// `n` values of `base + offset`, offsets drawn below `2^width` and
+    /// spanning it exactly (the FoR frame is `(base, width)`).
+    fn spread(n: usize, width: u32, base: i64, seed: u64) -> Vec<i64> {
+        let mask = if width == 64 {
+            u64::MAX
+        } else {
+            (1u64 << width) - 1
+        };
+        let mut x = seed;
+        let mut v: Vec<i64> = (0..n)
+            .map(|_| {
+                x = x
+                    .wrapping_mul(6_364_136_223_846_793_005)
+                    .wrapping_add(1_442_695_040_888_963_407);
+                base.wrapping_add(((x >> 11) & mask) as i64)
+            })
+            .collect();
+        (v[0], v[1]) = (base, base.wrapping_add(mask as i64));
+        v
+    }
+
+    /// `n` ascending values whose consecutive deltas run over
+    /// `[step, step + 2^width − 1]` (the Delta frame is `(step, width)`).
+    fn climb(n: usize, width: u32, step: i64, first: i64, seed: u64) -> Vec<i64> {
+        let deltas = spread(n - 1, width, step, seed);
+        let mut cur = first;
+        std::iter::once(first)
+            .chain(deltas.into_iter().map(|d| {
+                cur = cur.wrapping_add(d);
+                cur
+            }))
+            .collect()
+    }
+
+    #[test]
+    fn frame_reuse_pages_decode_at_every_width_class() {
+        // Per width class of the shared decoder's fast paths: a chunk that
+        // ships a frame, one that re-derives it mid-stream, and one that
+        // rides the re-derived frame.
+        let n = 203;
+        let mut streams: Vec<(PageCodec, [Vec<i64>; 3])> = [0, 1, 5, 8, 9, 13, 16, 17, 40]
+            .into_iter()
+            .map(|w| {
+                let (lo, hi) = (1_000, 1 << 40);
+                let chunks = [
+                    spread(n, w, lo, 1),
+                    spread(n, w, hi, 2),
+                    spread(n, w, hi, 3),
+                ];
+                (PageCodec::For, chunks)
+            })
+            .collect();
+        for w in [0, 5] {
+            let chunks = [
+                climb(n, w, 3, 10, 4),
+                climb(n, w + 2, 7, -50, 5),
+                climb(n, w + 2, 7, 900, 6),
+            ];
+            streams.push((PageCodec::Delta, chunks));
+        }
+        for (codec, chunks) in streams {
+            let mut tx = WireEncoder::new();
+            let mut rx = WireDecoder::new();
+            let blobs: Vec<Vec<u8>> = chunks
+                .iter()
+                .map(|v| ship(&mut tx, &ColumnData::Int64(v.clone())))
+                .collect();
+            for (blob, (want, flags)) in blobs.iter().zip(chunks.iter().zip([FILLS, FILLS, REFERS]))
+            {
+                assert_eq!(
+                    (blob[5], blob[FLAGS]),
+                    (codec.tag(), flags),
+                    "{codec:?} {want:?}"
+                );
+                assert_eq!(
+                    rx.decode_column(blob).unwrap(),
+                    ColumnData::Int64(want.clone())
+                );
+            }
+            // Corrupt reuse pages fail against the warm receiver (a failed
+            // decode leaves its caches as they were), never panic.
+            let reuse = &blobs[2];
+            for cut in 0..reuse.len() {
+                assert!(
+                    rx.decode_column(&reuse[..cut]).is_err(),
+                    "{codec:?} cut at {cut}"
+                );
+            }
+            let mut padded = reuse.clone();
+            padded.push(0);
+            assert!(
+                rx.decode_column(&padded).is_err(),
+                "{codec:?} trailing byte"
+            );
+            let mut inflated = reuse.clone();
+            inflated[8..12].copy_from_slice(&u32::MAX.to_le_bytes());
+            assert!(
+                rx.decode_column(&inflated).is_err(),
+                "{codec:?} forged rows"
+            );
+            let mut swapped = reuse.clone();
+            swapped[5] = match codec {
+                PageCodec::For => PageCodec::Delta.tag(),
+                _ => PageCodec::For.tag(),
+            };
+            let e = rx.decode_column(&swapped).unwrap_err().to_string();
+            assert!(e.contains("other kind"), "{codec:?}: {e}");
+            for at in 0..reuse.len() {
+                let mut flipped = reuse.clone();
+                flipped[at] ^= 0x5a;
+                if let Ok(col) = rx.decode_column(&flipped) {
+                    let rows = u32::from_le_bytes(flipped[8..12].try_into().unwrap());
+                    assert_eq!(col.len(), rows as usize, "{codec:?} flip at {at}");
+                }
+            }
+            assert!(
+                WireDecoder::new().decode_column(reuse).is_err(),
+                "{codec:?} cold"
+            );
+            // The warm receiver still decodes the stream's reuse page.
+            assert_eq!(
+                rx.decode_column(reuse).unwrap(),
+                ColumnData::Int64(chunks[2].clone())
+            );
+        }
     }
 
     #[test]
@@ -3046,7 +3104,9 @@ mod tests {
         let filtered = batch.filter(&[true, false, true, true]).unwrap();
         let mut tx = WireEncoder::new();
         let mut rx = WireDecoder::new();
-        let blobs = tx.encode_batch(&filtered).unwrap();
+        let blobs = tx
+            .encode_sketched(&filtered, &WireSketch::of(&filtered).unwrap())
+            .unwrap();
         let decoded = rx.decode_batch(schema.clone(), &blobs).unwrap();
         assert!(decoded.selection().is_none(), "wire batches arrive dense");
         assert_eq!(decoded, filtered.compacted());
@@ -3070,11 +3130,12 @@ mod tests {
         )
         .unwrap();
         let filtered = batch.filter(&[true, false, true, false]).unwrap();
-        let mut a = WireEncoder::new();
-        let mut b = WireEncoder::new();
-        assert_eq!(
-            a.batch_wire_bytes(&filtered).unwrap(),
-            b.batch_wire_bytes(&filtered.compacted()).unwrap()
-        );
+        let bytes = |batch: &RecordBatch| {
+            let sketch = WireSketch::of(batch).unwrap();
+            WireEncoder::new()
+                .sketched_wire_bytes(batch, &sketch)
+                .unwrap()
+        };
+        assert_eq!(bytes(&filtered), bytes(&filtered.compacted()));
     }
 }

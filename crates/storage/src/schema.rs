@@ -90,21 +90,6 @@ impl Schema {
             fields: indices.iter().map(|&i| self.fields[i].clone()).collect(),
         }
     }
-
-    /// Concatenates two schemas (join output). Columns from `other` whose
-    /// names collide get a disambiguating prefix.
-    pub fn join(&self, other: &Schema, other_prefix: &str) -> Schema {
-        let mut fields = self.fields.clone();
-        for f in &other.fields {
-            let name = if fields.iter().any(|g| g.name == f.name) {
-                format!("{other_prefix}.{}", f.name)
-            } else {
-                f.name.clone()
-            };
-            fields.push(Field::new(name, f.data_type));
-        }
-        Schema { fields }
-    }
 }
 
 impl fmt::Display for Schema {
@@ -154,19 +139,6 @@ mod tests {
         let s = sample().project(&[2, 0]);
         assert_eq!(s.field(0).name, "name");
         assert_eq!(s.field(1).name, "id");
-    }
-
-    #[test]
-    fn join_disambiguates_collisions() {
-        let left = sample();
-        let right = Schema::of(vec![
-            Field::new("id", DataType::Int64),
-            Field::new("qty", DataType::Int64),
-        ]);
-        let joined = left.join(&right, "r");
-        assert_eq!(joined.arity(), 5);
-        assert_eq!(joined.field(3).name, "r.id");
-        assert_eq!(joined.field(4).name, "qty");
     }
 
     #[test]

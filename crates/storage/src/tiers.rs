@@ -24,15 +24,19 @@
 //! [28..]   payload: per column `kind u8 | blob_len u32 LE | blob`
 //! ```
 //!
-//! Column kinds: `0` = a self-contained CIPG page ([`crate::pages`]);
-//! `1` = bit-packed ids referencing the table-wide string dictionary from
-//! the manifest. Dict-ref columns exist so a decoded partition attaches the
-//! *same* `Arc`'d dictionary the in-memory table shares — wire-level
-//! dictionary deduplication (ship-once) and therefore Dollars stay
-//! identical to the in-memory path. Kind `2` (a reference to a table-wide
-//! int dictionary) and manifest dictionary kind `2` are retired: an int
-//! column is always `Int64`, and the reader rejects both like any unknown
-//! kind.
+//! Column kinds: `0` = a self-contained CIPG page ([`crate::pages`]) —
+//! for a fixed-width column the very page its partition accounted
+//! ([`MicroPartition::pages`]), so a file stores what the partition bills
+//! and persisting races no codec; `1` = bit-packed ids referencing the
+//! table-wide string dictionary from the manifest. Dict-ref columns exist
+//! so a decoded partition attaches the *same* `Arc`'d dictionary the
+//! in-memory table shares — wire-level dictionary deduplication
+//! (ship-once) and therefore Dollars stay identical to the in-memory path.
+//! A kind-1 blob is a Dict page's ids section and each manifest entry its
+//! dictionary section, written and read by the page module's functions.
+//! Kind `2` (a reference to a table-wide int dictionary) and manifest
+//! dictionary kind `2` are retired: an int column is always `Int64`, and
+//! the reader rejects both like any unknown kind.
 //!
 //! Every malformed input — truncation, flipped bytes, forged lengths —
 //! surfaces as [`CiError::Storage`] naming the file, never a panic, and
@@ -51,9 +55,10 @@ use crate::batch::RecordBatch;
 use crate::column::ColumnData;
 use crate::dict::Dictionary;
 use crate::pages::{
-    self, encode_best, encode_column, id_bit_width, read_dictionary_section, read_packed_ids,
-    Cursor, PageCodec, MAX_DECODE_ROWS,
+    self, encode_column, read_dictionary_section, read_packed_ids, write_dictionary_section,
+    write_ids_section, Cursor, PageCodec, MAX_DECODE_ROWS,
 };
+use crate::partition::MicroPartition;
 use crate::schema::SchemaRef;
 use crate::table::Table;
 
@@ -123,16 +128,17 @@ pub struct StoredTable {
 // Encoding
 // ---------------------------------------------------------------------------
 
-/// Encodes one column as a kind-0 inline page. Int columns race every
-/// codec but `Dict`: `stored_bytes_per_user_byte` reads these files' sizes
-/// on `scan_disk` / `scan_tiered` / `write_path`, so storing ints under a
-/// different codec is its own measured change. Owned string columns stay
+/// Encodes one column as a kind-0 inline page. A fixed-width column is
+/// stored under `codec`, the codec its partition's page accounting picked
+/// ([`MicroPartition::pages`]), so a file holds the page its partition
+/// bills and persisting races no codec again. Owned string columns stay
 /// Plain, so they never decode into a fresh per-partition dictionary.
-fn inline_page_bytes(col: &ColumnData) -> Result<Vec<u8>> {
+fn inline_page_bytes(col: &ColumnData, codec: PageCodec) -> Result<Vec<u8>> {
     match col {
-        ColumnData::Int64(_) => pages::encode_best_no_dict(col),
+        ColumnData::Int64(_) | ColumnData::Float64(_) | ColumnData::Bool(_) => {
+            Ok(encode_column(col, codec)?.1)
+        }
         ColumnData::Utf8(_) => Ok(encode_column(col, PageCodec::Plain)?.1),
-        ColumnData::Float64(_) | ColumnData::Bool(_) => Ok(encode_best(col)?.1),
         // Dictionary columns without a table-wide dictionary: store the
         // materialized values. (Unreachable through the catalog, which
         // always produces table-wide dictionaries; representation may then
@@ -155,8 +161,9 @@ fn push_header(out: &mut Vec<u8>, magic: [u8; 4], cols: u16, rows: u32, payload:
     out.extend_from_slice(payload);
 }
 
-/// Serializes one dense partition batch against the table-wide dicts.
-fn encode_partition(batch: &RecordBatch, dicts: &[Option<Arc<Dictionary>>]) -> Result<Vec<u8>> {
+/// Serializes one partition against the table-wide dicts.
+fn encode_partition(part: &MicroPartition, dicts: &[Option<Arc<Dictionary>>]) -> Result<Vec<u8>> {
+    let batch = &part.batch;
     let rows = batch.rows();
     if rows > MAX_DECODE_ROWS {
         return Err(serr(format!(
@@ -167,12 +174,11 @@ fn encode_partition(batch: &RecordBatch, dicts: &[Option<Arc<Dictionary>>]) -> R
     for (i, col) in batch.columns().iter().enumerate() {
         let (kind, blob) = match (col.as_ref(), &dicts[i]) {
             (ColumnData::Dict { ids, dict }, Some(td)) if Arc::ptr_eq(dict, td) => {
-                let width = id_bit_width(td.len());
-                let mut b = vec![width as u8];
-                pages::pack_ids(&mut b, ids.iter().copied(), width);
+                let mut b = Vec::new();
+                write_ids_section(&mut b, ids.iter().copied(), td.len());
                 (KIND_DICT_REF, b)
             }
-            _ => (KIND_PAGE, inline_page_bytes(col)?),
+            _ => (KIND_PAGE, inline_page_bytes(col, part.pages[i].codec)?),
         };
         payload.push(kind);
         payload.extend_from_slice(&(blob.len() as u32).to_le_bytes());
@@ -197,11 +203,7 @@ fn encode_manifest(dicts: &[Option<Arc<Dictionary>>], parts: usize) -> Vec<u8> {
             None => payload.push(0),
             Some(dict) => {
                 payload.push(1);
-                payload.extend_from_slice(&(dict.len() as u32).to_le_bytes());
-                for v in dict.values() {
-                    payload.extend_from_slice(&(v.len() as u32).to_le_bytes());
-                    payload.extend_from_slice(v.as_bytes());
-                }
+                write_dictionary_section(&mut payload, dict);
             }
         }
     }
@@ -451,7 +453,7 @@ impl ObjectStoreDir {
         std::fs::create_dir_all(&dir)
             .map_err(|e| serr(format!("creating {}: {e}", dir.display())))?;
         for (pi, part) in table.partitions.iter().enumerate() {
-            let bytes = encode_partition(&part.batch, &dicts)?;
+            let bytes = encode_partition(part, &dicts)?;
             let path = dir.join(format!("part-{pi}.cipf"));
             std::fs::write(&path, &bytes)
                 .map_err(|e| serr(format!("writing {}: {e}", path.display())))?;

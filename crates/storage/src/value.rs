@@ -65,15 +65,6 @@ impl Value {
         }
     }
 
-    /// Encoded width in bytes (strings use their actual length).
-    pub fn width(&self) -> usize {
-        match self {
-            Value::Int(_) | Value::Float(_) => 8,
-            Value::Str(s) => s.len(),
-            Value::Bool(_) => 1,
-        }
-    }
-
     /// Total order within a type; `Int` and `Float` compare numerically with
     /// each other (SQL numeric coercion). Cross-type comparisons otherwise
     /// return `None`.
@@ -198,9 +189,6 @@ mod tests {
 
     #[test]
     fn widths() {
-        assert_eq!(Value::Int(1).width(), 8);
-        assert_eq!(Value::from("hello").width(), 5);
-        assert_eq!(Value::Bool(true).width(), 1);
         assert_eq!(DataType::Utf8.width_estimate(), 16);
     }
 

@@ -4,15 +4,45 @@
 //! fixed-bytes test pins the wire format itself — any byte-level change to
 //! the encoder is a format break and must bump `PAGE_VERSION`.
 
+use std::sync::Arc;
+
 use ci_storage::column::ColumnData;
 use ci_storage::pages::{
     decode_column, dictionary_page_bytes, encode_best, encode_column, encoded_size, pick_codec,
     PageCodec, WireDecoder, WireEncoder, WireSketch, PAGE_HEADER_BYTES, PAGE_MAGIC, PAGE_VERSION,
 };
+use ci_storage::schema::{Field, Schema};
+use ci_storage::RecordBatch;
 use proptest::prelude::*;
 
 fn utf8(vals: &[String]) -> ColumnData {
     ColumnData::Utf8(vals.to_vec())
+}
+
+/// `cols` as one batch, each column named after its position.
+fn batch_of(cols: Vec<Arc<ColumnData>>) -> RecordBatch {
+    let fields = (cols.iter().enumerate())
+        .map(|(i, c)| Field::new(format!("c{i}"), c.data_type()))
+        .collect();
+    RecordBatch::from_arcs(Arc::new(Schema::of(fields)), cols).unwrap()
+}
+
+/// Serializes `batch` as the next batch of `tx`'s stream.
+fn encode(tx: &mut WireEncoder, batch: &RecordBatch) -> Vec<Vec<u8>> {
+    tx.encode_sketched(batch, &WireSketch::of(batch).unwrap())
+        .unwrap()
+}
+
+/// Sizes `batch` as the next batch of `tx`'s stream.
+fn sized(tx: &mut WireEncoder, batch: &RecordBatch) -> u64 {
+    tx.sketched_wire_bytes(batch, &WireSketch::of(batch).unwrap())
+        .unwrap()
+}
+
+/// Ships `col` as the next one-column batch of `tx`'s stream (stream
+/// position 0): its wire blob.
+fn ship(tx: &mut WireEncoder, col: &ColumnData) -> Vec<u8> {
+    encode(tx, &batch_of(vec![Arc::new(col.clone())])).remove(0)
 }
 
 /// Round-trips one column through every applicable codec, checking value
@@ -202,23 +232,27 @@ proptest! {
         let col = utf8(&vals).dict_encoded();
         let (_, dict) = col.as_dict().unwrap();
         let dict_bytes = dictionary_page_bytes(dict);
+        let batch = batch_of(vec![Arc::new(col.clone())]);
         let mut size_only = WireEncoder::new();
         let mut real = WireEncoder::new();
         let mut rx = WireDecoder::new();
+        let mut received = Vec::new();
         for _ in 0..3 {
-            let expected = size_only.column_wire_bytes(&col, 0).unwrap();
-            let bytes = real.encode_column(&col, 0).unwrap();
+            let expected = sized(&mut size_only, &batch);
+            let bytes = ship(&mut real, &col);
             prop_assert_eq!(bytes.len() as u64, expected);
             let decoded = rx.decode_column(&bytes).unwrap();
             prop_assert_eq!(&decoded, &col);
             // Receiver ids are bit-identical, not just value-equal.
             prop_assert_eq!(decoded.as_dict().unwrap().0, col.as_dict().unwrap().0);
+            received.push(decoded.as_dict().unwrap().1.clone());
         }
-        prop_assert_eq!(rx.cached_dictionaries(), 1);
+        // One dictionary received: every decoded column shares it.
+        prop_assert!(received.iter().all(|d| Arc::ptr_eq(d, &received[0])));
         // Second transfer of the same column saves exactly the dictionary.
         let mut w = WireEncoder::new();
-        let first = w.column_wire_bytes(&col, 0).unwrap();
-        let second = w.column_wire_bytes(&col, 0).unwrap();
+        let first = sized(&mut w, &batch);
+        let second = sized(&mut w, &batch);
         prop_assert_eq!(first, second + dict_bytes);
     }
 
@@ -233,8 +267,8 @@ proptest! {
     ) {
         let col = utf8(&vals).dict_encoded();
         let mut tx = WireEncoder::new();
-        let b1 = tx.encode_column(&col, 0).unwrap();
-        let b2 = tx.encode_column(&col, 0).unwrap();
+        let b1 = ship(&mut tx, &col);
+        let b2 = ship(&mut tx, &col);
         for (warm, blob) in [(false, &b1), (true, &b2)] {
             let mut corrupt = blob.clone();
             let at = flip_at % corrupt.len();
@@ -272,8 +306,8 @@ proptest! {
         // Unsorted leans FoR; sorted leans Delta — both frame codecs.
         for col in [ColumnData::Int64(vals.clone()), ColumnData::Int64(sorted)] {
             let mut tx = WireEncoder::new();
-            let b1 = tx.encode_column(&col, 0).unwrap();
-            let b2 = tx.encode_column(&col, 0).unwrap();
+            let b1 = ship(&mut tx, &col);
+            let b2 = ship(&mut tx, &col);
             // Re-shipping never costs more; strictly less iff the second
             // page rides the cached frame.
             prop_assert!(b2.len() <= b1.len());
@@ -400,8 +434,8 @@ fn golden_bytes_pin_the_format() {
     // after the header); bit 0 marks an ids-only follow-up.
     let dicted = col.dict_encoded();
     let mut tx = WireEncoder::new();
-    let b1 = tx.encode_column(&dicted, 0).unwrap();
-    let b2 = tx.encode_column(&dicted, 0).unwrap();
+    let b1 = ship(&mut tx, &dicted);
+    let b2 = ship(&mut tx, &dicted);
     #[rustfmt::skip]
     let expected_first = vec![
         0x43, 0x49, 0x50, 0x47, 0x02,
@@ -444,11 +478,11 @@ fn golden_bytes_pin_the_format() {
 fn wire_empty_dictionary_with_rows_rejected() {
     let empty = utf8(&[]).dict_encoded();
     let mut tx = WireEncoder::new();
-    let blob = tx.encode_column(&empty, 0).unwrap();
+    let blob = ship(&mut tx, &empty);
     let mut rx = WireDecoder::new();
     assert_eq!(rx.decode_column(&blob).unwrap(), empty);
     // Forge a row count onto the empty-dictionary ref page.
-    let mut forged = tx.encode_column(&empty, 0).unwrap();
+    let mut forged = ship(&mut tx, &empty);
     forged[8..12].copy_from_slice(&5u32.to_le_bytes());
     assert!(rx.decode_column(&forged).is_err());
 }
@@ -728,21 +762,33 @@ fn check_against_oracle(col: &ColumnData) -> Result<(), String> {
 /// Ships `chunks` down one stream position and checks every chunk's
 /// reuse-vs-fresh decision, codec, frame and size against the oracle — for
 /// size-only accounting and the real serializer alike — and that the
-/// receiver inverts the stream.
+/// receiver inverts the stream. The earlier positions hold one dict column
+/// over a one-entry dictionary, which never touches the frame cache and
+/// ships in O(1) (0-bit ids).
 fn check_int_stream(chunks: &[Vec<i64>], stream_col: u32) -> Result<(), String> {
     let mut want = oracle::Stream::default();
     let mut size_only = WireEncoder::new();
     let mut tx = WireEncoder::new();
     let mut rx = WireDecoder::new();
+    let pos = stream_col as usize;
+    let one = Arc::new(ci_storage::dict::Dictionary::encode(["x"].into_iter()).0);
+    let mut send = |chunk: &[i64]| {
+        let col = ColumnData::Int64(chunk.to_vec());
+        let filler = Arc::new(ColumnData::Dict {
+            ids: vec![0; chunk.len()],
+            dict: one.clone(),
+        });
+        let mut cols = vec![filler; pos];
+        cols.push(Arc::new(col.clone()));
+        let batch = batch_of(cols);
+        let (total, blobs) = (sized(&mut size_only, &batch), encode(&mut tx, &batch));
+        let others: u64 = blobs[..pos].iter().map(|b| b.len() as u64).sum();
+        let decoded = rx.decode_column(&blobs[pos]).map_err(|e| e.to_string())?;
+        Ok::<_, String>((total - others, blobs[pos].clone(), decoded == col))
+    };
     for (n, chunk) in chunks.iter().enumerate() {
-        let col = ColumnData::Int64(chunk.clone());
         let plan = want.plan_ints(chunk, stream_col);
-        let sized = size_only
-            .column_wire_bytes(&col, stream_col)
-            .map_err(|e| e.to_string())?;
-        let blob = tx
-            .encode_column(&col, stream_col)
-            .map_err(|e| e.to_string())?;
+        let (sized, blob, decoded) = send(chunk)?;
         let (want_bytes, want_flags, want_codec) = match plan {
             oracle::IntPlan::Page { codec, bytes } => (bytes, 0u8, codec),
             oracle::IntPlan::Fresh { frame, bytes } | oracle::IntPlan::Reuse { frame, bytes } => {
@@ -788,12 +834,21 @@ fn check_int_stream(chunks: &[Vec<i64>], stream_col: u32) -> Result<(), String> 
                 return Err(format!("chunk {n}: shipped {shipped:?}, oracle {frame:?}"));
             }
         }
-        if rx.decode_column(&blob).map_err(|e| e.to_string())? != col {
+        if !decoded {
             return Err(format!("chunk {n}: receiver decoded other values"));
         }
     }
-    if size_only.cached_frames() != tx.cached_frames() || tx.cached_frames() != rx.cached_frames() {
-        return Err("frame caches diverged".into());
+    // The three frame caches still agree: the last chunk ships again at
+    // the oracle's size and decodes.
+    if let Some(last) = chunks.last() {
+        let plan = want.plan_ints(last, stream_col);
+        let (sized, blob, decoded) = send(last)?;
+        let (oracle::IntPlan::Page { bytes, .. }
+        | oracle::IntPlan::Fresh { bytes, .. }
+        | oracle::IntPlan::Reuse { bytes, .. }) = plan;
+        if (sized, blob.len() as u64, decoded) != (bytes, bytes, true) {
+            return Err(format!("frame caches diverged: replay {plan:?}"));
+        }
     }
     Ok(())
 }
@@ -852,9 +907,8 @@ proptest! {
     fn selected_batches_plan_like_their_compacted_copies(
         chunks in proptest::collection::vec((int_column(), any::<u64>(), 0u8..3), 1..4usize),
     ) {
-        use ci_storage::schema::{Field, Schema};
         use ci_storage::value::DataType;
-        let schema = std::sync::Arc::new(Schema::of(vec![
+        let schema = Arc::new(Schema::of(vec![
             Field::new("i", DataType::Int64),
             Field::new("d", DataType::Int64),
             Field::new("f", DataType::Float64),
@@ -870,7 +924,7 @@ proptest! {
         for (ints, seed, shape) in chunks {
             let n = ints.len();
             let pick = |i: usize| mix(seed, i as u64);
-            let batch = ci_storage::RecordBatch::new(schema.clone(), vec![
+            let batch = RecordBatch::new(schema.clone(), vec![
                 ColumnData::Int64(ints.clone()),
                 ColumnData::Int64(ints.iter().map(|x| x % 7).collect()),
                 ColumnData::Float64(ints.iter().map(|&x| (x % 3) as f64).collect()),
@@ -890,11 +944,11 @@ proptest! {
                 _ => batch.clone(),
             };
             let dense = selected.compacted();
-            let sized = sel_size.batch_wire_bytes(&selected).unwrap();
-            prop_assert_eq!(sized, dense_size.batch_wire_bytes(&dense).unwrap());
-            let blobs = sel_tx.encode_batch(&selected).unwrap();
-            prop_assert_eq!(&blobs, &dense_tx.encode_batch(&dense).unwrap());
-            prop_assert_eq!(sized, blobs.iter().map(|b| b.len() as u64).sum::<u64>());
+            let size = sized(&mut sel_size, &selected);
+            prop_assert_eq!(size, sized(&mut dense_size, &dense));
+            let blobs = encode(&mut sel_tx, &selected);
+            prop_assert_eq!(&blobs, &encode(&mut dense_tx, &dense));
+            prop_assert_eq!(size, blobs.iter().map(|b| b.len() as u64).sum::<u64>());
             prop_assert_eq!(rx.decode_batch(schema.clone(), &blobs).unwrap(), dense);
         }
     }
@@ -906,9 +960,8 @@ proptest! {
     /// The sketch / fold split. A batch's [`WireSketch`] is a pure function
     /// of the batch, so sketches taken up front — on another thread, in
     /// *reverse* stream order — and folded later in stream order must give,
-    /// batch for batch, the bytes of a sketch taken at fold time, the
-    /// lengths `encode_batch` emits and (for the plain int column) the
-    /// oracle's reuse-vs-fresh plan; and the receiver must invert the
+    /// batch for batch, the bytes and blobs of a sketch taken at fold time
+    /// and (for the plain int column) the oracle's reuse-vs-fresh plan; and the receiver must invert the
     /// stream. The int chunks reuse, drift out of and re-derive their
     /// frame mid-stream and reach the edge of the `i64` domain (where the
     /// fold rescans the rows); the other columns cover a second plain int
@@ -920,9 +973,8 @@ proptest! {
         chunks in int_stream(),
         shapes in proptest::collection::vec((any::<u64>(), 0u8..4), 7),
     ) {
-        use ci_storage::schema::{Field, Schema};
         use ci_storage::value::DataType;
-        let schema = std::sync::Arc::new(Schema::of(vec![
+        let schema = Arc::new(Schema::of(vec![
             Field::new("i", DataType::Int64),
             Field::new("j", DataType::Int64),
             Field::new("d", DataType::Int64),
@@ -934,14 +986,14 @@ proptest! {
         ]));
         let pool = ColumnData::Utf8((0..5).map(|i| format!("key-{i}")).collect()).dict_encoded();
         let (pool_ids, dict) = pool.as_dict().unwrap();
-        let batches: Vec<ci_storage::RecordBatch> = chunks.iter().zip(&shapes).map(|(ints, &(seed, shape))| {
+        let batches: Vec<RecordBatch> = chunks.iter().zip(&shapes).map(|(ints, &(seed, shape))| {
             let n = ints.len();
             let pick = |i: usize| mix(seed, i as u64);
             let shared = |salt: usize| ColumnData::Dict {
                 ids: (0..n).map(|i| pool_ids[pick(i + salt) as usize % pool_ids.len()]).collect(),
                 dict: dict.clone(),
             };
-            let batch = ci_storage::RecordBatch::new(schema.clone(), vec![
+            let batch = RecordBatch::new(schema.clone(), vec![
                 ColumnData::Int64(ints.clone()),
                 ColumnData::Int64(ints.iter().map(|x| x.wrapping_mul(3) ^ 1).collect()),
                 ColumnData::Int64(ints.iter().map(|x| x % 7).collect()),
@@ -975,11 +1027,11 @@ proptest! {
         let mut rx = WireDecoder::new();
         let mut want = oracle::Stream::default();
         for (batch, sketch) in batches.iter().zip(&early) {
-            let sized = early_size.sketched_wire_bytes(batch, sketch).unwrap();
-            prop_assert_eq!(sized, late_size.batch_wire_bytes(batch).unwrap());
+            let size = early_size.sketched_wire_bytes(batch, sketch).unwrap();
+            prop_assert_eq!(size, sized(&mut late_size, batch));
             let blobs = early_tx.encode_sketched(batch, sketch).unwrap();
-            prop_assert_eq!(&blobs, &late_tx.encode_batch(batch).unwrap());
-            prop_assert_eq!(sized, blobs.iter().map(|b| b.len() as u64).sum::<u64>());
+            prop_assert_eq!(&blobs, &encode(&mut late_tx, batch));
+            prop_assert_eq!(size, blobs.iter().map(|b| b.len() as u64).sum::<u64>());
             let dense = batch.compacted();
             let ints = dense.column(0).as_i64().unwrap();
             let (oracle::IntPlan::Page { bytes, .. }
@@ -988,8 +1040,16 @@ proptest! {
             prop_assert_eq!(blobs[0].len() as u64, bytes, "int column against the oracle");
             prop_assert_eq!(rx.decode_batch(schema.clone(), &blobs).unwrap(), dense);
         }
-        prop_assert_eq!(early_size.cached_frames(), late_tx.cached_frames());
-        prop_assert_eq!(early_tx.cached_frames(), rx.cached_frames());
+        // The caches still agree: the last batch ships again at one size
+        // on every sender and decodes.
+        if let (Some(batch), Some(sketch)) = (batches.last(), early.last()) {
+            let size = early_size.sketched_wire_bytes(batch, sketch).unwrap();
+            prop_assert_eq!(size, sized(&mut late_size, batch));
+            let blobs = early_tx.encode_sketched(batch, sketch).unwrap();
+            prop_assert_eq!(&blobs, &encode(&mut late_tx, batch));
+            prop_assert_eq!(size, blobs.iter().map(|b| b.len() as u64).sum::<u64>());
+            prop_assert_eq!(rx.decode_batch(schema.clone(), &blobs).unwrap(), batch.compacted());
+        }
 
         // A sketch is only good for the batch it was taken from.
         if let [first, .., last] = batches.as_slice() {
@@ -1018,10 +1078,7 @@ proptest! {
         chunks in int_stream(),
         seeds in proptest::collection::vec((any::<u64>(), any::<u8>()), 7),
     ) {
-        use std::sync::Arc;
-        use ci_storage::schema::{Field, Schema};
         use ci_storage::value::DataType;
-        use ci_storage::RecordBatch;
         let schema = Arc::new(Schema::of(vec![
             Field::new("i", DataType::Int64),
             Field::new("j", DataType::Int64),
@@ -1084,10 +1141,10 @@ proptest! {
                 prop_assert_eq!(covered, reused, "columns the prior covers");
                 let sketch = WireSketch::reusing(current, &prior).unwrap();
                 prop_assert_eq!(&sketch, &WireSketch::of(current).unwrap());
-                let sized = reuse_size.sketched_wire_bytes(current, &sketch).unwrap();
-                prop_assert_eq!(sized, fresh_size.batch_wire_bytes(current).unwrap());
+                let size = reuse_size.sketched_wire_bytes(current, &sketch).unwrap();
+                prop_assert_eq!(size, sized(&mut fresh_size, current));
                 let blobs = reuse_tx.encode_sketched(current, &sketch).unwrap();
-                prop_assert_eq!(&blobs, &fresh_tx.encode_batch(current).unwrap());
+                prop_assert_eq!(&blobs, &encode(&mut fresh_tx, current));
             }
         }
     }

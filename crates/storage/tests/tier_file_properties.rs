@@ -12,6 +12,7 @@ use std::sync::Arc;
 
 use ci_storage::batch::RecordBatch;
 use ci_storage::column::ColumnData;
+use ci_storage::pages::{dictionary_page_bytes, encode_best, PageCodec};
 use ci_storage::schema::{Field, Schema, SchemaRef};
 use ci_storage::table::{Table, TableBuilder};
 use ci_storage::tiers::{fnv1a64, ObjectStoreDir, TIER_HEADER_BYTES};
@@ -279,4 +280,81 @@ fn retired_int_dict_kind_is_rejected_typed() {
         Err(CiError::Storage(_)) => {}
         other => panic!("want CiError::Storage, got {other:?}"),
     }
+}
+
+/// A partition file stores each fixed-width column as the page its
+/// partition accounted — byte for byte `encode_best`, an int `Dict` page
+/// included — and each dictionary section of the manifest is exactly
+/// `dictionary_page_bytes` long.
+#[test]
+fn files_store_the_pages_their_partitions_bill() {
+    let schema: SchemaRef = Arc::new(Schema::of(vec![
+        Field::new("k", DataType::Int64),
+        Field::new("v", DataType::Float64),
+        Field::new("tag", DataType::Utf8),
+        Field::new("wide", DataType::Int64),
+        Field::new("ok", DataType::Bool),
+    ]));
+    let n = 2_000i64;
+    let batch = RecordBatch::new(
+        schema.clone(),
+        vec![
+            ColumnData::Int64((0..n).map(|i| 10_000 + 3 * i).collect()),
+            ColumnData::Float64((0..n).map(|i| (i % 7) as f64 * 0.5).collect()),
+            ColumnData::Utf8((0..n).map(|i| format!("tag-{}", i % 11)).collect()),
+            ColumnData::Int64((0..n).map(|i| (i * 7 % 5) * 0x0123_4567_89ab).collect()),
+            ColumnData::Bool((0..n).map(|i| i % 3 == 0).collect()),
+        ],
+    )
+    .unwrap();
+    let mut b = TableBuilder::new(TableId::new(91), "billed", schema, 500).unwrap();
+    b.append(batch).unwrap();
+    let table = Arc::new(b.finish().unwrap().dict_encoded());
+    let store = ObjectStoreDir::temp().unwrap();
+    store.ensure_table(&table).unwrap();
+    let mut codecs = Vec::new();
+    for (p, part) in table.partitions.iter().enumerate() {
+        let bytes = std::fs::read(store.partition_path(table.id, p)).unwrap();
+        let mut at = TIER_HEADER_BYTES;
+        for (i, col) in part.batch.columns().iter().enumerate() {
+            let len = u32_at(&bytes, at + 1);
+            let blob = &bytes[at + 5..at + 5 + len];
+            if col.data_type() != DataType::Utf8 {
+                assert_eq!(bytes[at], 0, "partition {p} column {i} is an inline page");
+                assert_eq!(
+                    blob,
+                    encode_best(col).unwrap().1,
+                    "partition {p} column {i}"
+                );
+                codecs.push(part.pages[i].codec);
+            }
+            at += 5 + len;
+        }
+        assert_eq!(at, bytes.len());
+        assert_eq!(store.read_partition(table.id, p).unwrap(), part.batch);
+    }
+    assert!(
+        codecs.contains(&PageCodec::Dict),
+        "an int column stores a Dict page"
+    );
+    assert!(codecs.contains(&PageCodec::Delta), "{codecs:?}");
+
+    let manifest = std::fs::read(
+        store
+            .root()
+            .join(format!("t{}", table.id.index()))
+            .join("table.cipt"),
+    )
+    .unwrap();
+    let mut at = TIER_HEADER_BYTES;
+    for i in 0..table.schema.arity() {
+        at += 1;
+        if let Some(dict) = table.column_dictionary(i) {
+            assert_eq!(manifest[at - 1], 1, "column {i} carries its dictionary");
+            let end = (0..u32_at(&manifest, at)).fold(at + 4, |e, _| e + 4 + u32_at(&manifest, e));
+            assert_eq!((end - at) as u64, dictionary_page_bytes(dict), "column {i}");
+            at = end;
+        }
+    }
+    assert_eq!(at, manifest.len());
 }
