@@ -10,7 +10,6 @@ use std::sync::Arc;
 use ci_storage::column::ColumnData;
 use ci_storage::dict::Dictionary;
 use ci_storage::table::Table;
-use ci_storage::tiers::fnv1a64;
 use ci_storage::value::{DataType, Value};
 
 use crate::histogram::Histogram;
@@ -200,9 +199,20 @@ fn int_ndv<'a>(
     ndv
 }
 
+/// FNV-1a 64-bit: the string hash behind [`hashed_ndv`]. Strings are
+/// short, so its byte-serial chain costs little here.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+    for &b in bytes {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+    }
+    h
+}
+
 /// Distinct 64-bit images of the `rows` values: the integer's bits, a
-/// float's bits, a bool as 0/1, or FNV-1a of a string ([`fnv1a64`], the
-/// tier files' checksum; collision odds are negligible at these scales).
+/// float's bits, a bool as 0/1, or the FNV-1a hash of a string
+/// ([`fnv1a64`]; collision odds are negligible at these scales).
 /// A partition whose strings are dictionary ids (dictionaries not shared
 /// across partitions) hashes each id it references once, so ids from
 /// different dictionaries never collide.

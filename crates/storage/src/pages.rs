@@ -362,11 +362,9 @@ fn unpack_bit_blocks(packed: &[u8], rows: usize, width: u32, mut emit: impl FnMu
         // All 8 values fit one unaligned u64 (the last ends at bit
         // 7*width + width <= 64).
         while i + 8 <= rows {
-            let base = i * width as usize / 8;
-            let Some(window) = packed.get(base..base + 8) else {
+            let Some(w) = word_at(packed, i * width as usize / 8) else {
                 break;
             };
-            let w = u64::from_le_bytes(window.try_into().expect("8 bytes"));
             for (k, b) in blk.iter_mut().enumerate() {
                 *b = (w >> (k as u32 * width)) & mask;
             }
@@ -382,11 +380,9 @@ fn unpack_bit_blocks(packed: &[u8], rows: usize, width: u32, mut emit: impl FnMu
         while i + 8 <= rows {
             let base = i * width as usize / 8;
             let hi_at = base + (4 * width as usize) / 8;
-            let Some(hw) = packed.get(hi_at..hi_at + 8) else {
+            let (Some(lo), Some(hi)) = (word_at(packed, base), word_at(packed, hi_at)) else {
                 break;
             };
-            let hi = u64::from_le_bytes(hw.try_into().expect("8 bytes"));
-            let lo = u64::from_le_bytes(packed[base..base + 8].try_into().expect("8 bytes"));
             let hi_shift = (4 * width) % 8;
             let (low4, high4) = blk.split_at_mut(4);
             for (k, (l, h)) in low4.iter_mut().zip(high4).enumerate() {
@@ -406,11 +402,9 @@ fn unpack_bit_blocks(packed: &[u8], rows: usize, width: u32, mut emit: impl FnMu
         // block paths skip, plus each block path's last-window tail.
         while i < rows {
             let bitpos = i as u64 * width as u64;
-            let at = (bitpos / 8) as usize;
-            let Some(window) = packed.get(at..at + 8) else {
+            let Some(w) = word_at(packed, (bitpos / 8) as usize) else {
                 break;
             };
-            let w = u64::from_le_bytes(window.try_into().expect("8 bytes"));
             blk[n] = (w >> (bitpos % 8)) & mask;
             n += 1;
             if n == 8 {
@@ -449,8 +443,10 @@ fn unpack_bit_blocks(packed: &[u8], rows: usize, width: u32, mut emit: impl FnMu
     let mut bits: u32 = 0;
     for _ in 0..rows {
         while bits < width {
-            let byte = next.next().expect("caller sized the packed section");
-            buf |= (*byte as u128) << bits;
+            // Callers size the section; a short one stops early, and the
+            // decoder's row check turns the missing values into an error.
+            let Some(&byte) = next.next() else { return };
+            buf |= (byte as u128) << bits;
             bits += 8;
         }
         blk[n] = (buf as u64) & mask;
@@ -467,36 +463,30 @@ fn unpack_bit_blocks(packed: &[u8], rows: usize, width: u32, mut emit: impl FnMu
     }
 }
 
-/// FoR `Int64` payload decode for widths 1..=16: unpacks straight into the
-/// result vector (chunked index writes — no per-block staging buffer or
-/// `Vec` capacity checks on the hot path). The vector comes from
-/// `vec![0; rows]`, which large allocators satisfy with already-zeroed
-/// pages, so the "extra" zeroing pass costs nothing the `with_capacity`
-/// route wouldn't also pay in first-touch faults.
+/// FoR `Int64` payload decode for widths 1..=16: each block of 8 values
+/// is computed from one or two unaligned `u64` loads and appended whole
+/// (one capacity check per 8 values). Appending to a `with_capacity`
+/// vector writes each value once; a `vec![0; rows]` would add a zeroing
+/// pass whenever the allocator hands out reused heap memory.
 fn unpack_for_i64_small(packed: &[u8], rows: usize, width: u32, min: i64) -> Vec<i64> {
     debug_assert!((1..=16).contains(&width));
     let mask = (1u64 << width) - 1;
     let w = width as usize;
-    let mut v = vec![0i64; rows];
-    let mut done = 0usize;
-    let mut chunks = v.chunks_exact_mut(8);
-    for out8 in chunks.by_ref() {
+    let mut v = Vec::with_capacity(rows);
+    let mut out8 = [0i64; 8];
+    while v.len() + 8 <= rows {
         // 8 values span exactly `w` bytes, so block starts are
-        // byte-aligned; a 16-byte window covers both loads below. Blocks
-        // the window can't cover (at most the last two) fall to the
-        // per-value tail.
-        let base = done * w / 8;
-        let Some(win) = packed.get(base..base + 16) else {
+        // byte-aligned. Blocks whose two words below run past the section
+        // (at most the last two) fall to the per-value tail.
+        let base = v.len() * w / 8;
+        let (Some(lo), Some(hi)) = (word_at(packed, base), word_at(packed, base + w / 2)) else {
             break;
         };
-        let lo = u64::from_le_bytes(win[..8].try_into().expect("8 bytes"));
         if width <= 8 {
             for (k, o) in out8.iter_mut().enumerate() {
                 *o = min.wrapping_add(((lo >> (k as u32 * width)) & mask) as i64);
             }
         } else {
-            let hi_off = (4 * w) / 8;
-            let hi = u64::from_le_bytes(win[hi_off..hi_off + 8].try_into().expect("8 bytes"));
             let hi_shift = (4 * width as usize % 8) as u32;
             for k in 0..4u32 {
                 out8[k as usize] = min.wrapping_add(((lo >> (k * width)) & mask) as i64);
@@ -504,12 +494,11 @@ fn unpack_for_i64_small(packed: &[u8], rows: usize, width: u32, min: i64) -> Vec
                     min.wrapping_add(((hi >> (hi_shift + k * width)) & mask) as i64);
             }
         }
-        done += 8;
+        v.extend_from_slice(&out8);
     }
-    drop(chunks);
     // Tail: positional per-value reads (at most 3 bytes per value at these
     // widths), never past the packed section's exact length.
-    for (i, o) in v.iter_mut().enumerate().skip(done) {
+    for i in v.len()..rows {
         let bit = i * w;
         let shift = (bit % 8) as u32;
         let mut byte = bit / 8;
@@ -520,9 +509,21 @@ fn unpack_for_i64_small(packed: &[u8], rows: usize, width: u32, min: i64) -> Vec
             got += 8;
             byte += 1;
         }
-        *o = min.wrapping_add(((acc >> shift) & mask) as i64);
+        v.push(min.wrapping_add(((acc >> shift) & mask) as i64));
     }
     v
+}
+
+/// The unaligned little-endian `u64` at byte `at`, if 8 bytes remain there.
+fn word_at(bytes: &[u8], at: usize) -> Option<u64> {
+    let w = bytes.get(at..)?.first_chunk::<8>()?;
+    Some(u64::from_le_bytes(*w))
+}
+
+/// The little-endian `u64` of one `chunks_exact(8)` chunk (a shorter slice,
+/// which no caller passes, reads as 0).
+pub(crate) fn le_u64(chunk: &[u8]) -> u64 {
+    word_at(chunk, 0).unwrap_or(0)
 }
 
 /// Per-value adapter over [`unpack_bit_blocks`] for consumers whose work is
@@ -1089,8 +1090,8 @@ impl ColumnPlan {
         if let Some(id) = stream_id {
             push_u32(out, id);
         }
-        let bool_col = rows.col.data_type() == DataType::Bool;
-        fixed_values!(rows, |it| self.emit_fixed(it, bool_col, out), else self.emit_strs(rows, out));
+        let (n, bool_col) = (rows.len(), rows.col.data_type() == DataType::Bool);
+        fixed_values!(rows, |it| self.emit_fixed(it, n, bool_col, out), else self.emit_strs(rows, out));
         let wrote = (out.len() - start) as u64;
         debug_assert_eq!(wrote, self.bytes, "emit must write the planned size");
         Ok(())
@@ -1108,8 +1109,14 @@ impl ColumnPlan {
         Ok((self.meta(col), self.blob(Rows { col, sel: None })?))
     }
 
-    /// The payload of a fixed-width column, from its values as `i64`s.
-    fn emit_fixed(&self, mut vals: impl Iterator<Item = i64>, bool_col: bool, out: &mut Vec<u8>) {
+    /// The payload of a fixed-width column, from its `n` values as `i64`s.
+    fn emit_fixed(
+        &self,
+        mut vals: impl Iterator<Item = i64>,
+        n: usize,
+        bool_col: bool,
+        out: &mut Vec<u8>,
+    ) {
         let put = |out: &mut Vec<u8>, x: i64| {
             if bool_col {
                 out.push(x as u8);
@@ -1120,7 +1127,16 @@ impl ColumnPlan {
         // Frame-reuse pages ride the receiver's cached frame header.
         let inline_frame = !matches!(self.stream, Stream::Refers(_));
         match (self.codec, self.frame) {
-            (PageCodec::Plain, _) => vals.for_each(|x| put(out, x)),
+            // Plain: size the payload once, then write each value into its word.
+            (PageCodec::Plain, _) if bool_col => out.extend(vals.map(|x| x as u8)),
+            (PageCodec::Plain, _) => {
+                let start = out.len();
+                out.resize(start + n * 8, 0);
+                let words = out[start..].chunks_exact_mut(8);
+                words
+                    .zip(vals)
+                    .for_each(|(w, x)| w.copy_from_slice(&x.to_le_bytes()));
+            }
             (PageCodec::Rle, _) => emit_runs(out, vals, |x| x, |out, &x| put(out, x)),
             (PageCodec::Dict, _) => {
                 let (local, ids) = IntDict::encode(vals);
@@ -1334,21 +1350,29 @@ impl<'a> Cursor<'a> {
         Cursor { bytes, at: 0 }
     }
 
+    fn truncated(&self, n: usize) -> CiError {
+        err(format!(
+            "truncated input: need {n} bytes at offset {}, have {}",
+            self.at,
+            self.bytes.len().saturating_sub(self.at)
+        ))
+    }
+
     pub(crate) fn take(&mut self, n: usize) -> Result<&'a [u8]> {
-        let end = self
-            .at
-            .checked_add(n)
-            .filter(|&e| e <= self.bytes.len())
-            .ok_or_else(|| {
-                err(format!(
-                    "truncated input: need {n} bytes at offset {}, have {}",
-                    self.at,
-                    self.bytes.len().saturating_sub(self.at)
-                ))
-            })?;
-        let s = &self.bytes[self.at..end];
-        self.at = end;
+        let s = (self.at.checked_add(n))
+            .and_then(|end| self.bytes.get(self.at..end))
+            .ok_or_else(|| self.truncated(n))?;
+        self.at += n;
         Ok(s)
+    }
+
+    /// The next `N` bytes as an array.
+    fn array<const N: usize>(&mut self) -> Result<[u8; N]> {
+        let a = (self.bytes.get(self.at..))
+            .and_then(<[u8]>::first_chunk::<N>)
+            .ok_or_else(|| self.truncated(N))?;
+        self.at += N;
+        Ok(*a)
     }
 
     pub(crate) fn u8(&mut self) -> Result<u8> {
@@ -1356,19 +1380,15 @@ impl<'a> Cursor<'a> {
     }
 
     pub(crate) fn u16(&mut self) -> Result<u16> {
-        Ok(u16::from_le_bytes([self.u8()?, self.u8()?]))
+        Ok(u16::from_le_bytes(self.array()?))
     }
 
     pub(crate) fn u32(&mut self) -> Result<u32> {
-        Ok(u32::from_le_bytes(
-            self.take(4)?.try_into().expect("4 bytes"),
-        ))
+        Ok(u32::from_le_bytes(self.array()?))
     }
 
     pub(crate) fn u64(&mut self) -> Result<u64> {
-        Ok(u64::from_le_bytes(
-            self.take(8)?.try_into().expect("8 bytes"),
-        ))
+        Ok(u64::from_le_bytes(self.array()?))
     }
 
     fn str(&mut self) -> Result<String> {
@@ -1515,29 +1535,20 @@ fn decode_payload(
     let mut frame = None;
     let col = match codec {
         PageCodec::Plain => match dt {
+            // Fixed-width values: one bound on the whole payload, then a
+            // pass over exact-size words.
             DataType::Int64 => {
-                c.need(rows as u64 * 8)?;
-                let mut v = Vec::with_capacity(rows);
-                for _ in 0..rows {
-                    v.push(c.u64()? as i64);
-                }
-                ColumnData::Int64(v)
+                let words = c.take(rows * 8)?.chunks_exact(8);
+                ColumnData::Int64(words.map(|w| le_u64(w) as i64).collect())
             }
             DataType::Float64 => {
-                c.need(rows as u64 * 8)?;
-                let mut v = Vec::with_capacity(rows);
-                for _ in 0..rows {
-                    v.push(f64::from_bits(c.u64()?));
-                }
-                ColumnData::Float64(v)
+                let words = c.take(rows * 8)?.chunks_exact(8);
+                ColumnData::Float64(words.map(|w| f64::from_bits(le_u64(w))).collect())
             }
             DataType::Bool => {
-                c.need(rows as u64)?;
-                let mut v = Vec::with_capacity(rows);
-                for _ in 0..rows {
-                    v.push(decode_bool(c.u8()?)?);
-                }
-                ColumnData::Bool(v)
+                let bytes = c.take(rows)?;
+                bytes.iter().try_for_each(|&b| decode_bool(b).map(drop))?;
+                ColumnData::Bool(bytes.iter().map(|&b| b == 1).collect())
             }
             DataType::Utf8 => {
                 // Every string costs at least its 4-byte length header.

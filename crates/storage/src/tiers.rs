@@ -15,12 +15,12 @@
 //!
 //! ```text
 //! [0..4)   magic  "CIPF"
-//! [4]      format version (1)
+//! [4]      format version (2)
 //! [5]      flags (0)
 //! [6..8)   column count, u16 LE
 //! [8..12)  row count, u32 LE
 //! [12..20) payload length, u64 LE
-//! [20..28) FNV-1a-64 checksum of the payload, u64 LE
+//! [20..28) XXH64 (seed 0) checksum of the payload, u64 LE
 //! [28..]   payload: per column `kind u8 | blob_len u32 LE | blob`
 //! ```
 //!
@@ -55,8 +55,8 @@ use crate::batch::RecordBatch;
 use crate::column::ColumnData;
 use crate::dict::Dictionary;
 use crate::pages::{
-    self, encode_column, read_dictionary_section, read_packed_ids, write_dictionary_section,
-    write_ids_section, Cursor, PageCodec, MAX_DECODE_ROWS,
+    self, encode_column, le_u64, read_dictionary_section, read_packed_ids,
+    write_dictionary_section, write_ids_section, Cursor, PageCodec, MAX_DECODE_ROWS,
 };
 use crate::partition::MicroPartition;
 use crate::schema::SchemaRef;
@@ -66,8 +66,9 @@ use crate::table::Table;
 pub const PART_MAGIC: [u8; 4] = *b"CIPF";
 /// Magic prefix of a table manifest.
 pub const MANIFEST_MAGIC: [u8; 4] = *b"CIPT";
-/// Container format version.
-pub const TIER_FILE_VERSION: u8 = 1;
+/// Container format version. Version 1 files carried an FNV-1a checksum;
+/// they fail as an unsupported version, not as a checksum mismatch.
+pub const TIER_FILE_VERSION: u8 = 2;
 /// Fixed container header size (both file kinds).
 pub const TIER_HEADER_BYTES: usize = 28;
 
@@ -79,14 +80,67 @@ fn serr(msg: String) -> CiError {
     CiError::Storage(msg)
 }
 
-/// FNV-1a 64-bit — tiny, dependency-free, deterministic.
-pub fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+/// XXH64 with seed 0, from the public xxHash specification: the checksum of
+/// every `CIPF` / `CIPT` payload. Whole 32-byte stripes feed four
+/// independent lanes, so the multiplies of neighbouring words overlap
+/// instead of each byte waiting on the last one's (as in FNV-1a); the
+/// 8-, 4- and 1-byte tail and the final avalanche follow the spec.
+pub fn xxh64(bytes: &[u8]) -> u64 {
+    const P1: u64 = 0x9E37_79B1_85EB_CA87;
+    const P2: u64 = 0xC2B2_AE3D_27D4_EB4F;
+    const P3: u64 = 0x1656_67B1_9E37_79F9;
+    const P4: u64 = 0x85EB_CA77_C2B2_AE63;
+    const P5: u64 = 0x27D4_EB2F_1656_67C5;
+    fn round(acc: u64, lane: u64) -> u64 {
+        acc.wrapping_add(lane.wrapping_mul(P2))
+            .rotate_left(31)
+            .wrapping_mul(P1)
     }
-    h
+    let stripes = bytes.chunks_exact(32);
+    let rest = stripes.remainder();
+    let mut h = if bytes.len() < 32 {
+        P5
+    } else {
+        let mut v = [P1.wrapping_add(P2), P2, 0, P1.wrapping_neg()];
+        for stripe in stripes {
+            for (v, lane) in v.iter_mut().zip(stripe.chunks_exact(8)) {
+                *v = round(*v, le_u64(lane));
+            }
+        }
+        let h = (v[0].rotate_left(1))
+            .wrapping_add(v[1].rotate_left(7))
+            .wrapping_add(v[2].rotate_left(12))
+            .wrapping_add(v[3].rotate_left(18));
+        v.iter().fold(h, |h, &v| {
+            (h ^ round(0, v)).wrapping_mul(P1).wrapping_add(P4)
+        })
+    };
+    h = h.wrapping_add(bytes.len() as u64);
+    let words = rest.chunks_exact(8);
+    let mut rest = words.remainder();
+    for w in words {
+        h = (h ^ round(0, le_u64(w)))
+            .rotate_left(27)
+            .wrapping_mul(P1)
+            .wrapping_add(P4);
+    }
+    if let Some((w, tail)) = rest.split_first_chunk::<4>() {
+        h = (h ^ u64::from(u32::from_le_bytes(*w)).wrapping_mul(P1))
+            .rotate_left(23)
+            .wrapping_mul(P2)
+            .wrapping_add(P3);
+        rest = tail;
+    }
+    for &b in rest {
+        h = (h ^ u64::from(b).wrapping_mul(P5))
+            .rotate_left(11)
+            .wrapping_mul(P1);
+    }
+    h ^= h >> 33;
+    h = h.wrapping_mul(P2);
+    h ^= h >> 29;
+    h = h.wrapping_mul(P3);
+    h ^ (h >> 32)
 }
 
 // ---------------------------------------------------------------------------
@@ -157,7 +211,7 @@ fn push_header(out: &mut Vec<u8>, magic: [u8; 4], cols: u16, rows: u32, payload:
     out.extend_from_slice(&cols.to_le_bytes());
     out.extend_from_slice(&rows.to_le_bytes());
     out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-    out.extend_from_slice(&fnv1a64(payload).to_le_bytes());
+    out.extend_from_slice(&xxh64(payload).to_le_bytes());
     out.extend_from_slice(payload);
 }
 
@@ -256,7 +310,7 @@ fn open_container(bytes: &[u8], magic: [u8; 4]) -> Result<(u16, u32, &[u8])> {
         )));
     }
     let payload = c.take(payload_len as usize)?;
-    let actual = fnv1a64(payload);
+    let actual = xxh64(payload);
     if actual != checksum {
         return Err(serr(format!(
             "checksum mismatch (stored {checksum:#018x}, computed {actual:#018x})"
@@ -665,6 +719,63 @@ mod tests {
         let mut b = TableBuilder::new(TableId::new(id), "sample", schema, 16).unwrap();
         b.append(batch).unwrap();
         Arc::new(b.finish().unwrap().dict_encoded())
+    }
+
+    /// The published XXH64 (seed 0) vectors: empty input, tail-only inputs
+    /// and one that runs the 8- and 1-byte tails after a full stripe.
+    #[test]
+    fn xxh64_matches_the_published_vectors() {
+        assert_eq!(xxh64(b""), 0xEF46_DB37_51D8_E999);
+        assert_eq!(xxh64(b"a"), 0xD24E_C4F1_A98C_6E5B);
+        assert_eq!(xxh64(b"abc"), 0x44BC_2CF5_AD77_0999);
+        assert_eq!(
+            xxh64(b"Nobody inspects the spammish repetition"),
+            0xFBCE_A83C_8A37_8BF1
+        );
+    }
+
+    /// Every byte of every length up to three stripes plus each tail kind
+    /// takes part: flipping any one changes the hash, so a dropped stripe
+    /// lane or 8-, 4- or 1-byte tail fails here.
+    #[test]
+    fn xxh64_reads_every_byte() {
+        let mut seed = 0x9E37_79B9_7F4A_7C15u64;
+        let buf: Vec<u8> = (0..100)
+            .map(|_| {
+                seed ^= seed << 13;
+                seed ^= seed >> 7;
+                seed ^= seed << 17;
+                seed as u8
+            })
+            .collect();
+        for len in 0..=buf.len() {
+            let mut bytes = buf[..len].to_vec();
+            let want = xxh64(&bytes);
+            for at in 0..len {
+                bytes[at] ^= 0x01;
+                assert_ne!(xxh64(&bytes), want, "len {len}, byte {at}");
+                bytes[at] ^= 0x01;
+            }
+        }
+    }
+
+    /// A written partition file carries the current version at byte 4 and
+    /// the XXH64 of its payload at bytes `[20..28)`.
+    #[test]
+    fn header_carries_version_and_payload_checksum() {
+        let table = sample_table(9);
+        let store = ObjectStoreDir::temp().unwrap();
+        store.ensure_table(&table).unwrap();
+        let bytes = std::fs::read(store.partition_path(table.id, 0)).unwrap();
+        assert_eq!(&bytes[..5], b"CIPF\x02");
+        assert_eq!(TIER_FILE_VERSION, 2);
+        let sum = xxh64(&bytes[TIER_HEADER_BYTES..]).to_le_bytes();
+        assert_eq!(&bytes[20..28], &sum);
+        // A version-1 file is refused by its version, not its checksum.
+        let mut old = bytes.clone();
+        old[4] = 1;
+        let e = open_container(&old, PART_MAGIC).unwrap_err().to_string();
+        assert!(e.contains("unsupported version 1"), "{e}");
     }
 
     #[test]

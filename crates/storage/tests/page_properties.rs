@@ -339,6 +339,110 @@ proptest! {
     }
 }
 
+/// IEEE edge patterns a Plain float page must carry bit for bit: quiet and
+/// signalling NaNs with payloads (both signs), ±0, ±∞, the smallest and
+/// largest subnormals, the normal extremes.
+const FLOAT_EDGE_BITS: [u64; 12] = [
+    0x7FF8_0000_DEAD_BEEF,
+    0xFFF8_0000_0000_0001,
+    0x7FF0_0000_0000_0001,
+    0x0000_0000_0000_0000,
+    0x8000_0000_0000_0000,
+    0x7FF0_0000_0000_0000,
+    0xFFF0_0000_0000_0000,
+    0x0000_0000_0000_0001,
+    0x800F_FFFF_FFFF_FFFF,
+    0x0010_0000_0000_0000,
+    0x7FEF_FFFF_FFFF_FFFF,
+    0xFFEF_FFFF_FFFF_FFFF,
+];
+
+/// The per-value reference for a Plain fixed-width page: the header, then
+/// each value's little-endian bytes (`width` of them). The page must equal
+/// it byte for byte, decode back to `want` bit for bit, and fail as an
+/// `Err` when cut short anywhere or when its header declares one row more
+/// or one fewer than it holds.
+fn check_plain(col: &ColumnData, want: &[u64], width: usize) -> Result<(), String> {
+    let (_, page) = encode_column(col, PageCodec::Plain).map_err(|e| e.to_string())?;
+    let payload: Vec<u8> = (want.iter())
+        .flat_map(|w| w.to_le_bytes()[..width].to_vec())
+        .collect();
+    if page[PAGE_HEADER_BYTES..] != payload[..] {
+        return Err("payload differs from the per-value reference".into());
+    }
+    let got: Vec<u64> = match decode_column(&page).map_err(|e| e.to_string())? {
+        ColumnData::Int64(v) => v.iter().map(|&x| x as u64).collect(),
+        ColumnData::Float64(v) => v.iter().map(|x| x.to_bits()).collect(),
+        ColumnData::Bool(v) => v.iter().map(|&b| u64::from(b)).collect(),
+        other => return Err(format!("decoded as {:?}", other.data_type())),
+    };
+    if got != want {
+        return Err("decode is not bit-identical".into());
+    }
+    if let Some(cut) = (0..page.len()).find(|&cut| decode_column(&page[..cut]).is_ok()) {
+        return Err(format!(
+            "a page cut to {cut} of {} bytes decoded",
+            page.len()
+        ));
+    }
+    for forged in [want.len() + 1, want.len().wrapping_sub(1)] {
+        let mut bad = page.clone();
+        bad[8..12].copy_from_slice(&(forged as u32).to_le_bytes());
+        if decode_column(&bad).is_ok() {
+            return Err(format!("a header declaring {forged} rows decoded"));
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    /// Plain `Int64` pages round-trip every value, the domain's ends
+    /// included, and reject every truncation and a forged row count.
+    #[test]
+    fn plain_int_pages_match_the_per_value_reference(
+        vals in proptest::collection::vec(
+            prop_oneof![any::<i64>(), proptest::sample::select(vec![i64::MIN, i64::MAX, -1, 0])],
+            0..120usize,
+        ),
+    ) {
+        let want: Vec<u64> = vals.iter().map(|&x| x as u64).collect();
+        let r = check_plain(&ColumnData::Int64(vals), &want, 8);
+        prop_assert!(r.is_ok(), "{:?}", r);
+    }
+
+    /// Plain `Float64` pages keep every bit: NaN payloads, −0.0, ±∞ and
+    /// subnormals as well as arbitrary bit patterns.
+    #[test]
+    fn plain_float_pages_keep_every_bit(
+        bits in proptest::collection::vec(
+            prop_oneof![any::<u64>(), proptest::sample::select(FLOAT_EDGE_BITS.to_vec())],
+            0..120usize,
+        ),
+    ) {
+        let col = ColumnData::Float64(bits.iter().map(|&b| f64::from_bits(b)).collect());
+        let r = check_plain(&col, &bits, 8);
+        prop_assert!(r.is_ok(), "{:?}", r);
+    }
+
+    /// Plain `Bool` pages round-trip and reject truncations, forged row
+    /// counts and any byte other than 0 or 1.
+    #[test]
+    fn plain_bool_pages_match_the_per_value_reference(
+        vals in proptest::collection::vec(any::<bool>(), 1..120usize),
+        at in any::<usize>(),
+        byte in 2u16..256,
+    ) {
+        let want: Vec<u64> = vals.iter().map(|&b| u64::from(b)).collect();
+        let col = ColumnData::Bool(vals);
+        let r = check_plain(&col, &want, 1);
+        prop_assert!(r.is_ok(), "{:?}", r);
+        let (_, mut page) = encode_column(&col, PageCodec::Plain).unwrap();
+        let at = PAGE_HEADER_BYTES + at % want.len();
+        page[at] = byte as u8;
+        prop_assert!(decode_column(&page).is_err(), "bool byte {byte} decoded");
+    }
+}
+
 /// Pins the byte-level page format. If this test fails, the format changed:
 /// bump [`PAGE_VERSION`] and treat it as a breaking storage change.
 #[test]

@@ -15,7 +15,7 @@ use ci_storage::column::ColumnData;
 use ci_storage::pages::{dictionary_page_bytes, encode_best, PageCodec};
 use ci_storage::schema::{Field, Schema, SchemaRef};
 use ci_storage::table::{Table, TableBuilder};
-use ci_storage::tiers::{fnv1a64, ObjectStoreDir, TIER_HEADER_BYTES};
+use ci_storage::tiers::{xxh64, ObjectStoreDir, TIER_HEADER_BYTES};
 use ci_storage::value::DataType;
 use ci_types::{CiError, TableId};
 use proptest::prelude::*;
@@ -244,7 +244,7 @@ fn u32_at(bytes: &[u8], at: usize) -> usize {
 
 /// Rewrites the stored payload checksum so the file passes it.
 fn rechecksum(bytes: &mut [u8]) {
-    let sum = fnv1a64(&bytes[TIER_HEADER_BYTES..]);
+    let sum = xxh64(&bytes[TIER_HEADER_BYTES..]);
     bytes[20..28].copy_from_slice(&sum.to_le_bytes());
 }
 
