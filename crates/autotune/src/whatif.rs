@@ -379,17 +379,17 @@ impl<'a> WhatIfService<'a> {
     ) -> Result<ProposalReport> {
         let entry = self.catalog.get(table)?;
         let id = entry.table.id;
-        let pricing = &self.tiers;
+        let Some(spec) = self.tiers.spec(tier) else {
+            return Err(CiError::Tuning(
+                "pinning to the object tier is a no-op: data already lives there".into(),
+            ));
+        };
         // Residency footprint: the memory tier holds decoded batches, the
         // SSD tier holds encoded partition files.
-        let (spec, resident_bytes) = match tier {
-            TierLevel::Mem => (&pricing.mem, entry.table.total_bytes()),
-            TierLevel::Ssd => (&pricing.ssd, entry.table.total_encoded_bytes()),
-            TierLevel::Object => {
-                return Err(CiError::Tuning(
-                    "pinning to the object tier is a no-op: data already lives there".into(),
-                ))
-            }
+        let resident_bytes = if tier == TierLevel::Mem {
+            entry.table.total_bytes()
+        } else {
+            entry.table.total_encoded_bytes()
         };
         if resident_bytes > spec.capacity_bytes {
             return Err(CiError::Tuning(format!(
@@ -400,13 +400,7 @@ impl<'a> WhatIfService<'a> {
         }
 
         let (before_cfg, after_cfg) = self.cache_what_if(|model| {
-            // The object tier was refused above.
-            let pinned = if tier == TierLevel::Mem {
-                &mut model.pinned_mem
-            } else {
-                &mut model.pinned_ssd
-            };
-            pinned.insert(id);
+            model.pinned.insert(id, tier);
         });
 
         // Saved fetch dollars, per §4's x: faster machine-seconds (the scan

@@ -25,7 +25,7 @@ use ci_storage::table::TableBuilder;
 use ci_storage::tiers::{ObjectStoreDir, TierStore};
 use ci_storage::value::{DataType, Value};
 use ci_storage::RecordBatch;
-use ci_types::{CiError, DetRng, Result, TableId};
+use ci_types::{CiError, DetRng, Result, TableId, TierLevel};
 
 /// Schema of the fixture batches: a string key and an int payload.
 pub fn hot_schema() -> SchemaRef {
@@ -557,7 +557,7 @@ pub fn cache_scan_fixture(rows: usize) -> Result<(Arc<TierStore>, TableId, usize
 /// [`run_cache_hit_scan`] calls are pure cache hits.
 pub fn warm_cache(tiers: &TierStore, id: TableId, parts: usize) -> Result<()> {
     for part in 0..parts {
-        tiers.promote_mem(id, part as u32)?;
+        tiers.promote(id, part as u32, TierLevel::Mem)?;
     }
     Ok(())
 }

@@ -6,6 +6,8 @@
 //! causes over/under-provisioning; experiment F1 quantifies it against the
 //! bi-objective optimizer's automatic deployment.
 
+use ci_types::TierLevel;
+
 /// The classic warehouse T-shirt sizes with their node counts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum TShirtSize {
@@ -146,6 +148,16 @@ impl TierPricing {
             object_get_dollars: 4e-7,
             object_transfer_dollars_per_gb: 0.01,
             rent_horizon_hours: 1.0,
+        }
+    }
+
+    /// The cache tier behind `level`; `None` for the object store, which
+    /// is no cache.
+    pub fn spec(&self, level: TierLevel) -> Option<&TierSpec> {
+        match level {
+            TierLevel::Mem => Some(&self.mem),
+            TierLevel::Ssd => Some(&self.ssd),
+            TierLevel::Object => None,
         }
     }
 

@@ -5,7 +5,7 @@
 //! trace. The execution engine drives it from the driver's canonical
 //! accounting loop, so hit/miss/eviction sequences are identical across
 //! execution modes and across physical page sources; the physical tier
-//! store merely mirrors the simulator's decisions.
+//! store applies each decision by level (`TierStore::promote` / `evict`).
 //!
 //! Admission is cost-aware, not recency-based: an entry is admitted to a
 //! tier when the re-fetch dollars it is expected to save (object GET price
@@ -14,10 +14,15 @@
 //! removes the lowest-scoring resident first, tie-broken canonically by
 //! `(score, insertion sequence, key)` so the outcome never depends on hash
 //! iteration order. Rent is priced in those scores only: nothing bills it.
+//!
+//! A cached tier is one record indexed by [`TierLevel`] and priced by
+//! [`TierPricing::spec`]; the object tier is no cache and has neither. A
+//! pin is one table-to-level entry, so a table is pinned at one level.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use ci_types::TableId;
+pub use ci_types::TierLevel;
 
 use crate::pricing::{TierPricing, TierSpec};
 
@@ -34,28 +39,6 @@ impl CacheKey {
     /// Convenience constructor.
     pub fn new(table: TableId, part: u32) -> CacheKey {
         CacheKey { table, part }
-    }
-}
-
-/// Which level of the hierarchy served (or would serve) an access.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TierLevel {
-    /// In-memory cache of decoded batches.
-    Mem,
-    /// Local-SSD cache of encoded partition files.
-    Ssd,
-    /// The backing object store — a cache miss.
-    Object,
-}
-
-impl TierLevel {
-    /// Stable numeric code for traces (0 = mem, 1 = ssd, 2 = object).
-    pub fn code(self) -> u64 {
-        match self {
-            TierLevel::Mem => 0,
-            TierLevel::Ssd => 1,
-            TierLevel::Object => 2,
-        }
     }
 }
 
@@ -94,6 +77,13 @@ struct Resident {
     seq: u64,
 }
 
+/// One cached tier's contents: its residents and the bytes they occupy.
+#[derive(Debug, Default)]
+struct Tier {
+    residents: BTreeMap<CacheKey, Resident>,
+    bytes: u64,
+}
+
 /// Deterministic cost-aware two-tier cache simulator.
 ///
 /// All state lives in ordered maps and every decision is a pure function of
@@ -103,13 +93,11 @@ struct Resident {
 #[derive(Debug)]
 pub struct TierCacheSim {
     pricing: TierPricing,
-    mem: BTreeMap<CacheKey, Resident>,
-    ssd: BTreeMap<CacheKey, Resident>,
-    mem_bytes: u64,
-    ssd_bytes: u64,
+    /// The cached tiers, indexed by [`TierLevel::code`]: memory, then SSD.
+    tiers: [Tier; 2],
     accesses: BTreeMap<CacheKey, u64>,
-    pinned_mem: BTreeSet<TableId>,
-    pinned_ssd: BTreeSet<TableId>,
+    /// The one level each pinned table is pinned at.
+    pinned: BTreeMap<TableId, TierLevel>,
     seq: u64,
     counters: CacheCounters,
 }
@@ -119,31 +107,30 @@ impl TierCacheSim {
     pub fn new(pricing: TierPricing) -> TierCacheSim {
         TierCacheSim {
             pricing,
-            mem: BTreeMap::new(),
-            ssd: BTreeMap::new(),
-            mem_bytes: 0,
-            ssd_bytes: 0,
+            tiers: Default::default(),
             accesses: BTreeMap::new(),
-            pinned_mem: BTreeSet::new(),
-            pinned_ssd: BTreeSet::new(),
+            pinned: BTreeMap::new(),
             seq: 0,
             counters: CacheCounters::default(),
         }
     }
 
+    /// The cached tier behind `level` (`None` for the object tier).
+    fn tier(&self, level: TierLevel) -> Option<&Tier> {
+        self.tiers.get(level.code() as usize)
+    }
+
+    fn pinned_at(&self, table: TableId, level: TierLevel) -> bool {
+        self.pinned.get(&table) == Some(&level)
+    }
+
     /// Pins every partition of `table` to `level`: always admitted there,
     /// never evicted. Pinning to [`TierLevel::Object`] clears the pin.
     pub fn pin(&mut self, table: TableId, level: TierLevel) {
-        self.pinned_mem.remove(&table);
-        self.pinned_ssd.remove(&table);
-        match level {
-            TierLevel::Mem => {
-                self.pinned_mem.insert(table);
-            }
-            TierLevel::Ssd => {
-                self.pinned_ssd.insert(table);
-            }
-            TierLevel::Object => {}
+        if level == TierLevel::Object {
+            self.pinned.remove(&table);
+        } else {
+            self.pinned.insert(table, level);
         }
     }
 
@@ -166,17 +153,11 @@ impl TierCacheSim {
         hits: u64,
         evicted: &mut Vec<(CacheKey, TierLevel)>,
     ) -> bool {
-        let spec = match level {
-            TierLevel::Mem => self.pricing.mem.clone(),
-            TierLevel::Ssd => self.pricing.ssd.clone(),
-            TierLevel::Object => return false,
+        let (Some(spec), Some(tier)) = (self.pricing.spec(level), self.tier(level)) else {
+            return false;
         };
-        let pinned_here = match level {
-            TierLevel::Mem => self.pinned_mem.contains(&key.table),
-            TierLevel::Ssd => self.pinned_ssd.contains(&key.table),
-            TierLevel::Object => false,
-        };
-        let cand_score = self.score(&spec, bytes, hits);
+        let pinned_here = self.pinned_at(key.table, level);
+        let cand_score = self.score(spec, bytes, hits);
         if !pinned_here && cand_score <= 0.0 {
             return false;
         }
@@ -187,38 +168,32 @@ impl TierCacheSim {
         // ascending (score, insertion seq, key) — fully canonical.
         let mut victims: Vec<CacheKey> = Vec::new();
         let mut freed = 0u64;
-        {
-            let (residents, used, pinned) = match level {
-                TierLevel::Mem => (&self.mem, self.mem_bytes, &self.pinned_mem),
-                TierLevel::Ssd => (&self.ssd, self.ssd_bytes, &self.pinned_ssd),
-                TierLevel::Object => unreachable!(),
-            };
-            if used + bytes > spec.capacity_bytes {
-                let mut ranked: Vec<(f64, u64, CacheKey, u64)> = residents
-                    .iter()
-                    .filter(|(k, _)| !pinned.contains(&k.table))
-                    .map(|(k, r)| {
-                        let h = self.accesses.get(k).copied().unwrap_or(0);
-                        (self.score(&spec, r.bytes, h), r.seq, *k, r.bytes)
-                    })
-                    .collect();
-                ranked.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2)));
-                for (vscore, _, vkey, vbytes) in ranked {
-                    if used + bytes - freed <= spec.capacity_bytes {
-                        break;
-                    }
-                    // An unpinned candidate may only displace strictly
-                    // worse residents; a pinned one displaces anything
-                    // unpinned.
-                    if !pinned_here && vscore >= cand_score {
-                        return false;
-                    }
-                    freed += vbytes;
-                    victims.push(vkey);
+        let used = tier.bytes;
+        if used + bytes > spec.capacity_bytes {
+            let mut ranked: Vec<(f64, u64, CacheKey, u64)> = tier
+                .residents
+                .iter()
+                .filter(|(k, _)| !self.pinned_at(k.table, level))
+                .map(|(k, r)| {
+                    let h = self.accesses.get(k).copied().unwrap_or(0);
+                    (self.score(spec, r.bytes, h), r.seq, *k, r.bytes)
+                })
+                .collect();
+            ranked.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)).then(a.2.cmp(&b.2)));
+            for (vscore, _, vkey, vbytes) in ranked {
+                if used + bytes - freed <= spec.capacity_bytes {
+                    break;
                 }
-                if used + bytes - freed > spec.capacity_bytes {
+                // An unpinned candidate may only displace strictly worse
+                // residents; a pinned one displaces anything unpinned.
+                if !pinned_here && vscore >= cand_score {
                     return false;
                 }
+                freed += vbytes;
+                victims.push(vkey);
+            }
+            if used + bytes - freed > spec.capacity_bytes {
+                return false;
             }
         }
         for vkey in victims {
@@ -226,32 +201,26 @@ impl TierCacheSim {
             evicted.push((vkey, level));
             self.counters.evictions += 1;
         }
-        let resident = Resident {
-            bytes,
-            seq: self.seq,
-        };
+        let tier = &mut self.tiers[level.code() as usize];
+        tier.residents.insert(
+            key,
+            Resident {
+                bytes,
+                seq: self.seq,
+            },
+        );
+        tier.bytes += bytes;
         self.seq += 1;
-        match level {
-            TierLevel::Mem => {
-                self.mem.insert(key, resident);
-                self.mem_bytes += bytes;
-            }
-            TierLevel::Ssd => {
-                self.ssd.insert(key, resident);
-                self.ssd_bytes += bytes;
-            }
-            TierLevel::Object => unreachable!(),
-        }
         self.counters.promotions += 1;
         true
     }
 
     fn remove(&mut self, level: TierLevel, key: CacheKey) {
-        match level {
-            TierLevel::Mem => self.mem.remove(&key).inspect(|r| self.mem_bytes -= r.bytes),
-            TierLevel::Ssd => self.ssd.remove(&key).inspect(|r| self.ssd_bytes -= r.bytes),
-            TierLevel::Object => None,
-        };
+        if let Some(t) = self.tiers.get_mut(level.code() as usize) {
+            if let Some(r) = t.residents.remove(&key) {
+                t.bytes -= r.bytes;
+            }
+        }
     }
 
     /// Records one access to `key` (`bytes` = encoded partition size) and
@@ -265,10 +234,11 @@ impl TierCacheSim {
         };
         let mut admitted = Vec::new();
         let mut evicted = Vec::new();
-        let level = if self.mem.contains_key(&key) {
+        let [mem, ssd] = &self.tiers;
+        let level = if mem.residents.contains_key(&key) {
             self.counters.mem_hits += 1;
             TierLevel::Mem
-        } else if self.ssd.contains_key(&key) {
+        } else if ssd.residents.contains_key(&key) {
             self.counters.ssd_hits += 1;
             // A hot SSD entry may graduate to memory.
             if self.admit(TierLevel::Mem, key, bytes, hits, &mut evicted) {
@@ -296,11 +266,7 @@ impl TierCacheSim {
     /// Virtual seconds to serve `bytes` from `level` (the object tier is
     /// priced by the engine's object-store model instead).
     pub fn service_secs(&self, level: TierLevel, bytes: f64) -> Option<f64> {
-        match level {
-            TierLevel::Mem => Some(self.pricing.mem.access_secs(bytes)),
-            TierLevel::Ssd => Some(self.pricing.ssd.access_secs(bytes)),
-            TierLevel::Object => None,
-        }
+        Some(self.pricing.spec(level)?.access_secs(bytes))
     }
 
     /// Running hit/miss/promotion/eviction totals.
@@ -310,11 +276,7 @@ impl TierCacheSim {
 
     /// Bytes currently resident in `level` (0 for the object tier).
     pub fn resident_bytes(&self, level: TierLevel) -> u64 {
-        match level {
-            TierLevel::Mem => self.mem_bytes,
-            TierLevel::Ssd => self.ssd_bytes,
-            TierLevel::Object => 0,
-        }
+        self.tier(level).map_or(0, |t| t.bytes)
     }
 }
 

@@ -45,8 +45,12 @@ impl MeasuredRates {
     /// Folds one measured kernel invocation in. Samples that cannot yield a
     /// meaningful rate (zero/negative units, zero wall-clock, non-finite
     /// values) are dropped — a kernel too fast for the clock tick carries no
-    /// rate information.
+    /// rate information — and so are samples whose op name is empty or
+    /// holds whitespace, which [`MeasuredRates::to_text`] could not write.
     pub fn record(&mut self, op: &str, units: f64, wall_ns: u64) {
+        if op.is_empty() || op.contains(char::is_whitespace) {
+            return;
+        }
         if wall_ns == 0 || units <= 0.0 || !units.is_finite() {
             return;
         }
@@ -79,145 +83,60 @@ impl MeasuredRates {
         self.rates.keys().map(String::as_str)
     }
 
-    /// Serializes the collector to a JSON object mapping each operator
-    /// class to its raw per-sample rates (`{"filter":[1e9,5e8],...}`).
-    /// Hand-rolled (the workspace has no serde); keys emit in `BTreeMap`
-    /// order, so equal collectors serialize identically — a calibration run
-    /// can be persisted and diffed. Rates are written with Rust's shortest
-    /// round-trip float formatting, so [`MeasuredRates::from_json`] restores
-    /// the collector bit-for-bit.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{");
-        for (i, (op, rates)) in self.rates.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
+    /// Serializes the collector as text, one `op r1 r2 …` line per
+    /// operator class holding its raw per-sample rates
+    /// (`filter 1000000000.0 500000000.0`). Lines come in `BTreeMap` order,
+    /// so equal collectors serialize identically — a calibration run can be
+    /// persisted and diffed. Rates are written with Rust's shortest
+    /// round-trip float formatting, so [`MeasuredRates::from_text`]
+    /// restores the collector bit-for-bit.
+    pub fn to_text(&self) -> String {
+        let mut out = String::new();
+        for (op, rates) in &self.rates {
+            out.push_str(op);
+            for r in rates {
+                out.push_str(&format!(" {r:?}"));
             }
-            // Op names come from a fixed set of identifiers; escape the two
-            // JSON-significant characters anyway so the writer is total.
-            out.push('"');
-            for c in op.chars() {
-                match c {
-                    '"' => out.push_str("\\\""),
-                    '\\' => out.push_str("\\\\"),
-                    _ => out.push(c),
-                }
-            }
-            out.push_str("\":[");
-            for (j, r) in rates.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                out.push_str(&format!("{r:?}"));
-            }
-            out.push(']');
+            out.push('\n');
         }
-        out.push('}');
         out
     }
 
-    /// Parses the [`MeasuredRates::to_json`] format back into a collector.
-    /// Strict: malformed JSON, duplicate keys, and non-finite or
-    /// non-positive rates are errors — a corrupted calibration file must
-    /// not silently seed the estimator with garbage.
-    pub fn from_json(s: &str) -> Result<MeasuredRates> {
-        let bad = |what: &str| CiError::Config(format!("measured-rates json: {what}"));
-        let mut chars = s.char_indices().peekable();
-        let skip_ws = |chars: &mut std::iter::Peekable<std::str::CharIndices>| {
-            while matches!(chars.peek(), Some((_, c)) if c.is_ascii_whitespace()) {
-                chars.next();
+    /// Parses the [`MeasuredRates::to_text`] format back into a collector.
+    /// Blank lines are skipped. Strict otherwise: an unparsable rate, a
+    /// non-finite or non-positive rate, a class without rates and a
+    /// duplicate class are errors naming the line — a corrupted
+    /// calibration file must not silently seed the estimator with garbage.
+    pub fn from_text(s: &str) -> Result<MeasuredRates> {
+        let mut rates = BTreeMap::new();
+        for (i, line) in s.lines().enumerate() {
+            let bad =
+                |what: String| CiError::Config(format!("measured rates, line {}: {what}", i + 1));
+            let mut tokens = line.split_whitespace();
+            let Some(op) = tokens.next() else {
+                continue;
+            };
+            let vals = tokens
+                .map(|t| match t.parse::<f64>() {
+                    Ok(v) if v.is_finite() && v > 0.0 => Ok(v),
+                    Ok(_) => Err(bad(format!("rate {t} must be finite and positive"))),
+                    Err(_) => Err(bad(format!("unparsable rate '{t}'"))),
+                })
+                .collect::<Result<Vec<f64>>>()?;
+            if vals.is_empty() {
+                return Err(bad(format!("operator class '{op}' has no rates")));
             }
-        };
-        skip_ws(&mut chars);
-        if !matches!(chars.next(), Some((_, '{'))) {
-            return Err(bad("expected '{'"));
-        }
-        let mut rates: BTreeMap<String, Vec<f64>> = BTreeMap::new();
-        skip_ws(&mut chars);
-        if matches!(chars.peek(), Some((_, '}'))) {
-            chars.next();
-        } else {
-            loop {
-                skip_ws(&mut chars);
-                if !matches!(chars.next(), Some((_, '"'))) {
-                    return Err(bad("expected key string"));
-                }
-                let mut key = String::new();
-                loop {
-                    match chars.next() {
-                        Some((_, '"')) => break,
-                        Some((_, '\\')) => match chars.next() {
-                            Some((_, c @ ('"' | '\\'))) => key.push(c),
-                            _ => return Err(bad("unsupported escape in key")),
-                        },
-                        Some((_, c)) => key.push(c),
-                        None => return Err(bad("unterminated key")),
-                    }
-                }
-                skip_ws(&mut chars);
-                if !matches!(chars.next(), Some((_, ':'))) {
-                    return Err(bad("expected ':'"));
-                }
-                skip_ws(&mut chars);
-                if !matches!(chars.next(), Some((_, '['))) {
-                    return Err(bad("expected '['"));
-                }
-                let mut vals = Vec::new();
-                skip_ws(&mut chars);
-                if matches!(chars.peek(), Some((_, ']'))) {
-                    chars.next();
-                } else {
-                    loop {
-                        skip_ws(&mut chars);
-                        let start = match chars.peek() {
-                            Some(&(i, _)) => i,
-                            None => return Err(bad("unterminated array")),
-                        };
-                        let mut end = start;
-                        while matches!(
-                            chars.peek(),
-                            Some((_, c)) if c.is_ascii_digit()
-                                || matches!(c, '-' | '+' | '.' | 'e' | 'E')
-                        ) {
-                            let (i, c) = chars.next().expect("peeked");
-                            end = i + c.len_utf8();
-                        }
-                        let v: f64 = s[start..end]
-                            .parse()
-                            .map_err(|_| bad("unparsable number"))?;
-                        if !v.is_finite() || v <= 0.0 {
-                            return Err(bad("rate must be finite and positive"));
-                        }
-                        vals.push(v);
-                        skip_ws(&mut chars);
-                        match chars.next() {
-                            Some((_, ',')) => continue,
-                            Some((_, ']')) => break,
-                            _ => return Err(bad("expected ',' or ']'")),
-                        }
-                    }
-                }
-                if rates.insert(key, vals).is_some() {
-                    return Err(bad("duplicate operator key"));
-                }
-                skip_ws(&mut chars);
-                match chars.next() {
-                    Some((_, ',')) => continue,
-                    Some((_, '}')) => break,
-                    _ => return Err(bad("expected ',' or '}'")),
-                }
+            if rates.insert(op.to_string(), vals).is_some() {
+                return Err(bad(format!("duplicate operator class '{op}'")));
             }
-        }
-        skip_ws(&mut chars);
-        if chars.next().is_some() {
-            return Err(bad("trailing characters"));
         }
         Ok(MeasuredRates { rates })
     }
 
-    /// Writes the collector to `path` in the [`MeasuredRates::to_json`]
+    /// Writes the collector to `path` in the [`MeasuredRates::to_text`]
     /// format (atomic enough for a single writer: plain `fs::write`).
     pub fn save_path(&self, path: &std::path::Path) -> Result<()> {
-        std::fs::write(path, self.to_json())
+        std::fs::write(path, self.to_text())
             .map_err(|e| CiError::Config(format!("cannot write rates to {}: {e}", path.display())))
     }
 
@@ -227,7 +146,7 @@ impl MeasuredRates {
     /// noticed, not silently ignored).
     pub fn load_path(path: &std::path::Path) -> Result<Option<MeasuredRates>> {
         match std::fs::read_to_string(path) {
-            Ok(s) => MeasuredRates::from_json(&s).map(Some),
+            Ok(s) => MeasuredRates::from_text(&s).map(Some),
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
             Err(e) => Err(CiError::Config(format!(
                 "cannot read rates from {}: {e}",
@@ -331,53 +250,66 @@ mod tests {
     }
 
     #[test]
-    fn json_round_trip_is_exact() {
+    fn text_round_trip_is_exact() {
         let mut r = MeasuredRates::new();
         r.record("filter", 1000.0, 1_000);
         r.record("filter", 1000.0, 3_000); // non-terminating decimal rate
         r.record("probe", 1_000_000.0, 1_234_567);
         r.record("sort", 64_000.0, 7);
-        let json = r.to_json();
-        let back = MeasuredRates::from_json(&json).unwrap();
+        let text = r.to_text();
+        let back = MeasuredRates::from_text(&text).unwrap();
         assert_eq!(back, r, "shortest float formatting must round-trip bits");
-        assert_eq!(back.to_json(), json);
+        assert_eq!(back.to_text(), text);
         assert_eq!(back.rate("filter"), r.rate("filter"));
+        assert_eq!(text.lines().count(), 3);
+        assert!(text.starts_with("filter 999999999.9999999 333333333.3333333\nprobe "));
 
         // Empty collector round-trips too.
         let empty = MeasuredRates::new();
-        assert_eq!(empty.to_json(), "{}");
-        assert_eq!(MeasuredRates::from_json("{}").unwrap(), empty);
-        // Whitespace tolerated on re-read.
-        let spaced = " { \"agg\" : [ 1.5 , 2.0 ] } ";
-        let m = MeasuredRates::from_json(spaced).unwrap();
+        assert_eq!(empty.to_text(), "");
+        assert_eq!(MeasuredRates::from_text("").unwrap(), empty);
+        // Surrounding whitespace and blank lines tolerated on re-read.
+        let spaced = "\n  agg \t 1.5   2.0 \n\n";
+        let m = MeasuredRates::from_text(spaced).unwrap();
         assert_eq!(m.samples("agg"), 2);
     }
 
     #[test]
-    fn malformed_json_rejected() {
-        for bad in [
-            "",
-            "{",
-            "[]",
-            "{\"filter\":}",
-            "{\"filter\":[1.0}",
-            "{\"filter\":[1.0],}",
-            "{\"filter\":[nope]}",
-            "{\"filter\":[0.0]}",        // non-positive rate
-            "{\"filter\":[-1.0]}",       // negative rate
-            "{\"a\":[1.0],\"a\":[2.0]}", // duplicate key
-            "{} trailing",
+    fn malformed_text_rejected() {
+        for (bad, line) in [
+            ("filter", 1),             // a class without rates
+            ("filter 1.0\nagg", 2),    // ... on any line
+            ("filter 1.0 nope", 1),    // unparsable token
+            ("filter 1.0,2.0", 1),     // not whitespace-separated
+            ("{\"filter\":[1.0]}", 1), // the retired JSON format
+            ("filter 0.0", 1),         // non-positive rate
+            ("filter -1.0", 1),        // negative rate
+            ("filter inf", 1),         // non-finite rate
+            ("filter NaN", 1),         // non-finite rate
+            ("a 1.0\n\na 2.0", 3),     // duplicate class
         ] {
-            assert!(
-                MeasuredRates::from_json(bad).is_err(),
-                "should reject: {bad}"
-            );
+            match MeasuredRates::from_text(bad) {
+                Err(CiError::Config(msg)) => assert!(
+                    msg.contains(&format!("line {line}:")),
+                    "{bad:?} names the wrong line: {msg}"
+                ),
+                other => panic!("should reject {bad:?}, got {other:?}"),
+            }
         }
     }
 
     #[test]
+    fn unwritable_op_names_dropped() {
+        let mut r = MeasuredRates::new();
+        r.record("", 1.0, 1);
+        r.record("hash probe", 1.0, 1);
+        r.record("agg\n", 1.0, 1);
+        assert_eq!(r, MeasuredRates::new());
+    }
+
+    #[test]
     fn path_persistence_round_trips_and_tolerates_absence() {
-        let path = std::env::temp_dir().join(format!("ci-rates-test-{}.json", std::process::id()));
+        let path = std::env::temp_dir().join(format!("ci-rates-test-{}.txt", std::process::id()));
         // Missing file: load-if-exists says None, not an error.
         assert_eq!(MeasuredRates::load_path(&path).unwrap(), None);
 
@@ -389,7 +321,7 @@ mod tests {
         assert_eq!(back, r, "file round-trip must be bit-exact");
 
         // Corruption is a loud error, not a silent empty collector.
-        std::fs::write(&path, "{\"filter\":[-1.0]}").unwrap();
+        std::fs::write(&path, "filter -1.0\n").unwrap();
         assert!(MeasuredRates::load_path(&path).is_err());
         std::fs::remove_file(&path).unwrap();
     }

@@ -1,6 +1,6 @@
 //! Per-operator scalability models and the query-level simulator.
 
-use std::collections::BTreeSet;
+use std::collections::BTreeMap;
 
 use ci_catalog::Catalog;
 use ci_cloud::faults::FaultProfile;
@@ -10,12 +10,14 @@ use ci_cloud::work::WorkModels;
 use ci_plan::physical::{PhysicalOp, PhysicalPlan};
 use ci_plan::pipeline::{Pipeline, PipelineGraph, SinkKind};
 use ci_types::money::Dollars;
-use ci_types::{CiError, Result, SimDuration, SimTime, TableId};
+use ci_types::{CiError, Result, SimDuration, SimTime, TableId, TierLevel};
 
 /// How the estimator prices scans against a cache hierarchy: the tier menu
 /// plus expected hit rates (global, observed from a prior run's counters),
 /// with per-table pin overrides for what-if analyses ("if `lineitem` were
-/// pinned in SSD, every one of its fetches is served at SSD latency").
+/// pinned in SSD, every one of its fetches is served at SSD latency"). A
+/// pin is one table-to-level entry, as in the cache simulator, so a table
+/// prices at one tier at most.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct TierCostModel {
     /// Per-tier capacity/latency/price menu.
@@ -24,11 +26,9 @@ pub struct TierCostModel {
     pub mem_hit_rate: f64,
     /// Expected fraction served from the local-SSD tier.
     pub ssd_hit_rate: f64,
-    /// Tables assumed fully memory-resident (hit rate 1.0 regardless of the
-    /// global rates).
-    pub pinned_mem: BTreeSet<TableId>,
-    /// Tables assumed fully SSD-resident.
-    pub pinned_ssd: BTreeSet<TableId>,
+    /// Tables assumed fully resident in one cache tier (hit rate 1.0 there,
+    /// regardless of the global rates).
+    pub pinned: BTreeMap<TableId, TierLevel>,
 }
 
 impl TierCostModel {
@@ -60,9 +60,9 @@ impl TierCostModel {
     /// The (mem, ssd) fractions to price a scan of `table` at: pins
     /// override the global rates.
     fn hit_fractions(&self, table: Option<TableId>) -> (f64, f64) {
-        match table {
-            Some(t) if self.pinned_mem.contains(&t) => (1.0, 0.0),
-            Some(t) if self.pinned_ssd.contains(&t) => (0.0, 1.0),
+        match table.and_then(|t| self.pinned.get(&t)) {
+            Some(TierLevel::Mem) => (1.0, 0.0),
+            Some(TierLevel::Ssd) => (0.0, 1.0),
             _ => {
                 let mem = self.mem_hit_rate.clamp(0.0, 1.0);
                 let ssd = self.ssd_hit_rate.clamp(0.0, 1.0 - mem);
@@ -748,7 +748,7 @@ mod tests {
                 .unwrap()
         };
         let mut pinned = TierCostModel::cold(TierPricing::standard());
-        pinned.pinned_mem.insert(TableId::new(0));
+        pinned.pinned.insert(TableId::new(0), TierLevel::Mem);
         let all_mem = TierCostModel {
             pricing: TierPricing::standard(),
             mem_hit_rate: 1.0,

@@ -1450,19 +1450,11 @@ impl<'a, 'q> Ledger<'a, 'q> {
             (acc, svc)
         };
         if let Some(PageStore::Tiered(store)) = &self.q.page_store {
-            for (k, lvl) in &acc.admitted {
-                match lvl {
-                    TierLevel::Mem => store.promote_mem(k.table, k.part)?,
-                    TierLevel::Ssd => store.promote_ssd(k.table, k.part)?,
-                    TierLevel::Object => {}
-                }
+            for &(k, lvl) in &acc.admitted {
+                store.promote(k.table, k.part, lvl)?;
             }
-            for (k, lvl) in &acc.evicted {
-                match lvl {
-                    TierLevel::Mem => store.evict_mem(k.table, k.part),
-                    TierLevel::Ssd => store.evict_ssd(k.table, k.part),
-                    TierLevel::Object => {}
-                }
+            for &(k, lvl) in &acc.evicted {
+                store.evict(k.table, k.part, lvl);
             }
         }
         match acc.level {

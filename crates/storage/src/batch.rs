@@ -214,13 +214,14 @@ impl RecordBatch {
         if sel.is_full() {
             return self.unselected();
         }
+        let sparse = sel.density() < COMPACT_DENSITY;
         let out = RecordBatch {
             schema: self.schema.clone(),
             columns: self.columns.clone(),
             rows: self.rows,
             selection: Some(Arc::new(sel)),
         };
-        if out.selection.as_ref().expect("just set").density() < COMPACT_DENSITY {
+        if sparse {
             out.compacted()
         } else {
             out

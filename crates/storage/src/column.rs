@@ -197,29 +197,6 @@ impl ColumnData {
         Ok(())
     }
 
-    /// New column containing only rows where `keep[i]` is true. Single pass;
-    /// dict columns keep their dictionary and move only ids.
-    pub fn filter(&self, keep: &[bool]) -> ColumnData {
-        debug_assert_eq!(keep.len(), self.len());
-        fn pick<T: Clone>(v: &[T], keep: &[bool]) -> Vec<T> {
-            v.iter()
-                .zip(keep)
-                .filter(|&(_, &k)| k)
-                .map(|(x, _)| x.clone())
-                .collect()
-        }
-        match self {
-            ColumnData::Int64(v) => ColumnData::Int64(pick(v, keep)),
-            ColumnData::Float64(v) => ColumnData::Float64(pick(v, keep)),
-            ColumnData::Utf8(v) => ColumnData::Utf8(pick(v, keep)),
-            ColumnData::Bool(v) => ColumnData::Bool(pick(v, keep)),
-            ColumnData::Dict { ids, dict } => ColumnData::Dict {
-                ids: pick(ids, keep),
-                dict: dict.clone(),
-            },
-        }
-    }
-
     /// New column gathering the given row indices (indices may repeat).
     /// Panics on out-of-bounds indices; see [`ColumnData::try_take`] for the
     /// checked variant.
@@ -528,7 +505,7 @@ mod tests {
     #[test]
     fn filter_keeps_marked_rows() {
         let c = ColumnData::Int64(vec![10, 20, 30, 40]);
-        let f = c.filter(&[true, false, true, false]);
+        let f = c.gather(&SelectionVector::from_mask(&[true, false, true, false]));
         assert_eq!(f, ColumnData::Int64(vec![10, 30]));
     }
 
@@ -640,7 +617,7 @@ mod tests {
         let c = dict_col(&["a", "b", "c", "a"]);
         let (_, dict) = c.as_dict().unwrap();
         let dict = dict.clone();
-        let f = c.filter(&[true, false, true, true]);
+        let f = c.gather(&SelectionVector::from_mask(&[true, false, true, true]));
         assert_eq!(
             f,
             ColumnData::Utf8(vec!["a".into(), "c".into(), "a".into()])
@@ -711,16 +688,21 @@ mod tests {
     #[test]
     fn gather_and_selected_bytes_match_eager_filter() {
         let keep = [true, false, true, false];
+        // The eager reference: every value whose mask bit is set, in order.
+        let filter = |c: &ColumnData| {
+            let mut out = ColumnData::empty(c.data_type());
+            for (i, _) in keep.iter().enumerate().filter(|(_, &k)| k) {
+                out.push(c.value(i)).unwrap();
+            }
+            out
+        };
         let sel = SelectionVector::from_mask(&keep);
         let ints = ColumnData::Int64(vec![1, 2, 3, 4]);
-        assert_eq!(ints.gather(&sel), ints.filter(&keep));
-        assert_eq!(
-            ints.byte_size_selected(&sel),
-            ints.filter(&keep).byte_size()
-        );
+        assert_eq!(ints.gather(&sel), filter(&ints));
+        assert_eq!(ints.byte_size_selected(&sel), filter(&ints).byte_size());
         let d = dict_col(&["ab", "c", "ab", ""]);
-        assert_eq!(d.gather(&sel), d.filter(&keep));
-        assert_eq!(d.byte_size_selected(&sel), d.filter(&keep).byte_size());
+        assert_eq!(d.gather(&sel), filter(&d));
+        assert_eq!(d.byte_size_selected(&sel), filter(&d).byte_size());
         assert!(Arc::ptr_eq(
             d.gather(&sel).as_dict().unwrap().1,
             d.as_dict().unwrap().1

@@ -9,7 +9,9 @@
 //! [`PageSourceMode::Disk`] or [`PageSourceMode::Tiered`] then reads
 //! partitions back from those files ([`ObjectStoreDir::read_partition`],
 //! [`TierStore::read_partition`]) instead of cloning resident batches, and
-//! must produce bit-identical rows and Dollars.
+//! must produce bit-identical rows and Dollars. A [`TierStore`] read
+//! reports the [`TierLevel`] that served it, and the cache simulator's
+//! moves are applied by level ([`TierStore::promote`], [`TierStore::evict`]).
 //!
 //! # `CIPF` partition file layout
 //!
@@ -49,7 +51,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-use ci_types::{CiError, Result, TableId};
+use ci_types::{CiError, Result, TableId, TierLevel};
 
 use crate::batch::RecordBatch;
 use crate::column::ColumnData;
@@ -570,17 +572,6 @@ impl Drop for ObjectStoreDir {
 // TierStore: physical residency
 // ---------------------------------------------------------------------------
 
-/// Which physical layer served a [`TierStore`] read.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ServedFrom {
-    /// In-memory decoded-batch cache.
-    Mem,
-    /// Local-SSD copy of the encoded file.
-    Ssd,
-    /// The backing object store directory.
-    Object,
-}
-
 /// Physical tier residency: a memory cache of decoded batches and a
 /// local-SSD directory of encoded file copies in front of an
 /// [`ObjectStoreDir`]. Placement is *driven from outside* (by the
@@ -615,48 +606,57 @@ impl TierStore {
         self.ssd_root.join(format!("t{}-p{part}.cipf", id.index()))
     }
 
-    /// Decodes the partition once and keeps the batch in the memory tier.
-    pub fn promote_mem(&self, id: TableId, part: u32) -> Result<()> {
-        let batch = self.store.read_partition(id, part as usize)?;
-        locked(&self.mem).insert((id, part), batch);
-        Ok(())
+    /// Places a partition in `level`. The memory tier decodes it once and
+    /// keeps the batch. The SSD tier copies the encoded file into its
+    /// directory under a unique temporary name renamed into place: readers
+    /// and evictions run concurrently with promotions (pool workers fetch
+    /// while the ledger places), and a reader must see the whole file or
+    /// none of it, never a prefix. The object tier already holds every
+    /// partition, so placing one there is a no-op.
+    pub fn promote(&self, id: TableId, part: u32, level: TierLevel) -> Result<()> {
+        match level {
+            TierLevel::Mem => {
+                let batch = self.store.read_partition(id, part as usize)?;
+                locked(&self.mem).insert((id, part), batch);
+                Ok(())
+            }
+            TierLevel::Ssd => {
+                let src = self.store.partition_path(id, part as usize);
+                let dst = self.ssd_path(id, part);
+                let seq = TEMP_SEQ.fetch_add(1, Ordering::Relaxed);
+                let tmp = dst.with_extension(format!("tmp{seq}"));
+                std::fs::copy(&src, &tmp)
+                    .and_then(|_| std::fs::rename(&tmp, &dst))
+                    .map_err(|e| {
+                        let _ = std::fs::remove_file(&tmp);
+                        serr(format!("copying {} to ssd cache: {e}", src.display()))
+                    })
+            }
+            TierLevel::Object => Ok(()),
+        }
     }
 
-    /// Copies the encoded partition file into the SSD cache directory,
-    /// under a unique temporary name renamed into place: readers and
-    /// evictions run concurrently with promotions (pool workers fetch while
-    /// the ledger places), and a reader must see the whole file or none of
-    /// it, never a prefix.
-    pub fn promote_ssd(&self, id: TableId, part: u32) -> Result<()> {
-        let src = self.store.partition_path(id, part as usize);
-        let dst = self.ssd_path(id, part);
-        let seq = TEMP_SEQ.fetch_add(1, Ordering::Relaxed);
-        let tmp = dst.with_extension(format!("tmp{seq}"));
-        std::fs::copy(&src, &tmp)
-            .and_then(|_| std::fs::rename(&tmp, &dst))
-            .map_err(|e| {
-                let _ = std::fs::remove_file(&tmp);
-                serr(format!("copying {} to ssd cache: {e}", src.display()))
-            })
-    }
-
-    /// Drops a partition from the memory tier (no-op if absent).
-    pub fn evict_mem(&self, id: TableId, part: u32) {
-        locked(&self.mem).remove(&(id, part));
-    }
-
-    /// Drops a partition's SSD copy (no-op if absent).
-    pub fn evict_ssd(&self, id: TableId, part: u32) {
-        let _ = std::fs::remove_file(self.ssd_path(id, part));
+    /// Drops a partition from `level` (a no-op if absent, and always for
+    /// the object tier, which never lets a partition go).
+    pub fn evict(&self, id: TableId, part: u32, level: TierLevel) {
+        match level {
+            TierLevel::Mem => {
+                locked(&self.mem).remove(&(id, part));
+            }
+            TierLevel::Ssd => {
+                let _ = std::fs::remove_file(self.ssd_path(id, part));
+            }
+            TierLevel::Object => {}
+        }
     }
 
     /// Reads one partition from the highest-resident tier. All tiers hold
     /// byte-identical content, so the serving layer never affects values —
     /// only where the bytes physically came from.
-    pub fn read_partition(&self, id: TableId, part: usize) -> Result<(RecordBatch, ServedFrom)> {
+    pub fn read_partition(&self, id: TableId, part: usize) -> Result<(RecordBatch, TierLevel)> {
         let key = (id, part as u32);
         if let Some(b) = locked(&self.mem).get(&key) {
-            return Ok((b.clone(), ServedFrom::Mem));
+            return Ok((b.clone(), TierLevel::Mem));
         }
         let ssd = self.ssd_path(id, key.1);
         match std::fs::read(&ssd) {
@@ -665,14 +665,14 @@ impl TierStore {
                     serr(format!("table {id} is not registered in the page store"))
                 })?;
                 let batch = decode_partition(&bytes, &stored).map_err(in_file(&ssd))?;
-                return Ok((batch, ServedFrom::Ssd));
+                return Ok((batch, TierLevel::Ssd));
             }
             // Not resident, or evicted since the caller last looked: the
             // object store serves it.
             Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
             Err(e) => return Err(serr(format!("reading {}: {e}", ssd.display()))),
         }
-        Ok((self.store.read_partition(id, part)?, ServedFrom::Object))
+        Ok((self.store.read_partition(id, part)?, TierLevel::Object))
     }
 
     /// Number of partitions resident in the memory tier.
@@ -840,19 +840,33 @@ mod tests {
         store.ensure_table(&table).unwrap();
         let tiers = TierStore::new(store).unwrap();
         let (from_object, s0) = tiers.read_partition(table.id, 0).unwrap();
-        assert_eq!(s0, ServedFrom::Object);
-        tiers.promote_ssd(table.id, 0).unwrap();
+        assert_eq!(s0, TierLevel::Object);
+        // Every partition already lives in the object tier: placing one
+        // there, or evicting it from there, moves nothing.
+        tiers.promote(table.id, 0, TierLevel::Object).unwrap();
+        tiers.evict(table.id, 0, TierLevel::Object);
+        assert_eq!(tiers.mem_entries(), 0);
+        assert_eq!(std::fs::read_dir(&tiers.ssd_root).unwrap().count(), 0);
+        assert_eq!(
+            tiers.read_partition(table.id, 0).unwrap(),
+            (from_object.clone(), TierLevel::Object)
+        );
+        tiers.promote(table.id, 0, TierLevel::Ssd).unwrap();
         let (from_ssd, s1) = tiers.read_partition(table.id, 0).unwrap();
-        assert_eq!(s1, ServedFrom::Ssd);
-        tiers.promote_mem(table.id, 0).unwrap();
+        assert_eq!(s1, TierLevel::Ssd);
+        tiers.promote(table.id, 0, TierLevel::Mem).unwrap();
         let (from_mem, s2) = tiers.read_partition(table.id, 0).unwrap();
-        assert_eq!(s2, ServedFrom::Mem);
+        assert_eq!(s2, TierLevel::Mem);
         assert_eq!(from_object, from_ssd);
         assert_eq!(from_object, from_mem);
-        tiers.evict_mem(table.id, 0);
-        tiers.evict_ssd(table.id, 0);
+        // An object-tier eviction leaves the cached copies in place.
+        tiers.evict(table.id, 0, TierLevel::Object);
+        assert_eq!(tiers.read_partition(table.id, 0).unwrap().1, TierLevel::Mem);
+        tiers.evict(table.id, 0, TierLevel::Mem);
+        assert_eq!(tiers.read_partition(table.id, 0).unwrap().1, TierLevel::Ssd);
+        tiers.evict(table.id, 0, TierLevel::Ssd);
         let (_, s3) = tiers.read_partition(table.id, 0).unwrap();
-        assert_eq!(s3, ServedFrom::Object);
+        assert_eq!(s3, TierLevel::Object);
     }
 
     /// A thread that panics holding either residency lock poisons it; the
@@ -864,7 +878,7 @@ mod tests {
         let store = Arc::new(ObjectStoreDir::temp().unwrap());
         store.ensure_table(&table).unwrap();
         let tiers = Arc::new(TierStore::new(store.clone()).unwrap());
-        tiers.promote_mem(table.id, 0).unwrap();
+        tiers.promote(table.id, 0, TierLevel::Mem).unwrap();
 
         let (s, t) = (store.clone(), tiers.clone());
         let poisoner = std::thread::spawn(move || {
@@ -882,16 +896,16 @@ mod tests {
         let (hit, served) = tiers.read_partition(table.id, 0).unwrap();
         assert_eq!(
             (hit, served),
-            (table.partitions[0].batch.clone(), ServedFrom::Mem)
+            (table.partitions[0].batch.clone(), TierLevel::Mem)
         );
         let (miss, served) = tiers.read_partition(table.id, 1).unwrap();
         assert_eq!(
             (miss, served),
-            (table.partitions[1].batch.clone(), ServedFrom::Object)
+            (table.partitions[1].batch.clone(), TierLevel::Object)
         );
         // Writers recover too: re-registration and placement keep working.
         store.ensure_table(&sample_table(7)).unwrap();
-        tiers.evict_mem(table.id, 0);
+        tiers.evict(table.id, 0, TierLevel::Mem);
         assert_eq!(tiers.mem_entries(), 0);
     }
 
@@ -922,14 +936,14 @@ mod tests {
             s.spawn(|| {
                 start.wait();
                 for _ in 0..ROUNDS {
-                    tiers.promote_ssd(table.id, 0).unwrap();
+                    tiers.promote(table.id, 0, TierLevel::Ssd).unwrap();
                 }
             });
             s.spawn(|| {
                 start.wait();
                 for _ in 0..ROUNDS {
-                    tiers.evict_ssd(table.id, 0);
-                    tiers.promote_ssd(table.id, 0).unwrap();
+                    tiers.evict(table.id, 0, TierLevel::Ssd);
+                    tiers.promote(table.id, 0, TierLevel::Ssd).unwrap();
                 }
             });
         });

@@ -9,6 +9,7 @@ use std::sync::Arc;
 use ci_storage::batch::RecordBatch;
 use ci_storage::column::ColumnData;
 use ci_storage::schema::{Field, Schema};
+use ci_storage::selection::SelectionVector;
 use ci_storage::table::TableBuilder;
 use ci_storage::value::DataType;
 use ci_types::TableId;
@@ -19,7 +20,7 @@ fn utf8(vals: &[String]) -> ColumnData {
 }
 
 proptest! {
-    /// filter / take / slice / value / min_max / byte_size agree between the
+    /// gather / take / slice / value / min_max / byte_size agree between the
     /// dict-encoded and naive paths.
     #[test]
     fn column_ops_match_naive_path(
@@ -36,7 +37,10 @@ proptest! {
         let n = vals.len();
         // Deterministic pseudo-random mask and gather list from the seed.
         let keep: Vec<bool> = (0..n).map(|i| (i as u64 * 31 + seed) % 3 != 0).collect();
-        prop_assert_eq!(dict.filter(&keep), naive.filter(&keep));
+        let sel = SelectionVector::from_mask(&keep);
+        let kept: Vec<String> = vals.iter().zip(&keep).filter(|(_, &k)| k).map(|(v, _)| v.clone()).collect();
+        prop_assert_eq!(dict.gather(&sel), utf8(&kept));
+        prop_assert_eq!(naive.gather(&sel), utf8(&kept));
 
         let indices: Vec<usize> = (0..n).map(|i| ((i as u64 * 17 + seed) % n as u64) as usize).collect();
         prop_assert_eq!(dict.take(&indices), naive.take(&indices));

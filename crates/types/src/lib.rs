@@ -14,6 +14,8 @@
 //! * [`error::CiError`] — the workspace error type.
 //! * [`stats`] — descriptive statistics used by experiment harnesses and the
 //!   statistics service.
+//! * [`tier::TierLevel`] — the cache tier a partition is served from, shared
+//!   by the page store and the cache simulator.
 
 // Library code reports bad input as `CiError`, never by unwrapping;
 // CI's clippy step fails the day an unwrap comes back.
@@ -24,10 +26,12 @@ pub mod ids;
 pub mod money;
 pub mod rng;
 pub mod stats;
+pub mod tier;
 pub mod time;
 
 pub use error::{CiError, Result};
 pub use ids::{NodeId, OperatorId, PipelineId, QueryId, StageId, TableId};
 pub use money::Dollars;
 pub use rng::{DetRng, Zipf};
+pub use tier::TierLevel;
 pub use time::{SimDuration, SimTime};

@@ -9,8 +9,9 @@
 # part of a `crates/*/src` file whose name appears nowhere else in non-test
 # code: the crate sources, the bins, `examples/` and `bench_e2e/src`.
 # "Non-test" is `scripts/loc.sh`'s cut — everything above a file's
-# `#[cfg(test)] mod tests` block — and comment lines and one-line string
-# literals do not count as a use.
+# `#[cfg(test)] mod tests` block — and comment lines, one-line string
+# literals and `pub use` re-exports do not count as a use (a crate's
+# re-export of an item only tests read is no reader of it).
 # The match is by name, so an item whose name another item shares is never
 # listed, and an item listed may still be a test helper or oracle worth
 # keeping. That is a blind spot for common method names: `validate`, `new`
@@ -79,6 +80,11 @@ git ls-files -- crates src examples bench_e2e/src \
                 dname[nd] = name
                 ndef[name]++
             }
+            # A re-export is not a use: skip `pub use` items, one line or
+            # several up to the closing `;`.
+            if (file != usefile) { inuse = 0; usefile = file }
+            if (code ~ /^[ \t]*pub(\([a-z]+\))? use /) inuse = 1
+            if (inuse) { if (code ~ /;[ \t]*$/) inuse = 0; next }
             gsub(/"([^"\\]|\\.)*"/, "", code)
             n = split(code, tok, /[^A-Za-z0-9_]+/)
             for (i = 1; i <= n; i++) if (tok[i] != "") seen[tok[i]]++
