@@ -347,6 +347,7 @@ impl<'a> WhatIfService<'a> {
     ) -> Result<ProposalReport> {
         // Physically recluster a clone and register it in a scratch catalog:
         // the what-if world. (The data is identical; only zone maps change.)
+        // A cloned catalog has no page store, so this writes no live file.
         let mut scratch = self.catalog.clone();
         scratch.register(self.reclustered(table, column)?);
 
@@ -657,6 +658,27 @@ mod tests {
             report.narrative
         );
         assert!(report.accepted, "{}", report.narrative);
+    }
+
+    /// Quoting a recluster writes no live file: the reclustered table is
+    /// registered into a scratch catalog, which has a page store of its
+    /// own, so the live table's partition files stay byte-identical.
+    #[test]
+    fn recluster_quote_writes_no_live_files() {
+        let cat = catalog();
+        let facts = &cat.get("facts").unwrap().table;
+        let store = cat.page_store().unwrap();
+        store.ensure_table(facts).unwrap();
+        let path = store.partition_path(facts.id, 0);
+        let before = std::fs::read(&path).unwrap();
+        let action = TuningAction::Recluster {
+            table: "facts".into(),
+            column: "id".into(),
+        };
+        service(&cat)
+            .evaluate(&action, &workload(SELECTIVE, 200.0))
+            .unwrap();
+        assert!(std::fs::read(&path).unwrap() == before, "{path:?} changed");
     }
 
     #[test]

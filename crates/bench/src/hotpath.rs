@@ -22,7 +22,7 @@ use ci_storage::column::ColumnData;
 use ci_storage::pages::{self, PageCodec, WireEncoder, WireSketch};
 use ci_storage::schema::{Field, Schema, SchemaRef};
 use ci_storage::table::TableBuilder;
-use ci_storage::tiers::{ObjectStoreDir, TierStore};
+use ci_storage::tiers::PageStore;
 use ci_storage::value::{DataType, Value};
 use ci_storage::RecordBatch;
 use ci_types::{CiError, DetRng, Result, TableId, TierLevel};
@@ -538,24 +538,24 @@ pub fn run_group_by(batch: &RecordBatch, morsel: usize) -> Result<usize> {
 pub const CACHE_SCAN_PART_ROWS: usize = 8_192;
 
 /// Cache-hit-scan fixture: a dict-encoded string/int table persisted as
-/// real on-disk `CIPF` page files behind a [`TierStore`]. Returns the tier
-/// stack, the table id, and the partition count. The store starts fully
+/// real on-disk `CIPF` page files in a [`PageStore`]. Returns the store,
+/// the table id, and the partition count. The store starts fully
 /// cold — every partition resident only in the object (directory) tier.
-pub fn cache_scan_fixture(rows: usize) -> Result<(Arc<TierStore>, TableId, usize)> {
+pub fn cache_scan_fixture(rows: usize) -> Result<(PageStore, TableId, usize)> {
     let batch = string_batch(rows, 1_000, 13, true);
     let id = TableId::new(77);
     let mut b = TableBuilder::new(id, "cache_scan", hot_schema(), CACHE_SCAN_PART_ROWS)?;
     b.append(batch)?;
     let table = Arc::new(b.finish()?.dict_encoded());
     let parts = table.partitions.len();
-    let store = Arc::new(ObjectStoreDir::temp()?);
+    let store = PageStore::temp()?;
     store.ensure_table(&table)?;
-    Ok((Arc::new(TierStore::new(store)?), id, parts))
+    Ok((store, id, parts))
 }
 
 /// Promotes every partition into the memory tier, so subsequent
 /// [`run_cache_hit_scan`] calls are pure cache hits.
-pub fn warm_cache(tiers: &TierStore, id: TableId, parts: usize) -> Result<()> {
+pub fn warm_cache(tiers: &PageStore, id: TableId, parts: usize) -> Result<()> {
     for part in 0..parts {
         tiers.promote(id, part as u32, TierLevel::Mem)?;
     }
@@ -569,10 +569,10 @@ pub fn warm_cache(tiers: &TierStore, id: TableId, parts: usize) -> Result<()> {
 /// tier's decoded batches. The decoded values are identical by the
 /// tier-equivalence contract, so both temperatures return one checksum and
 /// the timing ratio is the pure cost of the object-tier round trip.
-pub fn run_cache_hit_scan(tiers: &TierStore, id: TableId, parts: usize) -> Result<usize> {
+pub fn run_cache_hit_scan(tiers: &PageStore, id: TableId, parts: usize) -> Result<usize> {
     let mut check = 0usize;
     for part in 0..parts {
-        let (batch, _served) = tiers.read_partition(id, part)?;
+        let (batch, _served) = tiers.read_tiered(id, part)?;
         check += batch.rows() + batch.columns().len();
     }
     Ok(check)

@@ -4,7 +4,7 @@ use std::collections::HashMap;
 use std::sync::{Arc, OnceLock};
 
 use ci_storage::table::Table;
-use ci_storage::tiers::{ObjectStoreDir, TierStore};
+use ci_storage::tiers::PageStore;
 use ci_types::{CiError, Result, TableId};
 
 use crate::tstats::TableStats;
@@ -20,16 +20,29 @@ pub struct TableEntry {
 
 /// The warehouse catalog. Name lookup is case-insensitive (names are
 /// normalized to lowercase, matching the SQL front end).
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default)]
 pub struct Catalog {
     by_name: HashMap<String, TableEntry>,
     by_id: HashMap<TableId, String>,
-    /// Lazily-created on-disk page store (`CIPF` files). Clones of the
-    /// catalog share the same store, so scratch copies (what-if analyses)
-    /// don't re-materialize files.
-    store: OnceLock<Arc<ObjectStoreDir>>,
-    /// Lazily-created physical tier stack over `store`.
-    tiers: OnceLock<Arc<TierStore>>,
+    /// Lazily-created page store: the tables' `CIPF` files and their cached
+    /// memory and SSD copies. Owned by this catalog alone: a clone starts
+    /// without one (see the `Clone` impl).
+    store: OnceLock<Arc<PageStore>>,
+}
+
+/// A clone shares every table but starts without a page store. A clone is
+/// a scratch world (the what-if service registers a reclustered table into
+/// one), so registering into it must not rewrite the original's files or
+/// drop the original's cached copies; a clone that scans from disk writes
+/// its own files on first use.
+impl Clone for Catalog {
+    fn clone(&self) -> Catalog {
+        Catalog {
+            by_name: self.by_name.clone(),
+            by_id: self.by_id.clone(),
+            store: OnceLock::new(),
+        }
+    }
 }
 
 impl Catalog {
@@ -53,8 +66,9 @@ impl Catalog {
         };
         self.by_id.insert(id, name.clone());
         self.by_name.insert(name, entry.clone());
-        // Write-through: if the on-disk page store is already materialized,
-        // keep it in sync so a tiered executor never reads stale files.
+        // Write-through: if the page store is already materialized, keep it
+        // in sync (files rewritten, cached copies dropped) so a disk or
+        // tiered executor never reads stale bytes.
         // Best-effort by design — `register` predates fallible storage, and
         // the executor's own `ensure_table` surfaces any write error at
         // query time.
@@ -64,27 +78,16 @@ impl Catalog {
         entry
     }
 
-    /// The on-disk page store backing `PageSourceMode::{Disk, Tiered}`
-    /// scans, created under a temp directory on first use. Errors surface as
+    /// The page store backing `PageSourceMode::{Disk, Tiered}` scans: the
+    /// object tier's `CIPF` files under a temp directory and the cache
+    /// tiers' copies, created on first use. Errors surface as
     /// [`CiError::Storage`].
-    pub fn page_store(&self) -> Result<Arc<ObjectStoreDir>> {
+    pub fn page_store(&self) -> Result<Arc<PageStore>> {
         if let Some(s) = self.store.get() {
             return Ok(s.clone());
         }
-        let built = Arc::new(ObjectStoreDir::temp()?);
+        let built = Arc::new(PageStore::temp()?);
         Ok(self.store.get_or_init(|| built).clone())
-    }
-
-    /// The physical tier stack (memory / SSD cache over [`page_store`]),
-    /// created on first use.
-    ///
-    /// [`page_store`]: Catalog::page_store
-    pub fn tier_store(&self) -> Result<Arc<TierStore>> {
-        if let Some(t) = self.tiers.get() {
-            return Ok(t.clone());
-        }
-        let built = Arc::new(TierStore::new(self.page_store()?)?);
-        Ok(self.tiers.get_or_init(|| built).clone())
     }
 
     /// Looks a table up by name.

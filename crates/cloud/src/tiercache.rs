@@ -4,8 +4,8 @@
 //! and what gets admitted or evicted — *purely* as a function of the access
 //! trace. The execution engine drives it from the driver's canonical
 //! accounting loop, so hit/miss/eviction sequences are identical across
-//! execution modes and across physical page sources; the physical tier
-//! store applies each decision by level (`TierStore::promote` / `evict`).
+//! execution modes and across physical page sources; the page store
+//! applies each decision by level (`PageStore::promote` / `evict`).
 //!
 //! Admission is cost-aware, not recency-based: an entry is admitted to a
 //! tier when the re-fetch dollars it is expected to save (object GET price
@@ -131,6 +131,23 @@ impl TierCacheSim {
             self.pinned.remove(&table);
         } else {
             self.pinned.insert(table, level);
+        }
+    }
+
+    /// Forgets every resident partition of `table` in both cached tiers:
+    /// the table was rewritten (a recluster), so copies of its old
+    /// partitions no longer hold its bytes, and its next reads miss. Its
+    /// pin and its access counts stay, since the table is still pinned
+    /// where it was and still read as often.
+    pub fn forget(&mut self, table: TableId) {
+        for tier in &mut self.tiers {
+            let keys = CacheKey::new(table, 0)..=CacheKey::new(table, u32::MAX);
+            tier.bytes -= tier
+                .residents
+                .range(keys)
+                .map(|(_, r)| r.bytes)
+                .sum::<u64>();
+            tier.residents.retain(|k, _| k.table != table);
         }
     }
 
@@ -377,6 +394,37 @@ mod tests {
         }
         let hit = sim.access(k(9, 0), 2_000_000);
         assert_eq!(hit.level, TierLevel::Mem);
+    }
+
+    /// Forgetting a table empties its residents from both tiers and their
+    /// bytes from the totals, leaves other tables and the pin alone, and
+    /// makes the table's next access a miss.
+    #[test]
+    fn forget_drops_one_tables_residents_and_keeps_its_pin() {
+        let mut p = tiny_pricing();
+        p.mem.capacity_bytes = 2_000_000;
+        let mut sim = TierCacheSim::new(p);
+        sim.pin(TableId::new(1), TierLevel::Ssd);
+        for key in [k(0, 0), k(0, 1), k(0, 2), k(1, 0), k(2, 0)] {
+            sim.access(key, 1_000_000);
+        }
+        let resident = |sim: &TierCacheSim| {
+            sim.resident_bytes(TierLevel::Mem) + sim.resident_bytes(TierLevel::Ssd)
+        };
+        assert_eq!(resident(&sim), 5_000_000, "every partition cached");
+        sim.forget(TableId::new(0));
+        assert_eq!(resident(&sim), 2_000_000);
+        let [mem, ssd] = &sim.tiers;
+        let keys = mem.residents.keys().chain(ssd.residents.keys());
+        assert!(keys.clone().all(|key| key.table != TableId::new(0)));
+        assert_eq!(keys.count(), 2);
+        let before = sim.counters();
+        assert_eq!(sim.access(k(0, 1), 1_000_000).level, TierLevel::Object);
+        assert_eq!(sim.counters().misses, before.misses + 1);
+        // A pinned table's residents go too; its pin stays.
+        sim.forget(TableId::new(1));
+        assert_eq!(sim.pinned.get(&TableId::new(1)), Some(&TierLevel::Ssd));
+        assert_eq!(sim.access(k(1, 0), 1_000_000).level, TierLevel::Object);
     }
 
     #[test]

@@ -16,7 +16,7 @@ use ci_storage::RecordBatch;
 use ci_types::money::Dollars;
 use ci_types::{CiError, Result, SimTime, TableId};
 use ci_workload::trace::WorkloadTrace;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 use crate::report::QueryReport;
 
@@ -297,6 +297,12 @@ impl Warehouse {
                 let svc = self.whatif();
                 let reclustered = svc.reclustered(table, column)?;
                 let bill = svc.one_time_cost(action)?;
+                // Cached copies of the old partitions no longer hold the
+                // table's bytes: the simulator forgets them, as the page
+                // store drops them when `register` rewrites the files.
+                if let Some(sim) = &self.config.execution.tier_sim {
+                    lock_sim(sim)?.forget(reclustered.id);
+                }
                 self.catalog.register(reclustered);
                 self.total_spend += bill;
                 Ok(bill)
@@ -339,15 +345,7 @@ impl Warehouse {
                     .execution
                     .tier_sim
                     .get_or_insert_with(|| Arc::new(Mutex::new(TierCacheSim::new(pricing))));
-                // Same rule as the executor's `lock_sim`: bills are a function
-                // of this state, so a poisoned simulator is a typed error.
-                sim.lock()
-                    .map_err(|_| {
-                        CiError::Tuning(
-                            "tier cache simulator lock is poisoned by an earlier panic".into(),
-                        )
-                    })?
-                    .pin(id, *tier);
+                lock_sim(sim)?.pin(id, *tier);
                 self.total_spend += bill;
                 Ok(bill)
             }
@@ -377,6 +375,15 @@ impl Warehouse {
     pub fn with_stats<R>(&self, f: impl FnOnce(&StatisticsService) -> R) -> R {
         f(&self.stats)
     }
+}
+
+/// Locks the shared cache simulator. Same rule as the executor's
+/// `lock_sim`: bills are a function of this state, so a poisoned simulator
+/// is a typed error.
+fn lock_sim(sim: &Mutex<TierCacheSim>) -> Result<MutexGuard<'_, TierCacheSim>> {
+    sim.lock().map_err(|_| {
+        CiError::Tuning("tier cache simulator lock is poisoned by an earlier panic".into())
+    })
 }
 
 /// Rebuilds a result batch with catalog-friendly column names
@@ -569,6 +576,36 @@ mod tests {
                 .collect::<Vec<_>>()
         };
         assert_eq!(zone_maps(registered), zone_maps(&priced));
+    }
+
+    /// A recluster rewrites a table's partitions, so the shared cache
+    /// simulator forgets its copies of the old ones: the next query on the
+    /// table counts no memory or SSD hit, only misses.
+    #[test]
+    fn recluster_forgets_the_tables_cached_partitions() {
+        let mut w = warehouse(0.5);
+        let pricing = TierPricing::standard();
+        let sim = Arc::new(Mutex::new(TierCacheSim::new(pricing.clone())));
+        w.config.execution.tiers = Some(pricing);
+        w.config.execution.tier_sim = Some(sim.clone());
+        let scan = "SELECT SUM(o_total) FROM orders";
+        let counters = || sim.lock().unwrap().counters();
+        for _ in 0..2 {
+            w.submit(scan, Constraint::MinCost).unwrap();
+        }
+        let warm = counters();
+        assert!(warm.mem_hits > 0 && warm.ssd_hits > 0, "{warm:?}");
+        w.apply(&TuningAction::Recluster {
+            table: "orders".into(),
+            column: "o_date".into(),
+        })
+        .unwrap();
+        let before = counters();
+        w.submit(scan, Constraint::MinCost).unwrap();
+        let after = counters();
+        assert_eq!(after.mem_hits, before.mem_hits, "{before:?} -> {after:?}");
+        assert_eq!(after.ssd_hits, before.ssd_hits, "{before:?} -> {after:?}");
+        assert!(after.misses > before.misses, "{before:?} -> {after:?}");
     }
 
     /// A pin bills its quote — the fill scan plus the egress dollars of

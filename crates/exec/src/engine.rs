@@ -86,8 +86,7 @@ use ci_plan::pipeline::{Pipeline, PipelineGraph, SinkKind};
 use ci_storage::pages::{WireEncoder, WireSketch};
 use ci_storage::schema::SchemaRef;
 use ci_storage::selection::SelectionVector;
-use ci_storage::table::Table;
-use ci_storage::tiers::{ObjectStoreDir, PageSourceMode, TierStore};
+use ci_storage::tiers::{PageSourceMode, PageStore};
 use ci_storage::RecordBatch;
 use ci_types::money::Dollars;
 use ci_types::{CiError, Result, SimDuration, SimTime, TableId};
@@ -159,7 +158,7 @@ pub struct ExecutionConfig {
     /// remain the only fault-injectable fetches, and hit/miss/eviction
     /// sequences are a pure function of the morsel trace. With
     /// `page_source: Tiered` the simulator's decisions also drive physical
-    /// promotion/eviction in the catalog's [`TierStore`].
+    /// promotion/eviction in the catalog's [`PageStore`].
     pub tiers: Option<TierPricing>,
     /// Shared cache-simulator state for warm-across-queries experiments:
     /// `None` starts each query cold.
@@ -250,45 +249,18 @@ struct TierPart {
 enum Payload {
     /// Memory-resident batch (breaker outputs; `Mem` page source).
     Batch(RecordBatch),
-    /// Disk-backed: `ChainCtx::trace` reads the partition from a
-    /// [`PageStore`] (real `CIPF` file bytes or the tier stack) — no
+    /// Disk-backed: `ChainCtx::trace` reads the partition from the
+    /// catalog's [`PageStore`] (its `CIPF` file, or the tier stack) — no
     /// resident decoded table rides along.
     File(FileMorsel),
 }
 
-/// The on-disk store behind [`PageSourceMode::Disk`] / `Tiered` scans
-/// (`Mem` has none: its morsels carry resident batches).
-#[derive(Clone)]
-enum PageStore {
-    /// Every fetch reads and decodes the partition's `CIPF` file.
-    Disk(Arc<ObjectStoreDir>),
-    /// Reads go through the memory → SSD → object tier stack.
-    Tiered(Arc<TierStore>),
-}
-
-impl PageStore {
-    /// Writes `table`'s `CIPF` files unless they already exist (idempotent
-    /// per table identity).
-    fn ensure_table(&self, table: &Arc<Table>) -> Result<()> {
-        let dir = match self {
-            PageStore::Disk(dir) => dir,
-            PageStore::Tiered(tiers) => tiers.object_store(),
-        };
-        dir.ensure_table(table).map(|_| ())
-    }
-
-    /// Fetches one whole partition as a dense batch.
-    fn read_partition(&self, table: TableId, part: usize) -> Result<RecordBatch> {
-        match self {
-            PageStore::Disk(dir) => dir.read_partition(table, part),
-            PageStore::Tiered(tiers) => tiers.read_partition(table, part).map(|(b, _)| b),
-        }
-    }
-}
-
 /// A file-backed morsel: which partition slice to read, and from where.
 struct FileMorsel {
-    store: PageStore,
+    store: Arc<PageStore>,
+    /// Read through the tier stack ([`PageSourceMode::Tiered`]) instead of
+    /// the object tier's file ([`PageSourceMode::Disk`]).
+    tiered: bool,
     table: TableId,
     part: u32,
     offset: usize,
@@ -439,7 +411,11 @@ impl ChainCtx {
                 // this morsel's row range. Dict columns attach the pinned
                 // table-wide dictionary `Arc`s, so downstream wire
                 // accounting is identical to the memory path.
-                let part = f.store.read_partition(f.table, f.part as usize)?;
+                let part = if f.tiered {
+                    f.store.read_tiered(f.table, f.part as usize)?.0
+                } else {
+                    f.store.read_partition(f.table, f.part as usize)?
+                };
                 part.with_schema(f.schema.clone())?.slice(f.offset, f.len)?
             }
         };
@@ -692,13 +668,15 @@ struct QueryRun<'q> {
     /// timeline of the shared threads means.
     worker_lanes: Option<(Arc<WorkerBuffers>, TraceGuard<MorselTrace>)>,
     /// Physical page source: where scan fetches read partition bytes from.
-    /// Disk/Tiered wire up the catalog's on-disk page store;
+    /// Disk/Tiered wire up the catalog's page store;
     /// `source_morsels` writes each scanned table through on first touch.
-    page_store: Option<PageStore>,
+    page_store: Option<Arc<PageStore>>,
+    /// Scans read through the tier stack ([`PageSourceMode::Tiered`]).
+    tiered: bool,
     /// Cache accounting: the deterministic tier simulator, advanced only
     /// from the ledger. Engaged by pricing, not by page source, so the bill
     /// is source-invariant. Physical placement mirrors the simulator only
-    /// under [`PageStore::Tiered`].
+    /// under [`PageSourceMode::Tiered`].
     tier_sim: Option<Arc<Mutex<TierCacheSim>>>,
 }
 
@@ -716,8 +694,7 @@ impl<'q> QueryRun<'q> {
         });
         let page_store = match config.page_source {
             PageSourceMode::Mem => None,
-            PageSourceMode::Disk => Some(PageStore::Disk(exec.catalog.page_store()?)),
-            PageSourceMode::Tiered => Some(PageStore::Tiered(exec.catalog.tier_store()?)),
+            PageSourceMode::Disk | PageSourceMode::Tiered => Some(exec.catalog.page_store()?),
         };
         let tier_sim = match &config.tiers {
             None => None,
@@ -750,6 +727,7 @@ impl<'q> QueryRun<'q> {
             pool,
             worker_lanes,
             page_store,
+            tiered: config.page_source == PageSourceMode::Tiered,
             tier_sim,
         })
     }
@@ -981,6 +959,7 @@ impl<'a> Executor<'a> {
                             Some(store) => (
                                 Payload::File(FileMorsel {
                                     store: store.clone(),
+                                    tiered: q.tiered,
                                     table: *table_id,
                                     part: pi as u32,
                                     offset,
@@ -1431,8 +1410,8 @@ impl<'a, 'q> Ledger<'a, 'q> {
     /// Tier-cache accounting. The simulation advances *only* here, in
     /// canonical morsel order, so hit/miss/eviction sequences are a pure
     /// function of the trace — identical across page sources and execution
-    /// modes. When the page source is tiered, the physical stores mirror
-    /// the simulation's admissions/evictions (workers may have read ahead
+    /// modes. When the page source is tiered, the page store's cache tiers
+    /// mirror the simulation's admissions/evictions (workers may have read ahead
     /// of the ledger; promotions then benefit later pipelines, never
     /// change bytes served).
     fn tier_access(&mut self, bill: &mut MorselBill<'_>) -> Result<()> {
@@ -1449,7 +1428,7 @@ impl<'a, 'q> Ledger<'a, 'q> {
             let svc = sim.service_secs(acc.level, bill.morsel.fetch_bytes);
             (acc, svc)
         };
-        if let Some(PageStore::Tiered(store)) = &self.q.page_store {
+        if let Some(store) = self.q.page_store.as_ref().filter(|_| self.q.tiered) {
             for &(k, lvl) in &acc.admitted {
                 store.promote(k.table, k.part, lvl)?;
             }

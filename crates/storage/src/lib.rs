@@ -48,5 +48,5 @@ pub use pruning::ColumnBound;
 pub use schema::{Field, Schema};
 pub use selection::SelectionVector;
 pub use table::{Table, TableBuilder};
-pub use tiers::{ObjectStoreDir, PageSourceMode, StoredTable, TierStore};
+pub use tiers::{PageSourceMode, PageStore, StoredTable};
 pub use value::{DataType, Value};

@@ -1,17 +1,21 @@
-//! Tiered page sources: real on-disk CIPG partition files behind a
-//! memory -> local-SSD -> object-store hierarchy.
+//! The page store: real on-disk CIPG partition files and their cached
+//! copies in a memory -> local-SSD -> object-store hierarchy, in one type.
 //!
 //! The rest of the workspace models the object store analytically; this
-//! module makes the *bytes* real. [`ObjectStoreDir`] persists every
+//! module makes the *bytes* real. [`PageStore`] persists every
 //! micro-partition of a table as one self-describing `CIPF` file — a
 //! checksummed container of per-column CIPG pages — plus a `CIPT` manifest
-//! carrying the table-wide dictionaries. A scan under
-//! [`PageSourceMode::Disk`] or [`PageSourceMode::Tiered`] then reads
-//! partitions back from those files ([`ObjectStoreDir::read_partition`],
-//! [`TierStore::read_partition`]) instead of cloning resident batches, and
-//! must produce bit-identical rows and Dollars. A [`TierStore`] read
-//! reports the [`TierLevel`] that served it, and the cache simulator's
-//! moves are applied by level ([`TierStore::promote`], [`TierStore::evict`]).
+//! carrying the table-wide dictionaries, and it holds the cache tiers'
+//! copies of those files. A scan under [`PageSourceMode::Disk`] reads the
+//! files ([`PageStore::read_partition`]); one under
+//! [`PageSourceMode::Tiered`] reads the highest tier holding the partition
+//! and learns the [`TierLevel`] that served it ([`PageStore::read_tiered`]).
+//! Both must produce rows and Dollars bit-identical to resident batches.
+//! The cache simulator's moves are applied by level ([`PageStore::promote`],
+//! [`PageStore::evict`]). Because a table's files and its copies live in one
+//! type, re-registering the table ([`PageStore::ensure_table`] with a new
+//! `Arc<Table>`) drops its copies before it rewrites its files: no tier
+//! serves an earlier layout of its partitions.
 //!
 //! # `CIPF` partition file layout
 //!
@@ -161,12 +165,10 @@ pub enum PageSourceMode {
     Tiered,
 }
 
-/// One table registered in an [`ObjectStoreDir`]: its schema, partition
-/// count, on-disk location, and pinned dictionaries.
+/// One table registered in a [`PageStore`]: its schema, partition
+/// count, and pinned dictionaries.
 #[derive(Debug)]
 pub struct StoredTable {
-    /// Directory holding `part-N.cipf` files and `table.cipt`.
-    pub dir: PathBuf,
     /// Table schema (decoded partitions carry it).
     pub schema: SchemaRef,
     /// Number of partition files.
@@ -412,17 +414,16 @@ fn decode_manifest(bytes: &[u8], arity: usize) -> Result<(usize, Vec<Option<Arc<
 }
 
 // ---------------------------------------------------------------------------
-// ObjectStoreDir
+// PageStore
 // ---------------------------------------------------------------------------
 
-/// Locks one of this module's residency maps ([`ObjectStoreDir`]'s table
-/// registry, [`TierStore`]'s memory tier), recovering a poisoned guard
-/// instead of panicking. Sound because every mutation under these guards
-/// is a single `HashMap` insert or remove of an already-built value — a
-/// holder that panics (say, while encoding a partition with the registry
-/// locked) leaves the map as it found it, and refusing the guard would
-/// turn one contained panic into a failure of every later disk or tiered
-/// read.
+/// Locks one of the store's residency maps (the table registry, the memory
+/// tier), recovering a poisoned guard instead of panicking. Sound because
+/// every mutation under these guards is a `HashMap` insert, remove or
+/// retain of already-built values — a holder that panics (say, while
+/// encoding a partition with the registry locked) leaves the map
+/// consistent, and refusing the guard would turn one contained panic into
+/// a failure of every later disk or tiered read.
 fn locked<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
@@ -436,42 +437,55 @@ fn temp_dir(prefix: &str) -> Result<PathBuf> {
     Ok(dir)
 }
 
-/// The simulated object store made physical: a directory of per-table
-/// subdirectories, each holding `part-N.cipf` partition files plus a
-/// `table.cipt` manifest. Registration writes the files; reads go through
-/// [`ObjectStoreDir::read_partition`], which verifies checksums and decodes
-/// pages — no resident decoded tables on this path.
+/// The simulated object store made physical, with its cache tiers.
+///
+/// - The object tier is a directory of per-table subdirectories, each
+///   holding `part-N.cipf` partition files plus a `table.cipt` manifest.
+///   Registration writes them.
+/// - The SSD tier holds encoded copies of partition files in a directory
+///   the store creates fresh and removes on drop, so no copy outlives the
+///   store.
+/// - The memory tier holds decoded batches.
+///
+/// Placement in the two cache tiers is *driven from outside* (by the
+/// deterministic cache simulator in `ci-cloud`); the store only moves
+/// bytes, so reads are correct no matter which tier serves them. Rewriting
+/// a table drops its cached copies first, so no tier serves an earlier
+/// layout of its partitions.
 #[derive(Debug)]
-pub struct ObjectStoreDir {
+pub struct PageStore {
     root: PathBuf,
     owns_root: bool,
+    ssd_root: PathBuf,
     tables: Mutex<HashMap<TableId, Arc<StoredTable>>>,
+    mem: Mutex<HashMap<(TableId, u32), RecordBatch>>,
 }
 
-impl ObjectStoreDir {
-    /// Opens (creating if needed) a store rooted at `path`.
-    pub fn at(path: impl Into<PathBuf>) -> Result<ObjectStoreDir> {
+impl PageStore {
+    fn open(root: PathBuf, owns_root: bool) -> Result<PageStore> {
+        Ok(PageStore {
+            root,
+            owns_root,
+            ssd_root: temp_dir("ci-ssdcache")?,
+            tables: Mutex::new(HashMap::new()),
+            mem: Mutex::new(HashMap::new()),
+        })
+    }
+
+    /// Opens (creating if needed) a store whose object tier is `path`.
+    pub fn at(path: impl Into<PathBuf>) -> Result<PageStore> {
         let root = path.into();
         std::fs::create_dir_all(&root)
             .map_err(|e| serr(format!("creating {}: {e}", root.display())))?;
-        Ok(ObjectStoreDir {
-            root,
-            owns_root: false,
-            tables: Mutex::new(HashMap::new()),
-        })
+        PageStore::open(root, false)
     }
 
     /// A store under a fresh process-unique temp directory, removed on drop.
-    pub fn temp() -> Result<ObjectStoreDir> {
-        let root = temp_dir("ci-objstore")?;
-        Ok(ObjectStoreDir {
-            root,
-            owns_root: true,
-            tables: Mutex::new(HashMap::new()),
-        })
+    pub fn temp() -> Result<PageStore> {
+        PageStore::open(temp_dir("ci-objstore")?, true)
     }
 
-    /// Root directory of the store.
+    /// Root directory of the object tier.
     pub fn root(&self) -> &Path {
         &self.root
     }
@@ -485,21 +499,25 @@ impl ObjectStoreDir {
         self.table_dir(id).join(format!("part-{part}.cipf"))
     }
 
-    /// The registered metadata for `id`, if any.
-    pub fn stored(&self, id: TableId) -> Option<Arc<StoredTable>> {
-        locked(&self.tables).get(&id).cloned()
+    fn ssd_path(&self, id: TableId, part: u32) -> PathBuf {
+        self.ssd_root.join(format!("t{}-p{part}.cipf", id.index()))
     }
 
     /// Writes (or re-writes, if the table object changed identity) every
     /// partition of `table` as a `CIPF` file plus the manifest. Idempotent
     /// per `Arc` identity: repeated calls with the same `Arc<Table>` only
-    /// pay a pointer compare.
+    /// pay a pointer compare. A re-write first drops the table's memory
+    /// and SSD copies, so the cache tiers never serve the old partitions.
     pub fn ensure_table(&self, table: &Arc<Table>) -> Result<Arc<StoredTable>> {
         let ident = Arc::as_ptr(table) as usize;
         let mut tables = locked(&self.tables);
         if let Some(st) = tables.get(&table.id) {
             if st.ident == ident {
                 return Ok(st.clone());
+            }
+            locked(&self.mem).retain(|&(id, _), _| id != table.id);
+            for part in 0..st.parts as u32 {
+                self.evict(table.id, part, TierLevel::Ssd);
             }
         }
         let dicts: Vec<_> = (0..table.schema.arity())
@@ -519,7 +537,6 @@ impl ObjectStoreDir {
         std::fs::write(&mpath, &manifest)
             .map_err(|e| serr(format!("writing {}: {e}", mpath.display())))?;
         let st = Arc::new(StoredTable {
-            dir,
             schema: table.schema.clone(),
             parts: table.partitions.len(),
             dicts,
@@ -532,13 +549,11 @@ impl ObjectStoreDir {
     /// Cold-opens a table already on disk from its manifest alone — the
     /// self-description path: no source `Table` needed.
     pub fn attach(&self, id: TableId, schema: SchemaRef) -> Result<Arc<StoredTable>> {
-        let dir = self.table_dir(id);
-        let mpath = dir.join("table.cipt");
+        let mpath = self.table_dir(id).join("table.cipt");
         let bytes =
             std::fs::read(&mpath).map_err(|e| serr(format!("reading {}: {e}", mpath.display())))?;
         let (parts, dicts) = decode_manifest(&bytes, schema.arity()).map_err(in_file(&mpath))?;
         let st = Arc::new(StoredTable {
-            dir,
             schema,
             parts,
             dicts,
@@ -548,62 +563,43 @@ impl ObjectStoreDir {
         Ok(st)
     }
 
-    /// Reads and decodes one partition file, verifying its checksum.
+    /// The registered metadata for `id`.
+    fn stored(&self, id: TableId) -> Result<Arc<StoredTable>> {
+        let stored = locked(&self.tables).get(&id).cloned();
+        stored.ok_or_else(|| serr(format!("table {id} is not registered in the page store")))
+    }
+
+    /// Reads and decodes one partition file of the object tier, verifying
+    /// its checksum.
     pub fn read_partition(&self, id: TableId, part: usize) -> Result<RecordBatch> {
-        let stored = self
-            .stored(id)
-            .ok_or_else(|| serr(format!("table {id} is not registered in the page store")))?;
+        let stored = self.stored(id)?;
         let path = self.partition_path(id, part);
         let bytes =
             std::fs::read(&path).map_err(|e| serr(format!("reading {}: {e}", path.display())))?;
         decode_partition(&bytes, &stored).map_err(in_file(&path))
     }
-}
 
-impl Drop for ObjectStoreDir {
-    fn drop(&mut self) {
-        if self.owns_root {
-            let _ = std::fs::remove_dir_all(&self.root);
+    /// Reads one partition from the highest tier holding it. All tiers hold
+    /// byte-identical content, so the serving tier never affects values —
+    /// only where the bytes physically came from.
+    pub fn read_tiered(&self, id: TableId, part: usize) -> Result<(RecordBatch, TierLevel)> {
+        let key = (id, part as u32);
+        if let Some(b) = locked(&self.mem).get(&key) {
+            return Ok((b.clone(), TierLevel::Mem));
         }
-    }
-}
-
-// ---------------------------------------------------------------------------
-// TierStore: physical residency
-// ---------------------------------------------------------------------------
-
-/// Physical tier residency: a memory cache of decoded batches and a
-/// local-SSD directory of encoded file copies in front of an
-/// [`ObjectStoreDir`]. Placement is *driven from outside* (by the
-/// deterministic cache simulator in `ci-cloud`); this type only moves
-/// bytes, so reads are correct no matter which tier serves them.
-#[derive(Debug)]
-pub struct TierStore {
-    store: Arc<ObjectStoreDir>,
-    ssd_root: PathBuf,
-    owns_ssd: bool,
-    mem: Mutex<HashMap<(TableId, u32), RecordBatch>>,
-}
-
-impl TierStore {
-    /// A tier stack over `store` with a fresh temp SSD directory.
-    pub fn new(store: Arc<ObjectStoreDir>) -> Result<TierStore> {
-        let ssd_root = temp_dir("ci-ssdcache")?;
-        Ok(TierStore {
-            store,
-            ssd_root,
-            owns_ssd: true,
-            mem: Mutex::new(HashMap::new()),
-        })
-    }
-
-    /// The backing object store.
-    pub fn object_store(&self) -> &Arc<ObjectStoreDir> {
-        &self.store
-    }
-
-    fn ssd_path(&self, id: TableId, part: u32) -> PathBuf {
-        self.ssd_root.join(format!("t{}-p{part}.cipf", id.index()))
+        let ssd = self.ssd_path(id, key.1);
+        match std::fs::read(&ssd) {
+            Ok(bytes) => {
+                let stored = self.stored(id)?;
+                let batch = decode_partition(&bytes, &stored).map_err(in_file(&ssd))?;
+                return Ok((batch, TierLevel::Ssd));
+            }
+            // Not resident, or evicted since the caller last looked: the
+            // object tier serves it.
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
+            Err(e) => return Err(serr(format!("reading {}: {e}", ssd.display()))),
+        }
+        Ok((self.read_partition(id, part)?, TierLevel::Object))
     }
 
     /// Places a partition in `level`. The memory tier decodes it once and
@@ -616,12 +612,12 @@ impl TierStore {
     pub fn promote(&self, id: TableId, part: u32, level: TierLevel) -> Result<()> {
         match level {
             TierLevel::Mem => {
-                let batch = self.store.read_partition(id, part as usize)?;
+                let batch = self.read_partition(id, part as usize)?;
                 locked(&self.mem).insert((id, part), batch);
                 Ok(())
             }
             TierLevel::Ssd => {
-                let src = self.store.partition_path(id, part as usize);
+                let src = self.partition_path(id, part as usize);
                 let dst = self.ssd_path(id, part);
                 let seq = TEMP_SEQ.fetch_add(1, Ordering::Relaxed);
                 let tmp = dst.with_extension(format!("tmp{seq}"));
@@ -650,41 +646,17 @@ impl TierStore {
         }
     }
 
-    /// Reads one partition from the highest-resident tier. All tiers hold
-    /// byte-identical content, so the serving layer never affects values —
-    /// only where the bytes physically came from.
-    pub fn read_partition(&self, id: TableId, part: usize) -> Result<(RecordBatch, TierLevel)> {
-        let key = (id, part as u32);
-        if let Some(b) = locked(&self.mem).get(&key) {
-            return Ok((b.clone(), TierLevel::Mem));
-        }
-        let ssd = self.ssd_path(id, key.1);
-        match std::fs::read(&ssd) {
-            Ok(bytes) => {
-                let stored = self.store.stored(id).ok_or_else(|| {
-                    serr(format!("table {id} is not registered in the page store"))
-                })?;
-                let batch = decode_partition(&bytes, &stored).map_err(in_file(&ssd))?;
-                return Ok((batch, TierLevel::Ssd));
-            }
-            // Not resident, or evicted since the caller last looked: the
-            // object store serves it.
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-            Err(e) => return Err(serr(format!("reading {}: {e}", ssd.display()))),
-        }
-        Ok((self.store.read_partition(id, part)?, TierLevel::Object))
-    }
-
     /// Number of partitions resident in the memory tier.
     pub fn mem_entries(&self) -> usize {
         locked(&self.mem).len()
     }
 }
 
-impl Drop for TierStore {
+impl Drop for PageStore {
     fn drop(&mut self) {
-        if self.owns_ssd {
-            let _ = std::fs::remove_dir_all(&self.ssd_root);
+        let _ = std::fs::remove_dir_all(&self.ssd_root);
+        if self.owns_root {
+            let _ = std::fs::remove_dir_all(&self.root);
         }
     }
 }
@@ -764,7 +736,7 @@ mod tests {
     #[test]
     fn header_carries_version_and_payload_checksum() {
         let table = sample_table(9);
-        let store = ObjectStoreDir::temp().unwrap();
+        let store = PageStore::temp().unwrap();
         store.ensure_table(&table).unwrap();
         let bytes = std::fs::read(store.partition_path(table.id, 0)).unwrap();
         assert_eq!(&bytes[..5], b"CIPF\x02");
@@ -781,7 +753,7 @@ mod tests {
     #[test]
     fn round_trip_is_exact_and_pins_dictionaries() {
         let table = sample_table(1);
-        let store = ObjectStoreDir::temp().unwrap();
+        let store = PageStore::temp().unwrap();
         store.ensure_table(&table).unwrap();
         for (pi, part) in table.partitions.iter().enumerate() {
             let got = store.read_partition(table.id, pi).unwrap();
@@ -796,7 +768,7 @@ mod tests {
     #[test]
     fn ensure_is_idempotent_by_identity() {
         let table = sample_table(2);
-        let store = ObjectStoreDir::temp().unwrap();
+        let store = PageStore::temp().unwrap();
         let a = store.ensure_table(&table).unwrap();
         let b = store.ensure_table(&table).unwrap();
         assert!(Arc::ptr_eq(&a, &b));
@@ -805,10 +777,10 @@ mod tests {
     #[test]
     fn cold_open_from_manifest_reproduces_values() {
         let table = sample_table(3);
-        let store = ObjectStoreDir::temp().unwrap();
+        let store = PageStore::temp().unwrap();
         store.ensure_table(&table).unwrap();
         // A second store over the same directory, knowing only the schema.
-        let cold = ObjectStoreDir::at(store.root()).unwrap();
+        let cold = PageStore::at(store.root()).unwrap();
         cold.attach(table.id, table.schema.clone()).unwrap();
         let got = cold.read_partition(table.id, 0).unwrap();
         assert_eq!(got, table.partitions[0].batch);
@@ -817,7 +789,7 @@ mod tests {
     #[test]
     fn corrupted_bytes_fail_typed() {
         let table = sample_table(4);
-        let store = ObjectStoreDir::temp().unwrap();
+        let store = PageStore::temp().unwrap();
         store.ensure_table(&table).unwrap();
         let path = store.partition_path(table.id, 0);
         let good = std::fs::read(&path).unwrap();
@@ -836,11 +808,11 @@ mod tests {
     #[test]
     fn tier_store_serves_identical_bytes_from_every_layer() {
         let table = sample_table(5);
-        let store = Arc::new(ObjectStoreDir::temp().unwrap());
-        store.ensure_table(&table).unwrap();
-        let tiers = TierStore::new(store).unwrap();
-        let (from_object, s0) = tiers.read_partition(table.id, 0).unwrap();
+        let tiers = PageStore::temp().unwrap();
+        tiers.ensure_table(&table).unwrap();
+        let (from_object, s0) = tiers.read_tiered(table.id, 0).unwrap();
         assert_eq!(s0, TierLevel::Object);
+        assert_eq!(from_object, tiers.read_partition(table.id, 0).unwrap());
         // Every partition already lives in the object tier: placing one
         // there, or evicting it from there, moves nothing.
         tiers.promote(table.id, 0, TierLevel::Object).unwrap();
@@ -848,25 +820,66 @@ mod tests {
         assert_eq!(tiers.mem_entries(), 0);
         assert_eq!(std::fs::read_dir(&tiers.ssd_root).unwrap().count(), 0);
         assert_eq!(
-            tiers.read_partition(table.id, 0).unwrap(),
+            tiers.read_tiered(table.id, 0).unwrap(),
             (from_object.clone(), TierLevel::Object)
         );
         tiers.promote(table.id, 0, TierLevel::Ssd).unwrap();
-        let (from_ssd, s1) = tiers.read_partition(table.id, 0).unwrap();
+        let (from_ssd, s1) = tiers.read_tiered(table.id, 0).unwrap();
         assert_eq!(s1, TierLevel::Ssd);
         tiers.promote(table.id, 0, TierLevel::Mem).unwrap();
-        let (from_mem, s2) = tiers.read_partition(table.id, 0).unwrap();
+        let (from_mem, s2) = tiers.read_tiered(table.id, 0).unwrap();
         assert_eq!(s2, TierLevel::Mem);
         assert_eq!(from_object, from_ssd);
         assert_eq!(from_object, from_mem);
         // An object-tier eviction leaves the cached copies in place.
         tiers.evict(table.id, 0, TierLevel::Object);
-        assert_eq!(tiers.read_partition(table.id, 0).unwrap().1, TierLevel::Mem);
+        assert_eq!(tiers.read_tiered(table.id, 0).unwrap().1, TierLevel::Mem);
         tiers.evict(table.id, 0, TierLevel::Mem);
-        assert_eq!(tiers.read_partition(table.id, 0).unwrap().1, TierLevel::Ssd);
+        assert_eq!(tiers.read_tiered(table.id, 0).unwrap().1, TierLevel::Ssd);
         tiers.evict(table.id, 0, TierLevel::Ssd);
-        let (_, s3) = tiers.read_partition(table.id, 0).unwrap();
+        let (_, s3) = tiers.read_tiered(table.id, 0).unwrap();
         assert_eq!(s3, TierLevel::Object);
+        // The SSD directory belongs to this store alone and goes with it.
+        let ssd_root = tiers.ssd_root.clone();
+        drop(tiers);
+        assert!(!ssd_root.exists());
+    }
+
+    /// Re-registering a table under its id (a recluster) drops the cached
+    /// copies of its old partitions before the new files land: every tier
+    /// then serves the new bytes, and a table that did not change keeps its
+    /// copies.
+    #[test]
+    fn rewriting_a_table_drops_its_cached_copies() {
+        let table = sample_table(10);
+        let other = sample_table(11);
+        let tiers = PageStore::temp().unwrap();
+        tiers.ensure_table(&table).unwrap();
+        tiers.ensure_table(&other).unwrap();
+        let parts = table.partitions.len() as u32;
+        for part in 0..parts {
+            let level = if part % 2 == 0 {
+                TierLevel::Mem
+            } else {
+                TierLevel::Ssd
+            };
+            tiers.promote(table.id, part, level).unwrap();
+        }
+        tiers.promote(other.id, 0, TierLevel::Mem).unwrap();
+        tiers.promote(other.id, 1, TierLevel::Ssd).unwrap();
+
+        let code = table.schema.index_of("code").unwrap();
+        let rewritten = Arc::new(table.reclustered_by(code, 16).unwrap().dict_encoded());
+        assert_ne!(rewritten.partitions[0].batch, table.partitions[0].batch);
+        tiers.ensure_table(&rewritten).unwrap();
+
+        assert_eq!(tiers.mem_entries(), 1, "only the other table's copy stays");
+        for (pi, part) in rewritten.partitions.iter().enumerate() {
+            let (got, level) = tiers.read_tiered(rewritten.id, pi).unwrap();
+            assert_eq!((&got, level), (&part.batch, TierLevel::Object), "part {pi}");
+        }
+        assert_eq!(tiers.read_tiered(other.id, 0).unwrap().1, TierLevel::Mem);
+        assert_eq!(tiers.read_tiered(other.id, 1).unwrap().1, TierLevel::Ssd);
     }
 
     /// A thread that panics holding either residency lock poisons it; the
@@ -875,38 +888,37 @@ mod tests {
     #[test]
     fn poisoned_residency_locks_still_serve_reads() {
         let table = sample_table(6);
-        let store = Arc::new(ObjectStoreDir::temp().unwrap());
+        let store = Arc::new(PageStore::temp().unwrap());
         store.ensure_table(&table).unwrap();
-        let tiers = Arc::new(TierStore::new(store.clone()).unwrap());
-        tiers.promote(table.id, 0, TierLevel::Mem).unwrap();
+        store.promote(table.id, 0, TierLevel::Mem).unwrap();
 
-        let (s, t) = (store.clone(), tiers.clone());
+        let s = store.clone();
         let poisoner = std::thread::spawn(move || {
             let _tables = s.tables.lock().unwrap();
-            let _mem = t.mem.lock().unwrap();
+            let _mem = s.mem.lock().unwrap();
             panic!("poison both residency locks");
         });
         assert!(poisoner.join().is_err());
-        assert!(store.tables.is_poisoned() && tiers.mem.is_poisoned());
+        assert!(store.tables.is_poisoned() && store.mem.is_poisoned());
 
         assert_eq!(
             store.read_partition(table.id, 1).unwrap(),
             table.partitions[1].batch
         );
-        let (hit, served) = tiers.read_partition(table.id, 0).unwrap();
+        let (hit, served) = store.read_tiered(table.id, 0).unwrap();
         assert_eq!(
             (hit, served),
             (table.partitions[0].batch.clone(), TierLevel::Mem)
         );
-        let (miss, served) = tiers.read_partition(table.id, 1).unwrap();
+        let (miss, served) = store.read_tiered(table.id, 1).unwrap();
         assert_eq!(
             (miss, served),
             (table.partitions[1].batch.clone(), TierLevel::Object)
         );
         // Writers recover too: re-registration and placement keep working.
         store.ensure_table(&sample_table(7)).unwrap();
-        tiers.evict(table.id, 0, TierLevel::Mem);
-        assert_eq!(tiers.mem_entries(), 0);
+        store.evict(table.id, 0, TierLevel::Mem);
+        assert_eq!(store.mem_entries(), 0);
     }
 
     /// Promotion, eviction and reads race once the fold overlaps the pool's
@@ -916,9 +928,8 @@ mod tests {
     fn ssd_tier_is_safe_under_concurrent_promote_evict_read() {
         const ROUNDS: usize = 300;
         let table = sample_table(8);
-        let store = Arc::new(ObjectStoreDir::temp().unwrap());
-        store.ensure_table(&table).unwrap();
-        let tiers = TierStore::new(store).unwrap();
+        let tiers = PageStore::temp().unwrap();
+        tiers.ensure_table(&table).unwrap();
         let want = &table.partitions[0].batch;
         let start = std::sync::Barrier::new(4);
         std::thread::scope(|s| {
@@ -927,7 +938,7 @@ mod tests {
                     start.wait();
                     for round in 0..ROUNDS {
                         let (got, _) = tiers
-                            .read_partition(table.id, 0)
+                            .read_tiered(table.id, 0)
                             .unwrap_or_else(|e| panic!("read in round {round}: {e}"));
                         assert_eq!(&got, want, "round {round}");
                     }

@@ -5,7 +5,7 @@
 //! `CiError::Storage` — never a panic, never a silently wrong batch, and
 //! never an attacker-controlled allocation. These properties drive random
 //! byte flips, truncations, and forged header fields through the real
-//! `ObjectStoreDir` read path.
+//! `PageStore` read path.
 
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -15,7 +15,7 @@ use ci_storage::column::ColumnData;
 use ci_storage::pages::{dictionary_page_bytes, encode_best, PageCodec};
 use ci_storage::schema::{Field, Schema, SchemaRef};
 use ci_storage::table::{Table, TableBuilder};
-use ci_storage::tiers::{xxh64, ObjectStoreDir, TIER_HEADER_BYTES};
+use ci_storage::tiers::{xxh64, PageStore, TIER_HEADER_BYTES};
 use ci_storage::value::DataType;
 use ci_types::{CiError, TableId};
 use proptest::prelude::*;
@@ -24,7 +24,7 @@ use proptest::prelude::*;
 /// its first partition file and its manifest so each case can corrupt and
 /// restore in place.
 struct Fixture {
-    store: ObjectStoreDir,
+    store: PageStore,
     table: Arc<Table>,
     part_path: PathBuf,
     part_good: Vec<u8>,
@@ -56,7 +56,7 @@ impl Fixture {
         let mut b = TableBuilder::new(TableId::new(90), "props", schema, 16).unwrap();
         b.append(batch).unwrap();
         let table = Arc::new(b.finish().unwrap().dict_encoded());
-        let store = ObjectStoreDir::temp().unwrap();
+        let store = PageStore::temp().unwrap();
         store.ensure_table(&table).unwrap();
         let part_path = store.partition_path(table.id, 0);
         let part_good = std::fs::read(&part_path).unwrap();
@@ -191,7 +191,7 @@ proptest! {
             let at = flip_at % bad.len();
             bad[at] ^= flip_bits;
             std::fs::write(&f.manifest_path, &bad).unwrap();
-            let cold = ObjectStoreDir::at(f.store.root()).unwrap();
+            let cold = PageStore::at(f.store.root()).unwrap();
             let attached = cold.attach(f.table.id, f.table.schema.clone());
             std::fs::write(&f.manifest_path, &f.manifest_good).unwrap();
             match attached {
@@ -273,7 +273,7 @@ fn retired_int_dict_kind_is_rejected_typed() {
     manifest[at] = 2;
     rechecksum(&mut manifest);
     std::fs::write(&f.manifest_path, &manifest).unwrap();
-    let cold = ObjectStoreDir::at(f.store.root()).unwrap();
+    let cold = PageStore::at(f.store.root()).unwrap();
     let attached = cold.attach(f.table.id, f.table.schema.clone());
     std::fs::write(&f.manifest_path, &f.manifest_good).unwrap();
     match attached {
@@ -310,7 +310,7 @@ fn files_store_the_pages_their_partitions_bill() {
     let mut b = TableBuilder::new(TableId::new(91), "billed", schema, 500).unwrap();
     b.append(batch).unwrap();
     let table = Arc::new(b.finish().unwrap().dict_encoded());
-    let store = ObjectStoreDir::temp().unwrap();
+    let store = PageStore::temp().unwrap();
     store.ensure_table(&table).unwrap();
     let mut codecs = Vec::new();
     for (p, part) in table.partitions.iter().enumerate() {

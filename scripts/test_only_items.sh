@@ -11,7 +11,9 @@
 # "Non-test" is `scripts/loc.sh`'s cut — everything above a file's
 # `#[cfg(test)] mod tests` block — and comment lines, one-line string
 # literals and `pub use` re-exports do not count as a use (a crate's
-# re-export of an item only tests read is no reader of it).
+# re-export of an item only tests read is no reader of it), nor does a
+# type's name inside its own `impl` blocks (a constructor or a trait impl
+# is no reader either).
 # The match is by name, so an item whose name another item shares is never
 # listed, and an item listed may still be a test helper or oracle worth
 # keeping. That is a blind spot for common method names: `validate`, `new`
@@ -65,6 +67,25 @@ git ls-files -- crates src examples bench_e2e/src \
     | grep -E '^(crates/[^/]+/src|src|examples|bench_e2e/src)/.*\.rs$' | sort \
     | while read -r f; do nontest "$f"; done \
     | awk '
+        # The implementing type of an `impl` header line: the last path
+        # segment of the type after `for`, or else after the impl generics.
+        function impl_self(h,   i, d, c) {
+            sub(/[ \t]*(\{|where).*$/, "", h)
+            sub(/^[ \t]*impl/, "", h)
+            while ((i = index(h, " for ")) > 0) h = substr(h, i + 5)
+            if (substr(h, 1, 1) == "<") {
+                for (i = 1; i <= length(h); i++) {
+                    c = substr(h, i, 1)
+                    if (c == "<") d++
+                    if (c == ">" && --d == 0) break
+                }
+                h = substr(h, i + 1)
+            }
+            sub(/^[ \t&]*/, "", h)
+            sub(/[^A-Za-z0-9_:].*$/, "", h)
+            sub(/^.*::/, "", h)
+            return h
+        }
         # Pass over every non-test line: count each identifier, and record
         # the `pub` definitions of `crates/*/src` files.
         {
@@ -82,12 +103,23 @@ git ls-files -- crates src examples bench_e2e/src \
             }
             # A re-export is not a use: skip `pub use` items, one line or
             # several up to the closing `;`.
-            if (file != usefile) { inuse = 0; usefile = file }
+            if (file != usefile) { inuse = 0; usefile = file; depth = 0; self = "" }
             if (code ~ /^[ \t]*pub(\([a-z]+\))? use /) inuse = 1
             if (inuse) { if (code ~ /;[ \t]*$/) inuse = 0; next }
             gsub(/"([^"\\]|\\.)*"/, "", code)
+            gsub(/\047[^\047\\]\047/, "", code)
+            # Nor is a mention inside an `impl` block of the item itself:
+            # from an `impl` header to its closing brace, the name of the
+            # implementing type does not count.
+            if (self == "" && code ~ /^[ \t]*impl[ <]/) {
+                self = impl_self(code); start = depth; opened = 0
+            }
+            opens = gsub(/\{/, "{", code)
+            depth += opens - gsub(/\}/, "}", code)
             n = split(code, tok, /[^A-Za-z0-9_]+/)
-            for (i = 1; i <= n; i++) if (tok[i] != "") seen[tok[i]]++
+            for (i = 1; i <= n; i++) if (tok[i] != "" && tok[i] != self) seen[tok[i]]++
+            opened += opens
+            if (self != "" && opened && depth <= start) self = ""
         }
         END {
             for (i = 1; i <= nd; i++)

@@ -1,7 +1,10 @@
 //! Workspace-level integration tests: the public `cost-intel` API, end to
 //! end, across all subsystems.
 
+use std::sync::{Arc, Mutex};
+
 use cost_intel::autotune::TuningAction;
+use cost_intel::exec::{ExecutionMode, PageSourceMode, TierCacheSim, TierPricing};
 use cost_intel::types::money::Dollars;
 use cost_intel::types::SimDuration;
 use cost_intel::workload::{CabGenerator, TraceConfig, WorkloadTrace};
@@ -156,4 +159,63 @@ fn monitor_disabled_matches_static_plan() {
         .submit("SELECT COUNT(*) FROM orders", Constraint::MinCost)
         .expect("query");
     assert_eq!(r.resize_events, 0);
+}
+
+/// A warehouse whose scans read from `source` in `mode`, pricing fetches
+/// at the standard tier menu with one cache simulator shared across its
+/// queries.
+fn priced_warehouse(scale: f64, source: PageSourceMode, mode: ExecutionMode) -> Warehouse {
+    let mut config = WarehouseConfig::default();
+    let pricing = TierPricing::standard();
+    config.execution.page_source = source;
+    config.execution.mode = mode;
+    config.execution.tier_sim = Some(Arc::new(Mutex::new(TierCacheSim::new(pricing.clone()))));
+    config.execution.tiers = Some(pricing);
+    let catalog = CabGenerator::at_scale(scale)
+        .build_catalog()
+        .expect("catalog");
+    Warehouse::new(catalog, config)
+}
+
+const EARLY_ORDERS: &str = "SELECT COUNT(*), SUM(o_total) FROM orders WHERE o_date < 300";
+
+/// A recluster rewrites `orders` under its id while the cache holds copies
+/// of its old partitions. Every page source must then answer from the new
+/// partitions: the same rows and the same dollars from resident batches,
+/// from the page files, and through the tier stack. The pool's workers
+/// read partitions before the ledger places them, so under `Parallel` a
+/// stale cached copy is read even where the simulator's next admission
+/// would have replaced it.
+#[test]
+fn a_recluster_answers_alike_from_every_page_source() {
+    let recluster = TuningAction::Recluster {
+        table: "orders".into(),
+        column: "o_date".into(),
+    };
+    let pool = ExecutionMode::Parallel { workers: 2 };
+    let answers: Vec<_> = [
+        (PageSourceMode::Mem, ExecutionMode::Simulate),
+        (PageSourceMode::Disk, ExecutionMode::Simulate),
+        (PageSourceMode::Tiered, ExecutionMode::Simulate),
+        (PageSourceMode::Tiered, pool),
+    ]
+    .into_iter()
+    .map(|(source, mode)| {
+        let mut w = priced_warehouse(0.5, source, mode);
+        // Four full scans graduate `orders`' first partitions from the SSD
+        // tier to memory, where the filtered query below finds partition 0.
+        for _ in 0..4 {
+            w.submit("SELECT SUM(o_total) FROM orders", Constraint::MinCost)
+                .expect("warm-up");
+        }
+        w.apply(&recluster).expect("recluster");
+        let r = w.submit(EARLY_ORDERS, Constraint::MinCost).expect("query");
+        ((source, mode), r.result, r.cost)
+    })
+    .collect();
+    let (_, want_rows, want_cost) = &answers[0];
+    for (cell, rows, cost) in &answers[1..] {
+        assert_eq!(rows, want_rows, "{cell:?}: rows after the recluster");
+        assert_eq!(cost, want_cost, "{cell:?}: dollars after the recluster");
+    }
 }

@@ -397,7 +397,7 @@ fn executor_script(config: &ExecutionConfig) -> ExecutorRun {
         .map(|_| execute(&cat, &priced, JOIN, 2, &mut NoScaling))
         .collect();
     let mem_resident = (config.page_source == PageSourceMode::Tiered)
-        .then(|| cat.tier_store().expect("tier store").mem_entries());
+        .then(|| cat.page_store().expect("page store").mem_entries());
     ExecutorRun {
         scale_up,
         scale_down,
