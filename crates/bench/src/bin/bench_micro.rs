@@ -20,12 +20,11 @@
 //!
 //! The run gates itself ([`Report::violations`]) and exits non-zero on a
 //! breach, so a regression on the dictionary, selection-vector,
-//! wire-format, int-codec or tier-cache paths breaks the build instead of
+//! wire-format or int-codec paths breaks the build instead of
 //! slipping into the artifact: every kernel speedup >= 1.0 (0.5 for
 //! `int_join_all_miss`, which is timed against the `std` hash map), the
 //! dict-exchange wire payload smaller than the plain one and at most half
-//! the decoded bytes, sorted ints >= 4x smaller under FoR/Delta, the warm
-//! cache-hit scan >= 2x over cold reads of >= 2 partitions. Every gate
+//! the decoded bytes, sorted ints >= 4x smaller under FoR/Delta. Every gate
 //! binds on every host: no measurement here depends on the core count.
 //!
 //! Every kernel here is single-threaded. What the engine's worker pool,
@@ -39,12 +38,11 @@
 use std::time::Instant;
 
 use ci_bench::hotpath::{
-    all_miss_fixture, cache_scan_fixture, dense_join_fixture, exchange_wire_accounting,
-    fanout_join_fixture, int_codec_accounting, int_join_map, int_join_table, morsels,
-    numeric_batch, run_cache_hit_scan, run_exchange_wire, run_filter, run_filter_chain,
-    run_filter_numeric, run_filter_numeric_naive, run_group_by, run_int_join, run_int_join_probe,
-    run_int_map_join, run_int_map_probe, run_join, run_page_encode, run_page_encode_int,
-    sorted_int_batch, string_batch, warm_cache, wide_batch,
+    all_miss_fixture, dense_join_fixture, exchange_wire_accounting, fanout_join_fixture,
+    int_codec_accounting, int_join_map, int_join_table, morsels, numeric_batch, run_exchange_wire,
+    run_filter, run_filter_chain, run_filter_numeric, run_filter_numeric_naive, run_group_by,
+    run_int_join, run_int_join_probe, run_int_map_join, run_int_map_probe, run_join,
+    run_page_encode, run_page_encode_int, sorted_int_batch, string_batch, wide_batch,
 };
 use ci_bench::report::{Measurement, Report, CARDINALITY, ROWS};
 use ci_storage::RecordBatch;
@@ -183,19 +181,6 @@ fn main() -> Result<()> {
         )?,
     ];
 
-    // Cache-hit scan: the same reads fully cold vs served from the memory
-    // tier's decoded batches — the pure cost of the object-tier round trip.
-    let (tiers, cache_table, cache_parts) = cache_scan_fixture(ROWS)?;
-    let (cache_cold_ns, cache_cold_check) =
-        time_min(|| run_cache_hit_scan(&tiers, cache_table, cache_parts))?;
-    warm_cache(&tiers, cache_table, cache_parts)?;
-    let (cache_warm_ns, cache_warm_check) =
-        time_min(|| run_cache_hit_scan(&tiers, cache_table, cache_parts))?;
-    assert_eq!(
-        cache_cold_check, cache_warm_check,
-        "cache_hit_scan: cache temperature changed results"
-    );
-
     // Exchange payload accounting (not timed): what one dict-column stream
     // puts on the wire vs the plain-page and decoded alternatives.
     let dict = string_batch(ROWS, CARDINALITY, 11, true);
@@ -206,9 +191,6 @@ fn main() -> Result<()> {
 
     let report = Report {
         measurements,
-        cache_cold_ns,
-        cache_warm_ns,
-        cache_parts,
         wire_bytes,
         plain_bytes,
         decoded_bytes,
@@ -238,13 +220,6 @@ fn main() -> Result<()> {
         plain_bytes as f64 / 1e3,
         decoded_bytes as f64 / 1e3,
         decoded_bytes as f64 / wire_bytes.max(1) as f64
-    );
-    println!(
-        "cache hit scan: cold CIPF reads {:.2} ms vs warm memory tier {:.2} ms ({:.2}x, {} partitions)",
-        cache_cold_ns as f64 / 1e6,
-        cache_warm_ns as f64 / 1e6,
-        report.cache_hit_speedup(),
-        cache_parts
     );
     println!(
         "sorted-int pages: FoR/Delta {:.1} KB vs plain {:.1} KB ({:.2}x smaller)",

@@ -21,11 +21,9 @@ use ci_sql::ast::AggFunc;
 use ci_storage::column::ColumnData;
 use ci_storage::pages::{self, PageCodec, WireEncoder, WireSketch};
 use ci_storage::schema::{Field, Schema, SchemaRef};
-use ci_storage::table::TableBuilder;
-use ci_storage::tiers::PageStore;
 use ci_storage::value::{DataType, Value};
 use ci_storage::RecordBatch;
-use ci_types::{CiError, DetRng, Result, TableId, TierLevel};
+use ci_types::{CiError, DetRng, Result};
 
 /// Schema of the fixture batches: a string key and an int payload.
 pub fn hot_schema() -> SchemaRef {
@@ -532,52 +530,6 @@ pub fn run_group_by(batch: &RecordBatch, morsel: usize) -> Result<usize> {
     Ok(st.finalize()?.rows())
 }
 
-/// Partition rows of the cache-scan fixture: small enough that one table
-/// spreads over many `CIPF` page files, so both arms loop over real
-/// partition-granular reads.
-pub const CACHE_SCAN_PART_ROWS: usize = 8_192;
-
-/// Cache-hit-scan fixture: a dict-encoded string/int table persisted as
-/// real on-disk `CIPF` page files in a [`PageStore`]. Returns the store,
-/// the table id, and the partition count. The store starts fully
-/// cold — every partition resident only in the object (directory) tier.
-pub fn cache_scan_fixture(rows: usize) -> Result<(PageStore, TableId, usize)> {
-    let batch = string_batch(rows, 1_000, 13, true);
-    let id = TableId::new(77);
-    let mut b = TableBuilder::new(id, "cache_scan", hot_schema(), CACHE_SCAN_PART_ROWS)?;
-    b.append(batch)?;
-    let table = Arc::new(b.finish()?.dict_encoded());
-    let parts = table.partitions.len();
-    let store = PageStore::temp()?;
-    store.ensure_table(&table)?;
-    Ok((store, id, parts))
-}
-
-/// Promotes every partition into the memory tier, so subsequent
-/// [`run_cache_hit_scan`] calls are pure cache hits.
-pub fn warm_cache(tiers: &PageStore, id: TableId, parts: usize) -> Result<()> {
-    for part in 0..parts {
-        tiers.promote(id, part as u32, TierLevel::Mem)?;
-    }
-    Ok(())
-}
-
-/// Cache-hit-scan kernel: reads every partition of the fixture table
-/// through the tier stack and folds a checksum. Cold (nothing promoted)
-/// every read opens the `CIPF` file, verifies its checksum, and decodes the
-/// pages; warm (after [`warm_cache`]) every read is served from the memory
-/// tier's decoded batches. The decoded values are identical by the
-/// tier-equivalence contract, so both temperatures return one checksum and
-/// the timing ratio is the pure cost of the object-tier round trip.
-pub fn run_cache_hit_scan(tiers: &PageStore, id: TableId, parts: usize) -> Result<usize> {
-    let mut check = 0usize;
-    for part in 0..parts {
-        let (batch, _served) = tiers.read_tiered(id, part)?;
-        check += batch.rows() + batch.columns().len();
-    }
-    Ok(check)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -665,17 +617,6 @@ mod tests {
             plain >= 4 * encoded,
             "sorted-int fixture must encode >= 4x smaller than Plain: {encoded} vs {plain}"
         );
-    }
-
-    #[test]
-    fn cache_hit_scan_checksum_is_temperature_independent() {
-        let (tiers, id, parts) = cache_scan_fixture(40_000).unwrap();
-        assert!(parts > 1, "fixture must span multiple partitions");
-        let cold = run_cache_hit_scan(&tiers, id, parts).unwrap();
-        warm_cache(&tiers, id, parts).unwrap();
-        let warm = run_cache_hit_scan(&tiers, id, parts).unwrap();
-        assert_eq!(cold, warm, "cache temperature must not change the data");
-        assert_eq!(tiers.mem_entries(), parts, "every partition promoted");
     }
 
     #[test]

@@ -78,13 +78,6 @@ pub mod report {
     /// the gates judge.
     pub struct Report {
         pub measurements: Vec<Measurement>,
-        /// Every partition of a CIPF-persisted table read through the tier
-        /// stack fully cold: open, checksum, decode per file.
-        pub cache_cold_ns: u128,
-        /// The same reads served from the memory tier.
-        pub cache_warm_ns: u128,
-        /// Partition (page file) count of the cache-scan fixture.
-        pub cache_parts: usize,
         /// Dict-column exchange stream: wire format vs plain pages vs decoded.
         pub wire_bytes: u64,
         pub plain_bytes: u64,
@@ -95,11 +88,6 @@ pub mod report {
     }
 
     impl Report {
-        /// `cache_cold_ns / cache_warm_ns`.
-        pub fn cache_hit_speedup(&self) -> f64 {
-            self.cache_cold_ns as f64 / self.cache_warm_ns.max(1) as f64
-        }
-
         /// The gates: human-readable violations, empty when the run passes.
         pub fn violations(&self) -> Vec<String> {
             let mut out = Vec::new();
@@ -112,18 +100,6 @@ pub mod report {
                         m.speedup()
                     ));
                 }
-            }
-            if self.cache_parts < 2 {
-                out.push(format!(
-                    "cache-scan fixture spans {} partition(s) — too few to measure the tier stack",
-                    self.cache_parts
-                ));
-            }
-            if self.cache_hit_speedup() < 2.0 {
-                out.push(format!(
-                    "warm cache-hit scan only {:.2}x over cold CIPF reads (must stay >= 2x)",
-                    self.cache_hit_speedup()
-                ));
             }
             if self.int_plain_bytes < 4 * self.int_encoded_bytes {
                 out.push(format!(
@@ -147,7 +123,7 @@ pub mod report {
             out
         }
 
-        /// `BENCH_micro.json`, schema 14.
+        /// `BENCH_micro.json`, schema 15.
         pub fn to_json(&self) -> String {
             let benches: Vec<String> = self
                 .measurements
@@ -164,15 +140,10 @@ pub mod report {
                     )
                 })
                 .collect();
-            let hit_speedup = format!("{:.2}", self.cache_hit_speedup());
             let fields = [
-                ("schema_version", "14".to_owned()),
+                ("schema_version", "15".to_owned()),
                 ("rows", ROWS.to_string()),
                 ("cardinality", CARDINALITY.to_string()),
-                ("cache_cold_ns", self.cache_cold_ns.to_string()),
-                ("cache_warm_ns", self.cache_warm_ns.to_string()),
-                ("cache_hit_speedup", hit_speedup),
-                ("cache_parts", self.cache_parts.to_string()),
                 ("exchange_wire_bytes", self.wire_bytes.to_string()),
                 ("exchange_plain_bytes", self.plain_bytes.to_string()),
                 ("exchange_decoded_bytes", self.decoded_bytes.to_string()),
@@ -208,9 +179,6 @@ pub mod report {
                     bench("int_join_all_miss", 90),
                     bench("filter_chain", filter_chain_ns),
                 ],
-                cache_cold_ns: 9000,
-                cache_warm_ns: 1000,
-                cache_parts: 25,
                 wire_bytes: 400,
                 plain_bytes: 1100,
                 decoded_bytes: 1000,
@@ -263,22 +231,13 @@ pub mod report {
         }
 
         #[test]
-        fn cache_hit_speedup_gates() {
-            // Warm under 2x over cold: the hierarchy stopped paying for itself.
-            let mut slow = sample(2.0);
-            slow.cache_warm_ns = 6000;
-            assert!(only_violation(&slow).contains("warm cache-hit scan only 1.50x"));
-            // A single-partition fixture cannot exercise the tier stack.
-            let mut thin = sample(2.0);
-            thin.cache_parts = 1;
-            assert!(only_violation(&thin).contains("too few"));
-        }
-
-        #[test]
-        fn json_keeps_the_schema_14_byte_format() {
+        fn json_keeps_the_schema_15_byte_format() {
             let json = sample(2.5).to_json();
-            assert!(json.starts_with("{\n  \"schema_version\": 14,\n  \"rows\": 200000,\n"));
-            assert!(json.contains("  \"cache_hit_speedup\": 9.00,\n  \"cache_parts\": 25,\n"));
+            assert!(json.starts_with(
+                "{\n  \"schema_version\": 15,\n  \"rows\": 200000,\n  \"cardinality\": 1000,\n  \
+                 \"exchange_wire_bytes\": 400,\n"
+            ));
+            assert!(!json.contains("cache_"));
             assert!(json.contains(
                 "    {\"name\": \"filter_chain\", \"baseline_naive_ns\": 250, \"dict_ns\": 100, \
                  \"speedup\": 2.50, \"check\": 5}\n  ]\n}\n"

@@ -24,17 +24,15 @@ pub struct TableEntry {
 pub struct Catalog {
     by_name: HashMap<String, TableEntry>,
     by_id: HashMap<TableId, String>,
-    /// Lazily-created page store: the tables' `CIPF` files and their cached
-    /// memory and SSD copies. Owned by this catalog alone: a clone starts
-    /// without one (see the `Clone` impl).
+    /// Lazily-created page store: the tables' `CIPF` files. Owned by this
+    /// catalog alone: a clone starts without one (see the `Clone` impl).
     store: OnceLock<Arc<PageStore>>,
 }
 
 /// A clone shares every table but starts without a page store. A clone is
 /// a scratch world (the what-if service registers a reclustered table into
-/// one), so registering into it must not rewrite the original's files or
-/// drop the original's cached copies; a clone that scans from disk writes
-/// its own files on first use.
+/// one), so registering into it must not rewrite the original's files; a
+/// clone that scans from disk writes its own files on first use.
 impl Clone for Catalog {
     fn clone(&self) -> Catalog {
         Catalog {
@@ -67,8 +65,8 @@ impl Catalog {
         self.by_id.insert(id, name.clone());
         self.by_name.insert(name, entry.clone());
         // Write-through: if the page store is already materialized, keep it
-        // in sync (files rewritten, cached copies dropped) so a disk or
-        // tiered executor never reads stale bytes.
+        // in sync (files rewritten) so a disk or tiered executor never reads
+        // stale bytes.
         // Best-effort by design — `register` predates fallible storage, and
         // the executor's own `ensure_table` surfaces any write error at
         // query time.

@@ -4,8 +4,10 @@
 //! and what gets admitted or evicted — *purely* as a function of the access
 //! trace. The execution engine drives it from the driver's canonical
 //! accounting loop, so hit/miss/eviction sequences are identical across
-//! execution modes and across physical page sources; the page store
-//! applies each decision by level (`PageStore::promote` / `evict`).
+//! execution modes and across physical page sources. Its residency is the
+//! only record of what the cache tiers hold: a tiered scan serves a
+//! partition from its resident rows exactly when [`TierCacheSim::holds`] it
+//! in memory, and from its object-tier file otherwise.
 //!
 //! Admission is cost-aware, not recency-based: an entry is admitted to a
 //! tier when the re-fetch dollars it is expected to save (object GET price
@@ -241,8 +243,7 @@ impl TierCacheSim {
     }
 
     /// Records one access to `key` (`bytes` = encoded partition size) and
-    /// returns the serving tier plus the admissions/evictions the physical
-    /// store must mirror.
+    /// returns the serving tier plus the admissions/evictions it triggered.
     pub fn access(&mut self, key: CacheKey, bytes: u64) -> CacheAccess {
         let hits = {
             let e = self.accesses.entry(key).or_insert(0);
@@ -289,6 +290,13 @@ impl TierCacheSim {
     /// Running hit/miss/promotion/eviction totals.
     pub fn counters(&self) -> CacheCounters {
         self.counters
+    }
+
+    /// Whether `key` is resident in the cached tier behind `level` (never
+    /// for the object tier, which the simulator does not track).
+    pub fn holds(&self, key: CacheKey, level: TierLevel) -> bool {
+        self.tier(level)
+            .is_some_and(|t| t.residents.contains_key(&key))
     }
 
     /// Bytes currently resident in `level` (0 for the object tier).
@@ -435,6 +443,9 @@ mod tests {
         let mut sim = TierCacheSim::new(p);
         let a = sim.access(k(0, 0), 1_000_000);
         assert_eq!(a.admitted, vec![(k(0, 0), TierLevel::Ssd)]);
+        assert!(sim.holds(k(0, 0), TierLevel::Ssd));
+        assert!(!sim.holds(k(0, 0), TierLevel::Mem));
+        assert!(!sim.holds(k(0, 0), TierLevel::Object));
         let b = sim.access(k(0, 0), 1_000_000);
         assert_eq!(b.level, TierLevel::Ssd);
     }

@@ -297,9 +297,10 @@ impl Warehouse {
                 let svc = self.whatif();
                 let reclustered = svc.reclustered(table, column)?;
                 let bill = svc.one_time_cost(action)?;
-                // Cached copies of the old partitions no longer hold the
-                // table's bytes: the simulator forgets them, as the page
-                // store drops them when `register` rewrites the files.
+                // The old partitions' cache residency no longer describes
+                // the table's bytes: the simulator, the one record of what
+                // the tiers hold, forgets them, and `register` rewrites the
+                // files.
                 if let Some(sim) = &self.config.execution.tier_sim {
                     lock_sim(sim)?.forget(reclustered.id);
                 }
@@ -418,6 +419,7 @@ fn sanitize_result(batch: &RecordBatch) -> Result<RecordBatch> {
 #[cfg(test)]
 mod tests {
     use ci_cost::{TierLevel, TierPricing};
+    use ci_exec::PageSourceMode;
     use ci_types::money::Dollars;
     use ci_types::SimDuration;
     use ci_workload::{CabGenerator, TraceConfig};
@@ -606,6 +608,79 @@ mod tests {
         assert_eq!(after.mem_hits, before.mem_hits, "{before:?} -> {after:?}");
         assert_eq!(after.ssd_hits, before.ssd_hits, "{before:?} -> {after:?}");
         assert!(after.misses > before.misses, "{before:?} -> {after:?}");
+    }
+
+    /// A cache budget resizes tier pricing, so without it there is nothing
+    /// to resize.
+    #[test]
+    fn cache_budget_requires_tier_pricing() {
+        let mut w = warehouse(0.05);
+        let err = w
+            .apply(&TuningAction::CacheBudget {
+                mem_bytes: 1 << 20,
+                ssd_bytes: 1 << 30,
+            })
+            .unwrap_err();
+        assert!(matches!(err, CiError::Tuning(_)), "{err}");
+    }
+
+    /// A budget restarts the cache cold, and the simulator is the cache's
+    /// only record: after four warm scans of `orders` a byte-sized budget
+    /// leaves no resident byte, so every later access misses — and a
+    /// `Tiered` warehouse answers and bills exactly what a `Disk` one does
+    /// through the whole sequence.
+    #[test]
+    fn cache_budget_restarts_the_cache_cold_in_every_page_source() {
+        let catalog = CabGenerator::at_scale(0.5).build_catalog().unwrap();
+        let scan = "SELECT SUM(o_total) FROM orders";
+        let budget = TuningAction::CacheBudget {
+            mem_bytes: 1,
+            ssd_bytes: 1,
+        };
+        let sequence = |page_source| {
+            let mut config = WarehouseConfig::default();
+            let pricing = TierPricing::standard();
+            config.execution.page_source = page_source;
+            config.execution.tier_sim =
+                Some(Arc::new(Mutex::new(TierCacheSim::new(pricing.clone()))));
+            config.execution.tiers = Some(pricing);
+            let mut w = Warehouse::new(catalog.clone(), config);
+            let sim = |w: &Warehouse| w.config.execution.tier_sim.clone().unwrap();
+            let mut runs = Vec::new();
+            for _ in 0..4 {
+                runs.push(w.submit(scan, Constraint::MinCost).unwrap());
+            }
+            let warm = sim(&w).lock().unwrap().counters();
+            assert!(warm.mem_hits > 0, "{page_source:?}: {warm:?}");
+            assert_eq!(w.apply(&budget).unwrap(), Dollars::ZERO);
+            for _ in 0..4 {
+                runs.push(w.submit(scan, Constraint::MinCost).unwrap());
+            }
+            let sim = sim(&w);
+            let cold = sim.lock().unwrap();
+            let after = cold.counters();
+            assert_eq!(
+                after.mem_hits + after.ssd_hits,
+                0,
+                "{page_source:?}: {after:?}"
+            );
+            assert_eq!(after.promotions, 0, "{page_source:?}: {after:?}");
+            assert!(after.misses > 0, "{page_source:?}: {after:?}");
+            for level in [TierLevel::Mem, TierLevel::Ssd] {
+                assert_eq!(cold.resident_bytes(level), 0, "{page_source:?}: {level:?}");
+            }
+            runs
+        };
+        let disk = sequence(PageSourceMode::Disk);
+        let tiered = sequence(PageSourceMode::Tiered);
+        for (i, (d, t)) in disk.iter().zip(&tiered).enumerate() {
+            assert_eq!(t.result, d.result, "scan {i}: rows");
+            assert_eq!(
+                t.cost.amount().to_bits(),
+                d.cost.amount().to_bits(),
+                "scan {i}: Dollars"
+            );
+        }
     }
 
     /// A pin bills its quote — the fill scan plus the egress dollars of

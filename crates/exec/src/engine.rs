@@ -145,10 +145,12 @@ pub struct ExecutionConfig {
     /// accounting pass and costs a few float adds per morsel.
     pub trace: TraceLevel,
     /// Where scans physically read partition bytes from (default `Mem`,
-    /// the resident batches). `Disk` and `Tiered` read real on-disk `CIPF`
-    /// page files written through the catalog's page store; results and `Dollars` are bit-identical to
-    /// `Mem` by construction — the equivalence tests pin it. Purely
-    /// physical: billing is unaffected by this knob alone.
+    /// the resident batches). `Disk` reads real on-disk `CIPF` page files
+    /// written through the catalog's page store; `Tiered` reads them too,
+    /// except for partitions the query's [`TierCacheSim`] holds in memory,
+    /// which it serves from their resident rows. Results and `Dollars` are
+    /// bit-identical to `Mem` by construction — the equivalence tests pin
+    /// it. Purely physical: billing is unaffected by this knob alone.
     pub page_source: PageSourceMode,
     /// Tier price menu engaging the cost-aware cache *accounting*
     /// (default `None`). When set, the
@@ -156,9 +158,10 @@ pub struct ExecutionConfig {
     /// accounting loop — independent of `page_source` and execution mode —
     /// so cache hits bill tier latencies instead of object fetches, misses
     /// remain the only fault-injectable fetches, and hit/miss/eviction
-    /// sequences are a pure function of the morsel trace. With
-    /// `page_source: Tiered` the simulator's decisions also drive physical
-    /// promotion/eviction in the catalog's [`PageStore`].
+    /// sequences are a pure function of the morsel trace. The simulator's
+    /// residency is the only record of the cache tiers: with
+    /// `page_source: Tiered` its memory tier also decides which partitions
+    /// skip their file read, and nothing else holds cached copies.
     pub tiers: Option<TierPricing>,
     /// Shared cache-simulator state for warm-across-queries experiments:
     /// `None` starts each query cold.
@@ -249,18 +252,19 @@ struct TierPart {
 enum Payload {
     /// Memory-resident batch (breaker outputs; `Mem` page source).
     Batch(RecordBatch),
-    /// Disk-backed: `ChainCtx::trace` reads the partition from the
-    /// catalog's [`PageStore`] (its `CIPF` file, or the tier stack) — no
-    /// resident decoded table rides along.
+    /// Disk-backed: `ChainCtx::trace` reads the partition's `CIPF` file
+    /// from the catalog's [`PageStore`], unless the query's memory tier
+    /// holds it.
     File(FileMorsel),
 }
 
 /// A file-backed morsel: which partition slice to read, and from where.
 struct FileMorsel {
     store: Arc<PageStore>,
-    /// Read through the tier stack ([`PageSourceMode::Tiered`]) instead of
-    /// the object tier's file ([`PageSourceMode::Disk`]).
-    tiered: bool,
+    /// Under [`PageSourceMode::Tiered`] with tiers priced: this slice of the
+    /// catalog's partition (zero-copy), served instead of the file while
+    /// the query's simulator holds the partition in memory.
+    resident: Option<RecordBatch>,
     table: TableId,
     part: u32,
     offset: usize,
@@ -350,6 +354,11 @@ struct ChainCtx {
     /// Record wall-clock [`OpSample`]s (parallel mode only — the simulator
     /// reports 0 measured time by contract).
     measure: bool,
+    /// The query's tier simulator, whose memory residency decides whether a
+    /// file morsel's resident rows serve it. Read, never advanced: a pool
+    /// worker may look before the ledger's access of its morsel, and the
+    /// rows are the same either way.
+    tier_sim: Option<Arc<Mutex<TierCacheSim>>>,
 }
 
 /// Where measured operator time goes: the sample list and wall-clock total
@@ -393,11 +402,11 @@ impl ChainCtx {
 
     /// Runs one morsel through the operator chain, producing its trace:
     /// materializes the payload batch — an `Arc` clone for resident
-    /// batches, a real page-file read and decode for file-backed ones —
-    /// then applies the scan filter and the chain's steps. The read emits
-    /// no [`OpSample`]: the operator-class set the calibrator sees is
-    /// fixed, and billed fetch bytes come from the morsel's partition
-    /// statistics, not from this read.
+    /// batches and memory-tier hits, a real page-file read and decode for
+    /// other file-backed ones — then applies the scan filter and the
+    /// chain's steps. The read emits no [`OpSample`]: the operator-class
+    /// set the calibrator sees is fixed, and billed fetch bytes come from
+    /// the morsel's partition statistics, not from this read.
     ///
     /// Pure in every caller: processing stops at the first `LIMIT` step
     /// ([`Tail::AtLimit`]), which needs the driver's remaining-rows state,
@@ -405,19 +414,17 @@ impl ChainCtx {
     fn trace(&self, morsel: &Morsel) -> Result<MorselTrace> {
         let mut batch = match &morsel.payload {
             Payload::Batch(batch) => batch.clone(),
-            Payload::File(f) => {
-                // Real bytes: read + checksum + decode the partition file
-                // (or whatever tier physically holds it), then carve out
-                // this morsel's row range. Dict columns attach the pinned
-                // table-wide dictionary `Arc`s, so downstream wire
-                // accounting is identical to the memory path.
-                let part = if f.tiered {
-                    f.store.read_tiered(f.table, f.part as usize)?.0
-                } else {
-                    f.store.read_partition(f.table, f.part as usize)?
-                };
-                part.with_schema(f.schema.clone())?.slice(f.offset, f.len)?
-            }
+            Payload::File(f) => match &f.resident {
+                Some(rows) if self.in_memory_tier(f)? => rows.clone(),
+                // Real bytes: read + checksum + decode the partition file,
+                // then carve out this morsel's row range. Dict columns
+                // attach the pinned table-wide dictionary `Arc`s, so
+                // downstream wire accounting is identical to the memory
+                // path.
+                _ => (f.store.read_partition(f.table, f.part as usize)?)
+                    .with_schema(f.schema.clone())?
+                    .slice(f.offset, f.len)?,
+            },
         };
         let (mut samples, mut wall_ns) = (Vec::new(), 0u64);
         let mut timer = self.timer(&mut samples, &mut wall_ns);
@@ -442,6 +449,14 @@ impl ChainCtx {
             samples,
             wall_ns,
         })
+    }
+
+    /// Whether the query's simulator holds `f`'s partition in memory.
+    fn in_memory_tier(&self, f: &FileMorsel) -> Result<bool> {
+        let Some(sim) = &self.tier_sim else {
+            return Ok(false);
+        };
+        Ok(lock_sim(sim)?.holds(CacheKey::new(f.table, f.part), TierLevel::Mem))
     }
 
     /// Resumes a trace that stopped at a `LIMIT` step: cuts the batch
@@ -671,12 +686,13 @@ struct QueryRun<'q> {
     /// Disk/Tiered wire up the catalog's page store;
     /// `source_morsels` writes each scanned table through on first touch.
     page_store: Option<Arc<PageStore>>,
-    /// Scans read through the tier stack ([`PageSourceMode::Tiered`]).
+    /// Scan morsels carry their resident rows for memory-tier hits
+    /// ([`PageSourceMode::Tiered`] with tiers priced).
     tiered: bool,
     /// Cache accounting: the deterministic tier simulator, advanced only
     /// from the ledger. Engaged by pricing, not by page source, so the bill
-    /// is source-invariant. Physical placement mirrors the simulator only
-    /// under [`PageSourceMode::Tiered`].
+    /// is source-invariant. Under [`PageSourceMode::Tiered`] its memory
+    /// residency also picks which scan morsels skip their file read.
     tier_sim: Option<Arc<Mutex<TierCacheSim>>>,
 }
 
@@ -727,7 +743,7 @@ impl<'q> QueryRun<'q> {
             pool,
             worker_lanes,
             page_store,
-            tiered: config.page_source == PageSourceMode::Tiered,
+            tiered: config.page_source == PageSourceMode::Tiered && tier_sim.is_some(),
             tier_sim,
         })
     }
@@ -954,12 +970,16 @@ impl<'a> Executor<'a> {
                         let len = self.config.morsel_rows.min(rows - offset);
                         let share = len as f64 / rows as f64;
                         let (payload, wire) = match &q.page_store {
-                            // File-backed morsels carry no resident batch:
-                            // `ChainCtx::trace` reads real page-file bytes.
+                            // File-backed morsels: `ChainCtx::trace` reads
+                            // real page-file bytes, or under `Tiered` the
+                            // resident rows of a memory-tier hit.
                             Some(store) => (
                                 Payload::File(FileMorsel {
                                     store: store.clone(),
-                                    tiered: q.tiered,
+                                    resident: q
+                                        .tiered
+                                        .then(|| batch.slice(offset, len))
+                                        .transpose()?,
                                     table: *table_id,
                                     part: pi as u32,
                                     offset,
@@ -1118,6 +1138,7 @@ impl<'a> Executor<'a> {
             src_map: ColMap::from_slots(&source.out_slots),
             states: q.states.clone(),
             measure: matches!(self.config.mode, ExecutionMode::Parallel { .. }),
+            tier_sim: q.tier_sim.clone(),
         });
         let mut sink = self.make_sink(plan, p)?;
         let mut ledger = Ledger::open(&self.config, q, p, ctx.clone(), dop, start);
@@ -1410,10 +1431,8 @@ impl<'a, 'q> Ledger<'a, 'q> {
     /// Tier-cache accounting. The simulation advances *only* here, in
     /// canonical morsel order, so hit/miss/eviction sequences are a pure
     /// function of the trace — identical across page sources and execution
-    /// modes. When the page source is tiered, the page store's cache tiers
-    /// mirror the simulation's admissions/evictions (workers may have read ahead
-    /// of the ledger; promotions then benefit later pipelines, never
-    /// change bytes served).
+    /// modes. Its residency is also the memory tier a tiered scan reads
+    /// from (`ChainCtx::trace`).
     fn tier_access(&mut self, bill: &mut MorselBill<'_>) -> Result<()> {
         let (Some(sim), Some(tp), true) = (
             &self.q.tier_sim,
@@ -1428,14 +1447,6 @@ impl<'a, 'q> Ledger<'a, 'q> {
             let svc = sim.service_secs(acc.level, bill.morsel.fetch_bytes);
             (acc, svc)
         };
-        if let Some(store) = self.q.page_store.as_ref().filter(|_| self.q.tiered) {
-            for &(k, lvl) in &acc.admitted {
-                store.promote(k.table, k.part, lvl)?;
-            }
-            for &(k, lvl) in &acc.evicted {
-                store.evict(k.table, k.part, lvl);
-            }
-        }
         match acc.level {
             TierLevel::Mem => self.m.tier_mem_hits += 1,
             TierLevel::Ssd => self.m.tier_ssd_hits += 1,

@@ -14,7 +14,10 @@
 //!   seeded chaos;
 //! * per-pipeline tier hit/miss/promotion/eviction counters are themselves
 //!   deterministic and source-invariant;
-//! * a warm cache changes the bill (downward) but never the rows.
+//! * a warm cache changes the bill (downward) but never the rows;
+//! * the simulator's memory residency is the memory tier: a partition it
+//!   holds there is served from its resident rows and its file is never
+//!   opened.
 
 use std::sync::{Arc, Mutex};
 
@@ -30,7 +33,7 @@ use ci_storage::column::ColumnData;
 use ci_storage::schema::{Field, Schema};
 use ci_storage::table::TableBuilder;
 use ci_storage::value::DataType;
-use ci_types::TableId;
+use ci_types::{CiError, TableId, TierLevel};
 
 const N_ORDERS: i64 = 6_000;
 const N_CUST: i64 = 250;
@@ -450,5 +453,96 @@ fn a_failure_past_a_satisfied_limit_stays_invisible() {
         )
         .expect_err("the full scan reads the bad partition");
         assert_eq!(err.kind(), "storage", "mode={mode:?}: {err}");
+    }
+}
+
+/// The simulator's memory residency is the memory tier a `Tiered` scan
+/// reads. `orders` is pinned to memory in a shared simulator and every one
+/// of its `CIPF` files is garbage: a `Tiered` scan — inline, where the
+/// ledger admits each partition before its trace, then on the 2-worker
+/// pool over the now-warm simulator — serves the resident rows and bills
+/// exactly what the same sequence bills under `Mem`. The garbage is real:
+/// `Disk`, and `Tiered` over an unpinned simulator with no memory, meet it
+/// and fail typed.
+#[test]
+fn a_memory_tier_hit_opens_no_file() {
+    let cat = catalog();
+    let orders = &cat.get("orders").unwrap().table;
+    let store = cat.page_store().unwrap();
+    store.ensure_table(orders).unwrap();
+    for part in 0..orders.partitions.len() {
+        std::fs::write(store.partition_path(orders.id, part), b"not a CIPF file").unwrap();
+    }
+
+    let sql = "SELECT o_priority, COUNT(*) AS n, SUM(o_total) AS t FROM orders \
+               GROUP BY o_priority ORDER BY o_priority";
+    let pricing = TierPricing::standard();
+    let pinned = || {
+        let sim = fresh_sim(&pricing);
+        let held = sim.as_ref().unwrap();
+        held.lock().unwrap().pin(orders.id, TierLevel::Mem);
+        sim
+    };
+    let (mem_sim, tiered_sim) = (pinned(), pinned());
+    for mode in [
+        ExecutionMode::Simulate,
+        ExecutionMode::Parallel { workers: 2 },
+    ] {
+        let at = |src, sim: &Option<_>| {
+            try_run(
+                &cat,
+                sql,
+                mode,
+                src,
+                None,
+                Some(pricing.clone()),
+                sim.clone(),
+            )
+        };
+        let base = at(PageSourceMode::Mem, &mem_sim).unwrap();
+        let got = at(PageSourceMode::Tiered, &tiered_sim)
+            .unwrap_or_else(|e| panic!("mode={mode:?}: a memory hit read the file: {e}"));
+        assert_eq!(got.result, base.result, "mode={mode:?}: rows");
+        assert_eq!(
+            got.metrics.cost, base.metrics.cost,
+            "mode={mode:?}: Dollars"
+        );
+    }
+    let held = tiered_sim
+        .as_ref()
+        .unwrap()
+        .lock()
+        .unwrap()
+        .resident_bytes(TierLevel::Mem);
+    assert!(held > 0, "the pinned table is memory-resident");
+
+    let mut no_memory = pricing.clone();
+    no_memory.mem.capacity_bytes = 0;
+    let disk = try_run(
+        &cat,
+        sql,
+        ExecutionMode::Simulate,
+        PageSourceMode::Disk,
+        None,
+        None,
+        None,
+    );
+    let unpinned = try_run(
+        &cat,
+        sql,
+        ExecutionMode::Simulate,
+        PageSourceMode::Tiered,
+        None,
+        Some(no_memory.clone()),
+        fresh_sim(&no_memory),
+    );
+    for (label, out) in [("Disk", disk), ("Tiered, no memory", unpinned)] {
+        match out {
+            Err(CiError::Storage(_)) => {}
+            other => panic!(
+                "{label}: want a Storage error, got {:?}",
+                other.map(|q| q.result)
+            ),
+        }
     }
 }

@@ -1,21 +1,20 @@
-//! The page store: real on-disk CIPG partition files and their cached
-//! copies in a memory -> local-SSD -> object-store hierarchy, in one type.
+//! The page store: real on-disk CIPG partition files, the object tier of
+//! the memory -> local-SSD -> object-store hierarchy.
 //!
 //! The rest of the workspace models the object store analytically; this
 //! module makes the *bytes* real. [`PageStore`] persists every
 //! micro-partition of a table as one self-describing `CIPF` file — a
 //! checksummed container of per-column CIPG pages — plus a `CIPT` manifest
-//! carrying the table-wide dictionaries, and it holds the cache tiers'
-//! copies of those files. A scan under [`PageSourceMode::Disk`] reads the
-//! files ([`PageStore::read_partition`]); one under
-//! [`PageSourceMode::Tiered`] reads the highest tier holding the partition
-//! and learns the [`TierLevel`] that served it ([`PageStore::read_tiered`]).
-//! Both must produce rows and Dollars bit-identical to resident batches.
-//! The cache simulator's moves are applied by level ([`PageStore::promote`],
-//! [`PageStore::evict`]). Because a table's files and its copies live in one
-//! type, re-registering the table ([`PageStore::ensure_table`] with a new
-//! `Arc<Table>`) drops its copies before it rewrites its files: no tier
-//! serves an earlier layout of its partitions.
+//! carrying the table-wide dictionaries. A scan under
+//! [`PageSourceMode::Disk`] reads the files ([`PageStore::read_partition`]);
+//! one under [`PageSourceMode::Tiered`] reads them too, except where the
+//! query's cache simulator (`TierCacheSim` in `ci-cloud`) holds the
+//! partition in memory. The simulator is the one record of cache
+//! residency: the store keeps no cached copies, so nothing here can serve
+//! a partition the simulator does not hold, or hold one it dropped. Both
+//! sources must produce rows and Dollars bit-identical to resident batches.
+//! Re-registering a table ([`PageStore::ensure_table`] with a new
+//! `Arc<Table>`) rewrites its files in place.
 //!
 //! # `CIPF` partition file layout
 //!
@@ -55,7 +54,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
-use ci_types::{CiError, Result, TableId, TierLevel};
+use ci_types::{CiError, Result, TableId};
 
 use crate::batch::RecordBatch;
 use crate::column::ColumnData;
@@ -161,7 +160,9 @@ pub enum PageSourceMode {
     Mem,
     /// Every fetch reads and decodes the partition's `CIPF` file.
     Disk,
-    /// Reads go through the memory -> SSD -> object tier stack.
+    /// Partitions the query's cache simulator holds in memory are served
+    /// from their resident rows; every other read decodes the `CIPF` file,
+    /// which also stands for the SSD tier the simulator prices.
     Tiered,
 }
 
@@ -417,11 +418,10 @@ fn decode_manifest(bytes: &[u8], arity: usize) -> Result<(usize, Vec<Option<Arc<
 // PageStore
 // ---------------------------------------------------------------------------
 
-/// Locks one of the store's residency maps (the table registry, the memory
-/// tier), recovering a poisoned guard instead of panicking. Sound because
-/// every mutation under these guards is a `HashMap` insert, remove or
-/// retain of already-built values — a holder that panics (say, while
-/// encoding a partition with the registry locked) leaves the map
+/// Locks the store's table registry, recovering a poisoned guard instead
+/// of panicking. Sound because every mutation under the guard is a
+/// `HashMap` insert of an already-built value — a holder that panics (say,
+/// while encoding a partition with the registry locked) leaves the map
 /// consistent, and refusing the guard would turn one contained panic into
 /// a failure of every later disk or tiered read.
 fn locked<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
@@ -437,39 +437,26 @@ fn temp_dir(prefix: &str) -> Result<PathBuf> {
     Ok(dir)
 }
 
-/// The simulated object store made physical, with its cache tiers.
+/// The simulated object store made physical.
 ///
-/// - The object tier is a directory of per-table subdirectories, each
-///   holding `part-N.cipf` partition files plus a `table.cipt` manifest.
-///   Registration writes them.
-/// - The SSD tier holds encoded copies of partition files in a directory
-///   the store creates fresh and removes on drop, so no copy outlives the
-///   store.
-/// - The memory tier holds decoded batches.
-///
-/// Placement in the two cache tiers is *driven from outside* (by the
-/// deterministic cache simulator in `ci-cloud`); the store only moves
-/// bytes, so reads are correct no matter which tier serves them. Rewriting
-/// a table drops its cached copies first, so no tier serves an earlier
-/// layout of its partitions.
+/// The object tier is a directory of per-table subdirectories, each holding
+/// `part-N.cipf` partition files plus a `table.cipt` manifest. Registration
+/// writes them. The cache tiers above it are the cache simulator's alone:
+/// the store holds no copies for them.
 #[derive(Debug)]
 pub struct PageStore {
     root: PathBuf,
     owns_root: bool,
-    ssd_root: PathBuf,
     tables: Mutex<HashMap<TableId, Arc<StoredTable>>>,
-    mem: Mutex<HashMap<(TableId, u32), RecordBatch>>,
 }
 
 impl PageStore {
-    fn open(root: PathBuf, owns_root: bool) -> Result<PageStore> {
-        Ok(PageStore {
+    fn open(root: PathBuf, owns_root: bool) -> PageStore {
+        PageStore {
             root,
             owns_root,
-            ssd_root: temp_dir("ci-ssdcache")?,
             tables: Mutex::new(HashMap::new()),
-            mem: Mutex::new(HashMap::new()),
-        })
+        }
     }
 
     /// Opens (creating if needed) a store whose object tier is `path`.
@@ -477,12 +464,12 @@ impl PageStore {
         let root = path.into();
         std::fs::create_dir_all(&root)
             .map_err(|e| serr(format!("creating {}: {e}", root.display())))?;
-        PageStore::open(root, false)
+        Ok(PageStore::open(root, false))
     }
 
     /// A store under a fresh process-unique temp directory, removed on drop.
     pub fn temp() -> Result<PageStore> {
-        PageStore::open(temp_dir("ci-objstore")?, true)
+        Ok(PageStore::open(temp_dir("ci-objstore")?, true))
     }
 
     /// Root directory of the object tier.
@@ -499,26 +486,15 @@ impl PageStore {
         self.table_dir(id).join(format!("part-{part}.cipf"))
     }
 
-    fn ssd_path(&self, id: TableId, part: u32) -> PathBuf {
-        self.ssd_root.join(format!("t{}-p{part}.cipf", id.index()))
-    }
-
     /// Writes (or re-writes, if the table object changed identity) every
     /// partition of `table` as a `CIPF` file plus the manifest. Idempotent
     /// per `Arc` identity: repeated calls with the same `Arc<Table>` only
-    /// pay a pointer compare. A re-write first drops the table's memory
-    /// and SSD copies, so the cache tiers never serve the old partitions.
+    /// pay a pointer compare.
     pub fn ensure_table(&self, table: &Arc<Table>) -> Result<Arc<StoredTable>> {
         let ident = Arc::as_ptr(table) as usize;
         let mut tables = locked(&self.tables);
-        if let Some(st) = tables.get(&table.id) {
-            if st.ident == ident {
-                return Ok(st.clone());
-            }
-            locked(&self.mem).retain(|&(id, _), _| id != table.id);
-            for part in 0..st.parts as u32 {
-                self.evict(table.id, part, TierLevel::Ssd);
-            }
+        if let Some(st) = tables.get(&table.id).filter(|st| st.ident == ident) {
+            return Ok(st.clone());
         }
         let dicts: Vec<_> = (0..table.schema.arity())
             .map(|i| table.column_dictionary(i).cloned())
@@ -578,83 +554,10 @@ impl PageStore {
             std::fs::read(&path).map_err(|e| serr(format!("reading {}: {e}", path.display())))?;
         decode_partition(&bytes, &stored).map_err(in_file(&path))
     }
-
-    /// Reads one partition from the highest tier holding it. All tiers hold
-    /// byte-identical content, so the serving tier never affects values —
-    /// only where the bytes physically came from.
-    pub fn read_tiered(&self, id: TableId, part: usize) -> Result<(RecordBatch, TierLevel)> {
-        let key = (id, part as u32);
-        if let Some(b) = locked(&self.mem).get(&key) {
-            return Ok((b.clone(), TierLevel::Mem));
-        }
-        let ssd = self.ssd_path(id, key.1);
-        match std::fs::read(&ssd) {
-            Ok(bytes) => {
-                let stored = self.stored(id)?;
-                let batch = decode_partition(&bytes, &stored).map_err(in_file(&ssd))?;
-                return Ok((batch, TierLevel::Ssd));
-            }
-            // Not resident, or evicted since the caller last looked: the
-            // object tier serves it.
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
-            Err(e) => return Err(serr(format!("reading {}: {e}", ssd.display()))),
-        }
-        Ok((self.read_partition(id, part)?, TierLevel::Object))
-    }
-
-    /// Places a partition in `level`. The memory tier decodes it once and
-    /// keeps the batch. The SSD tier copies the encoded file into its
-    /// directory under a unique temporary name renamed into place: readers
-    /// and evictions run concurrently with promotions (pool workers fetch
-    /// while the ledger places), and a reader must see the whole file or
-    /// none of it, never a prefix. The object tier already holds every
-    /// partition, so placing one there is a no-op.
-    pub fn promote(&self, id: TableId, part: u32, level: TierLevel) -> Result<()> {
-        match level {
-            TierLevel::Mem => {
-                let batch = self.read_partition(id, part as usize)?;
-                locked(&self.mem).insert((id, part), batch);
-                Ok(())
-            }
-            TierLevel::Ssd => {
-                let src = self.partition_path(id, part as usize);
-                let dst = self.ssd_path(id, part);
-                let seq = TEMP_SEQ.fetch_add(1, Ordering::Relaxed);
-                let tmp = dst.with_extension(format!("tmp{seq}"));
-                std::fs::copy(&src, &tmp)
-                    .and_then(|_| std::fs::rename(&tmp, &dst))
-                    .map_err(|e| {
-                        let _ = std::fs::remove_file(&tmp);
-                        serr(format!("copying {} to ssd cache: {e}", src.display()))
-                    })
-            }
-            TierLevel::Object => Ok(()),
-        }
-    }
-
-    /// Drops a partition from `level` (a no-op if absent, and always for
-    /// the object tier, which never lets a partition go).
-    pub fn evict(&self, id: TableId, part: u32, level: TierLevel) {
-        match level {
-            TierLevel::Mem => {
-                locked(&self.mem).remove(&(id, part));
-            }
-            TierLevel::Ssd => {
-                let _ = std::fs::remove_file(self.ssd_path(id, part));
-            }
-            TierLevel::Object => {}
-        }
-    }
-
-    /// Number of partitions resident in the memory tier.
-    pub fn mem_entries(&self) -> usize {
-        locked(&self.mem).len()
-    }
 }
 
 impl Drop for PageStore {
     fn drop(&mut self) {
-        let _ = std::fs::remove_dir_all(&self.ssd_root);
         if self.owns_root {
             let _ = std::fs::remove_dir_all(&self.root);
         }
@@ -805,161 +708,33 @@ mod tests {
         assert!(store.read_partition(table.id, 0).is_ok());
     }
 
-    #[test]
-    fn tier_store_serves_identical_bytes_from_every_layer() {
-        let table = sample_table(5);
-        let tiers = PageStore::temp().unwrap();
-        tiers.ensure_table(&table).unwrap();
-        let (from_object, s0) = tiers.read_tiered(table.id, 0).unwrap();
-        assert_eq!(s0, TierLevel::Object);
-        assert_eq!(from_object, tiers.read_partition(table.id, 0).unwrap());
-        // Every partition already lives in the object tier: placing one
-        // there, or evicting it from there, moves nothing.
-        tiers.promote(table.id, 0, TierLevel::Object).unwrap();
-        tiers.evict(table.id, 0, TierLevel::Object);
-        assert_eq!(tiers.mem_entries(), 0);
-        assert_eq!(std::fs::read_dir(&tiers.ssd_root).unwrap().count(), 0);
-        assert_eq!(
-            tiers.read_tiered(table.id, 0).unwrap(),
-            (from_object.clone(), TierLevel::Object)
-        );
-        tiers.promote(table.id, 0, TierLevel::Ssd).unwrap();
-        let (from_ssd, s1) = tiers.read_tiered(table.id, 0).unwrap();
-        assert_eq!(s1, TierLevel::Ssd);
-        tiers.promote(table.id, 0, TierLevel::Mem).unwrap();
-        let (from_mem, s2) = tiers.read_tiered(table.id, 0).unwrap();
-        assert_eq!(s2, TierLevel::Mem);
-        assert_eq!(from_object, from_ssd);
-        assert_eq!(from_object, from_mem);
-        // An object-tier eviction leaves the cached copies in place.
-        tiers.evict(table.id, 0, TierLevel::Object);
-        assert_eq!(tiers.read_tiered(table.id, 0).unwrap().1, TierLevel::Mem);
-        tiers.evict(table.id, 0, TierLevel::Mem);
-        assert_eq!(tiers.read_tiered(table.id, 0).unwrap().1, TierLevel::Ssd);
-        tiers.evict(table.id, 0, TierLevel::Ssd);
-        let (_, s3) = tiers.read_tiered(table.id, 0).unwrap();
-        assert_eq!(s3, TierLevel::Object);
-        // The SSD directory belongs to this store alone and goes with it.
-        let ssd_root = tiers.ssd_root.clone();
-        drop(tiers);
-        assert!(!ssd_root.exists());
-    }
-
-    /// Re-registering a table under its id (a recluster) drops the cached
-    /// copies of its old partitions before the new files land: every tier
-    /// then serves the new bytes, and a table that did not change keeps its
-    /// copies.
-    #[test]
-    fn rewriting_a_table_drops_its_cached_copies() {
-        let table = sample_table(10);
-        let other = sample_table(11);
-        let tiers = PageStore::temp().unwrap();
-        tiers.ensure_table(&table).unwrap();
-        tiers.ensure_table(&other).unwrap();
-        let parts = table.partitions.len() as u32;
-        for part in 0..parts {
-            let level = if part % 2 == 0 {
-                TierLevel::Mem
-            } else {
-                TierLevel::Ssd
-            };
-            tiers.promote(table.id, part, level).unwrap();
-        }
-        tiers.promote(other.id, 0, TierLevel::Mem).unwrap();
-        tiers.promote(other.id, 1, TierLevel::Ssd).unwrap();
-
-        let code = table.schema.index_of("code").unwrap();
-        let rewritten = Arc::new(table.reclustered_by(code, 16).unwrap().dict_encoded());
-        assert_ne!(rewritten.partitions[0].batch, table.partitions[0].batch);
-        tiers.ensure_table(&rewritten).unwrap();
-
-        assert_eq!(tiers.mem_entries(), 1, "only the other table's copy stays");
-        for (pi, part) in rewritten.partitions.iter().enumerate() {
-            let (got, level) = tiers.read_tiered(rewritten.id, pi).unwrap();
-            assert_eq!((&got, level), (&part.batch, TierLevel::Object), "part {pi}");
-        }
-        assert_eq!(tiers.read_tiered(other.id, 0).unwrap().1, TierLevel::Mem);
-        assert_eq!(tiers.read_tiered(other.id, 1).unwrap().1, TierLevel::Ssd);
-    }
-
-    /// A thread that panics holding either residency lock poisons it; the
-    /// maps under them are still consistent (see [`locked`]), so the next
-    /// disk and tiered reads recover the guard and serve the same bytes.
+    /// A thread that panics holding the table registry's lock poisons it;
+    /// the map under it is still consistent (see [`locked`]), so the next
+    /// read recovers the guard and serves the same bytes, and
+    /// re-registration keeps working.
     #[test]
     fn poisoned_residency_locks_still_serve_reads() {
         let table = sample_table(6);
         let store = Arc::new(PageStore::temp().unwrap());
         store.ensure_table(&table).unwrap();
-        store.promote(table.id, 0, TierLevel::Mem).unwrap();
 
         let s = store.clone();
         let poisoner = std::thread::spawn(move || {
             let _tables = s.tables.lock().unwrap();
-            let _mem = s.mem.lock().unwrap();
-            panic!("poison both residency locks");
+            panic!("poison the table registry");
         });
         assert!(poisoner.join().is_err());
-        assert!(store.tables.is_poisoned() && store.mem.is_poisoned());
+        assert!(store.tables.is_poisoned());
 
         assert_eq!(
             store.read_partition(table.id, 1).unwrap(),
             table.partitions[1].batch
         );
-        let (hit, served) = store.read_tiered(table.id, 0).unwrap();
+        let other = sample_table(7);
+        store.ensure_table(&other).unwrap();
         assert_eq!(
-            (hit, served),
-            (table.partitions[0].batch.clone(), TierLevel::Mem)
+            store.read_partition(other.id, 0).unwrap(),
+            other.partitions[0].batch
         );
-        let (miss, served) = store.read_tiered(table.id, 1).unwrap();
-        assert_eq!(
-            (miss, served),
-            (table.partitions[1].batch.clone(), TierLevel::Object)
-        );
-        // Writers recover too: re-registration and placement keep working.
-        store.ensure_table(&sample_table(7)).unwrap();
-        store.evict(table.id, 0, TierLevel::Mem);
-        assert_eq!(store.mem_entries(), 0);
-    }
-
-    /// Promotion, eviction and reads race once the fold overlaps the pool's
-    /// fetches: a reader must get the whole partition from whichever tier it
-    /// finds, never a half-copied SSD file.
-    #[test]
-    fn ssd_tier_is_safe_under_concurrent_promote_evict_read() {
-        const ROUNDS: usize = 300;
-        let table = sample_table(8);
-        let tiers = PageStore::temp().unwrap();
-        tiers.ensure_table(&table).unwrap();
-        let want = &table.partitions[0].batch;
-        let start = std::sync::Barrier::new(4);
-        std::thread::scope(|s| {
-            for _ in 0..2 {
-                s.spawn(|| {
-                    start.wait();
-                    for round in 0..ROUNDS {
-                        let (got, _) = tiers
-                            .read_tiered(table.id, 0)
-                            .unwrap_or_else(|e| panic!("read in round {round}: {e}"));
-                        assert_eq!(&got, want, "round {round}");
-                    }
-                });
-            }
-            s.spawn(|| {
-                start.wait();
-                for _ in 0..ROUNDS {
-                    tiers.promote(table.id, 0, TierLevel::Ssd).unwrap();
-                }
-            });
-            s.spawn(|| {
-                start.wait();
-                for _ in 0..ROUNDS {
-                    tiers.evict(table.id, 0, TierLevel::Ssd);
-                    tiers.promote(table.id, 0, TierLevel::Ssd).unwrap();
-                }
-            });
-        });
-        // Nothing but (at most) the promoted file is left behind.
-        let left: Vec<_> = std::fs::read_dir(&tiers.ssd_root).unwrap().collect();
-        assert!(left.len() <= 1, "temporary copies leaked: {left:?}");
     }
 }

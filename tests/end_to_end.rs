@@ -179,13 +179,13 @@ fn priced_warehouse(scale: f64, source: PageSourceMode, mode: ExecutionMode) -> 
 
 const EARLY_ORDERS: &str = "SELECT COUNT(*), SUM(o_total) FROM orders WHERE o_date < 300";
 
-/// A recluster rewrites `orders` under its id while the cache holds copies
-/// of its old partitions. Every page source must then answer from the new
-/// partitions: the same rows and the same dollars from resident batches,
-/// from the page files, and through the tier stack. The pool's workers
-/// read partitions before the ledger places them, so under `Parallel` a
-/// stale cached copy is read even where the simulator's next admission
-/// would have replaced it.
+/// A recluster rewrites `orders` under its id while the cache simulator
+/// holds its old partitions. Every page source must then answer from the
+/// new partitions: the same rows and the same dollars from resident
+/// batches, from the page files, and from the memory tier's resident rows.
+/// The pool's workers read the simulator before the ledger's access of
+/// their morsel, so the `Parallel` cell checks that a read racing the
+/// simulator still serves the new rows.
 #[test]
 fn a_recluster_answers_alike_from_every_page_source() {
     let recluster = TuningAction::Recluster {

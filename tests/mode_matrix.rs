@@ -36,7 +36,7 @@ use cost_intel::exec::{
 use cost_intel::optimizer::{Optimizer, OptimizerConfig};
 use cost_intel::storage::RecordBatch;
 use cost_intel::types::money::Dollars;
-use cost_intel::types::{DetRng, SimDuration};
+use cost_intel::types::{DetRng, SimDuration, TierLevel};
 use cost_intel::workload::{queries, CabConfig, CabGenerator};
 use cost_intel::{Constraint, QueryReport, Warehouse, WarehouseConfig};
 
@@ -341,9 +341,10 @@ struct ExecutorRun {
     limit: QueryOutcome,
     /// The tier-priced query, four times over one shared cache simulator.
     tiered: Vec<QueryOutcome>,
-    /// Partitions physically resident in the catalog's memory tier after
-    /// the tier-priced runs (`None`: the cell never built a tier store).
-    mem_resident: Option<usize>,
+    /// Bytes the shared simulator holds in its memory tier after the
+    /// tier-priced runs — the residency a `Tiered` scan serves rows from
+    /// (`None`: the cell does not read through it).
+    mem_resident: Option<u64>,
 }
 
 impl ExecutorRun {
@@ -367,8 +368,7 @@ const JOIN: &str = "SELECT c_segment, SUM(l_price) AS spend FROM lineitem l \
                     GROUP BY c_segment ORDER BY c_segment";
 
 fn executor_script(config: &ExecutionConfig) -> ExecutorRun {
-    // A catalog per cell: a tier store's physical residency must not leak
-    // from one cell into the next.
+    // A catalog per cell, so each cell writes its own page-store files.
     let cat = generator().build_catalog().expect("catalog");
     let fast_resize = ExecutionConfig {
         resize_latency: SimDuration::from_millis(50),
@@ -388,16 +388,20 @@ fn executor_script(config: &ExecutionConfig) -> ExecutorRun {
     // from the object store, promotes, *and* evicts.
     let mut pricing = TierPricing::standard();
     pricing.mem.capacity_bytes = 64 << 10;
+    let sim = Arc::new(Mutex::new(TierCacheSim::new(pricing.clone())));
     let priced = ExecutionConfig {
-        tiers: Some(pricing.clone()),
-        tier_sim: Some(Arc::new(Mutex::new(TierCacheSim::new(pricing)))),
+        tiers: Some(pricing),
+        tier_sim: Some(sim.clone()),
         ..config.clone()
     };
     let tiered = (0..4)
         .map(|_| execute(&cat, &priced, JOIN, 2, &mut NoScaling))
         .collect();
-    let mem_resident = (config.page_source == PageSourceMode::Tiered)
-        .then(|| cat.page_store().expect("page store").mem_entries());
+    let mem_resident = (config.page_source == PageSourceMode::Tiered).then(|| {
+        sim.lock()
+            .expect("simulator")
+            .resident_bytes(TierLevel::Mem)
+    });
     ExecutorRun {
         scale_up,
         scale_down,
@@ -486,7 +490,7 @@ fn executor_with_scripted_controllers_agrees_across_all_seven_cells() {
         assert_eq!(
             run.mem_resident.map(|n| n > 0),
             (config.page_source == PageSourceMode::Tiered).then_some(true),
-            "{name}: physical promotion"
+            "{name}: memory residency"
         );
     }
 
