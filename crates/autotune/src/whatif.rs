@@ -385,13 +385,9 @@ impl<'a> WhatIfService<'a> {
                 "pinning to the object tier is a no-op: data already lives there".into(),
             ));
         };
-        // Residency footprint: the memory tier holds decoded batches, the
-        // SSD tier holds encoded partition files.
-        let resident_bytes = if tier == TierLevel::Mem {
-            entry.table.total_bytes()
-        } else {
-            entry.table.total_encoded_bytes()
-        };
+        // Residency footprint in the simulator's unit: every tier holds a
+        // partition by its encoded bytes, as `TierCacheSim` admits it.
+        let resident_bytes = entry.table.total_encoded_bytes();
         if resident_bytes > spec.capacity_bytes {
             return Err(CiError::Tuning(format!(
                 "cannot pin '{table}': {resident_bytes} B exceeds the tier's \

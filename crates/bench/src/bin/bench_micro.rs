@@ -1,7 +1,7 @@
 //! Hot-path microbench runner: records and gates `BENCH_micro.json`.
 //!
 //! Measures, in one process, the string-heavy data-path kernels (filter,
-//! hash-join build/probe, group-by) over both string encodings, the
+//! hash-join build/probe, group-by) against their `std` baselines, the
 //! `filter_chain` kernel over both materialization strategies, the
 //! `filter_numeric` predicate kernel against the pre-kernel predicate path,
 //! the engine's int-key join against `std` hash-map joins (`int_join_all_miss`
@@ -9,10 +9,13 @@
 //! `int_join_fanout` a duplicate-key build fed in morsels),
 //! and the encoded-page kernels (`page_encode` round-trips columns through their
 //! size-picked codecs, `exchange_wire` serializes morsels through the wire
-//! format). In every entry `baseline_naive_ns` is the unoptimized input
-//! (owned `Vec<String>` columns with per-row clones and a string hash per key;
-//! per-operator compaction for `filter_chain`; per-chunk dictionary rebuilds
-//! for the page kernels; Plain-only codec picking for `page_encode_int`;
+//! format). In every entry `baseline_naive_ns` is the unoptimized path
+//! (owned `Vec<String>` rows for the five string kernels — a copied column
+//! and a broadcast literal for the filter, `std` maps with a string hash
+//! per key and per-row clones for the join and group-by, a dictionary
+//! interned per page or chunk for the page and wire kernels;
+//! per-operator compaction for `filter_chain`;
+//! Plain-only codec picking for `page_encode_int`;
 //! cloned, broadcast, per-row `Ordering` comparisons for `filter_numeric`) and
 //! `dict_ns` the optimized path; [`Report`] lists what else is recorded. The
 //! JSON lands at the repo root (or `$BENCH_MICRO_OUT`) so successive PRs can
@@ -39,13 +42,14 @@ use std::time::Instant;
 
 use ci_bench::hotpath::{
     all_miss_fixture, dense_join_fixture, exchange_wire_accounting, fanout_join_fixture,
-    int_codec_accounting, int_join_map, int_join_table, morsels, numeric_batch, run_exchange_wire,
-    run_filter, run_filter_chain, run_filter_numeric, run_filter_numeric_naive, run_group_by,
-    run_int_join, run_int_join_probe, run_int_map_join, run_int_map_probe, run_join,
-    run_page_encode, run_page_encode_int, sorted_int_batch, string_batch, wide_batch,
+    int_codec_accounting, int_join_map, int_join_table, morsels, numeric_batch, owned_rows,
+    run_exchange_wire, run_exchange_wire_std, run_filter, run_filter_chain, run_filter_numeric,
+    run_filter_numeric_naive, run_filter_std, run_group_by, run_group_by_std, run_int_join,
+    run_int_join_probe, run_int_map_join, run_int_map_probe, run_join, run_join_std,
+    run_page_encode, run_page_encode_int, run_page_encode_std, sorted_int_batch, string_batch,
+    wide_batch,
 };
 use ci_bench::report::{Measurement, Report, CARDINALITY, ROWS};
-use ci_storage::RecordBatch;
 use ci_types::{CiError, Result};
 
 /// Build rows (distinct primary keys) of the dense join kernel.
@@ -92,24 +96,16 @@ fn versus(
     })
 }
 
-/// A string kernel over owned `Vec<String>` columns vs dictionary encoding.
-fn measure<F>(name: &'static str, kernel: F) -> Result<Measurement>
-where
-    F: Fn(&RecordBatch, &RecordBatch) -> Result<usize>,
-{
-    let naive = string_batch(ROWS, CARDINALITY, 11, false);
-    let naive_probe = string_batch(ROWS / 2, CARDINALITY * 2, 12, false);
-    let dict = string_batch(ROWS, CARDINALITY, 11, true);
-    let dict_probe = string_batch(ROWS / 2, CARDINALITY * 2, 12, true);
-    versus(
-        name,
-        || kernel(&naive, &naive_probe),
-        || kernel(&dict, &dict_probe),
-    )
-}
-
 fn main() -> Result<()> {
-    let wide = wide_batch(ROWS, CARDINALITY, 11, true);
+    // The string kernels' rows: owned for the `std` baselines, dictionary
+    // ids for the engine.
+    let (owned, dict) = (
+        owned_rows(ROWS, CARDINALITY, 11),
+        string_batch(ROWS, CARDINALITY, 11),
+    );
+    let owned_probe = owned_rows(ROWS / 2, CARDINALITY * 2, 12);
+    let dict_probe = string_batch(ROWS / 2, CARDINALITY * 2, 12);
+    let wide = wide_batch(ROWS, CARDINALITY, 11);
     let ints = sorted_int_batch(ROWS);
     let numeric = numeric_batch(ROWS, 11)?;
     let [build, probe] = all_miss_fixture(ROWS, ROWS / 2, 13);
@@ -122,9 +118,21 @@ fn main() -> Result<()> {
         fanout_join_fixture(FANOUT_KEYS, FANOUT_PER_KEY, FANOUT_PROBE_ROWS, 15);
     let fanout_morsels = morsels(&fanout_build, BUILD_MORSEL)?;
     let measurements = vec![
-        measure("filter_string_eq", |b, _| run_filter(b))?,
-        measure("hash_join_string_key", run_join)?,
-        measure("group_by_string_key", |b, _| run_group_by(b, MORSEL))?,
+        versus(
+            "filter_string_eq",
+            || run_filter_std(&owned),
+            || run_filter(&dict),
+        )?,
+        versus(
+            "hash_join_string_key",
+            || run_join_std(&owned, &owned_probe),
+            || run_join(&dict, &dict_probe),
+        )?,
+        versus(
+            "group_by_string_key",
+            || run_group_by_std(&owned),
+            || run_group_by(&dict, MORSEL),
+        )?,
         // Selection vectors: the same dict-encoded batch, compacted after
         // every filter (the pre-selection data path) vs composed selections
         // carried to the sink.
@@ -142,7 +150,11 @@ fn main() -> Result<()> {
             || run_filter_numeric_naive(&numeric),
             || run_filter_numeric(&numeric),
         )?,
-        measure("page_encode", |b, _| run_page_encode(b))?,
+        versus(
+            "page_encode",
+            || run_page_encode_std(&owned),
+            || run_page_encode(&dict),
+        )?,
         // Int codecs: the same sorted-int fixture round-tripped through
         // Plain pages (8 B/row) vs the size-picked FoR/Delta codecs.
         versus(
@@ -150,7 +162,11 @@ fn main() -> Result<()> {
             || run_page_encode_int(&ints, false),
             || run_page_encode_int(&ints, true),
         )?,
-        measure("exchange_wire", |b, _| run_exchange_wire(b, MORSEL))?,
+        versus(
+            "exchange_wire",
+            || run_exchange_wire_std(&owned, MORSEL),
+            || run_exchange_wire(&dict, MORSEL),
+        )?,
         // All-miss probe: `ROWS` distinct int build keys, `ROWS / 2` probe
         // keys none of which is on the build side. One `get` per key on a
         // `std` `HashMap<i64, u32>` (the SwissTable `KeyIndex` replaced) vs
@@ -183,7 +199,6 @@ fn main() -> Result<()> {
 
     // Exchange payload accounting (not timed): what one dict-column stream
     // puts on the wire vs the plain-page and decoded alternatives.
-    let dict = string_batch(ROWS, CARDINALITY, 11, true);
     let (wire_bytes, plain_bytes, decoded_bytes) = exchange_wire_accounting(&dict, MORSEL)?;
     // Int page accounting (not timed): the sorted-int fixture under the
     // size-picked FoR/Delta codecs vs Plain.

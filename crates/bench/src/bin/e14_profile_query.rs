@@ -83,7 +83,7 @@ fn fixture(rows: usize) -> Result<(Catalog, PhysicalPlan, PipelineGraph)> {
         cust,
         vec![
             ColumnData::Int64((0..2_000).collect()),
-            ColumnData::Utf8((0..2_000).map(|i| format!("cust{i:05}")).collect()),
+            ColumnData::strings((0..2_000).map(|i| format!("cust{i:05}"))),
         ],
     )?)?;
     cat.register(b.finish()?);

@@ -1,15 +1,17 @@
 //! Data-path microbench fixtures: the string-heavy filter / join /
-//! group-by kernels the zero-copy refactor targets, and the numeric
-//! predicate kernel.
+//! group-by / page / wire kernels the dictionary ids target, and the
+//! numeric predicate kernel.
 //!
 //! Timed by the `bench_micro` runner, which records and gates
-//! `BENCH_micro.json`. Each string kernel can run over either string
-//! encoding, so every measurement carries its own baseline: the `naive`
-//! numbers execute the exact same operators over owned `Vec<String>`
-//! columns (per-row clones, every key string hashed into the key's
-//! extension table), the `dict` numbers over the dictionary-encoded path.
-//! The numeric filter's baseline is the pre-kernel predicate path, kept
-//! here as [`run_filter_numeric_naive`].
+//! `BENCH_micro.json`. Every measurement carries its own baseline. A string
+//! kernel's `naive` number (`run_*_std`) starts from the same rows held as
+//! owned `Vec<String>`s ([`OwnedRows`]) and does the work the engine did
+//! before strings were interned: a column copy and a broadcast literal with
+//! an `Ordering` per row, `std` maps with a string hash per key and a
+//! `String` clone per output row, and a dictionary interned per page or
+//! wire chunk ahead of the engine's encoders. The `dict` number runs the
+//! engine over dictionary ids. The numeric filter's baseline is the
+//! pre-kernel predicate path, kept here as [`run_filter_numeric_naive`].
 
 use std::cmp::Ordering;
 use std::collections::HashMap;
@@ -34,18 +36,35 @@ pub fn hot_schema() -> SchemaRef {
 }
 
 /// A deterministic string-keyed batch: `rows` rows over `cardinality`
-/// distinct keys (`grp00042`-style, realistically sized), dict-encoded or
-/// naive.
-pub fn string_batch(rows: usize, cardinality: usize, seed: u64, dict: bool) -> RecordBatch {
-    let mut rng = DetRng::seed_from_u64(seed);
-    let strs: Vec<String> = (0..rows)
-        .map(|_| format!("grp{:05}", rng.u64_below(cardinality.max(1) as u64)))
-        .collect();
-    let ints: Vec<i64> = (0..rows as i64).map(|i| i % 1_000).collect();
-    let col = ColumnData::Utf8(strs);
-    let col = if dict { col.dict_encoded() } else { col };
-    RecordBatch::new(hot_schema(), vec![col, ColumnData::Int64(ints)]).expect("fixture batch")
+/// distinct keys (`grp00042`-style, realistically sized), plus an int
+/// payload.
+pub fn string_batch(rows: usize, cardinality: usize, seed: u64) -> RecordBatch {
+    let OwnedRows { keys, ints } = owned_rows(rows, cardinality, seed);
+    let columns = vec![ColumnData::strings(keys), ColumnData::Int64(ints)];
+    RecordBatch::new(hot_schema(), columns).expect("fixture batch")
 }
+
+/// [`string_batch`]'s rows with the keys as owned strings: the input of the
+/// `std` baselines.
+#[derive(Debug, Clone, PartialEq)]
+pub struct OwnedRows {
+    pub keys: Vec<String>,
+    pub ints: Vec<i64>,
+}
+
+/// The rows `string_batch(rows, cardinality, seed)` holds, owned.
+pub fn owned_rows(rows: usize, cardinality: usize, seed: u64) -> OwnedRows {
+    let mut rng = DetRng::seed_from_u64(seed);
+    OwnedRows {
+        keys: (0..rows)
+            .map(|_| format!("grp{:05}", rng.u64_below(cardinality.max(1) as u64)))
+            .collect(),
+        ints: (0..rows as i64).map(|i| i % 1_000).collect(),
+    }
+}
+
+/// The key [`run_filter`] keeps.
+const FILTER_KEY: &str = "grp00007";
 
 /// Filter kernel: `s0 = 'grp00007'` mask + batch filter. Returns surviving
 /// rows.
@@ -54,9 +73,25 @@ pub fn run_filter(batch: &RecordBatch) -> Result<usize> {
     let pred = PlanExpr::bin(
         BinOp::Eq,
         PlanExpr::Col(0),
-        PlanExpr::Lit(Value::from("grp00007")),
+        PlanExpr::Lit(Value::from(FILTER_KEY)),
     );
     Ok(batch.filter(&pred.eval_mask(batch, &map)?)?.rows())
+}
+
+/// [`run_filter`]'s baseline, the owned-string predicate path: the key
+/// column copied and the literal broadcast to a column, an `Ordering` per
+/// row, then every surviving row's key cloned and payload copied out.
+pub fn run_filter_std(rows: &OwnedRows) -> Result<usize> {
+    let (keys, literal) = (
+        rows.keys.clone(),
+        vec![FILTER_KEY.to_owned(); rows.keys.len()],
+    );
+    let mask: Vec<bool> = (keys.iter().zip(&literal))
+        .map(|(k, l)| k.cmp(l).is_eq())
+        .collect();
+    let kept = (0..keys.len()).filter(|&i| mask[i]);
+    let out: Vec<(String, i64)> = kept.map(|i| (keys[i].clone(), rows.ints[i])).collect();
+    Ok(std::hint::black_box(out).len())
 }
 
 /// Schema of the numeric filter fixture: a `Float64` discount and an
@@ -144,6 +179,30 @@ pub fn run_join(build: &RecordBatch, probe: &RecordBatch) -> Result<usize> {
     ht.insert_batch(build.clone())?;
     ht.finalize()?;
     Ok(ht.probe(probe, &[0], out_schema)?.rows())
+}
+
+/// [`run_join`]'s baseline: a `std` `HashMap<&str, Vec<usize>>` of key →
+/// build rows (a string hash per build and per probe key), then both sides'
+/// columns gathered by the matched row pairs, every key `String` cloned.
+/// Returns joined rows.
+pub fn run_join_std(build: &OwnedRows, probe: &OwnedRows) -> Result<usize> {
+    let mut map: HashMap<&str, Vec<usize>> = HashMap::new();
+    for (row, key) in build.keys.iter().enumerate() {
+        map.entry(key).or_default().push(row);
+    }
+    let (mut probe_rows, mut build_rows) = (Vec::new(), Vec::new());
+    for (p, key) in probe.keys.iter().enumerate() {
+        for &b in map.get(key.as_str()).into_iter().flatten() {
+            probe_rows.push(p);
+            build_rows.push(b);
+        }
+    }
+    let gather = |side: &OwnedRows, rows: &[usize]| -> (Vec<String>, Vec<i64>) {
+        let keys = rows.iter().map(|&r| side.keys[r].clone()).collect();
+        (keys, rows.iter().map(|&r| side.ints[r]).collect())
+    };
+    std::hint::black_box((gather(probe, &probe_rows), gather(build, &build_rows)));
+    Ok(probe_rows.len())
 }
 
 /// All-miss int-join fixture: a build batch of `build_rows` distinct even
@@ -301,13 +360,9 @@ pub fn wide_schema() -> SchemaRef {
 
 /// A deterministic wide batch: the same string key distribution as
 /// [`string_batch`] plus [`WIDE_PAYLOADS`] int payload columns.
-pub fn wide_batch(rows: usize, cardinality: usize, seed: u64, dict: bool) -> RecordBatch {
-    let mut rng = DetRng::seed_from_u64(seed);
-    let strs: Vec<String> = (0..rows)
-        .map(|_| format!("grp{:05}", rng.u64_below(cardinality.max(1) as u64)))
-        .collect();
-    let col = ColumnData::Utf8(strs);
-    let mut columns = vec![if dict { col.dict_encoded() } else { col }];
+pub fn wide_batch(rows: usize, cardinality: usize, seed: u64) -> RecordBatch {
+    let keys = owned_rows(rows, cardinality, seed).keys;
+    let mut columns = vec![ColumnData::strings(keys)];
     for p in 0..WIDE_PAYLOADS as i64 {
         columns.push(ColumnData::Int64(
             (0..rows as i64).map(|i| (i * (p + 3)) % 1_000).collect(),
@@ -350,17 +405,31 @@ pub fn run_filter_chain(batch: &RecordBatch, eager: bool) -> Result<usize> {
 }
 
 /// Page encode/decode kernel: round-trips every column through its
-/// size-picked page codec. Dict-encoded inputs hit the id-remap fast path;
-/// owned `Vec<String>` inputs pay per-page dictionary interning — the
-/// pre-dictionary storage write path. The checksum mixes rows with encoded
-/// bytes, which are value-level and therefore identical across encodings.
+/// size-picked page codec; the string column takes the id-remap path. The
+/// checksum mixes rows with encoded bytes, which are value-level, so
+/// [`run_page_encode_std`] must agree.
 pub fn run_page_encode(batch: &RecordBatch) -> Result<usize> {
+    round_trip_pages(batch.columns().iter().map(|c| &**c))
+}
+
+/// [`run_page_encode`]'s baseline, the owned-string storage write path:
+/// the page interns the keys into a dictionary of its own (a string hash
+/// per row), then takes the same round trip.
+pub fn run_page_encode_std(rows: &OwnedRows) -> Result<usize> {
+    let columns = [
+        ColumnData::strings(&rows.keys),
+        ColumnData::Int64(rows.ints.clone()),
+    ];
+    round_trip_pages(columns.iter())
+}
+
+fn round_trip_pages<'a>(columns: impl Iterator<Item = &'a ColumnData>) -> Result<usize> {
     let mut encoded = 0u64;
     let mut rows = 0usize;
-    for col in batch.columns() {
+    for col in columns {
         let (meta, bytes) = pages::encode_best(col)?;
         let decoded = pages::decode_column(&bytes)?;
-        if decoded != **col {
+        if decoded != *col {
             return Err(CiError::Storage("page round-trip disagreed".into()));
         }
         encoded += meta.encoded_bytes;
@@ -447,24 +516,36 @@ pub fn int_codec_accounting(batch: &RecordBatch) -> Result<(u64, u64)> {
 }
 
 /// Exchange serialization kernel: splits the batch into `morsel`-row chunks
-/// and serializes each through the wire format (shared dictionaries ship
-/// once, then bit-packed ids). Dict-encoded inputs are the wire fast path;
-/// owned-string inputs model the no-shared-dictionary stream that must
-/// rebuild and reship a dictionary per chunk. Returns the decoded bytes
-/// shipped — encoding-independent, so both paths' checksums agree.
+/// and serializes each through the wire format (the shared dictionary
+/// ships once, then bit-packed ids). Returns the decoded bytes shipped —
+/// value-level, so [`run_exchange_wire_std`] agrees.
 pub fn run_exchange_wire(batch: &RecordBatch, morsel: usize) -> Result<usize> {
+    ship(morsels(batch, morsel)?.into_iter().map(Ok))
+}
+
+/// [`run_exchange_wire`]'s baseline, the owned-string stream with no shared
+/// dictionary: every `morsel`-row chunk interns its keys into a dictionary
+/// of its own, which the stream then ships with the chunk.
+pub fn run_exchange_wire_std(rows: &OwnedRows, morsel: usize) -> Result<usize> {
+    let (keys, ints) = (rows.keys.chunks(morsel), rows.ints.chunks(morsel));
+    ship(keys.zip(ints).map(|(k, i)| {
+        let columns = vec![ColumnData::strings(k), ColumnData::Int64(i.to_vec())];
+        RecordBatch::new(hot_schema(), columns)
+    }))
+}
+
+/// Serializes `chunks` as one wire stream; returns their decoded bytes.
+fn ship(chunks: impl Iterator<Item = Result<RecordBatch>>) -> Result<usize> {
     let mut enc = WireEncoder::new();
-    let mut wire_bytes = 0usize;
-    let mut off = 0;
-    while off < batch.rows() {
-        let len = morsel.min(batch.rows() - off);
-        let chunk = batch.slice(off, len)?;
+    let (mut wire_bytes, mut decoded) = (0usize, 0usize);
+    for chunk in chunks {
+        let chunk = chunk?;
         let blobs = enc.encode_sketched(&chunk, &WireSketch::of(&chunk)?)?;
         wire_bytes += blobs.iter().map(Vec::len).sum::<usize>();
-        off += len;
+        decoded += chunk.byte_size();
     }
     std::hint::black_box(wire_bytes);
-    Ok(batch.byte_size())
+    Ok(decoded)
 }
 
 /// Byte accounting of one exchanged stream, for the CI gate (not timed):
@@ -530,49 +611,63 @@ pub fn run_group_by(batch: &RecordBatch, morsel: usize) -> Result<usize> {
     Ok(st.finalize()?.rows())
 }
 
+/// [`run_group_by`]'s baseline: a `std` `HashMap<String, usize>` of key →
+/// group (a string hash per row, the key cloned for each new group) with a
+/// count and a sum per group, each group's key cloned into the output.
+/// Returns the group count.
+pub fn run_group_by_std(rows: &OwnedRows) -> Result<usize> {
+    let mut groups: HashMap<String, usize> = HashMap::new();
+    let mut out: Vec<(String, i64, i64)> = Vec::new();
+    for (key, &x) in rows.keys.iter().zip(&rows.ints) {
+        let g = *groups.get(key).unwrap_or(&out.len());
+        if g == out.len() {
+            groups.insert(key.clone(), g);
+            out.push((key.clone(), 0, 0));
+        }
+        (out[g].1, out[g].2) = (out[g].1 + 1, out[g].2 + x);
+    }
+    Ok(std::hint::black_box(out).len())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn kernels_agree_across_encodings() {
-        let naive = string_batch(4_000, 40, 7, false);
-        let dict = string_batch(4_000, 40, 7, true);
-        assert_eq!(run_filter(&dict).unwrap(), run_filter(&naive).unwrap());
+        let owned = owned_rows(4_000, 40, 7);
+        let dict = string_batch(4_000, 40, 7);
+        assert_eq!(dict.column(0), &ColumnData::strings(&owned.keys));
+        assert_eq!(run_filter(&dict).unwrap(), run_filter_std(&owned).unwrap());
         assert_eq!(
             run_page_encode(&dict).unwrap(),
-            run_page_encode(&naive).unwrap()
+            run_page_encode_std(&owned).unwrap()
         );
         assert_eq!(
             run_exchange_wire(&dict, 512).unwrap(),
-            run_exchange_wire(&naive, 512).unwrap()
+            run_exchange_wire_std(&owned, 512).unwrap()
         );
-        // The filter chain agrees across encodings *and* across lazy/eager
-        // materialization (checksums cover values, not just counts).
-        let chain = wide_batch(4_000, 1_000, 7, true);
+        // The filter chain agrees across lazy/eager materialization
+        // (checksums cover values, not just counts).
+        let chain = wide_batch(4_000, 1_000, 7);
         assert_eq!(
             run_filter_chain(&chain, false).unwrap(),
             run_filter_chain(&chain, true).unwrap()
         );
-        let chain_naive = wide_batch(4_000, 1_000, 7, false);
-        assert_eq!(
-            run_filter_chain(&chain_naive, false).unwrap(),
-            run_filter_chain(&chain, true).unwrap()
-        );
         assert_eq!(
             run_group_by(&dict, 512).unwrap(),
-            run_group_by(&naive, 512).unwrap()
+            run_group_by_std(&owned).unwrap()
         );
         let numeric = numeric_batch(4_000, 7).unwrap();
         assert_eq!(
             run_filter_numeric(&numeric).unwrap(),
             run_filter_numeric_naive(&numeric).unwrap()
         );
-        let probe_n = string_batch(2_000, 60, 8, false);
-        let probe_d = string_batch(2_000, 60, 8, true);
+        let probe_n = owned_rows(2_000, 60, 8);
+        let probe_d = string_batch(2_000, 60, 8);
         assert_eq!(
             run_join(&dict, &probe_d).unwrap(),
-            run_join(&naive, &probe_n).unwrap()
+            run_join_std(&owned, &probe_n).unwrap()
         );
     }
 
@@ -621,7 +716,7 @@ mod tests {
 
     #[test]
     fn dict_exchange_payload_beats_plain_and_decoded() {
-        let dict = string_batch(20_000, 500, 9, true);
+        let dict = string_batch(20_000, 500, 9);
         let (wire, plain, decoded) = exchange_wire_accounting(&dict, 4_096).unwrap();
         assert!(wire < plain, "wire {wire} must beat plain {plain}");
         assert!(

@@ -182,7 +182,7 @@ mod tests {
         let t = table_from_batch(
             TableId::new(0),
             "t",
-            RecordBatch::new(schema, vec![ColumnData::Utf8(gs)]).unwrap(),
+            RecordBatch::new(schema, vec![ColumnData::strings(gs)]).unwrap(),
         )
         .dict_encoded();
         let s = TableStats::compute(&t);

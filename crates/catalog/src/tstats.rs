@@ -213,16 +213,15 @@ fn fnv1a64(bytes: &[u8]) -> u64 {
 /// Distinct 64-bit images of the `rows` values: the integer's bits, a
 /// float's bits, a bool as 0/1, or the FNV-1a hash of a string
 /// ([`fnv1a64`]; collision odds are negligible at these scales).
-/// A partition whose strings are dictionary ids (dictionaries not shared
-/// across partitions) hashes each id it references once, so ids from
-/// different dictionaries never collide.
+/// A string column (dictionaries not shared across partitions) hashes each
+/// id it references once, so ids from different dictionaries never
+/// collide.
 fn hashed_ndv<'a>(rows: usize, cols: impl Iterator<Item = &'a ColumnData>) -> u64 {
     let mut set = WordSet::with_capacity(rows);
     for col in cols {
         match col {
             ColumnData::Int64(v) => v.iter().for_each(|&x| set.insert(x as u64)),
             ColumnData::Float64(v) => v.iter().for_each(|x| set.insert(x.to_bits())),
-            ColumnData::Utf8(v) => v.iter().for_each(|s| set.insert(fnv1a64(s.as_bytes()))),
             ColumnData::Bool(v) => v.iter().for_each(|&b| set.insert(b as u64)),
             ColumnData::Dict { ids, dict } => {
                 let mut seen = vec![false; dict.len()];
@@ -310,13 +309,16 @@ mod tests {
             Field::new("id", DataType::Int64),
             Field::new("grp", DataType::Utf8),
         ]));
+        // One batch per partition, each with a dictionary of its own: the
+        // table `dict_encoded` has not yet given one shared dictionary.
         let mut b = TableBuilder::new(TableId::new(0), "t", schema.clone(), 16).unwrap();
-        let ids: Vec<i64> = (0..100).collect();
-        let grps: Vec<String> = (0..100).map(|i| format!("g{}", i % 5)).collect();
-        b.append(
-            RecordBatch::new(schema, vec![ColumnData::Int64(ids), ColumnData::Utf8(grps)]).unwrap(),
-        )
-        .unwrap();
+        for start in (0..100).step_by(16) {
+            let rows = start..(start + 16).min(100);
+            let ids = ColumnData::Int64(rows.clone().collect());
+            let grps = ColumnData::strings(rows.map(|i| format!("g{}", i % 5)));
+            b.append(RecordBatch::new(schema.clone(), vec![ids, grps]).unwrap())
+                .unwrap();
+        }
         b.finish().unwrap()
     }
 

@@ -6,8 +6,8 @@
 //! maps and counts through dictionary ids, a bitmap or a word set instead.
 //! Every `ColumnStats` field must match bit for bit (floats by `to_bits`)
 //! over generated tables: `i64` extremes whose range wraps, NaN / ±0 / ±∞
-//! floats, empty partitions and empty tables, shared and per-partition
-//! dictionaries, `Utf8` and `Bool` columns.
+//! floats, empty partitions and empty tables, shared, per-partition and
+//! foreign dictionaries, `Utf8` and `Bool` columns.
 
 use std::collections::HashSet;
 use std::sync::Arc;
@@ -15,6 +15,7 @@ use std::sync::Arc;
 use ci_catalog::{Catalog, ColumnStats, Histogram, TableStats};
 use ci_storage::batch::RecordBatch;
 use ci_storage::column::ColumnData;
+use ci_storage::dict::Dictionary;
 use ci_storage::partition::MicroPartition;
 use ci_storage::schema::{Field, Schema, SchemaRef};
 use ci_storage::table::Table;
@@ -22,6 +23,23 @@ use ci_storage::value::{DataType, Value};
 use ci_types::{DetRng, TableId};
 
 const BUCKETS: usize = 64;
+
+/// `vals` over a dictionary that first interns decoys and `vals` in
+/// reverse: other ids than a fresh dictionary's, and unreferenced entries.
+fn foreign(vals: &[String]) -> ColumnData {
+    let mut dict = Dictionary::new();
+    for s in ["zz-decoy", "aa-decoy"]
+        .into_iter()
+        .chain(vals.iter().rev().map(String::as_str))
+    {
+        dict.intern(s);
+    }
+    let ids = vals.iter().map(|s| dict.intern(s)).collect();
+    ColumnData::Dict {
+        ids,
+        dict: Arc::new(dict),
+    }
+}
 
 fn fnv1a(bytes: &[u8]) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
@@ -73,12 +91,6 @@ fn reference_column(table: &Table, col_idx: usize) -> ColumnStats {
                 for &x in v {
                     distinct.insert(x.to_bits());
                     numeric.push(x);
-                }
-            }
-            ColumnData::Utf8(v) => {
-                is_numeric = false;
-                for s in v {
-                    distinct.insert(fnv1a(s.as_bytes()));
                 }
             }
             ColumnData::Bool(v) => {
@@ -222,9 +234,13 @@ fn float_value(r: &mut DetRng) -> f64 {
     }
 }
 
+/// How a generated table holds its strings: each partition over a foreign
+/// dictionary (entries in another order, some never referenced), one
+/// dictionary shared by every partition, a fresh dictionary per partition,
+/// or a mix of fresh and foreign ones.
 #[derive(Clone, Copy, Debug)]
 enum Strings {
-    Plain,
+    Foreign,
     Shared,
     PerPartition,
     Mixed,
@@ -240,7 +256,7 @@ fn table(seed: u64) -> (Table, String) {
     let domain = r.u64_below(6);
     let finite_only = r.bool_with(0.3);
     let strings = *r.choose(&[
-        Strings::Plain,
+        Strings::Foreign,
         Strings::Shared,
         Strings::PerPartition,
         Strings::Mixed,
@@ -273,12 +289,13 @@ fn table(seed: u64) -> (Table, String) {
             })
             .collect();
         let bools = (0..rows).map(|_| r.bool_with(0.5)).collect();
-        let mut s = ColumnData::Utf8(strs);
         let per_part = matches!(strings, Strings::PerPartition)
             || (matches!(strings, Strings::Mixed) && r.bool_with(0.5));
-        if per_part {
-            s = s.dict_encoded();
-        }
+        let s = if per_part {
+            ColumnData::strings(&strs)
+        } else {
+            foreign(&strs)
+        };
         let batch = RecordBatch::new(
             schema.clone(),
             vec![

@@ -712,6 +712,38 @@ mod tests {
         assert_eq!(w.total_spend(), bill);
     }
 
+    /// A memory pin is sized in the simulator's unit, a partition's
+    /// encoded bytes: with a memory tier between `orders`' encoded and
+    /// decoded size the pin quotes, and once applied four scans leave
+    /// exactly `orders`' encoded bytes resident in memory.
+    #[test]
+    fn memory_pin_is_sized_in_the_simulators_unit() {
+        let catalog = CabGenerator::at_scale(0.5).build_catalog().unwrap();
+        let orders = &catalog.get("orders").unwrap().table;
+        let (encoded, decoded) = (orders.total_encoded_bytes(), orders.total_bytes());
+        let mut pricing = TierPricing::standard();
+        pricing.mem.capacity_bytes = (encoded + decoded) / 2;
+        assert!(encoded < pricing.mem.capacity_bytes && pricing.mem.capacity_bytes < decoded);
+        let mut config = WarehouseConfig::default();
+        config.execution.page_source = PageSourceMode::Tiered;
+        config.execution.tier_sim = Some(Arc::new(Mutex::new(TierCacheSim::new(pricing.clone()))));
+        config.execution.tiers = Some(pricing);
+        let mut w = Warehouse::new(catalog, config);
+        let pin = TuningAction::PinTable {
+            table: "orders".into(),
+            tier: TierLevel::Mem,
+        };
+        let quote = w.whatif().evaluate(&pin, &[]).unwrap();
+        assert!(quote.cost_rate > Dollars::ZERO, "{quote:?}");
+        w.apply(&pin).unwrap();
+        for _ in 0..4 {
+            w.submit("SELECT SUM(o_total) FROM orders", Constraint::MinCost)
+                .unwrap();
+        }
+        let sim = w.config.execution.tier_sim.clone().unwrap();
+        assert_eq!(sim.lock().unwrap().resident_bytes(TierLevel::Mem), encoded);
+    }
+
     #[test]
     fn tuning_proposals_from_recurring_workload() {
         let mut w = warehouse(0.05);

@@ -470,7 +470,7 @@ mod tests {
                 dim,
                 vec![
                     ColumnData::Int64((0..1000).collect()),
-                    ColumnData::Utf8((0..1000).map(|i| format!("d{i}")).collect()),
+                    ColumnData::strings((0..1000).map(|i| format!("d{i}"))),
                 ],
             )
             .unwrap(),

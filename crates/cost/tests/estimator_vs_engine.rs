@@ -49,7 +49,7 @@ fn catalog() -> Catalog {
             dim,
             vec![
                 ColumnData::Int64((0..2000).collect()),
-                ColumnData::Utf8((0..2000).map(|i| format!("c{}", i % 20)).collect()),
+                ColumnData::strings((0..2000).map(|i| format!("c{}", i % 20))),
             ],
         )
         .unwrap(),

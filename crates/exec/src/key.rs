@@ -24,20 +24,22 @@
 //! tables are the same either way; only the slot a key sits at differs.
 //!
 //! A string key column's word is an id. The encoder's *base* dictionary for
-//! the column — the authoritative column's own, or none for a raw-string
-//! column — supplies ids `0..base.len()`; a string outside it gets the next
-//! id, `base.len() + k`, from a key-local *extension table* the index owns,
-//! where `k` is the string's first-appearance rank among such strings. Only
+//! the column — the authoritative column's own — supplies ids
+//! `0..base.len()`. A batch over another dictionary (a probe side, a later
+//! aggregation morsel) translates its entries into the base once; a string
+//! outside the base gets the next id, `base.len() + k`, from a key-local
+//! *extension table* the index owns, where `k` is the string's
+//! first-appearance rank among such strings. Only
 //! [`RowEncoder::ids_or_insert`] grows the table. [`RowEncoder::ids`] reads
 //! it, and a string in neither is one word no key stores, so its row gets
 //! [`KeyIndex::MISS`] — which is all a probe of a build side that never held
 //! the string can answer.
 //!
-//! Correctness across encodings rests on one invariant: for a fixed
+//! Correctness across dictionaries rests on one invariant: for a fixed
 //! [`KeyEncoder`] and [`KeyIndex`], a row's words depend only on the row's
 //! *values* and on the strings inserted before it, never on which batch or
-//! column encoding carried them. Two rows with equal values always produce
-//! equal keys; rows with different values never collide.
+//! dictionary carried them. Two rows with equal values always produce equal
+//! keys; rows with different values never collide.
 
 use std::collections::HashMap;
 use std::ops::Range;
@@ -418,15 +420,14 @@ enum KeyMode {
     Bool,
     /// String column, keyed by id: ids below the base dictionary's length
     /// resolve against it, later ones against the index's extension table.
-    /// A raw-string authoritative column has no base (every id is extended).
-    Str(Option<Arc<Dictionary>>),
+    Str(Arc<Dictionary>),
 }
 
 impl KeyMode {
     /// The dictionary a string column's low ids resolve against.
     fn base(&self) -> Option<&Arc<Dictionary>> {
         match self {
-            KeyMode::Str(base) => base.as_ref(),
+            KeyMode::Str(base) => Some(base),
             _ => None,
         }
     }
@@ -464,8 +465,7 @@ impl KeyEncoder {
                 ColumnData::Int64(_) => KeyMode::Int,
                 ColumnData::Float64(_) => KeyMode::Float,
                 ColumnData::Bool(_) => KeyMode::Bool,
-                ColumnData::Dict { dict, .. } => KeyMode::Str(Some(dict.clone())),
-                ColumnData::Utf8(_) => KeyMode::Str(None),
+                ColumnData::Dict { dict, .. } => KeyMode::Str(dict.clone()),
             })
             .collect();
         KeyEncoder {
@@ -480,7 +480,7 @@ impl KeyEncoder {
     fn translation(
         &self,
         col_idx: usize,
-        base: Option<&Arc<Dictionary>>,
+        base: &Dictionary,
         foreign: &Arc<Dictionary>,
     ) -> Arc<Vec<u64>> {
         let cache_key = (col_idx, Arc::as_ptr(foreign) as usize);
@@ -495,10 +495,9 @@ impl KeyEncoder {
                 return table.clone();
             }
         }
-        let base_id = |s| base.and_then(|d| d.id_of(s));
         let table = Arc::new(
             (0..foreign.len() as u32)
-                .map(|id| base_id(foreign.get(id)).map_or(DICT_MISS, u64::from))
+                .map(|id| base.id_of(foreign.get(id)).map_or(DICT_MISS, u64::from))
                 .collect::<Vec<u64>>(),
         );
         cache.insert(cache_key, (foreign.clone(), table.clone()));
@@ -536,7 +535,7 @@ impl KeyEncoder {
                 (KeyMode::Int, ColumnData::Int64(v)) => Ok(ColPlan::I64(v)),
                 (KeyMode::Float, ColumnData::Float64(v)) => Ok(ColPlan::F64(v)),
                 (KeyMode::Bool, ColumnData::Bool(v)) => Ok(ColPlan::Bool(v)),
-                (KeyMode::Str(Some(d)), ColumnData::Dict { ids, dict }) if Arc::ptr_eq(d, dict) => {
+                (KeyMode::Str(base), ColumnData::Dict { ids, dict }) if Arc::ptr_eq(base, dict) => {
                     Ok(ColPlan::Ids(ids))
                 }
                 // Foreign dictionary (probe side, later aggregation
@@ -545,9 +544,8 @@ impl KeyEncoder {
                 (KeyMode::Str(base), ColumnData::Dict { ids, dict }) => Ok(ColPlan::Translated(
                     ids,
                     dict,
-                    self.translation(i, base.as_ref(), dict),
+                    self.translation(i, base, dict),
                 )),
-                (KeyMode::Str(base), ColumnData::Utf8(v)) => Ok(ColPlan::Utf8(v, base.as_deref())),
                 // Type mismatch (e.g. probing an int build key with a float
                 // column): no row can equal a stored key.
                 _ => Err(i),
@@ -569,10 +567,10 @@ impl KeyEncoder {
             KeyMode::Float => Value::Float(f64::from_bits(word)),
             KeyMode::Bool => Value::Bool(word != 0),
             KeyMode::Str(base) => {
-                let base_len = self.modes[col].base_len();
-                let s = match base {
-                    Some(d) if word < base_len => d.get(word as u32),
-                    _ => index.extensions[col].get((word - base_len) as u32),
+                let base_len = base.len() as u64;
+                let s = match word.checked_sub(base_len) {
+                    None => base.get(word as u32),
+                    Some(k) => index.extensions[col].get(k as u32),
                 };
                 Value::Str(s.to_owned())
             }
@@ -668,9 +666,6 @@ enum ColPlan<'a> {
     /// into the base dictionary; `DICT_MISS` entries resolve by string
     /// against the extension table.
     Translated(&'a [u32], &'a Dictionary, Arc<Vec<u64>>),
-    /// Raw strings, resolved per row: base dictionary (if any), then the
-    /// extension table.
-    Utf8(&'a [String], Option<&'a Dictionary>),
 }
 
 /// The one row loop of the batch encoder: writes `word(&v[row])` for each
@@ -753,12 +748,6 @@ impl ColPlan<'_> {
                     }
                 }
             }
-            ColPlan::Utf8(v, base) => scatter(out, stride, rows, v, |s| {
-                match base.and_then(|d| d.id_of(s)) {
-                    Some(id) => u64::from(id),
-                    None => extensions.word(c, base_len, s),
-                }
-            }),
         }
     }
 }
@@ -870,14 +859,36 @@ pub fn key_columns<'a>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ci_storage::value::DataType;
     use proptest::prelude::*;
 
     fn dict_col(vals: &[&str]) -> ColumnData {
-        ColumnData::Utf8(vals.iter().map(|s| (*s).to_owned()).collect()).dict_encoded()
+        ColumnData::strings(vals)
     }
 
-    fn raw_col(vals: &[&str]) -> ColumnData {
-        ColumnData::Utf8(vals.iter().map(|s| (*s).to_owned()).collect())
+    /// `col`'s strings over a dictionary that first interns decoys and the
+    /// strings in reverse: other ids, and entries no row references.
+    fn foreign(col: ColumnData) -> ColumnData {
+        let Some((ids, dict)) = col.as_dict() else {
+            return col;
+        };
+        let mut other = Dictionary::new();
+        let vals = ids.iter().map(|&id| dict.get(id));
+        for s in ["zz-decoy", "aa-decoy"]
+            .into_iter()
+            .chain(vals.clone().rev())
+        {
+            other.intern(s);
+        }
+        let ids = vals.map(|s| other.intern(s)).collect();
+        ColumnData::Dict {
+            ids,
+            dict: Arc::new(other),
+        }
+    }
+
+    fn foreign_col(vals: &[&str]) -> ColumnData {
+        foreign(dict_col(vals))
     }
 
     /// Inserts every row of `cols` into `index`; returns the row ids.
@@ -954,15 +965,19 @@ mod tests {
         );
     }
 
+    /// An authoritative column over an empty dictionary (an empty first
+    /// morsel) leaves every string to the extension table.
     #[test]
     fn raw_string_keys_are_extension_words() {
-        let strs = raw_col(&["a", "b", "a"]);
-        // No base dictionary: the words are first-appearance ranks.
-        assert_eq!(encode_all(&[&strs]), [[0], [1], [0]]);
-        // A dict-encoded probe of the raw-string build matches by value.
-        let enc = KeyEncoder::for_columns(&[&strs]);
+        let strs = foreign_col(&["a", "b", "a"]);
+        let empty = ColumnData::empty(DataType::Utf8);
+        // An empty base dictionary: the words are first-appearance ranks.
+        let enc = KeyEncoder::for_columns(&[&empty]);
         let mut index = enc.new_index(0);
         assert_eq!(insert(&enc, &mut index, &[&strs]), [0, 1, 0]);
+        let words: Vec<u64> = (0..2).map(|id| index.key(id)[0]).collect();
+        assert_eq!(words, [0, 1]);
+        // A probe over yet another dictionary matches by value.
         let probe = dict_col(&["b", "q", "a"]);
         assert_eq!(lookup(&enc, &index, &[&probe]), [1, KeyIndex::MISS, 0]);
         assert_eq!(key_values(&enc, &index, 1), [Value::from("b")]);
@@ -974,7 +989,7 @@ mod tests {
         let strs = dict_col(&["x"]);
         let floats = ColumnData::Float64(vec![-0.0]);
         let bools = ColumnData::Bool(vec![true]);
-        let raws = raw_col(&["y"]);
+        let raws = foreign_col(&["y"]);
         let cols: Vec<&ColumnData> = vec![&ints, &strs, &floats, &bools, &raws];
         let enc = KeyEncoder::for_columns(&cols);
         let mut index = enc.new_index(0);
@@ -996,9 +1011,10 @@ mod tests {
         // Probe column interned in a different order, plus a miss.
         let probe = dict_col(&["c", "q", "a"]);
         assert_eq!(lookup(&enc, &index, &[&probe]), [2, KeyIndex::MISS, 0]);
-        // Looking up inserted nothing: `q` still misses, as raw string too.
+        // Looking up inserted nothing: `q` still misses, over any
+        // dictionary.
         assert_eq!(
-            lookup(&enc, &index, &[&raw_col(&["q", "b"])]),
+            lookup(&enc, &index, &[&foreign_col(&["q", "b"])]),
             [KeyIndex::MISS, 1]
         );
     }
@@ -1035,8 +1051,8 @@ mod tests {
         let enc = KeyEncoder::for_columns(&cols);
         let mut index = enc.new_index(0);
         assert_eq!(insert(&enc, &mut index, &cols), [0, 1]);
-        // A later morsel carries raw strings, two of them unseen.
-        let later = raw_col(&["b", "q", "z", "q"]);
+        // A later morsel carries another dictionary, two strings unseen.
+        let later = foreign_col(&["b", "q", "z", "q"]);
         assert_eq!(
             lookup(&enc, &index, &[&later]),
             [1, KeyIndex::MISS, KeyIndex::MISS, KeyIndex::MISS]
@@ -1067,7 +1083,7 @@ mod tests {
         );
         assert_eq!(key_values(&enc, &index, 0), [Value::from("a"), 1.into()]);
         // A later morsel with an unseen string spills; the entry carries it.
-        let later = raw_col(&["q"]);
+        let later = foreign_col(&["q"]);
         let later_ints = ColumnData::Int64(vec![9]);
         assert_eq!(insert(&enc, &mut index, &[&later, &later_ints]), [2]);
         assert_eq!(
@@ -1075,11 +1091,16 @@ mod tests {
             Some(DictKeyEntry::Spilled("q"))
         );
         assert_eq!(key_values(&enc, &index, 2), [Value::from("q"), 9.into()]);
-        // A raw-string key column is not dict-mode: it decodes by value.
-        let raw_enc = KeyEncoder::for_columns(&[&later]);
-        let mut raw_index = raw_enc.new_index(0);
-        insert(&raw_enc, &mut raw_index, &[&later]);
-        assert_eq!(raw_enc.dict_entry(&raw_index, 0, 0), None);
+        // Every string key column is dict-mode: over its own dictionary the
+        // later morsel's key is an id, not a spill.
+        let own_enc = KeyEncoder::for_columns(&[&later]);
+        let mut own_index = own_enc.new_index(0);
+        insert(&own_enc, &mut own_index, &[&later]);
+        let q = later.as_dict().unwrap().0[0];
+        assert_eq!(
+            own_enc.dict_entry(&own_index, 0, 0),
+            Some(DictKeyEntry::Id(q))
+        );
     }
 
     #[test]
@@ -1108,9 +1129,9 @@ mod tests {
         assert!(key_columns(&cols, &[1]).is_err());
     }
 
-    /// One generated row: `(shape, a, b)`. Shape 0 keys a raw string, shape
-    /// 1 a six-column composite ending in a raw string, shape 2 one int from
-    /// a pool wide enough to drive the directory through several doublings.
+    /// One generated row: `(shape, a, b)`. Shape 0 keys a string, shape 1 a
+    /// six-column composite ending in a string, shape 2 one int from a pool
+    /// wide enough to drive the directory through several doublings.
     fn key_values_of(shape: usize, a: i64, b: usize) -> Vec<Value> {
         match shape {
             0 => vec![Value::Str(format!("s{b}"))],
@@ -1126,16 +1147,17 @@ mod tests {
         }
     }
 
-    /// `keys` as key columns; a string column is dict-encoded (each batch
-    /// with a dictionary of its own) when `dict` says so.
+    /// `keys` as key columns, each batch's strings over a dictionary of
+    /// its own: a fresh one when `dict` says so, else a [`foreign`] one.
     fn columns_of(keys: &[Vec<Value>], arity: usize, dict: bool) -> Vec<ColumnData> {
         (0..arity)
             .map(|c| {
                 let mut col = ColumnData::with_capacity(keys[0][c].data_type(), keys.len());
                 keys.iter().for_each(|k| col.push(k[c].clone()).unwrap());
-                match col {
-                    ColumnData::Utf8(_) if dict => col.dict_encoded(),
-                    col => col,
+                if dict {
+                    col
+                } else {
+                    foreign(col)
                 }
             })
             .collect()
@@ -1145,8 +1167,8 @@ mod tests {
         /// Encoder + index against `std`: ids are first-appearance ranks of
         /// the row *values*, lookups agree with the map for present and
         /// absent keys, and `key_value_at` returns the keys in insertion
-        /// order — for raw-string, six-column and int keys fed in batches
-        /// that arrive raw or under their own dictionaries.
+        /// order — for string, six-column and int keys fed in batches that
+        /// arrive under fresh or foreign dictionaries of their own.
         #[test]
         fn key_index_matches_std_oracle(
             shape in 0usize..3,

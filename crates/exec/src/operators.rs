@@ -9,12 +9,11 @@
 //! defaults (`COUNT = 0`, `SUM = 0`, `AVG = 0.0`, `MIN`/`MAX` = type zero)
 //! instead of SQL NULL; and with no NULL to overflow into, a `SUM` over
 //! `Int64` that leaves the `i64` range is a typed `CiError::Exec` naming the
-//! aggregate, never a wrapped value. Columns are non-nullable in both string
-//! encodings: dict-encoded (`ColumnData::Dict`) and owned
-//! (`ColumnData::Utf8`) columns flow through every operator interchangeably
-//! — operators read strings by reference (`str_at`) and key them by
-//! dictionary id where possible, so the conventions here are about values,
-//! never about encodings.
+//! aggregate, never a wrapped value. Columns are non-nullable, and a string
+//! column is always dictionary ids (`ColumnData::Dict`): operators read
+//! strings by reference (`str_at`) and key them by id, translating a batch
+//! over another dictionary once per dictionary, so the conventions here are
+//! about values, never about which dictionary carried them.
 //!
 //! Both hash operators sit on one [`KeyIndex`] and run a morsel as *encode
 //! batch → id vector → consume ids*: a [`KeyEncoder`] turns the key columns
@@ -153,11 +152,11 @@ fn coerce(col: ColumnData, want: DataType) -> Result<ColumnData> {
 /// a probe batch that carries no selection, the probe side of the output is
 /// the probe's own column `Arc`s — the *pass-through*, no copy.
 ///
-/// Chunks whose columns would not append without conversion (a dict column
-/// over another dictionary than the first chunk's, a mix of string
-/// encodings) or that are too many to locate in a `u32` are first made one
-/// chunk by [`RecordBatch::concat`], so the output's column encodings and
-/// dictionaries are always those the concatenated build would have.
+/// Chunks whose columns would not append without conversion (a string
+/// column over another dictionary than the first chunk's) or that are too
+/// many to locate in a `u32` are first made one chunk by
+/// [`RecordBatch::concat`], so the output's dictionaries are always those
+/// the concatenated build would have.
 #[derive(Debug)]
 pub struct JoinHashTable {
     key_positions: Vec<usize>,
@@ -196,15 +195,13 @@ fn locatable(chunks: usize, shift: u32) -> bool {
 }
 
 /// Whether `chunk`'s columns append to `first`'s as they are: the same
-/// schema, column variants and dictionaries.
+/// schema (so the same column variants) and dictionaries.
 fn appends_as_is(first: &RecordBatch, chunk: &RecordBatch) -> bool {
     first.schema() == chunk.schema()
         && (first.columns().iter().zip(chunk.columns())).all(|(a, b)| {
-            match (a.as_ref(), b.as_ref()) {
-                (ColumnData::Dict { dict: x, .. }, ColumnData::Dict { dict: y, .. }) => {
-                    Arc::ptr_eq(x, y)
-                }
-                (a, b) => std::mem::discriminant(a) == std::mem::discriminant(b),
+            match (a.as_dict(), b.as_dict()) {
+                (Some((_, x)), Some((_, y))) => Arc::ptr_eq(x, y),
+                _ => true,
             }
         })
 }
@@ -237,7 +234,7 @@ fn gather_located(parts: &[&ColumnData], locations: &[u32], shift: u32) -> Resul
     fn dict_ids(c: &ColumnData) -> Result<&[u32]> {
         c.as_dict()
             .map(|(ids, _)| ids)
-            .ok_or_else(|| CiError::Exec("join build chunks mix string encodings".into()))
+            .ok_or_else(|| CiError::Exec(format!("expected VARCHAR column, got {}", c.data_type())))
     }
     let first = parts
         .first()
@@ -251,9 +248,6 @@ fn gather_located(parts: &[&ColumnData], locations: &[u32], shift: u32) -> Resul
         }
         ColumnData::Bool(_) => {
             ColumnData::Bool(pick(&slices(parts, ColumnData::as_bool)?, locations, shift))
-        }
-        ColumnData::Utf8(_) => {
-            ColumnData::Utf8(pick(&slices(parts, ColumnData::as_str)?, locations, shift))
         }
         ColumnData::Dict { dict, .. } => ColumnData::Dict {
             ids: pick(&slices(parts, dict_ids)?, locations, shift),
@@ -981,7 +975,6 @@ enum SortCol<'a> {
     I64(&'a [i64]),
     F64(&'a [f64]),
     Bool(&'a [bool]),
-    Utf8(&'a [String]),
     /// Dict ids plus the dictionary's lexicographic rank per id. Only built
     /// when every buffered batch shares one dictionary `Arc`, so ranks from
     /// different readers are mutually comparable.
@@ -1013,7 +1006,6 @@ impl<'a> SortCol<'a> {
                     ColumnData::Int64(v) => SortCol::I64(v),
                     ColumnData::Float64(v) => SortCol::F64(v),
                     ColumnData::Bool(v) => SortCol::Bool(v),
-                    ColumnData::Utf8(v) => SortCol::Utf8(v),
                     ColumnData::Dict { ids, dict } => match &shared_ranks {
                         Some(ranks) => SortCol::DictRank(ids, ranks.clone()),
                         None => SortCol::DictStr(ids, dict),
@@ -1026,7 +1018,6 @@ impl<'a> SortCol<'a> {
     /// Borrowed string at row `i`; `None` from a non-string reader.
     fn str_at(&self, i: usize) -> Option<&str> {
         match self {
-            SortCol::Utf8(v) => Some(&v[i]),
             SortCol::DictStr(ids, dict) => Some(dict.get(ids[i])),
             _ => None,
         }
@@ -1034,7 +1025,7 @@ impl<'a> SortCol<'a> {
 
     /// Compares row `a` of one batch's reader against row `b` of another's
     /// (both readers cover the same key column, so variants agree up to
-    /// string encoding).
+    /// rank table).
     fn cmp_across(a_col: &SortCol, a: usize, b_col: &SortCol, b: usize) -> Ordering {
         match (a_col, b_col) {
             (SortCol::I64(x), SortCol::I64(y)) => x[a].cmp(&y[b]),
@@ -1203,15 +1194,26 @@ mod tests {
     #[test]
     fn chunks_that_would_convert_join_as_their_concat() {
         let schema = schema2(DataType::Int64, DataType::Utf8);
-        let chunk = |keys: Vec<i64>, names: &[&str], dict: bool| {
-            let names = ColumnData::Utf8(names.iter().map(|&s| s.to_owned()).collect());
-            let names = if dict { names.dict_encoded() } else { names };
+        // A fresh dictionary, or one that first interns decoys and the
+        // names in reverse: other ids, and entries no row references.
+        let chunk = |keys: Vec<i64>, names: &[&str], fresh: bool| {
+            let mut dict = Dictionary::new();
+            if !fresh {
+                for s in ["zz", "aa"].iter().chain(names.iter().rev()) {
+                    dict.intern(s);
+                }
+            }
+            let ids = names.iter().map(|s| dict.intern(s)).collect();
+            let names = ColumnData::Dict {
+                ids,
+                dict: Arc::new(dict),
+            };
             RecordBatch::new(schema.clone(), vec![ColumnData::Int64(keys), names]).unwrap()
         };
         let out_schema = joined_schema(&schema);
         let probe = chunk(vec![2, 7, 1, 2], &["x", "y", "z", "w"], false);
-        // Two dictionaries, then a raw-string chunk after a dict one and
-        // the reverse: none appends without re-interning or decoding.
+        // Two fresh dictionaries, then a foreign one after a fresh one and
+        // the reverse: none appends without re-interning.
         for (first_dict, second_dict) in [(true, true), (true, false), (false, true)] {
             let chunks = [
                 chunk(vec![1, 2], &["a", "b"], first_dict),
@@ -1226,15 +1228,13 @@ mod tests {
             assert_eq!(rows_of(&got), nested_loop(&concat, &probe));
             assert_eq!(got, want);
             let (got, want) = (got.column(3), want.column(3));
+            let ((got_ids, got_dict), (ids, dict)) =
+                (got.as_dict().unwrap(), want.as_dict().unwrap());
             assert_eq!(
-                got.as_dict().is_some(),
-                first_dict,
-                "the first chunk's form"
+                (got_ids, got_dict.as_ref()),
+                (ids, dict.as_ref()),
+                "the concat's dictionary"
             );
-            if let (Some((got_ids, got_dict)), Some((ids, dict))) = (got.as_dict(), want.as_dict())
-            {
-                assert_eq!((got_ids, got_dict.as_ref()), (ids, dict.as_ref()));
-            }
             // Inserting after finalize is refused; finalize is idempotent.
             assert!(ht.insert_batch(probe.clone()).is_err());
             ht.finalize().unwrap();
@@ -1631,7 +1631,7 @@ mod tests {
             Field::new("s0", DataType::Utf8),
             Field::new("s1", DataType::Int64),
         ]));
-        let grp = ColumnData::Utf8(vec!["b".into(), "a".into(), "b".into()]).dict_encoded();
+        let grp = ColumnData::strings(["b", "a", "b"]);
         let in_dict = grp.as_dict().unwrap().1.clone();
         let input = RecordBatch::new(schema, vec![grp, ColumnData::Int64(vec![1, 2, 3])]).unwrap();
         let out = Arc::new(Schema::of(vec![
@@ -1678,10 +1678,7 @@ mod tests {
         ]));
         let late = RecordBatch::new(
             schema2,
-            vec![
-                ColumnData::Utf8(vec!["q".into()]),
-                ColumnData::Int64(vec![9]),
-            ],
+            vec![ColumnData::strings(["q"]), ColumnData::Int64(vec![9])],
         )
         .unwrap();
         let mut st = mk();
@@ -1767,16 +1764,8 @@ mod tests {
         // rank tables are per-dictionary and incomparable, so the sorter
         // must fall back to value comparisons.
         let schema = Arc::new(Schema::of(vec![Field::new("s0", DataType::Utf8)]));
-        let b1 = RecordBatch::new(
-            schema.clone(),
-            vec![ColumnData::Utf8(vec!["m".into(), "c".into()]).dict_encoded()],
-        )
-        .unwrap();
-        let b2 = RecordBatch::new(
-            schema.clone(),
-            vec![ColumnData::Utf8(vec!["a".into(), "z".into()]).dict_encoded()],
-        )
-        .unwrap();
+        let b1 = RecordBatch::new(schema.clone(), vec![ColumnData::strings(["m", "c"])]).unwrap();
+        let b2 = RecordBatch::new(schema.clone(), vec![ColumnData::strings(["a", "z"])]).unwrap();
         assert!(!Arc::ptr_eq(
             b1.column(0).as_dict().unwrap().1,
             b2.column(0).as_dict().unwrap().1
@@ -1785,15 +1774,11 @@ mod tests {
         sb.push(b1);
         sb.push(b2);
         let out = sb.finalize().unwrap();
-        assert_eq!(
-            out.column(0),
-            &ColumnData::Utf8(vec!["a".into(), "c".into(), "m".into(), "z".into()])
-        );
+        assert_eq!(out.column(0), &ColumnData::strings(["a", "c", "m", "z"]));
 
         // Shared-dictionary batches keep the integer rank fast path and
         // produce the same order.
-        let table =
-            ColumnData::Utf8(vec!["m".into(), "c".into(), "a".into(), "z".into()]).dict_encoded();
+        let table = ColumnData::strings(["m", "c", "a", "z"]);
         let shared = RecordBatch::new(schema.clone(), vec![table]).unwrap();
         let mut sb = SortBuffer::new(schema, vec![(0, true)]);
         sb.push(shared.slice(0, 2).unwrap());

@@ -51,11 +51,7 @@ fn catalog() -> Catalog {
             cust,
             vec![
                 ColumnData::Int64((0..N_CUST).collect()),
-                ColumnData::Utf8(
-                    (0..N_CUST)
-                        .map(|i| if i % 2 == 0 { "EU".into() } else { "US".into() })
-                        .collect(),
-                ),
+                ColumnData::strings((0..N_CUST).map(|i| if i % 2 == 0 { "EU" } else { "US" })),
             ],
         )
         .unwrap(),

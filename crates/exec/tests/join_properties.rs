@@ -20,6 +20,29 @@ use ci_storage::value::{DataType, Value};
 use ci_types::Result;
 use proptest::prelude::*;
 
+/// `col`'s strings over a *foreign* dictionary: one that first interns
+/// decoys and the strings in reverse, so its ids differ from a fresh
+/// dictionary's and it holds entries no row references. Other columns are
+/// returned as they are.
+fn foreign(col: ColumnData) -> ColumnData {
+    let Some((ids, dict)) = col.as_dict() else {
+        return col;
+    };
+    let mut other = Dictionary::new();
+    let vals = ids.iter().map(|&id| dict.get(id));
+    for s in ["zz-decoy", "aa-decoy"]
+        .into_iter()
+        .chain(vals.clone().rev())
+    {
+        other.intern(s);
+    }
+    let ids = vals.map(|s| other.intern(s)).collect();
+    ColumnData::Dict {
+        ids,
+        dict: Arc::new(other),
+    }
+}
+
 /// The key layouts the encoder and index treat differently.
 #[derive(Clone, Copy, Debug)]
 enum KeyShape {
@@ -28,19 +51,21 @@ enum KeyShape {
     /// Int + dict-encoded string; every batch built here interns its own
     /// dictionary, so the other side's is always foreign.
     IntDict,
-    /// Raw strings: no base dictionary, every id from the extension table.
-    RawUtf8,
+    /// Strings over a foreign dictionary in every batch: sparse ids, and
+    /// unreferenced entries on both sides.
+    Foreign,
     /// Five int columns: one word past the widest `const N` probe.
     Wide,
-    /// Eight columns — ints, a dict-encoded string (column 1) and a raw
-    /// string — whose first four agree on many rows that differ later.
+    /// Eight columns — ints, a fresh-dictionary string (column 1) and a
+    /// foreign-dictionary string (column 5) — whose first four agree on many
+    /// rows that differ later.
     Wide8,
 }
 
 const SHAPES: [KeyShape; 5] = [
     KeyShape::Int,
     KeyShape::IntDict,
-    KeyShape::RawUtf8,
+    KeyShape::Foreign,
     KeyShape::Wide,
     KeyShape::Wide8,
 ];
@@ -53,7 +78,7 @@ fn key_types(shape: KeyShape) -> Vec<DataType> {
     match shape {
         KeyShape::Int => vec![DataType::Int64],
         KeyShape::IntDict => vec![DataType::Int64, DataType::Utf8],
-        KeyShape::RawUtf8 => vec![DataType::Utf8],
+        KeyShape::Foreign => vec![DataType::Utf8],
         KeyShape::Wide => vec![DataType::Int64; 5],
         KeyShape::Wide8 => {
             use DataType::{Int64, Utf8};
@@ -68,7 +93,7 @@ fn key_values(shape: KeyShape, (a, s): RawRow) -> Vec<Value> {
     match shape {
         KeyShape::Int => vec![Value::Int(a)],
         KeyShape::IntDict => vec![Value::Int(a), text],
-        KeyShape::RawUtf8 => vec![text],
+        KeyShape::Foreign => vec![text],
         KeyShape::Wide => [a, s as i64, a & 1, -a, a + s as i64]
             .map(Value::Int)
             .to_vec(),
@@ -102,8 +127,13 @@ fn table(shape: KeyShape, rows: &[RawRow], payload: &[i64]) -> RecordBatch {
             col.push(v).expect("typed push");
         }
     }
-    if matches!(shape, KeyShape::IntDict | KeyShape::Wide8) {
-        columns[1] = columns[1].dict_encoded();
+    let foreign_at = match shape {
+        KeyShape::Foreign => Some(0),
+        KeyShape::Wide8 => Some(5),
+        _ => None,
+    };
+    if let Some(c) = foreign_at {
+        columns[c] = foreign(columns[c].clone());
     }
     columns.push(ColumnData::Int64(payload.to_vec()));
     let fields = types
@@ -367,9 +397,9 @@ enum ColKind {
     /// A dict column with its own dictionary: `v4`, `v5` are outside the
     /// encoder's.
     Translated,
-    /// Raw strings resolved per row: `v4`, `v5` are outside the encoder's
-    /// dictionary.
-    Utf8,
+    /// A dict column over a foreign dictionary (decoys, unreferenced
+    /// entries, another order): `v4`, `v5` are outside the encoder's.
+    Foreign,
     /// A float column where the encoder expects ints.
     Mismatch,
 }
@@ -380,12 +410,12 @@ const COL_KINDS: [ColKind; 7] = [
     ColKind::Bool,
     ColKind::Ids,
     ColKind::Translated,
-    ColKind::Utf8,
+    ColKind::Foreign,
     ColKind::Mismatch,
 ];
 
 fn strings(indices: impl Iterator<Item = usize>) -> ColumnData {
-    ColumnData::Utf8(indices.map(|s| format!("v{s}")).collect())
+    ColumnData::strings(indices.map(|s| format!("v{s}")))
 }
 
 /// The column the encoder derives its mode from.
@@ -394,7 +424,7 @@ fn authoritative(kind: ColKind) -> ColumnData {
         ColKind::I64 | ColKind::Mismatch => ColumnData::Int64(vec![0]),
         ColKind::F64 => ColumnData::Float64(vec![0.0]),
         ColKind::Bool => ColumnData::Bool(vec![false]),
-        ColKind::Ids | ColKind::Translated | ColKind::Utf8 => strings(0..4).dict_encoded(),
+        ColKind::Ids | ColKind::Translated | ColKind::Foreign => strings(0..4),
     }
 }
 
@@ -414,8 +444,8 @@ fn batch_column(kind: ColKind, rows: &[RawRow], auth: &ColumnData) -> ColumnData
                 dict: dict.clone(),
             }
         }
-        ColKind::Translated => strings(rows.iter().map(|r| r.1)).dict_encoded(),
-        ColKind::Utf8 => strings(rows.iter().map(|r| r.1)),
+        ColKind::Translated => strings(rows.iter().map(|r| r.1)),
+        ColKind::Foreign => foreign(strings(rows.iter().map(|r| r.1))),
     }
 }
 
@@ -435,7 +465,7 @@ fn reference_word(
         ColKind::F64 => Some((a as f64 / 2.0).to_bits()),
         ColKind::Bool => Some(u64::from(a & 1 == 1)),
         ColKind::Ids => dict.id_of(&format!("v{}", s % 4)).map(u64::from),
-        ColKind::Translated | ColKind::Utf8 => match dict.id_of(&format!("v{s}")) {
+        ColKind::Translated | ColKind::Foreign => match dict.id_of(&format!("v{s}")) {
             Some(id) => Some(u64::from(id)),
             None => {
                 if insert && !unseen.contains(&s) {
@@ -735,15 +765,16 @@ proptest! {
 }
 
 /// The argument column of the `DISTINCT` case: pool entry `v` as `kind`'s
-/// type. Strings arrive dict-encoded (each morsel its own dictionary) or
-/// raw, so later morsels bring strings the first one's dictionary lacks.
+/// type. Strings arrive over a fresh or a foreign dictionary of each
+/// morsel's own, so later morsels bring strings the first one's dictionary
+/// lacks.
 fn distinct_arg(kind: DataType, pool: &[usize], dict: bool) -> ColumnData {
     const FLOATS: [f64; 8] = [1.0, 1e16, -1e16, 0.0, -0.0, f64::NAN, 0.1, -0.7];
     match kind {
         DataType::Int64 => ColumnData::Int64(pool.iter().map(|&v| v as i64 * 5 - 11).collect()),
         DataType::Float64 => ColumnData::Float64(pool.iter().map(|&v| FLOATS[v]).collect()),
-        _ if dict => strings(pool.iter().copied()).dict_encoded(),
-        _ => strings(pool.iter().copied()),
+        _ if dict => strings(pool.iter().copied()),
+        _ => foreign(strings(pool.iter().copied())),
     }
 }
 
@@ -793,7 +824,7 @@ proptest! {
     /// (f) `COUNT` / `SUM` / `AVG` / `MIN` / `MAX(DISTINCT x)` per group equal
     /// the scan oracle bit for bit — over ints, floats (NaN, both zeros and
     /// an order-sensitive 1e16 pair, distinct by bit pattern) and strings
-    /// that arrive raw or under per-morsel dictionaries — whatever the
+    /// that arrive under fresh or foreign per-morsel dictionaries — whatever the
     /// morsel cut. Fails when the distinct set is folded in arrival order.
     #[test]
     fn distinct_aggregates_equal_scan_oracle(
@@ -930,10 +961,9 @@ fn string_int_batch(rows: &[(&str, i64)], dict: Option<&ColumnData>) -> RecordBa
         Field::new("s1", DataType::Int64),
         Field::new("s2", DataType::Int64),
     ]));
-    let raw = ColumnData::Utf8(rows.iter().map(|r| r.0.to_owned()).collect());
     let strs = match dict {
-        // Raw strings.
-        None => raw,
+        // A foreign dictionary of the batch's own.
+        None => foreign(ColumnData::strings(rows.iter().map(|r| r.0))),
         // Ids into the shared dictionary of `shared` (every string present).
         Some(shared) => {
             let (_, dict) = shared.as_dict().expect("dict column");
@@ -953,8 +983,8 @@ fn string_int_batch(rows: &[(&str, i64)], dict: Option<&ColumnData>) -> RecordBa
 
 /// (c) A string outside the dictionary in the middle of a morsel stream: the
 /// first morsels key 40 `(dict string, int)` groups by dictionary id (the
-/// directory has doubled from 8 to 128 slots by then), a raw-string morsel
-/// brings the first strings outside the dictionary, a foreign-dictionary
+/// directory has doubled from 8 to 128 slots by then), a morsel over a
+/// dictionary of its own brings the first strings outside the dictionary, a foreign-dictionary
 /// morsel repeats them and adds one, and a last morsel on the original
 /// dictionary must land in the groups the first made. Group order, counts
 /// and sums equal the scan oracle's. Fails when extension ids start at 0
@@ -962,12 +992,11 @@ fn string_int_batch(rows: &[(&str, i64)], dict: Option<&ColumnData>) -> RecordBa
 #[test]
 fn string_outside_dictionary_mid_stream_keeps_ids_order_and_accumulators() {
     let names = ["v0", "v1", "v2", "v3"];
-    let shared = ColumnData::Utf8(names.map(str::to_owned).to_vec()).dict_encoded();
+    let shared = ColumnData::strings(names);
     let grid: Vec<(&str, i64)> = (0..40).map(|i| (names[i % 4], (i / 4) as i64)).collect();
     let unseen: Vec<(&str, i64)> = vec![("v1", 3), ("zz", 0), ("v3", 9), ("zz", 0), ("yy", 1)];
     let foreign: Vec<(&str, i64)> = vec![("zz", 0), ("v0", 0), ("xx", 2), ("yy", 1), ("v2", 8)];
-    let foreign_col =
-        ColumnData::Utf8(foreign.iter().map(|r| r.0.to_owned()).collect()).dict_encoded();
+    let foreign_col = ColumnData::strings(foreign.iter().map(|r| r.0));
     let morsels = [
         string_int_batch(&grid[..25], Some(&shared)),
         string_int_batch(&grid[10..], Some(&shared)),
@@ -1130,7 +1159,8 @@ fn type_mismatched_probe_key_matches_nothing() {
 /// morsel) must not show in the output: both equal the nested-loop
 /// reference row for row, and each other in every column's `ColumnData`
 /// variant and dictionary `Arc` — for distinct and duplicate build keys,
-/// int, dict and raw-string keys, every payload type, and probe batches
+/// int, fresh- and foreign-dictionary string keys, every payload type, and
+/// probe batches
 /// with and without a selection.
 mod chunked_builds {
     use super::*;
@@ -1145,15 +1175,17 @@ mod chunked_builds {
         /// Dict-encoded: the build side's chunks share one dictionary, the
         /// probe side carries its own.
         Dict,
-        Utf8,
+        /// Both sides over foreign dictionaries: sparse ids, unreferenced
+        /// entries.
+        Foreign,
     }
 
     fn key_column(kind: KeyKind, keys: &[i64]) -> ColumnData {
-        let strings = || ColumnData::Utf8(keys.iter().map(|k| format!("k{k}")).collect());
+        let strings = || ColumnData::strings(keys.iter().map(|k| format!("k{k}")));
         match kind {
             KeyKind::Int => ColumnData::Int64(keys.to_vec()),
-            KeyKind::Dict => strings().dict_encoded(),
-            KeyKind::Utf8 => strings(),
+            KeyKind::Dict => strings(),
+            KeyKind::Foreign => foreign(strings()),
         }
     }
 
@@ -1173,19 +1205,20 @@ mod chunked_builds {
             ColumnData::Int64((0..n).collect()),
             ColumnData::Float64((0..n).map(|r| r as f64 / 4.0).collect()),
             ColumnData::Bool((0..n).map(|r| r % 3 == 0).collect()),
-            ColumnData::Utf8((0..n).map(text).collect()).dict_encoded(),
-            ColumnData::Utf8((0..n).map(|r| text(r * 7)).collect()),
+            ColumnData::strings((0..n).map(text)),
+            foreign(ColumnData::strings((0..n).map(|r| text(r * 7)))),
         ])
     }
 
-    /// The probe side: key, a tag, a dict and a raw string column.
+    /// The probe side: key, a tag, a fresh- and a foreign-dictionary string
+    /// column.
     fn probe_batch(kind: KeyKind, keys: &[i64]) -> RecordBatch {
         let n = keys.len() as i64;
         batch(vec![
             key_column(kind, keys),
             ColumnData::Int64((0..n).collect()),
-            ColumnData::Utf8((0..n).map(|r| format!("p{}", r % 3)).collect()).dict_encoded(),
-            ColumnData::Utf8((0..n).map(|r| format!("q{r}")).collect()),
+            ColumnData::strings((0..n).map(|r| format!("p{}", r % 3))),
+            foreign(ColumnData::strings((0..n).map(|r| format!("q{r}")))),
         ])
     }
 
@@ -1236,7 +1269,7 @@ mod chunked_builds {
                 0..8,
             ),
             distinct in any::<bool>(),
-            kind in proptest::sample::select(vec![KeyKind::Int, KeyKind::Dict, KeyKind::Utf8]),
+            kind in proptest::sample::select(vec![KeyKind::Int, KeyKind::Dict, KeyKind::Foreign]),
             selected in any::<bool>(),
         ) {
             // Distinct keys: as many, each once, scrambled (7 is invertible

@@ -74,7 +74,7 @@ fn catalog() -> Catalog {
             cust,
             vec![
                 ColumnData::Int64((0..N_CUST).collect()),
-                ColumnData::Utf8((0..N_CUST).map(|i| format!("region-{}", i % 5)).collect()),
+                ColumnData::strings((0..N_CUST).map(|i| format!("region-{}", i % 5))),
             ],
         )
         .unwrap(),

@@ -13,6 +13,7 @@ use ci_exec::operators::{apply_filter, apply_project, AggregateState, JoinHashTa
 use ci_plan::expr::{AggExpr, BinOp, ColMap, PlanExpr};
 use ci_sql::ast::AggFunc;
 use ci_storage::column::ColumnData;
+use ci_storage::dict::Dictionary;
 use ci_storage::schema::{Field, Schema, SchemaRef};
 use ci_storage::value::{DataType, Value};
 use ci_storage::{RecordBatch, SelectionVector};
@@ -26,10 +27,27 @@ fn schema2() -> SchemaRef {
     ]))
 }
 
+/// `strs` and an int payload; the strings over a fresh dictionary when
+/// `dict` says so, else over a foreign one that first interns decoys and
+/// `strs` in reverse (other ids, unreferenced entries).
 fn batch(strs: &[String], dict: bool) -> RecordBatch {
     let ints: Vec<i64> = (0..strs.len() as i64).map(|i| i * 5 % 23).collect();
-    let col = ColumnData::Utf8(strs.to_vec());
-    let col = if dict { col.dict_encoded() } else { col };
+    let col = if dict {
+        ColumnData::strings(strs)
+    } else {
+        let mut d = Dictionary::new();
+        for s in ["zz-decoy", "aa-decoy"]
+            .into_iter()
+            .chain(strs.iter().rev().map(String::as_str))
+        {
+            d.intern(s);
+        }
+        let ids = strs.iter().map(|s| d.intern(s)).collect();
+        ColumnData::Dict {
+            ids,
+            dict: Arc::new(d),
+        }
+    };
     RecordBatch::new(schema2(), vec![col, ColumnData::Int64(ints)]).unwrap()
 }
 

@@ -71,7 +71,7 @@ fn catalog(stale: bool) -> Catalog {
             ColumnData::Int64((0..N_ORDERS).collect()),
             ColumnData::Int64((0..N_ORDERS).map(|i| i * 7 % N_CUST).collect()),
             ColumnData::Float64((0..N_ORDERS).map(|i| (i % 997) as f64 * 0.5).collect()),
-            ColumnData::Utf8((0..N_ORDERS).map(|i| format!("s{}", i % 3)).collect()),
+            ColumnData::strings((0..N_ORDERS).map(|i| format!("s{}", i % 3))),
         ],
     )
     .unwrap();
@@ -83,7 +83,7 @@ fn catalog(stale: bool) -> Catalog {
         cust,
         vec![
             ColumnData::Int64((0..N_CUST).collect()),
-            ColumnData::Utf8((0..N_CUST).map(|i| format!("region-{}", i % 5)).collect()),
+            ColumnData::strings((0..N_CUST).map(|i| format!("region-{}", i % 5))),
         ],
     )
     .unwrap();

@@ -797,7 +797,7 @@ mod tests {
                 cust,
                 vec![
                     ColumnData::Int64(vec![10, 20]),
-                    ColumnData::Utf8(vec!["ann".into(), "bob".into()]),
+                    ColumnData::strings(["ann", "bob"]),
                 ],
             )
             .unwrap(),

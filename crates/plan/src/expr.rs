@@ -415,7 +415,8 @@ fn broadcast(v: &Value, n: usize) -> ColumnData {
     match v {
         Value::Int(x) => ColumnData::Int64(vec![*x; n]),
         Value::Float(x) => ColumnData::Float64(vec![*x; n]),
-        Value::Str(s) => ColumnData::Utf8(vec![s.clone(); n]),
+        // One dictionary entry, every row its id.
+        Value::Str(s) => ColumnData::strings([s]).take(&vec![0; n]),
         Value::Bool(b) => ColumnData::Bool(vec![*b; n]),
     }
 }
@@ -476,16 +477,13 @@ fn compare(cmp: Cmp, l: &ColumnData, r: &ColumnData) -> Result<Vec<bool>> {
         {
             a.iter().zip(b).map(|(x, y)| cmp.keep(x.cmp(y))).collect()
         }
-        // Any string-vs-string combination compares borrowed &str — dict
-        // columns decode by reference, never cloning.
-        _ if l.data_type() == DataType::Utf8 && r.data_type() == DataType::Utf8 => (0..l.len())
-            .map(|i| match (l.str_at(i), r.str_at(i)) {
-                (Some(a), Some(b)) => Ok(cmp.keep(a.cmp(b))),
-                _ => Err(CiError::Exec(
-                    "string comparison over a non-string column".into(),
-                )),
-            })
-            .collect::<Result<_>>()?,
+        // Any other string pair compares borrowed &str, decoded by
+        // reference, never cloned.
+        (Dict { ids: a, dict: da }, Dict { ids: b, dict: db }) => a
+            .iter()
+            .zip(b)
+            .map(|(&x, &y)| cmp.keep(da.get(x).cmp(db.get(y))))
+            .collect(),
         _ => {
             let (a, b) = (numeric_f64(l)?, numeric_f64(r)?);
             a.iter()
@@ -560,7 +558,7 @@ mod tests {
             vec![
                 ColumnData::Int64(vec![1, 2, 3, 4]),
                 ColumnData::Float64(vec![0.5, 1.5, 2.5, 3.5]),
-                ColumnData::Utf8(vec!["x".into(), "y".into(), "x".into(), "z".into()]),
+                ColumnData::strings(["x", "y", "x", "z"]),
             ],
         )
         .unwrap();
@@ -715,10 +713,8 @@ mod tests {
             Field::new("s", DataType::Utf8),
             Field::new("t", DataType::Utf8),
         ]));
-        let s =
-            ColumnData::Utf8(vec!["x".into(), "y".into(), "x".into(), "z".into()]).dict_encoded();
-        let t =
-            ColumnData::Utf8(vec!["x".into(), "x".into(), "z".into(), "z".into()]).dict_encoded();
+        let s = ColumnData::strings(["x", "y", "x", "z"]);
+        let t = ColumnData::strings(["x", "x", "z", "z"]);
         let b = RecordBatch::new(schema, vec![s, t]).unwrap();
         (b, ColMap::from_slots(&[0, 1]))
     }

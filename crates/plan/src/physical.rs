@@ -716,7 +716,7 @@ mod tests {
                 cust,
                 vec![
                     ColumnData::Int64((0..100).collect()),
-                    ColumnData::Utf8((0..100).map(|i| format!("c{i}")).collect()),
+                    ColumnData::strings((0..100).map(|i| format!("c{i}"))),
                 ],
             )
             .unwrap(),

@@ -403,7 +403,7 @@ mod tests {
             schema(),
             vec![
                 ColumnData::Int64(vec![1, 2, 3]),
-                ColumnData::Utf8(vec!["a".into(), "b".into(), "c".into()]),
+                ColumnData::strings(["a", "b", "c"]),
             ],
         )
         .unwrap()
@@ -416,19 +416,13 @@ mod tests {
         // Ragged lengths.
         assert!(RecordBatch::new(
             schema(),
-            vec![
-                ColumnData::Int64(vec![1, 2]),
-                ColumnData::Utf8(vec!["a".into()])
-            ]
+            vec![ColumnData::Int64(vec![1, 2]), ColumnData::strings(["a"])]
         )
         .is_err());
         // Type mismatch.
         assert!(RecordBatch::new(
             schema(),
-            vec![
-                ColumnData::Bool(vec![true]),
-                ColumnData::Utf8(vec!["a".into()])
-            ]
+            vec![ColumnData::Bool(vec![true]), ColumnData::strings(["a"])]
         )
         .is_err());
     }
@@ -620,7 +614,7 @@ mod tests {
             schema(),
             vec![
                 ColumnData::Int64(vec![1, 2, 3]),
-                ColumnData::Utf8(vec!["a".into(), "b".into(), "a".into()]).dict_encoded(),
+                ColumnData::strings(["a", "b", "a"]),
             ],
         )
         .unwrap();

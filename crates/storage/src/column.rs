@@ -1,15 +1,16 @@
 //! Typed column vectors.
 //!
-//! An integer column has one form, [`ColumnData::Int64`]; for ints,
-//! "dictionary" is a page codec (`pages.rs`), not a column form.
-//! Strings come in two encodings with identical logical semantics:
-//! [`ColumnData::Utf8`] owns its strings, while [`ColumnData::Dict`] stores
-//! `u32` ids into an `Arc`-shared [`Dictionary`] (interned once per table
-//! column at load). Both report [`DataType::Utf8`]; equality, byte
-//! accounting, and min/max are defined over the *decoded* values, so the
-//! encoding is invisible to schemas, zone maps, and cost models — only the
-//! data-path cost changes (filter/take/slice move 4-byte ids, not heap
-//! strings).
+//! A column has one form per logical type. An integer column is
+//! [`ColumnData::Int64`]; for ints, "dictionary" is a page codec
+//! (`pages.rs`), not a column form. A string column is
+//! [`ColumnData::Dict`]: `u32` ids into an `Arc`-shared [`Dictionary`],
+//! interned once per table column at registration (and into a fresh
+//! dictionary wherever strings are made: [`ColumnData::strings`], `push`, a
+//! decoded page, a literal). It reports [`DataType::Utf8`]; equality, byte
+//! accounting, and min/max are defined over the *decoded* values, so two
+//! columns holding the same strings over different dictionaries are
+//! indistinguishable to schemas, zone maps, and cost models — filter, take
+//! and slice move 4-byte ids, never heap strings.
 
 use std::sync::Arc;
 
@@ -26,8 +27,6 @@ pub enum ColumnData {
     Int64(Vec<i64>),
     /// 64-bit floats.
     Float64(Vec<f64>),
-    /// UTF-8 strings (owned encoding).
-    Utf8(Vec<String>),
     /// Booleans.
     Bool(Vec<bool>),
     /// UTF-8 strings, dictionary-encoded: `ids[i]` indexes into `dict`.
@@ -40,32 +39,45 @@ pub enum ColumnData {
 }
 
 impl ColumnData {
-    /// An empty column of the given type.
-    pub fn empty(dt: DataType) -> ColumnData {
-        match dt {
-            DataType::Int64 => ColumnData::Int64(Vec::new()),
-            DataType::Float64 => ColumnData::Float64(Vec::new()),
-            DataType::Utf8 => ColumnData::Utf8(Vec::new()),
-            DataType::Bool => ColumnData::Bool(Vec::new()),
+    /// A string column of `values` in order, interned into a fresh
+    /// dictionary in first-appearance order.
+    pub fn strings<S: AsRef<str>>(values: impl IntoIterator<Item = S>) -> ColumnData {
+        let mut dict = Dictionary::new();
+        let ids = values
+            .into_iter()
+            .map(|s| dict.intern(s.as_ref()))
+            .collect();
+        ColumnData::Dict {
+            ids,
+            dict: Arc::new(dict),
         }
     }
 
-    /// An empty column with reserved capacity.
+    /// An empty column of the given type.
+    pub fn empty(dt: DataType) -> ColumnData {
+        ColumnData::with_capacity(dt, 0)
+    }
+
+    /// An empty column with reserved capacity (a string column starts an
+    /// empty dictionary).
     pub fn with_capacity(dt: DataType, cap: usize) -> ColumnData {
         match dt {
             DataType::Int64 => ColumnData::Int64(Vec::with_capacity(cap)),
             DataType::Float64 => ColumnData::Float64(Vec::with_capacity(cap)),
-            DataType::Utf8 => ColumnData::Utf8(Vec::with_capacity(cap)),
+            DataType::Utf8 => ColumnData::Dict {
+                ids: Vec::with_capacity(cap),
+                dict: Arc::default(),
+            },
             DataType::Bool => ColumnData::Bool(Vec::with_capacity(cap)),
         }
     }
 
-    /// This column's logical type (`Dict` is an encoding of `Utf8`).
+    /// This column's logical type (`Dict` is the form of `Utf8`).
     pub fn data_type(&self) -> DataType {
         match self {
             ColumnData::Int64(_) => DataType::Int64,
             ColumnData::Float64(_) => DataType::Float64,
-            ColumnData::Utf8(_) | ColumnData::Dict { .. } => DataType::Utf8,
+            ColumnData::Dict { .. } => DataType::Utf8,
             ColumnData::Bool(_) => DataType::Bool,
         }
     }
@@ -75,7 +87,6 @@ impl ColumnData {
         match self {
             ColumnData::Int64(v) => v.len(),
             ColumnData::Float64(v) => v.len(),
-            ColumnData::Utf8(v) => v.len(),
             ColumnData::Bool(v) => v.len(),
             ColumnData::Dict { ids, .. } => ids.len(),
         }
@@ -91,7 +102,6 @@ impl ColumnData {
         match self {
             ColumnData::Int64(v) => Value::Int(v[i]),
             ColumnData::Float64(v) => Value::Float(v[i]),
-            ColumnData::Utf8(v) => Value::Str(v[i].clone()),
             ColumnData::Bool(v) => Value::Bool(v[i]),
             ColumnData::Dict { ids, dict } => Value::Str(dict.get(ids[i]).to_owned()),
         }
@@ -105,36 +115,20 @@ impl ColumnData {
         }
     }
 
-    /// Borrowed string at row `i` for either string encoding, `None` for
-    /// non-string columns. The zero-copy read path for operators.
+    /// Borrowed string at row `i`, `None` for non-string columns. The
+    /// zero-copy read path for operators.
     pub fn str_at(&self, i: usize) -> Option<&str> {
         match self {
-            ColumnData::Utf8(v) => Some(&v[i]),
             ColumnData::Dict { ids, dict } => Some(dict.get(ids[i])),
             _ => None,
         }
     }
 
-    /// The `(ids, dictionary)` view of a dict-encoded column.
+    /// The `(ids, dictionary)` view of a string column.
     pub fn as_dict(&self) -> Option<(&[u32], &Arc<Dictionary>)> {
         match self {
             ColumnData::Dict { ids, dict } => Some((ids, dict)),
             _ => None,
-        }
-    }
-
-    /// Re-encodes a `Utf8` column as `Dict` with a fresh dictionary interned
-    /// in row order. Other encodings (including `Dict`) are returned as-is.
-    pub fn dict_encoded(&self) -> ColumnData {
-        match self {
-            ColumnData::Utf8(v) => {
-                let (dict, ids) = Dictionary::encode(v.iter().map(String::as_str));
-                ColumnData::Dict {
-                    ids,
-                    dict: Arc::new(dict),
-                }
-            }
-            other => other.clone(),
         }
     }
 
@@ -144,7 +138,6 @@ impl ColumnData {
             (ColumnData::Int64(c), Value::Int(x)) => c.push(x),
             (ColumnData::Float64(c), Value::Float(x)) => c.push(x),
             (ColumnData::Float64(c), Value::Int(x)) => c.push(x as f64),
-            (ColumnData::Utf8(c), Value::Str(x)) => c.push(x),
             (ColumnData::Bool(c), Value::Bool(x)) => c.push(x),
             (ColumnData::Dict { ids, dict }, Value::Str(x)) => {
                 ids.push(Arc::make_mut(dict).intern(&x));
@@ -160,12 +153,12 @@ impl ColumnData {
         Ok(())
     }
 
-    /// Appends row `i` of `src` to this column (same logical type required).
+    /// Appends row `i` of `src` to this column (same logical type required;
+    /// a string from a foreign dictionary is interned into this one).
     pub fn push_from(&mut self, src: &ColumnData, i: usize) -> Result<()> {
         match (self, src) {
             (ColumnData::Int64(dst), ColumnData::Int64(s)) => dst.push(s[i]),
             (ColumnData::Float64(dst), ColumnData::Float64(s)) => dst.push(s[i]),
-            (ColumnData::Utf8(dst), ColumnData::Utf8(s)) => dst.push(s[i].clone()),
             (ColumnData::Bool(dst), ColumnData::Bool(s)) => dst.push(s[i]),
             (
                 ColumnData::Dict { ids, dict },
@@ -179,12 +172,6 @@ impl ColumnData {
                 } else {
                     ids.push(Arc::make_mut(dict).intern(sdict.get(sids[i])));
                 }
-            }
-            (ColumnData::Dict { ids, dict }, ColumnData::Utf8(s)) => {
-                ids.push(Arc::make_mut(dict).intern(&s[i]));
-            }
-            (ColumnData::Utf8(dst), ColumnData::Dict { ids: sids, dict }) => {
-                dst.push(dict.get(sids[i]).to_owned());
             }
             (dst, s) => {
                 return Err(CiError::Exec(format!(
@@ -204,9 +191,6 @@ impl ColumnData {
         match self {
             ColumnData::Int64(v) => ColumnData::Int64(indices.iter().map(|&i| v[i]).collect()),
             ColumnData::Float64(v) => ColumnData::Float64(indices.iter().map(|&i| v[i]).collect()),
-            ColumnData::Utf8(v) => {
-                ColumnData::Utf8(indices.iter().map(|&i| v[i].clone()).collect())
-            }
             ColumnData::Bool(v) => ColumnData::Bool(indices.iter().map(|&i| v[i]).collect()),
             ColumnData::Dict { ids, dict } => ColumnData::Dict {
                 ids: indices.iter().map(|&i| ids[i]).collect(),
@@ -232,7 +216,6 @@ impl ColumnData {
         Ok(match self {
             ColumnData::Int64(v) => ColumnData::Int64(gather(v, indices, rows)?),
             ColumnData::Float64(v) => ColumnData::Float64(gather(v, indices, rows)?),
-            ColumnData::Utf8(v) => ColumnData::Utf8(gather(v, indices, rows)?),
             ColumnData::Bool(v) => ColumnData::Bool(gather(v, indices, rows)?),
             ColumnData::Dict { ids, dict } => ColumnData::Dict {
                 ids: gather(ids, indices, rows)?,
@@ -257,7 +240,6 @@ impl ColumnData {
         match self {
             ColumnData::Int64(v) => ColumnData::Int64(pick(v, sel)),
             ColumnData::Float64(v) => ColumnData::Float64(pick(v, sel)),
-            ColumnData::Utf8(v) => ColumnData::Utf8(pick(v, sel)),
             ColumnData::Bool(v) => ColumnData::Bool(pick(v, sel)),
             ColumnData::Dict { ids, dict } => ColumnData::Dict {
                 ids: pick(ids, sel),
@@ -274,10 +256,6 @@ impl ColumnData {
         match self {
             ColumnData::Int64(_) | ColumnData::Float64(_) => sel.len() * 8,
             ColumnData::Bool(_) => sel.len(),
-            ColumnData::Utf8(v) => match sel.as_range() {
-                Some((start, len)) => v[start..start + len].iter().map(|s| s.len() + 4).sum(),
-                None => sel.iter().map(|i| v[i].len() + 4).sum(),
-            },
             ColumnData::Dict { ids, dict } => match sel.as_range() {
                 Some((start, len)) => ids[start..start + len]
                     .iter()
@@ -294,7 +272,6 @@ impl ColumnData {
         match self {
             ColumnData::Int64(v) => ColumnData::Int64(v[offset..offset + len].to_vec()),
             ColumnData::Float64(v) => ColumnData::Float64(v[offset..offset + len].to_vec()),
-            ColumnData::Utf8(v) => ColumnData::Utf8(v[offset..offset + len].to_vec()),
             ColumnData::Bool(v) => ColumnData::Bool(v[offset..offset + len].to_vec()),
             ColumnData::Dict { ids, dict } => ColumnData::Dict {
                 ids: ids[offset..offset + len].to_vec(),
@@ -303,14 +280,13 @@ impl ColumnData {
         }
     }
 
-    /// Appends all values of `other` (same logical type required). Dict
-    /// columns sharing one dictionary extend ids directly; mismatched string
-    /// encodings re-intern or decode row by row.
+    /// Appends all values of `other` (same logical type required). String
+    /// columns sharing one dictionary extend ids directly; a foreign
+    /// dictionary's strings are re-interned row by row.
     pub fn extend_from(&mut self, other: &ColumnData) -> Result<()> {
         match (self, other) {
             (ColumnData::Int64(a), ColumnData::Int64(b)) => a.extend_from_slice(b),
             (ColumnData::Float64(a), ColumnData::Float64(b)) => a.extend_from_slice(b),
-            (ColumnData::Utf8(a), ColumnData::Utf8(b)) => a.extend(b.iter().cloned()),
             (ColumnData::Bool(a), ColumnData::Bool(b)) => a.extend_from_slice(b),
             (
                 ColumnData::Dict { ids, dict },
@@ -326,13 +302,6 @@ impl ColumnData {
                     ids.extend(bids.iter().map(|&id| d.intern(bdict.get(id))));
                 }
             }
-            (ColumnData::Dict { ids, dict }, ColumnData::Utf8(b)) => {
-                let d = Arc::make_mut(dict);
-                ids.extend(b.iter().map(|s| d.intern(s)));
-            }
-            (ColumnData::Utf8(a), ColumnData::Dict { ids: bids, dict }) => {
-                a.extend(bids.iter().map(|&id| dict.get(id).to_owned()));
-            }
             (a, b) => {
                 return Err(CiError::Exec(format!(
                     "cannot concat {} with {}",
@@ -344,14 +313,13 @@ impl ColumnData {
         Ok(())
     }
 
-    /// Exact encoded byte size of this column's *decoded* data. Dict columns
-    /// report the same size as their Utf8 equivalent so storage, network, and
-    /// billing accounting are encoding-independent.
+    /// Exact encoded byte size of this column's *decoded* data: a string
+    /// counts its length plus a 4-byte header, whatever dictionary holds it,
+    /// so storage, network, and billing accounting are dictionary-independent.
     pub fn byte_size(&self) -> usize {
         match self {
             ColumnData::Int64(v) => v.len() * 8,
             ColumnData::Float64(v) => v.len() * 8,
-            ColumnData::Utf8(v) => v.iter().map(|s| s.len() + 4).sum(),
             ColumnData::Bool(v) => v.len(),
             ColumnData::Dict { ids, dict } => ids.iter().map(|&id| dict.value_bytes(id)).sum(),
         }
@@ -376,11 +344,6 @@ impl ColumnData {
                     max = max.max(x);
                 }
                 Some((Value::Float(min), Value::Float(max)))
-            }
-            ColumnData::Utf8(v) => {
-                let min = v.iter().min()?.clone();
-                let max = v.iter().max()?.clone();
-                Some((Value::Str(min), Value::Str(max)))
             }
             ColumnData::Bool(v) => {
                 let any_false = v.iter().any(|x| !x);
@@ -427,22 +390,6 @@ impl ColumnData {
         }
     }
 
-    /// Typed accessor over the owned encoding; errors for non-string columns
-    /// *and* for dict-encoded columns (use [`ColumnData::str_at`] or
-    /// [`ColumnData::as_dict`] to read those without decoding).
-    pub fn as_str(&self) -> Result<&[String]> {
-        match self {
-            ColumnData::Utf8(v) => Ok(v),
-            ColumnData::Dict { .. } => Err(CiError::Exec(
-                "expected owned VARCHAR column, got dict-encoded VARCHAR".into(),
-            )),
-            other => Err(CiError::Exec(format!(
-                "expected VARCHAR column, got {}",
-                other.data_type()
-            ))),
-        }
-    }
-
     /// Typed accessor; errors if the column is not Bool.
     pub fn as_bool(&self) -> Result<&[bool]> {
         match self {
@@ -455,9 +402,10 @@ impl ColumnData {
     }
 }
 
-/// Equality over *decoded* values: a dict-encoded column equals the Utf8
-/// column holding the same strings. Keeps result comparison (tests, the
-/// determinism oracle) independent of which encoding a plan path produced.
+/// Equality over *decoded* values: two string columns holding the same
+/// strings are equal over any two dictionaries. Keeps result comparison
+/// (tests, the determinism oracle) independent of which dictionary a plan
+/// path produced.
 impl PartialEq for ColumnData {
     fn eq(&self, other: &Self) -> bool {
         use ColumnData::*;
@@ -465,16 +413,12 @@ impl PartialEq for ColumnData {
             (Int64(a), Int64(b)) => a == b,
             (Float64(a), Float64(b)) => a == b,
             (Bool(a), Bool(b)) => a == b,
-            (Utf8(a), Utf8(b)) => a == b,
             (Dict { ids: a, dict: da }, Dict { ids: b, dict: db }) => {
                 if Arc::ptr_eq(da, db) || da == db {
                     a == b
                 } else {
                     a.len() == b.len() && a.iter().zip(b).all(|(&x, &y)| da.get(x) == db.get(y))
                 }
-            }
-            (Utf8(a), Dict { ids, dict }) | (Dict { ids, dict }, Utf8(a)) => {
-                a.len() == ids.len() && a.iter().zip(ids).all(|(s, &id)| s == dict.get(id))
             }
             _ => false,
         }
@@ -511,12 +455,9 @@ mod tests {
 
     #[test]
     fn take_gathers_with_repeats() {
-        let c = ColumnData::Utf8(vec!["a".into(), "b".into(), "c".into()]);
+        let c = ColumnData::strings(["a", "b", "c"]);
         let t = c.take(&[2, 0, 2]);
-        assert_eq!(
-            t,
-            ColumnData::Utf8(vec!["c".into(), "a".into(), "c".into()])
-        );
+        assert_eq!(t, ColumnData::strings(["c", "a", "c"]));
     }
 
     #[test]
@@ -548,10 +489,7 @@ mod tests {
     fn byte_sizes() {
         assert_eq!(ColumnData::Int64(vec![1, 2]).byte_size(), 16);
         assert_eq!(ColumnData::Bool(vec![true; 5]).byte_size(), 5);
-        assert_eq!(
-            ColumnData::Utf8(vec!["ab".into(), "c".into()]).byte_size(),
-            2 + 4 + 1 + 4
-        );
+        assert_eq!(ColumnData::strings(["ab", "c"]).byte_size(), 2 + 4 + 1 + 4);
     }
 
     #[test]
@@ -561,7 +499,7 @@ mod tests {
             Some((Value::Int(1), Value::Int(3)))
         );
         assert_eq!(
-            ColumnData::Utf8(vec!["b".into(), "a".into()]).min_max(),
+            ColumnData::strings(["b", "a"]).min_max(),
             Some((Value::Str("a".into()), Value::Str("b".into())))
         );
         assert_eq!(ColumnData::Int64(vec![]).min_max(), None);
@@ -572,7 +510,6 @@ mod tests {
         let c = ColumnData::Int64(vec![5]);
         assert_eq!(c.as_i64().unwrap(), &[5]);
         assert!(c.as_f64().is_err());
-        assert!(c.as_str().is_err());
         assert!(c.as_bool().is_err());
     }
 
@@ -585,7 +522,21 @@ mod tests {
     }
 
     fn dict_col(vals: &[&str]) -> ColumnData {
-        ColumnData::Utf8(vals.iter().map(|s| (*s).to_owned()).collect()).dict_encoded()
+        ColumnData::strings(vals)
+    }
+
+    /// The same strings over a *different* dictionary: `seed` is interned
+    /// first, so every id differs from [`dict_col`]'s.
+    fn foreign_col(seed: &[&str], vals: &[&str]) -> ColumnData {
+        let mut dict = Dictionary::new();
+        seed.iter().for_each(|s| {
+            dict.intern(s);
+        });
+        let ids = vals.iter().map(|s| dict.intern(s)).collect();
+        ColumnData::Dict {
+            ids,
+            dict: Arc::new(dict),
+        }
     }
 
     #[test]
@@ -602,14 +553,13 @@ mod tests {
 
     #[test]
     fn dict_equals_utf8_with_same_values() {
-        let utf8 = ColumnData::Utf8(vec!["x".into(), "y".into(), "x".into()]);
         let dict = dict_col(&["x", "y", "x"]);
-        assert_eq!(dict, utf8);
-        assert_eq!(utf8, dict);
-        assert_ne!(
-            dict,
-            ColumnData::Utf8(vec!["x".into(), "y".into(), "y".into()])
-        );
+        let foreign = foreign_col(&["q", "y"], &["x", "y", "x"]);
+        assert_ne!(dict.as_dict().unwrap().0, foreign.as_dict().unwrap().0);
+        assert_eq!(dict, foreign);
+        assert_eq!(foreign, dict);
+        assert_ne!(dict, foreign_col(&["q"], &["x", "y", "y"]));
+        assert_ne!(dict, dict_col(&["x", "y"]));
     }
 
     #[test]
@@ -618,30 +568,31 @@ mod tests {
         let (_, dict) = c.as_dict().unwrap();
         let dict = dict.clone();
         let f = c.gather(&SelectionVector::from_mask(&[true, false, true, true]));
-        assert_eq!(
-            f,
-            ColumnData::Utf8(vec!["a".into(), "c".into(), "a".into()])
-        );
+        assert_eq!(f, dict_col(&["a", "c", "a"]));
         assert!(Arc::ptr_eq(f.as_dict().unwrap().1, &dict));
         let t = c.take(&[3, 2]);
         assert!(Arc::ptr_eq(t.as_dict().unwrap().1, &dict));
         let s = c.slice(1, 2);
-        assert_eq!(s, ColumnData::Utf8(vec!["b".into(), "c".into()]));
+        assert_eq!(s, dict_col(&["b", "c"]));
         assert!(Arc::ptr_eq(s.as_dict().unwrap().1, &dict));
     }
 
     #[test]
     fn dict_byte_size_matches_utf8() {
         let vals = ["ab", "c", "ab", ""];
-        let utf8 = ColumnData::Utf8(vals.iter().map(|s| (*s).to_owned()).collect());
-        assert_eq!(dict_col(&vals).byte_size(), utf8.byte_size());
+        // The naive reference: each string's length plus its 4-byte header.
+        let naive: usize = vals.iter().map(|s| s.len() + 4).sum();
+        assert_eq!(dict_col(&vals).byte_size(), naive);
+        assert_eq!(foreign_col(&["zzz", "c"], &vals).byte_size(), naive);
     }
 
     #[test]
     fn dict_min_max_matches_utf8() {
         let vals = ["m", "a", "z", "a"];
-        let utf8 = ColumnData::Utf8(vals.iter().map(|s| (*s).to_owned()).collect());
-        assert_eq!(dict_col(&vals).min_max(), utf8.min_max());
+        let naive = |v: Option<&&str>| Value::from(*v.unwrap());
+        let expect = Some((naive(vals.iter().min()), naive(vals.iter().max())));
+        assert_eq!(dict_col(&vals).min_max(), expect);
+        assert_eq!(foreign_col(&["z", "b"], &vals).min_max(), expect);
     }
 
     #[test]
@@ -650,29 +601,19 @@ mod tests {
         let same_dict_tail = a.slice(1, 1);
         let mut grown = a.clone();
         grown.extend_from(&same_dict_tail).unwrap();
-        assert_eq!(
-            grown,
-            ColumnData::Utf8(vec!["a".into(), "b".into(), "b".into()])
-        );
+        assert_eq!(grown, dict_col(&["a", "b", "b"]));
         // Extending from a foreign dictionary re-interns.
         let foreign = dict_col(&["c", "a"]);
         grown.extend_from(&foreign).unwrap();
-        assert_eq!(
-            grown,
-            ColumnData::Utf8(vec![
-                "a".into(),
-                "b".into(),
-                "b".into(),
-                "c".into(),
-                "a".into()
-            ])
-        );
-        // And from an owned Utf8 column.
+        assert_eq!(grown, dict_col(&["a", "b", "b", "c", "a"]));
+        assert_eq!(grown.as_dict().unwrap().0, &[0, 1, 1, 2, 0]);
+        // And from a larger foreign dictionary that holds more than it uses.
         grown
-            .extend_from(&ColumnData::Utf8(vec!["d".into()]))
+            .extend_from(&foreign_col(&["x", "y", "z"], &["d"]))
             .unwrap();
         assert_eq!(grown.len(), 6);
         assert_eq!(grown.str_at(5), Some("d"));
+        assert_eq!(grown.as_dict().unwrap().1.len(), 4);
     }
 
     #[test]
@@ -707,11 +648,5 @@ mod tests {
             d.gather(&sel).as_dict().unwrap().1,
             d.as_dict().unwrap().1
         ));
-    }
-
-    #[test]
-    fn dict_as_str_is_rejected_with_hint() {
-        let err = dict_col(&["a"]).as_str().unwrap_err().to_string();
-        assert!(err.contains("dict-encoded"), "{err}");
     }
 }

@@ -38,14 +38,6 @@ impl Dictionary {
         Dictionary::default()
     }
 
-    /// Interns a sequence of strings, returning the dictionary and the id of
-    /// each input string in order.
-    pub fn encode<'a>(values: impl Iterator<Item = &'a str>) -> (Dictionary, Vec<u32>) {
-        let mut dict = Dictionary::new();
-        let ids = values.map(|s| dict.intern(s)).collect();
-        (dict, ids)
-    }
-
     /// Returns the id of `s`, interning it if new (one shared allocation
     /// for both the entry list and the reverse index).
     pub fn intern(&mut self, s: &str) -> u32 {
@@ -85,9 +77,10 @@ impl Dictionary {
         &self.values
     }
 
-    /// Encoded payload bytes of the entry for `id` (length + 4-byte header),
-    /// matching the accounting [`crate::column::ColumnData::byte_size`] uses
-    /// for plain `Utf8` columns so encodings are cost-transparent.
+    /// Encoded payload bytes of the entry for `id` (length + 4-byte header):
+    /// the bytes [`crate::column::ColumnData::byte_size`] and a Plain page
+    /// count per string, whatever dictionary holds it, so dictionaries are
+    /// cost-transparent.
     pub fn value_bytes(&self, id: u32) -> usize {
         self.values[id as usize].len() + 4
     }
@@ -171,9 +164,16 @@ impl IntDict {
 mod tests {
     use super::*;
 
+    /// Interns `values` in order: the dictionary and each value's id.
+    fn encode<'a>(values: impl Iterator<Item = &'a str>) -> (Dictionary, Vec<u32>) {
+        let mut dict = Dictionary::new();
+        let ids = values.map(|s| dict.intern(s)).collect();
+        (dict, ids)
+    }
+
     #[test]
     fn encode_interns_in_first_appearance_order() {
-        let (dict, ids) = Dictionary::encode(["b", "a", "b", "c", "a"].into_iter());
+        let (dict, ids) = encode(["b", "a", "b", "c", "a"].into_iter());
         assert_eq!(dict.len(), 3);
         let entries: Vec<&str> = dict.values().iter().map(|s| s.as_ref()).collect();
         assert_eq!(entries, ["b", "a", "c"]);
@@ -185,7 +185,7 @@ mod tests {
 
     #[test]
     fn entries_share_one_allocation_with_the_reverse_index() {
-        let (dict, _) = Dictionary::encode(["x", "y"].into_iter());
+        let (dict, _) = encode(["x", "y"].into_iter());
         for entry in dict.values() {
             // The entry list and the reverse-index key both point at the
             // same allocation: 2 strong refs, not 2 string copies.
@@ -195,21 +195,21 @@ mod tests {
 
     #[test]
     fn value_bytes_match_utf8_accounting() {
-        let (dict, _) = Dictionary::encode(["ab", ""].into_iter());
+        let (dict, _) = encode(["ab", ""].into_iter());
         assert_eq!(dict.value_bytes(0), 2 + 4);
         assert_eq!(dict.value_bytes(1), 4);
     }
 
     #[test]
     fn sort_ranks_follow_lexicographic_order() {
-        let (dict, _) = Dictionary::encode(["m", "a", "z"].into_iter());
+        let (dict, _) = encode(["m", "a", "z"].into_iter());
         // ids: m=0, a=1, z=2; sorted: a < m < z.
         assert_eq!(dict.sort_ranks(), vec![1, 0, 2]);
     }
 
     #[test]
     fn equality_ignores_index_layout() {
-        let (a, _) = Dictionary::encode(["x", "y"].into_iter());
+        let (a, _) = encode(["x", "y"].into_iter());
         let mut b = Dictionary::new();
         b.intern("x");
         b.intern("y");

@@ -45,13 +45,15 @@
 //!   wrapping, so the codec is exact for any `i64` input.
 //!
 //! [`decode_column`] inverts [`encode_column`] for every codec and
-//! [`ColumnData`] variant: values round-trip exactly (string Dict pages
-//! decode to dict-encoded columns, int Dict pages to `Int64` — for ints the
-//! dictionary is a codec, not a column form; Rle/Plain string pages decode
-//! to owned strings — equal under the workspace's decoded-value column
-//! equality). Malformed bytes are rejected with `Err`, never a panic, and
-//! declared sizes are validated against the actual payload *before* any
-//! row-proportional allocation, so a forged header cannot over-allocate.
+//! [`ColumnData`] variant: values round-trip exactly (int Dict pages decode
+//! to `Int64` — for ints the dictionary is a codec, not a column form; a
+//! string page of any codec decodes to dictionary ids, a Dict page over its
+//! own section, a Plain / Rle page over a fresh dictionary interned per
+//! value / per run — equal to the encoded column under the workspace's
+//! decoded-value column equality). Malformed bytes are rejected with
+//! `Err`, never a panic, and declared sizes are validated against the
+//! actual payload *before* any row-proportional allocation, so a forged
+//! header cannot over-allocate.
 //!
 //! Sizing and serializing share one derivation, **sketch → plan →
 //! `bytes` / `emit`**: one fused pass over a column's rows (read through a
@@ -628,14 +630,14 @@ macro_rules! fixed_values {
                 let $it = r.map(|x| x.to_bits() as i64);
                 $body
             }),
-            ColumnData::Utf8(_) | ColumnData::Dict { .. } => $strs,
+            ColumnData::Dict { .. } => $strs,
         }
     };
 }
 
 /// Fixed-seed word-folding hasher for the sketch's distinct sets: they sit
 /// on the per-row path of every shipped batch, hold at most
-/// [`DICT_INT_MAX_ENTRIES`]` + 1` ints (or one page's strings), and never
+/// [`DICT_INT_MAX_ENTRIES`]` + 1` ints, and never
 /// iterate, so SipHash's keyed flood resistance buys nothing here.
 #[derive(Debug, Default, Clone, Copy)]
 struct FastHasher(u64);
@@ -960,12 +962,6 @@ impl ColumnPlan {
             }
             _ => {
                 let s = match rows.col {
-                    ColumnData::Utf8(v) => {
-                        let mut seen: FastSet<&str> = FastSet::default();
-                        each_row!(v, rows.sel, |it| StrSketch::of(
-                            it.map(|s| (s.as_str(), seen.insert(s)))
-                        ))
-                    }
                     ColumnData::Dict { ids, dict } => {
                         let bits = &mut scratch.bits;
                         bits.clear();
@@ -1202,18 +1198,6 @@ impl ColumnPlan {
                     .collect());
                 put_dict(out, &local, &mut local_ids.into_iter());
             }
-            (ColumnData::Utf8(v), PageCodec::Dict) => {
-                let (local, local_ids) =
-                    each_row!(v, sel, |it| Dictionary::encode(it.map(String::as_str)));
-                put_dict(out, &local, &mut local_ids.into_iter());
-            }
-            (ColumnData::Utf8(v), codec) => {
-                each_row!(v, sel, |it| emit_str_rows(
-                    out,
-                    codec,
-                    it.map(String::as_str)
-                ))
-            }
             (ColumnData::Dict { ids, dict }, codec) => {
                 each_row!(ids, sel, |it| emit_str_rows(
                     out,
@@ -1391,10 +1375,10 @@ impl<'a> Cursor<'a> {
         Ok(u64::from_le_bytes(self.array()?))
     }
 
-    fn str(&mut self) -> Result<String> {
+    fn str(&mut self) -> Result<&'a str> {
         let len = self.u32()? as usize;
         let bytes = self.take(len)?;
-        String::from_utf8(bytes.to_vec()).map_err(|e| err(format!("invalid UTF-8 in page: {e}")))
+        std::str::from_utf8(bytes).map_err(|e| err(format!("invalid UTF-8 in page: {e}")))
     }
 
     /// Bytes left to read.
@@ -1553,11 +1537,14 @@ fn decode_payload(
             DataType::Utf8 => {
                 // Every string costs at least its 4-byte length header.
                 c.need(rows as u64 * 4)?;
-                let mut v = Vec::with_capacity(rows);
-                for _ in 0..rows {
-                    v.push(c.str()?);
+                let mut dict = Dictionary::new();
+                let ids = (0..rows)
+                    .map(|_| Ok(dict.intern(c.str()?)))
+                    .collect::<Result<Vec<u32>>>()?;
+                ColumnData::Dict {
+                    ids,
+                    dict: Arc::new(dict),
                 }
-                ColumnData::Utf8(v)
             }
         },
         PageCodec::Dict => match dt {
@@ -1588,28 +1575,22 @@ fn decode_payload(
                     .checked_add(len)
                     .filter(|&d| d <= rows)
                     .ok_or_else(|| err(format!("rle runs exceed declared {rows} rows")))?;
-                match (&mut col, dt) {
-                    (ColumnData::Int64(v), _) => {
+                match &mut col {
+                    ColumnData::Int64(v) => {
                         let x = c.u64()? as i64;
                         v.extend(std::iter::repeat_n(x, len));
                     }
-                    (ColumnData::Float64(v), _) => {
+                    ColumnData::Float64(v) => {
                         let x = f64::from_bits(c.u64()?);
                         v.extend(std::iter::repeat_n(x, len));
                     }
-                    (ColumnData::Bool(v), _) => {
+                    ColumnData::Bool(v) => {
                         let b = decode_bool(c.u8()?)?;
                         v.extend(std::iter::repeat_n(b, len));
                     }
-                    (ColumnData::Utf8(v), _) => {
-                        let s = c.str()?;
-                        v.extend(std::iter::repeat_n(s, len));
-                    }
-                    (other, _) => {
-                        return Err(err(format!(
-                            "rle decode into unexpected column {}",
-                            other.data_type()
-                        )))
+                    ColumnData::Dict { ids, dict } => {
+                        let id = Arc::make_mut(dict).intern(c.str()?);
+                        ids.extend(std::iter::repeat_n(id, len));
                     }
                 }
             }
@@ -1752,8 +1733,7 @@ pub(crate) fn read_dictionary_section(c: &mut Cursor) -> Result<Dictionary> {
     c.need(entries as u64 * 4)?;
     let mut dict = Dictionary::new();
     for _ in 0..entries {
-        let s = c.str()?;
-        dict.intern(&s);
+        dict.intern(c.str()?);
     }
     if dict.len() != entries {
         return Err(err(format!(
@@ -2305,7 +2285,7 @@ mod tests {
     use super::*;
 
     fn dict_col(vals: &[&str]) -> ColumnData {
-        ColumnData::Utf8(vals.iter().map(|s| (*s).to_owned()).collect()).dict_encoded()
+        ColumnData::strings(vals.iter())
     }
 
     fn ndv(col: &ColumnData) -> usize {
@@ -2498,7 +2478,7 @@ mod tests {
             ColumnData::Int64(vec![-5, 0, 7, i64::MAX]),
             ColumnData::Float64(vec![0.5, -1.25, f64::MAX]),
             ColumnData::Bool(vec![true, false, true]),
-            ColumnData::Utf8(vec!["a".into(), "".into(), "日本".into()]),
+            ColumnData::strings(["a", "", "日本"]),
         ];
         for col in &cols {
             let (meta, bytes) = encode_column(col, PageCodec::Plain).unwrap();
@@ -2555,7 +2535,7 @@ mod tests {
         assert_eq!(cmeta.encoded_bytes as usize, PAGE_HEADER_BYTES + 8 + 1);
         assert_eq!(&decode_column(&cbytes).unwrap(), &constant);
 
-        let strs = ColumnData::Utf8(vec!["run".into(); 64]);
+        let strs = ColumnData::strings(vec!["run"; 64]);
         let (_, bytes) = encode_column(&strs, PageCodec::Rle).unwrap();
         assert_eq!(&decode_column(&bytes).unwrap(), &strs);
     }
@@ -2598,7 +2578,7 @@ mod tests {
             ColumnData::Int64(vec![1, 1, 1, 2, 3, 3]),
             ColumnData::Float64(vec![0.0, 0.0, 9.5]),
             ColumnData::Bool(vec![true; 9]),
-            ColumnData::Utf8(vec!["aa".into(), "aa".into(), "b".into()]),
+            ColumnData::strings(["aa", "aa", "b"]),
             dict_col(&["g1", "g2", "g1", "g1"]),
         ];
         for col in &cols {
@@ -2623,7 +2603,7 @@ mod tests {
         let fixtures = [
             ColumnData::Int64(vec![5, 6, 7, 9, 12]),
             ColumnData::Float64(vec![1.5, -2.0, 0.0]),
-            ColumnData::Utf8(vec!["a".into(), "b".into(), "a".into()]),
+            ColumnData::strings(["a", "b", "a"]),
             ColumnData::Bool(vec![true, false, true]),
         ];
         for col in &fixtures {
@@ -2739,7 +2719,7 @@ mod tests {
         assert!(e.contains("page bound"), "{e}");
         let dict_oversized = one_col(&ColumnData::Dict {
             ids: vec![0; MAX_DECODE_ROWS + 1],
-            dict: Arc::new(Dictionary::encode(["x"].into_iter()).0),
+            dict: ColumnData::strings(["x"]).as_dict().unwrap().1.clone(),
         });
         let sketch = WireSketch::of(&dict_oversized).unwrap();
         let mut w = WireEncoder::new();

@@ -12,12 +12,18 @@
 //! * [`MicroPartition::stored_bytes`] — the **logical (decoded)** payload
 //!   size, [`RecordBatch::byte_size`]. This is what decode produces, what
 //!   flows through operators, and the size statistics/row-width estimates
-//!   are defined over. It is encoding-invariant by construction.
+//!   are defined over. It is codec-invariant by construction.
 //! * [`MicroPartition::encoded_bytes`] — the **billed (encoded)** object
 //!   size: each column compressed under its size-picked page codec
 //!   ([`crate::pages::best_page`]), summed. This is what a GET transfers,
 //!   what scan-time and storage bills charge, and what pruning reports as
 //!   saved I/O.
+//!
+//! Both figures, and the pages behind the second, are the same whatever
+//! dictionary a string column's ids point into: a string page holds only
+//! the entries its rows reference, in first-appearance order. Registration
+//! re-interns a table's string columns into one dictionary and keeps them
+//! as they are.
 //!
 //! The gap between the two is exactly the compression the cost model can
 //! now reward.
@@ -117,6 +123,7 @@ mod tests {
 
     use super::*;
     use crate::column::ColumnData;
+    use crate::dict::Dictionary;
     use crate::pages::PageCodec;
     use crate::schema::{Field, Schema};
     use crate::value::DataType;
@@ -171,16 +178,36 @@ mod tests {
     fn page_accounting_is_encoding_invariant() {
         let schema = Arc::new(Schema::of(vec![Field::new("s", DataType::Utf8)]));
         let vals: Vec<String> = (0..100).map(|i| format!("grp{}", i % 4)).collect();
-        let plain = MicroPartition::from_batch(
-            RecordBatch::new(schema.clone(), vec![ColumnData::Utf8(vals.clone())]).unwrap(),
+        let fresh = MicroPartition::from_batch(
+            RecordBatch::new(schema.clone(), vec![ColumnData::strings(&vals)]).unwrap(),
         );
-        let dicted = MicroPartition::from_batch(
-            RecordBatch::new(schema, vec![ColumnData::Utf8(vals).dict_encoded()]).unwrap(),
-        );
-        assert_eq!(plain.encoded_bytes, dicted.encoded_bytes);
-        assert_eq!(plain.pages, dicted.pages);
-        assert_eq!(plain.pages[0].codec, PageCodec::Dict);
-        assert!(plain.encoded_bytes < plain.stored_bytes);
+        // The same values over a larger, table-wide dictionary whose ids
+        // differ: registration's re-intern relies on the page accounting
+        // not seeing the dictionary.
+        let mut wide = Dictionary::new();
+        (0..50).rev().for_each(|i| {
+            wide.intern(&format!("grp{i}"));
+        });
+        let ids: Vec<u32> = vals.iter().map(|s| wide.intern(s)).collect();
+        let over = |dict: Dictionary| {
+            let col = ColumnData::Dict {
+                ids: ids.clone(),
+                dict: Arc::new(dict),
+            };
+            MicroPartition::from_batch(RecordBatch::new(schema.clone(), vec![col]).unwrap())
+        };
+        let (table_wide, re_interned) = (over(wide.clone()), over(wide));
+        assert_eq!(fresh.encoded_bytes, table_wide.encoded_bytes);
+        assert_eq!(fresh.stored_bytes, table_wide.stored_bytes);
+        assert_eq!(fresh.pages, table_wide.pages);
+        assert_eq!(fresh.pages[0].codec, PageCodec::Dict);
+        assert!(fresh.encoded_bytes < fresh.stored_bytes);
+        // A wire page ships ids against the whole dictionary, so the wire
+        // sketch follows the dictionary's entries, not its `Arc`: a column
+        // interned where it is made and the same entries re-interned at
+        // registration sketch alike.
+        assert_eq!(*table_wide.wire, *re_interned.wire);
+        assert_eq!(table_wide.pages, re_interned.pages);
     }
 
     #[test]

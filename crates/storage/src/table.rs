@@ -101,20 +101,17 @@ impl Table {
         RecordBatch::concat(&batches)
     }
 
-    /// Dictionary-encodes every `Utf8` column: one [`Dictionary`] per column
-    /// is interned across all partitions (in storage order, so the encoding
-    /// is deterministic) and shared by every partition's batch via `Arc`.
-    /// Values, zone maps, and `stored_bytes` are unchanged — only the
-    /// in-memory representation gets cheaper to filter/take/slice. Called by
-    /// the catalog at registration ("interned per table at load"); idempotent.
+    /// Gives every string column one [`Dictionary`]: a column whose
+    /// partitions do not already share one dictionary `Arc` is re-interned
+    /// across all partitions (in storage order, so the ids are
+    /// deterministic) into a dictionary every partition's batch shares.
+    /// Values, zone maps, and `stored_bytes` are unchanged — page accounting
+    /// counts only the entries a page references. Called by the catalog at
+    /// registration ("interned per table at load"); idempotent.
     pub fn dict_encoded(mut self) -> Table {
         let string_cols: Vec<usize> = (0..self.schema.arity())
             .filter(|&i| self.schema.field(i).data_type == DataType::Utf8)
-            .filter(|&i| {
-                self.partitions
-                    .iter()
-                    .any(|p| matches!(p.batch.column(i), ColumnData::Utf8(_)))
-            })
+            .filter(|&i| !self.partitions.is_empty() && self.column_dictionary(i).is_none())
             .collect();
         if string_cols.is_empty() {
             return self;
@@ -123,17 +120,12 @@ impl Table {
         let mut encoded: Vec<Vec<Arc<ColumnData>>> = Vec::with_capacity(string_cols.len());
         for &ci in &string_cols {
             let mut dict = Dictionary::new();
-            let mut per_part: Vec<Vec<u32>> = Vec::with_capacity(self.partitions.len());
-            for p in &self.partitions {
-                let ids = match p.batch.column(ci) {
-                    ColumnData::Utf8(v) => v.iter().map(|s| dict.intern(s)).collect(),
-                    ColumnData::Dict { ids, dict: d } => {
-                        ids.iter().map(|&id| dict.intern(d.get(id))).collect()
-                    }
-                    other => unreachable!("Utf8 schema field holds {}", other.data_type()),
-                };
-                per_part.push(ids);
-            }
+            // Every string column is dictionary ids (a batch's columns match
+            // its schema), so no partition is skipped.
+            let per_part: Vec<Vec<u32>> = (self.partitions.iter())
+                .filter_map(|p| p.batch.column(ci).as_dict())
+                .map(|(ids, d)| ids.iter().map(|&id| dict.intern(d.get(id))).collect())
+                .collect();
             let dict = Arc::new(dict);
             encoded.push(
                 per_part
@@ -148,8 +140,8 @@ impl Table {
             );
         }
         // Rebuild partitions with the encoded columns swapped in. Zone maps,
-        // stored_bytes, and page accounting are value-level quantities (the
-        // page codec picker sees through string encodings), so they are
+        // stored_bytes, and page accounting are value-level quantities (a
+        // page holds only the entries its rows reference), so they are
         // preserved verbatim rather than recomputed.
         for (pi, part) in self.partitions.iter_mut().enumerate() {
             let mut columns: Vec<Arc<ColumnData>> = part.batch.columns().to_vec();
@@ -211,7 +203,6 @@ impl Table {
                 x.partial_cmp(&y)
                     .unwrap_or_else(|| x.is_nan().cmp(&y.is_nan()))
             }),
-            ColumnData::Utf8(v) => indices.sort_by(|&a, &b| v[a].cmp(&v[b])),
             ColumnData::Bool(v) => indices.sort_by_key(|&i| v[i]),
             ColumnData::Dict { ids, dict } => {
                 indices.sort_by(|&a, &b| dict.get(ids[a]).cmp(dict.get(ids[b])))
@@ -415,25 +406,19 @@ mod tests {
             Field::new("id", DataType::Int64),
             Field::new("grp", DataType::Utf8),
         ]));
+        // Two batches, each over a dictionary of its own: no partition
+        // shares the dictionary of another until registration.
         let mut b = TableBuilder::new(TableId::new(0), "t", schema.clone(), 2).unwrap();
-        b.append(
-            RecordBatch::new(
-                schema,
-                vec![
-                    ColumnData::Int64(vec![1, 2, 3, 4, 5]),
-                    ColumnData::Utf8(vec![
-                        "b".into(),
-                        "a".into(),
-                        "b".into(),
-                        "c".into(),
-                        "a".into(),
-                    ]),
-                ],
-            )
-            .unwrap(),
-        )
-        .unwrap();
+        for (ids, grps) in [
+            (vec![1, 2, 3], vec!["b", "a", "b"]),
+            (vec![4, 5], vec!["c", "a"]),
+        ] {
+            let columns = vec![ColumnData::Int64(ids), ColumnData::strings(grps)];
+            b.append(RecordBatch::new(schema.clone(), columns).unwrap())
+                .unwrap();
+        }
         let plain = b.finish().unwrap();
+        assert!(plain.column_dictionary(1).is_none());
         let plain_bytes = plain.total_bytes();
         let plain_encoded = plain.total_encoded_bytes();
         let plain_rows = plain.to_batch().unwrap();
@@ -481,7 +466,7 @@ mod tests {
         let ids: Vec<i64> = vec![7, 1, 5, 3, 3, 9, 2];
         let columns = vec![
             ColumnData::Int64(ids.clone()),
-            ColumnData::Utf8(ids.iter().map(|i| format!("g{}", i % 3)).collect()),
+            ColumnData::strings(ids.iter().map(|i| format!("g{}", i % 3))),
             ColumnData::Float64(ids.iter().map(|&i| i as f64 / 2.0).collect()),
             ColumnData::Bool(ids.iter().map(|i| i % 2 == 0).collect()),
         ];

@@ -187,28 +187,6 @@ pub struct StoredTable {
 // Encoding
 // ---------------------------------------------------------------------------
 
-/// Encodes one column as a kind-0 inline page. A fixed-width column is
-/// stored under `codec`, the codec its partition's page accounting picked
-/// ([`MicroPartition::pages`]), so a file holds the page its partition
-/// bills and persisting races no codec again. Owned string columns stay
-/// Plain, so they never decode into a fresh per-partition dictionary.
-fn inline_page_bytes(col: &ColumnData, codec: PageCodec) -> Result<Vec<u8>> {
-    match col {
-        ColumnData::Int64(_) | ColumnData::Float64(_) | ColumnData::Bool(_) => {
-            Ok(encode_column(col, codec)?.1)
-        }
-        ColumnData::Utf8(_) => Ok(encode_column(col, PageCodec::Plain)?.1),
-        // Dictionary columns without a table-wide dictionary: store the
-        // materialized values. (Unreachable through the catalog, which
-        // always produces table-wide dictionaries; representation may then
-        // legitimately differ from the resident batch.)
-        ColumnData::Dict { ids, dict } => {
-            let vals: Vec<String> = ids.iter().map(|&id| dict.get(id).to_string()).collect();
-            Ok(encode_column(&ColumnData::Utf8(vals), PageCodec::Plain)?.1)
-        }
-    }
-}
-
 fn push_header(out: &mut Vec<u8>, magic: [u8; 4], cols: u16, rows: u32, payload: &[u8]) {
     out.extend_from_slice(&magic);
     out.push(TIER_FILE_VERSION);
@@ -237,7 +215,14 @@ fn encode_partition(part: &MicroPartition, dicts: &[Option<Arc<Dictionary>>]) ->
                 write_ids_section(&mut b, ids.iter().copied(), td.len());
                 (KIND_DICT_REF, b)
             }
-            _ => (KIND_PAGE, inline_page_bytes(col, part.pages[i].codec)?),
+            // A kind-0 inline page holds a fixed-width column under the
+            // codec its partition's page accounting picked
+            // ([`MicroPartition::pages`]), so a file holds the page its
+            // partition bills and persisting races no codec again. A string
+            // column without the table-wide dictionary (unreachable through
+            // the catalog, which always gives one) is stored Plain.
+            (ColumnData::Dict { .. }, _) => (KIND_PAGE, encode_column(col, PageCodec::Plain)?.1),
+            _ => (KIND_PAGE, encode_column(col, part.pages[i].codec)?.1),
         };
         payload.push(kind);
         payload.extend_from_slice(&(blob.len() as u32).to_le_bytes());
@@ -585,7 +570,7 @@ mod tests {
             vec![
                 ColumnData::Int64((0..n).collect()),
                 ColumnData::Float64((0..n).map(|i| i as f64 * 0.5).collect()),
-                ColumnData::Utf8((0..n).map(|i| format!("tag{}", i % 3)).collect()),
+                ColumnData::strings((0..n).map(|i| format!("tag{}", i % 3))),
                 ColumnData::Int64((0..n).map(|i| i % 4).collect()),
                 ColumnData::Bool((0..n).map(|i| i % 2 == 0).collect()),
             ],

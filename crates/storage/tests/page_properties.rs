@@ -16,7 +16,25 @@ use ci_storage::RecordBatch;
 use proptest::prelude::*;
 
 fn utf8(vals: &[String]) -> ColumnData {
-    ColumnData::Utf8(vals.to_vec())
+    ColumnData::strings(vals)
+}
+
+/// `vals` over a dictionary that first interns decoys and `vals` in
+/// reverse: other ids than [`utf8`]'s, and entries no row references.
+fn foreign(vals: &[String]) -> ColumnData {
+    let mut dict = ci_storage::dict::Dictionary::new();
+    for s in ["zz-decoy", "aa-decoy"]
+        .iter()
+        .copied()
+        .chain(vals.iter().rev().map(String::as_str))
+    {
+        dict.intern(s);
+    }
+    let ids = vals.iter().map(|s| dict.intern(s)).collect();
+    ColumnData::Dict {
+        ids,
+        dict: Arc::new(dict),
+    }
 }
 
 /// `cols` as one batch, each column named after its position.
@@ -145,20 +163,24 @@ proptest! {
         prop_assert!(check_round_trip(&col).is_ok(), "{:?}", check_round_trip(&col));
     }
 
-    /// String columns round-trip under both in-memory encodings and all
-    /// applicable codecs; dict pages decode back to dict-encoded columns.
+    /// String columns round-trip over a fresh and over a foreign
+    /// dictionary under all applicable codecs, every page decoding back to
+    /// dictionary ids that hold the original strings.
     #[test]
     fn string_columns_round_trip(vals in string_column(6, 1..150)) {
-        let naive = utf8(&vals);
-        let dicted = naive.dict_encoded();
-        prop_assert!(check_round_trip(&naive).is_ok(), "{:?}", check_round_trip(&naive));
+        let other = foreign(&vals);
+        let dicted = utf8(&vals);
+        prop_assert!(check_round_trip(&other).is_ok(), "{:?}", check_round_trip(&other));
         prop_assert!(check_round_trip(&dicted).is_ok(), "{:?}", check_round_trip(&dicted));
-        let (_, bytes) = encode_column(&dicted, PageCodec::Dict).unwrap();
-        prop_assert!(decode_column(&bytes).unwrap().as_dict().is_some());
-        // Page accounting is invisible to the in-memory string encoding.
         for codec in PageCodec::candidates(ci_storage::value::DataType::Utf8) {
+            let (_, bytes) = encode_column(&other, codec).unwrap();
+            let decoded = decode_column(&bytes).unwrap();
+            let strings: Vec<&str> = (0..decoded.len()).map(|i| decoded.str_at(i).unwrap()).collect();
+            prop_assert_eq!(strings, vals.iter().map(String::as_str).collect::<Vec<_>>());
+            // Page accounting is invisible to the dictionary.
+            prop_assert_eq!(bytes, encode_column(&dicted, codec).unwrap().1);
             prop_assert_eq!(
-                encoded_size(&naive, codec).unwrap(),
+                encoded_size(&other, codec).unwrap(),
                 encoded_size(&dicted, codec).unwrap()
             );
         }
@@ -173,7 +195,7 @@ proptest! {
     ) {
         // Widen the pooled values so the decoded column is string-heavy.
         let vals: Vec<String> = short.iter().map(|s| format!("{s}-{s}-{s}-padding")).collect();
-        let col = utf8(&vals).dict_encoded();
+        let col = utf8(&vals);
         let (meta, _) = encode_best(&col).unwrap();
         prop_assert!(
             meta.encoded_bytes <= meta.decoded_bytes,
@@ -196,7 +218,7 @@ proptest! {
         flip_at in 0usize..4096,
         flip_bits in 1u8..255,
     ) {
-        let col = utf8(&vals).dict_encoded();
+        let col = utf8(&vals);
         check_corruption(&col, pick_codec(&col), flip_at, flip_bits);
     }
 
@@ -229,7 +251,7 @@ proptest! {
     /// receiver-side decoder inverts every blob of the stream.
     #[test]
     fn wire_sizes_match_serialization_and_decode(vals in string_column(5, 1..120)) {
-        let col = utf8(&vals).dict_encoded();
+        let col = utf8(&vals);
         let (_, dict) = col.as_dict().unwrap();
         let dict_bytes = dictionary_page_bytes(dict);
         let batch = batch_of(vec![Arc::new(col.clone())]);
@@ -265,7 +287,7 @@ proptest! {
         flip_at in 0usize..4096,
         flip_bits in 1u8..255,
     ) {
-        let col = utf8(&vals).dict_encoded();
+        let col = utf8(&vals);
         let mut tx = WireEncoder::new();
         let b1 = ship(&mut tx, &col);
         let b2 = ship(&mut tx, &col);
@@ -536,7 +558,7 @@ fn golden_bytes_pin_the_format() {
 
     // Wire dict pages: flags bit 1 marks the stream form (u32 dictionary id
     // after the header); bit 0 marks an ids-only follow-up.
-    let dicted = col.dict_encoded();
+    let dicted = col.clone();
     let mut tx = WireEncoder::new();
     let b1 = ship(&mut tx, &dicted);
     let b2 = ship(&mut tx, &dicted);
@@ -580,7 +602,7 @@ fn golden_bytes_pin_the_format() {
 /// never carry rows; the receiver rejects it instead of fabricating ids.
 #[test]
 fn wire_empty_dictionary_with_rows_rejected() {
-    let empty = utf8(&[]).dict_encoded();
+    let empty = utf8(&[]);
     let mut tx = WireEncoder::new();
     let blob = ship(&mut tx, &empty);
     let mut rx = WireDecoder::new();
@@ -788,9 +810,9 @@ fn other_column() -> BoxedStrategy<ColumnData> {
         .prop_map(ColumnData::Float64),
         proptest::collection::vec(any::<bool>(), 0..200usize).prop_map(ColumnData::Bool),
         (any::<bool>(), 0usize..200).prop_map(|(b, n)| ColumnData::Bool(vec![b; n])),
-        string_column(6, 0..150).prop_map(ColumnData::Utf8),
+        string_column(6, 0..150).prop_map(|v| foreign(&v)),
         (string_column(9, 0..150), 0usize..150, 0usize..150).prop_map(move |(v, a, b)| window(
-            ColumnData::Utf8(v).dict_encoded(),
+            utf8(&v),
             a,
             b
         )),
@@ -875,7 +897,7 @@ fn check_int_stream(chunks: &[Vec<i64>], stream_col: u32) -> Result<(), String> 
     let mut tx = WireEncoder::new();
     let mut rx = WireDecoder::new();
     let pos = stream_col as usize;
-    let one = Arc::new(ci_storage::dict::Dictionary::encode(["x"].into_iter()).0);
+    let one = ColumnData::strings(["x"]).as_dict().unwrap().1.clone();
     let mut send = |chunk: &[i64]| {
         let col = ColumnData::Int64(chunk.to_vec());
         let filler = Arc::new(ColumnData::Dict {
@@ -1020,7 +1042,7 @@ proptest! {
             Field::new("s", DataType::Utf8),
             Field::new("u", DataType::Utf8),
         ]));
-        let pool = ColumnData::Utf8((0..5).map(|i| format!("key-{i}")).collect()).dict_encoded();
+        let pool = ColumnData::strings((0..5).map(|i| format!("key-{i}")));
         let (pool_ids, dict) = pool.as_dict().unwrap();
         let (mut sel_size, mut dense_size) = (WireEncoder::new(), WireEncoder::new());
         let (mut sel_tx, mut dense_tx) = (WireEncoder::new(), WireEncoder::new());
@@ -1037,7 +1059,7 @@ proptest! {
                     ids: (0..n).map(|i| pool_ids[pick(i) as usize % pool_ids.len()]).collect(),
                     dict: dict.clone(),
                 },
-                ColumnData::Utf8((0..n).map(|i| format!("u{}", pick(i) % 4)).collect()),
+                ColumnData::strings((0..n).map(|i| format!("u{}", pick(i) % 4))),
             ]).unwrap();
             let selected = match shape {
                 0 => batch.filter(&(0..n).map(|i| pick(i) % 3 != 0).collect::<Vec<_>>()).unwrap(),
@@ -1088,7 +1110,7 @@ proptest! {
             Field::new("t", DataType::Utf8),
             Field::new("u", DataType::Utf8),
         ]));
-        let pool = ColumnData::Utf8((0..5).map(|i| format!("key-{i}")).collect()).dict_encoded();
+        let pool = ColumnData::strings((0..5).map(|i| format!("key-{i}")));
         let (pool_ids, dict) = pool.as_dict().unwrap();
         let batches: Vec<RecordBatch> = chunks.iter().zip(&shapes).map(|(ints, &(seed, shape))| {
             let n = ints.len();
@@ -1105,7 +1127,7 @@ proptest! {
                 ColumnData::Bool(ints.iter().map(|x| x % 5 == 0).collect()),
                 shared(0),
                 shared(n),
-                ColumnData::Utf8((0..n).map(|i| format!("u{}", pick(i) % 4)).collect()),
+                ColumnData::strings((0..n).map(|i| format!("u{}", pick(i) % 4))),
             ]).unwrap();
             match shape {
                 0 => batch.filter(&(0..n).map(|i| pick(i) % 3 != 0).collect::<Vec<_>>()).unwrap(),
@@ -1193,7 +1215,7 @@ proptest! {
             Field::new("u", DataType::Utf8),
         ]));
         let arity = schema.arity();
-        let pool = ColumnData::Utf8((0..5).map(|i| format!("key-{i}")).collect()).dict_encoded();
+        let pool = ColumnData::strings((0..5).map(|i| format!("key-{i}")));
         let (pool_ids, dict) = pool.as_dict().unwrap();
         let (mut fresh_tx, mut reuse_tx) = (WireEncoder::new(), WireEncoder::new());
         let (mut fresh_size, mut reuse_size) = (WireEncoder::new(), WireEncoder::new());
@@ -1210,7 +1232,7 @@ proptest! {
                     ids: (0..n).map(|i| pool_ids[pick(i) as usize % pool_ids.len()]).collect(),
                     dict: dict.clone(),
                 },
-                ColumnData::Utf8((0..n).map(|i| format!("u{}", pick(i) % 4)).collect()),
+                ColumnData::strings((0..n).map(|i| format!("u{}", pick(i) % 4))),
             ]).unwrap();
             let own = WireSketch::of(&batch).unwrap();
             // The pass-through shape: columns rotated (a projection), the
@@ -1311,22 +1333,24 @@ mod oracle {
         ))
     }
 
+    /// A string column's rows as strings: the oracle reads values, never
+    /// ids.
+    fn strings(ids: &[u32], dict: &ci_storage::dict::Dictionary) -> Vec<String> {
+        ids.iter().map(|&id| dict.get(id).to_owned()).collect()
+    }
+
     /// `(entry_count, entry_bytes)` of the distinct values the rows reference.
     pub fn referenced_entries(col: &ColumnData) -> (usize, u64) {
         match col {
-            ColumnData::Utf8(v) => {
-                let mut seen: HashSet<&str> = HashSet::new();
+            ColumnData::Dict { ids, dict } => {
+                let mut seen: HashSet<String> = HashSet::new();
                 let mut bytes = 0u64;
-                for s in v {
-                    if seen.insert(s) {
+                for s in strings(ids, dict) {
+                    if !seen.contains(&s) {
                         bytes += 4 + s.len() as u64;
+                        seen.insert(s);
                     }
                 }
-                (seen.len(), bytes)
-            }
-            ColumnData::Dict { ids, dict } => {
-                let seen: HashSet<u32> = ids.iter().copied().collect();
-                let bytes = seen.iter().map(|&id| dict.value_bytes(id) as u64).sum();
                 (seen.len(), bytes)
             }
             ColumnData::Int64(v) => {
@@ -1361,10 +1385,8 @@ mod oracle {
             ColumnData::Int64(v) => runs_by(v, |&x| x, |_| 8),
             ColumnData::Float64(v) => runs_by(v, |x| x.to_bits(), |_| 8),
             ColumnData::Bool(v) => runs_by(v, |&b| b, |_| 1),
-            ColumnData::Utf8(v) => runs_by(v, |s| s.clone(), |s| 4 + s.len() as u64),
-            // Id equality is value equality under interning.
             ColumnData::Dict { ids, dict } => {
-                runs_by(ids, |&id| id, |&id| dict.value_bytes(id) as u64)
+                runs_by(&strings(ids, dict), |s| s.clone(), |s| 4 + s.len() as u64)
             }
         }
     }
@@ -1379,7 +1401,10 @@ mod oracle {
         Some(match codec {
             PageCodec::Plain => match col {
                 ColumnData::Bool(_) => header + rows,
-                ColumnData::Utf8(_) | ColumnData::Dict { .. } => header + col.byte_size() as u64,
+                ColumnData::Dict { ids, dict } => {
+                    let bytes: usize = strings(ids, dict).iter().map(|s| 4 + s.len()).sum();
+                    header + bytes as u64
+                }
                 _ => header + rows * 8,
             },
             PageCodec::Dict => {

@@ -5,8 +5,13 @@
 //!   the partition size, up to three partitions' worth) and whether a batch
 //!   carries a selection, the partitions must equal those of the reference:
 //!   concatenate every batch, then cut. Equal means the same rows (floats by
-//!   bits), the same encodings, the same dictionary `Arc`, and the same zone
-//!   maps, pages and wire sketch.
+//!   bits), the same dictionary `Arc`, and the same zone maps, pages and
+//!   wire sketch. Column `s` carries a fresh dictionary per batch, so the
+//!   builder may hold a partition's strings over another dictionary than
+//!   the reference's: the reference is then compared re-expressed over the
+//!   builder's dictionary (the same values, the ids that dictionary gives
+//!   them), which moves no zone map or page, only the ids a wire page
+//!   ships.
 //! * `Table::reclustered_by` sorts on the key column's own type; its
 //!   partitions must equal those of a stable sort comparing `Value`s with
 //!   `partial_cmp_sql`, then cut. Where that leaves a pair unordered (a NaN
@@ -59,7 +64,7 @@ fn batch(r: &mut DetRng, rows: usize, dict: &Arc<Dictionary>) -> RecordBatch {
         vec![
             ColumnData::Int64((0..rows).map(|_| r.range_i64(-5, 5)).collect()),
             ColumnData::Float64((0..rows).map(|_| float_value(r)).collect()),
-            ColumnData::Utf8((0..rows).map(|_| format!("s{}", r.u64_below(7))).collect()),
+            ColumnData::strings((0..rows).map(|_| format!("s{}", r.u64_below(7)))),
             ColumnData::Dict {
                 ids: (0..rows)
                     .map(|_| r.u64_below(dict.len() as u64) as u32)
@@ -93,13 +98,36 @@ fn same_column(a: &ColumnData, b: &ColumnData) -> bool {
     }
 }
 
+/// `want` with every string column whose dictionary is not `got`'s
+/// re-expressed over `got`'s dictionary — the ids it gives the same values —
+/// and sketched again.
+fn over_dictionaries_of(got: &MicroPartition, want: &MicroPartition) -> MicroPartition {
+    let columns = (got.batch.columns().iter().zip(want.batch.columns()))
+        .map(|(g, w)| match (g.as_dict(), w.as_dict()) {
+            (Some((_, gd)), Some((ids, wd))) if !Arc::ptr_eq(gd, wd) => {
+                let ids = ids
+                    .iter()
+                    .map(|&id| gd.id_of(wd.get(id)).unwrap_or(u32::MAX));
+                Arc::new(ColumnData::Dict {
+                    ids: ids.collect(),
+                    dict: gd.clone(),
+                })
+            }
+            _ => w.clone(),
+        })
+        .collect();
+    let batch = RecordBatch::from_arcs(want.batch.schema().clone(), columns);
+    MicroPartition::from_batch(batch.unwrap())
+}
+
 fn assert_same_partitions(got: &[MicroPartition], want: &[MicroPartition], what: &str) {
     assert_eq!(got.len(), want.len(), "{what}: partition count");
     for (k, (g, w)) in got.iter().zip(want).enumerate() {
         let ctx = format!("{what}, partition {k}");
         assert!(g.batch.selection().is_none(), "{ctx}: a partition is dense");
         assert_eq!(g.batch.schema(), w.batch.schema(), "{ctx}");
-        for (c, (x, y)) in g.batch.columns().iter().zip(w.batch.columns()).enumerate() {
+        let re = over_dictionaries_of(g, w);
+        for (c, (x, y)) in g.batch.columns().iter().zip(re.batch.columns()).enumerate() {
             assert!(same_column(x, y), "{ctx}, column {c}: {x:?} vs {y:?}");
         }
         // `Debug` tells -0.0 from 0.0 in the zone maps.
@@ -113,7 +141,7 @@ fn assert_same_partitions(got: &[MicroPartition], want: &[MicroPartition], what:
         assert_eq!(g.pages, w.pages, "{ctx}");
         // The sketch keeps the columns it covers, NaN included: compare
         // its `Debug` form, since `NaN != NaN`.
-        assert_eq!(format!("{:?}", g.wire), format!("{:?}", w.wire), "{ctx}");
+        assert_eq!(format!("{:?}", g.wire), format!("{:?}", re.wire), "{ctx}");
     }
 }
 

@@ -47,7 +47,7 @@ impl Fixture {
             vec![
                 ColumnData::Int64((0..n).collect()),
                 ColumnData::Float64((0..n).map(|i| i as f64 * 0.25).collect()),
-                ColumnData::Utf8((0..n).map(|i| format!("tag{}", i % 5)).collect()),
+                ColumnData::strings((0..n).map(|i| format!("tag{}", i % 5))),
                 ColumnData::Int64((0..n).map(|i| i % 3).collect()),
                 ColumnData::Bool((0..n).map(|i| i % 2 == 0).collect()),
             ],
@@ -301,7 +301,7 @@ fn files_store_the_pages_their_partitions_bill() {
         vec![
             ColumnData::Int64((0..n).map(|i| 10_000 + 3 * i).collect()),
             ColumnData::Float64((0..n).map(|i| (i % 7) as f64 * 0.5).collect()),
-            ColumnData::Utf8((0..n).map(|i| format!("tag-{}", i % 11)).collect()),
+            ColumnData::strings((0..n).map(|i| format!("tag-{}", i % 11))),
             ColumnData::Int64((0..n).map(|i| (i * 7 % 5) * 0x0123_4567_89ab).collect()),
             ColumnData::Bool((0..n).map(|i| i % 3 == 0).collect()),
         ],

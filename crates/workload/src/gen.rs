@@ -111,16 +111,8 @@ impl CabGenerator {
                 schema,
                 vec![
                     ColumnData::Int64((0..n_cust as i64).collect()),
-                    ColumnData::Utf8(
-                        (0..n_cust)
-                            .map(|_| (*r.choose(&REGIONS)).to_owned())
-                            .collect(),
-                    ),
-                    ColumnData::Utf8(
-                        (0..n_cust)
-                            .map(|_| (*r.choose(&SEGMENTS)).to_owned())
-                            .collect(),
-                    ),
+                    ColumnData::strings((0..n_cust).map(|_| *r.choose(&REGIONS))),
+                    ColumnData::strings((0..n_cust).map(|_| *r.choose(&SEGMENTS))),
                 ],
             )?)?;
             catalog.register(b.finish()?);
@@ -144,11 +136,7 @@ impl CabGenerator {
                 schema,
                 vec![
                     ColumnData::Int64((0..n_part as i64).collect()),
-                    ColumnData::Utf8(
-                        (0..n_part)
-                            .map(|_| (*r.choose(&CATEGORIES)).to_owned())
-                            .collect(),
-                    ),
+                    ColumnData::strings((0..n_part).map(|_| *r.choose(&CATEGORIES))),
                     ColumnData::Float64((0..n_part).map(|_| r.range_f64(1.0, 1000.0)).collect()),
                 ],
             )?)?;

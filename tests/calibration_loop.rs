@@ -55,7 +55,7 @@ fn catalog() -> Catalog {
             cust,
             vec![
                 ColumnData::Int64((0..500).collect()),
-                ColumnData::Utf8((0..500).map(|i| format!("region-{}", i % 7)).collect()),
+                ColumnData::strings((0..500).map(|i| format!("region-{}", i % 7))),
             ],
         )
         .unwrap(),
