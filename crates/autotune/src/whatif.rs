@@ -4,14 +4,14 @@ use ci_catalog::{Catalog, ErrorInjector};
 use ci_cost::{
     CostEstimator, EstimatorConfig, PipelineWork, TierCostModel, TierLevel, TierPricing, DOP_LADDER,
 };
-use ci_plan::binder::bind;
+use ci_plan::binder::{bind, BoundQuery};
 use ci_plan::jointree::JoinTree;
 use ci_plan::physical::{build_plan, PhysicalPlan};
 use ci_plan::pipeline::PipelineGraph;
 use ci_sql::parse;
 use ci_storage::table::Table;
 use ci_types::money::Dollars;
-use ci_types::{CiError, Result, SimDuration};
+use ci_types::{CiError, Result, SimDuration, TableId};
 
 use crate::predictor::PredictedQuery;
 use crate::statsvc::fingerprint_sql;
@@ -181,7 +181,7 @@ impl<'a> WhatIfService<'a> {
         let bill = |secs| hw.node.rate.bill(SimDuration::from_secs_f64(secs));
         match action {
             TuningAction::CreateMaterializedView { definition_sql, .. } => {
-                self.query_cost(self.catalog, definition_sql)
+                self.query_cost(definition_sql)
             }
             TuningAction::Recluster { table, .. } => {
                 // Read + write the whole table once (object I/O moves
@@ -225,22 +225,41 @@ impl<'a> WhatIfService<'a> {
         )
     }
 
-    /// Estimated dollars of one query under a given catalog.
-    fn query_cost(&self, catalog: &Catalog, sql: &str) -> Result<Dollars> {
-        Self::query_cost_with(catalog, &self.estimator, sql)
+    /// Estimated dollars of one query on the service's catalog.
+    fn query_cost(&self, sql: &str) -> Result<Dollars> {
+        let plan = Self::left_deep_plan(self.catalog, &bind(&parse(sql)?, self.catalog)?)?;
+        Self::plan_cost(self.catalog, &self.estimator, &plan)
     }
 
-    /// Same, under an explicit estimator configuration — how cache what-ifs
-    /// price "the same query, but with this tier model".
-    fn query_cost_with(catalog: &Catalog, cfg: &EstimatorConfig, sql: &str) -> Result<Dollars> {
-        Self::plan_cost(catalog, cfg, &Self::left_deep_plan(catalog, sql)?)
+    /// The queries of `workload` that bind against the service's catalog,
+    /// each with its binding: the relations it reads. A query that no
+    /// longer binds reads nothing.
+    fn bound<'w>(&self, workload: &'w [PredictedQuery]) -> Vec<(&'w PredictedQuery, BoundQuery)> {
+        let bound = |sql| bind(&parse(sql).ok()?, self.catalog).ok();
+        workload
+            .iter()
+            .filter_map(|q| Some((q, bound(&q.sql)?)))
+            .collect()
     }
 
-    /// `sql` planned left-deep with oracle cardinalities.
-    fn left_deep_plan(catalog: &Catalog, sql: &str) -> Result<PhysicalPlan> {
-        let bound = bind(&parse(sql)?, catalog)?;
-        let tree = JoinTree::left_deep(&(0..bound.relations.len()).collect::<Vec<_>>());
-        build_plan(&bound, &tree, catalog, &mut ErrorInjector::oracle())
+    /// `bound` planned left-deep over `catalog` with oracle cardinalities:
+    /// relations in FROM order while each joins the ones before it, else the
+    /// first later relation that does. A disconnected query still errors.
+    fn left_deep_plan(catalog: &Catalog, bound: &BoundQuery) -> Result<PhysicalPlan> {
+        let mut rest: Vec<usize> = (0..bound.relations.len()).collect();
+        let mut order = Vec::with_capacity(rest.len());
+        while !rest.is_empty() {
+            let joins_prefix = |&r: &usize| {
+                (bound.join_edges.iter()).any(|e| {
+                    (e.left_rel == r && order.contains(&e.right_rel))
+                        || (e.right_rel == r && order.contains(&e.left_rel))
+                })
+            };
+            let next = rest.iter().position(joins_prefix).unwrap_or(0);
+            order.push(rest.remove(next));
+        }
+        let tree = JoinTree::left_deep(&order);
+        build_plan(bound, &tree, catalog, &mut ErrorInjector::oracle())
     }
 
     /// Estimated dollars of `plan`, each pipeline at its machine-time
@@ -288,7 +307,8 @@ impl<'a> WhatIfService<'a> {
         workload: &[PredictedQuery],
     ) -> Result<ProposalReport> {
         // Size of the materialized result, from plan annotations.
-        let plan = Self::left_deep_plan(self.catalog, definition_sql)?;
+        let plan =
+            Self::left_deep_plan(self.catalog, &bind(&parse(definition_sql)?, self.catalog)?)?;
         let mv_rows = plan.nodes[plan.root].est_rows;
         // Decoded size drives CPU terms; the encoded size is what the object
         // store actually holds and bills at rest.
@@ -326,7 +346,7 @@ impl<'a> WhatIfService<'a> {
             let before = if q.sql == definition_sql {
                 build_cost
             } else {
-                self.query_cost(self.catalog, &q.sql)?
+                self.query_cost(&q.sql)?
             };
             let saved = (before - serve_cost).max(Dollars::ZERO);
             benefit += saved * q.rate_per_hour;
@@ -349,17 +369,18 @@ impl<'a> WhatIfService<'a> {
         // the what-if world. (The data is identical; only zone maps change.)
         // A cloned catalog has no page store, so this writes no live file.
         let mut scratch = self.catalog.clone();
-        scratch.register(self.reclustered(table, column)?);
+        let id = scratch.register(self.reclustered(table, column)?).table.id;
 
         let mut benefit = Dollars::ZERO;
         let mut matched = 0usize;
-        for q in workload {
-            // Only queries touching the table can benefit; cheap pre-filter.
-            if !q.sql.to_lowercase().contains(&table.to_lowercase()) {
-                continue;
-            }
-            let before = self.query_cost(self.catalog, &q.sql)?;
-            let after = self.query_cost(&scratch, &q.sql)?;
+        // Only queries reading the table can benefit; the reclustered table
+        // keeps its id, name and schema, so one binding serves both worlds.
+        for (q, bound) in self.bound(workload).iter().filter(|(_, b)| reads(b, id)) {
+            let cost = |catalog| {
+                let plan = Self::left_deep_plan(catalog, bound)?;
+                Self::plan_cost(catalog, &self.estimator, &plan)
+            };
+            let (before, after) = (cost(self.catalog)?, cost(&scratch)?);
             if after < before {
                 matched += 1;
                 benefit += (before - after) * q.rate_per_hour;
@@ -406,12 +427,10 @@ impl<'a> WhatIfService<'a> {
         let egress = self.egress(&entry.table);
         let mut benefit = Dollars::ZERO;
         let mut matched = 0usize;
-        for q in workload {
-            if !q.sql.to_lowercase().contains(&table.to_lowercase()) {
-                continue;
-            }
-            let before = Self::query_cost_with(self.catalog, &before_cfg, &q.sql)?;
-            let after = Self::query_cost_with(self.catalog, &after_cfg, &q.sql)?;
+        for (q, bound) in self.bound(workload).iter().filter(|(_, b)| reads(b, id)) {
+            let plan = Self::left_deep_plan(self.catalog, bound)?;
+            let before = Self::plan_cost(self.catalog, &before_cfg, &plan)?;
+            let after = Self::plan_cost(self.catalog, &after_cfg, &plan)?;
             let saved = (before - after).max(Dollars::ZERO) + egress;
             if saved > Dollars::ZERO {
                 matched += 1;
@@ -433,14 +452,12 @@ impl<'a> WhatIfService<'a> {
         workload: &[PredictedQuery],
     ) -> Result<ProposalReport> {
         let pricing = &self.tiers;
-        // Working set: encoded bytes of every table the workload touches.
-        let lowered: Vec<String> = workload.iter().map(|q| q.sql.to_lowercase()).collect();
-        let mut working_set = 0u64;
-        for (name, entry) in self.catalog.tables() {
-            if lowered.iter().any(|s| s.contains(name)) {
-                working_set += entry.table.total_encoded_bytes();
-            }
-        }
+        // Working set: encoded bytes of every table the workload reads.
+        let bound = self.bound(workload);
+        let working_set: u64 = (self.catalog.tables())
+            .filter(|(_, e)| bound.iter().any(|(_, b)| reads(b, e.table.id)))
+            .map(|(_, e)| e.table.total_encoded_bytes())
+            .sum();
         if working_set == 0 {
             return self.finish_report(action, Dollars::ZERO, Dollars::ZERO, Dollars::ZERO, 0);
         }
@@ -457,9 +474,10 @@ impl<'a> WhatIfService<'a> {
 
         let mut benefit = Dollars::ZERO;
         let mut matched = 0usize;
-        for q in workload {
-            let before = Self::query_cost_with(self.catalog, &before_cfg, &q.sql)?;
-            let after = Self::query_cost_with(self.catalog, &after_cfg, &q.sql)?;
+        for (q, bound) in &bound {
+            let plan = Self::left_deep_plan(self.catalog, bound)?;
+            let before = Self::plan_cost(self.catalog, &before_cfg, &plan)?;
+            let after = Self::plan_cost(self.catalog, &after_cfg, &plan)?;
             if after < before {
                 matched += 1;
                 benefit += (before - after) * q.rate_per_hour;
@@ -521,6 +539,11 @@ impl<'a> WhatIfService<'a> {
             narrative,
         })
     }
+}
+
+/// Whether the bound query reads table `id`.
+fn reads(bound: &BoundQuery, id: TableId) -> bool {
+    bound.relations.iter().any(|r| r.table_id == id)
 }
 
 #[cfg(test)]

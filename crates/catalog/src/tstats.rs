@@ -3,12 +3,15 @@
 //! The metadata service keeps "low-latency access to ... table statistics
 //! necessary for query planning" (§3). Statistics are computed once at load
 //! (or refreshed by background compute) and read by the cardinality
-//! estimator and cost models.
+//! estimator and cost models. A column's exact NDV comes from
+//! [`ci_storage::pages::count_distinct`], the distinct counter the page
+//! codec race uses: this crate keeps no bitmap or hash set of its own.
 
 use std::sync::Arc;
 
 use ci_storage::column::ColumnData;
 use ci_storage::dict::Dictionary;
+use ci_storage::pages::count_distinct;
 use ci_storage::table::Table;
 use ci_storage::value::{DataType, Value};
 
@@ -59,18 +62,16 @@ pub struct TableStats {
 /// Number of histogram buckets used at stats-build time.
 const HISTOGRAM_BUCKETS: usize = 64;
 
-/// An `Int64` column counts its distinct values in a bitmap over
-/// `value - min` when that bitmap needs at most one 64-bit word per row, or
-/// at most this many words (128 KiB) on a short column.
-const BITMAP_MIN_WORDS: u64 = 1 << 14;
-
 impl TableStats {
     /// Computes full statistics, linear in the table's rows: min and max
     /// merge the partitions' zone maps, and each column's values are read
     /// three times at most (distinct count, histogram domain, histogram
-    /// counts), copied never. The distinct count is exact: dictionary ids
-    /// against a shared dictionary, a bitmap for narrow `Int64` ranges, and a
-    /// presized word set over each value's 64-bit image otherwise.
+    /// counts), copied never. The distinct count is exact and takes one pass
+    /// through [`count_distinct`], the counter the page codec race uses:
+    /// ints within their zone-map range, floats by their bits, bools as 0/1,
+    /// ids over a shared dictionary. A string column without one shared
+    /// dictionary (a table not yet registered) interns its values into a
+    /// fresh dictionary instead.
     pub fn compute(table: &Table) -> TableStats {
         let arity = table.schema.arity();
         let row_count = table.row_count();
@@ -123,23 +124,44 @@ impl TableStats {
             .sum();
 
         let shared_dict = table.column_dictionary(col_idx).cloned();
-        let ndv = match &shared_dict {
-            Some(dict) => dict_ndv(dict, cols()),
-            None => match (&min, &max) {
-                (Some(Value::Int(lo)), Some(Value::Int(hi))) => int_ndv(*lo, *hi, rows, cols()),
-                _ => hashed_ndv(rows, cols()),
-            },
-        };
-        let histogram = match table.schema.field(col_idx).data_type {
-            DataType::Int64 => Histogram::build(
-                cols().flat_map(|c| c.as_i64().unwrap_or_default().iter().map(|&x| x as f64)),
-                HISTOGRAM_BUCKETS,
-            ),
-            DataType::Float64 => Histogram::build(
-                cols().flat_map(|c| c.as_f64().unwrap_or_default().iter().copied()),
-                HISTOGRAM_BUCKETS,
-            ),
-            DataType::Utf8 | DataType::Bool => None,
+        let data_type = table.schema.field(col_idx).data_type;
+        let ints = || cols().map(|c| c.as_i64().unwrap_or_default());
+        let floats = || cols().map(|c| c.as_f64().unwrap_or_default());
+        let (ndv, histogram) = match (data_type, &shared_dict) {
+            (DataType::Int64, _) => {
+                let range = match (&min, &max) {
+                    (Some(Value::Int(lo)), Some(Value::Int(hi))) => (*lo, *hi),
+                    _ => (0, 0),
+                };
+                let ndv = count_distinct(ints().map(|v| v.iter().copied()), range);
+                let vals = ints().flat_map(|v| v.iter().map(|&x| x as f64));
+                (ndv, Histogram::build(vals, HISTOGRAM_BUCKETS))
+            }
+            (DataType::Float64, _) => {
+                let bits = floats().map(|v| v.iter().map(|x| x.to_bits() as i64));
+                let ndv = count_distinct(bits, (i64::MIN, i64::MAX));
+                let vals = floats().flat_map(|v| v.iter().copied());
+                (ndv, Histogram::build(vals, HISTOGRAM_BUCKETS))
+            }
+            (DataType::Bool, _) => {
+                let bools = cols().map(|c| c.as_bool().unwrap_or_default());
+                let bools = bools.map(|v| v.iter().map(|&b| i64::from(b)));
+                (count_distinct(bools, (0, 1)), None)
+            }
+            (DataType::Utf8, Some(dict)) => {
+                let ids = cols().filter_map(ColumnData::as_dict);
+                let ids = ids.map(|(ids, _)| ids.iter().map(|&id| i64::from(id)));
+                (count_distinct(ids, (0, dict.len() as i64 - 1)), None)
+            }
+            (DataType::Utf8, None) => {
+                let mut values = Dictionary::new();
+                for (ids, dict) in cols().filter_map(ColumnData::as_dict) {
+                    for &id in ids {
+                        values.intern(dict.get(id));
+                    }
+                }
+                (values.len() as u64, None)
+            }
         };
         ColumnStats {
             ndv,
@@ -157,137 +179,6 @@ impl TableStats {
                 encoded_payload as f64 / rows as f64
             },
             dictionary: shared_dict,
-        }
-    }
-}
-
-/// Distinct ids referenced across partitions that all share `dict` (exact,
-/// no hashing).
-fn dict_ndv<'a>(dict: &Dictionary, cols: impl Iterator<Item = &'a ColumnData>) -> u64 {
-    let mut seen = vec![false; dict.len()];
-    let mut ndv = 0;
-    for (ids, _) in cols.filter_map(ColumnData::as_dict) {
-        for &id in ids {
-            ndv += u64::from(!std::mem::replace(&mut seen[id as usize], true));
-        }
-    }
-    ndv
-}
-
-/// Distinct values of an `Int64` column spanning `[lo, hi]`: a bitmap over
-/// `value - lo` when the span is narrow, else the word set.
-fn int_ndv<'a>(
-    lo: i64,
-    hi: i64,
-    rows: usize,
-    cols: impl Iterator<Item = &'a ColumnData> + Clone,
-) -> u64 {
-    let words = (hi as u64).wrapping_sub(lo as u64) / 64 + 1;
-    if words > (rows as u64).max(BITMAP_MIN_WORDS) {
-        return hashed_ndv(rows, cols);
-    }
-    let mut bits = vec![0u64; words as usize];
-    let mut ndv = 0;
-    for v in cols.map(|c| c.as_i64().unwrap_or_default()) {
-        for &x in v {
-            let off = (x as u64).wrapping_sub(lo as u64);
-            let (word, bit) = (&mut bits[(off / 64) as usize], 1u64 << (off % 64));
-            ndv += u64::from(*word & bit == 0);
-            *word |= bit;
-        }
-    }
-    ndv
-}
-
-/// FNV-1a 64-bit: the string hash behind [`hashed_ndv`]. Strings are
-/// short, so its byte-serial chain costs little here.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
-/// Distinct 64-bit images of the `rows` values: the integer's bits, a
-/// float's bits, a bool as 0/1, or the FNV-1a hash of a string
-/// ([`fnv1a64`]; collision odds are negligible at these scales).
-/// A string column (dictionaries not shared across partitions) hashes each
-/// id it references once, so ids from different dictionaries never
-/// collide.
-fn hashed_ndv<'a>(rows: usize, cols: impl Iterator<Item = &'a ColumnData>) -> u64 {
-    let mut set = WordSet::with_capacity(rows);
-    for col in cols {
-        match col {
-            ColumnData::Int64(v) => v.iter().for_each(|&x| set.insert(x as u64)),
-            ColumnData::Float64(v) => v.iter().for_each(|x| set.insert(x.to_bits())),
-            ColumnData::Bool(v) => v.iter().for_each(|&b| set.insert(b as u64)),
-            ColumnData::Dict { ids, dict } => {
-                let mut seen = vec![false; dict.len()];
-                for &id in ids {
-                    if !std::mem::replace(&mut seen[id as usize], true) {
-                        set.insert(fnv1a64(dict.get(id).as_bytes()));
-                    }
-                }
-            }
-        }
-    }
-    set.len() as u64
-}
-
-/// An insert-only open-addressing set of `u64` words with a fixed
-/// multiplicative hash, sized up front to stay at most 4/5 full for the
-/// number of insertions its caller makes. A half-full bound would double
-/// the table (4 MiB for a 200 000-row column, twice the column itself), and
-/// freeing a block that large raised the process's peak RSS on the CAB
-/// query workloads by ≈ 5 MB through the allocator's mmap threshold. Slot
-/// value 0 means empty, so the key 0 is kept aside in a flag.
-struct WordSet {
-    slots: Vec<u64>,
-    /// `64 - log2(slots.len())`: the hash's top bits pick the home slot.
-    shift: u32,
-    len: usize,
-    has_zero: bool,
-}
-
-impl WordSet {
-    /// A set for at most `inserts` insertions.
-    fn with_capacity(inserts: usize) -> WordSet {
-        let slots = (inserts.max(8) * 5 / 4 + 1).next_power_of_two();
-        WordSet {
-            slots: vec![0; slots],
-            shift: 64 - slots.trailing_zeros(),
-            len: 0,
-            has_zero: false,
-        }
-    }
-
-    fn len(&self) -> usize {
-        self.len + usize::from(self.has_zero)
-    }
-
-    #[inline]
-    fn insert(&mut self, key: u64) {
-        if key == 0 {
-            self.has_zero = true;
-            return;
-        }
-        let mask = self.slots.len() - 1;
-        let mixed = (key ^ (key >> 32)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        let mut i = (mixed >> self.shift) as usize;
-        // Never full (see `with_capacity`), so the probe meets the key or
-        // an empty slot.
-        loop {
-            match self.slots[i] {
-                0 => {
-                    self.slots[i] = key;
-                    self.len += 1;
-                    return;
-                }
-                k if k == key => return,
-                _ => i = (i + 1) & mask,
-            }
         }
     }
 }

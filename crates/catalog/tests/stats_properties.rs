@@ -1,9 +1,11 @@
 //! Oracle: `TableStats::compute` against the straightforward algorithm.
 //!
 //! The reference below scans every partition: `min_max` per partition, the
-//! 64-bit image of every value in a SipHash `HashSet`, and the numeric
-//! values collected into a `Vec` for the histogram. The product reads zone
-//! maps and counts through dictionary ids, a bitmap or a word set instead.
+//! 64-bit image of every value (every string, for strings without a shared
+//! dictionary) in a SipHash `HashSet`, and the numeric values collected into
+//! a `Vec` for the histogram. The product reads zone maps and counts through
+//! the page codec race's distinct counter (dictionary ids, a bitmap or a
+//! word set) or a fresh dictionary instead.
 //! Every `ColumnStats` field must match bit for bit (floats by `to_bits`)
 //! over generated tables: `i64` extremes whose range wraps, NaN / ±0 / ±∞
 //! floats, empty partitions and empty tables, shared, per-partition and
@@ -41,15 +43,6 @@ fn foreign(vals: &[String]) -> ColumnData {
     }
 }
 
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x1000_0000_01b3);
-    }
-    h
-}
-
 /// One column's statistics the straightforward way.
 fn reference_column(table: &Table, col_idx: usize) -> ColumnStats {
     let mut min: Option<Value> = None;
@@ -64,6 +57,7 @@ fn reference_column(table: &Table, col_idx: usize) -> ColumnStats {
     let shared_dict = table.column_dictionary(col_idx).cloned();
     let mut seen_ids = vec![false; shared_dict.as_ref().map_or(0, |d| d.len())];
     let mut distinct: HashSet<u64> = HashSet::new();
+    let mut strings: HashSet<&str> = HashSet::new();
     let mut numeric: Vec<f64> = Vec::new();
     let mut is_numeric = true;
     for part in &table.partitions {
@@ -105,7 +99,7 @@ fn reference_column(table: &Table, col_idx: usize) -> ColumnStats {
                     if shared_dict.is_some() {
                         seen_ids[id as usize] = true;
                     } else {
-                        distinct.insert(fnv1a(dict.get(id).as_bytes()));
+                        strings.insert(dict.get(id));
                     }
                 }
             }
@@ -114,7 +108,7 @@ fn reference_column(table: &Table, col_idx: usize) -> ColumnStats {
     let ndv = if shared_dict.is_some() {
         seen_ids.iter().filter(|&&s| s).count() as u64
     } else {
-        distinct.len() as u64
+        (distinct.len() + strings.len()) as u64
     };
     let per_row = |total: f64| if rows == 0 { 0.0 } else { total / rows as f64 };
     ColumnStats {
@@ -362,6 +356,41 @@ fn registered_tables_match_the_reference() {
         assert_matches_reference(&entry.table, &what);
         for (a, b) in stats.columns.iter().zip(&entry.stats.columns) {
             assert_eq!(a.ndv, b.ndv, "{what}");
+        }
+    }
+}
+
+/// `Int64` columns at the edge of the distinct counter's bitmap rule: a
+/// bitmap over `value − min` while it needs at most `max(rows, 2^14)` words,
+/// the word set one word past that, on a short column and on one longer
+/// than 2^14 rows, split over two partitions.
+#[test]
+fn int_columns_at_the_bitmap_edge_match_the_reference() {
+    let schema: SchemaRef = Arc::new(Schema::of(vec![Field::new("i", DataType::Int64)]));
+    for rows in [3_000usize, 20_000] {
+        let words = rows.max(1 << 14) as u64;
+        for span in [words * 64 - 1, words * 64] {
+            let mut r = DetRng::seed_from_u64(span);
+            let base = -7i64;
+            let mut vals: Vec<i64> = (0..rows)
+                .map(|_| base + (r.next_u64() % (span + 1)) as i64)
+                .collect();
+            (vals[0], vals[rows - 1]) = (base, base + span as i64);
+            let partitions = [&vals[..rows / 3], &vals[rows / 3..]]
+                .into_iter()
+                .map(|part| {
+                    let col = ColumnData::Int64(part.to_vec());
+                    MicroPartition::from_batch(RecordBatch::new(schema.clone(), vec![col]).unwrap())
+                })
+                .collect();
+            let t = Table {
+                id: TableId::new(0),
+                name: "edge".into(),
+                schema: schema.clone(),
+                partitions,
+                clustered_by: None,
+            };
+            assert_matches_reference(&t, &format!("{rows} rows spanning {span}"));
         }
     }
 }

@@ -418,6 +418,7 @@ fn sanitize_result(batch: &RecordBatch) -> Result<RecordBatch> {
 
 #[cfg(test)]
 mod tests {
+    use ci_autotune::PredictedQuery;
     use ci_cost::{TierLevel, TierPricing};
     use ci_exec::PageSourceMode;
     use ci_types::money::Dollars;
@@ -766,6 +767,52 @@ mod tests {
         }
         // Every proposal carries a dollar narrative.
         assert!(proposals[0].narrative.contains("$"));
+    }
+
+    /// A recurring query whose FROM order joins `lineitem` to `customer`
+    /// before `orders` connects them still gets quoted: the what-if planner
+    /// takes the next relation that joins the prefix.
+    #[test]
+    fn proposals_quote_a_recurring_query_with_an_unconnected_from_order() {
+        let mut w = warehouse(0.05);
+        let sql = "SELECT c_region, SUM(l_price) AS revenue FROM lineitem l, customer c, \
+                   orders o WHERE l.l_order = o.o_id AND o.o_cust = c.c_id GROUP BY c_region";
+        for _ in 0..6 {
+            assert_eq!(w.submit(sql, Constraint::MinCost).unwrap().result.rows(), 5);
+        }
+        let proposals = w.tuning_proposals().unwrap();
+        assert!(
+            proposals.iter().any(|p| matches!(&p.action,
+                TuningAction::CreateMaterializedView { definition_sql, .. } if definition_sql == sql)),
+            "{proposals:?}"
+        );
+    }
+
+    /// A query that reads `lineitem` only does not read `part`, though its
+    /// SQL contains the table's name (`l_part`): pinning `part` saves it
+    /// nothing.
+    #[test]
+    fn pin_quote_matches_queries_by_the_tables_they_read() {
+        let w = warehouse(0.05);
+        let sql = "SELECT SUM(l_part) AS s FROM lineitem";
+        let workload = [PredictedQuery {
+            fingerprint: fingerprint_sql(sql),
+            sql: sql.to_owned(),
+            rate_per_hour: 100.0,
+            cost_per_execution: Dollars::new(0.01),
+        }];
+        let pin = TuningAction::PinTable {
+            table: "part".into(),
+            tier: TierLevel::Mem,
+        };
+        let report = w.whatif().evaluate(&pin, &workload).unwrap();
+        assert!(!report.accepted, "{}", report.narrative);
+        assert_eq!(report.benefit_rate, Dollars::ZERO);
+        assert!(
+            report.narrative.contains("across 0 matched"),
+            "{}",
+            report.narrative
+        );
     }
 
     #[test]

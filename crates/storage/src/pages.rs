@@ -65,12 +65,14 @@
 //! FoR/Delta frame. Only an `Int64` Dict candidate needs a distinct count,
 //! and the other candidates' sizes bound it: the count stops once past the
 //! largest entry count at which Dict could still win (`dict_bound`), soon
-//! after the race is decided. On a wire stream that pass is a batch's
-//! [`WireSketch`], taken wherever the batch is hot, and the stream's
-//! [`WireEncoder`] folds it in stream order: first-sight dictionaries and
-//! the cached-frame reuse decision, O(columns). Costing reads the plan's
-//! `bytes`; serialization calls its `emit`, which writes exactly that many
-//! — "size == serialization" by construction.
+//! after the race is decided. That count and the table statistics' NDV
+//! share one exact counter ([`count_distinct`]): a bitmap over
+//! `value − min` or a presized word set. On a wire stream that pass is a
+//! batch's [`WireSketch`], taken wherever the batch is hot, and the
+//! stream's [`WireEncoder`] folds it in stream order: first-sight
+//! dictionaries and the cached-frame reuse decision, O(columns). Costing
+//! reads the plan's `bytes`; serialization calls its `emit`, which writes
+//! exactly that many — "size == serialization" by construction.
 //!
 //! This module is the only place a page byte layout is written or read.
 //! Each direction has one sizing and one serializing entry:
@@ -93,8 +95,7 @@
 //! each (`write_dictionary_section` / `read_dictionary_section`,
 //! `write_ids_section` / `read_packed_ids`), which `crate::tiers` calls too.
 
-use std::collections::{HashMap, HashSet};
-use std::hash::{BuildHasherDefault, Hasher};
+use std::collections::HashMap;
 use std::sync::Arc;
 
 use ci_types::{CiError, Result};
@@ -565,10 +566,12 @@ pub fn dictionary_page_bytes(dict: &Dictionary) -> u64 {
 /// NDV.)
 pub const DICT_INT_MAX_ENTRIES: usize = 4096;
 
-/// Value ranges under this bound count distinct ints in a bitmap over
-/// `value − min` (at most 128 KiB of reused scratch); wider ranges fall
-/// back to a hash set. Both stop once past the count's bound.
-const DISTINCT_BITMAP_MAX_RANGE: u64 = 1 << 20;
+/// A distinct count marks a bitmap over `value − min` when that bitmap
+/// needs no more 64-bit words than the count can make inserts, or at most
+/// this many words (128 KiB) on a short or bounded count; it fills a
+/// [`WordSet`] otherwise. A count bounded by [`DICT_INT_MAX_ENTRIES`] thus
+/// marks a bitmap exactly for ranges under 2^20.
+const DISTINCT_BITMAP_MIN_WORDS: u64 = 1 << 14;
 
 /// The bitmap count compares its running count with the bound once per
 /// this many rows: often enough to stop early, rarely enough to stay off
@@ -635,42 +638,143 @@ macro_rules! fixed_values {
     };
 }
 
-/// Fixed-seed word-folding hasher for the sketch's distinct sets: they sit
-/// on the per-row path of every shipped batch, hold at most
-/// [`DICT_INT_MAX_ENTRIES`]` + 1` ints, and never
-/// iterate, so SipHash's keyed flood resistance buys nothing here.
-#[derive(Debug, Default, Clone, Copy)]
-struct FastHasher(u64);
+/// Reusable scratch for a column's distinct counts: the `Int64` `Dict`
+/// candidate's, a string page's referenced entries, and
+/// [`count_distinct`]'s. A [`WireSketch`] shares one across its batch's
+/// columns.
+#[derive(Debug, Default)]
+struct PlanScratch {
+    /// A seen-bitmap (over `value − min` or dictionary ids) or the slots of
+    /// a [`WordSet`].
+    words: Vec<u64>,
+}
 
-impl Hasher for FastHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for chunk in bytes.chunks(8) {
-            let mut word = [0u8; 8];
-            word[..chunk.len()].copy_from_slice(chunk);
-            self.write_u64(u64::from_le_bytes(word));
+impl PlanScratch {
+    /// `len` zero words. A scratch too small takes a fresh zeroed block
+    /// instead of clearing and growing its own: the catalog counts every
+    /// column in a fresh scratch, and zeroing its large blocks by hand left
+    /// `point_lookup`'s later queries ≈ 10 % slower than a zeroed
+    /// allocation does.
+    fn zeroed(&mut self, len: usize) -> &mut [u64] {
+        if self.words.capacity() < len {
+            self.words = vec![0; len];
+        } else {
+            self.words.clear();
+            self.words.resize(len, 0);
         }
+        &mut self.words
     }
 
-    fn write_u64(&mut self, x: u64) {
-        self.0 = (self.0.rotate_left(5) ^ x).wrapping_mul(0x517c_c1b7_2722_0a95);
-    }
-
-    fn finish(&self) -> u64 {
-        // The multiply leaves the low bits weak; fold the high half down.
-        self.0 ^ (self.0 >> 32)
+    /// The one distinct counter: distinct values among `chunks`, at most
+    /// `rows` values, each in `[min, max]` (wrapping: `(i64::MIN, i64::MAX)`
+    /// admits any value). Exact up to `bound`, and some count past `bound`
+    /// once there are more values, where the count stops. It marks a
+    /// bitmap over `value − min` when [`DISTINCT_BITMAP_MIN_WORDS`] says,
+    /// comparing its count with the bound every [`DISTINCT_CHECK_ROWS`] rows
+    /// of a chunk, and fills a [`WordSet`] sized for this count otherwise.
+    fn count_distinct<C: Iterator<Item = i64>>(
+        &mut self,
+        chunks: impl IntoIterator<Item = C>,
+        rows: usize,
+        (min, max): (i64, i64),
+        bound: usize,
+    ) -> usize {
+        let inserts = rows.min(bound.saturating_add(1));
+        let words = (max as u64).wrapping_sub(min as u64) / 64 + 1;
+        if words > (inserts as u64).max(DISTINCT_BITMAP_MIN_WORDS) {
+            let mut set = WordSet::new(self, inserts);
+            for chunk in chunks {
+                for x in chunk {
+                    if set.insert(x as u64) && set.len() > bound {
+                        return set.len();
+                    }
+                }
+            }
+            return set.len();
+        }
+        let bits = self.zeroed(words as usize);
+        let mut seen = 0usize;
+        for chunk in chunks {
+            for (i, x) in chunk.enumerate() {
+                let off = x.wrapping_sub(min) as u64 as usize;
+                let (word, bit) = (&mut bits[off / 64], 1u64 << (off % 64));
+                seen += usize::from(*word & bit == 0);
+                *word |= bit;
+                if i % DISTINCT_CHECK_ROWS == DISTINCT_CHECK_ROWS - 1 && seen > bound {
+                    return seen;
+                }
+            }
+        }
+        seen
     }
 }
 
-type FastSet<T> = HashSet<T, BuildHasherDefault<FastHasher>>;
+/// Exact distinct count of the values in `chunks`, each a 64-bit image in
+/// `range` (wrapping, as for the codec race's counter, which this is): the
+/// table statistics' NDV.
+pub fn count_distinct<C: ExactSizeIterator<Item = i64>>(
+    chunks: impl Iterator<Item = C> + Clone,
+    range: (i64, i64),
+) -> u64 {
+    let rows = chunks.clone().map(|c| c.len()).sum();
+    PlanScratch::default().count_distinct(chunks, rows, range, usize::MAX) as u64
+}
 
-/// Reusable scratch for the distinct counts only the `Dict` candidate
-/// needs. A [`WireSketch`] shares one across its batch's columns.
-#[derive(Debug, Default)]
-struct PlanScratch {
-    /// Seen-bitmap over `value − min` or over dictionary ids.
-    bits: Vec<u64>,
-    /// Distinct values of wide-range int columns.
-    wide: FastSet<i64>,
+/// An insert-only open-addressing set of `u64` words with a fixed
+/// multiplicative hash over a [`PlanScratch`]'s words, sized to stay at most
+/// 4/5 full for the insertions its count can make. A half-full bound would
+/// double the table (4 MiB for a 200 000-row column, twice the column
+/// itself), and freeing a block that large raised the process's peak RSS on
+/// the CAB query workloads by ≈ 5 MB through the allocator's mmap
+/// threshold. Slot value 0 means empty, so the key 0 is kept aside in a
+/// flag.
+struct WordSet<'s> {
+    slots: &'s mut [u64],
+    /// `64 - log2(slots.len())`: the hash's top bits pick the home slot.
+    shift: u32,
+    len: usize,
+    has_zero: bool,
+}
+
+impl<'s> WordSet<'s> {
+    /// An empty set in `scratch` for at most `inserts` insertions.
+    fn new(scratch: &'s mut PlanScratch, inserts: usize) -> WordSet<'s> {
+        let slots = (inserts.max(8) * 5 / 4 + 1).next_power_of_two();
+        WordSet {
+            slots: scratch.zeroed(slots),
+            shift: 64 - slots.trailing_zeros(),
+            len: 0,
+            has_zero: false,
+        }
+    }
+
+    fn len(&self) -> usize {
+        self.len + usize::from(self.has_zero)
+    }
+
+    /// Inserts `key`; `true` when it was not yet in the set.
+    #[inline]
+    fn insert(&mut self, key: u64) -> bool {
+        if key == 0 {
+            return !std::mem::replace(&mut self.has_zero, true);
+        }
+        let mask = self.slots.len() - 1;
+        let mixed = (key ^ (key >> 32)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        let mut i = (mixed >> self.shift) as usize;
+        // Never full (see `new`), so the probe meets the key or an empty
+        // slot.
+        loop {
+            match self.slots[i] {
+                0 => {
+                    self.slots[i] = key;
+                    self.len += 1;
+                    return true;
+                }
+                k if k == key => return false,
+                _ => i = (i + 1) & mask,
+            }
+        }
+    }
 }
 
 /// Everything the `Int64` and `Bool` candidates but `Dict` need, gathered
@@ -730,10 +834,9 @@ impl IntSketch {
 
     /// Counts the distinct values of the sketched column while the count
     /// can still matter: exact up to `bound`, and some count past `bound`
-    /// once the column has more — every pass stops there. Sorted columns
-    /// need no second pass; small ranges mark a bitmap, comparing the count
-    /// with the bound every [`DISTINCT_CHECK_ROWS`] rows; only wide unsorted
-    /// columns hash.
+    /// once the column has more. Sorted columns need no second pass; the
+    /// rest go to the one distinct counter
+    /// ([`PlanScratch::count_distinct`]).
     fn count_distinct(
         &self,
         vals: impl Iterator<Item = i64>,
@@ -754,29 +857,7 @@ impl IntSketch {
             let over = bound.saturating_add(1);
             return usize::try_from(self.runs).map_or(over, |runs| runs.min(over));
         }
-        if range < DISTINCT_BITMAP_MAX_RANGE {
-            let bits = &mut scratch.bits;
-            bits.clear();
-            bits.resize(range as usize / 64 + 1, 0);
-            let mut seen = 0usize;
-            for (i, x) in vals.enumerate() {
-                let off = x.wrapping_sub(self.min) as usize;
-                let (word, bit) = (&mut bits[off / 64], 1u64 << (off % 64));
-                seen += usize::from(*word & bit == 0);
-                *word |= bit;
-                if i % DISTINCT_CHECK_ROWS == DISTINCT_CHECK_ROWS - 1 && seen > bound {
-                    break;
-                }
-            }
-            return seen;
-        }
-        scratch.wide.clear();
-        for x in vals {
-            if scratch.wide.insert(x) && scratch.wide.len() > bound {
-                break;
-            }
-        }
-        scratch.wide.len()
+        scratch.count_distinct([vals], self.rows, (self.min, self.max), bound)
     }
 }
 
@@ -963,9 +1044,7 @@ impl ColumnPlan {
             _ => {
                 let s = match rows.col {
                     ColumnData::Dict { ids, dict } => {
-                        let bits = &mut scratch.bits;
-                        bits.clear();
-                        bits.resize(dict.len().div_ceil(64), 0);
+                        let bits = scratch.zeroed(dict.len().div_ceil(64));
                         each_row!(ids, rows.sel, |it| StrSketch::of(it.map(|&id| {
                             let (word, bit) = (id as usize / 64, 1u64 << (id % 64));
                             let first_sight = bits[word] & bit == 0;
@@ -2282,6 +2361,8 @@ impl WireDecoder {
 
 #[cfg(test)]
 mod tests {
+    use std::collections::HashSet;
+
     use super::*;
 
     fn dict_col(vals: &[&str]) -> ColumnData {

@@ -1000,6 +1000,27 @@ fn int_stream() -> BoxedStrategy<Vec<Vec<i64>>> {
         .boxed()
 }
 
+/// A forced `Dict` page counts its entries exactly at the edge of the
+/// distinct counter's bitmap rule: a bitmap over `value − min` while it
+/// needs at most `max(rows, 2^14)` words, the word set one word past that,
+/// on a short column and on one longer than 2^14 rows.
+#[test]
+fn int_plans_at_the_bitmap_edge_match_the_oracle() {
+    for rows in [3_000usize, 20_000] {
+        let words = rows.max(1 << 14) as u64;
+        for span in [words * 64 - 1, words * 64] {
+            let base = -7i64;
+            let mut v: Vec<i64> = (0..rows as u64)
+                .map(|i| base + (mix(span, i) % (span + 1)) as i64)
+                .collect();
+            (v[0], v[rows - 1]) = (base, base + span as i64);
+            let col = ColumnData::Int64(v);
+            let outcome = check_against_oracle(&col);
+            assert!(outcome.is_ok(), "{rows} rows spanning {span}: {outcome:?}");
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(512))]
 
