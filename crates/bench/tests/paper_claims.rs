@@ -23,7 +23,6 @@ use ci_exec::{
 };
 use ci_monitor::{DopMonitor, MonitorConfig, StageBoundaryScaling, WholeClusterScaling};
 use ci_optimizer::bushy::bushy_variants;
-use ci_optimizer::optimizer::leaf_order;
 use ci_optimizer::pareto::{cost_inflation, pareto_frontier, ParetoPoint};
 use ci_optimizer::{
     dag_plan, Constraint, DopPlan, DopPlanner, Optimizer, OptimizerConfig, PlannedQuery,
@@ -387,7 +386,7 @@ fn e5_bushy_exploration_never_hurts() {
                JOIN customer c ON o.o_cust = c.c_id \
                WHERE p_price > 200.0 GROUP BY c_region";
     let bound = bind(&parse(sql).expect("parse"), cat).expect("bind");
-    let order = leaf_order(&dag_plan(&bound, cat).expect("dag"));
+    let order = dag_plan(&bound, cat).expect("dag");
     let est = CostEstimator::new(cat, EstimatorConfig::default());
     let exec = Executor::new(cat, ExecutionConfig::default());
     println!("E5 — every join shape DOP-planned and executed, then the optimizer's pick");

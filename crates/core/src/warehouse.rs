@@ -153,11 +153,7 @@ impl Warehouse {
         };
 
         let finished_at = submitted_at + outcome.metrics.latency;
-        let constraint_met = match constraint {
-            Constraint::LatencySla(sla) => outcome.metrics.latency <= sla,
-            Constraint::Budget(b) => outcome.metrics.cost <= b,
-            Constraint::MinCost => true,
-        };
+        let constraint_met = constraint.met(outcome.metrics.latency, outcome.metrics.cost);
 
         // Statistics service ingestion (execution history, Figure 3).
         let record = self.log_record(&fingerprint, sql, finished_at, &outcome.metrics, &planned);

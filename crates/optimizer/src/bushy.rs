@@ -17,10 +17,13 @@ use ci_plan::jointree::JoinTree;
 
 /// Generates join-tree variants of increasing bushiness from a left-deep
 /// relation order. The first variant is always the left-deep chain itself;
-/// duplicates are removed. At most `ceil(log2 n) + 1` variants result.
+/// duplicates are removed. At most `ceil(log2 n) + 1` variants result, and
+/// none for an empty order.
 pub fn bushy_variants(order: &[usize]) -> Vec<JoinTree> {
-    assert!(!order.is_empty());
     let n = order.len();
+    if n == 0 {
+        return Vec::new();
+    }
     let max_level = (n as f64).log2().ceil() as usize;
     let mut out: Vec<JoinTree> = Vec::new();
     for level in 0..=max_level {
@@ -74,6 +77,11 @@ mod tests {
         }
         // The last variant is fully balanced.
         assert_eq!(v.last().unwrap().bushiness(), 1.0);
+    }
+
+    #[test]
+    fn empty_order_has_no_variants() {
+        assert!(bushy_variants(&[]).is_empty());
     }
 
     #[test]

@@ -10,7 +10,6 @@ use std::collections::HashMap;
 
 use ci_catalog::{CardinalityEstimator, Catalog};
 use ci_plan::binder::BoundQuery;
-use ci_plan::jointree::JoinTree;
 use ci_types::{CiError, Result};
 
 /// Maximum relations for exact DP (2^n subsets); beyond this a greedy
@@ -18,53 +17,36 @@ use ci_types::{CiError, Result};
 const DP_LIMIT: usize = 14;
 
 /// Chooses a left-deep join order for a bound query, minimizing the sum of
-/// estimated intermediate result cardinalities.
-pub fn dag_plan(bound: &BoundQuery, catalog: &Catalog) -> Result<JoinTree> {
+/// estimated intermediate result cardinalities, and returns the relation
+/// order (`JoinTree::left_deep` of it is the chain).
+///
+/// The search reads the catalog's estimates as they are
+/// ([`BoundQuery::base_rows`], [`BoundQuery::slot_ndv`]); `build_plan`
+/// starts from the same estimates but passes them through the optimizer's
+/// error injector. Under injected cardinality error the join order is thus
+/// chosen on uninjected estimates, and only the annotated plan the DOP
+/// search and the cost estimator read carries the error.
+pub fn dag_plan(bound: &BoundQuery, catalog: &Catalog) -> Result<Vec<usize>> {
     let n = bound.relations.len();
     if n == 0 {
         return Err(CiError::Plan("query has no relations".into()));
     }
     if n == 1 {
-        return Ok(JoinTree::Leaf(0));
+        return Ok(vec![0]);
     }
-    let base = base_cardinalities(bound, catalog)?;
-    let ndv = key_ndvs(bound, catalog);
+    let base = (0..n)
+        .map(|rel| bound.base_rows(rel, catalog))
+        .collect::<Result<Vec<f64>>>()?;
+    // `(left, right)` key NDVs of every join edge, in edge order.
+    let slot_ndv = |slot| bound.slot_ndv(slot, catalog);
+    let ndv: Vec<(u64, u64)> = (bound.join_edges.iter())
+        .map(|e| (slot_ndv(e.left_slot), slot_ndv(e.right_slot)))
+        .collect();
     if n <= DP_LIMIT {
         dp_order(bound, &base, &ndv)
     } else {
         greedy_order(bound, &base, &ndv)
     }
-}
-
-/// Estimated post-filter cardinality of each relation.
-fn base_cardinalities(bound: &BoundQuery, catalog: &Catalog) -> Result<Vec<f64>> {
-    let est = CardinalityEstimator::new();
-    bound
-        .relations
-        .iter()
-        .map(|r| {
-            let entry = catalog.get(&r.table_name)?;
-            let rows = est.filter_rows(&entry.stats, &r.prune_bounds);
-            let penalty =
-                ci_catalog::cardinality::DEFAULT_SELECTIVITY.powi(r.unmodeled_filters as i32);
-            Ok((rows * penalty).max(1.0))
-        })
-        .collect()
-}
-
-/// NDV per join-edge endpoint, keyed by (relation, slot).
-fn key_ndvs(bound: &BoundQuery, catalog: &Catalog) -> HashMap<(usize, usize), u64> {
-    let mut out = HashMap::new();
-    for e in &bound.join_edges {
-        for &(rel, slot) in &[(e.left_rel, e.left_slot), (e.right_rel, e.right_slot)] {
-            let r = &bound.relations[rel];
-            if let Ok(entry) = catalog.get(&r.table_name) {
-                let col = slot - r.global_offset;
-                out.insert((rel, slot), entry.stats.columns[col].ndv.max(1));
-            }
-        }
-    }
-    out
 }
 
 /// Join cardinality when relation `next` is appended to a set with
@@ -75,23 +57,21 @@ fn join_card(
     next: usize,
     cur_rows: f64,
     next_rows: f64,
-    ndv: &HashMap<(usize, usize), u64>,
+    ndv: &[(u64, u64)],
 ) -> Option<f64> {
     let est = CardinalityEstimator::new();
     let mut best: Option<f64> = None;
-    for e in &bound.join_edges {
+    for (e, &(left_ndv, right_ndv)) in bound.join_edges.iter().zip(ndv) {
         let (a, b) = (e.left_rel, e.right_rel);
         let connects = (in_set >> a) & 1 == 1 && b == next || (in_set >> b) & 1 == 1 && a == next;
         if !connects {
             continue;
         }
-        let (set_end, next_end) = if b == next {
-            ((a, e.left_slot), (b, e.right_slot))
+        let (n1, n2) = if b == next {
+            (left_ndv, right_ndv)
         } else {
-            ((b, e.right_slot), (a, e.left_slot))
+            (right_ndv, left_ndv)
         };
-        let n1 = ndv.get(&set_end).copied().unwrap_or(1);
-        let n2 = ndv.get(&next_end).copied().unwrap_or(1);
         let card = est.join_rows(cur_rows, n1, next_rows, n2);
         best = Some(match best {
             None => card,
@@ -103,11 +83,7 @@ fn join_card(
 }
 
 /// Exact DP over connected subsets, left-deep only.
-fn dp_order(
-    bound: &BoundQuery,
-    base: &[f64],
-    ndv: &HashMap<(usize, usize), u64>,
-) -> Result<JoinTree> {
+fn dp_order(bound: &BoundQuery, base: &[f64], ndv: &[(u64, u64)]) -> Result<Vec<usize>> {
     let n = bound.relations.len();
     // best[mask] = (total_cost, result_rows, order)
     let mut best: HashMap<u64, (f64, f64, Vec<usize>)> = HashMap::new();
@@ -139,19 +115,15 @@ fn dp_order(
         }
     }
     let full = (1u64 << n) - 1;
-    let (_, _, order) = best.get(&full).ok_or_else(|| {
+    let (_, _, order) = best.remove(&full).ok_or_else(|| {
         CiError::Plan("join graph is disconnected: no complete join order exists".into())
     })?;
-    Ok(JoinTree::left_deep(order))
+    Ok(order)
 }
 
 /// Greedy fallback for very wide joins: repeatedly append the relation with
 /// the smallest estimated join result.
-fn greedy_order(
-    bound: &BoundQuery,
-    base: &[f64],
-    ndv: &HashMap<(usize, usize), u64>,
-) -> Result<JoinTree> {
+fn greedy_order(bound: &BoundQuery, base: &[f64], ndv: &[(u64, u64)]) -> Result<Vec<usize>> {
     let n = bound.relations.len();
     // Start from the smallest relation.
     let first = (base.iter().enumerate())
@@ -180,7 +152,7 @@ fn greedy_order(
         mask |= 1 << next;
         rows = card;
     }
-    Ok(JoinTree::left_deep(&order))
+    Ok(order)
 }
 
 #[cfg(test)]
@@ -230,7 +202,7 @@ mod tests {
     fn single_relation_is_leaf() {
         let cat = catalog();
         let b = bind(&parse("SELECT pk FROM fact").unwrap(), &cat).unwrap();
-        assert_eq!(dag_plan(&b, &cat).unwrap(), JoinTree::Leaf(0));
+        assert_eq!(dag_plan(&b, &cat).unwrap(), vec![0]);
     }
 
     #[test]
@@ -246,17 +218,14 @@ mod tests {
             &cat,
         )
         .unwrap();
-        let tree = dag_plan(&b, &cat).unwrap();
-        assert!(tree.is_left_deep());
-        assert_eq!(tree.relations().len(), 3);
-        // The chosen order should not join fact with tiny first (no edge);
-        // and the total-intermediate cost of the chosen order must be no
-        // worse than the syntactic order.
-        let order_str = tree.to_string();
+        let mut order = dag_plan(&b, &cat).unwrap();
+        // The chosen order should not join fact with tiny first (no edge).
         assert!(
-            !order_str.starts_with("(R0 ⋈ R2") && !order_str.starts_with("(R2 ⋈ R0"),
-            "unconnected pair joined first: {order_str}"
+            order[..2] != [0, 2] && order[..2] != [2, 0],
+            "unconnected pair joined first: {order:?}"
         );
+        order.sort_unstable();
+        assert_eq!(order, vec![0, 1, 2]);
     }
 
     #[test]
@@ -279,10 +248,15 @@ mod tests {
             &cat,
         )
         .unwrap();
-        let base = base_cardinalities(&b, &cat).unwrap();
-        let ndv = key_ndvs(&b, &cat);
-        let dp = dp_order(&b, &base, &ndv).unwrap();
-        let greedy = greedy_order(&b, &base, &ndv).unwrap();
-        assert_eq!(dp.relations(), greedy.relations());
+        let base: Vec<f64> = (0..3).map(|r| b.base_rows(r, &cat).unwrap()).collect();
+        let slot_ndv = |slot| b.slot_ndv(slot, &cat);
+        let ndv: Vec<(u64, u64)> = (b.join_edges.iter())
+            .map(|e| (slot_ndv(e.left_slot), slot_ndv(e.right_slot)))
+            .collect();
+        let mut dp = dp_order(&b, &base, &ndv).unwrap();
+        let mut greedy = greedy_order(&b, &base, &ndv).unwrap();
+        dp.sort_unstable();
+        greedy.sort_unstable();
+        assert_eq!(dp, greedy);
     }
 }

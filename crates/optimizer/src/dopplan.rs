@@ -22,7 +22,19 @@ use ci_plan::pipeline::PipelineGraph;
 use ci_types::money::Dollars;
 use ci_types::{CiError, Result, SimDuration};
 
-/// The user's constraint: the paper's "downgraded" bi-objective form.
+/// The user's constraint: the paper's "downgraded" bi-objective form, and
+/// the one rule every plan choice follows.
+///
+/// An outcome *meets* the constraint ([`Constraint::met`]) when its latency
+/// is within the SLA, or its cost within the budget; `MinCost` is always
+/// met. Outcomes are ranked ([`Constraint::prefers`]) as follows: one that
+/// meets the constraint beats one that does not; two that meet it are
+/// ranked by the constraint's objective (dollars under an SLA or `MinCost`,
+/// latency under a budget), two that miss it by the objective they violate
+/// (latency under an SLA, dollars under a budget); the other objective
+/// breaks a tie. The DOP search, its exhaustive reference, the choice among
+/// join shapes and the warehouse's verdict on an executed query all apply
+/// this rule.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Constraint {
     /// Minimize dollars subject to `latency <= sla`.
@@ -31,6 +43,35 @@ pub enum Constraint {
     Budget(Dollars),
     /// No constraint: minimize dollars (cheapest plan that still finishes).
     MinCost,
+}
+
+impl Constraint {
+    /// Whether an outcome of this latency and cost meets the constraint.
+    pub fn met(self, latency: SimDuration, cost: Dollars) -> bool {
+        match self {
+            Constraint::LatencySla(sla) => latency <= sla,
+            Constraint::Budget(budget) => cost <= budget,
+            Constraint::MinCost => true,
+        }
+    }
+
+    /// Whether predicted outcome `a` ranks strictly before `b` under the
+    /// rule above; on a full tie the earlier candidate stays.
+    pub fn prefers(self, a: &QueryEstimate, b: &QueryEstimate) -> bool {
+        // Smallest first: misses the constraint, the deciding objective,
+        // the other one.
+        let rank = |e: &QueryEstimate| {
+            let met = self.met(e.latency, e.cost);
+            let (latency, cost) = (e.latency.as_secs_f64(), e.cost.amount());
+            match (self, met) {
+                (Constraint::Budget(_), true) | (Constraint::LatencySla(_), false) => {
+                    (!met, latency, cost)
+                }
+                _ => (!met, cost, latency),
+            }
+        };
+        rank(a) < rank(b)
+    }
 }
 
 /// A DOP assignment with its predicted outcome.
@@ -110,35 +151,30 @@ impl<'a, 'c> DopPlanner<'a, 'c> {
         // Start from each pipeline's standalone machine-time optimum.
         let mut dops: Vec<u32> = works
             .iter()
-            .map(|w| self.standalone_min_cost_dop(w))
+            .map(|w| self.est.machine_time_optimal_dop(w, &self.candidates))
             .collect();
         let mut current = self.estimate(plan, graph, &dops)?;
 
-        match constraint {
-            Constraint::MinCost => {}
-            Constraint::LatencySla(sla) => {
-                // Greedy: bump the most cost-effective pipeline until the SLA
-                // holds or nothing improves latency.
-                while current.latency > sla {
-                    let Some((next_dops, next_est)) =
-                        self.best_bump(plan, graph, &dops, &current)?
-                    else {
-                        break;
-                    };
-                    dops = next_dops;
-                    current = next_est;
+        if let Constraint::Budget(_) = constraint {
+            // Spend the budget on the best marginal improvements while it
+            // lasts.
+            while let Some((next_dops, next_est)) = self.best_bump(plan, graph, &dops, &current)? {
+                if !constraint.met(next_est.latency, next_est.cost) {
+                    break;
                 }
+                dops = next_dops;
+                current = next_est;
             }
-            Constraint::Budget(budget) => {
-                while let Some((next_dops, next_est)) =
-                    self.best_bump(plan, graph, &dops, &current)?
-                {
-                    if next_est.cost > budget {
-                        break;
-                    }
-                    dops = next_dops;
-                    current = next_est;
-                }
+        } else {
+            // Greedy: bump the most cost-effective pipeline until the SLA
+            // holds (`MinCost` always does) or nothing improves latency.
+            while !constraint.met(current.latency, current.cost) {
+                let Some((next_dops, next_est)) = self.best_bump(plan, graph, &dops, &current)?
+                else {
+                    break;
+                };
+                dops = next_dops;
+                current = next_est;
             }
         }
 
@@ -171,15 +207,10 @@ impl<'a, 'c> DopPlanner<'a, 'c> {
             }
         }
 
-        let feasible = match constraint {
-            Constraint::LatencySla(sla) => current.latency <= sla,
-            Constraint::Budget(b) => current.cost <= b,
-            Constraint::MinCost => true,
-        };
         Ok(DopPlan {
+            feasible: constraint.met(current.latency, current.cost),
             dops,
             predicted: current,
-            feasible,
         })
     }
 
@@ -200,37 +231,17 @@ impl<'a, 'c> DopPlanner<'a, 'c> {
         loop {
             let dops: Vec<u32> = idx.iter().map(|&i| self.candidates[i]).collect();
             let est = self.estimate(plan, graph, &dops)?;
-            let feasible = match constraint {
-                Constraint::LatencySla(sla) => est.latency <= sla,
-                Constraint::Budget(b) => est.cost <= b,
-                Constraint::MinCost => true,
-            };
-            // Feasible beats infeasible. A feasible plan is ranked by the
-            // objective, an infeasible one by the objective it violates;
-            // the other objective breaks ties, so the winner is minimal in
-            // both and does not depend on enumeration order.
-            let latency_first = matches!(
-                (constraint, feasible),
-                (Constraint::Budget(_), true) | (Constraint::LatencySla(_), false)
-            );
-            let rank = |e: &QueryEstimate| {
-                let (lat, cost) = (e.latency.as_secs_f64(), e.cost.amount());
-                if latency_first {
-                    (lat, cost)
-                } else {
-                    (cost, lat)
-                }
-            };
-            let better = match &best {
-                None => true,
-                Some(b) if b.feasible != feasible => feasible,
-                Some(b) => rank(&est) < rank(&b.predicted),
-            };
-            if better {
+            // The constraint's rule breaks ties by the other objective, so
+            // the winner is minimal in both and does not depend on
+            // enumeration order.
+            if best
+                .as_ref()
+                .is_none_or(|b| constraint.prefers(&est, &b.predicted))
+            {
                 best = Some(DopPlan {
+                    feasible: constraint.met(est.latency, est.cost),
                     dops,
                     predicted: est,
-                    feasible,
                 });
             }
             // Advance the odometer.
@@ -249,12 +260,6 @@ impl<'a, 'c> DopPlanner<'a, 'c> {
                 k += 1;
             }
         }
-    }
-
-    /// Standalone machine-time-optimal DOP of one pipeline: minimizes
-    /// `dop × duration(dop)` over the ladder (ties go to the smaller DOP).
-    pub fn standalone_min_cost_dop(&self, w: &PipelineWork) -> u32 {
-        self.est.machine_time_optimal_dop(w, &self.candidates)
     }
 
     /// Tries every single-pipeline DOP bump; returns the one with the best
@@ -493,13 +498,54 @@ mod tests {
     }
 
     #[test]
+    fn the_rule_ranks_met_first_then_the_objective_then_the_other() {
+        let sla = Constraint::LatencySla(SimDuration::from_secs(2));
+        let budget = Constraint::Budget(Dollars::new(0.3));
+        let min_cost = Constraint::MinCost;
+        // (constraint, winner, loser, winner met, loser met), each outcome
+        // as (latency s, dollars).
+        let cases = [
+            // Met beats missed, whatever the objectives say; the bound
+            // itself meets.
+            (sla, (2.0, 0.9), (3.0, 0.1), true, false),
+            (budget, (9.0, 0.3), (1.0, 0.4), true, false),
+            // Both met: the constraint's objective decides...
+            (sla, (1.9, 0.2), (1.0, 0.3), true, true),
+            (budget, (1.0, 0.3), (2.0, 0.1), true, true),
+            (min_cost, (9.0, 0.1), (1.0, 0.2), true, true),
+            // ...and on a tie in it, the other objective.
+            (sla, (1.0, 0.2), (1.5, 0.2), true, true),
+            (budget, (1.0, 0.1), (1.0, 0.2), true, true),
+            (min_cost, (1.0, 0.1), (2.0, 0.1), true, true),
+            // Both missed: the violated objective, then the other.
+            (sla, (3.0, 0.5), (4.0, 0.1), false, false),
+            (sla, (3.0, 0.1), (3.0, 0.2), false, false),
+            (budget, (9.0, 0.4), (1.0, 0.5), false, false),
+            (budget, (1.0, 0.5), (2.0, 0.5), false, false),
+        ];
+        let outcome = |(secs, usd): (f64, f64)| QueryEstimate {
+            latency: SimDuration::from_secs_f64(secs),
+            machine_time: SimDuration::ZERO,
+            cost: Dollars::new(usd),
+            spans: Vec::new(),
+        };
+        for (i, (c, winner, loser, winner_met, loser_met)) in cases.into_iter().enumerate() {
+            let (w, l) = (outcome(winner), outcome(loser));
+            assert_eq!(c.met(w.latency, w.cost), winner_met, "case {i}");
+            assert_eq!(c.met(l.latency, l.cost), loser_met, "case {i}");
+            assert!(c.prefers(&w, &l), "case {i}: {winner:?} over {loser:?}");
+            assert!(!c.prefers(&l, &w), "case {i}: {loser:?} over {winner:?}");
+            assert!(!c.prefers(&w, &w.clone()), "case {i}: a full tie");
+        }
+    }
+
+    #[test]
     fn standalone_optimum_is_interior() {
         let cat = catalog();
         let (plan, graph) = setup(&cat, "SELECT grp, SUM(val) FROM facts GROUP BY grp");
         let est = CostEstimator::new(&cat, EstimatorConfig::default());
-        let planner = DopPlanner::new(&est);
         let w = est.pipeline_work(&plan, &graph.pipelines[0]).unwrap();
-        let d = planner.standalone_min_cost_dop(&w);
+        let d = est.machine_time_optimal_dop(&w, &DOP_LADDER);
         // Machine-time optimum for a parallelizable pipeline is >= 1, and
         // far below the ladder max (overheads dominate at 256).
         assert!(d < 256, "standalone optimum {d}");

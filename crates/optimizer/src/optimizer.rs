@@ -12,7 +12,7 @@ use ci_types::{CiError, Result};
 
 use crate::bushy::bushy_variants;
 use crate::dagplan::dag_plan;
-use crate::dopplan::{Constraint, DopPlanner, SearchStats};
+use crate::dopplan::{Constraint, DopPlan, DopPlanner, SearchStats};
 
 /// Optimizer configuration.
 #[derive(Debug, Clone)]
@@ -82,30 +82,34 @@ impl<'a> Optimizer<'a> {
         self.plan_bound(bound, constraint)
     }
 
-    /// Plans an already-bound query.
+    /// Plans an already-bound query: every join-shape variant is
+    /// DOP-planned and the one [`Constraint::prefers`] wins.
     pub fn plan_bound(&self, bound: BoundQuery, constraint: Constraint) -> Result<PlannedQuery> {
         // Stage 1: DAG planning (left-deep DP).
-        let left_deep = dag_plan(&bound, self.catalog)?;
-        let order = leaf_order(&left_deep);
+        let order = dag_plan(&bound, self.catalog)?;
 
-        // Stage 2: join-shape variants, each DOP-planned.
-        let variants = if self.config.explore_bushy && order.len() >= 3 {
+        // Stage 2: join-shape variants, the left-deep chain first, each
+        // DOP-planned.
+        let variants = if self.config.explore_bushy {
             bushy_variants(&order)
         } else {
-            vec![left_deep]
+            vec![JoinTree::left_deep(&order)]
         };
 
         let est = CostEstimator::new(self.catalog, self.config.estimator.clone());
         let mut search = SearchStats::default();
         let mut variants_considered = 0usize;
-        let mut best: Option<PlannedQuery> = None;
+        let mut best: Option<(JoinTree, PhysicalPlan, PipelineGraph, DopPlan)> = None;
 
         for tree in variants {
-            let mut injector = self.injector();
+            let mut injector =
+                ErrorInjector::with_bound(self.config.error_seed, self.config.error_bound);
             let plan = match build_plan(&bound, &tree, self.catalog, &mut injector) {
                 Ok(p) => p,
-                // Bushy split not connected in the join graph: skip.
-                Err(CiError::Plan(_)) => continue,
+                // A bushy split the join graph does not connect: skip it.
+                // The left-deep chain comes first, so its error is the
+                // query's own.
+                Err(CiError::Plan(_)) if best.is_some() => continue,
                 Err(e) => return Err(e),
             };
             let graph = PipelineGraph::decompose(&plan)?;
@@ -114,76 +118,28 @@ impl<'a> Optimizer<'a> {
             search.estimates += planner.stats.estimates;
             search.candidates += planner.stats.candidates;
             variants_considered += 1;
-
-            let candidate = PlannedQuery {
-                bound: bound.clone(),
-                tree,
-                plan,
-                graph,
-                dops: dop_plan.dops,
-                predicted: dop_plan.predicted,
-                feasible: dop_plan.feasible,
-                search,
-                variants_considered,
-            };
-            let better = match &best {
-                None => true,
-                Some(b) => prefer(constraint, &candidate, b),
-            };
-            if better {
-                best = Some(candidate);
+            if best
+                .as_ref()
+                .is_none_or(|b| constraint.prefers(&dop_plan.predicted, &b.3.predicted))
+            {
+                best = Some((tree, plan, graph, dop_plan));
             }
         }
 
-        let mut chosen = best
-            .ok_or_else(|| CiError::Plan("no join-shape variant produced a valid plan".into()))?;
-        chosen.search = search;
-        chosen.variants_considered = variants_considered;
-        Ok(chosen)
+        let (tree, plan, graph, chosen) =
+            best.ok_or_else(|| CiError::Plan("no join-shape variant to plan".into()))?;
+        Ok(PlannedQuery {
+            bound,
+            tree,
+            plan,
+            graph,
+            dops: chosen.dops,
+            predicted: chosen.predicted,
+            feasible: chosen.feasible,
+            search,
+            variants_considered,
+        })
     }
-
-    fn injector(&self) -> ErrorInjector {
-        ErrorInjector::with_bound(self.config.error_seed, self.config.error_bound)
-    }
-}
-
-/// Is `a` a better choice than `b` under the constraint?
-fn prefer(constraint: Constraint, a: &PlannedQuery, b: &PlannedQuery) -> bool {
-    if a.feasible != b.feasible {
-        return a.feasible;
-    }
-    match constraint {
-        Constraint::LatencySla(_) | Constraint::MinCost => {
-            if a.feasible {
-                a.predicted.cost < b.predicted.cost
-            } else {
-                a.predicted.latency < b.predicted.latency
-            }
-        }
-        Constraint::Budget(_) => {
-            if a.feasible {
-                a.predicted.latency < b.predicted.latency
-            } else {
-                a.predicted.cost < b.predicted.cost
-            }
-        }
-    }
-}
-
-/// In-order leaves of a join tree (the relation order).
-pub fn leaf_order(tree: &JoinTree) -> Vec<usize> {
-    let mut out = Vec::new();
-    fn walk(t: &JoinTree, out: &mut Vec<usize>) {
-        match t {
-            JoinTree::Leaf(r) => out.push(*r),
-            JoinTree::Join(l, r) => {
-                walk(l, out);
-                walk(r, out);
-            }
-        }
-    }
-    walk(tree, &mut out);
-    out
 }
 
 #[cfg(test)]
@@ -232,6 +188,11 @@ mod tests {
     const CHAIN: &str = "SELECT f.val FROM f JOIN m ON f.fk = m.pk \
                          JOIN t ON m.fk = t.pk WHERE t.val < 50.0";
 
+    /// A four-way chain `t - f - f2 - t2` whose DAG order splits into two
+    /// joined halves, so a bushy variant builds next to the left-deep one.
+    const BUSHY_CHAIN: &str = "SELECT f.val FROM f JOIN t ON f.fk = t.pk \
+                               JOIN f f2 ON f2.pk = f.pk JOIN t t2 ON f2.fk = t2.pk";
+
     #[test]
     fn plans_end_to_end_under_sla() {
         let cat = catalog();
@@ -263,6 +224,64 @@ mod tests {
         assert!(bushy.variants_considered >= ld.variants_considered);
         // Best bushy choice can never be worse than the left-deep-only one.
         assert!(bushy.predicted.cost.amount() <= ld.predicted.cost.amount() * 1.0001);
+    }
+
+    #[test]
+    fn the_pick_is_the_rules_minimum_over_the_planned_variants() {
+        let cat = catalog();
+        let opt = Optimizer::new(&cat, OptimizerConfig::default());
+        let est = CostEstimator::new(&cat, EstimatorConfig::default());
+        let bound = bind(&parse(BUSHY_CHAIN).unwrap(), &cat).unwrap();
+        let order = dag_plan(&bound, &cat).unwrap();
+        let mut shapes_picked = Vec::new();
+        for constraint in [
+            Constraint::MinCost,
+            Constraint::LatencySla(SimDuration::from_secs(30)),
+            Constraint::LatencySla(SimDuration::from_micros(1)),
+            Constraint::Budget(Dollars::new(10.0)),
+            Constraint::Budget(Dollars::new(0.000001)),
+        ] {
+            let pick = opt.plan_bound(bound.clone(), constraint).unwrap();
+            let mut planned = Vec::new();
+            for tree in bushy_variants(&order) {
+                let Ok(plan) = build_plan(&bound, &tree, &cat, &mut ErrorInjector::oracle()) else {
+                    continue;
+                };
+                let graph = PipelineGraph::decompose(&plan).unwrap();
+                let dops = DopPlanner::new(&est).plan(&plan, &graph, constraint);
+                planned.push((tree, dops.unwrap()));
+            }
+            assert!(planned.len() >= 2, "{constraint:?}: one variant");
+            assert_eq!(planned.len(), pick.variants_considered, "{constraint:?}");
+            let (_, chosen) = (planned.iter())
+                .find(|(tree, _)| *tree == pick.tree)
+                .expect("the pick is a planned variant");
+            assert_eq!(chosen.dops, pick.dops, "{constraint:?}");
+            assert_eq!(chosen.predicted, pick.predicted, "{constraint:?}");
+            for (tree, dops) in &planned {
+                assert!(
+                    !constraint.prefers(&dops.predicted, &pick.predicted),
+                    "{constraint:?}: {tree} ranks before the pick {}",
+                    pick.tree
+                );
+            }
+            shapes_picked.push(pick.tree.is_left_deep());
+        }
+        // The bushy shape is a hair cheaper and the chain buys latency
+        // cheaper, so a rule that ignored the constraint would miss one.
+        assert!(
+            shapes_picked.contains(&true) && shapes_picked.contains(&false),
+            "{shapes_picked:?}"
+        );
+    }
+
+    #[test]
+    fn the_left_deep_plans_own_error_is_returned() {
+        let cat = catalog();
+        let err = Optimizer::new(&cat, OptimizerConfig::default())
+            .plan_sql("SELECT -(val < 1.0) FROM f", Constraint::MinCost)
+            .unwrap_err();
+        assert!(err.to_string().contains("cannot negate BOOLEAN"), "{err}");
     }
 
     #[test]
@@ -320,11 +339,5 @@ mod tests {
         for bound in [f64::NAN, 0.5, f64::INFINITY] {
             assert!(plan(bound) == oracle, "bound {bound} perturbed the plan");
         }
-    }
-
-    #[test]
-    fn leaf_order_roundtrip() {
-        let t = JoinTree::left_deep(&[2, 0, 1]);
-        assert_eq!(leaf_order(&t), vec![2, 0, 1]);
     }
 }

@@ -18,7 +18,8 @@
 
 use std::collections::BTreeSet;
 
-use ci_catalog::Catalog;
+use ci_catalog::cardinality::DEFAULT_SELECTIVITY;
+use ci_catalog::{CardinalityEstimator, Catalog};
 use ci_sql::ast::{self, Expr as AstExpr, Query, SelectItem};
 use ci_storage::pruning::ColumnBound;
 use ci_storage::value::{DataType, Value};
@@ -111,6 +112,28 @@ impl BoundQuery {
             .iter()
             .find(|r| slot >= r.global_offset && slot < r.global_offset + r.arity)
             .map(|r| r.index)
+    }
+
+    /// Estimated rows of relation `rel` after its local filters, from
+    /// catalog statistics, before any error injection (at least one).
+    pub fn base_rows(&self, rel: usize, catalog: &Catalog) -> Result<f64> {
+        let r = &self.relations[rel];
+        let entry = catalog.get(&r.table_name)?;
+        let rows = CardinalityEstimator::new().filter_rows(&entry.stats, &r.prune_bounds);
+        let penalty = DEFAULT_SELECTIVITY.powi(r.unmodeled_filters as i32);
+        Ok((rows * penalty).max(1.0))
+    }
+
+    /// NDV of a base slot from catalog statistics; 1 for a post-aggregate
+    /// slot or a table the catalog does not hold.
+    pub fn slot_ndv(&self, slot: usize, catalog: &Catalog) -> u64 {
+        self.relation_of_slot(slot)
+            .and_then(|rel| {
+                let r = &self.relations[rel];
+                let entry = catalog.get(&r.table_name).ok()?;
+                Some(entry.stats.columns[slot - r.global_offset].ndv.max(1))
+            })
+            .unwrap_or(1)
     }
 
     /// Global slots of one relation, in column order.

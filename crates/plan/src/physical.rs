@@ -341,7 +341,10 @@ impl<'a> Builder<'a> {
                 );
             }
             let base = self.bound.base_slot_count();
-            let ndvs: Vec<u64> = key_slots.iter().map(|&s| self.slot_ndv(s)).collect();
+            let ndvs: Vec<u64> = key_slots
+                .iter()
+                .map(|&s| self.bound.slot_ndv(s, self.catalog))
+                .collect();
             let group_rows = if agg.group_exprs.is_empty() {
                 1.0
             } else if ndvs.is_empty() {
@@ -497,9 +500,9 @@ impl<'a> Builder<'a> {
                 let (bk, pk) = keys[0];
                 let j = self.est.join_rows(
                     self.nodes[build].est_rows,
-                    self.slot_ndv(bk),
+                    self.bound.slot_ndv(bk, self.catalog),
                     self.nodes[probe].est_rows,
-                    self.slot_ndv(pk),
+                    self.bound.slot_ndv(pk, self.catalog),
                 );
                 let j = self.injector.perturb(j);
 
@@ -539,10 +542,7 @@ impl<'a> Builder<'a> {
         let prune = entry.table.prune(&r.prune_bounds);
         // Rows surviving pruning are metadata-exact; selectivity on top is
         // estimated (and perturbable).
-        let sel_rows = self.est.filter_rows(&entry.stats, &r.prune_bounds);
-        let default_penalty =
-            ci_catalog::cardinality::DEFAULT_SELECTIVITY.powi(r.unmodeled_filters as i32);
-        let est_out = (sel_rows * default_penalty).max(1.0);
+        let est_out = self.bound.base_rows(rel, self.catalog)?;
         let est_out = if r.local_filter.is_some() {
             self.injector.perturb(est_out)
         } else {
@@ -599,18 +599,6 @@ impl<'a> Builder<'a> {
             est_bytes: est_rows * width,
         });
         self.nodes.len() - 1
-    }
-
-    /// NDV of a base slot from catalog statistics (1 for non-base slots).
-    fn slot_ndv(&self, slot: usize) -> u64 {
-        for r in &self.bound.relations {
-            if slot >= r.global_offset && slot < r.global_offset + r.arity {
-                if let Ok(entry) = self.catalog.get(&r.table_name) {
-                    return entry.stats.columns[slot - r.global_offset].ndv.max(1);
-                }
-            }
-        }
-        1
     }
 
     fn base_slot_widths(&self) -> Result<Vec<f64>> {

@@ -11,9 +11,14 @@
 # "Non-test" is `scripts/loc.sh`'s cut — everything above a file's
 # `#[cfg(test)] mod tests` block — and comment lines, one-line string
 # literals and `pub use` re-exports do not count as a use (a crate's
-# re-export of an item only tests read is no reader of it), nor does a
-# type's name inside its own `impl` blocks (a constructor or a trait impl
-# is no reader either).
+# re-export of an item only tests read is no reader of it). Nor does a
+# mention inside the item's own definition or `impl` blocks (a constructor,
+# a trait impl, a recursive call), nor one inside the definition or `impl`
+# blocks of an item already listed: the listing repeats until it stops
+# changing, so an item that only test-only items read is listed too
+# (`Online`, read only by the test helper `Summary`). In a file that defines
+# a top-level item of the same name, a mention is that file's own item
+# (`bench_e2e`'s `percentile_sorted` is not `ci_types`'s).
 # The match is by name, so an item whose name another item shares is never
 # listed, and an item listed may still be a test helper or oracle worth
 # keeping. That is a blind spot for common method names: `validate`, `new`
@@ -86,44 +91,86 @@ git ls-files -- crates src examples bench_e2e/src \
             sub(/^.*::/, "", h)
             return h
         }
-        # Pass over every non-test line: count each identifier, and record
-        # the `pub` definitions of `crates/*/src` files.
+        function push(name) { ++nf; fname[nf] = name; fstart[nf] = depth; fopen[nf] = 0 }
+        # Pass over every non-test line: record the `pub` definitions of
+        # `crates/*/src` files and the top-level item names of every file,
+        # and count each identifier by file and by the definitions and
+        # `impl` blocks around it.
         {
             split($0, p, ":")
             file = p[1]; ln = p[2]
             code = substr($0, length(file) + length(ln) + 3)
-            if (file ~ /^crates\/[^\/]+\/src\// &&
-                match(code, /^[ \t]*pub (const |async |unsafe )*(fn|struct|enum|const|type) [A-Za-z_][A-Za-z0-9_]*/)) {
+            if (file != usefile) { inuse = 0; instr = 0; usefile = file; depth = 0; nf = 0 }
+            # String and char literals are no code: drop them, and the
+            # lines a string continues over.
+            if (instr) {
+                if (!match(code, /^([^"\\]|\\.)*"/)) next
+                code = substr(code, RLENGTH + 1); instr = 0
+            }
+            gsub(/\047(\\.|[^\047\\])\047/, "", code)
+            gsub(/"([^"\\]|\\.)*"/, "", code)
+            if ((i = index(code, "\"")) > 0) { code = substr(code, 1, i - 1); instr = 1 }
+            if (match(code, /^[ \t]*(pub(\([a-z]+\))? )?(const |async |unsafe )*(fn|struct|enum|const|type|static|trait) [A-Za-z_][A-Za-z0-9_]*/)) {
                 d = substr(code, RSTART, RLENGTH)
                 nw = split(d, w, /[ \t]+/)
                 name = w[nw]; kind = w[nw - 1]
-                defs[++nd] = file ":" ln ": pub " kind " " name
-                dname[nd] = name
-                ndef[name]++
+                if (depth == 0) local[file, name] = 1
+                if (file ~ /^crates\/[^\/]+\/src\// && d ~ /^[ \t]*pub / &&
+                    kind ~ /^(fn|struct|enum|const|type)$/) {
+                    defs[++nd] = file ":" ln ": pub " kind " " name
+                    dname[nd] = name; dfile[nd] = file; isdef[name] = 1
+                    push(name)
+                }
             }
             # A re-export is not a use: skip `pub use` items, one line or
             # several up to the closing `;`.
-            if (file != usefile) { inuse = 0; usefile = file; depth = 0; self = "" }
             if (code ~ /^[ \t]*pub(\([a-z]+\))? use /) inuse = 1
             if (inuse) { if (code ~ /;[ \t]*$/) inuse = 0; next }
-            gsub(/"([^"\\]|\\.)*"/, "", code)
-            gsub(/\047[^\047\\]\047/, "", code)
-            # Nor is a mention inside an `impl` block of the item itself:
-            # from an `impl` header to its closing brace, the name of the
-            # implementing type does not count.
-            if (self == "" && code ~ /^[ \t]*impl[ <]/) {
-                self = impl_self(code); start = depth; opened = 0
-            }
+            if (code ~ /^[ \t]*impl[ <]/) push(impl_self(code))
+            owners = ""
+            for (k = 1; k <= nf; k++) { owners = owners " " fname[k]; own[fname[k]] = 1 }
             opens = gsub(/\{/, "{", code)
             depth += opens - gsub(/\}/, "}", code)
             n = split(code, tok, /[^A-Za-z0-9_]+/)
-            for (i = 1; i <= n; i++) if (tok[i] != "" && tok[i] != self) seen[tok[i]]++
-            opened += opens
-            if (self != "" && opened && depth <= start) self = ""
+            # A mention inside the own definition or `impl` block of an item
+            # (its definition line, a constructor, a trait impl, a recursive
+            # call) is no use.
+            for (i = 1; i <= n; i++)
+                if (tok[i] ~ /^[A-Za-z_]/ && !(tok[i] in own)) cnt[tok[i], file, owners]++
+            for (k = 1; k <= nf; k++) delete own[fname[k]]
+            # Close the frames this line ends: a braced one when its brace
+            # closes, one without braces at a line ending in `;`.
+            if (nf) fopen[nf] += opens
+            while (nf && (fopen[nf] ? depth <= fstart[nf] : code ~ /;[ \t]*$/)) nf--
         }
         END {
-            for (i = 1; i <= nd; i++)
-                if (seen[dname[i]] <= ndef[dname[i]]) { print defs[i]; listed++ }
-            printf "%d item(s) with no non-test use outside their definition\n", listed + 0
+            for (key in cnt) {
+                split(key, kp, SUBSEP)
+                if (!(kp[1] in isdef)) continue
+                j = ++nuse[kp[1]]
+                ufile[kp[1], j] = kp[2]; uowners[kp[1], j] = kp[3]; ucount[kp[1], j] = cnt[key]
+            }
+            # List until nothing changes: a mention inside a listed item is
+            # no use either, so an item only listed items read is listed too.
+            do {
+                changed = 0
+                for (i = 1; i <= nd; i++) {
+                    if (i in listed) continue
+                    name = dname[i]; uses = 0
+                    for (j = 1; j <= nuse[name] && !uses; j++) {
+                        f = ufile[name, j]
+                        # In a file with its own top-level item of this
+                        # name, the name is that item.
+                        if (f != dfile[i] && (f, name) in local) continue
+                        no = split(uowners[name, j], o, " ")
+                        inside = 0
+                        for (k = 1; k <= no && !inside; k++) inside = o[k] in listed_name
+                        if (!inside) uses += ucount[name, j]
+                    }
+                    if (!uses) { listed[i] = 1; listed_name[name] = 1; changed = 1; nlisted++ }
+                }
+            } while (changed)
+            for (i = 1; i <= nd; i++) if (i in listed) print defs[i]
+            printf "%d item(s) with no non-test use outside their definition\n", nlisted
         }'
 exit 0
