@@ -115,7 +115,7 @@ mod tests {
             "rate {}",
             q.rate_per_hour
         );
-        assert!(q.cost_per_execution.abs_diff(Dollars::new(0.02)) < 1e-9);
+        assert!((q.cost_per_execution - Dollars::new(0.02)).amount().abs() < 1e-9);
     }
 
     #[test]

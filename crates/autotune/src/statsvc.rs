@@ -39,7 +39,8 @@ pub struct QueryLogRecord {
 }
 
 /// Modeled ingest cost per recorded query (the service's own bill, §4):
-/// ≈ 0.4 node-ms at $2/h.
+/// ≈ 0.4 node-ms at $2/h. The service's spend is this times its recorded
+/// count ([`StatisticsService::ingest_counts`]).
 pub const INGEST_COST_PER_RECORD: Dollars = Dollars::new(2e-7);
 
 /// Sampling configuration.
@@ -98,8 +99,6 @@ pub struct StatisticsService {
     /// Aggregate bucket for evicted (cold) fingerprints.
     cold_count: f64,
     cold_cost: Dollars,
-    /// The service's own accumulated ingest bill.
-    ingest_spend: Dollars,
 }
 
 impl StatisticsService {
@@ -116,7 +115,6 @@ impl StatisticsService {
             recorded: 0,
             cold_count: 0.0,
             cold_cost: Dollars::ZERO,
-            ingest_spend: Dollars::ZERO,
         }
     }
 
@@ -127,7 +125,6 @@ impl StatisticsService {
             return;
         }
         self.recorded += 1;
-        self.ingest_spend += INGEST_COST_PER_RECORD;
         let scale = 1.0 / self.config.sampling_rate.max(1e-9);
 
         for &(t, c) in &rec.attributes {
@@ -200,28 +197,6 @@ impl StatisticsService {
         v
     }
 
-    /// Fingerprints by total cost, descending — "where do the dollars go".
-    pub fn top_fingerprints(&self, k: usize) -> Vec<(&str, &FingerprintStats)> {
-        let mut v: Vec<_> = self
-            .fingerprints
-            .iter()
-            .map(|(f, s)| (f.as_str(), s))
-            .collect();
-        v.sort_by(|a, b| {
-            b.1.total_cost
-                .amount()
-                .total_cmp(&a.1.total_cost.amount())
-                .then(a.0.cmp(b.0))
-        });
-        v.truncate(k);
-        v
-    }
-
-    /// Summary for one fingerprint.
-    pub fn fingerprint(&self, fp: &str) -> Option<&FingerprintStats> {
-        self.fingerprints.get(fp)
-    }
-
     /// All fingerprints currently tracked.
     pub fn fingerprints(&self) -> impl Iterator<Item = (&str, &FingerprintStats)> {
         self.fingerprints.iter().map(|(f, s)| (f.as_str(), s))
@@ -230,11 +205,6 @@ impl StatisticsService {
     /// (recorded, skipped) ingest decisions.
     pub fn ingest_counts(&self) -> (u64, u64) {
         (self.recorded, self.skipped)
-    }
-
-    /// The service's own accumulated cost (E9's overhead axis).
-    pub fn ingest_spend(&self) -> Dollars {
-        self.ingest_spend
     }
 }
 
@@ -304,9 +274,9 @@ mod tests {
         for i in 0..10 {
             s.ingest(rec("q1", 0.01, i as f64));
         }
-        let fp = s.fingerprint("q1").unwrap();
+        let fp = s.fingerprints.get("q1").unwrap();
         assert!((fp.count - 10.0).abs() < 1e-9);
-        assert!(fp.total_cost.abs_diff(Dollars::new(0.1)) < 1e-9);
+        assert!((fp.total_cost - Dollars::new(0.1)).amount().abs() < 1e-9);
         assert_eq!(s.ingest_counts(), (10, 0));
         // Attribute counts scaled by 1.
         assert_eq!(s.hot_attributes(1)[0].1, 10.0);
@@ -325,7 +295,7 @@ mod tests {
         for i in 0..4000 {
             s.ingest(rec("q1", 0.01, i as f64));
         }
-        let fp = s.fingerprint("q1").unwrap();
+        let fp = s.fingerprints.get("q1").unwrap();
         // Scaled estimate should be close to the true 4000.
         assert!(
             (fp.count - 4000.0).abs() / 4000.0 < 0.1,
@@ -336,10 +306,10 @@ mod tests {
         assert_eq!(recorded + skipped, 4000);
         // The service bills itself per recorded entry, so its own spend
         // falls in proportion to the sampling rate.
-        let per_record = INGEST_COST_PER_RECORD.amount();
-        assert!((s.ingest_spend().amount() - recorded as f64 * per_record).abs() < 1e-12);
+        let spend = INGEST_COST_PER_RECORD.amount() * recorded as f64;
+        let unsampled = INGEST_COST_PER_RECORD.amount() * 4000.0;
         assert!(
-            (recorded as f64 / 4000.0 - 0.25).abs() < 0.025,
+            (spend / unsampled - 0.25).abs() < 0.025,
             "recorded {recorded} of 4000 at a 25% rate"
         );
     }
@@ -357,8 +327,8 @@ mod tests {
         }
         assert!(s.fingerprints.len() <= 10);
         // The expensive fingerprints survive.
-        assert!(s.fingerprint("q49").is_some());
-        assert!(s.fingerprint("q0").is_none());
+        assert!(s.fingerprints.contains_key("q49"));
+        assert!(!s.fingerprints.contains_key("q0"));
         // Evicted mass is preserved in the cold bucket.
         assert!(s.cold_count > 0.0);
     }
@@ -396,8 +366,10 @@ mod tests {
         let mut s = StatisticsService::new(StatsConfig::default());
         s.ingest(rec("cheap", 0.001, 0.0));
         s.ingest(rec("dear", 1.0, 1.0));
-        let top = s.top_fingerprints(2);
-        assert_eq!(top[0].0, "dear");
+        let by_cost = |a: &(&str, &FingerprintStats), b: &(&str, &FingerprintStats)| {
+            a.1.total_cost.amount().total_cmp(&b.1.total_cost.amount())
+        };
+        assert_eq!(s.fingerprints().max_by(by_cost).unwrap().0, "dear");
     }
 
     #[test]
@@ -424,7 +396,7 @@ mod tests {
         r2.latency = SimDuration::from_secs(3);
         s.ingest(r1);
         s.ingest(r2);
-        let fp = s.fingerprint("q").unwrap();
+        let fp = s.fingerprints.get("q").unwrap();
         assert!((fp.mean_latency.as_secs_f64() - 2.0).abs() < 1e-9);
     }
 }

@@ -570,7 +570,9 @@ mod tests {
         // Shuffled ids so zone maps are useless before reclustering.
         let mut rng = DetRng::seed_from_u64(1);
         let mut ids: Vec<i64> = (0..n).collect();
-        rng.shuffle(&mut ids);
+        for i in (1..ids.len()).rev() {
+            ids.swap(i, rng.usize_below(i + 1));
+        }
         let mut b = TableBuilder::new(TableId::new(0), "facts", schema.clone(), 8_192).unwrap();
         b.append(
             RecordBatch::new(
@@ -783,7 +785,7 @@ mod tests {
             refresh_per_hour: 1.0,
         };
         let r = svc.evaluate(&action, &workload(AGG, 10.0)).unwrap();
-        assert!(r.net_rate.abs_diff(r.benefit_rate - r.cost_rate) < 1e-12);
+        assert!((r.net_rate - (r.benefit_rate - r.cost_rate)).amount().abs() < 1e-12);
         assert_eq!(r.accepted, r.net_rate > Dollars::ZERO);
     }
 

@@ -1,6 +1,6 @@
 //! What the claim tests (`tests/paper_claims.rs`; README "Reproduction
-//! status" indexes them) and the two programs share: planning and execution
-//! shorthand, the data-path kernels `bench_micro` times ([`hotpath`]) and
+//! status" indexes them) and the two programs share: planning shorthand,
+//! the data-path kernels `bench_micro` times ([`hotpath`]) and
 //! the record it writes and gates ([`report`]). `e14_profile_query` writes
 //! a Perfetto trace and profile of one query.
 
@@ -9,7 +9,6 @@
 pub mod hotpath;
 
 use ci_catalog::{Catalog, ErrorInjector};
-use ci_exec::{ExecutionConfig, Executor, NoScaling, QueryOutcome};
 use ci_plan::{bind, JoinTree, PhysicalPlan, PipelineGraph};
 use ci_sql::parse;
 use ci_types::Result;
@@ -22,17 +21,6 @@ pub fn plan_query(cat: &Catalog, sql: &str) -> Result<(PhysicalPlan, PipelineGra
     let plan = ci_plan::physical::build_plan(&bound, &tree, cat, &mut ErrorInjector::oracle())?;
     let graph = PipelineGraph::decompose(&plan)?;
     Ok((plan, graph))
-}
-
-/// Executes a plan with a uniform DOP under the default engine config.
-pub fn run_uniform(
-    cat: &Catalog,
-    plan: &PhysicalPlan,
-    graph: &PipelineGraph,
-    dop: u32,
-) -> Result<QueryOutcome> {
-    let exec = Executor::new(cat, ExecutionConfig::default());
-    exec.execute(plan, graph, &vec![dop; graph.len()], &mut NoScaling)
 }
 
 /// What one `bench_micro` run records (`BENCH_micro.json`) and the gates the
@@ -249,6 +237,7 @@ pub mod report {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ci_exec::{ExecutionConfig, Executor, NoScaling};
     use ci_workload::CabGenerator;
 
     #[test]
@@ -256,7 +245,10 @@ mod tests {
         let cat = CabGenerator::at_scale(0.05).build_catalog().unwrap();
         let (plan, graph) =
             plan_query(&cat, "SELECT COUNT(*) FROM orders WHERE o_date < 100").unwrap();
-        let out = run_uniform(&cat, &plan, &graph, 2).unwrap();
+        let exec = Executor::new(&cat, ExecutionConfig::default());
+        let out = exec
+            .execute(&plan, &graph, &vec![2; graph.len()], &mut NoScaling)
+            .unwrap();
         assert_eq!(out.result.rows(), 1);
     }
 }

@@ -10,18 +10,19 @@
 //! their code (`ci-autotune`), the Figure-3 loop in `tests/end_to_end.rs`;
 //! README "Reproduction status" is the index.
 
+mod support;
+
 use std::sync::{Arc, Mutex, OnceLock};
 
-use ci_bench::{plan_query, run_uniform};
+use ci_bench::plan_query;
 use ci_catalog::{Catalog, ErrorInjector};
-use ci_cloud::pricing::TShirtSize;
 use ci_core::{Warehouse, WarehouseConfig};
 use ci_cost::{CostEstimator, EstimatorConfig};
 use ci_exec::scaling::{PipelineProgress, ScaleDecision, ScalingController};
 use ci_exec::{
     ExecutionConfig, Executor, NoScaling, PageSourceMode, QueryOutcome, TierCacheSim, TierPricing,
 };
-use ci_monitor::{DopMonitor, MonitorConfig, StageBoundaryScaling, WholeClusterScaling};
+use ci_monitor::{DopMonitor, MonitorConfig};
 use ci_optimizer::bushy::bushy_variants;
 use ci_optimizer::pareto::{cost_inflation, pareto_frontier, ParetoPoint};
 use ci_optimizer::{
@@ -31,9 +32,13 @@ use ci_plan::physical::build_plan;
 use ci_plan::{bind, PipelineGraph};
 use ci_sql::parse;
 use ci_types::money::Dollars;
-use ci_types::stats::{relative_error, Summary};
+use ci_types::stats::relative_error;
 use ci_types::{DetRng, SimDuration};
 use ci_workload::{queries, CabGenerator};
+use support::baselines::{StageBoundaryScaling, WholeClusterScaling};
+use support::run_uniform;
+use support::stats::Summary;
+use support::tshirt::TShirtSize;
 
 type Cab = (CabGenerator, Catalog);
 

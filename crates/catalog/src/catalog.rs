@@ -1,6 +1,6 @@
-//! The catalog: name → table + statistics.
+//! The catalog: id → table + statistics, with a name index.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, OnceLock};
 
 use ci_storage::table::Table;
@@ -18,12 +18,16 @@ pub struct TableEntry {
     pub stats: Arc<TableStats>,
 }
 
-/// The warehouse catalog. Name lookup is case-insensitive (names are
-/// normalized to lowercase, matching the SQL front end).
+/// The warehouse catalog, keyed by table id. Name lookup is
+/// case-insensitive (names are normalized to lowercase, matching the SQL
+/// front end): the binder resolves a name once, and everything after it
+/// reads by id.
 #[derive(Debug, Default)]
 pub struct Catalog {
-    by_name: HashMap<String, TableEntry>,
-    by_id: HashMap<TableId, String>,
+    /// Every table with its lowercase name, in id order.
+    by_id: BTreeMap<TableId, (String, TableEntry)>,
+    /// Lowercase name → id, one entry per table in `by_id`.
+    names: HashMap<String, TableId>,
     /// Lazily-created page store: the tables' `CIPF` files. Owned by this
     /// catalog alone: a clone starts without one (see the `Clone` impl).
     store: OnceLock<Arc<PageStore>>,
@@ -36,8 +40,8 @@ pub struct Catalog {
 impl Clone for Catalog {
     fn clone(&self) -> Catalog {
         Catalog {
-            by_name: self.by_name.clone(),
             by_id: self.by_id.clone(),
+            names: self.names.clone(),
             store: OnceLock::new(),
         }
     }
@@ -51,8 +55,8 @@ impl Catalog {
 
     /// Registers a table, dictionary-encoding its string columns ("interned
     /// per table at load") and computing its statistics. Replaces any
-    /// existing table of the same name (re-registration models background
-    /// refresh, e.g. after a recluster tuning action).
+    /// existing table of the same name or id (re-registration models
+    /// background refresh, e.g. after a recluster tuning action).
     pub fn register(&mut self, table: Table) -> TableEntry {
         let table = table.dict_encoded();
         let stats = Arc::new(TableStats::compute(&table));
@@ -62,8 +66,14 @@ impl Catalog {
             table: Arc::new(table),
             stats,
         };
-        self.by_id.insert(id, name.clone());
-        self.by_name.insert(name, entry.clone());
+        if let Some(old) = self.names.remove(&name) {
+            self.by_id.remove(&old);
+        }
+        if let Some((old_name, _)) = self.by_id.remove(&id) {
+            self.names.remove(&old_name);
+        }
+        self.names.insert(name.clone(), id);
+        self.by_id.insert(id, (name, entry.clone()));
         // Write-through: if the page store is already materialized, keep it
         // in sync (files rewritten) so a disk or tiered executor never reads
         // stale bytes.
@@ -90,33 +100,35 @@ impl Catalog {
 
     /// Looks a table up by name.
     pub fn get(&self, name: &str) -> Result<&TableEntry> {
-        self.by_name
+        let id = self
+            .names
             .get(&name.to_lowercase())
-            .ok_or_else(|| CiError::Catalog(format!("unknown table '{name}'")))
+            .ok_or_else(|| CiError::Catalog(format!("unknown table '{name}'")))?;
+        self.get_by_id(*id)
     }
 
     /// Looks a table up by id.
     pub fn get_by_id(&self, id: TableId) -> Result<&TableEntry> {
-        let name = self
-            .by_id
+        self.by_id
             .get(&id)
-            .ok_or_else(|| CiError::Catalog(format!("unknown table id {id}")))?;
-        self.get(name)
+            .map(|(_, e)| e)
+            .ok_or_else(|| CiError::Catalog(format!("unknown table id {id}")))
     }
 
-    /// Iterates over all registered tables.
+    /// Iterates over all registered tables (lowercase name, entry) in id
+    /// order.
     pub fn tables(&self) -> impl Iterator<Item = (&str, &TableEntry)> {
-        self.by_name.iter().map(|(n, e)| (n.as_str(), e))
+        self.by_id.values().map(|(n, e)| (n.as_str(), e))
     }
 
     /// Number of registered tables.
     pub fn len(&self) -> usize {
-        self.by_name.len()
+        self.by_id.len()
     }
 
     /// `true` when the catalog is empty.
     pub fn is_empty(&self) -> bool {
-        self.by_name.is_empty()
+        self.by_id.is_empty()
     }
 }
 
@@ -174,6 +186,27 @@ mod tests {
         c.register(bigger);
         assert_eq!(c.len(), 1);
         assert_eq!(c.get("t").unwrap().stats.row_count, 5);
+    }
+
+    /// Re-registering a name under a new id, or an id under a new name,
+    /// leaves no stale entry behind: every lookup agrees with the table
+    /// registered last.
+    #[test]
+    fn reregistration_drops_stale_entries() {
+        let mut c = Catalog::new();
+        c.register(sample("t", 1));
+        c.register(sample("t", 2));
+        assert!(c.get_by_id(TableId::new(1)).is_err(), "old id of 't'");
+        assert_eq!(c.get("t").unwrap().table.id, TableId::new(2));
+        assert_eq!(c.len(), 1);
+
+        c.register(sample("a", 7));
+        c.register(sample("b", 7));
+        assert!(c.get("a").is_err(), "old name of id 7");
+        assert_eq!(c.get_by_id(TableId::new(7)).unwrap().table.name, "b");
+        assert_eq!(c.len(), 2);
+        let ids: Vec<TableId> = c.tables().map(|(_, e)| e.table.id).collect();
+        assert_eq!(ids, [TableId::new(2), TableId::new(7)], "id order");
     }
 
     #[test]

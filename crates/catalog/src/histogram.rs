@@ -65,16 +65,6 @@ impl Histogram {
         self.total
     }
 
-    /// Domain minimum.
-    pub fn lo(&self) -> f64 {
-        self.lo
-    }
-
-    /// Domain maximum.
-    pub fn hi(&self) -> f64 {
-        self.hi
-    }
-
     /// Estimated fraction of rows with value in `[a, b]` (clamped to the
     /// domain), using uniform interpolation inside buckets.
     pub fn range_selectivity(&self, a: f64, b: f64) -> f64 {
@@ -275,7 +265,7 @@ mod tests {
         let vals = [f64::MIN, f64::MIN / 2.0, 0.0, f64::MAX / 2.0, f64::MAX];
         let h = Histogram::build(vals.into_iter(), 64).unwrap();
         assert_eq!(h.total(), 5);
-        assert_eq!((h.lo(), h.hi()), (f64::MIN, f64::MAX));
+        assert_eq!((h.lo, h.hi), (f64::MIN, f64::MAX));
         assert_eq!(h.counts[0], 1, "only MIN in the first bucket");
         assert_eq!(h.counts[63], 1, "MAX lands in the last bucket");
         assert_eq!(h.counts.iter().filter(|&&c| c > 0).count(), 5);

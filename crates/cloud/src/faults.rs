@@ -96,24 +96,6 @@ impl FaultProfile {
         }
     }
 
-    /// A fault-free profile (every rate zero); the injector built from it
-    /// never injects. Useful as a baseline in A/B pricing.
-    pub fn none() -> FaultProfile {
-        FaultProfile {
-            fetch_failure_rate: 0.0,
-            max_retries: 4,
-            retry_backoff: SimDuration::from_millis(2),
-            throttle_rate: 0.0,
-            throttle_penalty: SimDuration::from_millis(1),
-            straggler_rate: 0.0,
-            straggler_slowdown_max: 4.0,
-            hedge_threshold: 2.0,
-            hedge_detect_frac: 0.25,
-            worker_loss_rate: 0.0,
-            permanent_failure_rate: 0.0,
-        }
-    }
-
     /// `true` when no fault class can fire.
     pub fn is_quiet(&self) -> bool {
         self.fetch_failure_rate <= 0.0
@@ -121,11 +103,6 @@ impl FaultProfile {
             && self.straggler_rate <= 0.0
             && self.worker_loss_rate <= 0.0
             && self.permanent_failure_rate <= 0.0
-    }
-
-    /// `true` when this profile can only produce recoverable schedules.
-    pub fn is_recoverable(&self) -> bool {
-        self.permanent_failure_rate <= 0.0
     }
 
     /// Backoff before retry `k` (0-based): `retry_backoff * 2^k`.
@@ -386,6 +363,17 @@ impl FaultInjector {
 mod tests {
     use super::*;
 
+    /// The light profile with every fault rate zero.
+    fn quiet_profile() -> FaultProfile {
+        FaultProfile {
+            fetch_failure_rate: 0.0,
+            throttle_rate: 0.0,
+            straggler_rate: 0.0,
+            worker_loss_rate: 0.0,
+            ..FaultProfile::light()
+        }
+    }
+
     #[test]
     fn draws_are_pure_in_pipeline_and_morsel() {
         let plan = FaultPlan::new(42, FaultProfile::light());
@@ -426,7 +414,7 @@ mod tests {
     #[test]
     fn light_profile_is_recoverable_and_capped() {
         let p = FaultProfile::light();
-        assert!(p.is_recoverable());
+        assert_eq!(p.permanent_failure_rate, 0.0);
         let inj = FaultPlan::new(7, p.clone()).injector();
         let mut fired = 0u32;
         for mi in 0..2_000u64 {
@@ -443,11 +431,11 @@ mod tests {
 
     #[test]
     fn quiet_profile_never_fires() {
-        let inj = FaultPlan::new(9, FaultProfile::none()).injector();
+        let inj = FaultPlan::new(9, quiet_profile()).injector();
         for mi in 0..500u64 {
             assert_eq!(inj.morsel_faults(0, mi, true).count(), 0);
         }
-        assert!(FaultProfile::none().is_quiet());
+        assert!(quiet_profile().is_quiet());
         assert!(!FaultProfile::light().is_quiet());
     }
 
@@ -470,7 +458,7 @@ mod tests {
 
     #[test]
     fn expected_overheads_scale_with_rates() {
-        let quiet = FaultProfile::none();
+        let quiet = quiet_profile();
         assert_eq!(quiet.expected_fetch_overhead_factor(), 0.0);
         assert_eq!(quiet.expected_backoff_secs(), 0.0);
         assert_eq!(quiet.expected_throttle_secs(), 0.0);

@@ -6,7 +6,8 @@
 //! creation/resizing. None of that hardware is available to a reproduction,
 //! so this crate *is* the cloud: a deterministic model of
 //!
-//! * node types and their prices ([`node`], [`pricing`]),
+//! * node types and their prices ([`node`]), and the cache tiers' price
+//!   menu ([`pricing`]),
 //! * the network fabric whose sub-linear bisection scaling creates the
 //!   exchange-operator knee the paper argues about ([`network`]),
 //! * object-store scan bandwidth ([`objectstore`]),
@@ -34,6 +35,6 @@ pub use faults::{FaultInjector, FaultPlan, FaultProfile, MorselFaults};
 pub use network::NetworkModel;
 pub use node::{HardwareProfile, NodeType};
 pub use objectstore::ObjectStoreModel;
-pub use pricing::{TShirtSize, TierPricing, TierSpec};
+pub use pricing::{TierPricing, TierSpec};
 pub use tiercache::{CacheAccess, CacheCounters, CacheKey, TierCacheSim, TierLevel};
 pub use work::WorkModels;

@@ -1,75 +1,8 @@
-//! The "T-shirt size" provisioning menu of Figure 1 and the cache-tier price menu.
-//!
-//! Snowflake-style warehouses are sold in doubling sizes (XS, S, M, ...)
-//! where each step doubles both the node count and the hourly price. The
-//! paper's opening argument is that forcing users to pick from this menu
-//! causes over/under-provisioning; experiment F1 quantifies it against the
-//! bi-objective optimizer's automatic deployment.
+//! The cache-tier price menu: capacity, service model and occupancy rent of
+//! the memory and local-SSD tiers in front of the object store, and the
+//! request and transfer prices that make a re-fetch cost real dollars.
 
 use ci_types::TierLevel;
-
-/// The classic warehouse T-shirt sizes with their node counts.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum TShirtSize {
-    /// 1 node.
-    XS,
-    /// 2 nodes.
-    S,
-    /// 4 nodes.
-    M,
-    /// 8 nodes.
-    L,
-    /// 16 nodes.
-    XL,
-    /// 32 nodes.
-    XXL,
-    /// 64 nodes.
-    XXXL,
-    /// 128 nodes.
-    XXXXL,
-}
-
-impl TShirtSize {
-    /// All sizes in ascending order.
-    pub const ALL: [TShirtSize; 8] = [
-        TShirtSize::XS,
-        TShirtSize::S,
-        TShirtSize::M,
-        TShirtSize::L,
-        TShirtSize::XL,
-        TShirtSize::XXL,
-        TShirtSize::XXXL,
-        TShirtSize::XXXXL,
-    ];
-
-    /// Number of nodes this size provisions.
-    pub fn nodes(self) -> u32 {
-        match self {
-            TShirtSize::XS => 1,
-            TShirtSize::S => 2,
-            TShirtSize::M => 4,
-            TShirtSize::L => 8,
-            TShirtSize::XL => 16,
-            TShirtSize::XXL => 32,
-            TShirtSize::XXXL => 64,
-            TShirtSize::XXXXL => 128,
-        }
-    }
-
-    /// Display label matching the provider UI.
-    pub fn label(self) -> &'static str {
-        match self {
-            TShirtSize::XS => "X-Small",
-            TShirtSize::S => "Small",
-            TShirtSize::M => "Medium",
-            TShirtSize::L => "Large",
-            TShirtSize::XL => "X-Large",
-            TShirtSize::XXL => "2X-Large",
-            TShirtSize::XXXL => "3X-Large",
-            TShirtSize::XXXXL => "4X-Large",
-        }
-    }
-}
 
 /// One level of the tiered cache hierarchy: capacity, service model, and
 /// the occupancy rent charged per GB-hour of residency.
@@ -171,28 +104,6 @@ impl TierPricing {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn sizes_double() {
-        let mut prev = 0;
-        for s in TShirtSize::ALL {
-            let n = s.nodes();
-            if prev != 0 {
-                assert_eq!(n, prev * 2, "{s:?}");
-            }
-            prev = n;
-        }
-        assert_eq!(TShirtSize::XS.nodes(), 1);
-        assert_eq!(TShirtSize::XXXXL.nodes(), 128);
-    }
-
-    #[test]
-    fn labels_are_unique() {
-        let mut labels: Vec<_> = TShirtSize::ALL.iter().map(|s| s.label()).collect();
-        labels.sort_unstable();
-        labels.dedup();
-        assert_eq!(labels.len(), TShirtSize::ALL.len());
-    }
 
     #[test]
     fn tier_menu_orders_latency_and_rent() {

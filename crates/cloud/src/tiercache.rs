@@ -298,11 +298,6 @@ impl TierCacheSim {
         self.tier(level)
             .is_some_and(|t| t.residents.contains_key(&key))
     }
-
-    /// Bytes currently resident in `level` (0 for the object tier).
-    pub fn resident_bytes(&self, level: TierLevel) -> u64 {
-        self.tier(level).map_or(0, |t| t.bytes)
-    }
 }
 
 #[cfg(test)]
@@ -322,6 +317,11 @@ mod tests {
 
     fn k(t: u32, p: u32) -> CacheKey {
         CacheKey::new(TableId::new(t), p)
+    }
+
+    /// Bytes resident in `level`'s tier.
+    fn resident_bytes(sim: &TierCacheSim, level: TierLevel) -> u64 {
+        sim.tier(level).map_or(0, |t| t.bytes)
     }
 
     #[test]
@@ -387,7 +387,7 @@ mod tests {
             .evicted
             .iter()
             .any(|(key, lvl)| *key == k(0, 0) && *lvl == TierLevel::Mem));
-        assert!(sim.resident_bytes(TierLevel::Mem) <= 3_000_000);
+        assert!(resident_bytes(&sim, TierLevel::Mem) <= 3_000_000);
     }
 
     #[test]
@@ -395,7 +395,7 @@ mod tests {
         let mut sim = TierCacheSim::new(tiny_pricing());
         sim.pin(TableId::new(9), TierLevel::Mem);
         sim.access(k(9, 0), 2_000_000);
-        assert_eq!(sim.resident_bytes(TierLevel::Mem), 2_000_000);
+        assert_eq!(resident_bytes(&sim, TierLevel::Mem), 2_000_000);
         // Hammer other keys; the pinned entry must survive.
         for i in 0..20u32 {
             sim.access(k(1, i % 2), 1_000_000);
@@ -417,7 +417,7 @@ mod tests {
             sim.access(key, 1_000_000);
         }
         let resident = |sim: &TierCacheSim| {
-            sim.resident_bytes(TierLevel::Mem) + sim.resident_bytes(TierLevel::Ssd)
+            resident_bytes(sim, TierLevel::Mem) + resident_bytes(sim, TierLevel::Ssd)
         };
         assert_eq!(resident(&sim), 5_000_000, "every partition cached");
         sim.forget(TableId::new(0));

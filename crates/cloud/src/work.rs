@@ -14,9 +14,19 @@
 //! misestimation, data skew, morsel-granularity scheduling), not from two
 //! hand-written models drifting apart.
 
+use ci_types::SimDuration;
+
 use crate::network::NetworkModel;
 use crate::node::HardwareProfile;
 use crate::objectstore::ObjectStoreModel;
+
+/// Cluster creation and resize latency under the provider's warm pool (§3):
+/// the executor's default and the latency the cost estimator prices.
+pub const RESIZE_LATENCY: SimDuration = SimDuration::from_millis(500);
+
+/// Rows per morsel when materialized state is split: the executor's default
+/// and the split the cost estimator prices.
+pub const MORSEL_ROWS: usize = 65_536;
 
 /// Bundled hardware, network, and storage models.
 #[derive(Debug, Clone, PartialEq)]

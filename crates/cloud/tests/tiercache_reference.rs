@@ -5,7 +5,7 @@
 //! and pin sets), kept verbatim. Seeded traces of accesses and pins, over
 //! capacities small enough that evictions, SSD-to-memory promotions and
 //! pinned admissions all happen, must produce the same [`CacheAccess`],
-//! counters, service times and resident bytes from both.
+//! counters, service times and residency from both.
 
 use ci_cloud::pricing::TierPricing;
 use ci_cloud::tiercache::{CacheKey, TierCacheSim, TierLevel};
@@ -240,12 +240,12 @@ mod reference {
             self.counters
         }
 
-        /// Bytes currently resident in `level` (0 for the object tier).
-        pub fn resident_bytes(&self, level: TierLevel) -> u64 {
+        /// Whether `key` is resident in the cached tier behind `level`.
+        pub fn holds(&self, key: CacheKey, level: TierLevel) -> bool {
             match level {
-                TierLevel::Mem => self.mem_bytes,
-                TierLevel::Ssd => self.ssd_bytes,
-                TierLevel::Object => 0,
+                TierLevel::Mem => self.mem.contains_key(&key),
+                TierLevel::Ssd => self.ssd.contains_key(&key),
+                TierLevel::Object => false,
             }
         }
     }
@@ -341,9 +341,9 @@ fn run_trace(seed: u64, cov: &mut Coverage) {
                 ctx()
             );
             assert_eq!(
-                got.resident_bytes(level),
-                want.resident_bytes(level),
-                "resident_bytes({level:?}), {}",
+                got.holds(key, level),
+                want.holds(key, level),
+                "holds({level:?}), {}",
                 ctx()
             );
         }

@@ -54,7 +54,6 @@ pub struct Warehouse {
     stats: StatisticsService,
     now: SimTime,
     total_spend: Dollars,
-    queries_run: u64,
     next_table_id: u32,
     mvs: Vec<MvEntry>,
 }
@@ -74,7 +73,6 @@ impl Warehouse {
             stats,
             now: SimTime::ZERO,
             total_spend: Dollars::ZERO,
-            queries_run: 0,
             next_table_id,
             mvs: Vec::new(),
         }
@@ -85,24 +83,9 @@ impl Warehouse {
         &self.catalog
     }
 
-    /// Current virtual time.
-    pub fn now(&self) -> SimTime {
-        self.now
-    }
-
     /// Total dollars billed across all queries and tuning actions.
     pub fn total_spend(&self) -> Dollars {
         self.total_spend
-    }
-
-    /// Number of queries executed.
-    pub fn queries_run(&self) -> u64 {
-        self.queries_run
-    }
-
-    /// Names of registered materialized views.
-    pub fn materialized_views(&self) -> Vec<&str> {
-        self.mvs.iter().map(|m| m.name.as_str()).collect()
     }
 
     /// Submits a query at the current virtual time.
@@ -160,7 +143,6 @@ impl Warehouse {
         self.stats.ingest(record);
 
         self.total_spend += outcome.metrics.cost;
-        self.queries_run += 1;
         self.now = self.now.max(finished_at);
 
         Ok(QueryReport {
@@ -415,6 +397,7 @@ fn sanitize_result(batch: &RecordBatch) -> Result<RecordBatch> {
 #[cfg(test)]
 mod tests {
     use ci_autotune::PredictedQuery;
+    use ci_cloud::tiercache::CacheKey;
     use ci_cost::{TierLevel, TierPricing};
     use ci_exec::PageSourceMode;
     use ci_types::money::Dollars;
@@ -442,22 +425,26 @@ mod tests {
         assert!(report.constraint_met, "{}", report.summary());
         assert_eq!(report.result.rows(), 5); // five regions
         assert!(report.cost.amount() > 0.0);
-        assert_eq!(w.queries_run(), 1);
+        assert_eq!(
+            w.with_stats(|s| s.ingest_counts()),
+            (1, 0),
+            "one query ingested"
+        );
         assert!(w.total_spend().amount() > 0.0);
     }
 
     #[test]
     fn clock_advances_with_queries() {
         let mut w = warehouse(0.05);
-        assert_eq!(w.now(), SimTime::ZERO);
         let r1 = w
             .submit("SELECT COUNT(*) FROM orders", Constraint::MinCost)
             .unwrap();
-        assert_eq!(w.now(), r1.finished_at);
+        assert_eq!(r1.submitted_at, SimTime::ZERO);
         let r2 = w
             .submit("SELECT COUNT(*) FROM customer", Constraint::MinCost)
             .unwrap();
-        assert!(r2.submitted_at >= r1.finished_at);
+        // `submit` runs at the clock, which the first query advanced.
+        assert_eq!(r2.submitted_at, r1.finished_at);
     }
 
     #[test]
@@ -476,9 +463,9 @@ mod tests {
             // The o_date filter shows up as a hot attribute.
             assert!(!s.hot_attributes(5).is_empty());
             // Three identical shapes -> one fingerprint with count 3.
-            let top = s.top_fingerprints(1);
-            assert_eq!(top.len(), 1);
-            assert!((top[0].1.count - 3.0).abs() < 1e-9);
+            let fps: Vec<_> = s.fingerprints().collect();
+            assert_eq!(fps.len(), 1);
+            assert!((fps[0].1.count - 3.0).abs() < 1e-9);
         });
     }
 
@@ -513,7 +500,7 @@ mod tests {
         };
         let bill = w.apply(&action).unwrap();
         assert!(bill.amount() > 0.0);
-        assert_eq!(w.materialized_views(), vec!["mv_rev"]);
+        assert!(w.catalog().get("mv_rev").is_ok(), "the view is a table");
 
         // Same query (different literals would also match) now hits the MV.
         let after = w.submit(sql, Constraint::MinCost).unwrap();
@@ -664,7 +651,11 @@ mod tests {
             assert_eq!(after.promotions, 0, "{page_source:?}: {after:?}");
             assert!(after.misses > 0, "{page_source:?}: {after:?}");
             for level in [TierLevel::Mem, TierLevel::Ssd] {
-                assert_eq!(cold.resident_bytes(level), 0, "{page_source:?}: {level:?}");
+                let orders = &catalog.get("orders").unwrap().table;
+                let held = (0..orders.partitions.len() as u32)
+                    .filter(|&part| cold.holds(CacheKey::new(orders.id, part), level))
+                    .count();
+                assert_eq!(held, 0, "{page_source:?}: {level:?}");
             }
             runs
         };
@@ -712,7 +703,7 @@ mod tests {
     /// A memory pin is sized in the simulator's unit, a partition's
     /// encoded bytes: with a memory tier between `orders`' encoded and
     /// decoded size the pin quotes, and once applied four scans leave
-    /// exactly `orders`' encoded bytes resident in memory.
+    /// every partition of `orders` resident in memory.
     #[test]
     fn memory_pin_is_sized_in_the_simulators_unit() {
         let catalog = CabGenerator::at_scale(0.5).build_catalog().unwrap();
@@ -737,8 +728,13 @@ mod tests {
             w.submit("SELECT SUM(o_total) FROM orders", Constraint::MinCost)
                 .unwrap();
         }
+        // Every partition is memory-resident, which fits the capacity only
+        // in encoded bytes.
         let sim = w.config.execution.tier_sim.clone().unwrap();
-        assert_eq!(sim.lock().unwrap().resident_bytes(TierLevel::Mem), encoded);
+        let sim = sim.lock().unwrap();
+        let orders = &w.catalog().get("orders").unwrap().table;
+        assert!((0..orders.partitions.len() as u32)
+            .all(|part| sim.holds(CacheKey::new(orders.id, part), TierLevel::Mem)));
     }
 
     #[test]

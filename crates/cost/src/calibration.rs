@@ -73,11 +73,6 @@ impl MeasuredRates {
         Some(sorted[(sorted.len() - 1) / 2])
     }
 
-    /// Number of usable samples recorded for one operator class.
-    pub fn samples(&self, op: &str) -> usize {
-        self.rates.get(op).map_or(0, Vec::len)
-    }
-
     /// Operator classes with at least one sample, in stable order.
     pub fn ops(&self) -> impl Iterator<Item = &str> {
         self.rates.keys().map(String::as_str)
@@ -181,6 +176,11 @@ impl MeasuredRates {
 mod tests {
     use super::*;
 
+    /// Number of usable samples recorded for one operator class.
+    fn samples(r: &MeasuredRates, op: &str) -> usize {
+        r.rates.get(op).map_or(0, Vec::len)
+    }
+
     #[test]
     fn measured_rate_is_lower_median_and_order_free() {
         // 1000 rows in 1µs = 1e9 rows/s; 1000 in 2µs = 5e8; 1000 in 10µs = 1e8.
@@ -202,7 +202,7 @@ mod tests {
         // Even count: the *lower* median (deterministic, no averaging).
         a.record("filter", 1000.0, 4_000);
         assert!(close(a.rate("filter"), 2.5e8), "{:?}", a.rate("filter"));
-        assert_eq!(a.samples("filter"), 4);
+        assert_eq!(samples(&a, "filter"), 4);
         assert_eq!(a.rate("sort"), None);
     }
 
@@ -214,7 +214,7 @@ mod tests {
         r.record("agg", -5.0, 100);
         r.record("agg", f64::NAN, 100);
         assert_eq!(r.rate("agg"), None);
-        assert_eq!(r.samples("agg"), 0);
+        assert_eq!(samples(&r, "agg"), 0);
     }
 
     #[test]
@@ -271,7 +271,7 @@ mod tests {
         // Surrounding whitespace and blank lines tolerated on re-read.
         let spaced = "\n  agg \t 1.5   2.0 \n\n";
         let m = MeasuredRates::from_text(spaced).unwrap();
-        assert_eq!(m.samples("agg"), 2);
+        assert_eq!(samples(&m, "agg"), 2);
     }
 
     #[test]

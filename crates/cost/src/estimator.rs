@@ -6,7 +6,7 @@ use ci_catalog::Catalog;
 use ci_cloud::faults::FaultProfile;
 use ci_cloud::pricing::TierPricing;
 use ci_cloud::tiercache::CacheCounters;
-use ci_cloud::work::WorkModels;
+use ci_cloud::work::{WorkModels, MORSEL_ROWS, RESIZE_LATENCY};
 use ci_plan::physical::{PhysicalOp, PhysicalPlan};
 use ci_plan::pipeline::{Pipeline, PipelineGraph, SinkKind};
 use ci_types::money::Dollars;
@@ -76,16 +76,13 @@ impl TierCostModel {
 /// two, 1 to 256.
 pub const DOP_LADDER: [u32; 9] = [1, 2, 4, 8, 16, 32, 64, 128, 256];
 
-/// Estimator configuration (mirrors the executor's scheduling parameters so
-/// predictions and measurements share assumptions).
+/// Estimator configuration. The executor's scheduling parameters it prices
+/// with, the resize latency and the morsel size, are the executor's
+/// defaults ([`RESIZE_LATENCY`], [`MORSEL_ROWS`]).
 #[derive(Debug, Clone)]
 pub struct EstimatorConfig {
     /// Calibrated hardware/network/storage models.
     pub models: WorkModels,
-    /// Cluster create/resize latency.
-    pub resize_latency: SimDuration,
-    /// Morsel split size (for overhead estimation).
-    pub morsel_rows: usize,
     /// Fault rates of the priced tier, if any. When set, every pipeline
     /// duration carries a *failure tax*: the expected recovery time of
     /// retries, throttles, stragglers/hedges, and preemption re-runs, in
@@ -105,8 +102,6 @@ impl Default for EstimatorConfig {
     fn default() -> Self {
         EstimatorConfig {
             models: WorkModels::standard(),
-            resize_latency: SimDuration::from_millis(500),
-            morsel_rows: 65_536,
             fault_profile: None,
             tiers: None,
         }
@@ -220,9 +215,7 @@ impl<'a> CostEstimator<'a> {
             }
             PhysicalOp::HashAgg { .. } | PhysicalOp::Sort { .. } => {
                 w.source_rows = src.est_rows;
-                w.morsels = (src.est_rows / self.config.morsel_rows as f64)
-                    .ceil()
-                    .max(1.0);
+                w.morsels = (src.est_rows / MORSEL_ROWS as f64).ceil().max(1.0);
             }
             other => {
                 return Err(CiError::Plan(format!(
@@ -382,7 +375,7 @@ impl<'a> CostEstimator<'a> {
                 .unwrap_or(SimTime::ZERO);
             let w = self.pipeline_work(plan, p)?;
             let dur = self.pipeline_duration(&w, dops[p.id.index()]);
-            finishes[p.id.index()] = start + self.config.resize_latency + dur;
+            finishes[p.id.index()] = start + RESIZE_LATENCY + dur;
         }
         // Release times: state pinned until the consumer finishes.
         let mut spans = Vec::with_capacity(graph.len());
@@ -675,7 +668,13 @@ mod tests {
 
         let reliable = priced(None);
         // A quiet profile is a no-op tax: same price as no profile at all.
-        let quiet = priced(Some(FaultProfile::none()));
+        let quiet = priced(Some(FaultProfile {
+            fetch_failure_rate: 0.0,
+            throttle_rate: 0.0,
+            straggler_rate: 0.0,
+            worker_loss_rate: 0.0,
+            ..FaultProfile::light()
+        }));
         assert_eq!(quiet.latency, reliable.latency);
         assert_eq!(quiet.cost, reliable.cost);
 

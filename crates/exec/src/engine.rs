@@ -76,7 +76,7 @@ use ci_catalog::Catalog;
 use ci_cloud::faults::{FaultInjector, FaultPlan, MorselFaults};
 use ci_cloud::pricing::TierPricing;
 use ci_cloud::tiercache::{CacheAccess, CacheKey, TierCacheSim, TierLevel};
-use ci_cloud::work::WorkModels;
+use ci_cloud::work::{WorkModels, MORSEL_ROWS, RESIZE_LATENCY};
 use ci_obs::{
     Lane, MetricsRegistry, NodeProfile, ProfileReport, Trace, TraceEvent, TraceLevel, WorkerBuffers,
 };
@@ -176,8 +176,8 @@ impl Default for ExecutionConfig {
     fn default() -> Self {
         ExecutionConfig {
             models: WorkModels::standard(),
-            resize_latency: SimDuration::from_millis(500),
-            morsel_rows: 65_536,
+            resize_latency: RESIZE_LATENCY,
+            morsel_rows: MORSEL_ROWS,
             check_interval: 8,
             mode: ExecutionMode::Simulate,
             faults: None,

@@ -1246,7 +1246,7 @@ mod tests {
     fn full_match_of_a_distinct_build_shares_the_probe_columns() {
         let out = joined_schema(&schema2(DataType::Int64, DataType::Float64));
         let shares = |joined: &RecordBatch, probe: &RecordBatch| {
-            (0..2).all(|c| Arc::ptr_eq(joined.column_arc(c), probe.column_arc(c)))
+            (0..2).all(|c| Arc::ptr_eq(&joined.columns()[c], &probe.columns()[c]))
         };
         let distinct = batch(vec![3, 1, 2], vec![30.0, 10.0, 20.0]);
         let ht = built(&[distinct.slice(0, 1).unwrap(), distinct.slice(1, 2).unwrap()]);
@@ -1555,7 +1555,7 @@ mod tests {
         let p = apply_project(&f, &exprs, &map, out_schema.clone()).unwrap();
         // Zero copy: the projected column is the input's Arc, the deferred
         // filter rides along.
-        assert!(Arc::ptr_eq(p.column_arc(0), b.column_arc(1)));
+        assert!(Arc::ptr_eq(&p.columns()[0], &b.columns()[1]));
         assert_eq!(p.rows(), 3);
         assert_eq!(p.row(0), vec![Value::Float(20.0)]);
         // Computed projections still materialize dense output.

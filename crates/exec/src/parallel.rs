@@ -411,7 +411,7 @@ mod tests {
         assert_eq!(got[0], Ok(0));
         assert_eq!(got[2], Ok(2));
         let err = got[1].as_ref().expect_err("the trapped index should error");
-        assert_eq!(err.kind(), "exec");
+        assert!(matches!(err, CiError::Exec(_)), "{err}");
         assert!(
             err.to_string().contains("panicked"),
             "panic origin should survive into the error: {err}"

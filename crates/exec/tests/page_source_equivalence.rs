@@ -22,6 +22,7 @@
 use std::sync::{Arc, Mutex};
 
 use ci_catalog::{Catalog, ErrorInjector};
+use ci_cloud::tiercache::CacheKey;
 use ci_exec::{
     ExecutionConfig, ExecutionMode, Executor, FaultPlan, NoScaling, PageSourceMode, QueryOutcome,
     TierCacheSim, TierPricing,
@@ -452,7 +453,7 @@ fn a_failure_past_a_satisfied_limit_stays_invisible() {
             None,
         )
         .expect_err("the full scan reads the bad partition");
-        assert_eq!(err.kind(), "storage", "mode={mode:?}: {err}");
+        assert!(matches!(err, CiError::Storage(_)), "mode={mode:?}: {err}");
     }
 }
 
@@ -513,8 +514,8 @@ fn a_memory_tier_hit_opens_no_file() {
         .unwrap()
         .lock()
         .unwrap()
-        .resident_bytes(TierLevel::Mem);
-    assert!(held > 0, "the pinned table is memory-resident");
+        .holds(CacheKey::new(orders.id, 0), TierLevel::Mem);
+    assert!(held, "the pinned table is memory-resident");
 
     let mut no_memory = pricing.clone();
     no_memory.mem.capacity_bytes = 0;

@@ -171,7 +171,7 @@ proptest! {
             prop_assert!(sel.density() >= 1.0 / 16.0);
             for i in 0..2 {
                 prop_assert!(
-                    Arc::ptr_eq(twice.column_arc(i), input.column_arc(i)),
+                    Arc::ptr_eq(&twice.columns()[i], &input.columns()[i]),
                     "column {} was copied by a composed filter", i
                 );
             }

@@ -106,11 +106,6 @@ impl MetricsRegistry {
         }
     }
 
-    /// Current value of a counter (zero when absent).
-    pub fn counter(&self, name: &str) -> u64 {
-        self.counters.get(name).copied().unwrap_or(0)
-    }
-
     /// The named histogram, if any observation was recorded.
     pub fn histogram(&self, name: &str) -> Option<&Histogram> {
         self.histograms.get(name)
@@ -184,8 +179,7 @@ mod tests {
         r.count("morsels", 3);
         r.observe("span_us", 100);
         r.observe("span_us", 200);
-        assert_eq!(r.counter("morsels"), 5);
-        assert_eq!(r.counter("absent"), 0);
+        assert_eq!(r.counters().collect::<Vec<_>>(), [("morsels", 5)]);
         assert_eq!(r.histogram("span_us").unwrap().count(), 2);
         let text = r.text();
         assert!(text.contains("counter morsels = 5"), "{text}");

@@ -32,8 +32,6 @@ use crate::expr::{AggExpr, BinOp, PlanExpr};
 pub struct Relation {
     /// Position in the FROM list (also its index in `BoundQuery::relations`).
     pub index: usize,
-    /// Catalog table name.
-    pub table_name: String,
     /// Name this relation binds in scope (alias or table name).
     pub binding: String,
     /// Catalog table id.
@@ -118,7 +116,7 @@ impl BoundQuery {
     /// catalog statistics, before any error injection (at least one).
     pub fn base_rows(&self, rel: usize, catalog: &Catalog) -> Result<f64> {
         let r = &self.relations[rel];
-        let entry = catalog.get(&r.table_name)?;
+        let entry = catalog.get_by_id(r.table_id)?;
         let rows = CardinalityEstimator::new().filter_rows(&entry.stats, &r.prune_bounds);
         let penalty = DEFAULT_SELECTIVITY.powi(r.unmodeled_filters as i32);
         Ok((rows * penalty).max(1.0))
@@ -130,7 +128,7 @@ impl BoundQuery {
         self.relation_of_slot(slot)
             .and_then(|rel| {
                 let r = &self.relations[rel];
-                let entry = catalog.get(&r.table_name).ok()?;
+                let entry = catalog.get_by_id(r.table_id).ok()?;
                 Some(entry.stats.columns[slot - r.global_offset].ndv.max(1))
             })
             .unwrap_or(1)
@@ -217,7 +215,6 @@ impl<'a> Binder<'a> {
             }
             relations.push(Relation {
                 index: relations.len(),
-                table_name: tref.name.clone(),
                 binding,
                 table_id: entry.table.id,
                 global_offset: *offset,

@@ -57,14 +57,6 @@ impl JoinTree {
         }
     }
 
-    /// Number of join nodes.
-    pub fn join_count(&self) -> usize {
-        match self {
-            JoinTree::Leaf(_) => 0,
-            JoinTree::Join(l, r) => 1 + l.join_count() + r.join_count(),
-        }
-    }
-
     /// Height of the tree (leaf = 0).
     pub fn height(&self) -> usize {
         match self {
@@ -117,7 +109,7 @@ mod tests {
         assert_eq!(t.to_string(), "(((R0 ⋈ R1) ⋈ R2) ⋈ R3)");
         assert!(t.is_left_deep());
         assert_eq!(t.leaf_count(), 4);
-        assert_eq!(t.join_count(), 3);
+        assert_eq!(t.to_string().matches('⋈').count(), 3, "join nodes");
         assert_eq!(t.height(), 3);
         assert_eq!(t.relations(), [0, 1, 2, 3].into_iter().collect());
     }
@@ -146,7 +138,7 @@ mod tests {
     fn single_leaf() {
         let t = JoinTree::left_deep(&[5]);
         assert_eq!(t, JoinTree::Leaf(5));
-        assert_eq!(t.join_count(), 0);
+        assert_eq!(t.to_string(), "R5");
         assert_eq!(t.height(), 0);
     }
 }

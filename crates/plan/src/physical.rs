@@ -137,20 +137,6 @@ pub struct PhysicalPlan {
 }
 
 impl PhysicalPlan {
-    /// The node at `idx`.
-    pub fn node(&self, idx: usize) -> &PhysicalNode {
-        &self.nodes[idx]
-    }
-
-    /// Names of the query's output columns (root projection order).
-    pub fn output_names(&self) -> Vec<String> {
-        self.nodes[self.root]
-            .out_slots
-            .iter()
-            .map(|&s| self.slot_names[s].clone())
-            .collect()
-    }
-
     /// Estimated decoded bytes per row of a node's output.
     pub fn row_width(&self, idx: usize) -> f64 {
         self.nodes[idx]
@@ -538,7 +524,7 @@ impl<'a> Builder<'a> {
 
     fn build_scan(&mut self, rel: usize) -> Result<usize> {
         let r = &self.bound.relations[rel];
-        let entry = self.catalog.get(&r.table_name)?;
+        let entry = self.catalog.get_by_id(r.table_id)?;
         let prune = entry.table.prune(&r.prune_bounds);
         // Rows surviving pruning are metadata-exact; selectivity on top is
         // estimated (and perturbable).
@@ -604,7 +590,7 @@ impl<'a> Builder<'a> {
     fn base_slot_widths(&self) -> Result<Vec<f64>> {
         let mut widths = Vec::with_capacity(self.bound.slot_types.len());
         for r in &self.bound.relations {
-            let entry = self.catalog.get(&r.table_name)?;
+            let entry = self.catalog.get_by_id(r.table_id)?;
             for c in &entry.stats.columns {
                 widths.push(if c.avg_width > 0.0 { c.avg_width } else { 8.0 });
             }
@@ -624,7 +610,7 @@ impl<'a> Builder<'a> {
         let mut widths = Vec::with_capacity(self.bound.slot_types.len());
         let mut dict_bytes = Vec::with_capacity(self.bound.slot_types.len());
         for r in &self.bound.relations {
-            let entry = self.catalog.get(&r.table_name)?;
+            let entry = self.catalog.get_by_id(r.table_id)?;
             for c in &entry.stats.columns {
                 widths.push(if c.avg_encoded_width > 0.0 {
                     c.avg_encoded_width
@@ -750,7 +736,9 @@ mod tests {
         );
         // Limit caps estimate.
         assert!(p.nodes[p.root].est_rows <= 10.0);
-        assert_eq!(p.output_names(), vec!["o_id"]);
+        let out = &p.nodes[p.root].out_slots;
+        let names: Vec<&str> = out.iter().map(|&s| p.slot_names[s].as_str()).collect();
+        assert_eq!(names, ["o_id"]);
     }
 
     #[test]

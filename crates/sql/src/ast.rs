@@ -173,22 +173,6 @@ pub enum Expr {
 }
 
 impl Expr {
-    /// Convenience constructor for an unqualified column.
-    pub fn col(name: &str) -> Expr {
-        Expr::Column {
-            qualifier: None,
-            name: name.to_owned(),
-        }
-    }
-
-    /// Convenience constructor for a qualified column.
-    pub fn qcol(qualifier: &str, name: &str) -> Expr {
-        Expr::Column {
-            qualifier: Some(qualifier.to_owned()),
-            name: name.to_owned(),
-        }
-    }
-
     /// Convenience constructor for a binary expression.
     pub fn binary(op: BinaryOp, left: Expr, right: Expr) -> Expr {
         Expr::Binary {
@@ -374,6 +358,24 @@ pub struct Query {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Expr {
+        /// Convenience constructor for an unqualified column.
+        fn col(name: &str) -> Expr {
+            Expr::Column {
+                qualifier: None,
+                name: name.to_owned(),
+            }
+        }
+
+        /// Convenience constructor for a qualified column.
+        fn qcol(qualifier: &str, name: &str) -> Expr {
+            Expr::Column {
+                qualifier: Some(qualifier.to_owned()),
+                name: name.to_owned(),
+            }
+        }
+    }
 
     #[test]
     fn display_round_trip_shapes() {

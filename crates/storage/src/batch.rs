@@ -134,11 +134,6 @@ impl RecordBatch {
         &self.columns[i]
     }
 
-    /// One column's shared handle by index (cheap to clone).
-    pub fn column_arc(&self, i: usize) -> &Arc<ColumnData> {
-        &self.columns[i]
-    }
-
     /// One full logical row as values (clones strings); for tests and
     /// result display.
     pub fn row(&self, i: usize) -> Vec<Value> {
@@ -458,7 +453,7 @@ mod tests {
         );
         // ...but every column is still shared, untouched.
         for i in 0..2 {
-            assert!(Arc::ptr_eq(f.column_arc(i), b.column_arc(i)));
+            assert!(Arc::ptr_eq(&f.columns()[i], &b.columns()[i]));
         }
         // Compaction materializes the eager equivalent.
         let dense = f.compacted();
@@ -477,7 +472,7 @@ mod tests {
         assert_eq!(twice.row(0), vec![Value::Int(2), Value::from("b")]);
         for i in 0..2 {
             assert!(
-                Arc::ptr_eq(twice.column_arc(i), b.column_arc(i)),
+                Arc::ptr_eq(&twice.columns()[i], &b.columns()[i]),
                 "composed filter must not copy columns"
             );
         }
@@ -513,7 +508,7 @@ mod tests {
         assert_eq!(s.rows(), 1);
         assert_eq!(s.row(0), vec![Value::Int(3), Value::from("c")]);
         assert!(
-            Arc::ptr_eq(s.column_arc(0), b.column_arc(0)),
+            Arc::ptr_eq(&s.columns()[0], &b.columns()[0]),
             "slicing a selected batch is zero-copy"
         );
         // Unselected view exposes the physical rows again.
@@ -557,22 +552,22 @@ mod tests {
         let p = b.project(&[1]).unwrap();
         assert_eq!(p.schema().arity(), 1);
         assert_eq!(p.schema().field(0).name, "name");
-        assert!(Arc::ptr_eq(p.column_arc(0), b.column_arc(1)));
+        assert!(Arc::ptr_eq(&p.columns()[0], &b.columns()[1]));
         assert!(sample().project(&[5]).is_err());
         // Projection carries the selection along, still zero-copy.
         let f = b.filter(&[true, false, true]).unwrap();
         let fp = f.project(&[0]).unwrap();
         assert_eq!(fp.rows(), 2);
         assert_eq!(fp.row(1), vec![Value::Int(3)]);
-        assert!(Arc::ptr_eq(fp.column_arc(0), b.column_arc(0)));
+        assert!(Arc::ptr_eq(&fp.columns()[0], &b.columns()[0]));
     }
 
     #[test]
     fn full_slice_is_zero_copy() {
         let b = sample();
         let s = b.slice(0, 3).unwrap();
-        assert!(Arc::ptr_eq(s.column_arc(0), b.column_arc(0)));
-        assert!(Arc::ptr_eq(s.column_arc(1), b.column_arc(1)));
+        assert!(Arc::ptr_eq(&s.columns()[0], &b.columns()[0]));
+        assert!(Arc::ptr_eq(&s.columns()[1], &b.columns()[1]));
     }
 
     #[test]
@@ -583,7 +578,7 @@ mod tests {
             Field::new("s1", DataType::Utf8),
         ]));
         let r = b.with_schema(renamed.clone()).unwrap();
-        assert!(Arc::ptr_eq(r.column_arc(0), b.column_arc(0)));
+        assert!(Arc::ptr_eq(&r.columns()[0], &b.columns()[0]));
         assert_eq!(r.schema().field(0).name, "s0");
         // Arity mismatch is rejected.
         let bad = Arc::new(Schema::of(vec![Field::new("x", DataType::Int64)]));

@@ -174,7 +174,7 @@ impl PageCodec {
     }
 
     /// Whether this codec can encode a column of logical type `dt`. This is
-    /// the single capability source [`PageCodec::candidates`] derives from,
+    /// the single capability source the picker filters [`ALL_CODECS`] by,
     /// so adding a codec here automatically enrolls it with the picker for
     /// every type it supports.
     pub fn applies_to(self, dt: DataType) -> bool {
@@ -191,14 +191,6 @@ impl PageCodec {
             // information — the 64-bit integer domain.
             PageCodec::Delta => dt == DataType::Int64,
         }
-    }
-
-    /// The codecs applicable to a column of logical type `dt`, in the
-    /// deterministic tie-break order the picker uses. Capability-driven over
-    /// [`ALL_CODECS`]: a codec that supports a type can never be silently
-    /// skipped by a stale per-type list.
-    pub fn candidates(dt: DataType) -> impl Iterator<Item = PageCodec> {
-        ALL_CODECS.into_iter().filter(move |c| c.applies_to(dt))
     }
 }
 
@@ -2409,7 +2401,10 @@ mod tests {
         let generic = |col: &ColumnData| {
             let mut best = PageCodec::Plain;
             let mut best_size = u64::MAX;
-            for c in PageCodec::candidates(col.data_type()) {
+            for c in ALL_CODECS
+                .into_iter()
+                .filter(|c| c.applies_to(col.data_type()))
+            {
                 if c == PageCodec::Dict && ndv(col) > DICT_INT_MAX_ENTRIES {
                     continue;
                 }
@@ -2663,7 +2658,10 @@ mod tests {
             dict_col(&["g1", "g2", "g1", "g1"]),
         ];
         for col in &cols {
-            for codec in PageCodec::candidates(col.data_type()) {
+            for codec in ALL_CODECS
+                .into_iter()
+                .filter(|c| c.applies_to(col.data_type()))
+            {
                 let (meta, bytes) = encode_column(col, codec).unwrap();
                 assert_eq!(
                     encoded_size(col, codec).unwrap(),
@@ -2690,13 +2688,7 @@ mod tests {
         for col in &fixtures {
             let dt = col.data_type();
             for codec in ALL_CODECS {
-                let listed = PageCodec::candidates(dt).any(|c| c == codec);
-                assert_eq!(
-                    listed,
-                    codec.applies_to(dt),
-                    "{codec:?} candidacy for {dt} out of sync with capability"
-                );
-                if listed {
+                if codec.applies_to(dt) {
                     let (_, bytes) =
                         encode_column(col, codec).unwrap_or_else(|e| panic!("{codec:?}/{dt}: {e}"));
                     assert_eq!(&decode_column(&bytes).unwrap(), col, "{codec:?} on {dt}");
@@ -2710,10 +2702,10 @@ mod tests {
         }
         // Int codecs are offered for ints — the regression the capability
         // refactor guards against.
-        assert!(PageCodec::candidates(DataType::Int64).any(|c| c == PageCodec::For));
-        assert!(PageCodec::candidates(DataType::Int64).any(|c| c == PageCodec::Delta));
-        assert!(PageCodec::candidates(DataType::Bool).any(|c| c == PageCodec::For));
-        assert!(!PageCodec::candidates(DataType::Utf8).any(|c| c == PageCodec::Delta));
+        assert!(PageCodec::For.applies_to(DataType::Int64));
+        assert!(PageCodec::Delta.applies_to(DataType::Int64));
+        assert!(PageCodec::For.applies_to(DataType::Bool));
+        assert!(!PageCodec::Delta.applies_to(DataType::Utf8));
     }
 
     #[test]

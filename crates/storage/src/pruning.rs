@@ -90,27 +90,6 @@ impl ColumnBound {
         };
         !above
     }
-
-    /// Does a single value satisfy this bound? Used by tests to cross-check
-    /// pruning against row-level evaluation.
-    pub fn contains(&self, v: &Value) -> bool {
-        use std::cmp::Ordering::*;
-        let lower_ok = match &self.lower {
-            Endpoint::Unbounded => true,
-            Endpoint::Inclusive(lo) => {
-                matches!(v.partial_cmp_sql(lo), Some(Greater) | Some(Equal))
-            }
-            Endpoint::Exclusive(lo) => matches!(v.partial_cmp_sql(lo), Some(Greater)),
-        };
-        let upper_ok = match &self.upper {
-            Endpoint::Unbounded => true,
-            Endpoint::Inclusive(hi) => {
-                matches!(v.partial_cmp_sql(hi), Some(Less) | Some(Equal))
-            }
-            Endpoint::Exclusive(hi) => matches!(v.partial_cmp_sql(hi), Some(Less)),
-        };
-        lower_ok && upper_ok
-    }
 }
 
 #[cfg(test)]
@@ -153,11 +132,14 @@ mod tests {
 
     #[test]
     fn contains_matches_overlap_semantics() {
+        // A one-value zone overlaps the bound exactly when the bound holds
+        // the value.
         let b = ColumnBound::range(0, Some((Value::Int(5), true)), Some((Value::Int(8), false)));
-        assert!(!b.contains(&Value::Int(4)));
-        assert!(b.contains(&Value::Int(5)));
-        assert!(b.contains(&Value::Int(7)));
-        assert!(!b.contains(&Value::Int(8)));
+        let contains = |v: i64| b.may_overlap(&Value::Int(v), &Value::Int(v));
+        assert!(!contains(4));
+        assert!(contains(5));
+        assert!(contains(7));
+        assert!(!contains(8));
     }
 
     #[test]

@@ -166,15 +166,6 @@ impl SelectionVector {
         }
     }
 
-    /// The bool-mask view over physical rows.
-    pub fn to_mask(&self) -> Vec<bool> {
-        let mut mask = vec![false; self.total];
-        for i in self.iter() {
-            mask[i] = true;
-        }
-        mask
-    }
-
     /// Composes a further filter: `keep[j]` is the verdict for the `j`-th
     /// *selected* row. O(selected) — this is what makes a filter over an
     /// already-selected batch free of column copies.
@@ -307,6 +298,15 @@ impl ExactSizeIterator for SelectionIter<'_> {}
 mod tests {
     use super::*;
 
+    /// The bool-mask view of `sel` over physical rows.
+    fn to_mask(sel: &SelectionVector) -> Vec<bool> {
+        let mut mask = vec![false; sel.total()];
+        for i in sel.iter() {
+            mask[i] = true;
+        }
+        mask
+    }
+
     #[test]
     fn mask_round_trips_through_indices() {
         let mask = vec![true, false, false, true, true];
@@ -314,7 +314,7 @@ mod tests {
         assert_eq!(sel.len(), 3);
         assert_eq!(sel.total(), 5);
         assert_eq!(sel.iter().collect::<Vec<_>>(), vec![0, 3, 4]);
-        assert_eq!(sel.to_mask(), mask);
+        assert_eq!(to_mask(&sel), mask);
         assert_eq!(sel.physical(1), 3);
         assert!(sel.as_range().is_none(), "scattered rows stay indices");
     }
@@ -325,7 +325,7 @@ mod tests {
         assert_eq!(sel.as_range(), Some((1, 3)));
         assert_eq!(sel.iter().collect::<Vec<_>>(), vec![1, 2, 3]);
         assert_eq!(sel.physical(2), 3);
-        assert_eq!(sel.to_mask(), vec![false, true, true, true, false]);
+        assert_eq!(to_mask(&sel), vec![false, true, true, true, false]);
         // The same rows via from_indices normalize identically.
         let via_indices = SelectionVector::from_indices(vec![1, 2, 3], 5).unwrap();
         assert_eq!(sel, via_indices);

@@ -457,11 +457,6 @@ impl PageStore {
         Ok(PageStore::open(temp_dir("ci-objstore")?, true))
     }
 
-    /// Root directory of the object tier.
-    pub fn root(&self) -> &Path {
-        &self.root
-    }
-
     fn table_dir(&self, id: TableId) -> PathBuf {
         self.root.join(format!("t{}", id.index()))
     }
@@ -668,7 +663,7 @@ mod tests {
         let store = PageStore::temp().unwrap();
         store.ensure_table(&table).unwrap();
         // A second store over the same directory, knowing only the schema.
-        let cold = PageStore::at(store.root()).unwrap();
+        let cold = PageStore::at(&store.root).unwrap();
         cold.attach(table.id, table.schema.clone()).unwrap();
         let got = cold.read_partition(table.id, 0).unwrap();
         assert_eq!(got, table.partitions[0].batch);

@@ -9,7 +9,8 @@ use std::sync::Arc;
 use ci_storage::column::ColumnData;
 use ci_storage::pages::{
     decode_column, dictionary_page_bytes, encode_best, encode_column, encoded_size, pick_codec,
-    PageCodec, WireDecoder, WireEncoder, WireSketch, PAGE_HEADER_BYTES, PAGE_MAGIC, PAGE_VERSION,
+    PageCodec, WireDecoder, WireEncoder, WireSketch, ALL_CODECS, PAGE_HEADER_BYTES, PAGE_MAGIC,
+    PAGE_VERSION,
 };
 use ci_storage::schema::{Field, Schema};
 use ci_storage::RecordBatch;
@@ -67,7 +68,10 @@ fn ship(tx: &mut WireEncoder, col: &ColumnData) -> Vec<u8> {
 /// equality, representation (an int column decodes to `Int64` under every
 /// codec, `Dict` included) and exact size accounting.
 fn check_round_trip(col: &ColumnData) -> Result<(), String> {
-    for codec in PageCodec::candidates(col.data_type()) {
+    for codec in ALL_CODECS
+        .into_iter()
+        .filter(|c| c.applies_to(col.data_type()))
+    {
         let (meta, bytes) = encode_column(col, codec).map_err(|e| e.to_string())?;
         if meta.encoded_bytes as usize != bytes.len() {
             return Err(format!(
@@ -172,7 +176,7 @@ proptest! {
         let dicted = utf8(&vals);
         prop_assert!(check_round_trip(&other).is_ok(), "{:?}", check_round_trip(&other));
         prop_assert!(check_round_trip(&dicted).is_ok(), "{:?}", check_round_trip(&dicted));
-        for codec in PageCodec::candidates(ci_storage::value::DataType::Utf8) {
+        for codec in ALL_CODECS.into_iter().filter(|c| c.applies_to(ci_storage::value::DataType::Utf8)) {
             let (_, bytes) = encode_column(&other, codec).unwrap();
             let decoded = decode_column(&bytes).unwrap();
             let strings: Vec<&str> = (0..decoded.len()).map(|i| decoded.str_at(i).unwrap()).collect();
@@ -1264,7 +1268,7 @@ proptest! {
             let passed = RecordBatch::from_arcs(
                 Arc::new(schema.project(&perm)),
                 perm.iter().map(|&i| match kept(i) {
-                    true => batch.column_arc(i).clone(),
+                    true => batch.columns()[i].clone(),
                     false => Arc::new(batch.column(i).take(&reversed)),
                 }).collect(),
             ).unwrap();
@@ -1307,8 +1311,8 @@ mod oracle {
 
     use ci_storage::column::ColumnData;
     use ci_storage::pages::{
-        id_bit_width, packed_id_bytes, range_bit_width, PageCodec, DICT_INT_MAX_ENTRIES,
-        PAGE_HEADER_BYTES,
+        id_bit_width, packed_id_bytes, range_bit_width, PageCodec, ALL_CODECS,
+        DICT_INT_MAX_ENTRIES, PAGE_HEADER_BYTES,
     };
 
     /// `(min, width)` of a For page; `None` for empty or non-integer columns.
@@ -1451,7 +1455,10 @@ mod oracle {
     /// drop `Dict` past [`DICT_INT_MAX_ENTRIES`] distinct values.
     pub fn pick_codec(col: &ColumnData) -> PageCodec {
         let mut best = (PageCodec::Plain, u64::MAX);
-        for codec in PageCodec::candidates(col.data_type()) {
+        for codec in ALL_CODECS
+            .into_iter()
+            .filter(|c| c.applies_to(col.data_type()))
+        {
             let capped = matches!(col, ColumnData::Int64(_))
                 && referenced_entries(col).0 > DICT_INT_MAX_ENTRIES;
             if codec == PageCodec::Dict && capped {

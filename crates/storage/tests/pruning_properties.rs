@@ -8,7 +8,7 @@ use std::sync::Arc;
 
 use ci_storage::batch::RecordBatch;
 use ci_storage::column::ColumnData;
-use ci_storage::pruning::ColumnBound;
+use ci_storage::pruning::{ColumnBound, Endpoint};
 use ci_storage::schema::{Field, Schema};
 use ci_storage::table::TableBuilder;
 use ci_storage::value::{DataType, Value};
@@ -22,6 +22,27 @@ fn table_of(values: Vec<i64>, rows_per_part: usize) -> ci_storage::table::Table 
     b.append(RecordBatch::new(schema, vec![ColumnData::Int64(values)]).expect("batch"))
         .expect("append");
     b.finish().expect("table")
+}
+
+/// Does a single value satisfy `bound`? The row-level oracle pruning is
+/// cross-checked against.
+fn contains(bound: &ColumnBound, v: &Value) -> bool {
+    use std::cmp::Ordering::*;
+    let lower_ok = match &bound.lower {
+        Endpoint::Unbounded => true,
+        Endpoint::Inclusive(lo) => {
+            matches!(v.partial_cmp_sql(lo), Some(Greater) | Some(Equal))
+        }
+        Endpoint::Exclusive(lo) => matches!(v.partial_cmp_sql(lo), Some(Greater)),
+    };
+    let upper_ok = match &bound.upper {
+        Endpoint::Unbounded => true,
+        Endpoint::Inclusive(hi) => {
+            matches!(v.partial_cmp_sql(hi), Some(Less) | Some(Equal))
+        }
+        Endpoint::Exclusive(hi) => matches!(v.partial_cmp_sql(hi), Some(Less)),
+    };
+    lower_ok && upper_ok
 }
 
 fn bound_strategy() -> impl Strategy<Value = ColumnBound> {
@@ -62,7 +83,7 @@ proptest! {
         // Rows qualifying overall.
         let qualifying: usize = values
             .iter()
-            .filter(|&&v| bound.contains(&Value::Int(v)))
+            .filter(|&&v| contains(&bound, &Value::Int(v)))
             .count();
         // Rows qualifying within kept partitions only.
         let mut kept_qualifying = 0usize;
@@ -71,7 +92,7 @@ proptest! {
             let col = part.batch.column(0).as_i64().expect("ints");
             kept_qualifying += col
                 .iter()
-                .filter(|&&v| bound.contains(&Value::Int(v)))
+                .filter(|&&v| contains(&bound, &Value::Int(v)))
                 .count();
         }
         prop_assert_eq!(kept_qualifying, qualifying, "pruning lost rows");
@@ -105,13 +126,13 @@ proptest! {
         let mut qualifying = 0usize;
         for &pi in &kept.kept {
             let col = r.partitions[pi].batch.column(0).as_i64().expect("ints");
-            qualifying += col.iter().filter(|&&v| bound.contains(&Value::Int(v))).count();
+            qualifying += col.iter().filter(|&&v| contains(&bound, &Value::Int(v))).count();
         }
         let total: usize = r
             .to_batch().expect("batch")
             .column(0).as_i64().expect("ints")
             .iter()
-            .filter(|&&v| bound.contains(&Value::Int(v)))
+            .filter(|&&v| contains(&bound, &Value::Int(v)))
             .count();
         prop_assert_eq!(qualifying, total);
     }

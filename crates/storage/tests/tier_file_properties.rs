@@ -7,7 +7,7 @@
 //! byte flips, truncations, and forged header fields through the real
 //! `PageStore` read path.
 
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use ci_storage::batch::RecordBatch;
@@ -60,10 +60,7 @@ impl Fixture {
         store.ensure_table(&table).unwrap();
         let part_path = store.partition_path(table.id, 0);
         let part_good = std::fs::read(&part_path).unwrap();
-        let manifest_path = store
-            .root()
-            .join(format!("t{}", table.id.index()))
-            .join("table.cipt");
+        let manifest_path = part_path.with_file_name("table.cipt");
         let manifest_good = std::fs::read(&manifest_path).unwrap();
         Fixture {
             store,
@@ -73,6 +70,11 @@ impl Fixture {
             manifest_path,
             manifest_good,
         }
+    }
+
+    /// The object tier's directory: the one above the table's.
+    fn root(&self) -> &Path {
+        self.manifest_path.parent().and_then(Path::parent).unwrap()
     }
 }
 
@@ -191,7 +193,7 @@ proptest! {
             let at = flip_at % bad.len();
             bad[at] ^= flip_bits;
             std::fs::write(&f.manifest_path, &bad).unwrap();
-            let cold = PageStore::at(f.store.root()).unwrap();
+            let cold = PageStore::at(f.root()).unwrap();
             let attached = cold.attach(f.table.id, f.table.schema.clone());
             std::fs::write(&f.manifest_path, &f.manifest_good).unwrap();
             match attached {
@@ -273,7 +275,7 @@ fn retired_int_dict_kind_is_rejected_typed() {
     manifest[at] = 2;
     rechecksum(&mut manifest);
     std::fs::write(&f.manifest_path, &manifest).unwrap();
-    let cold = PageStore::at(f.store.root()).unwrap();
+    let cold = PageStore::at(f.root()).unwrap();
     let attached = cold.attach(f.table.id, f.table.schema.clone());
     std::fs::write(&f.manifest_path, &f.manifest_good).unwrap();
     match attached {
@@ -341,9 +343,8 @@ fn files_store_the_pages_their_partitions_bill() {
 
     let manifest = std::fs::read(
         store
-            .root()
-            .join(format!("t{}", table.id.index()))
-            .join("table.cipt"),
+            .partition_path(table.id, 0)
+            .with_file_name("table.cipt"),
     )
     .unwrap();
     let mut at = TIER_HEADER_BYTES;

@@ -39,24 +39,6 @@ pub enum CiError {
     Tuning(String),
 }
 
-impl CiError {
-    /// Short machine-readable category tag, handy for experiment CSV output.
-    pub fn kind(&self) -> &'static str {
-        match self {
-            CiError::Parse(_) => "parse",
-            CiError::Catalog(_) => "catalog",
-            CiError::Storage(_) => "storage",
-            CiError::Plan(_) => "plan",
-            CiError::Exec(_) => "exec",
-            CiError::Cloud(_) => "cloud",
-            CiError::Fault(_) => "fault",
-            CiError::Infeasible(_) => "infeasible",
-            CiError::Config(_) => "config",
-            CiError::Tuning(_) => "tuning",
-        }
-    }
-}
-
 impl fmt::Display for CiError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let (kind, msg) = match self {
@@ -85,7 +67,6 @@ mod tests {
     fn display_includes_kind_and_message() {
         let e = CiError::Parse("unexpected token".into());
         assert_eq!(e.to_string(), "parse error: unexpected token");
-        assert_eq!(e.kind(), "parse");
     }
 
     #[test]
@@ -102,7 +83,7 @@ mod tests {
             CiError::Config(String::new()),
             CiError::Tuning(String::new()),
         ];
-        let mut kinds: Vec<_> = all.iter().map(|e| e.kind()).collect();
+        let mut kinds: Vec<_> = all.iter().map(|e| e.to_string()).collect();
         kinds.sort_unstable();
         kinds.dedup();
         assert_eq!(kinds.len(), all.len());

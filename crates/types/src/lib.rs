@@ -12,8 +12,7 @@
 //!   ranks from one.
 //! * [`ids`] — strongly-typed identifiers (queries, pipelines, nodes, ...).
 //! * [`error::CiError`] — the workspace error type.
-//! * [`stats`] — descriptive statistics used by experiment harnesses and the
-//!   statistics service.
+//! * [`stats::relative_error`] — the estimator-validation metric.
 //! * [`tier::TierLevel`] — the cache tier a partition is served from, shared
 //!   by the page store and the cache simulator.
 

@@ -45,19 +45,9 @@ impl Dollars {
         Dollars((self.0 * 100.0).round() / 100.0)
     }
 
-    /// Absolute difference, for approximate comparisons in tests.
-    pub fn abs_diff(self, other: Dollars) -> f64 {
-        (self.0 - other.0).abs()
-    }
-
     /// The larger of two amounts.
     pub fn max(self, other: Dollars) -> Dollars {
         Dollars(self.0.max(other.0))
-    }
-
-    /// The smaller of two amounts.
-    pub fn min(self, other: Dollars) -> Dollars {
-        Dollars(self.0.min(other.0))
     }
 }
 
@@ -216,7 +206,7 @@ mod tests {
         // $3.60/hour == $0.001/second.
         let rate = DollarsPerSecond::per_hour(3.6);
         let bill = rate.bill(SimDuration::from_secs_f64(100.0));
-        assert!(bill.abs_diff(Dollars::new(0.1)) < 1e-9);
+        assert!((bill - Dollars::new(0.1)).amount().abs() < 1e-9);
         assert!((rate.hourly() - 3.6).abs() < 1e-12);
     }
 
@@ -225,6 +215,6 @@ mod tests {
         let a = Dollars::new(1.0);
         let b = Dollars::new(2.0);
         assert_eq!(a.max(b), b);
-        assert_eq!(a.min(b), a);
+        assert_eq!(b.max(a), b);
     }
 }

@@ -105,14 +105,6 @@ impl DetRng {
         -u.ln() / rate
     }
 
-    /// Fisher–Yates shuffle.
-    pub fn shuffle<T>(&mut self, items: &mut [T]) {
-        for i in (1..items.len()).rev() {
-            let j = self.usize_below(i + 1);
-            items.swap(i, j);
-        }
-    }
-
     /// Uniformly chooses an element by reference. Panics on empty input.
     pub fn choose<'a, T>(&mut self, items: &'a [T]) -> &'a T {
         assert!(!items.is_empty(), "choose from empty slice");
@@ -337,7 +329,10 @@ mod tests {
     fn shuffle_is_permutation() {
         let mut r = DetRng::seed_from_u64(23);
         let mut v: Vec<u32> = (0..50).collect();
-        r.shuffle(&mut v);
+        // Fisher–Yates: `usize_below(i + 1)` must stay within `0..=i`.
+        for i in (1..v.len()).rev() {
+            v.swap(i, r.usize_below(i + 1));
+        }
         let mut sorted = v.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, (0..50).collect::<Vec<_>>());

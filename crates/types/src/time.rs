@@ -61,16 +61,6 @@ impl SimDuration {
     pub fn saturating_sub(self, rhs: SimDuration) -> SimDuration {
         SimDuration(self.0.saturating_sub(rhs.0))
     }
-
-    /// The larger of two durations.
-    pub fn max(self, other: SimDuration) -> SimDuration {
-        SimDuration(self.0.max(other.0))
-    }
-
-    /// The smaller of two durations.
-    pub fn min(self, other: SimDuration) -> SimDuration {
-        SimDuration(self.0.min(other.0))
-    }
 }
 
 impl fmt::Display for SimDuration {
@@ -188,16 +178,6 @@ impl SimTime {
     /// Saturating version of [`SimTime::since`].
     pub fn saturating_since(self, earlier: SimTime) -> SimDuration {
         SimDuration(self.0.saturating_sub(earlier.0))
-    }
-
-    /// The later of two instants.
-    pub fn max(self, other: SimTime) -> SimTime {
-        SimTime(self.0.max(other.0))
-    }
-
-    /// The earlier of two instants.
-    pub fn min(self, other: SimTime) -> SimTime {
-        SimTime(self.0.min(other.0))
     }
 }
 

@@ -4,6 +4,7 @@
 #   scripts/test_only_items.sh           # list them; always exits 0
 #   scripts/test_only_items.sh --check   # exit 1 unless the list matches
 #                                        # scripts/test_only_allowlist.txt
+#   scripts/test_only_items.sh --methods # compile probe, see below
 #
 # Prints every `pub` fn, struct, enum, const or type defined in the non-test
 # part of a `crates/*/src` file whose name appears nowhere else in non-test
@@ -26,14 +27,26 @@
 # (`HardwareProfile::validate` went unlisted for as long as
 # `PhysicalPlan::validate` existed).
 #
-# A compile probe closes that blind spot for methods: in a scratch copy of
-# the repository, append a suffix to the name of every `pub fn` inside an
-# `impl` block of `crates/*/src`, then run `cargo check --lib --bins
-# --examples` and `cargo check --manifest-path bench_e2e/Cargo.toml`
-# (neither builds test code) and restore each renamed method an error
-# names, until both compile. The renames left are methods nothing outside
-# tests calls (`Schema::join`, `Value::width`, `ErrorInjector::bound` and
-# `TierCacheSim::pricing` were found that way).
+# A compile probe closes that blind spot for methods:
+#
+#   scripts/test_only_items.sh --methods   # ~20 `cargo check`s; not in CI
+#
+# copies the working tree into a `mktemp -d` directory and, in the copy,
+# appends a suffix to the name of every `pub fn` above its file's test
+# module in `crates/*/src`. It then runs `cargo check --workspace --lib
+# --bins --examples` and `cargo check --manifest-path bench_e2e/Cargo.toml
+# --bins` (neither builds test code), restores every renamed name an error
+# message quotes, and repeats until both compile. It prints the methods
+# that stay renamed, the ones nothing outside tests calls, each marked
+# allowlisted or not, and exits 1 if one is not. Two limits:
+#   - restoring goes by name, so it is conservative: one caller of
+#     `Dollars::max` restores every `max`, `SimTime::max` included;
+#   - an inherent method that shares its name with a trait method falls
+#     through to the trait when renamed (`SimTime::min` to `Ord::min`), so
+#     it is listed although callers compile against it: it duplicates the
+#     trait's method.
+# The allowlist names such a method `Type::name`; `--check` skips those
+# lines, since the name match cannot see them.
 #
 # `--check` compares the listed items (by file and name) with the allowlist
 # and exits 1 on an item missing from it or a line in it whose item is no
@@ -45,13 +58,104 @@ cd "$(git rev-parse --show-toplevel)" || exit 0
 if [ "${1:-}" = "--check" ]; then
     allow=scripts/test_only_allowlist.txt
     listed=$(scripts/test_only_items.sh | awk -F': pub [a-z]+ ' 'NF == 2 { split($1, p, ":"); print p[1], $2 }' | sort)
-    allowed=$(grep -v '^#' "$allow" | awk 'NF { print $1, $2 }' | sort)
+    allowed=$(grep -v '^#' "$allow" | awk 'NF && $2 !~ /::/ { print $1, $2 }' | sort)
     missing=$(comm -23 <(echo "$listed") <(echo "$allowed"))
     stale=$(comm -13 <(echo "$listed") <(echo "$allowed"))
     [ -n "$missing" ] && printf 'test-only item not in %s:\n%s\n' "$allow" "$missing"
     [ -n "$stale" ] && printf '%s lists an item no longer test-only:\n%s\n' "$allow" "$stale"
     [ -z "$missing$stale" ] || exit 1
     echo "test-only items match $allow ($(echo "$listed" | grep -c .))"
+    exit 0
+fi
+
+if [ "${1:-}" = "--methods" ]; then
+    allow=$PWD/scripts/test_only_allowlist.txt
+    sfx=_xprobe
+    tmp=$(mktemp -d) || exit 1
+    trap 'rm -rf "$tmp"' EXIT
+    git ls-files -co --exclude-standard | while IFS= read -r f; do [ -e "$f" ] && echo "$f"; done \
+        | tar -cf - -T - | tar -xf - -C "$tmp"
+    cd "$tmp" || exit 1
+    export CARGO_TARGET_DIR=$tmp/target
+    # Rename, recording `FILE LINE NAME TYPE` per definition (TYPE `-` for
+    # a free function).
+    for f in $(find crates/*/src -name '*.rs' | sort); do
+        awk -v f="$f" -v sfx="$sfx" -v out="$tmp/renamed" '
+            function impl_self(h,   i, d, c) {
+                sub(/[ \t]*(\{|where).*$/, "", h)
+                sub(/^[ \t]*impl/, "", h)
+                while ((i = index(h, " for ")) > 0) h = substr(h, i + 5)
+                if (substr(h, 1, 1) == "<") {
+                    for (i = 1; i <= length(h); i++) {
+                        c = substr(h, i, 1)
+                        if (c == "<") d++
+                        if (c == ">" && --d == 0) break
+                    }
+                    h = substr(h, i + 1)
+                }
+                sub(/^[ \t&]*/, "", h)
+                sub(/[^A-Za-z0-9_:].*$/, "", h)
+                sub(/^.*::/, "", h)
+                return h
+            }
+            prev ~ /^#\[cfg\(test\)\]/ && /^(pub(\([a-z]+\))? )?mod tests/ { cut = 1 }
+            { prev = $0 }
+            !cut && /^[ \t]*impl[ <]/ { self = impl_self($0) }
+            !cut && /^}/ { self = "" }
+            !cut && match($0, /^[ \t]*pub (const )?fn [A-Za-z_][A-Za-z0-9_]*/) {
+                n = split(substr($0, RSTART, RLENGTH), w, /[ \t]+/)
+                name = w[n]
+                $0 = substr($0, 1, RSTART + RLENGTH - 1) sfx substr($0, RSTART + RLENGTH)
+                print f, NR, name, (self == "" ? "-" : self) >> out
+            }
+            { print }' "$f" >"$f.new" && mv "$f.new" "$f"
+    done
+    # The errors of one check, one line each (empty when it compiles).
+    errors() {
+        cargo check --offline --quiet --keep-going --message-format short "$@" 2>&1 \
+            | grep -E '(^|: )error(\[E[0-9]+\])?: ' | grep -v 'could not compile'
+    }
+    rounds=0
+    for target in "--workspace --lib --bins --examples" "--manifest-path bench_e2e/Cargo.toml --bins"; do
+        while errs=$(errors $target); [ -n "$errs" ]; do
+            rounds=$((rounds + 1))
+            # The names an error quotes, and the path at its position (an
+            # error such as "`&Histogram` is not an iterator" quotes none).
+            quoted=$({
+                grep -o '`[^`]*`' <<<"$errs" | tr -d '`' | sed 's/.*:://'
+                while IFS=: read -r file ln col _; do
+                    [ -f "$file" ] || file=bench_e2e/$file
+                    sed -n "${ln}p" "$file" 2>/dev/null | cut -c"$col"- \
+                        | grep -o '^[A-Za-z_][A-Za-z0-9_:]*' | tr -s ':' '\n'
+                done <<<"$errs"
+            } | sort -u)
+            names=$(awk '{ print $3 }' "$tmp/renamed" | sort -u | comm -12 - <(echo "$quoted"))
+            if [ -z "$names" ]; then
+                printf 'probe: errors that quote no renamed method:\n%s\n' "$errs" >&2
+                exit 2
+            fi
+            for n in $names; do
+                awk -v n="$n" '$3 == n { print $1 }' "$tmp/renamed" | sort -u \
+                    | xargs sed -i "s/\bfn ${n}${sfx}\b/fn ${n}/"
+                awk -v n="$n" '$3 != n' "$tmp/renamed" >"$tmp/left" && mv "$tmp/left" "$tmp/renamed"
+            done
+        done
+    done
+    unlisted=0
+    while read -r f ln name self; do
+        item=$name
+        [ "$self" != - ] && item=$self::$name
+        if grep -v '^#' "$allow" | awk -v f="$f" -v a="$name" -v b="$item" \
+            '$1 == f && ($2 == a || $2 == b) { found = 1 } END { exit !found }'; then
+            mark=allowlisted
+        else
+            mark="NOT allowlisted"
+            unlisted=$((unlisted + 1))
+        fi
+        echo "$f:$ln: pub fn $item  ($mark)"
+    done < <(sort -k1,1 -k2,2n "$tmp/renamed")
+    echo "$(wc -l <"$tmp/renamed") method(s) with no non-test caller after $rounds round(s); $unlisted not allowlisted"
+    [ "$unlisted" -eq 0 ] || exit 1
     exit 0
 fi
 

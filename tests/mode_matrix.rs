@@ -28,6 +28,7 @@ use std::sync::{Arc, Mutex};
 
 use cost_intel::autotune::TuningAction;
 use cost_intel::catalog::Catalog;
+use cost_intel::cloud::tiercache::CacheKey;
 use cost_intel::exec::scaling::{PipelineProgress, ScaleDecision, ScalingController};
 use cost_intel::exec::{
     ExecutionConfig, ExecutionMode, Executor, FaultPlan, NoScaling, PageSourceMode, QueryMetrics,
@@ -341,10 +342,10 @@ struct ExecutorRun {
     limit: QueryOutcome,
     /// The tier-priced query, four times over one shared cache simulator.
     tiered: Vec<QueryOutcome>,
-    /// Bytes the shared simulator holds in its memory tier after the
-    /// tier-priced runs — the residency a `Tiered` scan serves rows from
-    /// (`None`: the cell does not read through it).
-    mem_resident: Option<u64>,
+    /// Whether the shared simulator holds a partition in its memory tier
+    /// after the tier-priced runs — the residency a `Tiered` scan serves
+    /// rows from (`None`: the cell does not read through it).
+    mem_resident: Option<bool>,
 }
 
 impl ExecutorRun {
@@ -398,9 +399,11 @@ fn executor_script(config: &ExecutionConfig) -> ExecutorRun {
         .map(|_| execute(&cat, &priced, JOIN, 2, &mut NoScaling))
         .collect();
     let mem_resident = (config.page_source == PageSourceMode::Tiered).then(|| {
-        sim.lock()
-            .expect("simulator")
-            .resident_bytes(TierLevel::Mem)
+        let sim = sim.lock().expect("simulator");
+        cat.tables().any(|(_, e)| {
+            (0..e.table.partitions.len() as u32)
+                .any(|part| sim.holds(CacheKey::new(e.table.id, part), TierLevel::Mem))
+        })
     });
     ExecutorRun {
         scale_up,
@@ -488,7 +491,7 @@ fn executor_with_scripted_controllers_agrees_across_all_seven_cells() {
             .sum();
         assert_eq!(faults > 0, config.faults.is_some(), "{name}: faults");
         assert_eq!(
-            run.mem_resident.map(|n| n > 0),
+            run.mem_resident,
             (config.page_source == PageSourceMode::Tiered).then_some(true),
             "{name}: memory residency"
         );
