@@ -304,12 +304,10 @@ mod tests {
         );
         let (recorded, skipped) = s.ingest_counts();
         assert_eq!(recorded + skipped, 4000);
-        // The service bills itself per recorded entry, so its own spend
-        // falls in proportion to the sampling rate.
-        let spend = INGEST_COST_PER_RECORD.amount() * recorded as f64;
-        let unsampled = INGEST_COST_PER_RECORD.amount() * 4000.0;
+        // The service's spend is defined as recorded × INGEST_COST_PER_RECORD,
+        // so it falls with the recorded fraction, which tracks the rate.
         assert!(
-            (spend / unsampled - 0.25).abs() < 0.025,
+            (recorded as f64 / 4000.0 - 0.25).abs() < 0.025,
             "recorded {recorded} of 4000 at a 25% rate"
         );
     }

@@ -5,7 +5,9 @@
 //! and pin sets), kept verbatim. Seeded traces of accesses and pins, over
 //! capacities small enough that evictions, SSD-to-memory promotions and
 //! pinned admissions all happen, must produce the same [`CacheAccess`],
-//! counters, service times and residency from both.
+//! counters, service times and residency from both: after every step each
+//! key of the trace sits in the same tiers, and each tier's bytes (summed
+//! from the sizes of the keys it holds) match the reference's byte count.
 
 use ci_cloud::pricing::TierPricing;
 use ci_cloud::tiercache::{CacheKey, TierCacheSim, TierLevel};
@@ -248,6 +250,15 @@ mod reference {
                 TierLevel::Object => false,
             }
         }
+
+        /// Bytes currently resident in `level` (0 for the object tier).
+        pub fn resident_bytes(&self, level: TierLevel) -> u64 {
+            match level {
+                TierLevel::Mem => self.mem_bytes,
+                TierLevel::Ssd => self.ssd_bytes,
+                TierLevel::Object => 0,
+            }
+        }
     }
 }
 
@@ -296,6 +307,41 @@ fn skewed(rng: &mut DetRng, n: u32) -> u32 {
     rng.u64_below(hi) as u32
 }
 
+/// Every key of the trace is resident in the same tiers of both
+/// simulators, and the bytes of the keys each tier holds add up to the
+/// reference's own byte count for that tier.
+fn assert_same_residency(
+    got: &TierCacheSim,
+    want: &reference::TierCacheSim,
+    sizes: &[Vec<u64>],
+    ctx: &dyn Fn() -> String,
+) {
+    for level in LEVELS {
+        let mut held_bytes = 0;
+        for (t, parts) in sizes.iter().enumerate() {
+            for (part, &bytes) in parts.iter().enumerate() {
+                let key = CacheKey::new(TableId::new(t as u32), part as u32);
+                let held = got.holds(key, level);
+                assert_eq!(
+                    held,
+                    want.holds(key, level),
+                    "holds({key:?}, {level:?}), {}",
+                    ctx()
+                );
+                if held {
+                    held_bytes += bytes;
+                }
+            }
+        }
+        assert_eq!(
+            held_bytes,
+            want.resident_bytes(level),
+            "resident bytes({level:?}), {}",
+            ctx()
+        );
+    }
+}
+
 #[derive(Default)]
 struct Coverage {
     evictions: u64,
@@ -322,6 +368,7 @@ fn run_trace(seed: u64, cov: &mut Coverage) {
             want.pin(table, level);
             pinned.insert(table, level);
             cov.pins[level.code() as usize] += 1;
+            assert_same_residency(&got, &want, &sizes, &ctx);
             continue;
         }
         let t = skewed(&mut rng, tables);
@@ -340,13 +387,8 @@ fn run_trace(seed: u64, cov: &mut Coverage) {
                 "service_secs({level:?}), {}",
                 ctx()
             );
-            assert_eq!(
-                got.holds(key, level),
-                want.holds(key, level),
-                "holds({level:?}), {}",
-                ctx()
-            );
         }
+        assert_same_residency(&got, &want, &sizes, &ctx);
         cov.evictions += a.evicted.len() as u64;
         if a.level == TierLevel::Ssd && !a.admitted.is_empty() {
             cov.ssd_to_mem += 1;
