@@ -5,6 +5,7 @@ use ci_cost::{
     CostEstimator, EstimatorConfig, PipelineWork, TierCostModel, TierLevel, TierPricing, DOP_LADDER,
 };
 use ci_plan::binder::{bind, BoundQuery};
+use ci_plan::dag_plan;
 use ci_plan::jointree::JoinTree;
 use ci_plan::physical::{build_plan, PhysicalPlan};
 use ci_plan::pipeline::PipelineGraph;
@@ -242,23 +243,11 @@ impl<'a> WhatIfService<'a> {
             .collect()
     }
 
-    /// `bound` planned left-deep over `catalog` with oracle cardinalities:
-    /// relations in FROM order while each joins the ones before it, else the
-    /// first later relation that does. A disconnected query still errors.
+    /// `bound` planned over `catalog` with oracle cardinalities, as the
+    /// optimizer plans it: the left-deep chain in [`dag_plan`]'s order. A
+    /// disconnected query errors.
     fn left_deep_plan(catalog: &Catalog, bound: &BoundQuery) -> Result<PhysicalPlan> {
-        let mut rest: Vec<usize> = (0..bound.relations.len()).collect();
-        let mut order = Vec::with_capacity(rest.len());
-        while !rest.is_empty() {
-            let joins_prefix = |&r: &usize| {
-                (bound.join_edges.iter()).any(|e| {
-                    (e.left_rel == r && order.contains(&e.right_rel))
-                        || (e.right_rel == r && order.contains(&e.left_rel))
-                })
-            };
-            let next = rest.iter().position(joins_prefix).unwrap_or(0);
-            order.push(rest.remove(next));
-        }
-        let tree = JoinTree::left_deep(&order);
+        let tree = JoinTree::left_deep(&dag_plan(bound, catalog)?);
         build_plan(bound, &tree, catalog, &mut ErrorInjector::oracle())
     }
 

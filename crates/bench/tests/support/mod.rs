@@ -1,9 +1,10 @@
 //! What the claim tests compare the system against, and their shorthand.
 //! None of it is product code: the scaling policies of prior work (E6),
-//! Figure 1's T-shirt menu (F1, F2), the sample summaries of E2 and a
-//! uniform-DOP run.
+//! §3.2's bushy join shapes (E5), Figure 1's T-shirt menu (F1, F2), the
+//! sample summaries of E2 and a uniform-DOP run.
 
 pub mod baselines;
+pub mod bushy;
 pub mod stats;
 pub mod tshirt;
 

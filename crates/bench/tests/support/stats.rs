@@ -1,94 +1,35 @@
 //! Sample summaries for the claim tests: E2 summarizes estimator error
 //! with [`Summary::of`].
 
-/// A one-pass (Welford) accumulator for mean and variance.
+/// A one-pass (Welford) accumulator for mean and standard deviation.
 #[derive(Debug, Clone, Default)]
 pub struct Online {
     n: u64,
     mean: f64,
     m2: f64,
-    min: f64,
-    max: f64,
 }
 
 impl Online {
-    /// Empty accumulator.
-    pub fn new() -> Self {
-        Online {
-            n: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
     /// Adds a sample.
     pub fn push(&mut self, x: f64) {
         self.n += 1;
         let delta = x - self.mean;
         self.mean += delta / self.n as f64;
         self.m2 += delta * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Number of samples seen.
-    pub fn count(&self) -> u64 {
-        self.n
     }
 
     /// Sample mean (0 if empty).
     pub fn mean(&self) -> f64 {
-        if self.n == 0 {
-            0.0
-        } else {
-            self.mean
-        }
+        self.mean
     }
 
-    /// Population variance (0 if fewer than 2 samples).
-    pub fn variance(&self) -> f64 {
+    /// Population standard deviation (0 if fewer than 2 samples).
+    pub fn std_dev(&self) -> f64 {
         if self.n < 2 {
             0.0
         } else {
-            self.m2 / self.n as f64
+            (self.m2 / self.n as f64).sqrt()
         }
-    }
-
-    /// Population standard deviation.
-    pub fn std_dev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    /// Smallest sample (`+inf` if empty).
-    pub fn min(&self) -> f64 {
-        self.min
-    }
-
-    /// Largest sample (`-inf` if empty).
-    pub fn max(&self) -> f64 {
-        self.max
-    }
-
-    /// Merges another accumulator into this one (parallel Welford).
-    pub fn merge(&mut self, other: &Online) {
-        if other.n == 0 {
-            return;
-        }
-        if self.n == 0 {
-            *self = other.clone();
-            return;
-        }
-        let n = self.n + other.n;
-        let delta = other.mean - self.mean;
-        let mean = self.mean + delta * other.n as f64 / n as f64;
-        let m2 = self.m2 + other.m2 + delta * delta * self.n as f64 * other.n as f64 / n as f64;
-        self.n = n;
-        self.mean = mean;
-        self.m2 = m2;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
     }
 }
 
@@ -130,7 +71,7 @@ impl Summary {
         }
         let mut sorted: Vec<f64> = samples.to_vec();
         sorted.sort_by(f64::total_cmp);
-        let mut acc = Online::new();
+        let mut acc = Online::default();
         for &x in samples {
             acc.push(x);
         }
@@ -173,50 +114,15 @@ mod tests {
     #[test]
     fn online_matches_direct_computation() {
         let xs = [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0];
-        let mut acc = Online::new();
+        let mut acc = Online::default();
         for &x in &xs {
             acc.push(x);
         }
-        assert_eq!(acc.count(), 8);
         assert!((acc.mean() - 5.0).abs() < 1e-12);
         assert!((acc.std_dev() - 2.0).abs() < 1e-12);
-        assert_eq!(acc.min(), 2.0);
-        assert_eq!(acc.max(), 9.0);
-    }
-
-    #[test]
-    fn online_merge_equals_sequential() {
-        let xs: Vec<f64> = (0..100).map(|i| (i as f64).sin() * 10.0).collect();
-        let mut whole = Online::new();
-        for &x in &xs {
-            whole.push(x);
-        }
-        let mut left = Online::new();
-        let mut right = Online::new();
-        for &x in &xs[..37] {
-            left.push(x);
-        }
-        for &x in &xs[37..] {
-            right.push(x);
-        }
-        left.merge(&right);
-        assert_eq!(left.count(), whole.count());
-        assert!((left.mean() - whole.mean()).abs() < 1e-9);
-        assert!((left.variance() - whole.variance()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn merge_with_empty_is_identity() {
-        let mut a = Online::new();
-        a.push(1.0);
-        a.push(3.0);
-        let before = a.clone();
-        a.merge(&Online::new());
-        assert_eq!(a.mean(), before.mean());
-        let mut e = Online::new();
-        e.merge(&before);
-        assert_eq!(e.mean(), before.mean());
-        assert_eq!(e.count(), 2);
+        let mut one = Online::default();
+        one.push(3.0);
+        assert_eq!((one.mean(), one.std_dev()), (3.0, 0.0));
     }
 
     #[test]

@@ -87,9 +87,9 @@ impl Catalog {
     }
 
     /// The page store backing `PageSourceMode::{Disk, Tiered}` scans: the
-    /// object tier's `CIPF` files under a temp directory and the cache
-    /// tiers' copies, created on first use. Errors surface as
-    /// [`CiError::Storage`].
+    /// object tier's `CIPF` files under a temp directory, created on first
+    /// use (the cache tiers above it are the cache simulator's alone).
+    /// Errors surface as [`CiError::Storage`].
     pub fn page_store(&self) -> Result<Arc<PageStore>> {
         if let Some(s) = self.store.get() {
             return Ok(s.clone());

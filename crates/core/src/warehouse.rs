@@ -398,8 +398,9 @@ fn sanitize_result(batch: &RecordBatch) -> Result<RecordBatch> {
 mod tests {
     use ci_autotune::PredictedQuery;
     use ci_cloud::tiercache::CacheKey;
-    use ci_cost::{TierLevel, TierPricing};
+    use ci_cost::{TierLevel, TierPricing, DOP_LADDER};
     use ci_exec::PageSourceMode;
+    use ci_plan::JoinTree;
     use ci_types::money::Dollars;
     use ci_types::SimDuration;
     use ci_workload::{CabGenerator, TraceConfig};
@@ -762,8 +763,8 @@ mod tests {
     }
 
     /// A recurring query whose FROM order joins `lineitem` to `customer`
-    /// before `orders` connects them still gets quoted: the what-if planner
-    /// takes the next relation that joins the prefix.
+    /// before `orders` connects them still gets quoted: the what-if service
+    /// plans DAG planning's order, which joins only connected relations.
     #[test]
     fn proposals_quote_a_recurring_query_with_an_unconnected_from_order() {
         let mut w = warehouse(0.05);
@@ -778,6 +779,35 @@ mod tests {
                 TuningAction::CreateMaterializedView { definition_sql, .. } if definition_sql == sql)),
             "{proposals:?}"
         );
+    }
+
+    /// The what-if service prices the join order the warehouse runs. CAB
+    /// Q4's FROM order is `[0, 1, 2]` and DAG planning's is `[1, 2, 0]`; an
+    /// MV of it is quoted at the optimizer's plan, each pipeline at its
+    /// machine-time optimal DOP.
+    #[test]
+    fn an_mv_quote_prices_the_join_order_the_optimizer_plans() {
+        let gen = CabGenerator::at_scale(0.05);
+        let w = Warehouse::new(gen.build_catalog().unwrap(), WarehouseConfig::default());
+        let sql = ci_workload::queries::canonical(4, &gen);
+        let planned = Optimizer::new(w.catalog(), w.config.optimizer.clone())
+            .plan_sql(&sql, Constraint::MinCost)
+            .unwrap();
+        assert_eq!(planned.tree, JoinTree::left_deep(&[1, 2, 0]));
+        let est = CostEstimator::new(w.catalog(), w.config.optimizer.estimator.clone());
+        let dops = (planned.graph.pipelines.iter())
+            .map(|p| {
+                let work = est.pipeline_work(&planned.plan, p).unwrap();
+                est.machine_time_optimal_dop(&work, &DOP_LADDER)
+            })
+            .collect::<Vec<_>>();
+        let build = est.estimate(&planned.plan, &planned.graph, &dops).unwrap();
+        let action = TuningAction::CreateMaterializedView {
+            name: "mv_q4".into(),
+            definition_sql: sql,
+            refresh_per_hour: 1.0,
+        };
+        assert_eq!(w.whatif().one_time_cost(&action).unwrap(), build.cost);
     }
 
     /// A query that reads `lineitem` only does not read `part`, though its

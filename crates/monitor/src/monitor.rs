@@ -226,7 +226,6 @@ mod tests {
     /// under-provisions and runs slow).
     fn underestimated_query(cat: &Catalog) -> ci_optimizer::PlannedQuery {
         let mut cfg = OptimizerConfig {
-            explore_bushy: false,
             error_bound: 6.0,
             ..Default::default()
         };
@@ -311,11 +310,7 @@ mod tests {
     #[test]
     fn monitor_idle_on_accurate_estimates() {
         let cat = catalog();
-        let cfg = OptimizerConfig {
-            explore_bushy: false,
-            ..Default::default()
-        };
-        let opt = Optimizer::new(&cat, cfg);
+        let opt = Optimizer::new(&cat, OptimizerConfig::default());
         let pq = opt
             .plan_sql(SQL, Constraint::LatencySla(SimDuration::from_secs(5)))
             .unwrap();

@@ -32,9 +32,8 @@ use ci_types::{CiError, Result, SimDuration};
 /// ranked by the constraint's objective (dollars under an SLA or `MinCost`,
 /// latency under a budget), two that miss it by the objective they violate
 /// (latency under an SLA, dollars under a budget); the other objective
-/// breaks a tie. The DOP search, its exhaustive reference, the choice among
-/// join shapes and the warehouse's verdict on an executed query all apply
-/// this rule.
+/// breaks a tie. The DOP search, its exhaustive reference and the
+/// warehouse's verdict on an executed query all apply this rule.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Constraint {
     /// Minimize dollars subject to `latency <= sla`.

@@ -1,26 +1,22 @@
-//! Top-level optimizer: DAG planning → bushy variants → DOP planning →
-//! constrained choice.
+//! Top-level optimizer: DAG planning → DOP planning → constrained choice.
 
 use ci_catalog::{Catalog, ErrorInjector};
 use ci_cost::{CostEstimator, EstimatorConfig, QueryEstimate};
 use ci_plan::binder::{bind, BoundQuery};
+use ci_plan::dag_plan;
 use ci_plan::jointree::JoinTree;
 use ci_plan::physical::{build_plan, PhysicalPlan};
 use ci_plan::pipeline::PipelineGraph;
 use ci_sql::parse;
-use ci_types::{CiError, Result};
+use ci_types::Result;
 
-use crate::bushy::bushy_variants;
-use crate::dagplan::dag_plan;
-use crate::dopplan::{Constraint, DopPlan, DopPlanner, SearchStats};
+use crate::dopplan::{Constraint, DopPlanner, SearchStats};
 
 /// Optimizer configuration.
 #[derive(Debug, Clone)]
 pub struct OptimizerConfig {
     /// Cost-estimator configuration.
     pub estimator: EstimatorConfig,
-    /// Explore bushy join-shape variants at DOP-planning time (§3.2).
-    pub explore_bushy: bool,
     /// Cardinality-error injection bound (1.0 — or any value that is not
     /// a finite number above 1 — gives oracle estimates).
     pub error_bound: f64,
@@ -32,7 +28,6 @@ impl Default for OptimizerConfig {
     fn default() -> Self {
         OptimizerConfig {
             estimator: EstimatorConfig::default(),
-            explore_bushy: true,
             error_bound: 1.0,
             error_seed: 0,
         }
@@ -44,7 +39,7 @@ impl Default for OptimizerConfig {
 pub struct PlannedQuery {
     /// The bound query.
     pub bound: BoundQuery,
-    /// Chosen join-tree shape.
+    /// Chosen join-tree shape: the left-deep chain in [`dag_plan`]'s order.
     pub tree: JoinTree,
     /// Physical plan with cardinality annotations.
     pub plan: PhysicalPlan,
@@ -56,9 +51,9 @@ pub struct PlannedQuery {
     pub predicted: QueryEstimate,
     /// Whether the user constraint is predicted to hold.
     pub feasible: bool,
-    /// Search effort spent in DOP planning (summed over variants).
+    /// Search effort spent in DOP planning.
     pub search: SearchStats,
-    /// Join-shape variants that were DOP-planned.
+    /// Join shapes that were DOP-planned: always 1, the one chain.
     pub variants_considered: usize,
 }
 
@@ -82,52 +77,18 @@ impl<'a> Optimizer<'a> {
         self.plan_bound(bound, constraint)
     }
 
-    /// Plans an already-bound query: every join-shape variant is
-    /// DOP-planned and the one [`Constraint::prefers`] wins.
+    /// Plans an already-bound query: the left-deep chain in [`dag_plan`]'s
+    /// order is built, split into pipelines and DOP-planned under
+    /// `constraint`.
     pub fn plan_bound(&self, bound: BoundQuery, constraint: Constraint) -> Result<PlannedQuery> {
-        // Stage 1: DAG planning (left-deep DP).
-        let order = dag_plan(&bound, self.catalog)?;
-
-        // Stage 2: join-shape variants, the left-deep chain first, each
-        // DOP-planned.
-        let variants = if self.config.explore_bushy {
-            bushy_variants(&order)
-        } else {
-            vec![JoinTree::left_deep(&order)]
-        };
-
+        let tree = JoinTree::left_deep(&dag_plan(&bound, self.catalog)?);
+        let mut injector =
+            ErrorInjector::with_bound(self.config.error_seed, self.config.error_bound);
+        let plan = build_plan(&bound, &tree, self.catalog, &mut injector)?;
+        let graph = PipelineGraph::decompose(&plan)?;
         let est = CostEstimator::new(self.catalog, self.config.estimator.clone());
-        let mut search = SearchStats::default();
-        let mut variants_considered = 0usize;
-        let mut best: Option<(JoinTree, PhysicalPlan, PipelineGraph, DopPlan)> = None;
-
-        for tree in variants {
-            let mut injector =
-                ErrorInjector::with_bound(self.config.error_seed, self.config.error_bound);
-            let plan = match build_plan(&bound, &tree, self.catalog, &mut injector) {
-                Ok(p) => p,
-                // A bushy split the join graph does not connect: skip it.
-                // The left-deep chain comes first, so its error is the
-                // query's own.
-                Err(CiError::Plan(_)) if best.is_some() => continue,
-                Err(e) => return Err(e),
-            };
-            let graph = PipelineGraph::decompose(&plan)?;
-            let mut planner = DopPlanner::new(&est);
-            let dop_plan = planner.plan(&plan, &graph, constraint)?;
-            search.estimates += planner.stats.estimates;
-            search.candidates += planner.stats.candidates;
-            variants_considered += 1;
-            if best
-                .as_ref()
-                .is_none_or(|b| constraint.prefers(&dop_plan.predicted, &b.3.predicted))
-            {
-                best = Some((tree, plan, graph, dop_plan));
-            }
-        }
-
-        let (tree, plan, graph, chosen) =
-            best.ok_or_else(|| CiError::Plan("no join-shape variant to plan".into()))?;
+        let mut planner = DopPlanner::new(&est);
+        let chosen = planner.plan(&plan, &graph, constraint)?;
         Ok(PlannedQuery {
             bound,
             tree,
@@ -136,8 +97,8 @@ impl<'a> Optimizer<'a> {
             dops: chosen.dops,
             predicted: chosen.predicted,
             feasible: chosen.feasible,
-            search,
-            variants_considered,
+            search: planner.stats,
+            variants_considered: 1,
         })
     }
 }
@@ -188,10 +149,9 @@ mod tests {
     const CHAIN: &str = "SELECT f.val FROM f JOIN m ON f.fk = m.pk \
                          JOIN t ON m.fk = t.pk WHERE t.val < 50.0";
 
-    /// A four-way chain `t - f - f2 - t2` whose DAG order splits into two
-    /// joined halves, so a bushy variant builds next to the left-deep one.
-    const BUSHY_CHAIN: &str = "SELECT f.val FROM f JOIN t ON f.fk = t.pk \
-                               JOIN f f2 ON f2.pk = f.pk JOIN t t2 ON f2.fk = t2.pk";
+    /// A four-way chain `t - f - f2 - t2`.
+    const FOUR_WAY: &str = "SELECT f.val FROM f JOIN t ON f.fk = t.pk \
+                            JOIN f f2 ON f2.pk = f.pk JOIN t t2 ON f2.fk = t2.pk";
 
     #[test]
     fn plans_end_to_end_under_sla() {
@@ -203,39 +163,19 @@ mod tests {
         assert!(planned.feasible);
         assert_eq!(planned.dops.len(), planned.graph.len());
         assert!(planned.dops.iter().all(|&d| d >= 1));
-        assert!(planned.variants_considered >= 1);
+        assert_eq!(planned.variants_considered, 1);
         assert!(planned.search.estimates > 0);
     }
 
     #[test]
-    fn bushy_exploration_considers_more_variants() {
-        let cat = catalog();
-        let mut cfg = OptimizerConfig {
-            explore_bushy: false,
-            ..Default::default()
-        };
-        let opt_ld = Optimizer::new(&cat, cfg.clone());
-        let ld = opt_ld.plan_sql(BUSHY_CHAIN, Constraint::MinCost).unwrap();
-        assert_eq!(ld.variants_considered, 1);
-
-        cfg.explore_bushy = true;
-        let opt_b = Optimizer::new(&cat, cfg);
-        let bushy = opt_b.plan_sql(BUSHY_CHAIN, Constraint::MinCost).unwrap();
-        // The four-way chain splits into two joined halves: a bushy variant
-        // is planned next to the left-deep one.
-        assert!(bushy.variants_considered > ld.variants_considered);
-        // Best bushy choice can never be worse than the left-deep-only one.
-        assert!(bushy.predicted.cost.amount() <= ld.predicted.cost.amount() * 1.0001);
-    }
-
-    #[test]
-    fn the_pick_is_the_rules_minimum_over_the_planned_variants() {
+    fn the_pick_is_the_dop_plan_of_the_dag_chain() {
         let cat = catalog();
         let opt = Optimizer::new(&cat, OptimizerConfig::default());
         let est = CostEstimator::new(&cat, EstimatorConfig::default());
-        let bound = bind(&parse(BUSHY_CHAIN).unwrap(), &cat).unwrap();
-        let order = dag_plan(&bound, &cat).unwrap();
-        let mut shapes_picked = Vec::new();
+        let bound = bind(&parse(FOUR_WAY).unwrap(), &cat).unwrap();
+        let tree = JoinTree::left_deep(&dag_plan(&bound, &cat).unwrap());
+        let plan = build_plan(&bound, &tree, &cat, &mut ErrorInjector::oracle()).unwrap();
+        let graph = PipelineGraph::decompose(&plan).unwrap();
         for constraint in [
             Constraint::MinCost,
             Constraint::LatencySla(SimDuration::from_secs(30)),
@@ -244,37 +184,15 @@ mod tests {
             Constraint::Budget(Dollars::new(0.000001)),
         ] {
             let pick = opt.plan_bound(bound.clone(), constraint).unwrap();
-            let mut planned = Vec::new();
-            for tree in bushy_variants(&order) {
-                let Ok(plan) = build_plan(&bound, &tree, &cat, &mut ErrorInjector::oracle()) else {
-                    continue;
-                };
-                let graph = PipelineGraph::decompose(&plan).unwrap();
-                let dops = DopPlanner::new(&est).plan(&plan, &graph, constraint);
-                planned.push((tree, dops.unwrap()));
-            }
-            assert!(planned.len() >= 2, "{constraint:?}: one variant");
-            assert_eq!(planned.len(), pick.variants_considered, "{constraint:?}");
-            let (_, chosen) = (planned.iter())
-                .find(|(tree, _)| *tree == pick.tree)
-                .expect("the pick is a planned variant");
-            assert_eq!(chosen.dops, pick.dops, "{constraint:?}");
-            assert_eq!(chosen.predicted, pick.predicted, "{constraint:?}");
-            for (tree, dops) in &planned {
-                assert!(
-                    !constraint.prefers(&dops.predicted, &pick.predicted),
-                    "{constraint:?}: {tree} ranks before the pick {}",
-                    pick.tree
-                );
-            }
-            shapes_picked.push(pick.tree.is_left_deep());
+            let mut planner = DopPlanner::new(&est);
+            let chosen = planner.plan(&plan, &graph, constraint).unwrap();
+            assert_eq!(pick.tree, tree, "{constraint:?}");
+            assert_eq!(pick.variants_considered, 1, "{constraint:?}");
+            assert_eq!(pick.dops, chosen.dops, "{constraint:?}");
+            assert_eq!(pick.predicted, chosen.predicted, "{constraint:?}");
+            assert_eq!(pick.feasible, chosen.feasible, "{constraint:?}");
+            assert_eq!(pick.search, planner.stats, "{constraint:?}");
         }
-        // The bushy shape is a hair cheaper and the chain buys latency
-        // cheaper, so a rule that ignored the constraint would miss one.
-        assert!(
-            shapes_picked.contains(&true) && shapes_picked.contains(&false),
-            "{shapes_picked:?}"
-        );
     }
 
     #[test]

@@ -2,15 +2,17 @@
 //!
 //! §3.2: "the traditional single-machine query optimization that produces an
 //! execution DAG". We run dynamic programming over connected subsets of the
-//! join graph, restricted to **left-deep** trees (bushy shapes are explored
-//! later, at DOP-planning time, per the paper), with estimated intermediate
-//! cardinality as the cost.
+//! join graph, restricted to **left-deep** trees, with estimated
+//! intermediate cardinality as the cost. This is the one join-order rule:
+//! the optimizer plans the chain it returns, and the what-if service prices
+//! the same chain.
 
 use std::collections::HashMap;
 
 use ci_catalog::{CardinalityEstimator, Catalog};
-use ci_plan::binder::BoundQuery;
 use ci_types::{CiError, Result};
+
+use crate::binder::BoundQuery;
 
 /// Maximum relations for exact DP (2^n subsets); beyond this a greedy
 /// fallback is used.
@@ -159,7 +161,6 @@ fn greedy_order(bound: &BoundQuery, base: &[f64], ndv: &[(u64, u64)]) -> Result<
 mod tests {
     use std::sync::Arc;
 
-    use ci_plan::bind;
     use ci_sql::parse;
     use ci_storage::batch::RecordBatch;
     use ci_storage::column::ColumnData;
@@ -169,6 +170,7 @@ mod tests {
     use ci_types::TableId;
 
     use super::*;
+    use crate::binder::bind;
 
     /// fact (100k rows) -> mid (1k rows) -> tiny (10 rows): the DP should
     /// start from the small end of the chain.

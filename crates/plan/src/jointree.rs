@@ -1,5 +1,5 @@
-//! Join tree shapes: the search space of DAG planning and the bushy
-//! rewrites of §3.2.
+//! Join tree shapes: DAG planning's left-deep chain, and any binary shape
+//! `build_plan` can lower.
 
 use std::collections::BTreeSet;
 use std::fmt;
@@ -48,46 +48,6 @@ impl JoinTree {
             }
         }
     }
-
-    /// Number of leaves.
-    pub fn leaf_count(&self) -> usize {
-        match self {
-            JoinTree::Leaf(_) => 1,
-            JoinTree::Join(l, r) => l.leaf_count() + r.leaf_count(),
-        }
-    }
-
-    /// Height of the tree (leaf = 0).
-    pub fn height(&self) -> usize {
-        match self {
-            JoinTree::Leaf(_) => 0,
-            JoinTree::Join(l, r) => 1 + l.height().max(r.height()),
-        }
-    }
-
-    /// Bushiness in `[0, 1]`: 0 for a left-deep chain, 1 for a perfectly
-    /// balanced tree. Defined as how far the height is below the chain
-    /// height, normalized. Trees with < 3 leaves are trivially 0.
-    pub fn bushiness(&self) -> f64 {
-        let n = self.leaf_count();
-        if n < 3 {
-            return 0.0;
-        }
-        let chain_h = n - 1;
-        let min_h = (n as f64).log2().ceil() as usize;
-        if chain_h == min_h {
-            return 0.0;
-        }
-        (chain_h - self.height()) as f64 / (chain_h - min_h) as f64
-    }
-
-    /// `true` if every join node has a leaf right child (left-deep shape).
-    pub fn is_left_deep(&self) -> bool {
-        match self {
-            JoinTree::Leaf(_) => true,
-            JoinTree::Join(l, r) => matches!(r.as_ref(), JoinTree::Leaf(_)) && l.is_left_deep(),
-        }
-    }
 }
 
 impl fmt::Display for JoinTree {
@@ -107,31 +67,7 @@ mod tests {
     fn left_deep_shape() {
         let t = JoinTree::left_deep(&[0, 1, 2, 3]);
         assert_eq!(t.to_string(), "(((R0 ⋈ R1) ⋈ R2) ⋈ R3)");
-        assert!(t.is_left_deep());
-        assert_eq!(t.leaf_count(), 4);
-        assert_eq!(t.to_string().matches('⋈').count(), 3, "join nodes");
-        assert_eq!(t.height(), 3);
         assert_eq!(t.relations(), [0, 1, 2, 3].into_iter().collect());
-    }
-
-    #[test]
-    fn bushiness_scale() {
-        let chain = JoinTree::left_deep(&[0, 1, 2, 3]);
-        assert_eq!(chain.bushiness(), 0.0);
-        let balanced = JoinTree::Join(
-            Box::new(JoinTree::Join(
-                Box::new(JoinTree::Leaf(0)),
-                Box::new(JoinTree::Leaf(1)),
-            )),
-            Box::new(JoinTree::Join(
-                Box::new(JoinTree::Leaf(2)),
-                Box::new(JoinTree::Leaf(3)),
-            )),
-        );
-        assert_eq!(balanced.bushiness(), 1.0);
-        assert!(!balanced.is_left_deep());
-        // Two relations: trivially 0.
-        assert_eq!(JoinTree::left_deep(&[0, 1]).bushiness(), 0.0);
     }
 
     #[test]
@@ -139,6 +75,5 @@ mod tests {
         let t = JoinTree::left_deep(&[5]);
         assert_eq!(t, JoinTree::Leaf(5));
         assert_eq!(t.to_string(), "R5");
-        assert_eq!(t.height(), 0);
     }
 }

@@ -9,8 +9,11 @@
 //!   batches (columns are *global slots*, stable across join reordering);
 //! * [`binder`] — AST → [`binder::BoundQuery`]: relations, join graph, local
 //!   filters (with pruning bounds), aggregation and output shape;
-//! * [`jointree::JoinTree`] — the join-shape search space (left-deep chains
-//!   and the increasingly bushy variants §3.2 explores at DOP-planning time);
+//! * [`jointree::JoinTree`] — a binary join shape; the planner builds
+//!   left-deep chains;
+//! * [`dagplan`] — DAG planning: the one join-order rule, a Selinger-style
+//!   dynamic program over the join graph whose left-deep chain both the
+//!   optimizer and the what-if service plan;
 //! * [`physical`] — [`physical::PhysicalPlan`], an arena tree of operators
 //!   with cardinality annotations;
 //! * [`pipeline`] — decomposition of a physical plan into pipelines at
@@ -24,12 +27,14 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 pub mod binder;
+pub mod dagplan;
 pub mod expr;
 pub mod jointree;
 pub mod physical;
 pub mod pipeline;
 
 pub use binder::{bind, BoundQuery, JoinEdge, Relation};
+pub use dagplan::dag_plan;
 pub use expr::{AggExpr, BinOp, ColMap, PlanExpr};
 pub use jointree::JoinTree;
 pub use physical::{PhysicalNode, PhysicalOp, PhysicalPlan};

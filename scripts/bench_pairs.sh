@@ -10,9 +10,10 @@
 # run's metric lines are appended to one file per side under
 # CHANGE_DIR/.bench_out/pairs/, the per-pair iter_ms_p50 and the change's
 # win count are printed, then each side's iter_ms_p50 median and quartiles
-# and the claim rule's verdict: a gain holds only when the change wins at
-# least nine tenths of the pairs run (ties count for neither) and the
-# medians differ by more than the parent's quartile spread. Last,
+# and the claim rule's verdict: a gain holds only when at least ten pairs
+# ran, the change wins at least nine tenths of them (ties count for
+# neither) and the medians differ by more than the parent's quartile
+# spread. Below ten pairs the verdict is `too few pairs (N < 10)`. Last,
 # `bench_e2e --compare parent.txt change.txt` gives the verdicts (exit 1 if
 # anything is "worse"). A run that exits non-zero or outlives its time limit
 # is reported as a failed pair (exit 1), never waited on.
@@ -96,11 +97,12 @@ if [ "${#parent_ms[@]}" -gt 0 ]; then
     read -r c_q1 c_med c_q3 < <(quartiles "${change_ms[@]}")
     printf 'parent iter_ms_p50  median %.2f  quartiles %.2f / %.2f\n' "$p_med" "$p_q1" "$p_q3"
     printf 'change iter_ms_p50  median %.2f  quartiles %.2f / %.2f\n' "$c_med" "$c_q1" "$c_q3"
-    awk -v w="$wins" -v n="$pairs" -v pm="$p_med" -v cm="$c_med" -v q1="$p_q1" -v q3="$p_q3" 'BEGIN {
+    awk -v w="$wins" -v n="${#parent_ms[@]}" -v pm="$p_med" -v cm="$c_med" -v q1="$p_q1" -v q3="$p_q3" 'BEGIN {
         gap = pm - cm; spread = q3 - q1
         held = (10 * w >= 9 * n) && (gap > spread)
+        verdict = n < 10 ? sprintf("too few pairs (%d < 10)", n) : held ? "HOLDS" : "does NOT hold"
         printf "claim rule: %s (wins %d/%d, need >= 9/10; median gap %.2f ms vs parent quartile spread %.2f ms)\n",
-            held ? "HOLDS" : "does NOT hold", w, n, gap, spread
+            verdict, w, n, gap, spread
     }'
 fi
 if [ "$failed" -gt 0 ]; then
