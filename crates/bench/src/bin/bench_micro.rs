@@ -52,6 +52,12 @@ use ci_bench::hotpath::{
 use ci_bench::report::{Measurement, Report, CARDINALITY, ROWS};
 use ci_types::{CiError, Result};
 
+/// Probe rows of the string-key join kernel. Against its `ROWS`-row build
+/// over `CARDINALITY` keys every hit matches ≈ 200 build rows, so a tenth
+/// of the build's rows, half of them hits, already yields ≈ 1 M joined rows
+/// per arm: the same per-row work as a larger probe, in a tenth of the
+/// memory.
+const STRING_JOIN_PROBE_ROWS: usize = ROWS / 20;
 /// Build rows (distinct primary keys) of the dense join kernel.
 const DENSE_BUILD_ROWS: usize = 50_000;
 /// Distinct keys, rows per key and probe rows of the fan-out join kernel.
@@ -103,8 +109,8 @@ fn main() -> Result<()> {
         owned_rows(ROWS, CARDINALITY, 11),
         string_batch(ROWS, CARDINALITY, 11),
     );
-    let owned_probe = owned_rows(ROWS / 2, CARDINALITY * 2, 12);
-    let dict_probe = string_batch(ROWS / 2, CARDINALITY * 2, 12);
+    let owned_probe = owned_rows(STRING_JOIN_PROBE_ROWS, CARDINALITY * 2, 12);
+    let dict_probe = string_batch(STRING_JOIN_PROBE_ROWS, CARDINALITY * 2, 12);
     let wide = wide_batch(ROWS, CARDINALITY, 11);
     let ints = sorted_int_batch(ROWS);
     let numeric = numeric_batch(ROWS, 11)?;

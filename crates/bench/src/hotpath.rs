@@ -540,7 +540,7 @@ fn ship(chunks: impl Iterator<Item = Result<RecordBatch>>) -> Result<usize> {
     let (mut wire_bytes, mut decoded) = (0usize, 0usize);
     for chunk in chunks {
         let chunk = chunk?;
-        let blobs = enc.encode_sketched(&chunk, &WireSketch::of(&chunk)?)?;
+        let blobs = enc.encode_sketched(&chunk, &WireSketch::of(&chunk))?;
         wire_bytes += blobs.iter().map(Vec::len).sum::<usize>();
         decoded += chunk.byte_size();
     }
@@ -560,7 +560,7 @@ pub fn exchange_wire_accounting(batch: &RecordBatch, morsel: usize) -> Result<(u
     while off < batch.rows() {
         let len = morsel.min(batch.rows() - off);
         let chunk = batch.slice(off, len)?;
-        wire += enc.sketched_wire_bytes(&chunk, &WireSketch::of(&chunk)?)?;
+        wire += enc.sketched_wire_bytes(&chunk, &WireSketch::of(&chunk))?;
         for col in chunk.columns() {
             plain += pages::encoded_size(col, PageCodec::Plain)?;
         }

@@ -19,40 +19,54 @@ pub struct Histogram {
 
 impl Histogram {
     /// Builds a histogram with `buckets` buckets from numeric samples,
-    /// skipping non-finite ones. Walks `values` twice (domain, then counts)
-    /// and copies none of them.
-    /// Returns `None` for empty input or a degenerate (single-point) domain
-    /// handled as a one-bucket histogram.
+    /// skipping non-finite ones: one walk over `values` folds the domain,
+    /// a second counts them ([`Histogram::from_counts`]); none is copied.
+    /// Returns `None` for empty input or zero buckets; a degenerate
+    /// (single-point) domain gives a one-bucket histogram.
     pub fn build(values: impl Iterator<Item = f64> + Clone, buckets: usize) -> Option<Histogram> {
         let finite = values.filter(|v| v.is_finite());
-        let (mut lo, mut hi, mut total) = (f64::INFINITY, f64::NEG_INFINITY, 0u64);
-        for v in finite.clone() {
+        let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
+        finite.clone().for_each(|v| {
             lo = lo.min(v);
             hi = hi.max(v);
-            total += 1;
-        }
-        if total == 0 || buckets == 0 {
+        });
+        Histogram::from_counts(lo, hi, buckets, finite.map(|v| (v, 1)))
+    }
+
+    /// The histogram [`Histogram::build`] gives for rows whose finite
+    /// values span exactly `[lo, hi]`, from `(value, occurrences)` pairs in
+    /// one walk: a caller that knows the domain (zone maps) or has already
+    /// counted each distinct value reads its rows once. Non-finite values
+    /// are skipped. Every value's bucket is the one `build` gives it, so the
+    /// counts match `build`'s over the same rows whether a value comes once
+    /// with its count or once per row. `None` when no finite value is
+    /// counted or `buckets` is 0.
+    pub fn from_counts(
+        lo: f64,
+        hi: f64,
+        buckets: usize,
+        counted: impl Iterator<Item = (f64, u64)>,
+    ) -> Option<Histogram> {
+        if buckets == 0 {
             return None;
         }
-        if lo == hi {
-            return Some(Histogram {
-                lo,
-                hi,
-                counts: vec![total],
-                total,
-            });
-        }
-        let mut counts = vec![0u64; buckets];
+        let point = lo == hi;
+        let mut counts = vec![0u64; if point { 1 } else { buckets }];
         let k = domain_scale(lo, hi);
         let width = (hi * k - lo * k) / buckets as f64;
-        for v in finite {
-            let mut b = ((v * k - lo * k) / width) as usize;
-            if b >= buckets {
-                b = buckets - 1; // v == hi lands in the last bucket
-            }
-            counts[b] += 1;
-        }
-        Some(Histogram {
+        let mut total = 0u64;
+        // `for_each` folds a flattened input chunk by chunk.
+        counted.filter(|(v, _)| v.is_finite()).for_each(|(v, c)| {
+            // v == hi lands in the last bucket.
+            let b = if point {
+                0
+            } else {
+                (((v * k - lo * k) / width) as usize).min(buckets - 1)
+            };
+            counts[b] += c;
+            total += c;
+        });
+        (total > 0).then_some(Histogram {
             lo,
             hi,
             counts,
@@ -91,9 +105,6 @@ impl Histogram {
             let ov_hi = b.min(b_hi);
             if ov_hi > ov_lo {
                 matched += c as f64 * (ov_hi - ov_lo) / width;
-            } else if ov_hi == ov_lo && (ov_lo == b_lo || ov_hi == b_hi) && a == b {
-                // Point query on a bucket boundary: attribute to this bucket once.
-                matched += c as f64 * 0.0;
             }
         }
         // Point queries (a == b) match zero measure under the continuous

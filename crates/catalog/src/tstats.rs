@@ -5,7 +5,9 @@
 //! (or refreshed by background compute) and read by the cardinality
 //! estimator and cost models. A column's exact NDV comes from
 //! [`ci_storage::pages::count_distinct`], the distinct counter the page
-//! codec race uses: this crate keeps no bitmap or hash set of its own.
+//! codec race uses, or, for an `Int64` column over a dense range, from the
+//! occurrence counts its histogram is built from: this crate keeps no
+//! bitmap or hash set of its own.
 
 use std::sync::Arc;
 
@@ -62,16 +64,61 @@ pub struct TableStats {
 /// Number of histogram buckets used at stats-build time.
 const HISTOGRAM_BUCKETS: usize = 64;
 
+/// An `Int64` column counts each value's occurrences in an array over its
+/// zone-map range when that array has fewer than `max(2 · rows, this)`
+/// `u32` slots: no larger than the column's own `i64`s, or 128 KiB on a
+/// short column.
+const DENSE_MIN_SLOTS: u64 = 1 << 15;
+
+/// An `Int64` column's NDV and histogram, its values in `[min, max]`. A
+/// dense range fills one occurrence array in one pass: the NDV is its
+/// non-zero slots, and the histogram buckets each distinct value once with
+/// its count. A sparse one counts through [`count_distinct`], then buckets
+/// every row in a second pass over the domain `[min, max]` (`i64 → f64`
+/// is monotone, so that is the rows' `f64` domain too).
+fn int_stats<'a>(
+    cols: impl Iterator<Item = &'a [i64]> + Clone,
+    rows: usize,
+    (min, max): (i64, i64),
+) -> (u64, Option<Histogram>) {
+    let (lo, hi) = (min as f64, max as f64);
+    let span = (max as u64).wrapping_sub(min as u64);
+    if span >= (2 * rows as u64).max(DENSE_MIN_SLOTS) || u32::try_from(rows).is_err() {
+        let ndv = count_distinct(cols.clone().map(|v| v.iter().copied()), (min, max));
+        let vals = cols.flat_map(|v| v.iter().map(|&x| (x as f64, 1)));
+        return (ndv, Histogram::from_counts(lo, hi, HISTOGRAM_BUCKETS, vals));
+    }
+    // `span` is below `DENSE_MIN_SLOTS` or `2 · rows`, and every value lies
+    // in `[min, max]`, so each offset indexes the array; no slot overflows
+    // `u32` since `rows` fits one.
+    let mut slots = vec![0u32; span as usize + 1];
+    for v in cols {
+        for &x in v {
+            slots[x.wrapping_sub(min) as u64 as usize] += 1;
+        }
+    }
+    let counted = (slots.iter().enumerate())
+        .filter(|(_, &c)| c > 0)
+        .map(|(i, &c)| (min.wrapping_add(i as i64) as f64, u64::from(c)));
+    let histogram = Histogram::from_counts(lo, hi, HISTOGRAM_BUCKETS, counted);
+    let ndv = slots.iter().filter(|&&c| c > 0).count() as u64;
+    (ndv, histogram)
+}
+
 impl TableStats {
     /// Computes full statistics, linear in the table's rows: min and max
-    /// merge the partitions' zone maps, and each column's values are read
-    /// three times at most (distinct count, histogram domain, histogram
-    /// counts), copied never. The distinct count is exact and takes one pass
-    /// through [`count_distinct`], the counter the page codec race uses:
-    /// ints within their zone-map range, floats by their bits, bools as 0/1,
-    /// ids over a shared dictionary. A string column without one shared
-    /// dictionary (a table not yet registered) interns its values into a
-    /// fresh dictionary instead.
+    /// merge the partitions' zone maps, which also give the histograms
+    /// their domain, and no value is copied. The distinct count is exact.
+    /// An `Int64` column over a dense zone-map range is read once: one
+    /// occurrence array gives its NDV and its histogram
+    /// ([`Histogram::from_counts`]). Every other column's NDV comes from
+    /// [`count_distinct`], the counter the page codec race uses (sparse
+    /// ints within their zone-map range, floats by their bits, bools as
+    /// 0/1, ids over a shared dictionary), and a numeric one is read once
+    /// more for its histogram — twice when a float column's zone-map
+    /// extremes are not its finite extremes ([`Histogram::build`]). A
+    /// string column without one shared dictionary (a table not yet
+    /// registered) interns its values into a fresh dictionary instead.
     pub fn compute(table: &Table) -> TableStats {
         let arity = table.schema.arity();
         let row_count = table.row_count();
@@ -125,7 +172,6 @@ impl TableStats {
 
         let shared_dict = table.column_dictionary(col_idx).cloned();
         let data_type = table.schema.field(col_idx).data_type;
-        let ints = || cols().map(|c| c.as_i64().unwrap_or_default());
         let floats = || cols().map(|c| c.as_f64().unwrap_or_default());
         let (ndv, histogram) = match (data_type, &shared_dict) {
             (DataType::Int64, _) => {
@@ -133,15 +179,27 @@ impl TableStats {
                     (Some(Value::Int(lo)), Some(Value::Int(hi))) => (*lo, *hi),
                     _ => (0, 0),
                 };
-                let ndv = count_distinct(ints().map(|v| v.iter().copied()), range);
-                let vals = ints().flat_map(|v| v.iter().map(|&x| x as f64));
-                (ndv, Histogram::build(vals, HISTOGRAM_BUCKETS))
+                int_stats(cols().filter_map(|c| c.as_i64().ok()), rows, range)
             }
             (DataType::Float64, _) => {
                 let bits = floats().map(|v| v.iter().map(|x| x.to_bits() as i64));
                 let ndv = count_distinct(bits, (i64::MIN, i64::MAX));
                 let vals = floats().flat_map(|v| v.iter().copied());
-                (ndv, Histogram::build(vals, HISTOGRAM_BUCKETS))
+                // The zone maps' extremes are the finite values' extremes
+                // when both are finite (a fold of `f64::min` / `max` skips
+                // NaN) and non-zero: the two folds may keep different signs
+                // of a zero, and an infinite extreme hides the finite one.
+                let known = |v: &Option<Value>| match v {
+                    Some(Value::Float(x)) if x.is_finite() && *x != 0.0 => Some(*x),
+                    _ => None,
+                };
+                let histogram = match (known(&min), known(&max)) {
+                    (Some(lo), Some(hi)) => {
+                        Histogram::from_counts(lo, hi, HISTOGRAM_BUCKETS, vals.map(|v| (v, 1)))
+                    }
+                    _ => Histogram::build(vals, HISTOGRAM_BUCKETS),
+                };
+                (ndv, histogram)
             }
             (DataType::Bool, _) => {
                 let bools = cols().map(|c| c.as_bool().unwrap_or_default());

@@ -4,8 +4,9 @@
 //! 64-bit image of every value (every string, for strings without a shared
 //! dictionary) in a SipHash `HashSet`, and the numeric values collected into
 //! a `Vec` for the histogram. The product reads zone maps and counts through
-//! the page codec race's distinct counter (dictionary ids, a bitmap or a
-//! word set) or a fresh dictionary instead.
+//! an occurrence array (dense int ranges), the page codec race's distinct
+//! counter (dictionary ids, a bitmap or hash-grouped word sets) or a fresh
+//! dictionary instead, and buckets over the zone maps' domain.
 //! Every `ColumnStats` field must match bit for bit (floats by `to_bits`)
 //! over generated tables: `i64` extremes whose range wraps, NaN / ±0 / ±∞
 //! floats, empty partitions and empty tables, shared, per-partition and
@@ -389,4 +390,191 @@ fn int_columns_at_the_bitmap_edge_match_the_reference() {
             assert_matches_reference(&t, &format!("{rows} rows spanning {span}"));
         }
     }
+}
+
+/// A one-column table of `dt` with one partition per column chunk.
+fn one_column(dt: DataType, chunks: Vec<ColumnData>) -> Table {
+    let schema: SchemaRef = Arc::new(Schema::of(vec![Field::new("c", dt)]));
+    let partitions = chunks
+        .into_iter()
+        .map(|col| MicroPartition::from_batch(RecordBatch::new(schema.clone(), vec![col]).unwrap()))
+        .collect();
+    Table {
+        id: TableId::new(0),
+        name: "c".into(),
+        schema,
+        partitions,
+        clustered_by: None,
+    }
+}
+
+/// `vals` over three partitions of unequal length.
+fn split_ints(vals: &[i64]) -> Vec<ColumnData> {
+    let (a, b) = (vals.len() / 5, vals.len() / 2);
+    [&vals[..a], &vals[a..b], &vals[b..]]
+        .into_iter()
+        .map(|part| ColumnData::Int64(part.to_vec()))
+        .collect()
+}
+
+fn split_floats(vals: &[f64]) -> Vec<ColumnData> {
+    let (a, b) = (vals.len() / 5, vals.len() / 2);
+    [&vals[..a], &vals[a..b], &vals[b..]]
+        .into_iter()
+        .map(|part| ColumnData::Float64(part.to_vec()))
+        .collect()
+}
+
+/// `Int64` columns whose zone-map span `max − min` sits one below, at and
+/// one above `2 · max(rows, 2^14)`, the largest occurrence-count array the
+/// statistics fill: below it the NDV and histogram come from the array,
+/// from it on from the distinct counter and a histogram pass over the
+/// zone-map domain. On a short column (the 2^14 floor) and a longer one,
+/// split over partitions, both ends of the span present.
+#[test]
+fn int_columns_at_the_dense_edge_match_the_reference() {
+    for rows in [3_000usize, 20_000] {
+        let slots = 2 * rows.max(1 << 14) as u64;
+        for span in [slots - 1, slots, slots + 1] {
+            let mut r = DetRng::seed_from_u64(span ^ rows as u64);
+            let base = -1_000i64;
+            let mut vals: Vec<i64> = (0..rows)
+                .map(|_| base + (r.next_u64() % (span + 1)) as i64)
+                .collect();
+            (vals[1], vals[rows - 2]) = (base + span as i64, base);
+            let t = one_column(DataType::Int64, split_ints(&vals));
+            assert_matches_reference(&t, &format!("{rows} rows spanning {span}"));
+        }
+    }
+}
+
+/// Ints past 2^53, where neighbouring values share one `f64`: a dense span
+/// whose distinct values fold into fewer bucket positions, one whose every
+/// value rounds to the same `f64` (a one-bucket histogram though the NDV is
+/// not 1), one ending at `i64::MAX`, and a sparse span of such ints.
+#[test]
+fn ints_sharing_an_f64_match_the_reference() {
+    let cases: [(i64, u64, usize); 5] = [
+        (1 << 60, 5_000, 4_000),
+        (1 << 60, 100, 500),
+        (-(1 << 60) - 100, 100, 500),
+        (i64::MAX - 3_000, 3_000, 2_000),
+        ((1 << 54) + 1, 1 << 40, 3_000),
+    ];
+    for (base, span, rows) in cases {
+        let mut r = DetRng::seed_from_u64(span);
+        let mut vals: Vec<i64> = (0..rows)
+            .map(|_| base + (r.next_u64() % (span + 1)) as i64)
+            .collect();
+        (vals[0], vals[rows - 1]) = (base + span as i64, base);
+        let t = one_column(DataType::Int64, split_ints(&vals));
+        assert_matches_reference(&t, &format!("{rows} ints from {base} spanning {span}"));
+    }
+}
+
+/// An `Int64` span that wraps: `max − min` overflows `i64`, so the
+/// statistics count the distinct values through the word set and bucket
+/// every row over the full domain.
+#[test]
+fn an_int_span_that_wraps_matches_the_reference() {
+    let mut r = DetRng::seed_from_u64(7);
+    let edges = [i64::MIN, i64::MIN + 1, -1, 0, 1, i64::MAX - 1, i64::MAX];
+    let vals: Vec<i64> = (0..5_000)
+        .map(|i| {
+            if i % 3 == 0 {
+                *r.choose(&edges)
+            } else {
+                r.next_u64() as i64
+            }
+        })
+        .collect();
+    let t = one_column(DataType::Int64, split_ints(&vals));
+    assert_matches_reference(&t, "a wrapping int span");
+}
+
+/// Float columns whose zone-map extremes cannot stand for the finite
+/// values' extremes (a signed zero, an infinity, nothing finite at all)
+/// next to ones whose can (finite non-zero extremes among NaN).
+#[test]
+fn float_columns_with_special_extremes_match_the_reference() {
+    let nan2 = f64::from_bits(0x7ff8_0000_0000_0001);
+    let cases: Vec<(&str, Vec<f64>)> = vec![
+        ("+0 and -0 only", vec![0.0, -0.0, -0.0, 0.0, 0.0, -0.0]),
+        ("-0 then +0", vec![-0.0, 0.0, -0.0, 0.0, -0.0, 0.0]),
+        (
+            "zeros as both extremes",
+            vec![0.0, 0.0, -0.0, -0.0, 0.0, 0.0],
+        ),
+        ("zero lowest", vec![0.0, -0.0, 3.5, 2.0, -0.0, 7.25, 1.0]),
+        ("zero highest", vec![-4.0, -0.0, -1.5, 0.0, -2.0, 0.0]),
+        (
+            "±inf",
+            vec![f64::INFINITY, 1.5, -2.0, f64::NEG_INFINITY, 3.0, 0.5],
+        ),
+        (
+            "+inf only above",
+            vec![1.0, f64::INFINITY, 4.0, 2.0, 3.0, 9.0],
+        ),
+        (
+            "-inf only below",
+            vec![1.0, f64::NEG_INFINITY, 4.0, 2.0, 3.0, 9.0],
+        ),
+        (
+            "only infinities",
+            vec![f64::INFINITY, f64::NEG_INFINITY, f64::INFINITY],
+        ),
+        (
+            "all NaN",
+            vec![f64::NAN, -f64::NAN, nan2, f64::NAN, nan2, f64::NAN],
+        ),
+        (
+            "NaN among finite",
+            vec![f64::NAN, 2.5, -7.0, nan2, 11.0, -f64::NAN],
+        ),
+        ("NaN at the ends", vec![nan2, -3.0, 1.0, 8.0, 4.0, f64::NAN]),
+        (
+            "one finite among NaN",
+            vec![f64::NAN, f64::NAN, 6.0, nan2, f64::NAN, 6.0],
+        ),
+        (
+            "extremes of f64",
+            vec![f64::MIN, 1.0, f64::MAX, -1.0, f64::NAN, 2.0],
+        ),
+    ];
+    for (what, vals) in cases {
+        let t = one_column(DataType::Float64, split_floats(&vals));
+        assert_matches_reference(&t, what);
+        // The same values in one partition, where the zone map is one fold.
+        let t = one_column(DataType::Float64, vec![ColumnData::Float64(vals)]);
+        assert_matches_reference(&t, &format!("{what}, one partition"));
+    }
+}
+
+/// Columns long enough that the distinct counter groups their values by
+/// hash (floats with duplicates and specials, wide random ints, and a
+/// few values repeated over every row), split over partitions.
+#[test]
+fn columns_counted_by_hash_group_match_the_reference() {
+    let rows = 70_000;
+    let mut r = DetRng::seed_from_u64(11);
+    let floats: Vec<f64> = (0..rows)
+        .map(|i| match i % 50 {
+            0 => float_value(&mut r),
+            1..=20 => (r.usize_below(5_000) as f64) * 0.25,
+            _ => r.range_f64(-1e6, 1e6),
+        })
+        .collect();
+    let t = one_column(DataType::Float64, split_floats(&floats));
+    assert_matches_reference(&t, "70 000 floats");
+    let few: Vec<f64> = (0..rows).map(|i| [1.5, -0.0, 8.0][i % 3]).collect();
+    let t = one_column(DataType::Float64, split_floats(&few));
+    assert_matches_reference(&t, "70 000 floats over three values");
+    let ints: Vec<i64> = (0..rows)
+        .map(|i| match i % 4 {
+            0 => r.range_i64(-50, 50),
+            _ => r.next_u64() as i64,
+        })
+        .collect();
+    let t = one_column(DataType::Int64, split_ints(&ints));
+    assert_matches_reference(&t, "70 000 wide ints");
 }

@@ -533,8 +533,8 @@ impl ChainCtx {
                     (batch, sketch) = timer.time("exchange", rows_in as f64, || {
                         let batch = batch.compacted();
                         let sketch = match &wire {
-                            Some(prior) => WireSketch::reusing(&batch, prior)?,
-                            None => WireSketch::of(&batch)?,
+                            Some(prior) => WireSketch::reusing(&batch, prior),
+                            None => WireSketch::of(&batch),
                         };
                         Ok((batch, Arc::new(sketch)))
                     })?;

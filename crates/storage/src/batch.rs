@@ -134,6 +134,16 @@ impl RecordBatch {
         &self.columns[i]
     }
 
+    /// Swaps in `col` for physical column `i`. The caller's invariant:
+    /// `col` re-encodes that column — the same type and row count (as
+    /// [`crate::table::Table::dict_encoded`]'s ids, one per old id) — so
+    /// the batch keeps the shape [`RecordBatch::from_arcs`] checked.
+    pub(crate) fn replace_column(&mut self, i: usize, col: Arc<ColumnData>) {
+        let old = &self.columns[i];
+        debug_assert_eq!((col.data_type(), col.len()), (old.data_type(), old.len()));
+        self.columns[i] = col;
+    }
+
     /// One full logical row as values (clones strings); for tests and
     /// result display.
     pub fn row(&self, i: usize) -> Vec<Value> {

@@ -40,6 +40,12 @@ impl Dictionary {
 
     /// Returns the id of `s`, interning it if new (one shared allocation
     /// for both the entry list and the reverse index).
+    ///
+    /// # Panics
+    ///
+    /// On a new string once the dictionary holds 2^32 entries, which `u32`
+    /// ids cannot number. The entry list alone would then take 64 GiB of
+    /// string handles, so no table this system builds comes near it.
     pub fn intern(&mut self, s: &str) -> u32 {
         if let Some(&id) = self.index.get(s) {
             return id;
@@ -132,12 +138,16 @@ impl IntDict {
         (dict, ids)
     }
 
-    /// Returns the id of `x`, interning it if new.
+    /// Returns the id of `x`, interning it if new. Every id fits `u32`:
+    /// callers intern at most a page's rows, which
+    /// [`crate::pages::MAX_DECODE_ROWS`] bounds before a page is written,
+    /// or a dictionary section's `u32` entry count.
     pub(crate) fn intern(&mut self, x: i64) -> u32 {
         if let Some(&id) = self.index.get(&x) {
             return id;
         }
-        let id = u32::try_from(self.values.len()).expect("dictionary overflow");
+        debug_assert!(self.values.len() < u32::MAX as usize);
+        let id = self.values.len() as u32;
         self.values.push(x);
         self.index.insert(x, id);
         id

@@ -67,7 +67,8 @@
 //! largest entry count at which Dict could still win (`dict_bound`), soon
 //! after the race is decided. That count and the table statistics' NDV
 //! share one exact counter ([`count_distinct`]): a bitmap over
-//! `value − min` or a presized word set. On a wire stream that pass is a
+//! `value − min`, or a word set — for many values, one per group of their
+//! hashes. On a wire stream that pass is a
 //! batch's [`WireSketch`], taken wherever the batch is hot, and the
 //! stream's [`WireEncoder`] folds it in stream order: first-sight
 //! dictionaries and the cached-frame reuse decision, O(columns). Costing
@@ -565,6 +566,17 @@ pub const DICT_INT_MAX_ENTRIES: usize = 4096;
 /// marks a bitmap exactly for ranges under 2^20.
 const DISTINCT_BITMAP_MIN_WORDS: u64 = 1 << 14;
 
+/// A distinct count that can make at least this many inserts into a word
+/// set groups the values by hash first and counts each group in a small
+/// [`WordSet`]: one set for them all would outgrow the caches (2 MiB of
+/// slots for 200 000 values) and pay a miss on most inserts. Bounded
+/// counts ([`DICT_INT_MAX_ENTRIES`]) never get here; table statistics do.
+const DISTINCT_GROUPED_MIN_INSERTS: usize = 1 << 14;
+
+/// A grouped count splits its values into `2^this` groups by the top bits
+/// of their hash.
+const DISTINCT_GROUP_BITS: u32 = 8;
+
 /// The bitmap count compares its running count with the bound once per
 /// this many rows: often enough to stop early, rarely enough to stay off
 /// the per-row path.
@@ -637,7 +649,7 @@ macro_rules! fixed_values {
 #[derive(Debug, Default)]
 struct PlanScratch {
     /// A seen-bitmap (over `value − min` or dictionary ids) or the slots of
-    /// a [`WordSet`].
+    /// a [`WordSet`] (one group's, in a grouped count).
     words: Vec<u64>,
 }
 
@@ -663,10 +675,12 @@ impl PlanScratch {
     /// once there are more values, where the count stops. It marks a
     /// bitmap over `value − min` when [`DISTINCT_BITMAP_MIN_WORDS`] says,
     /// comparing its count with the bound every [`DISTINCT_CHECK_ROWS`] rows
-    /// of a chunk, and fills a [`WordSet`] sized for this count otherwise.
+    /// of a chunk. Otherwise it fills a [`WordSet`] sized for this count,
+    /// or, from [`DISTINCT_GROUPED_MIN_INSERTS`] inserts, counts by hash
+    /// group ([`PlanScratch::count_grouped`]).
     fn count_distinct<C: Iterator<Item = i64>>(
         &mut self,
-        chunks: impl IntoIterator<Item = C>,
+        chunks: impl IntoIterator<Item = C> + Clone,
         rows: usize,
         (min, max): (i64, i64),
         bound: usize,
@@ -674,6 +688,9 @@ impl PlanScratch {
         let inserts = rows.min(bound.saturating_add(1));
         let words = (max as u64).wrapping_sub(min as u64) / 64 + 1;
         if words > (inserts as u64).max(DISTINCT_BITMAP_MIN_WORDS) {
+            if inserts >= DISTINCT_GROUPED_MIN_INSERTS {
+                return self.count_grouped(chunks, bound);
+            }
             let mut set = WordSet::new(self, inserts);
             for chunk in chunks {
                 for x in chunk {
@@ -699,6 +716,69 @@ impl PlanScratch {
         }
         seen
     }
+
+    /// [`PlanScratch::count_distinct`] of many values, cache-sized: one
+    /// walk over `chunks` counts their hashes ([`mix`], a bijection, so
+    /// they count the same) per group of equal top [`DISTINCT_GROUP_BITS`]
+    /// bits, a second writes each hash to its group's next place in one
+    /// buffer, and each group is then counted in a small [`WordSet`] in
+    /// this scratch. A group's set has room for up to twice a group's
+    /// expected share of the values, and grows only past that many distinct
+    /// ones, so for values whose hashes spread the count holds about one
+    /// word per value, where one set for all of them holds 5/4 to 5/2.
+    fn count_grouped<C: Iterator<Item = i64>>(
+        &mut self,
+        chunks: impl IntoIterator<Item = C> + Clone,
+        bound: usize,
+    ) -> usize {
+        const GROUPS: usize = 1 << DISTINCT_GROUP_BITS;
+        let group = |h: u64| (h >> (64 - DISTINCT_GROUP_BITS)) as usize;
+        let mut heads = [0usize; GROUPS];
+        for chunk in chunks.clone() {
+            for x in chunk {
+                heads[group(mix(x as u64))] += 1;
+            }
+        }
+        let mut ends = [0usize; GROUPS];
+        let mut rows = 0;
+        for (head, end) in heads.iter_mut().zip(&mut ends) {
+            (*head, rows) = (rows, rows + *head);
+            *end = rows;
+        }
+        let mut hashes = vec![0u64; rows];
+        for chunk in chunks {
+            for x in chunk {
+                let h = mix(x as u64);
+                let head = &mut heads[group(h)];
+                hashes[*head] = h;
+                *head += 1;
+            }
+        }
+        let share = 2 * rows / GROUPS;
+        let (mut seen, mut start) = (0, 0);
+        for end in ends {
+            let members = &hashes[start..end];
+            // Room for twice the members: one group's table is small, and
+            // at most 2/5 full it probes about half as long.
+            let mut set = WordSet::new(self, 2 * members.len().min(share));
+            for &h in members {
+                set.insert(h);
+            }
+            seen += set.len();
+            if seen > bound {
+                return seen;
+            }
+            start = end;
+        }
+        seen
+    }
+}
+
+/// The word sets' hash: a xor-shift and an odd multiplier, each a bijection
+/// of `u64`, so distinct keys keep distinct hashes (and 0 stays 0).
+#[inline]
+fn mix(key: u64) -> u64 {
+    (key ^ (key >> 32)).wrapping_mul(0x9E37_79B9_7F4A_7C15)
 }
 
 /// Exact distinct count of the values in `chunks`, each a 64-bit image in
@@ -713,15 +793,16 @@ pub fn count_distinct<C: ExactSizeIterator<Item = i64>>(
 }
 
 /// An insert-only open-addressing set of `u64` words with a fixed
-/// multiplicative hash over a [`PlanScratch`]'s words, sized to stay at most
-/// 4/5 full for the insertions its count can make. A half-full bound would
+/// multiplicative hash ([`mix`]) over a [`PlanScratch`]'s words, presized
+/// to stay at most 4/5 full for the insertions its count expects and
+/// doubled should more distinct keys arrive. A half-full bound would
 /// double the table (4 MiB for a 200 000-row column, twice the column
-/// itself), and freeing a block that large raised the process's peak RSS on
-/// the CAB query workloads by ≈ 5 MB through the allocator's mmap
+/// itself), and freeing a block that large raised the process's peak RSS
+/// on the CAB query workloads by ≈ 5 MB through the allocator's mmap
 /// threshold. Slot value 0 means empty, so the key 0 is kept aside in a
 /// flag.
 struct WordSet<'s> {
-    slots: &'s mut [u64],
+    slots: &'s mut Vec<u64>,
     /// `64 - log2(slots.len())`: the hash's top bits pick the home slot.
     shift: u32,
     len: usize,
@@ -729,11 +810,12 @@ struct WordSet<'s> {
 }
 
 impl<'s> WordSet<'s> {
-    /// An empty set in `scratch` for at most `inserts` insertions.
+    /// An empty set in `scratch` for `inserts` insertions without growing.
     fn new(scratch: &'s mut PlanScratch, inserts: usize) -> WordSet<'s> {
         let slots = (inserts.max(8) * 5 / 4 + 1).next_power_of_two();
+        scratch.zeroed(slots);
         WordSet {
-            slots: scratch.zeroed(slots),
+            slots: &mut scratch.words,
             shift: 64 - slots.trailing_zeros(),
             len: 0,
             has_zero: false,
@@ -750,11 +832,20 @@ impl<'s> WordSet<'s> {
         if key == 0 {
             return !std::mem::replace(&mut self.has_zero, true);
         }
+        let new = self.place(key);
+        if new && self.len * 5 > self.slots.len() * 4 {
+            self.grow();
+        }
+        new
+    }
+
+    /// Puts the non-zero `key` in its slot; `true` when it was not there.
+    #[inline]
+    fn place(&mut self, key: u64) -> bool {
         let mask = self.slots.len() - 1;
-        let mixed = (key ^ (key >> 32)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        let mut i = (mixed >> self.shift) as usize;
-        // Never full (see `new`), so the probe meets the key or an empty
-        // slot.
+        let mut i = (mix(key) >> self.shift) as usize;
+        // At most 4/5 full (see `insert`), so the probe meets the key or an
+        // empty slot.
         loop {
             match self.slots[i] {
                 0 => {
@@ -765,6 +856,17 @@ impl<'s> WordSet<'s> {
                 k if k == key => return false,
                 _ => i = (i + 1) & mask,
             }
+        }
+    }
+
+    /// Doubles the slots and re-places every key.
+    #[cold]
+    fn grow(&mut self) {
+        let old = std::mem::replace(self.slots, vec![0; self.slots.len() * 2]);
+        self.shift -= 1;
+        self.len = 0;
+        for key in old.into_iter().filter(|&k| k != 0) {
+            self.place(key);
         }
     }
 }
@@ -831,7 +933,7 @@ impl IntSketch {
     /// ([`PlanScratch::count_distinct`]).
     fn count_distinct(
         &self,
-        vals: impl Iterator<Item = i64>,
+        vals: impl Iterator<Item = i64> + Clone,
         bound: usize,
         scratch: &mut PlanScratch,
     ) -> usize {
@@ -985,18 +1087,30 @@ struct ColumnPlan {
     sketch: Option<IntSketch>,
 }
 
-impl ColumnPlan {
-    /// Plans `rows` under the smallest applicable codec (ties break toward
-    /// the earlier of [`ALL_CODECS`]), or under `only` when given — an
-    /// error if that codec does not apply to the column's type. The picker
-    /// counts an `Int64` column's distinct values for its `Dict` candidate
-    /// only while Dict can still win (see [`dict_bound`]); a forced `Dict`
-    /// page is exact for any NDV.
-    fn build(
-        rows: Rows<'_>,
-        only: Option<PageCodec>,
-        scratch: &mut PlanScratch,
-    ) -> Result<ColumnPlan> {
+/// Every candidate codec's payload size for one column's rows, from which
+/// a [`ColumnPlan`] takes the pick ([`Race::smallest`]) or a forced codec
+/// ([`Race::forced`]).
+#[derive(Debug, Clone, Copy)]
+struct Race {
+    dt: DataType,
+    rows: usize,
+    /// Plain's payload bytes: Plain applies to every column, so the race
+    /// always has a winner.
+    plain: u64,
+    /// Payload bytes per codec in [`ALL_CODECS`] order (`Some(plain)`
+    /// first), `None` where a codec does not apply or lost unsized.
+    payload: [Option<u64>; 5],
+    /// Bytes of the Dict candidate's dictionary section.
+    dict_bytes: u64,
+    sketch: Option<IntSketch>,
+}
+
+impl Race {
+    /// Sizes every candidate for `rows`, or only `only` when given. An
+    /// `Int64` column's distinct values are counted for its `Dict`
+    /// candidate only while Dict can still win the race (see
+    /// [`dict_bound`]); for a forced `Dict` page, exactly.
+    fn run(rows: Rows<'_>, only: Option<PageCodec>, scratch: &mut PlanScratch) -> Race {
         let (dt, n) = (rows.col.data_type(), rows.len());
         let sketch = match rows.col {
             ColumnData::Int64(v) => Some(each_row!(v, rows.sel, |it| IntSketch::of(it.copied()))),
@@ -1006,15 +1120,15 @@ impl ColumnPlan {
             _ => None,
         };
         let ids = |entries: usize| 1 + packed_id_bytes(n, id_bit_width(entries));
-        // Payload bytes per codec in `ALL_CODECS` order, and the bytes of
-        // the Dict candidate's dictionary section. An `Int64` Dict slot is
-        // filled below, once the other sizes bound its distinct count.
-        let (mut payload, mut dict_bytes) = match (rows.col, sketch) {
+        // Plain's payload bytes, the others' in `ALL_CODECS` order (Dict,
+        // Rle, For, Delta), and the bytes of the Dict candidate's dictionary
+        // section. An `Int64` Dict slot is filled below, once the other
+        // sizes bound its distinct count.
+        let (plain, [dict, rle, for_, delta], mut dict_bytes) = match (rows.col, sketch) {
             (_, Some(s)) => {
                 let value = if dt == DataType::Bool { 1 } else { 8 };
                 let framed = |frame: u64, packed: u64| if n == 0 { 0 } else { frame + packed };
                 let sizes = [
-                    Some(n as u64 * value),
                     None,
                     Some(4 + s.runs * (4 + value)),
                     Some(framed(9, packed_id_bytes(n, s.for_width()))),
@@ -1023,15 +1137,12 @@ impl ColumnPlan {
                         packed_id_bytes(n.saturating_sub(1), s.delta_width()),
                     )),
                 ];
-                (sizes, 0)
+                (n as u64 * value, sizes, 0)
             }
             // Plain and Rle are the only float codecs.
             (ColumnData::Float64(v), None) => {
                 let runs = float_runs(v, rows.sel);
-                (
-                    [Some(n as u64 * 8), None, Some(4 + runs * 12), None, None],
-                    0,
-                )
+                (n as u64 * 8, [None, Some(4 + runs * 12), None, None], 0)
             }
             _ => {
                 let s = match rows.col {
@@ -1048,15 +1159,15 @@ impl ColumnPlan {
                 };
                 let dict = 4 + s.entry_bytes;
                 let sizes = [
-                    Some(s.plain_bytes),
                     Some(dict + ids(s.entries)),
                     Some(4 + s.runs * 4 + s.run_bytes),
                     None,
                     None,
                 ];
-                (sizes, dict)
+                (s.plain_bytes, sizes, dict)
             }
         };
+        let mut payload = [Some(plain), dict, rle, for_, delta];
         if let (ColumnData::Int64(v), Some(s)) = (rows.col, &sketch) {
             // An int dictionary section: entry count, then 8 bytes per entry.
             let int_dict_bytes = |entries: usize| 4 + entries as u64 * 8;
@@ -1078,52 +1189,84 @@ impl ColumnPlan {
                 }
             }
         }
-        let mut best: Option<(PageCodec, u64)> = None;
-        for (codec, size) in ALL_CODECS.into_iter().zip(payload) {
-            let wanted = only.is_none_or(|o| o == codec) && codec.applies_to(dt);
-            if let (true, Some(size)) = (wanted, size) {
-                if best.is_none_or(|(_, b)| size < b) {
-                    best = Some((codec, size));
-                }
-            }
+        Race {
+            dt,
+            rows: n,
+            plain,
+            payload,
+            dict_bytes,
+            sketch,
         }
-        let (codec, payload) = best.ok_or_else(|| {
-            let name = only.map_or("no", PageCodec::name);
-            err(format!("{name} codec does not apply to {dt} columns"))
-        })?;
-        let frame = match (codec, sketch) {
-            (PageCodec::For, Some(s)) if n > 0 => Some(IntFrame::For {
+    }
+
+    /// The plan under the smallest applicable codec (ties break toward the
+    /// earlier of [`ALL_CODECS`], so toward Plain, which applies to every
+    /// column).
+    fn smallest(&self) -> ColumnPlan {
+        let rivals = ALL_CODECS.into_iter().zip(self.payload).skip(1);
+        let (codec, payload) = rivals.filter(|(codec, _)| codec.applies_to(self.dt)).fold(
+            (PageCodec::Plain, self.plain),
+            |best, rival| match rival {
+                (codec, Some(size)) if size < best.1 => (codec, size),
+                _ => best,
+            },
+        );
+        self.plan(codec, payload)
+    }
+
+    /// The plan under `codec`: an error if it does not apply to the
+    /// column's type.
+    fn forced(&self, codec: PageCodec) -> Result<ColumnPlan> {
+        let sized = ALL_CODECS.into_iter().zip(self.payload);
+        let payload = sized
+            .filter(|&(c, _)| c == codec && c.applies_to(self.dt))
+            .find_map(|(_, size)| size)
+            .ok_or_else(|| {
+                let (name, dt) = (codec.name(), self.dt);
+                err(format!("{name} codec does not apply to {dt} columns"))
+            })?;
+        Ok(self.plan(codec, payload))
+    }
+
+    fn plan(&self, codec: PageCodec, payload: u64) -> ColumnPlan {
+        let frame = match (codec, self.sketch) {
+            (PageCodec::For, Some(s)) if self.rows > 0 => Some(IntFrame::For {
                 min: s.min,
                 width: s.for_width(),
             }),
-            (PageCodec::Delta, Some(s)) if n > 0 => Some(IntFrame::Delta {
+            (PageCodec::Delta, Some(s)) if self.rows > 0 => Some(IntFrame::Delta {
                 min_d: s.min_delta,
                 width: s.delta_width(),
             }),
             _ => None,
         };
-        Ok(ColumnPlan {
+        ColumnPlan {
             codec,
             frame,
             stream: Stream::Detached,
             bytes: PAGE_HEADER_BYTES as u64 + payload,
             dict_bytes: if codec == PageCodec::Dict {
-                dict_bytes
+                self.dict_bytes
             } else {
                 0
             },
-            sketch,
-        })
+            sketch: self.sketch,
+        }
+    }
+}
+
+impl ColumnPlan {
+    /// A whole column's storage page under `codec` (its own scratch): an
+    /// error if the codec does not apply to the column's type.
+    fn page(col: &ColumnData, codec: PageCodec) -> Result<ColumnPlan> {
+        let rows = Rows { col, sel: None };
+        Race::run(rows, Some(codec), &mut PlanScratch::default()).forced(codec)
     }
 
-    /// Plans a whole column as a storage page (its own scratch).
-    fn page(col: &ColumnData, only: Option<PageCodec>) -> Result<ColumnPlan> {
-        ColumnPlan::build(Rows { col, sel: None }, only, &mut PlanScratch::default())
-    }
-
-    /// The storage page under the size-based picker.
+    /// A whole column's storage page under the size-based picker.
     fn picked(col: &ColumnData) -> ColumnPlan {
-        ColumnPlan::page(col, None).expect("Plain is a candidate for every column")
+        let rows = Rows { col, sel: None };
+        Race::run(rows, None, &mut PlanScratch::default()).smallest()
     }
 
     /// Page metadata of a plan over the whole (dense) column `col`.
@@ -1361,7 +1504,7 @@ pub const PAGE_FLAG_WIRE_STREAM: u8 = 2;
 /// Exact size in bytes of `encode_column(col, codec)` without materializing
 /// the page.
 pub fn encoded_size(col: &ColumnData, codec: PageCodec) -> Result<u64> {
-    Ok(ColumnPlan::page(col, Some(codec))?.bytes)
+    Ok(ColumnPlan::page(col, codec)?.bytes)
 }
 
 /// The smallest-page codec for this column (ties break toward the earlier
@@ -1381,7 +1524,7 @@ pub fn best_page(col: &ColumnData) -> EncodedPage {
 /// Encodes a column as one self-contained page under the given codec.
 /// Returns the page metadata and the bytes; `decode_column` inverts it.
 pub fn encode_column(col: &ColumnData, codec: PageCodec) -> Result<(EncodedPage, Vec<u8>)> {
-    ColumnPlan::page(col, Some(codec))?.encode(col)
+    ColumnPlan::page(col, codec)?.encode(col)
 }
 
 /// Encodes under the size-picked codec.
@@ -1947,25 +2090,25 @@ pub struct WireSketch {
 impl WireSketch {
     /// Sketches `batch` over its logical rows (read through the selection,
     /// never compacted).
-    pub fn of(batch: &RecordBatch) -> Result<WireSketch> {
+    pub fn of(batch: &RecordBatch) -> WireSketch {
         let (sel, mut scratch) = (batch.selection(), PlanScratch::default());
         let cols = (batch.columns().iter())
             .map(|col| ColumnPlan::wire(Rows { col, sel }, &mut scratch))
-            .collect::<Result<_>>()?;
-        Ok(WireSketch::over(batch, cols))
+            .collect();
+        WireSketch::over(batch, cols)
     }
 
     /// [`WireSketch::of`] `batch`, taking the plan of every column `prior`
     /// [covers](WireSketch::covers) from `prior` instead of a fresh pass.
-    pub fn reusing(batch: &RecordBatch, prior: &WireSketch) -> Result<WireSketch> {
+    pub fn reusing(batch: &RecordBatch, prior: &WireSketch) -> WireSketch {
         let (sel, mut scratch) = (batch.selection(), PlanScratch::default());
         let cols = (batch.columns().iter().enumerate())
             .map(|(i, col)| match prior.plan_of(batch, i) {
-                Some(plan) => Ok(plan),
+                Some(plan) => plan,
                 None => ColumnPlan::wire(Rows { col, sel }, &mut scratch),
             })
-            .collect::<Result<_>>()?;
-        Ok(WireSketch::over(batch, cols))
+            .collect();
+        WireSketch::over(batch, cols)
     }
 
     /// The storage page of every column of the dense `batch` under the
@@ -2021,10 +2164,10 @@ impl ColumnPlan {
     /// The stream-independent plan of one wire column: a dict column's
     /// ids-only page into the (yet unnamed) shared dictionary, every other
     /// column's best self-contained page.
-    fn wire(rows: Rows<'_>, scratch: &mut PlanScratch) -> Result<ColumnPlan> {
+    fn wire(rows: Rows<'_>, scratch: &mut PlanScratch) -> ColumnPlan {
         match rows.col {
-            ColumnData::Dict { dict, .. } => Ok(ColumnPlan::stream_ids(rows.len(), dict)),
-            _ => ColumnPlan::build(rows, None, scratch),
+            ColumnData::Dict { dict, .. } => ColumnPlan::stream_ids(rows.len(), dict),
+            _ => Race::run(rows, None, scratch).smallest(),
         }
     }
 
@@ -2361,6 +2504,44 @@ mod tests {
         ColumnData::strings(vals.iter())
     }
 
+    #[test]
+    fn grouped_count_matches_a_hash_set() {
+        let mut r = ci_types::DetRng::seed_from_u64(5);
+        let rows = DISTINCT_GROUPED_MIN_INSERTS + 1_000;
+        // Keys hashing into group 0 only: that group's set starts at twice
+        // a group's share and must grow past it.
+        let group_zero: Vec<i64> = std::iter::repeat_with(|| r.next_u64() as i64)
+            .filter(|&x| mix(x as u64) >> (64 - DISTINCT_GROUP_BITS) == 0)
+            .take(4 * rows / (1 << DISTINCT_GROUP_BITS))
+            .chain([0, 0])
+            .collect();
+        let skewed: Vec<i64> = group_zero.iter().copied().cycle().take(rows).collect();
+        let wide: Vec<i64> = (0..rows).map(|_| r.next_u64() as i64).collect();
+        let few: Vec<i64> = (0..rows).map(|i| [7, 0, -3][i % 3] << 40).collect();
+        for (what, vals) in [("skewed", skewed), ("wide", wide), ("few", few)] {
+            let want = vals.iter().collect::<HashSet<_>>().len();
+            let chunks = vals.chunks(10_007).map(|c| c.iter().copied());
+            assert_eq!(
+                count_distinct(chunks, (i64::MIN, i64::MAX)),
+                want as u64,
+                "{what}"
+            );
+            // Bounded: exact up to the bound, past it once there are more.
+            let mut scratch = PlanScratch::default();
+            let bound = DISTINCT_GROUPED_MIN_INSERTS;
+            let got =
+                scratch.count_distinct([vals.iter().copied()], rows, (i64::MIN, i64::MAX), bound);
+            assert!(
+                if want > bound {
+                    got > bound
+                } else {
+                    got == want
+                },
+                "{what}: {got}"
+            );
+        }
+    }
+
     fn ndv(col: &ColumnData) -> usize {
         let vals = col.as_i64().unwrap();
         vals.iter().collect::<std::collections::BTreeSet<_>>().len()
@@ -2377,14 +2558,14 @@ mod tests {
     /// position 0): its wire blob.
     fn ship(tx: &mut WireEncoder, col: &ColumnData) -> Vec<u8> {
         let batch = one_col(col);
-        let sketch = WireSketch::of(&batch).unwrap();
+        let sketch = WireSketch::of(&batch);
         tx.encode_sketched(&batch, &sketch).unwrap().remove(0)
     }
 
     /// The bytes [`ship`] emits for `col`, counted size-only.
     fn shipped_bytes(tx: &mut WireEncoder, col: &ColumnData) -> u64 {
         let batch = one_col(col);
-        let sketch = WireSketch::of(&batch).unwrap();
+        let sketch = WireSketch::of(&batch);
         tx.sketched_wire_bytes(&batch, &sketch).unwrap()
     }
 
@@ -2794,7 +2975,7 @@ mod tests {
             ids: vec![0; MAX_DECODE_ROWS + 1],
             dict: ColumnData::strings(["x"]).as_dict().unwrap().1.clone(),
         });
-        let sketch = WireSketch::of(&dict_oversized).unwrap();
+        let sketch = WireSketch::of(&dict_oversized);
         let mut w = WireEncoder::new();
         assert!(w.encode_sketched(&dict_oversized, &sketch).is_err());
     }
@@ -3169,7 +3350,7 @@ mod tests {
         let mut tx = WireEncoder::new();
         let mut rx = WireDecoder::new();
         let blobs = tx
-            .encode_sketched(&filtered, &WireSketch::of(&filtered).unwrap())
+            .encode_sketched(&filtered, &WireSketch::of(&filtered))
             .unwrap();
         let decoded = rx.decode_batch(schema.clone(), &blobs).unwrap();
         assert!(decoded.selection().is_none(), "wire batches arrive dense");
@@ -3195,7 +3376,7 @@ mod tests {
         .unwrap();
         let filtered = batch.filter(&[true, false, true, false]).unwrap();
         let bytes = |batch: &RecordBatch| {
-            let sketch = WireSketch::of(batch).unwrap();
+            let sketch = WireSketch::of(batch);
             WireEncoder::new()
                 .sketched_wire_bytes(batch, &sketch)
                 .unwrap()

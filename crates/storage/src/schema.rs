@@ -56,7 +56,13 @@ impl Schema {
         Ok(Schema { fields })
     }
 
-    /// Builds a schema, panicking on duplicates (for static test fixtures).
+    /// Builds a schema from fields the caller knows to be distinctly named
+    /// (a literal list, as in test fixtures and bench set-ups); code that
+    /// can return an error uses [`Schema::new`].
+    ///
+    /// # Panics
+    ///
+    /// On a duplicate column name.
     pub fn of(fields: Vec<Field>) -> Schema {
         Schema::new(fields).expect("valid schema")
     }

@@ -144,18 +144,12 @@ impl Table {
         // page holds only the entries its rows reference), so they are
         // preserved verbatim rather than recomputed.
         for (pi, part) in self.partitions.iter_mut().enumerate() {
-            let mut columns: Vec<Arc<ColumnData>> = part.batch.columns().to_vec();
             for (k, &ci) in string_cols.iter().enumerate() {
-                columns[ci] = encoded[k][pi].clone();
+                part.batch.replace_column(ci, encoded[k][pi].clone());
             }
-            let batch = RecordBatch::from_arcs(part.batch.schema().clone(), columns)
-                .expect("dict encoding preserves shape");
             // The swapped-in columns get ids-only wire plans; the others
             // keep theirs.
-            let wire = WireSketch::reusing(&batch, &part.wire)
-                .expect("Plain is a candidate for every column");
-            part.wire = Arc::new(wire);
-            part.batch = batch;
+            part.wire = Arc::new(WireSketch::reusing(&part.batch, &part.wire));
         }
         self
     }
@@ -475,7 +469,7 @@ mod tests {
             .unwrap();
         let check = |t: &Table, when: &str| {
             for p in &t.partitions {
-                assert_eq!(*p.wire, WireSketch::of(&p.batch).unwrap(), "{when}");
+                assert_eq!(*p.wire, WireSketch::of(&p.batch), "{when}");
                 let arity = p.batch.columns().len();
                 assert!((0..arity).all(|i| p.wire.covers(&p.batch, i)), "{when}");
             }

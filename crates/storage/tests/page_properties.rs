@@ -48,13 +48,12 @@ fn batch_of(cols: Vec<Arc<ColumnData>>) -> RecordBatch {
 
 /// Serializes `batch` as the next batch of `tx`'s stream.
 fn encode(tx: &mut WireEncoder, batch: &RecordBatch) -> Vec<Vec<u8>> {
-    tx.encode_sketched(batch, &WireSketch::of(batch).unwrap())
-        .unwrap()
+    tx.encode_sketched(batch, &WireSketch::of(batch)).unwrap()
 }
 
 /// Sizes `batch` as the next batch of `tx`'s stream.
 fn sized(tx: &mut WireEncoder, batch: &RecordBatch) -> u64 {
-    tx.sketched_wire_bytes(batch, &WireSketch::of(batch).unwrap())
+    tx.sketched_wire_bytes(batch, &WireSketch::of(batch))
         .unwrap()
 }
 
@@ -1167,7 +1166,7 @@ proptest! {
 
         let mut early: Vec<WireSketch> = std::thread::scope(|s| {
             let sketcher = s.spawn(|| {
-                batches.iter().rev().map(|b| WireSketch::of(b).unwrap()).collect::<Vec<_>>()
+                batches.iter().rev().map(WireSketch::of).collect::<Vec<_>>()
             });
             sketcher.join().unwrap()
         });
@@ -1259,7 +1258,7 @@ proptest! {
                 },
                 ColumnData::strings((0..n).map(|i| format!("u{}", pick(i) % 4))),
             ]).unwrap();
-            let own = WireSketch::of(&batch).unwrap();
+            let own = WireSketch::of(&batch);
             // The pass-through shape: columns rotated (a projection), the
             // `shared` ones the batch's own `Arc`s, the rest reversed copies.
             let reversed: Vec<usize> = (0..n).rev().collect();
@@ -1277,21 +1276,21 @@ proptest! {
                 batch.columns().iter().map(|c| (**c).clone()).collect(),
             ).unwrap();
             let mut cases = vec![
-                (&batch, WireSketch::of(&passed).unwrap(), (0..arity).filter(|&i| kept(i)).count()),
+                (&batch, WireSketch::of(&passed), (0..arity).filter(|&i| kept(i)).count()),
                 (&batch, own.clone(), arity),
-                (&batch, WireSketch::of(&deep).unwrap(), 0),
+                (&batch, WireSketch::of(&deep), 0),
             ];
             // Drops one row, so the view keeps a selection (n >= 2).
             let view = batch.filter(&(0..n).map(|i| i != seed as usize % n.max(1)).collect::<Vec<_>>()).unwrap();
             if view.selection().is_some() {
-                cases.push((&batch, WireSketch::of(&view).unwrap(), 0));
+                cases.push((&batch, WireSketch::of(&view), 0));
                 cases.push((&view, own, 0));
             }
             for (current, prior, reused) in cases {
                 let covered = (0..arity).filter(|&i| prior.covers(current, i)).count();
                 prop_assert_eq!(covered, reused, "columns the prior covers");
-                let sketch = WireSketch::reusing(current, &prior).unwrap();
-                prop_assert_eq!(&sketch, &WireSketch::of(current).unwrap());
+                let sketch = WireSketch::reusing(current, &prior);
+                prop_assert_eq!(&sketch, &WireSketch::of(current));
                 let size = reuse_size.sketched_wire_bytes(current, &sketch).unwrap();
                 prop_assert_eq!(size, sized(&mut fresh_size, current));
                 let blobs = reuse_tx.encode_sketched(current, &sketch).unwrap();

@@ -95,11 +95,11 @@ impl CabGenerator {
 
         // customer
         {
-            let schema = Arc::new(Schema::of(vec![
+            let schema = Arc::new(Schema::new(vec![
                 Field::new("c_id", DataType::Int64),
                 Field::new("c_region", DataType::Utf8),
                 Field::new("c_segment", DataType::Utf8),
-            ]));
+            ])?);
             let mut r = rng.fork(1);
             let mut b = TableBuilder::new(
                 TableId::new(0),
@@ -120,11 +120,11 @@ impl CabGenerator {
 
         // part
         {
-            let schema = Arc::new(Schema::of(vec![
+            let schema = Arc::new(Schema::new(vec![
                 Field::new("p_id", DataType::Int64),
                 Field::new("p_category", DataType::Utf8),
                 Field::new("p_price", DataType::Float64),
-            ]));
+            ])?);
             let mut r = rng.fork(2);
             let mut b = TableBuilder::new(
                 TableId::new(1),
@@ -145,12 +145,12 @@ impl CabGenerator {
 
         // orders
         {
-            let schema = Arc::new(Schema::of(vec![
+            let schema = Arc::new(Schema::new(vec![
                 Field::new("o_id", DataType::Int64),
                 Field::new("o_cust", DataType::Int64),
                 Field::new("o_date", DataType::Int64),
                 Field::new("o_total", DataType::Float64),
-            ]));
+            ])?);
             let mut r = rng.fork(3);
             let mut b = TableBuilder::new(
                 TableId::new(2),
@@ -176,13 +176,13 @@ impl CabGenerator {
 
         // lineitem
         {
-            let schema = Arc::new(Schema::of(vec![
+            let schema = Arc::new(Schema::new(vec![
                 Field::new("l_order", DataType::Int64),
                 Field::new("l_part", DataType::Int64),
                 Field::new("l_qty", DataType::Int64),
                 Field::new("l_price", DataType::Float64),
                 Field::new("l_discount", DataType::Float64),
-            ]));
+            ])?);
             let mut r = rng.fork(4);
             let part_ranks = Zipf::new(n_part as usize, self.config.part_skew);
             let mut b = TableBuilder::new(
