@@ -568,9 +568,10 @@ const DISTINCT_BITMAP_MIN_WORDS: u64 = 1 << 14;
 
 /// A distinct count that can make at least this many inserts into a word
 /// set groups the values by hash first and counts each group in a small
-/// [`WordSet`]: one set for them all would outgrow the caches (2 MiB of
-/// slots for 200 000 values) and pay a miss on most inserts. Bounded
-/// counts ([`DICT_INT_MAX_ENTRIES`]) never get here; table statistics do.
+/// [`WordSet`]: one set for them all holds 256 KiB of slots or more (2 MiB
+/// for 200 000 values), at up to 4/5 full, and pays a cache miss and a
+/// long probe on most inserts. Bounded counts ([`DICT_INT_MAX_ENTRIES`])
+/// never get here; table statistics do.
 const DISTINCT_GROUPED_MIN_INSERTS: usize = 1 << 14;
 
 /// A grouped count splits its values into `2^this` groups by the top bits
@@ -2508,14 +2509,19 @@ mod tests {
     fn grouped_count_matches_a_hash_set() {
         let mut r = ci_types::DetRng::seed_from_u64(5);
         let rows = DISTINCT_GROUPED_MIN_INSERTS + 1_000;
-        // Keys hashing into group 0 only: that group's set starts at twice
-        // a group's share and must grow past it.
+        // Keys hashing into group 0 only, four times a group's share of
+        // the rows: that group's set has room for twice the share, so it
+        // must grow to hold them. Each comes once, then the first one fills
+        // the rows, so a key the growth lost is not inserted again.
         let group_zero: Vec<i64> = std::iter::repeat_with(|| r.next_u64() as i64)
             .filter(|&x| mix(x as u64) >> (64 - DISTINCT_GROUP_BITS) == 0)
-            .take(4 * rows / (1 << DISTINCT_GROUP_BITS))
+            .take(8 * rows / (1 << DISTINCT_GROUP_BITS))
             .chain([0, 0])
             .collect();
-        let skewed: Vec<i64> = group_zero.iter().copied().cycle().take(rows).collect();
+        let skewed: Vec<i64> = (group_zero.iter().copied())
+            .chain(std::iter::repeat(group_zero[0]))
+            .take(rows)
+            .collect();
         let wide: Vec<i64> = (0..rows).map(|_| r.next_u64() as i64).collect();
         let few: Vec<i64> = (0..rows).map(|i| [7, 0, -3][i % 3] << 40).collect();
         for (what, vals) in [("skewed", skewed), ("wide", wide), ("few", few)] {
