@@ -50,22 +50,23 @@ impl Histogram {
         if buckets == 0 {
             return None;
         }
-        let point = lo == hi;
-        let mut counts = vec![0u64; if point { 1 } else { buckets }];
-        let k = domain_scale(lo, hi);
-        let width = (hi * k - lo * k) / buckets as f64;
-        let mut total = 0u64;
-        // `for_each` folds a flattened input chunk by chunk.
-        counted.filter(|(v, _)| v.is_finite()).for_each(|(v, c)| {
-            // v == hi lands in the last bucket.
-            let b = if point {
-                0
-            } else {
-                (((v * k - lo * k) / width) as usize).min(buckets - 1)
-            };
-            counts[b] += c;
-            total += c;
-        });
+        let finite = counted.filter(|(v, _)| v.is_finite());
+        let (counts, total) = if lo == hi {
+            let total = finite.map(|(_, c)| c).sum();
+            (vec![total], total)
+        } else {
+            let mut counts = vec![0u64; buckets];
+            let k = domain_scale(lo, hi);
+            let width = (hi * k - lo * k) / buckets as f64;
+            let mut total = 0u64;
+            // `for_each` folds a flattened input chunk by chunk.
+            finite.for_each(|(v, c)| {
+                // v == hi lands in the last bucket.
+                counts[(((v * k - lo * k) / width) as usize).min(buckets - 1)] += c;
+                total += c;
+            });
+            (counts, total)
+        };
         (total > 0).then_some(Histogram {
             lo,
             hi,
