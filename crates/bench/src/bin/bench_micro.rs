@@ -6,7 +6,8 @@
 //! `filter_numeric` predicate kernel against the pre-kernel predicate path,
 //! the engine's int-key join against `std` hash-map joins (`int_join_all_miss`
 //! probes only, `int_join_dense` builds and probes CAB's FK → PK shape,
-//! `int_join_fanout` a duplicate-key build fed in morsels),
+//! `int_join_fanout` a duplicate-key build fed in morsels), the sort sink's
+//! top-k against a `std` full sort (`topk_sort`),
 //! and the encoded-page kernels (`page_encode` round-trips columns through their
 //! size-picked codecs, `exchange_wire` serializes morsels through the wire
 //! format). In every entry `baseline_naive_ns` is the unoptimized path
@@ -16,6 +17,7 @@
 //! interned per page or chunk for the page and wire kernels;
 //! per-operator compaction for `filter_chain`;
 //! Plain-only codec picking for `page_encode_int`;
+//! a copied, fully sorted, truncated row vector for `topk_sort`;
 //! cloned, broadcast, per-row `Ordering` comparisons for `filter_numeric`) and
 //! `dict_ns` the optimized path; [`Report`] lists what else is recorded. The
 //! JSON lands at the repo root (or `$BENCH_MICRO_OUT`) so successive PRs can
@@ -46,8 +48,8 @@ use ci_bench::hotpath::{
     run_exchange_wire, run_exchange_wire_std, run_filter, run_filter_chain, run_filter_numeric,
     run_filter_numeric_naive, run_filter_std, run_group_by, run_group_by_std, run_int_join,
     run_int_join_probe, run_int_map_join, run_int_map_probe, run_join, run_join_std,
-    run_page_encode, run_page_encode_int, run_page_encode_std, sorted_int_batch, string_batch,
-    wide_batch,
+    run_page_encode, run_page_encode_int, run_page_encode_std, run_topk_sort, run_topk_sort_std,
+    sorted_int_batch, string_batch, topk_batch, topk_rows, wide_batch,
 };
 use ci_bench::report::{Measurement, Report, CARDINALITY, ROWS};
 use ci_types::{CiError, Result};
@@ -64,7 +66,8 @@ const DENSE_BUILD_ROWS: usize = 50_000;
 const FANOUT_KEYS: usize = 40_000;
 const FANOUT_PER_KEY: usize = 4;
 const FANOUT_PROBE_ROWS: usize = 40_000;
-/// Rows per build morsel of the fan-out join kernel.
+/// Rows per morsel of the fan-out join kernel's build and of the top-k
+/// kernel's input.
 const BUILD_MORSEL: usize = 8_192;
 /// Morsel size for the group-by kernel (matches the engine default's shape).
 const MORSEL: usize = 65_536;
@@ -123,6 +126,8 @@ fn main() -> Result<()> {
     let [fanout_build, fanout_probe] =
         fanout_join_fixture(FANOUT_KEYS, FANOUT_PER_KEY, FANOUT_PROBE_ROWS, 15);
     let fanout_morsels = morsels(&fanout_build, BUILD_MORSEL)?;
+    let topk = topk_batch(ROWS, 16);
+    let (topk_owned, topk_morsels) = (topk_rows(&topk)?, morsels(&topk, BUILD_MORSEL)?);
     let measurements = vec![
         versus(
             "filter_string_eq",
@@ -200,6 +205,14 @@ fn main() -> Result<()> {
             "int_join_fanout",
             || run_int_map_join(&fanout_build, &fanout_probe),
             || run_int_join(&fanout_morsels, &fanout_probe),
+        )?,
+        // Top-k, Q10's `ORDER BY o_total DESC, o_id LIMIT 100` over 200 000
+        // rows in 8 192-row morsels: a `std` full sort of the owned rows,
+        // then truncated, vs the `SortBuffer` with the limit pushed down.
+        versus(
+            "topk_sort",
+            || run_topk_sort_std(&topk_owned),
+            || run_topk_sort(&topk_morsels),
         )?,
     ];
 

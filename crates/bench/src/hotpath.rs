@@ -17,13 +17,13 @@ use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use ci_exec::operators::{AggregateState, JoinHashTable};
+use ci_exec::operators::{AggregateState, JoinHashTable, SortBuffer};
 use ci_plan::expr::{AggExpr, BinOp, ColMap, PlanExpr};
 use ci_sql::ast::AggFunc;
 use ci_storage::column::ColumnData;
 use ci_storage::pages::{self, PageCodec, WireEncoder, WireSketch};
 use ci_storage::schema::{Field, Schema, SchemaRef};
-use ci_storage::value::{DataType, Value};
+use ci_storage::value::{f64_sort_key, DataType, Value};
 use ci_storage::RecordBatch;
 use ci_types::{CiError, DetRng, Result};
 
@@ -301,6 +301,64 @@ pub fn fanout_join_fixture(
         RecordBatch::new(sorted_int_schema(), vec![ColumnData::Int64(keys), payload])
             .expect("int fixture batch")
     })
+}
+
+/// Rows the top-k kernel keeps: Q10's `LIMIT 100`.
+pub const TOPK_LIMIT: usize = 100;
+
+/// The top-k fixture, Q10's shape: an order total `s0` in cents up to
+/// 10 000 (so some totals repeat and the second key decides) and a
+/// distinct id `s1`, in arrival order.
+pub fn topk_batch(rows: usize, seed: u64) -> RecordBatch {
+    let mut rng = DetRng::seed_from_u64(seed);
+    let totals = (0..rows)
+        .map(|_| rng.u64_below(1_000_000) as f64 / 100.0)
+        .collect();
+    let columns = vec![
+        ColumnData::Float64(totals),
+        ColumnData::Int64((0..rows as i64).collect()),
+    ];
+    RecordBatch::new(numeric_schema(), columns).expect("top-k fixture batch")
+}
+
+/// [`topk_batch`]'s rows, owned: the input of the `std` top-k baseline.
+pub fn topk_rows(batch: &RecordBatch) -> Result<Vec<(f64, i64)>> {
+    let (totals, ids) = (batch.column(0).as_f64()?, batch.column(1).as_i64()?);
+    Ok(totals.iter().copied().zip(ids.iter().copied()).collect())
+}
+
+/// The ids of a top-k result folded in order, so both arms must agree on
+/// which rows won and on their order.
+fn topk_check(ids: impl Iterator<Item = i64>) -> usize {
+    ids.fold(0usize, |acc, id| {
+        acc.wrapping_mul(31).wrapping_add(id as usize)
+    })
+}
+
+/// Top-k kernel: `ORDER BY s0 DESC, s1 LIMIT` [`TOPK_LIMIT`] through the
+/// engine's [`SortBuffer`], fed the morsels as a scan streams them.
+/// Returns the ordered ids' checksum.
+pub fn run_topk_sort(morsels: &[RecordBatch]) -> Result<usize> {
+    let mut sort =
+        SortBuffer::new(numeric_schema(), vec![(0, false), (1, true)]).with_limit(Some(TOPK_LIMIT));
+    for m in morsels {
+        sort.push(m.clone());
+    }
+    let out = sort.finalize()?;
+    Ok(topk_check(out.column(1).as_i64()?.iter().copied()))
+}
+
+/// [`run_topk_sort`]'s baseline: the owned rows copied, fully sorted by
+/// `std` in the same order, and truncated.
+pub fn run_topk_sort_std(rows: &[(f64, i64)]) -> Result<usize> {
+    let mut rows = rows.to_vec();
+    rows.sort_by(|a, b| {
+        f64_sort_key(b.0)
+            .cmp(&f64_sort_key(a.0))
+            .then(a.1.cmp(&b.1))
+    });
+    rows.truncate(TOPK_LIMIT);
+    Ok(topk_check(rows.iter().map(|r| r.1)))
 }
 
 /// `batch` cut into consecutive morsels of `rows` rows (the last shorter),
@@ -669,6 +727,20 @@ mod tests {
             run_join(&dict, &probe_d).unwrap(),
             run_join_std(&owned, &probe_n).unwrap()
         );
+    }
+
+    #[test]
+    fn topk_arms_agree_on_the_winners_and_their_order() {
+        let batch = topk_batch(5_000, 7);
+        let rows = topk_rows(&batch).unwrap();
+        let want = run_topk_sort_std(&rows).unwrap();
+        assert_eq!(run_topk_sort(&morsels(&batch, 512).unwrap()).unwrap(), want);
+        // The check binds the order, not only the set of winners.
+        let mut sorted = rows.clone();
+        sorted.sort_by(|a, b| b.0.total_cmp(&a.0).then(a.1.cmp(&b.1)));
+        let ids = sorted[..TOPK_LIMIT].iter().map(|r| r.1);
+        assert_eq!(topk_check(ids.clone()), want);
+        assert_ne!(topk_check(ids.rev()), want);
     }
 
     #[test]

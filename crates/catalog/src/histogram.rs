@@ -58,11 +58,17 @@ impl Histogram {
             let mut counts = vec![0u64; buckets];
             let k = domain_scale(lo, hi);
             let width = (hi * k - lo * k) / buckets as f64;
+            // Row `v` goes to bucket `⌊(v·k − lo·k) / width⌋`: the last one
+            // from `hi` on, the first for a negative or NaN quotient. Clamped
+            // as a float first, the quotient gives the index a saturating
+            // `as usize` and `min(buckets - 1)` gives, through the cheaper
+            // `u32` conversion: that conversion, not the division, was most
+            // of a row's cost. (A histogram has far fewer than 2^32 buckets.)
+            let last = (buckets - 1) as f64;
             let mut total = 0u64;
             // `for_each` folds a flattened input chunk by chunk.
             finite.for_each(|(v, c)| {
-                // v == hi lands in the last bucket.
-                counts[(((v * k - lo * k) / width) as usize).min(buckets - 1)] += c;
+                counts[((v * k - lo * k) / width).max(0.0).min(last) as u32 as usize] += c;
                 total += c;
             });
             (counts, total)
@@ -73,6 +79,11 @@ impl Histogram {
             counts,
             total,
         })
+    }
+
+    /// Rows per bucket, lowest bucket first.
+    pub fn counts(&self) -> &[u64] {
+        &self.counts
     }
 
     /// Total row count the histogram covers.

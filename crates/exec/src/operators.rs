@@ -38,7 +38,7 @@ use ci_sql::ast::AggFunc;
 use ci_storage::column::ColumnData;
 use ci_storage::dict::Dictionary;
 use ci_storage::schema::{Field, Schema, SchemaRef};
-use ci_storage::value::{DataType, Value};
+use ci_storage::value::{f64_sort_key, DataType, Value};
 use ci_storage::RecordBatch;
 use ci_types::{CiError, Result};
 
@@ -851,13 +851,18 @@ impl AggregateState {
 /// Buffers batches for a sort breaker and produces the sorted output.
 ///
 /// Buffered batches are kept exactly as they stream in — deferred filter
-/// selections and all. [`SortBuffer::finalize`] sorts a global index
-/// permutation that reads every key column *in place* through its batch's
-/// selection, so the pre-sort `concat` copy the sorter used to pay is gone:
-/// the only materialization is the sorted output itself. With a
-/// [`SortBuffer::with_limit`] bound (a `LIMIT` directly consuming the
-/// sort), only the top-k rows are selected and gathered, so the sink never
-/// materializes rows the query will discard.
+/// selections and all. [`SortBuffer::finalize`] sorts row addresses that
+/// read every key column *in place* through its batch's selection, so the
+/// only materialization is the sorted output itself.
+///
+/// The order is total: each key compares in its column's own order
+/// (numbers ascending with `-0.0` equal to `0.0` and NaN after every number,
+/// as [`f64_sort_key`] defines; strings by value, whatever dictionary holds
+/// them; `false` before `true`), `DESC` reverses a key (so NaN comes first
+/// there), and rows equal on every key keep their arrival order. With a
+/// [`SortBuffer::with_limit`] bound (a `LIMIT` directly consuming the sort)
+/// only rows that can still be among the first `k` are kept, so the sink
+/// neither orders nor materializes rows the query will discard.
 #[derive(Debug)]
 pub struct SortBuffer {
     schema: SchemaRef,
@@ -867,6 +872,18 @@ pub struct SortBuffer {
     limit: Option<usize>,
     buffered: Vec<RecordBatch>,
 }
+
+/// Rows a limited sort gathers past its limit before selecting back down,
+/// at the least. When nearly every row beats the bar (input arriving in
+/// the reverse of the wanted order) each selection then serves a thousand
+/// rows, not `k`: at `LIMIT 1` a selection per row would cost more than
+/// sorting every address.
+const MIN_SORT_SLACK: usize = 1_024;
+
+/// A row competing for the output: its first key as an order word
+/// ([`SortCol::word`], inverted for `DESC`), then its address (batch,
+/// physical row), which is also its arrival order.
+type SortCand = (u64, u32, u32);
 
 impl SortBuffer {
     /// New sort state; `keys` index into the batch layout.
@@ -897,62 +914,88 @@ impl SortBuffer {
         self.buffered.iter().map(RecordBatch::rows).sum()
     }
 
-    /// Sorts and returns the output. Comparators read columns in place —
-    /// no per-comparison `Value`, no pre-sort compaction (and for dict
-    /// columns sharing one dictionary, a one-time rank table turns string
-    /// comparisons into integer comparisons).
+    /// Sorts and returns the output. Every row is offered once, in arrival
+    /// order, against a running *bar*: under a limit `k`, the `k`-th best
+    /// row kept at the last selection. A row that does not beat the bar
+    /// costs one comparison of its first key's order word and is dropped;
+    /// the rest are kept as candidates, and when `2k` (at least
+    /// `k +` [`MIN_SORT_SLACK`]) are kept they are selected back down to
+    /// `k`, which raises the bar. Only the surviving candidates are
+    /// selected and sorted.
     pub fn finalize(self) -> Result<RecordBatch> {
-        if self.buffered.is_empty() {
-            return Ok(RecordBatch::empty(self.schema));
-        }
-        // Global row addresses in buffer-arrival (= original logical)
-        // order: (batch, physical row), read through each selection.
-        let mut addrs: Vec<(u32, u32)> = Vec::with_capacity(self.rows());
-        for (bi, b) in self.buffered.iter().enumerate() {
-            match b.selection() {
-                Some(sel) => addrs.extend(sel.iter().map(|p| (bi as u32, p as u32))),
-                None => addrs.extend((0..b.physical_rows()).map(|p| (bi as u32, p as u32))),
-            }
-        }
-        // Per-key, per-batch in-place readers.
-        let key_cols: Vec<(Vec<SortCol>, bool)> = self
-            .keys
-            .iter()
-            .map(|&(pos, asc)| (SortCol::for_batches(&self.buffered, pos), asc))
-            .collect();
-        let cmp = |a: &(u32, u32), b: &(u32, u32)| {
-            for (cols, asc) in &key_cols {
-                let ord = SortCol::cmp_across(
-                    &cols[a.0 as usize],
-                    a.1 as usize,
-                    &cols[b.0 as usize],
-                    b.1 as usize,
-                );
-                let ord = if *asc { ord } else { ord.reverse() };
-                if ord != Ordering::Equal {
-                    return ord;
-                }
-            }
-            // Tie-break on the original position for determinism; this also
-            // makes the comparator a strict total order, so the unstable
-            // sorts below are deterministic.
-            a.cmp(b)
-        };
-        let keep = self.limit.map_or(addrs.len(), |k| k.min(addrs.len()));
+        let rows = self.rows();
+        let keep = self.limit.map_or(rows, |k| k.min(rows));
         if keep == 0 {
             return Ok(RecordBatch::empty(self.schema));
         }
-        if keep < addrs.len() {
-            // Top-k: partition the k smallest to the front, sort only them.
-            addrs.select_nth_unstable_by(keep - 1, cmp);
-            addrs.truncate(keep);
+        // Per-key, per-batch in-place readers. With no keys at all, rows
+        // keep their arrival order.
+        let keys: Vec<(Vec<SortCol>, u64)> = self
+            .keys
+            .iter()
+            .map(|&(pos, asc)| {
+                let flip = if asc { 0 } else { u64::MAX };
+                (SortCol::for_batches(&self.buffered, pos), flip)
+            })
+            .collect();
+        let (first, rest) = match keys.split_first() {
+            Some((first, rest)) => (Some(first), rest),
+            None => (None, &[][..]),
+        };
+        let cmp = |a: &SortCand, b: &SortCand| {
+            a.0.cmp(&b.0)
+                .then_with(|| {
+                    rest.iter()
+                        .map(|(cols, flip)| {
+                            let x = cols[a.1 as usize].word(a.2 as usize) ^ flip;
+                            x.cmp(&(cols[b.1 as usize].word(b.2 as usize) ^ flip))
+                        })
+                        .find(|o| o.is_ne())
+                        .unwrap_or(Ordering::Equal)
+                })
+                .then_with(|| (a.1, a.2).cmp(&(b.1, b.2)))
+        };
+
+        let cap = if keep < rows {
+            keep.saturating_add(keep.max(MIN_SORT_SLACK))
+        } else {
+            usize::MAX
+        };
+        let mut top = Candidates {
+            cands: Vec::with_capacity(cap.min(rows)),
+            keep,
+            cap,
+            bar: None,
+            cmp,
+        };
+        for (bi, b) in self.buffered.iter().enumerate() {
+            // The first key's reader is matched once per batch, not per row.
+            let Some((cols, flip)) = first else {
+                top.offer_batch(bi, b, |_| 0);
+                continue;
+            };
+            match &cols[bi] {
+                SortCol::I64(v) => top.offer_batch(bi, b, |p| i64_word(v[p]) ^ flip),
+                SortCol::F64(v) => top.offer_batch(bi, b, |p| f64_sort_key(v[p]) ^ flip),
+                SortCol::Bool(v) => top.offer_batch(bi, b, |p| v[p] as u64 ^ flip),
+                SortCol::Dict(ids, ranks) => {
+                    top.offer_batch(bi, b, |p| ranks[ids[p] as usize] as u64 ^ flip)
+                }
+            }
         }
-        addrs.sort_unstable_by(cmp);
-        drop(key_cols);
+        let Candidates { mut cands, cmp, .. } = top;
+        if cands.len() > keep {
+            cands.select_nth_unstable_by(keep - 1, cmp);
+            cands.truncate(keep);
+        }
+        // A strict total order (addresses are distinct), so the unstable
+        // sort is deterministic.
+        cands.sort_unstable_by(cmp);
+        drop(keys);
 
         // Materialize the sorted permutation — the sink's single copy.
         if let [only] = &self.buffered[..] {
-            let phys: Vec<usize> = addrs.iter().map(|&(_, p)| p as usize).collect();
+            let phys: Vec<usize> = cands.iter().map(|&(_, _, p)| p as usize).collect();
             return only.unselected().take(&phys)?.with_schema(self.schema);
         }
         let mut columns: Vec<ColumnData> = self.buffered[0]
@@ -960,7 +1003,7 @@ impl SortBuffer {
             .iter()
             .map(|c| c.slice(0, 0))
             .collect();
-        for &(bi, p) in &addrs {
+        for &(_, bi, p) in &cands {
             let src = &self.buffered[bi as usize];
             for (dst, col) in columns.iter_mut().zip(src.columns()) {
                 dst.push_from(col, p as usize)?;
@@ -970,79 +1013,123 @@ impl SortBuffer {
     }
 }
 
-/// A sort key column prepared for in-place row comparisons.
+/// The rows a sort still keeps: every row that beat the bar when it
+/// arrived, at most `cap` of them (`usize::MAX` when every row is kept).
+struct Candidates<C> {
+    cands: Vec<SortCand>,
+    keep: usize,
+    cap: usize,
+    /// The `keep`-th best candidate since the last selection.
+    bar: Option<SortCand>,
+    cmp: C,
+}
+
+impl<C: Fn(&SortCand, &SortCand) -> Ordering> Candidates<C> {
+    /// Offers every logical row of batch `bi`, whose first-key order word
+    /// at physical row `p` is `word(p)`.
+    fn offer_batch(&mut self, bi: usize, b: &RecordBatch, word: impl Fn(usize) -> u64) {
+        match b.selection() {
+            Some(sel) => self.offer_rows(bi, sel.iter(), word),
+            None => self.offer_rows(bi, 0..b.physical_rows(), word),
+        }
+    }
+
+    fn offer_rows(
+        &mut self,
+        bi: usize,
+        rows: impl Iterator<Item = usize>,
+        word: impl Fn(usize) -> u64,
+    ) {
+        // The bar's word, kept apart so a dropped row costs one comparison.
+        let mut bar_word = self.bar.map_or(u64::MAX, |bar| bar.0);
+        for p in rows {
+            let w = word(p);
+            if w <= bar_word {
+                bar_word = self.admit((w, bi as u32, p as u32));
+            }
+        }
+    }
+
+    /// Keeps `c` unless it loses to the bar; returns the bar's word.
+    #[inline(always)]
+    fn admit(&mut self, c: SortCand) -> u64 {
+        if let Some(bar) = self.bar {
+            // Arrival order breaks ties, and `c` arrived last.
+            if c.0 == bar.0 && (self.cmp)(&c, &bar) != Ordering::Less {
+                return bar.0;
+            }
+        }
+        self.cands.push(c);
+        if self.cands.len() == self.cap {
+            self.cands.select_nth_unstable_by(self.keep - 1, &self.cmp);
+            self.cands.truncate(self.keep);
+            self.bar = Some(self.cands[self.keep - 1]);
+        }
+        self.bar.map_or(u64::MAX, |bar| bar.0)
+    }
+}
+
+/// An `i64`'s order word: its unsigned order is the signed one.
+fn i64_word(x: i64) -> u64 {
+    x as u64 ^ 1 << 63
+}
+
+/// One batch's sort key column, read as order words.
 enum SortCol<'a> {
     I64(&'a [i64]),
     F64(&'a [f64]),
     Bool(&'a [bool]),
-    /// Dict ids plus the dictionary's lexicographic rank per id. Only built
-    /// when every buffered batch shares one dictionary `Arc`, so ranks from
-    /// different readers are mutually comparable.
-    DictRank(&'a [u32], Arc<Vec<u32>>),
-    /// Dict ids compared by decoded string — the cross-dictionary fallback.
-    DictStr(&'a [u32], &'a Dictionary),
+    /// Dict ids plus every id's rank in one lexicographic order shared by
+    /// the dictionaries of all buffered batches, so ranks of different
+    /// batches compare whether or not their dictionaries are one.
+    Dict(&'a [u32], Arc<Vec<u32>>),
 }
 
 impl<'a> SortCol<'a> {
-    /// Readers for column `pos` of every batch. Dict columns get shared
-    /// rank tables only when all batches point at one dictionary.
+    /// Readers for column `pos` of every batch. Dict columns share one rank
+    /// table per distinct dictionary.
     fn for_batches(batches: &'a [RecordBatch], pos: usize) -> Vec<SortCol<'a>> {
-        let shared_ranks: Option<Arc<Vec<u32>>> = match batches[0].column(pos) {
-            ColumnData::Dict { dict, .. }
-                if batches.iter().all(|b| {
-                    matches!(b.column(pos), ColumnData::Dict { dict: d, .. }
-                             if Arc::ptr_eq(d, dict))
-                }) =>
-            {
-                Some(Arc::new(dict.sort_ranks()))
-            }
-            _ => None,
-        };
+        let mut dicts: Vec<&Arc<Dictionary>> = Vec::new();
+        let dict_of: Vec<usize> = batches
+            .iter()
+            .map(|b| match b.column(pos) {
+                ColumnData::Dict { dict, .. } => {
+                    match dicts.iter().position(|d| Arc::ptr_eq(d, dict)) {
+                        Some(d) => d,
+                        None => {
+                            dicts.push(dict);
+                            dicts.len() - 1
+                        }
+                    }
+                }
+                _ => 0,
+            })
+            .collect();
+        let plain: Vec<&Dictionary> = dicts.iter().map(|d| d.as_ref()).collect();
+        let ranks: Vec<Arc<Vec<u32>>> = Dictionary::joint_ranks(&plain)
+            .into_iter()
+            .map(Arc::new)
+            .collect();
         batches
             .iter()
-            .map(|b| {
-                let c = b.column(pos);
-                match c {
-                    ColumnData::Int64(v) => SortCol::I64(v),
-                    ColumnData::Float64(v) => SortCol::F64(v),
-                    ColumnData::Bool(v) => SortCol::Bool(v),
-                    ColumnData::Dict { ids, dict } => match &shared_ranks {
-                        Some(ranks) => SortCol::DictRank(ids, ranks.clone()),
-                        None => SortCol::DictStr(ids, dict),
-                    },
-                }
+            .zip(dict_of)
+            .map(|(b, d)| match b.column(pos) {
+                ColumnData::Int64(v) => SortCol::I64(v),
+                ColumnData::Float64(v) => SortCol::F64(v),
+                ColumnData::Bool(v) => SortCol::Bool(v),
+                ColumnData::Dict { ids, .. } => SortCol::Dict(ids, ranks[d].clone()),
             })
             .collect()
     }
 
-    /// Borrowed string at row `i`; `None` from a non-string reader.
-    fn str_at(&self, i: usize) -> Option<&str> {
+    /// Row `i`'s key as a word whose unsigned order is the column's
+    /// ascending sort order.
+    fn word(&self, i: usize) -> u64 {
         match self {
-            SortCol::DictStr(ids, dict) => Some(dict.get(ids[i])),
-            _ => None,
-        }
-    }
-
-    /// Compares row `a` of one batch's reader against row `b` of another's
-    /// (both readers cover the same key column, so variants agree up to
-    /// rank table).
-    fn cmp_across(a_col: &SortCol, a: usize, b_col: &SortCol, b: usize) -> Ordering {
-        match (a_col, b_col) {
-            (SortCol::I64(x), SortCol::I64(y)) => x[a].cmp(&y[b]),
-            // NaNs compare equal, matching `Value::partial_cmp_sql`'s
-            // unwrap-to-equal behaviour the sorter always used.
-            (SortCol::F64(x), SortCol::F64(y)) => {
-                x[a].partial_cmp(&y[b]).unwrap_or(Ordering::Equal)
-            }
-            (SortCol::Bool(x), SortCol::Bool(y)) => x[a].cmp(&y[b]),
-            // Rank tables are only constructed over one shared dictionary,
-            // so rank order is value order across readers.
-            (SortCol::DictRank(xi, xr), SortCol::DictRank(yi, yr)) => {
-                xr[xi[a] as usize].cmp(&yr[yi[b] as usize])
-            }
-            // Only string readers are left: every batch's reader covers the
-            // same key column, so non-string variants always pair up above.
-            (x, y) => x.str_at(a).cmp(&y.str_at(b)),
+            SortCol::I64(v) => i64_word(v[i]),
+            SortCol::F64(v) => f64_sort_key(v[i]),
+            SortCol::Bool(v) => v[i] as u64,
+            SortCol::Dict(ids, ranks) => ranks[ids[i] as usize] as u64,
         }
     }
 }

@@ -91,15 +91,30 @@ impl Dictionary {
         self.values[id as usize].len() + 4
     }
 
-    /// Rank of each entry under lexicographic order: `ranks()[id]` is the
-    /// sort position of entry `id`. Lets sorts compare dict columns with one
-    /// integer comparison per row after an `O(|dict| log |dict|)` prepass.
-    pub fn sort_ranks(&self) -> Vec<u32> {
-        let mut order: Vec<u32> = (0..self.values.len() as u32).collect();
-        order.sort_by(|&a, &b| self.values[a as usize].cmp(&self.values[b as usize]));
-        let mut ranks = vec![0u32; self.values.len()];
-        for (rank, &id) in order.iter().enumerate() {
-            ranks[id as usize] = rank as u32;
+    /// Every entry's rank in one lexicographic order over several
+    /// dictionaries: `ranks[d][id]` orders entry `id` of `dicts[d]`, and
+    /// equal strings rank equal whichever dictionary holds them. Lets sorts
+    /// compare dict columns with one integer comparison per row after an
+    /// `O(n log n)` prepass over the dictionaries' `n` entries.
+    pub fn joint_ranks(dicts: &[&Dictionary]) -> Vec<Vec<u32>> {
+        let mut order: Vec<(&str, usize, usize)> = dicts
+            .iter()
+            .enumerate()
+            .flat_map(|(d, dict)| {
+                dict.values
+                    .iter()
+                    .enumerate()
+                    .map(move |(id, s)| (&**s, d, id))
+            })
+            .collect();
+        order.sort_unstable_by(|a, b| a.0.cmp(b.0));
+        let mut ranks: Vec<Vec<u32>> = dicts.iter().map(|d| vec![0; d.len()]).collect();
+        let mut rank = 0u32;
+        for (i, &(s, d, id)) in order.iter().enumerate() {
+            if i > 0 && order[i - 1].0 != s {
+                rank += 1;
+            }
+            ranks[d][id] = rank;
         }
         ranks
     }
@@ -214,7 +229,13 @@ mod tests {
     fn sort_ranks_follow_lexicographic_order() {
         let (dict, _) = encode(["m", "a", "z"].into_iter());
         // ids: m=0, a=1, z=2; sorted: a < m < z.
-        assert_eq!(dict.sort_ranks(), vec![1, 0, 2]);
+        assert_eq!(Dictionary::joint_ranks(&[&dict]), vec![vec![1, 0, 2]]);
+        // Across dictionaries, equal strings share a rank.
+        let (other, _) = encode(["z", "b", "a"].into_iter());
+        assert_eq!(
+            Dictionary::joint_ranks(&[&dict, &other]),
+            vec![vec![2, 0, 3], vec![3, 1, 0]]
+        );
     }
 
     #[test]

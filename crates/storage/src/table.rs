@@ -11,7 +11,7 @@ use crate::pages::WireSketch;
 use crate::partition::MicroPartition;
 use crate::pruning::ColumnBound;
 use crate::schema::SchemaRef;
-use crate::value::DataType;
+use crate::value::{f64_sort_key, DataType};
 
 /// A stored table.
 #[derive(Debug, Clone)]
@@ -186,17 +186,11 @@ impl Table {
         let mut indices: Vec<usize> = (0..all.rows()).collect();
         // A stable sort on the key's own type: each comparison agrees with
         // `Value::partial_cmp_sql`, so the permutation is the one a sort over
-        // `Value`s gives, without building any. NaN, which that leaves
-        // unordered, sorts after every number: a comparator that called it
-        // equal to everything would not be a total order, and the standard
-        // sort may panic on one.
+        // `Value`s gives, without building any. Floats sort in the sort
+        // sink's order ([`f64_sort_key`]), which puts NaN last.
         match all.column(column) {
             ColumnData::Int64(v) => indices.sort_by_key(|&i| v[i]),
-            ColumnData::Float64(v) => indices.sort_by(|&a, &b| {
-                let (x, y) = (v[a], v[b]);
-                x.partial_cmp(&y)
-                    .unwrap_or_else(|| x.is_nan().cmp(&y.is_nan()))
-            }),
+            ColumnData::Float64(v) => indices.sort_by_key(|&i| f64_sort_key(v[i])),
             ColumnData::Bool(v) => indices.sort_by_key(|&i| v[i]),
             ColumnData::Dict { ids, dict } => {
                 indices.sort_by(|&a, &b| dict.get(ids[a]).cmp(dict.get(ids[b])))

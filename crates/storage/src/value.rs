@@ -41,6 +41,25 @@ impl fmt::Display for DataType {
     }
 }
 
+/// `x`'s place in the one order every float sort uses, as a word whose
+/// unsigned order is that order: numbers ascending, `-0.0` equal to `0.0`,
+/// and NaN after every number, all NaNs equal. `Value::partial_cmp_sql`
+/// agrees with it wherever it orders a pair; it leaves NaN unordered, and a
+/// comparator that called NaN equal to everything would not be a total
+/// order, which the standard sorts may panic on.
+pub fn f64_sort_key(x: f64) -> u64 {
+    if x.is_nan() {
+        return u64::MAX;
+    }
+    // `-0.0 + 0.0` is `0.0`; every other value is unchanged.
+    let bits = (x + 0.0).to_bits();
+    if bits >> 63 == 0 {
+        bits | 1 << 63
+    } else {
+        !bits
+    }
+}
+
 /// A single scalar value.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Value {
@@ -158,6 +177,27 @@ impl From<bool> for Value {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn float_sort_key_orders_numbers_then_nan() {
+        let ascending = [
+            f64::NEG_INFINITY,
+            -f64::MAX,
+            -1.5,
+            -f64::MIN_POSITIVE,
+            -5e-324,
+            0.0,
+            5e-324,
+            1.5,
+            f64::MAX,
+            f64::INFINITY,
+            f64::NAN,
+        ];
+        let keys: Vec<u64> = ascending.iter().map(|&x| f64_sort_key(x)).collect();
+        assert!(keys.windows(2).all(|w| w[0] < w[1]), "{keys:x?}");
+        assert_eq!(f64_sort_key(-0.0), f64_sort_key(0.0));
+        assert_eq!(f64_sort_key(-f64::NAN), f64_sort_key(f64::NAN));
+    }
 
     #[test]
     fn type_of_value() {
