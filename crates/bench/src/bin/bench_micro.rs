@@ -110,23 +110,23 @@ fn main() -> Result<()> {
     // ids for the engine.
     let (owned, dict) = (
         owned_rows(ROWS, CARDINALITY, 11),
-        string_batch(ROWS, CARDINALITY, 11),
+        string_batch(ROWS, CARDINALITY, 11)?,
     );
     let owned_probe = owned_rows(STRING_JOIN_PROBE_ROWS, CARDINALITY * 2, 12);
-    let dict_probe = string_batch(STRING_JOIN_PROBE_ROWS, CARDINALITY * 2, 12);
-    let wide = wide_batch(ROWS, CARDINALITY, 11);
-    let ints = sorted_int_batch(ROWS);
+    let dict_probe = string_batch(STRING_JOIN_PROBE_ROWS, CARDINALITY * 2, 12)?;
+    let wide = wide_batch(ROWS, CARDINALITY, 11)?;
+    let ints = sorted_int_batch(ROWS)?;
     let numeric = numeric_batch(ROWS, 11)?;
-    let [build, probe] = all_miss_fixture(ROWS, ROWS / 2, 13);
+    let [build, probe] = all_miss_fixture(ROWS, ROWS / 2, 13)?;
     let (map, table) = (
         int_join_map(&build)?,
         int_join_table(std::slice::from_ref(&build))?,
     );
-    let [dense_build, dense_probe] = dense_join_fixture(DENSE_BUILD_ROWS, ROWS, 14);
+    let [dense_build, dense_probe] = dense_join_fixture(DENSE_BUILD_ROWS, ROWS, 14)?;
     let [fanout_build, fanout_probe] =
-        fanout_join_fixture(FANOUT_KEYS, FANOUT_PER_KEY, FANOUT_PROBE_ROWS, 15);
+        fanout_join_fixture(FANOUT_KEYS, FANOUT_PER_KEY, FANOUT_PROBE_ROWS, 15)?;
     let fanout_morsels = morsels(&fanout_build, BUILD_MORSEL)?;
-    let topk = topk_batch(ROWS, 16);
+    let topk = topk_batch(ROWS, 16)?;
     let (topk_owned, topk_morsels) = (topk_rows(&topk)?, morsels(&topk, BUILD_MORSEL)?);
     let measurements = vec![
         versus(

@@ -38,10 +38,10 @@ pub fn hot_schema() -> SchemaRef {
 /// A deterministic string-keyed batch: `rows` rows over `cardinality`
 /// distinct keys (`grp00042`-style, realistically sized), plus an int
 /// payload.
-pub fn string_batch(rows: usize, cardinality: usize, seed: u64) -> RecordBatch {
+pub fn string_batch(rows: usize, cardinality: usize, seed: u64) -> Result<RecordBatch> {
     let OwnedRows { keys, ints } = owned_rows(rows, cardinality, seed);
     let columns = vec![ColumnData::strings(keys), ColumnData::Int64(ints)];
-    RecordBatch::new(hot_schema(), columns).expect("fixture batch")
+    RecordBatch::new(hot_schema(), columns)
 }
 
 /// [`string_batch`]'s rows with the keys as owned strings: the input of the
@@ -209,17 +209,17 @@ pub fn run_join_std(build: &OwnedRows, probe: &OwnedRows) -> Result<usize> {
 /// keys and a probe batch of `probe_rows` odd keys from the same range — no
 /// probe key is on the build side, and no range check could tell. The shape
 /// a semi-join-heavy workload has and no CAB template does.
-pub fn all_miss_fixture(build_rows: usize, probe_rows: usize, seed: u64) -> [RecordBatch; 2] {
+pub fn all_miss_fixture(
+    build_rows: usize,
+    probe_rows: usize,
+    seed: u64,
+) -> Result<[RecordBatch; 2]> {
     let mut rng = DetRng::seed_from_u64(seed);
     let build: Vec<i64> = (0..build_rows as i64).map(|i| 2 * i).collect();
     let probe: Vec<i64> = (0..probe_rows)
         .map(|_| 2 * rng.u64_below(build_rows.max(1) as u64) as i64 + 1)
         .collect();
-    [build, probe].map(|keys| {
-        let payload = ColumnData::Int64((0..keys.len() as i64).collect());
-        RecordBatch::new(sorted_int_schema(), vec![ColumnData::Int64(keys), payload])
-            .expect("int fixture batch")
-    })
+    int_key_batches([build, probe])
 }
 
 /// A finalized [`JoinHashTable`] over the key column of the build rows,
@@ -260,7 +260,11 @@ pub fn run_int_map_probe(map: &HashMap<i64, u32>, probe: &RecordBatch) -> Result
 /// distinct ids `0..build_rows` in shuffled order (the primary keys) and a
 /// probe batch of `probe_rows` references drawn from them (the foreign
 /// keys) — every probe row finds exactly one build row.
-pub fn dense_join_fixture(build_rows: usize, probe_rows: usize, seed: u64) -> [RecordBatch; 2] {
+pub fn dense_join_fixture(
+    build_rows: usize,
+    probe_rows: usize,
+    seed: u64,
+) -> Result<[RecordBatch; 2]> {
     let mut rng = DetRng::seed_from_u64(seed);
     let mut build: Vec<i64> = (0..build_rows as i64).collect();
     for i in (1..build.len()).rev() {
@@ -269,11 +273,7 @@ pub fn dense_join_fixture(build_rows: usize, probe_rows: usize, seed: u64) -> [R
     let probe: Vec<i64> = (0..probe_rows)
         .map(|_| rng.u64_below(build_rows.max(1) as u64) as i64)
         .collect();
-    [build, probe].map(|keys| {
-        let payload = ColumnData::Int64((0..keys.len() as i64).collect());
-        RecordBatch::new(sorted_int_schema(), vec![ColumnData::Int64(keys), payload])
-            .expect("int fixture batch")
-    })
+    int_key_batches([build, probe])
 }
 
 /// Fan-out fixture, the shape of Q4's and Q9's `lineitem` builds: a build
@@ -285,7 +285,7 @@ pub fn fanout_join_fixture(
     per_key: usize,
     probe_rows: usize,
     seed: u64,
-) -> [RecordBatch; 2] {
+) -> Result<[RecordBatch; 2]> {
     let mut rng = DetRng::seed_from_u64(seed);
     let mut build: Vec<i64> = (0..(keys * per_key) as i64)
         .map(|i| i / per_key as i64)
@@ -296,11 +296,17 @@ pub fn fanout_join_fixture(
     let probe: Vec<i64> = (0..probe_rows)
         .map(|_| rng.u64_below(keys.max(1) as u64) as i64)
         .collect();
-    [build, probe].map(|keys| {
+    int_key_batches([build, probe])
+}
+
+/// The build and probe keys of an int-join fixture as batches of the key
+/// and a row-number payload.
+fn int_key_batches(sides: [Vec<i64>; 2]) -> Result<[RecordBatch; 2]> {
+    let [build, probe] = sides.map(|keys| {
         let payload = ColumnData::Int64((0..keys.len() as i64).collect());
         RecordBatch::new(sorted_int_schema(), vec![ColumnData::Int64(keys), payload])
-            .expect("int fixture batch")
-    })
+    });
+    Ok([build?, probe?])
 }
 
 /// Rows the top-k kernel keeps: Q10's `LIMIT 100`.
@@ -309,7 +315,7 @@ pub const TOPK_LIMIT: usize = 100;
 /// The top-k fixture, Q10's shape: an order total `s0` in cents up to
 /// 10 000 (so some totals repeat and the second key decides) and a
 /// distinct id `s1`, in arrival order.
-pub fn topk_batch(rows: usize, seed: u64) -> RecordBatch {
+pub fn topk_batch(rows: usize, seed: u64) -> Result<RecordBatch> {
     let mut rng = DetRng::seed_from_u64(seed);
     let totals = (0..rows)
         .map(|_| rng.u64_below(1_000_000) as f64 / 100.0)
@@ -318,7 +324,7 @@ pub fn topk_batch(rows: usize, seed: u64) -> RecordBatch {
         ColumnData::Float64(totals),
         ColumnData::Int64((0..rows as i64).collect()),
     ];
-    RecordBatch::new(numeric_schema(), columns).expect("top-k fixture batch")
+    RecordBatch::new(numeric_schema(), columns)
 }
 
 /// [`topk_batch`]'s rows, owned: the input of the `std` top-k baseline.
@@ -418,7 +424,7 @@ pub fn wide_schema() -> SchemaRef {
 
 /// A deterministic wide batch: the same string key distribution as
 /// [`string_batch`] plus [`WIDE_PAYLOADS`] int payload columns.
-pub fn wide_batch(rows: usize, cardinality: usize, seed: u64) -> RecordBatch {
+pub fn wide_batch(rows: usize, cardinality: usize, seed: u64) -> Result<RecordBatch> {
     let keys = owned_rows(rows, cardinality, seed).keys;
     let mut columns = vec![ColumnData::strings(keys)];
     for p in 0..WIDE_PAYLOADS as i64 {
@@ -426,7 +432,7 @@ pub fn wide_batch(rows: usize, cardinality: usize, seed: u64) -> RecordBatch {
             (0..rows as i64).map(|i| (i * (p + 3)) % 1_000).collect(),
         ));
     }
-    RecordBatch::new(wide_schema(), columns).expect("wide fixture batch")
+    RecordBatch::new(wide_schema(), columns)
 }
 
 /// Filter-chain kernel over the wide fixture: four successive string
@@ -509,7 +515,7 @@ pub fn sorted_int_schema() -> SchemaRef {
 /// 3) plus a `yyyymmdd`-style date column over a 365-value domain. The
 /// fixture the frame-of-reference / delta codecs target: ids collapse under
 /// Delta, dates under FoR.
-pub fn sorted_int_batch(rows: usize) -> RecordBatch {
+pub fn sorted_int_batch(rows: usize) -> Result<RecordBatch> {
     let ids: Vec<i64> = (0..rows as i64).map(|i| 1_000_000 + i * 3).collect();
     let dates: Vec<i64> = (0..rows as i64)
         .map(|i| 20_240_000 + (i * 7) % 365)
@@ -518,7 +524,6 @@ pub fn sorted_int_batch(rows: usize) -> RecordBatch {
         sorted_int_schema(),
         vec![ColumnData::Int64(ids), ColumnData::Int64(dates)],
     )
-    .expect("sorted int fixture")
 }
 
 /// Scans each written page pays for in the int kernel: pages are encoded
@@ -543,10 +548,12 @@ pub fn run_page_encode_int(batch: &RecordBatch, int_codecs: bool) -> Result<usiz
             pages::pick_codec(col)
         } else {
             // The legacy picker: same size-based choice, int codecs absent.
-            [PageCodec::Plain, PageCodec::Rle]
-                .into_iter()
-                .min_by_key(|&c| pages::encoded_size(col, c).expect("legacy codec"))
-                .expect("non-empty candidate set")
+            let rle = pages::encoded_size(col, PageCodec::Rle)?;
+            if rle < pages::encoded_size(col, PageCodec::Plain)? {
+                PageCodec::Rle
+            } else {
+                PageCodec::Plain
+            }
         };
         let (_, bytes) = pages::encode_column(col, codec)?;
         for _ in 0..INT_PAGE_SCANS {
@@ -694,7 +701,7 @@ mod tests {
     #[test]
     fn kernels_agree_across_encodings() {
         let owned = owned_rows(4_000, 40, 7);
-        let dict = string_batch(4_000, 40, 7);
+        let dict = string_batch(4_000, 40, 7).unwrap();
         assert_eq!(dict.column(0), &ColumnData::strings(&owned.keys));
         assert_eq!(run_filter(&dict).unwrap(), run_filter_std(&owned).unwrap());
         assert_eq!(
@@ -707,7 +714,7 @@ mod tests {
         );
         // The filter chain agrees across lazy/eager materialization
         // (checksums cover values, not just counts).
-        let chain = wide_batch(4_000, 1_000, 7);
+        let chain = wide_batch(4_000, 1_000, 7).unwrap();
         assert_eq!(
             run_filter_chain(&chain, false).unwrap(),
             run_filter_chain(&chain, true).unwrap()
@@ -722,7 +729,7 @@ mod tests {
             run_filter_numeric_naive(&numeric).unwrap()
         );
         let probe_n = owned_rows(2_000, 60, 8);
-        let probe_d = string_batch(2_000, 60, 8);
+        let probe_d = string_batch(2_000, 60, 8).unwrap();
         assert_eq!(
             run_join(&dict, &probe_d).unwrap(),
             run_join_std(&owned, &probe_n).unwrap()
@@ -731,7 +738,7 @@ mod tests {
 
     #[test]
     fn topk_arms_agree_on_the_winners_and_their_order() {
-        let batch = topk_batch(5_000, 7);
+        let batch = topk_batch(5_000, 7).unwrap();
         let rows = topk_rows(&batch).unwrap();
         let want = run_topk_sort_std(&rows).unwrap();
         assert_eq!(run_topk_sort(&morsels(&batch, 512).unwrap()).unwrap(), want);
@@ -745,7 +752,7 @@ mod tests {
 
     #[test]
     fn join_arms_agree_on_every_fixture() {
-        let [build, probe] = fanout_join_fixture(500, 4, 700, 5);
+        let [build, probe] = fanout_join_fixture(500, 4, 700, 5).unwrap();
         assert_eq!(build.rows(), 2_000);
         let cut = morsels(&build, 300).unwrap();
         assert_eq!(cut.len(), 7);
@@ -753,14 +760,14 @@ mod tests {
         // Every probe row finds its key's four build rows.
         assert_eq!(run_int_map_join(&build, &probe).unwrap(), 2_800);
         assert_eq!(run_int_join(&cut, &probe).unwrap(), 2_800);
-        let [build, probe] = dense_join_fixture(1_000, 3_000, 6);
+        let [build, probe] = dense_join_fixture(1_000, 3_000, 6).unwrap();
         assert_eq!(run_int_map_join(&build, &probe).unwrap(), 3_000);
         assert_eq!(run_int_join(&[build], &probe).unwrap(), 3_000);
     }
 
     #[test]
     fn all_miss_arms_agree_and_match_nothing() {
-        let [build, probe] = all_miss_fixture(3_000, 1_000, 5);
+        let [build, probe] = all_miss_fixture(3_000, 1_000, 5).unwrap();
         let ht = int_join_table(std::slice::from_ref(&build)).unwrap();
         let map = int_join_map(&build).unwrap();
         assert_eq!(map.len(), 3_000, "build keys are distinct");
@@ -773,7 +780,7 @@ mod tests {
 
     #[test]
     fn int_codec_kernel_agrees_and_compresses_4x() {
-        let batch = sorted_int_batch(20_000);
+        let batch = sorted_int_batch(20_000).unwrap();
         assert_eq!(
             run_page_encode_int(&batch, true).unwrap(),
             run_page_encode_int(&batch, false).unwrap(),
@@ -788,7 +795,7 @@ mod tests {
 
     #[test]
     fn dict_exchange_payload_beats_plain_and_decoded() {
-        let dict = string_batch(20_000, 500, 9);
+        let dict = string_batch(20_000, 500, 9).unwrap();
         let (wire, plain, decoded) = exchange_wire_accounting(&dict, 4_096).unwrap();
         assert!(wire < plain, "wire {wire} must beat plain {plain}");
         assert!(

@@ -1,5 +1,5 @@
-//! Hashable, comparable row keys for joins and aggregation, and the one
-//! index both hash operators keep them in.
+//! Hashable, comparable row keys for joins and aggregation, and the index
+//! that numbers them.
 //!
 //! The pipeline is column-at-a-time: encoder → words → [`KeyIndex`] → ids.
 //! A [`KeyEncoder`] fixes how a key-column layout maps to key words, a
@@ -10,15 +10,18 @@
 //! first-appearance order ([`RowEncoder::ids_or_insert`],
 //! [`RowEncoder::ids`]; `ids_or_insert_batches` inserts several batches'
 //! rows as one, which is how the join build indexes its chunks). The hash
-//! join hangs its build row locations off the ids and aggregation one
-//! accumulator column per aggregate (see `operators`); neither keeps a map
-//! of its own, and no per-row key value exists.
+//! join buckets its build row locations by id — unless the key is one dense
+//! `Int64` column, which is its own bucket and needs no index — and
+//! aggregation hangs one accumulator column per aggregate off the ids (see
+//! `operators`); neither keeps a map of its own, and no per-row key value
+//! exists.
 //!
 //! The index addresses its directory one of two ways. A one-word index
 //! whose first inserted batch spans no more words (read as `i64`) than a
 //! hashed directory for that batch would have slots is *offset-addressed*:
-//! key `w` sits at slot `w − min`, no hash and no word compare — the dense
-//! surrogate ids joins run on and the narrow group keys aggregation sees.
+//! key `w` sits at slot `w − min`, no hash and no word compare — the narrow
+//! group keys aggregation sees, and one-word join keys (a dictionary id)
+//! that the join does not bucket by value.
 //! Every other index is *hashed*, and an offset index that meets a word
 //! outside its span becomes hashed for good. Ids, words and extension
 //! tables are the same either way; only the slot a key sits at differs.
@@ -81,15 +84,14 @@ fn hashed_slots(keys: usize) -> usize {
     }
 }
 
-/// The least word of `words` read as `i64` and the span from it to the
-/// greatest, when that span fits in `slots` slots (checked arithmetic:
-/// `i64::MIN..=i64::MAX` overflows and does not fit).
-fn dense_span(words: &[u64], slots: usize) -> Option<(u64, usize)> {
-    let (min, max) = words.iter().fold((i64::MAX, i64::MIN), |(lo, hi), &w| {
-        (lo.min(w as i64), hi.max(w as i64))
-    });
+/// The least of `keys` and the span from it to the greatest, when that
+/// span fits in `slots` slots. Checked arithmetic: `i64::MIN..=i64::MAX`
+/// overflows and does not fit, and no keys at all (least above greatest)
+/// have no span.
+pub(crate) fn dense_span(keys: impl Iterator<Item = i64>, slots: usize) -> Option<(i64, usize)> {
+    let (min, max) = keys.fold((i64::MAX, i64::MIN), |(lo, hi), k| (lo.min(k), hi.max(k)));
     let span = usize::try_from(max.checked_sub(min)?.checked_add(1)?).ok()?;
-    (span <= slots).then_some((min as u64, span))
+    (span <= slots).then_some((min, span))
 }
 
 #[inline]
@@ -99,8 +101,9 @@ fn hash_words(words: &[u64]) -> u64 {
         .fold(mix(HASH_SEED, words.len() as u64), |h, &w| mix(h, w))
 }
 
-/// Key → dense `u32` id in first-appearance order: the one index under the
-/// join build and probe, `GROUP BY` and `COUNT(DISTINCT)`.
+/// Key → dense `u32` id in first-appearance order: the index under
+/// `GROUP BY`, `COUNT(DISTINCT)` and every join key that is not one dense
+/// `Int64` column (those the join buckets by value, with no index).
 ///
 /// A directory of `id + 1` (0 = empty), addressed one of two ways:
 ///
@@ -305,7 +308,8 @@ impl KeyIndex {
     /// when that is none).
     fn seat(&mut self, words: &[u64], rows: usize, capacity: usize) {
         let dense = match self.arity {
-            1 => dense_span(words, hashed_slots(rows)),
+            1 => dense_span(words.iter().map(|&w| w as i64), hashed_slots(rows))
+                .map(|(min, span)| (min as u64, span)),
             _ => None,
         };
         let (addressing, slots) = match dense {
@@ -631,7 +635,7 @@ impl RowSet {
         }
     }
 
-    fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         match self {
             RowSet::Range(r) => r.len(),
             RowSet::Picked(p) => p.len(),

@@ -15,19 +15,21 @@
 //! over another dictionary once per dictionary, so the conventions here are
 //! about values, never about which dictionary carried them.
 //!
-//! Both hash operators sit on one [`KeyIndex`] and run a morsel as *encode
-//! batch → id vector → consume ids*: a [`KeyEncoder`] turns the key columns
-//! into words, column at a time, the index turns the words into dense
-//! first-appearance ids, and the payload is addressed by id —
-//! [`JoinHashTable`]'s build row locations (one per key when every build key
-//! is distinct, a CSR list per key otherwise), [`AggregateState`]'s
-//! accumulator columns, each folded in one pass per aggregate.
+//! Aggregation runs a morsel on a [`KeyIndex`] as *encode batch → id vector
+//! → consume ids*: a [`KeyEncoder`] turns the key columns into words, column
+//! at a time, the index turns the words into dense first-appearance ids,
+//! and [`AggregateState`]'s accumulator columns are addressed by id, each
+//! folded in one pass per aggregate.
 //!
-//! The join build moves no rows: its morsels stay where the exchange left
-//! them, as chunks a `u32` location (`chunk << shift | row`) addresses, and
-//! the probe gathers matched rows straight from them — or, when a
-//! distinct-key build matches every row of a dense probe batch, shares the
-//! probe's columns as they are.
+//! The hash join gives every build row a *bucket* — the key less the least
+//! build key for one dense `Int64` key column, the [`KeyIndex`] id for any
+//! other key — and counting-sorts the rows by bucket (one row per bucket
+//! when no key repeats, a CSR list per bucket otherwise). The build moves
+//! no rows: its morsels stay where the exchange left them, as chunks a
+//! `u32` location (`chunk << shift | row`) addresses, and the probe gathers
+//! matched rows straight from them — or, when a distinct-key build matches
+//! every row of a dense probe batch, shares the probe's columns as they
+//! are.
 
 use std::borrow::Cow;
 use std::cmp::Ordering;
@@ -42,7 +44,9 @@ use ci_storage::value::{f64_sort_key, DataType, Value};
 use ci_storage::RecordBatch;
 use ci_types::{CiError, Result};
 
-use crate::key::{ids_or_insert_batches, key_columns, DictKeyEntry, KeyEncoder, KeyIndex, RowSet};
+use crate::key::{
+    dense_span, ids_or_insert_batches, key_columns, DictKeyEntry, KeyEncoder, KeyIndex, RowSet,
+};
 
 /// Builds the internal schema for a node's output slots. Field names are
 /// slot-derived (`s<slot>`) so they are unique regardless of user aliases.
@@ -130,22 +134,29 @@ fn coerce(col: ColumnData, want: DataType) -> Result<ColumnData> {
 
 /// Hash-join build state. Build morsels are kept as they stream in, one
 /// *chunk* each (compacted, as the exchange already left them) and never
-/// copied into one batch; the key index and its row lists are constructed
-/// at [`JoinHashTable::finalize`] when the build pipeline completes (a
+/// copied into one batch; the row lists are constructed at
+/// [`JoinHashTable::finalize`] when the build pipeline completes (a
 /// pipeline breaker, §3.2).
 ///
 /// A build row is named by its *location*, `chunk << shift | row`: a `u32`
 /// whose low `shift` bits hold any row of the widest chunk. Locations
 /// ascend in arrival order, which is the order a probe row's matches are
-/// emitted in (shipped bytes depend on it). The row lists take one of two
-/// forms:
+/// emitted in (shipped bytes depend on it).
 ///
-/// - **Distinct keys** (every build key once — CAB's primary keys): key id
-///   `g` is the `g`-th build row to arrive, so `locations[g]` is its one
-///   row. No offsets, no counting sort, and a probe row has at most one
-///   match.
-/// - **Duplicate keys**: a CSR over locations — key `g`'s rows are
-///   `locations[offsets[g]..offsets[g + 1]]`, ascending.
+/// Every build row has a *bucket*, and one counting sort groups the
+/// locations by it:
+///
+/// - **Dense int key**: one `Int64` key column whose build keys span at
+///   most [`dense_slots`] values. Key `k`'s bucket is `k − min`: no
+///   [`KeyIndex`], no key words, no ids.
+/// - **Every other key** (several columns, strings, floats, bools, sparse
+///   ints): the bucket is the key's [`KeyIndex`] id.
+///
+/// When no bucket holds two rows (CAB's primary keys) a bucket's one
+/// location is `locations[bucket]`, [`NO_ROW`] for an empty one, and a
+/// probe row has at most one match. Otherwise the locations form a CSR:
+/// bucket `b`'s rows are `locations[offsets[b]..offsets[b + 1]]`,
+/// ascending.
 ///
 /// The probe gathers both sides through `u32` indices, the build side
 /// straight from its chunks. When a distinct-key build matches every row of
@@ -169,29 +180,144 @@ pub struct JoinHashTable {
 struct FinalizedTable {
     /// Row bits of a location: row `l & mask` of chunk `l >> shift`.
     shift: u32,
-    /// Distinct build keys → key id `g`.
-    index: KeyIndex,
-    /// Build row locations grouped by key id: key `g`'s one row is
-    /// `locations[g]` when `offsets` is `None` (every key distinct), else
-    /// its rows are `locations[offsets[g]..offsets[g + 1]]` (CSR).
+    /// How a key finds its bucket.
+    buckets: Buckets,
+    /// Build row locations grouped by bucket: bucket `b`'s one row is
+    /// `locations[b]` ([`NO_ROW`] when it has none) when `offsets` is `None`
+    /// (no bucket holds two rows), else its rows are
+    /// `locations[offsets[b]..offsets[b + 1]]` (CSR).
     locations: Vec<u32>,
     offsets: Option<Vec<u32>>,
-    /// Key encoder derived from the build-side key columns; probes encode
-    /// against it (dict-id translation; a string the build never held
-    /// misses).
-    encoder: KeyEncoder,
 }
 
-/// Row bits a location needs for every row of the widest of `chunks`.
-fn location_shift(chunks: &[RecordBatch]) -> u32 {
-    let widest = chunks.iter().map(RecordBatch::rows).max().unwrap_or(0);
+/// A key's bucket in a [`FinalizedTable`].
+#[derive(Debug)]
+enum Buckets {
+    /// One `Int64` key column whose build keys run from `min` over at most
+    /// `span` ≤ [`dense_slots`] values: key `k`'s bucket is `k − min`.
+    Dense { min: i64, span: usize },
+    /// The bucket is the key's id in `index`. Probes encode against
+    /// `encoder` (dict-id translation; a string the build never held
+    /// misses).
+    Keyed {
+        index: KeyIndex,
+        encoder: KeyEncoder,
+    },
+}
+
+/// The location of no build row: an empty bucket of a distinct-key build.
+/// [`locatable`] keeps every real location below it.
+const NO_ROW: u32 = u32::MAX;
+
+/// Most buckets a dense int key of `rows` build rows may span: twice the
+/// rows, and never fewer than 2^16, so a small build (Q9's 1 250
+/// `customer` keys over a span of 5 000) is addressed as well.
+fn dense_slots(rows: usize) -> usize {
+    rows.saturating_mul(2).max(1 << 16)
+}
+
+/// Bucket of int key `k` in a dense table from `min`: `k − min`, wrapping,
+/// so a key below `min` lands past every span (spans end at `i64::MAX`).
+#[inline]
+fn dense_bucket(min: i64, k: i64) -> u64 {
+    (k as u64).wrapping_sub(min as u64)
+}
+
+impl Buckets {
+    /// Sets `out` to the bucket of each of `rows` of the probe key columns
+    /// `keys`, [`KeyIndex::MISS`] where the build holds no such key — as it
+    /// holds none outside a dense span, nor any of a column of another
+    /// type.
+    fn find(&self, keys: &[&ColumnData], rows: &RowSet, out: &mut Vec<u32>) -> Result<()> {
+        let (min, span) = match self {
+            Buckets::Keyed { index, encoder } => {
+                encoder.prepare(keys)?.ids(rows, index, out);
+                return Ok(());
+            }
+            Buckets::Dense { min, span } => (*min, *span as u64),
+        };
+        out.clear();
+        let v = match keys {
+            [ColumnData::Int64(v)] => v,
+            [_] => {
+                out.resize(rows.len(), KeyIndex::MISS);
+                return Ok(());
+            }
+            _ => {
+                return Err(CiError::Exec(format!(
+                    "dense join key has one column, the probe {}",
+                    keys.len()
+                )))
+            }
+        };
+        // Spans fit a u32 bucket below MISS (`dense_slots`).
+        let bucket = |k: i64| match dense_bucket(min, k) {
+            b if b < span => b as u32,
+            _ => KeyIndex::MISS,
+        };
+        match rows {
+            RowSet::Range(r) => out.extend(v[r.clone()].iter().map(|&k| bucket(k))),
+            RowSet::Picked(p) => out.extend(p.iter().map(|&r| bucket(v[r]))),
+        }
+        Ok(())
+    }
+}
+
+/// Counting sort of build row locations by bucket. `keys[c][r]` is the key
+/// of row `r` of chunk `c` and `bucket` maps it into `0..buckets`. Returns
+/// [`FinalizedTable`]'s `locations` and `offsets`: one location per bucket
+/// ([`NO_ROW`] where there is none) when no bucket holds two rows, else the
+/// CSR, each bucket's locations ascending.
+fn group_locations<K: Copy>(
+    keys: &[&[K]],
+    shift: u32,
+    buckets: usize,
+    bucket: impl Fn(K) -> usize,
+) -> (Vec<u32>, Option<Vec<u32>>) {
+    // Fits: `locatable` or one chunk of at most `u32::MAX − 1` rows.
+    let location = |c: usize, r: usize| ((c as u64) << shift | r as u64) as u32;
+    let mut offsets = vec![0u32; buckets + 1];
+    let mut shared = false;
+    for &k in keys.iter().flat_map(|k| k.iter()) {
+        let count = &mut offsets[bucket(k)];
+        shared |= *count != 0;
+        *count += 1;
+    }
+    if !shared {
+        let mut locations = vec![NO_ROW; buckets];
+        for (c, keys) in keys.iter().enumerate() {
+            for (r, &k) in keys.iter().enumerate() {
+                locations[bucket(k)] = location(c, r);
+            }
+        }
+        return (locations, None);
+    }
+    // Running sums make each count its bucket's end; a reverse fill walks
+    // every end down to its bucket's start, leaving each bucket's locations
+    // ascending.
+    for b in 1..offsets.len() {
+        offsets[b] += offsets[b - 1];
+    }
+    let mut locations = vec![0u32; offsets[buckets] as usize];
+    for (c, keys) in keys.iter().enumerate().rev() {
+        for (r, &k) in keys.iter().enumerate().rev() {
+            let end = &mut offsets[bucket(k)];
+            *end -= 1;
+            locations[*end as usize] = location(c, r);
+        }
+    }
+    (locations, Some(offsets))
+}
+
+/// Row bits a location needs for every row of a chunk of `widest` rows.
+fn location_shift(widest: usize) -> u32 {
     usize::BITS - widest.saturating_sub(1).leading_zeros()
 }
 
-/// Whether every location of `chunks` chunks with `shift` row bits fits a
-/// `u32`.
+/// Whether every location of `chunks` chunks with `shift` row bits is a
+/// `u32` below [`NO_ROW`]. One chunk's locations are its row numbers.
 fn locatable(chunks: usize, shift: u32) -> bool {
-    shift <= 32 && chunks as u64 <= 1 << (32 - shift)
+    chunks <= 1 || (shift < 32 && (chunks as u128) << shift <= u128::from(NO_ROW))
 }
 
 /// Whether `chunk`'s columns append to `first`'s as they are: the same
@@ -282,7 +408,8 @@ impl JoinHashTable {
         self.chunks.iter().map(RecordBatch::rows).sum()
     }
 
-    /// Builds the key index and per-key row lists. Idempotent.
+    /// Buckets every build row and groups the locations by bucket.
+    /// Idempotent.
     pub fn finalize(&mut self) -> Result<()> {
         if self.finalized.is_some() {
             return Ok(());
@@ -292,61 +419,67 @@ impl JoinHashTable {
         if self.chunks.is_empty() {
             self.chunks.push(RecordBatch::empty(self.schema.clone()));
         }
-        let mut shift = location_shift(&self.chunks);
+        let widest = |chunks: &[RecordBatch]| chunks.iter().map(RecordBatch::rows).max();
+        let mut shift = location_shift(widest(&self.chunks).unwrap_or(0));
         let first = &self.chunks[0];
         if !locatable(self.chunks.len(), shift)
             || !self.chunks.iter().all(|c| appends_as_is(first, c))
         {
             self.chunks = vec![RecordBatch::concat(&self.chunks)?];
-            shift = location_shift(&self.chunks);
+            shift = location_shift(widest(&self.chunks).unwrap_or(0));
         }
         let keys = (self.chunks.iter())
             .map(|c| key_columns(c.columns(), &self.key_positions))
             .collect::<Result<Vec<_>>>()?;
-        let encoder = KeyEncoder::for_columns(&keys[0]);
-        let row_encoders = (keys.iter())
-            .map(|k| encoder.prepare(k))
-            .collect::<Result<Vec<_>>>()?;
-        let row_sets: Vec<RowSet> = (self.chunks.iter())
-            .map(|c| RowSet::Range(0..c.rows()))
+        let ints: Option<Vec<&[i64]>> = (keys.iter())
+            .map(|k| match k[..] {
+                [ColumnData::Int64(ref v)] => Some(&v[..]),
+                _ => None,
+            })
             .collect();
-        let batches: Vec<_> = row_encoders.iter().zip(&row_sets).collect();
-        let mut index = encoder.new_index(rows);
-        let mut ids = Vec::new();
-        ids_or_insert_batches(&batches, &mut index, &mut ids)?;
-        // Locations in arrival order; `locatable` keeps each within a u32.
-        let mut locations = Vec::with_capacity(rows);
-        for (c, chunk) in self.chunks.iter().enumerate() {
-            let base = (c as u64) << shift;
-            locations.extend((0..chunk.rows() as u64).map(|row| (base | row) as u32));
-        }
-        // Every key distinct: key id `g` is the `g`-th row to arrive.
-        let distinct = index.len() == rows;
-        let offsets = (!distinct).then(|| {
-            // Counting sort of locations by key id: counts, running sums
-            // (each key's end), then a reverse fill walks every end down to
-            // its key's start, leaving each key's locations ascending.
-            let mut offsets = vec![0u32; index.len() + 1];
-            for &g in &ids {
-                offsets[g as usize] += 1;
-            }
-            for g in 1..offsets.len() {
-                offsets[g] += offsets[g - 1];
-            }
-            let mut grouped = vec![0u32; rows];
-            for (&loc, &g) in locations.iter().zip(&ids).rev() {
-                offsets[g as usize] -= 1;
-                grouped[offsets[g as usize] as usize] = loc;
-            }
-            locations = grouped;
-            offsets
+        // The span of every chunk's least and greatest key is the build's.
+        let dense = ints.and_then(|ints| {
+            let ends = ints
+                .iter()
+                .flat_map(|v| v.iter().min().into_iter().chain(v.iter().max()));
+            let (min, span) = dense_span(ends.copied(), dense_slots(rows))?;
+            Some((ints, min, span))
         });
+        let (buckets, (locations, offsets)) = match dense {
+            Some((ints, min, span)) => {
+                let bucket = |k| dense_bucket(min, k) as usize;
+                let lists = group_locations(&ints, shift, span, bucket);
+                (Buckets::Dense { min, span }, lists)
+            }
+            None => {
+                let encoder = KeyEncoder::for_columns(&keys[0]);
+                let row_encoders = (keys.iter())
+                    .map(|k| encoder.prepare(k))
+                    .collect::<Result<Vec<_>>>()?;
+                let row_sets: Vec<RowSet> = (self.chunks.iter())
+                    .map(|c| RowSet::Range(0..c.rows()))
+                    .collect();
+                let batches: Vec<_> = row_encoders.iter().zip(&row_sets).collect();
+                let mut index = encoder.new_index(rows);
+                let mut ids = Vec::new();
+                ids_or_insert_batches(&batches, &mut index, &mut ids)?;
+                let mut rest = &ids[..];
+                let chunk_ids: Vec<&[u32]> = (self.chunks.iter())
+                    .map(|c| {
+                        let (head, tail) = rest.split_at(c.rows());
+                        rest = tail;
+                        head
+                    })
+                    .collect();
+                let lists = group_locations(&chunk_ids, shift, index.len(), |g| g as usize);
+                (Buckets::Keyed { index, encoder }, lists)
+            }
+        };
         self.finalized = Some(Box::new(FinalizedTable {
             shift,
-            index,
+            buckets,
             locations,
             offsets,
-            encoder,
         }));
         Ok(())
     }
@@ -370,43 +503,45 @@ impl JoinHashTable {
         // rows are ever gathered (the join output is the materialization
         // point).
         let rows = RowSet::of(probe);
-        // Per-batch preparation resolves dict-id translation tables once;
-        // the rows then go through the encoder and the index a column and a
-        // batch at a time.
-        let mut groups = Vec::new();
-        fin.encoder
-            .prepare(&keys)?
-            .ids(&rows, &fin.index, &mut groups);
-        let n = groups.len();
-        let (mut probe_rows, mut build_locations) = (vec![0u32; n], vec![0u32; n]);
-        match &fin.offsets {
+        let mut buckets = Vec::new();
+        fin.buckets.find(&keys, &rows, &mut buckets)?;
+        let (probe_rows, build_locations) = match &fin.offsets {
             // At most one match per row. Branch-free: every row writes the
-            // next slot (a miss reads a clamped location) and a hit keeps it.
+            // next slot (a miss reads `NO_ROW`) and a hit keeps it.
             None => {
-                let last = fin.locations.len().saturating_sub(1);
+                let n = buckets.len();
+                let (mut probe_rows, mut build_locations) = (vec![0u32; n], vec![0u32; n]);
                 let mut kept = 0;
-                for (row, &g) in rows.iter().zip(&groups) {
+                for (row, &b) in rows.iter().zip(&buckets) {
+                    let location = fin.locations.get(b as usize).map_or(NO_ROW, |&l| l);
                     probe_rows[kept] = row as u32; // fits: checked above
-                    build_locations[kept] =
-                        fin.locations.get((g as usize).min(last)).map_or(0, |&l| l);
-                    kept += usize::from(g != KeyIndex::MISS);
+                    build_locations[kept] = location;
+                    kept += usize::from(location != NO_ROW);
                 }
                 probe_rows.truncate(kept);
                 build_locations.truncate(kept);
+                (probe_rows, build_locations)
             }
+            // Counts the output first, then fills it a bucket's list at a
+            // time.
             Some(offsets) => {
-                probe_rows.clear();
-                build_locations.clear();
-                let hits = (rows.iter().zip(&groups)).filter(|&(_, &g)| g != KeyIndex::MISS);
-                for (row, &g) in hits {
-                    let g = g as usize;
-                    for &loc in &fin.locations[offsets[g] as usize..offsets[g + 1] as usize] {
-                        probe_rows.push(row as u32);
-                        build_locations.push(loc);
-                    }
+                let list = |b: u32| match b {
+                    KeyIndex::MISS => 0..0,
+                    b => offsets[b as usize] as usize..offsets[b as usize + 1] as usize,
+                };
+                let n = buckets.iter().map(|&b| list(b).len()).sum();
+                let (mut probe_rows, mut build_locations) = (vec![0u32; n], vec![0u32; n]);
+                let mut at = 0;
+                for (row, &b) in rows.iter().zip(&buckets) {
+                    let matches = &fin.locations[list(b)];
+                    let end = at + matches.len();
+                    probe_rows[at..end].fill(row as u32);
+                    build_locations[at..end].copy_from_slice(matches);
+                    at = end;
                 }
+                (probe_rows, build_locations)
             }
-        }
+        };
         // A distinct-key build emits at most one row per probe row, in
         // order: as many as a dense probe has rows means every row, as is.
         let pass_through = fin.offsets.is_none()
@@ -998,11 +1133,29 @@ impl SortBuffer {
             let phys: Vec<usize> = cands.iter().map(|&(_, _, p)| p as usize).collect();
             return only.unselected().take(&phys)?.with_schema(self.schema);
         }
-        let mut columns: Vec<ColumnData> = self.buffered[0]
-            .columns()
-            .iter()
-            .map(|c| c.slice(0, 0))
-            .collect();
+        // Batches that append as they are gather a column at a time, by
+        // location; others convert row by row, re-interning strings of a
+        // foreign dictionary into the first batch's, as an append would.
+        let first = &self.buffered[0];
+        let widest = self.buffered.iter().map(RecordBatch::physical_rows).max();
+        let shift = location_shift(widest.unwrap_or(0));
+        if locatable(self.buffered.len(), shift)
+            && self.buffered.iter().all(|b| appends_as_is(first, b))
+        {
+            let locations: Vec<u32> = (cands.iter())
+                .map(|&(_, bi, p)| ((bi as u64) << shift | u64::from(p)) as u32)
+                .collect();
+            let columns = (0..first.columns().len())
+                .map(|col| {
+                    let parts: Vec<&ColumnData> =
+                        self.buffered.iter().map(|b| b.column(col)).collect();
+                    gather_located(&parts, &locations, shift).map(Arc::new)
+                })
+                .collect::<Result<Vec<_>>>()?;
+            return RecordBatch::from_arcs(self.schema, columns);
+        }
+        let mut columns: Vec<ColumnData> =
+            (first.columns().iter()).map(|c| c.slice(0, 0)).collect();
         for &(_, bi, p) in &cands {
             let src = &self.buffered[bi as usize];
             for (dst, col) in columns.iter_mut().zip(src.columns()) {
@@ -1369,17 +1522,16 @@ mod tests {
     fn locations_pack_at_their_edges() {
         // The widest chunk sets the row bits: 2^k rows need k, 2^k + 1 need
         // k + 1.
-        let rows = |n: usize| batch((0..n as i64).collect(), vec![0.0; n]);
         for k in [0u32, 1, 4, 10] {
             let wide = 1usize << k;
-            assert_eq!(location_shift(&[rows(3), rows(wide)]), k.max(2));
-            assert_eq!(location_shift(&[rows(wide + 1), rows(1)]), k + 1);
+            assert_eq!(location_shift(wide.max(3)), k.max(2));
+            assert_eq!(location_shift(wide + 1), k + 1);
         }
-        assert_eq!(location_shift(&[rows(0)]), 0);
-        // Chunks × 2^shift must stay within 2^32.
-        assert!(locatable(1, 32) && locatable(2, 31) && locatable(1 << 16, 16));
-        assert!(!locatable(2, 32) && !locatable(3, 31) && !locatable((1 << 16) + 1, 16));
-        assert!(!locatable(1, 33));
+        assert_eq!(location_shift(0), 0);
+        // Chunks × 2^shift must stay below 2^32: the top `u32` is `NO_ROW`.
+        // One chunk's locations are its rows.
+        assert!(locatable(1, 32) && locatable(2, 30) && locatable((1 << 16) - 1, 16));
+        assert!(!locatable(2, 32) && !locatable(2, 31) && !locatable(1 << 16, 16));
 
         // Chunks of 2^4 and 2^4 + 1 rows (keys repeat across them, so the
         // CSR holds rows of both) join row for row like one batch.
@@ -1407,10 +1559,65 @@ mod tests {
         }
     }
 
+    /// The dense span bound and its offset form, and the key layouts that
+    /// stay keyed: a bound off by one, or a bucket without its offset,
+    /// fails here.
+    #[test]
+    fn dense_int_keys_take_the_slot_path_up_to_their_bound() {
+        let finalized = |keys: Vec<i64>| {
+            let n = keys.len();
+            let ht = built(&[batch(keys, vec![0.0; n])]);
+            let fin = ht.finalized.expect("finalized");
+            let dense = match fin.buckets {
+                Buckets::Dense { min, span } => Some((min, span)),
+                Buckets::Keyed { .. } => None,
+            };
+            (dense, fin.offsets.is_some())
+        };
+        let path = |keys: Vec<i64>| finalized(keys).0;
+        // Q9's segment-filtered `customer` build: 1 250 keys over 5 000.
+        let q9 = (0..1_249).map(|i| 7 + i * 4).chain([5_006]).collect();
+        assert_eq!(finalized(q9), (Some((7, 5_000)), false));
+        // At the bound and one past it: 2^16 slots for a small build,
+        // twice the rows past 2^15 rows.
+        for rows in [3i64, 40_000] {
+            let bound = (2 * rows).max(1 << 16);
+            let keys = |last| (-1..rows - 2).chain([last]).collect();
+            assert_eq!(path(keys(bound - 2)), Some((-1, bound as usize)));
+            assert_eq!(path(keys(bound - 1)), None);
+        }
+        // Repeated keys keep their span and take the CSR.
+        assert_eq!(finalized(vec![-3, 9, -3, 0]), (Some((-3, 13)), true));
+        // Spans past `i64` overflow and stay keyed; the top of the range
+        // does not.
+        assert_eq!(path(vec![i64::MIN, i64::MAX]), None);
+        assert_eq!(path(vec![0, i64::MIN]), None);
+        let top = vec![i64::MAX, i64::MAX - 2];
+        assert_eq!(finalized(top), (Some((i64::MAX - 2, 3)), false));
+        // No rows, no span.
+        assert_eq!(path(Vec::new()), None);
+        // A float key column, or two int columns, is keyed.
+        let floats = batch(vec![1, 2], vec![1.0, 2.0]);
+        let mut ht = JoinHashTable::new(floats.schema().clone(), vec![1]);
+        ht.insert_batch(floats.clone()).unwrap();
+        ht.finalize().unwrap();
+        assert!(matches!(
+            ht.finalized.unwrap().buckets,
+            Buckets::Keyed { .. }
+        ));
+        let mut ht = JoinHashTable::new(floats.schema().clone(), vec![0, 0]);
+        ht.insert_batch(floats).unwrap();
+        ht.finalize().unwrap();
+        assert!(matches!(
+            ht.finalized.unwrap().buckets,
+            Buckets::Keyed { .. }
+        ));
+    }
+
     #[test]
     fn chunks_past_the_u32_location_fall_back_to_one_chunk() {
         // A 2^16-row chunk leaves 16 bits to number chunks: 2^16 more
-        // one-row chunks are one too many.
+        // one-row chunks are too many.
         let wide = 1i64 << 16;
         let mut chunks = vec![batch((0..wide).collect(), vec![1.0; wide as usize])];
         chunks.extend((0..wide).map(|r| batch(vec![wide + r], vec![2.0])));

@@ -1308,3 +1308,181 @@ mod chunked_builds {
         }
     }
 }
+
+/// One `Int64` key column whose build keys span at most `max(2 · rows,
+/// 2^16)` values is bucketed by `key − min`; any other int key by key id.
+/// Both sides of that bound, spans that overflow `i64`, negative keys,
+/// probe keys outside the span, duplicates across chunks, selections and
+/// empty builds must all join as the nested loop does, row for row.
+mod dense_int_keys {
+    use super::*;
+
+    /// The dense span bound of a build of fewer than 2^15 rows.
+    const SMALL_BOUND: i64 = 1 << 16;
+
+    /// An int key column and a tag column numbering the rows from `tag0`.
+    fn keyed(keys: &[i64], tag0: i64) -> RecordBatch {
+        let tags = (tag0..tag0 + keys.len() as i64).collect();
+        batch(vec![
+            ColumnData::Int64(keys.to_vec()),
+            ColumnData::Int64(tags),
+        ])
+    }
+
+    fn batch(columns: Vec<ColumnData>) -> RecordBatch {
+        let fields = (columns.iter().enumerate())
+            .map(|(i, c)| Field::new(format!("c{i}"), c.data_type()))
+            .collect();
+        RecordBatch::new(Arc::new(Schema::of(fields)), columns).expect("batch")
+    }
+
+    /// The build keys cut into chunks of the given sizes (an empty chunk
+    /// first), their tags running on across chunks.
+    fn chunked(keys: &[i64], sizes: &[usize]) -> Vec<RecordBatch> {
+        let mut chunks = vec![keyed(&[], 0)];
+        let mut at = 0;
+        for piece in cut(keys, sizes) {
+            chunks.push(keyed(piece, at as i64));
+            at += piece.len();
+        }
+        chunks
+    }
+
+    /// The joined rows, probe columns then build columns.
+    fn join(build: &[RecordBatch], probe: &RecordBatch) -> Vec<Vec<Value>> {
+        let schema = keyed(&[], 0).schema().clone();
+        let mut ht = JoinHashTable::new(schema.clone(), vec![0]);
+        for chunk in build {
+            ht.insert_batch(chunk.clone()).expect("insert");
+        }
+        ht.finalize().expect("finalize");
+        let fields = (probe.schema().fields().iter())
+            .chain(schema.fields())
+            .enumerate()
+            .map(|(i, f)| Field::new(format!("o{i}"), f.data_type))
+            .collect();
+        let out = ht
+            .probe(probe, &[0], Arc::new(Schema::of(fields)))
+            .expect("probe");
+        (0..out.rows()).map(|r| out.row(r)).collect()
+    }
+
+    /// Probe rows in order, each with its matches in build arrival order.
+    fn nested_loop(build: &[RecordBatch], probe: &RecordBatch) -> Vec<Vec<Value>> {
+        let build = RecordBatch::concat(build).expect("concat");
+        let mut rows = Vec::new();
+        for p in 0..probe.rows() {
+            for b in 0..build.rows() {
+                if probe.row(p)[0] == build.row(b)[0] {
+                    rows.push(probe.row(p).into_iter().chain(build.row(b)).collect());
+                }
+            }
+        }
+        rows
+    }
+
+    proptest! {
+        /// Keys from `base` up: a span one short of, at, or one past the
+        /// bound, or one that overflows `i64` (`far`), at both ends of the
+        /// `i64` range, probed below, inside and above the span.
+        #[test]
+        fn dense_int_join_equals_nested_loop_at_every_edge(
+            base in proptest::sample::select(vec![
+                0,
+                -5,
+                -1_000_000,
+                i64::MIN,
+                i64::MIN + 1,
+                i64::MAX - SMALL_BOUND,
+                i64::MAX - SMALL_BOUND + 1,
+                i64::MAX - 7,
+            ]),
+            far in proptest::sample::select(vec![
+                None,
+                Some(SMALL_BOUND - 2),
+                Some(SMALL_BOUND - 1),
+                Some(SMALL_BOUND),
+                Some(i64::MAX),
+            ]),
+            steps in proptest::collection::vec(0i64..6, 0..40),
+            sizes in proptest::collection::vec(1usize..9, 1..5),
+            probe_steps in proptest::collection::vec(-3i64..9, 0..40),
+            keep in proptest::collection::vec(any::<bool>(), 47),
+            selected in any::<bool>(),
+        ) {
+            let at = |step: i64| base.wrapping_add(step);
+            // `base` is the least key unless `far` wraps below it.
+            let mut keys: Vec<i64> = far.map(at).into_iter().collect();
+            keys.extend(steps.iter().map(|&s| at(s)));
+            keys.push(base);
+            keys.extend(far.map(at));
+            let mut probe_keys: Vec<i64> = probe_steps.iter().map(|&s| at(s)).collect();
+            if let Some(far) = far {
+                probe_keys.extend([far - 1, far, far.saturating_add(1)].map(at));
+            }
+            probe_keys.extend([i64::MIN, i64::MAX, base]);
+            let probe = keyed(&probe_keys, 0);
+            let probe = if selected {
+                probe.filter(&keep[..probe_keys.len()]).expect("filter")
+            } else {
+                probe
+            };
+            let build = chunked(&keys, &sizes);
+            prop_assert_eq!(join(&build, &probe), nested_loop(&build, &probe));
+        }
+    }
+
+    /// Past 2^15 rows the bound is twice the rows: keys repeated across
+    /// 8 192-row chunks up to a span of exactly `2 · rows`, or one more.
+    #[test]
+    fn large_builds_join_as_the_nested_loop_at_twice_their_rows() {
+        let rows = 40_000i64;
+        for last in [2 * rows - 2, 2 * rows - 1] {
+            // -1, -1, 3, 3, 7, …: two rows a key, then `last`.
+            let keys: Vec<i64> = (0..rows - 1).map(|i| i / 2 * 4 - 1).chain([last]).collect();
+            let build = chunked(&keys, &[8_192]);
+            let mut probe_keys: Vec<i64> = (-3..60).map(|i| i * 1_301 - 2).collect();
+            probe_keys.extend([last - 1, last, last + 1, 3, -1, -2]);
+            let keep: Vec<bool> = (0..probe_keys.len()).map(|i| i % 5 != 2).collect();
+            let probe = keyed(&probe_keys, 0).filter(&keep).expect("filter");
+            let expected = nested_loop(&build, &probe);
+            assert!(expected.len() > 20, "{last}: {}", expected.len());
+            assert_eq!(join(&build, &probe), expected, "{last}");
+        }
+    }
+
+    /// No build rows — no chunk, or empty chunks only — join to nothing.
+    #[test]
+    fn empty_builds_join_to_nothing() {
+        let probe = keyed(&[0, -1, i64::MIN, i64::MAX], 0);
+        for build in [
+            vec![],
+            vec![keyed(&[], 0)],
+            vec![keyed(&[], 0), keyed(&[], 0)],
+        ] {
+            assert_eq!(join(&build, &probe), Vec::<Vec<Value>>::new());
+        }
+    }
+
+    /// A `Float64` or string probe key against an `Int64` build key matches
+    /// no row — a dense build or a keyed one, whose keys the probe's values
+    /// would equal by number, bit pattern or id.
+    #[test]
+    fn float_and_string_probe_keys_match_no_int_key() {
+        let probes = [
+            batch(vec![
+                ColumnData::Float64(vec![0.0, 1.0, 2.0, f64::from_bits(3)]),
+                ColumnData::Int64(vec![0, 1, 2, 3]),
+            ]),
+            batch(vec![
+                ColumnData::strings(["0", "1", "2", "3"]),
+                ColumnData::Int64(vec![0, 1, 2, 3]),
+            ]),
+        ];
+        for keys in [vec![0, 1, 2, 3, 1], vec![0, 1, 2, 3, i64::MIN]] {
+            for probe in &probes {
+                assert_eq!(join(&[keyed(&keys, 0)], probe), Vec::<Vec<Value>>::new());
+            }
+        }
+    }
+}
