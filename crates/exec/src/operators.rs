@@ -211,9 +211,12 @@ const NO_ROW: u32 = u32::MAX;
 
 /// Most buckets a dense int key of `rows` build rows may span: twice the
 /// rows, and never fewer than 2^16, so a small build (Q9's 1 250
-/// `customer` keys over a span of 5 000) is addressed as well.
+/// `customer` keys over a span of 5 000) is addressed as well. Every bucket
+/// is a `u32` below [`KeyIndex::MISS`].
 fn dense_slots(rows: usize) -> usize {
-    rows.saturating_mul(2).max(1 << 16)
+    rows.saturating_mul(2)
+        .max(1 << 16)
+        .min(KeyIndex::MISS as usize)
 }
 
 /// Bucket of int key `k` in a dense table from `min`: `k − min`, wrapping,
@@ -245,12 +248,12 @@ impl Buckets {
             }
             _ => {
                 return Err(CiError::Exec(format!(
-                    "dense join key has one column, the probe {}",
+                    "join key arity mismatch: 1 build column, {} probe columns",
                     keys.len()
                 )))
             }
         };
-        // Spans fit a u32 bucket below MISS (`dense_slots`).
+        // Fits: `dense_slots` keeps buckets below MISS.
         let bucket = |k: i64| match dense_bucket(min, k) {
             b if b < span => b as u32,
             _ => KeyIndex::MISS,
