@@ -84,14 +84,21 @@ fn hashed_slots(keys: usize) -> usize {
     }
 }
 
-/// The least of `keys` and the span from it to the greatest, when that
-/// span fits in `slots` slots. Checked arithmetic: `i64::MIN..=i64::MAX`
-/// overflows and does not fit, and no keys at all (least above greatest)
-/// have no span.
-pub(crate) fn dense_span(keys: impl Iterator<Item = i64>, slots: usize) -> Option<(i64, usize)> {
-    let (min, max) = keys.fold((i64::MAX, i64::MIN), |(lo, hi), k| (lo.min(k), hi.max(k)));
+/// The least word of `words` read as `i64` and the span from it to the
+/// greatest, when that span fits in `slots` slots ([`span_within`]).
+fn dense_span(words: &[u64], slots: usize) -> Option<(u64, usize)> {
+    let (min, max) = words.iter().fold((i64::MAX, i64::MIN), |(lo, hi), &w| {
+        (lo.min(w as i64), hi.max(w as i64))
+    });
+    Some((min as u64, span_within(min, max, slots)?))
+}
+
+/// The span `max − min + 1` of the keys from `min` to `max`, when it fits
+/// in `slots` slots. Checked arithmetic: `i64::MIN..=i64::MAX` overflows
+/// and does not fit, and no keys at all (`min` above `max`) have no span.
+pub(crate) fn span_within(min: i64, max: i64, slots: usize) -> Option<usize> {
     let span = usize::try_from(max.checked_sub(min)?.checked_add(1)?).ok()?;
-    (span <= slots).then_some((min, span))
+    (span <= slots).then_some(span)
 }
 
 #[inline]
@@ -308,8 +315,7 @@ impl KeyIndex {
     /// when that is none).
     fn seat(&mut self, words: &[u64], rows: usize, capacity: usize) {
         let dense = match self.arity {
-            1 => dense_span(words.iter().map(|&w| w as i64), hashed_slots(rows))
-                .map(|(min, span)| (min as u64, span)),
+            1 => dense_span(words, hashed_slots(rows)),
             _ => None,
         };
         let (addressing, slots) = match dense {

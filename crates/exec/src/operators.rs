@@ -45,7 +45,7 @@ use ci_storage::RecordBatch;
 use ci_types::{CiError, Result};
 
 use crate::key::{
-    dense_span, ids_or_insert_batches, key_columns, DictKeyEntry, KeyEncoder, KeyIndex, RowSet,
+    ids_or_insert_batches, key_columns, span_within, DictKeyEntry, KeyEncoder, KeyIndex, RowSet,
 };
 
 /// Builds the internal schema for a node's output slots. Field names are
@@ -147,13 +147,13 @@ fn coerce(col: ColumnData, want: DataType) -> Result<ColumnData> {
 /// locations by it:
 ///
 /// - **Dense int key**: one `Int64` key column whose build keys span at
-///   most [`dense_slots`] values. Key `k`'s bucket is `k − min`: no
+///   most `max(2 · rows, 2^16)` values. Key `k`'s bucket is `k − min`: no
 ///   [`KeyIndex`], no key words, no ids.
 /// - **Every other key** (several columns, strings, floats, bools, sparse
 ///   ints): the bucket is the key's [`KeyIndex`] id.
 ///
 /// When no bucket holds two rows (CAB's primary keys) a bucket's one
-/// location is `locations[bucket]`, [`NO_ROW`] for an empty one, and a
+/// location is `locations[bucket]`, a miss sentinel for an empty one, and a
 /// probe row has at most one match. Otherwise the locations form a CSR:
 /// bucket `b`'s rows are `locations[offsets[b]..offsets[b + 1]]`,
 /// ascending.
@@ -434,19 +434,19 @@ impl JoinHashTable {
         let keys = (self.chunks.iter())
             .map(|c| key_columns(c.columns(), &self.key_positions))
             .collect::<Result<Vec<_>>>()?;
+        // One `Int64` key column spanning at most `dense_slots` values: its
+        // own bucket.
         let ints: Option<Vec<&[i64]>> = (keys.iter())
             .map(|k| match k[..] {
                 [ColumnData::Int64(ref v)] => Some(&v[..]),
                 _ => None,
             })
             .collect();
-        // The span of every chunk's least and greatest key is the build's.
         let dense = ints.and_then(|ints| {
-            let ends = ints
-                .iter()
-                .flat_map(|v| v.iter().min().into_iter().chain(v.iter().max()));
-            let (min, span) = dense_span(ends.copied(), dense_slots(rows))?;
-            Some((ints, min, span))
+            let min = ints.iter().filter_map(|v| v.iter().min()).min()?;
+            let max = ints.iter().filter_map(|v| v.iter().max()).max()?;
+            let span = span_within(*min, *max, dense_slots(rows))?;
+            Some((ints, *min, span))
         });
         let (buckets, (locations, offsets)) = match dense {
             Some((ints, min, span)) => {
@@ -1056,10 +1056,10 @@ impl SortBuffer {
     /// order, against a running *bar*: under a limit `k`, the `k`-th best
     /// row kept at the last selection. A row that does not beat the bar
     /// costs one comparison of its first key's order word and is dropped;
-    /// the rest are kept as candidates, and when `2k` (at least
-    /// `k +` [`MIN_SORT_SLACK`]) are kept they are selected back down to
-    /// `k`, which raises the bar. Only the surviving candidates are
-    /// selected and sorted.
+    /// the rest are kept as candidates, and when `2k` (at least `k + 1 024`,
+    /// `MIN_SORT_SLACK`) are kept they are selected back down to `k`, which
+    /// raises the bar. Only the surviving candidates are selected and
+    /// sorted.
     pub fn finalize(self) -> Result<RecordBatch> {
         let rows = self.rows();
         let keep = self.limit.map_or(rows, |k| k.min(rows));

@@ -1120,38 +1120,45 @@ fn all_miss_probe_is_empty_and_all_distinct_build_is_the_nested_loop() {
 }
 
 /// (g) A probe key column of another type than the build's equals no build
-/// key — `1.0` is not `1` — so the join is empty, not an error and not a
-/// match by bit pattern or by numeric value. Fails when a mismatched column
-/// is encoded by its raw value (float bits `0` then match int `0`).
+/// key — `1.0` is not `1`, nor is `"1"` — so the join is empty, not an error
+/// and not a match by bit pattern, numeric value or dictionary id, whether
+/// the `Int64` build keys are dense (bucketed by value) or span past `i64`
+/// (keyed). Fails when a mismatched column is encoded by its raw value
+/// (float bits `0` then match int `0`).
 #[test]
 fn type_mismatched_probe_key_matches_nothing() {
-    let build = batch_of(vec![0, 1, 2, 1]);
-    let mut ht = JoinHashTable::new(build.schema().clone(), vec![0]);
-    ht.insert_batch(build.clone()).expect("insert");
-    ht.finalize().expect("finalize");
-    let probe_schema = Arc::new(Schema::of(vec![
-        Field::new("k", DataType::Float64),
-        Field::new("tag", DataType::Int64),
-    ]));
-    let probe = RecordBatch::new(
-        probe_schema,
-        vec![
-            ColumnData::Float64(vec![0.0, 1.0, 2.0]),
-            ColumnData::Int64(vec![0, 1, 2]),
-        ],
-    )
-    .expect("batch");
-    let fields = probe
-        .schema()
-        .fields()
-        .iter()
-        .chain(build.schema().fields());
-    let fields = fields
-        .enumerate()
-        .map(|(i, f)| Field::new(format!("o{i}"), f.data_type));
-    let out_schema = Arc::new(Schema::of(fields.collect()));
-    let joined = ht.probe(&probe, &[0], out_schema.clone()).expect("probe");
-    assert_eq!(joined, RecordBatch::empty(out_schema));
+    let probe_key = [
+        ColumnData::Float64(vec![0.0, 1.0, 2.0, f64::from_bits(3)]),
+        ColumnData::strings(["0", "1", "2", "3"]),
+    ];
+    for build_keys in [vec![0, 1, 2, 1, 3], vec![0, 1, 2, 3, i64::MIN]] {
+        let build = batch_of(build_keys);
+        let mut ht = JoinHashTable::new(build.schema().clone(), vec![0]);
+        ht.insert_batch(build.clone()).expect("insert");
+        ht.finalize().expect("finalize");
+        for key in &probe_key {
+            let probe_schema = Arc::new(Schema::of(vec![
+                Field::new("k", key.data_type()),
+                Field::new("tag", DataType::Int64),
+            ]));
+            let probe = RecordBatch::new(
+                probe_schema,
+                vec![key.clone(), ColumnData::Int64(vec![0, 1, 2, 3])],
+            )
+            .expect("batch");
+            let fields = probe
+                .schema()
+                .fields()
+                .iter()
+                .chain(build.schema().fields());
+            let fields = fields
+                .enumerate()
+                .map(|(i, f)| Field::new(format!("o{i}"), f.data_type));
+            let out_schema = Arc::new(Schema::of(fields.collect()));
+            let joined = ht.probe(&probe, &[0], out_schema.clone()).expect("probe");
+            assert_eq!(joined, RecordBatch::empty(out_schema));
+        }
+    }
 }
 
 /// The join build keeps its morsels as chunks. Feeding the same build rows
@@ -1323,17 +1330,8 @@ mod dense_int_keys {
     /// An int key column and a tag column numbering the rows from `tag0`.
     fn keyed(keys: &[i64], tag0: i64) -> RecordBatch {
         let tags = (tag0..tag0 + keys.len() as i64).collect();
-        batch(vec![
-            ColumnData::Int64(keys.to_vec()),
-            ColumnData::Int64(tags),
-        ])
-    }
-
-    fn batch(columns: Vec<ColumnData>) -> RecordBatch {
-        let fields = (columns.iter().enumerate())
-            .map(|(i, c)| Field::new(format!("c{i}"), c.data_type()))
-            .collect();
-        RecordBatch::new(Arc::new(Schema::of(fields)), columns).expect("batch")
+        let columns = vec![ColumnData::Int64(keys.to_vec()), ColumnData::Int64(tags)];
+        RecordBatch::new(batch_of(Vec::new()).schema().clone(), columns).expect("batch")
     }
 
     /// The build keys cut into chunks of the given sizes (an empty chunk
@@ -1461,28 +1459,6 @@ mod dense_int_keys {
             vec![keyed(&[], 0), keyed(&[], 0)],
         ] {
             assert_eq!(join(&build, &probe), Vec::<Vec<Value>>::new());
-        }
-    }
-
-    /// A `Float64` or string probe key against an `Int64` build key matches
-    /// no row — a dense build or a keyed one, whose keys the probe's values
-    /// would equal by number, bit pattern or id.
-    #[test]
-    fn float_and_string_probe_keys_match_no_int_key() {
-        let probes = [
-            batch(vec![
-                ColumnData::Float64(vec![0.0, 1.0, 2.0, f64::from_bits(3)]),
-                ColumnData::Int64(vec![0, 1, 2, 3]),
-            ]),
-            batch(vec![
-                ColumnData::strings(["0", "1", "2", "3"]),
-                ColumnData::Int64(vec![0, 1, 2, 3]),
-            ]),
-        ];
-        for keys in [vec![0, 1, 2, 3, 1], vec![0, 1, 2, 3, i64::MIN]] {
-            for probe in &probes {
-                assert_eq!(join(&[keyed(&keys, 0)], probe), Vec::<Vec<Value>>::new());
-            }
         }
     }
 }
