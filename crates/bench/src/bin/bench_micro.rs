@@ -4,6 +4,7 @@
 //! hash-join build/probe, group-by) against their `std` baselines, the
 //! `filter_chain` kernel over both materialization strategies, the
 //! `filter_numeric` predicate kernel against the pre-kernel predicate path,
+//! the `filter_between_int` survivor-list filter against the mask path,
 //! the engine's int-key join against `std` hash-map joins (`int_join_all_miss`
 //! probes only, `int_join_dense` builds and probes CAB's FK → PK shape,
 //! `int_join_fanout` a duplicate-key build fed in morsels), the sort sink's
@@ -18,7 +19,9 @@
 //! per-operator compaction for `filter_chain`;
 //! Plain-only codec picking for `page_encode_int`;
 //! a copied, fully sorted, truncated row vector for `topk_sort`;
-//! cloned, broadcast, per-row `Ordering` comparisons for `filter_numeric`) and
+//! cloned, broadcast, per-row `Ordering` comparisons for `filter_numeric`;
+//! a mask per comparison, folded, counted and compacted for
+//! `filter_between_int`) and
 //! `dict_ns` the optimized path; [`Report`] lists what else is recorded. The
 //! JSON lands at the repo root (or `$BENCH_MICRO_OUT`) so successive PRs can
 //! track the perf trajectory, and CI uploads it as an artifact.
@@ -43,9 +46,10 @@
 use std::time::Instant;
 
 use ci_bench::hotpath::{
-    all_miss_fixture, dense_join_fixture, exchange_wire_accounting, fanout_join_fixture,
-    int_codec_accounting, int_join_map, int_join_table, morsels, numeric_batch, owned_rows,
-    run_exchange_wire, run_exchange_wire_std, run_filter, run_filter_chain, run_filter_numeric,
+    all_miss_fixture, date_batch, dense_join_fixture, exchange_wire_accounting,
+    fanout_join_fixture, int_codec_accounting, int_join_map, int_join_table, morsels,
+    numeric_batch, owned_rows, run_exchange_wire, run_exchange_wire_std, run_filter,
+    run_filter_between_int, run_filter_between_int_mask, run_filter_chain, run_filter_numeric,
     run_filter_numeric_naive, run_filter_std, run_group_by, run_group_by_std, run_int_join,
     run_int_join_probe, run_int_map_join, run_int_map_probe, run_join, run_join_std,
     run_page_encode, run_page_encode_int, run_page_encode_std, run_topk_sort, run_topk_sort_std,
@@ -66,36 +70,42 @@ const DENSE_BUILD_ROWS: usize = 50_000;
 const FANOUT_KEYS: usize = 40_000;
 const FANOUT_PER_KEY: usize = 4;
 const FANOUT_PROBE_ROWS: usize = 40_000;
-/// Rows per morsel of the fan-out join kernel's build and of the top-k
-/// kernel's input.
+/// Rows per morsel of the fan-out join kernel's build, of the top-k
+/// kernel's input and of the `filter_between_int` scan.
 const BUILD_MORSEL: usize = 8_192;
 /// Morsel size for the group-by kernel (matches the engine default's shape).
 const MORSEL: usize = 65_536;
-/// Timed repetitions per kernel; the minimum is reported.
+/// Timed rounds per kernel; each arm's minimum is reported.
 const REPS: usize = 7;
 
-/// Minimum wall time of `REPS` runs, plus the kernel's checksum output.
-fn time_min<F: FnMut() -> Result<usize>>(mut f: F) -> Result<(u128, usize)> {
-    // One warm-up run.
-    let mut check = f()?;
-    let mut best = u128::MAX;
-    for _ in 0..REPS {
-        let t = Instant::now();
-        check = f()?;
-        best = best.min(t.elapsed().as_nanos());
-    }
-    Ok((best, check))
+/// Runs `f` once, lowering `best` to its wall time; returns its checksum.
+fn timed(f: &mut impl FnMut() -> Result<usize>, best: &mut u128) -> Result<usize> {
+    let t = Instant::now();
+    let check = f()?;
+    *best = (*best).min(t.elapsed().as_nanos());
+    Ok(check)
 }
 
-/// Times a baseline arm against the optimized arm of one kernel; the two
-/// must agree on the checksum.
+/// Times a baseline arm against the optimized arm of one kernel: one
+/// warm-up run each, then `REPS` rounds in which the arm that goes first
+/// swaps, so neither arm always runs on the heap the other just left; each
+/// arm reports its best time. The two must agree on the checksum.
 fn versus(
     name: &'static str,
-    baseline: impl FnMut() -> Result<usize>,
-    optimized: impl FnMut() -> Result<usize>,
+    mut baseline: impl FnMut() -> Result<usize>,
+    mut optimized: impl FnMut() -> Result<usize>,
 ) -> Result<Measurement> {
-    let (baseline_naive_ns, expected) = time_min(baseline)?;
-    let (dict_ns, check) = time_min(optimized)?;
+    let (expected, mut check) = (baseline()?, optimized()?);
+    let (mut baseline_naive_ns, mut dict_ns) = (u128::MAX, u128::MAX);
+    for rep in 0..REPS {
+        if rep % 2 == 0 {
+            timed(&mut baseline, &mut baseline_naive_ns)?;
+            check = timed(&mut optimized, &mut dict_ns)?;
+        } else {
+            check = timed(&mut optimized, &mut dict_ns)?;
+            timed(&mut baseline, &mut baseline_naive_ns)?;
+        }
+    }
     assert_eq!(expected, check, "{name}: the arms disagree on results");
     Ok(Measurement {
         name,
@@ -117,6 +127,7 @@ fn main() -> Result<()> {
     let wide = wide_batch(ROWS, CARDINALITY, 11)?;
     let ints = sorted_int_batch(ROWS)?;
     let numeric = numeric_batch(ROWS, 11)?;
+    let dates = morsels(&date_batch(ROWS, 17)?, BUILD_MORSEL)?;
     let [build, probe] = all_miss_fixture(ROWS, ROWS / 2, 13)?;
     let (map, table) = (
         int_join_map(&build)?,
@@ -160,6 +171,14 @@ fn main() -> Result<()> {
             "filter_numeric",
             || run_filter_numeric_naive(&numeric),
             || run_filter_numeric(&numeric),
+        )?,
+        // Q2's `o_date BETWEEN s AND s + 30` over 200 000 dates in 8 192-row
+        // morsels, ≈ 1.3 % kept: a mask per comparison, folded, counted and
+        // compacted vs one interval compare writing the survivor list.
+        versus(
+            "filter_between_int",
+            || run_filter_between_int_mask(&dates),
+            || run_filter_between_int(&dates),
         )?,
         versus(
             "page_encode",

@@ -17,7 +17,7 @@ use std::cmp::Ordering;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use ci_exec::operators::{AggregateState, JoinHashTable, SortBuffer};
+use ci_exec::operators::{apply_filter, AggregateState, JoinHashTable, SortBuffer};
 use ci_plan::expr::{AggExpr, BinOp, ColMap, PlanExpr};
 use ci_sql::ast::AggFunc;
 use ci_storage::column::ColumnData;
@@ -66,8 +66,8 @@ pub fn owned_rows(rows: usize, cardinality: usize, seed: u64) -> OwnedRows {
 /// The key [`run_filter`] keeps.
 const FILTER_KEY: &str = "grp00007";
 
-/// Filter kernel: `s0 = 'grp00007'` mask + batch filter. Returns surviving
-/// rows.
+/// Filter kernel: `s0 = 'grp00007'` through the engine's filter. Returns
+/// surviving rows.
 pub fn run_filter(batch: &RecordBatch) -> Result<usize> {
     let map = ColMap::from_slots(&[0, 1]);
     let pred = PlanExpr::bin(
@@ -75,7 +75,7 @@ pub fn run_filter(batch: &RecordBatch) -> Result<usize> {
         PlanExpr::Col(0),
         PlanExpr::Lit(Value::from(FILTER_KEY)),
     );
-    Ok(batch.filter(&pred.eval_mask(batch, &map)?)?.rows())
+    Ok(apply_filter(batch, &pred, &map)?.rows())
 }
 
 /// [`run_filter`]'s baseline, the owned-string predicate path: the key
@@ -122,7 +122,8 @@ pub fn numeric_batch(rows: usize, seed: u64) -> Result<RecordBatch> {
 }
 
 /// Numeric filter kernel: the Q6 predicate shape `s0 >= 0.02 AND s0 <= 0.06
-/// AND s1 < 30` as a mask, then the batch filter. Returns surviving rows.
+/// AND s1 < 30` through the engine's filter, which refines one survivor
+/// list conjunct by conjunct. Returns surviving rows.
 pub fn run_filter_numeric(batch: &RecordBatch) -> Result<usize> {
     let cmp = |op, slot, v| PlanExpr::bin(op, PlanExpr::Col(slot), PlanExpr::Lit(v));
     let pred = PlanExpr::bin(
@@ -135,7 +136,7 @@ pub fn run_filter_numeric(batch: &RecordBatch) -> Result<usize> {
         cmp(BinOp::Lt, 1, Value::Int(30)),
     );
     let map = ColMap::from_slots(&[0, 1]);
-    Ok(batch.filter(&pred.eval_mask(batch, &map)?)?.rows())
+    Ok(apply_filter(batch, &pred, &map)?.rows())
 }
 
 /// [`run_filter_numeric`]'s baseline: the predicate path before comparisons
@@ -164,6 +165,70 @@ pub fn run_filter_numeric_naive(batch: &RecordBatch) -> Result<usize> {
         .map(|(i, _)| i as u32)
         .collect();
     Ok(std::hint::black_box(survivors).len())
+}
+
+/// Distinct order dates of the `filter_between_int` fixture and the first
+/// and last day of its window: CAB's `o_date` domain and a Q2 window of 31
+/// days, which keeps ≈ 1.3 % of the rows.
+const DATE_DAYS: u64 = 2_400;
+const WINDOW: (i64, i64) = (1_000, 1_030);
+
+/// Schema of the date fixture: an `Int64` order date and an `Int64` id.
+pub fn date_schema() -> SchemaRef {
+    Arc::new(Schema::of(vec![
+        Field::new("s0", DataType::Int64),
+        Field::new("s1", DataType::Int64),
+    ]))
+}
+
+/// A deterministic orders-like batch: dates drawn uniformly from
+/// `0..DATE_DAYS` and ids `0..rows`.
+pub fn date_batch(rows: usize, seed: u64) -> Result<RecordBatch> {
+    let mut rng = DetRng::seed_from_u64(seed);
+    let dates = (0..rows).map(|_| rng.u64_below(DATE_DAYS) as i64).collect();
+    let ids = (0..rows as i64).collect();
+    let columns = vec![ColumnData::Int64(dates), ColumnData::Int64(ids)];
+    RecordBatch::new(date_schema(), columns)
+}
+
+/// The surviving rows plus a checksum of their ids, read from the dense
+/// batch a sparse filter leaves.
+fn id_checksum(kept: &RecordBatch) -> Result<usize> {
+    let ids = kept.compacted();
+    let sum: i64 = ids.column(1).as_i64()?.iter().sum();
+    Ok(kept.rows() + (sum % 100_003) as usize)
+}
+
+/// Q2's filter, `s0 BETWEEN lo AND hi` (bound as `s0 >= lo AND s0 <= hi`),
+/// over each morsel through the engine's filter: both bounds fold into one
+/// interval, one unsigned compare per row writes the survivor list.
+pub fn run_filter_between_int(morsels: &[RecordBatch]) -> Result<usize> {
+    let bound = |op, y| PlanExpr::bin(op, PlanExpr::Col(0), PlanExpr::Lit(Value::Int(y)));
+    let pred = PlanExpr::bin(
+        BinOp::And,
+        bound(BinOp::GtEq, WINDOW.0),
+        bound(BinOp::LtEq, WINDOW.1),
+    );
+    let map = ColMap::from_slots(&[0, 1]);
+    morsels.iter().try_fold(0, |acc, m| {
+        Ok(acc + id_checksum(&apply_filter(m, &pred, &map)?)?)
+    })
+}
+
+/// [`run_filter_between_int`]'s baseline, the mask path filters took
+/// before they refined a survivor list: one branch-free `Vec<bool>` per
+/// comparison, the second folded into the first, then
+/// [`RecordBatch::filter`] counts the survivors, collects their indices
+/// and compacts the sparse result.
+pub fn run_filter_between_int_mask(morsels: &[RecordBatch]) -> Result<usize> {
+    let (lo, hi) = WINDOW;
+    morsels.iter().try_fold(0, |acc, m| {
+        let dates = m.column(0).as_i64()?;
+        let mut mask: Vec<bool> = dates.iter().map(|&x| x >= lo).collect();
+        let le: Vec<bool> = dates.iter().map(|&x| x <= hi).collect();
+        mask.iter_mut().zip(&le).for_each(|(m, &r)| *m &= r);
+        Ok(acc + id_checksum(&m.filter(&mask)?)?)
+    })
 }
 
 /// Hash-join kernel on the string key: build over `build`, probe with
@@ -728,6 +793,10 @@ mod tests {
             run_filter_numeric(&numeric).unwrap(),
             run_filter_numeric_naive(&numeric).unwrap()
         );
+        let dates = morsels(&date_batch(20_000, 7).unwrap(), 1_024).unwrap();
+        let kept = run_filter_between_int(&dates).unwrap();
+        assert_eq!(kept, run_filter_between_int_mask(&dates).unwrap());
+        assert!(kept > 0, "the window keeps rows");
         let probe_n = owned_rows(2_000, 60, 8);
         let probe_d = string_batch(2_000, 60, 8).unwrap();
         assert_eq!(

@@ -111,7 +111,7 @@ pub mod report {
             out
         }
 
-        /// `BENCH_micro.json`, schema 18.
+        /// `BENCH_micro.json`, schema 19.
         pub fn to_json(&self) -> String {
             let benches: Vec<String> = self
                 .measurements
@@ -129,7 +129,7 @@ pub mod report {
                 })
                 .collect();
             let fields = [
-                ("schema_version", "18".to_owned()),
+                ("schema_version", "19".to_owned()),
                 ("rows", ROWS.to_string()),
                 ("cardinality", CARDINALITY.to_string()),
                 ("exchange_wire_bytes", self.wire_bytes.to_string()),
@@ -222,7 +222,7 @@ pub mod report {
         fn json_keeps_the_schema_byte_format() {
             let json = sample(2.5).to_json();
             assert!(json.starts_with(
-                "{\n  \"schema_version\": 18,\n  \"rows\": 200000,\n  \"cardinality\": 1000,\n  \
+                "{\n  \"schema_version\": 19,\n  \"rows\": 200000,\n  \"cardinality\": 1000,\n  \
                  \"exchange_wire_bytes\": 400,\n"
             ));
             assert!(!json.contains("cache_"));

@@ -45,13 +45,12 @@
 //! keys; rows with different values never collide.
 
 use std::collections::HashMap;
-use std::ops::Range;
 use std::sync::{Arc, Mutex, PoisonError};
 
 use ci_storage::column::ColumnData;
 use ci_storage::dict::Dictionary;
 use ci_storage::value::Value;
-use ci_storage::RecordBatch;
+use ci_storage::RowSet;
 use ci_types::{CiError, Result};
 
 /// Word of a string in neither the base dictionary nor the extension table.
@@ -622,42 +621,6 @@ pub enum DictKeyEntry<'a> {
     Spilled(&'a str),
 }
 
-/// The physical rows of a batch a [`RowEncoder`] reads, in order.
-#[derive(Debug, Clone)]
-pub enum RowSet {
-    /// A contiguous run: a dense batch, or a range selection.
-    Range(Range<usize>),
-    /// A sparse selection's physical indices.
-    Picked(Vec<usize>),
-}
-
-impl RowSet {
-    /// The rows `batch` selects: a deferred filter is read in place.
-    pub fn of(batch: &RecordBatch) -> RowSet {
-        match batch.selection().map(|sel| (sel, sel.as_range())) {
-            None => RowSet::Range(0..batch.physical_rows()),
-            Some((_, Some((start, len)))) => RowSet::Range(start..start + len),
-            Some((sel, None)) => RowSet::Picked(sel.iter().collect()),
-        }
-    }
-
-    pub(crate) fn len(&self) -> usize {
-        match self {
-            RowSet::Range(r) => r.len(),
-            RowSet::Picked(p) => p.len(),
-        }
-    }
-
-    /// The rows in order (one of the two chained halves is empty).
-    pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
-        let (range, picked) = match self {
-            RowSet::Range(r) => (r.clone(), &[][..]),
-            RowSet::Picked(p) => (0..0, &p[..]),
-        };
-        range.chain(picked.iter().copied())
-    }
-}
-
 /// A batch-bound key encoder; see [`KeyEncoder::prepare`].
 pub struct RowEncoder<'a> {
     encoder: &'a KeyEncoder,
@@ -692,7 +655,9 @@ fn scatter<T>(
         RowSet::Range(r) => slots
             .zip(&v[r.clone()])
             .for_each(|(slot, x)| *slot = word(x)),
-        RowSet::Picked(p) => slots.zip(p).for_each(|(slot, &row)| *slot = word(&v[row])),
+        RowSet::Picked(p) => {
+            (slots.zip(*p)).for_each(|(slot, &row)| *slot = word(&v[row as usize]))
+        }
     }
 }
 
@@ -773,7 +738,7 @@ impl RowEncoder<'_> {
         mut extensions: Extensions<'_>,
     ) {
         let stride = plans.len();
-        if rows.len() == 0 {
+        if rows.is_empty() {
             return; // no `out[c..]` to write to
         }
         for (c, plan) in plans.iter().enumerate() {

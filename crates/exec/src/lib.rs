@@ -58,6 +58,6 @@ pub use ci_cloud::work::WorkModels;
 pub use ci_obs::TraceLevel;
 pub use ci_storage::tiers::PageSourceMode;
 pub use engine::{ExecutionConfig, ExecutionMode, Executor, QueryOutcome};
-pub use key::{DictKeyEntry, KeyEncoder, KeyIndex, RowSet};
+pub use key::{DictKeyEntry, KeyEncoder, KeyIndex};
 pub use metrics::{attribute_node_dollars, OpSample, PipelineMetrics, QueryMetrics};
 pub use scaling::{NoScaling, PipelineProgress, ScaleDecision, ScalingController};

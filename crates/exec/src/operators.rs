@@ -41,11 +41,11 @@ use ci_storage::column::ColumnData;
 use ci_storage::dict::Dictionary;
 use ci_storage::schema::{Field, Schema, SchemaRef};
 use ci_storage::value::{f64_sort_key, DataType, Value};
-use ci_storage::RecordBatch;
+use ci_storage::{RecordBatch, RowSet};
 use ci_types::{CiError, Result};
 
 use crate::key::{
-    ids_or_insert_batches, key_columns, span_within, DictKeyEntry, KeyEncoder, KeyIndex, RowSet,
+    ids_or_insert_batches, key_columns, span_within, DictKeyEntry, KeyEncoder, KeyIndex,
 };
 
 /// Builds the internal schema for a node's output slots. Field names are
@@ -59,13 +59,13 @@ pub fn slots_schema(slots: &[usize], slot_types: &[DataType]) -> SchemaRef {
     ))
 }
 
-/// Applies a filter predicate, returning the surviving rows. The survivors
-/// are *not* materialized: the batch comes back carrying a composed
-/// selection (unless density fell below the compaction threshold), so
+/// Applies a filter predicate, returning the surviving rows
+/// ([`PlanExpr::survivors`]: one survivor list each conjunct refines). The
+/// survivors are *not* materialized: the batch comes back carrying them as
+/// its selection (unless density fell below the compaction threshold), so
 /// filter→filter→project chains move no column data.
 pub fn apply_filter(batch: &RecordBatch, pred: &PlanExpr, map: &ColMap) -> Result<RecordBatch> {
-    let mask = pred.eval_mask(batch, map)?;
-    batch.filter(&mask)
+    batch.unselected().select(pred.survivors(batch, map)?)
 }
 
 /// Applies a projection, producing a batch in the projection's slot layout.
@@ -260,7 +260,7 @@ impl Buckets {
         };
         match rows {
             RowSet::Range(r) => out.extend(v[r.clone()].iter().map(|&k| bucket(k))),
-            RowSet::Picked(p) => out.extend(p.iter().map(|&r| bucket(v[r]))),
+            RowSet::Picked(p) => out.extend(p.iter().map(|&r| bucket(v[r as usize]))),
         }
         Ok(())
     }
@@ -1184,9 +1184,9 @@ impl<C: Fn(&SortCand, &SortCand) -> Ordering> Candidates<C> {
     /// Offers every logical row of batch `bi`, whose first-key order word
     /// at physical row `p` is `word(p)`.
     fn offer_batch(&mut self, bi: usize, b: &RecordBatch, word: impl Fn(usize) -> u64) {
-        match b.selection() {
-            Some(sel) => self.offer_rows(bi, sel.iter(), word),
-            None => self.offer_rows(bi, 0..b.physical_rows(), word),
+        match RowSet::of(b) {
+            RowSet::Range(r) => self.offer_rows(bi, r, word),
+            RowSet::Picked(p) => self.offer_rows(bi, p.iter().map(|&i| i as usize), word),
         }
     }
 

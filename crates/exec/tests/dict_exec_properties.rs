@@ -11,7 +11,7 @@
 use std::sync::Arc;
 
 use ci_exec::operators::{AggregateState, JoinHashTable};
-use ci_exec::{DictKeyEntry, KeyEncoder, RowSet};
+use ci_exec::{DictKeyEntry, KeyEncoder};
 use ci_plan::expr::{AggExpr, BinOp, ColMap, PlanExpr};
 use ci_sql::ast::AggFunc;
 use ci_storage::column::ColumnData;
@@ -19,6 +19,7 @@ use ci_storage::dict::Dictionary;
 use ci_storage::schema::{Field, Schema, SchemaRef};
 use ci_storage::value::{DataType, Value};
 use ci_storage::RecordBatch;
+use ci_storage::RowSet;
 use ci_types::Result;
 use proptest::prelude::*;
 

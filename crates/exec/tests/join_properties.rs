@@ -9,7 +9,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use ci_exec::operators::{AggregateState, JoinHashTable};
-use ci_exec::{KeyEncoder, KeyIndex, RowSet};
+use ci_exec::{KeyEncoder, KeyIndex};
 use ci_plan::expr::{AggExpr, ColMap, PlanExpr};
 use ci_sql::ast::AggFunc;
 use ci_storage::batch::RecordBatch;
@@ -17,6 +17,7 @@ use ci_storage::column::ColumnData;
 use ci_storage::dict::Dictionary;
 use ci_storage::schema::{Field, Schema};
 use ci_storage::value::{DataType, Value};
+use ci_storage::RowSet;
 use ci_types::Result;
 use proptest::prelude::*;
 
@@ -513,7 +514,7 @@ proptest! {
             .collect();
         let column_refs: Vec<&ColumnData> = columns.iter().collect();
         let start = start.min(rows.len());
-        let picked: Vec<usize> = (0..rows.len()).filter(|&r| keep[r]).collect();
+        let picked: Vec<u32> = (0..rows.len() as u32).filter(|&r| keep[r as usize]).collect();
         let mismatched = kinds.iter().any(|k| matches!(k, ColKind::Mismatch));
 
         let encoder = KeyEncoder::for_columns(&auth_refs);
@@ -523,7 +524,7 @@ proptest! {
         // outside the dictionary, and the keys in id order.
         let mut unseen: Vec<Vec<usize>> = vec![Vec::new(); kinds.len()];
         let mut stored: Vec<Vec<u64>> = Vec::new();
-        for row_set in [RowSet::Range(start..rows.len()), RowSet::Picked(picked)] {
+        for row_set in [RowSet::Range(start..rows.len()), RowSet::Picked(&picked)] {
             let mut key_of = |r: usize, insert: bool| -> Option<Vec<u64>> {
                 let words = kinds.iter().zip(&mut unseen);
                 words.map(|(&k, u)| reference_word(k, rows[r], dict, u, insert)).collect()

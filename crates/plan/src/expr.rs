@@ -20,6 +20,15 @@
 //! row. [`PlanExpr::eval`] of a boolean expression wraps the mask, so there
 //! is exactly one comparison path.
 //!
+//! **Filters refine survivors.** [`PlanExpr::survivors`] is what a filter
+//! keeps: the top-level `AND` splits into conjuncts, every int-literal
+//! bound on one `Int64` column folds into one closed interval (one unsigned
+//! compare per row), and each conjunct refines one survivor list
+//! ([`SelectionVector::retain`]), so a later conjunct tests only the rows
+//! the earlier ones kept. A column–literal conjunct runs the same verdict
+//! closure its mask kernel runs; any other conjunct is its mask over the
+//! survivors.
+//!
 //! **NaN compares Equal.** Float comparisons follow
 //! `partial_cmp().unwrap_or(Equal)`: a NaN on either side makes `=`, `<=`
 //! and `>=` true and `<>`, `<`, `>` false. The kernels state this without a
@@ -33,7 +42,7 @@ use std::fmt;
 use ci_sql::ast::AggFunc;
 use ci_storage::column::ColumnData;
 use ci_storage::value::{DataType, Value};
-use ci_storage::{RecordBatch, SelectionVector};
+use ci_storage::{RecordBatch, RowSet, SelectionVector};
 use ci_types::{CiError, Result};
 
 /// Executable binary operators.
@@ -260,6 +269,149 @@ impl PlanExpr {
             other => into_mask(other.eval(batch, map)?),
         }
     }
+
+    /// The physical rows of `batch` this predicate keeps — a refinement of
+    /// the batch's selection (all its rows when it has none), exactly the
+    /// rows [`RecordBatch::filter`] over [`PlanExpr::eval_mask`] keeps.
+    ///
+    /// The top-level `AND` splits into conjuncts, run in order over one
+    /// survivor list: the first walks the batch's rows, each later one only
+    /// what the earlier ones kept. The int-literal bounds (`=`, `<`, `<=`,
+    /// `>`, `>=`) on one `Int64` column fold into one interval `[lo, hi]`,
+    /// run where the column's first bound stands as one unsigned compare
+    /// per row; an empty interval keeps nothing and reads no row. Any other
+    /// column–literal comparison runs its mask kernel's verdict over the
+    /// survivors; anything else (`OR`, `NOT`, column–column, arithmetic) is
+    /// its [`PlanExpr::eval_mask`] over them.
+    pub fn survivors(&self, batch: &RecordBatch, map: &ColMap) -> Result<SelectionVector> {
+        let total = batch.physical_rows();
+        let mut sel = match batch.selection() {
+            Some(sel) => sel.clone(),
+            None => SelectionVector::from_range(0, total, total)?,
+        };
+        for conjunct in conjuncts(self, batch, map)? {
+            match conjunct {
+                Conjunct::Between { lo, hi, .. } if lo > hi => {
+                    sel = SelectionVector::from_range(0, 0, total)?;
+                }
+                Conjunct::Between { values, lo, hi, .. } => {
+                    let span = hi.wrapping_sub(lo) as u64;
+                    sel.retain(values, |x| x.wrapping_sub(lo) as u64 <= span);
+                }
+                Conjunct::Literal {
+                    col,
+                    cmp,
+                    lit,
+                    expr,
+                } => {
+                    if literal_kernel(cmp, col, lit, Refine(&mut sel)).is_none() {
+                        sel = mask_refine(expr, batch, map, sel)?;
+                    }
+                }
+                Conjunct::Mask(expr) => sel = mask_refine(expr, batch, map, sel)?,
+            }
+        }
+        Ok(sel)
+    }
+}
+
+/// `sel` refined by `expr`'s mask over the rows it selects.
+fn mask_refine(
+    expr: &PlanExpr,
+    batch: &RecordBatch,
+    map: &ColMap,
+    sel: SelectionVector,
+) -> Result<SelectionVector> {
+    let keep = expr.eval_mask(&batch.unselected().select(sel.clone())?, map)?;
+    sel.refine(&keep)
+}
+
+/// One conjunct of a filter, as [`PlanExpr::survivors`] runs it.
+enum Conjunct<'a> {
+    /// `lo <= x <= hi` over the `Int64` column at batch position `pos`;
+    /// empty when `lo > hi`.
+    Between {
+        pos: usize,
+        values: &'a [i64],
+        lo: i64,
+        hi: i64,
+    },
+    /// `column <cmp> literal`, its mask kernel's verdict; `expr` itself
+    /// when no kernel takes the pair of types.
+    Literal {
+        col: &'a ColumnData,
+        cmp: Cmp,
+        lit: &'a Value,
+        expr: &'a PlanExpr,
+    },
+    /// Anything else, as a mask.
+    Mask(&'a PlanExpr),
+}
+
+/// `pred`'s top-level conjuncts in order, each `Int64` column's int-literal
+/// bounds folded into the [`Conjunct::Between`] where its first bound stands.
+fn conjuncts<'a>(
+    pred: &'a PlanExpr,
+    batch: &'a RecordBatch,
+    map: &ColMap,
+) -> Result<Vec<Conjunct<'a>>> {
+    fn split<'e>(e: &'e PlanExpr, out: &mut Vec<&'e PlanExpr>) {
+        match e {
+            PlanExpr::Bin {
+                op: BinOp::And,
+                left,
+                right,
+            } => {
+                split(left, out);
+                split(right, out);
+            }
+            _ => out.push(e),
+        }
+    }
+    let mut parts = Vec::new();
+    split(pred, &mut parts);
+    let mut out: Vec<Conjunct<'a>> = Vec::with_capacity(parts.len());
+    for expr in parts {
+        let literal = match expr {
+            PlanExpr::Bin { op, left, right } => {
+                Cmp::of(*op).and_then(|cmp| column_literal(cmp, left, right))
+            }
+            _ => None,
+        };
+        let Some((slot, cmp, lit)) = literal else {
+            out.push(Conjunct::Mask(expr));
+            continue;
+        };
+        let pos = map.position(slot)?;
+        let col = batch.column(pos);
+        let interval = match (col, lit) {
+            (ColumnData::Int64(values), Value::Int(y)) => cmp.int_interval(*y).map(|b| (values, b)),
+            _ => None,
+        };
+        let Some((values, (lo, hi))) = interval else {
+            out.push(Conjunct::Literal {
+                col,
+                cmp,
+                lit,
+                expr,
+            });
+            continue;
+        };
+        let folded = out.iter_mut().find_map(|c| match c {
+            Conjunct::Between { pos: p, lo, hi, .. } if *p == pos => Some((lo, hi)),
+            _ => None,
+        });
+        match folded {
+            Some((l, h)) => (*l, *h) = ((*l).max(lo), (*h).min(hi)),
+            None => out.push(Conjunct::Between {
+                pos,
+                values,
+                lo,
+                hi,
+            }),
+        }
+    }
+    Ok(out)
 }
 
 /// A boolean column's values; any other column is a type error.
@@ -324,6 +476,21 @@ impl Cmp {
         }
     }
 
+    /// The closed interval `[lo, hi]` of the `i64`s `x` with `x <self> y`
+    /// (`lo > hi` when there is none); `None` for `<>`, which is no
+    /// interval.
+    fn int_interval(self, y: i64) -> Option<(i64, i64)> {
+        const EMPTY: (i64, i64) = (i64::MAX, i64::MIN);
+        Some(match self {
+            Cmp::Eq => (y, y),
+            Cmp::Lt => y.checked_sub(1).map_or(EMPTY, |hi| (i64::MIN, hi)),
+            Cmp::LtEq => (i64::MIN, y),
+            Cmp::Gt => y.checked_add(1).map_or(EMPTY, |lo| (lo, i64::MAX)),
+            Cmp::GtEq => (y, i64::MAX),
+            Cmp::NotEq => return None,
+        })
+    }
+
     /// The verdict for an ordering.
     fn keep(self, o: Ordering) -> bool {
         match self {
@@ -337,13 +504,9 @@ impl Cmp {
     }
 }
 
-/// `column <cmp> literal`, in either operand order, over the column as
-/// stored: one loop per (column type, operator) with no column copy and no
-/// literal broadcast. Ints and bools compare natively; an `Int64` column
-/// against a float literal compares in f64, and a `Float64` column converts
-/// an int literal once. A string literal against a dictionary column is
-/// resolved once per dictionary entry, leaving an id lookup per row.
-/// `Ok(None)` for any other shape, which the general [`compare`] handles.
+/// `column <cmp> literal` as the column's mask, in either operand order;
+/// `Ok(None)` for any other shape or a pair of types [`literal_kernel`]
+/// does not take, which the general [`compare`] handles.
 fn literal_compare(
     cmp: Cmp,
     left: &PlanExpr,
@@ -351,63 +514,110 @@ fn literal_compare(
     batch: &RecordBatch,
     map: &ColMap,
 ) -> Result<Option<Vec<bool>>> {
-    let (slot, lit, cmp) = match (left, right) {
-        (PlanExpr::Col(s), PlanExpr::Lit(v)) => (*s, v, cmp),
-        (PlanExpr::Lit(v), PlanExpr::Col(s)) => (*s, v, cmp.flipped()),
-        _ => return Ok(None),
+    let Some((slot, cmp, lit)) = column_literal(cmp, left, right) else {
+        return Ok(None);
     };
-    let sel = batch.selection();
-    Ok(Some(match (batch.column(map.position(slot)?), lit) {
-        (ColumnData::Int64(c), Value::Int(y)) => compare_kernel(cmp, c, sel, |x| x, *y),
-        (ColumnData::Int64(c), Value::Float(y)) => compare_kernel(cmp, c, sel, |x| x as f64, *y),
-        (ColumnData::Float64(c), Value::Float(y)) => compare_kernel(cmp, c, sel, |x| x, *y),
-        (ColumnData::Float64(c), Value::Int(y)) => compare_kernel(cmp, c, sel, |x| x, *y as f64),
-        (ColumnData::Bool(c), Value::Bool(y)) => compare_kernel(cmp, c, sel, |x| x, *y),
+    let col = batch.column(map.position(slot)?);
+    Ok(literal_kernel(cmp, col, lit, Mask(batch.selection())))
+}
+
+/// The column slot, the comparison as `column <cmp> literal` and the
+/// literal of a column–literal comparison in either operand order.
+fn column_literal<'e>(
+    cmp: Cmp,
+    left: &'e PlanExpr,
+    right: &'e PlanExpr,
+) -> Option<(usize, Cmp, &'e Value)> {
+    match (left, right) {
+        (PlanExpr::Col(s), PlanExpr::Lit(v)) => Some((*s, cmp, v)),
+        (PlanExpr::Lit(v), PlanExpr::Col(s)) => Some((*s, cmp.flipped(), v)),
+        _ => None,
+    }
+}
+
+/// Where a comparison kernel's verdicts go: one per logical row ([`Mask`])
+/// or into a survivor list ([`Refine`]). Both run the same verdict closure,
+/// so each comparison is defined once.
+trait Verdicts {
+    type Out;
+    /// Runs `keep` over the values of the rows of `col` this sink reads.
+    fn run<S: Copy>(self, col: &[S], keep: impl Fn(S) -> bool) -> Self::Out;
+}
+
+/// One verdict per logical row of a batch carrying this selection.
+struct Mask<'a>(Option<&'a SelectionVector>);
+
+impl Verdicts for Mask<'_> {
+    type Out = Vec<bool>;
+
+    fn run<S: Copy>(self, col: &[S], keep: impl Fn(S) -> bool) -> Vec<bool> {
+        match RowSet::of_selection(self.0, col.len()) {
+            RowSet::Range(r) => col[r].iter().map(|&x| keep(x)).collect(),
+            RowSet::Picked(p) => p.iter().map(|&i| keep(col[i as usize])).collect(),
+        }
+    }
+}
+
+/// The survivors of a selection that pass, refined in place.
+struct Refine<'a>(&'a mut SelectionVector);
+
+impl Verdicts for Refine<'_> {
+    type Out = ();
+
+    fn run<S: Copy>(self, col: &[S], keep: impl Fn(S) -> bool) {
+        self.0.retain(col, keep);
+    }
+}
+
+/// `column <cmp> literal` over the column as stored: one loop per (column
+/// type, operator) with no column copy and no literal broadcast. Ints and
+/// bools compare natively; an `Int64` column against a float literal
+/// compares in f64, and a `Float64` column converts an int literal once. A
+/// string literal against a dictionary column is resolved once per
+/// dictionary entry, leaving an id lookup per row. `None` for any other
+/// pair of types.
+fn literal_kernel<V: Verdicts>(cmp: Cmp, col: &ColumnData, lit: &Value, out: V) -> Option<V::Out> {
+    Some(match (col, lit) {
+        (ColumnData::Int64(c), Value::Int(y)) => compare_kernel(cmp, c, |x| x, *y, out),
+        (ColumnData::Int64(c), Value::Float(y)) => compare_kernel(cmp, c, |x| x as f64, *y, out),
+        (ColumnData::Float64(c), Value::Float(y)) => compare_kernel(cmp, c, |x| x, *y, out),
+        (ColumnData::Float64(c), Value::Int(y)) => compare_kernel(cmp, c, |x| x, *y as f64, out),
+        (ColumnData::Bool(c), Value::Bool(y)) => compare_kernel(cmp, c, |x| x, *y, out),
         (ColumnData::Dict { ids, dict }, Value::Str(y)) => {
             let verdicts: Vec<bool> = (0..dict.len() as u32)
                 .map(|id| cmp.keep(dict.get(id).cmp(y.as_str())))
                 .collect();
-            map_rows(ids, sel, |id| verdicts[id as usize])
+            out.run(ids, |id| verdicts[id as usize])
         }
-        _ => return Ok(None),
-    }))
+        _ => return None,
+    })
 }
 
-/// `x_of(row) <cmp> y` for every logical row of `col`, without a branch per
-/// row. The forms keep the NaN-compares-Equal convention of
+/// `x_of(row) <cmp> y` for the rows `out` reads, without a branch per row.
+/// The forms keep the NaN-compares-Equal convention of
 /// [`Cmp::keep`]`(partial_cmp().unwrap_or(Equal))` — a plain `x <= y` would
 /// be false on NaN — and are the ordinary operators on a total order.
 #[allow(clippy::neg_cmp_op_on_partial_ord)] // the negations are the NaN rule
-fn compare_kernel<S: Copy, T: PartialOrd + Copy>(
+fn compare_kernel<V: Verdicts, S: Copy, T: PartialOrd + Copy>(
     cmp: Cmp,
     col: &[S],
-    sel: Option<&SelectionVector>,
     x_of: impl Fn(S) -> T,
     y: T,
-) -> Vec<bool> {
+    out: V,
+) -> V::Out {
     match cmp {
-        Cmp::Lt => map_rows(col, sel, |x| x_of(x) < y),
-        Cmp::Gt => map_rows(col, sel, |x| x_of(x) > y),
-        Cmp::LtEq => map_rows(col, sel, |x| !(x_of(x) > y)),
-        Cmp::GtEq => map_rows(col, sel, |x| !(x_of(x) < y)),
-        Cmp::Eq => map_rows(col, sel, |x| {
+        Cmp::Lt => out.run(col, |x| x_of(x) < y),
+        Cmp::Gt => out.run(col, |x| x_of(x) > y),
+        Cmp::LtEq => out.run(col, |x| !(x_of(x) > y)),
+        Cmp::GtEq => out.run(col, |x| !(x_of(x) < y)),
+        Cmp::Eq => out.run(col, |x| {
             let x = x_of(x);
             !(x < y) & !(x > y)
         }),
-        Cmp::NotEq => map_rows(col, sel, |x| {
+        Cmp::NotEq => out.run(col, |x| {
             let x = x_of(x);
             (x < y) | (x > y)
         }),
-    }
-}
-
-/// `f` of every logical row of a physical column: all of it, a range run's
-/// slice, or the selected rows read in place.
-fn map_rows<S: Copy>(col: &[S], sel: Option<&SelectionVector>, f: impl Fn(S) -> bool) -> Vec<bool> {
-    match sel.map(|s| (s, s.as_range())) {
-        None => col.iter().map(|&x| f(x)).collect(),
-        Some((_, Some((start, len)))) => col[start..start + len].iter().map(|&x| f(x)).collect(),
-        Some((sel, None)) => sel.iter().map(|i| f(col[i])).collect(),
     }
 }
 

@@ -17,7 +17,7 @@ use std::sync::Arc;
 use ci_types::{CiError, Result};
 
 use crate::dict::Dictionary;
-use crate::selection::SelectionVector;
+use crate::selection::{RowSet, SelectionVector};
 use crate::value::{DataType, Value};
 
 /// A contiguous, non-nullable, typed column of values.
@@ -228,21 +228,23 @@ impl ColumnData {
     /// selection invariants (`sel.total() == self.len()`, indices in
     /// bounds); dict columns keep their dictionary and move only ids. A
     /// contiguous range-run selection degrades to [`ColumnData::slice`] — a
-    /// memcpy of fixed-width payloads instead of a per-row gather.
+    /// memcpy of fixed-width payloads instead of a per-row gather — and
+    /// scattered rows are one walk of the index slice.
     pub fn gather(&self, sel: &SelectionVector) -> ColumnData {
         debug_assert_eq!(sel.total(), self.len());
-        if let Some((start, len)) = sel.as_range() {
-            return self.slice(start, len);
-        }
-        fn pick<T: Clone>(v: &[T], sel: &SelectionVector) -> Vec<T> {
-            sel.iter().map(|i| v[i].clone()).collect()
+        let picked = match sel.rows() {
+            RowSet::Range(r) => return self.slice(r.start, r.len()),
+            RowSet::Picked(p) => p,
+        };
+        fn pick<T: Clone>(v: &[T], picked: &[u32]) -> Vec<T> {
+            picked.iter().map(|&i| v[i as usize].clone()).collect()
         }
         match self {
-            ColumnData::Int64(v) => ColumnData::Int64(pick(v, sel)),
-            ColumnData::Float64(v) => ColumnData::Float64(pick(v, sel)),
-            ColumnData::Bool(v) => ColumnData::Bool(pick(v, sel)),
+            ColumnData::Int64(v) => ColumnData::Int64(pick(v, picked)),
+            ColumnData::Float64(v) => ColumnData::Float64(pick(v, picked)),
+            ColumnData::Bool(v) => ColumnData::Bool(pick(v, picked)),
             ColumnData::Dict { ids, dict } => ColumnData::Dict {
-                ids: pick(ids, sel),
+                ids: pick(ids, picked),
                 dict: dict.clone(),
             },
         }
@@ -256,12 +258,9 @@ impl ColumnData {
         match self {
             ColumnData::Int64(_) | ColumnData::Float64(_) => sel.len() * 8,
             ColumnData::Bool(_) => sel.len(),
-            ColumnData::Dict { ids, dict } => match sel.as_range() {
-                Some((start, len)) => ids[start..start + len]
-                    .iter()
-                    .map(|&id| dict.value_bytes(id))
-                    .sum(),
-                None => sel.iter().map(|i| dict.value_bytes(ids[i])).sum(),
+            ColumnData::Dict { ids, dict } => match sel.rows() {
+                RowSet::Range(r) => ids[r].iter().map(|&id| dict.value_bytes(id)).sum(),
+                RowSet::Picked(p) => p.iter().map(|&i| dict.value_bytes(ids[i as usize])).sum(),
             },
         }
     }

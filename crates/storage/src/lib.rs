@@ -46,7 +46,7 @@ pub use pages::{EncodedPage, PageCodec, WireEncoder, WireSketch};
 pub use partition::MicroPartition;
 pub use pruning::ColumnBound;
 pub use schema::{Field, Schema};
-pub use selection::SelectionVector;
+pub use selection::{RowSet, SelectionVector};
 pub use table::{Table, TableBuilder};
 pub use tiers::{PageSourceMode, PageStore, StoredTable};
 pub use value::{DataType, Value};

@@ -104,7 +104,7 @@ use ci_types::{CiError, Result};
 use crate::batch::RecordBatch;
 use crate::column::ColumnData;
 use crate::dict::{Dictionary, IntDict};
-use crate::selection::SelectionVector;
+use crate::selection::{RowSet, SelectionVector};
 use crate::value::DataType;
 
 /// Magic bytes opening every encoded page.
@@ -598,21 +598,17 @@ impl Rows<'_> {
 }
 
 /// Evaluates `$body` with `$it` bound to a cloneable iterator over the
-/// elements of slice `$v` that `$sel` names: the whole slice, a sub-slice
-/// for range selections, an index walk otherwise.
+/// elements of slice `$v` that `$sel` names: the whole slice or a range
+/// selection's sub-slice, a walk of the index slice otherwise.
 macro_rules! each_row {
     ($v:expr, $sel:expr, |$it:ident| $body:expr) => {
-        match $sel.map(|s| (s, s.as_range())) {
-            None => {
-                let $it = $v.iter();
+        match RowSet::of_selection($sel, $v.len()) {
+            RowSet::Range(r) => {
+                let $it = $v[r].iter();
                 $body
             }
-            Some((_, Some((start, len)))) => {
-                let $it = $v[start..start + len].iter();
-                $body
-            }
-            Some((s, None)) => {
-                let $it = s.iter().map(|i| &$v[i]);
+            RowSet::Picked(p) => {
+                let $it = p.iter().map(|&i| &$v[i as usize]);
                 $body
             }
         }
@@ -987,13 +983,12 @@ fn dict_bound(payload: &[Option<u64>; 5], dict: impl Fn(usize) -> u64) -> Option
 /// or range selection is one comparison of the slice with itself shifted
 /// by a row.
 fn float_runs(v: &[f64], sel: Option<&SelectionVector>) -> u64 {
-    let v = match sel.map(|s| (s, s.as_range())) {
-        None => v,
-        Some((_, Some((start, len)))) => &v[start..start + len],
-        Some((s, None)) => {
-            let bits = || s.iter().map(|i| v[i].to_bits());
+    let v = match RowSet::of_selection(sel, v.len()) {
+        RowSet::Range(r) => &v[r],
+        RowSet::Picked(p) => {
+            let bits = || p.iter().map(|&i| v[i as usize].to_bits());
             let changes = bits().zip(bits().skip(1)).filter(|(a, b)| a != b).count();
-            return u64::from(!s.is_empty()) + changes as u64;
+            return u64::from(!p.is_empty()) + changes as u64;
         }
     };
     let Some(next) = v.get(1..) else { return 0 };

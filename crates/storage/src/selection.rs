@@ -15,8 +15,18 @@
 //! Batches carry a selection through filter → project chains so each
 //! operator composes masks instead of copying columns; materialization
 //! happens once, at the pipeline sink (see [`crate::batch::RecordBatch`]).
+//!
+//! A filter refines one survivor list ([`SelectionVector::retain`]): the
+//! first test walks the rows, each later one only the survivors, rewriting
+//! the `u32` indices in place. Readers take the rows as a [`RowSet`] — a
+//! sub-slice of each column for a range run, one `&[u32]` walk per column
+//! for scattered rows.
+
+use std::ops::Range;
 
 use ci_types::{CiError, Result};
+
+use crate::batch::RecordBatch;
 
 /// Internal storage: a contiguous range run or explicit sorted indices.
 #[derive(Debug, Clone)]
@@ -158,12 +168,61 @@ impl SelectionVector {
         }
     }
 
-    /// Iterates the selected physical rows in ascending order.
-    pub fn iter(&self) -> SelectionIter<'_> {
+    /// The selected physical rows in the shape they are stored.
+    pub fn rows(&self) -> RowSet<'_> {
         match &self.repr {
-            Repr::Range { start, len } => SelectionIter::Range(*start..(*start + *len)),
-            Repr::Indices(v) => SelectionIter::Indices(v.iter()),
+            Repr::Range { start, len } => RowSet::Range(*start as usize..(*start + *len) as usize),
+            Repr::Indices(v) => RowSet::Picked(v),
         }
+    }
+
+    /// Iterates the selected physical rows in ascending order.
+    pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
+        self.rows().iter()
+    }
+
+    /// Keeps the selected rows `r` whose value `col[r]` passes `keep`, in
+    /// order: the filter's survivor list, refined in place. A range run is
+    /// walked as one slice of `col` into a fresh index list, an index
+    /// selection rewrites its own indices; either way every row is written
+    /// at the cursor, which then advances by the row's verdict, so there is
+    /// no branch per row. The list then shrinks to the survivors, so a
+    /// sparse result keeps no slot per row, and a contiguous result
+    /// collapses back to a range run. Panics unless `col.len()` is the
+    /// selection's physical row count.
+    pub fn retain<T: Copy>(&mut self, col: &[T], keep: impl Fn(T) -> bool) {
+        assert_eq!(
+            col.len(),
+            self.total,
+            "selection over {} rows refined by a column of {}",
+            self.total,
+            col.len()
+        );
+        let mut kept = match std::mem::replace(&mut self.repr, Repr::Range { start: 0, len: 0 }) {
+            Repr::Range { start, len } => {
+                let run = &col[start as usize..(start + len) as usize];
+                let mut out = vec![0u32; run.len()];
+                let mut n = 0;
+                for (&x, row) in run.iter().zip(start..) {
+                    out[n] = row;
+                    n += usize::from(keep(x));
+                }
+                out.truncate(n);
+                out
+            }
+            Repr::Indices(mut rows) => {
+                let mut n = 0;
+                for i in 0..rows.len() {
+                    let row = rows[i];
+                    rows[n] = row;
+                    n += usize::from(keep(col[row as usize]));
+                }
+                rows.truncate(n);
+                rows
+            }
+        };
+        kept.shrink_to_fit();
+        *self = SelectionVector::from_sorted(kept, self.total);
     }
 
     /// Composes a further filter: `keep[j]` is the verdict for the `j`-th
@@ -200,7 +259,10 @@ impl SelectionVector {
         {
             return SelectionVector::from_range(outer_start + inner_start, inner_len, self.total);
         }
-        let indices = next.iter().map(|i| self.physical(i) as u32).collect();
+        let indices = match self.rows() {
+            RowSet::Range(outer) => next.iter().map(|i| (outer.start + i) as u32).collect(),
+            RowSet::Picked(outer) => next.iter().map(|i| outer[i]).collect(),
+        };
         Ok(SelectionVector::from_sorted(indices, self.total))
     }
 
@@ -264,35 +326,51 @@ impl PartialEq for SelectionVector {
     }
 }
 
-/// Iterator over selected physical rows (range runs iterate without any
-/// backing index storage).
-#[derive(Debug, Clone)]
-pub enum SelectionIter<'a> {
-    /// Contiguous run.
-    Range(std::ops::Range<u32>),
-    /// Explicit indices.
-    Indices(std::slice::Iter<'a, u32>),
+/// The physical rows of a batch a reader walks, borrowed in the shape they
+/// are stored: a contiguous run (a dense batch, or a range selection) is a
+/// sub-slice of every column, a scattered selection its own ascending
+/// `u32` indices, walked once per column without a per-row shape match.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum RowSet<'a> {
+    /// A contiguous run.
+    Range(Range<usize>),
+    /// A sparse selection's physical indices.
+    Picked(&'a [u32]),
 }
 
-impl Iterator for SelectionIter<'_> {
-    type Item = usize;
+impl<'a> RowSet<'a> {
+    /// The rows `batch` selects: a deferred filter is read in place.
+    pub fn of(batch: &'a RecordBatch) -> RowSet<'a> {
+        RowSet::of_selection(batch.selection(), batch.physical_rows())
+    }
 
-    fn next(&mut self) -> Option<usize> {
+    /// The rows `sel` names, or all `total` rows when there is no selection.
+    pub fn of_selection(sel: Option<&'a SelectionVector>, total: usize) -> RowSet<'a> {
+        sel.map_or(RowSet::Range(0..total), SelectionVector::rows)
+    }
+
+    /// Number of rows.
+    pub fn len(&self) -> usize {
         match self {
-            SelectionIter::Range(r) => r.next().map(|i| i as usize),
-            SelectionIter::Indices(it) => it.next().map(|&i| i as usize),
+            RowSet::Range(r) => r.len(),
+            RowSet::Picked(p) => p.len(),
         }
     }
 
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        match self {
-            SelectionIter::Range(r) => r.size_hint(),
-            SelectionIter::Indices(it) => it.size_hint(),
-        }
+    /// `true` when there are no rows.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The rows in order (one of the two chained halves is empty).
+    pub fn iter(&self) -> impl Iterator<Item = usize> + 'a {
+        let (range, picked) = match self {
+            RowSet::Range(r) => (r.clone(), &[][..]),
+            RowSet::Picked(p) => (0..0, *p),
+        };
+        range.chain(picked.iter().map(|&i| i as usize))
     }
 }
-
-impl ExactSizeIterator for SelectionIter<'_> {}
 
 #[cfg(test)]
 mod tests {
@@ -380,6 +458,36 @@ mod tests {
         let run = SelectionVector::from_range(1, 3, 6).unwrap();
         let r = run.refine(&[true, false, true]).unwrap();
         assert_eq!(r.iter().collect::<Vec<_>>(), vec![1, 3]);
+    }
+
+    #[test]
+    fn retain_keeps_what_a_naive_filter_keeps() {
+        // Range runs and index selections refined in place, against
+        // `filter`-`collect` over the same rows.
+        for total in [0, 1, 2, 1023, 1024, 5000] {
+            let col: Vec<u64> = (0..total as u64).map(|i| i * 7919 % 13).collect();
+            let runs = [(0, total), (total / 3, total - total / 3), (total / 2, 0)];
+            let picked: Vec<u32> = (0..total as u32).filter(|i| i % 3 != 1).collect();
+            let mut sels: Vec<SelectionVector> = (runs.iter())
+                .map(|&(start, len)| SelectionVector::from_range(start, len, total).unwrap())
+                .collect();
+            sels.push(SelectionVector::from_indices(picked, total).unwrap());
+            let keeps: [fn(u64) -> bool; 4] = [|_| true, |_| false, |x| x < 4, |x| x == 12];
+            for sel in &sels {
+                for keep in keeps {
+                    let mut refined = sel.clone();
+                    refined.retain(&col, keep);
+                    let naive: Vec<usize> = sel.iter().filter(|&r| keep(col[r])).collect();
+                    assert_eq!(refined.iter().collect::<Vec<_>>(), naive, "{total} rows");
+                    assert_eq!(refined.total(), total);
+                }
+            }
+        }
+        // A contiguous result collapses back to a range run.
+        let col: Vec<i64> = (0..3000).collect();
+        let mut sel = SelectionVector::from_range(0, 3000, 3000).unwrap();
+        sel.retain(&col, |x| (1000..2500).contains(&x));
+        assert_eq!(sel.as_range(), Some((1000, 1500)));
     }
 
     #[test]
