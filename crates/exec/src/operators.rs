@@ -25,11 +25,12 @@
 //! build key for one dense `Int64` key column, the [`KeyIndex`] id for any
 //! other key — and counting-sorts the rows by bucket (one row per bucket
 //! when no key repeats, a CSR list per bucket otherwise). The build moves
-//! no rows: its morsels stay where the exchange left them, as chunks a
-//! `u32` location (`chunk << shift | row`) addresses, and the probe gathers
+//! no rows: its morsels stay where the exchange left them, sealed as
+//! [`Chunks`] whose `u32` locations name every row, and the probe gathers
 //! matched rows straight from them — or, when a distinct-key build matches
 //! every row of a dense probe batch, shares the probe's columns as they
-//! are.
+//! are. The sort seals its buffered batches the same way and gathers its
+//! output by location.
 
 use std::borrow::Cow;
 use std::cmp::Ordering;
@@ -38,10 +39,9 @@ use std::sync::Arc;
 use ci_plan::expr::{AggExpr, ColMap, PlanExpr};
 use ci_sql::ast::AggFunc;
 use ci_storage::column::ColumnData;
-use ci_storage::dict::Dictionary;
 use ci_storage::schema::{Field, Schema, SchemaRef};
 use ci_storage::value::{f64_sort_key, DataType, Value};
-use ci_storage::{RecordBatch, RowSet};
+use ci_storage::{Chunks, RecordBatch, RowSet};
 use ci_types::{CiError, Result};
 
 use crate::key::{
@@ -132,16 +132,15 @@ fn coerce(col: ColumnData, want: DataType) -> Result<ColumnData> {
     }
 }
 
-/// Hash-join build state. Build morsels are kept as they stream in, one
-/// *chunk* each (compacted, as the exchange already left them) and never
-/// copied into one batch; the row lists are constructed at
-/// [`JoinHashTable::finalize`] when the build pipeline completes (a
-/// pipeline breaker, §3.2).
+/// Hash-join build state. Build morsels are kept as they stream in
+/// (compacted, as the exchange already left them) and never copied into
+/// one batch; [`JoinHashTable::finalize`] seals them as [`Chunks`] and
+/// constructs the row lists when the build pipeline completes (a pipeline
+/// breaker, §3.2).
 ///
-/// A build row is named by its *location*, `chunk << shift | row`: a `u32`
-/// whose low `shift` bits hold any row of the widest chunk. Locations
-/// ascend in arrival order, which is the order a probe row's matches are
-/// emitted in (shipped bytes depend on it).
+/// A build row is named by its [`Chunks`] *location*. Locations ascend in
+/// arrival order, which is the order a probe row's matches are emitted in
+/// (shipped bytes depend on it).
 ///
 /// Every build row has a *bucket*, and one counting sort groups the
 /// locations by it:
@@ -162,24 +161,19 @@ fn coerce(col: ColumnData, want: DataType) -> Result<ColumnData> {
 /// straight from its chunks. When a distinct-key build matches every row of
 /// a probe batch that carries no selection, the probe side of the output is
 /// the probe's own column `Arc`s — the *pass-through*, no copy.
-///
-/// Chunks whose columns would not append without conversion (a string
-/// column over another dictionary than the first chunk's) or that are too
-/// many to locate in a `u32` are first made one chunk by
-/// [`RecordBatch::concat`], so the output's dictionaries are always those
-/// the concatenated build would have.
 #[derive(Debug)]
 pub struct JoinHashTable {
     key_positions: Vec<usize>,
     schema: SchemaRef,
-    chunks: Vec<RecordBatch>,
+    /// Build morsels until [`JoinHashTable::finalize`] seals them.
+    morsels: Vec<RecordBatch>,
     finalized: Option<Box<FinalizedTable>>,
 }
 
 #[derive(Debug)]
 struct FinalizedTable {
-    /// Row bits of a location: row `l & mask` of chunk `l >> shift`.
-    shift: u32,
+    /// The build rows.
+    chunks: Chunks,
     /// How a key finds its bucket.
     buckets: Buckets,
     /// Build row locations grouped by bucket: bucket `b`'s one row is
@@ -206,7 +200,7 @@ enum Buckets {
 }
 
 /// The location of no build row: an empty bucket of a distinct-key build.
-/// [`locatable`] keeps every real location below it.
+/// [`Chunks`] keeps every real location below it.
 const NO_ROW: u32 = u32::MAX;
 
 /// Most buckets a dense int key of `rows` build rows may span: twice the
@@ -267,18 +261,16 @@ impl Buckets {
 }
 
 /// Counting sort of build row locations by bucket. `keys[c][r]` is the key
-/// of row `r` of chunk `c` and `bucket` maps it into `0..buckets`. Returns
-/// [`FinalizedTable`]'s `locations` and `offsets`: one location per bucket
-/// ([`NO_ROW`] where there is none) when no bucket holds two rows, else the
-/// CSR, each bucket's locations ascending.
+/// of row `r` of chunk `c` of `chunks` and `bucket` maps it into
+/// `0..buckets`. Returns [`FinalizedTable`]'s `locations` and `offsets`: one
+/// location per bucket ([`NO_ROW`] where there is none) when no bucket
+/// holds two rows, else the CSR, each bucket's locations ascending.
 fn group_locations<K: Copy>(
     keys: &[&[K]],
-    shift: u32,
+    chunks: &Chunks,
     buckets: usize,
     bucket: impl Fn(K) -> usize,
 ) -> (Vec<u32>, Option<Vec<u32>>) {
-    // Fits: `locatable` or one chunk of at most `u32::MAX − 1` rows.
-    let location = |c: usize, r: usize| ((c as u64) << shift | r as u64) as u32;
     let mut offsets = vec![0u32; buckets + 1];
     let mut shared = false;
     for &k in keys.iter().flat_map(|k| k.iter()) {
@@ -290,7 +282,7 @@ fn group_locations<K: Copy>(
         let mut locations = vec![NO_ROW; buckets];
         for (c, keys) in keys.iter().enumerate() {
             for (r, &k) in keys.iter().enumerate() {
-                locations[bucket(k)] = location(c, r);
+                locations[bucket(k)] = chunks.location(c, r);
             }
         }
         return (locations, None);
@@ -306,83 +298,10 @@ fn group_locations<K: Copy>(
         for (r, &k) in keys.iter().enumerate().rev() {
             let end = &mut offsets[bucket(k)];
             *end -= 1;
-            locations[*end as usize] = location(c, r);
+            locations[*end as usize] = chunks.location(c, r);
         }
     }
     (locations, Some(offsets))
-}
-
-/// Row bits a location needs for every row of a chunk of `widest` rows.
-fn location_shift(widest: usize) -> u32 {
-    usize::BITS - widest.saturating_sub(1).leading_zeros()
-}
-
-/// Whether every location of `chunks` chunks with `shift` row bits is a
-/// `u32` below [`NO_ROW`]. One chunk's locations are its row numbers.
-fn locatable(chunks: usize, shift: u32) -> bool {
-    chunks <= 1 || (shift < 32 && (chunks as u128) << shift <= u128::from(NO_ROW))
-}
-
-/// Whether `chunk`'s columns append to `first`'s as they are: the same
-/// schema (so the same column variants) and dictionaries.
-fn appends_as_is(first: &RecordBatch, chunk: &RecordBatch) -> bool {
-    first.schema() == chunk.schema()
-        && (first.columns().iter().zip(chunk.columns())).all(|(a, b)| {
-            match (a.as_dict(), b.as_dict()) {
-                (Some((_, x)), Some((_, y))) => Arc::ptr_eq(x, y),
-                _ => true,
-            }
-        })
-}
-
-/// The values at `locations` of one column held in `parts` — row
-/// `l & mask` of part `l >> shift`, or row `l` of a lone part — in order.
-fn pick<T: Clone>(parts: &[&[T]], locations: &[u32], shift: u32) -> Vec<T> {
-    if let [only] = parts {
-        return locations
-            .iter()
-            .map(|&l| only[l as usize].clone())
-            .collect();
-    }
-    // Two parts or more leave `shift` at most 31 (`locatable`).
-    let mask = (1 << shift) - 1;
-    (locations.iter())
-        .map(|&l| parts[(l >> shift) as usize][(l & mask) as usize].clone())
-        .collect()
-}
-
-/// [`pick`] over one column split across `parts`, which share the first
-/// part's variant and dictionary: the gathered column keeps both.
-fn gather_located(parts: &[&ColumnData], locations: &[u32], shift: u32) -> Result<ColumnData> {
-    fn slices<'a, T>(
-        parts: &[&'a ColumnData],
-        slice: impl Fn(&'a ColumnData) -> Result<&'a [T]>,
-    ) -> Result<Vec<&'a [T]>> {
-        parts.iter().map(|&c| slice(c)).collect()
-    }
-    fn dict_ids(c: &ColumnData) -> Result<&[u32]> {
-        c.as_dict()
-            .map(|(ids, _)| ids)
-            .ok_or_else(|| CiError::Exec(format!("expected VARCHAR column, got {}", c.data_type())))
-    }
-    let first = parts
-        .first()
-        .ok_or_else(|| CiError::Exec("gather from no join build chunk".into()))?;
-    Ok(match first {
-        ColumnData::Int64(_) => {
-            ColumnData::Int64(pick(&slices(parts, ColumnData::as_i64)?, locations, shift))
-        }
-        ColumnData::Float64(_) => {
-            ColumnData::Float64(pick(&slices(parts, ColumnData::as_f64)?, locations, shift))
-        }
-        ColumnData::Bool(_) => {
-            ColumnData::Bool(pick(&slices(parts, ColumnData::as_bool)?, locations, shift))
-        }
-        ColumnData::Dict { dict, .. } => ColumnData::Dict {
-            ids: pick(&slices(parts, dict_ids)?, locations, shift),
-            dict: dict.clone(),
-        },
-    })
 }
 
 impl JoinHashTable {
@@ -391,7 +310,7 @@ impl JoinHashTable {
         JoinHashTable {
             key_positions,
             schema,
-            chunks: Vec::new(),
+            morsels: Vec::new(),
             finalized: None,
         }
     }
@@ -402,13 +321,18 @@ impl JoinHashTable {
         if self.finalized.is_some() {
             return Err(CiError::Exec("insert into finalized hash table".into()));
         }
-        self.chunks.push(batch.compacted());
+        self.morsels.push(batch.compacted());
         Ok(())
     }
 
     /// Total build rows inserted so far.
     pub fn build_rows(&self) -> usize {
-        self.chunks.iter().map(RecordBatch::rows).sum()
+        let sealed = self.finalized.iter().flat_map(|f| f.chunks.batches());
+        self.morsels
+            .iter()
+            .chain(sealed)
+            .map(RecordBatch::rows)
+            .sum()
     }
 
     /// Buckets every build row and groups the locations by bucket.
@@ -419,19 +343,8 @@ impl JoinHashTable {
         }
         let rows = self.build_rows();
         KeyIndex::check_addressable(rows, "hash join build rows")?;
-        if self.chunks.is_empty() {
-            self.chunks.push(RecordBatch::empty(self.schema.clone()));
-        }
-        let widest = |chunks: &[RecordBatch]| chunks.iter().map(RecordBatch::rows).max();
-        let mut shift = location_shift(widest(&self.chunks).unwrap_or(0));
-        let first = &self.chunks[0];
-        if !locatable(self.chunks.len(), shift)
-            || !self.chunks.iter().all(|c| appends_as_is(first, c))
-        {
-            self.chunks = vec![RecordBatch::concat(&self.chunks)?];
-            shift = location_shift(widest(&self.chunks).unwrap_or(0));
-        }
-        let keys = (self.chunks.iter())
+        let chunks = Chunks::seal(&self.schema, std::mem::take(&mut self.morsels))?;
+        let keys = (chunks.batches().iter())
             .map(|c| key_columns(c.columns(), &self.key_positions))
             .collect::<Result<Vec<_>>>()?;
         // One `Int64` key column spanning at most `dense_slots` values: its
@@ -451,7 +364,7 @@ impl JoinHashTable {
         let (buckets, (locations, offsets)) = match dense {
             Some((ints, min, span)) => {
                 let bucket = |k| dense_bucket(min, k) as usize;
-                let lists = group_locations(&ints, shift, span, bucket);
+                let lists = group_locations(&ints, &chunks, span, bucket);
                 (Buckets::Dense { min, span }, lists)
             }
             None => {
@@ -459,7 +372,7 @@ impl JoinHashTable {
                 let row_encoders = (keys.iter())
                     .map(|k| encoder.prepare(k))
                     .collect::<Result<Vec<_>>>()?;
-                let row_sets: Vec<RowSet> = (self.chunks.iter())
+                let row_sets: Vec<RowSet> = (chunks.batches().iter())
                     .map(|c| RowSet::Range(0..c.rows()))
                     .collect();
                 let batches: Vec<_> = row_encoders.iter().zip(&row_sets).collect();
@@ -467,19 +380,19 @@ impl JoinHashTable {
                 let mut ids = Vec::new();
                 ids_or_insert_batches(&batches, &mut index, &mut ids)?;
                 let mut rest = &ids[..];
-                let chunk_ids: Vec<&[u32]> = (self.chunks.iter())
+                let chunk_ids: Vec<&[u32]> = (chunks.batches().iter())
                     .map(|c| {
                         let (head, tail) = rest.split_at(c.rows());
                         rest = tail;
                         head
                     })
                     .collect();
-                let lists = group_locations(&chunk_ids, shift, index.len(), |g| g as usize);
+                let lists = group_locations(&chunk_ids, &chunks, index.len(), |g| g as usize);
                 (Buckets::Keyed { index, encoder }, lists)
             }
         };
         self.finalized = Some(Box::new(FinalizedTable {
-            shift,
+            chunks,
             buckets,
             locations,
             offsets,
@@ -554,17 +467,10 @@ impl JoinHashTable {
             probe.columns().to_vec()
         } else {
             (probe.columns().iter())
-                .map(|c| gather_located(&[c.as_ref()], &probe_rows, 0).map(Arc::new))
-                .collect::<Result<Vec<_>>>()?
+                .map(|c| Arc::new(c.gather_rows(&probe_rows)))
+                .collect()
         };
-        for col in 0..self.schema.arity() {
-            let parts: Vec<&ColumnData> = self.chunks.iter().map(|c| c.column(col)).collect();
-            columns.push(Arc::new(gather_located(
-                &parts,
-                &build_locations,
-                fin.shift,
-            )?));
-        }
+        columns.extend(fin.chunks.gather(&build_locations));
         RecordBatch::from_arcs(out_schema, columns)
     }
 }
@@ -989,9 +895,13 @@ impl AggregateState {
 /// Buffers batches for a sort breaker and produces the sorted output.
 ///
 /// Buffered batches are kept exactly as they stream in — deferred filter
-/// selections and all. [`SortBuffer::finalize`] sorts row addresses that
-/// read every key column *in place* through its batch's selection, so the
-/// only materialization is the sorted output itself.
+/// selections and all — and sealed as [`Chunks`] at
+/// [`SortBuffer::finalize`], which sorts row addresses that read every key
+/// column *in place* through its chunk's selection, so the only
+/// materialization is the sorted output itself, one gather by location.
+/// Batches whose string columns carry different dictionaries are the
+/// exception: sealing first concatenates them, and the output's dictionary
+/// holds every input string.
 ///
 /// The order is total: each key compares in its column's own order
 /// (numbers ascending with `-0.0` equal to `0.0` and NaN after every number,
@@ -1019,7 +929,7 @@ pub struct SortBuffer {
 const MIN_SORT_SLACK: usize = 1_024;
 
 /// A row competing for the output: its first key as an order word
-/// ([`SortCol::word`], inverted for `DESC`), then its address (batch,
+/// ([`SortCol::word`], inverted for `DESC`), then its address (chunk,
 /// physical row), which is also its arrival order.
 type SortCand = (u64, u32, u32);
 
@@ -1066,14 +976,16 @@ impl SortBuffer {
         if keep == 0 {
             return Ok(RecordBatch::empty(self.schema));
         }
-        // Per-key, per-batch in-place readers. With no keys at all, rows
+        let chunks = Chunks::seal(&self.schema, self.buffered)?;
+        let batches = chunks.batches();
+        // Per-key, per-chunk in-place readers. With no keys at all, rows
         // keep their arrival order.
         let keys: Vec<(Vec<SortCol>, u64)> = self
             .keys
             .iter()
             .map(|&(pos, asc)| {
                 let flip = if asc { 0 } else { u64::MAX };
-                (SortCol::for_batches(&self.buffered, pos), flip)
+                (SortCol::for_batches(batches, pos), flip)
             })
             .collect();
         let (first, rest) = match keys.split_first() {
@@ -1106,7 +1018,7 @@ impl SortBuffer {
             bar: None,
             cmp,
         };
-        for (bi, b) in self.buffered.iter().enumerate() {
+        for (bi, b) in batches.iter().enumerate() {
             // The first key's reader is matched once per batch, not per row.
             let Some((cols, flip)) = first else {
                 top.offer_batch(bi, b, |_| 0);
@@ -1129,43 +1041,12 @@ impl SortBuffer {
         // A strict total order (addresses are distinct), so the unstable
         // sort is deterministic.
         cands.sort_unstable_by(cmp);
-        drop(keys);
 
         // Materialize the sorted permutation — the sink's single copy.
-        if let [only] = &self.buffered[..] {
-            let phys: Vec<usize> = cands.iter().map(|&(_, _, p)| p as usize).collect();
-            return only.unselected().take(&phys)?.with_schema(self.schema);
-        }
-        // Batches that append as they are gather a column at a time, by
-        // location; others convert row by row, re-interning strings of a
-        // foreign dictionary into the first batch's, as an append would.
-        let first = &self.buffered[0];
-        let widest = self.buffered.iter().map(RecordBatch::physical_rows).max();
-        let shift = location_shift(widest.unwrap_or(0));
-        if locatable(self.buffered.len(), shift)
-            && self.buffered.iter().all(|b| appends_as_is(first, b))
-        {
-            let locations: Vec<u32> = (cands.iter())
-                .map(|&(_, bi, p)| ((bi as u64) << shift | u64::from(p)) as u32)
-                .collect();
-            let columns = (0..first.columns().len())
-                .map(|col| {
-                    let parts: Vec<&ColumnData> =
-                        self.buffered.iter().map(|b| b.column(col)).collect();
-                    gather_located(&parts, &locations, shift).map(Arc::new)
-                })
-                .collect::<Result<Vec<_>>>()?;
-            return RecordBatch::from_arcs(self.schema, columns);
-        }
-        let mut columns: Vec<ColumnData> =
-            (first.columns().iter()).map(|c| c.slice(0, 0)).collect();
-        for &(_, bi, p) in &cands {
-            let src = &self.buffered[bi as usize];
-            for (dst, col) in columns.iter_mut().zip(src.columns()) {
-                dst.push_from(col, p as usize)?;
-            }
-        }
-        RecordBatch::new(self.schema, columns)
+        let locations: Vec<u32> = (cands.iter())
+            .map(|&(_, bi, p)| chunks.location(bi as usize, p as usize))
+            .collect();
+        RecordBatch::from_arcs(self.schema, chunks.gather(&locations))
     }
 }
 
@@ -1230,50 +1111,31 @@ fn i64_word(x: i64) -> u64 {
     x as u64 ^ 1 << 63
 }
 
-/// One batch's sort key column, read as order words.
+/// One chunk's sort key column, read as order words.
 enum SortCol<'a> {
     I64(&'a [i64]),
     F64(&'a [f64]),
     Bool(&'a [bool]),
-    /// Dict ids plus every id's rank in one lexicographic order shared by
-    /// the dictionaries of all buffered batches, so ranks of different
-    /// batches compare whether or not their dictionaries are one.
+    /// Dict ids plus every id's rank in the dictionary's lexicographic
+    /// order, which sealed chunks share.
     Dict(&'a [u32], Arc<Vec<u32>>),
 }
 
 impl<'a> SortCol<'a> {
-    /// Readers for column `pos` of every batch. Dict columns share one rank
-    /// table per distinct dictionary.
+    /// Readers for column `pos` of every sealed chunk: a dict column's one
+    /// dictionary is ranked once.
     fn for_batches(batches: &'a [RecordBatch], pos: usize) -> Vec<SortCol<'a>> {
-        let mut dicts: Vec<&Arc<Dictionary>> = Vec::new();
-        let dict_of: Vec<usize> = batches
-            .iter()
-            .map(|b| match b.column(pos) {
-                ColumnData::Dict { dict, .. } => {
-                    match dicts.iter().position(|d| Arc::ptr_eq(d, dict)) {
-                        Some(d) => d,
-                        None => {
-                            dicts.push(dict);
-                            dicts.len() - 1
-                        }
-                    }
-                }
-                _ => 0,
-            })
-            .collect();
-        let plain: Vec<&Dictionary> = dicts.iter().map(|d| d.as_ref()).collect();
-        let ranks: Vec<Arc<Vec<u32>>> = Dictionary::joint_ranks(&plain)
-            .into_iter()
-            .map(Arc::new)
-            .collect();
+        let ranks = match batches[0].column(pos) {
+            ColumnData::Dict { dict, .. } => Arc::new(dict.ranks()),
+            _ => Arc::default(),
+        };
         batches
             .iter()
-            .zip(dict_of)
-            .map(|(b, d)| match b.column(pos) {
+            .map(|b| match b.column(pos) {
                 ColumnData::Int64(v) => SortCol::I64(v),
                 ColumnData::Float64(v) => SortCol::F64(v),
                 ColumnData::Bool(v) => SortCol::Bool(v),
-                ColumnData::Dict { ids, .. } => SortCol::Dict(ids, ranks[d].clone()),
+                ColumnData::Dict { ids, .. } => SortCol::Dict(ids, ranks.clone()),
             })
             .collect()
     }
@@ -1293,6 +1155,7 @@ impl<'a> SortCol<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ci_storage::dict::Dictionary;
 
     fn schema2(t0: DataType, t1: DataType) -> SchemaRef {
         Arc::new(Schema::of(vec![Field::new("s0", t0), Field::new("s1", t1)]))
@@ -1463,7 +1326,7 @@ mod tests {
                 chunk(vec![2, 7], &["b", "c"], second_dict),
             ];
             let mut ht = built(&chunks);
-            assert_eq!(ht.chunks.len(), 1, "made one chunk by concat");
+            assert_eq!(sealed(&ht).len(), 1, "made one chunk by concat");
             let concat = RecordBatch::concat(&chunks).unwrap();
             let whole = built(std::slice::from_ref(&concat));
             let got = ht.probe(&probe, &[0], out_schema.clone()).unwrap();
@@ -1521,21 +1384,13 @@ mod tests {
         assert_eq!(rows_of(&joined), nested_loop(&duplicate, &probe));
     }
 
+    /// Chunks sealed by a finalized join table.
+    fn sealed(ht: &JoinHashTable) -> &[RecordBatch] {
+        ht.finalized.as_ref().expect("finalized").chunks.batches()
+    }
+
     #[test]
     fn locations_pack_at_their_edges() {
-        // The widest chunk sets the row bits: 2^k rows need k, 2^k + 1 need
-        // k + 1.
-        for k in [0u32, 1, 4, 10] {
-            let wide = 1usize << k;
-            assert_eq!(location_shift(wide.max(3)), k.max(2));
-            assert_eq!(location_shift(wide + 1), k + 1);
-        }
-        assert_eq!(location_shift(0), 0);
-        // Chunks × 2^shift must stay below 2^32: the top `u32` is `NO_ROW`.
-        // One chunk's locations are its rows.
-        assert!(locatable(1, 32) && locatable(2, 30) && locatable((1 << 16) - 1, 16));
-        assert!(!locatable(2, 32) && !locatable(2, 31) && !locatable(1 << 16, 16));
-
         // Chunks of 2^4 and 2^4 + 1 rows (keys repeat across them, so the
         // CSR holds rows of both) join row for row like one batch.
         for (first, second) in [(16, 17), (17, 16), (16, 16)] {
@@ -1552,7 +1407,7 @@ mod tests {
                 batch(vec![12, 0, 5], vec![0.5; 3]),
             ];
             let ht = built(&chunks);
-            assert_eq!(ht.chunks.len(), 3);
+            assert_eq!(sealed(&ht).len(), 3);
             let concat = RecordBatch::concat(&chunks).unwrap();
             let probe = batch((-1..14).collect(), vec![1.0; 15]);
             let joined = ht
@@ -1625,7 +1480,7 @@ mod tests {
         let mut chunks = vec![batch((0..wide).collect(), vec![1.0; wide as usize])];
         chunks.extend((0..wide).map(|r| batch(vec![wide + r], vec![2.0])));
         let ht = built(&chunks);
-        assert_eq!(ht.chunks.len(), 1);
+        assert_eq!(sealed(&ht).len(), 1);
         assert_eq!(ht.build_rows(), 2 * wide as usize);
         let probe = batch(vec![wide - 1, wide, 2 * wide - 1, 2 * wide], vec![0.0; 4]);
         let joined = ht
@@ -2053,33 +1908,78 @@ mod tests {
         }
         // Ties (three 4.0 rows) broke on original order in both paths.
         assert_eq!(full.column(0), &ColumnData::Int64(vec![1, 3, 6, 5, 4, 2]));
+
+        // Input in the reverse of the wanted order: every row beats the bar,
+        // so the candidates are selected back down again and again.
+        let rising = |from: i64| {
+            let keys: Vec<i64> = (from..from + 1_000).collect();
+            let vals = keys.iter().map(|&x| (x / 3) as f64).collect();
+            batch(keys, vals)
+        };
+        let mk = |limit| {
+            let mut sb =
+                SortBuffer::new(schema.clone(), vec![(1, false), (0, true)]).with_limit(limit);
+            (0..5).for_each(|b| sb.push(rising(b * 1_000)));
+            sb
+        };
+        let full = mk(None).finalize().unwrap();
+        let mut want: Vec<i64> = (0..5_000).collect();
+        want.sort_by_key(|&x| (std::cmp::Reverse(x / 3), x));
+        assert_eq!(full.column(0), &ColumnData::Int64(want));
+        for k in [1, 2, 1_024, 1_025, 2_049, 4_999] {
+            let topk = mk(Some(k)).finalize().unwrap();
+            assert_eq!(topk, full.slice(0, k).unwrap(), "top-{k}");
+        }
     }
 
     #[test]
     fn sort_merges_foreign_dictionaries_by_value() {
         // Two buffered batches whose dict columns do NOT share a dictionary:
-        // rank tables are per-dictionary and incomparable, so the sorter
-        // must fall back to value comparisons.
+        // sealing makes them one chunk, whose one dictionary holds every
+        // input string, so ranks compare by value — under a limit and over
+        // selected batches too.
         let schema = Arc::new(Schema::of(vec![Field::new("s0", DataType::Utf8)]));
-        let b1 = RecordBatch::new(schema.clone(), vec![ColumnData::strings(["m", "c"])]).unwrap();
-        let b2 = RecordBatch::new(schema.clone(), vec![ColumnData::strings(["a", "z"])]).unwrap();
+        let strings =
+            |v: &[&str]| RecordBatch::new(schema.clone(), vec![ColumnData::strings(v)]).unwrap();
+        let (b1, b2) = (strings(&["m", "c", "q"]), strings(&["a", "z", "k"]));
         assert!(!Arc::ptr_eq(
             b1.column(0).as_dict().unwrap().1,
             b2.column(0).as_dict().unwrap().1
         ));
-        let mut sb = SortBuffer::new(schema.clone(), vec![(0, true)]);
-        sb.push(b1);
-        sb.push(b2);
-        let out = sb.finalize().unwrap();
-        assert_eq!(out.column(0), &ColumnData::strings(["a", "c", "m", "z"]));
+        let selected = (
+            b1.filter(&[true, true, false]).unwrap(),
+            b2.filter(&[true, false, true]).unwrap(),
+        );
+        assert!(selected.0.selection().is_some() && selected.1.selection().is_some());
+        for (b1, b2) in [(b1, b2), selected] {
+            let input: Vec<String> = [&b1, &b2]
+                .iter()
+                .map(|b| b.compacted())
+                .flat_map(|b| (0..b.rows()).map(move |r| b.column(0).str_at(r).unwrap().to_owned()))
+                .collect();
+            let mut want = input.clone();
+            want.sort();
+            for limit in [None, Some(1), Some(2), Some(9)] {
+                let mut sb = SortBuffer::new(schema.clone(), vec![(0, true)]).with_limit(limit);
+                sb.push(b1.clone());
+                sb.push(b2.clone());
+                let out = sb.finalize().unwrap();
+                let k = limit.map_or(want.len(), |k| k.min(want.len()));
+                assert_eq!(out.column(0), &ColumnData::strings(&want[..k]), "{limit:?}");
+                let dict = out.column(0).as_dict().unwrap().1;
+                assert!(input.iter().all(|s| dict.id_of(s).is_some()), "{limit:?}");
+            }
+        }
 
-        // Shared-dictionary batches keep the integer rank fast path and
-        // produce the same order.
-        let table = ColumnData::strings(["m", "c", "a", "z"]);
-        let shared = RecordBatch::new(schema.clone(), vec![table]).unwrap();
+        // Shared-dictionary batches stay chunks: the same order, over their
+        // own dictionary.
+        let shared = strings(&["m", "c", "a", "z"]);
         let mut sb = SortBuffer::new(schema, vec![(0, true)]);
         sb.push(shared.slice(0, 2).unwrap());
         sb.push(shared.slice(2, 2).unwrap());
-        assert_eq!(sb.finalize().unwrap(), out);
+        let out = sb.finalize().unwrap();
+        assert_eq!(out.column(0), &ColumnData::strings(["a", "c", "m", "z"]));
+        let dict = shared.column(0).as_dict().unwrap().1;
+        assert!(Arc::ptr_eq(out.column(0).as_dict().unwrap().1, dict));
     }
 }

@@ -32,8 +32,13 @@ use ci_types::{CiError, Result, SimDuration};
 /// ranked by the constraint's objective (dollars under an SLA or `MinCost`,
 /// latency under a budget), two that miss it by the objective they violate
 /// (latency under an SLA, dollars under a budget); the other objective
-/// breaks a tie. The DOP search, its exhaustive reference and the
-/// warehouse's verdict on an executed query all apply this rule.
+/// breaks a tie. Only the exhaustive DOP reference
+/// ([`DopPlanner::plan_exhaustive`]) and the tests rank with `prefers`.
+/// [`DopPlanner::plan`]'s greedy search and the warehouse's verdict on an
+/// executed query read only `met`: the greedy stops bumping once its
+/// outcome meets the constraint, and its equal-finish-time trim keeps a
+/// lower DOP by its own test (no higher cost, and the constraint or the
+/// current latency still holds), not by `prefers`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Constraint {
     /// Minimize dollars subject to `latency <= sla`.

@@ -626,7 +626,7 @@ fn broadcast(v: &Value, n: usize) -> ColumnData {
         Value::Int(x) => ColumnData::Int64(vec![*x; n]),
         Value::Float(x) => ColumnData::Float64(vec![*x; n]),
         // One dictionary entry, every row its id.
-        Value::Str(s) => ColumnData::strings([s]).take(&vec![0; n]),
+        Value::Str(s) => ColumnData::strings([s]).gather_rows(&vec![0; n]),
         Value::Bool(b) => ColumnData::Bool(vec![*b; n]),
     }
 }

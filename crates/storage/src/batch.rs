@@ -28,8 +28,9 @@ pub const COMPACT_DENSITY: f64 = 1.0 / 16.0;
 /// equality) read through the selection, so a selected batch is
 /// indistinguishable from its eagerly-filtered equivalent. Rows are
 /// physically moved only by [`RecordBatch::compacted`] (pipeline sinks:
-/// hash-table build, sort buffer, exchange, final results), by
-/// [`RecordBatch::take`], or when density drops below [`COMPACT_DENSITY`].
+/// hash-table build, exchange, final results), by [`RecordBatch::take`], by
+/// a [`crate::Chunks`] gather, or when density drops below
+/// [`COMPACT_DENSITY`].
 #[derive(Debug, Clone)]
 pub struct RecordBatch {
     schema: SchemaRef,
@@ -253,37 +254,26 @@ impl RecordBatch {
     }
 
     /// New batch gathering the given *logical* row indices (indices may
-    /// repeat and reorder, so the output is always dense). On a dense batch,
-    /// bounds are validated inline during the first column's gather (single
-    /// pass, erroring on the first bad index) and the remaining columns
-    /// gather unchecked; on a selected batch, the indices are validated and
-    /// mapped to physical rows up front, then every column gathers
-    /// unchecked.
+    /// repeat and reorder, so the output is always dense). Every index is
+    /// checked and mapped to its physical row first, erroring on the first
+    /// out-of-bounds one; then each column is one
+    /// [`ColumnData::gather_rows`].
     pub fn take(&self, indices: &[usize]) -> Result<RecordBatch> {
         let rows = self.rows();
-        if let Some(sel) = &self.selection {
-            // Map logical indices to physical rows, then gather densely.
-            if let Some(&bad) = indices.iter().find(|&&i| i >= rows) {
-                return Err(CiError::Exec(format!(
-                    "take index {bad} out of bounds for {rows} rows"
-                )));
-            }
-            let phys: Vec<usize> = indices.iter().map(|&i| sel.physical(i)).collect();
-            let columns: Vec<ColumnData> = self.columns.iter().map(|c| c.take(&phys)).collect();
-            return RecordBatch::new(self.schema.clone(), columns);
-        }
-        let Some((first, rest)) = self.columns.split_first() else {
-            // Zero-column batch: nothing to gather, but still validate.
-            if let Some(&bad) = indices.iter().find(|&&i| i >= rows) {
-                return Err(CiError::Exec(format!(
-                    "take index {bad} out of bounds for {rows} rows"
-                )));
-            }
-            return RecordBatch::new(self.schema.clone(), Vec::new());
-        };
-        let mut columns = Vec::with_capacity(self.columns.len());
-        columns.push(first.try_take(indices)?);
-        columns.extend(rest.iter().map(|c| c.take(indices)));
+        let out_of_bounds =
+            |i| CiError::Exec(format!("take index {i} out of bounds for {rows} rows"));
+        let physical = (indices.iter())
+            .map(|&i| {
+                if i >= rows {
+                    return Err(out_of_bounds(i));
+                }
+                let row = self.selection.as_ref().map_or(i, |sel| sel.physical(i));
+                u32::try_from(row).map_err(|_| out_of_bounds(i))
+            })
+            .collect::<Result<Vec<u32>>>()?;
+        let columns = (self.columns.iter())
+            .map(|c| c.gather_rows(&physical))
+            .collect();
         RecordBatch::new(self.schema.clone(), columns)
     }
 

@@ -9,13 +9,14 @@
 //! decoded page, a literal). It reports [`DataType::Utf8`]; equality, byte
 //! accounting, and min/max are defined over the *decoded* values, so two
 //! columns holding the same strings over different dictionaries are
-//! indistinguishable to schemas, zone maps, and cost models — filter, take
+//! indistinguishable to schemas, zone maps, and cost models — filter, gather
 //! and slice move 4-byte ids, never heap strings.
 
 use std::sync::Arc;
 
 use ci_types::{CiError, Result};
 
+use crate::chunks;
 use crate::dict::Dictionary;
 use crate::selection::{RowSet, SelectionVector};
 use crate::value::{DataType, Value};
@@ -153,75 +154,12 @@ impl ColumnData {
         Ok(())
     }
 
-    /// Appends row `i` of `src` to this column (same logical type required;
-    /// a string from a foreign dictionary is interned into this one).
-    pub fn push_from(&mut self, src: &ColumnData, i: usize) -> Result<()> {
-        match (self, src) {
-            (ColumnData::Int64(dst), ColumnData::Int64(s)) => dst.push(s[i]),
-            (ColumnData::Float64(dst), ColumnData::Float64(s)) => dst.push(s[i]),
-            (ColumnData::Bool(dst), ColumnData::Bool(s)) => dst.push(s[i]),
-            (
-                ColumnData::Dict { ids, dict },
-                ColumnData::Dict {
-                    ids: sids,
-                    dict: sdict,
-                },
-            ) => {
-                if Arc::ptr_eq(dict, sdict) {
-                    ids.push(sids[i]);
-                } else {
-                    ids.push(Arc::make_mut(dict).intern(sdict.get(sids[i])));
-                }
-            }
-            (dst, s) => {
-                return Err(CiError::Exec(format!(
-                    "column type mismatch: {} vs {}",
-                    dst.data_type(),
-                    s.data_type()
-                )))
-            }
-        }
-        Ok(())
-    }
-
-    /// New column gathering the given row indices (indices may repeat).
-    /// Panics on out-of-bounds indices; see [`ColumnData::try_take`] for the
-    /// checked variant.
-    pub fn take(&self, indices: &[usize]) -> ColumnData {
-        match self {
-            ColumnData::Int64(v) => ColumnData::Int64(indices.iter().map(|&i| v[i]).collect()),
-            ColumnData::Float64(v) => ColumnData::Float64(indices.iter().map(|&i| v[i]).collect()),
-            ColumnData::Bool(v) => ColumnData::Bool(indices.iter().map(|&i| v[i]).collect()),
-            ColumnData::Dict { ids, dict } => ColumnData::Dict {
-                ids: indices.iter().map(|&i| ids[i]).collect(),
-                dict: dict.clone(),
-            },
-        }
-    }
-
-    /// Gather with inline bounds validation: one pass, erroring on the first
-    /// out-of-bounds index instead of pre-scanning.
-    pub fn try_take(&self, indices: &[usize]) -> Result<ColumnData> {
-        let rows = self.len();
-        fn gather<T: Clone>(v: &[T], indices: &[usize], rows: usize) -> Result<Vec<T>> {
-            indices
-                .iter()
-                .map(|&i| {
-                    v.get(i).cloned().ok_or_else(|| {
-                        CiError::Exec(format!("take index {i} out of bounds for {rows} rows"))
-                    })
-                })
-                .collect()
-        }
-        Ok(match self {
-            ColumnData::Int64(v) => ColumnData::Int64(gather(v, indices, rows)?),
-            ColumnData::Float64(v) => ColumnData::Float64(gather(v, indices, rows)?),
-            ColumnData::Bool(v) => ColumnData::Bool(gather(v, indices, rows)?),
-            ColumnData::Dict { ids, dict } => ColumnData::Dict {
-                ids: gather(ids, indices, rows)?,
-                dict: dict.clone(),
-            },
-        })
+    /// New column of the rows `rows` names, in order (rows may repeat):
+    /// the storage row gather ([`crate::chunks`]) over this one column. Dict
+    /// columns keep their dictionary and move only ids. Panics on a row out
+    /// of bounds.
+    pub fn gather_rows(&self, rows: &[u32]) -> ColumnData {
+        chunks::gather(&[self], rows, 0)
     }
 
     /// Materializes the rows a selection names, in order. Panic-free by the
@@ -229,24 +167,12 @@ impl ColumnData {
     /// bounds); dict columns keep their dictionary and move only ids. A
     /// contiguous range-run selection degrades to [`ColumnData::slice`] — a
     /// memcpy of fixed-width payloads instead of a per-row gather — and
-    /// scattered rows are one walk of the index slice.
+    /// scattered rows are [`ColumnData::gather_rows`].
     pub fn gather(&self, sel: &SelectionVector) -> ColumnData {
         debug_assert_eq!(sel.total(), self.len());
-        let picked = match sel.rows() {
-            RowSet::Range(r) => return self.slice(r.start, r.len()),
-            RowSet::Picked(p) => p,
-        };
-        fn pick<T: Clone>(v: &[T], picked: &[u32]) -> Vec<T> {
-            picked.iter().map(|&i| v[i as usize].clone()).collect()
-        }
-        match self {
-            ColumnData::Int64(v) => ColumnData::Int64(pick(v, picked)),
-            ColumnData::Float64(v) => ColumnData::Float64(pick(v, picked)),
-            ColumnData::Bool(v) => ColumnData::Bool(pick(v, picked)),
-            ColumnData::Dict { ids, dict } => ColumnData::Dict {
-                ids: pick(ids, picked),
-                dict: dict.clone(),
-            },
+        match sel.rows() {
+            RowSet::Range(r) => self.slice(r.start, r.len()),
+            RowSet::Picked(p) => self.gather_rows(p),
         }
     }
 
@@ -455,19 +381,8 @@ mod tests {
     #[test]
     fn take_gathers_with_repeats() {
         let c = ColumnData::strings(["a", "b", "c"]);
-        let t = c.take(&[2, 0, 2]);
+        let t = c.gather_rows(&[2, 0, 2]);
         assert_eq!(t, ColumnData::strings(["c", "a", "c"]));
-    }
-
-    #[test]
-    fn try_take_errors_on_first_bad_index() {
-        let c = ColumnData::Int64(vec![1, 2, 3]);
-        assert_eq!(c.try_take(&[2, 0]).unwrap(), ColumnData::Int64(vec![3, 1]));
-        let err = c.try_take(&[1, 7, 9]).unwrap_err().to_string();
-        assert!(
-            err.contains("take index 7 out of bounds for 3 rows"),
-            "{err}"
-        );
     }
 
     #[test]
@@ -510,14 +425,6 @@ mod tests {
         assert_eq!(c.as_i64().unwrap(), &[5]);
         assert!(c.as_f64().is_err());
         assert!(c.as_bool().is_err());
-    }
-
-    #[test]
-    fn push_from_copies_row() {
-        let src = ColumnData::Int64(vec![7, 8]);
-        let mut dst = ColumnData::empty(DataType::Int64);
-        dst.push_from(&src, 1).unwrap();
-        assert_eq!(dst, ColumnData::Int64(vec![8]));
     }
 
     fn dict_col(vals: &[&str]) -> ColumnData {
@@ -569,7 +476,7 @@ mod tests {
         let f = c.gather(&SelectionVector::from_mask(&[true, false, true, true]));
         assert_eq!(f, dict_col(&["a", "c", "a"]));
         assert!(Arc::ptr_eq(f.as_dict().unwrap().1, &dict));
-        let t = c.take(&[3, 2]);
+        let t = c.gather_rows(&[3, 2]);
         assert!(Arc::ptr_eq(t.as_dict().unwrap().1, &dict));
         let s = c.slice(1, 2);
         assert_eq!(s, dict_col(&["b", "c"]));

@@ -7,7 +7,8 @@
 //! * typed [`column::ColumnData`] vectors and [`batch::RecordBatch`]es with
 //!   `Arc`-shared columns, per-table [`dict::Dictionary`] string interning,
 //!   and late-materializing filters via [`selection::SelectionVector`]
-//!   (the zero-copy data path),
+//!   (the zero-copy data path); buffered batches read as one through
+//!   [`chunks::Chunks`], whose row gather is every copy of rows by index,
 //! * self-describing encoded [`pages`] (plain / dict / run-length codecs
 //!   with a size-based picker) and the exchange [`pages::WireEncoder`] —
 //!   the byte format that lets scans, exchanges, and bills charge *encoded*
@@ -28,6 +29,7 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used))]
 
 pub mod batch;
+pub mod chunks;
 pub mod column;
 pub mod dict;
 pub mod pages;
@@ -40,6 +42,7 @@ pub mod tiers;
 pub mod value;
 
 pub use batch::RecordBatch;
+pub use chunks::Chunks;
 pub use column::ColumnData;
 pub use dict::Dictionary;
 pub use pages::{EncodedPage, PageCodec, WireEncoder, WireSketch};

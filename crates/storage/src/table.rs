@@ -92,7 +92,9 @@ impl Table {
         }
     }
 
-    /// Materializes the whole table as one batch (tests / oracle execution).
+    /// Materializes the whole table as one batch: the rows
+    /// [`Table::reclustered_by`] sorts, and what tests and oracle execution
+    /// read.
     pub fn to_batch(&self) -> Result<RecordBatch> {
         if self.partitions.is_empty() {
             return Ok(RecordBatch::empty(self.schema.clone()));

@@ -43,7 +43,7 @@ fn strings_of(col: &ColumnData) -> Vec<String> {
 }
 
 proptest! {
-    /// gather / take / slice / value / min_max / byte_size agree with the
+    /// gather / gather_rows / take / slice / value / min_max / byte_size agree with the
     /// naive reference, over a fresh and over a foreign dictionary.
     #[test]
     fn column_ops_match_naive_path(
@@ -67,6 +67,8 @@ proptest! {
         let kept: Vec<String> = vals.iter().zip(&keep).filter(|(_, &k)| k).map(|(v, _)| v.clone()).collect();
         let indices: Vec<usize> = (0..n).map(|i| ((i as u64 * 17 + seed) % n as u64) as usize).collect();
         let taken: Vec<String> = indices.iter().map(|&i| vals[i].clone()).collect();
+        let rows: Vec<u32> = indices.iter().map(|&i| i as u32).collect();
+        let schema = Arc::new(Schema::of(vec![Field::new("s", DataType::Utf8)]));
         let off = (seed as usize) % n;
         let len = n - off;
 
@@ -75,16 +77,17 @@ proptest! {
             prop_assert_eq!(col.min_max(), Some(naive_min_max.clone()));
             prop_assert_eq!(strings_of(&col.gather(&sel)), kept.clone());
             prop_assert_eq!(col.byte_size_selected(&sel), kept.iter().map(|s| s.len() + 4).sum::<usize>());
-            prop_assert_eq!(strings_of(&col.take(&indices)), taken.clone());
-            prop_assert_eq!(strings_of(&col.try_take(&indices).unwrap()), taken.clone());
-            prop_assert!(col.try_take(&[n]).is_err());
+            prop_assert_eq!(strings_of(&col.gather_rows(&rows)), taken.clone());
+            let batch = RecordBatch::new(schema.clone(), vec![(*col).clone()]).unwrap();
+            prop_assert_eq!(strings_of(batch.take(&indices).unwrap().column(0)), taken.clone());
+            prop_assert!(batch.take(&[n]).is_err());
             prop_assert_eq!(strings_of(&col.slice(off, len)), vals[off..].to_vec());
             for (i, v) in vals.iter().enumerate() {
                 prop_assert_eq!(col.value(i), Value::Str(v.clone()));
                 prop_assert_eq!(col.str_at(i).unwrap(), v.as_str());
             }
         }
-        prop_assert_eq!(dict.take(&indices), other.take(&indices));
+        prop_assert_eq!(dict.gather_rows(&rows), other.gather_rows(&rows));
         prop_assert_eq!(dict.slice(off, len), other.slice(off, len));
     }
 

@@ -1261,14 +1261,20 @@ proptest! {
             let own = WireSketch::of(&batch);
             // The pass-through shape: columns rotated (a projection), the
             // `shared` ones the batch's own `Arc`s, the rest reversed copies.
-            let reversed: Vec<usize> = (0..n).rev().collect();
+            // Row by row from the last, into a copy of the column's
+            // dictionary.
+            let reversed = |c: &ColumnData| {
+                let mut out = c.slice(0, 0);
+                (0..n).rev().for_each(|i| out.push(c.value(i)).unwrap());
+                out
+            };
             let perm: Vec<usize> = (0..arity).map(|p| (p + seed as usize) % arity).collect();
             let kept = |i: usize| shared >> i & 1 == 1;
             let passed = RecordBatch::from_arcs(
                 Arc::new(schema.project(&perm)),
                 perm.iter().map(|&i| match kept(i) {
                     true => batch.columns()[i].clone(),
-                    false => Arc::new(batch.column(i).take(&reversed)),
+                    false => Arc::new(reversed(batch.column(i))),
                 }).collect(),
             ).unwrap();
             let deep = RecordBatch::new(

@@ -3,17 +3,19 @@
 //!
 //! A selection is stored as a range run or as sorted `u32` indices, and
 //! readers walk the two shapes differently (a sub-slice, an index slice).
-//! Here each reader — `gather`, `byte_size_selected`, the wire sketch and
+//! Here each reader — `gather`, `byte_size_selected`, `RecordBatch::take`,
+//! a `Chunks` gather over several selected parts, the wire sketch and
 //! encoder, and `RowSet`'s rows — is compared with the same computation over
-//! the columns `take`n at the naive index list, for every column type and
-//! for empty, full, single-row, edge-row, range and scattered selections.
+//! columns read value by value at the naive index list, for every column
+//! type and for empty, full, single-row, edge-row, range and scattered
+//! selections.
 
 use std::sync::Arc;
 
 use ci_storage::column::ColumnData;
 use ci_storage::pages::{WireEncoder, WireSketch};
 use ci_storage::schema::{Field, Schema};
-use ci_storage::{RecordBatch, RowSet, SelectionVector};
+use ci_storage::{Chunks, RecordBatch, RowSet, SelectionVector};
 use proptest::prelude::*;
 
 const INTS: [i64; 7] = [i64::MIN, -3, 0, 1, 1, 42, i64::MAX];
@@ -75,6 +77,26 @@ fn masks(rows: &[Row], at: usize, len: usize) -> Vec<Vec<bool>> {
     ]
 }
 
+/// `col`'s rows at `indices`, read value by value: the oracle every gather
+/// is compared with. It starts from an empty slice of `col`, so a string
+/// column interns into a copy of `col`'s dictionary: the same entries and
+/// ids, which the wire blobs ship.
+fn values_at(col: &ColumnData, indices: &[usize]) -> ColumnData {
+    let mut out = col.slice(0, 0);
+    for &i in indices {
+        out.push(col.value(i)).unwrap();
+    }
+    out
+}
+
+/// [`values_at`] for every column of `batch`.
+fn rows_at(batch: &RecordBatch, indices: &[usize]) -> RecordBatch {
+    let columns = (batch.columns().iter())
+        .map(|c| values_at(c, indices))
+        .collect();
+    RecordBatch::new(batch.schema().clone(), columns).unwrap()
+}
+
 /// Floats by bit pattern, so NaN and -0.0 compare as stored.
 fn bits(col: &ColumnData) -> ColumnData {
     match col {
@@ -112,17 +134,41 @@ proptest! {
                 RowSet::Picked(p) => prop_assert_eq!(p, &picked[..]),
             }
             for col in batch.columns() {
-                let taken = col.take(&naive);
-                prop_assert_eq!(bits(&col.gather(&sel)), bits(&taken));
-                prop_assert_eq!(col.byte_size_selected(&sel), taken.byte_size());
+                let want = values_at(col, &naive);
+                prop_assert_eq!(bits(&col.gather(&sel)), bits(&want));
+                prop_assert_eq!(col.byte_size_selected(&sel), want.byte_size());
             }
 
             // A batch carrying the selection (kept, dropped when full or
-            // compacted when sparse) against the batch taken densely.
+            // compacted when sparse) against the rows read one by one.
             let selected = batch.select(sel.clone()).unwrap();
-            let taken = batch.take(&naive).unwrap();
-            prop_assert_eq!(selected.byte_size(), taken.byte_size());
-            prop_assert_eq!(wire(&selected), wire(&taken));
+            let want = rows_at(&batch, &naive);
+            prop_assert_eq!(selected.byte_size(), want.byte_size());
+            prop_assert_eq!(wire(&selected), wire(&want));
+            let taken = selected.take(&(0..naive.len()).rev().collect::<Vec<_>>()).unwrap();
+            let reversed: Vec<usize> = naive.iter().rev().copied().collect();
+            for (got, want) in taken.columns().iter().zip(rows_at(&batch, &reversed).columns()) {
+                prop_assert_eq!(bits(got), bits(want));
+            }
+
+            // The rows split in three parts sharing one dictionary, each
+            // carrying its share of the selection, gathered through `Chunks`
+            // locations in reverse.
+            let n = rows.len();
+            let cuts = [0, n / 3, 2 * n / 3, n];
+            let parts = cuts.windows(2).map(|w| {
+                batch.slice(w[0], w[1] - w[0]).unwrap().filter(&mask[w[0]..w[1]]).unwrap()
+            });
+            let chunks = Chunks::seal(batch.schema(), parts.collect()).unwrap();
+            prop_assert_eq!(chunks.batches().len(), 3);
+            let mut locations = Vec::new();
+            for (c, part) in chunks.batches().iter().enumerate() {
+                locations.extend(RowSet::of(part).iter().map(|r| chunks.location(c, r)));
+            }
+            locations.reverse();
+            for (got, col) in chunks.gather(&locations).iter().zip(batch.columns()) {
+                prop_assert_eq!(bits(got), bits(&values_at(col, &reversed)));
+            }
             let of_batch: Vec<usize> = RowSet::of(&selected).iter().collect();
             prop_assert_eq!(of_batch.len(), naive.len());
             for (c, col) in selected.columns().iter().enumerate() {

@@ -211,7 +211,21 @@ fn recluster_reference(t: &Table, column: usize, rows_per_partition: usize) -> V
         x.partial_cmp_sql(&y)
             .unwrap_or_else(|| is_nan(&x).cmp(&is_nan(&y)))
     });
-    cut(&all.take(&indices).unwrap(), rows_per_partition)
+    // The sorted rows read value by value, seeded with empty slices so a
+    // string column interns into a copy of its dictionary.
+    let columns = (all.columns().iter())
+        .map(|c| {
+            let mut sorted = c.slice(0, 0);
+            indices
+                .iter()
+                .for_each(|&i| sorted.push(c.value(i)).unwrap());
+            sorted
+        })
+        .collect();
+    cut(
+        &RecordBatch::new(all.schema().clone(), columns).unwrap(),
+        rows_per_partition,
+    )
 }
 
 #[test]
